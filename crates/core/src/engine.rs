@@ -12,12 +12,18 @@
 //!                    │  Arc<Database> · Nlq · TSQ · model · cfg   │
 //!                    └──────────────────┬─────────────────────────┘
 //!                                       ▼
+//!                         first round: model.prepare(nlq, schema) ──► plan
+//!                                       │  (owned by the round driver; `None`
+//!                                       ▼   = the model has nothing to compile)
 //!   frontier (BinaryHeap) ──pop beam──► phase 1: expand + score (serial)
-//!                                       │  EnumNextStep per beam state
+//!                                       │  EnumNextStep per beam state, its
+//!                                       │  children scored through the plan
+//!                                       │  (or `model.score` without one)
 //!                                       ▼
 //!                          phase 2: verify fan-out (worker pool)
-//!                          │ join paths + ascending-cost cascade,
-//!                          │ probes answered by Database's memo cache
+//!                          │ join paths (one list per set of tables and
+//!                          │ chunk) + ascending-cost cascade, probes
+//!                          │ answered by Database's memo cache
 //!                          ▼
 //!                          phase 3: ordered merge (serial)
 //!                          │ emit complete queries → stream/callback
@@ -35,12 +41,24 @@
 //!   limit pushdown stops scanning as soon as a probe's limit is
 //!   satisfied — the per-run `rows_scanned`/`rows_short_circuited`
 //!   counters in [`EnumerationStats`] make that win observable.
+//! * **nlq** — the guidance model is asked for a score for every child of
+//!   every popped state, so what it can compute from the run's fixed inputs
+//!   it computes once: the driver calls
+//!   [`GuidanceModel::prepare`] on its first guided round and phase 1 scores
+//!   through the returned plan from then on (bit-identical to
+//!   [`GuidanceModel::score`]; the plan is owned by the driver, so it parks
+//!   in the scheduler and resumes on any worker with it).
 //! * **core** — the round engine pops the top-`beam_width` states, fans child
 //!   expansion + verification across `workers` threads, and merges results
 //!   back **in child order**, so — absent a wall-clock `time_budget` — the
 //!   emitted candidate sequence is a pure function of the configuration
 //!   (never of thread scheduling). With `beam_width = 1` the exploration
-//!   order is exactly paper Algorithm 1.
+//!   order is exactly paper Algorithm 1. Like the guidance plan, the join
+//!   paths of phase 2 are a function of fixed inputs (the schema and a
+//!   child's set of tables), so a verification chunk builds each list once
+//!   (`crate::joinpath`) and its children copy reference-counted trees out
+//!   of it — on schemas whose join graph has no cycle, where that function
+//!   is single-valued.
 //! * **consumers** — [`Duoquest::synthesize`] collects a ranked
 //!   [`SynthesisResult`]; [`crate::session::SynthesisSession`] additionally
 //!   offers a streaming channel ([`crate::session::CandidateStream`]) whose

@@ -22,16 +22,17 @@
 
 use crate::clock::{Clock, SYSTEM_CLOCK};
 use crate::config::{DuoquestConfig, EmissionPolicy};
-use crate::joinpath::construct_join_paths;
+use crate::joinpath::{JoinPathMemo, JoinPlanner};
 use crate::session::SessionControl;
 use crate::state::EnumState;
 use crate::tsq::TableSketchQuery;
 use crate::verify::{StageTimings, Verifier, VerifyOutcome, VerifyStage};
 use duoquest_db::{
-    AggFunc, CmpOp, DataType, Database, JoinGraph, LogicalOp, OrderKey, SelectSpec, Value,
+    AggFunc, CmpOp, DataType, Database, JoinTree, LogicalOp, OrderKey, SelectSpec, Value,
 };
 use duoquest_nlq::{
-    Choice, GuidanceContext, GuidanceModel, HavingChoice, LiteralKind, Nlq, OrderChoice,
+    Choice, GuidanceContext, GuidanceModel, GuidancePlan, HavingChoice, LiteralKind, Nlq,
+    OrderChoice,
 };
 use duoquest_obs::{RawSpan, Trace};
 use duoquest_sql::{
@@ -39,6 +40,7 @@ use duoquest_sql::{
     SelectColumn, Slot,
 };
 use std::collections::{BinaryHeap, VecDeque};
+use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -246,8 +248,8 @@ pub(crate) fn min_deadline(a: Option<Instant>, b: Option<Instant>) -> Option<Ins
 /// synchronization).
 #[derive(Clone, Copy)]
 pub(crate) struct RoundEnv<'a> {
-    pub(crate) db: &'a Database,
-    pub(crate) graph: &'a JoinGraph,
+    /// The run's join path construction (every chunk opens a memo over it).
+    pub(crate) joins: &'a JoinPlanner,
     pub(crate) config: &'a DuoquestConfig,
     pub(crate) partial_verifier: &'a Verifier<'a>,
     pub(crate) complete_verifier: &'a Verifier<'a>,
@@ -330,7 +332,7 @@ pub(crate) fn run_rounds(
 ) -> EnumerationStats {
     let start = clock.now();
     let mut stats = EnumerationStats::default();
-    let graph = JoinGraph::new(db.schema());
+    let joins = JoinPlanner::new(db, config.join_extension_depth);
 
     // Partial queries are only verified when partial pruning is enabled; complete
     // queries always get the full cascade (this is what makes NoPQ equivalent to
@@ -345,8 +347,7 @@ pub(crate) fn run_rounds(
     let complete_verifier =
         Verifier::new(db, tsq, &nlq.literals, config.semantic_rules).with_clock(clock);
     let env = RoundEnv {
-        db,
-        graph: &graph,
+        joins: &joins,
         config,
         partial_verifier: &partial_verifier,
         complete_verifier: &complete_verifier,
@@ -540,6 +541,11 @@ pub(crate) struct RoundDriver {
     trace: Option<Arc<Trace>>,
     /// Start instant of the in-flight round's span (tracing only).
     round_started: Option<Instant>,
+    /// The guidance model compiled against this run's (NLQ, schema) pair:
+    /// unset until the first guided round prepares it, then `Some(None)`
+    /// for a model with nothing to precompute (phase 1 calls its `score`).
+    /// Owned by the driver, so it parks and resumes with it.
+    plan: Option<Option<Box<dyn GuidancePlan>>>,
 }
 
 impl RoundDriver {
@@ -559,6 +565,7 @@ impl RoundDriver {
             halted: false,
             trace: None,
             round_started: None,
+            plan: None,
         }
     }
 
@@ -800,7 +807,13 @@ impl RoundDriver {
             let (choices, child_pqs): (Vec<Choice>, Vec<PartialQuery>) =
                 children.into_iter().unzip();
             let raw = if env.config.guided {
-                env.model.score(&ctx, &choices)
+                // Prepared on the first round rather than at construction:
+                // here a panicking model poisons only this session, and the
+                // work lands on the thread that runs the round.
+                match self.plan.get_or_insert_with(|| env.model.prepare(&ctx)) {
+                    Some(plan) => plan.score(&choices),
+                    None => env.model.score(&ctx, &choices),
+                }
             } else {
                 vec![1.0; choices.len()]
             };
@@ -1218,6 +1231,7 @@ pub(crate) fn process_chunk(jobs: Vec<ChildJob>, env: &RoundEnv<'_>) -> ChunkRes
     } else {
         0
     };
+    let mut joins = env.joins.memo();
     for (done, job) in jobs.into_iter().enumerate() {
         // Honor cancellation between jobs (an atomic load — cheap enough per
         // job) so cancel takes effect mid-chunk, not at the next round.
@@ -1243,8 +1257,10 @@ pub(crate) fn process_chunk(jobs: Vec<ChildJob>, env: &RoundEnv<'_>) -> ChunkRes
                 continue;
             }
         }
-        // Attach candidate join paths (progressive join path construction).
-        for pq in attach_join_paths(pq, env.db, env.graph, env.config) {
+        // Attach candidate join paths (progressive join path construction):
+        // one variant per path the child still needs, the child itself when
+        // its join path already covers it.
+        let settle = |pq: PartialQuery, out: &mut ChunkResult| {
             out.generated += 1;
             let complete = pq.is_complete();
             let verifier = if complete { env.complete_verifier } else { env.partial_verifier };
@@ -1266,6 +1282,18 @@ pub(crate) fn process_chunk(jobs: Vec<ChildJob>, env: &RoundEnv<'_>) -> ChunkRes
                     }
                 }
             }
+        };
+        match missing_join_paths(&pq, &mut joins) {
+            None => settle(pq, &mut out),
+            Some(paths) => {
+                // The child is moved into the last variant instead of cloned.
+                if let Some((last_path, paths)) = paths.split_last() {
+                    for join in paths {
+                        settle(PartialQuery { join: Some(join.clone()), ..pq.clone() }, &mut out);
+                    }
+                    settle(PartialQuery { join: Some(last_path.clone()), ..pq }, &mut out);
+                }
+            }
         }
     }
     if let Some(started) = chunk_started {
@@ -1277,40 +1305,22 @@ pub(crate) fn process_chunk(jobs: Vec<ChildJob>, env: &RoundEnv<'_>) -> ChunkRes
     out
 }
 
-/// Attach join paths to a freshly generated child: if the child's referenced
-/// tables are not covered by its current join path (or it has none yet and its
-/// projection is decided), produce one child per candidate join path. The
-/// input query is moved into the last variant instead of cloned.
-fn attach_join_paths(
-    pq: PartialQuery,
-    db: &Database,
-    graph: &JoinGraph,
-    config: &DuoquestConfig,
-) -> Vec<PartialQuery> {
+/// The join paths a freshly generated child has to be split over: `None` when
+/// it needs none (its projection is still open, or the join path it carries
+/// covers every table it references), otherwise the candidate paths over its
+/// tables — empty when they cannot be joined, which drops the child.
+fn missing_join_paths(pq: &PartialQuery, joins: &mut JoinPathMemo<'_>) -> Option<Rc<[JoinTree]>> {
     if pq.select.is_hole() {
-        return vec![pq];
+        return None;
     }
-    let referenced: Vec<_> = pq.referenced_columns().iter().map(|c| c.table).collect();
-    let covered =
-        pq.join.as_ref().map(|j| referenced.iter().all(|t| j.contains(*t))).unwrap_or(false);
-    if covered {
-        return vec![pq];
+    if let Some(join) = &pq.join {
+        let mut covered = true;
+        pq.for_each_referenced_column(|c| covered &= join.contains(c.table));
+        if covered {
+            return None;
+        }
     }
-    let mut paths =
-        construct_join_paths(db, graph, &pq, pq.join.as_ref(), config.join_extension_depth);
-    let Some(last_path) = paths.pop() else { return Vec::new() };
-    let mut out: Vec<PartialQuery> = paths
-        .into_iter()
-        .map(|join| {
-            let mut child = pq.clone();
-            child.join = Some(join);
-            child
-        })
-        .collect();
-    let mut last = pq;
-    last.join = Some(last_path);
-    out.push(last);
-    out
+    Some(joins.paths(pq))
 }
 
 /// `EnumNextStep`: produce the candidate children of the next inference
@@ -1943,11 +1953,10 @@ mod tests {
         loop {
             match driver.step(&env) {
                 StepOutcome::SubmitChunks(jobs) => {
-                    let graph = JoinGraph::new(db.schema());
+                    let joins = JoinPlanner::new(&db, config.join_extension_depth);
                     let verifier = Verifier::new(&db, None, &nlq.literals, config.semantic_rules);
                     let round_env = RoundEnv {
-                        db: &db,
-                        graph: &graph,
+                        joins: &joins,
                         config: &config,
                         partial_verifier: &verifier,
                         complete_verifier: &verifier,

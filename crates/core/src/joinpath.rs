@@ -9,6 +9,8 @@
 
 use duoquest_db::{Database, JoinGraph, JoinTree, TableId};
 use duoquest_sql::PartialQuery;
+use std::collections::HashMap;
+use std::rc::Rc;
 
 /// Produce the candidate join paths for a partial query.
 ///
@@ -27,19 +29,36 @@ pub fn construct_join_paths(
     current: Option<&JoinTree>,
     extension_depth: usize,
 ) -> Vec<JoinTree> {
-    let mut terminals: Vec<TableId> = pq.referenced_columns().iter().map(|c| c.table).collect();
+    paths_over(db.schema().table_count(), graph, &terminals_of(pq, current), extension_depth)
+}
+
+/// The tables a join path for `pq` must cover, sorted and distinct: those of
+/// its referenced columns plus those of the join path it already carries.
+fn terminals_of(pq: &PartialQuery, current: Option<&JoinTree>) -> Vec<TableId> {
+    let mut terminals: Vec<TableId> = Vec::new();
+    pq.for_each_referenced_column(|c| terminals.push(c.table));
     if let Some(cur) = current {
         terminals.extend(cur.tables.iter().copied());
     }
     terminals.sort();
     terminals.dedup();
+    terminals
+}
 
+/// The candidate join paths over a terminal set: all of
+/// [`construct_join_paths`] past reading the partial query.
+fn paths_over(
+    table_count: usize,
+    graph: &JoinGraph,
+    terminals: &[TableId],
+    extension_depth: usize,
+) -> Vec<JoinTree> {
     let mut bases: Vec<JoinTree> = Vec::new();
     if terminals.is_empty() {
-        for t in 0..db.schema().table_count() {
+        for t in 0..table_count {
             bases.push(JoinTree::single(TableId(t)));
         }
-    } else if let Ok(tree) = graph.steiner_tree(&terminals) {
+    } else if let Ok(tree) = graph.steiner_tree(terminals) {
         bases.push(tree);
     } else {
         // Disconnected terminals: no valid join path exists for this partial query.
@@ -71,6 +90,68 @@ pub fn construct_join_paths(
     all.sort_by_key(|t| (t.join_length(), t.tables.len()));
     all.truncate(16);
     all
+}
+
+/// Join path construction for one run: the schema's join graph and the
+/// run's extension depth, shared by the run's chunk workers.
+pub(crate) struct JoinPlanner {
+    graph: JoinGraph,
+    table_count: usize,
+    extension_depth: usize,
+}
+
+impl JoinPlanner {
+    /// A planner over `db`'s schema.
+    pub(crate) fn new(db: &Database, extension_depth: usize) -> Self {
+        JoinPlanner {
+            graph: JoinGraph::new(db.schema()),
+            table_count: db.schema().table_count(),
+            extension_depth,
+        }
+    }
+
+    /// An empty memo over this planner, for one chunk of children.
+    pub(crate) fn memo(&self) -> JoinPathMemo<'_> {
+        JoinPathMemo { planner: self, built: HashMap::new() }
+    }
+}
+
+/// The path lists one chunk of children has asked for, keyed by terminal set.
+///
+/// The children of a chunk come from one or a few parents and mostly share
+/// their terminal sets, and a list costs a Steiner tree plus its FK
+/// extensions — breadth-first searches over hash maps — to build; so a chunk
+/// builds each list once and its children copy reference-counted trees out
+/// of it. The memo is as short-lived as the chunk: nothing is shared between
+/// workers or kept between rounds, so no lock is taken and a run allocates
+/// in the pattern it always did.
+///
+/// It is used only where a list is a function of its terminal set: on a join
+/// graph without cycles ([`JoinGraph::is_forest`] — every Spider schema).
+/// With a cycle (MAS) two equally short Steiner trees can exist and
+/// [`construct_join_paths`] gives each child its own draw between them; there
+/// the memo builds every list afresh, exactly as before it existed.
+pub(crate) struct JoinPathMemo<'a> {
+    planner: &'a JoinPlanner,
+    built: HashMap<Vec<TableId>, Rc<[JoinTree]>>,
+}
+
+impl JoinPathMemo<'_> {
+    /// [`construct_join_paths`] for `pq` with its own join path as `current`.
+    pub(crate) fn paths(&mut self, pq: &PartialQuery) -> Rc<[JoinTree]> {
+        let JoinPlanner { graph, table_count, extension_depth } = self.planner;
+        let terminals = terminals_of(pq, pq.join.as_ref());
+        if !graph.is_forest() {
+            return paths_over(*table_count, graph, &terminals, *extension_depth).into();
+        }
+        if let Some(paths) = self.built.get(&terminals) {
+            return Rc::clone(paths);
+        }
+        let paths: Rc<[JoinTree]> =
+            paths_over(*table_count, graph, &terminals, *extension_depth).into();
+        self.built.insert(terminals, Rc::clone(&paths));
+        paths
+    }
 }
 
 #[cfg(test)]
@@ -164,5 +245,65 @@ mod tests {
         assert_eq!(paths.len(), 1);
         assert_eq!(paths[0].tables.len(), 3);
         assert_eq!(paths[0].join_length(), 2);
+    }
+
+    #[test]
+    fn memo_answers_as_construct_join_paths_and_builds_each_set_once() {
+        let db = movie_db();
+        let graph = JoinGraph::new(db.schema());
+        let starring = db.schema().table_id("starring").unwrap();
+        let mut carrying = pq_with_select(&db, &[("actor", "name")]);
+        carrying.join = Some(JoinTree::single(starring));
+        let queries = [
+            PartialQuery::empty(),
+            pq_with_select(&db, &[("actor", "name")]),
+            pq_with_select(&db, &[("actor", "name"), ("movies", "name")]),
+            carrying,
+        ];
+        for depth in 0..3 {
+            let planner = JoinPlanner::new(&db, depth);
+            let mut memo = planner.memo();
+            for pq in &queries {
+                let direct = construct_join_paths(&db, &graph, pq, pq.join.as_ref(), depth);
+                let first = memo.paths(pq);
+                assert_eq!(&*first, direct.as_slice(), "depth {depth}: {pq:?}");
+                // The second request is the memo's own list, not a rebuild.
+                assert!(Rc::ptr_eq(&first, &memo.paths(pq)));
+            }
+            // Same terminals by another route: `actor` and `starring`, once
+            // as the carried join path and once as referenced columns.
+            let by_columns = pq_with_select(&db, &[("actor", "name"), ("starring", "aid")]);
+            assert!(Rc::ptr_eq(&memo.paths(&queries[3]), &memo.paths(&by_columns)));
+            assert_eq!(memo.built.len(), 4);
+        }
+    }
+
+    #[test]
+    fn memo_keeps_nothing_on_a_join_graph_with_a_cycle() {
+        // a - b, a - c, b - c: the tree over all three is one of two.
+        let mut s = Schema::new("triangle");
+        s.add_table(TableDef::new("a", vec![ColumnDef::number("id")], Some(0)));
+        s.add_table(TableDef::new(
+            "b",
+            vec![ColumnDef::number("id"), ColumnDef::number("a")],
+            Some(0),
+        ));
+        s.add_table(TableDef::new("c", vec![ColumnDef::number("a"), ColumnDef::number("b")], None));
+        s.add_foreign_key("b", "a", "a", "id").unwrap();
+        s.add_foreign_key("c", "a", "a", "id").unwrap();
+        s.add_foreign_key("c", "b", "b", "id").unwrap();
+        let db = Database::new(s).unwrap();
+        let planner = JoinPlanner::new(&db, 0);
+        let mut memo = planner.memo();
+
+        let all = pq_with_select(&db, &[("a", "id"), ("b", "id"), ("c", "a")]);
+        let pair = pq_with_select(&db, &[("a", "id"), ("b", "id")]);
+        for pq in [&all, &pair, &all] {
+            let paths = memo.paths(pq);
+            assert_eq!(paths.len(), 1);
+            assert!(paths[0].is_connected());
+            assert_eq!(paths[0].join_length(), paths[0].tables.len() - 1);
+        }
+        assert!(memo.built.is_empty());
     }
 }

@@ -96,10 +96,11 @@ use crate::enumerate::{
     drive_rounds, min_deadline, process_chunk, ChildJob, ChunkResult, EnumerationStats,
     RoundDispatcher, RoundDriver, RoundEnv, StepEnv, StepOutcome, MIN_PARALLEL_JOBS,
 };
+use crate::joinpath::JoinPlanner;
 use crate::session::SessionControl;
 use crate::tsq::TableSketchQuery;
 use crate::verify::Verifier;
-use duoquest_db::{Database, JoinGraph, RunCacheCounters, SelectSpec};
+use duoquest_db::{Database, RunCacheCounters, SelectSpec};
 use duoquest_nlq::{GuidanceModel, Literal, Nlq};
 use duoquest_obs::Trace;
 use std::collections::VecDeque;
@@ -188,7 +189,8 @@ struct SessionContext {
     tsq: Option<TableSketchQuery>,
     literals: Vec<Literal>,
     config: DuoquestConfig,
-    graph: JoinGraph,
+    /// The run's join path construction, shared by the run's chunk workers.
+    joins: JoinPlanner,
     /// Per-session probe-cache attribution: the shared database's cache is hit
     /// by every live session, these counters record only this session's
     /// traffic (partial-query and complete-query cascades separately).
@@ -226,8 +228,7 @@ impl SessionContext {
                 .with_counters(Arc::clone(&self.complete_counters))
                 .with_clock(self.clock.as_ref());
         let env = RoundEnv {
-            db: &self.db,
-            graph: &self.graph,
+            joins: &self.joins,
             config: &self.config,
             partial_verifier: &partial_verifier,
             complete_verifier: &complete_verifier,
@@ -1187,7 +1188,7 @@ pub(crate) fn spawn_driven_session(
     let start = clock.now();
     let deadline =
         min_deadline(config.time_budget.map(|budget| start + budget), control.deadline());
-    let graph = JoinGraph::new(db.schema());
+    let joins = JoinPlanner::new(&db, config.join_extension_depth);
     let literals = nlq.literals.clone();
     let weight = config.beam_width.max(1).saturating_mul(priority_weight.max(1));
     let ctx = Arc::new(SessionContext {
@@ -1195,7 +1196,7 @@ pub(crate) fn spawn_driven_session(
         tsq,
         literals,
         config,
-        graph,
+        joins,
         partial_counters: Arc::new(RunCacheCounters::default()),
         complete_counters: Arc::new(RunCacheCounters::default()),
         deadline,
@@ -1480,7 +1481,7 @@ pub(crate) fn run_rounds_scheduled(
         tsq: tsq.cloned(),
         literals: nlq.literals.clone(),
         config: config.clone(),
-        graph: JoinGraph::new(db.schema()),
+        joins: JoinPlanner::new(db, config.join_extension_depth),
         partial_counters: Arc::new(RunCacheCounters::default()),
         complete_counters: Arc::new(RunCacheCounters::default()),
         deadline,
@@ -1778,13 +1779,14 @@ mod tests {
 
     fn test_ctx() -> Arc<SessionContext> {
         let db = movie_db().into_shared();
-        let graph = JoinGraph::new(db.schema());
+        let config = DuoquestConfig::fast();
+        let joins = JoinPlanner::new(&db, config.join_extension_depth);
         Arc::new(SessionContext {
             db,
             tsq: None,
             literals: Vec::new(),
-            config: DuoquestConfig::fast(),
-            graph,
+            config,
+            joins,
             partial_counters: Arc::new(RunCacheCounters::default()),
             complete_counters: Arc::new(RunCacheCounters::default()),
             deadline: None,

@@ -297,12 +297,21 @@ impl<'a> Verifier<'a> {
     /// Run the cascade, recording per-stage wall-clock time and invocation
     /// counts into `timings`. Workers in the parallel session each keep their
     /// own table and merge afterwards, so no synchronization happens here.
+    ///
+    /// The clock is read once per stage boundary: a stage's end is the next
+    /// stage's start. Most stages run for a fraction of a microsecond, so a
+    /// second read per stage was a measurable share of the whole cascade.
     pub fn verify_timed(&self, pq: &PartialQuery, timings: &mut StageTimings) -> VerifyOutcome {
+        let mut boundary = self.clock.now();
+        let mut lap = |stage: VerifyStage, timings: &mut StageTimings| {
+            let ended = self.clock.now();
+            timings.record(stage, ended.saturating_duration_since(boundary));
+            boundary = ended;
+        };
         macro_rules! stage {
             ($stage:expr, $check:expr) => {{
-                let started = self.clock.now();
                 let passed = $check;
-                timings.record($stage, self.clock.now().saturating_duration_since(started));
+                lap($stage, timings);
                 if !passed {
                     return VerifyOutcome::Fail($stage);
                 }
@@ -511,5 +520,53 @@ mod tests {
         let verifier = Verifier::new(&db, None, &literals, true);
         assert!(verifier.verify(&pq).passed());
         assert!(std::ptr::eq(verifier.database(), &db));
+    }
+
+    /// A clock that moves 1 µs per read, so a duration counts the reads
+    /// between its two ends.
+    struct TickingClock {
+        base: std::time::Instant,
+        reads: std::sync::atomic::AtomicU64,
+    }
+
+    impl crate::clock::Clock for TickingClock {
+        fn now(&self) -> std::time::Instant {
+            let n = self.reads.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.base + std::time::Duration::from_micros(n)
+        }
+    }
+
+    #[test]
+    fn cascade_reads_the_clock_once_per_stage_boundary() {
+        let db = movie_db();
+        let tsq = TableSketchQuery::with_types(vec![duoquest_db::DataType::Text])
+            .with_tuple(vec![TsqCell::text("Forrest Gump")]);
+        let pq = complete_pq(&db);
+        let literals = vec![duoquest_nlq::Literal::number(1995.0)];
+        let clock = TickingClock { base: std::time::Instant::now(), reads: 0.into() };
+        let verifier = Verifier::new(&db, Some(&tsq), &literals, true).with_clock(&clock);
+
+        let mut timings = StageTimings::default();
+        assert!(verifier.verify_timed(&pq, &mut timings).passed());
+        let stages: u64 = VerifyStage::ALL.iter().map(|s| timings.calls_of(*s)).sum();
+        assert_eq!(stages, 7, "a complete query with example tuples runs every stage");
+        // One read to open the cascade, one to close each stage; every stage
+        // is charged exactly the one tick between its boundaries.
+        assert_eq!(clock.reads.load(std::sync::atomic::Ordering::Relaxed), stages + 1);
+        for stage in VerifyStage::ALL {
+            assert_eq!(timings.duration_of(stage), std::time::Duration::from_micros(1));
+        }
+
+        // A failing stage is still timed, and nothing after it is.
+        let wrong = TableSketchQuery::with_types(vec![duoquest_db::DataType::Number]);
+        let verifier = Verifier::new(&db, Some(&wrong), &literals, true).with_clock(&clock);
+        let mut timings = StageTimings::default();
+        assert_eq!(
+            verifier.verify_timed(&pq, &mut timings),
+            VerifyOutcome::Fail(VerifyStage::ColumnTypes)
+        );
+        assert_eq!(timings.calls_of(VerifyStage::ColumnTypes), 1);
+        assert_eq!(timings.calls_of(VerifyStage::ByColumn), 0);
+        assert_eq!(timings.total(), std::time::Duration::from_micros(3));
     }
 }

@@ -528,7 +528,7 @@ fn plan_joins(db: &Database, spec: &SelectSpec, access: &IndexAccess) -> DbResul
 
     let mut steps = Vec::new();
     let mut joined_tables = vec![first];
-    let mut remaining_edges = spec.join.edges.clone();
+    let mut remaining_edges = spec.join.edges.to_vec();
 
     while joined_tables.len() < spec.join.tables.len() {
         let mut connecting = remaining_edges.iter().enumerate().filter(|(_, e)| {

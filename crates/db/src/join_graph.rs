@@ -9,6 +9,7 @@
 use crate::error::{DbError, DbResult};
 use crate::schema::{ForeignKey, Schema, TableId};
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::sync::Arc;
 
 /// An undirected join edge between two tables, realised by a foreign key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -38,18 +39,22 @@ impl JoinEdge {
 
 /// A connected join tree: the set of tables in the `FROM` clause and the FK
 /// edges joining them. A single-table "tree" has no edges.
+///
+/// Both lists are shared slices: a tree is built once and then copied into
+/// every partial query, probe and candidate that joins along it, so a clone
+/// is two reference counts, not two allocations.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct JoinTree {
     /// Tables in the FROM clause, sorted for canonical comparison.
-    pub tables: Vec<TableId>,
+    pub tables: Arc<[TableId]>,
     /// FK join edges, sorted for canonical comparison.
-    pub edges: Vec<JoinEdge>,
+    pub edges: Arc<[JoinEdge]>,
 }
 
 impl JoinTree {
     /// A join tree consisting of a single table.
     pub fn single(table: TableId) -> Self {
-        JoinTree { tables: vec![table], edges: Vec::new() }
+        JoinTree { tables: Arc::new([table]), edges: Arc::default() }
     }
 
     /// Construct and canonicalize a join tree.
@@ -58,7 +63,7 @@ impl JoinTree {
         tables.dedup();
         edges.sort_by_key(|e| (e.fk.from, e.fk.to));
         edges.dedup();
-        JoinTree { tables, edges }
+        JoinTree { tables: tables.into(), edges: edges.into() }
     }
 
     /// Number of joins (edges). Used as the secondary tie-breaker during
@@ -82,7 +87,7 @@ impl JoinTree {
         queue.push_back(self.tables[0]);
         seen.insert(self.tables[0]);
         while let Some(t) = queue.pop_front() {
-            for e in &self.edges {
+            for e in self.edges.iter() {
                 if let Some(o) = e.other(t) {
                     if self.tables.contains(&o) && seen.insert(o) {
                         queue.push_back(o);
@@ -99,6 +104,7 @@ impl JoinTree {
 pub struct JoinGraph {
     adjacency: HashMap<TableId, Vec<JoinEdge>>,
     table_count: usize,
+    forest: bool,
 }
 
 impl JoinGraph {
@@ -108,12 +114,37 @@ impl JoinGraph {
         for t in 0..schema.table_count() {
             adjacency.entry(TableId(t)).or_default();
         }
+        // Union-find over the tables: an edge between two tables that are
+        // already connected closes a cycle.
+        let mut root: Vec<usize> = (0..schema.table_count()).collect();
+        let find = |root: &mut Vec<usize>, mut t: usize| {
+            while root[t] != t {
+                root[t] = root[root[t]];
+                t = root[t];
+            }
+            t
+        };
+        let mut forest = true;
         for fk in &schema.foreign_keys {
             let edge = JoinEdge { fk: *fk };
             adjacency.entry(fk.from.table).or_default().push(edge);
             adjacency.entry(fk.to.table).or_default().push(edge);
+            let (a, b) = (find(&mut root, fk.from.table.0), find(&mut root, fk.to.table.0));
+            forest &= a != b;
+            root[a] = b;
         }
-        JoinGraph { adjacency, table_count: schema.table_count() }
+        JoinGraph { adjacency, table_count: schema.table_count(), forest }
+    }
+
+    /// Whether the graph has no cycle — a self-reference and two foreign keys
+    /// between the same pair of tables count as cycles. Two tables of a
+    /// forest are connected by at most one path, so the Steiner tree over a
+    /// set of them is the union of those paths: one tree, whatever order it
+    /// is assembled in. With a cycle, [`JoinGraph::steiner_tree`] can find a
+    /// terminal equally close to two tables of the tree built so far, and
+    /// which one it attaches to then follows hash iteration order.
+    pub fn is_forest(&self) -> bool {
+        self.forest
     }
 
     /// Edges incident to a table.
@@ -218,13 +249,13 @@ impl JoinGraph {
     /// This implements lines 10–12 of Algorithm 2.
     pub fn extensions(&self, tree: &JoinTree) -> Vec<JoinTree> {
         let mut out = Vec::new();
-        for t in &tree.tables {
+        for t in tree.tables.iter() {
             for e in self.edges_of(*t) {
                 let o = e.other(*t).expect("consistent adjacency");
                 if !tree.contains(o) {
-                    let mut tables = tree.tables.clone();
+                    let mut tables = tree.tables.to_vec();
                     tables.push(o);
-                    let mut edges = tree.edges.clone();
+                    let mut edges = tree.edges.to_vec();
                     edges.push(*e);
                     let ext = JoinTree::new(tables, edges);
                     if !out.contains(&ext) {
@@ -284,7 +315,7 @@ mod tests {
         let g = JoinGraph::new(&s);
         let actor = s.table_id("actor").unwrap();
         let t = g.steiner_tree(&[actor]).unwrap();
-        assert_eq!(t.tables, vec![actor]);
+        assert_eq!(*t.tables, [actor]);
         assert_eq!(t.join_length(), 0);
         assert!(t.is_connected());
     }
@@ -345,5 +376,39 @@ mod tests {
         let t = JoinTree::new(vec![starring, actor, actor], vec![e, e]);
         assert_eq!(t.tables.len(), 2);
         assert_eq!(t.edges.len(), 1);
+    }
+
+    #[test]
+    fn forests_are_told_from_graphs_with_cycles() {
+        // actor - starring - movies and an isolated table: a forest.
+        assert!(JoinGraph::new(&schema()).is_forest());
+
+        // A triangle a - b, a - c, b - c.
+        let mut s = Schema::new("triangle");
+        s.add_table(TableDef::new("a", vec![ColumnDef::number("id")], Some(0)));
+        s.add_table(TableDef::new(
+            "b",
+            vec![ColumnDef::number("id"), ColumnDef::number("a")],
+            Some(0),
+        ));
+        s.add_table(TableDef::new("c", vec![ColumnDef::number("a"), ColumnDef::number("b")], None));
+        s.add_foreign_key("b", "a", "a", "id").unwrap();
+        s.add_foreign_key("c", "a", "a", "id").unwrap();
+        assert!(JoinGraph::new(&s).is_forest());
+        s.add_foreign_key("c", "b", "b", "id").unwrap();
+        assert!(!JoinGraph::new(&s).is_forest());
+
+        // Two foreign keys between one pair of tables (MAS's `cite`).
+        let mut s = Schema::new("cite");
+        s.add_table(TableDef::new("paper", vec![ColumnDef::number("id")], Some(0)));
+        s.add_table(TableDef::new(
+            "cite",
+            vec![ColumnDef::number("citing"), ColumnDef::number("cited")],
+            None,
+        ));
+        s.add_foreign_key("cite", "citing", "paper", "id").unwrap();
+        assert!(JoinGraph::new(&s).is_forest());
+        s.add_foreign_key("cite", "cited", "paper", "id").unwrap();
+        assert!(!JoinGraph::new(&s).is_forest());
     }
 }

@@ -11,6 +11,32 @@
 //! so they sum to 1 (which yields Property 1: the children of a state split the
 //! parent's confidence mass), and multiplies each child's score into the
 //! running confidence of its partial query.
+//!
+//! # Prepared plans
+//!
+//! The enumerator scores every child of every popped partial query, so a
+//! model's per-candidate cost multiplies the whole search, while its inputs
+//! — the NLQ and the schema — never change during a run. A model can
+//! therefore pay for them once: [`GuidanceModel::prepare`] compiles the model
+//! against one `(nlq, schema)` pair into a [`GuidancePlan`], which the round
+//! driver builds on its first round and scores through for the rest of the
+//! run. The contract of a plan:
+//!
+//! * it is a **pure function of `(nlq, schema)`** as they are when the run
+//!   starts (`Nlq`'s fields are public and mutable, so a plan is derived per
+//!   run, never cached inside the `Nlq` or the model);
+//! * its scores are **bit-identical** to what [`GuidanceModel::score`]
+//!   returns for the same context and candidates — emission order hangs on
+//!   the exact `f64`s, so a plan is the same arithmetic in the same order,
+//!   only with the per-run part done up front;
+//! * it is **owned and `Send`**: it borrows nothing from the context it was
+//!   built from, because the driver that holds it is parked inside the
+//!   scheduler between rounds and resumed by whichever worker is free.
+//!
+//! The default `prepare` returns `None` ("no plan, call `score`"), which is
+//! right for any model whose per-candidate work does not depend on the NLQ
+//! text or the schema names (the noisy oracle compares against its gold
+//! query).
 
 use crate::tokenize::Nlq;
 use duoquest_db::{AggFunc, CmpOp, ColumnId, LogicalOp, OrderKey, Schema, Value};
@@ -100,10 +126,26 @@ pub trait GuidanceModel: Send + Sync {
     /// distribution.
     fn score(&self, ctx: &GuidanceContext<'_>, candidates: &[Choice]) -> Vec<f64>;
 
+    /// Compile the model against one `(nlq, schema)` pair, once per run (see
+    /// the [module docs](self#prepared-plans) for the contract). `None` —
+    /// the default — means the model has nothing to precompute and the
+    /// enumerator calls [`GuidanceModel::score`] for every decision.
+    fn prepare(&self, _ctx: &GuidanceContext<'_>) -> Option<Box<dyn GuidancePlan>> {
+        None
+    }
+
     /// Human-readable model name (used in experiment reports).
     fn name(&self) -> &str {
         "guidance"
     }
+}
+
+/// A guidance model compiled against one `(nlq, schema)` pair by
+/// [`GuidanceModel::prepare`].
+pub trait GuidancePlan: Send {
+    /// The raw scores [`GuidanceModel::score`] would return for these
+    /// candidates under the context the plan was prepared from, bit for bit.
+    fn score(&self, candidates: &[Choice]) -> Vec<f64>;
 }
 
 /// Normalize raw scores into a probability distribution (Property 1).

@@ -27,7 +27,9 @@ pub mod oracle;
 pub mod similarity;
 pub mod tokenize;
 
-pub use guidance::{Choice, GuidanceContext, GuidanceModel, HavingChoice, OrderChoice};
+pub use guidance::{
+    Choice, GuidanceContext, GuidanceModel, GuidancePlan, HavingChoice, OrderChoice,
+};
 pub use heuristic::HeuristicGuidance;
 pub use literals::{candidate_columns, extract_literals, literal_mentioned, Literal, LiteralKind};
 pub use oracle::{NoisyOracleGuidance, OracleConfig};

@@ -48,9 +48,15 @@ impl Nlq {
 
     /// Whether any of the given phrases occurs in the raw text (case-insensitive).
     pub fn contains_phrase(&self, phrases: &[&str]) -> bool {
-        let lower = self.text.to_ascii_lowercase();
-        phrases.iter().any(|p| lower.contains(p))
+        any_phrase_in(&self.text.to_ascii_lowercase(), phrases)
     }
+}
+
+/// Whether any of the (lower-case) phrases occurs in already lower-cased
+/// text. Callers testing many phrase lists lower-case once and call this;
+/// [`Nlq::contains_phrase`] lower-cases per call.
+pub(crate) fn any_phrase_in(lower: &str, phrases: &[&str]) -> bool {
+    phrases.iter().any(|p| lower.contains(p))
 }
 
 /// Tokenize and normalize a sentence.

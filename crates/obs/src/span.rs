@@ -62,8 +62,100 @@ pub const TERMINAL_EVENT: &str = "terminal";
 
 #[derive(Default)]
 struct TraceInner {
-    spans: Vec<SpanRecord>,
+    spans: SpanLog,
     events: Vec<TraceEvent>,
+}
+
+/// Spans per [`SpanLog`] block: 1 KiB of 16-byte records, so a request with
+/// a handful of spans holds one small block and a block's own overhead (its
+/// `Vec` header and the allocator's) stays under 5 %.
+const BLOCK_SPANS: usize = 64;
+
+/// The spans of one trace in recording order, stored the way they are
+/// retained: 16 bytes each (a [`SpanRecord`] is 32) in fixed-size blocks that
+/// never reallocate. A trace therefore costs `16 B × spans`, rounded up to a
+/// block, both while its request runs and in the flight recorder's ring —
+/// there is no growth buffer to copy out of — and because every block of
+/// every trace is the same size, the blocks an evicted trace frees are
+/// exactly what the next one allocates.
+#[derive(Default)]
+struct SpanLog {
+    /// The distinct span names, in first-use order; a handful per trace.
+    names: Vec<&'static str>,
+    /// All full (`BLOCK_SPANS` long) except the last.
+    blocks: Vec<Vec<PackedSpan>>,
+    /// The spans [`PackedSpan`] cannot hold exactly, with their positions
+    /// (ascending); their slots in `blocks` are placeholders.
+    wide: Vec<(usize, SpanRecord)>,
+}
+
+impl SpanLog {
+    fn len(&self) -> usize {
+        self.blocks.last().map_or(0, |last| (self.blocks.len() - 1) * BLOCK_SPANS + last.len())
+    }
+
+    #[cfg_attr(not(feature = "trace"), allow(dead_code))]
+    fn push(&mut self, span: SpanRecord) {
+        let packed = PackedSpan::pack(&span, &mut self.names).unwrap_or_else(|| {
+            self.wide.push((self.len(), span));
+            PackedSpan::default()
+        });
+        if self.blocks.last().is_none_or(|block| block.len() == BLOCK_SPANS) {
+            self.blocks.push(Vec::with_capacity(BLOCK_SPANS));
+        }
+        self.blocks.last_mut().expect("a block with room").push(packed);
+    }
+
+    fn iter(&self) -> impl Iterator<Item = SpanRecord> + '_ {
+        let mut wide = self.wide.iter().peekable();
+        self.blocks.iter().flatten().enumerate().map(move |(at, packed)| {
+            match wide.next_if(|(position, _)| *position == at) {
+                Some((_, span)) => span.clone(),
+                None => packed.unpack(&self.names),
+            }
+        })
+    }
+}
+
+/// A [`SpanRecord`] in 16 bytes: the start offset, and the duration (low 48
+/// bits — 8.9 years of microseconds) sharing a word with the index of the
+/// name in [`SpanLog::names`] (high 16 bits).
+#[derive(Clone, Copy, Default)]
+struct PackedSpan {
+    start_us: u64,
+    duration_and_name: u64,
+}
+
+impl PackedSpan {
+    const DURATION_BITS: u32 = 48;
+
+    /// `None` for a span this layout cannot hold exactly: one that ends
+    /// before it starts, lasts 2^48 µs or more, or carries the 65 537th
+    /// distinct name of its trace.
+    fn pack(span: &SpanRecord, names: &mut Vec<&'static str>) -> Option<PackedSpan> {
+        let duration = span.end_us.checked_sub(span.start_us)?;
+        if duration >> Self::DURATION_BITS != 0 {
+            return None;
+        }
+        let name = names.iter().position(|n| *n == span.name).unwrap_or_else(|| {
+            names.push(span.name);
+            names.len() - 1
+        });
+        let name = u64::from(u16::try_from(name).ok()?);
+        Some(PackedSpan {
+            start_us: span.start_us,
+            duration_and_name: name << Self::DURATION_BITS | duration,
+        })
+    }
+
+    fn unpack(self, names: &[&'static str]) -> SpanRecord {
+        let duration = self.duration_and_name & ((1 << Self::DURATION_BITS) - 1);
+        SpanRecord {
+            name: names[(self.duration_and_name >> Self::DURATION_BITS) as usize],
+            start_us: self.start_us,
+            end_us: self.start_us + duration,
+        }
+    }
 }
 
 /// One request's timeline: a bounded buffer of spans and events, anchored
@@ -205,7 +297,7 @@ impl Trace {
 
     /// Snapshot of the recorded spans.
     pub fn spans(&self) -> Vec<SpanRecord> {
-        self.inner.lock().expect("trace buffer poisoned").spans.clone()
+        self.inner.lock().expect("trace buffer poisoned").spans.iter().collect()
     }
 
     /// Snapshot of the recorded events.
@@ -324,6 +416,44 @@ mod tests {
         assert_eq!(trace.dropped(), 6);
         trace.event(TERMINAL_EVENT, anchor, None);
         assert_eq!(trace.terminal_count(), 1, "terminal event survives a full buffer");
+    }
+
+    #[test]
+    fn packed_spans_are_half_a_record() {
+        assert_eq!(std::mem::size_of::<PackedSpan>(), 16);
+        assert_eq!(std::mem::size_of::<SpanRecord>(), 32);
+    }
+
+    #[cfg(feature = "trace")]
+    #[test]
+    fn spans_read_back_exactly_across_blocks_and_layout_limits() {
+        let trace = Trace::with_capacity(5, Instant::now(), 1000);
+        let mut recorded = Vec::new();
+        let mut record = |name: &'static str, start_us: u64, end_us: u64| {
+            trace.record_span_at(name, start_us, end_us);
+            recorded.push(SpanRecord { name, start_us, end_us });
+        };
+        record(ROOT_SPAN, 0, 900);
+        record("empty", 40, 40);
+        record("late", u64::MAX - 5, u64::MAX);
+        record("longest packed", 7, 7 + (1 << 48) - 1);
+        // Neither fits the packed layout; both must still read back exactly.
+        record("inverted", 10, 5);
+        record("too long", 0, 1 << 48);
+        for i in 0..(3 * BLOCK_SPANS as u64) {
+            record(if i % 2 == 0 { "chunk" } else { "round" }, i, 3 * i);
+        }
+        record("inverted", 2, 1);
+        assert_eq!(trace.spans(), recorded);
+
+        let inner = trace.inner.lock().unwrap();
+        assert_eq!(inner.spans.len(), recorded.len());
+        assert_eq!(inner.spans.wide.len(), 3);
+        assert_eq!(inner.spans.names.len(), 6, "one entry per distinct packed name");
+        assert_eq!(inner.spans.blocks.len(), 4);
+        for block in &inner.spans.blocks {
+            assert_eq!(block.capacity(), BLOCK_SPANS, "blocks never grow");
+        }
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! this module is the matching reader, used by the round-trip tests and
 //! available to scrapers that want typed access without a JSON dependency.
 //! It supports the full JSON value grammar (objects, arrays, strings with
-//! escapes, numbers, booleans, null) but is tuned for small metric payloads,
-//! not large documents.
+//! escapes, numbers, booleans, null) and reads a document in time linear in
+//! its length.
 //!
 //! Since the network front ([`duoquest-net`]) feeds this reader bytes that
 //! arrive off a socket, it is hardened against hostile input: malformed,
@@ -228,12 +228,16 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 }
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (multi-byte sequences included).
-                let rest = std::str::from_utf8(&bytes[*pos..])
+                // Copy the whole run of plain bytes up to the next quote or
+                // escape at once. Both are ASCII, so the run starts and ends
+                // on scalar boundaries of the `&str` the bytes came from;
+                // checking only the run keeps parsing linear in the input.
+                let run = bytes[*pos..].iter().position(|b| matches!(b, b'"' | b'\\'));
+                let end = run.map_or(bytes.len(), |len| *pos + len);
+                let plain = std::str::from_utf8(&bytes[*pos..end])
                     .map_err(|_| "invalid UTF-8 in string".to_string())?;
-                let ch = rest.chars().next().expect("non-empty by construction");
-                out.push(ch);
-                *pos += ch.len_utf8();
+                out.push_str(plain);
+                *pos = end;
             }
         }
     }
@@ -407,6 +411,52 @@ mod tests {
                 .unwrap_or_else(|e| panic!("round-trip parse failed for {case:?}: {e}"));
             assert_eq!(parsed.as_str(), Some(*case), "round-trip mismatch for {case:?}");
         }
+    }
+
+    #[test]
+    fn multi_byte_scalars_next_to_escapes_round_trip() {
+        let doc = "\"\u{e9}\\n\u{4e2d}\\\"\u{1f600}\\\\\u{e9}\\u00e9\u{1f680}\"";
+        let expected = "\u{e9}\n\u{4e2d}\"\u{1f600}\\\u{e9}\u{e9}\u{1f680}";
+        assert_eq!(Json::parse(doc).unwrap().as_str(), Some(expected));
+        // Right against the closing quote, and as the whole string.
+        assert_eq!(Json::parse("\"\\t\u{4e2d}\"").unwrap().as_str(), Some("\t\u{4e2d}"));
+        assert_eq!(Json::parse("\"\u{1f600}\"").unwrap().as_str(), Some("\u{1f600}"));
+        assert!(Json::parse("\"\u{4e2d}").is_err(), "unterminated after a multi-byte scalar");
+    }
+
+    /// `parse_string` used to re-validate the rest of the document at every
+    /// plain character: a `/trace` body of this size took hundreds of
+    /// milliseconds. Four times the input may cost about four times the
+    /// time, not sixteen.
+    #[test]
+    fn string_heavy_documents_parse_in_linear_time() {
+        let document = |bytes: usize| {
+            let member = "{\"name\":\"verify:by_column \u{4e2d}\\n\",\"start_us\":12345},";
+            let mut doc = String::from("[");
+            while doc.len() < bytes {
+                doc.push_str(member);
+            }
+            doc.push_str("\"end\"]");
+            doc
+        };
+        let best_of = |doc: &str| {
+            (0..5)
+                .map(|_| {
+                    let started = std::time::Instant::now();
+                    assert!(Json::parse(doc).is_ok());
+                    started.elapsed()
+                })
+                .min()
+                .expect("five runs")
+        };
+        let (small, large) = (document(64 << 10), document(256 << 10));
+        let (t_small, t_large) = (best_of(&small), best_of(&large));
+        assert!(
+            t_large < t_small * 8,
+            "{} bytes in {t_small:?}, {} bytes in {t_large:?}",
+            small.len(),
+            large.len()
+        );
     }
 
     #[test]

@@ -34,8 +34,8 @@ fn select_equiv(a: &SelectSpec, b: &SelectSpec) -> bool {
 }
 
 fn tables_equiv(a: &SelectSpec, b: &SelectSpec) -> bool {
-    let mut ta = a.join.tables.clone();
-    let mut tb = b.join.tables.clone();
+    let mut ta = a.join.tables.to_vec();
+    let mut tb = b.join.tables.to_vec();
     ta.sort();
     tb.sort();
     ta == tb

@@ -210,7 +210,7 @@ fn render_join(join: &JoinTree, schema: &Schema) -> String {
     }
     let mut out = schema.table(join.tables[0]).name.clone();
     let mut joined = vec![join.tables[0]];
-    let mut remaining = join.edges.clone();
+    let mut remaining = join.edges.to_vec();
     while joined.len() < join.tables.len() && !remaining.is_empty() {
         let Some(pos) = remaining.iter().position(|e| {
             let (a, b) = e.tables();

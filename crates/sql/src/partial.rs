@@ -267,40 +267,47 @@ impl PartialQuery {
     }
 
     /// Filled projected columns so far (ignoring holes), used for join path
-    /// construction and column-wise verification.
+    /// construction and column-wise verification. Sorted and distinct.
     pub fn referenced_columns(&self) -> Vec<ColumnId> {
         let mut out = Vec::new();
+        self.for_each_referenced_column(|c| out.push(c));
+        out.sort();
+        out.dedup();
+        out
+    }
+
+    /// Visit every filled column reference in clause order — the columns of
+    /// [`PartialQuery::referenced_columns`] before sorting, repeats included —
+    /// without allocating.
+    pub fn for_each_referenced_column(&self, mut visit: impl FnMut(ColumnId)) {
         if let Some(items) = self.select.as_ref() {
             for it in items {
                 if let Some(SelectColumn::Column(c)) = it.col.as_ref() {
-                    out.push(*c);
+                    visit(*c);
                 }
             }
         }
         if let Some(preds) = self.where_predicates.as_ref() {
             for p in preds {
                 if let Some(c) = p.col.as_ref() {
-                    out.push(*c);
+                    visit(*c);
                 }
             }
         }
         if let Some(group) = self.group_by.as_ref() {
-            out.extend(group.iter().copied());
+            group.iter().copied().for_each(&mut visit);
         }
         if let Some(Some(h)) = self.having.as_ref() {
             if let Some(Some(c)) = h.col.as_ref() {
-                out.push(*c);
+                visit(*c);
             }
         }
         if let Some(Some(o)) = self.order_by.as_ref() {
             match o.key.as_ref() {
-                Some(OrderKey::Column(c)) | Some(OrderKey::Aggregate(_, Some(c))) => out.push(*c),
+                Some(OrderKey::Column(c)) | Some(OrderKey::Aggregate(_, Some(c))) => visit(*c),
                 _ => {}
             }
         }
-        out.sort();
-        out.dedup();
-        out
     }
 
     /// Whether any filled projection carries an aggregate.
@@ -543,6 +550,16 @@ mod tests {
         let cols = q.referenced_columns();
         assert!(cols.contains(&name_col(&s)));
         assert!(cols.contains(&year_col(&s)));
+
+        // The visitor sees the same columns in clause order, repeats kept:
+        // the projected `name` first, and again from GROUP BY.
+        let mut visited = Vec::new();
+        q.for_each_referenced_column(|c| visited.push(c));
+        assert_eq!(visited.first(), Some(&name_col(&s)));
+        assert!(visited.len() > cols.len());
+        visited.sort();
+        visited.dedup();
+        assert_eq!(visited, cols);
     }
 
     #[test]

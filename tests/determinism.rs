@@ -4,7 +4,7 @@
 //! workload.
 
 use duoquest::core::{Duoquest, DuoquestConfig, EmissionPolicy, SessionScheduler, SynthesisResult};
-use duoquest::nlq::NoisyOracleGuidance;
+use duoquest::nlq::{HeuristicGuidance, NoisyOracleGuidance};
 use duoquest::service::{
     PriorityClass, RequestStatus, ServiceConfig, SynthesisRequest, SynthesisService,
 };
@@ -143,6 +143,60 @@ fn interleaved_sessions_on_shared_pool_match_single_session_runs() {
             assert_eq!(stats.queue_depth, 0, "no work may be left behind");
         }
     }
+}
+
+/// The heuristic model scores through a plan its driver compiles on the first
+/// round and then carries: on a type-only TSQ (where guidance, not
+/// verification, decides the order) the emission sequence and every
+/// confidence must be the same `f64`s whether the driver stays on one stack
+/// (`run`, private or over a shared pool) or is parked in the scheduler
+/// between rounds and resumed by whichever worker is free (`stream`), at any
+/// pool size.
+#[test]
+fn heuristic_plan_survives_scheduler_parks() {
+    let dataset = workload();
+    let config = DuoquestConfig { max_candidates: 10, max_expansions: 100, ..base_config() };
+    let emitted = |c: &duoquest::core::Candidate| (format!("{:?}", c.spec), c.confidence.to_bits());
+    let (mut parked_rounds, mut emissions) = (0, 0);
+    for (i, task) in dataset.tasks.iter().enumerate() {
+        let db = dataset.database(task);
+        let (_, tsq) = synthesize_tsq(db, &task.gold, TsqDetail::Minimal, 2, 500 + i as u64);
+        let session = |pool: Option<&SessionScheduler>| {
+            let session = Duoquest::new(config.clone())
+                .session(Arc::clone(db), task.nlq.clone(), Arc::new(HeuristicGuidance::new()))
+                .with_tsq(tsq.clone());
+            match pool {
+                Some(pool) => session.with_scheduler(pool.handle()),
+                None => session,
+            }
+        };
+        let blocking = |pool: Option<&SessionScheduler>| {
+            let mut sequence = Vec::new();
+            let result = session(pool).run_with(|c| {
+                sequence.push(emitted(c));
+                true
+            });
+            (sequence, ranking(&result))
+        };
+        let mut driven = |pool: Option<&SessionScheduler>| {
+            let mut stream = session(pool).stream();
+            let sequence: Vec<_> = stream.by_ref().map(|c| emitted(&c)).collect();
+            let result = stream.finish();
+            parked_rounds += result.stats.scheduler.map_or(0, |s| s.units_submitted);
+            (sequence, ranking(&result))
+        };
+
+        let reference = blocking(None);
+        emissions += reference.0.len();
+        assert_eq!(reference, driven(None), "task {}: private pool, driven", task.id);
+        for workers in [1usize, 2, 4] {
+            let pool = SessionScheduler::new(workers);
+            assert_eq!(reference, blocking(Some(&pool)), "task {}: {workers} workers", task.id);
+            assert_eq!(reference, driven(Some(&pool)), "task {}: {workers}, driven", task.id);
+        }
+    }
+    assert!(parked_rounds > 0, "no driven round was large enough to park its driver");
+    assert!(emissions >= 10, "only {emissions} candidates emitted over the whole workload");
 }
 
 /// The executor-level analogue of the worker-count guarantee: the number of
