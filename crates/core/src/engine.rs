@@ -21,8 +21,11 @@
 //!                                       │  (or `model.score` without one)
 //!                                       ▼
 //!                          phase 2: verify fan-out (worker pool)
-//!                          │ join paths (one list per set of tables and
-//!                          │ chunk) + ascending-cost cascade, probes
+//!                          │ per child: the join-independent stages of the
+//!                          │ ascending-cost cascade (column-wise checks read
+//!                          │ off the run's VerifyPlan), then join paths (one
+//!                          │ list per set of tables and chunk), then the
+//!                          │ stages over the join path per variant; probes
 //!                          │ answered by Database's memo cache
 //!                          ▼
 //!                          phase 3: ordered merge (serial)
@@ -58,7 +61,13 @@
 //!   child's set of tables), so a verification chunk builds each list once
 //!   (`crate::joinpath`) and its children copy reference-counted trees out
 //!   of it — on schemas whose join graph has no cycle, where that function
-//!   is single-valued.
+//!   is single-valued. So is "can this column produce that example cell":
+//!   the run owns a [`crate::verify::VerifyPlan`] next to its `JoinPlanner`
+//!   and its guidance plan, one lazily filled verdict per (cell, column),
+//!   and only the first touch of a pair sends a probe to the database. The
+//!   cascade's first four stages never read a child's join path, so they run
+//!   once per child and only the row-wise stages once per join variant
+//!   (`crate::verify`).
 //! * **consumers** — [`Duoquest::synthesize`] collects a ranked
 //!   [`SynthesisResult`]; [`crate::session::SynthesisSession`] additionally
 //!   offers a streaming channel ([`crate::session::CandidateStream`]) whose

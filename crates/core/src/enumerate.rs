@@ -17,8 +17,10 @@
 //! differ across worker counts.
 //!
 //! Verification probes run through the database's probe/result memo cache
-//! (`Database::execute_cached`); the per-run hit/miss counters and the
-//! per-stage cascade timings are surfaced in [`EnumerationStats`].
+//! (`Database::execute_cached`), column-wise ones once per distinct question
+//! (the run's [`VerifyPlan`] answers the repeats); the per-run hit/miss
+//! counters and the per-stage cascade timings are surfaced in
+//! [`EnumerationStats`].
 
 use crate::clock::{Clock, SYSTEM_CLOCK};
 use crate::config::{DuoquestConfig, EmissionPolicy};
@@ -26,9 +28,10 @@ use crate::joinpath::{JoinPathMemo, JoinPlanner};
 use crate::session::SessionControl;
 use crate::state::EnumState;
 use crate::tsq::TableSketchQuery;
-use crate::verify::{StageTimings, Verifier, VerifyOutcome, VerifyStage};
+use crate::verify::{StageTimings, Verifier, VerifyOutcome, VerifyPlan, VerifyStage};
 use duoquest_db::{
-    AggFunc, CmpOp, DataType, Database, JoinTree, LogicalOp, OrderKey, SelectSpec, Value,
+    AggFunc, CmpOp, DataType, Database, JoinTree, LogicalOp, OrderKey, RunCacheCounters,
+    SelectSpec, Value,
 };
 use duoquest_nlq::{
     Choice, GuidanceContext, GuidanceModel, GuidancePlan, HavingChoice, LiteralKind, Nlq,
@@ -83,9 +86,12 @@ pub struct EnumerationStats {
     pub deadline_exceeded: bool,
     /// Per-stage wall-clock time and call counts of the verification cascade.
     pub stage_timings: StageTimings,
-    /// Probe-cache hits during this run.
+    /// Probe-cache hits during this run. A run looks a column-wise question
+    /// up once (its [`VerifyPlan`] holds the verdict afterwards), so hits are
+    /// row-wise and order probes that repeat, and first touches that another
+    /// run on the same database already executed.
     pub cache_hits: u64,
-    /// Probe-cache misses during this run.
+    /// Probe-cache misses during this run: the probes it executed.
     pub cache_misses: u64,
     /// Estimated bytes retained by the probe cache at the end of the run.
     pub cache_bytes: u64,
@@ -132,7 +138,9 @@ impl EnumerationStats {
             + self.pruned_by_order
     }
 
-    /// Probe-cache hit rate in `[0, 1]` for this run.
+    /// Share of this run's probe-cache lookups answered without executing,
+    /// in `[0, 1]` — of the lookups that reached the cache, which repeats of
+    /// a column-wise question never do.
     pub fn cache_hit_rate(&self) -> f64 {
         let total = self.cache_hits + self.cache_misses;
         if total == 0 {
@@ -188,6 +196,18 @@ impl EnumerationStats {
             self.stage_timings.to_json(),
             scheduler,
         )
+    }
+
+    /// Fold a run's probe counters (and the database's retained cache bytes)
+    /// into the stats: the end-of-run epilogue of every way to run a session.
+    pub(crate) fn record_probe_counters(&mut self, counters: &RunCacheCounters, db: &Database) {
+        (self.cache_hits, self.cache_misses) = counters.snapshot();
+        self.cache_bytes = db.cache_stats().bytes;
+        (self.rows_scanned, self.rows_short_circuited) = counters.scan_snapshot();
+        (self.index_lookups, self.rows_via_index, self.probes_bailed_empty) =
+            counters.index_snapshot();
+        (self.single_flight_hits, self.single_flight_leaders, self.single_flight_wait_us) =
+            counters.single_flight_snapshot();
     }
 
     fn record(&mut self, stage: VerifyStage, count: usize) {
@@ -250,9 +270,9 @@ pub(crate) fn min_deadline(a: Option<Instant>, b: Option<Instant>) -> Option<Ins
 pub(crate) struct RoundEnv<'a> {
     /// The run's join path construction (every chunk opens a memo over it).
     pub(crate) joins: &'a JoinPlanner,
-    pub(crate) config: &'a DuoquestConfig,
-    pub(crate) partial_verifier: &'a Verifier<'a>,
-    pub(crate) complete_verifier: &'a Verifier<'a>,
+    /// The run's verifier: its counter set and its [`crate::verify::VerifyPlan`]
+    /// are the run's, whichever work unit built this instance.
+    pub(crate) verifier: &'a Verifier<'a>,
     pub(crate) deadline: Option<Instant>,
     /// The session's time source; deadline checks inside chunks read this
     /// (virtual under the simulation harness, real otherwise).
@@ -337,20 +357,13 @@ pub(crate) fn run_rounds(
     // Partial queries are only verified when partial pruning is enabled; complete
     // queries always get the full cascade (this is what makes NoPQ equivalent to
     // the naive chaining approach of paper §3.5).
-    let partial_verifier = Verifier::new(
-        db,
-        if config.prune_partial { tsq } else { None },
-        &nlq.literals,
-        config.semantic_rules && config.prune_partial,
-    )
-    .with_clock(clock);
-    let complete_verifier =
-        Verifier::new(db, tsq, &nlq.literals, config.semantic_rules).with_clock(clock);
+    let verifier = Verifier::new(db, tsq, &nlq.literals, config.semantic_rules)
+        .with_prune_partial(config.prune_partial)
+        .with_plan(Arc::new(VerifyPlan::new(db, tsq)))
+        .with_clock(clock);
     let env = RoundEnv {
         joins: &joins,
-        config,
-        partial_verifier: &partial_verifier,
-        complete_verifier: &complete_verifier,
+        verifier: &verifier,
         deadline: min_deadline(config.time_budget.map(|budget| start + budget), control.deadline()),
         cancel: control.flag_ref(),
         clock,
@@ -381,27 +394,9 @@ pub(crate) fn run_rounds(
     });
 
     stats.elapsed = clock.now().saturating_duration_since(start);
-    // Per-run counters owned by this run's verifiers: concurrent sessions on
+    // Per-run counters owned by this run's verifier: concurrent sessions on
     // the same shared database can't pollute each other's statistics.
-    let (partial_hits, partial_misses) = partial_verifier.cache_counters();
-    let (complete_hits, complete_misses) = complete_verifier.cache_counters();
-    stats.cache_hits = partial_hits + complete_hits;
-    stats.cache_misses = partial_misses + complete_misses;
-    stats.cache_bytes = db.cache_stats().bytes;
-    let (partial_scanned, partial_short) = partial_verifier.scan_counters();
-    let (complete_scanned, complete_short) = complete_verifier.scan_counters();
-    stats.rows_scanned = partial_scanned + complete_scanned;
-    stats.rows_short_circuited = partial_short + complete_short;
-    let (partial_lk, partial_via, partial_bail) = partial_verifier.index_counters();
-    let (complete_lk, complete_via, complete_bail) = complete_verifier.index_counters();
-    stats.index_lookups = partial_lk + complete_lk;
-    stats.rows_via_index = partial_via + complete_via;
-    stats.probes_bailed_empty = partial_bail + complete_bail;
-    let (partial_sfh, partial_sfl, partial_sfw) = partial_verifier.single_flight_counters();
-    let (complete_sfh, complete_sfl, complete_sfw) = complete_verifier.single_flight_counters();
-    stats.single_flight_hits = partial_sfh + complete_sfh;
-    stats.single_flight_leaders = partial_sfl + complete_sfl;
-    stats.single_flight_wait_us = partial_sfw + complete_sfw;
+    stats.record_probe_counters(verifier.counters(), db);
     stats
 }
 
@@ -1215,8 +1210,9 @@ impl WorkerPool {
     }
 }
 
-/// Run one worker's share of the round: cheap partial pre-verification, join
-/// path attachment, then the full cascade per join variant.
+/// Run one worker's share of the round: per child, the join-independent
+/// stages of the cascade, join path attachment, then the stages over the join
+/// path per join variant.
 pub(crate) fn process_chunk(jobs: Vec<ChildJob>, env: &RoundEnv<'_>) -> ChunkResult {
     let mut out = ChunkResult { jobs: jobs.len(), ..ChunkResult::default() };
     // One span per chunk, recorded into the chunk-local buffer (no shared
@@ -1225,12 +1221,7 @@ pub(crate) fn process_chunk(jobs: Vec<ChildJob>, env: &RoundEnv<'_>) -> ChunkRes
     // Single-flight wait attribution: delta of the run's (shared) wait
     // counter across the chunk. Approximate when chunks run concurrently;
     // the driver synthesizes an observational `probe_wait` span from it.
-    let wait_before = if env.trace {
-        env.partial_verifier.single_flight_counters().2
-            + env.complete_verifier.single_flight_counters().2
-    } else {
-        0
-    };
+    let wait_before = if env.trace { env.verifier.single_flight_counters().2 } else { 0 };
     let mut joins = env.joins.memo();
     for (done, job) in jobs.into_iter().enumerate() {
         // Honor cancellation between jobs (an atomic load — cheap enough per
@@ -1245,13 +1236,14 @@ pub(crate) fn process_chunk(jobs: Vec<ChildJob>, env: &RoundEnv<'_>) -> ChunkRes
             break;
         }
         let ChildJob { beam_idx, confidence, pq } = job;
-        // Cheap pre-verification before paying for join path construction:
-        // the clause, semantic, type and column-wise stages do not need a
-        // join path, and they eliminate the bulk of the fan-out.
-        if env.config.prune_partial && !pq.is_complete() {
-            if let VerifyOutcome::Fail(stage) =
-                env.partial_verifier.verify_timed(&pq, &mut out.timings)
-            {
+        // The clause, semantic, type and column-wise stages never read the
+        // join path: they run once per child, before paying for join path
+        // construction, and eliminate the bulk of the fan-out. Under NoPQ a
+        // partial child is not examined at all, so a variant that its join
+        // path completes still owes the whole cascade.
+        let prefixed = env.verifier.examines(&pq);
+        if prefixed {
+            if let VerifyOutcome::Fail(stage) = env.verifier.verify_prefix(&pq, &mut out.timings) {
                 out.generated += 1;
                 out.prunes[stage.index()] += 1;
                 continue;
@@ -1259,28 +1251,22 @@ pub(crate) fn process_chunk(jobs: Vec<ChildJob>, env: &RoundEnv<'_>) -> ChunkRes
         }
         // Attach candidate join paths (progressive join path construction):
         // one variant per path the child still needs, the child itself when
-        // its join path already covers it.
+        // its join path already covers it. Each pays the stages that execute
+        // over its join path.
         let settle = |pq: PartialQuery, out: &mut ChunkResult| {
             out.generated += 1;
-            let complete = pq.is_complete();
-            let verifier = if complete { env.complete_verifier } else { env.partial_verifier };
-            match verifier.verify_timed(&pq, &mut out.timings) {
-                VerifyOutcome::Fail(stage) => {
-                    if complete || env.config.prune_partial {
-                        out.prunes[stage.index()] += 1;
-                    } else {
-                        // Unverified partial (NoPQ): keep exploring it.
-                        out.survivors.push((pq, confidence, beam_idx));
-                    }
+            let outcome = if prefixed {
+                env.verifier.verify_joined(&pq, &mut out.timings)
+            } else {
+                env.verifier.verify_timed(&pq, &mut out.timings)
+            };
+            match outcome {
+                VerifyOutcome::Fail(stage) => out.prunes[stage.index()] += 1,
+                VerifyOutcome::Pass if pq.is_complete() => {
+                    let spec = pq.to_spec().expect("complete partial query lowers");
+                    out.emissions.push((spec, confidence));
                 }
-                VerifyOutcome::Pass => {
-                    if complete {
-                        let spec = pq.to_spec().expect("complete partial query lowers");
-                        out.emissions.push((spec, confidence));
-                    } else {
-                        out.survivors.push((pq, confidence, beam_idx));
-                    }
-                }
+                VerifyOutcome::Pass => out.survivors.push((pq, confidence, beam_idx)),
             }
         };
         match missing_join_paths(&pq, &mut joins) {
@@ -1297,8 +1283,7 @@ pub(crate) fn process_chunk(jobs: Vec<ChildJob>, env: &RoundEnv<'_>) -> ChunkRes
         }
     }
     if let Some(started) = chunk_started {
-        let wait_after = env.partial_verifier.single_flight_counters().2
-            + env.complete_verifier.single_flight_counters().2;
+        let wait_after = env.verifier.single_flight_counters().2;
         out.probe_wait_us = wait_after.saturating_sub(wait_before);
         out.spans.push(RawSpan { name: "chunk", start: started, end: env.clock.now() });
     }
@@ -1906,8 +1891,8 @@ mod tests {
         db.clear_probe_cache();
         let stats =
             enumerate(&db, &nlq, &model, Some(&tsq), &DuoquestConfig::fast(), |_s, _c, _t| true);
-        // The verifier issues many structurally identical probes; the memo
-        // cache must be absorbing the repeats.
+        // Sibling states repeat row-wise probes; the memo cache must be
+        // absorbing the repeats (column-wise ones never reach it twice).
         assert!(stats.cache_misses > 0, "stats: {stats:?}");
         assert!(stats.cache_hits > 0, "stats: {stats:?}");
         assert!(stats.cache_hit_rate() > 0.0);
@@ -1957,9 +1942,7 @@ mod tests {
                     let verifier = Verifier::new(&db, None, &nlq.literals, config.semantic_rules);
                     let round_env = RoundEnv {
                         joins: &joins,
-                        config: &config,
-                        partial_verifier: &verifier,
-                        complete_verifier: &verifier,
+                        verifier: &verifier,
                         deadline: None,
                         cancel: &cancel,
                         clock: &SYSTEM_CLOCK,

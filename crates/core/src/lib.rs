@@ -57,4 +57,4 @@ pub use scheduler::{
 pub use session::{CandidateStream, SessionControl, SynthesisSession};
 pub use state::EnumState;
 pub use tsq::{TableSketchQuery, TsqCell};
-pub use verify::{StageTimings, Verifier, VerifyOutcome, VerifyStage};
+pub use verify::{StageTimings, Verifier, VerifyOutcome, VerifyPlan, VerifyStage};

@@ -99,7 +99,7 @@ use crate::enumerate::{
 use crate::joinpath::JoinPlanner;
 use crate::session::SessionControl;
 use crate::tsq::TableSketchQuery;
-use crate::verify::Verifier;
+use crate::verify::{Verifier, VerifyPlan};
 use duoquest_db::{Database, RunCacheCounters, SelectSpec};
 use duoquest_nlq::{GuidanceModel, Literal, Nlq};
 use duoquest_obs::Trace;
@@ -193,9 +193,11 @@ struct SessionContext {
     joins: JoinPlanner,
     /// Per-session probe-cache attribution: the shared database's cache is hit
     /// by every live session, these counters record only this session's
-    /// traffic (partial-query and complete-query cascades separately).
-    partial_counters: Arc<RunCacheCounters>,
-    complete_counters: Arc<RunCacheCounters>,
+    /// traffic.
+    counters: Arc<RunCacheCounters>,
+    /// The run's column-wise verdicts, read and filled by every chunk worker
+    /// of the session and by no other session (see [`VerifyPlan`]).
+    plan: Arc<VerifyPlan>,
     deadline: Option<Instant>,
     /// The session's cancellation token: workers check it between jobs, the
     /// fairness queue reaps queued units once it fires, and the driving side
@@ -211,27 +213,46 @@ struct SessionContext {
 }
 
 impl SessionContext {
-    /// Run one chunk of the session's round: build borrow-scoped verifiers
-    /// over the owned context (cheap — counter `Arc` clones and a few
-    /// references) and hand off to the engine's chunk processor.
+    /// The context of one run, its plans built and its counters at zero.
+    #[allow(clippy::too_many_arguments)]
+    fn new(
+        db: Arc<Database>,
+        tsq: Option<TableSketchQuery>,
+        literals: Vec<Literal>,
+        config: DuoquestConfig,
+        deadline: Option<Instant>,
+        cancel: Arc<AtomicBool>,
+        clock: SharedClock,
+        trace: bool,
+    ) -> Self {
+        SessionContext {
+            joins: JoinPlanner::new(&db, config.join_extension_depth),
+            counters: Arc::new(RunCacheCounters::default()),
+            plan: Arc::new(VerifyPlan::new(&db, tsq.as_ref())),
+            db,
+            tsq,
+            literals,
+            config,
+            deadline,
+            cancel,
+            clock,
+            trace,
+        }
+    }
+
+    /// Run one chunk of the session's round: build a borrow-scoped verifier
+    /// over the owned context (cheap — two `Arc` clones and a few references)
+    /// and hand off to the engine's chunk processor.
     fn process(&self, jobs: Vec<ChildJob>) -> ChunkResult {
-        let partial_verifier = Verifier::new(
-            &self.db,
-            if self.config.prune_partial { self.tsq.as_ref() } else { None },
-            &self.literals,
-            self.config.semantic_rules && self.config.prune_partial,
-        )
-        .with_counters(Arc::clone(&self.partial_counters))
-        .with_clock(self.clock.as_ref());
-        let complete_verifier =
+        let verifier =
             Verifier::new(&self.db, self.tsq.as_ref(), &self.literals, self.config.semantic_rules)
-                .with_counters(Arc::clone(&self.complete_counters))
+                .with_prune_partial(self.config.prune_partial)
+                .with_counters(Arc::clone(&self.counters))
+                .with_plan(Arc::clone(&self.plan))
                 .with_clock(self.clock.as_ref());
         let env = RoundEnv {
             joins: &self.joins,
-            config: &self.config,
-            partial_verifier: &partial_verifier,
-            complete_verifier: &complete_verifier,
+            verifier: &verifier,
             deadline: self.deadline,
             cancel: &self.cancel,
             clock: self.clock.as_ref(),
@@ -956,27 +977,7 @@ fn fill_run_counters(
     ctx: &SessionContext,
     run_stats: SchedulerRunStats,
 ) {
-    let (partial_hits, partial_misses) = ctx.partial_counters.snapshot();
-    let (complete_hits, complete_misses) = ctx.complete_counters.snapshot();
-    stats.cache_hits = partial_hits + complete_hits;
-    stats.cache_misses = partial_misses + complete_misses;
-    stats.cache_bytes = ctx.db.cache_stats().bytes;
-    let (partial_scanned, partial_short) = ctx.partial_counters.scan_snapshot();
-    let (complete_scanned, complete_short) = ctx.complete_counters.scan_snapshot();
-    stats.rows_scanned = partial_scanned + complete_scanned;
-    stats.rows_short_circuited = partial_short + complete_short;
-    let (partial_lk, partial_via, partial_bail) = ctx.partial_counters.index_snapshot();
-    let (complete_lk, complete_via, complete_bail) = ctx.complete_counters.index_snapshot();
-    stats.index_lookups = partial_lk + complete_lk;
-    stats.rows_via_index = partial_via + complete_via;
-    stats.probes_bailed_empty = partial_bail + complete_bail;
-    let (partial_sf_hits, partial_sf_leaders, partial_sf_wait) =
-        ctx.partial_counters.single_flight_snapshot();
-    let (complete_sf_hits, complete_sf_leaders, complete_sf_wait) =
-        ctx.complete_counters.single_flight_snapshot();
-    stats.single_flight_hits = partial_sf_hits + complete_sf_hits;
-    stats.single_flight_leaders = partial_sf_leaders + complete_sf_leaders;
-    stats.single_flight_wait_us = partial_sf_wait + complete_sf_wait;
+    stats.record_probe_counters(&ctx.counters, &ctx.db);
     stats.scheduler = Some(run_stats);
 }
 
@@ -1188,22 +1189,17 @@ pub(crate) fn spawn_driven_session(
     let start = clock.now();
     let deadline =
         min_deadline(config.time_budget.map(|budget| start + budget), control.deadline());
-    let joins = JoinPlanner::new(&db, config.join_extension_depth);
-    let literals = nlq.literals.clone();
     let weight = config.beam_width.max(1).saturating_mul(priority_weight.max(1));
-    let ctx = Arc::new(SessionContext {
+    let ctx = Arc::new(SessionContext::new(
         db,
         tsq,
-        literals,
+        nlq.literals.clone(),
         config,
-        joins,
-        partial_counters: Arc::new(RunCacheCounters::default()),
-        complete_counters: Arc::new(RunCacheCounters::default()),
         deadline,
-        cancel: control.flag(),
+        control.flag(),
         clock,
-        trace: trace.is_some(),
-    });
+        trace.is_some(),
+    ));
     let core_state = DrivenCore {
         driver: RoundDriver::new(start, deadline).with_trace(trace),
         collector: CandidateCollector::new(),
@@ -1476,19 +1472,16 @@ pub(crate) fn run_rounds_scheduled(
     let mut stats = EnumerationStats::default();
     let deadline =
         min_deadline(config.time_budget.map(|budget| start + budget), control.deadline());
-    let ctx = Arc::new(SessionContext {
-        db: Arc::clone(db),
-        tsq: tsq.cloned(),
-        literals: nlq.literals.clone(),
-        config: config.clone(),
-        joins: JoinPlanner::new(db, config.join_extension_depth),
-        partial_counters: Arc::new(RunCacheCounters::default()),
-        complete_counters: Arc::new(RunCacheCounters::default()),
+    let ctx = Arc::new(SessionContext::new(
+        Arc::clone(db),
+        tsq.cloned(),
+        nlq.literals.clone(),
+        config.clone(),
         deadline,
-        cancel: control.flag(),
-        clock: Arc::clone(&clock),
-        trace: trace.is_some(),
-    });
+        control.flag(),
+        Arc::clone(&clock),
+        trace.is_some(),
+    ));
 
     let core = &handle.core;
     // The guard deregisters on drop, so a panicking session (e.g. a rethrown
@@ -1778,22 +1771,16 @@ mod tests {
     }
 
     fn test_ctx() -> Arc<SessionContext> {
-        let db = movie_db().into_shared();
-        let config = DuoquestConfig::fast();
-        let joins = JoinPlanner::new(&db, config.join_extension_depth);
-        Arc::new(SessionContext {
-            db,
-            tsq: None,
-            literals: Vec::new(),
-            config,
-            joins,
-            partial_counters: Arc::new(RunCacheCounters::default()),
-            complete_counters: Arc::new(RunCacheCounters::default()),
-            deadline: None,
-            cancel: Arc::new(AtomicBool::new(false)),
-            clock: system_clock(),
-            trace: false,
-        })
+        Arc::new(SessionContext::new(
+            movie_db().into_shared(),
+            None,
+            Vec::new(),
+            DuoquestConfig::fast(),
+            None,
+            Arc::new(AtomicBool::new(false)),
+            system_clock(),
+            false,
+        ))
     }
 
     fn expect_finished(outcome: DrivenOutcome) -> crate::engine::SynthesisResult {

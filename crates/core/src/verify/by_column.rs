@@ -1,54 +1,66 @@
 //! Column-wise verification probes (`VerifyByColumn`, paper Example 3.5).
 //!
 //! Every constrained cell of every example tuple is checked independently
-//! against the projected column at the same position with a cheap
-//! `SELECT … FROM <column's table> WHERE <cell constraint> LIMIT 1` probe —
-//! no join is required, which makes this much cheaper than row-wise probes.
-//! The `LIMIT 1` rides the streaming executor's limit pushdown (see
-//! `docs/EXECUTOR.md`): on a cache miss the scan stops at the first
-//! matching row instead of filtering the whole table.
+//! against the projected column at the same position — no join is required,
+//! which makes this much cheaper than row-wise probes. Whether a column can
+//! produce a cell depends on neither the partial query nor its siblings, so
+//! the answers live in the run's [`VerifyPlan`]: the first time a (cell,
+//! column) pair comes up it is decided by a cheap
+//! `SELECT … FROM <column's table> WHERE <cell constraint> LIMIT 1` probe
+//! (or, under `AVG`, by the column's observed range), and every later child
+//! that projects the column there reads the stored verdict. The `LIMIT 1`
+//! rides the streaming executor's limit pushdown (see `docs/EXECUTOR.md`):
+//! on a cache miss the scan stops at the first matching row instead of
+//! filtering the whole table.
 
 use crate::tsq::{TableSketchQuery, TsqCell};
+use crate::verify::plan::{Check, VerifyPlan};
 use duoquest_db::{
     AggFunc, ColumnId, Database, JoinTree, Predicate, RunCacheCounters, SelectItem, SelectSpec,
 };
 use duoquest_sql::{PartialQuery, SelectColumn};
 
 /// Whether every constrained example cell can be produced by the corresponding
-/// projected column on its own.
+/// projected column on its own. `plan` must have been built from `tsq` (and
+/// `db`'s schema); first touches of a (cell, column) pair probe `db` and are
+/// attributed to `counters`.
 pub fn verify_by_column(
     db: &Database,
     tsq: &TableSketchQuery,
     pq: &PartialQuery,
+    plan: &VerifyPlan,
     counters: &RunCacheCounters,
 ) -> bool {
     let Some(items) = pq.select.as_ref() else { return true };
+    // Position of the cell among the TSQ's constrained cells: its row in the plan.
+    let mut constrained = 0;
     for tuple in &tsq.tuples {
         for (i, cell) in tuple.iter().enumerate() {
             if !cell.is_constrained() {
                 continue;
             }
+            let slot = constrained;
+            constrained += 1;
             let Some(item) = items.get(i) else { continue };
             let Some(col_choice) = item.col.as_ref() else { continue };
             let SelectColumn::Column(col) = col_choice else { continue }; // `*` carries no column
-            match item.agg.as_ref() {
+            let check = match item.agg.as_ref() {
                 // Aggregate undecided: the item could still become COUNT/SUM, so
                 // no sound conclusion can be drawn yet.
                 None => continue,
                 // COUNT and SUM projections are ignored (paper §3.4).
                 Some(Some(AggFunc::Count)) | Some(Some(AggFunc::Sum)) => continue,
                 // AVG: the cell must intersect the column's observed range.
-                Some(Some(AggFunc::Avg)) => {
-                    if !avg_cell_possible(db, *col, cell) {
-                        return false;
-                    }
-                }
+                Some(Some(AggFunc::Avg)) => Check::AvgRange,
                 // MIN/MAX and plain projections: the cell value must exist in the column.
-                Some(Some(AggFunc::Min)) | Some(Some(AggFunc::Max)) | Some(None) => {
-                    if !column_probe(db, *col, cell, counters) {
-                        return false;
-                    }
-                }
+                Some(Some(AggFunc::Min)) | Some(Some(AggFunc::Max)) | Some(None) => Check::Exists,
+            };
+            let possible = plan.verdict(check, slot, *col, || match check {
+                Check::AvgRange => avg_cell_possible(db, *col, cell),
+                Check::Exists => column_probe(db, *col, cell, counters),
+            });
+            if !possible {
+                return false;
             }
         }
     }
@@ -71,8 +83,8 @@ fn column_probe(db: &Database, col: ColumnId, cell: &TsqCell, counters: &RunCach
         limit: Some(1),
         ..Default::default()
     };
-    // Sibling search states repeat these probes constantly; the memo cache
-    // answers everything after the first execution.
+    // Through the probe cache, so sessions over one database share the
+    // execution; within the run the plan never asks this question again.
     db.execute_cached_with(&spec, counters).map(|rs| !rs.is_empty()).unwrap_or(false)
 }
 
@@ -109,6 +121,12 @@ mod tests {
     use crate::verify::test_fixtures::movie_db;
     use duoquest_sql::{PartialSelectItem, Slot};
 
+    /// One call against a fresh plan: every cell is a first touch.
+    fn check(db: &Database, tsq: &TableSketchQuery, pq: &PartialQuery) -> bool {
+        let plan = VerifyPlan::new(db, Some(tsq));
+        verify_by_column(db, tsq, pq, &plan, &RunCacheCounters::default())
+    }
+
     fn select_pq(db: &Database, items: Vec<(&str, &str, Option<AggFunc>)>) -> PartialQuery {
         let mut pq = PartialQuery::empty();
         pq.select = Slot::Filled(
@@ -128,9 +146,9 @@ mod tests {
         let db = movie_db();
         let tsq = TableSketchQuery::empty().with_tuple(vec![TsqCell::text("Tom Hanks")]);
         let pq = select_pq(&db, vec![("actor", "name", None)]);
-        assert!(verify_by_column(&db, &tsq, &pq, &RunCacheCounters::default()));
+        assert!(check(&db, &tsq, &pq));
         let tsq = TableSketchQuery::empty().with_tuple(vec![TsqCell::text("Meryl Streep")]);
-        assert!(!verify_by_column(&db, &tsq, &pq, &RunCacheCounters::default()));
+        assert!(!check(&db, &tsq, &pq));
     }
 
     #[test]
@@ -141,10 +159,10 @@ mod tests {
         let tsq = TableSketchQuery::empty()
             .with_tuple(vec![TsqCell::text("Tom Hanks"), TsqCell::range(1950, 1960)]);
         let ok = select_pq(&db, vec![("actor", "name", None), ("actor", "birth_yr", None)]);
-        assert!(verify_by_column(&db, &tsq, &ok, &RunCacheCounters::default()));
+        assert!(check(&db, &tsq, &ok));
         let bad =
             select_pq(&db, vec![("actor", "name", None), ("movies", "year", Some(AggFunc::Max))]);
-        assert!(!verify_by_column(&db, &tsq, &bad, &RunCacheCounters::default()));
+        assert!(!check(&db, &tsq, &bad));
     }
 
     #[test]
@@ -154,7 +172,7 @@ mod tests {
             .with_tuple(vec![TsqCell::text("Tom Hanks"), TsqCell::range(1950, 1960)]);
         let pq =
             select_pq(&db, vec![("actor", "name", None), ("movies", "year", Some(AggFunc::Count))]);
-        assert!(verify_by_column(&db, &tsq, &pq, &RunCacheCounters::default()));
+        assert!(check(&db, &tsq, &pq));
     }
 
     #[test]
@@ -163,11 +181,11 @@ mod tests {
         // movies.year spans 1994..2013.
         let tsq = TableSketchQuery::empty().with_tuple(vec![TsqCell::range(2000, 2020)]);
         let pq = select_pq(&db, vec![("movies", "year", Some(AggFunc::Avg))]);
-        assert!(verify_by_column(&db, &tsq, &pq, &RunCacheCounters::default()));
+        assert!(check(&db, &tsq, &pq));
         let tsq = TableSketchQuery::empty().with_tuple(vec![TsqCell::range(1900, 1950)]);
-        assert!(!verify_by_column(&db, &tsq, &pq, &RunCacheCounters::default()));
+        assert!(!check(&db, &tsq, &pq));
         let tsq = TableSketchQuery::empty().with_tuple(vec![TsqCell::number(2000)]);
-        assert!(verify_by_column(&db, &tsq, &pq, &RunCacheCounters::default()));
+        assert!(check(&db, &tsq, &pq));
     }
 
     #[test]
@@ -175,7 +193,7 @@ mod tests {
         let db = movie_db();
         let tsq = TableSketchQuery::empty().with_tuple(vec![TsqCell::number(1956)]);
         let pq = select_pq(&db, vec![("actor", "name", None)]);
-        assert!(!verify_by_column(&db, &tsq, &pq, &RunCacheCounters::default()));
+        assert!(!check(&db, &tsq, &pq));
     }
 
     #[test]
@@ -188,6 +206,44 @@ mod tests {
         if let Slot::Filled(items) = &mut pq.select {
             items.push(PartialSelectItem { col: Slot::Hole, agg: Slot::Hole });
         }
-        assert!(verify_by_column(&db, &tsq, &pq, &RunCacheCounters::default()));
+        assert!(check(&db, &tsq, &pq));
+    }
+
+    #[test]
+    fn a_pair_reaches_the_database_once_per_plan() {
+        let db = movie_db();
+        // Wider than any select list below; the constrained cells of the
+        // second tuple sit behind an empty one.
+        let tsq = TableSketchQuery::empty()
+            .with_tuple(vec![
+                TsqCell::text("Tom Hanks"),
+                TsqCell::range(1950, 1960),
+                TsqCell::Empty,
+            ])
+            .with_tuple(vec![TsqCell::Empty, TsqCell::number(1964), TsqCell::text("x")]);
+        let plan = VerifyPlan::new(&db, Some(&tsq));
+        let counters = RunCacheCounters::default();
+        let lookups = || {
+            let (hits, misses) = counters.snapshot();
+            hits + misses
+        };
+        let pq = select_pq(&db, vec![("actor", "name", None), ("actor", "birth_yr", None)]);
+        assert!(verify_by_column(&db, &tsq, &pq, &plan, &counters));
+        assert_eq!(lookups(), 3, "one probe per constrained cell under the select list");
+        for _ in 0..3 {
+            assert!(verify_by_column(&db, &tsq, &pq, &plan, &counters));
+        }
+        assert_eq!(lookups(), 3, "later children read the verdicts");
+        // Another aggregate over the same pair is another question, asked once.
+        let avg = select_pq(
+            &db,
+            vec![("actor", "name", None), ("actor", "birth_yr", Some(AggFunc::Avg))],
+        );
+        assert!(verify_by_column(&db, &tsq, &avg, &plan, &counters));
+        let max =
+            select_pq(&db, vec![("actor", "name", None), ("movies", "year", Some(AggFunc::Max))]);
+        assert!(!verify_by_column(&db, &tsq, &max, &plan, &counters));
+        assert!(!verify_by_column(&db, &tsq, &max, &plan, &counters));
+        assert_eq!(lookups(), 4, "the range check reads no cache; movies.year is probed once");
     }
 }

@@ -18,17 +18,29 @@
 //! A stage failure prunes the partial query and, with it, every complete query
 //! in that branch of the search space.
 //!
+//! Stages 1–4 are **join-independent**: they read the clause set, the select
+//! list, the predicates and the TSQ, never `PartialQuery::join`. A child that
+//! progressive join path construction splits into several join variants
+//! therefore gets the same verdict from them on every variant, and the round
+//! engine runs them once per child (`Verifier::verify_prefix`) and only
+//! stages 5–7, which execute over the join path, once per variant
+//! (`Verifier::verify_joined`). [`Verifier::verify_timed`] is the two halves
+//! back to back. Stage 4 answers from the run's [`VerifyPlan`]: one verdict
+//! per (example cell, column), probed on first touch.
+//!
 //! Database probes run through the streaming executor's memo cache
 //! (`Database::execute_cached_budgeted`): the `LIMIT 1` probes and the
 //! TSQ-limit checks of stage 7 stop scanning as soon as their limit is
 //! decided (see `docs/EXECUTOR.md`), and the per-run scan counters are
-//! exposed via [`Verifier::scan_counters`].
+//! exposed via [`Verifier::scan_counters`]. Stage 4 reaches the cache on the
+//! first touch of a (cell, column) pair only; stages 5 and 7 on every call.
 
 pub mod by_column;
 pub mod by_order;
 pub mod by_row;
 pub mod clauses;
 pub mod literals;
+pub mod plan;
 pub mod semantics;
 pub mod types;
 
@@ -37,7 +49,9 @@ use crate::tsq::TableSketchQuery;
 use duoquest_db::{Database, RunCacheCounters};
 use duoquest_nlq::Literal;
 use duoquest_sql::PartialQuery;
-use std::time::Duration;
+pub use plan::VerifyPlan;
+use std::sync::{Arc, OnceLock};
+use std::time::{Duration, Instant};
 
 /// The stage at which verification failed (used for pruning statistics).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -206,18 +220,61 @@ impl VerifyOutcome {
     }
 }
 
+/// Which part of the cascade one call runs (see the module docs).
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Part {
+    /// Stages 1–4, which never read the join path.
+    Prefix,
+    /// Stages 5–7, over the join path.
+    Joined,
+    /// All seven.
+    Whole,
+}
+
+/// The stage boundaries of one cascade call: a stage's end is the next
+/// stage's start, and the first boundary is read when the first stage opens —
+/// a call that runs no stage (the joined half of most partial queries) reads
+/// no clock at all.
+struct Laps<'c> {
+    clock: &'c dyn Clock,
+    boundary: Option<Instant>,
+}
+
+impl Laps<'_> {
+    fn open(&mut self) {
+        if self.boundary.is_none() {
+            self.boundary = Some(self.clock.now());
+        }
+    }
+
+    fn close(&mut self, stage: VerifyStage, timings: &mut StageTimings) {
+        let ended = self.clock.now();
+        if let Some(started) = self.boundary.replace(ended) {
+            timings.record(stage, ended.saturating_duration_since(started));
+        }
+    }
+}
+
 /// The verifier: holds the TSQ, the tagged literals and the database.
 pub struct Verifier<'a> {
     db: &'a Database,
     tsq: Option<&'a TableSketchQuery>,
     literals: &'a [Literal],
     semantic_rules: bool,
+    /// Whether partial queries are verified at all (the default). Off — the
+    /// NoPQ ablation, the naive chaining approach of paper §3.5 — every
+    /// partial query passes unexamined and only complete ones pay the cascade.
+    prune_partial: bool,
     /// Per-run probe-cache hit/miss counters (atomic: one verifier is shared
     /// by every worker of a synthesis run). Behind an `Arc` so short-lived
     /// verifiers built per scheduler work unit can all feed one session's
     /// counter set — per-session hit attribution on a database whose probe
     /// cache is shared by many concurrent sessions.
-    counters: std::sync::Arc<RunCacheCounters>,
+    counters: Arc<RunCacheCounters>,
+    /// The column-wise verdicts of the run this verifier works for. A
+    /// verifier nobody handed a plan builds a private one on first use, so
+    /// there is one by-column path whoever constructed the verifier.
+    plan: OnceLock<Arc<VerifyPlan>>,
     /// The time source of [`StageTimings`] stamps (virtualized so simulated
     /// runs record simulated durations instead of real ones).
     clock: &'a dyn Clock,
@@ -236,7 +293,9 @@ impl<'a> Verifier<'a> {
             tsq,
             literals,
             semantic_rules,
-            counters: std::sync::Arc::new(RunCacheCounters::default()),
+            prune_partial: true,
+            counters: Arc::new(RunCacheCounters::default()),
+            plan: OnceLock::new(),
             clock: &SYSTEM_CLOCK,
         }
     }
@@ -252,9 +311,36 @@ impl<'a> Verifier<'a> {
     /// Replace the verifier's counter set with a shared one, so cache traffic
     /// is attributed to the session that owns `counters` rather than to this
     /// verifier instance.
-    pub fn with_counters(mut self, counters: std::sync::Arc<RunCacheCounters>) -> Self {
+    pub fn with_counters(mut self, counters: Arc<RunCacheCounters>) -> Self {
         self.counters = counters;
         self
+    }
+
+    /// Answer column-wise checks from a shared plan — the run's, so every
+    /// verifier built for one of its work units reads and fills the same
+    /// verdicts. `plan` must have been built from this verifier's database
+    /// and TSQ ([`VerifyPlan::new`]).
+    pub fn with_plan(mut self, plan: Arc<VerifyPlan>) -> Self {
+        self.plan = OnceLock::from(plan);
+        self
+    }
+
+    /// Whether partial queries are verified (`DuoquestConfig::prune_partial`;
+    /// on unless set otherwise). Complete queries always get the full cascade.
+    pub(crate) fn with_prune_partial(mut self, prune_partial: bool) -> Self {
+        self.prune_partial = prune_partial;
+        self
+    }
+
+    /// Whether the cascade looks at `pq` at all: always, unless partial
+    /// pruning is off and `pq` is still partial.
+    pub(crate) fn examines(&self, pq: &PartialQuery) -> bool {
+        self.prune_partial || pq.is_complete()
+    }
+
+    /// The run's cache, scan, index and single-flight counters.
+    pub(crate) fn counters(&self) -> &RunCacheCounters {
+        &self.counters
     }
 
     /// Probe-cache `(hits, misses)` recorded through this verifier.
@@ -302,34 +388,69 @@ impl<'a> Verifier<'a> {
     /// stage's start. Most stages run for a fraction of a microsecond, so a
     /// second read per stage was a measurable share of the whole cascade.
     pub fn verify_timed(&self, pq: &PartialQuery, timings: &mut StageTimings) -> VerifyOutcome {
-        let mut boundary = self.clock.now();
-        let mut lap = |stage: VerifyStage, timings: &mut StageTimings| {
-            let ended = self.clock.now();
-            timings.record(stage, ended.saturating_duration_since(boundary));
-            boundary = ended;
-        };
+        self.cascade(pq, timings, Part::Whole)
+    }
+
+    /// The join-independent stages (1–4) alone: what a child pays once,
+    /// however many join variants it is split over.
+    pub(crate) fn verify_prefix(
+        &self,
+        pq: &PartialQuery,
+        timings: &mut StageTimings,
+    ) -> VerifyOutcome {
+        self.cascade(pq, timings, Part::Prefix)
+    }
+
+    /// The stages over the join path (5–7) alone, for a query whose
+    /// join-independent stages already passed — on itself or on the child it
+    /// is a join variant of.
+    pub(crate) fn verify_joined(
+        &self,
+        pq: &PartialQuery,
+        timings: &mut StageTimings,
+    ) -> VerifyOutcome {
+        self.cascade(pq, timings, Part::Joined)
+    }
+
+    fn cascade(&self, pq: &PartialQuery, timings: &mut StageTimings, part: Part) -> VerifyOutcome {
+        if !self.examines(pq) {
+            return VerifyOutcome::Pass;
+        }
+        let mut laps = Laps { clock: self.clock, boundary: None };
         macro_rules! stage {
             ($stage:expr, $check:expr) => {{
+                laps.open();
                 let passed = $check;
-                lap($stage, timings);
+                laps.close($stage, timings);
                 if !passed {
                     return VerifyOutcome::Fail($stage);
                 }
             }};
         }
 
-        if let Some(tsq) = self.tsq {
-            stage!(VerifyStage::Clauses, clauses::verify_clauses(tsq, pq));
+        if part != Part::Joined {
+            if let Some(tsq) = self.tsq {
+                stage!(VerifyStage::Clauses, clauses::verify_clauses(tsq, pq));
+            }
+            if self.semantic_rules {
+                stage!(VerifyStage::Semantics, semantics::verify_semantics(self.db.schema(), pq));
+            }
+            if let Some(tsq) = self.tsq {
+                stage!(
+                    VerifyStage::ColumnTypes,
+                    types::verify_column_types(self.db.schema(), tsq, pq)
+                );
+                let plan = self.plan.get_or_init(|| Arc::new(VerifyPlan::new(self.db, self.tsq)));
+                stage!(
+                    VerifyStage::ByColumn,
+                    by_column::verify_by_column(self.db, tsq, pq, plan, &self.counters)
+                );
+            }
         }
-        if self.semantic_rules {
-            stage!(VerifyStage::Semantics, semantics::verify_semantics(self.db.schema(), pq));
+        if part == Part::Prefix {
+            return VerifyOutcome::Pass;
         }
         if let Some(tsq) = self.tsq {
-            stage!(VerifyStage::ColumnTypes, types::verify_column_types(self.db.schema(), tsq, pq));
-            stage!(
-                VerifyStage::ByColumn,
-                by_column::verify_by_column(self.db, tsq, pq, &self.counters)
-            );
             if by_row::can_check_rows(pq) {
                 stage!(VerifyStage::ByRow, by_row::verify_by_row(self.db, tsq, pq, &self.counters));
             }
@@ -568,5 +689,87 @@ mod tests {
         assert_eq!(timings.calls_of(VerifyStage::ColumnTypes), 1);
         assert_eq!(timings.calls_of(VerifyStage::ByColumn), 0);
         assert_eq!(timings.total(), std::time::Duration::from_micros(3));
+    }
+
+    /// The two halves of the cascade, run back to back on one query, are the
+    /// whole cascade: same outcome and the same stages invoked — on every
+    /// child (and join variant) of a few levels of the search, with and
+    /// without partial pruning.
+    #[test]
+    fn split_cascade_equals_one_unsplit_pass() {
+        use crate::config::DuoquestConfig;
+        use crate::enumerate::enum_next_step;
+        use crate::joinpath::construct_join_paths;
+        use duoquest_db::JoinGraph;
+
+        let db = movie_db();
+        let graph = JoinGraph::new(db.schema());
+        let config = DuoquestConfig::fast();
+        let nlq = duoquest_nlq::Nlq::with_literals(
+            "names of movies before 1995",
+            vec![duoquest_nlq::Literal::number(1995.0)],
+        );
+        let tsq = TableSketchQuery::with_types(vec![duoquest_db::DataType::Text])
+            .with_tuple(vec![TsqCell::text("Forrest Gump")]);
+        let calls = |t: &StageTimings| VerifyStage::ALL.map(|stage| t.calls_of(stage));
+
+        let (mut compared, mut outcomes) = (0, Vec::new());
+        for prune_partial in [true, false] {
+            let verifier = Verifier::new(&db, Some(&tsq), &nlq.literals, true)
+                .with_prune_partial(prune_partial);
+            let mut frontier = vec![PartialQuery::empty()];
+            for _level in 0..7 {
+                let mut next = Vec::new();
+                for (_, child) in frontier
+                    .iter()
+                    .filter_map(|pq| enum_next_step(pq, &db, &nlq, &config))
+                    .flatten()
+                {
+                    let mut variants = vec![child.clone()];
+                    if !child.select.is_hole() {
+                        let paths =
+                            construct_join_paths(&db, &graph, &child, child.join.as_ref(), 1);
+                        variants.extend(
+                            paths
+                                .into_iter()
+                                .map(|j| PartialQuery { join: Some(j), ..child.clone() }),
+                        );
+                    }
+                    for pq in variants {
+                        let mut whole = StageTimings::default();
+                        let expected = verifier.verify_timed(&pq, &mut whole);
+                        let mut halves = StageTimings::default();
+                        let mut got = verifier.verify_prefix(&pq, &mut halves);
+                        if got.passed() {
+                            got = verifier.verify_joined(&pq, &mut halves);
+                        }
+                        assert_eq!(got, expected, "{pq:?}");
+                        assert_eq!(calls(&halves), calls(&whole), "{pq:?}");
+                        assert!(
+                            prune_partial || pq.is_complete() || calls(&whole) == [0; 7],
+                            "NoPQ examines no partial query: {pq:?}"
+                        );
+                        compared += 1;
+                        outcomes.push(expected);
+                        if expected.passed() && (pq.select.is_hole() || pq.join.is_some()) {
+                            next.push(pq);
+                        }
+                    }
+                }
+                next.truncate(40);
+                frontier = next;
+            }
+        }
+        assert!(compared > 500, "only {compared} queries compared");
+        // Every stage must have decided something, or the walk proved little.
+        for stage in [
+            VerifyStage::Clauses,
+            VerifyStage::ColumnTypes,
+            VerifyStage::ByColumn,
+            VerifyStage::ByRow,
+        ] {
+            assert!(outcomes.contains(&VerifyOutcome::Fail(stage)), "{stage:?} never failed");
+        }
+        assert!(outcomes.contains(&VerifyOutcome::Pass));
     }
 }

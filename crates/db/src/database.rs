@@ -299,8 +299,13 @@ impl Database {
     }
 
     /// Observed minimum and maximum of a numeric column, ignoring NULLs.
-    /// Used by the verifier's `AVG` range check (paper §3.4).
+    /// Used by the verifier's `AVG` range check (paper §3.4). Read off the
+    /// ordered index once [`Database::rebuild_index`] has built it; a column
+    /// scan only on an unindexed database.
     pub fn numeric_range(&self, col: ColumnId) -> Option<(f64, f64)> {
+        if let Some(index) = self.column_index(col) {
+            return index.numeric_range(&self.data[col.table.0].rows, col.column);
+        }
         let mut min = f64::INFINITY;
         let mut max = f64::NEG_INFINITY;
         let mut seen = false;
@@ -668,6 +673,47 @@ mod tests {
         assert_eq!(d.numeric_range(col), Some((1950.0, 1990.0)));
         let name = d.schema().column_id("actor", "name").unwrap();
         assert_eq!(d.numeric_range(name), None);
+    }
+
+    /// The indexed range must equal the scan of an unindexed twin, on every
+    /// column, through the write path.
+    #[test]
+    fn numeric_range_off_the_index_equals_the_scan() {
+        let mut scanned = db();
+        let mut indexed = db();
+        indexed.rebuild_index();
+        let agree = |scanned: &Database, indexed: &Database, when: &str| {
+            for col in scanned.schema().all_columns() {
+                assert!(scanned.column_index(col).is_none() && indexed.column_index(col).is_some());
+                assert_eq!(
+                    indexed.numeric_range(col),
+                    scanned.numeric_range(col),
+                    "{when}, {col:?}"
+                );
+            }
+        };
+        agree(&scanned, &indexed, "empty table");
+        let rows = [
+            vec![Value::int(1), Value::text("a"), Value::Null],
+            vec![Value::int(2), Value::Null, Value::Number(f64::NAN)],
+            vec![Value::int(3), Value::text("c"), Value::int(1990)],
+            vec![Value::int(4), Value::text("d"), Value::Number(-0.5)],
+        ];
+        for (i, row) in rows.into_iter().enumerate() {
+            scanned.insert("actor", row.clone()).unwrap();
+            indexed.insert("actor", row).unwrap();
+            // Row 1: a single row, `birth_yr` without a number. Row 2: its
+            // only number is NaN. Rows 3-4: NULL, NaN and numbers mixed.
+            agree(&scanned, &indexed, &format!("after insert {i}"));
+        }
+        let birth_yr = scanned.schema().column_id("actor", "birth_yr").unwrap();
+        assert_eq!(indexed.numeric_range(birth_yr), Some((-0.5, 1990.0)));
+        for (row, value) in [(3, Value::int(2050)), (2, Value::Null), (0, Value::int(-7))] {
+            scanned.update_cell("actor", row, "birth_yr", value.clone()).unwrap();
+            indexed.update_cell("actor", row, "birth_yr", value).unwrap();
+            agree(&scanned, &indexed, &format!("after update of row {row}"));
+        }
+        assert_eq!(indexed.numeric_range(birth_yr), Some((-7.0, 2050.0)));
     }
 
     #[test]

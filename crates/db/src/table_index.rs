@@ -225,6 +225,24 @@ impl ColumnIndex {
         self.max_matches <= 1
     }
 
+    /// Smallest and largest number stored in the column, read off the two
+    /// ends of the sorted run's number segment (NULLs sort before it, NaN
+    /// and text after it): two binary searches instead of a column scan.
+    /// Equal to the scan in `Database::numeric_range` on every column — `None`
+    /// without a number, and the scan's empty `(∞, −∞)` interval when every
+    /// number is NaN.
+    pub fn numeric_range(&self, rows: &[Row], col: usize) -> Option<(f64, f64)> {
+        let number = |i: usize| rows[i].0[col].as_number();
+        let run = &self.sorted[self.sorted.len() - self.non_null..];
+        let numbers = &run[..run.partition_point(|&i| number(i).is_some())];
+        let ordered =
+            &numbers[..numbers.partition_point(|&i| number(i).is_some_and(|n| !n.is_nan()))];
+        match (ordered.first(), ordered.last()) {
+            (Some(&min), Some(&max)) => number(min).zip(number(max)),
+            _ => (!numbers.is_empty()).then_some((f64::INFINITY, f64::NEG_INFINITY)),
+        }
+    }
+
     /// Cardinality/min/max statistics of the column.
     pub fn stats(&self, rows: &[Row], col: usize) -> IndexStats {
         let nulls = self.sorted.len() - self.non_null;

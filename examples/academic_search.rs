@@ -53,11 +53,10 @@ fn main() {
         println!("    {:.4}  {}", cand.confidence, render_sql(&cand.spec, mas.db.schema()));
     }
     println!(
-        "  [{} rounds, probe cache: {} hits / {} misses ({:.0}%)]",
+        "  [{} rounds, probe cache: {} lookups, {} executed]",
         dual.stats.rounds,
-        dual.stats.cache_hits,
-        dual.stats.cache_misses,
-        dual.stats.cache_hit_rate() * 100.0
+        dual.stats.cache_hits + dual.stats.cache_misses,
+        dual.stats.cache_misses
     );
 
     let nli_result = nli.synthesize(&mas.db, &task.nlq, &model);

@@ -135,12 +135,13 @@ fn main() {
     let dual = stream.finish();
     println!(
         "  [{} candidates ({streamed} streamed live), {} states expanded over {} rounds, \
-         {} pruned by the TSQ/semantic cascade, probe cache {:.0}% hits]\n",
+         {} pruned by the TSQ/semantic cascade, {} probe-cache lookups ({} executed)]\n",
         dual.candidates.len(),
         dual.stats.expanded,
         dual.stats.rounds,
         dual.stats.total_pruned(),
-        dual.stats.cache_hit_rate() * 100.0
+        dual.stats.cache_hits + dual.stats.cache_misses,
+        dual.stats.cache_misses
     );
 
     println!("--- NLQ only (no TSQ) ---");

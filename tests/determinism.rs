@@ -199,6 +199,116 @@ fn heuristic_plan_survives_scheduler_parks() {
     assert!(emissions >= 10, "only {emissions} candidates emitted over the whole workload");
 }
 
+/// The verify-side twin of the test above: under a full TSQ and the oracle
+/// (where verification decides what survives) a run answers column-wise
+/// checks from one verdict table that its chunk workers fill as they go and
+/// that parks and resumes with the session. Emission, confidence bits and
+/// the per-stage prune counts must not depend on who filled a verdict first —
+/// private pool or shared scheduler at any size, blocking or driven, alone or
+/// among eight concurrent sessions — and a session must never read verdicts
+/// another session's TSQ produced over the same database.
+#[test]
+fn verify_plan_is_per_session_on_every_way_to_run_one() {
+    let dataset = Arc::new(workload());
+    let config = base_config();
+    let emitted = |c: &duoquest::core::Candidate| (format!("{:?}", c.spec), c.confidence.to_bits());
+    type Observed = (Vec<(String, u64)>, Vec<(String, f64)>, [usize; 8]);
+    let observe = |sequence: Vec<(String, u64)>, result: &SynthesisResult| -> Observed {
+        let s = &result.stats;
+        let counts = [
+            s.generated,
+            s.pruned_clauses,
+            s.pruned_semantics,
+            s.pruned_types,
+            s.pruned_by_column,
+            s.pruned_by_row,
+            s.pruned_literals,
+            s.pruned_by_order,
+        ];
+        (sequence, ranking(result), counts)
+    };
+    // Task `i` under its own sketch, or (`foreign`) under task `i + 1`'s: the
+    // same database, NLQ and oracle with cells that mostly do not occur in
+    // the columns the oracle prefers.
+    let session = |i: usize, foreign: bool, pool: Option<&SessionScheduler>| {
+        let task = &dataset.tasks[i];
+        let db = dataset.database(task);
+        let (gold, own) = synthesize_tsq(db, &task.gold, TsqDetail::Full, 2, 700 + i as u64);
+        let other = &dataset.tasks[(i + 1) % dataset.tasks.len()];
+        let tsq = if foreign {
+            synthesize_tsq(db, &other.gold, TsqDetail::Full, 2, 700 + i as u64).1
+        } else {
+            own
+        };
+        let session = Duoquest::new(config.clone())
+            .session(Arc::clone(db), task.nlq.clone(), Arc::new(NoisyOracleGuidance::new(gold, 7)))
+            .with_tsq(tsq);
+        match pool {
+            Some(pool) => session.with_scheduler(pool.handle()),
+            None => session,
+        }
+    };
+    let blocking = |i: usize, foreign: bool, pool: Option<&SessionScheduler>| {
+        let mut sequence = Vec::new();
+        let result = session(i, foreign, pool).run_with(|c| {
+            sequence.push(emitted(c));
+            true
+        });
+        observe(sequence, &result)
+    };
+    let driven = |i: usize, foreign: bool, pool: Option<&SessionScheduler>| {
+        let mut stream = session(i, foreign, pool).stream();
+        let sequence: Vec<_> = stream.by_ref().map(|c| emitted(&c)).collect();
+        observe(sequence, &stream.finish())
+    };
+
+    let solo: Vec<[Observed; 2]> =
+        (0..dataset.tasks.len()).map(|i| [false, true].map(|f| blocking(i, f, None))).collect();
+    let emissions: usize = solo.iter().map(|[own, _]| own.0.len()).sum();
+    assert!(emissions >= 20, "only {emissions} candidates emitted over the whole workload");
+    assert!(
+        solo.iter().any(|[own, foreign]| own.0 != foreign.0),
+        "the foreign sketches must change what is emitted, or sharing verdicts would go unseen"
+    );
+
+    for (i, [own, _]) in solo.iter().enumerate() {
+        assert_eq!(own, &driven(i, false, None), "task {i}: private pool, driven");
+    }
+    for workers in [1usize, 2, 4] {
+        let pool = SessionScheduler::new(workers);
+        for (i, [own, _]) in solo.iter().enumerate() {
+            assert_eq!(own, &blocking(i, false, Some(&pool)), "task {i}: {workers} workers");
+            assert_eq!(own, &driven(i, false, Some(&pool)), "task {i}: {workers}, driven");
+        }
+        // Eight sessions at once over the one database: every task under its
+        // own sketch next to itself under a foreign one.
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..8)
+                .map(|s| {
+                    let (i, foreign) = (s / 2 % dataset.tasks.len(), s % 2 == 1);
+                    let (pool, blocking, driven) = (&pool, &blocking, &driven);
+                    scope.spawn(move || {
+                        let observed = if s % 4 < 2 {
+                            blocking(i, foreign, Some(pool))
+                        } else {
+                            driven(i, foreign, Some(pool))
+                        };
+                        (i, foreign, observed)
+                    })
+                })
+                .collect();
+            for handle in handles {
+                let (i, foreign, observed) = handle.join().expect("session thread panicked");
+                assert_eq!(
+                    solo[i][usize::from(foreign)],
+                    observed,
+                    "task {i} (foreign sketch: {foreign}) among 8 sessions on {workers} workers"
+                );
+            }
+        });
+    }
+}
+
 /// The executor-level analogue of the worker-count guarantee: the number of
 /// hash partitions a join is split across (and whether the partitioned
 /// parallel join triggers at all) must never change the emitted candidates.
