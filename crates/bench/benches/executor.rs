@@ -7,19 +7,22 @@
 //!   col = v LIMIT 1` probes over every column of a generated Spider
 //!   database, half hitting and half missing;
 //! * a **large join** — a high-fanout two-table join where the joined
-//!   relation dwarfs the base tables, probed with `LIMIT 1` and fully
-//!   evaluated with 1/2/4 hash partitions.
+//!   relation dwarfs the base tables, probed with `LIMIT 1`;
+//!
+//! plus the **semi-join reduction** on the MAS user-study database: task
+//! C3's gold query (four tables, GROUP BY / HAVING, the literal at a leaf of
+//! the join tree) with index access on — reduced — and off — the scan path.
 //!
 //! Before timing, the bench prints the rows-scanned and wall-clock ratios
-//! between the strategies so the limit-pushdown and index-access wins are
-//! visible without a stopwatch.
+//! between the strategies so the limit-pushdown, index-access and reduction
+//! wins are visible without a stopwatch.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use duoquest_db::{
     execute_with, CmpOp, ColumnDef, DataType, Database, ExecOptions, JoinGraph, JoinTree,
     Predicate, Schema, SelectItem, SelectSpec, TableDef, Value,
 };
-use duoquest_workloads::spider;
+use duoquest_workloads::{mas_pbe_tasks, spider, MasDataset};
 
 /// Verifier-shaped probe mix over every column of `db`: one probe for a value
 /// that exists (the first row's) and one for a value that cannot.
@@ -85,15 +88,10 @@ fn fanout_probe(db: &Database) -> SelectSpec {
 }
 
 /// The PR 3 streaming baseline: limit pushdown on, no index access.
-const STREAMING: ExecOptions = ExecOptions {
-    row_budget: None,
-    limit_pushdown: true,
-    join_partitions: 1,
-    parallel_join_threshold: duoquest_db::executor::PARALLEL_JOIN_THRESHOLD,
-    index_access: false,
-};
-/// Streaming plus index-backed access paths (INLJ, range/point restrictions,
-/// ordered index scans, empty bails).
+const STREAMING: ExecOptions =
+    ExecOptions { row_budget: None, limit_pushdown: true, index_access: false };
+/// Streaming plus index-backed access paths (INLJ, range/point restrictions
+/// and their semi-join reduction, ordered index scans, empty bails).
 const INDEXED: ExecOptions = ExecOptions { index_access: true, ..STREAMING };
 /// The pre-streaming executor: full materialization, no indexes.
 const MATERIALIZING: ExecOptions = ExecOptions { limit_pushdown: false, ..STREAMING };
@@ -150,6 +148,24 @@ fn bench_executor(c: &mut Criterion) {
         100.0 * wall_indexed.as_secs_f64() / wall_scan.as_secs_f64().max(1e-9)
     );
 
+    // Semi-join reduction: the literal sits at a leaf (`conference.name`),
+    // the first table (`author`) is three joins away.
+    let mas = MasDataset::standard();
+    let c3 = mas_pbe_tasks(&mas).into_iter().find(|t| t.id == "C3").expect("task C3").gold;
+    let timed = |opts: &ExecOptions| {
+        execute_with(&mas.db, &c3, opts).unwrap();
+        let start = std::time::Instant::now();
+        let out = execute_with(&mas.db, &c3, opts).unwrap();
+        (out.metrics.rows_scanned, start.elapsed())
+    };
+    let ((reduced_rows, reduced_wall), (scan_rows, scan_wall)) =
+        (timed(&INDEXED), timed(&STREAMING));
+    println!(
+        "MAS C3 gold query: reduced {reduced_rows} rows in {reduced_wall:?} vs scan \
+         {scan_rows} rows in {scan_wall:?} (rows ratio {:.1}%)",
+        100.0 * reduced_rows as f64 / scan_rows.max(1) as f64
+    );
+
     let mut group = c.benchmark_group("executor");
     group.bench_function("spider_probe_mix_indexed", |b| {
         b.iter(|| rows_scanned(spider_db, &probes, &INDEXED))
@@ -170,19 +186,12 @@ fn bench_executor(c: &mut Criterion) {
         b.iter(|| execute_with(&fanout, &probe, &MATERIALIZING).unwrap().result.len())
     });
 
-    // Full (unlimited) join evaluation across partition counts.
-    let mut full = fanout_probe(&fanout);
-    full.limit = None;
-    for partitions in [1usize, 2, 4] {
-        let opts = ExecOptions {
-            join_partitions: partitions,
-            parallel_join_threshold: 1,
-            ..MATERIALIZING
-        };
-        group.bench_function(format!("full_join_{partitions}_partitions"), |b| {
-            b.iter(|| execute_with(&fanout, &full, &opts).unwrap().result.len())
-        });
-    }
+    group.bench_function("mas_c3_gold_reduced", |b| {
+        b.iter(|| execute_with(&mas.db, &c3, &INDEXED).unwrap().result.len())
+    });
+    group.bench_function("mas_c3_gold_scan", |b| {
+        b.iter(|| execute_with(&mas.db, &c3, &STREAMING).unwrap().result.len())
+    });
     group.finish();
 }
 

@@ -5,6 +5,13 @@
 //! the partial query's join path, re-using its (completed) WHERE and GROUP BY
 //! clauses, with the example cells appended to WHERE (unaggregated projections)
 //! or HAVING (aggregated projections).
+//!
+//! A probe is an existence check: only "did a row come back" is read. Without
+//! a HAVING constraint that answer does not depend on the GROUP BY — a group
+//! exists exactly when a joined row passes WHERE — so such a probe is issued
+//! without one. The executor can then stream it and stop at the first row,
+//! where a grouped spec would have it materialize the whole join first; and
+//! candidates that differ only in their grouping share one cached probe.
 
 use crate::tsq::TableSketchQuery;
 use crate::verify::by_column::cell_to_predicate;
@@ -122,6 +129,9 @@ pub fn verify_by_row(
         }
         if !constrained {
             continue;
+        }
+        if spec.having.is_empty() {
+            spec.group_by.clear();
         }
         // The probe needs some projection; project the first available column of
         // the join (mirroring the paper's `SELECT 1`).

@@ -15,7 +15,7 @@ use crate::schema::{ColumnId, Schema, TableId};
 use crate::table_index::{ColumnIndex, IndexStats, TableIndex};
 use crate::types::{DataType, Value};
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// A single row of values.
@@ -99,10 +99,6 @@ pub struct Database {
     /// single-flight in-flight table (one execution fans out to all waiters).
     /// On by default; disabled for A/B comparisons.
     single_flight: AtomicBool,
-    /// Hash partitions (scoped threads) for large materialized joins.
-    join_partitions: AtomicUsize,
-    /// Probe-side row count at which the partitioned parallel join kicks in.
-    parallel_join_threshold: AtomicUsize,
 }
 
 impl Clone for Database {
@@ -121,10 +117,6 @@ impl Clone for Database {
             table_indexes: self.table_indexes.clone(),
             index_access: AtomicBool::new(self.index_access.load(Ordering::Relaxed)),
             single_flight: AtomicBool::new(self.single_flight.load(Ordering::Relaxed)),
-            join_partitions: AtomicUsize::new(self.join_partitions.load(Ordering::Relaxed)),
-            parallel_join_threshold: AtomicUsize::new(
-                self.parallel_join_threshold.load(Ordering::Relaxed),
-            ),
         }
     }
 }
@@ -145,12 +137,6 @@ impl Database {
             table_indexes: Vec::new(),
             index_access: AtomicBool::new(true),
             single_flight: AtomicBool::new(true),
-            // Defaults to 1: verifier probes already run nested inside the
-            // synthesis worker pool, and per-probe scoped threads on top of
-            // ~ncpu workers would oversubscribe the machine. Standalone
-            // analytical consumers opt in via `set_join_partitions`.
-            join_partitions: AtomicUsize::new(1),
-            parallel_join_threshold: AtomicUsize::new(crate::executor::PARALLEL_JOIN_THRESHOLD),
         })
     }
 
@@ -427,34 +413,9 @@ impl Database {
 
     /// The executor options this database runs [`crate::executor::execute`]
     /// with: streaming limit pushdown on, no row budget, and the configured
-    /// join parallelism.
+    /// index access.
     pub fn exec_options(&self) -> ExecOptions {
-        ExecOptions {
-            join_partitions: self.join_partitions(),
-            parallel_join_threshold: self.parallel_join_threshold.load(Ordering::Relaxed),
-            index_access: self.index_access(),
-            ..ExecOptions::default()
-        }
-    }
-
-    /// Number of hash partitions (probe-side scoped threads) large
-    /// materialized joins split across. Defaults to 1 — the synthesis engine
-    /// already parallelizes across probes, so per-probe join parallelism is
-    /// opt-in for standalone analytical consumers. Row order is identical
-    /// for every value (see the executor's determinism contract).
-    pub fn join_partitions(&self) -> usize {
-        self.join_partitions.load(Ordering::Relaxed).max(1)
-    }
-
-    /// Replace the join partition count. Shared-reference friendly, so it
-    /// can be tuned on an `Arc`-shared database.
-    pub fn set_join_partitions(&self, partitions: usize) {
-        self.join_partitions.store(partitions.max(1), Ordering::Relaxed);
-    }
-
-    /// Replace the probe-side row count at which joins go parallel.
-    pub fn set_parallel_join_threshold(&self, rows: usize) {
-        self.parallel_join_threshold.store(rows.max(1), Ordering::Relaxed);
+        ExecOptions { index_access: self.index_access(), ..ExecOptions::default() }
     }
 
     /// Execute a query through the probe/result memo cache: repeated

@@ -28,15 +28,8 @@
 //!   column of the probe-side table whose stored values are already sorted
 //!   the requested way — see [`Database::column_is_sorted`]).
 //! * **Materializing** — grouped, sorted-by-unsorted-columns, or unlimited
-//!   queries drain the pipeline into an intermediate relation. Large joins
-//!   are evaluated as **partitioned parallel hash joins**: the build side is
-//!   distributed across `join_partitions` hash partitions in one sequential
-//!   pass, the probe side is split into contiguous chunks probed on scoped
-//!   threads, and
-//!   chunk outputs are concatenated in chunk (i.e. original row) order — so
-//!   the produced row order is byte-identical to the single-threaded join
-//!   for every partition count. Below [`ExecOptions::parallel_join_threshold`]
-//!   probe rows the single-threaded join is used outright.
+//!   queries drain the same join chain into an intermediate relation, then
+//!   filter, group, sort and limit it as one batch.
 //!
 //! # Index access
 //!
@@ -48,11 +41,18 @@
 //! * **Index-nested-loop joins** borrow a build column's prebuilt match
 //!   lists instead of hashing the build table per execution.
 //! * **Range/point restrictions** turn indexed literal predicates into
-//!   candidate row lists (always supersets; the WHERE filter re-checks), so
-//!   scans and build passes touch only candidates.
+//!   candidate row lists (always supersets; the WHERE filter re-checks),
+//!   intersected when several predicates restrict one table. The first
+//!   table iterates its candidates; a build side keeps its borrowed match
+//!   lists and drops non-candidates from each list as it is probed.
+//! * **Semi-join reduction** carries those restrictions up the join tree,
+//!   leaves first: a table whose child is restricted keeps only the rows
+//!   whose join key occurs among the child's candidates, so a literal at a
+//!   leaf shrinks the probe side before a joined row exists (and an emptied
+//!   table proves the probe empty); `docs/EXECUTOR.md` has the argument.
 //! * **Ordered index scans** stream `ORDER BY c LIMIT k` from the column's
 //!   sorted run for any indexed column, generalizing the presorted-storage
-//!   case.
+//!   case; a first-table restriction filters the run in place.
 //! * **Selectivity-driven planning** orders join steps most-selective-first
 //!   when provably order-safe, and bails the execution the moment a build
 //!   side, an intermediate, or the planned probe itself is provably empty.
@@ -60,10 +60,10 @@
 //! # Determinism contract
 //!
 //! For a fixed database and spec, [`execute`] and [`execute_with`] produce
-//! the same [`ResultSet`] — bit for bit — regardless of `join_partitions`,
-//! the parallel threshold, whether the streaming or materializing strategy
-//! ran, or whether index access paths were taken. Higher layers (candidate
-//! emission, the probe memo cache) rely on this.
+//! the same [`ResultSet`] — bit for bit — regardless of whether the
+//! streaming or materializing strategy ran, or whether index access paths
+//! were taken. Higher layers (candidate emission, the probe memo cache) rely
+//! on this.
 //!
 //! # Observability
 //!
@@ -84,10 +84,11 @@ use crate::query::{
 use crate::schema::{ColumnId, TableId};
 use crate::table_index::ColumnIndex;
 use crate::types::{DataType, Value};
+use std::borrow::Cow;
 use std::cell::Cell;
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
-use std::hash::{Hash, Hasher};
 
 /// The result of executing a query: column headers plus rows.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -142,10 +143,6 @@ impl ResultSet {
     }
 }
 
-/// Default probe-side row count below which a join is evaluated
-/// single-threaded (spawning scoped threads costs more than it saves).
-pub const PARALLEL_JOIN_THRESHOLD: usize = 4096;
-
 /// Physical execution knobs for [`execute_with`]. [`execute`] uses the
 /// database's defaults ([`Database::exec_options`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -158,11 +155,6 @@ pub struct ExecOptions {
     /// limit is satisfied. Disabling this forces the materializing strategy
     /// (useful as the "old executor" baseline in benches and tests).
     pub limit_pushdown: bool,
-    /// Number of hash partitions (and scoped threads) for large
-    /// materialized joins. `1` disables parallelism.
-    pub join_partitions: usize,
-    /// Probe-side row count at which the partitioned parallel join kicks in.
-    pub parallel_join_threshold: usize,
     /// Allow index-backed access paths (index-nested-loop joins, index range
     /// scans, ordered index scans and selectivity-driven join planning) when
     /// the database has built its secondary indexes. Results are
@@ -173,13 +165,7 @@ pub struct ExecOptions {
 
 impl Default for ExecOptions {
     fn default() -> Self {
-        ExecOptions {
-            row_budget: None,
-            limit_pushdown: true,
-            join_partitions: 1,
-            parallel_join_threshold: PARALLEL_JOIN_THRESHOLD,
-            index_access: true,
-        }
+        ExecOptions { row_budget: None, limit_pushdown: true, index_access: true }
     }
 }
 
@@ -271,17 +257,19 @@ pub fn execute_with(db: &Database, spec: &SelectSpec, opts: &ExecOptions) -> DbR
 }
 
 /// Index-derived planning facts for one execution: whether index access is
-/// on, per-table candidate row lists implied by indexed literal predicates,
-/// and the lookups spent computing them.
+/// on, per-table candidate row lists implied by indexed literal predicates
+/// (directly, or through the join tree), and the lookups spent computing
+/// them.
 struct IndexAccess {
     /// Index access paths are allowed ([`ExecOptions::index_access`]).
     enabled: bool,
     /// Table → ascending candidate row ids: a **superset** of the table's
-    /// rows that can pass the WHERE clause. [`row_passes`] still evaluates
-    /// every predicate on every surviving row, so scanning (or hashing)
-    /// candidates instead of the full table is output-invariant — the index
-    /// only removes rows that could never survive. Only populated when
-    /// predicates combine conjunctively (AND, or a single predicate).
+    /// rows that can appear in a joined row passing the WHERE clause.
+    /// [`row_passes`] still evaluates every predicate on every surviving
+    /// row, so iterating (or joining to) candidates instead of the full
+    /// table is output-invariant — the index only removes rows that could
+    /// never survive. Only populated when predicates combine conjunctively
+    /// (AND, or a single predicate).
     restrictions: HashMap<TableId, Vec<usize>>,
     /// Index lookups performed while planning.
     lookups: u64,
@@ -293,7 +281,8 @@ impl IndexAccess {
     }
 
     /// Derive candidate restrictions from the spec's indexed literal
-    /// predicates. Must run after [`validate`] (predicates have columns).
+    /// predicates, then carry them up the join tree ([`Self::reduce`]).
+    /// Must run after [`validate`] (predicates have columns).
     fn plan(db: &Database, spec: &SelectSpec, opts: &ExecOptions) -> IndexAccess {
         if !opts.index_access {
             return IndexAccess::disabled();
@@ -308,25 +297,86 @@ impl IndexAccess {
             let col = pred.col.expect("validated: WHERE predicate has a column");
             let Some(cands) = predicate_candidates(db, col, pred) else { continue };
             access.lookups += 1;
-            // Keep the most selective list per table; any one is a valid
-            // superset on its own.
-            match access.restrictions.entry(col.table) {
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    if cands.len() < e.get().len() {
-                        e.insert(cands);
-                    }
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(cands);
-                }
-            }
+            // Under AND a surviving row passes every predicate, so the
+            // intersection of the per-predicate supersets is still one.
+            access.restrict(col.table, cands);
         }
+        access.reduce(db, spec);
         access
     }
 
+    /// Narrow `table` to `cands` (ascending), intersecting with what it
+    /// already has.
+    fn restrict(&mut self, table: TableId, cands: Vec<usize>) {
+        match self.restrictions.entry(table) {
+            Entry::Occupied(mut e) => {
+                let both = intersect_ascending(e.get(), &cands);
+                e.insert(both);
+            }
+            Entry::Vacant(e) => {
+                e.insert(cands);
+            }
+        }
+    }
+
+    /// Semi-join reduction: walk the join tree leaves-first toward the first
+    /// FROM table and, wherever a child table is restricted, restrict its
+    /// parent to the rows whose join key occurs among the child's
+    /// candidates — one [`ColumnIndex::lookup`] per child candidate.
+    ///
+    /// Every joined row holds exactly one row of each table (inner
+    /// equi-joins along a tree), so a parent row can only appear next to a
+    /// child row that is itself a candidate: the reduced list is again an
+    /// ascending superset of the survivors, and the argument the
+    /// [`restrictions`](Self::restrictions) rest on carries over unchanged.
+    /// Keys compare as in the join itself — [`Value::group_key`], NULLs
+    /// match nothing.
+    ///
+    /// Only the direction toward the probe side is walked. Restricting
+    /// build sides from above as well reaches the same row counts but
+    /// attaches a membership filter to index-nested-loop steps that were
+    /// free, and measured slower on plans that were already selective
+    /// (`docs/EXECUTOR.md`). An edge is skipped when the walk is not
+    /// expected to shrink its target: |child candidates| × the parent
+    /// column's mean match-list length ≥ |parent candidates|.
+    fn reduce(&mut self, db: &Database, spec: &SelectSpec) {
+        if self.restrictions.is_empty() || spec.join.edges.is_empty() {
+            return;
+        }
+        let oriented = orient_edges(spec);
+        if oriented.len() != spec.join.edges.len() {
+            // Not a tree rooted at the first table: which edges the plan
+            // joins on is then decided by `plan_joins`, not by shape.
+            return;
+        }
+        for edge in oriented.iter().rev() {
+            let Some(source) = self.restrictions.get(&edge.child.table) else { continue };
+            if source.is_empty() {
+                return; // `provably_empty` takes it from here
+            }
+            let Some(idx) = db.column_index(edge.parent) else { continue };
+            let target_len = self
+                .restrictions
+                .get(&edge.parent.table)
+                .map_or(db.table_data(edge.parent.table).rows.len(), Vec::len);
+            if source.len() as f64 * idx.mean_matches() >= target_len as f64 {
+                continue;
+            }
+            let child_rows = &db.table_data(edge.child.table).rows;
+            let mut reached: Vec<usize> = Vec::new();
+            for &ri in source {
+                reached.extend_from_slice(idx.lookup(&child_rows[ri].0[edge.child.column]));
+            }
+            self.lookups += source.len() as u64;
+            reached.sort_unstable();
+            reached.dedup();
+            self.restrict(edge.parent.table, reached);
+        }
+    }
+
     /// Whether the planner can prove the joined relation empty before
-    /// touching any rows: a joined table has no rows, or a conjunctive
-    /// indexed predicate admits no candidates.
+    /// touching any rows: a joined table has no rows, or the conjunctive
+    /// indexed predicates leave some table without a candidate.
     fn provably_empty(&self, db: &Database, spec: &SelectSpec) -> bool {
         self.enabled
             && (spec.join.tables.iter().any(|&t| db.table_data(t).rows.is_empty())
@@ -465,6 +515,44 @@ struct JoinPlan {
     steps: Vec<JoinStep>,
 }
 
+/// One FK edge of the join tree, oriented away from the first FROM table:
+/// `child` is the endpoint farther from it — the build side of the edge's
+/// join step, whatever order the steps run in.
+struct OrientedEdge {
+    /// Join column on the side nearer the first table.
+    parent: ColumnId,
+    /// Join column on the farther side.
+    child: ColumnId,
+}
+
+/// Orient the spec's join edges by flooding outward from the first FROM
+/// table; a parent always precedes its children in the returned order. Edges
+/// the flood cannot orient (both ends already reached, i.e. a cycle) are left
+/// out, so the result is shorter than `spec.join.edges` exactly when the
+/// edges are not a tree over the FROM tables.
+fn orient_edges(spec: &SelectSpec) -> Vec<OrientedEdge> {
+    let mut reached: Vec<TableId> = vec![spec.join.tables[0]];
+    let mut done = vec![false; spec.join.edges.len()];
+    let mut oriented = Vec::with_capacity(spec.join.edges.len());
+    let mut progress = true;
+    while progress {
+        progress = false;
+        for (ei, e) in spec.join.edges.iter().enumerate() {
+            let (from, to) = (e.fk.from, e.fk.to);
+            let from_reached = reached.contains(&from.table);
+            if done[ei] || from_reached == reached.contains(&to.table) {
+                continue;
+            }
+            let (parent, child) = if from_reached { (from, to) } else { (to, from) };
+            done[ei] = true;
+            reached.push(child.table);
+            oriented.push(OrientedEdge { parent, child });
+            progress = true;
+        }
+    }
+    oriented
+}
+
 /// Whether greedy most-selective-first step ordering preserves the emitted
 /// row order. Each join step expands every probe row in place, so a step
 /// whose build key is unique contributes 0 or 1 match and the output order
@@ -472,45 +560,22 @@ struct JoinPlan {
 /// fanning-out (non-unique) step, the order is the probe order refined by
 /// that single step's ascending match lists — again arrangement-invariant.
 /// Two or more fanning steps interleave differently per arrangement, so the
-/// canonical order must be kept.
-///
-/// The build side of each edge (its endpoint farther from `first`) is fixed
-/// by the tree structure, independent of step order, so it can be determined
-/// up front by flooding outward from `first`.
-fn greedy_reorder_is_order_safe(db: &Database, spec: &SelectSpec, first: TableId) -> bool {
-    let mut reached: Vec<TableId> = vec![first];
-    let mut oriented: Vec<Option<TableId>> = vec![None; spec.join.edges.len()];
-    let mut progress = true;
-    while progress {
-        progress = false;
-        for (ei, e) in spec.join.edges.iter().enumerate() {
-            if oriented[ei].is_some() {
-                continue;
-            }
-            let (a, b) = e.tables();
-            if reached.contains(&a) != reached.contains(&b) {
-                let build = if reached.contains(&a) { b } else { a };
-                oriented[ei] = Some(build);
-                reached.push(build);
-                progress = true;
-            }
-        }
-    }
-    let non_unique = spec
-        .join
-        .edges
+/// canonical order must be kept. Edges [`orient_edges`] leaves out count as
+/// fanning, to be conservative.
+fn greedy_reorder_is_order_safe(db: &Database, spec: &SelectSpec) -> bool {
+    let oriented = orient_edges(spec);
+    let unoriented = spec.join.edges.len() - oriented.len();
+    let fanning = oriented
         .iter()
-        .enumerate()
-        .filter(|(ei, e)| match oriented[*ei] {
-            Some(build) => {
-                let bcol = if e.fk.from.table == build { e.fk.from } else { e.fk.to };
-                !db.column_index(bcol).map(ColumnIndex::is_unique).unwrap_or(false)
-            }
-            // Unoriented (disconnected or cyclic) edges: be conservative.
-            None => true,
-        })
+        .filter(|e| !db.column_index(e.child).map(ColumnIndex::is_unique).unwrap_or(false))
         .count();
-    non_unique <= 1
+    unoriented + fanning <= 1
+}
+
+/// Row ids present in both ascending lists, ascending.
+fn intersect_ascending(a: &[usize], b: &[usize]) -> Vec<usize> {
+    let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+    short.iter().copied().filter(|ri| long.binary_search(ri).is_ok()).collect()
 }
 
 fn plan_joins(db: &Database, spec: &SelectSpec, access: &IndexAccess) -> DbResult<JoinPlan> {
@@ -522,9 +587,8 @@ fn plan_joins(db: &Database, spec: &SelectSpec, access: &IndexAccess) -> DbResul
         col_pos.insert(ColumnId { table: first, column: ci }, ci);
     }
 
-    let greedy = access.enabled
-        && spec.join.edges.len() > 1
-        && greedy_reorder_is_order_safe(db, spec, first);
+    let greedy =
+        access.enabled && spec.join.edges.len() > 1 && greedy_reorder_is_order_safe(db, spec);
 
     let mut steps = Vec::new();
     let mut joined_tables = vec![first];
@@ -642,6 +706,13 @@ fn streaming_cap(
         if col.table != plan.first {
             return None;
         }
+        // DISTINCT keeps the first of equal projections: in pipeline order
+        // when streaming, in join order when the batch dedups before it
+        // sorts. The two agree only if equal projections share their sort
+        // key, i.e. the key is itself projected.
+        if spec.distinct && !spec.select.iter().any(|item| item.col == Some(col)) {
+            return None;
+        }
         if !db.column_is_sorted(col, desc) {
             let indexed = opts.index_access
                 && db.column_index(col).map(ColumnIndex::can_order).unwrap_or(false);
@@ -661,47 +732,12 @@ fn group_key_of<'v>(values: impl Iterator<Item = &'v Value>) -> String {
     values.map(Value::group_key).collect::<Vec<_>>().join("\u{1}")
 }
 
-/// Distribute one join step's build side into `partitions` hash tables (a
-/// row's partition is the hash of its join key, so all rows of one key land
-/// in one partition in row order). Both the single-map sequential join
-/// ([`build_hash`]) and the partitioned parallel join feed from this, so the
-/// NULL/key semantics of the build side cannot drift between them.
-fn build_hash_partitioned(
-    rows: &[Row],
-    build_col: usize,
-    partitions: usize,
-) -> Vec<HashMap<String, Vec<usize>>> {
-    let mut maps: Vec<HashMap<String, Vec<usize>>> =
-        (0..partitions).map(|_| HashMap::new()).collect();
+/// Build the hash table over one join step's build column: `group_key` →
+/// ascending row ids, NULLs excluded — what a [`ColumnIndex`] holds prebuilt.
+fn build_hash(rows: &[Row], build_col: usize) -> HashMap<String, Vec<usize>> {
+    let mut map: HashMap<String, Vec<usize>> = HashMap::new();
     for (ri, row) in rows.iter().enumerate() {
         let v = &row.0[build_col];
-        if !v.is_null() {
-            let key = v.group_key();
-            let idx = if partitions == 1 { 0 } else { key_partition(&key, partitions) };
-            maps[idx].entry(key).or_default().push(ri);
-        }
-    }
-    maps
-}
-
-/// Build the single hash table over one join step's build column.
-fn build_hash(rows: &[Row], build_col: usize) -> HashMap<String, Vec<usize>> {
-    build_hash_partitioned(rows, build_col, 1).pop().expect("one partition requested")
-}
-
-/// Build a hash table over only the `cands` rows (ascending row ids) of one
-/// join step's build column. Because the candidates ascend, each key's match
-/// list is a subsequence of the full [`build_hash`] list — excluded rows are
-/// exactly those an indexed predicate proved unable to pass WHERE, so
-/// probing this map changes nothing the filter would not remove.
-fn build_hash_filtered(
-    rows: &[Row],
-    build_col: usize,
-    cands: &[usize],
-) -> HashMap<String, Vec<usize>> {
-    let mut map: HashMap<String, Vec<usize>> = HashMap::new();
-    for &ri in cands {
-        let v = &rows[ri].0[build_col];
         if !v.is_null() {
             map.entry(v.group_key()).or_default().push(ri);
         }
@@ -737,20 +773,62 @@ impl StreamSink<'_> {
     }
 }
 
-/// One streaming join step's build side: borrowed straight from a column
-/// index (index-nested-loop join — no build pass at all) or hashed for this
-/// execution. Both hold `group_key → ascending row ids`, NULLs excluded, so
-/// probing either emits identical match lists.
-enum StepHash<'h> {
-    Borrowed(&'h HashMap<String, Vec<usize>>),
-    Owned(HashMap<String, Vec<usize>>),
+/// One join step's build side: the match lists — borrowed straight from a
+/// column index (index-nested-loop join, no build pass at all) or hashed for
+/// this execution, both `group_key → ascending row ids` with NULLs excluded —
+/// plus the build table's restriction, if it has one.
+///
+/// A restriction never replaces the match lists: it is applied as a
+/// membership filter while a list is expanded, so a restricted build side
+/// costs no more to set up than an unrestricted one, and each list stays an
+/// ascending subsequence of itself — dropped rows are exactly those the
+/// planner proved unable to appear in a surviving joined row.
+struct StepHash<'h> {
+    lists: Cow<'h, HashMap<String, Vec<usize>>>,
+    /// Ascending candidate row ids of the build table.
+    keep: Option<&'h [usize]>,
 }
 
-impl StepHash<'_> {
-    fn map(&self) -> &HashMap<String, Vec<usize>> {
-        match self {
-            StepHash::Borrowed(m) => m,
-            StepHash::Owned(m) => m,
+impl<'h> StepHash<'h> {
+    /// The build side of `step`. The second value is the number of build
+    /// rows hashed for it: 0 for an index-nested-loop join.
+    fn of(db: &'h Database, step: &JoinStep, access: &'h IndexAccess) -> (StepHash<'h>, u64) {
+        let build_rows = &db.table_data(step.table).rows;
+        let build_cid = ColumnId { table: step.table, column: step.build_col };
+        let (lists, hashed) = match db.column_index(build_cid).filter(|_| access.enabled) {
+            Some(idx) => (Cow::Borrowed(idx.match_lists()), 0),
+            None => (Cow::Owned(build_hash(build_rows, step.build_col)), build_rows.len() as u64),
+        };
+        (StepHash { lists, keep: access.restrictions.get(&step.table).map(Vec::as_slice) }, hashed)
+    }
+
+    fn is_inlj(&self) -> bool {
+        matches!(self.lists, Cow::Borrowed(_))
+    }
+
+    /// Append `row` combined with each build row its join key matches (and
+    /// the restriction keeps), in ascending build-row order. The row is
+    /// moved into its last match instead of being cloned once more.
+    fn expand(
+        &self,
+        mut row: Vec<Value>,
+        probe_pos: usize,
+        build_rows: &[Row],
+        out: &mut Vec<Vec<Value>>,
+    ) {
+        if row[probe_pos].is_null() {
+            return;
+        }
+        let Some(matches) = self.lists.get(&row[probe_pos].group_key()) else { return };
+        let mut kept = matches
+            .iter()
+            .filter(|ri| self.keep.is_none_or(|keep| keep.binary_search(ri).is_ok()))
+            .peekable();
+        while let Some(&ri) = kept.next() {
+            let mut combined =
+                if kept.peek().is_some() { row.clone() } else { std::mem::take(&mut row) };
+            combined.extend(build_rows[ri].0.iter().cloned());
+            out.push(combined);
         }
     }
 }
@@ -783,23 +861,25 @@ fn run_streaming(
     let first_rows = &db.table_data(plan.first).rows;
 
     // First-table iteration: the ordered index scan when the ORDER BY asks
-    // for it, the ascending restriction candidates when an indexed literal
-    // predicate pre-selects rows (candidate order equals storage order, so
-    // emission is unchanged), and a plain scan otherwise.
-    let restriction = match order {
-        FirstOrder::Storage => access.restrictions.get(&plan.first),
-        FirstOrder::Index { .. } => None,
-    };
+    // for it, a plain scan otherwise — either one narrowed to the ascending
+    // restriction candidates when the planner pre-selected rows. Candidate
+    // order equals storage order and a filtered sorted run is a subsequence
+    // of the run, so emission is unchanged.
+    let restriction = access.restrictions.get(&plan.first);
     let mut setup_lookups: u64 = 0;
     let via_first = restriction.is_some() || matches!(order, FirstOrder::Index { .. });
     let first_iter: Box<dyn Iterator<Item = usize> + '_> = match order {
         FirstOrder::Index { col, desc } => {
             setup_lookups += 1;
             let idx = db.column_index(col).expect("streaming_cap checked the index");
-            if desc {
+            let run: Box<dyn Iterator<Item = usize> + '_> = if desc {
                 Box::new(idx.ordered_desc(first_rows, col.column))
             } else {
                 Box::new(idx.ordered().iter().copied())
+            };
+            match restriction {
+                Some(cands) => Box::new(run.filter(|ri| cands.binary_search(ri).is_ok())),
+                None => run,
             }
         }
         FirstOrder::Storage => match restriction {
@@ -833,26 +913,14 @@ fn run_streaming(
         }
     } else if cap > 0 {
         // Build sides: borrow the column index's prebuilt match lists when
-        // the build key is indexed, hash only the restriction candidates
-        // when an indexed predicate pre-selects the build table, and hash
-        // the full table otherwise. An empty build side proves the join
-        // output empty before any probe row is pulled.
+        // the build key is indexed, hash the table otherwise. An empty
+        // build side proves the join output empty before any probe row is
+        // pulled.
         let mut hashes: Vec<StepHash<'_>> = Vec::with_capacity(plan.steps.len());
         for step in &plan.steps {
-            let build_rows = &db.table_data(step.table).rows;
-            let build_cid = ColumnId { table: step.table, column: step.build_col };
-            let hash = if let Some(cands) = access.restrictions.get(&step.table) {
-                build_scanned += cands.len() as u64;
-                via_index_n += cands.len() as u64;
-                StepHash::Owned(build_hash_filtered(build_rows, step.build_col, cands))
-            } else if let Some(idx) = if access.enabled { db.column_index(build_cid) } else { None }
-            {
-                StepHash::Borrowed(idx.match_lists())
-            } else {
-                build_scanned += build_rows.len() as u64;
-                StepHash::Owned(build_hash(build_rows, step.build_col))
-            };
-            if access.enabled && hash.map().is_empty() {
+            let (hash, hashed) = StepHash::of(db, step, access);
+            build_scanned += hashed;
+            if access.enabled && hash.lists.is_empty() {
                 bailed = true;
                 break;
             }
@@ -880,10 +948,10 @@ fn run_streaming(
                 let pr = &produced;
                 let lk = &lookups;
                 let vi = &via_index;
-                let inlj = matches!(hash, StepHash::Borrowed(_));
+                let inlj = hash.is_inlj();
                 stream = Box::new(stream.flat_map(move |row| {
                     let mut out: Vec<Vec<Value>> = Vec::new();
-                    expand_probe_row(row, hash.map(), build_rows, probe_pos, &mut out);
+                    hash.expand(row, probe_pos, build_rows, &mut out);
                     if inlj {
                         lk.set(lk.get() + 1);
                         vi.set(vi.get() + out.len() as u64);
@@ -929,9 +997,8 @@ fn run_streaming(
 }
 
 /// Materializing strategy: evaluate the join chain into an intermediate
-/// relation (with partitioned parallel hash joins above the threshold and
-/// index-backed build sides where available), then filter, group/aggregate,
-/// project, sort and limit as one batch.
+/// relation (index-backed build sides where available), then filter,
+/// group/aggregate, project, sort and limit as one batch.
 fn run_materialized(
     db: &Database,
     spec: &SelectSpec,
@@ -960,24 +1027,19 @@ fn run_materialized(
     };
     for (si, step) in plan.steps.iter().enumerate() {
         let build_rows = &db.table_data(step.table).rows;
-        let build_cid = ColumnId { table: step.table, column: step.build_col };
-        if let Some(cands) = access.restrictions.get(&step.table) {
-            // Hash only the candidates of the build table's indexed
-            // predicate — excluded rows fail WHERE, so their join partners
-            // would be filtered out anyway.
-            scanned += cands.len() as u64;
-            via_index += cands.len() as u64;
-            let map = build_hash_filtered(build_rows, step.build_col, cands);
-            rows = probe_with_map(rows, build_rows, step.probe_pos, &map, opts);
-        } else if let Some(idx) = if access.enabled { db.column_index(build_cid) } else { None } {
-            // Index-nested-loop join: the column index's match lists *are*
-            // the build side; no build pass runs at all.
-            lookups += rows.len() as u64;
-            rows = probe_with_map(rows, build_rows, step.probe_pos, idx.match_lists(), opts);
+        // Index-nested-loop join when the build key is indexed: the column
+        // index's match lists *are* the build side and no build pass runs.
+        let (hash, hashed) = StepHash::of(db, step, access);
+        scanned += hashed;
+        let probed = rows.len() as u64;
+        let mut out = Vec::with_capacity(rows.len());
+        for row in rows {
+            hash.expand(row, step.probe_pos, build_rows, &mut out);
+        }
+        rows = out;
+        if hash.is_inlj() {
+            lookups += probed;
             via_index += rows.len() as u64;
-        } else {
-            scanned += build_rows.len() as u64;
-            rows = join_step(rows, build_rows, step.probe_pos, step.build_col, opts);
         }
         scanned += rows.len() as u64;
         if access.enabled && rows.is_empty() && si + 1 < plan.steps.len() {
@@ -1049,175 +1111,6 @@ fn run_empty(
         probes_bailed_empty: 1,
     };
     Ok(ExecOutcome { result, metrics })
-}
-
-/// Shard index of a join key for the partitioned parallel join. Partitioning
-/// is purely physical: every row of one key lands in one partition, so match
-/// lists (and with them the output order) are independent of the count.
-fn key_partition(key: &str, partitions: usize) -> usize {
-    let mut hasher = std::collections::hash_map::DefaultHasher::new();
-    key.hash(&mut hasher);
-    (hasher.finish() as usize) % partitions
-}
-
-/// One materialized hash-join step, parallel when the probe side is large.
-fn join_step(
-    left: Vec<Vec<Value>>,
-    build_rows: &[Row],
-    probe_pos: usize,
-    build_col: usize,
-    opts: &ExecOptions,
-) -> Vec<Vec<Value>> {
-    let partitions = opts.join_partitions.max(1);
-    if partitions == 1 || left.len() < opts.parallel_join_threshold.max(1) {
-        let hash = build_hash(build_rows, build_col);
-        let mut out = Vec::with_capacity(left.len());
-        for row in left {
-            expand_probe_row(row, &hash, build_rows, probe_pos, &mut out);
-        }
-        return out;
-    }
-
-    // Build side: distribute every row into its hash partition in one
-    // sequential pass (each key lands in exactly one partition, and scanning
-    // in row order preserves the per-key match order of the global map).
-    let maps = build_hash_partitioned(build_rows, build_col, partitions);
-
-    // Probe side: contiguous owned chunks probed in parallel, concatenated
-    // in chunk (original row) order — byte-identical to the sequential join.
-    // Partitions are logical (a consumer may size them to the data); the
-    // spawned threads are clamped to the machine's parallelism, which does
-    // not affect the output order — chunking is independent of the maps.
-    let chunks = probe_chunks(left, partitions);
-    let outputs: Vec<Vec<Vec<Value>>> = std::thread::scope(|scope| {
-        let maps = &maps;
-        let handles: Vec<_> = chunks
-            .into_iter()
-            .map(|chunk| {
-                scope.spawn(move || {
-                    let mut out = Vec::with_capacity(chunk.len());
-                    for row in chunk {
-                        if let Some(matches) = probe_matches(&row, probe_pos, |key| {
-                            &maps[key_partition(key, partitions)]
-                        }) {
-                            expand_matches(row, matches, build_rows, &mut out);
-                        }
-                    }
-                    out
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("join probe worker panicked")).collect()
-    });
-    outputs.concat()
-}
-
-/// Split the probe side into contiguous owned chunks, at most one per
-/// effective thread (partitions clamped to the machine's parallelism).
-/// Concatenating chunk outputs in chunk order restores the original row
-/// order exactly.
-fn probe_chunks(left: Vec<Vec<Value>>, partitions: usize) -> Vec<Vec<Vec<Value>>> {
-    let threads =
-        partitions.min(std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)).max(1);
-    let chunk_size = left.len().div_ceil(threads);
-    let mut chunks: Vec<Vec<Vec<Value>>> = Vec::with_capacity(threads);
-    let mut rest = left;
-    while rest.len() > chunk_size {
-        let tail = rest.split_off(chunk_size);
-        chunks.push(rest);
-        rest = tail;
-    }
-    chunks.push(rest);
-    chunks
-}
-
-/// One materialized join step probing a prebuilt match-list map — either
-/// borrowed from a column index (index-nested-loop join) or hashed from
-/// restriction candidates. The map is shared read-only across probe chunks,
-/// so the parallel path needs no partitioning; chunk outputs concatenate in
-/// original row order, keeping emission byte-identical to the sequential
-/// probe.
-fn probe_with_map(
-    left: Vec<Vec<Value>>,
-    build_rows: &[Row],
-    probe_pos: usize,
-    map: &HashMap<String, Vec<usize>>,
-    opts: &ExecOptions,
-) -> Vec<Vec<Value>> {
-    let partitions = opts.join_partitions.max(1);
-    if partitions == 1 || left.len() < opts.parallel_join_threshold.max(1) {
-        let mut out = Vec::with_capacity(left.len());
-        for row in left {
-            expand_probe_row(row, map, build_rows, probe_pos, &mut out);
-        }
-        return out;
-    }
-    let chunks = probe_chunks(left, partitions);
-    let outputs: Vec<Vec<Vec<Value>>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = chunks
-            .into_iter()
-            .map(|chunk| {
-                scope.spawn(move || {
-                    let mut out = Vec::with_capacity(chunk.len());
-                    for row in chunk {
-                        expand_probe_row(row, map, build_rows, probe_pos, &mut out);
-                    }
-                    out
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("join probe worker panicked")).collect()
-    });
-    outputs.concat()
-}
-
-/// The build-side match list of one probe row, or `None` when its join key
-/// is NULL or unmatched. `select` picks the hash table to consult (the
-/// single global map, or the key's partition) — both probe loops share this
-/// so the NULL/key semantics cannot drift between them.
-fn probe_matches<'h>(
-    row: &[Value],
-    probe_pos: usize,
-    select: impl FnOnce(&str) -> &'h HashMap<String, Vec<usize>>,
-) -> Option<&'h [usize]> {
-    if row[probe_pos].is_null() {
-        return None;
-    }
-    let key = row[probe_pos].group_key();
-    select(&key).get(&key).map(Vec::as_slice)
-}
-
-/// Append one probe row combined with each of its (non-empty) matches,
-/// moving the row into the last match instead of cloning it once more.
-fn expand_matches(
-    row: Vec<Value>,
-    matches: &[usize],
-    build_rows: &[Row],
-    out: &mut Vec<Vec<Value>>,
-) {
-    out.reserve(matches.len());
-    for &ri in &matches[..matches.len() - 1] {
-        let mut combined = row.clone();
-        combined.extend(build_rows[ri].0.iter().cloned());
-        out.push(combined);
-    }
-    let last = matches[matches.len() - 1];
-    let mut combined = row;
-    combined.extend(build_rows[last].0.iter().cloned());
-    out.push(combined);
-}
-
-/// Expand one probe row against the (unpartitioned) build hash table.
-fn expand_probe_row(
-    row: Vec<Value>,
-    hash: &HashMap<String, Vec<usize>>,
-    build_rows: &[Row],
-    probe_pos: usize,
-    out: &mut Vec<Vec<Value>>,
-) {
-    if let Some(matches) = probe_matches(&row, probe_pos, |_| hash) {
-        expand_matches(row, matches, build_rows, out);
-    }
 }
 
 /// Whether one combined row survives the WHERE clause.
@@ -1764,7 +1657,7 @@ mod tests {
         assert!(table.contains("more rows"));
     }
 
-    /// A larger fixture for streaming/parallel tests: `left` (many rows) joins
+    /// A larger fixture for streaming tests: `left` (many rows) joins
     /// `right` with a fan-out per key, so the joined relation is much larger
     /// than either base table.
     fn fanout_db(left_rows: usize, keys: usize, fanout: usize) -> Database {
@@ -1836,42 +1729,6 @@ mod tests {
             materialized.metrics.rows_scanned
         );
         assert!(streaming.metrics.rows_short_circuited > 0);
-    }
-
-    #[test]
-    fn partition_counts_produce_identical_results() {
-        let db = fanout_db(600, 7, 5);
-        let mut spec = fanout_join_spec(&db);
-        spec.predicates = vec![Predicate::new(col(&db, "right", "v"), CmpOp::Ge, Value::int(3))];
-
-        let baseline = execute_with(
-            &db,
-            &spec,
-            &ExecOptions {
-                limit_pushdown: false,
-                join_partitions: 1,
-                parallel_join_threshold: 1,
-                ..ExecOptions::default()
-            },
-        )
-        .unwrap();
-        for partitions in [2usize, 4] {
-            let parallel = execute_with(
-                &db,
-                &spec,
-                &ExecOptions {
-                    limit_pushdown: false,
-                    join_partitions: partitions,
-                    parallel_join_threshold: 1,
-                    ..ExecOptions::default()
-                },
-            )
-            .unwrap();
-            assert_eq!(
-                baseline.result, parallel.result,
-                "{partitions}-partition join diverged from the sequential join"
-            );
-        }
     }
 
     #[test]

@@ -225,6 +225,13 @@ impl ColumnIndex {
         self.max_matches <= 1
     }
 
+    /// Mean match-list length over the column's distinct non-NULL keys (0
+    /// for a column without one): what one [`ColumnIndex::lookup`] is
+    /// expected to return.
+    pub(crate) fn mean_matches(&self) -> f64 {
+        self.non_null as f64 / self.by_key.len().max(1) as f64
+    }
+
     /// Smallest and largest number stored in the column, read off the two
     /// ends of the sorted run's number segment (NULLs sort before it, NaN
     /// and text after it): two binary searches instead of a column scan.

@@ -8,7 +8,9 @@
 //! * a join probed as an index-nested-loop join (no build-side hash);
 //! * `ORDER BY … LIMIT k` on an indexed-but-unsorted column streaming
 //!   straight off the ordered index;
-//! * an impossible predicate bailing before scanning anything.
+//! * an impossible predicate bailing before scanning anything;
+//! * a literal at a leaf of the join tree reaching the first table through
+//!   the semi-join reduction, at a third of the scan path's rows or less.
 //!
 //! Run with: `cargo run --example index_smoke`
 
@@ -119,13 +121,29 @@ fn main() {
     // 4. Impossible predicate: the planner proves emptiness and bails.
     let impossible = SelectSpec {
         select: vec![SelectItem::column(item_name)],
-        join,
+        join: join.clone(),
         predicates: vec![Predicate::new(item_name, CmpOp::Eq, Value::text("no such item"))],
         ..Default::default()
     };
     let (indexed, _) = both_ways(&db, &impossible, "impossible predicate");
     assert_eq!(indexed.rows_scanned, 0, "a provably empty probe must not scan");
     assert_eq!(indexed.probes_bailed_empty, 1);
+
+    // 5. Semi-join reduction: `item` is the first (probe-side) table and the
+    //    literal sits on `category`, one join away. The planner carries it up
+    //    the tree — 1 category → its 80 items — before a joined row exists.
+    let reduced = SelectSpec {
+        select: vec![SelectItem::column(item_name), SelectItem::column(label)],
+        join: JoinTree { tables: [item, label.table].into(), edges: join.edges.clone() },
+        predicates: vec![Predicate::new(label, CmpOp::Eq, Value::text("category-07"))],
+        ..Default::default()
+    };
+    let (indexed, scan) = both_ways(&db, &reduced, "semi-join reduction");
+    println!(
+        "semi-join reduction: {:.1}% of the scan path's rows",
+        100.0 * indexed.rows_scanned as f64 / scan.rows_scanned as f64
+    );
+    assert!(3 * indexed.rows_scanned <= scan.rows_scanned, "the literal must reach the probe side");
 
     println!("index smoke test passed");
 }

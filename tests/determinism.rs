@@ -309,44 +309,12 @@ fn verify_plan_is_per_session_on_every_way_to_run_one() {
     }
 }
 
-/// The executor-level analogue of the worker-count guarantee: the number of
-/// hash partitions a join is split across (and whether the partitioned
-/// parallel join triggers at all) must never change the emitted candidates.
-#[test]
-fn join_partition_counts_leave_emission_byte_identical() {
-    let dataset = workload();
-    let config = base_config();
-    let solo: Vec<_> = dataset
-        .tasks
-        .iter()
-        .enumerate()
-        .map(|(i, task)| ranking(&run_task(&dataset, task, 400 + i as u64, &config)))
-        .collect();
-
-    for partitions in [1usize, 2, 4] {
-        for (i, task) in dataset.tasks.iter().enumerate() {
-            let db = dataset.database(task);
-            // Force the parallel join onto every probe, however small.
-            db.set_parallel_join_threshold(1);
-            db.set_join_partitions(partitions);
-            db.clear_probe_cache();
-            let result = run_task(&dataset, task, 400 + i as u64, &config);
-            assert_eq!(
-                solo[i],
-                ranking(&result),
-                "task {} diverged with {partitions} join partitions",
-                task.id
-            );
-        }
-    }
-}
-
 /// The index-access analogue of the worker-count guarantee: whether probes
 /// run through ordered secondary indexes (index-nested-loop joins, range
 /// restrictions, ordered index scans, selectivity-driven join ordering) or
 /// through pure scans must never change the emitted candidates — across
-/// shared-pool sizes {1, 2, 4}, join-partition counts {1, 2, 4}, and the
-/// service at all three priority classes.
+/// shared-pool sizes {1, 2, 4} and the service at all three priority
+/// classes.
 #[test]
 fn index_access_toggle_leaves_emission_byte_identical() {
     let dataset = Arc::new(workload());
@@ -359,23 +327,13 @@ fn index_access_toggle_leaves_emission_byte_identical() {
         .map(|(i, task)| ranking(&run_task(&dataset, task, 700 + i as u64, &config)))
         .collect();
 
-    // Pure-scan execution across join-partition counts, with the parallel
-    // join forced onto every probe.
-    for partitions in [1usize, 2, 4] {
-        for (i, task) in dataset.tasks.iter().enumerate() {
-            let db = dataset.database(task);
-            db.set_index_access(false);
-            db.set_parallel_join_threshold(1);
-            db.set_join_partitions(partitions);
-            db.clear_probe_cache();
-            let result = run_task(&dataset, task, 700 + i as u64, &config);
-            assert_eq!(
-                solo[i],
-                ranking(&result),
-                "task {} diverged with indexes disabled and {partitions} join partitions",
-                task.id
-            );
-        }
+    // Pure-scan execution on a private session.
+    for (i, task) in dataset.tasks.iter().enumerate() {
+        let db = dataset.database(task);
+        db.set_index_access(false);
+        db.clear_probe_cache();
+        let result = run_task(&dataset, task, 700 + i as u64, &config);
+        assert_eq!(solo[i], ranking(&result), "task {} diverged with indexes disabled", task.id);
     }
 
     // Scans on shared pools of every size vs the indexed solo runs.
@@ -663,8 +621,7 @@ fn tracing_toggle_leaves_emission_byte_identical() {
 /// must not change *what* is emitted or *how it ranks* — only *when* each
 /// candidate is released. Any-k runs must be byte-identical to the
 /// round-barrier default across private sessions, shared pools {1, 2, 4},
-/// forced parallel joins at every partition count, pure-scan execution,
-/// and the service at all three priority classes.
+/// pure-scan execution, and the service at all three priority classes.
 #[test]
 fn any_k_emission_matches_round_barrier_everywhere() {
     let dataset = Arc::new(workload());
@@ -707,23 +664,7 @@ fn any_k_emission_matches_round_barrier_everywhere() {
         }
     }
 
-    // Any-k with the parallel join forced onto every probe at each
-    // partition count, and with index access disabled.
-    for partitions in [1usize, 2, 4] {
-        for (i, task) in dataset.tasks.iter().enumerate() {
-            let db = dataset.database(task);
-            db.set_parallel_join_threshold(1);
-            db.set_join_partitions(partitions);
-            db.clear_probe_cache();
-            let result = run_task(&dataset, task, 900 + i as u64, &any_k);
-            assert_eq!(
-                solo[i],
-                ranking(&result),
-                "task {} diverged under any-k with {partitions} join partitions",
-                task.id
-            );
-        }
-    }
+    // Any-k with index access disabled.
     for (i, task) in dataset.tasks.iter().enumerate() {
         let db = dataset.database(task);
         db.set_index_access(false);

@@ -1,6 +1,6 @@
 //! Integration tests for the streaming operator executor: limit pushdown
-//! short-circuits scans, partitioned parallel joins stay byte-identical, and
-//! the budget-aware probe cache upgrades truncated entries in place.
+//! short-circuits scans, and the budget-aware probe cache upgrades truncated
+//! entries in place.
 
 use duoquest::db::{
     execute_with, ColumnDef, Database, ExecOptions, JoinGraph, RunCacheCounters, Schema,
@@ -58,26 +58,6 @@ fn limit_one_probe_scans_under_ten_percent_of_materializing_executor() {
         streaming.metrics.rows_scanned,
         materialized.metrics.rows_scanned
     );
-}
-
-#[test]
-fn join_partition_counts_are_byte_identical_at_database_level() {
-    let db = fanout_db();
-    let spec = join_spec(&db);
-    // Force the partitioned parallel join even on this small fixture.
-    db.set_parallel_join_threshold(1);
-
-    db.set_join_partitions(1);
-    let baseline = duoquest::db::execute(&db, &spec).unwrap();
-    assert_eq!(baseline.len(), 50_000);
-    for partitions in [2usize, 4] {
-        db.set_join_partitions(partitions);
-        let parallel = duoquest::db::execute(&db, &spec).unwrap();
-        assert_eq!(
-            baseline, parallel,
-            "{partitions}-partition join diverged from the single-threaded join"
-        );
-    }
 }
 
 #[test]
