@@ -49,8 +49,10 @@ fn session_for(
     session
 }
 
-/// Run `n` sessions concurrently (one driver thread each); returns each
-/// session's time from its own start to its first emitted candidate.
+/// Run `n` sessions concurrently, one waiting thread each (a blocking call on
+/// a pool registers a driven session and waits for it; its callback runs on
+/// the waiting thread); returns each session's time from its own start to
+/// its first emitted candidate.
 fn run_concurrent(
     dataset: &SpiderDataset,
     n: usize,
@@ -81,8 +83,8 @@ fn fmt_ms(d: &Option<Duration>) -> String {
 }
 
 /// Probe-duplication burst: `n` *identical* sessions (same task, same seed)
-/// run concurrently over one shared database, each on its own thread, so
-/// every session issues the same probe stream at the same time. A churn
+/// run concurrently over one shared database, each inline on its own thread,
+/// so every session issues the same probe stream at the same time. A churn
 /// thread clears the memo cache every 2ms for the duration — the
 /// cache-pressure regime where duplicate probes cannot be absorbed by
 /// memoization and only in-flight sharing can collapse them. Returns the

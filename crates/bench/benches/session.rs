@@ -1,8 +1,10 @@
 //! Criterion benchmark for the parallel, cache-aware synthesis core: the
 //! spider_eval workload run through `SynthesisSession`, comparing the
-//! sequential seed path (one worker, probe cache cleared before every run)
-//! against cached sequential and parallel + cached execution. Cache
-//! hit/miss counters from `EnumerationStats` are printed alongside.
+//! sequential seed path (one worker — the run is inline on the calling
+//! thread — probe cache cleared before every run) against cached sequential
+//! and parallel + cached execution (more workers — the call registers a
+//! driven session on a private pool and waits for it). Cache hit/miss
+//! counters from `EnumerationStats` are printed alongside.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use duoquest_core::{Duoquest, DuoquestConfig, EmissionPolicy, EnumerationStats};

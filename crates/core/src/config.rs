@@ -63,13 +63,18 @@ pub struct DuoquestConfig {
     /// Algorithm 1; larger beams expose more child-expansion work per round
     /// to the worker pool (still deterministic for a fixed value).
     pub beam_width: usize,
-    /// Worker threads for child expansion + verification. `1` is fully
-    /// sequential; `0` means one worker per available CPU. Absent a
-    /// `time_budget`, the candidate set is independent of this value —
-    /// workers change wall-clock, not results. (A wall-clock budget is the
-    /// one intentionally non-deterministic cut-off: which children are
-    /// verified before the deadline depends on machine speed, and under a
-    /// pool also on chunking.)
+    /// Worker threads of the private pool a session without an attached
+    /// scheduler runs on (`Duoquest::session`, `SynthesisSession`). `1` — the
+    /// default — means no pool: a blocking run is inline on the calling
+    /// thread; `0` means one worker per available CPU. It applies to
+    /// sessions only: the borrowed entry points (`Duoquest::synthesize`,
+    /// `enumerate`) cannot hand `&Database` to a pool and always run inline,
+    /// and a session attached to a shared scheduler uses that pool's size.
+    /// Absent a `time_budget`, the candidate set is independent of this
+    /// value — workers change wall-clock, not results. (A wall-clock budget
+    /// is the one intentionally non-deterministic cut-off: which children
+    /// are verified before the deadline depends on machine speed, and under
+    /// a pool also on chunking.)
     pub workers: usize,
     /// When emissions are delivered to the consumer (see [`EmissionPolicy`]).
     /// `RoundBarrier` is the byte-identical default; `AnyK` delivers the same
@@ -133,8 +138,8 @@ impl DuoquestConfig {
     }
 
     /// Enable the parallel synthesis core: a beam of `beam_width` states per
-    /// round fanned out across `workers` threads (`workers = 0` sizes the
-    /// pool to the machine).
+    /// round, and — for sessions, see [`DuoquestConfig::workers`] — a private
+    /// pool of `workers` threads (`workers = 0` sizes it to the machine).
     pub fn with_parallelism(mut self, workers: usize, beam_width: usize) -> Self {
         self.workers = workers;
         self.beam_width = beam_width.max(1);

@@ -4,14 +4,21 @@
 //! # Architecture: the parallel, cache-aware synthesis core
 //!
 //! Synthesis runs as a sequence of **rounds** over a confidence-ordered
-//! frontier (see `crate::enumerate`):
+//! frontier (see `crate::enumerate`). One state machine (`RoundDriver`) runs
+//! them, from one of two places: **inline** on the calling thread
+//! ([`Duoquest::synthesize`], a session without a pool) or **parked in a
+//! pool** whose workers resume it as its chunks complete (every session on a
+//! [`crate::scheduler::SessionScheduler`]; blocking callers wait for it):
 //!
 //! ```text
 //!                    ┌────────────────────────────────────────────┐
-//!                    │               SynthesisSession             │
-//!                    │  Arc<Database> · Nlq · TSQ · model · cfg   │
+//!                    │        SynthesisSession  /  Duoquest       │
+//!                    │    Database · Nlq · TSQ · model · cfg      │
 //!                    └──────────────────┬─────────────────────────┘
-//!                                       ▼
+//!                                       ▼  lent call by call (RunInputs)
+//!                         run start: RunPlan (join planner, verify plan,
+//!                                       │  counters, deadline), shared by
+//!                                       ▼  every chunk of the run
 //!                         first round: model.prepare(nlq, schema) ──► plan
 //!                                       │  (owned by the round driver; `None`
 //!                                       ▼   = the model has nothing to compile)
@@ -20,7 +27,8 @@
 //!                                       │  children scored through the plan
 //!                                       │  (or `model.score` without one)
 //!                                       ▼
-//!                          phase 2: verify fan-out (worker pool)
+//!                          phase 2: verify fan-out (one chunk on the
+//!                          │ calling thread inline; chunks on a pool's workers)
 //!                          │ per child: the join-independent stages of the
 //!                          │ ascending-cost cascade (column-wise checks read
 //!                          │ off the run's VerifyPlan), then join paths (one
@@ -28,7 +36,8 @@
 //!                          │ stages over the join path per variant; probes
 //!                          │ answered by Database's memo cache
 //!                          ▼
-//!                          phase 3: ordered merge (serial)
+//!                          phase 3: ordered merge (serial): chunks fed back
+//!                          │ in child order, the whole round or prefixes
 //!                          │ emit complete queries → stream/callback
 //!                          └ push survivors → frontier
 //! ```
@@ -51,9 +60,9 @@
 //!   through the returned plan from then on (bit-identical to
 //!   [`GuidanceModel::score`]; the plan is owned by the driver, so it parks
 //!   in the scheduler and resumes on any worker with it).
-//! * **core** — the round engine pops the top-`beam_width` states, fans child
-//!   expansion + verification across `workers` threads, and merges results
-//!   back **in child order**, so — absent a wall-clock `time_budget` — the
+//! * **core** — the round engine pops the top-`beam_width` states, has their
+//!   children verified — by the calling thread, or in chunks by a pool's
+//!   workers — and merges results back **in child order**, so — absent a wall-clock `time_budget` — the
 //!   emitted candidate sequence is a pure function of the configuration
 //!   (never of thread scheduling). With `beam_width = 1` the exploration
 //!   order is exactly paper Algorithm 1. Like the guidance plan, the join
@@ -69,9 +78,11 @@
 //!   once per child and only the row-wise stages once per join variant
 //!   (`crate::verify`).
 //! * **consumers** — [`Duoquest::synthesize`] collects a ranked
-//!   [`SynthesisResult`]; [`crate::session::SynthesisSession`] additionally
-//!   offers a streaming channel ([`crate::session::CandidateStream`]) whose
-//!   first candidate arrives while enumeration is still in flight.
+//!   [`SynthesisResult`] from borrowed inputs, always inline;
+//!   [`crate::session::SynthesisSession`] owns its inputs, so it can also run
+//!   on a pool, and additionally offers a streaming channel
+//!   ([`crate::session::CandidateStream`]) whose first candidate arrives
+//!   while enumeration is still in flight.
 //!
 //! Candidates are deduplicated under canonical equivalence (keeping the
 //! highest-confidence copy) and ranked by confidence with a deterministic
@@ -79,7 +90,7 @@
 //! across sequential and parallel runs.
 
 use crate::config::DuoquestConfig;
-use crate::enumerate::{run_rounds, EnumerationStats};
+use crate::enumerate::{run_inline, EnumerationStats, RunInputs};
 use crate::tsq::TableSketchQuery;
 use duoquest_db::{Database, SelectSpec};
 use duoquest_nlq::{GuidanceModel, Nlq};
@@ -134,34 +145,27 @@ impl SynthesisResult {
     }
 }
 
-/// Shared collection pipeline behind [`Duoquest::synthesize_with`] and
-/// [`crate::session::SynthesisSession`]: run the round engine, deduplicate
-/// canonically equivalent candidates (keeping the higher-confidence copy),
-/// then rank deterministically.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_collect<F>(
-    db: &Database,
-    nlq: &Nlq,
-    model: &dyn GuidanceModel,
-    tsq: Option<&TableSketchQuery>,
-    config: &DuoquestConfig,
-    control: &crate::session::SessionControl,
-    clock: &dyn crate::clock::Clock,
-    trace: Option<std::sync::Arc<duoquest_obs::Trace>>,
-    on_candidate: F,
-) -> SynthesisResult
-where
-    F: FnMut(&Candidate) -> bool,
-{
-    collect_ranked(on_candidate, |cb| {
-        run_rounds(db, nlq, model, tsq, config, control, clock, trace, cb)
-    })
+/// The inline entry behind [`Duoquest::synthesize_with`] and a
+/// [`crate::session::SynthesisSession`] without a pool: run the round engine
+/// on the calling thread ([`run_inline`]), deduplicate canonically equivalent
+/// candidates (keeping the higher-confidence copy), then rank
+/// deterministically.
+pub(crate) fn synthesize_inline(
+    inputs: &RunInputs<'_>,
+    mut on_candidate: impl FnMut(&Candidate) -> bool,
+) -> SynthesisResult {
+    let mut collector = CandidateCollector::new();
+    let stats = run_inline(inputs, &mut |spec, confidence, emitted_at| {
+        collector.offer(spec, confidence, emitted_at, &mut on_candidate)
+    });
+    collector.finish(stats)
 }
 
-/// The dedup-and-rank state shared by the blocking collection pipeline
-/// ([`collect_ranked`]) and scheduler-driven sessions
-/// (`crate::scheduler`): deduplicate canonically equivalent candidates in
-/// emission order, then rank by confidence with a deterministic tie-break.
+/// The dedup-and-rank state of one run, fed by the run's sink — on the
+/// calling thread ([`synthesize_inline`]) or on the pool worker that resumes
+/// a parked session (`crate::scheduler`): deduplicate canonically equivalent
+/// candidates in emission order, then rank by confidence with a deterministic
+/// tie-break.
 #[derive(Default)]
 pub(crate) struct CandidateCollector {
     candidates: Vec<Candidate>,
@@ -215,24 +219,6 @@ impl CandidateCollector {
     }
 }
 
-/// The dedup-and-rank pipeline around any blocking engine driver (`run` is
-/// the private-pool [`run_rounds`] or the shared-pool
-/// `crate::scheduler::run_rounds_scheduled`); scheduler-driven sessions use
-/// the underlying [`CandidateCollector`] directly.
-pub(crate) fn collect_ranked<F>(
-    mut on_candidate: F,
-    run: impl FnOnce(&mut dyn FnMut(SelectSpec, f64, Duration) -> bool) -> EnumerationStats,
-) -> SynthesisResult
-where
-    F: FnMut(&Candidate) -> bool,
-{
-    let mut collector = CandidateCollector::new();
-    let stats = run(&mut |spec, confidence, emitted_at| {
-        collector.offer(spec, confidence, emitted_at, &mut on_candidate)
-    });
-    collector.finish(stats)
-}
-
 /// The dual-specification synthesis engine.
 #[derive(Debug, Clone, Default)]
 pub struct Duoquest {
@@ -257,6 +243,11 @@ impl Duoquest {
 
     /// Synthesize candidate queries from the dual specification: an NLQ (with
     /// tagged literals) plus an optional TSQ. Returns the ranked candidates.
+    ///
+    /// The inputs are borrowed, so the run cannot be handed to a worker pool:
+    /// it runs inline on the calling thread and `config.workers` does not
+    /// apply (it applies to [`Duoquest::session`]s). Emission does not depend
+    /// on the worker count, so what is returned is the same either way.
     pub fn synthesize(
         &self,
         db: &Database,
@@ -270,7 +261,7 @@ impl Duoquest {
     /// Streaming variant: `on_candidate` observes candidates in emission order
     /// (highest-confidence first under guided search) and may return `false` to
     /// stop the enumeration early — the paper's front end does exactly this
-    /// when the user clicks "Stop Task".
+    /// when the user clicks "Stop Task". Inline, like [`Duoquest::synthesize`].
     pub fn synthesize_with<F>(
         &self,
         db: &Database,
@@ -283,17 +274,8 @@ impl Duoquest {
         F: FnMut(&Candidate) -> bool,
     {
         let control = crate::session::SessionControl::new();
-        run_collect(
-            db,
-            nlq,
-            model,
-            tsq,
-            &self.config,
-            &control,
-            &crate::clock::SYSTEM_CLOCK,
-            None,
-            on_candidate,
-        )
+        let inputs = RunInputs::borrowed(db, nlq, tsq, model, &self.config, &control);
+        synthesize_inline(&inputs, on_candidate)
     }
 
     /// Build an owned [`crate::session::SynthesisSession`] carrying this

@@ -1,20 +1,21 @@
 //! Guided partial query enumeration (GPQE, paper Algorithm 1), restructured
-//! as a round-based engine with a parallel verification fan-out.
+//! as a round-based engine whose verification fan-out can run anywhere.
 //!
 //! The enumerator maintains a priority queue of [`EnumState`]s ordered by
 //! confidence (the product of per-decision scores, paper §3.3.3). Each
 //! **round** pops a beam of the `config.beam_width` highest-confidence states,
 //! produces their candidate children (`enum_next_step`, following the module
-//! order of Table 3), and fans the expensive part — progressive join path
-//! construction plus the ascending-cost verification cascade — out across
-//! `config.workers` threads. Survivors are merged back into the queue and
-//! complete queries are emitted **in the original child order**, so for a
-//! fixed configuration the emitted candidate sequence is deterministic and,
-//! with `beam_width = 1`, bit-identical to the sequential Algorithm 1
-//! exploration regardless of the worker count. The one exception is a
-//! wall-clock `time_budget`: where the deadline cuts the search depends on
-//! machine speed (and, under a pool, chunking), so budget-limited runs can
-//! differ across worker counts.
+//! order of Table 3), and hands the expensive part — progressive join path
+//! construction plus the ascending-cost verification cascade — to whoever
+//! runs the round: the calling thread (the inline mode, [`enumerate`]) or the
+//! workers of a [`crate::scheduler::SessionScheduler`] pool, in chunks.
+//! Survivors are merged back into the queue and complete queries are emitted
+//! **in the original child order**, so for a fixed configuration the emitted
+//! candidate sequence is deterministic and, with `beam_width = 1`,
+//! bit-identical to the sequential Algorithm 1 exploration regardless of the
+//! worker count. The one exception is a wall-clock `time_budget`: where the
+//! deadline cuts the search depends on machine speed (and, under a pool,
+//! chunking), so budget-limited runs can differ across worker counts.
 //!
 //! Verification probes run through the database's probe/result memo cache
 //! (`Database::execute_cached`), column-wise ones once per distinct question
@@ -25,6 +26,7 @@
 use crate::clock::{Clock, SYSTEM_CLOCK};
 use crate::config::{DuoquestConfig, EmissionPolicy};
 use crate::joinpath::{JoinPathMemo, JoinPlanner};
+use crate::scheduler::SchedulerRunStats;
 use crate::session::SessionControl;
 use crate::state::EnumState;
 use crate::tsq::TableSketchQuery;
@@ -44,7 +46,7 @@ use duoquest_sql::{
 };
 use std::collections::{BinaryHeap, VecDeque};
 use std::rc::Rc;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -121,9 +123,9 @@ pub struct EnumerationStats {
     /// session's single-flight leader (wall-clock, observational).
     pub single_flight_wait_us: u64,
     /// Shared-pool observations, when the run was served by a
-    /// [`crate::scheduler::SessionScheduler`] (`None` for runs on a private
-    /// scoped pool or inline execution).
-    pub scheduler: Option<crate::scheduler::SchedulerRunStats>,
+    /// [`crate::scheduler::SessionScheduler`] — a shared one or a session's
+    /// private one (`None` for inline runs).
+    pub scheduler: Option<SchedulerRunStats>,
 }
 
 impl EnumerationStats {
@@ -199,8 +201,8 @@ impl EnumerationStats {
     }
 
     /// Fold a run's probe counters (and the database's retained cache bytes)
-    /// into the stats: the end-of-run epilogue of every way to run a session.
-    pub(crate) fn record_probe_counters(&mut self, counters: &RunCacheCounters, db: &Database) {
+    /// into the stats.
+    fn record_probe_counters(&mut self, counters: &RunCacheCounters, db: &Database) {
         (self.cache_hits, self.cache_misses) = counters.snapshot();
         self.cache_bytes = db.cache_stats().bytes;
         (self.rows_scanned, self.rows_short_circuited) = counters.scan_snapshot();
@@ -227,9 +229,11 @@ impl EnumerationStats {
 /// lowered to an executable spec, its confidence and the time of emission) and
 /// returns `false` to stop the enumeration early.
 ///
-/// Parallelism and beam width come from the configuration; the default
-/// (`beam_width = 1`, `workers = 1`) reproduces the sequential Algorithm 1
-/// exploration exactly.
+/// The inputs are borrowed, so the run cannot be handed to a pool: it runs
+/// inline on the calling thread, whatever `config.workers` says (the worker
+/// count never changes what is emitted). The beam width comes from the
+/// configuration; the default (`beam_width = 1`) reproduces the sequential
+/// Algorithm 1 exploration exactly.
 pub fn enumerate<F>(
     db: &Database,
     nlq: &Nlq,
@@ -241,50 +245,126 @@ pub fn enumerate<F>(
 where
     F: FnMut(SelectSpec, f64, Duration) -> bool,
 {
-    run_rounds(
-        db,
-        nlq,
-        model,
-        tsq,
-        config,
-        &SessionControl::new(),
-        &SYSTEM_CLOCK,
-        None,
-        &mut on_candidate,
-    )
+    let control = SessionControl::new();
+    let inputs = RunInputs::borrowed(db, nlq, tsq, model, config, &control);
+    run_inline(&inputs, &mut on_candidate)
 }
 
-/// The earlier of two optional deadlines.
-pub(crate) fn min_deadline(a: Option<Instant>, b: Option<Instant>) -> Option<Instant> {
-    match (a, b) {
-        (Some(a), Some(b)) => Some(a.min(b)),
-        (a, None) => a,
-        (None, b) => b,
+/// The inline mode: the whole run on the calling thread — zero threads, zero
+/// queue, `stats.scheduler == None`. It stands where a pool worker stands
+/// ([`RoundDriver::advance`] is the one stepping loop) and answers "here are
+/// jobs to park" by processing them itself, as one chunk.
+pub(crate) fn run_inline(
+    inputs: &RunInputs<'_>,
+    sink: &mut dyn FnMut(SelectSpec, f64, Duration) -> bool,
+) -> EnumerationStats {
+    let plan = RunPlan::new(inputs);
+    let mut driver = RoundDriver::new(&plan);
+    loop {
+        match driver.advance(&plan, inputs, sink) {
+            Advance::Park(jobs) => {
+                let result = plan.process(inputs, jobs);
+                driver.feed(vec![result], true, inputs, sink);
+            }
+            Advance::Yield => {} // nobody to yield to
+            Advance::Done => return driver.into_stats(&plan, inputs),
+        }
     }
 }
 
-/// Everything a verification worker needs, shared by reference across the
-/// pool (all fields are `Sync`; the database's probe cache handles its own
-/// synchronization).
-#[derive(Clone, Copy)]
-pub(crate) struct RoundEnv<'a> {
-    /// The run's join path construction (every chunk opens a memo over it).
-    pub(crate) joins: &'a JoinPlanner,
-    /// The run's verifier: its counter set and its [`crate::verify::VerifyPlan`]
-    /// are the run's, whichever work unit built this instance.
-    pub(crate) verifier: &'a Verifier<'a>,
-    pub(crate) deadline: Option<Instant>,
-    /// The session's time source; deadline checks inside chunks read this
-    /// (virtual under the simulation harness, real otherwise).
+/// The inputs of one run, borrowed per call. Neither [`RunPlan`] nor
+/// [`RoundDriver`] owns any of them, so the same run state serves a caller
+/// holding `&Database` on its stack and a session holding `Arc<Database>` in
+/// a scheduler slot — parked anywhere, resumed by whichever thread holds the
+/// session's resources.
+pub(crate) struct RunInputs<'a> {
+    pub(crate) db: &'a Database,
+    pub(crate) nlq: &'a Nlq,
+    pub(crate) tsq: Option<&'a TableSketchQuery>,
+    pub(crate) model: &'a dyn GuidanceModel,
+    pub(crate) config: &'a DuoquestConfig,
+    /// The session's cancellation token — checked at every round boundary
+    /// (i.e. *between* `step()` calls) and between chunk jobs, so a cancel
+    /// takes effect mid-round — and its external deadline.
+    pub(crate) control: &'a SessionControl,
+    /// The session's time source: deadline checks, emission timestamps and
+    /// stage timings read this instead of the real clock (virtual under the
+    /// simulation harness).
     pub(crate) clock: &'a dyn Clock,
-    /// The session's cancellation token, checked between chunk jobs so a
-    /// cancel takes effect mid-round.
-    pub(crate) cancel: &'a AtomicBool,
-    /// Whether the session carries a request trace: chunk workers then
-    /// record chunk spans into their local [`ChunkResult::spans`] buffer
-    /// (merged deterministically by the driver). `false` costs one branch
-    /// per chunk and nothing else.
-    pub(crate) trace: bool,
+    /// The session's request trace, when observability is on: the driver
+    /// records `round` spans into it and chunk workers record chunk spans
+    /// into their local [`ChunkResult::spans`] buffer (merged
+    /// deterministically by the driver). `None` costs one branch per chunk
+    /// and nothing else.
+    pub(crate) trace: Option<&'a Arc<Trace>>,
+}
+
+impl<'a> RunInputs<'a> {
+    /// The inputs of a run over data the caller only borrows: on the real
+    /// clock, untraced.
+    pub(crate) fn borrowed(
+        db: &'a Database,
+        nlq: &'a Nlq,
+        tsq: Option<&'a TableSketchQuery>,
+        model: &'a dyn GuidanceModel,
+        config: &'a DuoquestConfig,
+        control: &'a SessionControl,
+    ) -> Self {
+        RunInputs { db, nlq, tsq, model, config, control, clock: &SYSTEM_CLOCK, trace: None }
+    }
+}
+
+/// What a run compiles from its inputs, once, and every chunk of the run
+/// shares by reference (all fields are `Sync`; the database's probe cache
+/// handles its own synchronization). The run's third compiled input, the
+/// guidance plan, is prepared lazily by the [`RoundDriver`] and parks with it.
+pub(crate) struct RunPlan {
+    /// The run's join path construction (every chunk opens a memo over it).
+    joins: JoinPlanner,
+    /// The run's column-wise verdicts, read and filled by every chunk worker
+    /// of the run and by no other run (see [`VerifyPlan`]).
+    verdicts: Arc<VerifyPlan>,
+    /// Per-run probe-cache attribution: the shared database's cache is hit
+    /// by every live session, these counters record only this run's traffic.
+    counters: Arc<RunCacheCounters>,
+    /// Anchor of emission timestamps and `stats.elapsed`.
+    start: Instant,
+    /// The merged wall-clock cut-off: the earlier of the configuration's
+    /// `time_budget` and any external [`SessionControl`] deadline.
+    deadline: Option<Instant>,
+}
+
+impl RunPlan {
+    /// The plan of one run starting now, its verdicts unknown and its
+    /// counters at zero.
+    pub(crate) fn new(env: &RunInputs<'_>) -> Self {
+        let start = env.clock.now();
+        RunPlan {
+            joins: JoinPlanner::new(env.db, env.config.join_extension_depth),
+            verdicts: Arc::new(VerifyPlan::new(env.db, env.tsq)),
+            counters: Arc::new(RunCacheCounters::default()),
+            start,
+            deadline: [env.config.time_budget.map(|budget| start + budget), env.control.deadline()]
+                .into_iter()
+                .flatten()
+                .min(),
+        }
+    }
+
+    /// Run one chunk of one of the run's rounds, on whichever thread calls:
+    /// build a borrow-scoped verifier over the inputs (cheap — two `Arc`
+    /// clones and a few references) and hand off to the chunk processor.
+    pub(crate) fn process(&self, env: &RunInputs<'_>, jobs: Vec<ChildJob>) -> ChunkResult {
+        // Partial queries are only verified when partial pruning is enabled; complete
+        // queries always get the full cascade (this is what makes NoPQ equivalent to
+        // the naive chaining approach of paper §3.5).
+        let verifier = Verifier::new(env.db, env.tsq, &env.nlq.literals, env.config.semantic_rules)
+            .with_prune_partial(env.config.prune_partial)
+            .with_counters(Arc::clone(&self.counters))
+            .with_plan(Arc::clone(&self.verdicts))
+            .with_clock(env.clock);
+        process_chunk(jobs, &verifier, self, env)
+    }
 }
 
 /// One unit of parallel work: a freshly generated child with its confidence
@@ -328,139 +408,46 @@ pub(crate) struct ChunkResult {
     pub(crate) probe_wait_us: u64,
 }
 
-/// Fan-out threshold below which spawning workers costs more than it saves.
+/// Fan-out threshold below which handing a round to a pool costs more than
+/// it saves.
 pub(crate) const MIN_PARALLEL_JOBS: usize = 8;
 
-/// The round-based engine behind [`enumerate`] and (through a private pool)
-/// the streaming [`crate::session::SynthesisSession`]. Runs the shared round
-/// loop ([`drive_rounds`]) over a run-scoped worker pool.
-///
-/// Sessions attached to a shared [`crate::scheduler::SessionScheduler`] use
-/// `crate::scheduler::run_rounds_scheduled` instead, which drives the same
-/// loop but dispatches phase-2 chunks to the scheduler's long-lived pool.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_rounds(
-    db: &Database,
-    nlq: &Nlq,
-    model: &dyn GuidanceModel,
-    tsq: Option<&TableSketchQuery>,
-    config: &DuoquestConfig,
-    control: &SessionControl,
-    clock: &dyn Clock,
-    trace: Option<Arc<Trace>>,
-    on_candidate: &mut dyn FnMut(SelectSpec, f64, Duration) -> bool,
-) -> EnumerationStats {
-    let start = clock.now();
-    let mut stats = EnumerationStats::default();
-    let joins = JoinPlanner::new(db, config.join_extension_depth);
+/// Consecutive sub-[`MIN_PARALLEL_JOBS`] rounds one [`RoundDriver::advance`]
+/// may run before it must yield. Without this bound, a driven session whose
+/// every round is tiny would run to completion inside one `Resume` unit —
+/// monopolizing a pool worker past the weighted round-robin, delaying the
+/// tick hook, and (on a 1-worker pool) starving every other session for its
+/// whole runtime. Yielding is pure scheduling: it never changes what the
+/// session emits.
+const INLINE_ROUND_YIELD: u32 = 32;
 
-    // Partial queries are only verified when partial pruning is enabled; complete
-    // queries always get the full cascade (this is what makes NoPQ equivalent to
-    // the naive chaining approach of paper §3.5).
-    let verifier = Verifier::new(db, tsq, &nlq.literals, config.semantic_rules)
-        .with_prune_partial(config.prune_partial)
-        .with_plan(Arc::new(VerifyPlan::new(db, tsq)))
-        .with_clock(clock);
-    let env = RoundEnv {
-        joins: &joins,
-        verifier: &verifier,
-        deadline: min_deadline(config.time_budget.map(|budget| start + budget), control.deadline()),
-        cancel: control.flag_ref(),
-        clock,
-        trace: trace.is_some(),
-    };
-
-    let workers = config.effective_workers();
-
-    // The worker pool lives for the whole run (scoped threads fed per round
-    // over channels), so rounds don't pay a spawn/join cycle each.
-    std::thread::scope(|scope| {
-        let pool = WorkerPool::start(scope, workers, &env);
-        let mut dispatcher = PoolDispatcher { pool: pool.as_ref(), env: &env };
-        drive_rounds(
-            db,
-            nlq,
-            model,
-            config,
-            env.deadline,
-            env.cancel,
-            start,
-            clock,
-            trace,
-            &mut stats,
-            on_candidate,
-            &mut dispatcher,
-        );
-    });
-
-    stats.elapsed = clock.now().saturating_duration_since(start);
-    // Per-run counters owned by this run's verifier: concurrent sessions on
-    // the same shared database can't pollute each other's statistics.
-    stats.record_probe_counters(verifier.counters(), db);
-    stats
-}
-
-/// The borrows one [`RoundDriver::step`] needs: the session's inputs, which
-/// the driver itself never owns — so the driver can be parked anywhere (a
-/// blocked caller's stack, a scheduler slot) and resumed by whichever thread
-/// holds the session's resources.
-pub(crate) struct StepEnv<'a> {
-    pub(crate) db: &'a Database,
-    pub(crate) nlq: &'a Nlq,
-    pub(crate) model: &'a dyn GuidanceModel,
-    pub(crate) config: &'a DuoquestConfig,
-    /// The session's cancellation token, checked at every round boundary —
-    /// i.e. *between* `step()` calls, not only inside chunks.
-    pub(crate) cancel: &'a AtomicBool,
-    /// The session's time source: round-boundary deadline checks and
-    /// emission timestamps read this instead of the real clock.
-    pub(crate) clock: &'a dyn Clock,
-}
-
-/// Where a resumable round loop stands after one [`RoundDriver::step`].
-// Transient return value, consumed immediately — boxing `Emit` would cost an
-// allocation per candidate for no retained-memory win.
-#[allow(clippy::large_enum_variant)]
-pub(crate) enum StepOutcome {
-    /// A fresh round's phase-2 jobs. The caller runs them — split into any
-    /// number of contiguous chunks, on any threads — and feeds the chunk
-    /// results back **in original job order** via [`RoundDriver::provide`]
-    /// before stepping again. This ordering contract is the heart of the
-    /// engine's determinism: emission order is a pure function of the
-    /// configuration, never of the worker count, chunk size, or which pool
-    /// did the work.
-    SubmitChunks(Vec<ChildJob>),
-    /// A complete query survived the full cascade. Deliver it to the
-    /// consumer; call [`RoundDriver::halt`] before the next `step` if the
-    /// consumer wants to stop.
-    Emit {
-        /// The candidate, lowered to an executable spec.
-        spec: SelectSpec,
-        /// Its confidence score.
-        confidence: f64,
-        /// Wall-clock offset from the run's start.
-        emitted_at: Duration,
-    },
-    /// The run is over (exhausted, budget reached, halted, cancelled or past
-    /// the deadline). Collect the counters with [`RoundDriver::into_stats`].
+/// Why a [`RoundDriver::advance`] returned.
+pub(crate) enum Advance {
+    /// A round too big to run on the spot: the caller runs its jobs — split
+    /// into any number of contiguous chunks, on any threads — and feeds the
+    /// chunk results back **in original job order** via
+    /// [`RoundDriver::feed`] before advancing again. This ordering contract
+    /// is the heart of the engine's determinism: emission order is a pure
+    /// function of the configuration, never of the worker count, chunk
+    /// size, or who did the work.
+    Park(Vec<ChildJob>),
+    /// [`INLINE_ROUND_YIELD`] consecutive small rounds ran: give whoever
+    /// else wants this thread a turn, then advance again.
+    Yield,
+    /// The run is over (exhausted, budget reached, stopped by its consumer,
+    /// cancelled or past the deadline). Collect the counters with
+    /// [`RoundDriver::into_stats`].
     Done,
 }
 
-/// Progress of the state machine between `step` calls.
+/// Progress of the state machine between calls.
 enum DriverPhase {
     /// Ready to start the next round (pop a beam).
     Ready,
-    /// `SubmitChunks` was returned; waiting on [`RoundDriver::provide`] (or
-    /// the first [`RoundDriver::feed`] of a streamed round). Carries the
-    /// decision depth of each beam slot for the merge, plus — under
-    /// [`EmissionPolicy::AnyK`] — the suffix maxima of the submitted job
-    /// confidences (`suffix_max[i]` bounds every child of jobs `i..`; one
-    /// trailing `0.0` entry), which the dominance gate indexes by its
-    /// merged-jobs cursor. Empty under `RoundBarrier`.
-    Submitted { decisions: Vec<usize>, suffix_max: Vec<f64> },
-    /// Chunk results are being merged; emissions drain one per `step`.
-    Draining(Drain),
-    /// The loop has exited; every further `step` returns `Done`.
+    /// `step` returned a round's jobs; [`RoundDriver::feed`] is merging
+    /// their chunk results as they arrive.
+    InFlight(Drain),
+    /// The loop has exited; every further `step` returns `None`.
     Finished,
 }
 
@@ -469,10 +456,14 @@ enum DriverPhase {
 /// survivors are pushed — exactly the order of the historical serial loop,
 /// so an early stop (consumer halt or candidate budget) cuts the merge at
 /// the same point it always did.
+#[derive(Default)]
 struct Drain {
+    /// The decision depth of each beam slot.
     decisions: Vec<usize>,
-    /// Suffix maxima of the round's job confidences (see
-    /// [`DriverPhase::Submitted`]); empty under `RoundBarrier`.
+    /// Under [`EmissionPolicy::AnyK`], the suffix maxima of the round's job
+    /// confidences (`suffix_max[i]` bounds every child of jobs `i..`; one
+    /// trailing `0.0` entry), which the dominance gate indexes by its
+    /// merged-jobs cursor. Empty under `RoundBarrier`.
     suffix_max: Vec<f64>,
     chunks: VecDeque<ChunkResult>,
     emissions: VecDeque<(SelectSpec, f64)>,
@@ -485,42 +476,44 @@ struct Drain {
     /// survivors (they are outside the heap while the chunk's emissions
     /// drain, so the gate must bound them separately).
     survivor_max: f64,
-    /// Whether every chunk of the round has been provided. `provide` sets
-    /// this immediately; a streamed round sets it on its `last` feed. The
+    /// Whether every chunk of the round has been fed (the `last` feed). The
     /// dominance gate only applies while `false` — once the round is
-    /// complete, draining is exactly the historical barrier merge.
+    /// complete, draining is exactly the historical barrier merge, and a
+    /// `RoundBarrier` round is fed once, complete: a gate that never opens
+    /// early.
     complete: bool,
     timed_out: bool,
     cancelled: bool,
-    just_emitted: bool,
+    /// The consumer or the candidate budget stopped the run at an emission
+    /// of this round. Nothing more is emitted or pushed; the chunks still to
+    /// come are only counted, so that the run's statistics are those of the
+    /// whole round however it was chunked (one chunk inline, several on a
+    /// pool), and the run is over at the round's last feed.
+    stopped: bool,
 }
 
 /// The synthesis round loop as a **resumable state machine**: owns the
-/// frontier (priority queue), the per-run statistics and the merge state of
-/// the in-flight round, but none of the session's inputs (those arrive by
-/// borrow in each [`StepEnv`]). The protocol:
+/// frontier (priority queue), the per-run statistics, the guidance plan and
+/// the merge state of the in-flight round, but none of the session's inputs
+/// (those arrive by borrow in each [`RunInputs`]). The protocol:
 ///
 /// ```text
-///   loop {
-///       match driver.step(&env) {
-///           SubmitChunks(jobs) => {            // phase 2: run anywhere
-///               let results = run(jobs);       //   (chunked, job order kept)
-///               driver.provide(results);
-///           }
-///           Emit { .. } => deliver(..),        // optionally driver.halt()
-///           Done => break,
-///       }
-///   }
-///   let stats = driver.into_stats();
+///   while let Some(jobs) = driver.step(&inputs) {   // phase 1
+///       let results = run(jobs);                    // phase 2: run anywhere
+///       driver.feed(results, true, &inputs, sink);  //   (chunked, job order kept)
+///   }                                               // phase 3: merge, emit
+///   let stats = driver.into_stats(&plan, &inputs);
 /// ```
 ///
-/// `step` never blocks: between `SubmitChunks` and `provide` the driver is
-/// inert and can be parked indefinitely — this is what lets a scheduler
-/// resume thousands of live sessions from a fixed worker pool instead of
-/// parking one OS thread per session. Cancellation and the deadline are
-/// honored at every round boundary (between `step` calls), in addition to
-/// the mid-chunk checks inside [`process_chunk`]. See `docs/DRIVER.md` for
-/// the full contract.
+/// [`RoundDriver::advance`] is that loop with the hand-off rule every caller
+/// shares (small rounds on the spot, big ones handed back, a yield bound).
+/// Neither call blocks: between `step` and the round's last `feed` the
+/// driver is inert and can be parked indefinitely — this is what lets a
+/// scheduler resume thousands of live sessions from a fixed worker pool
+/// instead of parking one OS thread per session. Cancellation and the
+/// deadline are honored at every round boundary (between `step` calls), in
+/// addition to the mid-chunk checks inside [`process_chunk`]. See
+/// `docs/DRIVER.md` for the full contract.
 pub(crate) struct RoundDriver {
     heap: BinaryHeap<EnumState>,
     sequence: u64,
@@ -528,217 +521,146 @@ pub(crate) struct RoundDriver {
     start: Instant,
     deadline: Option<Instant>,
     phase: DriverPhase,
-    halted: bool,
-    /// The session's request trace, when observability is on. The driver owns
-    /// the merge of chunk-local spans precisely because it already owns the
-    /// deterministic phase-3 merge: spans land in child order, so trace
-    /// content under a simulated clock is reproducible run-to-run.
-    trace: Option<Arc<Trace>>,
     /// Start instant of the in-flight round's span (tracing only).
     round_started: Option<Instant>,
     /// The guidance model compiled against this run's (NLQ, schema) pair:
     /// unset until the first guided round prepares it, then `Some(None)`
     /// for a model with nothing to precompute (phase 1 calls its `score`).
     /// Owned by the driver, so it parks and resumes with it.
-    plan: Option<Option<Box<dyn GuidancePlan>>>,
+    guidance: Option<Option<Box<dyn GuidancePlan>>>,
 }
 
 impl RoundDriver {
-    /// A driver at the root state. `start` anchors emission timestamps;
-    /// `deadline` is the merged wall-clock cut-off (config `time_budget` and
-    /// any external [`SessionControl`] deadline).
-    pub(crate) fn new(start: Instant, deadline: Option<Instant>) -> Self {
+    /// A driver at the root state of `plan`'s run.
+    pub(crate) fn new(plan: &RunPlan) -> Self {
         let mut heap = BinaryHeap::new();
         heap.push(EnumState::root());
         RoundDriver {
             heap,
             sequence: 0,
             stats: EnumerationStats::default(),
-            start,
-            deadline,
+            start: plan.start,
+            deadline: plan.deadline,
             phase: DriverPhase::Ready,
-            halted: false,
-            trace: None,
             round_started: None,
-            plan: None,
+            guidance: None,
         }
     }
 
-    /// Attach the session's request trace: every subsequent round records a
-    /// `round` span, and chunk results feed their worker-recorded spans into
-    /// it (merged in child order).
-    pub(crate) fn with_trace(mut self, trace: Option<Arc<Trace>>) -> Self {
-        self.trace = trace;
+    /// The driver of a run served by a pool of `workers` threads: its stats
+    /// carry the run's pool observations (see [`RoundDriver::pool_stats`]).
+    pub(crate) fn on_pool(mut self, workers: usize) -> Self {
+        self.stats.scheduler =
+            Some(SchedulerRunStats { pool_workers: workers, ..SchedulerRunStats::default() });
         self
     }
 
-    /// The attached request trace, if any (the scheduler records dispatch and
-    /// resume events against it).
-    pub(crate) fn trace(&self) -> Option<&Arc<Trace>> {
-        self.trace.as_ref()
+    /// The pool observations of a run on a pool, for whoever parks it to
+    /// record into.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the driver was not built [`RoundDriver::on_pool`].
+    pub(crate) fn pool_stats(&mut self) -> &mut SchedulerRunStats {
+        self.stats.scheduler.as_mut().expect("a parked driver was built on_pool")
     }
 
     /// Close the in-flight round's span, if one is open.
-    fn close_round(&mut self, env: &StepEnv<'_>) {
-        if let (Some(trace), Some(started)) = (self.trace.as_ref(), self.round_started.take()) {
+    fn close_round(&mut self, env: &RunInputs<'_>) {
+        if let (Some(trace), Some(started)) = (env.trace, self.round_started.take()) {
             trace.record_span("round", started, env.clock.now());
         }
     }
 
-    /// Ask the driver to stop: the next `step` returns `Done` without
-    /// touching the frontier (the consumer's "stop" verdict — the equivalent
-    /// of returning `false` from a candidate callback).
-    pub(crate) fn halt(&mut self) {
-        self.halted = true;
+    /// Step until the run needs somebody else: every round smaller than
+    /// [`MIN_PARALLEL_JOBS`] runs on the spot (the hand-off would cost more
+    /// than it saves), a bigger one is handed back to be parked, and
+    /// [`INLINE_ROUND_YIELD`] small rounds in a row yield. The one stepping
+    /// loop: a pool worker resuming a parked session and the inline caller
+    /// both stand here.
+    pub(crate) fn advance(
+        &mut self,
+        plan: &RunPlan,
+        env: &RunInputs<'_>,
+        sink: &mut dyn FnMut(SelectSpec, f64, Duration) -> bool,
+    ) -> Advance {
+        for _ in 0..INLINE_ROUND_YIELD {
+            let Some(jobs) = self.step(env) else { return Advance::Done };
+            if jobs.len() >= MIN_PARALLEL_JOBS {
+                return Advance::Park(jobs);
+            }
+            if let Some(pool) = &mut self.stats.scheduler {
+                pool.units_inline += 1;
+            }
+            let result = plan.process(env, jobs);
+            self.feed(vec![result], true, env, sink);
+        }
+        Advance::Yield
     }
 
-    /// Feed back the chunk results of the jobs returned by the last
-    /// `SubmitChunks`, in original job order.
+    /// Feed a contiguous job-order prefix of the in-flight round's chunk
+    /// results — the only way results enter the driver — draining every
+    /// emission the round's release rule lets go straight into `sink`.
+    /// `last` marks the round's final feed; until it arrives the any-k
+    /// dominance gate decides what leaves, and the driver may pause
+    /// mid-merge (gate blocked, or chunks exhausted) and waits for the next
+    /// feed. A `RoundBarrier` round is fed once, complete. A `sink`
+    /// returning `false` stops the run at that emission, exactly like the
+    /// candidate budget: the round's remaining chunks are counted and
+    /// nothing else (see [`Drain::stopped`]).
     ///
     /// # Panics
     ///
     /// Panics if no round is outstanding (protocol violation).
-    pub(crate) fn provide(&mut self, results: Vec<ChunkResult>) {
-        match std::mem::replace(&mut self.phase, DriverPhase::Finished) {
-            DriverPhase::Submitted { decisions, suffix_max } => {
-                self.phase = DriverPhase::Draining(Drain {
-                    decisions,
-                    suffix_max,
-                    chunks: results.into(),
-                    emissions: VecDeque::new(),
-                    survivors: Vec::new(),
-                    in_chunk: false,
-                    merged_jobs: 0,
-                    survivor_max: 0.0,
-                    complete: true,
-                    timed_out: false,
-                    cancelled: false,
-                    just_emitted: false,
-                });
-            }
-            phase => {
-                self.phase = phase;
-                panic!("RoundDriver::provide called with no round outstanding");
-            }
-        }
-    }
-
-    /// Feed a contiguous job-order prefix of the in-flight round's chunk
-    /// results, draining every emission the any-k dominance gate releases
-    /// straight into `sink` (the streamed counterpart of
-    /// [`RoundDriver::provide`] + [`RoundDriver::step`]). `last` marks the
-    /// round's final feed; until it arrives the driver may pause mid-merge
-    /// (gate blocked, or chunks exhausted) and waits for the next feed. A
-    /// `sink` returning `false` halts the run, exactly like returning
-    /// `false` from a candidate callback.
-    ///
-    /// Feeding a finished driver silently drops the chunks: a halted or
-    /// budget-stopped run may still have late chunks in flight, and they
-    /// must be discardable.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no round is outstanding (phase `Ready` — protocol
-    /// violation).
     pub(crate) fn feed(
         &mut self,
         chunks: Vec<ChunkResult>,
         last: bool,
-        env: &StepEnv<'_>,
+        env: &RunInputs<'_>,
         sink: &mut dyn FnMut(SelectSpec, f64, Duration) -> bool,
     ) {
         match std::mem::replace(&mut self.phase, DriverPhase::Finished) {
-            DriverPhase::Finished => return, // late chunks after an early stop
-            DriverPhase::Submitted { decisions, suffix_max } => {
-                self.phase = DriverPhase::Draining(Drain {
-                    decisions,
-                    suffix_max,
-                    chunks: chunks.into(),
-                    emissions: VecDeque::new(),
-                    survivors: Vec::new(),
-                    in_chunk: false,
-                    merged_jobs: 0,
-                    survivor_max: 0.0,
-                    complete: last,
-                    timed_out: false,
-                    cancelled: false,
-                    just_emitted: false,
-                });
-            }
-            DriverPhase::Draining(mut d) => {
+            DriverPhase::InFlight(mut d) => {
                 d.chunks.extend(chunks);
                 d.complete |= last;
-                self.phase = DriverPhase::Draining(d);
+                self.drain(d, env, sink);
             }
-            DriverPhase::Ready => {
-                self.phase = DriverPhase::Ready;
+            phase => {
+                self.phase = phase;
                 panic!("RoundDriver::feed called with no round outstanding");
             }
         }
-        loop {
-            let phase = std::mem::replace(&mut self.phase, DriverPhase::Finished);
-            let DriverPhase::Draining(d) = phase else {
-                self.phase = phase;
-                return; // the drain closed the round or finished the run
-            };
-            match self.drain(d, env) {
-                Some(StepOutcome::Emit { spec, confidence, emitted_at }) => {
-                    // A mid-round release is the observable any-k event: the
-                    // frontier provably cannot beat this candidate, so it
-                    // leaves before the round closes.
-                    let mid_round = matches!(&self.phase, DriverPhase::Draining(d) if !d.complete);
-                    let popped_at = if mid_round && self.trace.is_some() {
-                        Some(env.clock.now())
-                    } else {
-                        None
-                    };
-                    let keep = sink(spec, confidence, emitted_at);
-                    if let (Some(trace), Some(t0)) = (self.trace.as_ref(), popped_at) {
-                        trace.record_span("frontier_pop", t0, env.clock.now());
-                    }
-                    if !keep {
-                        self.halt();
-                    }
-                }
-                Some(_) => unreachable!("drain only yields emissions"),
-                None => return, // paused mid-round, round complete, or run over
-            }
-        }
     }
 
-    /// The run's counters so far (final once `step` has returned `Done`,
-    /// except for `elapsed` and the cache counters, which the wrapper fills).
-    pub(crate) fn into_stats(self) -> EnumerationStats {
-        self.stats
+    /// The run's final counters, once `step` has returned `None`: the
+    /// end-of-run epilogue of every way to run a session.
+    pub(crate) fn into_stats(self, plan: &RunPlan, env: &RunInputs<'_>) -> EnumerationStats {
+        let mut stats = self.stats;
+        stats.elapsed = env.clock.now().saturating_duration_since(self.start);
+        // Per-run counters: concurrent sessions on the same shared database
+        // can't pollute each other's statistics.
+        stats.record_probe_counters(&plan.counters, env.db);
+        stats
     }
 
-    /// Advance the state machine until it has something for the caller.
+    /// Start the next round and return its phase-2 jobs, or `None` when the
+    /// run is over.
     ///
     /// # Panics
     ///
-    /// Panics if called while chunk results are outstanding (after a
-    /// `SubmitChunks` and before the matching [`RoundDriver::provide`]).
-    pub(crate) fn step(&mut self, env: &StepEnv<'_>) -> StepOutcome {
+    /// Panics if called while chunk results are outstanding (before the
+    /// `last` [`RoundDriver::feed`] of the round `step` last returned).
+    pub(crate) fn step(&mut self, env: &RunInputs<'_>) -> Option<Vec<ChildJob>> {
         loop {
             match std::mem::replace(&mut self.phase, DriverPhase::Finished) {
-                DriverPhase::Finished => return StepOutcome::Done,
-                DriverPhase::Submitted { decisions, suffix_max } => {
-                    self.phase = DriverPhase::Submitted { decisions, suffix_max };
+                DriverPhase::Finished => return None,
+                DriverPhase::InFlight(drain) => {
+                    self.phase = DriverPhase::InFlight(drain);
                     panic!("RoundDriver::step called while chunk results are outstanding");
                 }
-                DriverPhase::Draining(drain) => {
-                    if let Some(outcome) = self.drain(drain, env) {
-                        return outcome;
-                    }
-                    if matches!(self.phase, DriverPhase::Draining(_)) {
-                        panic!(
-                            "RoundDriver::step called while a streamed round is still in flight"
-                        );
-                    }
-                }
                 DriverPhase::Ready => {
-                    if let Some(outcome) = self.begin_round(env) {
-                        return outcome;
+                    if let Some(jobs) = self.begin_round(env) {
+                        return Some(jobs);
                     }
                 }
             }
@@ -749,17 +671,14 @@ impl RoundDriver {
     /// (serial child expansion + scoring). On entry the phase has been taken
     /// (left `Finished`); returning `None` keeps whatever phase this method
     /// set — `Finished` for every exit path, `Ready` for an empty round.
-    fn begin_round(&mut self, env: &StepEnv<'_>) -> Option<StepOutcome> {
-        if self.halted {
-            return None; // consumer stop between rounds
-        }
+    fn begin_round(&mut self, env: &RunInputs<'_>) -> Option<Vec<ChildJob>> {
         if self.heap.is_empty() {
             // Natural end of the search (never reached via an early exit:
             // those leave directly from their check below).
             self.stats.exhausted = self.stats.expanded < env.config.max_expansions;
             return None;
         }
-        if env.cancel.load(Ordering::SeqCst) {
+        if env.control.is_cancelled() {
             self.stats.cancelled = true;
             return None;
         }
@@ -780,7 +699,7 @@ impl RoundDriver {
             return None; // expansion budget reached with work left
         }
         self.stats.rounds += 1;
-        if self.trace.is_some() {
+        if env.trace.is_some() {
             self.round_started = Some(env.clock.now());
         }
 
@@ -805,7 +724,7 @@ impl RoundDriver {
                 // Prepared on the first round rather than at construction:
                 // here a panicking model poisons only this session, and the
                 // work lands on the thread that runs the round.
-                match self.plan.get_or_insert_with(|| env.model.prepare(&ctx)) {
+                match self.guidance.get_or_insert_with(|| env.model.prepare(&ctx)) {
                     Some(plan) => plan.score(&choices),
                     None => env.model.score(&ctx, &choices),
                 }
@@ -840,27 +759,24 @@ impl RoundDriver {
         } else {
             Vec::new()
         };
-        self.phase = DriverPhase::Submitted { decisions, suffix_max };
-        Some(StepOutcome::SubmitChunks(jobs))
+        self.phase = DriverPhase::InFlight(Drain { decisions, suffix_max, ..Drain::default() });
+        Some(jobs)
     }
 
-    /// Phase 3 (serial): merge chunk results in original child order,
-    /// draining one emission per call. Returning `None` means the merge
-    /// finished; the phase is then `Ready` (round complete) or `Finished`
-    /// (early exit).
-    fn drain(&mut self, mut d: Drain, env: &StepEnv<'_>) -> Option<StepOutcome> {
+    /// Phase 3 (serial): merge the fed chunk results in original child
+    /// order, delivering every released emission to `sink`. On entry the
+    /// phase has been taken (left `Finished`); on return it is `InFlight`
+    /// (paused mid-round), `Ready` (round complete) or `Finished` (early
+    /// exit).
+    fn drain(
+        &mut self,
+        mut d: Drain,
+        env: &RunInputs<'_>,
+        sink: &mut dyn FnMut(SelectSpec, f64, Duration) -> bool,
+    ) {
         loop {
-            if d.just_emitted {
-                d.just_emitted = false;
-                // The historical post-callback check: a consumer halt or the
-                // candidate budget stops the run right here, skipping the
-                // current chunk's survivors and every later chunk.
-                if self.halted || self.stats.emitted >= env.config.max_candidates {
-                    return None; // Finished
-                }
-            }
             if d.in_chunk {
-                if let Some(&(_, confidence)) = d.emissions.front() {
+                while let Some(&(_, confidence)) = d.emissions.front() {
                     // Any-k dominance gate (only while the round is still
                     // streaming in): release the emission only when its
                     // confidence provably beats every unexpanded state —
@@ -870,24 +786,38 @@ impl RoundDriver {
                     // completion disables the gate, so the emitted sequence
                     // is always exactly the barrier sequence.
                     if !d.complete && !self.dominates(confidence, &d) {
-                        self.phase = DriverPhase::Draining(d);
-                        return None;
+                        self.phase = DriverPhase::InFlight(d);
+                        return;
                     }
                     let (spec, confidence) = d.emissions.pop_front().expect("front checked above");
                     self.stats.emitted += 1;
-                    d.just_emitted = true;
                     let emitted_at = env.clock.now().saturating_duration_since(self.start);
-                    self.phase = DriverPhase::Draining(d);
-                    return Some(StepOutcome::Emit { spec, confidence, emitted_at });
+                    // A mid-round release is the observable any-k event: the
+                    // frontier provably cannot beat this candidate, so it
+                    // leaves before the round closes.
+                    let popped_at = env.trace.filter(|_| !d.complete).map(|_| env.clock.now());
+                    let keep = sink(spec, confidence, emitted_at);
+                    if let (Some(trace), Some(t0)) = (env.trace, popped_at) {
+                        trace.record_span("frontier_pop", t0, env.clock.now());
+                    }
+                    // The historical post-callback check: a consumer stop or
+                    // the candidate budget ends emission right here, skipping
+                    // the current chunk's survivors and everything later.
+                    if !keep || self.stats.emitted >= env.config.max_candidates {
+                        d.stopped = true;
+                        break;
+                    }
                 }
-                for (pq, confidence, beam_idx) in d.survivors.drain(..) {
-                    self.sequence += 1;
-                    self.heap.push(EnumState {
-                        pq,
-                        confidence,
-                        decisions: d.decisions[beam_idx] + 1,
-                        sequence: self.sequence,
-                    });
+                if !d.stopped {
+                    for (pq, confidence, beam_idx) in d.survivors.drain(..) {
+                        self.sequence += 1;
+                        self.heap.push(EnumState {
+                            pq,
+                            confidence,
+                            decisions: d.decisions[beam_idx] + 1,
+                            sequence: self.sequence,
+                        });
+                    }
                 }
                 d.in_chunk = false;
             }
@@ -898,7 +828,10 @@ impl RoundDriver {
                         self.stats.record(VerifyStage::ALL[idx], *count);
                     }
                     self.stats.stage_timings.merge(&chunk.timings);
-                    if let Some(trace) = self.trace.as_ref() {
+                    if d.stopped {
+                        continue; // counted, nothing else
+                    }
+                    if let Some(trace) = env.trace {
                         // Child-order merge: chunks arrive here in original
                         // job order, so the trace's span sequence is a pure
                         // function of the configuration — not of which worker
@@ -944,23 +877,26 @@ impl RoundDriver {
                 }
                 None => {
                     if !d.complete {
-                        // Streamed round, chunks exhausted mid-round: pause
-                        // until the next feed.
-                        self.phase = DriverPhase::Draining(d);
-                        return None;
+                        // Chunks exhausted mid-round: pause until the next
+                        // feed.
+                        self.phase = DriverPhase::InFlight(d);
+                        return;
+                    }
+                    if d.stopped {
+                        return; // Finished
                     }
                     self.close_round(env);
                     if d.cancelled {
                         self.stats.cancelled = true;
-                        return None; // Finished
+                        return; // Finished
                     }
                     if d.timed_out {
                         self.stats.deadline_exceeded = true;
-                        return None; // Finished
+                        return; // Finished
                     }
                     self.bound_frontier(env.config.max_states);
                     self.phase = DriverPhase::Ready;
-                    return None;
+                    return;
                 }
             }
         }
@@ -989,249 +925,34 @@ impl RoundDriver {
     }
 }
 
-/// The shared round loop, expressed as a blocking drive of the
-/// [`RoundDriver`] state machine: pop a beam, expand and score children
-/// (phase 1, serial), hand the jobs to `dispatch` for join-path construction
-/// plus the verification cascade (phase 2, wherever the dispatcher runs
-/// them), then merge chunk results back **in original child order** (phase 3,
-/// serial).
-///
-/// The dispatcher contract is the heart of the engine's determinism: it may
-/// split `jobs` into any number of contiguous chunks and run them on any
-/// threads, but must return the chunk results in original job order.
-/// Emission order is then a pure function of the configuration — never of the
-/// worker count, chunk size, or which pool (scoped or shared) did the work.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn drive_rounds(
-    db: &Database,
-    nlq: &Nlq,
-    model: &dyn GuidanceModel,
-    config: &DuoquestConfig,
-    deadline: Option<Instant>,
-    cancel: &AtomicBool,
-    start: Instant,
-    clock: &dyn Clock,
-    trace: Option<Arc<Trace>>,
-    stats: &mut EnumerationStats,
-    on_candidate: &mut dyn FnMut(SelectSpec, f64, Duration) -> bool,
-    dispatch: &mut dyn RoundDispatcher,
-) {
-    let env = StepEnv { db, nlq, model, config, cancel, clock };
-    let streaming = config.emission == EmissionPolicy::AnyK;
-    let mut driver = RoundDriver::new(start, deadline).with_trace(trace);
-    loop {
-        match driver.step(&env) {
-            StepOutcome::SubmitChunks(jobs) => {
-                if streaming {
-                    // Any-k: chunk results stream back as contiguous
-                    // job-order prefixes and each feed drains whatever the
-                    // dominance gate releases straight into the consumer.
-                    dispatch.run_streaming(jobs, &mut |chunks, last| {
-                        driver.feed(chunks, last, &env, on_candidate);
-                    });
-                } else {
-                    let results = dispatch.run(jobs);
-                    driver.provide(results);
-                }
-            }
-            StepOutcome::Emit { spec, confidence, emitted_at } => {
-                if !on_candidate(spec, confidence, emitted_at) {
-                    driver.halt();
-                }
-            }
-            StepOutcome::Done => break,
-        }
-    }
-    *stats = driver.into_stats();
-}
-
-/// Phase-2 execution strategy handed to [`drive_rounds`]: runs a round's
-/// jobs — split into any number of contiguous chunks, on any threads — and
-/// returns the chunk results **in original job order** (the determinism
-/// contract). The streaming variant additionally delivers results
-/// incrementally, as contiguous job-order prefixes complete, which is what
-/// any-k emission taps for mid-round delivery.
-pub(crate) trait RoundDispatcher {
-    /// Run the jobs and return every chunk result, in original job order.
-    fn run(&mut self, jobs: Vec<ChildJob>) -> Vec<ChunkResult>;
-
-    /// Run the jobs, feeding chunk results as contiguous job-order prefixes
-    /// complete. `feed` must be called with `last = true` exactly once, on
-    /// the final delivery (which may carry an empty batch only if earlier
-    /// feeds delivered everything — the default delivers everything at
-    /// once).
-    fn run_streaming(&mut self, jobs: Vec<ChildJob>, feed: &mut dyn FnMut(Vec<ChunkResult>, bool)) {
-        let results = self.run(jobs);
-        feed(results, true);
-    }
-}
-
-/// Distribute the round's jobs over the persistent worker pool as contiguous
-/// chunks (placing the chunk results by index restores the original job
-/// order), or run inline when there is no pool or the fan-out is too small
-/// to be worth the channel handoff.
-fn process_jobs(
-    jobs: Vec<ChildJob>,
-    pool: Option<&WorkerPool>,
-    env: &RoundEnv<'_>,
-) -> Vec<ChunkResult> {
-    match pool {
-        Some(pool) if jobs.len() >= MIN_PARALLEL_JOBS => pool.dispatch(jobs),
-        _ => vec![process_chunk(jobs, env)],
-    }
-}
-
-/// [`RoundDispatcher`] over the run-scoped [`WorkerPool`] (or inline
-/// execution when the pool is absent or a fan-out is too small).
-struct PoolDispatcher<'a> {
-    pool: Option<&'a WorkerPool>,
-    env: &'a RoundEnv<'a>,
-}
-
-impl RoundDispatcher for PoolDispatcher<'_> {
-    fn run(&mut self, jobs: Vec<ChildJob>) -> Vec<ChunkResult> {
-        process_jobs(jobs, self.pool, self.env)
-    }
-
-    fn run_streaming(&mut self, jobs: Vec<ChildJob>, feed: &mut dyn FnMut(Vec<ChunkResult>, bool)) {
-        match self.pool {
-            Some(pool) if jobs.len() >= MIN_PARALLEL_JOBS => pool.dispatch_streaming(jobs, feed),
-            _ => feed(vec![process_chunk(jobs, self.env)], true),
-        }
-    }
-}
-
-/// A run-scoped pool of verification workers. Threads are spawned once per
-/// synthesis run (scoped, so they may borrow the run's verifiers and
-/// database) and fed one chunk per round over channels — rounds never pay a
-/// thread spawn/join cycle.
-struct WorkerPool {
-    chunk_txs: Vec<std::sync::mpsc::Sender<(usize, Vec<ChildJob>)>>,
-    result_rx: std::sync::mpsc::Receiver<(usize, std::thread::Result<ChunkResult>)>,
-}
-
-impl WorkerPool {
-    /// Spawn `workers` threads onto `scope`; `None` when one worker would do
-    /// (the caller then processes chunks inline).
-    fn start<'scope, 'env>(
-        scope: &'scope std::thread::Scope<'scope, 'env>,
-        workers: usize,
-        env: &'env RoundEnv<'env>,
-    ) -> Option<WorkerPool> {
-        if workers <= 1 {
-            return None;
-        }
-        let (result_tx, result_rx) = std::sync::mpsc::channel();
-        let chunk_txs = (0..workers)
-            .map(|_| {
-                let (chunk_tx, chunk_rx) = std::sync::mpsc::channel::<(usize, Vec<ChildJob>)>();
-                let result_tx = result_tx.clone();
-                scope.spawn(move || {
-                    while let Ok((idx, jobs)) = chunk_rx.recv() {
-                        // Catch panics so a worker failure surfaces as a
-                        // panic in the dispatching thread instead of a hang.
-                        let outcome =
-                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                process_chunk(jobs, env)
-                            }));
-                        if result_tx.send((idx, outcome)).is_err() {
-                            break; // run is shutting down
-                        }
-                    }
-                });
-                chunk_tx
-            })
-            .collect();
-        Some(WorkerPool { chunk_txs, result_rx })
-    }
-
-    /// Fan `jobs` out as one contiguous chunk per worker; returns how many
-    /// chunks were sent.
-    fn send_chunks(&self, jobs: Vec<ChildJob>) -> usize {
-        let chunk_size = jobs.len().div_ceil(self.chunk_txs.len());
-        let mut sent = 0usize;
-        let mut remaining = jobs;
-        while !remaining.is_empty() {
-            let tail = remaining.split_off(remaining.len().min(chunk_size));
-            self.chunk_txs[sent]
-                .send((sent, remaining))
-                .expect("synthesis worker terminated unexpectedly");
-            remaining = tail;
-            sent += 1;
-        }
-        sent
-    }
-
-    /// Split `jobs` into one contiguous chunk per worker, fan them out, and
-    /// return the results in original job order.
-    fn dispatch(&self, jobs: Vec<ChildJob>) -> Vec<ChunkResult> {
-        let sent = self.send_chunks(jobs);
-        let mut results: Vec<Option<ChunkResult>> = (0..sent).map(|_| None).collect();
-        for _ in 0..sent {
-            let (idx, outcome) =
-                self.result_rx.recv().expect("synthesis worker terminated unexpectedly");
-            match outcome {
-                Ok(result) => results[idx] = Some(result),
-                Err(panic) => std::panic::resume_unwind(panic),
-            }
-        }
-        results.into_iter().map(|r| r.expect("every chunk reported")).collect()
-    }
-
-    /// Streaming fan-out for any-k emission: chunk results arrive out of
-    /// order from the workers and are buffered by index; every time the
-    /// contiguous job-order prefix grows, the new run is fed onward (the
-    /// final feed carries `last = true`). The delivered sequence is exactly
-    /// [`WorkerPool::dispatch`]'s, just incremental.
-    fn dispatch_streaming(
-        &self,
-        jobs: Vec<ChildJob>,
-        feed: &mut dyn FnMut(Vec<ChunkResult>, bool),
-    ) {
-        let sent = self.send_chunks(jobs);
-        let mut results: Vec<Option<ChunkResult>> = (0..sent).map(|_| None).collect();
-        let mut fed = 0usize;
-        for _ in 0..sent {
-            let (idx, outcome) =
-                self.result_rx.recv().expect("synthesis worker terminated unexpectedly");
-            match outcome {
-                Ok(result) => results[idx] = Some(result),
-                Err(panic) => std::panic::resume_unwind(panic),
-            }
-            let mut batch = Vec::new();
-            while fed < sent && results[fed].is_some() {
-                batch.push(results[fed].take().expect("checked above"));
-                fed += 1;
-            }
-            if !batch.is_empty() {
-                feed(batch, fed == sent);
-            }
-        }
-    }
-}
-
 /// Run one worker's share of the round: per child, the join-independent
 /// stages of the cascade, join path attachment, then the stages over the join
 /// path per join variant.
-pub(crate) fn process_chunk(jobs: Vec<ChildJob>, env: &RoundEnv<'_>) -> ChunkResult {
+fn process_chunk(
+    jobs: Vec<ChildJob>,
+    verifier: &Verifier<'_>,
+    plan: &RunPlan,
+    env: &RunInputs<'_>,
+) -> ChunkResult {
     let mut out = ChunkResult { jobs: jobs.len(), ..ChunkResult::default() };
     // One span per chunk, recorded into the chunk-local buffer (no shared
     // state from worker threads); the driver merges it in child order.
-    let chunk_started = if env.trace { Some(env.clock.now()) } else { None };
+    let chunk_started = env.trace.map(|_| env.clock.now());
     // Single-flight wait attribution: delta of the run's (shared) wait
     // counter across the chunk. Approximate when chunks run concurrently;
     // the driver synthesizes an observational `probe_wait` span from it.
-    let wait_before = if env.trace { env.verifier.single_flight_counters().2 } else { 0 };
-    let mut joins = env.joins.memo();
+    let wait_before = if env.trace.is_some() { verifier.single_flight_counters().2 } else { 0 };
+    let cancel = env.control.flag_ref();
+    let mut joins = plan.joins.memo();
     for (done, job) in jobs.into_iter().enumerate() {
         // Honor cancellation between jobs (an atomic load — cheap enough per
         // job) so cancel takes effect mid-chunk, not at the next round.
-        if env.cancel.load(Ordering::Relaxed) {
+        if cancel.load(Ordering::Relaxed) {
             out.cancelled = true;
             break;
         }
         // Honor the wall-clock budget inside large fan-outs as well.
-        if done % 32 == 31 && env.deadline.map(|d| env.clock.now() > d).unwrap_or(false) {
+        if done % 32 == 31 && plan.deadline.map(|d| env.clock.now() > d).unwrap_or(false) {
             out.timed_out = true;
             break;
         }
@@ -1241,9 +962,9 @@ pub(crate) fn process_chunk(jobs: Vec<ChildJob>, env: &RoundEnv<'_>) -> ChunkRes
         // construction, and eliminate the bulk of the fan-out. Under NoPQ a
         // partial child is not examined at all, so a variant that its join
         // path completes still owes the whole cascade.
-        let prefixed = env.verifier.examines(&pq);
+        let prefixed = verifier.examines(&pq);
         if prefixed {
-            if let VerifyOutcome::Fail(stage) = env.verifier.verify_prefix(&pq, &mut out.timings) {
+            if let VerifyOutcome::Fail(stage) = verifier.verify_prefix(&pq, &mut out.timings) {
                 out.generated += 1;
                 out.prunes[stage.index()] += 1;
                 continue;
@@ -1256,9 +977,9 @@ pub(crate) fn process_chunk(jobs: Vec<ChildJob>, env: &RoundEnv<'_>) -> ChunkRes
         let settle = |pq: PartialQuery, out: &mut ChunkResult| {
             out.generated += 1;
             let outcome = if prefixed {
-                env.verifier.verify_joined(&pq, &mut out.timings)
+                verifier.verify_joined(&pq, &mut out.timings)
             } else {
-                env.verifier.verify_timed(&pq, &mut out.timings)
+                verifier.verify_timed(&pq, &mut out.timings)
             };
             match outcome {
                 VerifyOutcome::Fail(stage) => out.prunes[stage.index()] += 1,
@@ -1283,7 +1004,7 @@ pub(crate) fn process_chunk(jobs: Vec<ChildJob>, env: &RoundEnv<'_>) -> ChunkRes
         }
     }
     if let Some(started) = chunk_started {
-        let wait_after = env.verifier.single_flight_counters().2;
+        let wait_after = verifier.single_flight_counters().2;
         out.probe_wait_us = wait_after.saturating_sub(wait_before);
         out.spans.push(RawSpan { name: "chunk", start: started, end: env.clock.now() });
     }
@@ -1908,6 +1629,17 @@ mod tests {
         assert!(timings.total() > Duration::ZERO);
     }
 
+    /// The borrowed inputs of a driver test over the movie fixture.
+    fn inputs<'a>(
+        db: &'a Database,
+        nlq: &'a Nlq,
+        model: &'a NoisyOracleGuidance,
+        config: &'a DuoquestConfig,
+        control: &'a SessionControl,
+    ) -> RunInputs<'a> {
+        RunInputs { db, nlq, tsq: None, model, config, control, clock: &SYSTEM_CLOCK, trace: None }
+    }
+
     /// Satellite contract: a cancellation fires **between `step()` calls**
     /// (at the next round boundary), not only inside chunks — the driver
     /// never needs a chunk in flight to notice it.
@@ -1921,49 +1653,25 @@ mod tests {
         config.time_budget = None;
         config.max_candidates = usize::MAX;
         config.max_expansions = usize::MAX;
-        let cancel = AtomicBool::new(false);
-        let env = StepEnv {
-            db: &db,
-            nlq: &nlq,
-            model: &model,
-            config: &config,
-            cancel: &cancel,
-            clock: &SYSTEM_CLOCK,
-        };
-        let mut driver = RoundDriver::new(Instant::now(), None);
+        let control = SessionControl::new();
+        let env = inputs(&db, &nlq, &model, &config, &control);
+        let plan = RunPlan::new(&env);
+        let mut driver = RoundDriver::new(&plan);
 
-        // Run exactly one full round (submit + provide), then fire the token
-        // with the driver idle between steps.
+        // Run exactly one full round (step + one complete feed), then fire
+        // the token with the driver idle between steps.
         let mut rounds_completed = 0;
-        loop {
-            match driver.step(&env) {
-                StepOutcome::SubmitChunks(jobs) => {
-                    let joins = JoinPlanner::new(&db, config.join_extension_depth);
-                    let verifier = Verifier::new(&db, None, &nlq.literals, config.semantic_rules);
-                    let round_env = RoundEnv {
-                        joins: &joins,
-                        verifier: &verifier,
-                        deadline: None,
-                        cancel: &cancel,
-                        clock: &SYSTEM_CLOCK,
-                        trace: false,
-                    };
-                    driver.provide(vec![process_chunk(jobs, &round_env)]);
-                    rounds_completed += 1;
-                    if rounds_completed == 1 {
-                        cancel.store(true, Ordering::SeqCst);
-                    }
-                }
-                StepOutcome::Emit { .. } => {}
-                StepOutcome::Done => break,
+        while let Some(jobs) = driver.step(&env) {
+            driver.feed(vec![plan.process(&env, jobs)], true, &env, &mut |_, _, _| true);
+            rounds_completed += 1;
+            if rounds_completed == 1 {
+                control.cancel();
             }
         }
-        let stats = driver.into_stats();
+        let stats = driver.into_stats(&plan, &env);
         assert!(stats.cancelled, "cancel must be observed at the next round boundary");
         assert!(!stats.exhausted);
-        // One round ran; at most its drain could have submitted one more
-        // beam, but the cancel fired before any further submit.
-        assert!(rounds_completed <= 2, "cancel ignored for {rounds_completed} rounds");
+        assert_eq!(rounds_completed, 1, "cancel ignored for {rounds_completed} rounds");
     }
 
     /// Satellite contract: an external deadline in the past stops the driver
@@ -1976,30 +1684,25 @@ mod tests {
         let model = NoisyOracleGuidance::new(gold, 2);
         let mut config = DuoquestConfig::fast();
         config.time_budget = None;
-        let cancel = AtomicBool::new(false);
-        let env = StepEnv {
-            db: &db,
-            nlq: &nlq,
-            model: &model,
-            config: &config,
-            cancel: &cancel,
-            clock: &SYSTEM_CLOCK,
-        };
         // A deadline that is already in the past when the first step runs.
-        let start = Instant::now();
-        let mut driver = RoundDriver::new(start, Some(start - Duration::from_millis(1)));
-        match driver.step(&env) {
-            StepOutcome::Done => {}
-            _ => panic!("an expired deadline must stop the driver before any round"),
-        }
-        let stats = driver.into_stats();
+        let control =
+            SessionControl::new().with_deadline(Instant::now() - Duration::from_millis(1));
+        let env = inputs(&db, &nlq, &model, &config, &control);
+        let plan = RunPlan::new(&env);
+        let mut driver = RoundDriver::new(&plan);
+        assert!(
+            driver.step(&env).is_none(),
+            "an expired deadline must stop the driver before any round"
+        );
+        let stats = driver.into_stats(&plan, &env);
         assert!(stats.deadline_exceeded);
         assert_eq!(stats.rounds, 0, "no round may start past the deadline");
         assert!(!stats.cancelled);
     }
 
-    /// Protocol guard: stepping while chunk results are outstanding is a
-    /// caller bug and must panic rather than corrupt the round state.
+    /// Protocol guard: stepping while chunk results are outstanding — before
+    /// the round's `last` feed — is a caller bug and must panic rather than
+    /// corrupt the round state.
     #[test]
     fn round_driver_rejects_step_while_awaiting_results() {
         let db = movie_db();
@@ -2007,53 +1710,70 @@ mod tests {
         let nlq = Nlq::new("all movie names");
         let model = NoisyOracleGuidance::new(gold, 2);
         let config = DuoquestConfig::fast();
-        let cancel = AtomicBool::new(false);
-        let env = StepEnv {
-            db: &db,
-            nlq: &nlq,
-            model: &model,
-            config: &config,
-            cancel: &cancel,
-            clock: &SYSTEM_CLOCK,
+        let control = SessionControl::new();
+        let env = inputs(&db, &nlq, &model, &config, &control);
+        let plan = RunPlan::new(&env);
+        let mut driver = RoundDriver::new(&plan);
+        let mut jobs = driver.step(&env).expect("first step submits the root expansion");
+        let rest = jobs.split_off(jobs.len() / 2);
+        let stepping_panics = |driver: &mut RoundDriver| {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| driver.step(&env))).is_err()
         };
-        let mut driver = RoundDriver::new(Instant::now(), None);
-        let StepOutcome::SubmitChunks(_jobs) = driver.step(&env) else {
-            panic!("first step submits the root expansion");
-        };
-        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            driver.step(&env);
-        }));
-        assert!(panicked.is_err(), "step with an outstanding round must panic");
+        assert!(stepping_panics(&mut driver), "step with an outstanding round must panic");
+        // A prefix of the round is not the round.
+        driver.feed(vec![plan.process(&env, jobs)], false, &env, &mut |_, _, _| true);
+        assert!(stepping_panics(&mut driver), "step with half a round fed must panic");
+        driver.feed(vec![plan.process(&env, rest)], true, &env, &mut |_, _, _| true);
+        assert!(driver.step(&env).is_some(), "the complete round unblocks the next step");
     }
 
+    /// One merge entry point: a round fed as one complete batch (what
+    /// `RoundBarrier` does) and the same round fed chunk by chunk with the
+    /// any-k gate deciding (what `AnyK` does) emit the same sequence and
+    /// count the same, and a sink returning `false` cuts both at the same
+    /// emission.
     #[test]
-    fn parallel_rounds_match_sequential_exploration() {
+    fn feeding_whole_rounds_or_prefixes_emits_identically() {
         let db = movie_db();
-        let schema = db.schema();
-        let gold = QueryBuilder::new(schema)
+        let gold = QueryBuilder::new(db.schema())
             .select("movies.name")
             .filter("movies.year", CmpOp::Lt, 1995)
             .build()
             .unwrap();
         let nlq = Nlq::with_literals("names of movies before 1995", vec![Literal::number(1995.0)]);
         let model = NoisyOracleGuidance::new(gold, 9);
-        let mut config = DuoquestConfig::fast();
-        config.time_budget = None; // keep the comparison deterministic
-        config.max_candidates = 25;
+        let mut barrier = DuoquestConfig::fast();
+        barrier.time_budget = None;
+        barrier.max_candidates = 25;
+        let any_k = barrier.clone().with_emission_policy(EmissionPolicy::AnyK);
+        let control = SessionControl::new();
 
-        let run = |config: &DuoquestConfig| {
-            let mut emitted: Vec<(String, f64)> = Vec::new();
-            enumerate(&db, &nlq, &model, None, config, |spec, conf, _t| {
-                emitted.push((format!("{spec:?}"), conf));
-                true
-            });
-            emitted
+        let run = |config: &DuoquestConfig, chunk: usize, stop_after: usize| {
+            let env = inputs(&db, &nlq, &model, config, &control);
+            let plan = RunPlan::new(&env);
+            let mut driver = RoundDriver::new(&plan);
+            let mut emitted: Vec<(String, u64)> = Vec::new();
+            let mut sink = |spec: SelectSpec, confidence: f64, _at: Duration| {
+                emitted.push((format!("{spec:?}"), confidence.to_bits()));
+                emitted.len() < stop_after
+            };
+            while let Some(mut jobs) = driver.step(&env) {
+                while !jobs.is_empty() {
+                    let tail = jobs.split_off(jobs.len().min(chunk));
+                    let last = tail.is_empty();
+                    driver.feed(vec![plan.process(&env, jobs)], last, &env, &mut sink);
+                    jobs = tail;
+                }
+            }
+            let stats = driver.into_stats(&plan, &env);
+            (emitted, stats.emitted, stats.expanded, stats.generated, stats.total_pruned())
         };
 
-        let sequential = run(&config);
-        let parallel = run(&config.clone().with_parallelism(4, 1));
-        // Same beam width ⇒ identical emission order, regardless of workers.
-        assert_eq!(sequential, parallel);
-        assert!(!sequential.is_empty());
+        for stop_after in [usize::MAX, 3] {
+            let whole = run(&barrier, usize::MAX, stop_after);
+            assert!(whole.0.len() >= 3, "only {} candidates emitted", whole.0.len());
+            assert_eq!(whole, run(&any_k, 3, stop_after), "stop after {stop_after}");
+            assert_eq!(whole, run(&any_k, usize::MAX, stop_after), "stop after {stop_after}");
+        }
     }
 }

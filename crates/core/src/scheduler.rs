@@ -1,11 +1,9 @@
-//! A shared batch scheduler multiplexing many
-//! [`SynthesisSession`](crate::session::SynthesisSession)s over one
+//! A shared batch scheduler multiplexing many [`SynthesisSession`]s over one
 //! long-lived worker pool.
 //!
 //! The paper's interactive setting implies many users issuing
 //! dual-specification synthesis tasks concurrently. Giving every
-//! [`SynthesisSession`](crate::session::SynthesisSession) its own worker
-//! threads (the pre-scheduler design)
+//! [`SynthesisSession`] its own worker threads (the pre-scheduler design)
 //! stalls at one-pool-per-session: N concurrent sessions on a K-core box
 //! fight over cores with N×K threads, and a single expensive session can
 //! monopolize the machine. The [`SessionScheduler`] instead owns **one**
@@ -14,11 +12,11 @@
 //!
 //! * Each session's serial round loop is the `RoundDriver` **state machine**
 //!   of `crate::enumerate` (beam pop, child expansion and scoring, ordered
-//!   merge). A **driven** session parks that driver inside the scheduler: no
-//!   OS thread exists per session, and when the driver needs to run, a pool
-//!   worker resumes it inline. A blocking caller
-//!   ([`SynthesisSession::run`](crate::session::SynthesisSession::run)) may
-//!   instead drive the same state machine on its own thread.
+//!   merge). Every session on the pool is **driven**: it parks that driver
+//!   inside the scheduler, no OS thread exists per session, and when the
+//!   driver needs to run, a pool worker resumes it inline. A blocking caller
+//!   ([`SynthesisSession::run`]) registers a driven session like any other
+//!   and waits for its outcome.
 //! * The expensive phase — join-path construction plus the ascending-cost
 //!   verification cascade — is split into chunked **work units** and
 //!   submitted to the scheduler's fairness-aware queue.
@@ -27,15 +25,17 @@
 //!   multiplier), so one session with a huge fan-out cannot starve the
 //!   others: every queue rotation serves each session before returning to
 //!   the first.
-//! * When the last outstanding chunk of a driven session's round returns,
-//!   **the worker that finished it resumes the session's driver inline** —
+//! * When the last outstanding chunk of a session's round returns, **the
+//!   worker that finished it resumes the session's driver inline** —
 //!   merging results, emitting candidates and submitting the next round —
 //!   instead of waking a parked thread. Live-session capacity is therefore
 //!   bounded by memory, not by OS thread count.
-//! * A session's chunk results are reassembled **in original child order**
-//!   before the merge, so its candidate emission sequence is byte-identical
-//!   to a single-session run on a private pool — for any pool size
-//!   (`tests/determinism.rs` asserts this under interleaved sessions).
+//! * A session's chunk results are fed to its driver **in original child
+//!   order** — the whole round at once under the barrier emission policy,
+//!   contiguous prefixes as they complete under any-k: one release rule —
+//!   so its candidate emission sequence is byte-identical to an inline
+//!   single-session run, for any pool size (`tests/determinism.rs` asserts
+//!   this under interleaved sessions).
 //!
 //! The pool also carries a **tick hook** ([`SchedulerHandle::set_tick`]): a
 //! housekeeping callback the workers invoke at its requested time (between
@@ -45,7 +45,7 @@
 //!
 //! Pool-wide behaviour is observable through [`SessionScheduler::stats`]
 //! (queue depth, busy workers, live sessions) and per-run through the
-//! [`SchedulerRunStats`] embedded in [`EnumerationStats`].
+//! [`SchedulerRunStats`] embedded in [`crate::EnumerationStats`].
 //!
 //! # Example
 //!
@@ -90,22 +90,14 @@
 //! ```
 
 use crate::clock::{system_clock, SharedClock};
-use crate::config::{DuoquestConfig, EmissionPolicy};
+use crate::config::EmissionPolicy;
 use crate::engine::{Candidate, CandidateCollector, SynthesisResult};
-use crate::enumerate::{
-    drive_rounds, min_deadline, process_chunk, ChildJob, ChunkResult, EnumerationStats,
-    RoundDispatcher, RoundDriver, RoundEnv, StepEnv, StepOutcome, MIN_PARALLEL_JOBS,
-};
-use crate::joinpath::JoinPlanner;
-use crate::session::SessionControl;
-use crate::tsq::TableSketchQuery;
-use crate::verify::{Verifier, VerifyPlan};
-use duoquest_db::{Database, RunCacheCounters, SelectSpec};
-use duoquest_nlq::{GuidanceModel, Literal, Nlq};
-use duoquest_obs::Trace;
+use crate::enumerate::MIN_PARALLEL_JOBS;
+use crate::enumerate::{Advance, ChildJob, ChunkResult, RoundDriver, RunInputs, RunPlan};
+use crate::session::SynthesisSession;
+use duoquest_db::SelectSpec;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -120,7 +112,7 @@ pub struct SchedulerStats {
     pub busy_workers: usize,
     /// Work units queued and not yet picked up.
     pub queue_depth: usize,
-    /// Sessions currently registered (externally driven or scheduler-driven).
+    /// Sessions currently registered.
     pub live_sessions: usize,
     /// Work units executed since the pool started.
     pub units_executed: u64,
@@ -143,16 +135,15 @@ impl SchedulerStats {
 }
 
 /// Shared-pool observations recorded by one synthesis run, surfaced in
-/// [`EnumerationStats::scheduler`].
+/// [`crate::EnumerationStats::scheduler`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SchedulerRunStats {
     /// Worker threads of the pool that served the run.
     pub pool_workers: usize,
     /// Work units this run submitted to the shared queue.
     pub units_submitted: u64,
-    /// Work units this run executed inline (fan-outs too small to be worth
-    /// the queue handoff) — on the driving thread for a blocking session, on
-    /// the resuming pool worker for a driven one.
+    /// Work units this run executed inline, on the resuming pool worker
+    /// (fan-outs too small to be worth the queue handoff).
     pub units_inline: u64,
     /// Deepest shared queue observed while this run was submitting,
     /// including other sessions' units — a contention signal.
@@ -180,104 +171,30 @@ impl SchedulerRunStats {
     }
 }
 
-/// Everything a pool worker needs to execute one of a session's work units,
-/// owned (`'static`) so the long-lived pool can outlive any borrow of the
-/// session's inputs. One context is built per synthesis run and shared by
-/// `Arc` between the driving side and the workers.
+/// Everything a pool worker needs to run one of a session's work units,
+/// owned (`'static`) so the long-lived pool can outlive any borrow: the
+/// session itself (its inputs are lent to the engine call by call) and the
+/// plan compiled from them. One context is built per run and shared by `Arc`
+/// between the parked driver and the chunk units.
 struct SessionContext {
-    db: Arc<Database>,
-    tsq: Option<TableSketchQuery>,
-    literals: Vec<Literal>,
-    config: DuoquestConfig,
-    /// The run's join path construction, shared by the run's chunk workers.
-    joins: JoinPlanner,
-    /// Per-session probe-cache attribution: the shared database's cache is hit
-    /// by every live session, these counters record only this session's
-    /// traffic.
-    counters: Arc<RunCacheCounters>,
-    /// The run's column-wise verdicts, read and filled by every chunk worker
-    /// of the session and by no other session (see [`VerifyPlan`]).
-    plan: Arc<VerifyPlan>,
-    deadline: Option<Instant>,
-    /// The session's cancellation token: workers check it between jobs, the
-    /// fairness queue reaps queued units once it fires, and the driving side
-    /// uses it to tell a cancellation disconnect from a pool shutdown.
-    cancel: Arc<AtomicBool>,
-    /// The pool's time source, shared by every session on it: deadline
-    /// checks, emission timestamps and stage timings read this (virtual
-    /// under the deterministic simulation harness).
-    clock: SharedClock,
-    /// Whether the session carries a request trace (chunk workers then record
-    /// chunk spans into their local result buffers).
-    trace: bool,
+    session: SynthesisSession,
+    plan: RunPlan,
 }
 
 impl SessionContext {
-    /// The context of one run, its plans built and its counters at zero.
-    #[allow(clippy::too_many_arguments)]
-    fn new(
-        db: Arc<Database>,
-        tsq: Option<TableSketchQuery>,
-        literals: Vec<Literal>,
-        config: DuoquestConfig,
-        deadline: Option<Instant>,
-        cancel: Arc<AtomicBool>,
-        clock: SharedClock,
-        trace: bool,
-    ) -> Self {
-        SessionContext {
-            joins: JoinPlanner::new(&db, config.join_extension_depth),
-            counters: Arc::new(RunCacheCounters::default()),
-            plan: Arc::new(VerifyPlan::new(&db, tsq.as_ref())),
-            db,
-            tsq,
-            literals,
-            config,
-            deadline,
-            cancel,
-            clock,
-            trace,
-        }
-    }
-
-    /// Run one chunk of the session's round: build a borrow-scoped verifier
-    /// over the owned context (cheap — two `Arc` clones and a few references)
-    /// and hand off to the engine's chunk processor.
-    fn process(&self, jobs: Vec<ChildJob>) -> ChunkResult {
-        let verifier =
-            Verifier::new(&self.db, self.tsq.as_ref(), &self.literals, self.config.semantic_rules)
-                .with_prune_partial(self.config.prune_partial)
-                .with_counters(Arc::clone(&self.counters))
-                .with_plan(Arc::clone(&self.plan))
-                .with_clock(self.clock.as_ref());
-        let env = RoundEnv {
-            joins: &self.joins,
-            verifier: &verifier,
-            deadline: self.deadline,
-            cancel: &self.cancel,
-            clock: self.clock.as_ref(),
-            trace: self.trace,
-        };
-        process_chunk(jobs, &env)
+    fn inputs(&self) -> RunInputs<'_> {
+        self.session.inputs()
     }
 }
 
 /// One queued unit of work.
 enum WorkUnit {
-    /// A chunk of an **externally driven** session (a blocking caller runs
-    /// the round loop on its own thread and waits on `result_tx`).
-    External {
-        chunk_idx: usize,
-        jobs: Vec<ChildJob>,
-        ctx: Arc<SessionContext>,
-        result_tx: Sender<(usize, std::thread::Result<ChunkResult>)>,
-    },
-    /// A chunk of a **scheduler-driven** session: the result is routed back
-    /// into the session's parked round assembly, and the worker that
-    /// completes the round resumes the session's driver inline.
-    DrivenChunk { session: u64, chunk_idx: usize, jobs: Vec<ChildJob>, ctx: Arc<SessionContext> },
-    /// Resume a driven session's parked driver (its initial kick, or a round
-    /// completed entirely by cancellation reaping).
+    /// A chunk of a session's round: the result is routed back into the
+    /// session's parked round assembly, and the worker whose chunk the
+    /// emission policy was waiting for feeds the session's driver inline.
+    Chunk { session: u64, chunk_idx: usize, jobs: Vec<ChildJob>, ctx: Arc<SessionContext> },
+    /// Resume a session's parked driver (its initial kick, a yield, or a
+    /// round completed entirely by cancellation reaping).
     Resume { session: u64 },
 }
 
@@ -314,62 +231,104 @@ type DrivenSink = Box<dyn FnMut(&Candidate) -> bool + Send>;
 /// The completion callback of a driven session, receiving how it ended.
 type DrivenCompletion = Box<dyn FnOnce(DrivenOutcome) + Send>;
 
-/// Everything a worker takes out of the slot to resume a driven session: the
-/// state machine, the dedup/rank collector, the sinks' inputs and the
-/// session's owned resources.
+/// Everything a worker takes out of the slot to resume a session: the state
+/// machine, the dedup/rank collector, the consumer's sink and the session's
+/// owned resources.
 struct DrivenCore {
     driver: RoundDriver,
     collector: CandidateCollector,
     on_candidate: DrivenSink,
     ctx: Arc<SessionContext>,
-    nlq: Nlq,
-    model: Arc<dyn GuidanceModel>,
-    run_stats: SchedulerRunStats,
-    start: Instant,
 }
 
-/// The in-flight round of a parked driven session: chunk results keyed by
-/// chunk index, completed when `remaining` hits zero.
+impl DrivenCore {
+    /// The state of `session`'s run at its root, to be driven by a pool of
+    /// `workers` threads: its plan compiled, its driver ready for the first
+    /// step.
+    fn new(session: SynthesisSession, on_candidate: DrivenSink, workers: usize) -> Self {
+        let plan = RunPlan::new(&session.inputs());
+        DrivenCore {
+            driver: RoundDriver::new(&plan).on_pool(workers),
+            collector: CandidateCollector::new(),
+            on_candidate,
+            ctx: Arc::new(SessionContext { session, plan }),
+        }
+    }
+
+    /// One occupancy of a pool worker: feed the driver the chunk results
+    /// that woke the session, if any, and — unless its round is still in
+    /// flight (`None`) — step it until it needs the pool (see
+    /// [`RoundDriver::advance`]). Candidates are delivered from here, i.e.
+    /// on the calling pool worker, through the session's collector and sink.
+    fn resume(&mut self, fed: Option<(Vec<ChunkResult>, bool)>) -> Option<Advance> {
+        let DrivenCore { driver, collector, on_candidate, ctx } = self;
+        let env = ctx.inputs();
+        let mut sink = |spec: SelectSpec, confidence: f64, emitted_at: Duration| {
+            collector.offer(spec, confidence, emitted_at, on_candidate.as_mut())
+        };
+        // One `resume` span per occupancy that steps the driver: how long
+        // this worker held it (merging, emitting, stepping, running small
+        // rounds inline) before parking, yielding or finishing.
+        let started = env.trace.map(|_| env.clock.now());
+        if let Some((batch, last)) = fed {
+            driver.feed(batch, last, &env, &mut sink);
+            if !last {
+                return None;
+            }
+        }
+        let exit = driver.advance(&ctx.plan, &env, &mut sink);
+        if let (Some(trace), Some(started)) = (env.trace, started) {
+            trace.record_span("resume", started, env.clock.now());
+        }
+        Some(exit)
+    }
+
+    /// The ranked result of a run that is over. `force_cancelled` marks runs
+    /// wound down by a scheduler shutdown that never reached a cooperative
+    /// check.
+    fn finish(self, force_cancelled: bool) -> SynthesisResult {
+        let mut stats = self.driver.into_stats(&self.ctx.plan, &self.ctx.inputs());
+        stats.cancelled |= force_cancelled;
+        self.collector.finish(stats)
+    }
+}
+
+/// The in-flight round of a parked session: chunk results keyed by chunk
+/// index, released to the driver in job order as the session's
+/// [`EmissionPolicy`](crate::EmissionPolicy) allows.
 struct RoundAssembly {
     results: Vec<Option<ChunkResult>>,
+    /// Chunks that have not reported yet.
     remaining: usize,
-    /// Streaming rounds only: the next chunk index to feed. Everything before
-    /// it has already been handed to the driver and taken out of `results`.
+    /// The next chunk index to feed. Everything before it has already been
+    /// handed to the driver and taken out of `results`.
     fed: usize,
-    /// Whether this round streams contiguous chunk prefixes into the driver
-    /// as they complete (any-k emission) instead of waiting for the full set.
+    /// Any-k emission: contiguous chunk prefixes go to the driver as they
+    /// complete. Otherwise (`RoundBarrier`) nothing goes until every chunk
+    /// has reported — a gate that never opens before the input is complete.
     streaming: bool,
 }
 
 impl RoundAssembly {
-    fn into_ordered_results(self) -> Vec<ChunkResult> {
-        self.results.into_iter().map(|r| r.expect("every chunk reported")).collect()
-    }
-
-    /// Pull the contiguous run of completed-but-unfed chunks off a streaming
-    /// round, advancing the feed cursor past them.
-    fn take_contiguous(&mut self) -> Vec<ChunkResult> {
+    /// The one release rule: pull the contiguous run of completed-but-unfed
+    /// chunks (under the barrier policy, only once the round is complete),
+    /// advancing the feed cursor past them.
+    fn take_ready(&mut self) -> Vec<ChunkResult> {
         let mut batch = Vec::new();
-        while self.fed < self.results.len() {
-            match self.results[self.fed].take() {
-                Some(chunk) => {
-                    batch.push(chunk);
-                    self.fed += 1;
-                }
-                None => break,
-            }
+        if !self.streaming && self.remaining > 0 {
+            return batch;
+        }
+        while let Some(chunk) = self.results.get_mut(self.fed).and_then(Option::take) {
+            batch.push(chunk);
+            self.fed += 1;
         }
         batch
     }
-}
 
-/// The scheduler-side state of one driven session.
-struct DrivenSlot {
-    /// The parked core; `None` while a worker holds it (actively stepping).
-    parked: Option<DrivenCore>,
-    /// The in-flight round, when chunks are outstanding.
-    round: Option<RoundAssembly>,
-    on_complete: Option<DrivenCompletion>,
+    /// Whether every chunk of the round has been handed to the driver.
+    fn all_fed(&self) -> bool {
+        self.fed == self.results.len()
+    }
 }
 
 /// One live session's slot in the fairness queue.
@@ -386,9 +345,11 @@ struct SessionQueue {
     /// The session's cancellation token: once it fires, queued units are
     /// dropped (reaped) instead of executed.
     cancel: Arc<AtomicBool>,
-    /// `Some` for scheduler-driven sessions, `None` for externally driven
-    /// (blocking) ones.
-    driven: Option<DrivenSlot>,
+    /// The parked core; `None` while a worker holds it (actively stepping).
+    parked: Option<DrivenCore>,
+    /// The in-flight round, when chunks are outstanding.
+    round: Option<RoundAssembly>,
+    on_complete: Option<DrivenCompletion>,
 }
 
 /// The fairness-aware queue: weighted round-robin across live sessions.
@@ -403,15 +364,16 @@ struct QueueState {
 }
 
 impl QueueState {
-    /// The one registration path for both session kinds: allocate the next
-    /// monotone id and append the slot — which is what keeps `sessions`
-    /// sorted by id, the invariant [`QueueState::session_mut`]'s binary
-    /// search depends on.
+    /// The one registration path: allocate the next monotone id and append
+    /// the slot, its driver parked and a `Resume` queued to kick it off —
+    /// appending is what keeps `sessions` sorted by id, the invariant
+    /// [`QueueState::session_mut`]'s binary search depends on.
     fn insert_slot(
         &mut self,
         weight: usize,
         cancel: Arc<AtomicBool>,
-        driven: Option<DrivenSlot>,
+        core_state: DrivenCore,
+        on_complete: DrivenCompletion,
     ) -> u64 {
         let id = self.next_id;
         self.next_id += 1;
@@ -420,10 +382,13 @@ impl QueueState {
             id,
             weight,
             quantum: weight,
-            pending: VecDeque::new(),
+            pending: VecDeque::from([WorkUnit::Resume { session: id }]),
             cancel,
-            driven,
+            parked: Some(core_state),
+            round: None,
+            on_complete: Some(on_complete),
         });
+        self.depth += 1;
         id
     }
 
@@ -438,7 +403,7 @@ impl QueueState {
     }
 
     /// Remove a session's slot entirely (its queued units drop with it),
-    /// returning it so driven teardown can extract the completion callback.
+    /// returning it so teardown can extract the completion callback.
     fn remove_session(&mut self, id: u64) -> Option<SessionQueue> {
         let pos = self.sessions.binary_search_by_key(&id, |s| s.id).ok()?;
         let removed = self.sessions.remove(pos);
@@ -452,53 +417,40 @@ impl QueueState {
     /// Drop the queued units of the session at `idx` if it has been
     /// cancelled, returning how many were reaped.
     ///
-    /// For an **external** session every unit is dropped; its result senders
-    /// disconnect, which the blocked driver observes as the cancellation
-    /// taking effect. For a **driven** session the queued chunk units are
-    /// dropped and their results fabricated as cancelled into the parked
-    /// round assembly; if that completes the round, a `Resume` unit is
-    /// queued so a worker winds the driver down (the driver observes the
-    /// cancelled chunk flags — and the token itself — and finishes).
+    /// The queued chunk units are dropped and their results fabricated as
+    /// cancelled into the parked round assembly; if that completes the
+    /// round, a `Resume` unit is queued so a worker winds the driver down
+    /// (the driver observes the cancelled chunk flags — and the token
+    /// itself — and finishes).
     fn reap_slot(&mut self, idx: usize) -> usize {
         let slot = &mut self.sessions[idx];
         if slot.pending.is_empty() || !slot.cancel.load(Ordering::Acquire) {
             return 0;
         }
-        match &mut slot.driven {
-            None => {
-                let reaped = slot.pending.len();
-                slot.pending.clear();
-                self.depth -= reaped;
-                reaped
-            }
-            Some(driven) => {
-                let mut fabricated = 0usize;
-                let mut kept = VecDeque::new();
-                while let Some(unit) = slot.pending.pop_front() {
-                    match unit {
-                        WorkUnit::DrivenChunk { chunk_idx, .. } => {
-                            if let Some(round) = &mut driven.round {
-                                round.results[chunk_idx] =
-                                    Some(ChunkResult { cancelled: true, ..ChunkResult::default() });
-                                round.remaining -= 1;
-                            }
-                            fabricated += 1;
-                        }
-                        other => kept.push_back(other),
+        let mut fabricated = 0usize;
+        let mut kept = VecDeque::new();
+        while let Some(unit) = slot.pending.pop_front() {
+            match unit {
+                WorkUnit::Chunk { chunk_idx, .. } => {
+                    if let Some(round) = &mut slot.round {
+                        round.results[chunk_idx] =
+                            Some(ChunkResult { cancelled: true, ..ChunkResult::default() });
+                        round.remaining -= 1;
                     }
+                    fabricated += 1;
                 }
-                slot.pending = kept;
-                self.depth -= fabricated;
-                let round_complete =
-                    driven.round.as_ref().map(|r| r.remaining == 0).unwrap_or(false);
-                if fabricated > 0 && round_complete && driven.parked.is_some() {
-                    let session = slot.id;
-                    slot.pending.push_back(WorkUnit::Resume { session });
-                    self.depth += 1;
-                }
-                fabricated
+                other => kept.push_back(other),
             }
         }
+        slot.pending = kept;
+        self.depth -= fabricated;
+        let round_complete = slot.round.as_ref().map(|r| r.remaining == 0).unwrap_or(false);
+        if fabricated > 0 && round_complete && slot.parked.is_some() {
+            let session = slot.id;
+            slot.pending.push_back(WorkUnit::Resume { session });
+            self.depth += 1;
+        }
+        fabricated
     }
 
     /// Pop the next unit in weighted round-robin order: the cursor session
@@ -578,38 +530,6 @@ impl PoolCore {
             live_sessions: queue.sessions.len(),
             units_executed: self.units_executed.load(Ordering::Relaxed),
         }
-    }
-
-    fn register(&self, weight: usize, cancel: Arc<AtomicBool>) -> u64 {
-        let mut queue = self.queue.lock().expect("scheduler queue poisoned");
-        queue.insert_slot(weight, cancel, None)
-    }
-
-    fn deregister(&self, id: u64) {
-        let mut queue = self.queue.lock().expect("scheduler queue poisoned");
-        queue.remove_session(id);
-    }
-
-    fn submit(&self, id: u64, units: Vec<WorkUnit>) {
-        let mut queue = self.queue.lock().expect("scheduler queue poisoned");
-        // After shutdown no worker will ever pop again: drop the units here
-        // (disconnecting their result senders) so the submitting session gets
-        // a disconnect — and the documented panic — instead of a silent hang.
-        if self.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        let count = units.len();
-        let Some(slot) = queue.session_mut(id) else { return };
-        // A cancelled session's units are dropped instead of queued: the
-        // submitting driver observes the disconnected result senders and
-        // winds the session down.
-        if slot.cancel.load(Ordering::Acquire) {
-            return;
-        }
-        slot.pending.extend(units);
-        queue.depth += count;
-        drop(queue);
-        self.work_available.notify_all();
     }
 
     /// Drop the queued units of every cancelled session; returns how many
@@ -729,16 +649,11 @@ fn worker_loop(core: Arc<PoolCore>) {
 /// Run one popped unit on this worker.
 fn execute_unit(core: &Arc<PoolCore>, unit: WorkUnit) {
     match unit {
-        WorkUnit::External { chunk_idx, jobs, ctx, result_tx } => {
-            // Catch panics so a poisoned unit kills its session (which
-            // rethrows), not the shared worker serving every other session.
-            let outcome =
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| ctx.process(jobs)));
-            // A dropped receiver means the session abandoned the round; fine.
-            let _ = result_tx.send((chunk_idx, outcome));
-        }
-        WorkUnit::DrivenChunk { session, chunk_idx, jobs, ctx } => {
-            match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| ctx.process(jobs))) {
+        WorkUnit::Chunk { session, chunk_idx, jobs, ctx } => {
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                ctx.plan.process(&ctx.inputs(), jobs)
+            }));
+            match outcome {
                 Ok(result) => complete_chunk(core, session, chunk_idx, result),
                 // A chunk panic poisons only its own session: the slot is
                 // torn down and the completion callback observes `Poisoned`,
@@ -754,318 +669,104 @@ fn execute_unit(core: &Arc<PoolCore>, unit: WorkUnit) {
             let taken = {
                 let mut queue = core.queue.lock().expect("scheduler queue poisoned");
                 let Some(slot) = queue.session_mut(session) else { return };
-                let Some(driven) = &mut slot.driven else { return };
                 // A stale resume (the core is held by another worker, or the
                 // round is still in flight) is dropped harmlessly.
-                if driven.round.as_ref().is_some_and(|r| r.remaining > 0) {
+                if slot.round.as_ref().is_some_and(|r| r.remaining > 0) {
                     return;
                 }
-                driven.parked.take().map(|core_state| (core_state, driven.round.take()))
+                slot.parked.take().map(|core_state| (core_state, slot.round.take()))
             };
-            if let Some((mut core_state, round)) = taken {
-                if let Some(round) = round {
-                    if round.streaming {
-                        // A streaming round resumed here was completed by
-                        // cancellation reaping: feed the unfed suffix (the
-                        // fabricated cancelled chunks) so the driver observes
-                        // the cancellation and winds down.
-                        let fed = round.fed;
-                        let batch: Vec<ChunkResult> = round
-                            .results
-                            .into_iter()
-                            .skip(fed)
-                            .map(|r| r.expect("every chunk reported"))
-                            .collect();
-                        if !feed_driven_checked(core, session, &mut core_state, batch, true) {
-                            return;
-                        }
-                    } else {
-                        core_state.driver.provide(round.into_ordered_results());
-                    }
-                }
-                resume_driven(core, session, core_state);
+            if let Some((core_state, round)) = taken {
+                // A round resumed here was completed by cancellation
+                // reaping: feed what is unfed (the fabricated cancelled
+                // chunks among it) so the driver observes the cancellation
+                // and winds down.
+                let fed = round.map(|mut round| (round.take_ready(), true));
+                resume_driven(core, session, core_state, fed);
             }
         }
     }
 }
 
-/// What [`complete_chunk`] found ready to run once the queue lock dropped.
-#[allow(clippy::large_enum_variant)]
-enum ChunkReady {
-    /// Barrier round completed: provide the full ordered set and resume.
-    Barrier(DrivenCore, RoundAssembly),
-    /// Streaming round grew its contiguous fed prefix: feed the new chunks
-    /// (`last` when the prefix now covers the whole round).
-    Stream { core_state: DrivenCore, batch: Vec<ChunkResult>, last: bool },
-}
-
-/// Route a driven chunk's result into its session's round assembly; when the
-/// round completes (barrier) or its contiguous prefix grows (streaming), this
-/// worker feeds/resumes the session's driver inline.
+/// Route a chunk's result into its session's round assembly; when that
+/// releases chunks to the driver (the whole round under the barrier policy,
+/// a grown contiguous prefix under any-k), this worker feeds them inline.
 fn complete_chunk(core: &Arc<PoolCore>, session: u64, chunk_idx: usize, result: ChunkResult) {
-    let ready = {
+    let (core_state, batch, last) = {
         let mut queue = core.queue.lock().expect("scheduler queue poisoned");
         let (depth, live) = (queue.depth, queue.sessions.len());
         let busy = core.busy.load(Ordering::Relaxed);
         let Some(slot) = queue.session_mut(session) else { return };
-        let Some(driven) = &mut slot.driven else { return };
-        let Some(round) = &mut driven.round else { return };
+        let Some(round) = &mut slot.round else { return };
         round.results[chunk_idx] = Some(result);
         round.remaining -= 1;
-        if let Some(parked) = &mut driven.parked {
-            // Mid-round contention sample (mirrors the blocking path's
-            // per-chunk observation).
-            observe_into(&mut parked.run_stats, depth, live, busy);
+        // Another worker holds the core mid-feed (`parked` empty): its
+        // repark loop re-checks under this lock and picks the chunk up.
+        let Some(parked) = &mut slot.parked else { return };
+        // Mid-round contention sample.
+        observe_into(parked.driver.pool_stats(), depth, live, busy);
+        let batch = round.take_ready();
+        if batch.is_empty() {
+            return;
         }
-        if round.streaming {
-            // Streaming (any-k): feed the new contiguous prefix — unless
-            // another worker holds the core mid-feed (`parked` empty), in
-            // which case its repark loop re-checks under this lock and picks
-            // the chunk up.
-            if driven.parked.is_none() {
-                None
-            } else {
-                let batch = round.take_contiguous();
-                if batch.is_empty() {
-                    None
-                } else {
-                    let last = round.fed == round.results.len();
-                    let core_state = driven.parked.take().expect("checked parked above");
-                    if last {
-                        driven.round = None;
-                    }
-                    Some(ChunkReady::Stream { core_state, batch, last })
-                }
-            }
-        } else if round.remaining == 0 {
-            let core_state = driven.parked.take().expect("round in flight with no parked driver");
-            let round = driven.round.take().expect("round checked above");
-            Some(ChunkReady::Barrier(core_state, round))
-        } else {
-            None
+        let last = round.all_fed();
+        if last {
+            slot.round = None;
         }
+        (slot.parked.take().expect("checked parked above"), batch, last)
     };
-    match ready {
-        Some(ChunkReady::Barrier(mut core_state, round)) => {
-            core_state.driver.provide(round.into_ordered_results());
-            resume_driven(core, session, core_state);
-        }
-        Some(ChunkReady::Stream { mut core_state, batch, last }) => {
-            if !feed_driven_checked(core, session, &mut core_state, batch, last) {
-                return;
-            }
-            if last {
-                resume_driven(core, session, core_state);
-            } else {
-                repark_after_feed(core, session, core_state);
-            }
-        }
-        None => {}
-    }
+    resume_driven(core, session, core_state, Some((batch, last)));
 }
 
-/// Feed a batch of streamed chunk results into a driven session's driver,
-/// delivering any candidates the dominance gate releases through the
-/// session's collector and sink (exactly the emission path `resume_driven`
-/// uses for barrier rounds).
-fn feed_driven(s: &mut DrivenCore, batch: Vec<ChunkResult>, last: bool) {
-    let DrivenCore { driver, collector, on_candidate, ctx, nlq, model, .. } = s;
-    let env = StepEnv {
-        db: &ctx.db,
-        nlq,
-        model: model.as_ref(),
-        config: &ctx.config,
-        cancel: &ctx.cancel,
-        clock: ctx.clock.as_ref(),
+/// Re-park a core after a mid-round feed — or keep feeding: chunks that
+/// completed while this worker held the core were stored without being fed
+/// (their workers saw `parked` empty), so re-check under the lock and park
+/// only when nothing new is waiting.
+fn repark_after_feed(core: &Arc<PoolCore>, session: u64, s: DrivenCore) {
+    let (batch, last) = {
+        let mut queue = core.queue.lock().expect("scheduler queue poisoned");
+        let Some(slot) = queue.session_mut(session) else {
+            // The slot is gone only on teardown races; drop the session.
+            return;
+        };
+        let batch = slot.round.as_mut().map(RoundAssembly::take_ready).unwrap_or_default();
+        if batch.is_empty() {
+            slot.parked = Some(s);
+            return;
+        }
+        let last = slot.round.as_ref().is_some_and(RoundAssembly::all_fed);
+        if last {
+            slot.round = None;
+        }
+        (batch, last)
     };
-    driver.feed(batch, last, &env, &mut |spec, confidence, emitted_at| {
-        collector.offer(spec, confidence, emitted_at, on_candidate.as_mut())
-    });
+    resume_driven(core, session, s, Some((batch, last)));
 }
 
-/// [`feed_driven`] under the same panic isolation as a resume: a panicking
-/// consumer sink poisons only this session, never the pool worker. Returns
-/// whether the session survived the feed.
-fn feed_driven_checked(
+/// Give a session's driver this worker (see [`DrivenCore::resume`]), then do
+/// what it asks for: re-park it mid-round, park its next round, requeue it
+/// after a yield, or complete it.
+fn resume_driven(
     core: &Arc<PoolCore>,
     session: u64,
-    s: &mut DrivenCore,
-    batch: Vec<ChunkResult>,
-    last: bool,
-) -> bool {
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| feed_driven(s, batch, last))) {
-        Ok(()) => true,
-        Err(payload) => {
-            complete_driven(
-                core,
-                session,
-                DrivenOutcome::Poisoned(panic_message(payload.as_ref())),
-            );
-            false
-        }
-    }
-}
-
-/// Re-park a streaming driven core after a mid-round feed — or keep feeding:
-/// chunks that completed while this worker held the core were stored without
-/// being fed (their workers saw `parked` empty), so re-check under the lock
-/// until nothing new is waiting, then park.
-fn repark_after_feed(core: &Arc<PoolCore>, session: u64, mut s: DrivenCore) {
-    loop {
-        let (batch, last) = {
-            let mut queue = core.queue.lock().expect("scheduler queue poisoned");
-            let Some(slot) = queue.session_mut(session) else {
-                // The slot is gone only on teardown races; drop the session.
-                return;
-            };
-            let Some(driven) = &mut slot.driven else { return };
-            let Some(round) = &mut driven.round else {
-                driven.parked = Some(s);
-                return;
-            };
-            let batch = round.take_contiguous();
-            if batch.is_empty() {
-                driven.parked = Some(s);
-                return;
-            }
-            let last = round.fed == round.results.len();
-            if last {
-                driven.round = None;
-            }
-            (batch, last)
-        };
-        if !feed_driven_checked(core, session, &mut s, batch, last) {
-            return;
-        }
-        if last {
-            resume_driven(core, session, s);
-            return;
-        }
-    }
-}
-
-/// What a resume run left behind.
-// Transient return value, consumed immediately by `resume_driven`'s caller —
-// boxing the result would add an allocation per completed session for no
-// retained-memory win.
-#[allow(clippy::large_enum_variant)]
-enum ResumeExit {
-    /// The driver submitted a round too big to run inline: park it.
-    Park(Box<DrivenCore>, Vec<ChildJob>),
-    /// The resume ran [`INLINE_ROUND_YIELD`] consecutive small rounds:
-    /// requeue a `Resume` and give the fairness queue (and the tick) a turn.
-    Yield(Box<DrivenCore>),
-    /// The run finished; the final ranked result is ready.
-    Done(SynthesisResult),
-}
-
-/// Consecutive sub-[`MIN_PARALLEL_JOBS`] rounds a resume may run before it
-/// must yield the worker back to the fairness queue. Without this bound, a
-/// driven session whose every round is tiny would run to completion inside
-/// one `Resume` unit — monopolizing a pool worker past the weighted
-/// round-robin, delaying the tick hook, and (on a 1-worker pool) starving
-/// every other session for its whole runtime. Yielding is pure scheduling:
-/// it never changes what the session emits.
-const INLINE_ROUND_YIELD: u32 = 32;
-
-/// The shared end-of-run epilogue of every scheduled run (driven or
-/// blocking): fold the session's cache/scan counters and its pool
-/// observations into the engine stats. One copy, so driven-session stats
-/// can never silently diverge from blocking-session stats.
-fn fill_run_counters(
-    stats: &mut EnumerationStats,
-    ctx: &SessionContext,
-    run_stats: SchedulerRunStats,
+    mut s: DrivenCore,
+    fed: Option<(Vec<ChunkResult>, bool)>,
 ) {
-    stats.record_probe_counters(&ctx.counters, &ctx.db);
-    stats.scheduler = Some(run_stats);
-}
-
-/// Final stats assembly of a driven run (mirrors the blocking paths'
-/// epilogue). `force_cancelled` marks runs wound down by a scheduler
-/// shutdown that never reached a cooperative check.
-fn finalize_driven(s: DrivenCore, force_cancelled: bool) -> SynthesisResult {
-    let DrivenCore { driver, collector, ctx, run_stats, start, .. } = s;
-    let mut stats = driver.into_stats();
-    if force_cancelled {
-        stats.cancelled = true;
-    }
-    stats.elapsed = ctx.clock.now().saturating_duration_since(start);
-    fill_run_counters(&mut stats, &ctx, run_stats);
-    collector.finish(stats)
-}
-
-/// Step a driven session's driver until it parks a round, yields the worker
-/// (after [`INLINE_ROUND_YIELD`] consecutive small rounds), or finishes.
-/// Candidates are delivered to the session's sink from here — i.e. on a pool
-/// worker — and small fan-outs run inline without touching the queue.
-fn resume_driven(core: &Arc<PoolCore>, session: u64, s: DrivenCore) {
     let exit = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-        let mut s = s;
-        // One `resume` span per worker occupancy: how long this worker held
-        // the session's driver (stepping, emitting, running small rounds
-        // inline) before parking, yielding or finishing.
-        let resume_trace = s
-            .driver
-            .trace()
-            .cloned()
-            .map(|trace| (trace, s.ctx.clock.now(), Arc::clone(&s.ctx.clock)));
-        let record_exit = |exit: ResumeExit| {
-            if let Some((trace, started, clock)) = &resume_trace {
-                trace.record_span("resume", *started, clock.now());
-            }
-            exit
-        };
-        let mut inline_streak = 0u32;
-        loop {
-            let action = {
-                let DrivenCore { driver, collector, on_candidate, ctx, nlq, model, .. } = &mut s;
-                let env = StepEnv {
-                    db: &ctx.db,
-                    nlq,
-                    model: model.as_ref(),
-                    config: &ctx.config,
-                    cancel: &ctx.cancel,
-                    clock: ctx.clock.as_ref(),
-                };
-                match driver.step(&env) {
-                    StepOutcome::Emit { spec, confidence, emitted_at } => {
-                        if !collector.offer(spec, confidence, emitted_at, on_candidate.as_mut()) {
-                            driver.halt();
-                        }
-                        None
-                    }
-                    StepOutcome::SubmitChunks(jobs) => Some(jobs),
-                    StepOutcome::Done => {
-                        return record_exit(ResumeExit::Done(finalize_driven(s, false)))
-                    }
-                }
-            };
-            if let Some(jobs) = action {
-                if jobs.len() < MIN_PARALLEL_JOBS {
-                    s.run_stats.units_inline += 1;
-                    let result = s.ctx.process(jobs);
-                    s.driver.provide(vec![result]);
-                    inline_streak += 1;
-                    if inline_streak >= INLINE_ROUND_YIELD {
-                        return record_exit(ResumeExit::Yield(Box::new(s)));
-                    }
-                    continue;
-                }
-                return record_exit(ResumeExit::Park(Box::new(s), jobs));
-            }
-        }
+        let exit = s.resume(fed);
+        (s, exit)
     }));
     match exit {
-        Ok(ResumeExit::Park(core_state, jobs)) => park_round(core, session, *core_state, jobs),
-        Ok(ResumeExit::Yield(core_state)) => yield_resume(core, session, *core_state),
-        Ok(ResumeExit::Done(result)) => {
-            complete_driven(core, session, DrivenOutcome::Finished(result))
+        Ok((s, None)) => repark_after_feed(core, session, s),
+        Ok((s, Some(Advance::Park(jobs)))) => park_round(core, session, s, jobs),
+        Ok((s, Some(Advance::Yield))) => yield_resume(core, session, s),
+        Ok((s, Some(Advance::Done))) => {
+            complete_driven(core, session, DrivenOutcome::Finished(s.finish(false)))
         }
-        // A panic inside `step` (a guidance model or consumer-sink bug)
-        // poisons only this session; the worker survives. The payload's
-        // message travels with the outcome so the serving layer can put it
-        // in the request's terminal event.
+        // A panic in there (a guidance model or consumer-sink bug) poisons
+        // only this session; the worker survives. The payload's message
+        // travels with the outcome so the serving layer can put it in the
+        // request's terminal event.
         Err(payload) => {
             complete_driven(core, session, DrivenOutcome::Poisoned(panic_message(payload.as_ref())))
         }
@@ -1075,9 +776,7 @@ fn resume_driven(core: &Arc<PoolCore>, session: u64, s: DrivenCore) {
 /// Split one round's jobs into the pool's contiguous scheduling chunks:
 /// ~2 per worker so the fairness queue can interleave sessions mid-round.
 /// Chunk size only affects scheduling granularity, never results (chunk
-/// results are reassembled in job order on merge). Shared by the driven
-/// ([`park_round`]) and blocking ([`dispatch_round`]) paths so their
-/// scheduling behaviour cannot silently diverge.
+/// results are reassembled in job order on merge).
 fn chunk_jobs(jobs: Vec<ChildJob>, workers: usize) -> Vec<Vec<ChildJob>> {
     let chunk_size = jobs.len().div_ceil(workers * 2).max(MIN_PARALLEL_JOBS / 2);
     let mut chunks: Vec<Vec<ChildJob>> = Vec::new();
@@ -1090,72 +789,70 @@ fn chunk_jobs(jobs: Vec<ChildJob>, workers: usize) -> Vec<Vec<ChildJob>> {
     chunks
 }
 
-/// Park a driven session's round: chunk the jobs into the fairness queue and
-/// store the driver back in its slot until the last chunk returns.
+/// Park a session's round: chunk the jobs into the fairness queue and store
+/// the driver back in its slot until the emission policy releases results.
 fn park_round(core: &Arc<PoolCore>, session: u64, mut s: DrivenCore, jobs: Vec<ChildJob>) {
     let chunks = chunk_jobs(jobs, core.workers);
     let sent = chunks.len();
-    s.run_stats.units_submitted += sent as u64;
-    if let Some(trace) = s.driver.trace() {
-        trace.event("dispatch", s.ctx.clock.now(), Some(format!("chunks={sent}")));
+    let env = s.ctx.inputs();
+    if let Some(trace) = env.trace {
+        trace.event("dispatch", env.clock.now(), Some(format!("chunks={sent}")));
     }
+    let streaming = env.config.emission == EmissionPolicy::AnyK;
 
     let mut queue = core.queue.lock().expect("scheduler queue poisoned");
     let (depth, live) = (queue.depth + sent, queue.sessions.len());
-    observe_into(&mut s.run_stats, depth, live, core.busy.load(Ordering::Relaxed));
+    let run_stats = s.driver.pool_stats();
+    run_stats.units_submitted += sent as u64;
+    observe_into(run_stats, depth, live, core.busy.load(Ordering::Relaxed));
     let Some(slot) = queue.session_mut(session) else {
         // The slot is gone only on teardown races; drop the round.
         return;
     };
-    let ctx = Arc::clone(&s.ctx);
-    slot.driven.as_mut().expect("driven slot").round = Some(RoundAssembly {
+    slot.round = Some(RoundAssembly {
         results: (0..sent).map(|_| None).collect(),
         remaining: sent,
         fed: 0,
-        streaming: ctx.config.emission == EmissionPolicy::AnyK,
+        streaming,
     });
-    for (chunk_idx, chunk_jobs) in chunks.into_iter().enumerate() {
-        slot.pending.push_back(WorkUnit::DrivenChunk {
+    for (chunk_idx, jobs) in chunks.into_iter().enumerate() {
+        slot.pending.push_back(WorkUnit::Chunk {
             session,
             chunk_idx,
-            jobs: chunk_jobs,
-            ctx: Arc::clone(&ctx),
+            jobs,
+            ctx: Arc::clone(&s.ctx),
         });
     }
-    slot.driven.as_mut().expect("driven slot").parked = Some(s);
+    slot.parked = Some(s);
     queue.depth += sent;
     drop(queue);
     core.work_available.notify_all();
 }
 
-/// Re-park a driven session between rounds (no chunks outstanding) and
-/// requeue its `Resume`, so the fairness queue decides — in weighted
-/// round-robin order, alongside every other session's units — when its next
-/// burst of small rounds runs. See [`INLINE_ROUND_YIELD`].
+/// Re-park a session between rounds (no chunks outstanding) and requeue its
+/// `Resume`, so the fairness queue decides — in weighted round-robin order,
+/// alongside every other session's units — when its next burst of small
+/// rounds runs.
 fn yield_resume(core: &Arc<PoolCore>, session: u64, s: DrivenCore) {
     let mut queue = core.queue.lock().expect("scheduler queue poisoned");
     let Some(slot) = queue.session_mut(session) else {
         // The slot is gone only on teardown races; drop the session.
         return;
     };
-    let driven = slot.driven.as_mut().expect("driven slot");
-    driven.parked = Some(s);
+    slot.parked = Some(s);
     slot.pending.push_back(WorkUnit::Resume { session });
     queue.depth += 1;
     drop(queue);
     core.work_available.notify_all();
 }
 
-/// Tear a driven session down and deliver its completion:
+/// Tear a session down and deliver its completion:
 /// [`DrivenOutcome::Finished`] for a completed (or cancelled) run,
 /// [`DrivenOutcome::Poisoned`] for a panicked one.
 fn complete_driven(core: &Arc<PoolCore>, session: u64, outcome: DrivenOutcome) {
     let on_complete = {
         let mut queue = core.queue.lock().expect("scheduler queue poisoned");
-        queue
-            .remove_session(session)
-            .and_then(|slot| slot.driven)
-            .and_then(|driven| driven.on_complete)
+        queue.remove_session(session).and_then(|slot| slot.on_complete)
     };
     if let Some(cb) = on_complete {
         // The completion callback is arbitrary consumer code running on a
@@ -1170,80 +867,42 @@ fn complete_driven(core: &Arc<PoolCore>, session: u64, outcome: DrivenOutcome) {
 /// complete, deliver candidates through `on_candidate` (return `false` to
 /// stop early) and hand the session's [`DrivenOutcome`] to `on_complete`
 /// ([`DrivenOutcome::Poisoned`] if the session panicked). Called via
-/// [`SynthesisSession::spawn_driven`](crate::session::SynthesisSession::spawn_driven).
-#[allow(clippy::too_many_arguments)]
+/// [`SynthesisSession::spawn_driven`].
 pub(crate) fn spawn_driven_session(
     handle: &SchedulerHandle,
-    db: Arc<Database>,
-    nlq: Nlq,
-    tsq: Option<TableSketchQuery>,
-    model: Arc<dyn GuidanceModel>,
-    config: DuoquestConfig,
-    control: SessionControl,
-    priority_weight: usize,
-    trace: Option<Arc<Trace>>,
+    session: SynthesisSession,
     on_candidate: DrivenSink,
     on_complete: DrivenCompletion,
 ) {
-    let clock = Arc::clone(&handle.core.clock);
-    let start = clock.now();
-    let deadline =
-        min_deadline(config.time_budget.map(|budget| start + budget), control.deadline());
-    let weight = config.beam_width.max(1).saturating_mul(priority_weight.max(1));
-    let ctx = Arc::new(SessionContext::new(
-        db,
-        tsq,
-        nlq.literals.clone(),
-        config,
-        deadline,
-        control.flag(),
-        clock,
-        trace.is_some(),
-    ));
-    let core_state = DrivenCore {
-        driver: RoundDriver::new(start, deadline).with_trace(trace),
-        collector: CandidateCollector::new(),
-        on_candidate,
-        ctx,
-        nlq,
-        model,
-        run_stats: SchedulerRunStats {
-            pool_workers: handle.core.workers,
-            ..SchedulerRunStats::default()
-        },
-        start,
-    };
     let core = &handle.core;
+    // Fairness weight = beam width × priority multiplier: a session's share
+    // of each round-robin rotation scales with both how much work a round
+    // exposes and how urgent its requester is.
+    let weight = session.config().beam_width.max(1).saturating_mul(session.priority_weight());
+    let cancel = session.control().flag();
+    let core_state = DrivenCore::new(session, on_candidate, core.workers);
     let mut queue = core.queue.lock().expect("scheduler queue poisoned");
     if core.shutdown.load(Ordering::Acquire) {
         drop(queue);
         // The pool will never run this session: resolve it as cancelled
         // instead of stranding the completion callback.
-        on_complete(DrivenOutcome::Finished(finalize_driven(core_state, true)));
+        on_complete(DrivenOutcome::Finished(core_state.finish(true)));
         return;
     }
-    let id = queue.insert_slot(
-        weight,
-        control.flag(),
-        Some(DrivenSlot { parked: Some(core_state), round: None, on_complete: Some(on_complete) }),
-    );
-    let slot = queue.session_mut(id).expect("slot just inserted");
-    slot.pending.push_back(WorkUnit::Resume { session: id });
-    queue.depth += 1;
+    queue.insert_slot(weight, cancel, core_state, on_complete);
     drop(queue);
     core.work_available.notify_all();
 }
 
 /// A shared, long-lived worker pool serving any number of concurrent
-/// [`SynthesisSession`](crate::session::SynthesisSession)s (see the
-/// [module docs](self) for the design).
+/// [`SynthesisSession`]s (see the [module docs](self) for the design).
 ///
-/// Dropping the scheduler shuts the pool down and joins its workers.
-/// Scheduler-**driven** sessions still parked at that point are wound down
-/// as cancelled (their completion callbacks fire with the candidates found
-/// so far); a **blocking** session still running on the pool will panic on
-/// its next round, so keep the scheduler alive for as long as any blocking
-/// caller holds a [`SchedulerHandle`] to it.
+/// Dropping the scheduler shuts the pool down and joins its workers. Sessions
+/// still parked at that point are wound down as cancelled: their completion
+/// callbacks fire with the candidates found so far, so a caller blocked in
+/// [`SynthesisSession::run`] on this pool returns that result with
+/// `stats.cancelled` set, and a session spawned on a pool that is already
+/// gone resolves the same way at once.
 pub struct SessionScheduler {
     core: Arc<PoolCore>,
     workers: Vec<JoinHandle<()>>,
@@ -1329,42 +988,29 @@ impl Drop for SessionScheduler {
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
-        // With every worker joined, finalize what's left behind:
-        //
-        // * **Driven** sessions still parked are wound down as cancelled —
-        //   their completion callbacks fire with the candidates found so far
-        //   (the moral equivalent of joining per-session driver threads,
-        //   without the threads).
-        // * **External** sessions' queued units drop with their slots:
-        //   dropping a unit drops its result sender, so a blocked driver
-        //   observes a disconnect (and panics, per the struct docs) instead
-        //   of hanging forever. Units submitted after this point are dropped
-        //   by `submit` itself, which checks `shutdown` under the same lock.
+        // With every worker joined, wind down the sessions still parked as
+        // cancelled — their completion callbacks fire with the candidates
+        // found so far (the moral equivalent of joining per-session driver
+        // threads, without the threads). Sessions spawned after this point
+        // are resolved by `spawn_driven_session` itself, which checks
+        // `shutdown` under the same lock.
         let sessions = {
             let mut queue = self.core.queue.lock().expect("scheduler queue poisoned");
             queue.depth = 0;
             std::mem::take(&mut queue.sessions)
         };
-        for slot in sessions {
-            let Some(mut driven) = slot.driven else { continue };
-            match (driven.parked.take(), driven.on_complete.take()) {
-                // A panicking completion callback must not abort the sweep
-                // and strand the remaining sessions' consumers.
-                (Some(core_state), Some(cb)) => {
-                    let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        cb(DrivenOutcome::Finished(finalize_driven(core_state, true)))
-                    }));
-                }
-                (None, Some(cb)) => {
-                    // A session mid-resume during the sweep (its core is out
-                    // on a worker) has no result to deliver: resolve it as
-                    // poisoned without a message.
-                    let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        cb(DrivenOutcome::Poisoned(None))
-                    }));
-                }
-                _ => {}
-            }
+        for mut slot in sessions {
+            let Some(cb) = slot.on_complete.take() else { continue };
+            let outcome = match slot.parked.take() {
+                Some(core_state) => DrivenOutcome::Finished(core_state.finish(true)),
+                // A session mid-resume during the sweep (its core is out on
+                // a worker) has no result to deliver: resolve it as poisoned
+                // without a message.
+                None => DrivenOutcome::Poisoned(None),
+            };
+            // A panicking completion callback must not abort the sweep and
+            // strand the remaining sessions' consumers.
+            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| cb(outcome)));
         }
     }
 }
@@ -1386,7 +1032,7 @@ impl std::fmt::Debug for SessionScheduler {
 
 /// A cloneable handle to a [`SessionScheduler`]'s pool. Attach one to a
 /// session with
-/// [`SynthesisSession::with_scheduler`](crate::session::SynthesisSession::with_scheduler).
+/// [`SynthesisSession::with_scheduler`].
 #[derive(Clone)]
 pub struct SchedulerHandle {
     core: Arc<PoolCore>,
@@ -1448,275 +1094,17 @@ impl std::fmt::Debug for SchedulerHandle {
     }
 }
 
-/// Run one session's synthesis over the shared pool **from the calling
-/// thread**: the round loop's state machine is driven here, phase-2 chunks
-/// go through the scheduler's fairness queue, and chunk results are
-/// reassembled in original child order before the merge — so emission is
-/// byte-identical to a private-pool run. (Scheduler-driven sessions use
-/// [`spawn_driven_session`] instead and occupy no thread at all.)
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_rounds_scheduled(
-    handle: &SchedulerHandle,
-    db: &Arc<Database>,
-    nlq: &Nlq,
-    model: &dyn GuidanceModel,
-    tsq: Option<&TableSketchQuery>,
-    config: &DuoquestConfig,
-    control: &SessionControl,
-    priority_weight: usize,
-    trace: Option<Arc<Trace>>,
-    on_candidate: &mut dyn FnMut(SelectSpec, f64, Duration) -> bool,
-) -> EnumerationStats {
-    let clock = Arc::clone(&handle.core.clock);
-    let start = clock.now();
-    let mut stats = EnumerationStats::default();
-    let deadline =
-        min_deadline(config.time_budget.map(|budget| start + budget), control.deadline());
-    let ctx = Arc::new(SessionContext::new(
-        Arc::clone(db),
-        tsq.cloned(),
-        nlq.literals.clone(),
-        config.clone(),
-        deadline,
-        control.flag(),
-        Arc::clone(&clock),
-        trace.is_some(),
-    ));
-
-    let core = &handle.core;
-    // The guard deregisters on drop, so a panicking session (e.g. a rethrown
-    // worker panic) cannot leak its queue slot and distort fairness forever.
-    // Fairness weight = beam width × priority multiplier: a session's share
-    // of each round-robin rotation scales with both how much work a round
-    // exposes and how urgent its requester is.
-    let weight = config.beam_width.max(1).saturating_mul(priority_weight.max(1));
-    let registration = SessionRegistration { core, id: core.register(weight, control.flag()) };
-    let session_id = registration.id;
-    let mut run_stats =
-        SchedulerRunStats { pool_workers: core.workers, ..SchedulerRunStats::default() };
-
-    let mut dispatcher =
-        ScheduledDispatcher { core, session_id, ctx: &ctx, run_stats: &mut run_stats };
-    drive_rounds(
-        db,
-        nlq,
-        model,
-        config,
-        deadline,
-        control.flag_ref(),
-        start,
-        clock.as_ref(),
-        trace,
-        &mut stats,
-        on_candidate,
-        &mut dispatcher,
-    );
-
-    drop(registration);
-
-    stats.elapsed = clock.now().saturating_duration_since(start);
-    fill_run_counters(&mut stats, &ctx, run_stats);
-    stats
-}
-
-/// Deregisters a session's queue slot on drop (panic-safe).
-struct SessionRegistration<'a> {
-    core: &'a Arc<PoolCore>,
-    id: u64,
-}
-
-impl Drop for SessionRegistration<'_> {
-    fn drop(&mut self) {
-        self.core.deregister(self.id);
-    }
-}
-
-/// [`RoundDispatcher`] over the shared pool for a **blocking** scheduled
-/// session: barrier rounds go through [`dispatch_round`], streaming (any-k)
-/// rounds through [`dispatch_round_streaming`].
-struct ScheduledDispatcher<'a> {
-    core: &'a Arc<PoolCore>,
-    session_id: u64,
-    ctx: &'a Arc<SessionContext>,
-    run_stats: &'a mut SchedulerRunStats,
-}
-
-impl RoundDispatcher for ScheduledDispatcher<'_> {
-    fn run(&mut self, jobs: Vec<ChildJob>) -> Vec<ChunkResult> {
-        dispatch_round(self.core, self.session_id, self.ctx, jobs, self.run_stats)
-    }
-
-    fn run_streaming(&mut self, jobs: Vec<ChildJob>, feed: &mut dyn FnMut(Vec<ChunkResult>, bool)) {
-        dispatch_round_streaming(self.core, self.session_id, self.ctx, jobs, self.run_stats, feed)
-    }
-}
-
-/// Submit one round's jobs as chunked work units and wait for every chunk,
-/// returning results in original job order. Small fan-outs run inline on the
-/// driving thread — the queue handoff costs more than it saves. Everything
-/// else goes through the queue even on a 1-worker pool: the pool *is* the
-/// process's compute budget, so heavy work must serialize through it rather
-/// than spill onto N session driver threads.
-fn dispatch_round(
-    core: &Arc<PoolCore>,
-    session_id: u64,
-    ctx: &Arc<SessionContext>,
-    jobs: Vec<ChildJob>,
-    run_stats: &mut SchedulerRunStats,
-) -> Vec<ChunkResult> {
-    if jobs.len() < MIN_PARALLEL_JOBS {
-        run_stats.units_inline += 1;
-        return vec![ctx.process(jobs)];
-    }
-
-    let (result_tx, result_rx) = mpsc::channel();
-    let units: Vec<WorkUnit> = chunk_jobs(jobs, core.workers)
-        .into_iter()
-        .enumerate()
-        .map(|(chunk_idx, chunk)| WorkUnit::External {
-            chunk_idx,
-            jobs: chunk,
-            ctx: Arc::clone(ctx),
-            result_tx: result_tx.clone(),
-        })
-        .collect();
-    drop(result_tx);
-    let sent = units.len();
-    run_stats.units_submitted += sent as u64;
-    core.submit(session_id, units);
-
-    // Observe pool-wide contention while our units are in flight: once right
-    // after the submit (queue at its deepest) and once after each chunk
-    // completes (workers mid-execution on the remaining chunks) — a single
-    // post-submit sample would systematically read the workers as idle.
-    let observe = |run_stats: &mut SchedulerRunStats| {
-        let snapshot = core.stats();
-        observe_into(
-            run_stats,
-            snapshot.queue_depth,
-            snapshot.live_sessions,
-            snapshot.busy_workers,
-        );
-    };
-    observe(run_stats);
-
-    let mut results: Vec<Option<ChunkResult>> = (0..sent).map(|_| None).collect();
-    for received in 0..sent {
-        let Ok((idx, outcome)) = result_rx.recv() else {
-            // Every remaining sender is gone before reporting. Either the
-            // session was cancelled and its queued units were reaped (their
-            // senders dropped with them) — wind the round down — or the pool
-            // was shut down under a live session, which is a caller bug.
-            assert!(
-                ctx.cancel.load(Ordering::Acquire),
-                "scheduler shut down while a session was running on it"
-            );
-            return vec![ChunkResult { cancelled: true, ..ChunkResult::default() }];
-        };
-        if received + 1 < sent {
-            observe(run_stats);
-        }
-        match outcome {
-            Ok(result) => results[idx] = Some(result),
-            Err(panic) => std::panic::resume_unwind(panic),
-        }
-    }
-    results.into_iter().map(|r| r.expect("every chunk reported")).collect()
-}
-
-/// Streaming variant of [`dispatch_round`] for any-k emission: chunk results
-/// are fed onward as contiguous job-order prefixes the moment they complete,
-/// instead of waiting for the whole round. The delivered chunk sequence is
-/// exactly [`dispatch_round`]'s, just incremental — emission identity is the
-/// driver's dominance gate's job, not this function's.
-fn dispatch_round_streaming(
-    core: &Arc<PoolCore>,
-    session_id: u64,
-    ctx: &Arc<SessionContext>,
-    jobs: Vec<ChildJob>,
-    run_stats: &mut SchedulerRunStats,
-    feed: &mut dyn FnMut(Vec<ChunkResult>, bool),
-) {
-    if jobs.len() < MIN_PARALLEL_JOBS {
-        run_stats.units_inline += 1;
-        feed(vec![ctx.process(jobs)], true);
-        return;
-    }
-
-    let (result_tx, result_rx) = mpsc::channel();
-    let units: Vec<WorkUnit> = chunk_jobs(jobs, core.workers)
-        .into_iter()
-        .enumerate()
-        .map(|(chunk_idx, chunk)| WorkUnit::External {
-            chunk_idx,
-            jobs: chunk,
-            ctx: Arc::clone(ctx),
-            result_tx: result_tx.clone(),
-        })
-        .collect();
-    drop(result_tx);
-    let sent = units.len();
-    run_stats.units_submitted += sent as u64;
-    core.submit(session_id, units);
-
-    // Same contention sampling as the barrier path (see `dispatch_round`).
-    let observe = |run_stats: &mut SchedulerRunStats| {
-        let snapshot = core.stats();
-        observe_into(
-            run_stats,
-            snapshot.queue_depth,
-            snapshot.live_sessions,
-            snapshot.busy_workers,
-        );
-    };
-    observe(run_stats);
-
-    let mut results: Vec<Option<ChunkResult>> = (0..sent).map(|_| None).collect();
-    let mut fed = 0usize;
-    for received in 0..sent {
-        let Ok((idx, outcome)) = result_rx.recv() else {
-            assert!(
-                ctx.cancel.load(Ordering::Acquire),
-                "scheduler shut down while a session was running on it"
-            );
-            // Cancellation reaped the remaining chunks: a fabricated
-            // cancelled chunk closes the round so the driver winds down
-            // (mirrors the barrier path's single cancelled result).
-            feed(vec![ChunkResult { cancelled: true, ..ChunkResult::default() }], true);
-            return;
-        };
-        if received + 1 < sent {
-            observe(run_stats);
-        }
-        match outcome {
-            Ok(result) => results[idx] = Some(result),
-            Err(panic) => std::panic::resume_unwind(panic),
-        }
-        let mut batch = Vec::new();
-        while fed < sent {
-            match results[fed].take() {
-                Some(chunk) => {
-                    batch.push(chunk);
-                    fed += 1;
-                }
-                None => break,
-            }
-        }
-        if !batch.is_empty() {
-            feed(batch, fed == sent);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::session::SynthesisSession;
+    use crate::config::DuoquestConfig;
+    use crate::session::SessionControl;
     use crate::tsq::{TableSketchQuery, TsqCell};
     use crate::verify::test_fixtures::movie_db;
-    use duoquest_db::{CmpOp, DataType};
-    use duoquest_nlq::{Literal, NoisyOracleGuidance, OracleConfig};
+    use duoquest_db::{CmpOp, DataType, Database};
+    use duoquest_nlq::{GuidanceModel, Literal, Nlq, NoisyOracleGuidance, OracleConfig};
     use duoquest_sql::QueryBuilder;
+    use std::sync::mpsc;
 
     fn fixture() -> (Arc<Database>, Nlq, Arc<dyn GuidanceModel>, duoquest_db::SelectSpec) {
         let db = movie_db().into_shared();
@@ -1733,54 +1121,37 @@ mod tests {
 
     #[test]
     fn weighted_round_robin_interleaves_sessions() {
-        // Session A (id 0): weight 1, 4 units tagged 0..4.
-        // Session B (id 1): weight 2, 4 units tagged 100..104.
+        // Session A (id 0): weight 1, its kick-off resume then 4 chunks
+        // tagged 0..4. Session B (id 1): weight 2, its resume then 4 chunks
+        // tagged 100..104.
+        let (db, nlq, model, _gold) = fixture();
         let mut queue = QueueState::default();
-        let (tx, _rx) = mpsc::channel();
-        let ctx = test_ctx();
-        for (id, weight, tag_base) in [(0u64, 1usize, 0usize), (1, 2, 100)] {
-            queue.next_id = queue.next_id.max(id + 1);
-            let mut pending = VecDeque::new();
-            for i in 0..4 {
-                pending.push_back(WorkUnit::External {
-                    chunk_idx: tag_base + i,
-                    jobs: Vec::new(),
-                    ctx: Arc::clone(&ctx),
-                    result_tx: tx.clone(),
-                });
-            }
-            queue.depth += pending.len();
-            queue.sessions.push(SessionQueue {
-                id,
-                weight,
-                quantum: weight,
-                pending,
-                cancel: Arc::new(AtomicBool::new(false)),
-                driven: None,
-            });
+        for (weight, tag_base) in [(1usize, 0usize), (2, 100)] {
+            let session = SynthesisSession::new(Arc::clone(&db), nlq.clone(), Arc::clone(&model));
+            let core_state = DrivenCore::new(session, Box::new(|_| true), 1);
+            let ctx = Arc::clone(&core_state.ctx);
+            let cancel = Arc::new(AtomicBool::new(false));
+            let id = queue.insert_slot(weight, cancel, core_state, Box::new(|_| {}));
+            let slot = queue.session_mut(id).expect("slot just inserted");
+            slot.pending.extend((0..4).map(|i| WorkUnit::Chunk {
+                session: id,
+                chunk_idx: tag_base + i,
+                jobs: Vec::new(),
+                ctx: Arc::clone(&ctx),
+            }));
+            queue.depth += 4;
         }
         let mut order = Vec::new();
         while let Some(unit) = queue.pop() {
-            let WorkUnit::External { chunk_idx, .. } = unit else { panic!("external unit") };
-            order.push(chunk_idx);
+            order.push(match unit {
+                WorkUnit::Chunk { chunk_idx, .. } => chunk_idx,
+                WorkUnit::Resume { session } => 1000 + session as usize,
+            });
         }
         assert_eq!(queue.depth, 0);
         // Weight-proportional service: one A unit, then two B units, per
         // rotation, until a side drains; then the remainder streams out.
-        assert_eq!(order, vec![0, 100, 101, 1, 102, 103, 2, 3]);
-    }
-
-    fn test_ctx() -> Arc<SessionContext> {
-        Arc::new(SessionContext::new(
-            movie_db().into_shared(),
-            None,
-            Vec::new(),
-            DuoquestConfig::fast(),
-            None,
-            Arc::new(AtomicBool::new(false)),
-            system_clock(),
-            false,
-        ))
+        assert_eq!(order, vec![1000, 1001, 100, 0, 101, 102, 1, 103, 2, 3]);
     }
 
     fn expect_finished(outcome: DrivenOutcome) -> crate::engine::SynthesisResult {
@@ -1820,8 +1191,8 @@ mod tests {
         assert_eq!(private.stats.total_pruned(), shared.stats.total_pruned());
         // The shared run reports pool observations; this private run does not,
         // because `fast()` keeps `workers = 1` and the session ran inline.
-        // (A private run with `workers > 1` would route through a
-        // compatibility pool and also set `stats.scheduler`.)
+        // (A private run with `workers > 1` is a driven session on a pool
+        // of its own and also sets `stats.scheduler`.)
         assert!(private.stats.scheduler.is_none());
         let run = shared.stats.scheduler.expect("shared run records scheduler stats");
         assert_eq!(run.pool_workers, 3);
@@ -1829,7 +1200,7 @@ mod tests {
     }
 
     /// The tentpole path: a session driven entirely by the pool (no session
-    /// thread) emits byte-identically to a private blocking run.
+    /// thread) emits byte-identically to an inline run.
     #[test]
     fn driven_session_matches_private_pool_session() {
         let (db, nlq, model, _gold) = fixture();
@@ -1906,23 +1277,6 @@ mod tests {
         assert_eq!(pool.stats().live_sessions, 0);
     }
 
-    #[test]
-    fn shutdown_disconnects_queued_units_instead_of_stranding_sessions() {
-        let pool = SessionScheduler::new(1);
-        let core = Arc::clone(&pool.core);
-        let id = core.register(1, Arc::new(AtomicBool::new(false)));
-        drop(pool); // shutdown: workers joined, queue drained
-        let (tx, rx) = mpsc::channel();
-        let unit =
-            WorkUnit::External { chunk_idx: 0, jobs: Vec::new(), ctx: test_ctx(), result_tx: tx };
-        core.submit(id, vec![unit]);
-        // A post-shutdown submit must drop the unit so the session's receiver
-        // disconnects (turning into the documented panic) rather than block
-        // forever on a queue no worker will ever pop.
-        assert!(rx.recv().is_err(), "unit must be dropped, not stranded");
-        assert_eq!(core.stats().queue_depth, 0);
-    }
-
     /// Dropping the pool under a live driven session resolves it (cancelled,
     /// best-so-far) instead of stranding its completion callback.
     #[test]
@@ -1953,16 +1307,35 @@ mod tests {
 
     #[test]
     fn pool_stats_track_registration() {
+        let (db, nlq, model, _gold) = fixture();
         let pool = SessionScheduler::new(2);
         assert_eq!(pool.workers(), 2);
         let stats = pool.stats();
         assert_eq!(stats.workers, 2);
         assert_eq!(stats.live_sessions, 0);
         assert_eq!(stats.queue_depth, 0);
-        let id = pool.core.register(4, Arc::new(AtomicBool::new(false)));
-        assert_eq!(pool.stats().live_sessions, 1);
-        pool.core.deregister(id);
-        assert_eq!(pool.stats().live_sessions, 0);
+        // A session whose sink holds its first candidate until told to go on
+        // stays registered for as long as we look.
+        let (seen_tx, seen_rx) = mpsc::channel();
+        let (go_tx, go_rx) = mpsc::channel::<()>();
+        let (done_tx, done_rx) = mpsc::channel();
+        SynthesisSession::new(db, nlq, model).with_config(DuoquestConfig::fast()).spawn_driven(
+            &pool.handle(),
+            Box::new(move |_c: &Candidate| seen_tx.send(()).is_ok() && go_rx.recv().is_ok()),
+            Box::new(move |outcome| {
+                let _ = done_tx.send(outcome);
+            }),
+        );
+        seen_rx.recv_timeout(Duration::from_secs(30)).expect("first candidate emitted");
+        let stats = pool.stats();
+        assert_eq!(stats.live_sessions, 1);
+        assert_eq!(stats.busy_workers, 1, "the worker inside the sink is busy");
+        drop(go_tx); // the sink now reads "stop"
+        let result = expect_finished(
+            done_rx.recv_timeout(Duration::from_secs(30)).expect("stopped session completed"),
+        );
+        assert_eq!(result.candidates.len(), 1);
+        assert_eq!(pool.stats().live_sessions, 0, "a resolved session is deregistered");
     }
 
     #[test]

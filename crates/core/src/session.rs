@@ -1,10 +1,10 @@
 //! Streaming synthesis sessions over a shared database.
 //!
-//! [`SynthesisSession`] is the owned, `Arc`-based entry point to the parallel
+//! [`SynthesisSession`] is the owned, `Arc`-based entry point to the
 //! synthesis core: it holds a cheaply shareable [`Database`], the dual
 //! specification (NLQ + optional TSQ), a guidance model and a
 //! [`DuoquestConfig`], and runs the round-based engine of
-//! [`crate::enumerate`]. Three consumption styles are supported:
+//! [`crate::enumerate`]. Four consumption styles are supported:
 //!
 //! * [`SynthesisSession::run`] — block until the run finishes, get the ranked
 //!   [`SynthesisResult`];
@@ -16,11 +16,19 @@
 //!   The first candidate is available as soon as it survives verification,
 //!   long before the run completes — this is what the paper's interactive
 //!   front end needs for its "results appear as they are found" interface.
-//! * [`SynthesisSession::spawn_driven`] — the primitive under `stream` and
-//!   the service layer: register the session with a
-//!   [`SessionScheduler`] whose workers resume its
-//!   round-loop state machine as chunks complete, delivering candidates and
-//!   the final result through callbacks. No OS thread exists per session.
+//! * [`SynthesisSession::spawn_driven`] — the primitive under all of the
+//!   above whenever a pool is involved, and under the service layer:
+//!   register the session with a [`SessionScheduler`] whose workers resume
+//!   its round-loop state machine as chunks complete, delivering candidates
+//!   and the final result through callbacks. No OS thread exists per session.
+//!
+//! There are two places a run can stand. **Inline**: a blocking call
+//! (`run` / `run_with`) on a session with no scheduler attached and
+//! `config.workers` resolving to 1 runs the whole search on the calling
+//! thread — no pool, no queue, the paper's Algorithm 1 as written. **On a
+//! pool**: everything else is a driven session; the blocking calls register
+//! one (on the attached pool, or on a private one sized per
+//! `config.workers`) and wait for its outcome.
 //!
 //! Absent a wall-clock `time_budget`, the emitted candidate set and order
 //! depend only on the configuration (beam width, budgets), never on the
@@ -29,10 +37,9 @@
 
 use crate::clock::{system_clock, SharedClock};
 use crate::config::{DuoquestConfig, EmissionPolicy};
-use crate::engine::{collect_ranked, run_collect, Candidate, SynthesisResult};
-use crate::scheduler::{
-    run_rounds_scheduled, spawn_driven_session, DrivenOutcome, SchedulerHandle, SessionScheduler,
-};
+use crate::engine::{synthesize_inline, Candidate, SynthesisResult};
+use crate::enumerate::RunInputs;
+use crate::scheduler::{spawn_driven_session, DrivenOutcome, SchedulerHandle, SessionScheduler};
 use crate::tsq::TableSketchQuery;
 use duoquest_db::Database;
 use duoquest_nlq::{GuidanceModel, Nlq};
@@ -144,6 +151,7 @@ impl SessionControl {
 /// let result = session.run();
 /// assert!(!result.candidates.is_empty());
 /// ```
+#[derive(Clone)]
 pub struct SynthesisSession {
     db: Arc<Database>,
     nlq: Nlq,
@@ -160,12 +168,11 @@ pub struct SynthesisSession {
 impl SynthesisSession {
     /// Create a session with the default configuration and no TSQ.
     ///
-    /// This is the compatibility constructor: without an attached
-    /// [`SessionScheduler`] handle, a parallel run
-    /// (`config.workers > 1`) spins up a **private** pool for just this run,
-    /// reproducing the pre-scheduler one-pool-per-session behaviour. To serve
-    /// many sessions from one pool, attach a shared handle with
-    /// [`SynthesisSession::with_scheduler`].
+    /// Without an attached [`SessionScheduler`] handle the session picks
+    /// where it runs from `config.workers`: one worker (the default) runs a
+    /// blocking call inline on the calling thread; more spin up a **private**
+    /// pool for just this run. To serve many sessions from one pool, attach
+    /// a shared handle with [`SynthesisSession::with_scheduler`].
     pub fn new(db: Arc<Database>, nlq: Nlq, model: Arc<dyn GuidanceModel>) -> Self {
         SynthesisSession {
             db,
@@ -205,10 +212,11 @@ impl SynthesisSession {
         self
     }
 
-    /// Submit this session's verification work to a shared
-    /// [`SessionScheduler`] pool instead of a private one. The pool's worker
-    /// count (not `config.workers`) decides the parallelism; the emitted
-    /// candidate sequence is identical either way.
+    /// Run this session on a shared [`SessionScheduler`] pool: every run of
+    /// it — blocking, streamed or spawned — is then a driven session there,
+    /// instead of inline or on a private pool. The pool's worker count (not
+    /// `config.workers`) decides the parallelism; the emitted candidate
+    /// sequence is identical either way.
     pub fn with_scheduler(mut self, handle: SchedulerHandle) -> Self {
         self.scheduler = Some(handle);
         self
@@ -283,64 +291,110 @@ impl SynthesisSession {
         self.scheduler.as_ref()
     }
 
-    /// Run to completion and return the ranked candidates.
+    /// The session's inputs, lent to one engine call.
+    pub(crate) fn inputs(&self) -> RunInputs<'_> {
+        RunInputs {
+            db: &self.db,
+            nlq: &self.nlq,
+            tsq: self.tsq.as_ref(),
+            model: self.model.as_ref(),
+            config: &self.config,
+            control: &self.control,
+            clock: self.clock.as_ref(),
+            trace: self.trace.as_ref(),
+        }
+    }
+
+    /// Whether a blocking call runs on the calling thread: no pool attached
+    /// and none asked for.
+    fn runs_inline(&self) -> bool {
+        self.scheduler.is_none() && self.config.effective_workers() <= 1
+    }
+
+    /// The pool a driven run of this session goes to: the attached one, or a
+    /// private one for just this run (sized per `config.workers`, on the
+    /// session's clock), returned so the caller keeps it alive.
+    fn pool(&self) -> (SchedulerHandle, Option<SessionScheduler>) {
+        match &self.scheduler {
+            Some(handle) => (handle.clone(), None),
+            None => {
+                let pool = SessionScheduler::new_with_clock(
+                    self.config.effective_workers(),
+                    Arc::clone(&self.clock),
+                );
+                (pool.handle(), Some(pool))
+            }
+        }
+    }
+
+    /// Run to completion and return the ranked candidates. Inline on the
+    /// calling thread, or — with a scheduler attached or `config.workers`
+    /// above one — as a driven session this call waits for (see the
+    /// [module docs](self)).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the session itself panicked (a guidance-model or verifier
+    /// bug), with the session's panic message — inline by unwinding through
+    /// this call, on a pool by rethrowing here what poisoned the session
+    /// (the pool survives).
     pub fn run(&self) -> SynthesisResult {
-        self.run_with(|_| true)
+        if self.runs_inline() {
+            return synthesize_inline(&self.inputs(), |_| true);
+        }
+        // No callback to bring candidates to, so no rendezvous: a stream
+        // nobody reads, finished.
+        self.clone().stream().finish()
     }
 
     /// Run to completion, observing candidates in emission order. Returning
     /// `false` from the callback stops the enumeration early (the paper's
     /// front end does exactly this when the user clicks "Stop Task").
-    pub fn run_with<F>(&self, on_candidate: F) -> SynthesisResult
+    ///
+    /// The callback always runs on the calling thread. When the run is on a
+    /// pool (see [`SynthesisSession::run`]) each candidate crosses to it by
+    /// rendezvous — the pool worker that emitted it waits for the verdict —
+    /// so `false` cuts the run at the same emission it does inline; in
+    /// return the callback must not block on work that needs the same pool.
+    ///
+    /// # Panics
+    ///
+    /// Like [`SynthesisSession::run`].
+    pub fn run_with<F>(&self, mut on_candidate: F) -> SynthesisResult
     where
         F: FnMut(&Candidate) -> bool,
     {
-        match &self.scheduler {
-            Some(handle) => self.run_on(handle, on_candidate),
-            // Compatibility: no shared pool attached. A parallel config gets a
-            // private pool scoped to this run (the pre-scheduler behaviour);
-            // a sequential config runs inline with no pool at all.
-            None if self.config.effective_workers() > 1 => {
-                let pool = SessionScheduler::new_with_clock(
-                    self.config.effective_workers(),
-                    Arc::clone(&self.clock),
-                );
-                self.run_on(&pool.handle(), on_candidate)
-            }
-            None => run_collect(
-                &self.db,
-                &self.nlq,
-                self.model.as_ref(),
-                self.tsq.as_ref(),
-                &self.config,
-                &self.control,
-                self.clock.as_ref(),
-                self.trace.clone(),
-                on_candidate,
-            ),
+        if self.runs_inline() {
+            return synthesize_inline(&self.inputs(), on_candidate);
         }
-    }
-
-    /// Drive the round loop on this thread, dispatching verification chunks
-    /// to `handle`'s pool.
-    fn run_on<F>(&self, handle: &SchedulerHandle, on_candidate: F) -> SynthesisResult
-    where
-        F: FnMut(&Candidate) -> bool,
-    {
-        collect_ranked(on_candidate, |cb| {
-            run_rounds_scheduled(
-                handle,
-                &self.db,
-                &self.nlq,
-                self.model.as_ref(),
-                self.tsq.as_ref(),
-                &self.config,
-                &self.control,
-                self.priority_weight,
-                self.trace.clone(),
-                cb,
-            )
-        })
+        enum Progress {
+            Candidate(Candidate),
+            Done(DrivenOutcome),
+        }
+        let (handle, _pool) = self.pool();
+        let (progress_tx, progress_rx) = mpsc::channel();
+        let (verdict_tx, verdict_rx) = mpsc::channel();
+        let done_tx = progress_tx.clone();
+        self.clone().spawn_driven(
+            &handle,
+            // A caller that is gone (its callback panicked) reads as "stop".
+            Box::new(move |candidate: &Candidate| {
+                progress_tx.send(Progress::Candidate(candidate.clone())).is_ok()
+                    && verdict_rx.recv().unwrap_or(false)
+            }),
+            Box::new(move |outcome| {
+                let _ = done_tx.send(Progress::Done(outcome));
+            }),
+        );
+        loop {
+            match progress_rx.recv() {
+                Ok(Progress::Candidate(candidate)) => {
+                    let _ = verdict_tx.send(on_candidate(&candidate));
+                }
+                Ok(Progress::Done(outcome)) => return expect_finished(Some(outcome)),
+                Err(_) => return expect_finished(None),
+            }
+        }
     }
 
     /// Hand the session to a scheduler pool to be **driven entirely by pool
@@ -353,63 +407,43 @@ impl SynthesisSession {
     /// be extracted) if the session panicked (a guidance model or verifier
     /// bug), which poisons that session alone.
     ///
-    /// Both callbacks run on pool worker threads, so they must be `Send` and
-    /// should stay cheap (push to a channel, update counters). One exception:
+    /// Both callbacks run on pool worker threads, so they must be `Send`,
+    /// should stay cheap (push to a channel, update counters) and must not
+    /// block on work that needs the same pool. One exception:
     /// if the pool has already shut down when `spawn_driven` is called, the
     /// session is resolved immediately as cancelled and `on_complete` runs
     /// synchronously on the **calling** thread — don't hold a lock (or block
     /// on a response the calling thread must produce) across this call from
     /// inside `on_complete`. This is the primitive under
-    /// [`SynthesisSession::stream`] and the serving layer's request
-    /// lifecycle; capacity for driven sessions is bounded by memory, not
-    /// thread count. Any scheduler handle attached via
-    /// [`SynthesisSession::with_scheduler`] is ignored in favour of `handle`.
+    /// [`SynthesisSession::stream`], the blocking calls on a pool and the
+    /// serving layer's request lifecycle; capacity for driven sessions is
+    /// bounded by memory, not thread count. Any scheduler handle attached via
+    /// [`SynthesisSession::with_scheduler`] is ignored in favour of `handle`,
+    /// and the run reads the pool's clock.
     pub fn spawn_driven(
-        self,
+        mut self,
         handle: &SchedulerHandle,
         on_candidate: Box<dyn FnMut(&Candidate) -> bool + Send>,
         on_complete: Box<dyn FnOnce(DrivenOutcome) + Send>,
     ) {
-        spawn_driven_session(
-            handle,
-            self.db,
-            self.nlq,
-            self.tsq,
-            self.model,
-            self.config,
-            self.control,
-            self.priority_weight,
-            self.trace,
-            on_candidate,
-            on_complete,
-        );
+        self.scheduler = None;
+        self.clock = handle.clock();
+        spawn_driven_session(handle, self, on_candidate, on_complete);
     }
 
     /// Stream candidates as they survive verification, **without spawning a
     /// per-session thread**: the session is handed to its attached
     /// [`SessionScheduler`] (or, absent one, to a private pool owned by the
     /// stream, sized per `config.workers`) and driven by pool workers.
-    /// Dropping the stream (or calling [`CandidateStream::stop`])
-    /// **cancels** the session — the engine stops at its next cooperative
-    /// check and any (session, round-chunk) units still queued on the pool
-    /// are reaped before a worker pops them — so an abandoned consumer never
-    /// leaks enumeration work. Call [`CandidateStream::finish`] for the
-    /// final ranked result.
+    /// Dropping the stream before the run has resolved (or calling
+    /// [`CandidateStream::stop`]) **cancels** the session — the engine stops
+    /// at its next cooperative check and any (session, round-chunk) units
+    /// still queued on the pool are reaped before a worker pops them — so an
+    /// abandoned consumer never leaks enumeration work. Call
+    /// [`CandidateStream::finish`] for the final ranked result.
     pub fn stream(self) -> CandidateStream {
         let control = self.control.clone();
-        let (handle, pool) = match self.scheduler.clone() {
-            Some(handle) => (handle, None),
-            None => {
-                // Compatibility: no shared pool attached — the stream owns a
-                // private pool for just this run (the session-scoped analogue
-                // of `run_with`'s private-pool fallback).
-                let pool = SessionScheduler::new_with_clock(
-                    self.config.effective_workers(),
-                    Arc::clone(&self.clock),
-                );
-                (pool.handle(), Some(pool))
-            }
-        };
+        let (handle, pool) = self.pool();
         let stop_control = self.control.clone();
         let (cand_tx, cand_rx) = mpsc::channel();
         let (result_tx, result_rx) = mpsc::channel();
@@ -430,12 +464,25 @@ impl SynthesisSession {
         CandidateStream {
             rx: cand_rx,
             result: result_rx,
-            received: RefCell::new(None),
-            poisoned: Cell::new(false),
+            outcome: RefCell::new(None),
+            resolved: Cell::new(false),
             control,
-            scheduler: Some(handle),
+            scheduler: handle,
             _pool: pool,
         }
+    }
+}
+
+/// The result of a driven session that has resolved; a poisoned one (or one
+/// whose pool dropped it unresolved, `None`) panics on the calling thread —
+/// the driven-session analogue of joining a panicked thread.
+fn expect_finished(outcome: Option<DrivenOutcome>) -> SynthesisResult {
+    match outcome {
+        Some(DrivenOutcome::Finished(result)) => result,
+        Some(DrivenOutcome::Poisoned(Some(message))) => {
+            panic!("synthesis session panicked: {message}")
+        }
+        _ => panic!("synthesis session panicked"),
     }
 }
 
@@ -448,18 +495,24 @@ impl SynthesisSession {
 /// confidence-ranked [`SynthesisResult`] (which includes the run's
 /// [`crate::EnumerationStats`]).
 ///
-/// **Dropping the stream cancels the work**: the session's
+/// **Dropping an unfinished stream cancels the work**: the session's
 /// [`SessionControl`] token fires and its queued round-chunk units are
 /// reaped from the pool's fairness queue before any worker pops them. The
 /// pool therefore goes idle instead of grinding through enumeration nobody
-/// is consuming.
+/// is consuming. A stream whose run has resolved — [`CandidateStream::finish`]
+/// returned, or the completion was seen by [`CandidateStream::is_finished`]
+/// — leaves the token alone, so a [`SessionControl`] attached with
+/// [`SynthesisSession::with_control`] can be reused for the next run.
 pub struct CandidateStream {
     rx: Receiver<Candidate>,
     result: Receiver<DrivenOutcome>,
-    received: RefCell<Option<SynthesisResult>>,
-    poisoned: Cell<bool>,
+    /// The completion, once it has arrived and until `finish` takes it.
+    outcome: RefCell<Option<DrivenOutcome>>,
+    /// Whether the run has resolved (completed, or poisoned, or was dropped
+    /// by its pool): nothing is left to cancel.
+    resolved: Cell<bool>,
     control: SessionControl,
-    scheduler: Option<SchedulerHandle>,
+    scheduler: SchedulerHandle,
     /// The private pool driving a session that had no shared scheduler
     /// attached, kept alive for the stream's lifetime (`None` when the
     /// session rides a shared pool).
@@ -471,31 +524,28 @@ impl CandidateStream {
     /// queued units from the pool. Idempotent.
     pub fn stop(&self) {
         self.control.cancel();
-        if let Some(handle) = &self.scheduler {
-            handle.reap_cancelled();
-        }
+        self.scheduler.reap_cancelled();
     }
 
     /// Non-blockingly pull the completion, if it has arrived.
     fn poll_result(&self) {
-        if self.received.borrow().is_some() || self.poisoned.get() {
+        if self.resolved.get() {
             return;
         }
         match self.result.try_recv() {
-            Ok(DrivenOutcome::Finished(result)) => *self.received.borrow_mut() = Some(result),
-            // `Poisoned` = the session panicked; a disconnect without a value
-            // can only follow a teardown race — both poison the stream.
-            Ok(DrivenOutcome::Poisoned(_)) | Err(TryRecvError::Disconnected) => {
-                self.poisoned.set(true)
-            }
-            Err(TryRecvError::Empty) => {}
+            Ok(outcome) => *self.outcome.borrow_mut() = Some(outcome),
+            // A disconnect without a value can only follow a teardown race;
+            // it resolves the stream as poisoned.
+            Err(TryRecvError::Disconnected) => {}
+            Err(TryRecvError::Empty) => return,
         }
+        self.resolved.set(true);
     }
 
     /// Whether the enumeration has finished.
     pub fn is_finished(&self) -> bool {
         self.poll_result();
-        self.received.borrow().is_some() || self.poisoned.get()
+        self.resolved.get()
     }
 
     /// Receive the next candidate, waiting up to `timeout`. `None` on timeout
@@ -513,28 +563,26 @@ impl CandidateStream {
     /// bug) — the driven-session analogue of joining a panicked thread.
     pub fn finish(self) -> SynthesisResult {
         self.poll_result();
-        if let Some(result) = self.received.borrow_mut().take() {
-            return result;
+        if !self.resolved.get() {
+            *self.outcome.borrow_mut() = self.result.recv().ok();
+            self.resolved.set(true);
         }
-        if !self.poisoned.get() {
-            if let Ok(DrivenOutcome::Finished(result)) = self.result.recv() {
-                return result;
-            }
-        }
-        panic!("synthesis session panicked");
+        let outcome = self.outcome.borrow_mut().take();
+        expect_finished(outcome)
     }
 }
 
 impl Drop for CandidateStream {
-    /// Dropping the stream cancels the session (see the struct docs). A
-    /// session on a shared pool winds down on its own at its next
-    /// cooperative check, so dropping does not wait for it; a stream that
-    /// owns a private pool joins that pool's workers (quick, as the
+    /// Dropping the stream cancels a session that has not resolved (see the
+    /// struct docs). A session on a shared pool winds down on its own at its
+    /// next cooperative check, so dropping does not wait for it; a stream
+    /// that owns a private pool joins that pool's workers (quick, as the
     /// cancellation cuts any in-flight chunks short).
     fn drop(&mut self) {
-        // After `finish` the run is already complete; firing the token then
-        // is a harmless no-op.
-        self.stop();
+        self.poll_result();
+        if !self.resolved.get() {
+            self.stop();
+        }
     }
 }
 

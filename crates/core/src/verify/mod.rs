@@ -338,11 +338,6 @@ impl<'a> Verifier<'a> {
         self.prune_partial || pq.is_complete()
     }
 
-    /// The run's cache, scan, index and single-flight counters.
-    pub(crate) fn counters(&self) -> &RunCacheCounters {
-        &self.counters
-    }
-
     /// Probe-cache `(hits, misses)` recorded through this verifier.
     pub fn cache_counters(&self) -> (u64, u64) {
         self.counters.snapshot()

@@ -3,7 +3,10 @@
 //! the worker count or thread scheduling — on a fixed synthetic Spider
 //! workload.
 
-use duoquest::core::{Duoquest, DuoquestConfig, EmissionPolicy, SessionScheduler, SynthesisResult};
+use duoquest::core::{
+    Candidate, Duoquest, DuoquestConfig, EmissionPolicy, SessionScheduler, SynthesisResult,
+    SynthesisSession,
+};
 use duoquest::nlq::{HeuristicGuidance, NoisyOracleGuidance};
 use duoquest::service::{
     PriorityClass, RequestStatus, ServiceConfig, SynthesisRequest, SynthesisService,
@@ -68,8 +71,8 @@ fn parallel_session_equals_sequential_path_per_task() {
     }
 }
 
-/// Run one task through a session attached to `pool` (or a private pool when
-/// `None`).
+/// Run one task through a session attached to `pool`, or — `None` — on its
+/// own: inline, or on a private pool when `config.workers` asks for one.
 fn run_task_on(
     dataset: &spider::SpiderDataset,
     task: &spider::SpiderTask,
@@ -108,9 +111,10 @@ fn interleaved_sessions_on_shared_pool_match_single_session_runs() {
     for pool_workers in [1usize, 2, 4] {
         for concurrency in [2usize, 4, 8] {
             let pool = Arc::new(SessionScheduler::new(pool_workers));
-            // `concurrency` sessions run truly interleaved: each drives its
-            // own round loop on its own thread while sharing the pool's
-            // workers (tasks are reused cyclically to reach 8 sessions).
+            // `concurrency` sessions run truly interleaved: each is a
+            // driven session its own thread waits for while the pool's
+            // workers serve them all (tasks are reused cyclically to reach 8
+            // sessions).
             let handles: Vec<_> = (0..concurrency)
                 .map(|s| {
                     let dataset = Arc::clone(&dataset);
@@ -145,56 +149,132 @@ fn interleaved_sessions_on_shared_pool_match_single_session_runs() {
     }
 }
 
+/// What a run shows its consumer: the emission sequence as the callback or
+/// the stream saw it (structure, confidence bits), the final ranking, and
+/// the generated count with the seven per-stage prune counts.
+type Observed = (Vec<(String, u64)>, Vec<(String, f64)>, [usize; 8]);
+
+fn observe(sequence: Vec<(String, u64)>, result: &SynthesisResult) -> Observed {
+    let s = &result.stats;
+    let counts = [
+        s.generated,
+        s.pruned_clauses,
+        s.pruned_semantics,
+        s.pruned_types,
+        s.pruned_by_column,
+        s.pruned_by_row,
+        s.pruned_literals,
+        s.pruned_by_order,
+    ];
+    (sequence, ranking(result), counts)
+}
+
+fn emitted(c: &Candidate) -> (String, u64) {
+    (format!("{:?}", c.spec), c.confidence.to_bits())
+}
+
+/// Run a session through one of its two public wrappers — `run_with` on the
+/// calling thread, or `stream()` drained and finished — and observe it.
+fn run_observed(session: SynthesisSession, stream: bool) -> (Observed, SynthesisResult) {
+    let mut sequence = Vec::new();
+    let result = if stream {
+        let mut stream = session.stream();
+        sequence.extend(stream.by_ref().map(|c| emitted(&c)));
+        stream.finish()
+    } else {
+        session.run_with(|c| {
+            sequence.push(emitted(c));
+            true
+        })
+    };
+    (observe(sequence, &result), result)
+}
+
+/// Every way of running a session that still differs, now that a blocking
+/// call on a pool is a driven session like any other: **inline** (the
+/// reference: no pool, the calling thread), a **private pool** (`workers =
+/// 2`), **shared pools** of {1, 2, 4} workers, and **eight sessions at once**
+/// on each shared pool — alternating `run_with` and `stream()` throughout, so
+/// both public wrappers stay covered. `session(case)` builds a case's session
+/// with no pool attached and one worker; every way must observe exactly what
+/// inline observes. Returns the inline observations and how many units the
+/// pooled runs parked in a fairness queue.
+fn every_way_agrees(
+    cases: usize,
+    session: impl Fn(usize) -> SynthesisSession + Sync,
+) -> (Vec<Observed>, u64) {
+    let reference: Vec<Observed> = (0..cases)
+        .map(|case| {
+            let (observed, result) = run_observed(session(case), false);
+            assert!(result.stats.scheduler.is_none(), "case {case}: inline means no pool");
+            observed
+        })
+        .collect();
+    let mut parked = 0;
+    let mut check = |case: usize, session: SynthesisSession, stream: bool, way: &str| {
+        let (observed, result) = run_observed(session, stream);
+        assert_eq!(reference[case], observed, "case {case}: {way}, stream: {stream}");
+        parked += result.stats.scheduler.expect("a pooled run reports its pool").units_submitted;
+    };
+
+    for case in 0..cases {
+        let session = session(case);
+        let config = DuoquestConfig { workers: 2, ..session.config().clone() };
+        check(case, session.with_config(config), case % 2 == 1, "private pool");
+    }
+    for (turn, workers) in [1usize, 2, 4].into_iter().enumerate() {
+        let pool = SessionScheduler::new(workers);
+        let way = format!("shared pool of {workers}");
+        for case in 0..cases {
+            let session = session(case).with_scheduler(pool.handle());
+            check(case, session, (case + turn) % 2 == 0, &way);
+        }
+        // Eight sessions at once over the one pool (and, per workload, the
+        // one database), neighbours in case order side by side.
+        let concurrent = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..8)
+                .map(|s| {
+                    let (case, session) = (s % cases, &session);
+                    let session = session(case).with_scheduler(pool.handle());
+                    scope.spawn(move || (case, s % 4 >= 2, run_observed(session, s % 4 >= 2)))
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("session thread panicked"))
+                .collect::<Vec<_>>()
+        });
+        for (case, stream, (observed, _)) in concurrent {
+            assert_eq!(
+                reference[case], observed,
+                "case {case} among 8 sessions on {workers} workers, stream: {stream}"
+            );
+        }
+        let stats = pool.stats();
+        assert_eq!((stats.live_sessions, stats.queue_depth), (0, 0), "{way} left work behind");
+    }
+    (reference, parked)
+}
+
 /// The heuristic model scores through a plan its driver compiles on the first
 /// round and then carries: on a type-only TSQ (where guidance, not
 /// verification, decides the order) the emission sequence and every
 /// confidence must be the same `f64`s whether the driver stays on one stack
-/// (`run`, private or over a shared pool) or is parked in the scheduler
-/// between rounds and resumed by whichever worker is free (`stream`), at any
-/// pool size.
+/// (inline) or is parked in a scheduler between rounds and resumed by
+/// whichever worker is free, at any pool size ([`every_way_agrees`]).
 #[test]
 fn heuristic_plan_survives_scheduler_parks() {
     let dataset = workload();
     let config = DuoquestConfig { max_candidates: 10, max_expansions: 100, ..base_config() };
-    let emitted = |c: &duoquest::core::Candidate| (format!("{:?}", c.spec), c.confidence.to_bits());
-    let (mut parked_rounds, mut emissions) = (0, 0);
-    for (i, task) in dataset.tasks.iter().enumerate() {
+    let (reference, parked_rounds) = every_way_agrees(dataset.tasks.len(), |i| {
+        let task = &dataset.tasks[i];
         let db = dataset.database(task);
         let (_, tsq) = synthesize_tsq(db, &task.gold, TsqDetail::Minimal, 2, 500 + i as u64);
-        let session = |pool: Option<&SessionScheduler>| {
-            let session = Duoquest::new(config.clone())
-                .session(Arc::clone(db), task.nlq.clone(), Arc::new(HeuristicGuidance::new()))
-                .with_tsq(tsq.clone());
-            match pool {
-                Some(pool) => session.with_scheduler(pool.handle()),
-                None => session,
-            }
-        };
-        let blocking = |pool: Option<&SessionScheduler>| {
-            let mut sequence = Vec::new();
-            let result = session(pool).run_with(|c| {
-                sequence.push(emitted(c));
-                true
-            });
-            (sequence, ranking(&result))
-        };
-        let mut driven = |pool: Option<&SessionScheduler>| {
-            let mut stream = session(pool).stream();
-            let sequence: Vec<_> = stream.by_ref().map(|c| emitted(&c)).collect();
-            let result = stream.finish();
-            parked_rounds += result.stats.scheduler.map_or(0, |s| s.units_submitted);
-            (sequence, ranking(&result))
-        };
-
-        let reference = blocking(None);
-        emissions += reference.0.len();
-        assert_eq!(reference, driven(None), "task {}: private pool, driven", task.id);
-        for workers in [1usize, 2, 4] {
-            let pool = SessionScheduler::new(workers);
-            assert_eq!(reference, blocking(Some(&pool)), "task {}: {workers} workers", task.id);
-            assert_eq!(reference, driven(Some(&pool)), "task {}: {workers}, driven", task.id);
-        }
-    }
+        Duoquest::new(config.clone())
+            .session(Arc::clone(db), task.nlq.clone(), Arc::new(HeuristicGuidance::new()))
+            .with_tsq(tsq)
+    });
+    let emissions: usize = reference.iter().map(|observed| observed.0.len()).sum();
     assert!(parked_rounds > 0, "no driven round was large enough to park its driver");
     assert!(emissions >= 10, "only {emissions} candidates emitted over the whole workload");
 }
@@ -204,33 +284,20 @@ fn heuristic_plan_survives_scheduler_parks() {
 /// checks from one verdict table that its chunk workers fill as they go and
 /// that parks and resumes with the session. Emission, confidence bits and
 /// the per-stage prune counts must not depend on who filled a verdict first —
-/// private pool or shared scheduler at any size, blocking or driven, alone or
-/// among eight concurrent sessions — and a session must never read verdicts
-/// another session's TSQ produced over the same database.
+/// on any way of running a session ([`every_way_agrees`]), alone or among
+/// eight concurrent ones — and a session must never read verdicts another
+/// session's TSQ produced over the same database.
 #[test]
 fn verify_plan_is_per_session_on_every_way_to_run_one() {
-    let dataset = Arc::new(workload());
+    let dataset = workload();
     let config = base_config();
-    let emitted = |c: &duoquest::core::Candidate| (format!("{:?}", c.spec), c.confidence.to_bits());
-    type Observed = (Vec<(String, u64)>, Vec<(String, f64)>, [usize; 8]);
-    let observe = |sequence: Vec<(String, u64)>, result: &SynthesisResult| -> Observed {
-        let s = &result.stats;
-        let counts = [
-            s.generated,
-            s.pruned_clauses,
-            s.pruned_semantics,
-            s.pruned_types,
-            s.pruned_by_column,
-            s.pruned_by_row,
-            s.pruned_literals,
-            s.pruned_by_order,
-        ];
-        (sequence, ranking(result), counts)
-    };
-    // Task `i` under its own sketch, or (`foreign`) under task `i + 1`'s: the
-    // same database, NLQ and oracle with cells that mostly do not occur in
-    // the columns the oracle prefers.
-    let session = |i: usize, foreign: bool, pool: Option<&SessionScheduler>| {
+    // Case `2 i` is task `i` under its own sketch, case `2 i + 1` the same
+    // task under task `i + 1`'s: the same database, NLQ and oracle with cells
+    // that mostly do not occur in the columns the oracle prefers. The eight
+    // concurrent sessions are therefore tasks next to themselves under a
+    // foreign sketch.
+    let (reference, _) = every_way_agrees(2 * dataset.tasks.len(), |case| {
+        let (i, foreign) = (case / 2, case % 2 == 1);
         let task = &dataset.tasks[i];
         let db = dataset.database(task);
         let (gold, own) = synthesize_tsq(db, &task.gold, TsqDetail::Full, 2, 700 + i as u64);
@@ -240,73 +307,16 @@ fn verify_plan_is_per_session_on_every_way_to_run_one() {
         } else {
             own
         };
-        let session = Duoquest::new(config.clone())
+        Duoquest::new(config.clone())
             .session(Arc::clone(db), task.nlq.clone(), Arc::new(NoisyOracleGuidance::new(gold, 7)))
-            .with_tsq(tsq);
-        match pool {
-            Some(pool) => session.with_scheduler(pool.handle()),
-            None => session,
-        }
-    };
-    let blocking = |i: usize, foreign: bool, pool: Option<&SessionScheduler>| {
-        let mut sequence = Vec::new();
-        let result = session(i, foreign, pool).run_with(|c| {
-            sequence.push(emitted(c));
-            true
-        });
-        observe(sequence, &result)
-    };
-    let driven = |i: usize, foreign: bool, pool: Option<&SessionScheduler>| {
-        let mut stream = session(i, foreign, pool).stream();
-        let sequence: Vec<_> = stream.by_ref().map(|c| emitted(&c)).collect();
-        observe(sequence, &stream.finish())
-    };
-
-    let solo: Vec<[Observed; 2]> =
-        (0..dataset.tasks.len()).map(|i| [false, true].map(|f| blocking(i, f, None))).collect();
-    let emissions: usize = solo.iter().map(|[own, _]| own.0.len()).sum();
+            .with_tsq(tsq)
+    });
+    let emissions: usize = reference.iter().step_by(2).map(|own| own.0.len()).sum();
     assert!(emissions >= 20, "only {emissions} candidates emitted over the whole workload");
     assert!(
-        solo.iter().any(|[own, foreign]| own.0 != foreign.0),
+        reference.chunks(2).any(|pair| pair[0].0 != pair[1].0),
         "the foreign sketches must change what is emitted, or sharing verdicts would go unseen"
     );
-
-    for (i, [own, _]) in solo.iter().enumerate() {
-        assert_eq!(own, &driven(i, false, None), "task {i}: private pool, driven");
-    }
-    for workers in [1usize, 2, 4] {
-        let pool = SessionScheduler::new(workers);
-        for (i, [own, _]) in solo.iter().enumerate() {
-            assert_eq!(own, &blocking(i, false, Some(&pool)), "task {i}: {workers} workers");
-            assert_eq!(own, &driven(i, false, Some(&pool)), "task {i}: {workers}, driven");
-        }
-        // Eight sessions at once over the one database: every task under its
-        // own sketch next to itself under a foreign one.
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..8)
-                .map(|s| {
-                    let (i, foreign) = (s / 2 % dataset.tasks.len(), s % 2 == 1);
-                    let (pool, blocking, driven) = (&pool, &blocking, &driven);
-                    scope.spawn(move || {
-                        let observed = if s % 4 < 2 {
-                            blocking(i, foreign, Some(pool))
-                        } else {
-                            driven(i, foreign, Some(pool))
-                        };
-                        (i, foreign, observed)
-                    })
-                })
-                .collect();
-            for handle in handles {
-                let (i, foreign, observed) = handle.join().expect("session thread panicked");
-                assert_eq!(
-                    solo[i][usize::from(foreign)],
-                    observed,
-                    "task {i} (foreign sketch: {foreign}) among 8 sessions on {workers} workers"
-                );
-            }
-        });
-    }
 }
 
 /// The index-access analogue of the worker-count guarantee: whether probes

@@ -1,0 +1,268 @@
+//! The two places a run can stand — **inline** on the calling thread, or as a
+//! **driven session** on a pool that a blocking caller waits for — seen from
+//! the public API: an early stop cuts every run at the same point, one
+//! `SessionControl` serves run after run, and the edges of the pooled path (a
+//! pool dropped under a blocked caller, a panicking model, a panicking
+//! callback) resolve instead of hanging. That the inline mode spawns nothing
+//! is held by `tests/inline_mode.rs`, a process of its own.
+
+use duoquest::core::{
+    panic_message, DuoquestConfig, EmissionPolicy, SessionControl, SessionScheduler,
+    SynthesisResult, SynthesisSession,
+};
+use duoquest::nlq::{Choice, GuidanceContext, GuidanceModel, NoisyOracleGuidance};
+use duoquest::workloads::{spider, synthesize_tsq, TsqDetail};
+use std::sync::atomic::{AtomicI64, Ordering};
+use std::sync::{mpsc, Arc};
+use std::time::{Duration, Instant};
+
+fn workload() -> spider::SpiderDataset {
+    spider::generate("run-modes", 1, 2, 2, 2, 33)
+}
+
+fn base_config() -> DuoquestConfig {
+    DuoquestConfig {
+        max_candidates: 20,
+        max_expansions: 1_500,
+        time_budget: None,
+        ..Default::default()
+    }
+}
+
+/// A configuration no run finishes under before the test is done with it.
+fn endless_config() -> DuoquestConfig {
+    DuoquestConfig {
+        max_expansions: usize::MAX,
+        max_candidates: usize::MAX,
+        max_states: 2_000_000,
+        time_budget: Some(Duration::from_secs(60)),
+        ..Default::default()
+    }
+}
+
+fn session_with(
+    dataset: &spider::SpiderDataset,
+    task: usize,
+    config: &DuoquestConfig,
+    model: impl FnOnce(NoisyOracleGuidance) -> Arc<dyn GuidanceModel>,
+) -> SynthesisSession {
+    let task = &dataset.tasks[task];
+    let db = dataset.database(task);
+    let (gold, tsq) = synthesize_tsq(db, &task.gold, TsqDetail::Full, 2, 41);
+    SynthesisSession::new(
+        Arc::clone(db),
+        task.nlq.clone(),
+        model(NoisyOracleGuidance::new(gold, 41)),
+    )
+    .with_tsq(tsq)
+    .with_config(config.clone())
+}
+
+fn session(
+    dataset: &spider::SpiderDataset,
+    task: usize,
+    config: &DuoquestConfig,
+) -> SynthesisSession {
+    session_with(dataset, task, config, |oracle| Arc::new(oracle))
+}
+
+fn ranking(result: &SynthesisResult) -> Vec<(String, u64)> {
+    result.candidates.iter().map(|c| (format!("{:?}", c.spec), c.confidence.to_bits())).collect()
+}
+
+/// Poll `ready` until it holds (a pool winds a stopped session down on its
+/// own workers, after the blocked caller has already returned).
+fn wait_until(what: &str, mut ready: impl FnMut() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while !ready() {
+        assert!(Instant::now() < deadline, "timed out waiting until {what}");
+        std::thread::yield_now();
+    }
+}
+
+/// A callback that stops after `k` candidates cuts the run at the same
+/// emission, with the same counters, wherever the run stands: inline, on a
+/// private pool, on shared pools of {1, 2, 4} workers, under both emission
+/// policies. The beam is widened so the cut falls in rounds a pool splits
+/// into several chunks: what the run counts is the whole round, however it
+/// was chunked.
+#[test]
+fn halt_cut_is_the_same_everywhere() {
+    let dataset = workload();
+    let pools: Vec<SessionScheduler> = [1, 2, 4].map(SessionScheduler::new).into();
+    let mut parked = 0;
+    for emission in [EmissionPolicy::RoundBarrier, EmissionPolicy::AnyK] {
+        let config = base_config().with_parallelism(1, 4).with_emission_policy(emission);
+        for task in 0..dataset.tasks.len() {
+            for k in [1usize, 3] {
+                let mut cut = |session: SynthesisSession| {
+                    let mut seen = 0;
+                    let result = session.run_with(|_| {
+                        seen += 1;
+                        seen < k
+                    });
+                    parked += result.stats.scheduler.map_or(0, |s| s.units_submitted);
+                    let s = &result.stats;
+                    (ranking(&result), s.emitted, s.expanded, s.generated, s.total_pruned())
+                };
+                let inline = cut(session(&dataset, task, &config));
+                if inline.0.len() < k {
+                    continue; // the task emits fewer than k candidates
+                }
+                assert_eq!(inline.0.len(), k, "task {task}: the callback stops the run");
+                let private = config.clone().with_parallelism(4, 4);
+                assert_eq!(
+                    inline,
+                    cut(session(&dataset, task, &private)),
+                    "task {task}, stop after {k}, {emission:?}: private pool"
+                );
+                for pool in &pools {
+                    assert_eq!(
+                        inline,
+                        cut(session(&dataset, task, &config).with_scheduler(pool.handle())),
+                        "task {task}, stop after {k}, {emission:?}: shared pool of {}",
+                        pool.workers()
+                    );
+                }
+            }
+        }
+    }
+    assert!(parked > 0, "no pooled run parked a round");
+}
+
+/// One `SessionControl` reused across every way to run a session: a run that
+/// completes never fires the caller's token, so the next run under the same
+/// control is as complete as the first. Dropping a stream whose run has
+/// *not* resolved still cancels.
+#[test]
+fn one_control_serves_run_after_run() {
+    let dataset = workload();
+    let config = base_config();
+    let control = SessionControl::new();
+    let controlled =
+        |config: &DuoquestConfig| session(&dataset, 1, config).with_control(control.clone());
+    let pool = SessionScheduler::new(2);
+
+    let inline = controlled(&config).run();
+    assert!(inline.candidates.len() >= 3, "only {} candidates", inline.candidates.len());
+    let runs = [
+        ("run() inline", inline.clone()),
+        ("run() on a private pool", controlled(&config.clone().with_parallelism(2, 1)).run()),
+        (
+            "run_with on a shared pool",
+            controlled(&config).with_scheduler(pool.handle()).run_with(|_| true),
+        ),
+        ("stream().finish()", controlled(&config).with_scheduler(pool.handle()).stream().finish()),
+    ];
+    for (way, result) in &runs {
+        assert!(!control.is_cancelled(), "{way} fired the caller's token");
+        assert!(!result.stats.cancelled, "{way} came back cancelled");
+        assert_eq!(ranking(&inline), ranking(result), "{way}");
+    }
+
+    let mut stream = controlled(&endless_config()).with_scheduler(pool.handle()).stream();
+    assert!(stream.next().is_some(), "the endless run emits");
+    assert!(!control.is_cancelled());
+    drop(stream);
+    assert!(control.is_cancelled(), "dropping an unfinished stream cancels its session");
+    wait_until("the cancelled session has left the pool", || pool.stats().live_sessions == 0);
+}
+
+/// Dropping the `SessionScheduler` under a caller blocked in `run_with`
+/// resolves the call — cancelled, with the candidates found so far — instead
+/// of panicking or hanging.
+#[test]
+fn dropping_the_pool_under_a_blocked_run_resolves_it_as_cancelled() {
+    let dataset = workload();
+    let pool = SessionScheduler::new(2);
+    let session = session(&dataset, 1, &endless_config()).with_scheduler(pool.handle());
+    let (first_tx, first_rx) = mpsc::channel();
+    let caller = std::thread::spawn(move || {
+        session.run_with(|_| {
+            let _ = first_tx.send(());
+            true
+        })
+    });
+    first_rx.recv_timeout(Duration::from_secs(30)).expect("the run is in flight and emitting");
+    drop(pool);
+    let result = caller.join().expect("a blocked run must resolve, not panic");
+    assert!(result.stats.cancelled, "shutdown winds the run down as cancelled");
+    assert!(!result.candidates.is_empty(), "with the candidates found so far");
+
+    // A pool that is already gone resolves the next run the same way.
+    let gone = SessionScheduler::new(1);
+    let handle = gone.handle();
+    drop(gone);
+    let result = self::session(&dataset, 1, &base_config()).with_scheduler(handle).run();
+    assert!(result.stats.cancelled);
+    assert!(result.candidates.is_empty());
+}
+
+/// A guidance model that panics after a budget of `score` calls.
+struct PanicAfter {
+    inner: NoisyOracleGuidance,
+    remaining: AtomicI64,
+}
+
+impl GuidanceModel for PanicAfter {
+    fn score(&self, ctx: &GuidanceContext<'_>, candidates: &[Choice]) -> Vec<f64> {
+        if self.remaining.fetch_sub(1, Ordering::SeqCst) <= 0 {
+            panic!("guidance model exploded");
+        }
+        self.inner.score(ctx, candidates)
+    }
+}
+
+/// A model that panics in a later round makes `run` / `run_with` on a pool
+/// panic on the calling thread with the model's message; the pool survives,
+/// forgets the session and serves the next run.
+#[test]
+fn a_panicking_model_panics_the_blocked_caller_and_spares_the_pool() {
+    let dataset = workload();
+    let config = base_config();
+    let exploding = |config: &DuoquestConfig| {
+        session_with(&dataset, 1, config, |inner| {
+            Arc::new(PanicAfter { inner, remaining: AtomicI64::new(3) })
+        })
+    };
+    let message_of = |run: &dyn Fn() -> SynthesisResult| {
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run))
+            .expect_err("the model's panic must reach the caller");
+        panic_message(payload.as_ref()).expect("a message travels with the panic")
+    };
+    let pool = SessionScheduler::new(2);
+    for message in [
+        message_of(&|| exploding(&config).with_scheduler(pool.handle()).run()),
+        message_of(&|| exploding(&config).with_scheduler(pool.handle()).run_with(|_| true)),
+        message_of(&|| exploding(&config.clone().with_parallelism(2, 1)).run()),
+        message_of(&|| exploding(&config).run()),
+    ] {
+        assert!(message.contains("guidance model exploded"), "payload: {message:?}");
+    }
+    assert_eq!(pool.stats().live_sessions, 0, "a poisoned session is torn down");
+    let healthy = session(&dataset, 1, &config);
+    assert_eq!(
+        ranking(&healthy.run()),
+        ranking(&healthy.clone().with_scheduler(pool.handle()).run()),
+        "the pool serves the next run"
+    );
+}
+
+/// A `run_with` callback that panics unwinds through the caller as any panic
+/// does, and the session it left behind on the pool stops by itself: no live
+/// session, no queued unit.
+#[test]
+fn a_panicking_callback_leaves_the_pool_idle() {
+    let dataset = workload();
+    let pool = SessionScheduler::new(2);
+    let session = session(&dataset, 1, &endless_config()).with_scheduler(pool.handle());
+    let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        session.run_with(|_| panic!("callback exploded"))
+    }))
+    .expect_err("the callback's panic unwinds through run_with");
+    assert_eq!(panic_message(payload.as_ref()).as_deref(), Some("callback exploded"));
+    wait_until("the abandoned session has left the pool", || {
+        let stats = pool.stats();
+        stats.live_sessions == 0 && stats.queue_depth == 0
+    });
+}
