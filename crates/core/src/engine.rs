@@ -69,8 +69,9 @@
 //!   paths of phase 2 are a function of fixed inputs (the schema and a
 //!   child's set of tables), so a verification chunk builds each list once
 //!   (`crate::joinpath`) and its children copy reference-counted trees out
-//!   of it — on schemas whose join graph has no cycle, where that function
-//!   is single-valued. So is "can this column produce that example cell":
+//!   of it — on any schema: where the join graph has a cycle, one fixed tie
+//!   rule keeps that function single-valued. So is "can this column produce
+//!   that example cell":
 //!   the run owns a [`crate::verify::VerifyPlan`] next to its `JoinPlanner`
 //!   and its guidance plan, one lazily filled verdict per (cell, column),
 //!   and only the first touch of a pair sends a probe to the database. The

@@ -6,6 +6,20 @@
 //! weights), and (2) extend it with additional FK hops up to a configurable
 //! depth to cover queries whose `FROM` clause mentions tables beyond the
 //! referenced columns (Example 3.2 of the paper).
+//!
+//! The candidate list is a pure function of `(schema, terminal set, extension
+//! depth)`. Where the join graph has a cycle (MAS) two equally short Steiner
+//! trees can connect the same tables, and [`JoinGraph::steiner_tree`] then
+//! takes the first minimum of one fixed scan — remaining terminals by
+//! ascending id, tree tables in the order they joined the tree. The paper has
+//! no criterion left to choose by: Algorithm 2 asks for the minimum tree and
+//! §3.3.4 for the shorter path, and two trees the greedy construction ties on
+//! have the same number of edges, hence of bridge tables (a tree has one
+//! table more than it has edges). A rule read off table statistics would make
+//! emission depend on row counts and buys nothing now that probes are
+//! semi-join reduced: attach order, ascending and descending table id ran
+//! `mas_cold` within 0.3 % of each other with equal gold shares (PR 18 in
+//! CHANGES.md). So the rule is the scan order that needs no sort.
 
 use duoquest_db::{Database, JoinGraph, JoinTree, TableId};
 use duoquest_sql::PartialQuery;
@@ -29,33 +43,31 @@ pub fn construct_join_paths(
     current: Option<&JoinTree>,
     extension_depth: usize,
 ) -> Vec<JoinTree> {
-    paths_over(db.schema().table_count(), graph, &terminals_of(pq, current), extension_depth)
+    debug_assert_eq!(graph.table_count(), db.schema().table_count(), "`graph` is `db`'s");
+    let mut terminals = Vec::new();
+    collect_terminals(pq, current, &mut terminals);
+    paths_over(graph, &terminals, extension_depth)
 }
 
-/// The tables a join path for `pq` must cover, sorted and distinct: those of
-/// its referenced columns plus those of the join path it already carries.
-fn terminals_of(pq: &PartialQuery, current: Option<&JoinTree>) -> Vec<TableId> {
-    let mut terminals: Vec<TableId> = Vec::new();
+/// Fill `terminals` with the tables a join path for `pq` must cover, sorted
+/// and distinct: those of its referenced columns plus those of the join path
+/// it already carries.
+fn collect_terminals(pq: &PartialQuery, current: Option<&JoinTree>, terminals: &mut Vec<TableId>) {
+    terminals.clear();
     pq.for_each_referenced_column(|c| terminals.push(c.table));
     if let Some(cur) = current {
         terminals.extend(cur.tables.iter().copied());
     }
     terminals.sort();
     terminals.dedup();
-    terminals
 }
 
 /// The candidate join paths over a terminal set: all of
 /// [`construct_join_paths`] past reading the partial query.
-fn paths_over(
-    table_count: usize,
-    graph: &JoinGraph,
-    terminals: &[TableId],
-    extension_depth: usize,
-) -> Vec<JoinTree> {
+fn paths_over(graph: &JoinGraph, terminals: &[TableId], extension_depth: usize) -> Vec<JoinTree> {
     let mut bases: Vec<JoinTree> = Vec::new();
     if terminals.is_empty() {
-        for t in 0..table_count {
+        for t in 0..graph.table_count() {
             bases.push(JoinTree::single(TableId(t)));
         }
     } else if let Ok(tree) = graph.steiner_tree(terminals) {
@@ -96,60 +108,48 @@ fn paths_over(
 /// run's extension depth, shared by the run's chunk workers.
 pub(crate) struct JoinPlanner {
     graph: JoinGraph,
-    table_count: usize,
     extension_depth: usize,
 }
 
 impl JoinPlanner {
     /// A planner over `db`'s schema.
     pub(crate) fn new(db: &Database, extension_depth: usize) -> Self {
-        JoinPlanner {
-            graph: JoinGraph::new(db.schema()),
-            table_count: db.schema().table_count(),
-            extension_depth,
-        }
+        JoinPlanner { graph: JoinGraph::new(db.schema()), extension_depth }
     }
 
     /// An empty memo over this planner, for one chunk of children.
     pub(crate) fn memo(&self) -> JoinPathMemo<'_> {
-        JoinPathMemo { planner: self, built: HashMap::new() }
+        JoinPathMemo { planner: self, built: HashMap::new(), terminals: Vec::new() }
     }
 }
 
 /// The path lists one chunk of children has asked for, keyed by terminal set.
 ///
-/// The children of a chunk come from one or a few parents and mostly share
-/// their terminal sets, and a list costs a Steiner tree plus its FK
-/// extensions — breadth-first searches over hash maps — to build; so a chunk
-/// builds each list once and its children copy reference-counted trees out
-/// of it. The memo is as short-lived as the chunk: nothing is shared between
-/// workers or kept between rounds, so no lock is taken and a run allocates
-/// in the pattern it always did.
-///
-/// It is used only where a list is a function of its terminal set: on a join
-/// graph without cycles ([`JoinGraph::is_forest`] — every Spider schema).
-/// With a cycle (MAS) two equally short Steiner trees can exist and
-/// [`construct_join_paths`] gives each child its own draw between them; there
-/// the memo builds every list afresh, exactly as before it existed.
+/// A candidate list is a pure function of `(schema, terminal set, extension
+/// depth)` — see the tie rule in the module docs — and the children of a
+/// chunk come from one or a few parents and mostly share their terminal
+/// sets; so a chunk builds each list once and its children copy
+/// reference-counted trees out of it. The memo is as short-lived as the
+/// chunk: nothing is shared between workers or kept between rounds, so no
+/// lock is taken, and a hit allocates nothing.
 pub(crate) struct JoinPathMemo<'a> {
     planner: &'a JoinPlanner,
     built: HashMap<Vec<TableId>, Rc<[JoinTree]>>,
+    /// The terminal set of the request at hand, cloned into a key only when
+    /// its list has to be built.
+    terminals: Vec<TableId>,
 }
 
 impl JoinPathMemo<'_> {
     /// [`construct_join_paths`] for `pq` with its own join path as `current`.
     pub(crate) fn paths(&mut self, pq: &PartialQuery) -> Rc<[JoinTree]> {
-        let JoinPlanner { graph, table_count, extension_depth } = self.planner;
-        let terminals = terminals_of(pq, pq.join.as_ref());
-        if !graph.is_forest() {
-            return paths_over(*table_count, graph, &terminals, *extension_depth).into();
-        }
-        if let Some(paths) = self.built.get(&terminals) {
+        collect_terminals(pq, pq.join.as_ref(), &mut self.terminals);
+        if let Some(paths) = self.built.get(self.terminals.as_slice()) {
             return Rc::clone(paths);
         }
-        let paths: Rc<[JoinTree]> =
-            paths_over(*table_count, graph, &terminals, *extension_depth).into();
-        self.built.insert(terminals, Rc::clone(&paths));
+        let JoinPlanner { graph, extension_depth } = self.planner;
+        let paths: Rc<[JoinTree]> = paths_over(graph, &self.terminals, *extension_depth).into();
+        self.built.insert(self.terminals.clone(), Rc::clone(&paths));
         paths
     }
 }
@@ -279,8 +279,9 @@ mod tests {
     }
 
     #[test]
-    fn memo_keeps_nothing_on_a_join_graph_with_a_cycle() {
-        // a - b, a - c, b - c: the tree over all three is one of two.
+    fn memo_answers_and_builds_once_on_a_join_graph_with_a_cycle() {
+        // a - b, a - c, b - c: two equally short trees span all three, and
+        // the tie rule picks one — so the memo is as sound here as on a tree.
         let mut s = Schema::new("triangle");
         s.add_table(TableDef::new("a", vec![ColumnDef::number("id")], Some(0)));
         s.add_table(TableDef::new(
@@ -293,17 +294,25 @@ mod tests {
         s.add_foreign_key("c", "a", "a", "id").unwrap();
         s.add_foreign_key("c", "b", "b", "id").unwrap();
         let db = Database::new(s).unwrap();
-        let planner = JoinPlanner::new(&db, 0);
-        let mut memo = planner.memo();
 
         let all = pq_with_select(&db, &[("a", "id"), ("b", "id"), ("c", "a")]);
+        let reordered = pq_with_select(&db, &[("c", "b"), ("a", "id"), ("b", "a"), ("c", "a")]);
         let pair = pq_with_select(&db, &[("a", "id"), ("b", "id")]);
-        for pq in [&all, &pair, &all] {
-            let paths = memo.paths(pq);
-            assert_eq!(paths.len(), 1);
-            assert!(paths[0].is_connected());
-            assert_eq!(paths[0].join_length(), paths[0].tables.len() - 1);
+        for depth in 0..3 {
+            let planner = JoinPlanner::new(&db, depth);
+            let mut memo = planner.memo();
+            for pq in [&all, &pair, &reordered] {
+                // A graph of its own per call: the list is a function of the schema.
+                let graph = JoinGraph::new(db.schema());
+                let direct = construct_join_paths(&db, &graph, pq, None, depth);
+                let first = memo.paths(pq);
+                assert_eq!(&*first, direct.as_slice(), "depth {depth}: {pq:?}");
+                assert!(Rc::ptr_eq(&first, &memo.paths(pq)));
+                assert!(first[0].is_connected());
+                assert_eq!(first[0].join_length(), first[0].tables.len() - 1);
+            }
+            assert!(Rc::ptr_eq(&memo.paths(&all), &memo.paths(&reordered)));
+            assert_eq!(memo.built.len(), 2);
         }
-        assert!(memo.built.is_empty());
     }
 }

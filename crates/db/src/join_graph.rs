@@ -4,11 +4,13 @@
 //! Steiner tree over the graph whose nodes are tables and whose edges are
 //! foreign-key → primary-key relationships, with unit edge weights, and then
 //! extends it with additional single-hop joins to cover queries that mention
-//! extra tables only in the `FROM` clause.
+//! extra tables only in the `FROM` clause. What is a function of the schema
+//! alone — a shortest path between every two tables — is computed once, when
+//! the graph is built; paths and trees are read off that closure in one fixed
+//! order, so they depend on the schema and the tables asked for, nothing else.
 
 use crate::error::{DbError, DbResult};
 use crate::schema::{ForeignKey, Schema, TableId};
-use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 /// An undirected join edge between two tables, realised by a foreign key.
@@ -82,166 +84,162 @@ impl JoinTree {
         if self.tables.len() <= 1 {
             return true;
         }
-        let mut seen: HashSet<TableId> = HashSet::new();
-        let mut queue = VecDeque::new();
-        queue.push_back(self.tables[0]);
-        seen.insert(self.tables[0]);
-        while let Some(t) = queue.pop_front() {
-            for e in self.edges.iter() {
-                if let Some(o) = e.other(t) {
-                    if self.tables.contains(&o) && seen.insert(o) {
-                        queue.push_back(o);
+        let mut reached = vec![self.tables[0]];
+        let mut next = 0;
+        while let Some(&t) = reached.get(next) {
+            next += 1;
+            for o in self.edges.iter().filter_map(|e| e.other(t)) {
+                if self.tables.contains(&o) && !reached.contains(&o) {
+                    reached.push(o);
+                }
+            }
+        }
+        reached.len() == self.tables.len()
+    }
+}
+
+/// How a breadth-first search from a root table first reached another table.
+#[derive(Debug, Clone, Copy)]
+struct Hop {
+    /// Edges on the path from the root.
+    hops: u32,
+    /// The table the search came from, and which of that table's incident
+    /// edges it took.
+    parent: u32,
+    via: u32,
+}
+
+/// The schema join graph: tables as nodes, FK→PK relationships as edges, and
+/// the closure of shortest paths over them.
+///
+/// `new` runs one breadth-first search per table, visiting a table's edges in
+/// foreign-key declaration order, and keeps per ordered pair `(root, target)`
+/// the hop count and the last edge of the search tree: 16 bytes a pair, 3.5 KB
+/// for the 15 tables of MAS — small enough to build per run.
+#[derive(Debug, Clone)]
+pub struct JoinGraph {
+    /// Edges incident to each table, in foreign-key declaration order.
+    adjacency: Vec<Vec<JoinEdge>>,
+    /// `closure[root][target]`; `None` where the search never got there.
+    closure: Vec<Vec<Option<Hop>>>,
+}
+
+impl JoinGraph {
+    /// Build the join graph of a schema and its shortest-path closure.
+    pub fn new(schema: &Schema) -> Self {
+        let n = schema.table_count();
+        let narrow = |i: usize| u32::try_from(i).expect("a schema's tables and keys fit in u32");
+        let mut adjacency: Vec<Vec<JoinEdge>> = vec![Vec::new(); n];
+        for fk in &schema.foreign_keys {
+            let edge = JoinEdge { fk: *fk };
+            adjacency[fk.from.table.0].push(edge);
+            adjacency[fk.to.table.0].push(edge);
+        }
+        let mut closure = vec![vec![None; n]; n];
+        let mut queue: Vec<(usize, u32)> = Vec::with_capacity(n);
+        for (root, reached) in closure.iter_mut().enumerate() {
+            reached[root] = Some(Hop { hops: 0, parent: narrow(root), via: 0 });
+            queue.clear();
+            queue.push((root, 0));
+            let mut next = 0;
+            while let Some(&(t, hops)) = queue.get(next) {
+                next += 1;
+                for (via, edge) in adjacency[t].iter().enumerate() {
+                    let o = edge.other(TableId(t)).expect("edge adjacency is consistent").0;
+                    if reached[o].is_none() {
+                        let (parent, via) = (narrow(t), narrow(via));
+                        reached[o] = Some(Hop { hops: hops + 1, parent, via });
+                        queue.push((o, hops + 1));
                     }
                 }
             }
         }
-        seen.len() == self.tables.len()
-    }
-}
-
-/// The schema join graph: tables as nodes, FK→PK relationships as edges.
-#[derive(Debug, Clone)]
-pub struct JoinGraph {
-    adjacency: HashMap<TableId, Vec<JoinEdge>>,
-    table_count: usize,
-    forest: bool,
-}
-
-impl JoinGraph {
-    /// Build the join graph of a schema.
-    pub fn new(schema: &Schema) -> Self {
-        let mut adjacency: HashMap<TableId, Vec<JoinEdge>> = HashMap::new();
-        for t in 0..schema.table_count() {
-            adjacency.entry(TableId(t)).or_default();
-        }
-        // Union-find over the tables: an edge between two tables that are
-        // already connected closes a cycle.
-        let mut root: Vec<usize> = (0..schema.table_count()).collect();
-        let find = |root: &mut Vec<usize>, mut t: usize| {
-            while root[t] != t {
-                root[t] = root[root[t]];
-                t = root[t];
-            }
-            t
-        };
-        let mut forest = true;
-        for fk in &schema.foreign_keys {
-            let edge = JoinEdge { fk: *fk };
-            adjacency.entry(fk.from.table).or_default().push(edge);
-            adjacency.entry(fk.to.table).or_default().push(edge);
-            let (a, b) = (find(&mut root, fk.from.table.0), find(&mut root, fk.to.table.0));
-            forest &= a != b;
-            root[a] = b;
-        }
-        JoinGraph { adjacency, table_count: schema.table_count(), forest }
+        JoinGraph { adjacency, closure }
     }
 
-    /// Whether the graph has no cycle — a self-reference and two foreign keys
-    /// between the same pair of tables count as cycles. Two tables of a
-    /// forest are connected by at most one path, so the Steiner tree over a
-    /// set of them is the union of those paths: one tree, whatever order it
-    /// is assembled in. With a cycle, [`JoinGraph::steiner_tree`] can find a
-    /// terminal equally close to two tables of the tree built so far, and
-    /// which one it attaches to then follows hash iteration order.
-    pub fn is_forest(&self) -> bool {
-        self.forest
-    }
-
-    /// Edges incident to a table.
+    /// Edges incident to a table, none for a table the schema does not have.
     pub fn edges_of(&self, table: TableId) -> &[JoinEdge] {
-        self.adjacency.get(&table).map(Vec::as_slice).unwrap_or(&[])
+        self.adjacency.get(table.0).map(Vec::as_slice).unwrap_or(&[])
     }
 
     /// Number of tables in the graph.
     pub fn table_count(&self) -> usize {
-        self.table_count
+        self.adjacency.len()
     }
 
-    /// Shortest path between two tables (BFS over unit-weight edges).
-    /// Returns the edges along the path, or `None` if unreachable.
+    /// The closure entry for `to` in the search rooted at `from`: `None` if
+    /// `to` is unreachable or either table is not in the schema.
+    fn hop(&self, from: TableId, to: TableId) -> Option<Hop> {
+        *self.closure.get(from.0)?.get(to.0)?
+    }
+
+    /// Shortest path between two tables over unit-weight edges: the edges
+    /// along it, or `None` if unreachable. Among equally short paths it is
+    /// the one a breadth-first search from `from` over [`JoinGraph::edges_of`]
+    /// finds first.
     pub fn shortest_path(&self, from: TableId, to: TableId) -> Option<Vec<JoinEdge>> {
         if from == to {
             return Some(Vec::new());
         }
-        let mut prev: HashMap<TableId, (TableId, JoinEdge)> = HashMap::new();
-        let mut queue = VecDeque::new();
-        let mut seen = HashSet::new();
-        queue.push_back(from);
-        seen.insert(from);
-        while let Some(t) = queue.pop_front() {
-            for e in self.edges_of(t) {
-                let o = e.other(t).expect("edge adjacency is consistent");
-                if seen.insert(o) {
-                    prev.insert(o, (t, *e));
-                    if o == to {
-                        // Reconstruct the path.
-                        let mut path = Vec::new();
-                        let mut cur = to;
-                        while cur != from {
-                            let (p, edge) = prev[&cur];
-                            path.push(edge);
-                            cur = p;
-                        }
-                        path.reverse();
-                        return Some(path);
-                    }
-                    queue.push_back(o);
-                }
-            }
+        let mut path = Vec::with_capacity(self.hop(from, to)?.hops as usize);
+        let mut cur = to;
+        while cur != from {
+            let hop = self.hop(from, cur).expect("a search tree leads back to its root");
+            cur = TableId(hop.parent as usize);
+            path.push(self.adjacency[cur.0][hop.via as usize]);
         }
-        None
+        path.reverse();
+        Some(path)
     }
 
     /// Approximate minimum Steiner tree over the given terminal tables using the
     /// classic metric-closure construction (shortest paths + greedy merge).
     /// With unit edge weights and the small schemas of the workloads this gives
     /// the same trees as the paper's formulation (which follows \[2\]).
+    ///
+    /// The tree starts as the terminal with the lowest id and repeatedly takes
+    /// in the remaining terminal closest to it, along [`JoinGraph::shortest_path`]
+    /// from the tree table it is closest to. Among equally close pairs the
+    /// terminal with the lower id wins, then the table that joined the tree
+    /// earlier. The result is therefore a function of the schema and the *set*
+    /// of terminals — not of their order or multiplicity in `terminals`, nor of
+    /// the process or the call.
     pub fn steiner_tree(&self, terminals: &[TableId]) -> DbResult<JoinTree> {
-        let mut terms: Vec<TableId> = terminals.to_vec();
-        terms.sort();
-        terms.dedup();
-        match terms.len() {
-            0 => Err(DbError::InvalidQuery("steiner tree requires at least one terminal".into())),
-            1 => Ok(JoinTree::single(terms[0])),
-            _ => {
-                let mut tables: HashSet<TableId> = HashSet::new();
-                let mut edges: HashSet<JoinEdge> = HashSet::new();
-                tables.insert(terms[0]);
-                let mut remaining: Vec<TableId> = terms[1..].to_vec();
-                // Greedily attach the closest remaining terminal to the tree built so far.
-                while !remaining.is_empty() {
-                    let mut best: Option<(usize, usize, Vec<JoinEdge>)> = None;
-                    for (ri, r) in remaining.iter().enumerate() {
-                        for t in &tables {
-                            if let Some(path) = self.shortest_path(*t, *r) {
-                                if best
-                                    .as_ref()
-                                    .map(|(_, len, _)| path.len() < *len)
-                                    .unwrap_or(true)
-                                {
-                                    best = Some((ri, path.len(), path));
-                                }
-                            }
-                        }
-                    }
-                    let Some((ri, _, path)) = best else {
-                        return Err(DbError::DisconnectedJoin(format!(
-                            "table {:?} is not reachable from the rest of the query",
-                            remaining[0]
-                        )));
-                    };
-                    for e in path {
-                        let (a, b) = e.tables();
-                        tables.insert(a);
-                        tables.insert(b);
-                        edges.insert(e);
-                    }
-                    tables.insert(remaining[ri]);
-                    remaining.remove(ri);
-                }
-                Ok(JoinTree::new(tables.into_iter().collect(), edges.into_iter().collect()))
+        let mut remaining: Vec<TableId> = terminals.to_vec();
+        remaining.sort();
+        remaining.dedup();
+        if remaining.is_empty() {
+            return Err(DbError::InvalidQuery(
+                "steiner tree requires at least one terminal".into(),
+            ));
+        }
+        let mut tables = vec![remaining.remove(0)];
+        let mut edges = Vec::new();
+        while !remaining.is_empty() {
+            // The tie rule: least (distance, terminal id, seniority in the tree).
+            let pairs = remaining
+                .iter()
+                .enumerate()
+                .flat_map(|(ri, r)| tables.iter().enumerate().map(move |(ti, t)| (ri, *r, ti, *t)));
+            let best =
+                pairs.filter_map(|(ri, r, ti, t)| Some((self.hop(t, r)?.hops, ri, ti))).min();
+            // Nothing left is reachable from the tree, the first terminal included.
+            let Some((_, ri, ti)) = best else {
+                return Err(DbError::DisconnectedJoin(format!(
+                    "table {:?} is not reachable from table {:?}",
+                    remaining[0], tables[0]
+                )));
+            };
+            let mut cur = tables[ti];
+            let path = self.shortest_path(cur, remaining.remove(ri));
+            // No table along it is in the tree yet: it would have been closer.
+            for e in path.expect("the closure found the terminal reachable") {
+                cur = e.other(cur).expect("a path is a walk");
+                tables.push(cur);
+                edges.push(e);
             }
         }
+        Ok(JoinTree::new(tables, edges))
     }
 
     /// One-hop extensions of a join tree: for every FK edge with exactly one
@@ -378,12 +376,13 @@ mod tests {
         assert_eq!(t.edges.len(), 1);
     }
 
+    /// The tie rule of [`JoinGraph::steiner_tree`], by example.
     #[test]
-    fn forests_are_told_from_graphs_with_cycles() {
-        // actor - starring - movies and an isolated table: a forest.
-        assert!(JoinGraph::new(&schema()).is_forest());
-
-        // A triangle a - b, a - c, b - c.
+    fn steiner_ties_go_to_the_documented_scan_order() {
+        // A triangle: b -> a, c -> a, c -> b. Over {a, b, c} the tree starts
+        // at `a`; `b` and `c` are both one hop away and `b` has the lower id,
+        // so `b` joins first; then `c` is one hop from `a` and from `b`, and
+        // `a` joined the tree earlier: {b -> a, c -> a}, never {.., c -> b}.
         let mut s = Schema::new("triangle");
         s.add_table(TableDef::new("a", vec![ColumnDef::number("id")], Some(0)));
         s.add_table(TableDef::new(
@@ -394,11 +393,16 @@ mod tests {
         s.add_table(TableDef::new("c", vec![ColumnDef::number("a"), ColumnDef::number("b")], None));
         s.add_foreign_key("b", "a", "a", "id").unwrap();
         s.add_foreign_key("c", "a", "a", "id").unwrap();
-        assert!(JoinGraph::new(&s).is_forest());
         s.add_foreign_key("c", "b", "b", "id").unwrap();
-        assert!(!JoinGraph::new(&s).is_forest());
+        let [a, b, c] = [TableId(0), TableId(1), TableId(2)];
+        let g = JoinGraph::new(&s);
+        let tree = g.steiner_tree(&[c, b, a, c]).unwrap();
+        let joined: Vec<_> = tree.edges.iter().map(JoinEdge::tables).collect();
+        assert_eq!(joined, [(b, a), (c, a)]);
+        assert_eq!(tree, JoinGraph::new(&s).steiner_tree(&[a, b, c]).unwrap());
 
-        // Two foreign keys between one pair of tables (MAS's `cite`).
+        // Two foreign keys between one pair of tables (MAS's `cite`): the
+        // path runs through the one declared first.
         let mut s = Schema::new("cite");
         s.add_table(TableDef::new("paper", vec![ColumnDef::number("id")], Some(0)));
         s.add_table(TableDef::new(
@@ -406,9 +410,26 @@ mod tests {
             vec![ColumnDef::number("citing"), ColumnDef::number("cited")],
             None,
         ));
-        s.add_foreign_key("cite", "citing", "paper", "id").unwrap();
-        assert!(JoinGraph::new(&s).is_forest());
         s.add_foreign_key("cite", "cited", "paper", "id").unwrap();
-        assert!(!JoinGraph::new(&s).is_forest());
+        s.add_foreign_key("cite", "citing", "paper", "id").unwrap();
+        let tree = JoinGraph::new(&s).steiner_tree(&[TableId(1), TableId(0)]).unwrap();
+        assert_eq!(tree.edges.len(), 1);
+        assert_eq!(s.column(tree.edges[0].fk.from).name, "cited");
+    }
+
+    #[test]
+    fn tables_the_schema_does_not_have_are_answered_not_indexed() {
+        let s = schema();
+        let g = JoinGraph::new(&s);
+        let (actor, ghost) = (s.table_id("actor").unwrap(), TableId(s.table_count() + 3));
+        assert!(g.edges_of(ghost).is_empty());
+        assert_eq!(g.shortest_path(actor, ghost), None);
+        assert_eq!(g.shortest_path(ghost, actor), None);
+        assert!(matches!(g.steiner_tree(&[actor, ghost]), Err(DbError::DisconnectedJoin(_))));
+        assert!(g.extensions(&JoinTree::single(ghost)).is_empty());
+        let empty = JoinGraph::new(&Schema::new("empty"));
+        assert_eq!(empty.table_count(), 0);
+        assert_eq!(empty.shortest_path(TableId(0), TableId(1)), None);
+        assert!(matches!(empty.steiner_tree(&[]), Err(DbError::InvalidQuery(_))));
     }
 }

@@ -1,17 +1,23 @@
 //! Determinism of the parallel synthesis core: for a fixed configuration the
 //! candidate set and ranking must be a pure function of the inputs — never of
-//! the worker count or thread scheduling — on a fixed synthetic Spider
-//! workload.
+//! the worker count, thread scheduling, hasher or process — on a fixed
+//! synthetic Spider workload and on the MAS user-study requests.
 
 use duoquest::core::{
     Candidate, Duoquest, DuoquestConfig, EmissionPolicy, SessionScheduler, SynthesisResult,
-    SynthesisSession,
+    SynthesisSession, TableSketchQuery,
 };
-use duoquest::nlq::{HeuristicGuidance, NoisyOracleGuidance};
+use duoquest::db::{Database, SelectSpec};
+use duoquest::nlq::{HeuristicGuidance, Nlq, NoisyOracleGuidance};
 use duoquest::service::{
     PriorityClass, RequestStatus, ServiceConfig, SynthesisRequest, SynthesisService,
 };
-use duoquest::workloads::{spider, synthesize_tsq, TsqDetail};
+use duoquest::workloads::{
+    mas, mas_nli_tasks, mas_pbe_tasks, spider, synthesize_tsq, MasDataset, TsqDetail,
+};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::process::{Command, Stdio};
 use std::sync::Arc;
 
 /// A reduced, fixed workload: 1 database, 6 tasks across difficulties.
@@ -817,5 +823,132 @@ fn wide_beam_runs_are_self_deterministic() {
         let a = run_task(&dataset, task, 200 + i as u64, &beamed_a);
         let b = run_task(&dataset, task, 200 + i as u64, &beamed_b);
         assert_eq!(ranking(&a), ranking(&b), "task {} beam run diverged", task.id);
+    }
+}
+
+/// One request of the benchmark's `mas_cold` workload.
+struct MasRequest {
+    name: String,
+    nlq: Nlq,
+    gold: SelectSpec,
+    tsq: TableSketchQuery,
+    seed: u64,
+}
+
+/// `mas_cold` as `bench_report` builds it: the 14 user-study tasks over
+/// MAS(42, 8.0), each under `draws` example-tuple draws (the benchmark has
+/// three), full sketches and the oracle, seeded by the harness's SplitMix64
+/// step of (42, index) — which is what the workspace's `StdRng` is.
+fn mas_cold(draws: usize) -> (MasDataset, Vec<MasRequest>) {
+    let dataset = mas::generate(42, 8.0);
+    let mut tasks = mas_nli_tasks(&dataset);
+    tasks.extend(mas_pbe_tasks(&dataset));
+    assert_eq!(tasks.len(), 14);
+    let mut requests = Vec::new();
+    for draw in 0..draws {
+        for (i, task) in tasks.iter().enumerate() {
+            let index = (draw * tasks.len() + i) as u64;
+            let seed = StdRng::seed_from_u64(42 ^ (index << 32)).next_u64();
+            let (gold, tsq) = synthesize_tsq(&dataset.db, &task.gold, TsqDetail::Full, 2, seed);
+            let name = format!("mas_cold-{draw}-{}", task.id);
+            requests.push(MasRequest { name, nlq: task.nlq.clone(), gold, tsq, seed });
+        }
+    }
+    (dataset, requests)
+}
+
+/// A session for `request` under the benchmark's budgets (10 candidates, 200
+/// expansions, no wall-clock cut-off).
+fn mas_session(db: &Arc<Database>, request: &MasRequest) -> SynthesisSession {
+    let config = DuoquestConfig { max_candidates: 10, max_expansions: 200, ..base_config() };
+    let model = NoisyOracleGuidance::new(request.gold.clone(), request.seed);
+    Duoquest::new(config)
+        .session(Arc::clone(db), request.nlq.clone(), Arc::new(model))
+        .with_tsq(request.tsq.clone())
+}
+
+/// MAS's join graph has cycles, so a set of tables can have two equally short
+/// Steiner trees; `JoinGraph::steiner_tree` picks by one fixed rule, and the
+/// 14 user-study tasks observe the same run inline, on a private pool, on
+/// shared pools of {1, 2, 4} and eight at a time ([`every_way_agrees`]).
+#[test]
+fn mas_tasks_agree_on_every_way_to_run_a_session() {
+    let (dataset, requests) = mas_cold(1);
+    let (reference, _) =
+        every_way_agrees(requests.len(), |case| mas_session(&dataset.db, &requests[case]));
+    let emissions: usize = reference.iter().map(|observed| observed.0.len()).sum();
+    assert!(emissions >= 50, "only {emissions} candidates emitted over the 14 tasks");
+}
+
+/// Every request run inline from a cleared probe cache, as the benchmark
+/// submits it, and everything it showed, on one line each: emission sequence
+/// with confidence bits, ranking, `generated` and the seven prune counts,
+/// rows scanned and cache misses.
+fn observe_cold(db: &Arc<Database>, requests: &[MasRequest]) -> Vec<String> {
+    let observe = |request| {
+        db.clear_probe_cache();
+        let (observed, result) = run_observed(mas_session(db, request), false);
+        let probes = (result.stats.rows_scanned, result.stats.cache_misses);
+        format!("{observed:?} {probes:?}")
+    };
+    requests.iter().map(observe).collect()
+}
+
+/// The same request twice in one process: same everything.
+#[test]
+fn mas_cold_requests_repeat_from_a_cleared_cache() {
+    let (dataset, requests) = mas_cold(3);
+    let (first, second) =
+        (observe_cold(&dataset.db, &requests), observe_cold(&dataset.db, &requests));
+    assert_eq!(requests.len(), 42);
+    for ((request, a), b) in requests.iter().zip(&first).zip(&second) {
+        assert_eq!(a, b, "{} differs between two runs of one process", request.name);
+    }
+}
+
+/// Marks the child role of [`mas_cold_requests_repeat_across_processes`].
+const OBSERVING_CHILD: &str = "DUOQUEST_TEST_OBSERVING_CHILD";
+
+/// The same request in two fresh processes — two hasher seeds, two address
+/// space layouts: same everything. The test re-runs its own executable twice
+/// with [`OBSERVING_CHILD`] set; a child prints one `observed` line per
+/// request and the parent compares the two listings.
+#[test]
+fn mas_cold_requests_repeat_across_processes() {
+    const NAME: &str = "mas_cold_requests_repeat_across_processes";
+    if std::env::var_os(OBSERVING_CHILD).is_some() {
+        let (dataset, requests) = mas_cold(3);
+        for (request, observed) in requests.iter().zip(observe_cold(&dataset.db, &requests)) {
+            println!("observed {} {observed}", request.name);
+        }
+        return;
+    }
+    let exe = std::env::current_exe().expect("the test binary knows where it is");
+    // Both at once: there are two cores.
+    let children: Vec<_> = (0..2)
+        .map(|_| {
+            Command::new(&exe)
+                .args(["--exact", NAME, "--nocapture"])
+                .env(OBSERVING_CHILD, "1")
+                .stdout(Stdio::piped())
+                .stderr(Stdio::piped())
+                .spawn()
+                .expect("the test binary runs")
+        })
+        .collect();
+    let listings: Vec<Vec<String>> = children
+        .into_iter()
+        .map(|child| {
+            let output = child.wait_with_output().expect("the child exits");
+            assert!(output.status.success(), "{}", String::from_utf8_lossy(&output.stderr));
+            let stdout = String::from_utf8(output.stdout).expect("observations are UTF-8");
+            // libtest may have left its own words at the head of a line.
+            let lines = stdout.lines();
+            lines.filter_map(|l| Some(l[l.find("observed mas_cold-")?..].to_string())).collect()
+        })
+        .collect();
+    assert_eq!((listings[0].len(), listings[1].len()), (42, 42), "{:?}", listings[0]);
+    for (a, b) in listings[0].iter().zip(&listings[1]) {
+        assert_eq!(a, b, "a request differs between two processes");
     }
 }

@@ -799,8 +799,10 @@ fn reduced_plans_hold_their_exact_counts() {
     // conference–domain_conference–domain–domain_publication–publication:
     // two literals on the first table, one two joins away, a many-to-many
     // bridge behind it. Without a GROUP BY it streams to its first row.
-    // (The tree is spelled out: `steiner_tree` may also close it through
-    // `publication.cid`.)
+    // (The tree is spelled out: over these five tables `steiner_tree` hangs
+    // `publication` on `conference` through `publication.cid` — one hop, as
+    // `domain_publication.pid` is, from the table that joined the tree
+    // first — and this probe wants the chain.)
     let fk = |from: (&str, &str), to: (&str, &str)| JoinEdge {
         fk: ForeignKey { from: column(db, from.0, from.1), to: column(db, to.0, to.1) },
     };
