@@ -7,7 +7,9 @@
 //!   col = v LIMIT 1` probes over every column of a generated Spider
 //!   database, half hitting and half missing;
 //! * a **large join** — a high-fanout two-table join where the joined
-//!   relation dwarfs the base tables, probed with `LIMIT 1`;
+//!   relation dwarfs the base tables, probed with `LIMIT 1` — and drained
+//!   under a `COUNT(*)`, which prices one joined row (ns per row: the one
+//!   number the socket-level benchmark cannot isolate);
 //!
 //! plus the **semi-join reduction** on the MAS user-study database: task
 //! C3's gold query (four tables, GROUP BY / HAVING, the literal at a leaf of
@@ -148,6 +150,24 @@ fn bench_executor(c: &mut Criterion) {
         100.0 * wall_indexed.as_secs_f64() / wall_scan.as_secs_f64().max(1e-9)
     );
 
+    // What a joined row costs when nothing stops the join early: COUNT(*)
+    // drains all 160 000 joined rows and returns one. Best of five.
+    let drained =
+        SelectSpec { select: vec![SelectItem::count_star()], limit: None, ..probe.clone() };
+    let (joined_rows, drained_wall) = (0..5)
+        .map(|_| {
+            let start = std::time::Instant::now();
+            let out = execute_with(&fanout, &drained, &INDEXED).unwrap();
+            (out.result.rows[0].0[0].as_number().unwrap_or(0.0), start.elapsed())
+        })
+        .min_by_key(|&(_, wall)| wall)
+        .expect("five runs");
+    println!(
+        "drained large join: {joined_rows} joined rows in {drained_wall:?} ({:.1} ns per \
+         joined row)",
+        drained_wall.as_nanos() as f64 / joined_rows.max(1.0)
+    );
+
     // Semi-join reduction: the literal sits at a leaf (`conference.name`),
     // the first table (`author`) is three joins away.
     let mas = MasDataset::standard();
@@ -184,6 +204,9 @@ fn bench_executor(c: &mut Criterion) {
     });
     group.bench_function("large_join_limit1_materialized", |b| {
         b.iter(|| execute_with(&fanout, &probe, &MATERIALIZING).unwrap().result.len())
+    });
+    group.bench_function("large_join_drained_count", |b| {
+        b.iter(|| execute_with(&fanout, &drained, &INDEXED).unwrap().result.len())
     });
 
     group.bench_function("mas_c3_gold_reduced", |b| {

@@ -12,7 +12,7 @@ use crate::executor::{ExecOptions, ResultSet};
 use crate::index::InvertedIndex;
 use crate::query::SelectSpec;
 use crate::schema::{ColumnId, Schema, TableId};
-use crate::table_index::{ColumnIndex, IndexStats, TableIndex};
+use crate::table_index::{ord_cmp, ColumnIndex, TableIndex};
 use crate::types::{DataType, Value};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -79,7 +79,7 @@ pub struct Database {
     index_dirty: bool,
     probe_cache: ProbeCache,
     /// Per-table, per-column `(ascending, descending)` non-strict sortedness
-    /// of the stored rows (under `Value::total_cmp`), computed by
+    /// of the stored rows (under the executor's sort order), computed by
     /// [`Database::rebuild_index`] and maintained incrementally by the write
     /// path. The streaming executor uses it to skip sorts whose order the
     /// storage already satisfies.
@@ -200,7 +200,7 @@ impl Database {
             if let Some(flags) = self.sorted_flags.get_mut(table.0) {
                 let (prev, new) = (&rows[row_idx - 1], &rows[row_idx]);
                 for (ci, flag) in flags.iter_mut().enumerate() {
-                    match prev.0[ci].total_cmp(&new.0[ci]) {
+                    match ord_cmp(&prev.0[ci], &new.0[ci]) {
                         std::cmp::Ordering::Less => flag.1 = false,
                         std::cmp::Ordering::Greater => flag.0 = false,
                         std::cmp::Ordering::Equal => {}
@@ -367,12 +367,6 @@ impl Database {
     /// incrementally, so they never serve stale rows.
     pub fn column_index(&self, col: ColumnId) -> Option<&ColumnIndex> {
         self.table_indexes.get(col.table.0).map(|t| t.column(col.column))
-    }
-
-    /// Cardinality/min/max statistics of one indexed column, or `None` until
-    /// the first [`Database::rebuild_index`].
-    pub fn index_stats(&self, col: ColumnId) -> Option<IndexStats> {
-        self.column_index(col).map(|idx| idx.stats(&self.data[col.table.0].rows, col.column))
     }
 
     /// Whether the executor may use the secondary indexes (the default).
@@ -552,12 +546,12 @@ impl Database {
 }
 
 /// `(ascending, descending)` non-strict sortedness of one stored column
-/// under `Value::total_cmp` — the order the executor's batch sort uses.
+/// under `ord_cmp` — the order the executor's batch sort uses.
 fn column_sortedness(rows: &[Row], ci: usize) -> (bool, bool) {
     let mut asc = true;
     let mut desc = true;
     for pair in rows.windows(2) {
-        match pair[0].0[ci].total_cmp(&pair[1].0[ci]) {
+        match ord_cmp(&pair[0].0[ci], &pair[1].0[ci]) {
             std::cmp::Ordering::Less => desc = false,
             std::cmp::Ordering::Greater => asc = false,
             std::cmp::Ordering::Equal => {}
@@ -732,9 +726,17 @@ mod tests {
         assert_eq!(moved.result.len(), 1);
         assert!(moved.metrics.rows_via_index > 0);
 
-        // The incremental maintenance must equal a rebuild exactly.
-        let incremental = d.index_stats(name).unwrap();
+        // The incremental maintenance must equal a rebuild in everything the
+        // executor reads off the index: the match list of every stored key,
+        // the sorted run, uniqueness and the mean match-list length.
+        let read = |d: &Database| {
+            let idx = d.column_index(name).unwrap();
+            let lists: Vec<Vec<usize>> =
+                d.column_values(name).map(|v| idx.lookup(v).to_vec()).collect();
+            (lists, idx.ordered().to_vec(), idx.is_unique(), idx.mean_matches())
+        };
+        let incremental = read(&d);
         d.rebuild_index();
-        assert_eq!(incremental, d.index_stats(name).unwrap());
+        assert_eq!(incremental, read(&d));
     }
 }

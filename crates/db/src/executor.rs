@@ -17,18 +17,29 @@
 //!   └─────────────────────────────────┘  └────────────────────────────────┘
 //! ```
 //!
-//! Two physical strategies implement that plan:
+//! **A joined row is one row id per joined table**, never a copy of their
+//! cells: the join appends ids, WHERE, GROUP BY, aggregates and projection
+//! read cells through them at `(table slot, column)` positions resolved once
+//! per execution, and only the projected cells of rows that survive are ever
+//! cloned. Join, GROUP BY and DISTINCT keys are the typed [`Key`]s the column
+//! index already holds ([`Value::key`]), so a numeric join probe allocates
+//! nothing. What a join costs follows the answer it projects, not the width
+//! of the tables it crosses.
 //!
-//! * **Streaming** — the probe side of the join chain is pulled row by row
-//!   and each operator forwards rows as they survive, so a `LIMIT k` query
-//!   (most prominently the verifier's `SELECT … LIMIT 1` probes) stops
-//!   scanning as soon as `k` output rows exist. **Limit pushdown** applies
-//!   when the query has no aggregation and either no `ORDER BY` or an
-//!   `ORDER BY` that the pipeline order already satisfies (the sort key is a
-//!   column of the probe-side table whose stored values are already sorted
-//!   the requested way — see [`Database::column_is_sorted`]).
+//! Two physical strategies run on that one relation:
+//!
+//! * **Streaming** — the probe side of the join chain is pulled row by row,
+//!   each row carried depth-first through the join steps (one reused id
+//!   buffer per depth) and offered to WHERE, projection and DISTINCT, so a
+//!   `LIMIT k` query (most prominently the verifier's `SELECT … LIMIT 1`
+//!   probes) stops scanning as soon as `k` output rows exist. **Limit
+//!   pushdown** applies when the query has no aggregation and either no
+//!   `ORDER BY` or an `ORDER BY` that the pipeline order already satisfies
+//!   (the sort key is a column of the probe-side table whose stored values
+//!   are already sorted the requested way — see
+//!   [`Database::column_is_sorted`]).
 //! * **Materializing** — grouped, sorted-by-unsorted-columns, or unlimited
-//!   queries drain the same join chain into an intermediate relation, then
+//!   queries drain the same join chain into one flat vector of ids, then
 //!   filter, group, sort and limit it as one batch.
 //!
 //! # Index access
@@ -78,16 +89,13 @@
 
 use crate::database::{Database, Row};
 use crate::error::{DbError, DbResult};
-use crate::query::{
-    AggFunc, CmpOp, LogicalOp, OrderKey, OrderSpec, Predicate, SelectItem, SelectSpec,
-};
+use crate::query::{AggFunc, CmpOp, LogicalOp, OrderKey, OrderSpec, Predicate, SelectSpec};
 use crate::schema::{ColumnId, TableId};
-use crate::table_index::ColumnIndex;
-use crate::types::{DataType, Value};
+use crate::table_index::{ord_cmp, ColumnIndex};
+use crate::types::{DataType, Key, Value};
 use std::borrow::Cow;
-use std::cell::Cell;
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt::Write as _;
 
 /// The result of executing a query: column headers plus rows.
@@ -247,12 +255,10 @@ pub fn execute_with(db: &Database, spec: &SelectSpec, opts: &ExecOptions) -> DbR
     validate(db, spec)?;
     let access = IndexAccess::plan(db, spec, opts);
     let plan = plan_joins(db, spec, &access)?;
-    if access.provably_empty(db, spec) {
-        return run_empty(db, spec, plan, opts, &access);
-    }
-    match streaming_cap(db, spec, opts, &plan) {
+    let proven_empty = access.provably_empty(db, spec);
+    match streaming_cap(db, spec, opts, &plan).filter(|_| !proven_empty) {
         Some((cap, order)) => run_streaming(db, spec, &plan, cap, order, &access),
-        None => run_materialized(db, spec, plan, opts, &access),
+        None => run_materialized(db, spec, &plan, opts, &access, proven_empty),
     }
 }
 
@@ -265,7 +271,7 @@ struct IndexAccess {
     enabled: bool,
     /// Table → ascending candidate row ids: a **superset** of the table's
     /// rows that can appear in a joined row passing the WHERE clause.
-    /// [`row_passes`] still evaluates every predicate on every surviving
+    /// [`Resolved::passes`] still evaluates every predicate on every surviving
     /// row, so iterating (or joining to) candidates instead of the full
     /// table is output-invariant — the index only removes rows that could
     /// never survive. Only populated when predicates combine conjunctively
@@ -329,8 +335,8 @@ impl IndexAccess {
     /// child row that is itself a candidate: the reduced list is again an
     /// ascending superset of the survivors, and the argument the
     /// [`restrictions`](Self::restrictions) rest on carries over unchanged.
-    /// Keys compare as in the join itself — [`Value::group_key`], NULLs
-    /// match nothing.
+    /// Keys compare as in the join itself — [`Value::key`], NULLs match
+    /// nothing.
     ///
     /// Only the direction toward the probe side is walked. Restricting
     /// build sides from above as well reaches the same row counts but
@@ -389,8 +395,8 @@ impl IndexAccess {
 ///
 /// Supersets, never exact sets, are required (the WHERE filter re-checks):
 ///
-/// * Text equality is exact — [`Value::group_key`] lowercases ASCII exactly
-///   like [`Value::sql_eq`] compares.
+/// * Text equality is exact — [`Value::key`] lowercases ASCII exactly like
+///   [`Value::sql_eq`] compares.
 /// * Numeric equality is epsilon-relative in [`Value::sql_eq`], so the index
 ///   serves a `±δ` range with `δ = 4ε(|v|+1)`, which strictly contains the
 ///   sql_eq tolerance band `|a-v| < ε·max(|a|,|v|,1)` including the rounding
@@ -440,11 +446,27 @@ fn predicate_candidates(db: &Database, col: ColumnId, pred: &Predicate) -> Optio
     }
 }
 
-/// The joined intermediate relation: a mapping from column ids to positions in
-/// the combined row, plus the combined rows themselves.
+/// Where a column lives in a joined row: `(table slot, column)`.
+type Pos = (usize, usize);
+
+/// The joined intermediate relation, late-materialised: a joined row is one
+/// row id per joined table (`width` of them, in [`JoinPlan::tables`] order),
+/// rows laid end to end in join order. Cells are read through the ids
+/// ([`Resolved::cell`]); nothing is copied until a row has passed WHERE and a
+/// cell of it is projected.
 struct Joined {
-    col_pos: HashMap<ColumnId, usize>,
-    rows: Vec<Vec<Value>>,
+    ids: Vec<usize>,
+    width: usize,
+}
+
+impl Joined {
+    fn len(&self) -> usize {
+        self.ids.len() / self.width
+    }
+
+    fn row(&self, r: usize) -> &[usize] {
+        &self.ids[r * self.width..][..self.width]
+    }
 }
 
 /// One output record before distinct/sort/limit: projected values plus the sort key.
@@ -496,12 +518,11 @@ fn validate(db: &Database, spec: &SelectSpec) -> DbResult<()> {
     Ok(())
 }
 
-/// One hash-join step of the plan: probe the combined row at `probe_pos`
-/// against a hash table over `build_col` of `table`.
+/// One hash-join step of the plan: probe the joined row's cell at `probe`
+/// against a hash table over the column `build` of the table it adds.
 struct JoinStep {
-    table: TableId,
-    probe_pos: usize,
-    build_col: usize,
+    probe: Pos,
+    build: ColumnId,
 }
 
 /// The logical join plan shared by both physical strategies, so their row
@@ -510,9 +531,18 @@ struct JoinStep {
 /// one — the first such edge canonically, or the most selective one when the
 /// greedy reorder is provably order-safe (see [`plan_joins`]).
 struct JoinPlan {
-    first: TableId,
-    col_pos: HashMap<ColumnId, usize>,
+    /// Joined tables in slot order: the first FROM table, then the build
+    /// table of each step.
+    tables: Vec<TableId>,
     steps: Vec<JoinStep>,
+}
+
+impl JoinPlan {
+    /// `(table slot, column)` of a column of an already joined table.
+    fn col_pos(&self, col: ColumnId) -> Pos {
+        let slot = self.tables.iter().position(|&t| t == col.table);
+        (slot.expect("validated: the FROM clause covers the column"), col.column)
+    }
 }
 
 /// One FK edge of the join tree, oriented away from the first FROM table:
@@ -579,25 +609,17 @@ fn intersect_ascending(a: &[usize], b: &[usize]) -> Vec<usize> {
 }
 
 fn plan_joins(db: &Database, spec: &SelectSpec, access: &IndexAccess) -> DbResult<JoinPlan> {
-    let schema = db.schema();
-    let mut col_pos: HashMap<ColumnId, usize> = HashMap::new();
-
-    let first = spec.join.tables[0];
-    for ci in 0..schema.table(first).columns.len() {
-        col_pos.insert(ColumnId { table: first, column: ci }, ci);
-    }
-
     let greedy =
         access.enabled && spec.join.edges.len() > 1 && greedy_reorder_is_order_safe(db, spec);
 
-    let mut steps = Vec::new();
-    let mut joined_tables = vec![first];
+    let mut plan = JoinPlan { tables: vec![spec.join.tables[0]], steps: Vec::new() };
     let mut remaining_edges = spec.join.edges.to_vec();
 
-    while joined_tables.len() < spec.join.tables.len() {
+    while plan.tables.len() < spec.join.tables.len() {
+        let joined = &plan.tables;
         let mut connecting = remaining_edges.iter().enumerate().filter(|(_, e)| {
             let (a, b) = e.tables();
-            joined_tables.contains(&a) != joined_tables.contains(&b)
+            joined.contains(&a) != joined.contains(&b)
         });
         let pos = if greedy {
             // Most selective (smallest estimated build side) first; the
@@ -607,7 +629,7 @@ fn plan_joins(db: &Database, spec: &SelectSpec, access: &IndexAccess) -> DbResul
             // the canonical edge order.
             connecting.min_by_key(|(_, e)| {
                 let (a, b) = e.tables();
-                let build = if joined_tables.contains(&a) { b } else { a };
+                let build = if joined.contains(&a) { b } else { a };
                 access
                     .restrictions
                     .get(&build)
@@ -623,35 +645,14 @@ fn plan_joins(db: &Database, spec: &SelectSpec, access: &IndexAccess) -> DbResul
                 "no join edge connects the remaining tables".into(),
             ));
         };
-        let edge = remaining_edges.remove(pos);
-        let (a, b) = edge.tables();
-        let (new_table, joined_col, new_col) = if joined_tables.contains(&a) {
-            (
-                b,
-                if edge.fk.from.table == a { edge.fk.from } else { edge.fk.to },
-                if edge.fk.from.table == b { edge.fk.from } else { edge.fk.to },
-            )
-        } else {
-            (
-                a,
-                if edge.fk.from.table == b { edge.fk.from } else { edge.fk.to },
-                if edge.fk.from.table == a { edge.fk.from } else { edge.fk.to },
-            )
-        };
-
-        let offset = col_pos.len();
-        for ci in 0..schema.table(new_table).columns.len() {
-            col_pos.insert(ColumnId { table: new_table, column: ci }, offset + ci);
-        }
-        steps.push(JoinStep {
-            table: new_table,
-            probe_pos: col_pos[&joined_col],
-            build_col: new_col.column,
-        });
-        joined_tables.push(new_table);
+        let fk = remaining_edges.remove(pos).fk;
+        let (probe, build) =
+            if joined.contains(&fk.from.table) { (fk.from, fk.to) } else { (fk.to, fk.from) };
+        plan.steps.push(JoinStep { probe: plan.col_pos(probe), build });
+        plan.tables.push(build.table);
     }
 
-    Ok(JoinPlan { first, col_pos, steps })
+    Ok(plan)
 }
 
 /// How the streaming strategy iterates the first (probe-side) table.
@@ -703,7 +704,7 @@ fn streaming_cap(
         // holds for a physically presorted column — and for any indexed
         // column by walking its sorted run instead of the storage.
         let OrderKey::Column(col) = key else { return None };
-        if col.table != plan.first {
+        if col.table != plan.tables[0] {
             return None;
         }
         // DISTINCT keeps the first of equal projections: in pipeline order
@@ -725,58 +726,183 @@ fn streaming_cap(
     Some((cap, order))
 }
 
-/// Compound grouping/dedup key over a sequence of values, used identically
-/// by the streaming DISTINCT, the batch DISTINCT of [`finalize`] and the
-/// GROUP BY partitioning — one derivation, so the strategies cannot drift.
-fn group_key_of<'v>(values: impl Iterator<Item = &'v Value>) -> String {
-    values.map(Value::group_key).collect::<Vec<_>>().join("\u{1}")
+/// Composite typed keys numbered by first appearance: the one derivation
+/// behind GROUP BY partitioning and DISTINCT in both strategies, so they
+/// cannot drift. A key holds one [`Value::key`] per value — `None` for NULL,
+/// which groups with NULL.
+#[derive(Default)]
+struct KeyIndex {
+    slots: HashMap<Vec<Option<Key>>, usize>,
+    /// Reused lookup buffer: a key is cloned only when it is new.
+    buf: Vec<Option<Key>>,
 }
 
-/// Build the hash table over one join step's build column: `group_key` →
-/// ascending row ids, NULLs excluded — what a [`ColumnIndex`] holds prebuilt.
-fn build_hash(rows: &[Row], build_col: usize) -> HashMap<String, Vec<usize>> {
-    let mut map: HashMap<String, Vec<usize>> = HashMap::new();
+impl KeyIndex {
+    /// The first-appearance number of the key of `values`, and whether this
+    /// call introduced it.
+    fn slot<'v>(&mut self, values: impl Iterator<Item = &'v Value>) -> (usize, bool) {
+        self.buf.clear();
+        self.buf.extend(values.map(Value::key));
+        let next = self.slots.len();
+        match self.slots.get(self.buf.as_slice()) {
+            Some(&slot) => (slot, false),
+            None => {
+                self.slots.insert(self.buf.clone(), next);
+                (next, true)
+            }
+        }
+    }
+}
+
+/// Build the hash table over one join step's build column: key → ascending
+/// row ids, NULLs excluded — what a [`ColumnIndex`] holds prebuilt.
+fn build_hash(rows: &[Row], build_col: usize) -> HashMap<Key, Vec<usize>> {
+    let mut map: HashMap<Key, Vec<usize>> = HashMap::new();
     for (ri, row) in rows.iter().enumerate() {
-        let v = &row.0[build_col];
-        if !v.is_null() {
-            map.entry(v.group_key()).or_default().push(ri);
+        if let Some(key) = row.0[build_col].key() {
+            map.entry(key).or_default().push(ri);
         }
     }
     map
 }
 
-/// The tail of the streaming pipeline: WHERE filter, projection, DISTINCT
-/// and the output cap, fed one (borrowed) combined row at a time.
-struct StreamSink<'a> {
+/// The spec resolved against its join plan, once per execution: the stored
+/// rows of every joined table by slot, and the [`Pos`] of every column the
+/// per-row path reads, so that path hashes no `ColumnId`.
+struct Resolved<'a> {
     spec: &'a SelectSpec,
-    col_pos: &'a HashMap<ColumnId, usize>,
-    /// Plain projection positions (streaming never runs aggregated queries).
-    proj: Vec<usize>,
-    seen: HashSet<String>,
-    rows_out: Vec<Row>,
-    cap: usize,
+    tables: Vec<&'a [Row]>,
+    /// Column of each WHERE predicate, parallel to `spec.predicates`.
+    where_pos: Vec<Pos>,
+    /// Column of each SELECT item (`None` for `COUNT(*)`), parallel to `spec.select`.
+    select_pos: Vec<Option<Pos>>,
+    group_pos: Vec<Pos>,
+    /// Argument of each HAVING aggregate, parallel to `spec.having`.
+    having_pos: Vec<Option<Pos>>,
+    /// The ORDER BY column, or the argument of its aggregate.
+    order_pos: Option<Pos>,
 }
 
-impl StreamSink<'_> {
-    /// Offer one combined row; returns `false` once the cap is reached and
-    /// the pipeline must stop pulling.
-    fn offer(&mut self, row: &[Value]) -> bool {
-        if !row_passes(self.spec, self.col_pos, row) {
-            return true;
+impl<'a> Resolved<'a> {
+    /// Must run after [`validate`]: every referenced column is joined.
+    fn new(db: &'a Database, spec: &'a SelectSpec, plan: &JoinPlan) -> Resolved<'a> {
+        let pos = |col: ColumnId| plan.col_pos(col);
+        let column = |p: &Predicate| pos(p.col.expect("validated: WHERE predicate has a column"));
+        Resolved {
+            spec,
+            tables: plan.tables.iter().map(|&t| db.table_data(t).rows.as_slice()).collect(),
+            where_pos: spec.predicates.iter().map(column).collect(),
+            select_pos: spec.select.iter().map(|item| item.col.map(pos)).collect(),
+            group_pos: spec.group_by.iter().map(|&col| pos(col)).collect(),
+            having_pos: spec.having.iter().map(|h| h.col.map(pos)).collect(),
+            order_pos: spec.order_by.and_then(|o| match o.key {
+                OrderKey::Column(col) | OrderKey::Aggregate(_, Some(col)) => Some(pos(col)),
+                OrderKey::Aggregate(_, None) => None,
+            }),
         }
-        let projected: Vec<Value> = self.proj.iter().map(|&p| row[p].clone()).collect();
-        if self.spec.distinct && !self.seen.insert(group_key_of(projected.iter())) {
-            return true;
+    }
+
+    /// The cell at `pos` of the joined row `ids` (one row id per slot; a
+    /// prefix of the slots is enough when `pos` lies within it).
+    fn cell(&self, ids: &[usize], (slot, col): Pos) -> &'a Value {
+        &self.tables[slot][ids[slot]].0[col]
+    }
+
+    /// Whether one joined row survives the WHERE clause.
+    fn passes(&self, ids: &[usize]) -> bool {
+        let mut verdicts = self
+            .spec
+            .predicates
+            .iter()
+            .zip(&self.where_pos)
+            .map(|(p, &pos)| compare(self.cell(ids, pos), p.op, &p.value, p.value2.as_ref()));
+        match self.spec.predicate_op {
+            LogicalOp::And => verdicts.all(|v| v),
+            LogicalOp::Or => self.where_pos.is_empty() || verdicts.any(|v| v),
         }
-        self.rows_out.push(Row(projected));
-        self.rows_out.len() < self.cap
+    }
+
+    /// Compute an aggregate over the joined rows `rows` of `joined`.
+    fn aggregate(&self, joined: &Joined, rows: &[usize], agg: AggFunc, pos: Option<Pos>) -> Value {
+        // The argument's non-NULL cells in row order; none for `*`.
+        let values = || {
+            let cells = pos.into_iter().flat_map(|p| rows.iter().map(move |&r| (r, p)));
+            cells.map(|(r, p)| self.cell(joined.row(r), p)).filter(|v| !v.is_null())
+        };
+        let numbers = || values().filter_map(Value::as_number);
+        match agg {
+            AggFunc::Count if pos.is_none() => Value::int(rows.len() as i64),
+            AggFunc::Count => Value::int(values().count() as i64),
+            AggFunc::Sum if values().next().is_none() => Value::Null,
+            AggFunc::Sum => Value::Number(numbers().sum()),
+            AggFunc::Avg => match numbers().count() {
+                0 => Value::Null,
+                n => Value::Number(numbers().sum::<f64>() / n as f64),
+            },
+            // Under `ord_cmp`, the order of the sort: a NaN is the largest
+            // number wherever it stands among the rows.
+            AggFunc::Min => values().min_by(|a, b| ord_cmp(a, b)).cloned().unwrap_or(Value::Null),
+            AggFunc::Max => values().max_by(|a, b| ord_cmp(a, b)).cloned().unwrap_or(Value::Null),
+        }
+    }
+
+    /// Partition the joined rows `filtered` by the GROUP BY columns, groups
+    /// in first-appearance order.
+    fn partition(&self, joined: &Joined, filtered: Vec<usize>) -> Vec<Vec<usize>> {
+        let mut groups: Vec<Vec<usize>> = Vec::new();
+        let mut index = KeyIndex::default();
+        for r in filtered {
+            let ids = joined.row(r);
+            let (slot, new) = index.slot(self.group_pos.iter().map(|&pos| self.cell(ids, pos)));
+            if new {
+                groups.push(Vec::new());
+            }
+            groups[slot].push(r);
+        }
+        groups
+    }
+
+    /// One output record per group that passes HAVING. An ungrouped query's
+    /// rows are groups of one; a plain column projects the group's first row.
+    /// The global group of an aggregate query without GROUP BY may be empty
+    /// and still yields a record (`COUNT(*)` of 0), as in real SQL.
+    fn records<'g>(
+        &self,
+        joined: &Joined,
+        groups: impl Iterator<Item = &'g [usize]>,
+    ) -> Vec<Record> {
+        let spec = self.spec;
+        let first = |rows: &[usize], pos: Pos| match rows.first() {
+            Some(&r) => self.cell(joined.row(r), pos).clone(),
+            None => Value::Null,
+        };
+        let having = |rows: &[usize]| {
+            spec.having.iter().zip(&self.having_pos).all(|(h, &pos)| {
+                let agg = h.agg.expect("validated: HAVING predicate is aggregated");
+                compare(&self.aggregate(joined, rows, agg, pos), h.op, &h.value, h.value2.as_ref())
+            })
+        };
+        let record = |rows: &[usize]| Record {
+            projected: (spec.select.iter().zip(&self.select_pos))
+                .map(|(item, &pos)| match (item.agg, pos) {
+                    (Some(agg), pos) => self.aggregate(joined, rows, agg, pos),
+                    (None, Some(pos)) => first(rows, pos),
+                    (None, None) => Value::Null,
+                })
+                .collect(),
+            order_key: spec.order_by.map(|o| match o.key {
+                OrderKey::Aggregate(agg, _) => self.aggregate(joined, rows, agg, self.order_pos),
+                OrderKey::Column(_) => first(rows, self.order_pos.expect("resolved with the spec")),
+            }),
+        };
+        groups.filter(|rows| having(rows)).map(record).collect()
     }
 }
 
 /// One join step's build side: the match lists — borrowed straight from a
 /// column index (index-nested-loop join, no build pass at all) or hashed for
-/// this execution, both `group_key → ascending row ids` with NULLs excluded —
-/// plus the build table's restriction, if it has one.
+/// this execution, both key → ascending row ids with NULLs excluded — plus
+/// the build table's restriction, if it has one.
 ///
 /// A restriction never replaces the match lists: it is applied as a
 /// membership filter while a list is expanded, so a restricted build side
@@ -784,7 +910,8 @@ impl StreamSink<'_> {
 /// ascending subsequence of itself — dropped rows are exactly those the
 /// planner proved unable to appear in a surviving joined row.
 struct StepHash<'h> {
-    lists: Cow<'h, HashMap<String, Vec<usize>>>,
+    probe: Pos,
+    lists: Cow<'h, HashMap<Key, Vec<usize>>>,
     /// Ascending candidate row ids of the build table.
     keep: Option<&'h [usize]>,
 }
@@ -793,43 +920,92 @@ impl<'h> StepHash<'h> {
     /// The build side of `step`. The second value is the number of build
     /// rows hashed for it: 0 for an index-nested-loop join.
     fn of(db: &'h Database, step: &JoinStep, access: &'h IndexAccess) -> (StepHash<'h>, u64) {
-        let build_rows = &db.table_data(step.table).rows;
-        let build_cid = ColumnId { table: step.table, column: step.build_col };
-        let (lists, hashed) = match db.column_index(build_cid).filter(|_| access.enabled) {
+        let build_rows = &db.table_data(step.build.table).rows;
+        let (lists, hashed) = match db.column_index(step.build).filter(|_| access.enabled) {
             Some(idx) => (Cow::Borrowed(idx.match_lists()), 0),
-            None => (Cow::Owned(build_hash(build_rows, step.build_col)), build_rows.len() as u64),
+            None => {
+                (Cow::Owned(build_hash(build_rows, step.build.column)), build_rows.len() as u64)
+            }
         };
-        (StepHash { lists, keep: access.restrictions.get(&step.table).map(Vec::as_slice) }, hashed)
+        let keep = access.restrictions.get(&step.build.table).map(Vec::as_slice);
+        (StepHash { probe: step.probe, lists, keep }, hashed)
     }
 
     fn is_inlj(&self) -> bool {
         matches!(self.lists, Cow::Borrowed(_))
     }
 
-    /// Append `row` combined with each build row its join key matches (and
-    /// the restriction keeps), in ascending build-row order. The row is
-    /// moved into its last match instead of being cloned once more.
-    fn expand(
-        &self,
-        mut row: Vec<Value>,
-        probe_pos: usize,
-        build_rows: &[Row],
-        out: &mut Vec<Vec<Value>>,
-    ) {
-        if row[probe_pos].is_null() {
-            return;
+    /// Append to `out` the joined row `probe` extended by each build row its
+    /// join key matches (and the restriction keeps), in ascending build-row
+    /// order; returns how many. Both strategies join through here, so they
+    /// order joined rows alike.
+    fn expand(&self, query: &Resolved<'_>, probe: &[usize], out: &mut Vec<usize>) -> u64 {
+        let Some(matches) = query.cell(probe, self.probe).key().and_then(|k| self.lists.get(&k))
+        else {
+            return 0;
+        };
+        let mut kept = 0;
+        for ri in matches {
+            if self.keep.is_none_or(|keep| keep.binary_search(ri).is_ok()) {
+                out.extend_from_slice(probe);
+                out.push(*ri);
+                kept += 1;
+            }
         }
-        let Some(matches) = self.lists.get(&row[probe_pos].group_key()) else { return };
-        let mut kept = matches
-            .iter()
-            .filter(|ri| self.keep.is_none_or(|keep| keep.binary_search(ri).is_ok()))
-            .peekable();
-        while let Some(&ri) = kept.next() {
-            let mut combined =
-                if kept.peek().is_some() { row.clone() } else { std::mem::take(&mut row) };
-            combined.extend(build_rows[ri].0.iter().cloned());
-            out.push(combined);
+        kept
+    }
+}
+
+/// The streaming pipeline past the first-table scan: the join steps walked
+/// depth first, then WHERE, projection, DISTINCT and the output cap.
+struct Stream<'a> {
+    query: &'a Resolved<'a>,
+    seen: KeyIndex,
+    rows_out: Vec<Row>,
+    cap: usize,
+    /// Join rows produced.
+    produced: u64,
+    /// Index-nested-loop probes, and the join rows they produced.
+    lookups: u64,
+    via_index: u64,
+}
+
+impl Stream<'_> {
+    /// Carry one joined row through the remaining join `steps`: expand it by
+    /// the next step into that depth's reused buffer, then descend into each
+    /// expansion before the next — so a row is expanded only when the rows
+    /// before it are consumed, as a lazy iterator chain would. Returns
+    /// `false` once the cap is reached and the pipeline must stop pulling.
+    fn pull(&mut self, ids: &[usize], steps: &[StepHash<'_>], bufs: &mut [Vec<usize>]) -> bool {
+        let (Some((step, steps)), Some((buf, bufs))) =
+            (steps.split_first(), bufs.split_first_mut())
+        else {
+            return self.offer(ids);
+        };
+        buf.clear();
+        let produced = step.expand(self.query, ids, buf);
+        self.produced += produced;
+        if step.is_inlj() {
+            self.lookups += 1;
+            self.via_index += produced;
         }
+        buf.chunks_exact(ids.len() + 1).all(|row| self.pull(row, steps, bufs))
+    }
+
+    /// Offer one fully joined row to WHERE, projection and DISTINCT.
+    fn offer(&mut self, ids: &[usize]) -> bool {
+        let query = self.query;
+        if !query.passes(ids) {
+            return true;
+        }
+        let cells = query.select_pos.iter().map(|pos| {
+            query.cell(ids, pos.expect("streaming runs no aggregate: every item has a column"))
+        });
+        if query.spec.distinct && !self.seen.slot(cells.clone()).1 {
+            return true;
+        }
+        self.rows_out.push(Row(cells.cloned().collect()));
+        self.rows_out.len() < self.cap
     }
 }
 
@@ -844,28 +1020,15 @@ fn run_streaming(
     access: &IndexAccess,
 ) -> DbResult<ExecOutcome> {
     let (columns, types) = headers(db, spec)?;
-
-    let mut sink = StreamSink {
-        spec,
-        col_pos: &plan.col_pos,
-        proj: spec
-            .select
-            .iter()
-            .map(|item| plan.col_pos[&item.col.expect("validated: plain projection has a column")])
-            .collect(),
-        seen: HashSet::new(),
-        rows_out: Vec::new(),
-        cap,
-    };
-
-    let first_rows = &db.table_data(plan.first).rows;
+    let query = Resolved::new(db, spec, plan);
+    let first_rows = query.tables[0];
 
     // First-table iteration: the ordered index scan when the ORDER BY asks
     // for it, a plain scan otherwise — either one narrowed to the ascending
     // restriction candidates when the planner pre-selected rows. Candidate
     // order equals storage order and a filtered sorted run is a subsequence
     // of the run, so emission is unchanged.
-    let restriction = access.restrictions.get(&plan.first);
+    let restriction = access.restrictions.get(&plan.tables[0]);
     let mut setup_lookups: u64 = 0;
     let via_first = restriction.is_some() || matches!(order, FirstOrder::Index { .. });
     let first_iter: Box<dyn Iterator<Item = usize> + '_> = match order {
@@ -890,28 +1053,20 @@ fn run_streaming(
     let first_len = restriction.map(Vec::len).unwrap_or(first_rows.len()) as u64;
 
     let mut build_scanned: u64 = 0;
-    let mut first_scanned_n: u64 = 0;
-    let mut produced_n: u64 = 0;
-    let mut via_index_n: u64 = 0;
-    let mut lookups_n: u64 = 0;
+    let mut first_scanned: u64 = 0;
     let mut bailed = false;
     let mut stopped_early = cap == 0 && first_len > 0;
+    let mut stream = Stream {
+        query: &query,
+        seen: KeyIndex::default(),
+        rows_out: Vec::new(),
+        cap,
+        produced: 0,
+        lookups: 0,
+        via_index: 0,
+    };
 
-    if cap > 0 && plan.steps.is_empty() {
-        // Zero-join fast path (the dominant single-table probe shape):
-        // filter and project straight from the borrowed storage rows — no
-        // full-row clone ever happens, only the projected cells are copied.
-        for ri in first_iter {
-            first_scanned_n += 1;
-            if via_first {
-                via_index_n += 1;
-            }
-            if !sink.offer(&first_rows[ri].0) {
-                stopped_early = true;
-                break;
-            }
-        }
-    } else if cap > 0 {
+    if cap > 0 {
         // Build sides: borrow the column index's prebuilt match lists when
         // the build key is indexed, hash the table otherwise. An empty
         // build side proves the join output empty before any probe row is
@@ -926,51 +1081,16 @@ fn run_streaming(
             }
             hashes.push(hash);
         }
-
+        // One id buffer per join depth, reused for every probe row.
+        let mut bufs: Vec<Vec<usize>> = vec![Vec::new(); hashes.len()];
         if !bailed {
-            let first_scanned = Cell::new(0u64);
-            let produced = Cell::new(0u64);
-            let lookups = Cell::new(0u64);
-            let via_index = Cell::new(0u64);
-            let fs = &first_scanned;
-            let vi = &via_index;
-            let mut stream: Box<dyn Iterator<Item = Vec<Value>> + '_> =
-                Box::new(first_iter.map(move |ri| {
-                    fs.set(fs.get() + 1);
-                    if via_first {
-                        vi.set(vi.get() + 1);
-                    }
-                    first_rows[ri].0.clone()
-                }));
-            for (step, hash) in plan.steps.iter().zip(hashes) {
-                let build_rows = &db.table_data(step.table).rows;
-                let probe_pos = step.probe_pos;
-                let pr = &produced;
-                let lk = &lookups;
-                let vi = &via_index;
-                let inlj = hash.is_inlj();
-                stream = Box::new(stream.flat_map(move |row| {
-                    let mut out: Vec<Vec<Value>> = Vec::new();
-                    hash.expand(row, probe_pos, build_rows, &mut out);
-                    if inlj {
-                        lk.set(lk.get() + 1);
-                        vi.set(vi.get() + out.len() as u64);
-                    }
-                    pr.set(pr.get() + out.len() as u64);
-                    out
-                }));
-            }
-            for row in &mut stream {
-                if !sink.offer(&row) {
+            for ri in first_iter {
+                first_scanned += 1;
+                if !stream.pull(&[ri], &hashes, &mut bufs) {
                     stopped_early = true;
                     break;
                 }
             }
-            drop(stream);
-            first_scanned_n = first_scanned.get();
-            produced_n = produced.get();
-            lookups_n = lookups.get();
-            via_index_n += via_index.get();
         }
     }
 
@@ -979,94 +1099,95 @@ fn run_streaming(
     // An empty-build bail is the complete (empty) result, hence exact.
     let exact = bailed || !stopped_early || spec.limit == Some(cap);
     let metrics = ExecMetrics {
-        rows_scanned: build_scanned + first_scanned_n + produced_n,
+        rows_scanned: build_scanned + first_scanned + stream.produced,
         rows_short_circuited: if bailed {
             first_len
         } else if stopped_early {
-            first_len.saturating_sub(first_scanned_n)
+            first_len.saturating_sub(first_scanned)
         } else {
             0
         },
         exact,
         streamed: true,
-        index_lookups: access.lookups + setup_lookups + lookups_n,
-        rows_via_index: via_index_n,
+        index_lookups: access.lookups + setup_lookups + stream.lookups,
+        rows_via_index: stream.via_index + if via_first { first_scanned } else { 0 },
         probes_bailed_empty: u64::from(bailed),
     };
-    Ok(ExecOutcome { result: ResultSet { columns, types, rows: sink.rows_out }, metrics })
+    Ok(ExecOutcome { result: ResultSet { columns, types, rows: stream.rows_out }, metrics })
 }
 
 /// Materializing strategy: evaluate the join chain into an intermediate
-/// relation (index-backed build sides where available), then filter,
-/// group/aggregate, project, sort and limit as one batch.
+/// relation of row ids (index-backed build sides where available), then
+/// filter, group/aggregate, project, sort and limit as one batch.
+///
+/// With `proven_empty` ([`IndexAccess::provably_empty`]) the join is skipped
+/// and the same group/finalize tail runs over the empty relation, so
+/// aggregate shapes — a global `COUNT(*)` of 0, NULL `MIN`/`MAX` — are
+/// exactly what the full pipeline would produce, without touching a row.
 fn run_materialized(
     db: &Database,
     spec: &SelectSpec,
-    plan: JoinPlan,
+    plan: &JoinPlan,
     opts: &ExecOptions,
     access: &IndexAccess,
+    proven_empty: bool,
 ) -> DbResult<ExecOutcome> {
-    let mut scanned: u64 = 0;
+    let query = Resolved::new(db, spec, plan);
     let mut lookups: u64 = 0;
     let mut via_index: u64 = 0;
-    let mut bailed = false;
+    let mut bailed = proven_empty;
 
-    let first_rows = &db.table_data(plan.first).rows;
-    let mut rows: Vec<Vec<Value>> = match access.restrictions.get(&plan.first) {
+    let mut ids: Vec<usize> = match access.restrictions.get(&plan.tables[0]) {
+        _ if proven_empty => Vec::new(),
+        // Candidate-restricted scan: cands ascend, so the intermediate
+        // keeps storage order minus rows that could never pass WHERE.
         Some(cands) => {
-            // Candidate-restricted scan: cands ascend, so the intermediate
-            // keeps storage order minus rows that could never pass WHERE.
-            scanned += cands.len() as u64;
             via_index += cands.len() as u64;
-            cands.iter().map(|&ri| first_rows[ri].0.clone()).collect()
+            cands.clone()
         }
-        None => {
-            scanned += first_rows.len() as u64;
-            first_rows.iter().map(|r| r.0.clone()).collect()
-        }
+        None => (0..query.tables[0].len()).collect(),
     };
-    for (si, step) in plan.steps.iter().enumerate() {
-        let build_rows = &db.table_data(step.table).rows;
+    let mut scanned = ids.len() as u64;
+    let steps = if proven_empty { &[] } else { plan.steps.as_slice() };
+    // `width`: ids per joined row going into the step, one more coming out.
+    for (width, step) in (1..).zip(steps) {
         // Index-nested-loop join when the build key is indexed: the column
         // index's match lists *are* the build side and no build pass runs.
         let (hash, hashed) = StepHash::of(db, step, access);
         scanned += hashed;
-        let probed = rows.len() as u64;
-        let mut out = Vec::with_capacity(rows.len());
-        for row in rows {
-            hash.expand(row, step.probe_pos, build_rows, &mut out);
+        let mut out = Vec::with_capacity(ids.len() / width * (width + 1));
+        let mut produced: u64 = 0;
+        for probe in ids.chunks_exact(width) {
+            produced += hash.expand(&query, probe, &mut out);
         }
-        rows = out;
         if hash.is_inlj() {
-            lookups += probed;
-            via_index += rows.len() as u64;
+            lookups += (ids.len() / width) as u64;
+            via_index += produced;
         }
-        scanned += rows.len() as u64;
-        if access.enabled && rows.is_empty() && si + 1 < plan.steps.len() {
+        scanned += produced;
+        ids = out;
+        if access.enabled && ids.is_empty() && width < steps.len() {
             // Empty intermediate: the remaining steps preserve emptiness, so
             // skip their build passes outright.
             bailed = true;
             break;
         }
     }
-    let joined = Joined { col_pos: plan.col_pos, rows };
+    let joined = Joined { ids, width: plan.tables.len() };
 
-    let filtered = filter_rows(&joined, spec);
-    let grouped = spec.has_aggregates() || !spec.group_by.is_empty();
-    let records = if grouped {
-        group_records(&joined, filtered, spec)
+    let filtered: Vec<usize> = (0..joined.len()).filter(|&r| query.passes(joined.row(r))).collect();
+    let records = if !spec.has_aggregates() && spec.group_by.is_empty() {
+        query.records(&joined, filtered.chunks(1))
+    } else if spec.group_by.is_empty() {
+        query.records(&joined, std::iter::once(filtered.as_slice()))
     } else {
-        plain_records(&joined, filtered, spec)
+        let groups = query.partition(&joined, filtered);
+        query.records(&joined, groups.iter().map(Vec::as_slice))
     };
 
     let mut result = finalize(db, spec, records)?;
-    let mut exact = true;
-    if let Some(budget) = opts.row_budget {
-        if result.rows.len() > budget {
-            result.rows.truncate(budget);
-            exact = false;
-        }
-    }
+    let exact = opts.row_budget.is_none_or(|budget| result.rows.len() <= budget);
+    result.rows.truncate(opts.row_budget.unwrap_or(usize::MAX));
     let metrics = ExecMetrics {
         rows_scanned: scanned,
         rows_short_circuited: 0,
@@ -1077,58 +1198,6 @@ fn run_materialized(
         probes_bailed_empty: u64::from(bailed),
     };
     Ok(ExecOutcome { result, metrics })
-}
-
-/// A planner-proven empty probe ([`IndexAccess::provably_empty`]): run the
-/// normal group/finalize tail over the empty joined relation so aggregate
-/// shapes — a global `COUNT(*)` of 0, NULL `MIN`/`MAX` — are exactly what
-/// the full pipeline would produce, without touching a single row.
-fn run_empty(
-    db: &Database,
-    spec: &SelectSpec,
-    plan: JoinPlan,
-    opts: &ExecOptions,
-    access: &IndexAccess,
-) -> DbResult<ExecOutcome> {
-    let joined = Joined { col_pos: plan.col_pos, rows: Vec::new() };
-    let grouped = spec.has_aggregates() || !spec.group_by.is_empty();
-    let records = if grouped { group_records(&joined, Vec::new(), spec) } else { Vec::new() };
-    let mut result = finalize(db, spec, records)?;
-    let mut exact = true;
-    if let Some(budget) = opts.row_budget {
-        if result.rows.len() > budget {
-            result.rows.truncate(budget);
-            exact = false;
-        }
-    }
-    let metrics = ExecMetrics {
-        rows_scanned: 0,
-        rows_short_circuited: 0,
-        exact,
-        streamed: false,
-        index_lookups: access.lookups,
-        rows_via_index: 0,
-        probes_bailed_empty: 1,
-    };
-    Ok(ExecOutcome { result, metrics })
-}
-
-/// Whether one combined row survives the WHERE clause.
-fn row_passes(spec: &SelectSpec, col_pos: &HashMap<ColumnId, usize>, row: &[Value]) -> bool {
-    if spec.predicates.is_empty() {
-        return true;
-    }
-    match spec.predicate_op {
-        LogicalOp::And => spec.predicates.iter().all(|p| eval_predicate(col_pos, row, p)),
-        LogicalOp::Or => spec.predicates.iter().any(|p| eval_predicate(col_pos, row, p)),
-    }
-}
-
-/// Evaluate a non-aggregated predicate against one combined row.
-fn eval_predicate(col_pos: &HashMap<ColumnId, usize>, row: &[Value], pred: &Predicate) -> bool {
-    let col = pred.col.expect("WHERE predicate has a column");
-    let pos = col_pos[&col];
-    compare(&row[pos], pred.op, &pred.value, pred.value2.as_ref())
 }
 
 /// Apply a comparison operator.
@@ -1151,137 +1220,6 @@ fn compare(lhs: &Value, op: CmpOp, rhs: &Value, rhs2: Option<&Value>) -> bool {
                 && matches!(lhs.sql_cmp(hi), Some(Less | Equal))
         }
     }
-}
-
-/// Row indices surviving the WHERE clause.
-fn filter_rows(joined: &Joined, spec: &SelectSpec) -> Vec<usize> {
-    (0..joined.rows.len())
-        .filter(|&ri| row_passes(spec, &joined.col_pos, &joined.rows[ri]))
-        .collect()
-}
-
-/// Compute an aggregate over a set of rows.
-fn aggregate(joined: &Joined, rows: &[usize], agg: AggFunc, col: Option<ColumnId>) -> Value {
-    let values: Vec<&Value> = match col {
-        Some(c) => {
-            let pos = joined.col_pos[&c];
-            rows.iter().map(|&ri| &joined.rows[ri][pos]).filter(|v| !v.is_null()).collect()
-        }
-        None => Vec::new(),
-    };
-    match agg {
-        AggFunc::Count => {
-            if col.is_none() {
-                Value::int(rows.len() as i64)
-            } else {
-                Value::int(values.len() as i64)
-            }
-        }
-        AggFunc::Sum => {
-            let sum: f64 = values.iter().filter_map(|v| v.as_number()).sum();
-            if values.is_empty() {
-                Value::Null
-            } else {
-                Value::Number(sum)
-            }
-        }
-        AggFunc::Avg => {
-            let nums: Vec<f64> = values.iter().filter_map(|v| v.as_number()).collect();
-            if nums.is_empty() {
-                Value::Null
-            } else {
-                Value::Number(nums.iter().sum::<f64>() / nums.len() as f64)
-            }
-        }
-        AggFunc::Min => {
-            values.iter().cloned().cloned().min_by(|a, b| a.total_cmp(b)).unwrap_or(Value::Null)
-        }
-        AggFunc::Max => {
-            values.iter().cloned().cloned().max_by(|a, b| a.total_cmp(b)).unwrap_or(Value::Null)
-        }
-    }
-}
-
-/// Evaluate a HAVING predicate over a group.
-fn eval_having(joined: &Joined, rows: &[usize], pred: &Predicate) -> bool {
-    let agg = pred.agg.expect("HAVING predicate is aggregated");
-    let v = aggregate(joined, rows, agg, pred.col);
-    compare(&v, pred.op, &pred.value, pred.value2.as_ref())
-}
-
-/// Build output records for grouped queries.
-fn group_records(joined: &Joined, filtered: Vec<usize>, spec: &SelectSpec) -> Vec<Record> {
-    // Partition the filtered rows into groups.
-    let mut groups: Vec<(Vec<usize>,)> = Vec::new();
-    if spec.group_by.is_empty() {
-        groups.push((filtered,));
-    } else {
-        let mut by_key: HashMap<String, Vec<usize>> = HashMap::new();
-        let mut order: Vec<String> = Vec::new();
-        for ri in filtered {
-            let key =
-                group_key_of(spec.group_by.iter().map(|c| &joined.rows[ri][joined.col_pos[c]]));
-            if !by_key.contains_key(&key) {
-                order.push(key.clone());
-            }
-            by_key.entry(key).or_default().push(ri);
-        }
-        for key in order {
-            groups.push((by_key.remove(&key).expect("group key present"),));
-        }
-    }
-
-    let mut records = Vec::with_capacity(groups.len());
-    for (rows,) in groups {
-        // With an empty global group, only COUNT produces a row in real SQL when
-        // there is no GROUP BY; we keep that behaviour.
-        if rows.is_empty() && !spec.group_by.is_empty() {
-            continue;
-        }
-        if !spec.having.iter().all(|h| eval_having(joined, &rows, h)) {
-            continue;
-        }
-        let projected: Vec<Value> =
-            spec.select.iter().map(|item| project_item(joined, &rows, item)).collect();
-        let order_key = spec.order_by.map(|o| match o.key {
-            OrderKey::Column(c) => rows
-                .first()
-                .map(|&ri| joined.rows[ri][joined.col_pos[&c]].clone())
-                .unwrap_or(Value::Null),
-            OrderKey::Aggregate(agg, col) => aggregate(joined, &rows, agg, col),
-        });
-        records.push(Record { projected, order_key });
-    }
-    records
-}
-
-/// Project one SELECT item for a group (or a single-row "group").
-fn project_item(joined: &Joined, rows: &[usize], item: &SelectItem) -> Value {
-    match (item.agg, item.col) {
-        (Some(agg), col) => aggregate(joined, rows, agg, col),
-        (None, Some(c)) => rows
-            .first()
-            .map(|&ri| joined.rows[ri][joined.col_pos[&c]].clone())
-            .unwrap_or(Value::Null),
-        (None, None) => Value::Null,
-    }
-}
-
-/// Build output records for non-grouped queries.
-fn plain_records(joined: &Joined, filtered: Vec<usize>, spec: &SelectSpec) -> Vec<Record> {
-    filtered
-        .into_iter()
-        .map(|ri| {
-            let row = std::slice::from_ref(&ri);
-            let projected: Vec<Value> =
-                spec.select.iter().map(|item| project_item(joined, row, item)).collect();
-            let order_key = spec.order_by.map(|o| match o.key {
-                OrderKey::Column(c) => joined.rows[ri][joined.col_pos[&c]].clone(),
-                OrderKey::Aggregate(agg, col) => aggregate(joined, row, agg, col),
-            });
-            Record { projected, order_key }
-        })
-        .collect()
 }
 
 /// Output column names and types of a spec.
@@ -1316,14 +1254,16 @@ fn headers(db: &Database, spec: &SelectSpec) -> DbResult<(Vec<String>, Vec<DataT
 /// Apply DISTINCT, ORDER BY and LIMIT and attach headers.
 fn finalize(db: &Database, spec: &SelectSpec, mut records: Vec<Record>) -> DbResult<ResultSet> {
     if spec.distinct {
-        let mut seen: HashSet<String> = HashSet::new();
-        records.retain(|r| seen.insert(group_key_of(r.projected.iter())));
+        let mut seen = KeyIndex::default();
+        records.retain(|r| seen.slot(r.projected.iter()).1);
     }
     if let Some(order) = spec.order_by {
+        // `ord_cmp`, not `Value::total_cmp`: a total order even over a NaN
+        // (after every number), which the standard sort insists on.
         records.sort_by(|a, b| {
             let ka = a.order_key.as_ref().unwrap_or(&Value::Null);
             let kb = b.order_key.as_ref().unwrap_or(&Value::Null);
-            let ord = ka.total_cmp(kb);
+            let ord = ord_cmp(ka, kb);
             if order.desc {
                 ord.reverse()
             } else {
@@ -1343,6 +1283,7 @@ fn finalize(db: &Database, spec: &SelectSpec, mut records: Vec<Record>) -> DbRes
 mod tests {
     use super::*;
     use crate::join_graph::{JoinGraph, JoinTree};
+    use crate::query::SelectItem;
     use crate::schema::{ColumnDef, Schema, TableDef};
 
     /// Build the movie database from the paper's motivating example.
@@ -2006,6 +1947,71 @@ mod tests {
         .unwrap();
         assert!(streaming.metrics.streamed);
         assert_eq!(streaming.result, materialized.result);
+    }
+
+    /// `ORDER BY` used to sort with `Value::total_cmp`, under which a NaN
+    /// equals every number — not a total order, and the standard sort panics
+    /// when it notices (most tables of this size with one NaN in eight did).
+    #[test]
+    fn order_by_over_a_column_holding_nan_sorts_it_last() {
+        let mut state = 0x9E37_79B9_7F4A_7C15_u64;
+        let mut next = move |n: u64| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 33) % n
+        };
+        for table in 0..300 {
+            let mut s = Schema::new("nan");
+            s.add_table(TableDef::new(
+                "t",
+                vec![ColumnDef::number("id"), ColumnDef::number("x")],
+                Some(0),
+            ));
+            let mut db = Database::new(s).unwrap();
+            let xs: Vec<f64> = (0..16 + next(40))
+                .map(|_| if next(8) == 0 { f64::NAN } else { next(12) as f64 })
+                .collect();
+            let rows = xs.iter().enumerate().map(|(i, &x)| vec![Value::int(i as i64), x.into()]);
+            db.insert_all("t", rows).unwrap();
+            db.rebuild_index();
+            for desc in [false, true] {
+                // Numbers ascend (or descend), NaN after (before) them, ties
+                // in row order: a stable sort under "NaN is the largest".
+                let mut expected: Vec<usize> = (0..xs.len()).collect();
+                expected.sort_by(|&a, &b| {
+                    let by_nan = xs[a].is_nan().cmp(&xs[b].is_nan());
+                    let ord = by_nan.then(xs[a].partial_cmp(&xs[b]).unwrap_or(by_nan));
+                    if desc {
+                        ord.reverse()
+                    } else {
+                        ord
+                    }
+                });
+                let expected: Vec<Row> =
+                    expected.iter().map(|&i| Row(vec![Value::int(i as i64)])).collect();
+                for (limit, limit_pushdown, index_access) in [
+                    (None, true, true),
+                    (None, true, false),
+                    (Some(5), true, true),
+                    (Some(5), true, false),
+                    (Some(5), false, true),
+                ] {
+                    let spec = SelectSpec {
+                        select: vec![SelectItem::column(col(&db, "t", "id"))],
+                        join: JoinTree::single(db.schema().table_id("t").unwrap()),
+                        order_by: Some(OrderSpec {
+                            key: OrderKey::Column(col(&db, "t", "x")),
+                            desc,
+                        }),
+                        limit,
+                        ..Default::default()
+                    };
+                    let opts = ExecOptions { row_budget: None, limit_pushdown, index_access };
+                    let rows = execute_with(&db, &spec, &opts).unwrap().result.rows;
+                    let want = &expected[..limit.unwrap_or(expected.len())];
+                    assert_eq!(rows, want, "table {table}, desc={desc}, {opts:?}, LIMIT {limit:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -46,5 +46,5 @@ pub use query::{
     AggFunc, CmpOp, LogicalOp, OrderKey, OrderSpec, Predicate, SelectItem, SelectSpec,
 };
 pub use schema::{ColumnDef, ColumnId, ForeignKey, Schema, TableDef, TableId};
-pub use table_index::{ColumnIndex, IndexStats, TableIndex};
-pub use types::{DataType, Value};
+pub use table_index::{ColumnIndex, TableIndex};
+pub use types::{DataType, Key, Value};

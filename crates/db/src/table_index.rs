@@ -3,16 +3,17 @@
 //! [`TableIndex`] gives every column of a table two physical access paths the
 //! executor can substitute for a scan:
 //!
-//! * **Equality match lists** (`by_key`): a hash map from the column's
-//!   canonical [`Value::group_key`] to the row ids holding that key, in
-//!   ascending row order — exactly the structure the hash join builds on the
-//!   fly, so an indexed join column turns a hash join into an
-//!   **index-nested-loop join** with zero build cost, and an equality
-//!   predicate into a point lookup. NULLs are excluded, mirroring the join
-//!   build side.
+//! * **Equality match lists** (`by_key`): a hash map from the column's typed
+//!   [`Key`]s ([`Value::key`]) to the row ids holding that key, in ascending
+//!   row order — exactly the structure the hash join builds on the fly, so an
+//!   indexed join column turns a hash join into an **index-nested-loop join**
+//!   with zero build cost, and an equality predicate into a point lookup. A
+//!   number's key is its canonical bits, so a numeric lookup — every FK join
+//!   probe and every semi-join walk step — allocates nothing. NULLs are
+//!   excluded, mirroring the join build side.
 //! * **A sorted run** (`sorted`): all row ids (NULLs included) ordered by
-//!   `(value, row id)` under the same total order the executor sorts result
-//!   sets with. Range predicates become binary-searched slices, and
+//!   `(value, row id)` under `ord_cmp`, the one total order the executor also
+//!   sorts result sets with. Range predicates become binary-searched slices, and
 //!   `ORDER BY c LIMIT k` can stream rows in index order instead of sorting —
 //!   ties break by row id, which is exactly the order a stable sort of the
 //!   storage leaves them in, so index-ordered emission is byte-identical to
@@ -26,49 +27,35 @@
 //! # NaN caveat
 //!
 //! `Value::total_cmp` treats NaN as equal to every number, which is not a
-//! total order; the sorted run instead places NaN after all numbers and
-//! remembers (`can_order`) that the column contained one. Order- and
-//! range-based access is disabled for such columns — equality lookups remain
-//! valid — so the executor never relies on an index order that could diverge
-//! from the sort the materializing strategy performs.
+//! total order; `ord_cmp` places NaN after all numbers (and equal to itself)
+//! instead, and is what the sorted run, the executor's `ORDER BY` sort and
+//! its `MIN`/`MAX` all use. The index also remembers (`can_order`) that the
+//! column contained a NaN and then offers equality lookups only: order- and
+//! range-based access stays off for such columns, a conservative gate — the
+//! orders agree with or without it.
 
 use crate::database::Row;
-use crate::types::Value;
+use crate::types::{Key, Value};
 use std::cmp::Ordering;
 use std::collections::HashMap;
 
-/// The total order of the sorted run: [`Value::total_cmp`], except that NaN
-/// compares after every other number (and equal to itself) instead of equal
-/// to everything, so binary search stays well-defined.
-fn ord_cmp(a: &Value, b: &Value) -> Ordering {
+/// The total order of the sorted run, of `ORDER BY` and of `MIN`/`MAX`:
+/// [`Value::total_cmp`], except that NaN compares after every other number
+/// (and equal to itself) instead of equal to everything, so binary search and
+/// the standard sort stay well-defined.
+pub(crate) fn ord_cmp(a: &Value, b: &Value) -> Ordering {
     if let (Value::Number(x), Value::Number(y)) = (a, b) {
         return x.partial_cmp(y).unwrap_or_else(|| x.is_nan().cmp(&y.is_nan()));
     }
     a.total_cmp(b)
 }
 
-/// Cardinality and bounds statistics of one indexed column, used by the
-/// executor's selectivity-driven join planning.
-#[derive(Debug, Clone, PartialEq)]
-pub struct IndexStats {
-    /// Total rows in the table.
-    pub rows: usize,
-    /// Rows with a non-NULL value in this column.
-    pub non_null: usize,
-    /// Distinct non-NULL keys.
-    pub distinct: usize,
-    /// Smallest non-NULL value, if any.
-    pub min: Option<Value>,
-    /// Largest non-NULL value, if any.
-    pub max: Option<Value>,
-}
-
 /// The ordered secondary index of one column. See the module docs for the
 /// two structures and their invariants.
 #[derive(Debug, Clone, Default)]
 pub struct ColumnIndex {
-    /// `group_key` → row ids in ascending order; NULL rows excluded.
-    by_key: HashMap<String, Vec<usize>>,
+    /// Key → row ids in ascending order; NULL rows excluded.
+    by_key: HashMap<Key, Vec<usize>>,
     /// All row ids ordered by `(ord_cmp value, row id)`.
     sorted: Vec<usize>,
     /// Rows with a non-NULL value.
@@ -95,10 +82,9 @@ impl ColumnIndex {
             .sort_by(|&a, &b| ord_cmp(&rows[a].0[col], &rows[b].0[col]).then_with(|| a.cmp(&b)));
         for (ri, row) in rows.iter().enumerate() {
             idx.note_value(&row.0[col]);
-            let v = &row.0[col];
-            if !v.is_null() {
+            if let Some(key) = row.0[col].key() {
                 idx.non_null += 1;
-                let list = idx.by_key.entry(v.group_key()).or_default();
+                let list = idx.by_key.entry(key).or_default();
                 list.push(ri);
                 idx.max_matches = idx.max_matches.max(list.len());
             }
@@ -125,9 +111,9 @@ impl ColumnIndex {
             Ordering::Greater => false,
         });
         self.sorted.insert(pos, row_idx);
-        if !v.is_null() {
+        if let Some(key) = v.key() {
             self.non_null += 1;
-            let list = self.by_key.entry(v.group_key()).or_default();
+            let list = self.by_key.entry(key).or_default();
             let at = list.partition_point(|&i| i < row_idx);
             list.insert(at, row_idx);
             self.max_matches = self.max_matches.max(list.len());
@@ -150,9 +136,8 @@ impl ColumnIndex {
         });
         debug_assert_eq!(self.sorted.get(pos), Some(&row_idx), "stale index on update");
         self.sorted.remove(pos);
-        if !old.is_null() {
+        if let Some(key) = old.key() {
             self.non_null -= 1;
-            let key = old.group_key();
             if let Some(list) = self.by_key.get_mut(&key) {
                 list.retain(|&i| i != row_idx);
                 if list.is_empty() {
@@ -163,17 +148,14 @@ impl ColumnIndex {
         self.insert_row(rows, col, row_idx);
     }
 
-    /// Row ids whose value matches `key` (under [`Value::group_key`]
-    /// canonicalization), ascending. Empty for NULL or unseen keys.
-    pub fn lookup(&self, key: &Value) -> &[usize] {
-        if key.is_null() {
-            return &[];
-        }
-        self.by_key.get(&key.group_key()).map(Vec::as_slice).unwrap_or(&[])
+    /// Row ids whose value shares `value`'s [`Key`], ascending. Empty for NULL
+    /// or unseen keys.
+    pub fn lookup(&self, value: &Value) -> &[usize] {
+        value.key().and_then(|key| self.by_key.get(&key)).map_or(&[], Vec::as_slice)
     }
 
     /// The full equality match-list map — the prebuilt hash-join build side.
-    pub fn match_lists(&self) -> &HashMap<String, Vec<usize>> {
+    pub fn match_lists(&self) -> &HashMap<Key, Vec<usize>> {
         &self.by_key
     }
 
@@ -247,19 +229,6 @@ impl ColumnIndex {
         match (ordered.first(), ordered.last()) {
             (Some(&min), Some(&max)) => number(min).zip(number(max)),
             _ => (!numbers.is_empty()).then_some((f64::INFINITY, f64::NEG_INFINITY)),
-        }
-    }
-
-    /// Cardinality/min/max statistics of the column.
-    pub fn stats(&self, rows: &[Row], col: usize) -> IndexStats {
-        let nulls = self.sorted.len() - self.non_null;
-        IndexStats {
-            rows: self.sorted.len(),
-            non_null: self.non_null,
-            distinct: self.by_key.len(),
-            min: (self.non_null > 0).then(|| rows[self.sorted[nulls]].0[col].clone()),
-            max: (self.non_null > 0)
-                .then(|| rows[*self.sorted.last().expect("non_null > 0")].0[col].clone()),
         }
     }
 }
@@ -347,10 +316,7 @@ mod tests {
         assert_eq!(idx.ordered(), &[2, 1, 3, 4, 0], "NULL first, ties by row id");
         assert_eq!(idx.lookup(&Value::int(1)), &[1, 3]);
         assert!(idx.lookup(&Value::Null).is_empty(), "NULL never matches");
-        let stats = idx.stats(&data, 0);
-        assert_eq!((stats.rows, stats.non_null, stats.distinct), (5, 4, 3));
-        assert_eq!(stats.min, Some(Value::int(1)));
-        assert_eq!(stats.max, Some(Value::int(3)));
+        assert_eq!(idx.mean_matches(), 4.0 / 3.0, "4 non-NULL rows over 3 distinct keys");
     }
 
     #[test]

@@ -2,7 +2,9 @@
 //!
 //! The Duoquest task scope (paper §2.5) only distinguishes *text* and *number*
 //! output columns in table sketch queries, so the engine uses the same two
-//! scalar types plus SQL `NULL`.
+//! scalar types plus SQL `NULL`. [`Key`] is the typed equality key derived
+//! from a value ([`Value::key`]): the one notion of "same value" that the
+//! column index, the joins, GROUP BY and DISTINCT share.
 
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
@@ -132,24 +134,30 @@ impl Value {
         like_match(&s.to_ascii_lowercase(), &pattern.to_ascii_lowercase())
     }
 
-    /// A canonical key usable for hashing/grouping (folds numbers to a stable
-    /// bit representation and lowercases text).
-    pub fn group_key(&self) -> String {
+    /// The typed key this value joins, groups and deduplicates under, or
+    /// `None` for NULL (which joins nothing and groups only with NULL).
+    pub fn key(&self) -> Option<Key> {
         match self {
-            Value::Null => "\u{0}null".to_string(),
-            Value::Number(n) => format!("n:{}", canonical_f64(*n)),
-            Value::Text(s) => format!("t:{}", s.to_ascii_lowercase()),
+            Value::Null => None,
+            Value::Number(n) if n.is_nan() => Some(Key::Num(f64::NAN.to_bits())),
+            // Adding 0.0 folds -0.0 onto +0.0, as the `Hash` impl below does.
+            Value::Number(n) => Some(Key::Num((n + 0.0).to_bits())),
+            Value::Text(s) => Some(Key::Text(s.to_ascii_lowercase())),
         }
     }
 }
 
-/// Render a float without trailing noise so equal numbers hash identically.
-fn canonical_f64(n: f64) -> String {
-    if n == n.trunc() && n.abs() < 1e15 {
-        format!("{}", n as i64)
-    } else {
-        format!("{n}")
-    }
+/// Equality key of a non-NULL [`Value`]: what the column index files row ids
+/// under and what join, GROUP BY and DISTINCT compare. Two values share a key
+/// exactly when they are the same number (`-0.0` is `0.0`, every NaN is one
+/// NaN) or the same text up to ASCII case. A number's key is a plain `u64`,
+/// so deriving and looking one up allocates nothing.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub enum Key {
+    /// A number, by its canonical bits.
+    Num(u64),
+    /// Text, ASCII-lowercased.
+    Text(String),
 }
 
 /// `%`-wildcard pattern matching used for SQL `LIKE`.
@@ -312,11 +320,98 @@ mod tests {
         assert!(!Value::int(1956).sql_like("%1956%"));
     }
 
+    /// `Value::group_key` as it was until [`Key`] replaced it (with its
+    /// helper), verbatim: the reference [`Value::key`] is held to.
+    fn group_key(v: &Value) -> String {
+        /// Render a float without trailing noise so equal numbers hash identically.
+        fn canonical_f64(n: f64) -> String {
+            if n == n.trunc() && n.abs() < 1e15 {
+                format!("{}", n as i64)
+            } else {
+                format!("{n}")
+            }
+        }
+        match v {
+            Value::Null => "\u{0}null".to_string(),
+            Value::Number(n) => format!("n:{}", canonical_f64(*n)),
+            Value::Text(s) => format!("t:{}", s.to_ascii_lowercase()),
+        }
+    }
+
+    fn hash_of(key: &impl std::hash::Hash) -> u64 {
+        use std::hash::{DefaultHasher, Hasher};
+        let mut h = DefaultHasher::new();
+        key.hash(&mut h);
+        h.finish()
+    }
+
     #[test]
-    fn group_keys_fold_equal_values() {
-        assert_eq!(Value::int(3).group_key(), Value::Number(3.0).group_key());
-        assert_eq!(Value::text("A").group_key(), Value::text("a").group_key());
-        assert_ne!(Value::text("a").group_key(), Value::Null.group_key());
+    fn keys_are_equal_exactly_when_the_old_group_keys_were() {
+        let two53 = 9_007_199_254_740_992.0_f64;
+        let mut values = vec![Value::Null];
+        let numbers = [
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            two53 - 1.0,
+            two53,
+            two53 + 2.0,
+            1e15,
+            f64::from_bits(1e15_f64.to_bits() - 1),
+            f64::from_bits(1e15_f64.to_bits() + 1),
+            -1e15,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            f64::MIN_POSITIVE / 2.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+            f64::from_bits(f64::NAN.to_bits() | 1),
+            42.0,
+            -42.0,
+            1994.5,
+            -1994.5,
+            0.1 + 0.2,
+            0.3,
+        ];
+        values.extend(numbers.map(Value::Number));
+        // ASCII case folds; non-ASCII case and an embedded separator do not.
+        let texts =
+            ["", "sigmod", "SIGMOD", "SigMod", "é", "É", "a\u{1}t:b", "A\u{1}T:B", "a", "n:1"];
+        values.extend(texts.map(Value::text));
+
+        let mut equal_pairs = 0;
+        for a in &values {
+            for b in &values {
+                let same = group_key(a) == group_key(b);
+                assert_eq!(a.key() == b.key(), same, "{a:?} vs {b:?}");
+                if same {
+                    assert_eq!(hash_of(&a.key()), hash_of(&b.key()), "{a:?} vs {b:?}");
+                    equal_pairs += 1;
+                }
+            }
+        }
+        assert!(equal_pairs > values.len(), "some distinct values must share a key");
+        assert_eq!(Value::Null.key(), None);
+        assert_eq!(Value::int(3).key(), Some(Key::Num(3.0_f64.to_bits())));
+        assert_eq!(Value::text("Tom").key(), Some(Key::Text("tom".into())));
+    }
+
+    /// Where the typed key is deliberately *finer* than the string it
+    /// replaces: the executor joined the per-cell strings of a composite
+    /// GROUP BY / DISTINCT key with `\u{1}`, so a cell containing the
+    /// separator could merge two groups. A `Vec<Option<Key>>` cannot.
+    #[test]
+    fn composite_keys_keep_their_cell_boundaries() {
+        let left = [Value::text("a\u{1}t:b"), Value::text("c")];
+        let right = [Value::text("a"), Value::text("b\u{1}t:c")];
+        let joined =
+            |cells: &[Value]| cells.iter().map(group_key).collect::<Vec<_>>().join("\u{1}");
+        assert_eq!(joined(&left), joined(&right), "the old composite string conflated them");
+        let typed = |cells: &[Value]| cells.iter().map(Value::key).collect::<Vec<_>>();
+        assert_ne!(typed(&left), typed(&right));
     }
 
     #[test]

@@ -1,0 +1,81 @@
+//! What an execution allocates, gated on a count instead of a stopwatch.
+//!
+//! The executor's joined relation is row ids and its join, group and DISTINCT
+//! keys are typed (`docs/EXECUTOR.md`), so what a drained join allocates
+//! follows the rows it *returns*, not the rows it joins. Building
+//! intermediates out of cloned cells again, or `String` keys per probe row,
+//! multiplies these counts (they were 5–13× higher when it did) and fails
+//! here, on any machine, in any build profile.
+//!
+//! This file is its own test binary because it installs a counting global
+//! allocator, and holds a single `#[test]` so no other thread allocates while
+//! it counts.
+
+use duoquest::db::{execute_with, ExecOptions, Value};
+use duoquest::workloads::{mas, mas_nli_tasks, mas_pbe_tasks};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Calls into the allocator that hand out memory (`alloc`, `realloc`).
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+struct Counting;
+
+// SAFETY: every method forwards to `System` unchanged; the counter is a side
+// effect on a static atomic and touches no allocator state.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+fn allocations_of<T>(work: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let out = work();
+    (out, ALLOCATIONS.load(Ordering::Relaxed) - before)
+}
+
+#[test]
+fn executions_allocate_for_what_they_return_not_for_what_they_join() {
+    // The benchmark's `mas_cold` database.
+    let dataset = mas::generate(42, 8.0);
+    let db = &*dataset.db;
+    let mut tasks = mas_nli_tasks(&dataset);
+    tasks.extend(mas_pbe_tasks(&dataset));
+
+    // (task, ceiling): the gold queries measured 2 080, 1 302 and 492
+    // allocations with the id relation and 26 951, 11 198 and 5 388 before it.
+    for (id, ceiling) in [("A2", 4_000), ("C3", 2_500), ("A3", 1_000)] {
+        let gold = &tasks.iter().find(|t| t.id == id).expect("a MAS study task").gold;
+        let (out, n) = allocations_of(|| execute_with(db, gold, &ExecOptions::default()).unwrap());
+        assert!(!out.result.is_empty(), "task {id}: the gold query returns rows");
+        assert!(
+            n <= ceiling,
+            "task {id}: {n} allocations for {} result rows over {} scanned (ceiling {ceiling})",
+            out.result.len(),
+            out.metrics.rows_scanned
+        );
+    }
+
+    // A numeric key is a `u64`: the lookup behind every FK join probe and
+    // every semi-join walk step allocates nothing.
+    let pid = db.schema().column_id("writes", "pid").unwrap();
+    let index = db.column_index(pid).expect("rebuild_index ran");
+    let keys: Vec<Value> = (1..=200).map(Value::int).collect();
+    let (matched, n) = allocations_of(|| keys.iter().map(|k| index.lookup(k).len()).sum::<usize>());
+    assert!(matched > 200, "the lookups found their rows ({matched})");
+    assert_eq!(n, 0, "numeric index lookups allocated");
+}

@@ -6,10 +6,11 @@
 //! * **replay** — the probes a synthesis run sends to the executor, rebuilt
 //!   from the gold query and every emitted candidate of the 14 MAS study
 //!   tasks and 20 generated Spider tasks;
-//! * **generated** — seeded specs over MAS and Spider databases salted with
-//!   NULL, NaN and case-varying text: join trees rooted anywhere, literals
-//!   that hit and miss, AND and OR, grouping, global aggregates, ordering,
-//!   DISTINCT and limits;
+//! * **generated** — seeded specs (`tests/common`, shared with
+//!   `tests/reference.rs`) over MAS and Spider databases salted with NULL,
+//!   NaN and case-varying text: join trees rooted anywhere, literals that hit
+//!   and miss, AND and OR, grouping, global aggregates, ordering — over
+//!   NaN-holding columns too — DISTINCT and limits;
 //! * **by_row** — the row-wise stage's GROUP-BY-free existence probe against
 //!   the probe as it was built before;
 //! * **count gates** — exact executor counters of three fixed MAS queries, so
@@ -21,9 +22,9 @@ use duoquest::core::joinpath::construct_join_paths;
 use duoquest::core::verify::by_row::{can_check_rows, verify_by_row};
 use duoquest::core::{Duoquest, DuoquestConfig, TableSketchQuery, TsqCell};
 use duoquest::db::{
-    execute_with, AggFunc, CmpOp, ColumnId, DataType, Database, ExecMetrics, ExecOptions,
-    ForeignKey, JoinEdge, JoinGraph, JoinTree, LogicalOp, OrderKey, OrderSpec, Predicate,
-    RunCacheCounters, SelectItem, SelectSpec, TableId, Value,
+    execute_with, CmpOp, ColumnId, Database, ExecMetrics, ExecOptions, ForeignKey, JoinEdge,
+    JoinGraph, JoinTree, OrderKey, OrderSpec, Predicate, RunCacheCounters, SelectItem, SelectSpec,
+    Value,
 };
 use duoquest::nlq::{GuidanceContext, GuidanceModel, Nlq, NoisyOracleGuidance};
 use duoquest::sql::PartialQuery;
@@ -31,8 +32,11 @@ use duoquest::workloads::{
     mas, mas_nli_tasks, mas_pbe_tasks, spider, synthesize_tsq, MasDataset, TsqDetail,
 };
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use std::sync::Arc;
+
+mod common;
+use common::{random_spec, salted, Shapes};
 
 const SCAN: ExecOptions =
     ExecOptions { row_budget: None, limit_pushdown: true, index_access: false };
@@ -200,229 +204,6 @@ fn replayed_spider_probes_equal_the_scan_path() {
 
 // ------------------------------------------------------------- generated --
 
-/// A copy of `db` with a NULL, a NaN and an upper-cased text planted in
-/// every table that has the column for it (keys included: a NULL or NaN join
-/// key must match on both paths alike).
-fn salted(db: &Database, rng: &mut StdRng) -> Database {
-    let mut out = db.clone();
-    let schema = db.schema().clone();
-    for t in 0..schema.table_count() {
-        let table = schema.table(TableId(t));
-        let rows = db.table_data(TableId(t)).rows.len();
-        if rows == 0 {
-            continue;
-        }
-        for (ci, def) in table.columns.iter().enumerate() {
-            if table.primary_key == Some(ci) {
-                continue;
-            }
-            let row = rng.gen_range(0..rows);
-            let old = db.cell(TableId(t), row, ci).clone();
-            let new = match (def.dtype, rng.gen_range(0..3)) {
-                (_, 0) => Value::Null,
-                (DataType::Number, _) => Value::Number(f64::NAN),
-                (DataType::Text, _) => match old {
-                    Value::Text(s) => Value::text(s.to_uppercase()),
-                    other => other,
-                },
-            };
-            out.update_cell(&table.name, row, &def.name, new).unwrap();
-        }
-    }
-    out
-}
-
-/// A join tree of up to `size` tables grown from a random root along random
-/// foreign keys in either direction; the root is the executor's first table.
-fn random_tree(db: &Database, rng: &mut StdRng, size: usize) -> JoinTree {
-    let schema = db.schema();
-    let mut tables = vec![TableId(rng.gen_range(0..schema.table_count()))];
-    let mut edges = Vec::new();
-    while tables.len() < size {
-        let mut options = Vec::new();
-        for &t in &tables {
-            for fk in schema.foreign_keys_of(t) {
-                let other = if fk.from.table == t { fk.to.table } else { fk.from.table };
-                if !tables.contains(&other) {
-                    options.push((fk, other));
-                }
-            }
-        }
-        if options.is_empty() {
-            break;
-        }
-        let (fk, other) = options[rng.gen_range(0..options.len())];
-        tables.push(other);
-        edges.push(JoinEdge { fk });
-    }
-    JoinTree { tables: tables.into(), edges: edges.into() }
-}
-
-fn random_column(db: &Database, tree: &JoinTree, rng: &mut StdRng) -> ColumnId {
-    let table = tree.tables[rng.gen_range(0..tree.tables.len())];
-    ColumnId { table, column: rng.gen_range(0..db.schema().table(table).columns.len()) }
-}
-
-/// What kinds of literal the generated predicates carried.
-#[derive(Default)]
-struct Literals {
-    hit: usize,
-    miss: usize,
-    null: usize,
-    nan: usize,
-    recased: usize,
-    like: usize,
-}
-
-fn random_predicate(
-    db: &Database,
-    tree: &JoinTree,
-    rng: &mut StdRng,
-    seen: &mut Literals,
-) -> Predicate {
-    let col = random_column(db, tree, rng);
-    let rows = &db.table_data(col.table).rows;
-    let dtype = db.schema().column(col).dtype;
-    let stored =
-        (!rows.is_empty()).then(|| rows[rng.gen_range(0..rows.len())].0[col.column].clone());
-    let value = match (rng.gen_range(0..10), stored, dtype) {
-        (0, ..) => {
-            seen.null += 1;
-            Value::Null
-        }
-        (1, _, DataType::Number) => {
-            seen.nan += 1;
-            Value::Number(f64::NAN)
-        }
-        (2 | 3, _, DataType::Number) | (_, None, DataType::Number) => {
-            seen.miss += 1;
-            Value::Number(-7.5e9)
-        }
-        (1..=3, _, DataType::Text) | (_, None, DataType::Text) => {
-            seen.miss += 1;
-            Value::text("no such value")
-        }
-        (4 | 5, Some(Value::Text(s)), _) => {
-            seen.recased += 1;
-            Value::text(if rng.gen_bool(0.5) { s.to_uppercase() } else { s.to_lowercase() })
-        }
-        (_, Some(v), _) => {
-            seen.hit += 1;
-            v
-        }
-    };
-    let op = match (dtype, rng.gen_range(0..10)) {
-        (_, 0..=5) => CmpOp::Eq,
-        (_, 6) => CmpOp::Ne,
-        (DataType::Number, 7) => CmpOp::Lt,
-        (DataType::Number, 8) => CmpOp::Ge,
-        (DataType::Number, _) => CmpOp::Between,
-        (DataType::Text, _) => CmpOp::Like,
-    };
-    match (op, &value) {
-        (CmpOp::Between, Value::Number(n)) => {
-            Predicate::between(col, Value::Number(n - 3.0), Value::Number(n + 3.0))
-        }
-        (CmpOp::Like, Value::Text(s)) => {
-            seen.like += 1;
-            let inner: String = s.chars().skip(1).take(6).collect();
-            Predicate::new(col, CmpOp::Like, Value::text(format!("%{inner}%")))
-        }
-        (CmpOp::Between | CmpOp::Like, _) => Predicate::new(col, CmpOp::Eq, value),
-        _ => Predicate::new(col, op, value),
-    }
-}
-
-fn random_limit(rng: &mut StdRng) -> Option<usize> {
-    match rng.gen_range(0..6) {
-        0 => Some(0),
-        1 | 2 => Some(1),
-        3 => Some(rng.gen_range(2..8)),
-        _ => None,
-    }
-}
-
-/// What shapes the generated specs had.
-#[derive(Default)]
-struct Shapes {
-    literals: Literals,
-    or: usize,
-    grouped: usize,
-    having: usize,
-    global: usize,
-    ordered_first: usize,
-    ordered_other: usize,
-    distinct: usize,
-    multi_table: usize,
-    bailed: usize,
-    streamed: usize,
-}
-
-fn random_spec(db: &Database, rng: &mut StdRng, seen: &mut Shapes) -> SelectSpec {
-    let size = rng.gen_range(1..=5);
-    let join = random_tree(db, rng, size);
-    seen.multi_table += usize::from(join.tables.len() > 1);
-    let mut spec = SelectSpec { join: join.clone(), ..Default::default() };
-    for _ in 0..rng.gen_range(0..=3) {
-        spec.predicates.push(random_predicate(db, &join, rng, &mut seen.literals));
-    }
-    if spec.predicates.len() > 1 && rng.gen_bool(0.3) {
-        spec.predicate_op = LogicalOp::Or;
-        seen.or += 1;
-    }
-    spec.limit = random_limit(rng);
-    let count_having = |rng: &mut StdRng| {
-        let (op, n) = if rng.gen_bool(0.5) { (CmpOp::Ge, 2) } else { (CmpOp::Lt, 1) };
-        Predicate::having(AggFunc::Count, None, op, Value::int(n))
-    };
-    match rng.gen_range(0..10) {
-        0..=4 => {
-            for _ in 0..rng.gen_range(1..=2) {
-                spec.select.push(SelectItem::column(random_column(db, &join, rng)));
-            }
-            if rng.gen_bool(0.25) {
-                spec.distinct = true;
-                seen.distinct += 1;
-            }
-            let on_first = rng.gen_bool(0.5);
-            let of = if on_first { JoinTree::single(join.tables[0]) } else { join.clone() };
-            let key = random_column(db, &of, rng);
-            // `Value::total_cmp` is not a total order over a column holding a
-            // NaN, and `sort_by` is entitled to panic on it: not this test's
-            // subject, on either path.
-            if rng.gen_bool(0.5) && db.column_index(key).is_some_and(|idx| idx.can_order()) {
-                *(if on_first { &mut seen.ordered_first } else { &mut seen.ordered_other }) += 1;
-                spec.order_by =
-                    Some(OrderSpec { key: OrderKey::Column(key), desc: rng.gen_bool(0.5) });
-            }
-        }
-        5..=7 => {
-            seen.grouped += 1;
-            let key = random_column(db, &join, rng);
-            spec.group_by = vec![key];
-            spec.select = vec![SelectItem::column(key), SelectItem::count_star()];
-            if rng.gen_bool(0.5) {
-                spec.having = vec![count_having(rng)];
-                seen.having += 1;
-            }
-            if rng.gen_bool(0.4) {
-                let key = OrderKey::Aggregate(AggFunc::Count, None);
-                spec.order_by = Some(OrderSpec { key, desc: rng.gen_bool(0.5) });
-            }
-        }
-        _ => {
-            seen.global += 1;
-            let col = random_column(db, &join, rng);
-            spec.select = vec![SelectItem::count_star(), SelectItem::aggregate(AggFunc::Min, col)];
-            if rng.gen_bool(0.3) {
-                spec.having = vec![count_having(rng)];
-                seen.having += 1;
-            }
-        }
-    }
-    spec
-}
-
 fn generated_specs_equal_the_scan_path(db: &Database, seed: u64, cases: usize) {
     let mut rng = StdRng::seed_from_u64(seed);
     let db = salted(db, &mut rng);
@@ -433,32 +214,10 @@ fn generated_specs_equal_the_scan_path(db: &Database, seed: u64, cases: usize) {
         for budget in [None, Some(1), Some(k + 1)] {
             let metrics =
                 assert_matches_scan(&db, &spec, budget, &format!("seed {seed} case {case}"));
-            seen.bailed += metrics.probes_bailed_empty as usize;
-            seen.streamed += usize::from(metrics.streamed);
+            seen.note_run(&metrics);
         }
     }
-    // The run must have met the cases it is there for.
-    let l = &seen.literals;
-    for (what, n) in [
-        ("hit", l.hit),
-        ("miss", l.miss),
-        ("NULL", l.null),
-        ("NaN", l.nan),
-        ("re-cased text", l.recased),
-        ("LIKE", l.like),
-        ("OR", seen.or),
-        ("GROUP BY", seen.grouped),
-        ("HAVING", seen.having),
-        ("global aggregate", seen.global),
-        ("ORDER BY a first-table column", seen.ordered_first),
-        ("ORDER BY another table's column", seen.ordered_other),
-        ("DISTINCT", seen.distinct),
-        ("joins", seen.multi_table),
-        ("proven-empty probes", seen.bailed),
-        ("streamed probes", seen.streamed),
-    ] {
-        assert!(n >= 5, "seed {seed}: only {n} generated cases of {what}");
-    }
+    seen.assert_every_class_occurred(seed);
 }
 
 #[test]
@@ -552,7 +311,7 @@ fn ordered_index_scan_honours_the_first_table_restriction() {
         limit: Some(limit),
         ..Default::default()
     };
-    let years: Vec<_> = db.column_values(year).map(Value::group_key).collect();
+    let years: Vec<_> = db.column_values(year).map(Value::key).collect();
     let distinct: std::collections::HashSet<_> = years.iter().collect();
     assert!(distinct.len() < years.len(), "the sort key must have ties");
 
