@@ -1,7 +1,8 @@
 //! Criterion micro-benchmark: the index-backed executor vs the pure-scan
-//! streaming executor (`index_access: false`, the PR 3 baseline) vs the
-//! materializing baseline (`limit_pushdown: false`, the pre-streaming
-//! executor) on two workloads:
+//! streaming executor (the same spec on an un-indexed twin of the database,
+//! the PR 3 baseline) vs the materializing baseline (the same spec without
+//! its `LIMIT`, what the pre-streaming executor did for it) on two
+//! workloads:
 //!
 //! * a **spider-workload probe mix** — the verifier-shaped `SELECT … WHERE
 //!   col = v LIMIT 1` probes over every column of a generated Spider
@@ -13,7 +14,8 @@
 //!
 //! plus the **semi-join reduction** on the MAS user-study database: task
 //! C3's gold query (four tables, GROUP BY / HAVING, the literal at a leaf of
-//! the join tree) with index access on — reduced — and off — the scan path.
+//! the join tree) on the indexed database — reduced — and on its twin — the
+//! scan path.
 //!
 //! Before timing, the bench prints the rows-scanned and wall-clock ratios
 //! between the strategies so the limit-pushdown, index-access and reduction
@@ -22,7 +24,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use duoquest_db::{
     execute_with, CmpOp, ColumnDef, DataType, Database, ExecOptions, JoinGraph, JoinTree,
-    Predicate, Schema, SelectItem, SelectSpec, TableDef, Value,
+    Predicate, Schema, SelectItem, SelectSpec, TableDef, TableId, Value,
 };
 use duoquest_workloads::{mas_pbe_tasks, spider, MasDataset};
 
@@ -89,35 +91,54 @@ fn fanout_probe(db: &Database) -> SelectSpec {
     }
 }
 
-/// The PR 3 streaming baseline: limit pushdown on, no index access.
-const STREAMING: ExecOptions =
-    ExecOptions { row_budget: None, limit_pushdown: true, index_access: false };
-/// Streaming plus index-backed access paths (INLJ, range/point restrictions
-/// and their semi-join reduction, ordered index scans, empty bails).
-const INDEXED: ExecOptions = ExecOptions { index_access: true, ..STREAMING };
-/// The pre-streaming executor: full materialization, no indexes.
-const MATERIALIZING: ExecOptions = ExecOptions { limit_pushdown: false, ..STREAMING };
+/// `db` with no secondary index built: the executor streams there as it did
+/// in PR 3 — hash joins over full scans — where on `db` itself it takes the
+/// index-backed access paths (INLJ, range/point restrictions and their
+/// semi-join reduction, ordered index scans).
+fn unindexed(db: &Database) -> Database {
+    let mut twin = Database::new(db.schema().clone()).unwrap();
+    for t in (0..db.schema().table_count()).map(TableId) {
+        for row in &db.table_data(t).rows {
+            twin.insert_by_id(t, row.0.clone()).unwrap();
+        }
+    }
+    twin
+}
 
-/// Total rows scanned executing `specs` under `opts`.
-fn rows_scanned(db: &Database, specs: &[SelectSpec], opts: &ExecOptions) -> u64 {
-    specs.iter().map(|s| execute_with(db, s, opts).unwrap().metrics.rows_scanned).sum()
+/// `spec` without its `LIMIT`: the pre-streaming executor's work for it —
+/// full materialization — whatever the database has built.
+fn unlimited(spec: &SelectSpec) -> SelectSpec {
+    SelectSpec { limit: None, ..spec.clone() }
+}
+
+fn run(db: &Database, spec: &SelectSpec) -> duoquest_db::ExecOutcome {
+    execute_with(db, spec, &ExecOptions::default()).unwrap()
+}
+
+/// Total rows scanned executing `specs` on `db`.
+fn rows_scanned(db: &Database, specs: &[SelectSpec]) -> u64 {
+    specs.iter().map(|s| run(db, s).metrics.rows_scanned).sum()
 }
 
 fn bench_executor(c: &mut Criterion) {
     let dataset = spider::generate("bench-exec", 1, 3, 3, 2, 42);
     let spider_db = dataset.database(&dataset.tasks[0]);
+    let spider_scan = unindexed(spider_db);
     let probes = probe_mix(spider_db);
+    let drained_probes: Vec<SelectSpec> = probes.iter().map(unlimited).collect();
 
     let fanout = fanout_db();
+    let fanout_scan = unindexed(&fanout);
     let probe = fanout_probe(&fanout);
+    let drained_probe = unlimited(&probe);
 
     // The observable win, independent of wall clock: rows-scanned ratios.
-    let spider_indexed = rows_scanned(spider_db, &probes, &INDEXED);
-    let spider_streamed = rows_scanned(spider_db, &probes, &STREAMING);
-    let spider_materialized = rows_scanned(spider_db, &probes, &MATERIALIZING);
-    let join_indexed = rows_scanned(&fanout, std::slice::from_ref(&probe), &INDEXED);
-    let join_streamed = rows_scanned(&fanout, std::slice::from_ref(&probe), &STREAMING);
-    let join_materialized = rows_scanned(&fanout, std::slice::from_ref(&probe), &MATERIALIZING);
+    let spider_indexed = rows_scanned(spider_db, &probes);
+    let spider_streamed = rows_scanned(&spider_scan, &probes);
+    let spider_materialized = rows_scanned(&spider_scan, &drained_probes);
+    let join_indexed = run(&fanout, &probe).metrics.rows_scanned;
+    let join_streamed = run(&fanout_scan, &probe).metrics.rows_scanned;
+    let join_materialized = run(&fanout_scan, &drained_probe).metrics.rows_scanned;
     println!(
         "rows scanned, spider probe mix ({} probes): indexed {} vs streaming {} vs \
          materialized {} (index/scan ratio {:.1}%)",
@@ -137,13 +158,13 @@ fn bench_executor(c: &mut Criterion) {
     );
     // Wall-clock ratio of the same comparison, a single untimed pass each
     // (after one warm-up pass so neither side pays first-touch costs).
-    let wall = |opts: &ExecOptions| {
-        rows_scanned(spider_db, &probes, opts);
+    let wall = |db: &Database| {
+        rows_scanned(db, &probes);
         let start = std::time::Instant::now();
-        rows_scanned(spider_db, &probes, opts);
+        rows_scanned(db, &probes);
         start.elapsed()
     };
-    let (wall_indexed, wall_scan) = (wall(&INDEXED), wall(&STREAMING));
+    let (wall_indexed, wall_scan) = (wall(spider_db), wall(&spider_scan));
     println!(
         "wall clock, spider probe mix: indexed {wall_indexed:?} vs streaming {wall_scan:?} \
          ({:.1}%)",
@@ -152,12 +173,11 @@ fn bench_executor(c: &mut Criterion) {
 
     // What a joined row costs when nothing stops the join early: COUNT(*)
     // drains all 160 000 joined rows and returns one. Best of five.
-    let drained =
-        SelectSpec { select: vec![SelectItem::count_star()], limit: None, ..probe.clone() };
+    let drained = SelectSpec { select: vec![SelectItem::count_star()], ..unlimited(&probe) };
     let (joined_rows, drained_wall) = (0..5)
         .map(|_| {
             let start = std::time::Instant::now();
-            let out = execute_with(&fanout, &drained, &INDEXED).unwrap();
+            let out = run(&fanout, &drained);
             (out.result.rows[0].0[0].as_number().unwrap_or(0.0), start.elapsed())
         })
         .min_by_key(|&(_, wall)| wall)
@@ -171,15 +191,15 @@ fn bench_executor(c: &mut Criterion) {
     // Semi-join reduction: the literal sits at a leaf (`conference.name`),
     // the first table (`author`) is three joins away.
     let mas = MasDataset::standard();
+    let mas_scan = unindexed(&mas.db);
     let c3 = mas_pbe_tasks(&mas).into_iter().find(|t| t.id == "C3").expect("task C3").gold;
-    let timed = |opts: &ExecOptions| {
-        execute_with(&mas.db, &c3, opts).unwrap();
+    let timed = |db: &Database| {
+        run(db, &c3);
         let start = std::time::Instant::now();
-        let out = execute_with(&mas.db, &c3, opts).unwrap();
+        let out = run(db, &c3);
         (out.metrics.rows_scanned, start.elapsed())
     };
-    let ((reduced_rows, reduced_wall), (scan_rows, scan_wall)) =
-        (timed(&INDEXED), timed(&STREAMING));
+    let ((reduced_rows, reduced_wall), (scan_rows, scan_wall)) = (timed(&mas.db), timed(&mas_scan));
     println!(
         "MAS C3 gold query: reduced {reduced_rows} rows in {reduced_wall:?} vs scan \
          {scan_rows} rows in {scan_wall:?} (rows ratio {:.1}%)",
@@ -188,33 +208,29 @@ fn bench_executor(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("executor");
     group.bench_function("spider_probe_mix_indexed", |b| {
-        b.iter(|| rows_scanned(spider_db, &probes, &INDEXED))
+        b.iter(|| rows_scanned(spider_db, &probes))
     });
     group.bench_function("spider_probe_mix_streaming", |b| {
-        b.iter(|| rows_scanned(spider_db, &probes, &STREAMING))
+        b.iter(|| rows_scanned(&spider_scan, &probes))
     });
     group.bench_function("spider_probe_mix_materialized", |b| {
-        b.iter(|| rows_scanned(spider_db, &probes, &MATERIALIZING))
+        b.iter(|| rows_scanned(&spider_scan, &drained_probes))
     });
     group.bench_function("large_join_limit1_indexed", |b| {
-        b.iter(|| execute_with(&fanout, &probe, &INDEXED).unwrap().result.len())
+        b.iter(|| run(&fanout, &probe).result.len())
     });
     group.bench_function("large_join_limit1_streaming", |b| {
-        b.iter(|| execute_with(&fanout, &probe, &STREAMING).unwrap().result.len())
+        b.iter(|| run(&fanout_scan, &probe).result.len())
     });
     group.bench_function("large_join_limit1_materialized", |b| {
-        b.iter(|| execute_with(&fanout, &probe, &MATERIALIZING).unwrap().result.len())
+        b.iter(|| run(&fanout_scan, &drained_probe).result.len())
     });
     group.bench_function("large_join_drained_count", |b| {
-        b.iter(|| execute_with(&fanout, &drained, &INDEXED).unwrap().result.len())
+        b.iter(|| run(&fanout, &drained).result.len())
     });
 
-    group.bench_function("mas_c3_gold_reduced", |b| {
-        b.iter(|| execute_with(&mas.db, &c3, &INDEXED).unwrap().result.len())
-    });
-    group.bench_function("mas_c3_gold_scan", |b| {
-        b.iter(|| execute_with(&mas.db, &c3, &STREAMING).unwrap().result.len())
-    });
+    group.bench_function("mas_c3_gold_reduced", |b| b.iter(|| run(&mas.db, &c3).result.len()));
+    group.bench_function("mas_c3_gold_scan", |b| b.iter(|| run(&mas_scan, &c3).result.len()));
     group.finish();
 }
 

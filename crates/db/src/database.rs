@@ -12,7 +12,7 @@ use crate::executor::{ExecOptions, ResultSet};
 use crate::index::InvertedIndex;
 use crate::query::SelectSpec;
 use crate::schema::{ColumnId, Schema, TableId};
-use crate::table_index::{ord_cmp, ColumnIndex, TableIndex};
+use crate::table_index::{ColumnIndex, TableIndex};
 use crate::types::{DataType, Value};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -78,23 +78,10 @@ pub struct Database {
     index: InvertedIndex,
     index_dirty: bool,
     probe_cache: ProbeCache,
-    /// Per-table, per-column `(ascending, descending)` non-strict sortedness
-    /// of the stored rows (under the executor's sort order), computed by
-    /// [`Database::rebuild_index`] and maintained incrementally by the write
-    /// path. The streaming executor uses it to skip sorts whose order the
-    /// storage already satisfies.
-    sorted_flags: Vec<Vec<(bool, bool)>>,
-    /// Whether `sorted_flags` reflects the stored data (`rebuild_index` ran
-    /// at least once; writes since then were folded in incrementally).
-    sorted_valid: bool,
     /// Per-table ordered secondary indexes (`crate::table_index`), built by
     /// [`Database::rebuild_index`] and maintained incrementally by the write
     /// path. Empty until the first rebuild — queries then run as scans.
     table_indexes: Vec<TableIndex>,
-    /// Whether the executor may use the secondary indexes (INLJ, range and
-    /// ordered scans, selectivity planning). On by default; disabled for
-    /// A/B comparisons against the pure scan pipeline.
-    index_access: AtomicBool,
     /// Whether concurrent identical probe misses are collapsed through the
     /// single-flight in-flight table (one execution fans out to all waiters).
     /// On by default; disabled for A/B comparisons.
@@ -102,9 +89,9 @@ pub struct Database {
 }
 
 impl Clone for Database {
-    /// Clones carry the schema, data, index and executor tuning; the probe
-    /// cache starts empty (memoized results stay valid only for the instance
-    /// that produced them).
+    /// Clones carry the schema, data, indexes and the single-flight
+    /// setting; the probe cache starts empty (memoized results stay valid
+    /// only for the instance that produced them).
     fn clone(&self) -> Self {
         Database {
             schema: self.schema.clone(),
@@ -112,10 +99,7 @@ impl Clone for Database {
             index: self.index.clone(),
             index_dirty: self.index_dirty,
             probe_cache: ProbeCache::default(),
-            sorted_flags: self.sorted_flags.clone(),
-            sorted_valid: self.sorted_valid,
             table_indexes: self.table_indexes.clone(),
-            index_access: AtomicBool::new(self.index_access.load(Ordering::Relaxed)),
             single_flight: AtomicBool::new(self.single_flight.load(Ordering::Relaxed)),
         }
     }
@@ -132,10 +116,7 @@ impl Database {
             index: InvertedIndex::default(),
             index_dirty: false,
             probe_cache: ProbeCache::default(),
-            sorted_flags: Vec::new(),
-            sorted_valid: false,
             table_indexes: Vec::new(),
-            index_access: AtomicBool::new(true),
             single_flight: AtomicBool::new(true),
         })
     }
@@ -191,22 +172,10 @@ impl Database {
         self.data[table.0].rows.push(Row(values));
         let rows = &self.data[table.0].rows;
         let row_idx = rows.len() - 1;
-        // Secondary indexes and sortedness flags are maintained in place, so
-        // index-backed access stays valid across appends without a rebuild.
+        // Secondary indexes are maintained in place, so index-backed access
+        // stays valid across appends without a rebuild.
         if let Some(tidx) = self.table_indexes.get_mut(table.0) {
             tidx.insert_appended(rows, row_idx);
-        }
-        if self.sorted_valid && row_idx > 0 {
-            if let Some(flags) = self.sorted_flags.get_mut(table.0) {
-                let (prev, new) = (&rows[row_idx - 1], &rows[row_idx]);
-                for (ci, flag) in flags.iter_mut().enumerate() {
-                    match ord_cmp(&prev.0[ci], &new.0[ci]) {
-                        std::cmp::Ordering::Less => flag.1 = false,
-                        std::cmp::Ordering::Greater => flag.0 = false,
-                        std::cmp::Ordering::Equal => {}
-                    }
-                }
-            }
         }
         self.index_dirty = true; // the autocomplete inverted index is now stale
         self.probe_cache.clear(); // memoized probe results are now stale
@@ -214,9 +183,9 @@ impl Database {
     }
 
     /// Update one cell in place, with type checks. The column's secondary
-    /// index and sortedness flags are maintained incrementally and the probe
-    /// cache is invalidated, so neither the index nor the memo path can serve
-    /// the overwritten value afterwards.
+    /// index is maintained incrementally and the probe cache is invalidated,
+    /// so neither the index nor the memo path can serve the overwritten
+    /// value afterwards.
     pub fn update_cell(
         &mut self,
         table: &str,
@@ -248,13 +217,6 @@ impl Database {
         let rows = &self.data[col.table.0].rows;
         if let Some(tidx) = self.table_indexes.get_mut(col.table.0) {
             tidx.update_cell(rows, col.column, row, &old);
-        }
-        if self.sorted_valid {
-            // An overwrite can break *or restore* sortedness; recompute the
-            // one affected column from scratch.
-            if let Some(flags) = self.sorted_flags.get_mut(col.table.0) {
-                flags[col.column] = column_sortedness(rows, col.column);
-            }
         }
         self.index_dirty = true; // the autocomplete inverted index is now stale
         self.probe_cache.clear(); // memoized probe results are now stale
@@ -305,24 +267,12 @@ impl Database {
         seen.then_some((min, max))
     }
 
-    /// Rebuild the inverted column index over all text columns, the
-    /// per-column sortedness flags used by the streaming executor's
-    /// order-aware limit pushdown, and the ordered secondary indexes
-    /// ([`TableIndex`]) behind index-nested-loop joins, range scans and
-    /// ordered index scans.
+    /// Rebuild the inverted column index over all text columns and the
+    /// ordered secondary indexes ([`TableIndex`]) behind index-nested-loop
+    /// joins, range scans and ordered index scans. The executor uses the
+    /// secondary indexes from then on; before the first call it scans.
     pub fn rebuild_index(&mut self) {
         self.index = InvertedIndex::build(&self.schema, &self.data);
-        self.sorted_flags = self
-            .data
-            .iter()
-            .enumerate()
-            .map(|(ti, table)| {
-                (0..self.schema.table(TableId(ti)).columns.len())
-                    .map(|ci| column_sortedness(&table.rows, ci))
-                    .collect()
-            })
-            .collect();
-        self.sorted_valid = true;
         self.table_indexes = self
             .data
             .iter()
@@ -332,22 +282,6 @@ impl Database {
             })
             .collect();
         self.index_dirty = false;
-    }
-
-    /// Whether the stored rows of `col`'s table are already (non-strictly)
-    /// sorted by `col` in the requested direction, under the same total
-    /// order the executor sorts with. Returns `false` until the first
-    /// [`Database::rebuild_index`]; the write path then keeps the flags
-    /// accurate incrementally.
-    pub fn column_is_sorted(&self, col: ColumnId, desc: bool) -> bool {
-        if !self.sorted_valid {
-            return false;
-        }
-        self.sorted_flags
-            .get(col.table.0)
-            .and_then(|t| t.get(col.column))
-            .map(|&(asc_ok, desc_ok)| if desc { desc_ok } else { asc_ok })
-            .unwrap_or(false)
     }
 
     /// The autocomplete inverted index. Panics in debug builds if the index is
@@ -367,21 +301,6 @@ impl Database {
     /// incrementally, so they never serve stale rows.
     pub fn column_index(&self, col: ColumnId) -> Option<&ColumnIndex> {
         self.table_indexes.get(col.table.0).map(|t| t.column(col.column))
-    }
-
-    /// Whether the executor may use the secondary indexes (the default).
-    pub fn index_access(&self) -> bool {
-        self.index_access.load(Ordering::Relaxed)
-    }
-
-    /// Enable or disable index-backed execution paths (INLJ, range and
-    /// ordered index scans, selectivity-driven planning). The executor's
-    /// determinism contract guarantees byte-identical results either way;
-    /// this switch exists for A/B comparisons and benchmarks.
-    /// Shared-reference friendly, so it can be toggled on an `Arc`-shared
-    /// database.
-    pub fn set_index_access(&self, enabled: bool) {
-        self.index_access.store(enabled, Ordering::Relaxed);
     }
 
     /// Whether concurrent identical probe misses are collapsed into one
@@ -406,10 +325,9 @@ impl Database {
     }
 
     /// The executor options this database runs [`crate::executor::execute`]
-    /// with: streaming limit pushdown on, no row budget, and the configured
-    /// index access.
+    /// with: no row budget.
     pub fn exec_options(&self) -> ExecOptions {
-        ExecOptions { index_access: self.index_access(), ..ExecOptions::default() }
+        ExecOptions::default()
     }
 
     /// Execute a query through the probe/result memo cache: repeated
@@ -520,8 +438,7 @@ impl Database {
         budget: Option<usize>,
         counters: &RunCacheCounters,
     ) -> DbResult<CachedProbe> {
-        let mut opts = self.exec_options();
-        opts.row_budget = budget;
+        let opts = ExecOptions { row_budget: budget };
         let out = crate::executor::execute_with(self, spec, &opts)?;
         counters.record_scan(&out.metrics);
         Ok(self.probe_cache.insert_budgeted(spec, out.result, out.metrics.exact))
@@ -543,24 +460,6 @@ impl Database {
     pub fn set_probe_cache_capacity(&self, max_bytes: u64) {
         self.probe_cache.set_max_bytes(max_bytes);
     }
-}
-
-/// `(ascending, descending)` non-strict sortedness of one stored column
-/// under `ord_cmp` — the order the executor's batch sort uses.
-fn column_sortedness(rows: &[Row], ci: usize) -> (bool, bool) {
-    let mut asc = true;
-    let mut desc = true;
-    for pair in rows.windows(2) {
-        match ord_cmp(&pair[0].0[ci], &pair[1].0[ci]) {
-            std::cmp::Ordering::Less => desc = false,
-            std::cmp::Ordering::Greater => asc = false,
-            std::cmp::Ordering::Equal => {}
-        }
-        if !asc && !desc {
-            break;
-        }
-    }
-    (asc, desc)
 }
 
 // The parallel synthesis session shares one `Database` across its worker

@@ -32,22 +32,26 @@
 //!   each row carried depth-first through the join steps (one reused id
 //!   buffer per depth) and offered to WHERE, projection and DISTINCT, so a
 //!   `LIMIT k` query (most prominently the verifier's `SELECT … LIMIT 1`
-//!   probes) stops scanning as soon as `k` output rows exist. **Limit
-//!   pushdown** applies when the query has no aggregation and either no
-//!   `ORDER BY` or an `ORDER BY` that the pipeline order already satisfies
-//!   (the sort key is a column of the probe-side table whose stored values
-//!   are already sorted the requested way — see
-//!   [`Database::column_is_sorted`]).
-//! * **Materializing** — grouped, sorted-by-unsorted-columns, or unlimited
-//!   queries drain the same join chain into one flat vector of ids, then
-//!   filter, group, sort and limit it as one batch.
+//!   probes) stops scanning as soon as `k` output rows exist. A query
+//!   streams when it has a `LIMIT` or a row budget, no aggregation, and
+//!   either no `ORDER BY` or one on a column of the probe-side table whose
+//!   index can walk it in order.
+//! * **Materializing** — grouped, otherwise-sorted, or unlimited queries
+//!   drain the same join chain into one flat vector of ids, then filter,
+//!   group, sort and limit it as one batch.
+//!
+//! Which of the two runs, and through which access paths, is decided from
+//! the spec's shape, the budget and the indexes the database has — one plan
+//! per (spec, budget, database). No caller can ask for another.
 //!
 //! # Index access
 //!
-//! When the database has built its ordered secondary indexes
-//! ([`crate::table_index::TableIndex`]) and [`ExecOptions::index_access`] is
-//! on, both strategies substitute index structures for scans (the full
-//! selection rules live in `docs/EXECUTOR.md`):
+//! Where the database has built its ordered secondary indexes
+//! ([`crate::table_index::TableIndex`], [`Database::rebuild_index`]), both
+//! strategies substitute index structures for scans; a database that never
+//! built them runs the same pipeline as hash joins over full scans in the
+//! canonical join order (the full selection rules live in
+//! `docs/EXECUTOR.md`):
 //!
 //! * **Index-nested-loop joins** borrow a build column's prebuilt match
 //!   lists instead of hashing the build table per execution.
@@ -62,19 +66,22 @@
 //!   leaf shrinks the probe side before a joined row exists (and an emptied
 //!   table proves the probe empty); `docs/EXECUTOR.md` has the argument.
 //! * **Ordered index scans** stream `ORDER BY c LIMIT k` from the column's
-//!   sorted run for any indexed column, generalizing the presorted-storage
-//!   case; a first-table restriction filters the run in place.
+//!   sorted run for any indexed first-table column; a first-table
+//!   restriction filters the run in place.
 //! * **Selectivity-driven planning** orders join steps most-selective-first
-//!   when provably order-safe, and bails the execution the moment a build
-//!   side, an intermediate, or the planned probe itself is provably empty.
+//!   when provably order-safe.
+//!
+//! With or without indexes, an execution bails the moment a joined table, a
+//! build side, an intermediate or the planned probe itself is provably
+//! empty.
 //!
 //! # Determinism contract
 //!
 //! For a fixed database and spec, [`execute`] and [`execute_with`] produce
-//! the same [`ResultSet`] — bit for bit — regardless of whether the
-//! streaming or materializing strategy ran, or whether index access paths
-//! were taken. Higher layers (candidate emission, the probe memo cache) rely
-//! on this.
+//! the same [`ResultSet`] — bit for bit — whichever strategy ran and
+//! whether or not the database has built its indexes, and the rows under a
+//! budget `b` are the first `min(b, n)` of the `n` rows without one. Higher
+//! layers (candidate emission, the probe memo cache) rely on this.
 //!
 //! # Observability
 //!
@@ -151,30 +158,15 @@ impl ResultSet {
     }
 }
 
-/// Physical execution knobs for [`execute_with`]. [`execute`] uses the
-/// database's defaults ([`Database::exec_options`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// What a caller of [`execute_with`] may ask for beyond the spec: a row
+/// budget. [`execute`] runs without one ([`Database::exec_options`]). The
+/// physical plan is not the caller's to choose (module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ExecOptions {
     /// Stop producing output rows beyond this budget, even if the spec has a
     /// larger (or no) `LIMIT`. The result is then a prefix of the spec's
     /// result and [`ExecMetrics::exact`] reports `false` when rows were cut.
     pub row_budget: Option<usize>,
-    /// Allow the streaming strategy to stop pulling input once the effective
-    /// limit is satisfied. Disabling this forces the materializing strategy
-    /// (useful as the "old executor" baseline in benches and tests).
-    pub limit_pushdown: bool,
-    /// Allow index-backed access paths (index-nested-loop joins, index range
-    /// scans, ordered index scans and selectivity-driven join planning) when
-    /// the database has built its secondary indexes. Results are
-    /// byte-identical either way (see the determinism contract); disabling
-    /// this forces the pure scan pipeline as an A/B baseline.
-    pub index_access: bool,
-}
-
-impl Default for ExecOptions {
-    fn default() -> Self {
-        ExecOptions { row_budget: None, limit_pushdown: true, index_access: true }
-    }
 }
 
 /// Observability counters for one execution (see the module docs).
@@ -221,8 +213,8 @@ pub fn execute(db: &Database, spec: &SelectSpec) -> DbResult<ResultSet> {
     Ok(execute_with(db, spec, &db.exec_options())?.result)
 }
 
-/// Execute a query with explicit physical options, reporting
-/// [`ExecMetrics`] alongside the rows.
+/// Execute a query under [`ExecOptions`], reporting [`ExecMetrics`]
+/// alongside the rows.
 ///
 /// This is the streaming entry point: a `LIMIT k` query (or an external
 /// [`ExecOptions::row_budget`]) stops scanning as soon as `k` rows survive.
@@ -253,7 +245,7 @@ pub fn execute(db: &Database, spec: &SelectSpec) -> DbResult<ResultSet> {
 /// ```
 pub fn execute_with(db: &Database, spec: &SelectSpec, opts: &ExecOptions) -> DbResult<ExecOutcome> {
     validate(db, spec)?;
-    let access = IndexAccess::plan(db, spec, opts);
+    let access = IndexAccess::plan(db, spec);
     let plan = plan_joins(db, spec, &access)?;
     let proven_empty = access.provably_empty(db, spec);
     match streaming_cap(db, spec, opts, &plan).filter(|_| !proven_empty) {
@@ -262,13 +254,12 @@ pub fn execute_with(db: &Database, spec: &SelectSpec, opts: &ExecOptions) -> DbR
     }
 }
 
-/// Index-derived planning facts for one execution: whether index access is
-/// on, per-table candidate row lists implied by indexed literal predicates
-/// (directly, or through the join tree), and the lookups spent computing
-/// them.
+/// Index-derived planning facts for one execution: per-table candidate row
+/// lists implied by indexed literal predicates (directly, or through the
+/// join tree), and the lookups spent computing them. Empty on a database
+/// without indexes.
+#[derive(Default)]
 struct IndexAccess {
-    /// Index access paths are allowed ([`ExecOptions::index_access`]).
-    enabled: bool,
     /// Table → ascending candidate row ids: a **superset** of the table's
     /// rows that can appear in a joined row passing the WHERE clause.
     /// [`Resolved::passes`] still evaluates every predicate on every surviving
@@ -282,18 +273,11 @@ struct IndexAccess {
 }
 
 impl IndexAccess {
-    fn disabled() -> IndexAccess {
-        IndexAccess { enabled: false, restrictions: HashMap::new(), lookups: 0 }
-    }
-
     /// Derive candidate restrictions from the spec's indexed literal
     /// predicates, then carry them up the join tree ([`Self::reduce`]).
     /// Must run after [`validate`] (predicates have columns).
-    fn plan(db: &Database, spec: &SelectSpec, opts: &ExecOptions) -> IndexAccess {
-        if !opts.index_access {
-            return IndexAccess::disabled();
-        }
-        let mut access = IndexAccess { enabled: true, ..IndexAccess::disabled() };
+    fn plan(db: &Database, spec: &SelectSpec) -> IndexAccess {
+        let mut access = IndexAccess::default();
         // Under OR, a row failing one predicate may still pass another, so a
         // per-predicate candidate list restricts nothing.
         if spec.predicate_op != LogicalOp::And && spec.predicates.len() > 1 {
@@ -384,9 +368,8 @@ impl IndexAccess {
     /// touching any rows: a joined table has no rows, or the conjunctive
     /// indexed predicates leave some table without a candidate.
     fn provably_empty(&self, db: &Database, spec: &SelectSpec) -> bool {
-        self.enabled
-            && (spec.join.tables.iter().any(|&t| db.table_data(t).rows.is_empty())
-                || self.restrictions.values().any(|c| c.is_empty()))
+        spec.join.tables.iter().any(|&t| db.table_data(t).rows.is_empty())
+            || self.restrictions.values().any(|c| c.is_empty())
     }
 }
 
@@ -609,8 +592,7 @@ fn intersect_ascending(a: &[usize], b: &[usize]) -> Vec<usize> {
 }
 
 fn plan_joins(db: &Database, spec: &SelectSpec, access: &IndexAccess) -> DbResult<JoinPlan> {
-    let greedy =
-        access.enabled && spec.join.edges.len() > 1 && greedy_reorder_is_order_safe(db, spec);
+    let greedy = spec.join.edges.len() > 1 && greedy_reorder_is_order_safe(db, spec);
 
     let mut plan = JoinPlan { tables: vec![spec.join.tables[0]], steps: Vec::new() };
     let mut remaining_edges = spec.join.edges.to_vec();
@@ -657,14 +639,12 @@ fn plan_joins(db: &Database, spec: &SelectSpec, access: &IndexAccess) -> DbResul
 
 /// How the streaming strategy iterates the first (probe-side) table.
 enum FirstOrder {
-    /// Plain storage order: no ORDER BY, or one the stored order already
-    /// satisfies.
+    /// Plain storage order: no ORDER BY.
     Storage,
     /// Ordered index scan: walk the column's sorted run so an
-    /// `ORDER BY col LIMIT k` on an indexed-but-unsorted column still
-    /// streams. The run is ordered by `(value, row id)` — exactly what the
-    /// materializing strategy's stable sort produces — so emission is
-    /// byte-identical to materialize-and-sort.
+    /// `ORDER BY col LIMIT k` streams. The run is ordered by
+    /// `(value, row id)` — exactly what the materializing strategy's stable
+    /// sort produces — so emission is byte-identical to materialize-and-sort.
     Index {
         /// The ORDER BY column (a column of the first table).
         col: ColumnId,
@@ -675,17 +655,14 @@ enum FirstOrder {
 
 /// Number of output rows after which the streaming pipeline may stop pulling
 /// (plus how to iterate the probe side), or `None` when the query must be
-/// fully materialized (aggregation, an `ORDER BY` neither the pipeline order
-/// nor an ordered index satisfies, no limit at all, or pushdown disabled).
+/// fully materialized (aggregation, an `ORDER BY` no ordered index of the
+/// first table satisfies, or neither a limit nor a budget).
 fn streaming_cap(
     db: &Database,
     spec: &SelectSpec,
     opts: &ExecOptions,
     plan: &JoinPlan,
 ) -> Option<(usize, FirstOrder)> {
-    if !opts.limit_pushdown {
-        return None;
-    }
     if spec.has_aggregates() || !spec.group_by.is_empty() {
         return None;
     }
@@ -697,12 +674,11 @@ fn streaming_cap(
     };
     let mut order = FirstOrder::Storage;
     if let Some(OrderSpec { key, desc }) = spec.order_by {
-        // The sort is a no-op exactly when the sort key is a probe-side
-        // column whose iteration order already satisfies it: join steps
-        // expand each probe row in place and the final sort is stable, so
-        // the pipeline order equals the sorted order byte for byte. That
-        // holds for a physically presorted column — and for any indexed
-        // column by walking its sorted run instead of the storage.
+        // The sort is a no-op exactly when the probe side is iterated in
+        // the order of the sort key: join steps expand each probe row in
+        // place and the final sort is stable, so the pipeline order equals
+        // the sorted order byte for byte. Walking the sorted run of a
+        // first-table column's index is such an iteration.
         let OrderKey::Column(col) = key else { return None };
         if col.table != plan.tables[0] {
             return None;
@@ -714,14 +690,10 @@ fn streaming_cap(
         if spec.distinct && !spec.select.iter().any(|item| item.col == Some(col)) {
             return None;
         }
-        if !db.column_is_sorted(col, desc) {
-            let indexed = opts.index_access
-                && db.column_index(col).map(ColumnIndex::can_order).unwrap_or(false);
-            if !indexed {
-                return None;
-            }
-            order = FirstOrder::Index { col, desc };
+        if !db.column_index(col).is_some_and(ColumnIndex::can_order) {
+            return None;
         }
+        order = FirstOrder::Index { col, desc };
     }
     Some((cap, order))
 }
@@ -921,7 +893,7 @@ impl<'h> StepHash<'h> {
     /// rows hashed for it: 0 for an index-nested-loop join.
     fn of(db: &'h Database, step: &JoinStep, access: &'h IndexAccess) -> (StepHash<'h>, u64) {
         let build_rows = &db.table_data(step.build.table).rows;
-        let (lists, hashed) = match db.column_index(step.build).filter(|_| access.enabled) {
+        let (lists, hashed) = match db.column_index(step.build) {
             Some(idx) => (Cow::Borrowed(idx.match_lists()), 0),
             None => {
                 (Cow::Owned(build_hash(build_rows, step.build.column)), build_rows.len() as u64)
@@ -1075,7 +1047,7 @@ fn run_streaming(
         for step in &plan.steps {
             let (hash, hashed) = StepHash::of(db, step, access);
             build_scanned += hashed;
-            if access.enabled && hash.lists.is_empty() {
+            if hash.lists.is_empty() {
                 bailed = true;
                 break;
             }
@@ -1166,7 +1138,7 @@ fn run_materialized(
         }
         scanned += produced;
         ids = out;
-        if access.enabled && ids.is_empty() && width < steps.len() {
+        if ids.is_empty() && width < steps.len() {
             // Empty intermediate: the remaining steps preserve emptiness, so
             // skip their build passes outright.
             bailed = true;
@@ -1286,8 +1258,15 @@ mod tests {
     use crate::query::SelectItem;
     use crate::schema::{ColumnDef, Schema, TableDef};
 
-    /// Build the movie database from the paper's motivating example.
+    /// The movie database from the paper's motivating example.
     fn movie_db() -> Database {
+        let mut db = unindexed_movie_db();
+        db.rebuild_index();
+        db
+    }
+
+    /// [`movie_db`] before `rebuild_index`: what the executor runs as scans.
+    fn unindexed_movie_db() -> Database {
         let mut s = Schema::new("movies");
         s.add_table(TableDef::new(
             "actor",
@@ -1354,8 +1333,11 @@ mod tests {
             ],
         )
         .unwrap();
-        db.rebuild_index();
         db
+    }
+
+    fn run(db: &Database, spec: &SelectSpec) -> ExecOutcome {
+        execute_with(db, spec, &ExecOptions::default()).unwrap()
     }
 
     fn col(db: &Database, t: &str, c: &str) -> ColumnId {
@@ -1602,6 +1584,13 @@ mod tests {
     /// `right` with a fan-out per key, so the joined relation is much larger
     /// than either base table.
     fn fanout_db(left_rows: usize, keys: usize, fanout: usize) -> Database {
+        let mut db = unindexed_fanout_db(left_rows, keys, fanout);
+        db.rebuild_index();
+        db
+    }
+
+    /// [`fanout_db`] before `rebuild_index`.
+    fn unindexed_fanout_db(left_rows: usize, keys: usize, fanout: usize) -> Database {
         let mut s = Schema::new("fanout");
         s.add_table(TableDef::new(
             "right",
@@ -1625,7 +1614,6 @@ mod tests {
             (0..left_rows).map(|i| vec![Value::int(i as i64), Value::int((i % keys) as i64)]),
         )
         .unwrap();
-        db.rebuild_index();
         db
     }
 
@@ -1648,18 +1636,13 @@ mod tests {
     #[test]
     fn limit_probe_short_circuits_the_join() {
         let db = fanout_db(500, 10, 20);
-        let mut probe = fanout_join_spec(&db);
-        probe.limit = Some(1);
+        let unlimited = fanout_join_spec(&db);
+        let probe = SelectSpec { limit: Some(1), ..unlimited.clone() };
 
-        let streaming = execute_with(&db, &probe, &ExecOptions::default()).unwrap();
-        let materialized = execute_with(
-            &db,
-            &probe,
-            &ExecOptions { limit_pushdown: false, ..ExecOptions::default() },
-        )
-        .unwrap();
+        let streaming = run(&db, &probe);
+        let materialized = run(&db, &unlimited);
 
-        assert_eq!(streaming.result, materialized.result, "strategies must agree");
+        assert_eq!(streaming.result.rows, materialized.result.rows[..1], "strategies must agree");
         assert!(streaming.metrics.streamed);
         assert!(!materialized.metrics.streamed);
         assert!(streaming.metrics.exact && materialized.metrics.exact);
@@ -1680,21 +1663,11 @@ mod tests {
             join: JoinTree::single(db.schema().table_id("movies").unwrap()),
             ..Default::default()
         };
-        let out = execute_with(
-            &db,
-            &spec,
-            &ExecOptions { row_budget: Some(2), ..ExecOptions::default() },
-        )
-        .unwrap();
+        let out = execute_with(&db, &spec, &ExecOptions { row_budget: Some(2) }).unwrap();
         assert_eq!(out.result.len(), 2);
         assert!(!out.metrics.exact, "budget cut a 3-row result to 2");
 
-        let out = execute_with(
-            &db,
-            &spec,
-            &ExecOptions { row_budget: Some(10), ..ExecOptions::default() },
-        )
-        .unwrap();
+        let out = execute_with(&db, &spec, &ExecOptions { row_budget: Some(10) }).unwrap();
         assert_eq!(out.result.len(), 3);
         assert!(out.metrics.exact, "budget larger than the result is exact");
     }
@@ -1710,99 +1683,75 @@ mod tests {
             order_by: Some(OrderSpec { key: OrderKey::Column(year), desc: true }),
             ..Default::default()
         };
-        let out = execute_with(
-            &db,
-            &spec,
-            &ExecOptions { row_budget: Some(1), ..ExecOptions::default() },
-        )
-        .unwrap();
+        let out = execute_with(&db, &spec, &ExecOptions { row_budget: Some(1) }).unwrap();
         assert_eq!(out.result.rows[0].0[0], Value::text("Gravity"));
         assert!(!out.metrics.exact);
     }
 
+    /// `ORDER BY c LIMIT k` on a first-table column streams off the column's
+    /// sorted run however the column happens to be stored — ascending,
+    /// descending or neither, all with ties — and emits the first `k` rows of
+    /// the materialised sort: values in order, ties in row order.
     #[test]
-    fn presorted_order_by_streams_and_matches_materialized() {
-        // `right` is the probe-side (first) table of the join plan and its
-        // `v` column is stored ascending, so ORDER BY right.v ASC LIMIT k
-        // can stream; ORDER BY ... DESC is not presorted and now streams via
-        // the ordered index instead of falling back to materializing.
-        let db = fanout_db(400, 8, 3);
-        let mut spec = fanout_join_spec(&db);
-        spec.order_by =
-            Some(OrderSpec { key: OrderKey::Column(col(&db, "right", "v")), desc: false });
-        spec.limit = Some(5);
+    fn order_by_limit_streams_from_index_whatever_the_stored_order() {
+        let mut s = Schema::new("runs");
+        let columns = ["id", "up", "down", "mixed"].map(ColumnDef::number).to_vec();
+        s.add_table(TableDef::new("t", columns, Some(0)));
+        let mut scan_db = Database::new(s).unwrap();
+        let cells = |i: i64| [i, i / 3, (11 - i) / 3, (i * 5 % 12) / 3];
+        scan_db.insert_all("t", (0..12).map(|i| cells(i).map(Value::int).to_vec())).unwrap();
+        let mut db = scan_db.clone();
+        db.rebuild_index();
 
-        let streaming = execute_with(&db, &spec, &ExecOptions::default()).unwrap();
-        let materialized = execute_with(
-            &db,
-            &spec,
-            &ExecOptions { limit_pushdown: false, ..ExecOptions::default() },
-        )
-        .unwrap();
-        assert!(streaming.metrics.streamed, "ascending presorted key must stream");
-        assert_eq!(streaming.result, materialized.result);
-        assert!(streaming.metrics.rows_scanned < materialized.metrics.rows_scanned);
-
-        spec.order_by =
-            Some(OrderSpec { key: OrderKey::Column(col(&db, "right", "v")), desc: true });
-        let descending = execute_with(&db, &spec, &ExecOptions::default()).unwrap();
-        assert!(descending.metrics.streamed, "descending key streams via the ordered index");
-        assert!(descending.metrics.rows_via_index > 0);
-        let desc_scan = execute_with(
-            &db,
-            &spec,
-            &ExecOptions { index_access: false, ..ExecOptions::default() },
-        )
-        .unwrap();
-        assert!(!desc_scan.metrics.streamed, "without the index the sort materializes");
-        assert_eq!(descending.result, desc_scan.result);
-    }
-
-    #[test]
-    fn order_by_limit_streams_from_index_on_unsorted_column() {
-        // movies.name is stored F, G, F — sorted in neither direction — so
-        // only the ordered index scan can stream ORDER BY name LIMIT k.
-        let db = movie_db();
-        let name = col(&db, "movies", "name");
-        for desc in [false, true] {
-            let spec = SelectSpec {
-                select: vec![SelectItem::column(name)],
-                join: JoinTree::single(db.schema().table_id("movies").unwrap()),
-                order_by: Some(OrderSpec { key: OrderKey::Column(name), desc }),
-                limit: Some(2),
+        for (key, desc) in ["up", "down", "mixed"].into_iter().flat_map(|k| [(k, false), (k, true)])
+        {
+            let key_col = col(&db, "t", key);
+            let unlimited = SelectSpec {
+                select: vec![SelectItem::column(col(&db, "t", "id"))],
+                join: JoinTree::single(key_col.table),
+                order_by: Some(OrderSpec { key: OrderKey::Column(key_col), desc }),
                 ..Default::default()
             };
-            let indexed = execute_with(&db, &spec, &ExecOptions::default()).unwrap();
-            let scan = execute_with(
-                &db,
-                &spec,
-                &ExecOptions { index_access: false, ..ExecOptions::default() },
-            )
-            .unwrap();
-            assert!(indexed.metrics.streamed, "indexed unsorted column streams (desc={desc})");
+            // Five rows end inside a group of three equal keys.
+            let spec = SelectSpec { limit: Some(5), ..unlimited.clone() };
+            let mut expected: Vec<i64> = (0..12).collect();
+            expected.sort_by(|&a, &b| {
+                let ord = cells(a)[key_col.column].cmp(&cells(b)[key_col.column]);
+                if desc {
+                    ord.reverse()
+                } else {
+                    ord
+                }
+            });
+            let expected: Vec<Row> = expected.iter().map(|&i| Row(vec![Value::int(i)])).collect();
+
+            let indexed = run(&db, &spec);
+            assert!(indexed.metrics.streamed, "{key} desc={desc}: an indexed column streams");
             assert!(indexed.metrics.rows_via_index > 0);
             assert!(indexed.metrics.index_lookups > 0);
-            assert!(!scan.metrics.streamed, "scan path materializes and sorts");
-            assert_eq!(indexed.result, scan.result, "emission byte-identical (desc={desc})");
+            assert!(indexed.metrics.rows_short_circuited > 0);
+            assert_eq!(indexed.result.rows, expected[..5], "{key} desc={desc}");
+
+            let sorted = run(&db, &unlimited);
+            assert!(!sorted.metrics.streamed, "without a LIMIT the sort materializes");
+            assert_eq!(sorted.result.rows, expected, "{key} desc={desc}");
+            let scan = run(&scan_db, &spec);
+            assert!(!scan.metrics.streamed, "without the index the sort materializes");
+            assert_eq!(indexed.result, scan.result, "{key} desc={desc}");
         }
     }
 
     #[test]
     fn eq_predicate_restriction_scans_less() {
         let db = fanout_db(500, 10, 20);
+        let scan_db = unindexed_fanout_db(500, 10, 20);
         let spec = SelectSpec {
             select: vec![SelectItem::column(col(&db, "right", "v"))],
             join: JoinTree::single(db.schema().table_id("right").unwrap()),
             predicates: vec![Predicate::new(col(&db, "right", "v"), CmpOp::Eq, Value::int(137))],
             ..Default::default()
         };
-        let indexed = execute_with(&db, &spec, &ExecOptions::default()).unwrap();
-        let scan = execute_with(
-            &db,
-            &spec,
-            &ExecOptions { index_access: false, ..ExecOptions::default() },
-        )
-        .unwrap();
+        let (indexed, scan) = (run(&db, &spec), run(&scan_db, &spec));
         assert_eq!(indexed.result, scan.result);
         assert_eq!(indexed.result.len(), 1);
         assert!(
@@ -1820,13 +1769,8 @@ mod tests {
         let db = fanout_db(500, 10, 20);
         let mut probe = fanout_join_spec(&db);
         probe.limit = Some(1);
-        let indexed = execute_with(&db, &probe, &ExecOptions::default()).unwrap();
-        let scan = execute_with(
-            &db,
-            &probe,
-            &ExecOptions { index_access: false, ..ExecOptions::default() },
-        )
-        .unwrap();
+        let indexed = run(&db, &probe);
+        let scan = run(&unindexed_fanout_db(500, 10, 20), &probe);
         assert_eq!(indexed.result, scan.result);
         // The scan path hashes all 500 build rows up front; the INLJ borrows
         // the index's match lists and never touches them.
@@ -1849,7 +1793,7 @@ mod tests {
             predicates: vec![Predicate::new(year, CmpOp::Eq, Value::int(1234))],
             ..Default::default()
         };
-        let out = execute_with(&db, &spec, &ExecOptions::default()).unwrap();
+        let out = run(&db, &spec);
         assert!(out.result.is_empty());
         assert!(out.metrics.exact);
         assert_eq!(out.metrics.probes_bailed_empty, 1);
@@ -1858,13 +1802,8 @@ mod tests {
         // Aggregate shape is preserved: COUNT(*) over the bailed probe is 0,
         // exactly as the scan path computes it.
         spec.select = vec![SelectItem::count_star()];
-        let counted = execute_with(&db, &spec, &ExecOptions::default()).unwrap();
-        let scan = execute_with(
-            &db,
-            &spec,
-            &ExecOptions { index_access: false, ..ExecOptions::default() },
-        )
-        .unwrap();
+        let counted = run(&db, &spec);
+        let scan = run(&unindexed_movie_db(), &spec);
         assert_eq!(counted.result, scan.result);
         assert_eq!(counted.result.rows[0].0[0], Value::int(0));
     }
@@ -1890,13 +1829,8 @@ mod tests {
             )],
             ..Default::default()
         };
-        let indexed = execute_with(&db, &spec, &ExecOptions::default()).unwrap();
-        let scan = execute_with(
-            &db,
-            &spec,
-            &ExecOptions { index_access: false, ..ExecOptions::default() },
-        )
-        .unwrap();
+        let indexed = run(&db, &spec);
+        let scan = run(&unindexed_movie_db(), &spec);
         assert_eq!(indexed.result, scan.result, "reordered plan must emit identically");
         assert_eq!(indexed.result.len(), 1);
         assert_eq!(indexed.result.rows[0].0[0], Value::text("Fight Club"));
@@ -1906,6 +1840,7 @@ mod tests {
     #[test]
     fn range_predicate_uses_index_and_matches_scan() {
         let db = fanout_db(500, 10, 20);
+        let scan_db = unindexed_fanout_db(500, 10, 20);
         let v = col(&db, "right", "v");
         for pred in [
             Predicate::new(v, CmpOp::Lt, Value::int(20)),
@@ -1918,13 +1853,7 @@ mod tests {
                 predicates: vec![pred],
                 ..Default::default()
             };
-            let indexed = execute_with(&db, &spec, &ExecOptions::default()).unwrap();
-            let scan = execute_with(
-                &db,
-                &spec,
-                &ExecOptions { index_access: false, ..ExecOptions::default() },
-            )
-            .unwrap();
+            let (indexed, scan) = (run(&db, &spec), run(&scan_db, &spec));
             assert_eq!(indexed.result, scan.result);
             assert!(indexed.metrics.rows_scanned < scan.metrics.rows_scanned);
         }
@@ -1936,17 +1865,11 @@ mod tests {
         let mut spec = fanout_join_spec(&db);
         spec.select = vec![SelectItem::column(col(&db, "left", "k"))];
         spec.distinct = true;
+        let materialized = run(&db, &spec);
         spec.limit = Some(3);
-
-        let streaming = execute_with(&db, &spec, &ExecOptions::default()).unwrap();
-        let materialized = execute_with(
-            &db,
-            &spec,
-            &ExecOptions { limit_pushdown: false, ..ExecOptions::default() },
-        )
-        .unwrap();
-        assert!(streaming.metrics.streamed);
-        assert_eq!(streaming.result, materialized.result);
+        let streaming = run(&db, &spec);
+        assert!(streaming.metrics.streamed && !materialized.metrics.streamed);
+        assert_eq!(streaming.result.rows, materialized.result.rows[..3]);
     }
 
     /// `ORDER BY` used to sort with `Value::total_cmp`, under which a NaN
@@ -1972,6 +1895,7 @@ mod tests {
                 .collect();
             let rows = xs.iter().enumerate().map(|(i, &x)| vec![Value::int(i as i64), x.into()]);
             db.insert_all("t", rows).unwrap();
+            let scan_db = db.clone();
             db.rebuild_index();
             for desc in [false, true] {
                 // Numbers ascend (or descend), NaN after (before) them, ties
@@ -1988,13 +1912,9 @@ mod tests {
                 });
                 let expected: Vec<Row> =
                     expected.iter().map(|&i| Row(vec![Value::int(i as i64)])).collect();
-                for (limit, limit_pushdown, index_access) in [
-                    (None, true, true),
-                    (None, true, false),
-                    (Some(5), true, true),
-                    (Some(5), true, false),
-                    (Some(5), false, true),
-                ] {
+                for (limit, indexed) in
+                    [(None, true), (None, false), (Some(5), true), (Some(5), false)]
+                {
                     let spec = SelectSpec {
                         select: vec![SelectItem::column(col(&db, "t", "id"))],
                         join: JoinTree::single(db.schema().table_id("t").unwrap()),
@@ -2005,10 +1925,12 @@ mod tests {
                         limit,
                         ..Default::default()
                     };
-                    let opts = ExecOptions { row_budget: None, limit_pushdown, index_access };
-                    let rows = execute_with(&db, &spec, &opts).unwrap().result.rows;
+                    let rows = run(if indexed { &db } else { &scan_db }, &spec).result.rows;
                     let want = &expected[..limit.unwrap_or(expected.len())];
-                    assert_eq!(rows, want, "table {table}, desc={desc}, {opts:?}, LIMIT {limit:?}");
+                    assert_eq!(
+                        rows, want,
+                        "table {table}, desc={desc}, indexed={indexed}, LIMIT {limit:?}"
+                    );
                 }
             }
         }

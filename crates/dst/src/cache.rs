@@ -30,7 +30,7 @@ use std::sync::OnceLock;
 fn spec_pool() -> &'static [(SelectSpec, ResultSet)] {
     static POOL: OnceLock<Vec<(SelectSpec, ResultSet)>> = OnceLock::new();
     POOL.get_or_init(|| {
-        let db = crate::exec::fixture_db(true);
+        let db = crate::exec::fixture_db();
         spec_pool_for(&db)
     })
 }

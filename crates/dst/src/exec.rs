@@ -127,9 +127,8 @@ pub fn check_scenario(scenario: &Scenario, options: &CheckOptions) -> Result<(),
     Ok(())
 }
 
-/// The fixture database every task runs against: three movies, indexed,
-/// with the index access path toggled per service plan.
-pub(crate) fn fixture_db(index_access: bool) -> Arc<Database> {
+/// The fixture database every task runs against: three movies, indexed.
+pub(crate) fn fixture_db() -> Arc<Database> {
     use duoquest_db::{ColumnDef, Schema, TableDef};
     let mut schema = Schema::new("dst-movies");
     schema.add_table(TableDef::new(
@@ -148,13 +147,12 @@ pub(crate) fn fixture_db(index_access: bool) -> Arc<Database> {
     )
     .expect("fixture rows must insert");
     db.rebuild_index();
-    db.set_index_access(index_access);
     db.into_shared()
 }
 
 /// The NLQ and gold-guided model of one task fixture.
 pub(crate) fn task_model(task: u8) -> (Nlq, Arc<dyn GuidanceModel>) {
-    let db = fixture_db(true);
+    let db = fixture_db();
     let schema = db.schema();
     let (gold, text, literals) = match task % TASK_COUNT {
         0 => (
@@ -215,7 +213,7 @@ fn reference_emission(task: u8, max_candidates: usize) -> Arc<Vec<String>> {
         return Arc::clone(found);
     }
     let (nlq, model) = task_model(task);
-    let result = SynthesisSession::new(fixture_db(true), nlq, model)
+    let result = SynthesisSession::new(fixture_db(), nlq, model)
         .with_config(engine_config(max_candidates))
         .run();
     let emission = Arc::new(render(&result.candidates));
@@ -340,7 +338,7 @@ fn run_service(
         },
         Arc::clone(&clock) as duoquest_core::SharedClock,
     );
-    let db = fixture_db(plan.index_access);
+    let db = fixture_db();
     // The emission-policy and single-flight toggles ride on the alternate
     // run only: the reference stays at the defaults, so the cross-run
     // oracle tests any-k (and single-flight off) against the round barrier

@@ -11,7 +11,7 @@
 //!   no reported latency exceeds the timeline — real time cannot leak in;
 //! * completed requests emit **byte-identically** to a solo single-worker
 //!   run, whatever the pool size, priorities, admission pressure, cancel
-//!   storms, injected panics or index-access toggles around them;
+//!   storms or injected panics around them;
 //! * the service always drains back to zero live/queued slots and its
 //!   lifecycle counters balance exactly.
 //!

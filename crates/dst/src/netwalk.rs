@@ -47,7 +47,7 @@ fn reference_lines(task: u8, max_candidates: usize) -> Arc<Vec<String>> {
     {
         return Arc::clone(found);
     }
-    let db = crate::exec::fixture_db(true);
+    let db = crate::exec::fixture_db();
     let (nlq, model) = crate::exec::task_model(task);
     let result = SynthesisSession::new(Arc::clone(&db), nlq, model)
         .with_config(crate::exec::engine_config(max_candidates))
@@ -86,7 +86,7 @@ pub fn check_net_plan(plan: &NetPlan) -> Result<(), Violation> {
         registry.register(
             format!("t{task}"),
             TaskSpec {
-                db: crate::exec::fixture_db(true),
+                db: crate::exec::fixture_db(),
                 nlq,
                 model,
                 tsq: None,

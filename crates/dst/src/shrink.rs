@@ -115,11 +115,9 @@ where
                     workers: 1,
                     max_live: s.requests.len().max(1),
                     max_queued: s.requests.len(),
-                    index_access: true,
                 }
             },
             |s| s.alternate.workers = 1,
-            |s| s.alternate.index_access = true,
             |s| s.any_k = false,
             |s| s.single_flight = true,
         ];

@@ -2,7 +2,7 @@
 //! own named test, so a regression points at a seed by name and can be
 //! re-run in isolation (`cargo test -p duoquest-dst --test regression seed_42`).
 
-use duoquest_dst::check_seed;
+use duoquest_dst::{check_seed, generate};
 
 /// The corpus, mirrored from `seeds.txt` (a test below keeps them in sync).
 const CORPUS: &[u64] = &[0, 1, 7, 13, 42, 99, 1337, 65537, 123456789, 987654321];
@@ -57,4 +57,35 @@ fn corpus_file_and_named_tests_agree() {
         CORPUS, NAMED,
         "CORPUS and the corpus_seed! invocation diverged — add a named test for the seed"
     );
+}
+
+/// FNV-1a of the `Debug` text of each corpus seed's scenario, as `generate`
+/// produced it when `ServicePlan` still carried the executor's index-access
+/// switch (that field left out of the text). A seed is a replay token only
+/// while seed → scenario holds still: a `generate` that consumes one draw
+/// more or fewer sends every pinned seed to a scenario it was not pinned
+/// for, and the corpus above goes on passing without testing what it names.
+const SCENARIOS: &[(u64, u64)] = &[
+    (0, 0x88b5_de23_14fa_1db4),
+    (1, 0x5b5f_fb27_67bc_76d8),
+    (7, 0xa77f_6118_bffa_7110),
+    (13, 0xf910_6954_9468_53c8),
+    (42, 0x533a_a2da_7ffe_b993),
+    (99, 0x5233_6041_b418_3731),
+    (1337, 0x2581_f06d_4267_134a),
+    (65537, 0x2e39_5dee_e846_b373),
+    (123456789, 0xf0c4_0f73_0f3c_2310),
+    (987654321, 0xd04b_100f_052d_b950),
+];
+
+#[test]
+fn corpus_seeds_generate_the_scenarios_they_were_pinned_for() {
+    let fnv1a = |text: &str| {
+        text.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |hash, byte| {
+            (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+        })
+    };
+    let generated: Vec<(u64, u64)> =
+        CORPUS.iter().map(|&seed| (seed, fnv1a(&format!("{:?}", generate(seed))))).collect();
+    assert_eq!(generated, SCENARIOS, "seed → scenario moved");
 }

@@ -32,8 +32,8 @@ fn busy_scenario() -> Scenario {
     ];
     Scenario {
         seed: 0,
-        reference: ServicePlan { workers: 2, max_live: 4, max_queued: 4, index_access: true },
-        alternate: ServicePlan { workers: 3, max_live: 2, max_queued: 4, index_access: false },
+        reference: ServicePlan { workers: 2, max_live: 4, max_queued: 4 },
+        alternate: ServicePlan { workers: 3, max_live: 2, max_queued: 4 },
         final_advance_us: 2_000,
         requests,
         cache: CachePlan::default(),

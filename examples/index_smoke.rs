@@ -1,8 +1,10 @@
 //! Index smoke test: ordered secondary indexes end to end.
 //!
-//! Builds a high-fanout two-table database, then exercises each index-backed
-//! access path against its pure-scan twin and asserts both that the emitted
-//! rows are identical and that the index path scans measurably fewer rows:
+//! Builds a high-fanout two-table database twice — once with its secondary
+//! indexes, once without (the executor can only scan that twin) — then runs
+//! each index-backed access path against the twin and asserts both that the
+//! emitted rows are identical and that the index path scans measurably fewer
+//! rows:
 //!
 //! * an equality probe served by an index point restriction;
 //! * a join probed as an index-nested-loop join (no build-side hash);
@@ -19,7 +21,8 @@ use duoquest::db::{
     OrderSpec, Predicate, Schema, SelectItem, SelectSpec, TableDef, Value,
 };
 
-fn build_database() -> Database {
+/// The database, with its secondary indexes built or left as loaded.
+fn build_database(indexed: bool) -> Database {
     let mut schema = Schema::new("fanout");
     schema.add_table(TableDef::new(
         "category",
@@ -47,21 +50,22 @@ fn build_database() -> Database {
         }),
     )
     .unwrap();
-    db.rebuild_index();
+    if indexed {
+        db.rebuild_index();
+    }
     db
 }
 
-/// Run `spec` with and without index access, assert the emitted rows are
-/// byte-identical, and return the `(indexed, scan)` metrics pair.
+/// Run `spec` on the indexed database and on its un-indexed twin, assert the
+/// emitted rows are byte-identical, and return the `(indexed, scan)` metrics
+/// pair.
 fn both_ways(
-    db: &Database,
+    (db, twin): (&Database, &Database),
     spec: &SelectSpec,
     what: &str,
 ) -> (duoquest::db::ExecMetrics, duoquest::db::ExecMetrics) {
     let indexed = execute_with(db, spec, &ExecOptions::default()).unwrap();
-    let scan =
-        execute_with(db, spec, &ExecOptions { index_access: false, ..ExecOptions::default() })
-            .unwrap();
+    let scan = execute_with(twin, spec, &ExecOptions::default()).unwrap();
     assert_eq!(indexed.result, scan.result, "{what}: index path diverged from the scan path");
     println!(
         "{what}: {} rows, scanned {} via index vs {} via scan ({} index lookups, {} rows \
@@ -76,7 +80,8 @@ fn both_ways(
 }
 
 fn main() {
-    let db = build_database();
+    let (db, twin) = (build_database(true), build_database(false));
+    let dbs = (&db, &twin);
     let schema = db.schema();
     let item = schema.table_id("item").unwrap();
     let item_name = schema.column_id("item", "name").unwrap();
@@ -90,7 +95,7 @@ fn main() {
         predicates: vec![Predicate::new(item_name, CmpOp::Eq, Value::text("item-1234"))],
         ..Default::default()
     };
-    let (indexed, scan) = both_ways(&db, &eq_probe, "equality probe");
+    let (indexed, scan) = both_ways(dbs, &eq_probe, "equality probe");
     assert!(indexed.rows_scanned < scan.rows_scanned, "point restriction must scan fewer rows");
 
     // 2. Join probe: the category side is joined index-nested-loop, so the
@@ -103,7 +108,7 @@ fn main() {
         predicates: vec![Predicate::new(item_cid, CmpOp::Eq, Value::int(7))],
         ..Default::default()
     };
-    let (indexed, scan) = both_ways(&db, &join_probe, "index-nested-loop join");
+    let (indexed, scan) = both_ways(dbs, &join_probe, "index-nested-loop join");
     assert!(indexed.rows_scanned < scan.rows_scanned, "INLJ must skip the build side");
 
     // 3. ORDER BY an indexed-but-unsorted column: streams off the index.
@@ -114,7 +119,7 @@ fn main() {
         limit: Some(5),
         ..Default::default()
     };
-    let (indexed, _) = both_ways(&db, &ordered, "ORDER BY … LIMIT 5");
+    let (indexed, _) = both_ways(dbs, &ordered, "ORDER BY … LIMIT 5");
     assert!(indexed.streamed, "ordered probe must stream from the index");
     assert!(indexed.rows_via_index > 0, "ordered probe must be served via the index");
 
@@ -125,7 +130,7 @@ fn main() {
         predicates: vec![Predicate::new(item_name, CmpOp::Eq, Value::text("no such item"))],
         ..Default::default()
     };
-    let (indexed, _) = both_ways(&db, &impossible, "impossible predicate");
+    let (indexed, _) = both_ways(dbs, &impossible, "impossible predicate");
     assert_eq!(indexed.rows_scanned, 0, "a provably empty probe must not scan");
     assert_eq!(indexed.probes_bailed_empty, 1);
 
@@ -138,7 +143,7 @@ fn main() {
         predicates: vec![Predicate::new(label, CmpOp::Eq, Value::text("category-07"))],
         ..Default::default()
     };
-    let (indexed, scan) = both_ways(&db, &reduced, "semi-join reduction");
+    let (indexed, scan) = both_ways(dbs, &reduced, "semi-join reduction");
     println!(
         "semi-join reduction: {:.1}% of the scan path's rows",
         100.0 * indexed.rows_scanned as f64 / scan.rows_scanned as f64

@@ -1,9 +1,10 @@
-//! The seeded `SelectSpec` generator shared by `tests/semijoin.rs` (index
-//! paths against the scan path) and `tests/reference.rs` (every path against
-//! the naive evaluator): databases salted with NULL, NaN and re-cased text,
-//! join trees rooted anywhere, literals that hit and miss, AND and OR, LIKE,
-//! grouping on one and two columns, HAVING, global aggregates, ordering —
-//! over NaN-holding columns too — DISTINCT and limits.
+//! What `tests/semijoin.rs` (index paths against the scan path) and
+//! `tests/reference.rs` (both against the naive evaluator) share: the
+//! un-indexed twin of a database ([`unindexed`]), which the executor can only
+//! scan, and the seeded `SelectSpec` generator — databases salted with NULL,
+//! NaN and re-cased text, join trees rooted anywhere, literals that hit and
+//! miss, AND and OR, LIKE, grouping on one and two columns, HAVING, global
+//! aggregates, ordering — over NaN-holding columns too — DISTINCT and limits.
 
 // Each test binary uses its own part of this module.
 #![allow(dead_code)]
@@ -45,6 +46,20 @@ pub fn salted(db: &Database, rng: &mut StdRng) -> Database {
         }
     }
     out
+}
+
+/// The same schema and rows as `db` with no secondary index built
+/// (`rebuild_index` never runs): the executor has only its scan path there —
+/// hash joins over full scans in the canonical join order, every sort
+/// materialised.
+pub fn unindexed(db: &Database) -> Database {
+    let mut twin = Database::new(db.schema().clone()).unwrap();
+    for t in (0..db.schema().table_count()).map(TableId) {
+        for row in &db.table_data(t).rows {
+            twin.insert_by_id(t, row.0.clone()).unwrap();
+        }
+    }
+    twin
 }
 
 /// A join tree of up to `size` tables grown from a random root along random

@@ -325,94 +325,6 @@ fn verify_plan_is_per_session_on_every_way_to_run_one() {
     );
 }
 
-/// The index-access analogue of the worker-count guarantee: whether probes
-/// run through ordered secondary indexes (index-nested-loop joins, range
-/// restrictions, ordered index scans, selectivity-driven join ordering) or
-/// through pure scans must never change the emitted candidates — across
-/// shared-pool sizes {1, 2, 4} and the service at all three priority
-/// classes.
-#[test]
-fn index_access_toggle_leaves_emission_byte_identical() {
-    let dataset = Arc::new(workload());
-    let config = base_config();
-    // Ground truth: index access enabled (the default), private session.
-    let solo: Vec<_> = dataset
-        .tasks
-        .iter()
-        .enumerate()
-        .map(|(i, task)| ranking(&run_task(&dataset, task, 700 + i as u64, &config)))
-        .collect();
-
-    // Pure-scan execution on a private session.
-    for (i, task) in dataset.tasks.iter().enumerate() {
-        let db = dataset.database(task);
-        db.set_index_access(false);
-        db.clear_probe_cache();
-        let result = run_task(&dataset, task, 700 + i as u64, &config);
-        assert_eq!(solo[i], ranking(&result), "task {} diverged with indexes disabled", task.id);
-    }
-
-    // Scans on shared pools of every size vs the indexed solo runs.
-    for pool_workers in [1usize, 2, 4] {
-        let pool = SessionScheduler::new(pool_workers);
-        for (i, task) in dataset.tasks.iter().enumerate() {
-            let db = dataset.database(task);
-            db.set_index_access(false);
-            db.clear_probe_cache();
-            let result = run_task_on(&dataset, task, 700 + i as u64, &config, Some(&pool));
-            assert_eq!(
-                solo[i],
-                ranking(&result),
-                "task {} diverged with indexes disabled on a {pool_workers}-worker pool",
-                task.id
-            );
-        }
-    }
-
-    // Scans under the service at every priority class vs the indexed solo
-    // runs; indexes are re-enabled afterwards and must still agree.
-    let service = SynthesisService::new(ServiceConfig {
-        workers: 2,
-        max_live_sessions: 4,
-        max_queued: 32,
-        ..ServiceConfig::default()
-    });
-    for (enabled, class) in
-        [false, true].into_iter().flat_map(|e| PriorityClass::ALL.into_iter().map(move |c| (e, c)))
-    {
-        let tickets: Vec<_> = dataset
-            .tasks
-            .iter()
-            .enumerate()
-            .map(|(i, task)| {
-                let db = dataset.database(task);
-                db.set_index_access(enabled);
-                db.clear_probe_cache();
-                let (gold, tsq) =
-                    synthesize_tsq(db, &task.gold, TsqDetail::Full, 2, 700 + i as u64);
-                let model = NoisyOracleGuidance::new(gold, 700 + i as u64);
-                let request =
-                    SynthesisRequest::new(Arc::clone(db), task.nlq.clone(), Arc::new(model))
-                        .with_tsq(tsq)
-                        .with_config(config.clone())
-                        .with_priority(class);
-                service.submit(request).expect("admitted")
-            })
-            .collect();
-        for (i, ticket) in tickets.into_iter().enumerate() {
-            let outcome = ticket.wait();
-            assert_eq!(outcome.status, RequestStatus::Completed, "task {i} at {class:?}");
-            assert_eq!(
-                solo[i],
-                ranking(&outcome.result),
-                "task {i} diverged through the service at priority {class:?} \
-                 with index access {}",
-                if enabled { "enabled" } else { "disabled" }
-            );
-        }
-    }
-}
-
 /// The serving layer inherits the engine's determinism: a request run
 /// through `SynthesisService` — at any priority class, even while other
 /// requests share the pool — emits candidates byte-identical to a
@@ -636,8 +548,8 @@ fn tracing_toggle_leaves_emission_byte_identical() {
 /// the moment their confidence provably dominates every unexpanded state
 /// must not change *what* is emitted or *how it ranks* — only *when* each
 /// candidate is released. Any-k runs must be byte-identical to the
-/// round-barrier default across private sessions, shared pools {1, 2, 4},
-/// pure-scan execution, and the service at all three priority classes.
+/// round-barrier default across private sessions, shared pools {1, 2, 4}
+/// and the service at all three priority classes.
 #[test]
 fn any_k_emission_matches_round_barrier_everywhere() {
     let dataset = Arc::new(workload());
@@ -678,22 +590,6 @@ fn any_k_emission_matches_round_barrier_everywhere() {
                 task.id
             );
         }
-    }
-
-    // Any-k with index access disabled.
-    for (i, task) in dataset.tasks.iter().enumerate() {
-        let db = dataset.database(task);
-        db.set_index_access(false);
-        db.clear_probe_cache();
-        let result = run_task(&dataset, task, 900 + i as u64, &any_k);
-        assert_eq!(
-            solo[i],
-            ranking(&result),
-            "task {} diverged under any-k with indexes disabled",
-            task.id
-        );
-        db.set_index_access(true);
-        db.clear_probe_cache();
     }
 
     // Any-k through the service at every priority class, all tasks in

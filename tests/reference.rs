@@ -1,19 +1,24 @@
 //! The executor against an evaluator that shares nothing with it.
 //!
-//! Every other executor test compares two of the executor's own paths
-//! (`index_access` on and off, streaming and materializing), and both run on
-//! the same joined relation of row ids, the same typed keys and the same
-//! planner — a bug in any of those is invisible to them. [`naive`] is the
-//! independent side: nested loops over `spec.join.tables`, rows copied as
-//! `Vec<Vec<Value>>`, no index, no cache, no streaming, no `Key`, equality
-//! and order written out from the value contract in `docs/EXECUTOR.md`.
+//! Every other executor test compares two of the executor's own paths (an
+//! indexed database and its un-indexed twin, streaming and materializing),
+//! and both run on the same joined relation of row ids, the same typed keys
+//! and the same planner — a bug in any of those is invisible to them.
+//! [`naive`] is the independent side: nested loops over `spec.join.tables`,
+//! rows copied as `Vec<Vec<Value>>`, no index, no cache, no streaming, no
+//! `Key`, equality and order written out from the value contract in
+//! `docs/EXECUTOR.md`.
 //!
 //! Over the generated specs of `tests/common` (shared with
-//! `tests/semijoin.rs`), on salted MAS and Spider databases, every
-//! `ExecOptions` combination must agree with it: the same multiset of rows
+//! `tests/semijoin.rs`), on salted MAS and Spider databases and on their
+//! un-indexed twins (`common::unindexed` — the scan path), under no budget
+//! and two, every execution must agree with it: the same multiset of rows
 //! without a `LIMIT`; sort keys non-decreasing under `ORDER BY` and no
 //! smaller key left out; under `LIMIT k` (or a row budget) exactly
-//! `min(k, |reference|)` rows, each drawn from the unlimited reference.
+//! `min(k, |reference|)` rows, each drawn from the unlimited reference. And
+//! the contract the probe cache serves truncated entries by: the rows under
+//! a budget `b` are the first `min(b, n)` of the `n` rows without one, byte
+//! for byte.
 
 use duoquest::db::{
     execute_with, AggFunc, CmpOp, ColumnId, Database, ExecOptions, LogicalOp, OrderKey, Predicate,
@@ -25,7 +30,7 @@ use rand::SeedableRng;
 use std::cmp::Ordering;
 
 mod common;
-use common::{random_spec, salted, Shapes};
+use common::{random_spec, salted, unindexed, Shapes};
 
 // ------------------------------------------------------ the naive evaluator --
 
@@ -306,6 +311,7 @@ fn check_rows(
 fn generated_specs_equal_the_reference(db: &Database, seed: u64, cases: usize) -> Checked {
     let mut rng = StdRng::seed_from_u64(seed);
     let db = salted(db, &mut rng);
+    let sides = [("indexed", &db), ("un-indexed", &unindexed(&db))];
     let mut seen = Shapes::default();
     let mut tally = Checked::default();
     for case in 0..cases {
@@ -313,24 +319,24 @@ fn generated_specs_equal_the_reference(db: &Database, seed: u64, cases: usize) -
         let reference = naive::evaluate(&db, &spec);
         let limited = reference.len().min(spec.limit.unwrap_or(usize::MAX));
         let k = spec.limit.unwrap_or(3);
+        // Each side's rows without a budget: what its budgeted runs must
+        // return a prefix of.
+        let mut unbudgeted: [Vec<Row>; 2] = Default::default();
         for row_budget in [None, Some(1), Some(k + 1)] {
-            // Rows already held to the reference under this budget: the four
-            // paths mostly return the same bytes.
+            // Rows already held to the reference under this budget: the two
+            // sides return the same bytes.
             let mut held: Option<Vec<Row>> = None;
-            for (limit_pushdown, index_access) in
-                [(true, true), (true, false), (false, true), (false, false)]
-            {
-                let opts = ExecOptions { row_budget, limit_pushdown, index_access };
-                let out = execute_with(&db, &spec, &opts);
+            for (side, (which, on)) in sides.iter().enumerate() {
+                let out = execute_with(on, &spec, &ExecOptions { row_budget });
                 let fail = |why: &str| -> ! {
                     panic!(
-                        "seed {seed} case {case}: {why}\n  {opts:?}\n  {spec:?}\n  got {out:?}\n  \
-                         reference {reference:?}"
+                        "seed {seed} case {case}: {why}\n  {which} database, budget \
+                         {row_budget:?}\n  {spec:?}\n  got {out:?}\n  reference {reference:?}"
                     )
                 };
                 let Ok(out) = &out else { fail("execution failed") };
                 tally.executions += 1;
-                if limit_pushdown && index_access {
+                if side == 0 {
                     seen.note_run(&out.metrics);
                 }
 
@@ -348,6 +354,13 @@ fn generated_specs_equal_the_reference(db: &Database, seed: u64, cases: usize) -
                 {
                     fail("wrong `exact`");
                 }
+                match row_budget {
+                    None => unbudgeted[side] = rows.clone(),
+                    Some(_) if !unbudgeted[side].starts_with(rows) => {
+                        fail("not a prefix of the rows without a budget")
+                    }
+                    Some(_) => {}
+                }
                 if held.as_ref() != Some(rows) {
                     if let Err(why) = check_rows(&spec, rows, &reference, &mut tally) {
                         fail(why);
@@ -363,7 +376,7 @@ fn generated_specs_equal_the_reference(db: &Database, seed: u64, cases: usize) -
 
 /// The checks must have had something to bite on.
 fn assert_checks_bit(tally: &Checked, cases: usize) {
-    assert_eq!(tally.executions, cases * 12);
+    assert_eq!(tally.executions, cases * 6);
     assert!(tally.exact_multisets >= cases / 4, "only {} exact multisets", tally.exact_multisets);
     assert!(tally.order_checked >= cases / 4, "only {} orders checked", tally.order_checked);
     assert!(tally.cut >= cases, "only {} cut results", tally.cut);

@@ -1,7 +1,8 @@
-//! The semi-join-reduced planner against the scan path, with no toggle of its
-//! own to flip: `ExecOptions::index_access = false` never builds a
-//! restriction, so it is the oracle every reduced plan is held to — byte for
-//! byte on columns, rows and row order, with and without a row budget.
+//! The semi-join-reduced planner against the scan path, with no toggle to
+//! flip: a database that never built its indexes (`common::unindexed`) has no
+//! restriction to derive, so the same spec on that twin is the oracle every
+//! reduced plan is held to — byte for byte on columns, rows and row order,
+//! with and without a row budget.
 //!
 //! * **replay** — the probes a synthesis run sends to the executor, rebuilt
 //!   from the gold query and every emitted candidate of the 14 MAS study
@@ -36,24 +37,38 @@ use rand::SeedableRng;
 use std::sync::Arc;
 
 mod common;
-use common::{random_spec, salted, Shapes};
+use common::{random_spec, salted, unindexed, Shapes};
 
-const SCAN: ExecOptions =
-    ExecOptions { row_budget: None, limit_pushdown: true, index_access: false };
+/// An indexed database beside its un-indexed twin.
+struct Twins {
+    db: Arc<Database>,
+    scan: Database,
+}
 
-/// Execute `spec` through the default (reduced) planner and through the scan
-/// path under `budget`, hold the two byte-equal, and return the reduced
-/// run's counters.
+impl Twins {
+    fn of(db: &Arc<Database>) -> Twins {
+        Twins { db: Arc::clone(db), scan: unindexed(db) }
+    }
+
+    /// `rows_scanned` of `spec` on the scan path.
+    fn scan_rows(&self, spec: &SelectSpec) -> u64 {
+        execute_with(&self.scan, spec, &ExecOptions::default()).unwrap().metrics.rows_scanned
+    }
+}
+
+/// Execute `spec` under `budget` on the indexed database (the reduced
+/// planner) and on its twin (the scan path), hold the two byte-equal, and
+/// return the reduced run's counters.
 fn assert_matches_scan(
-    db: &Database,
+    twins: &Twins,
     spec: &SelectSpec,
     budget: Option<usize>,
     what: &str,
 ) -> ExecMetrics {
-    let reduced =
-        execute_with(db, spec, &ExecOptions { row_budget: budget, ..ExecOptions::default() })
-            .unwrap_or_else(|e| panic!("{what}: reduced path failed ({e}) on {spec:?}"));
-    let scan = execute_with(db, spec, &ExecOptions { row_budget: budget, ..SCAN })
+    let opts = ExecOptions { row_budget: budget };
+    let reduced = execute_with(&twins.db, spec, &opts)
+        .unwrap_or_else(|e| panic!("{what}: reduced path failed ({e}) on {spec:?}"));
+    let scan = execute_with(&twins.scan, spec, &opts)
         .unwrap_or_else(|e| panic!("{what}: scan path failed ({e}) on {spec:?}"));
     assert_eq!(reduced.result, scan.result, "{what}, budget {budget:?}: {spec:?}");
     if reduced.metrics.streamed == scan.metrics.streamed {
@@ -131,17 +146,17 @@ fn row_probes(spec: &SelectSpec, tsq: &TableSketchQuery) -> Vec<SelectSpec> {
 /// Replay one request's probe set: the gold query and every candidate under
 /// the budgets `verify_complete` uses, and their row-wise probes under the
 /// budgets a cached existence probe can meet.
-fn replay(db: &Database, specs: &[SelectSpec], tsq: &TableSketchQuery, task: &str) -> usize {
+fn replay(twins: &Twins, specs: &[SelectSpec], tsq: &TableSketchQuery, task: &str) -> usize {
     let k = tsq.limit.max(specs.iter().filter_map(|s| s.limit).max().unwrap_or(1));
     let mut held = 0;
     for spec in specs {
         for budget in [None, Some(1), Some(k + 1)] {
-            assert_matches_scan(db, spec, budget, task);
+            assert_matches_scan(twins, spec, budget, task);
             held += 1;
         }
         for probe in row_probes(spec, tsq) {
             for budget in [None, Some(1)] {
-                assert_matches_scan(db, &probe, budget, task);
+                assert_matches_scan(twins, &probe, budget, task);
                 held += 1;
             }
         }
@@ -151,13 +166,8 @@ fn replay(db: &Database, specs: &[SelectSpec], tsq: &TableSketchQuery, task: &st
 
 /// Run one task and replay what it sent: its gold query (as written and
 /// canonicalised) and every candidate it emitted.
-fn run_and_replay(
-    db: &Arc<Database>,
-    nlq: &Nlq,
-    task_gold: &SelectSpec,
-    seed: u64,
-    id: &str,
-) -> usize {
+fn run_and_replay(twins: &Twins, nlq: &Nlq, task_gold: &SelectSpec, seed: u64, id: &str) -> usize {
+    let db = &twins.db;
     let (gold, tsq) = synthesize_tsq(db, task_gold, TsqDetail::Full, 2, seed);
     let config = DuoquestConfig {
         max_candidates: 10,
@@ -175,7 +185,7 @@ fn run_and_replay(
         .run();
     let mut specs = vec![gold, task_gold.clone()];
     specs.extend(result.candidates.into_iter().map(|c| c.spec));
-    replay(db, &specs, &tsq, id)
+    replay(twins, &specs, &tsq, id)
 }
 
 #[test]
@@ -184,8 +194,9 @@ fn replayed_mas_probes_equal_the_scan_path() {
     let mut tasks = mas_nli_tasks(&dataset);
     tasks.extend(mas_pbe_tasks(&dataset));
     assert_eq!(tasks.len(), 14);
+    let twins = Twins::of(&dataset.db);
     let held: usize = (tasks.iter().zip(1600..))
-        .map(|(task, seed)| run_and_replay(&dataset.db, &task.nlq, &task.gold, seed, task.id))
+        .map(|(task, seed)| run_and_replay(&twins, &task.nlq, &task.gold, seed, task.id))
         .sum();
     assert!(held > 400, "only {held} executions were compared");
 }
@@ -194,9 +205,10 @@ fn replayed_mas_probes_equal_the_scan_path() {
 fn replayed_spider_probes_equal_the_scan_path() {
     let dataset = spider::generate("semijoin", 2, 7, 7, 6, 16);
     assert_eq!(dataset.tasks.len(), 20);
+    let twins: Vec<Twins> = dataset.databases.iter().map(Twins::of).collect();
     let held: usize = (dataset.tasks.iter().zip(1600..))
         .map(|(task, seed)| {
-            run_and_replay(dataset.database(task), &task.nlq, &task.gold, seed, &task.id)
+            run_and_replay(&twins[task.db_index], &task.nlq, &task.gold, seed, &task.id)
         })
         .sum();
     assert!(held > 400, "only {held} executions were compared");
@@ -206,14 +218,14 @@ fn replayed_spider_probes_equal_the_scan_path() {
 
 fn generated_specs_equal_the_scan_path(db: &Database, seed: u64, cases: usize) {
     let mut rng = StdRng::seed_from_u64(seed);
-    let db = salted(db, &mut rng);
+    let twins = Twins::of(&Arc::new(salted(db, &mut rng)));
     let mut seen = Shapes::default();
     for case in 0..cases {
-        let spec = random_spec(&db, &mut rng, &mut seen);
+        let spec = random_spec(&twins.db, &mut rng, &mut seen);
         let k = spec.limit.unwrap_or(3);
         for budget in [None, Some(1), Some(k + 1)] {
             let metrics =
-                assert_matches_scan(&db, &spec, budget, &format!("seed {seed} case {case}"));
+                assert_matches_scan(&twins, &spec, budget, &format!("seed {seed} case {case}"));
             seen.note_run(&metrics);
         }
     }
@@ -238,7 +250,7 @@ fn generated_spider_specs_equal_the_scan_path() {
 #[test]
 fn predicates_on_one_table_intersect() {
     let mas = MasDataset::standard();
-    let db = &*mas.db;
+    let (db, twins) = (&*mas.db, Twins::of(&mas.db));
     let name = column(db, "conference", "name");
     let homepage = column(db, "conference", "homepage");
     let cid = column(db, "conference", "cid");
@@ -257,13 +269,13 @@ fn predicates_on_one_table_intersect() {
         ..Default::default()
     };
 
-    let one = assert_matches_scan(db, &titles(vec![sigmod.clone()]), None, "one predicate");
+    let one = assert_matches_scan(&twins, &titles(vec![sigmod.clone()]), None, "one predicate");
     for preds in [
         vec![sigmod.clone(), sigmod_page.clone()],
         vec![sigmod.clone(), sigmod_page.clone(), first_three.clone()],
     ] {
         let n = preds.len();
-        let metrics = assert_matches_scan(db, &titles(preds), None, "agreeing predicates");
+        let metrics = assert_matches_scan(&twins, &titles(preds), None, "agreeing predicates");
         assert_eq!(metrics.rows_scanned, one.rows_scanned, "{n} agreeing predicates");
         assert_eq!(metrics.probes_bailed_empty, 0);
     }
@@ -271,10 +283,11 @@ fn predicates_on_one_table_intersect() {
     // Each list alone is non-empty; only their intersection proves the probe
     // empty, before a row is touched.
     let contradictory = vec![sigmod, vldb_page];
-    let metrics = assert_matches_scan(db, &titles(contradictory.clone()), None, "contradiction");
+    let metrics =
+        assert_matches_scan(&twins, &titles(contradictory.clone()), None, "contradiction");
     assert_eq!((metrics.probes_bailed_empty, metrics.rows_scanned), (1, 0));
     let count = SelectSpec { select: vec![SelectItem::count_star()], ..titles(contradictory) };
-    let metrics = assert_matches_scan(db, &count, None, "contradiction, COUNT(*)");
+    let metrics = assert_matches_scan(&twins, &count, None, "contradiction, COUNT(*)");
     assert_eq!((metrics.probes_bailed_empty, metrics.rows_scanned), (1, 0));
     let rows = execute_with(db, &count, &ExecOptions::default()).unwrap().result.rows;
     assert_eq!(rows, vec![duoquest::db::Row(vec![Value::int(0)])]);
@@ -285,7 +298,7 @@ fn predicates_on_one_table_intersect() {
 #[test]
 fn ordered_index_scan_honours_the_first_table_restriction() {
     let mas = MasDataset::standard();
-    let db = &*mas.db;
+    let (db, twins) = (&*mas.db, Twins::of(&mas.db));
     let schema = db.schema();
     let publication = schema.table_id("publication").unwrap();
     let conference = schema.table_id("conference").unwrap();
@@ -320,8 +333,8 @@ fn ordered_index_scan_honours_the_first_table_restriction() {
         // whole sorted run is walked and joined until five rows survive.
         let unfiltered = ordered(Predicate::new(name, CmpOp::Like, Value::text("SIGMOD")), desc, 5);
         let filtered = ordered(Predicate::new(name, CmpOp::Eq, Value::text("SIGMOD")), desc, 5);
-        let walk = assert_matches_scan(db, &unfiltered, None, "unfiltered walk");
-        let kept = assert_matches_scan(db, &filtered, None, "filtered walk");
+        let walk = assert_matches_scan(&twins, &unfiltered, None, "unfiltered walk");
+        let kept = assert_matches_scan(&twins, &filtered, None, "filtered walk");
         assert!(walk.streamed && kept.streamed);
         assert_eq!(
             execute_with(db, &filtered, &ExecOptions::default()).unwrap().result,
@@ -335,14 +348,14 @@ fn ordered_index_scan_honours_the_first_table_restriction() {
         );
         // Deep enough to cross ties, and under a budget.
         assert_matches_scan(
-            db,
+            &twins,
             &ordered(filtered.predicates[0].clone(), desc, 40),
             Some(7),
             "ties",
         );
         // An emptied restriction: nothing to walk.
         let none = ordered(Predicate::new(name, CmpOp::Eq, Value::text("no such venue")), desc, 5);
-        let metrics = assert_matches_scan(db, &none, None, "emptied restriction");
+        let metrics = assert_matches_scan(&twins, &none, None, "emptied restriction");
         assert_eq!((metrics.probes_bailed_empty, metrics.rows_scanned), (1, 0));
     }
 }
@@ -544,15 +557,15 @@ fn counts(m: &ExecMetrics) -> (u64, u64, u64, u64, bool) {
 #[test]
 fn reduced_plans_hold_their_exact_counts() {
     let mas = MasDataset::standard();
-    let db = &*mas.db;
-    let scan_rows = |spec: &SelectSpec| execute_with(db, spec, &SCAN).unwrap().metrics.rows_scanned;
+    let (db, twins) = (&*mas.db, Twins::of(&mas.db));
 
     // C3's gold query: `author` first, the literal three joins away on
     // `conference.name`, GROUP BY / HAVING on top — drained, never streamed.
     let c3 = gold(&mas, "C3");
-    let metrics = assert_matches_scan(db, &c3, None, "C3 gold");
+    let metrics = assert_matches_scan(&twins, &c3, None, "C3 gold");
     assert_eq!(counts(&metrics), C3_COUNTS, "C3 gold");
-    assert!(3 * metrics.rows_scanned <= scan_rows(&c3), "C3 gold vs {}", scan_rows(&c3));
+    let scan = twins.scan_rows(&c3);
+    assert!(3 * metrics.rows_scanned <= scan, "C3 gold vs {scan}");
 
     // The five-table existence probe task B2 sends for a candidate over
     // conference–domain_conference–domain–domain_publication–publication:
@@ -588,14 +601,15 @@ fn reduced_plans_hold_their_exact_counts() {
         ..Default::default()
     };
     assert_eq!(probe.join.tables.len(), 5);
-    let metrics = assert_matches_scan(db, &probe, None, "B2 existence probe");
+    let metrics = assert_matches_scan(&twins, &probe, None, "B2 existence probe");
     assert_eq!(counts(&metrics), B2_PROBE_COUNTS, "B2 existence probe");
-    assert!(3 * metrics.rows_scanned <= scan_rows(&probe), "B2 probe vs {}", scan_rows(&probe));
+    let scan = twins.scan_rows(&probe);
+    assert!(3 * metrics.rows_scanned <= scan, "B2 probe vs {scan}");
 
     // B4's gold query was selective before (the literal's table joins the
     // first table directly): the reduction must not make it scan more.
     let b4 = gold(&mas, "B4");
-    let metrics = assert_matches_scan(db, &b4, None, "B4 gold");
+    let metrics = assert_matches_scan(&twins, &b4, None, "B4 gold");
     assert_eq!(counts(&metrics), B4_COUNTS, "B4 gold");
     assert!(metrics.rows_scanned <= B4_ROWS_SCANNED_BEFORE);
 }
