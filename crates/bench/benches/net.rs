@@ -26,7 +26,6 @@ fn registry_for(dataset: &SpiderDataset) -> (TaskRegistry, Vec<String>) {
         max_candidates: 5,
         max_expansions: 250,
         time_budget: None,
-        workers: 1,
         ..Default::default()
     };
     let mut registry = TaskRegistry::new();

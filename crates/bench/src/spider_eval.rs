@@ -26,17 +26,15 @@ pub struct EvalSettings {
 
 impl Default for EvalSettings {
     fn default() -> Self {
-        // Size the verification worker pool to the machine; beam 1 keeps the
-        // exploration order identical to the sequential paper algorithm
-        // (modulo the wall-clock budget cutting the search at a
-        // machine-speed-dependent point).
+        // The default beam of 1 keeps the exploration order identical to
+        // the sequential paper algorithm (modulo the wall-clock budget
+        // cutting the search at a machine-speed-dependent point).
         let engine = DuoquestConfig {
             max_candidates: 25,
             max_expansions: 2_500,
             time_budget: Some(Duration::from_secs(3)),
             ..Default::default()
-        }
-        .with_parallelism(0, 1);
+        };
         EvalSettings { full: false, engine, seed: 42 }
     }
 }

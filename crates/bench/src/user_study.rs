@@ -32,14 +32,13 @@ pub struct StudyRow {
 }
 
 fn study_engine() -> DuoquestConfig {
-    // Machine-sized verification pool, paper-order exploration (beam 1).
+    // Paper-order exploration (the default beam of 1).
     DuoquestConfig {
         max_candidates: 30,
         max_expansions: 3_000,
         time_budget: Some(Duration::from_secs(3)),
         ..Default::default()
     }
-    .with_parallelism(0, 1)
 }
 
 fn run_trials<F>(

@@ -2,29 +2,6 @@
 
 use std::time::Duration;
 
-/// When a surviving complete query is handed to the consumer.
-///
-/// Both policies emit the **identical candidate sequence** (same set, same
-/// order — equal-score ties pinned by child order); they differ only in when
-/// within a round an emission is delivered. See `docs/DRIVER.md` for the
-/// any-k frontier contract.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EmissionPolicy {
-    /// Emissions are delivered during the round's phase-3 merge, after every
-    /// verification chunk of the round has completed. The historical — and
-    /// byte-identical — default.
-    #[default]
-    RoundBarrier,
-    /// Any-k frontier emission: a candidate is delivered the moment its
-    /// confidence provably dominates every unexpanded state (the frontier
-    /// heap's top, every not-yet-merged job of the in-flight round, and the
-    /// current chunk's still-unpushed survivors) — typically mid-round, as
-    /// soon as the contiguous chunk prefix containing it completes. The
-    /// emitted sequence is exactly the `RoundBarrier` sequence; only the
-    /// delivery time moves earlier.
-    AnyK,
-}
-
 /// Tunable parameters of the Duoquest engine.
 ///
 /// The flags `guided`, `prune_partial` and `semantic_rules` exist so the
@@ -60,27 +37,9 @@ pub struct DuoquestConfig {
     pub semantic_rules: bool,
     /// Number of top-confidence states popped per synthesis round. `1`
     /// reproduces the strictly best-first exploration order of paper
-    /// Algorithm 1; larger beams expose more child-expansion work per round
-    /// to the worker pool (still deterministic for a fixed value).
+    /// Algorithm 1; a larger beam verifies the children of several states
+    /// per round (still deterministic for a fixed value).
     pub beam_width: usize,
-    /// Worker threads of the private pool a session without an attached
-    /// scheduler runs on (`Duoquest::session`, `SynthesisSession`). `1` — the
-    /// default — means no pool: a blocking run is inline on the calling
-    /// thread; `0` means one worker per available CPU. It applies to
-    /// sessions only: the borrowed entry points (`Duoquest::synthesize`,
-    /// `enumerate`) cannot hand `&Database` to a pool and always run inline,
-    /// and a session attached to a shared scheduler uses that pool's size.
-    /// Absent a `time_budget`, the candidate set is independent of this
-    /// value — workers change wall-clock, not results. (A wall-clock budget
-    /// is the one intentionally non-deterministic cut-off: which children
-    /// are verified before the deadline depends on machine speed, and under
-    /// a pool also on chunking.)
-    pub workers: usize,
-    /// When emissions are delivered to the consumer (see [`EmissionPolicy`]).
-    /// `RoundBarrier` is the byte-identical default; `AnyK` delivers the same
-    /// sequence earlier (mid-round) and is what interactive requests opt
-    /// into for time-to-first-candidate.
-    pub emission: EmissionPolicy,
 }
 
 impl Default for DuoquestConfig {
@@ -98,8 +57,6 @@ impl Default for DuoquestConfig {
             prune_partial: true,
             semantic_rules: true,
             beam_width: 1,
-            workers: 1,
-            emission: EmissionPolicy::RoundBarrier,
         }
     }
 }
@@ -137,27 +94,10 @@ impl DuoquestConfig {
         self
     }
 
-    /// Enable the parallel synthesis core: a beam of `beam_width` states per
-    /// round, and — for sessions, see [`DuoquestConfig::workers`] — a private
-    /// pool of `workers` threads (`workers = 0` sizes it to the machine).
-    pub fn with_parallelism(mut self, workers: usize, beam_width: usize) -> Self {
-        self.workers = workers;
+    /// Pop a beam of `beam_width` states per round (minimum 1).
+    pub fn with_beam_width(mut self, beam_width: usize) -> Self {
         self.beam_width = beam_width.max(1);
         self
-    }
-
-    /// Opt into any-k frontier emission (see [`EmissionPolicy::AnyK`]).
-    pub fn with_emission_policy(mut self, emission: EmissionPolicy) -> Self {
-        self.emission = emission;
-        self
-    }
-
-    /// Worker-pool size after resolving `workers = 0` to the machine size.
-    pub fn effective_workers(&self) -> usize {
-        match self.workers {
-            0 => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-            n => n,
-        }
     }
 }
 
@@ -183,16 +123,9 @@ mod tests {
     }
 
     #[test]
-    fn parallelism_configuration() {
-        let c = DuoquestConfig::default();
-        assert_eq!(c.beam_width, 1);
-        assert_eq!(c.workers, 1);
-        assert_eq!(c.effective_workers(), 1);
-        let p = c.with_parallelism(4, 8);
-        assert_eq!(p.effective_workers(), 4);
-        assert_eq!(p.beam_width, 8);
-        let auto = DuoquestConfig::default().with_parallelism(0, 0);
-        assert!(auto.effective_workers() >= 1);
-        assert_eq!(auto.beam_width, 1);
+    fn beam_width_configuration() {
+        assert_eq!(DuoquestConfig::default().beam_width, 1);
+        assert_eq!(DuoquestConfig::default().with_beam_width(8).beam_width, 8);
+        assert_eq!(DuoquestConfig::default().with_beam_width(0).beam_width, 1);
     }
 }

@@ -1,14 +1,15 @@
 //! The Duoquest engine: the public entry point tying together guidance,
 //! enumeration and verification.
 //!
-//! # Architecture: the parallel, cache-aware synthesis core
+//! # Architecture: the cache-aware synthesis core
 //!
 //! Synthesis runs as a sequence of **rounds** over a confidence-ordered
 //! frontier (see `crate::enumerate`). One state machine (`RoundDriver`) runs
 //! them, from one of two places: **inline** on the calling thread
 //! ([`Duoquest::synthesize`], a session without a pool) or **parked in a
-//! pool** whose workers resume it as its chunks complete (every session on a
-//! [`crate::scheduler::SessionScheduler`]; blocking callers wait for it):
+//! pool** whose workers resume it for a burst of rounds at a time (every
+//! session on a [`crate::scheduler::SessionScheduler`]; blocking callers
+//! wait for it). A round never leaves the thread that started it:
 //!
 //! ```text
 //!                    ┌────────────────────────────────────────────┐
@@ -17,27 +18,25 @@
 //!                    └──────────────────┬─────────────────────────┘
 //!                                       ▼  lent call by call (RunInputs)
 //!                         run start: RunPlan (join planner, verify plan,
-//!                                       │  counters, deadline), shared by
-//!                                       ▼  every chunk of the run
+//!                                       │  counters, deadline), read by
+//!                                       ▼  every round of the run
 //!                         first round: model.prepare(nlq, schema) ──► plan
 //!                                       │  (owned by the round driver; `None`
 //!                                       ▼   = the model has nothing to compile)
-//!   frontier (BinaryHeap) ──pop beam──► phase 1: expand + score (serial)
+//!   frontier (BinaryHeap) ──pop beam──► phase 1: expand + score
 //!                                       │  EnumNextStep per beam state, its
 //!                                       │  children scored through the plan
 //!                                       │  (or `model.score` without one)
 //!                                       ▼
-//!                          phase 2: verify fan-out (one chunk on the
-//!                          │ calling thread inline; chunks on a pool's workers)
-//!                          │ per child: the join-independent stages of the
+//!                          phase 2: verify, child by child
+//!                          │ the join-independent stages of the
 //!                          │ ascending-cost cascade (column-wise checks read
 //!                          │ off the run's VerifyPlan), then join paths (one
-//!                          │ list per set of tables and chunk), then the
+//!                          │ list per set of tables and round), then the
 //!                          │ stages over the join path per variant; probes
 //!                          │ answered by Database's memo cache
 //!                          ▼
-//!                          phase 3: ordered merge (serial): chunks fed back
-//!                          │ in child order, the whole round or prefixes
+//!                          phase 3: merge, in child order
 //!                          │ emit complete queries → stream/callback
 //!                          └ push survivors → frontier
 //! ```
@@ -45,7 +44,7 @@
 //! Three layers cooperate:
 //!
 //! * **db** — [`Database`] is `Send + Sync` and shared by reference (or
-//!   `Arc`) across the worker pool; its probe/result memo cache
+//!   `Arc`) across every live session; its probe/result memo cache
 //!   (`duoquest_db::ProbeCache`) memoizes the verifier's repeated
 //!   `SELECT … LIMIT 1` probes behind sharded locks, with hit/miss/byte
 //!   counters surfaced per run in [`EnumerationStats`]. Cache misses run
@@ -60,18 +59,17 @@
 //!   through the returned plan from then on (bit-identical to
 //!   [`GuidanceModel::score`]; the plan is owned by the driver, so it parks
 //!   in the scheduler and resumes on any worker with it).
-//! * **core** — the round engine pops the top-`beam_width` states, has their
-//!   children verified — by the calling thread, or in chunks by a pool's
-//!   workers — and merges results back **in child order**, so — absent a wall-clock `time_budget` — the
-//!   emitted candidate sequence is a pure function of the configuration
-//!   (never of thread scheduling). With `beam_width = 1` the exploration
-//!   order is exactly paper Algorithm 1. Like the guidance plan, the join
-//!   paths of phase 2 are a function of fixed inputs (the schema and a
-//!   child's set of tables), so a verification chunk builds each list once
-//!   (`crate::joinpath`) and its children copy reference-counted trees out
-//!   of it — on any schema: where the join graph has a cycle, one fixed tie
-//!   rule keeps that function single-valued. So is "can this column produce
-//!   that example cell":
+//! * **core** — the round engine pops the top-`beam_width` states, verifies
+//!   their children and merges the results **in child order**, so — absent
+//!   a wall-clock `time_budget` — the emitted candidate sequence is a pure
+//!   function of the configuration (never of thread scheduling). With
+//!   `beam_width = 1` the exploration order is exactly paper Algorithm 1.
+//!   Like the guidance plan, the join paths of phase 2 are a function of
+//!   fixed inputs (the schema and a child's set of tables), so a round
+//!   builds each list once (`crate::joinpath`) and its children copy
+//!   reference-counted trees out of it — on any schema: where the join
+//!   graph has a cycle, one fixed tie rule keeps that function
+//!   single-valued. So is "can this column produce that example cell":
 //!   the run owns a [`crate::verify::VerifyPlan`] next to its `JoinPlanner`
 //!   and its guidance plan, one lazily filled verdict per (cell, column),
 //!   and only the first touch of a pair sends a probe to the database. The
@@ -88,7 +86,7 @@
 //! Candidates are deduplicated under canonical equivalence (keeping the
 //! highest-confidence copy) and ranked by confidence with a deterministic
 //! structural tie-break, so equal-confidence candidates order identically
-//! across sequential and parallel runs.
+//! wherever the run stands.
 
 use crate::config::DuoquestConfig;
 use crate::enumerate::{run_inline, EnumerationStats, RunInputs};
@@ -206,9 +204,8 @@ impl CandidateCollector {
 
     /// Rank and wrap up: by confidence, breaking exact ties by emission
     /// order (earlier-found first). Emission order is itself a pure function
-    /// of the configuration — never of the worker count — so the ranking is
-    /// deterministic and identical between sequential and parallel
-    /// explorations.
+    /// of the configuration — never of where the run stands — so the ranking
+    /// is deterministic.
     pub(crate) fn finish(mut self, stats: EnumerationStats) -> SynthesisResult {
         self.candidates.sort_by(|a, b| {
             b.confidence
@@ -246,9 +243,7 @@ impl Duoquest {
     /// tagged literals) plus an optional TSQ. Returns the ranked candidates.
     ///
     /// The inputs are borrowed, so the run cannot be handed to a worker pool:
-    /// it runs inline on the calling thread and `config.workers` does not
-    /// apply (it applies to [`Duoquest::session`]s). Emission does not depend
-    /// on the worker count, so what is returned is the same either way.
+    /// it runs inline on the calling thread.
     pub fn synthesize(
         &self,
         db: &Database,

@@ -1,21 +1,19 @@
-//! Guided partial query enumeration (GPQE, paper Algorithm 1), restructured
-//! as a round-based engine whose verification fan-out can run anywhere.
+//! Guided partial query enumeration (GPQE, paper Algorithm 1) as a
+//! round-based, resumable engine.
 //!
 //! The enumerator maintains a priority queue of [`EnumState`]s ordered by
 //! confidence (the product of per-decision scores, paper §3.3.3). Each
 //! **round** pops a beam of the `config.beam_width` highest-confidence states,
 //! produces their candidate children (`enum_next_step`, following the module
-//! order of Table 3), and hands the expensive part — progressive join path
-//! construction plus the ascending-cost verification cascade — to whoever
-//! runs the round: the calling thread (the inline mode, [`enumerate`]) or the
-//! workers of a [`crate::scheduler::SessionScheduler`] pool, in chunks.
-//! Survivors are merged back into the queue and complete queries are emitted
-//! **in the original child order**, so for a fixed configuration the emitted
-//! candidate sequence is deterministic and, with `beam_width = 1`,
-//! bit-identical to the sequential Algorithm 1 exploration regardless of the
-//! worker count. The one exception is a wall-clock `time_budget`: where the
-//! deadline cuts the search depends on machine speed (and, under a pool,
-//! chunking), so budget-limited runs can differ across worker counts.
+//! order of Table 3), runs progressive join path construction plus the
+//! ascending-cost verification cascade over them, pushes the survivors back
+//! into the queue and emits the complete queries **in child order**. A round
+//! runs where its driver stands — the calling thread (the inline mode,
+//! [`enumerate`]) or the [`crate::scheduler::SessionScheduler`] worker that
+//! holds the session — so for a fixed configuration the emitted candidate
+//! sequence is deterministic and, with `beam_width = 1`, is the sequential
+//! Algorithm 1 exploration. The one exception is a wall-clock `time_budget`:
+//! where the deadline cuts the search depends on machine speed.
 //!
 //! Verification probes run through the database's probe/result memo cache
 //! (`Database::execute_cached`), column-wise ones once per distinct question
@@ -24,7 +22,7 @@
 //! [`EnumerationStats`].
 
 use crate::clock::{Clock, SYSTEM_CLOCK};
-use crate::config::{DuoquestConfig, EmissionPolicy};
+use crate::config::DuoquestConfig;
 use crate::joinpath::{JoinPathMemo, JoinPlanner};
 use crate::scheduler::SchedulerRunStats;
 use crate::session::SessionControl;
@@ -44,7 +42,7 @@ use duoquest_sql::{
     ClauseSet, PartialHaving, PartialOrder, PartialPredicate, PartialQuery, PartialSelectItem,
     SelectColumn, Slot,
 };
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 use std::rc::Rc;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -230,8 +228,7 @@ impl EnumerationStats {
 /// returns `false` to stop the enumeration early.
 ///
 /// The inputs are borrowed, so the run cannot be handed to a pool: it runs
-/// inline on the calling thread, whatever `config.workers` says (the worker
-/// count never changes what is emitted). The beam width comes from the
+/// inline on the calling thread. The beam width comes from the
 /// configuration; the default (`beam_width = 1`) reproduces the sequential
 /// Algorithm 1 exploration exactly.
 pub fn enumerate<F>(
@@ -252,31 +249,23 @@ where
 
 /// The inline mode: the whole run on the calling thread — zero threads, zero
 /// queue, `stats.scheduler == None`. It stands where a pool worker stands
-/// ([`RoundDriver::advance`] is the one stepping loop) and answers "here are
-/// jobs to park" by processing them itself, as one chunk.
+/// ([`RoundDriver::advance`] is the one stepping loop), with nobody to yield
+/// to.
 pub(crate) fn run_inline(
     inputs: &RunInputs<'_>,
     sink: &mut dyn FnMut(SelectSpec, f64, Duration) -> bool,
 ) -> EnumerationStats {
     let plan = RunPlan::new(inputs);
     let mut driver = RoundDriver::new(&plan);
-    loop {
-        match driver.advance(&plan, inputs, sink) {
-            Advance::Park(jobs) => {
-                let result = plan.process(inputs, jobs);
-                driver.feed(vec![result], true, inputs, sink);
-            }
-            Advance::Yield => {} // nobody to yield to
-            Advance::Done => return driver.into_stats(&plan, inputs),
-        }
-    }
+    while let Advance::Yield = driver.advance(&plan, inputs, sink) {}
+    driver.take_stats(&plan, inputs)
 }
 
 /// The inputs of one run, borrowed per call. Neither [`RunPlan`] nor
 /// [`RoundDriver`] owns any of them, so the same run state serves a caller
 /// holding `&Database` on its stack and a session holding `Arc<Database>` in
-/// a scheduler slot — parked anywhere, resumed by whichever thread holds the
-/// session's resources.
+/// a scheduler slot — parked anywhere, resumed by whichever worker takes the
+/// session next.
 pub(crate) struct RunInputs<'a> {
     pub(crate) db: &'a Database,
     pub(crate) nlq: &'a Nlq,
@@ -284,18 +273,17 @@ pub(crate) struct RunInputs<'a> {
     pub(crate) model: &'a dyn GuidanceModel,
     pub(crate) config: &'a DuoquestConfig,
     /// The session's cancellation token — checked at every round boundary
-    /// (i.e. *between* `step()` calls) and between chunk jobs, so a cancel
-    /// takes effect mid-round — and its external deadline.
+    /// (i.e. *between* `step()` calls) and between a round's jobs, so a
+    /// cancel takes effect mid-round — and its external deadline.
     pub(crate) control: &'a SessionControl,
     /// The session's time source: deadline checks, emission timestamps and
     /// stage timings read this instead of the real clock (virtual under the
     /// simulation harness).
     pub(crate) clock: &'a dyn Clock,
     /// The session's request trace, when observability is on: the driver
-    /// records `round` spans into it and chunk workers record chunk spans
-    /// into their local [`ChunkResult::spans`] buffer (merged
-    /// deterministically by the driver). `None` costs one branch per chunk
-    /// and nothing else.
+    /// records `round` spans into it and [`process_chunk`] records the
+    /// round's `chunk` span into [`ChunkResult::spans`] (merged by the
+    /// driver). `None` costs one branch per round and nothing else.
     pub(crate) trace: Option<&'a Arc<Trace>>,
 }
 
@@ -314,15 +302,15 @@ impl<'a> RunInputs<'a> {
     }
 }
 
-/// What a run compiles from its inputs, once, and every chunk of the run
-/// shares by reference (all fields are `Sync`; the database's probe cache
-/// handles its own synchronization). The run's third compiled input, the
-/// guidance plan, is prepared lazily by the [`RoundDriver`] and parks with it.
+/// What a run compiles from its inputs, once, and every round of the run
+/// reads by reference, on whichever worker holds the session. The run's
+/// third compiled input, the guidance plan, is prepared lazily by the
+/// [`RoundDriver`] and parks with it.
 pub(crate) struct RunPlan {
-    /// The run's join path construction (every chunk opens a memo over it).
+    /// The run's join path construction (every round opens a memo over it).
     joins: JoinPlanner,
-    /// The run's column-wise verdicts, read and filled by every chunk worker
-    /// of the run and by no other run (see [`VerifyPlan`]).
+    /// The run's column-wise verdicts, read and filled by every round of the
+    /// run and by no other run (see [`VerifyPlan`]).
     verdicts: Arc<VerifyPlan>,
     /// Per-run probe-cache attribution: the shared database's cache is hit
     /// by every live session, these counters record only this run's traffic.
@@ -351,9 +339,9 @@ impl RunPlan {
         }
     }
 
-    /// Run one chunk of one of the run's rounds, on whichever thread calls:
-    /// build a borrow-scoped verifier over the inputs (cheap — two `Arc`
-    /// clones and a few references) and hand off to the chunk processor.
+    /// Run the jobs of one of the run's rounds, on the calling thread: build
+    /// a borrow-scoped verifier over the inputs (cheap — two `Arc` clones
+    /// and a few references) and hand off to [`process_chunk`].
     pub(crate) fn process(&self, env: &RunInputs<'_>, jobs: Vec<ChildJob>) -> ChunkResult {
         // Partial queries are only verified when partial pruning is enabled; complete
         // queries always get the full cascade (this is what makes NoPQ equivalent to
@@ -367,22 +355,17 @@ impl RunPlan {
     }
 }
 
-/// One unit of parallel work: a freshly generated child with its confidence
-/// and the beam position of its parent.
+/// One job of a round: a freshly generated child with its confidence and
+/// the beam position of its parent.
 pub(crate) struct ChildJob {
     pub(crate) beam_idx: usize,
     pub(crate) confidence: f64,
     pub(crate) pq: PartialQuery,
 }
 
-/// The merged product of one worker's chunk, in original job order.
+/// The product of one round's jobs, in original job order.
 #[derive(Default)]
 pub(crate) struct ChunkResult {
-    /// Number of jobs this chunk was given. The any-k dominance gate uses it
-    /// to advance its merged-jobs cursor into the round's suffix-maximum
-    /// table; fabricated results (cancel reaping) leave it `0`, which merely
-    /// makes the gate stricter — never unsound.
-    pub(crate) jobs: usize,
     pub(crate) generated: usize,
     pub(crate) prunes: [usize; VerifyStage::COUNT],
     pub(crate) timings: StageTimings,
@@ -390,53 +373,37 @@ pub(crate) struct ChunkResult {
     pub(crate) emissions: Vec<(SelectSpec, f64)>,
     /// Partial queries to push back onto the frontier, in child order.
     pub(crate) survivors: Vec<(PartialQuery, f64, usize)>,
-    /// The worker hit the wall-clock deadline and skipped its remaining jobs.
+    /// The wall-clock deadline passed and the remaining jobs were skipped.
     pub(crate) timed_out: bool,
-    /// The worker observed the session's cancellation token and bailed.
+    /// The session's cancellation token fired and the remaining jobs were
+    /// skipped.
     pub(crate) cancelled: bool,
-    /// Chunk-local trace spans (absolute instants), recorded without any
-    /// shared state and merged into the session's [`Trace`] by the driver
-    /// **in child order** — what keeps trace content reproducible under a
-    /// simulated clock regardless of which worker ran the chunk. Empty when
-    /// tracing is off.
+    /// The round's `chunk` span (absolute instants), merged into the
+    /// session's [`Trace`] by the driver. Empty when tracing is off.
     pub(crate) spans: Vec<RawSpan>,
-    /// Microseconds this chunk's probes spent parked on single-flight waits
-    /// (delta of the shared run counters across the chunk — attribution is
-    /// approximate when chunks run concurrently; observational only).
+    /// Microseconds the round's probes spent parked on single-flight waits
+    /// (delta of the run counters across the round; observational only).
     /// Recorded only when tracing is on; the driver synthesizes a
     /// `probe_wait` span from it.
     pub(crate) probe_wait_us: u64,
 }
 
-/// Fan-out threshold below which handing a round to a pool costs more than
-/// it saves.
-pub(crate) const MIN_PARALLEL_JOBS: usize = 8;
-
-/// Consecutive sub-[`MIN_PARALLEL_JOBS`] rounds one [`RoundDriver::advance`]
-/// may run before it must yield. Without this bound, a driven session whose
-/// every round is tiny would run to completion inside one `Resume` unit —
-/// monopolizing a pool worker past the weighted round-robin, delaying the
-/// tick hook, and (on a 1-worker pool) starving every other session for its
-/// whole runtime. Yielding is pure scheduling: it never changes what the
-/// session emits.
+/// Consecutive rounds one [`RoundDriver::advance`] may run before it must
+/// yield. Without this bound a driven session would run to completion inside
+/// one `Resume` unit — monopolizing a pool worker past the weighted
+/// round-robin, delaying the tick hook, and (on a 1-worker pool) starving
+/// every other session for its whole runtime. Yielding is pure scheduling:
+/// it never changes what the session emits.
 const INLINE_ROUND_YIELD: u32 = 32;
 
 /// Why a [`RoundDriver::advance`] returned.
 pub(crate) enum Advance {
-    /// A round too big to run on the spot: the caller runs its jobs — split
-    /// into any number of contiguous chunks, on any threads — and feeds the
-    /// chunk results back **in original job order** via
-    /// [`RoundDriver::feed`] before advancing again. This ordering contract
-    /// is the heart of the engine's determinism: emission order is a pure
-    /// function of the configuration, never of the worker count, chunk
-    /// size, or who did the work.
-    Park(Vec<ChildJob>),
-    /// [`INLINE_ROUND_YIELD`] consecutive small rounds ran: give whoever
-    /// else wants this thread a turn, then advance again.
+    /// [`INLINE_ROUND_YIELD`] rounds ran: give whoever else wants this
+    /// thread a turn, then advance again.
     Yield,
     /// The run is over (exhausted, budget reached, stopped by its consumer,
     /// cancelled or past the deadline). Collect the counters with
-    /// [`RoundDriver::into_stats`].
+    /// [`RoundDriver::take_stats`].
     Done,
 }
 
@@ -444,76 +411,33 @@ pub(crate) enum Advance {
 enum DriverPhase {
     /// Ready to start the next round (pop a beam).
     Ready,
-    /// `step` returned a round's jobs; [`RoundDriver::feed`] is merging
-    /// their chunk results as they arrive.
-    InFlight(Drain),
+    /// `step` returned a round's jobs and [`RoundDriver::merge`] has not
+    /// taken their result yet. Holds the decision depth of each beam slot.
+    InFlight(Vec<usize>),
     /// The loop has exited; every further `step` returns `None`.
     Finished,
 }
 
-/// The in-progress phase-3 merge of one round: chunks are consumed strictly
-/// in order, and within a chunk every emission is delivered before its
-/// survivors are pushed — exactly the order of the historical serial loop,
-/// so an early stop (consumer halt or candidate budget) cuts the merge at
-/// the same point it always did.
-#[derive(Default)]
-struct Drain {
-    /// The decision depth of each beam slot.
-    decisions: Vec<usize>,
-    /// Under [`EmissionPolicy::AnyK`], the suffix maxima of the round's job
-    /// confidences (`suffix_max[i]` bounds every child of jobs `i..`; one
-    /// trailing `0.0` entry), which the dominance gate indexes by its
-    /// merged-jobs cursor. Empty under `RoundBarrier`.
-    suffix_max: Vec<f64>,
-    chunks: VecDeque<ChunkResult>,
-    emissions: VecDeque<(SelectSpec, f64)>,
-    survivors: Vec<(PartialQuery, f64, usize)>,
-    in_chunk: bool,
-    /// Jobs covered by the chunks merged so far — the dominance gate's
-    /// cursor into `suffix_max`.
-    merged_jobs: usize,
-    /// Highest confidence among the current chunk's not-yet-pushed
-    /// survivors (they are outside the heap while the chunk's emissions
-    /// drain, so the gate must bound them separately).
-    survivor_max: f64,
-    /// Whether every chunk of the round has been fed (the `last` feed). The
-    /// dominance gate only applies while `false` — once the round is
-    /// complete, draining is exactly the historical barrier merge, and a
-    /// `RoundBarrier` round is fed once, complete: a gate that never opens
-    /// early.
-    complete: bool,
-    timed_out: bool,
-    cancelled: bool,
-    /// The consumer or the candidate budget stopped the run at an emission
-    /// of this round. Nothing more is emitted or pushed; the chunks still to
-    /// come are only counted, so that the run's statistics are those of the
-    /// whole round however it was chunked (one chunk inline, several on a
-    /// pool), and the run is over at the round's last feed.
-    stopped: bool,
-}
-
 /// The synthesis round loop as a **resumable state machine**: owns the
-/// frontier (priority queue), the per-run statistics, the guidance plan and
-/// the merge state of the in-flight round, but none of the session's inputs
-/// (those arrive by borrow in each [`RunInputs`]). The protocol:
+/// frontier (priority queue), the per-run statistics and the guidance plan,
+/// but none of the session's inputs (those arrive by borrow in each
+/// [`RunInputs`]). The protocol:
 ///
 /// ```text
-///   while let Some(jobs) = driver.step(&inputs) {   // phase 1
-///       let results = run(jobs);                    // phase 2: run anywhere
-///       driver.feed(results, true, &inputs, sink);  //   (chunked, job order kept)
-///   }                                               // phase 3: merge, emit
-///   let stats = driver.into_stats(&plan, &inputs);
+///   while let Some(jobs) = driver.step(&inputs) {          // phase 1
+///       let result = plan.process(&inputs, jobs);          // phase 2: verify
+///       driver.merge(result, &inputs, sink);               // phase 3: emit, push
+///   }
+///   let stats = driver.take_stats(&plan, &inputs);
 /// ```
 ///
-/// [`RoundDriver::advance`] is that loop with the hand-off rule every caller
-/// shares (small rounds on the spot, big ones handed back, a yield bound).
-/// Neither call blocks: between `step` and the round's last `feed` the
-/// driver is inert and can be parked indefinitely — this is what lets a
-/// scheduler resume thousands of live sessions from a fixed worker pool
-/// instead of parking one OS thread per session. Cancellation and the
-/// deadline are honored at every round boundary (between `step` calls), in
-/// addition to the mid-chunk checks inside [`process_chunk`]. See
-/// `docs/DRIVER.md` for the full contract.
+/// [`RoundDriver::advance`] is that loop with a yield bound, and what every
+/// caller runs. Between two `advance` calls the driver is inert and can be
+/// parked indefinitely — this is what lets a scheduler resume thousands of
+/// live sessions from a fixed worker pool instead of parking one OS thread
+/// per session. Cancellation and the deadline are honored at every round
+/// boundary (between `step` calls), in addition to the mid-round checks
+/// inside [`process_chunk`]. See `docs/DRIVER.md` for the full contract.
 pub(crate) struct RoundDriver {
     heap: BinaryHeap<EnumState>,
     sequence: u64,
@@ -572,12 +496,10 @@ impl RoundDriver {
         }
     }
 
-    /// Step until the run needs somebody else: every round smaller than
-    /// [`MIN_PARALLEL_JOBS`] runs on the spot (the hand-off would cost more
-    /// than it saves), a bigger one is handed back to be parked, and
-    /// [`INLINE_ROUND_YIELD`] small rounds in a row yield. The one stepping
-    /// loop: a pool worker resuming a parked session and the inline caller
-    /// both stand here.
+    /// Run rounds on the spot (`step` → [`RunPlan::process`] → `merge`)
+    /// until the run is over or [`INLINE_ROUND_YIELD`] of them have run. The
+    /// one stepping loop: a pool worker holding a session and the inline
+    /// caller both stand here.
     pub(crate) fn advance(
         &mut self,
         plan: &RunPlan,
@@ -586,56 +508,21 @@ impl RoundDriver {
     ) -> Advance {
         for _ in 0..INLINE_ROUND_YIELD {
             let Some(jobs) = self.step(env) else { return Advance::Done };
-            if jobs.len() >= MIN_PARALLEL_JOBS {
-                return Advance::Park(jobs);
-            }
             if let Some(pool) = &mut self.stats.scheduler {
                 pool.units_inline += 1;
             }
             let result = plan.process(env, jobs);
-            self.feed(vec![result], true, env, sink);
+            self.merge(result, env, sink);
         }
         Advance::Yield
     }
 
-    /// Feed a contiguous job-order prefix of the in-flight round's chunk
-    /// results — the only way results enter the driver — draining every
-    /// emission the round's release rule lets go straight into `sink`.
-    /// `last` marks the round's final feed; until it arrives the any-k
-    /// dominance gate decides what leaves, and the driver may pause
-    /// mid-merge (gate blocked, or chunks exhausted) and waits for the next
-    /// feed. A `RoundBarrier` round is fed once, complete. A `sink`
-    /// returning `false` stops the run at that emission, exactly like the
-    /// candidate budget: the round's remaining chunks are counted and
-    /// nothing else (see [`Drain::stopped`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if no round is outstanding (protocol violation).
-    pub(crate) fn feed(
-        &mut self,
-        chunks: Vec<ChunkResult>,
-        last: bool,
-        env: &RunInputs<'_>,
-        sink: &mut dyn FnMut(SelectSpec, f64, Duration) -> bool,
-    ) {
-        match std::mem::replace(&mut self.phase, DriverPhase::Finished) {
-            DriverPhase::InFlight(mut d) => {
-                d.chunks.extend(chunks);
-                d.complete |= last;
-                self.drain(d, env, sink);
-            }
-            phase => {
-                self.phase = phase;
-                panic!("RoundDriver::feed called with no round outstanding");
-            }
-        }
-    }
-
     /// The run's final counters, once `step` has returned `None`: the
-    /// end-of-run epilogue of every way to run a session.
-    pub(crate) fn into_stats(self, plan: &RunPlan, env: &RunInputs<'_>) -> EnumerationStats {
-        let mut stats = self.stats;
+    /// end-of-run epilogue of every way to run a session. Leaves the
+    /// frontier where it is, so the caller can hand the result on before
+    /// paying for the drop of thousands of queued states.
+    pub(crate) fn take_stats(&mut self, plan: &RunPlan, env: &RunInputs<'_>) -> EnumerationStats {
+        let mut stats = std::mem::take(&mut self.stats);
         stats.elapsed = env.clock.now().saturating_duration_since(self.start);
         // Per-run counters: concurrent sessions on the same shared database
         // can't pollute each other's statistics.
@@ -648,15 +535,15 @@ impl RoundDriver {
     ///
     /// # Panics
     ///
-    /// Panics if called while chunk results are outstanding (before the
-    /// `last` [`RoundDriver::feed`] of the round `step` last returned).
+    /// Panics if the round `step` last returned has not been merged
+    /// (protocol violation).
     pub(crate) fn step(&mut self, env: &RunInputs<'_>) -> Option<Vec<ChildJob>> {
         loop {
             match std::mem::replace(&mut self.phase, DriverPhase::Finished) {
                 DriverPhase::Finished => return None,
-                DriverPhase::InFlight(drain) => {
-                    self.phase = DriverPhase::InFlight(drain);
-                    panic!("RoundDriver::step called while chunk results are outstanding");
+                DriverPhase::InFlight(decisions) => {
+                    self.phase = DriverPhase::InFlight(decisions);
+                    panic!("RoundDriver::step called with a round outstanding");
                 }
                 DriverPhase::Ready => {
                     if let Some(jobs) = self.begin_round(env) {
@@ -744,174 +631,97 @@ impl RoundDriver {
             self.phase = DriverPhase::Ready;
             return None;
         }
-        let decisions = beam.iter().map(|s| s.decisions).collect();
-        // Under any-k, precompute the suffix maxima of the job confidences:
-        // `suffix_max[i]` bounds the confidence of every child a job in
-        // `jobs[i..]` can produce (a child's confidence equals its job's),
-        // so the dominance gate can bound the round's unmerged remainder in
-        // O(1) as chunks stream in.
-        let suffix_max = if env.config.emission == EmissionPolicy::AnyK {
-            let mut suffix = vec![0.0f64; jobs.len() + 1];
-            for i in (0..jobs.len()).rev() {
-                suffix[i] = suffix[i + 1].max(jobs[i].confidence);
-            }
-            suffix
-        } else {
-            Vec::new()
-        };
-        self.phase = DriverPhase::InFlight(Drain { decisions, suffix_max, ..Drain::default() });
+        self.phase = DriverPhase::InFlight(beam.iter().map(|s| s.decisions).collect());
         Some(jobs)
     }
 
-    /// Phase 3 (serial): merge the fed chunk results in original child
-    /// order, delivering every released emission to `sink`. On entry the
-    /// phase has been taken (left `Finished`); on return it is `InFlight`
-    /// (paused mid-round), `Ready` (round complete) or `Finished` (early
-    /// exit).
-    fn drain(
+    /// Phase 3 (serial): merge the in-flight round's result — the only way
+    /// results enter the driver and the only place candidates leave it.
+    /// Every emission is delivered to `sink` in child order, then the
+    /// survivors are pushed: the order of the serial Algorithm 1 loop. A
+    /// `sink` returning `false` stops the run at that emission, exactly like
+    /// the candidate budget: nothing more is emitted or pushed, and the
+    /// round's counters are those of the whole round.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no round is outstanding (protocol violation).
+    pub(crate) fn merge(
         &mut self,
-        mut d: Drain,
+        result: ChunkResult,
         env: &RunInputs<'_>,
         sink: &mut dyn FnMut(SelectSpec, f64, Duration) -> bool,
     ) {
-        loop {
-            if d.in_chunk {
-                while let Some(&(_, confidence)) = d.emissions.front() {
-                    // Any-k dominance gate (only while the round is still
-                    // streaming in): release the emission only when its
-                    // confidence provably beats every unexpanded state —
-                    // the frontier heap's top, every child a not-yet-merged
-                    // job could produce, and the current chunk's unpushed
-                    // survivors. A blocked gate pauses the merge; the round's
-                    // completion disables the gate, so the emitted sequence
-                    // is always exactly the barrier sequence.
-                    if !d.complete && !self.dominates(confidence, &d) {
-                        self.phase = DriverPhase::InFlight(d);
-                        return;
-                    }
-                    let (spec, confidence) = d.emissions.pop_front().expect("front checked above");
-                    self.stats.emitted += 1;
-                    let emitted_at = env.clock.now().saturating_duration_since(self.start);
-                    // A mid-round release is the observable any-k event: the
-                    // frontier provably cannot beat this candidate, so it
-                    // leaves before the round closes.
-                    let popped_at = env.trace.filter(|_| !d.complete).map(|_| env.clock.now());
-                    let keep = sink(spec, confidence, emitted_at);
-                    if let (Some(trace), Some(t0)) = (env.trace, popped_at) {
-                        trace.record_span("frontier_pop", t0, env.clock.now());
-                    }
-                    // The historical post-callback check: a consumer stop or
-                    // the candidate budget ends emission right here, skipping
-                    // the current chunk's survivors and everything later.
-                    if !keep || self.stats.emitted >= env.config.max_candidates {
-                        d.stopped = true;
-                        break;
-                    }
-                }
-                if !d.stopped {
-                    for (pq, confidence, beam_idx) in d.survivors.drain(..) {
-                        self.sequence += 1;
-                        self.heap.push(EnumState {
-                            pq,
-                            confidence,
-                            decisions: d.decisions[beam_idx] + 1,
-                            sequence: self.sequence,
-                        });
-                    }
-                }
-                d.in_chunk = false;
+        // The phase stays `Finished` on every early return below.
+        let decisions = match std::mem::replace(&mut self.phase, DriverPhase::Finished) {
+            DriverPhase::InFlight(decisions) => decisions,
+            phase => {
+                self.phase = phase;
+                panic!("RoundDriver::merge called with no round outstanding");
             }
-            match d.chunks.pop_front() {
-                Some(chunk) => {
-                    self.stats.generated += chunk.generated;
-                    for (idx, count) in chunk.prunes.iter().enumerate() {
-                        self.stats.record(VerifyStage::ALL[idx], *count);
+        };
+        self.stats.generated += result.generated;
+        for (idx, count) in result.prunes.iter().enumerate() {
+            self.stats.record(VerifyStage::ALL[idx], *count);
+        }
+        self.stats.stage_timings.merge(&result.timings);
+        if let Some(trace) = env.trace {
+            trace.merge_raw(&result.spans);
+            // Per-stage verify spans are synthesized from the round's stage
+            // timings, laid out sequentially from the chunk span's start so
+            // they nest inside it (individual verify calls interleave
+            // across jobs and have no single interval of their own).
+            if let Some(span) = result.spans.first() {
+                let mut cursor = trace.offset_us(span.start);
+                for stage in VerifyStage::ALL {
+                    if result.timings.calls_of(stage) == 0 {
+                        continue;
                     }
-                    self.stats.stage_timings.merge(&chunk.timings);
-                    if d.stopped {
-                        continue; // counted, nothing else
-                    }
-                    if let Some(trace) = env.trace {
-                        // Child-order merge: chunks arrive here in original
-                        // job order, so the trace's span sequence is a pure
-                        // function of the configuration — not of which worker
-                        // ran which chunk.
-                        trace.merge_raw(&chunk.spans);
-                        // Per-stage verify spans are synthesized from the
-                        // chunk's stage timings, laid out sequentially from
-                        // the chunk start so they nest inside the chunk span
-                        // deterministically (individual verify calls
-                        // interleave across jobs and have no single
-                        // interval of their own).
-                        if let Some(span) = chunk.spans.first() {
-                            let mut cursor = trace.offset_us(span.start);
-                            for stage in VerifyStage::ALL {
-                                if chunk.timings.calls_of(stage) == 0 {
-                                    continue;
-                                }
-                                let width = chunk.timings.duration_of(stage).as_micros() as u64;
-                                trace.record_span_at(stage.span_name(), cursor, cursor + width);
-                                cursor += width;
-                            }
-                            // Single-flight park time, synthesized after the
-                            // verify stages. The wait is real wall-clock
-                            // even under a simulated clock, so its width is
-                            // capped to the chunk span's remaining interval —
-                            // a span may never escape its chunk on the
-                            // (possibly virtual) timeline.
-                            if chunk.probe_wait_us > 0 {
-                                let chunk_end = trace.offset_us(span.end);
-                                let width =
-                                    chunk.probe_wait_us.min(chunk_end.saturating_sub(cursor));
-                                trace.record_span_at("probe_wait", cursor, cursor + width);
-                            }
-                        }
-                    }
-                    d.merged_jobs += chunk.jobs;
-                    d.survivor_max = chunk.survivors.iter().map(|&(_, c, _)| c).fold(0.0, f64::max);
-                    d.timed_out |= chunk.timed_out;
-                    d.cancelled |= chunk.cancelled;
-                    d.emissions = chunk.emissions.into();
-                    d.survivors = chunk.survivors;
-                    d.in_chunk = true;
+                    let width = result.timings.duration_of(stage).as_micros() as u64;
+                    trace.record_span_at(stage.span_name(), cursor, cursor + width);
+                    cursor += width;
                 }
-                None => {
-                    if !d.complete {
-                        // Chunks exhausted mid-round: pause until the next
-                        // feed.
-                        self.phase = DriverPhase::InFlight(d);
-                        return;
-                    }
-                    if d.stopped {
-                        return; // Finished
-                    }
-                    self.close_round(env);
-                    if d.cancelled {
-                        self.stats.cancelled = true;
-                        return; // Finished
-                    }
-                    if d.timed_out {
-                        self.stats.deadline_exceeded = true;
-                        return; // Finished
-                    }
-                    self.bound_frontier(env.config.max_states);
-                    self.phase = DriverPhase::Ready;
-                    return;
+                // Single-flight park time, synthesized after the verify
+                // stages. The wait is real wall-clock even under a
+                // simulated clock, so its width is capped to the chunk
+                // span's remaining interval — a span may never escape its
+                // chunk on the (possibly virtual) timeline.
+                if result.probe_wait_us > 0 {
+                    let chunk_end = trace.offset_us(span.end);
+                    let width = result.probe_wait_us.min(chunk_end.saturating_sub(cursor));
+                    trace.record_span_at("probe_wait", cursor, cursor + width);
                 }
             }
         }
-    }
-
-    /// The any-k dominance rule: `confidence` beats the frontier heap's top,
-    /// the bound on every not-yet-merged job of the in-flight round, and the
-    /// current chunk's not-yet-pushed survivors. `>=` is sound because an
-    /// equal-confidence future candidate is later in child order, and the
-    /// final ranking breaks confidence ties by emission index — which the
-    /// gate never reorders.
-    fn dominates(&self, confidence: f64, d: &Drain) -> bool {
-        let heap_top = self.heap.peek().map(|s| s.confidence).unwrap_or(0.0);
-        let unmerged = d.suffix_max.get(d.merged_jobs).copied().unwrap_or(f64::INFINITY);
-        confidence >= heap_top && confidence >= unmerged && confidence >= d.survivor_max
+        for (spec, confidence) in result.emissions {
+            self.stats.emitted += 1;
+            let emitted_at = env.clock.now().saturating_duration_since(self.start);
+            // A consumer stop or the candidate budget ends the run right
+            // here, skipping the round's survivors.
+            if !sink(spec, confidence, emitted_at)
+                || self.stats.emitted >= env.config.max_candidates
+            {
+                return;
+            }
+        }
+        for (pq, confidence, beam_idx) in result.survivors {
+            self.sequence += 1;
+            self.heap.push(EnumState {
+                pq,
+                confidence,
+                decisions: decisions[beam_idx] + 1,
+                sequence: self.sequence,
+            });
+        }
+        self.close_round(env);
+        if result.cancelled {
+            self.stats.cancelled = true;
+        } else if result.timed_out {
+            self.stats.deadline_exceeded = true;
+        } else {
+            self.bound_frontier(env.config.max_states);
+            self.phase = DriverPhase::Ready;
+        }
     }
 
     /// Bound the frontier size: drop the lowest-confidence states.
@@ -925,28 +735,25 @@ impl RoundDriver {
     }
 }
 
-/// Run one worker's share of the round: per child, the join-independent
-/// stages of the cascade, join path attachment, then the stages over the join
-/// path per join variant.
+/// Run a round's jobs: per child, the join-independent stages of the cascade,
+/// join path attachment, then the stages over the join path per join variant.
 fn process_chunk(
     jobs: Vec<ChildJob>,
     verifier: &Verifier<'_>,
     plan: &RunPlan,
     env: &RunInputs<'_>,
 ) -> ChunkResult {
-    let mut out = ChunkResult { jobs: jobs.len(), ..ChunkResult::default() };
-    // One span per chunk, recorded into the chunk-local buffer (no shared
-    // state from worker threads); the driver merges it in child order.
+    let mut out = ChunkResult::default();
     let chunk_started = env.trace.map(|_| env.clock.now());
-    // Single-flight wait attribution: delta of the run's (shared) wait
-    // counter across the chunk. Approximate when chunks run concurrently;
-    // the driver synthesizes an observational `probe_wait` span from it.
+    // Single-flight wait attribution: delta of the run's wait counter
+    // across the round; the driver synthesizes an observational
+    // `probe_wait` span from it.
     let wait_before = if env.trace.is_some() { verifier.single_flight_counters().2 } else { 0 };
     let cancel = env.control.flag_ref();
     let mut joins = plan.joins.memo();
     for (done, job) in jobs.into_iter().enumerate() {
         // Honor cancellation between jobs (an atomic load — cheap enough per
-        // job) so cancel takes effect mid-chunk, not at the next round.
+        // job) so cancel takes effect mid-round, not at the next one.
         if cancel.load(Ordering::Relaxed) {
             out.cancelled = true;
             break;
@@ -1641,8 +1448,8 @@ mod tests {
     }
 
     /// Satellite contract: a cancellation fires **between `step()` calls**
-    /// (at the next round boundary), not only inside chunks — the driver
-    /// never needs a chunk in flight to notice it.
+    /// (at the next round boundary), not only between a round's jobs — the
+    /// driver never needs a round in flight to notice it.
     #[test]
     fn round_driver_honors_cancel_between_steps() {
         let db = movie_db();
@@ -1658,17 +1465,17 @@ mod tests {
         let plan = RunPlan::new(&env);
         let mut driver = RoundDriver::new(&plan);
 
-        // Run exactly one full round (step + one complete feed), then fire
-        // the token with the driver idle between steps.
+        // Run exactly one full round (step + merge), then fire the token
+        // with the driver idle between steps.
         let mut rounds_completed = 0;
         while let Some(jobs) = driver.step(&env) {
-            driver.feed(vec![plan.process(&env, jobs)], true, &env, &mut |_, _, _| true);
+            driver.merge(plan.process(&env, jobs), &env, &mut |_, _, _| true);
             rounds_completed += 1;
             if rounds_completed == 1 {
                 control.cancel();
             }
         }
-        let stats = driver.into_stats(&plan, &env);
+        let stats = driver.take_stats(&plan, &env);
         assert!(stats.cancelled, "cancel must be observed at the next round boundary");
         assert!(!stats.exhausted);
         assert_eq!(rounds_completed, 1, "cancel ignored for {rounds_completed} rounds");
@@ -1694,15 +1501,14 @@ mod tests {
             driver.step(&env).is_none(),
             "an expired deadline must stop the driver before any round"
         );
-        let stats = driver.into_stats(&plan, &env);
+        let stats = driver.take_stats(&plan, &env);
         assert!(stats.deadline_exceeded);
         assert_eq!(stats.rounds, 0, "no round may start past the deadline");
         assert!(!stats.cancelled);
     }
 
-    /// Protocol guard: stepping while chunk results are outstanding — before
-    /// the round's `last` feed — is a caller bug and must panic rather than
-    /// corrupt the round state.
+    /// Protocol guard: stepping before the outstanding round is merged is a
+    /// caller bug and must panic rather than corrupt the round state.
     #[test]
     fn round_driver_rejects_step_while_awaiting_results() {
         let db = movie_db();
@@ -1714,66 +1520,10 @@ mod tests {
         let env = inputs(&db, &nlq, &model, &config, &control);
         let plan = RunPlan::new(&env);
         let mut driver = RoundDriver::new(&plan);
-        let mut jobs = driver.step(&env).expect("first step submits the root expansion");
-        let rest = jobs.split_off(jobs.len() / 2);
-        let stepping_panics = |driver: &mut RoundDriver| {
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| driver.step(&env))).is_err()
-        };
-        assert!(stepping_panics(&mut driver), "step with an outstanding round must panic");
-        // A prefix of the round is not the round.
-        driver.feed(vec![plan.process(&env, jobs)], false, &env, &mut |_, _, _| true);
-        assert!(stepping_panics(&mut driver), "step with half a round fed must panic");
-        driver.feed(vec![plan.process(&env, rest)], true, &env, &mut |_, _, _| true);
-        assert!(driver.step(&env).is_some(), "the complete round unblocks the next step");
-    }
-
-    /// One merge entry point: a round fed as one complete batch (what
-    /// `RoundBarrier` does) and the same round fed chunk by chunk with the
-    /// any-k gate deciding (what `AnyK` does) emit the same sequence and
-    /// count the same, and a sink returning `false` cuts both at the same
-    /// emission.
-    #[test]
-    fn feeding_whole_rounds_or_prefixes_emits_identically() {
-        let db = movie_db();
-        let gold = QueryBuilder::new(db.schema())
-            .select("movies.name")
-            .filter("movies.year", CmpOp::Lt, 1995)
-            .build()
-            .unwrap();
-        let nlq = Nlq::with_literals("names of movies before 1995", vec![Literal::number(1995.0)]);
-        let model = NoisyOracleGuidance::new(gold, 9);
-        let mut barrier = DuoquestConfig::fast();
-        barrier.time_budget = None;
-        barrier.max_candidates = 25;
-        let any_k = barrier.clone().with_emission_policy(EmissionPolicy::AnyK);
-        let control = SessionControl::new();
-
-        let run = |config: &DuoquestConfig, chunk: usize, stop_after: usize| {
-            let env = inputs(&db, &nlq, &model, config, &control);
-            let plan = RunPlan::new(&env);
-            let mut driver = RoundDriver::new(&plan);
-            let mut emitted: Vec<(String, u64)> = Vec::new();
-            let mut sink = |spec: SelectSpec, confidence: f64, _at: Duration| {
-                emitted.push((format!("{spec:?}"), confidence.to_bits()));
-                emitted.len() < stop_after
-            };
-            while let Some(mut jobs) = driver.step(&env) {
-                while !jobs.is_empty() {
-                    let tail = jobs.split_off(jobs.len().min(chunk));
-                    let last = tail.is_empty();
-                    driver.feed(vec![plan.process(&env, jobs)], last, &env, &mut sink);
-                    jobs = tail;
-                }
-            }
-            let stats = driver.into_stats(&plan, &env);
-            (emitted, stats.emitted, stats.expanded, stats.generated, stats.total_pruned())
-        };
-
-        for stop_after in [usize::MAX, 3] {
-            let whole = run(&barrier, usize::MAX, stop_after);
-            assert!(whole.0.len() >= 3, "only {} candidates emitted", whole.0.len());
-            assert_eq!(whole, run(&any_k, 3, stop_after), "stop after {stop_after}");
-            assert_eq!(whole, run(&any_k, usize::MAX, stop_after), "stop after {stop_after}");
-        }
+        let jobs = driver.step(&env).expect("first step submits the root expansion");
+        let stepped = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| driver.step(&env)));
+        assert!(stepped.is_err(), "step with an outstanding round must panic");
+        driver.merge(plan.process(&env, jobs), &env, &mut |_, _, _| true);
+        assert!(driver.step(&env).is_some(), "the merged round unblocks the next step");
     }
 }

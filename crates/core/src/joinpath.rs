@@ -105,7 +105,7 @@ fn paths_over(graph: &JoinGraph, terminals: &[TableId], extension_depth: usize) 
 }
 
 /// Join path construction for one run: the schema's join graph and the
-/// run's extension depth, shared by the run's chunk workers.
+/// run's extension depth, read by every round of the run.
 pub(crate) struct JoinPlanner {
     graph: JoinGraph,
     extension_depth: usize,
@@ -117,21 +117,21 @@ impl JoinPlanner {
         JoinPlanner { graph: JoinGraph::new(db.schema()), extension_depth }
     }
 
-    /// An empty memo over this planner, for one chunk of children.
+    /// An empty memo over this planner, for one round's children.
     pub(crate) fn memo(&self) -> JoinPathMemo<'_> {
         JoinPathMemo { planner: self, built: HashMap::new(), terminals: Vec::new() }
     }
 }
 
-/// The path lists one chunk of children has asked for, keyed by terminal set.
+/// The path lists one round's children have asked for, keyed by terminal set.
 ///
 /// A candidate list is a pure function of `(schema, terminal set, extension
 /// depth)` — see the tie rule in the module docs — and the children of a
-/// chunk come from one or a few parents and mostly share their terminal
-/// sets; so a chunk builds each list once and its children copy
+/// round come from one or a few parents and mostly share their terminal
+/// sets; so a round builds each list once and its children copy
 /// reference-counted trees out of it. The memo is as short-lived as the
-/// chunk: nothing is shared between workers or kept between rounds, so no
-/// lock is taken, and a hit allocates nothing.
+/// round: nothing is kept between rounds, so no lock is taken, and a hit
+/// allocates nothing.
 pub(crate) struct JoinPathMemo<'a> {
     planner: &'a JoinPlanner,
     built: HashMap<Vec<TableId>, Rc<[JoinTree]>>,

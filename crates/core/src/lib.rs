@@ -17,7 +17,7 @@
 //!   checks;
 //! * [`engine`] — the [`Duoquest`] facade that ties the
 //!   pieces together and returns a ranked candidate list (see its module docs
-//!   for the parallel, cache-aware core architecture);
+//!   for the cache-aware core architecture);
 //! * [`session`] — owned [`SynthesisSession`]s
 //!   over an `Arc`-shared database, with channel-backed candidate streaming
 //!   (thread-free: streams are scheduler-driven sessions);
@@ -26,8 +26,8 @@
 //!   pool multiplexing any number of concurrent sessions with weighted
 //!   round-robin fairness. The round loop is a scheduler-resumable state
 //!   machine (`RoundDriver`, see `docs/DRIVER.md`), so driven sessions park
-//!   in the pool and cost no OS thread; workers resume them inline as their
-//!   verification chunks complete.
+//!   in the pool and cost no OS thread; a worker resumes one and runs its
+//!   rounds on the spot until it finishes or yields.
 //! * [`clock`] — virtual time: every wall-clock read in the stack goes
 //!   through the [`Clock`] trait ([`SystemClock`] in production,
 //!   [`SimClock`] under the deterministic simulation harness of
@@ -47,7 +47,7 @@ pub mod tsq;
 pub mod verify;
 
 pub use clock::{system_clock, Clock, SharedClock, SimClock, SystemClock};
-pub use config::{DuoquestConfig, EmissionPolicy};
+pub use config::DuoquestConfig;
 pub use engine::{Candidate, Duoquest, SynthesisResult};
 pub use enumerate::EnumerationStats;
 pub use scheduler::{

@@ -10,36 +10,32 @@
 //! worker pool for the whole process and serves any number of sessions from
 //! it:
 //!
-//! * Each session's serial round loop is the `RoundDriver` **state machine**
-//!   of `crate::enumerate` (beam pop, child expansion and scoring, ordered
-//!   merge). Every session on the pool is **driven**: it parks that driver
-//!   inside the scheduler, no OS thread exists per session, and when the
-//!   driver needs to run, a pool worker resumes it inline. A blocking caller
-//!   ([`SynthesisSession::run`]) registers a driven session like any other
-//!   and waits for its outcome.
-//! * The expensive phase — join-path construction plus the ascending-cost
-//!   verification cascade — is split into chunked **work units** and
-//!   submitted to the scheduler's fairness-aware queue.
-//! * Workers pull units in **weighted round-robin order across live
+//! * Each session's round loop is the `RoundDriver` **state machine** of
+//!   `crate::enumerate` (beam pop, child expansion and scoring, verification,
+//!   ordered merge). Every session on the pool is **driven**: it parks that
+//!   driver inside the scheduler, no OS thread exists per session, and a pool
+//!   worker resumes it. A blocking caller ([`SynthesisSession::run`])
+//!   registers a driven session like any other and waits for its outcome.
+//! * **Sessions are the pool's only unit of parallelism.** The one kind of
+//!   queued unit is a session's `Resume`; the worker that pops it runs the
+//!   session's rounds on the spot, one after another — a child costs well
+//!   under a microsecond to verify, less than handing it to another core
+//!   would — so a pool of *n* workers advances *n* sessions at once.
+//! * Workers pull resumes in **weighted round-robin order across live
 //!   sessions** (weight = the session's beam width times its priority
-//!   multiplier), so one session with a huge fan-out cannot starve the
-//!   others: every queue rotation serves each session before returning to
-//!   the first.
-//! * When the last outstanding chunk of a session's round returns, **the
-//!   worker that finished it resumes the session's driver inline** —
-//!   merging results, emitting candidates and submitting the next round —
-//!   instead of waking a parked thread. Live-session capacity is therefore
-//!   bounded by memory, not by OS thread count.
-//! * A session's chunk results are fed to its driver **in original child
-//!   order** — the whole round at once under the barrier emission policy,
-//!   contiguous prefixes as they complete under any-k: one release rule —
+//!   multiplier). After a bounded burst of rounds the worker looks at the
+//!   queue once: if another session's resume, a due tick or a shutdown is
+//!   waiting, it requeues its session behind the others, so one long session
+//!   cannot starve the rest; if nobody waits it simply keeps going — a yield
+//!   costs one uncontended lock, no requeue and no wake-up.
+//! * A session's rounds run strictly in order, each merged in child order,
 //!   so its candidate emission sequence is byte-identical to an inline
 //!   single-session run, for any pool size (`tests/determinism.rs` asserts
 //!   this under interleaved sessions).
 //!
 //! The pool also carries a **tick hook** ([`SchedulerHandle::set_tick`]): a
 //! housekeeping callback the workers invoke at its requested time (between
-//! units, or from a timed wait when the pool is idle). The service layer
+//! resumes, or from a timed wait when the pool is idle). The service layer
 //! uses it for deadline expiry of queued requests — folding what used to be
 //! a dedicated housekeeper thread into the scheduler's own event loop.
 //!
@@ -90,13 +86,10 @@
 //! ```
 
 use crate::clock::{system_clock, SharedClock};
-use crate::config::EmissionPolicy;
 use crate::engine::{Candidate, CandidateCollector, SynthesisResult};
-use crate::enumerate::MIN_PARALLEL_JOBS;
-use crate::enumerate::{Advance, ChildJob, ChunkResult, RoundDriver, RunInputs, RunPlan};
+use crate::enumerate::{Advance, RoundDriver, RunPlan};
 use crate::session::SynthesisSession;
 use duoquest_db::SelectSpec;
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -108,13 +101,13 @@ use std::time::{Duration, Instant};
 pub struct SchedulerStats {
     /// Worker threads owned by the pool.
     pub workers: usize,
-    /// Workers currently executing a unit.
+    /// Workers currently holding a session.
     pub busy_workers: usize,
-    /// Work units queued and not yet picked up.
+    /// Sessions queued for a worker and not yet picked up.
     pub queue_depth: usize,
     /// Sessions currently registered.
     pub live_sessions: usize,
-    /// Work units executed since the pool started.
+    /// Resumes executed since the pool started.
     pub units_executed: u64,
 }
 
@@ -140,17 +133,18 @@ impl SchedulerStats {
 pub struct SchedulerRunStats {
     /// Worker threads of the pool that served the run.
     pub pool_workers: usize,
-    /// Work units this run submitted to the shared queue.
+    /// `Resume` units this run queued: its kick-off plus one per yield that
+    /// found somebody waiting. `1` means the run never left its worker.
     pub units_submitted: u64,
-    /// Work units this run executed inline, on the resuming pool worker
-    /// (fan-outs too small to be worth the queue handoff).
+    /// Rounds this run verified (those with at least one child), each on the
+    /// worker that held the session.
     pub units_inline: u64,
-    /// Deepest shared queue observed while this run was submitting,
-    /// including other sessions' units — a contention signal.
+    /// Deepest queue observed at this run's registration and yields,
+    /// including other sessions' resumes — a contention signal.
     pub queue_depth_peak: usize,
-    /// Most busy workers observed while this run was submitting.
+    /// Most busy workers observed at this run's registration and yields.
     pub busy_workers_peak: usize,
-    /// Most live sessions observed while this run was submitting.
+    /// Most live sessions observed at this run's registration and yields.
     pub live_sessions_peak: usize,
 }
 
@@ -171,33 +165,6 @@ impl SchedulerRunStats {
     }
 }
 
-/// Everything a pool worker needs to run one of a session's work units,
-/// owned (`'static`) so the long-lived pool can outlive any borrow: the
-/// session itself (its inputs are lent to the engine call by call) and the
-/// plan compiled from them. One context is built per run and shared by `Arc`
-/// between the parked driver and the chunk units.
-struct SessionContext {
-    session: SynthesisSession,
-    plan: RunPlan,
-}
-
-impl SessionContext {
-    fn inputs(&self) -> RunInputs<'_> {
-        self.session.inputs()
-    }
-}
-
-/// One queued unit of work.
-enum WorkUnit {
-    /// A chunk of a session's round: the result is routed back into the
-    /// session's parked round assembly, and the worker whose chunk the
-    /// emission policy was waiting for feeds the session's driver inline.
-    Chunk { session: u64, chunk_idx: usize, jobs: Vec<ChildJob>, ctx: Arc<SessionContext> },
-    /// Resume a session's parked driver (its initial kick, a yield, or a
-    /// round completed entirely by cancellation reaping).
-    Resume { session: u64 },
-}
-
 /// How a scheduler-driven session ended: the terminal value handed to its
 /// completion callback (see [`crate::SynthesisSession::spawn_driven`]).
 // The value moves exactly once, into the completion callback — boxing the
@@ -208,7 +175,7 @@ pub enum DrivenOutcome {
     /// The run completed (including cancellation, deadline and shutdown
     /// wind-downs — those resolve through the ranked result's stats flags).
     Finished(SynthesisResult),
-    /// A `step` or chunk panicked, poisoning this session alone. Carries the
+    /// A round panicked, poisoning this session alone. Carries the
     /// panic message when one could be extracted from the payload (`&str` and
     /// `String` payloads — i.e. everything `panic!` itself produces); `None`
     /// for exotic payloads or when the callback itself had to be abandoned.
@@ -232,13 +199,15 @@ type DrivenSink = Box<dyn FnMut(&Candidate) -> bool + Send>;
 type DrivenCompletion = Box<dyn FnOnce(DrivenOutcome) + Send>;
 
 /// Everything a worker takes out of the slot to resume a session: the state
-/// machine, the dedup/rank collector, the consumer's sink and the session's
-/// owned resources.
+/// machine, the dedup/rank collector, the consumer's sink, and the session
+/// itself (owned, so the long-lived pool can outlive any borrow; its inputs
+/// are lent to the engine call by call) beside the plan compiled from it.
 struct DrivenCore {
     driver: RoundDriver,
     collector: CandidateCollector,
     on_candidate: DrivenSink,
-    ctx: Arc<SessionContext>,
+    session: SynthesisSession,
+    plan: RunPlan,
 }
 
 impl DrivenCore {
@@ -251,83 +220,46 @@ impl DrivenCore {
             driver: RoundDriver::new(&plan).on_pool(workers),
             collector: CandidateCollector::new(),
             on_candidate,
-            ctx: Arc::new(SessionContext { session, plan }),
+            session,
+            plan,
         }
     }
 
-    /// One occupancy of a pool worker: feed the driver the chunk results
-    /// that woke the session, if any, and — unless its round is still in
-    /// flight (`None`) — step it until it needs the pool (see
-    /// [`RoundDriver::advance`]). Candidates are delivered from here, i.e.
-    /// on the calling pool worker, through the session's collector and sink.
-    fn resume(&mut self, fed: Option<(Vec<ChunkResult>, bool)>) -> Option<Advance> {
-        let DrivenCore { driver, collector, on_candidate, ctx } = self;
-        let env = ctx.inputs();
+    /// One occupancy of a pool worker: run the session's rounds on the spot
+    /// (see [`RoundDriver::advance`]) until the run is over or, at a yield,
+    /// `someone_waits` — shown the run's pool observations to sample into —
+    /// says the worker is wanted elsewhere. Candidates are delivered from
+    /// here, i.e. on the calling pool worker, through the session's
+    /// collector and sink.
+    fn resume(&mut self, someone_waits: &dyn Fn(&mut SchedulerRunStats) -> bool) -> Advance {
+        let DrivenCore { driver, collector, on_candidate, session, plan } = self;
+        let env = session.inputs();
         let mut sink = |spec: SelectSpec, confidence: f64, emitted_at: Duration| {
             collector.offer(spec, confidence, emitted_at, on_candidate.as_mut())
         };
-        // One `resume` span per occupancy that steps the driver: how long
-        // this worker held it (merging, emitting, stepping, running small
-        // rounds inline) before parking, yielding or finishing.
+        // One `resume` span per occupancy: how long this worker held the
+        // driver before requeueing or finishing it.
         let started = env.trace.map(|_| env.clock.now());
-        if let Some((batch, last)) = fed {
-            driver.feed(batch, last, &env, &mut sink);
-            if !last {
-                return None;
+        let exit = loop {
+            match driver.advance(plan, &env, &mut sink) {
+                Advance::Yield if !someone_waits(driver.pool_stats()) => {}
+                exit => break exit,
             }
-        }
-        let exit = driver.advance(&ctx.plan, &env, &mut sink);
+        };
         if let (Some(trace), Some(started)) = (env.trace, started) {
             trace.record_span("resume", started, env.clock.now());
         }
-        Some(exit)
+        exit
     }
 
     /// The ranked result of a run that is over. `force_cancelled` marks runs
     /// wound down by a scheduler shutdown that never reached a cooperative
-    /// check.
-    fn finish(self, force_cancelled: bool) -> SynthesisResult {
-        let mut stats = self.driver.into_stats(&self.ctx.plan, &self.ctx.inputs());
+    /// check. Leaves the frontier in place: the caller hands the result on
+    /// first and drops the thousands of queued states afterwards.
+    fn finish(&mut self, force_cancelled: bool) -> SynthesisResult {
+        let mut stats = self.driver.take_stats(&self.plan, &self.session.inputs());
         stats.cancelled |= force_cancelled;
-        self.collector.finish(stats)
-    }
-}
-
-/// The in-flight round of a parked session: chunk results keyed by chunk
-/// index, released to the driver in job order as the session's
-/// [`EmissionPolicy`](crate::EmissionPolicy) allows.
-struct RoundAssembly {
-    results: Vec<Option<ChunkResult>>,
-    /// Chunks that have not reported yet.
-    remaining: usize,
-    /// The next chunk index to feed. Everything before it has already been
-    /// handed to the driver and taken out of `results`.
-    fed: usize,
-    /// Any-k emission: contiguous chunk prefixes go to the driver as they
-    /// complete. Otherwise (`RoundBarrier`) nothing goes until every chunk
-    /// has reported — a gate that never opens before the input is complete.
-    streaming: bool,
-}
-
-impl RoundAssembly {
-    /// The one release rule: pull the contiguous run of completed-but-unfed
-    /// chunks (under the barrier policy, only once the round is complete),
-    /// advancing the feed cursor past them.
-    fn take_ready(&mut self) -> Vec<ChunkResult> {
-        let mut batch = Vec::new();
-        if !self.streaming && self.remaining > 0 {
-            return batch;
-        }
-        while let Some(chunk) = self.results.get_mut(self.fed).and_then(Option::take) {
-            batch.push(chunk);
-            self.fed += 1;
-        }
-        batch
-    }
-
-    /// Whether every chunk of the round has been handed to the driver.
-    fn all_fed(&self) -> bool {
-        self.fed == self.results.len()
+        std::mem::take(&mut self.collector).finish(stats)
     }
 }
 
@@ -336,19 +268,16 @@ struct SessionQueue {
     id: u64,
     /// Scheduling weight — the session's beam width times its priority
     /// multiplier (interactive sessions register a larger multiplier than
-    /// batch ones): units granted per round-robin rotation before the cursor
-    /// moves on.
+    /// batch ones): resumes granted per round-robin rotation before the
+    /// cursor moves on.
     weight: usize,
-    /// Units remaining in the current rotation.
+    /// Resumes remaining in the current rotation.
     quantum: usize,
-    pending: VecDeque<WorkUnit>,
-    /// The session's cancellation token: once it fires, queued units are
-    /// dropped (reaped) instead of executed.
-    cancel: Arc<AtomicBool>,
+    /// Whether the session's `Resume` is queued: its kick-off, or a yield
+    /// that found somebody waiting. Never set while a worker holds the core.
+    queued: bool,
     /// The parked core; `None` while a worker holds it (actively stepping).
     parked: Option<DrivenCore>,
-    /// The in-flight round, when chunks are outstanding.
-    round: Option<RoundAssembly>,
     on_complete: Option<DrivenCompletion>,
 }
 
@@ -358,20 +287,19 @@ struct QueueState {
     sessions: Vec<SessionQueue>,
     /// Rotation cursor into `sessions`.
     cursor: usize,
-    /// Total queued units across all sessions.
+    /// Sessions whose `Resume` is queued.
     depth: usize,
     next_id: u64,
 }
 
 impl QueueState {
     /// The one registration path: allocate the next monotone id and append
-    /// the slot, its driver parked and a `Resume` queued to kick it off —
+    /// the slot, its driver parked and its `Resume` queued to kick it off —
     /// appending is what keeps `sessions` sorted by id, the invariant
     /// [`QueueState::session_mut`]'s binary search depends on.
     fn insert_slot(
         &mut self,
         weight: usize,
-        cancel: Arc<AtomicBool>,
         core_state: DrivenCore,
         on_complete: DrivenCompletion,
     ) -> u64 {
@@ -382,10 +310,8 @@ impl QueueState {
             id,
             weight,
             quantum: weight,
-            pending: VecDeque::from([WorkUnit::Resume { session: id }]),
-            cancel,
+            queued: true,
             parked: Some(core_state),
-            round: None,
             on_complete: Some(on_complete),
         });
         self.depth += 1;
@@ -394,75 +320,35 @@ impl QueueState {
 
     /// Slot lookup by id. Ids are handed out monotonically and `sessions`
     /// only ever appends fresh ids (removals preserve order), so the vector
-    /// stays sorted by id and the lookup is a binary search — every chunk
-    /// completion routes through here under the pool-wide lock, so this must
-    /// not be a linear scan over a thousand live sessions.
+    /// stays sorted by id and the lookup is a binary search — every resume
+    /// routes through here under the pool-wide lock, so this must not be a
+    /// linear scan over a thousand live sessions.
     fn session_mut(&mut self, id: u64) -> Option<&mut SessionQueue> {
         let pos = self.sessions.binary_search_by_key(&id, |s| s.id).ok()?;
         Some(&mut self.sessions[pos])
     }
 
-    /// Remove a session's slot entirely (its queued units drop with it),
+    /// Remove a session's slot entirely (its queued resume drops with it),
     /// returning it so teardown can extract the completion callback.
     fn remove_session(&mut self, id: u64) -> Option<SessionQueue> {
         let pos = self.sessions.binary_search_by_key(&id, |s| s.id).ok()?;
         let removed = self.sessions.remove(pos);
-        self.depth -= removed.pending.len();
+        self.depth -= usize::from(removed.queued);
         if pos < self.cursor {
             self.cursor -= 1;
         }
         Some(removed)
     }
 
-    /// Drop the queued units of the session at `idx` if it has been
-    /// cancelled, returning how many were reaped.
-    ///
-    /// The queued chunk units are dropped and their results fabricated as
-    /// cancelled into the parked round assembly; if that completes the
-    /// round, a `Resume` unit is queued so a worker winds the driver down
-    /// (the driver observes the cancelled chunk flags — and the token
-    /// itself — and finishes).
-    fn reap_slot(&mut self, idx: usize) -> usize {
-        let slot = &mut self.sessions[idx];
-        if slot.pending.is_empty() || !slot.cancel.load(Ordering::Acquire) {
-            return 0;
-        }
-        let mut fabricated = 0usize;
-        let mut kept = VecDeque::new();
-        while let Some(unit) = slot.pending.pop_front() {
-            match unit {
-                WorkUnit::Chunk { chunk_idx, .. } => {
-                    if let Some(round) = &mut slot.round {
-                        round.results[chunk_idx] =
-                            Some(ChunkResult { cancelled: true, ..ChunkResult::default() });
-                        round.remaining -= 1;
-                    }
-                    fabricated += 1;
-                }
-                other => kept.push_back(other),
-            }
-        }
-        slot.pending = kept;
-        self.depth -= fabricated;
-        let round_complete = slot.round.as_ref().map(|r| r.remaining == 0).unwrap_or(false);
-        if fabricated > 0 && round_complete && slot.parked.is_some() {
-            let session = slot.id;
-            slot.pending.push_back(WorkUnit::Resume { session });
-            self.depth += 1;
-        }
-        fabricated
-    }
-
-    /// Pop the next unit in weighted round-robin order: the cursor session
-    /// spends one quantum per pop and yields the cursor when its quantum (or
-    /// queue) is exhausted, so a session with weight *w* gets at most *w*
-    /// units per rotation and an expensive session cannot starve the rest.
-    ///
-    /// Cancelled sessions encountered along the way have their queued units
-    /// reaped (dropped, never executed) — the unit-level half of
-    /// cancellation; see [`QueueState::reap_slot`].
-    fn pop(&mut self) -> Option<WorkUnit> {
-        if self.depth == 0 || self.sessions.is_empty() {
+    /// Pop the next queued session in weighted round-robin order: the cursor
+    /// session spends one quantum per pop and yields the cursor when its
+    /// quantum is exhausted or it has nothing queued, so a session with
+    /// weight *w* gets at most *w* resumes per rotation and an expensive
+    /// session cannot starve the rest. A cancelled session's resume is served
+    /// like any other: its driver observes the token at its first check and
+    /// winds down.
+    fn pop(&mut self) -> Option<u64> {
+        if self.depth == 0 {
             return None;
         }
         let n = self.sessions.len();
@@ -470,28 +356,18 @@ impl QueueState {
         // quanta, the second must find the queued work counted in `depth`.
         for _ in 0..(2 * n) {
             self.cursor %= n;
-            self.reap_slot(self.cursor);
             let slot = &mut self.sessions[self.cursor];
-            if slot.pending.is_empty() || slot.quantum == 0 {
-                slot.quantum = slot.weight.max(1);
+            if !slot.queued || slot.quantum == 0 {
+                slot.quantum = slot.weight;
                 self.cursor += 1;
                 continue;
             }
             slot.quantum -= 1;
+            slot.queued = false;
             self.depth -= 1;
-            return slot.pending.pop_front();
+            return Some(slot.id);
         }
         None
-    }
-
-    /// Reap the queued units of every cancelled session (see
-    /// [`QueueState::reap_slot`]); returns how many were dropped.
-    fn reap_cancelled(&mut self) -> usize {
-        let mut reaped = 0;
-        for idx in 0..self.sessions.len() {
-            reaped += self.reap_slot(idx);
-        }
-        reaped
     }
 }
 
@@ -532,26 +408,22 @@ impl PoolCore {
         }
     }
 
-    /// Drop the queued units of every cancelled session; returns how many
-    /// were reaped.
-    fn reap_cancelled(&self) -> usize {
-        let mut queue = self.queue.lock().expect("scheduler queue poisoned");
-        queue.reap_cancelled()
-    }
-
     /// Microseconds since the pool's epoch, per the pool's clock.
     fn now_us(&self) -> u64 {
         self.clock.now().saturating_duration_since(self.epoch).as_micros() as u64
+    }
+
+    /// The scheduled tick time (µs since the epoch), if it has come.
+    fn due_tick(&self) -> Option<u64> {
+        let next = self.next_tick_us.load(Ordering::Acquire);
+        (next != TICK_NONE && next <= self.now_us()).then_some(next)
     }
 
     /// Claim the tick if it is due: returns the hook to run (outside the
     /// queue lock) after atomically unscheduling it, so exactly one worker
     /// runs each due tick.
     fn claim_due_tick(&self) -> Option<TickHook> {
-        let next = self.next_tick_us.load(Ordering::Acquire);
-        if next == TICK_NONE || next > self.now_us() {
-            return None;
-        }
+        let next = self.due_tick()?;
         if self
             .next_tick_us
             .compare_exchange(next, TICK_NONE, Ordering::AcqRel, Ordering::Acquire)
@@ -584,15 +456,34 @@ impl PoolCore {
         Some(Duration::from_micros(next.saturating_sub(self.now_us())))
     }
 
-    /// Worker side: block until a unit is available or the pool shuts down,
+    /// Worker side, at a yield: whether anything else wants this worker —
+    /// another session's resume, a due tick, or a shutdown. One look at the
+    /// queue under its lock, which also samples the pool's contention into
+    /// the yielding run's stats.
+    fn someone_waits(&self, run_stats: &mut SchedulerRunStats) -> bool {
+        let queue = self.queue.lock().expect("scheduler queue poisoned");
+        self.observe_into(run_stats, queue.depth, queue.sessions.len());
+        queue.depth > 0 || self.shutdown.load(Ordering::Acquire) || self.due_tick().is_some()
+    }
+
+    /// Record the pool's current contention into a run's stats. Caller holds
+    /// the queue lock (the snapshot is a couple of loads).
+    fn observe_into(&self, run_stats: &mut SchedulerRunStats, depth: usize, live: usize) {
+        run_stats.queue_depth_peak = run_stats.queue_depth_peak.max(depth);
+        run_stats.busy_workers_peak =
+            run_stats.busy_workers_peak.max(self.busy.load(Ordering::Relaxed));
+        run_stats.live_sessions_peak = run_stats.live_sessions_peak.max(live);
+    }
+
+    /// Worker side: block until a session is queued or the pool shuts down,
     /// running the housekeeping tick at its due times along the way.
-    fn next_unit(&self) -> Option<WorkUnit> {
+    fn next_unit(&self) -> Option<u64> {
         let mut queue = self.queue.lock().expect("scheduler queue poisoned");
         loop {
             if self.shutdown.load(Ordering::Acquire) {
                 return None;
             }
-            // The tick runs between units even on a saturated pool — and
+            // The tick runs between resumes even on a saturated pool — and
             // from a timed wait on an idle one — always outside the lock.
             if let Some(hook) = self.claim_due_tick() {
                 drop(queue);
@@ -629,221 +520,62 @@ impl PoolCore {
     }
 }
 
-/// Record the pool's current contention into a run's stats. Caller holds the
-/// queue lock (the snapshot is a couple of loads).
-fn observe_into(run_stats: &mut SchedulerRunStats, depth: usize, live: usize, busy: usize) {
-    run_stats.queue_depth_peak = run_stats.queue_depth_peak.max(depth);
-    run_stats.busy_workers_peak = run_stats.busy_workers_peak.max(busy);
-    run_stats.live_sessions_peak = run_stats.live_sessions_peak.max(live);
-}
-
 fn worker_loop(core: Arc<PoolCore>) {
-    while let Some(unit) = core.next_unit() {
+    while let Some(session) = core.next_unit() {
         core.busy.fetch_add(1, Ordering::Relaxed);
-        execute_unit(&core, unit);
+        resume_session(&core, session);
         core.busy.fetch_sub(1, Ordering::Relaxed);
         core.units_executed.fetch_add(1, Ordering::Relaxed);
     }
 }
 
-/// Run one popped unit on this worker.
-fn execute_unit(core: &Arc<PoolCore>, unit: WorkUnit) {
-    match unit {
-        WorkUnit::Chunk { session, chunk_idx, jobs, ctx } => {
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                ctx.plan.process(&ctx.inputs(), jobs)
-            }));
-            match outcome {
-                Ok(result) => complete_chunk(core, session, chunk_idx, result),
-                // A chunk panic poisons only its own session: the slot is
-                // torn down and the completion callback observes `Poisoned`,
-                // carrying the panic message for the session's post-mortem.
-                Err(payload) => complete_driven(
-                    core,
-                    session,
-                    DrivenOutcome::Poisoned(panic_message(payload.as_ref())),
-                ),
-            }
-        }
-        WorkUnit::Resume { session } => {
-            let taken = {
-                let mut queue = core.queue.lock().expect("scheduler queue poisoned");
-                let Some(slot) = queue.session_mut(session) else { return };
-                // A stale resume (the core is held by another worker, or the
-                // round is still in flight) is dropped harmlessly.
-                if slot.round.as_ref().is_some_and(|r| r.remaining > 0) {
-                    return;
-                }
-                slot.parked.take().map(|core_state| (core_state, slot.round.take()))
-            };
-            if let Some((core_state, round)) = taken {
-                // A round resumed here was completed by cancellation
-                // reaping: feed what is unfed (the fabricated cancelled
-                // chunks among it) so the driver observes the cancellation
-                // and winds down.
-                let fed = round.map(|mut round| (round.take_ready(), true));
-                resume_driven(core, session, core_state, fed);
-            }
-        }
-    }
-}
-
-/// Route a chunk's result into its session's round assembly; when that
-/// releases chunks to the driver (the whole round under the barrier policy,
-/// a grown contiguous prefix under any-k), this worker feeds them inline.
-fn complete_chunk(core: &Arc<PoolCore>, session: u64, chunk_idx: usize, result: ChunkResult) {
-    let (core_state, batch, last) = {
+/// Run one popped `Resume` on this worker: take the session's parked core
+/// and give it the worker (see [`DrivenCore::resume`]), then requeue it after
+/// a yield somebody was waiting for, or complete it.
+fn resume_session(core: &Arc<PoolCore>, session: u64) {
+    let parked = {
         let mut queue = core.queue.lock().expect("scheduler queue poisoned");
-        let (depth, live) = (queue.depth, queue.sessions.len());
-        let busy = core.busy.load(Ordering::Relaxed);
-        let Some(slot) = queue.session_mut(session) else { return };
-        let Some(round) = &mut slot.round else { return };
-        round.results[chunk_idx] = Some(result);
-        round.remaining -= 1;
-        // Another worker holds the core mid-feed (`parked` empty): its
-        // repark loop re-checks under this lock and picks the chunk up.
-        let Some(parked) = &mut slot.parked else { return };
-        // Mid-round contention sample.
-        observe_into(parked.driver.pool_stats(), depth, live, busy);
-        let batch = round.take_ready();
-        if batch.is_empty() {
-            return;
-        }
-        let last = round.all_fed();
-        if last {
-            slot.round = None;
-        }
-        (slot.parked.take().expect("checked parked above"), batch, last)
+        queue.session_mut(session).and_then(|slot| slot.parked.take())
     };
-    resume_driven(core, session, core_state, Some((batch, last)));
-}
-
-/// Re-park a core after a mid-round feed — or keep feeding: chunks that
-/// completed while this worker held the core were stored without being fed
-/// (their workers saw `parked` empty), so re-check under the lock and park
-/// only when nothing new is waiting.
-fn repark_after_feed(core: &Arc<PoolCore>, session: u64, s: DrivenCore) {
-    let (batch, last) = {
-        let mut queue = core.queue.lock().expect("scheduler queue poisoned");
-        let Some(slot) = queue.session_mut(session) else {
-            // The slot is gone only on teardown races; drop the session.
-            return;
-        };
-        let batch = slot.round.as_mut().map(RoundAssembly::take_ready).unwrap_or_default();
-        if batch.is_empty() {
-            slot.parked = Some(s);
-            return;
-        }
-        let last = slot.round.as_ref().is_some_and(RoundAssembly::all_fed);
-        if last {
-            slot.round = None;
-        }
-        (batch, last)
-    };
-    resume_driven(core, session, s, Some((batch, last)));
-}
-
-/// Give a session's driver this worker (see [`DrivenCore::resume`]), then do
-/// what it asks for: re-park it mid-round, park its next round, requeue it
-/// after a yield, or complete it.
-fn resume_driven(
-    core: &Arc<PoolCore>,
-    session: u64,
-    mut s: DrivenCore,
-    fed: Option<(Vec<ChunkResult>, bool)>,
-) {
+    // The slot is gone only on teardown races.
+    let Some(mut s) = parked else { return };
     let exit = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-        let exit = s.resume(fed);
+        let exit = s.resume(&|run_stats| core.someone_waits(run_stats));
         (s, exit)
     }));
     match exit {
-        Ok((s, None)) => repark_after_feed(core, session, s),
-        Ok((s, Some(Advance::Park(jobs)))) => park_round(core, session, s, jobs),
-        Ok((s, Some(Advance::Yield))) => yield_resume(core, session, s),
-        Ok((s, Some(Advance::Done))) => {
-            complete_driven(core, session, DrivenOutcome::Finished(s.finish(false)))
+        Ok((s, Advance::Yield)) => yield_resume(core, session, s),
+        Ok((mut s, Advance::Done)) => {
+            // Complete first, free afterwards: the frontier drops with `s`,
+            // once the outcome has been delivered.
+            complete_driven(core, session, DrivenOutcome::Finished(s.finish(false)));
         }
-        // A panic in there (a guidance model or consumer-sink bug) poisons
-        // only this session; the worker survives. The payload's message
-        // travels with the outcome so the serving layer can put it in the
-        // request's terminal event.
+        // A panic in there (a guidance model, verifier or consumer-sink bug)
+        // poisons only this session; the worker survives. The payload's
+        // message travels with the outcome so the serving layer can put it
+        // in the request's terminal event.
         Err(payload) => {
             complete_driven(core, session, DrivenOutcome::Poisoned(panic_message(payload.as_ref())))
         }
     }
 }
 
-/// Split one round's jobs into the pool's contiguous scheduling chunks:
-/// ~2 per worker so the fairness queue can interleave sessions mid-round.
-/// Chunk size only affects scheduling granularity, never results (chunk
-/// results are reassembled in job order on merge).
-fn chunk_jobs(jobs: Vec<ChildJob>, workers: usize) -> Vec<Vec<ChildJob>> {
-    let chunk_size = jobs.len().div_ceil(workers * 2).max(MIN_PARALLEL_JOBS / 2);
-    let mut chunks: Vec<Vec<ChildJob>> = Vec::new();
-    let mut remaining = jobs;
-    while !remaining.is_empty() {
-        let tail = remaining.split_off(remaining.len().min(chunk_size));
-        chunks.push(remaining);
-        remaining = tail;
-    }
-    chunks
-}
-
-/// Park a session's round: chunk the jobs into the fairness queue and store
-/// the driver back in its slot until the emission policy releases results.
-fn park_round(core: &Arc<PoolCore>, session: u64, mut s: DrivenCore, jobs: Vec<ChildJob>) {
-    let chunks = chunk_jobs(jobs, core.workers);
-    let sent = chunks.len();
-    let env = s.ctx.inputs();
-    if let Some(trace) = env.trace {
-        trace.event("dispatch", env.clock.now(), Some(format!("chunks={sent}")));
-    }
-    let streaming = env.config.emission == EmissionPolicy::AnyK;
-
-    let mut queue = core.queue.lock().expect("scheduler queue poisoned");
-    let (depth, live) = (queue.depth + sent, queue.sessions.len());
-    let run_stats = s.driver.pool_stats();
-    run_stats.units_submitted += sent as u64;
-    observe_into(run_stats, depth, live, core.busy.load(Ordering::Relaxed));
-    let Some(slot) = queue.session_mut(session) else {
-        // The slot is gone only on teardown races; drop the round.
-        return;
-    };
-    slot.round = Some(RoundAssembly {
-        results: (0..sent).map(|_| None).collect(),
-        remaining: sent,
-        fed: 0,
-        streaming,
-    });
-    for (chunk_idx, jobs) in chunks.into_iter().enumerate() {
-        slot.pending.push_back(WorkUnit::Chunk {
-            session,
-            chunk_idx,
-            jobs,
-            ctx: Arc::clone(&s.ctx),
-        });
-    }
-    slot.parked = Some(s);
-    queue.depth += sent;
-    drop(queue);
-    core.work_available.notify_all();
-}
-
-/// Re-park a session between rounds (no chunks outstanding) and requeue its
-/// `Resume`, so the fairness queue decides — in weighted round-robin order,
-/// alongside every other session's units — when its next burst of small
-/// rounds runs.
-fn yield_resume(core: &Arc<PoolCore>, session: u64, s: DrivenCore) {
+/// Re-park a session at a yield somebody else was waiting for and requeue
+/// its `Resume`, so the fairness queue decides — in weighted round-robin
+/// order, alongside every other session — when its next burst of rounds
+/// runs.
+fn yield_resume(core: &Arc<PoolCore>, session: u64, mut s: DrivenCore) {
+    s.driver.pool_stats().units_submitted += 1;
     let mut queue = core.queue.lock().expect("scheduler queue poisoned");
     let Some(slot) = queue.session_mut(session) else {
         // The slot is gone only on teardown races; drop the session.
         return;
     };
     slot.parked = Some(s);
-    slot.pending.push_back(WorkUnit::Resume { session });
+    slot.queued = true;
     queue.depth += 1;
     drop(queue);
-    core.work_available.notify_all();
+    core.work_available.notify_one();
 }
 
 /// Tear a session down and deliver its completion:
@@ -863,8 +595,8 @@ fn complete_driven(core: &Arc<PoolCore>, session: u64, outcome: DrivenOutcome) {
 }
 
 /// Register a fully owned session to be driven by the pool: no OS thread is
-/// created — pool workers resume the session's `RoundDriver` as its chunks
-/// complete, deliver candidates through `on_candidate` (return `false` to
+/// created — pool workers resume the session's `RoundDriver`, deliver
+/// candidates through `on_candidate` (return `false` to
 /// stop early) and hand the session's [`DrivenOutcome`] to `on_complete`
 /// ([`DrivenOutcome::Poisoned`] if the session panicked). Called via
 /// [`SynthesisSession::spawn_driven`].
@@ -879,8 +611,7 @@ pub(crate) fn spawn_driven_session(
     // of each round-robin rotation scales with both how much work a round
     // exposes and how urgent its requester is.
     let weight = session.config().beam_width.max(1).saturating_mul(session.priority_weight());
-    let cancel = session.control().flag();
-    let core_state = DrivenCore::new(session, on_candidate, core.workers);
+    let mut core_state = DrivenCore::new(session, on_candidate, core.workers);
     let mut queue = core.queue.lock().expect("scheduler queue poisoned");
     if core.shutdown.load(Ordering::Acquire) {
         drop(queue);
@@ -889,9 +620,14 @@ pub(crate) fn spawn_driven_session(
         on_complete(DrivenOutcome::Finished(core_state.finish(true)));
         return;
     }
-    queue.insert_slot(weight, cancel, core_state, on_complete);
+    // The kick-off resume, and the run's first look at the pool (itself
+    // included).
+    let run_stats = core_state.driver.pool_stats();
+    run_stats.units_submitted = 1;
+    core.observe_into(run_stats, queue.depth + 1, queue.sessions.len() + 1);
+    queue.insert_slot(weight, core_state, on_complete);
     drop(queue);
-    core.work_available.notify_all();
+    core.work_available.notify_one();
 }
 
 /// A shared, long-lived worker pool serving any number of concurrent
@@ -1001,7 +737,7 @@ impl Drop for SessionScheduler {
         };
         for mut slot in sessions {
             let Some(cb) = slot.on_complete.take() else { continue };
-            let outcome = match slot.parked.take() {
+            let outcome = match slot.parked.as_mut() {
                 Some(core_state) => DrivenOutcome::Finished(core_state.finish(true)),
                 // A session mid-resume during the sweep (its core is out on
                 // a worker) has no result to deliver: resolve it as poisoned
@@ -1049,19 +785,9 @@ impl SchedulerHandle {
         self.core.workers
     }
 
-    /// Eagerly reap the queued (session, round-chunk) units of every
-    /// cancelled session, returning how many were dropped. Workers also reap
-    /// lazily whenever they pop, so calling this is an optimization — it
-    /// frees the queue immediately instead of at the next pop — not a
-    /// requirement for correctness. Fired automatically when a
-    /// [`CandidateStream`](crate::session::CandidateStream) is dropped.
-    pub fn reap_cancelled(&self) -> usize {
-        self.core.reap_cancelled()
-    }
-
     /// Install the pool's housekeeping **tick hook**: pool workers call it
-    /// at (or after) each requested time — between work units on a busy
-    /// pool, from a timed wait on an idle one — with no scheduler lock held.
+    /// at (or after) each requested time — between resumes on a busy pool,
+    /// from a timed wait on an idle one — with no scheduler lock held.
     /// The hook returns the next time it wants to run, or `None` to sleep
     /// until the next [`SchedulerHandle::request_tick`].
     ///
@@ -1121,37 +847,32 @@ mod tests {
 
     #[test]
     fn weighted_round_robin_interleaves_sessions() {
-        // Session A (id 0): weight 1, its kick-off resume then 4 chunks
-        // tagged 0..4. Session B (id 1): weight 2, its resume then 4 chunks
-        // tagged 100..104.
+        // Session A (id 0) has weight 1, session B (id 1) weight 2; each is
+        // requeued as soon as it is popped, as two endless sessions that
+        // always find each other waiting would be.
         let (db, nlq, model, _gold) = fixture();
         let mut queue = QueueState::default();
-        for (weight, tag_base) in [(1usize, 0usize), (2, 100)] {
+        for weight in [1usize, 2] {
             let session = SynthesisSession::new(Arc::clone(&db), nlq.clone(), Arc::clone(&model));
             let core_state = DrivenCore::new(session, Box::new(|_| true), 1);
-            let ctx = Arc::clone(&core_state.ctx);
-            let cancel = Arc::new(AtomicBool::new(false));
-            let id = queue.insert_slot(weight, cancel, core_state, Box::new(|_| {}));
-            let slot = queue.session_mut(id).expect("slot just inserted");
-            slot.pending.extend((0..4).map(|i| WorkUnit::Chunk {
-                session: id,
-                chunk_idx: tag_base + i,
-                jobs: Vec::new(),
-                ctx: Arc::clone(&ctx),
-            }));
-            queue.depth += 4;
+            queue.insert_slot(weight, core_state, Box::new(|_| {}));
         }
         let mut order = Vec::new();
-        while let Some(unit) = queue.pop() {
-            order.push(match unit {
-                WorkUnit::Chunk { chunk_idx, .. } => chunk_idx,
-                WorkUnit::Resume { session } => 1000 + session as usize,
-            });
+        for _ in 0..9 {
+            let id = queue.pop().expect("both sessions are queued");
+            order.push(id);
+            queue.session_mut(id).expect("slot is live").queued = true;
+            queue.depth += 1;
         }
+        // Weight-proportional service: one A resume, then two B resumes,
+        // per rotation.
+        assert_eq!(order, vec![0, 1, 1, 0, 1, 1, 0, 1, 1]);
+        // A session with nothing queued is passed over, whatever its weight.
+        queue.session_mut(1).expect("slot is live").queued = false;
+        queue.depth -= 1;
+        assert_eq!(queue.pop(), Some(0));
+        assert_eq!(queue.pop(), None);
         assert_eq!(queue.depth, 0);
-        // Weight-proportional service: one A unit, then two B units, per
-        // rotation, until a side drains; then the remainder streams out.
-        assert_eq!(order, vec![1000, 1001, 100, 0, 101, 102, 1, 103, 2, 3]);
     }
 
     fn expect_finished(outcome: DrivenOutcome) -> crate::engine::SynthesisResult {
@@ -1189,10 +910,8 @@ mod tests {
         assert_eq!(private.stats.emitted, shared.stats.emitted);
         assert_eq!(private.stats.expanded, shared.stats.expanded);
         assert_eq!(private.stats.total_pruned(), shared.stats.total_pruned());
-        // The shared run reports pool observations; this private run does not,
-        // because `fast()` keeps `workers = 1` and the session ran inline.
-        // (A private run with `workers > 1` is a driven session on a pool
-        // of its own and also sets `stats.scheduler`.)
+        // The shared run reports pool observations; the run without a pool
+        // was inline and does not.
         assert!(private.stats.scheduler.is_none());
         let run = shared.stats.scheduler.expect("shared run records scheduler stats");
         assert_eq!(run.pool_workers, 3);
@@ -1364,8 +1083,8 @@ mod tests {
     /// The fairness half of the yield bound: a single long-running driven
     /// session on a 1-worker pool must not pin the worker — the tick hook
     /// still fires at (about) its requested time while the session grinds,
-    /// because resumes park between rounds and yield after bursts of
-    /// inline-sized rounds.
+    /// because a resume yields after a burst of rounds and a due tick counts
+    /// as somebody waiting.
     #[test]
     fn grinding_driven_session_does_not_starve_the_tick() {
         let (db, nlq, model, _gold) = fixture();
@@ -1399,7 +1118,6 @@ mod tests {
             std::thread::sleep(Duration::from_millis(5));
         }
         control.cancel();
-        pool.handle().reap_cancelled();
         let result = expect_finished(
             rx.recv_timeout(Duration::from_secs(10)).expect("cancelled session resolves"),
         );

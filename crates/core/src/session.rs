@@ -19,24 +19,27 @@
 //! * [`SynthesisSession::spawn_driven`] — the primitive under all of the
 //!   above whenever a pool is involved, and under the service layer:
 //!   register the session with a [`SessionScheduler`] whose workers resume
-//!   its round-loop state machine as chunks complete, delivering candidates
-//!   and the final result through callbacks. No OS thread exists per session.
+//!   its round-loop state machine a burst of rounds at a time, delivering
+//!   candidates and the final result through callbacks. No OS thread exists
+//!   per session.
 //!
 //! There are two places a run can stand. **Inline**: a blocking call
-//! (`run` / `run_with`) on a session with no scheduler attached and
-//! `config.workers` resolving to 1 runs the whole search on the calling
-//! thread — no pool, no queue, the paper's Algorithm 1 as written. **On a
-//! pool**: everything else is a driven session; the blocking calls register
-//! one (on the attached pool, or on a private one sized per
-//! `config.workers`) and wait for its outcome.
+//! (`run` / `run_with`) on a session with no scheduler attached runs the
+//! whole search on the calling thread — no pool, no queue, the paper's
+//! Algorithm 1 as written. **On a pool**: everything else is a driven
+//! session; the blocking calls register one on the attached pool and wait
+//! for its outcome, and a stream without an attached pool owns a one-worker
+//! pool of its own. A pool's worker count is how many *sessions* advance at
+//! once; a session's rounds run one after another on whichever worker holds
+//! it.
 //!
 //! Absent a wall-clock `time_budget`, the emitted candidate set and order
-//! depend only on the configuration (beam width, budgets), never on the
-//! worker count; a time budget is the one intentionally non-deterministic
+//! depend only on the configuration (beam width, budgets), never on where
+//! the run stands; a time budget is the one intentionally non-deterministic
 //! cut-off. See the determinism notes in `crate::enumerate`.
 
 use crate::clock::{system_clock, SharedClock};
-use crate::config::{DuoquestConfig, EmissionPolicy};
+use crate::config::DuoquestConfig;
 use crate::engine::{synthesize_inline, Candidate, SynthesisResult};
 use crate::enumerate::RunInputs;
 use crate::scheduler::{spawn_driven_session, DrivenOutcome, SchedulerHandle, SessionScheduler};
@@ -53,12 +56,11 @@ use std::time::{Duration, Instant};
 /// Cooperative controls for one synthesis run: a shared **cancellation
 /// token** plus an optional absolute **deadline**.
 ///
-/// The engine checks both at every round boundary and inside verification
-/// chunks (between jobs), so a cancellation or a deadline takes effect
-/// mid-round without waiting for the current fan-out to drain. On a shared
-/// [`SessionScheduler`] pool the token additionally **reaps** the session's
-/// queued (session, round-chunk) units: cancelled units are dropped before a
-/// worker ever pops them (see [`SchedulerHandle::reap_cancelled`]).
+/// The engine checks both at every round boundary and between a round's
+/// verification jobs, so a cancellation or a deadline takes effect mid-round
+/// without waiting for the round to drain. A cancelled session parked on a
+/// [`SessionScheduler`] pool winds down when a worker next resumes it: its
+/// first check sees the token.
 ///
 /// Cloning shares the token: hand one clone to the consumer (to cancel) and
 /// attach another to the session with
@@ -96,7 +98,7 @@ impl SessionControl {
     }
 
     /// Fire the cancellation token. Idempotent; takes effect at the engine's
-    /// next cooperative check (round boundary or between chunk jobs).
+    /// next cooperative check (round boundary or between a round's jobs).
     pub fn cancel(&self) {
         self.cancelled.store(true, Ordering::SeqCst);
     }
@@ -104,11 +106,6 @@ impl SessionControl {
     /// Whether the token has fired.
     pub fn is_cancelled(&self) -> bool {
         self.cancelled.load(Ordering::SeqCst)
-    }
-
-    /// Owned handle on the token, for contexts that outlive this borrow.
-    pub(crate) fn flag(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.cancelled)
     }
 
     /// Borrowed view of the token, for round-scoped environments.
@@ -168,11 +165,9 @@ pub struct SynthesisSession {
 impl SynthesisSession {
     /// Create a session with the default configuration and no TSQ.
     ///
-    /// Without an attached [`SessionScheduler`] handle the session picks
-    /// where it runs from `config.workers`: one worker (the default) runs a
-    /// blocking call inline on the calling thread; more spin up a **private**
-    /// pool for just this run. To serve many sessions from one pool, attach
-    /// a shared handle with [`SynthesisSession::with_scheduler`].
+    /// Without an attached [`SessionScheduler`] handle a blocking call runs
+    /// inline on the calling thread. To serve many sessions from one pool,
+    /// attach a shared handle with [`SynthesisSession::with_scheduler`].
     pub fn new(db: Arc<Database>, nlq: Nlq, model: Arc<dyn GuidanceModel>) -> Self {
         SynthesisSession {
             db,
@@ -200,22 +195,9 @@ impl SynthesisSession {
         self
     }
 
-    /// Choose when this session releases ranked candidates:
-    /// [`EmissionPolicy::RoundBarrier`] (the default) holds each round's
-    /// emissions until the round's ordered merge completes;
-    /// [`EmissionPolicy::AnyK`] releases a candidate the moment its
-    /// confidence provably dominates every unexpanded state. Both policies
-    /// produce the identical candidate set in the identical order — any-k
-    /// only moves *when* each one leaves the engine.
-    pub fn with_emission_policy(mut self, emission: EmissionPolicy) -> Self {
-        self.config.emission = emission;
-        self
-    }
-
     /// Run this session on a shared [`SessionScheduler`] pool: every run of
     /// it — blocking, streamed or spawned — is then a driven session there,
-    /// instead of inline or on a private pool. The pool's worker count (not
-    /// `config.workers`) decides the parallelism; the emitted candidate
+    /// instead of inline or on a private pool. The emitted candidate
     /// sequence is identical either way.
     pub fn with_scheduler(mut self, handle: SchedulerHandle) -> Self {
         self.scheduler = Some(handle);
@@ -259,7 +241,7 @@ impl SynthesisSession {
     /// entirely outside the emission path — the candidate sequence of a
     /// traced run is byte-identical to an untraced one. Without this call the
     /// engine's tracing branches are all `false` and cost one predictable
-    /// branch per chunk.
+    /// branch per round.
     pub fn with_trace(mut self, trace: Arc<Trace>) -> Self {
         self.trace = Some(trace);
         self
@@ -305,32 +287,9 @@ impl SynthesisSession {
         }
     }
 
-    /// Whether a blocking call runs on the calling thread: no pool attached
-    /// and none asked for.
-    fn runs_inline(&self) -> bool {
-        self.scheduler.is_none() && self.config.effective_workers() <= 1
-    }
-
-    /// The pool a driven run of this session goes to: the attached one, or a
-    /// private one for just this run (sized per `config.workers`, on the
-    /// session's clock), returned so the caller keeps it alive.
-    fn pool(&self) -> (SchedulerHandle, Option<SessionScheduler>) {
-        match &self.scheduler {
-            Some(handle) => (handle.clone(), None),
-            None => {
-                let pool = SessionScheduler::new_with_clock(
-                    self.config.effective_workers(),
-                    Arc::clone(&self.clock),
-                );
-                (pool.handle(), Some(pool))
-            }
-        }
-    }
-
     /// Run to completion and return the ranked candidates. Inline on the
-    /// calling thread, or — with a scheduler attached or `config.workers`
-    /// above one — as a driven session this call waits for (see the
-    /// [module docs](self)).
+    /// calling thread, or — with a scheduler attached — as a driven session
+    /// this call waits for (see the [module docs](self)).
     ///
     /// # Panics
     ///
@@ -339,7 +298,7 @@ impl SynthesisSession {
     /// this call, on a pool by rethrowing here what poisoned the session
     /// (the pool survives).
     pub fn run(&self) -> SynthesisResult {
-        if self.runs_inline() {
+        if self.scheduler.is_none() {
             return synthesize_inline(&self.inputs(), |_| true);
         }
         // No callback to bring candidates to, so no rendezvous: a stream
@@ -364,19 +323,18 @@ impl SynthesisSession {
     where
         F: FnMut(&Candidate) -> bool,
     {
-        if self.runs_inline() {
+        let Some(handle) = &self.scheduler else {
             return synthesize_inline(&self.inputs(), on_candidate);
-        }
+        };
         enum Progress {
             Candidate(Candidate),
             Done(DrivenOutcome),
         }
-        let (handle, _pool) = self.pool();
         let (progress_tx, progress_rx) = mpsc::channel();
         let (verdict_tx, verdict_rx) = mpsc::channel();
         let done_tx = progress_tx.clone();
         self.clone().spawn_driven(
-            &handle,
+            handle,
             // A caller that is gone (its callback panicked) reads as "stop".
             Box::new(move |candidate: &Candidate| {
                 progress_tx.send(Progress::Candidate(candidate.clone())).is_ok()
@@ -399,8 +357,8 @@ impl SynthesisSession {
 
     /// Hand the session to a scheduler pool to be **driven entirely by pool
     /// workers** — no per-session OS thread is created. The pool resumes the
-    /// session's round-loop state machine as its verification chunks
-    /// complete; `on_candidate` observes each candidate in emission order
+    /// session's round-loop state machine a burst of rounds at a time;
+    /// `on_candidate` observes each candidate in emission order
     /// (return `false` to stop the run early) and `on_complete` receives the
     /// session's [`DrivenOutcome`] — the final ranked result, or
     /// [`DrivenOutcome::Poisoned`] (carrying the panic message when one could
@@ -433,17 +391,22 @@ impl SynthesisSession {
 
     /// Stream candidates as they survive verification, **without spawning a
     /// per-session thread**: the session is handed to its attached
-    /// [`SessionScheduler`] (or, absent one, to a private pool owned by the
-    /// stream, sized per `config.workers`) and driven by pool workers.
+    /// [`SessionScheduler`] (or, absent one, to a one-worker pool owned by
+    /// the stream, on the session's clock) and driven by pool workers.
     /// Dropping the stream before the run has resolved (or calling
     /// [`CandidateStream::stop`]) **cancels** the session — the engine stops
-    /// at its next cooperative check and any (session, round-chunk) units
-    /// still queued on the pool are reaped before a worker pops them — so an
-    /// abandoned consumer never leaks enumeration work. Call
-    /// [`CandidateStream::finish`] for the final ranked result.
+    /// at its next cooperative check — so an abandoned consumer never leaks
+    /// enumeration work. Call [`CandidateStream::finish`] for the final
+    /// ranked result.
     pub fn stream(self) -> CandidateStream {
         let control = self.control.clone();
-        let (handle, pool) = self.pool();
+        let (handle, pool) = match &self.scheduler {
+            Some(handle) => (handle.clone(), None),
+            None => {
+                let pool = SessionScheduler::new_with_clock(1, Arc::clone(&self.clock));
+                (pool.handle(), Some(pool))
+            }
+        };
         let stop_control = self.control.clone();
         let (cand_tx, cand_rx) = mpsc::channel();
         let (result_tx, result_rx) = mpsc::channel();
@@ -467,7 +430,6 @@ impl SynthesisSession {
             outcome: RefCell::new(None),
             resolved: Cell::new(false),
             control,
-            scheduler: handle,
             _pool: pool,
         }
     }
@@ -487,8 +449,8 @@ fn expect_finished(outcome: Option<DrivenOutcome>) -> SynthesisResult {
 }
 
 /// A live candidate stream backed by a **scheduler-driven session** — pool
-/// workers resume the session's round loop as chunks complete; no OS thread
-/// exists for the session itself.
+/// workers resume the session's round loop; no OS thread exists for the
+/// session itself.
 ///
 /// Iterate to receive candidates in emission order while the enumeration is
 /// still running; call [`CandidateStream::finish`] for the final,
@@ -496,10 +458,9 @@ fn expect_finished(outcome: Option<DrivenOutcome>) -> SynthesisResult {
 /// [`crate::EnumerationStats`]).
 ///
 /// **Dropping an unfinished stream cancels the work**: the session's
-/// [`SessionControl`] token fires and its queued round-chunk units are
-/// reaped from the pool's fairness queue before any worker pops them. The
-/// pool therefore goes idle instead of grinding through enumeration nobody
-/// is consuming. A stream whose run has resolved — [`CandidateStream::finish`]
+/// [`SessionControl`] token fires and the run winds down at its next
+/// cooperative check, so the pool goes idle instead of grinding through
+/// enumeration nobody is consuming. A stream whose run has resolved — [`CandidateStream::finish`]
 /// returned, or the completion was seen by [`CandidateStream::is_finished`]
 /// — leaves the token alone, so a [`SessionControl`] attached with
 /// [`SynthesisSession::with_control`] can be reused for the next run.
@@ -512,7 +473,6 @@ pub struct CandidateStream {
     /// by its pool): nothing is left to cancel.
     resolved: Cell<bool>,
     control: SessionControl,
-    scheduler: SchedulerHandle,
     /// The private pool driving a session that had no shared scheduler
     /// attached, kept alive for the stream's lifetime (`None` when the
     /// session rides a shared pool).
@@ -520,11 +480,9 @@ pub struct CandidateStream {
 }
 
 impl CandidateStream {
-    /// Ask the session to stop: fires its cancellation token and reaps its
-    /// queued units from the pool. Idempotent.
+    /// Ask the session to stop: fires its cancellation token. Idempotent.
     pub fn stop(&self) {
         self.control.cancel();
-        self.scheduler.reap_cancelled();
     }
 
     /// Non-blockingly pull the completion, if it has arrived.
@@ -576,8 +534,8 @@ impl Drop for CandidateStream {
     /// Dropping the stream cancels a session that has not resolved (see the
     /// struct docs). A session on a shared pool winds down on its own at its
     /// next cooperative check, so dropping does not wait for it; a stream
-    /// that owns a private pool joins that pool's workers (quick, as the
-    /// cancellation cuts any in-flight chunks short).
+    /// that owns a private pool joins that pool's worker (quick, as the
+    /// cancellation cuts the round in flight short).
     fn drop(&mut self) {
         self.poll_result();
         if !self.resolved.get() {
@@ -673,7 +631,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_session_streams_same_set_as_sequential_run() {
+    fn streamed_session_yields_the_same_set_as_an_inline_run() {
         let (db, nlq, model, _gold) = fixture();
         let mut config = DuoquestConfig::fast();
         config.time_budget = None;
@@ -681,13 +639,10 @@ mod tests {
         let sequential = SynthesisSession::new(Arc::clone(&db), nlq.clone(), Arc::clone(&model))
             .with_config(config.clone())
             .run();
-        let parallel = SynthesisSession::new(db, nlq, model)
-            .with_config(config.with_parallelism(4, 1))
-            .stream()
-            .finish();
+        let streamed = SynthesisSession::new(db, nlq, model).with_config(config).stream().finish();
         let render = |r: &SynthesisResult| {
             r.candidates.iter().map(|c| (format!("{:?}", c.spec), c.confidence)).collect::<Vec<_>>()
         };
-        assert_eq!(render(&sequential), render(&parallel));
+        assert_eq!(render(&sequential), render(&streamed));
     }
 }

@@ -144,8 +144,8 @@ impl StageTimings {
         self.calls[stage.index()] += 1;
     }
 
-    /// Fold another timing table into this one (used to merge worker-local
-    /// tables after a parallel round).
+    /// Fold another timing table into this one (used to merge a round's
+    /// table into the run's).
     pub fn merge(&mut self, other: &StageTimings) {
         for i in 0..VerifyStage::COUNT {
             self.nanos[i] += other.nanos[i];
@@ -376,8 +376,8 @@ impl<'a> Verifier<'a> {
     }
 
     /// Run the cascade, recording per-stage wall-clock time and invocation
-    /// counts into `timings`. Workers in the parallel session each keep their
-    /// own table and merge afterwards, so no synchronization happens here.
+    /// counts into `timings`. A round keeps its own table and the driver
+    /// merges it afterwards, so no synchronization happens here.
     ///
     /// The clock is read once per stage boundary: a stage's end is the next
     /// stage's start. Most stages run for a fraction of a microsecond, so a

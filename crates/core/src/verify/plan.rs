@@ -11,10 +11,10 @@
 //! every later touch is one relaxed atomic load.
 //!
 //! A plan belongs to one synthesis run: it is built once from the run's TSQ
-//! next to the run's `JoinPlanner`, shared by the run's chunk workers, and
-//! dropped with the run. The database cannot change underneath it — writes
-//! need `&mut Database`, which nobody can take while the run borrows (or
-//! holds an `Arc` of) the database.
+//! next to the run's `JoinPlanner`, read and filled by the run's rounds on
+//! whichever worker holds the session, and dropped with the run. The
+//! database cannot change underneath it — writes need `&mut Database`, which
+//! nobody can take while the run borrows (or holds an `Arc` of) the database.
 
 use crate::tsq::TableSketchQuery;
 use duoquest_db::{ColumnId, Database};
@@ -73,8 +73,8 @@ impl VerifyPlan {
     }
 
     /// The verdict of `check` for the `cell`-th constrained cell against
-    /// `col`, running `probe` only if nobody has asked before. Two workers
-    /// racing on a first touch may both probe; they store the same verdict.
+    /// `col`, running `probe` only if nobody has asked before. Two threads
+    /// racing on a first touch would both probe and store the same verdict.
     ///
     /// # Panics
     ///

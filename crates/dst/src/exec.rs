@@ -192,7 +192,6 @@ pub(crate) fn engine_config(max_candidates: usize) -> duoquest_core::DuoquestCon
     let mut config = duoquest_core::DuoquestConfig::fast();
     config.max_candidates = max_candidates;
     config.time_budget = None;
-    config.workers = 1;
     config
 }
 
@@ -284,12 +283,7 @@ fn quiet_injected_panics() {
     });
 }
 
-fn build_request(
-    db: &Arc<Database>,
-    plan: &RequestPlan,
-    perturb: bool,
-    any_k: bool,
-) -> SynthesisRequest {
+fn build_request(db: &Arc<Database>, plan: &RequestPlan, perturb: bool) -> SynthesisRequest {
     let (nlq, mut model) = task_model(plan.task);
     if perturb {
         model = Arc::new(PerturbGuidance);
@@ -300,9 +294,6 @@ fn build_request(
     let mut request = SynthesisRequest::new(Arc::clone(db), nlq, model)
         .with_config(engine_config(plan.max_candidates))
         .with_priority(PriorityClass::ALL[plan.priority as usize % 3]);
-    if any_k {
-        request = request.with_emission_policy(duoquest_core::EmissionPolicy::AnyK);
-    }
     if let Some(deadline) = plan.deadline_us {
         request = request.with_deadline(Duration::from_micros(deadline));
     }
@@ -339,13 +330,11 @@ fn run_service(
         Arc::clone(&clock) as duoquest_core::SharedClock,
     );
     let db = fixture_db();
-    // The emission-policy and single-flight toggles ride on the alternate
-    // run only: the reference stays at the defaults, so the cross-run
-    // oracle tests any-k (and single-flight off) against the round barrier
-    // directly whenever a request completes in both runs.
-    let alternate_run = label == RunLabel::Alternate;
-    let any_k = alternate_run && scenario.any_k;
-    if alternate_run {
+    // The single-flight toggle rides on the alternate run only: the
+    // reference stays at the default, so the cross-run oracle tests
+    // single-flight off against on directly whenever a request completes in
+    // both runs.
+    if label == RunLabel::Alternate {
         db.set_single_flight(scenario.single_flight);
     }
 
@@ -372,7 +361,7 @@ fn run_service(
         }
         match event {
             Event::Submit(index) => {
-                let request = build_request(&db, &scenario.requests[index], perturb, any_k);
+                let request = build_request(&db, &scenario.requests[index], perturb);
                 match service.submit(request) {
                     Ok(ticket) => tickets[index] = Some(ticket),
                     Err(_) => observed[index] = Some(Observed::Shed),

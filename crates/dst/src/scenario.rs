@@ -41,11 +41,6 @@ pub struct Scenario {
     /// Connection-lifecycle walk over the TCP front (connect, submit,
     /// stall, close, remote-cancel) checked alongside the service runs.
     pub net: NetPlan,
-    /// Whether the **alternate** run uses any-k frontier emission (the
-    /// reference always keeps the default round barrier). Emission policy
-    /// must never change a completed request's candidate set or ranking —
-    /// the cross-run oracle checks any-k against the barrier directly.
-    pub any_k: bool,
     /// Whether the **alternate** run's database keeps single-flight probe
     /// sharing enabled (the reference always does). The toggle must never
     /// change results, only how many probe executions happen; the
@@ -228,21 +223,15 @@ pub fn generate(seed: u64) -> Scenario {
     // Drawn after the cache plan so pre-net seeds map to the same service
     // and cache choices they always did.
     let net = generate_net_plan(&mut rng);
+    // This draw chose the alternate run's emission policy until a round
+    // stopped being released in parts. It is still consumed so that the next
+    // draw — and with it every pinned and swept seed — lands on the scenario
+    // it always did.
+    let _ = rng.gen_bool(0.5);
     // Drawn after the net plan for the same reason: pre-existing seeds keep
-    // their exact request, cache and net choices and only gain the toggles.
-    let any_k = rng.gen_bool(0.5);
+    // their exact request, cache and net choices and only gain the toggle.
     let single_flight = rng.gen_bool(0.5);
-    Scenario {
-        seed,
-        reference,
-        alternate,
-        final_advance_us,
-        requests,
-        cache,
-        net,
-        any_k,
-        single_flight,
-    }
+    Scenario { seed, reference, alternate, final_advance_us, requests, cache, net, single_flight }
 }
 
 fn generate_cache_plan(rng: &mut StdRng) -> CachePlan {

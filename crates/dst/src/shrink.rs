@@ -118,7 +118,6 @@ where
                 }
             },
             |s| s.alternate.workers = 1,
-            |s| s.any_k = false,
             |s| s.single_flight = true,
         ];
         for edit in EDITS {

@@ -77,7 +77,6 @@ fn task_spec(db: &Arc<Database>, slow: Option<Duration>, max_candidates: usize) 
     let mut config = DuoquestConfig::fast();
     config.max_candidates = max_candidates;
     config.time_budget = None;
-    config.workers = 1;
     TaskSpec { db: Arc::clone(db), nlq, model, tsq: None, config }
 }
 

@@ -16,7 +16,7 @@
 //! identical results.
 
 use crate::guidance::{Choice, GuidanceContext, GuidanceModel, HavingChoice, OrderChoice};
-use duoquest_db::{OrderKey, Predicate, SelectItem, SelectSpec};
+use duoquest_db::{ColumnId, OrderKey, Predicate, SelectSpec};
 use duoquest_sql::{ClauseSet, SelectColumn};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -112,6 +112,9 @@ impl OracleConfig {
 #[derive(Debug, Clone)]
 pub struct NoisyOracleGuidance {
     gold: SelectSpec,
+    /// The gold projection's columns (`None` = `*`), sorted: what a
+    /// `SelectColumns` choice is compared against, as a multiset.
+    gold_select: Vec<Option<ColumnId>>,
     config: OracleConfig,
     seed: u64,
 }
@@ -119,12 +122,14 @@ pub struct NoisyOracleGuidance {
 impl NoisyOracleGuidance {
     /// Create a model for a task with the default calibration.
     pub fn new(gold: SelectSpec, seed: u64) -> Self {
-        NoisyOracleGuidance { gold, config: OracleConfig::default(), seed }
+        NoisyOracleGuidance::with_config(gold, seed, OracleConfig::default())
     }
 
     /// Create a model with an explicit configuration.
     pub fn with_config(gold: SelectSpec, seed: u64, config: OracleConfig) -> Self {
-        NoisyOracleGuidance { gold, config, seed }
+        let mut gold_select: Vec<Option<ColumnId>> = gold.select.iter().map(|i| i.col).collect();
+        gold_select.sort_unstable();
+        NoisyOracleGuidance { gold, gold_select, config, seed }
     }
 
     /// The gold query the oracle is built around.
@@ -174,16 +179,18 @@ impl NoisyOracleGuidance {
         match choice {
             Choice::Clauses(cs) => *cs == gold_clauses(&self.gold),
             Choice::SelectColumns(cols) => {
-                let mut got: Vec<String> = cols.iter().map(select_column_key).collect();
-                let mut want: Vec<String> =
-                    self.gold.select.iter().map(gold_select_column_key).collect();
-                got.sort();
-                want.sort();
-                got == want
+                cols.len() == self.gold_select.len() && {
+                    let mut got: Vec<Option<ColumnId>> =
+                        cols.iter().map(select_column_key).collect();
+                    got.sort_unstable();
+                    got == self.gold_select
+                }
             }
-            Choice::Aggregate { column, agg } => self.gold.select.iter().any(|item| {
-                gold_select_column_key(item) == select_column_key(column) && item.agg == *agg
-            }),
+            Choice::Aggregate { column, agg } => self
+                .gold
+                .select
+                .iter()
+                .any(|item| item.col == select_column_key(column) && item.agg == *agg),
             Choice::WhereColumns(cols) => {
                 let mut got: Vec<_> = cols.clone();
                 let mut want: Vec<_> = self.gold.predicates.iter().filter_map(|p| p.col).collect();
@@ -232,17 +239,11 @@ impl NoisyOracleGuidance {
     }
 }
 
-fn select_column_key(col: &SelectColumn) -> String {
+/// A projected column as a gold `SelectItem` names it: `None` is `*`.
+fn select_column_key(col: &SelectColumn) -> Option<ColumnId> {
     match col {
-        SelectColumn::Star => "*".to_string(),
-        SelectColumn::Column(c) => format!("{c}"),
-    }
-}
-
-fn gold_select_column_key(item: &SelectItem) -> String {
-    match item.col {
-        None => "*".to_string(),
-        Some(c) => format!("{c}"),
+        SelectColumn::Star => None,
+        SelectColumn::Column(c) => Some(*c),
     }
 }
 
@@ -458,6 +459,79 @@ mod tests {
         assert!(c.keyword <= 1.0);
         let c = OracleConfig::default().scaled(0.0);
         assert!(c.keyword >= 0.05);
+    }
+
+    /// A `SelectColumns` choice is consistent iff its columns and the gold
+    /// projection's are the same multiset (`*` a member like any other),
+    /// whatever order either side lists them in; an `Aggregate` choice iff
+    /// the gold projects that column under that aggregate.
+    #[test]
+    fn select_consistency_is_multiset_equality() {
+        use std::collections::HashMap;
+        let s = schema();
+        let table = s.table_id("movies").unwrap();
+        let pool = [
+            SelectColumn::Star,
+            SelectColumn::Column(ColumnId { table, column: 0 }),
+            SelectColumn::Column(ColumnId { table, column: 1 }),
+            SelectColumn::Column(ColumnId { table, column: 2 }),
+        ];
+        let aggs = [None, Some(AggFunc::Count), Some(AggFunc::Max)];
+        let item = |col: SelectColumn, agg| SelectItem {
+            agg,
+            col: match col {
+                SelectColumn::Star => None,
+                SelectColumn::Column(c) => Some(c),
+            },
+        };
+        let counts = |cols: &[SelectColumn]| {
+            let mut counts: HashMap<SelectColumn, usize> = HashMap::new();
+            for col in cols {
+                *counts.entry(*col).or_default() += 1;
+            }
+            counts
+        };
+        let mut rng = StdRng::seed_from_u64(17);
+        let draw = |rng: &mut StdRng| -> Vec<SelectColumn> {
+            (0..rng.gen_range(1..=3usize)).map(|_| pool[rng.gen_range(0..pool.len())]).collect()
+        };
+        let (mut equal, mut unequal) = (0, 0);
+        for _ in 0..2_000 {
+            let gold_cols = draw(&mut rng);
+            let gold_aggs: Vec<_> =
+                gold_cols.iter().map(|_| aggs[rng.gen_range(0..aggs.len())]).collect();
+            let gold = SelectSpec {
+                select: gold_cols.iter().zip(&gold_aggs).map(|(c, a)| item(*c, *a)).collect(),
+                join: JoinTree::single(table),
+                ..Default::default()
+            };
+            let oracle = NoisyOracleGuidance::new(gold, 1);
+            // Half the candidates are a shuffle of the gold columns.
+            let mut cols = if rng.gen_bool(0.5) { gold_cols.clone() } else { draw(&mut rng) };
+            for i in (1..cols.len()).rev() {
+                cols.swap(i, rng.gen_range(0..=i));
+            }
+            let same = counts(&cols) == counts(&gold_cols);
+            assert_eq!(
+                oracle.consistent(&Choice::SelectColumns(cols.clone())),
+                same,
+                "{cols:?} against gold {gold_cols:?}"
+            );
+            if same {
+                equal += 1;
+            } else {
+                unequal += 1;
+            }
+            let (column, agg) = (pool[rng.gen_range(0..pool.len())], aggs[rng.gen_range(0..3)]);
+            let projected =
+                gold_cols.iter().zip(&gold_aggs).any(|(c, a)| (*c, *a) == (column, agg));
+            assert_eq!(
+                oracle.consistent(&Choice::Aggregate { column, agg }),
+                projected,
+                "{column:?} under {agg:?} against gold {gold_cols:?} / {gold_aggs:?}"
+            );
+        }
+        assert!(equal > 200 && unequal > 200, "{equal} equal, {unequal} unequal");
     }
 
     #[test]

@@ -22,9 +22,9 @@
 //!        │ start                      ▲ a completing request
 //!        ▼                            │ promotes the head of the
 //!  RoundDriver state machine parked   │ highest non-empty class
-//!  in the SessionScheduler; pool      │ queue (from the worker
-//!  workers resume it as its chunks    │ that completed it)
-//!  complete                           │
+//!  in the SessionScheduler; a pool    │ queue (from the worker
+//!  worker resumes it for a burst of   │ that completed it)
+//!  rounds at a time                   │
 //!  (fairness weight = beam × class)   │
 //!        │ candidates stream to the Ticket as they survive
 //!        ▼
@@ -33,7 +33,7 @@
 //!
 //! A live request is a **scheduler-driven session** (see `docs/DRIVER.md`):
 //! its serial round loop is a state machine parked inside the pool, resumed
-//! inline by whichever worker completes its last outstanding chunk. The
+//! by whichever worker pops it next — `workers` sessions advance at once. The
 //! service therefore spawns **zero** per-request OS threads —
 //! [`ServiceStats::driver_threads`] reports 0 — and `max_live_sessions` can
 //! sit in the thousands, bounded by memory rather than thread count.
@@ -43,9 +43,9 @@
 //!   share of a background one, but nobody is starved — every live session is
 //!   served each rotation.
 //! * **Cancellation**: dropping (or explicitly cancelling) a [`Ticket`] fires
-//!   the session's token; queued (session, round-chunk) units are reaped from
-//!   the fairness queue before a worker ever pops them, and the run stops at
-//!   its next cooperative check. Other requests' emission order is untouched.
+//!   the session's token and the run stops at its next cooperative check
+//!   (a round boundary, or between a round's jobs). Other requests' emission
+//!   order is untouched.
 //! * **Deadlines** are measured from submission (queue wait counts). A
 //!   request past its deadline stops enumerating and resolves with the best
 //!   candidates found so far, flagged
@@ -328,7 +328,7 @@ impl Shared {
 
     /// Start a claimed request: register it with the scheduler as a
     /// **driven session** — no thread is spawned; pool workers resume its
-    /// state machine as chunks complete. Runs with no lock held (a cancel
+    /// state machine. Runs with no lock held (a cancel
     /// racing in here simply stops the run at its first step).
     fn start_unlocked(self: &Arc<Self>, pending: Pending) {
         let class = pending.req.priority;
@@ -375,7 +375,7 @@ impl Shared {
             // An attached observer replaces channel delivery (the net front
             // writes straight to its connection outbox); otherwise a dropped
             // ticket reads as "stop" (its Drop also fires the cancellation
-            // token, which reaps queued units).
+            // token).
             let keep = match observer.as_mut() {
                 Some(sink) => {
                     let keep = sink(candidate);
@@ -609,9 +609,8 @@ impl SynthesisService {
     }
 
     /// Cancel a request by its service-assigned id ([`Ticket::id`]), whether
-    /// live or still queued: fires its cancellation token, reaps its queued
-    /// pool units and pulls the housekeeping tick forward so a queued request
-    /// resolves now. Returns `false` if no live or queued request has this id
+    /// live or still queued: fires its cancellation token and pulls the
+    /// housekeeping tick forward so a queued request resolves now. Returns `false` if no live or queued request has this id
     /// (already finished, or never existed). This is the hookup for remote
     /// cancellation, where the party cancelling (a `POST /cancel` on one
     /// connection) does not hold the ticket (owned by another connection's
@@ -625,7 +624,6 @@ impl SynthesisService {
         drop(state);
         let Some(control) = control else { return false };
         control.cancel();
-        self.shared.handle.reap_cancelled();
         self.shared.notify_queue_changed();
         true
     }
@@ -710,7 +708,6 @@ impl SynthesisService {
             control,
             candidates: cand_rx,
             outcome: out_rx,
-            scheduler: self.shared.handle.clone(),
             shared: Arc::downgrade(&self.shared),
             received: None,
         })
@@ -937,8 +934,6 @@ impl Drop for SynthesisService {
                 pending.resolve_unrun(RequestStatus::Cancelled, now, &self.shared);
             }
         }
-        drop(state);
-        self.shared.handle.reap_cancelled();
     }
 }
 

@@ -1,7 +1,7 @@
 //! Request-side types of the service API: priority classes, the request
 //! itself, the service configuration and admission errors.
 
-use duoquest_core::{DuoquestConfig, EmissionPolicy, TableSketchQuery};
+use duoquest_core::{DuoquestConfig, TableSketchQuery};
 use duoquest_db::Database;
 use duoquest_nlq::{GuidanceModel, Nlq};
 use std::sync::Arc;
@@ -104,17 +104,6 @@ impl SynthesisRequest {
     /// Set the request's priority class (default: interactive).
     pub fn with_priority(mut self, priority: PriorityClass) -> Self {
         self.priority = priority;
-        self
-    }
-
-    /// Choose when the request's session releases ranked candidates:
-    /// [`EmissionPolicy::RoundBarrier`] (the default) holds each round's
-    /// emissions until the round's ordered merge completes;
-    /// [`EmissionPolicy::AnyK`] streams a candidate out the moment its
-    /// confidence provably dominates every unexpanded state. The candidate
-    /// set and ranking are identical under both — only delivery timing moves.
-    pub fn with_emission_policy(mut self, emission: EmissionPolicy) -> Self {
-        self.config.emission = emission;
         self
     }
 

@@ -2,7 +2,7 @@
 //! while the request runs and resolves to a [`ServiceOutcome`].
 
 use crate::request::PriorityClass;
-use duoquest_core::{Candidate, SchedulerHandle, SessionControl, SynthesisResult};
+use duoquest_core::{Candidate, SessionControl, SynthesisResult};
 use std::sync::mpsc::Receiver;
 use std::sync::Weak;
 use std::time::Duration;
@@ -56,17 +56,16 @@ pub struct ServiceOutcome {
 /// Iterate (or call [`Ticket::next_timeout`]) to receive candidates in
 /// emission order while the request is running; call [`Ticket::wait`] for the
 /// final [`ServiceOutcome`]. **Dropping the ticket cancels the request**: the
-/// session's cancellation token fires and its queued round-chunk units are
-/// reaped from the shared pool, so an abandoned consumer never leaks
-/// enumeration work. Cancellation never perturbs other requests — their
-/// emission order is byte-identical either way.
+/// session's cancellation token fires and the run winds down at its next
+/// cooperative check, so an abandoned consumer never leaks enumeration work.
+/// Cancellation never perturbs other requests — their emission order is
+/// byte-identical either way.
 pub struct Ticket {
     pub(crate) id: u64,
     pub(crate) priority: PriorityClass,
     pub(crate) control: SessionControl,
     pub(crate) candidates: Receiver<Candidate>,
     pub(crate) outcome: Receiver<ServiceOutcome>,
-    pub(crate) scheduler: SchedulerHandle,
     /// Back-reference to the service so a cancellation can pull the
     /// scheduler's housekeeping tick forward (weak: tickets may outlive the
     /// service).
@@ -86,13 +85,11 @@ impl Ticket {
     }
 
     /// Cancel the request: fires the cancellation token (the engine stops at
-    /// its next cooperative check, mid-round if necessary) and reaps any of
-    /// the session's units still queued on the shared pool. A request still
+    /// its next cooperative check, mid-round if necessary). A request still
     /// waiting in the admission queue is discarded without ever starting.
     /// Idempotent.
     pub fn cancel(&self) {
         self.control.cancel();
-        self.scheduler.reap_cancelled();
         // Pull the scheduler's housekeeping tick forward so a still-queued
         // request resolves now, not when a live slot happens to free.
         if let Some(shared) = self.shared.upgrade() {
@@ -132,7 +129,7 @@ impl Ticket {
     ///
     /// # Panics
     ///
-    /// Panics if the request's session itself panicked mid-step or mid-chunk
+    /// Panics if the request's session itself panicked mid-round
     /// (a bug in a guidance model or verifier). The service survives such a
     /// request — its live slot is freed and queued work is promoted; the
     /// pool workers are unharmed — but there is no outcome to deliver for

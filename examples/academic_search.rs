@@ -23,8 +23,7 @@ fn main() {
         max_expansions: 3_000,
         time_budget: None,
         ..Default::default()
-    }
-    .with_parallelism(0, 1);
+    };
     let engine = Duoquest::new(config.clone());
     let nli = NliBaseline::new(config);
 

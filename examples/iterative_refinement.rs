@@ -48,8 +48,7 @@ fn main() {
         max_candidates: 40,
         time_budget: Some(std::time::Duration::from_secs(10)),
         ..Default::default()
-    }
-    .with_parallelism(0, 1);
+    };
     let engine = Duoquest::new(config);
     // Each refinement round is one synthesis session over the same shared
     // database; the probe cache warms up across rounds.

@@ -44,7 +44,6 @@ fn main() {
         max_candidates: 5,
         max_expansions: 250,
         time_budget: None,
-        workers: 1,
         ..Default::default()
     };
     let service = Arc::new(SynthesisService::new(ServiceConfig {

@@ -112,9 +112,9 @@ fn main() {
     println!("TSQ: types = [text, text, number], 2 example tuples, not sorted, no limit\n");
 
     // 3. Synthesize with the purely lexical guidance model (no training data),
-    //    on a parallel session streaming candidates as they survive
-    //    verification — exactly what the paper's interactive front end shows.
-    let engine = Duoquest::new(DuoquestConfig::fast().with_parallelism(0, 1));
+    //    on a session streaming candidates as they survive verification —
+    //    exactly what the paper's interactive front end shows.
+    let engine = Duoquest::new(DuoquestConfig::fast());
     let model = Arc::new(HeuristicGuidance::new());
 
     println!("--- Dual specification (NLQ + TSQ), streamed ---");

@@ -25,8 +25,7 @@ fn main() {
         max_expansions: 2_000,
         time_budget: Some(Duration::from_secs(2)),
         ..Default::default()
-    }
-    .with_parallelism(0, 1);
+    };
     let engine = Duoquest::new(config.clone());
     let nli = NliBaseline::new(config);
     let pbe = SquidPbe::new();

@@ -1,11 +1,12 @@
-//! Determinism of the parallel synthesis core: for a fixed configuration the
+//! Determinism of the synthesis core: for a fixed configuration the
 //! candidate set and ranking must be a pure function of the inputs — never of
-//! the worker count, thread scheduling, hasher or process — on a fixed
-//! synthetic Spider workload and on the MAS user-study requests.
+//! where the run stands (inline or on a pool of any size), thread scheduling,
+//! hasher or process — on a fixed synthetic Spider workload and on the MAS
+//! user-study requests.
 
 use duoquest::core::{
-    Candidate, Duoquest, DuoquestConfig, EmissionPolicy, SessionScheduler, SynthesisResult,
-    SynthesisSession, TableSketchQuery,
+    Candidate, Duoquest, DuoquestConfig, SessionScheduler, SynthesisResult, SynthesisSession,
+    TableSketchQuery,
 };
 use duoquest::db::{Database, SelectSpec};
 use duoquest::nlq::{HeuristicGuidance, Nlq, NoisyOracleGuidance};
@@ -36,39 +37,27 @@ fn base_config() -> DuoquestConfig {
     }
 }
 
-fn run_task(
-    dataset: &spider::SpiderDataset,
-    task: &spider::SpiderTask,
-    seed: u64,
-    config: &DuoquestConfig,
-) -> SynthesisResult {
-    let db = dataset.database(task);
-    let (gold, tsq) = synthesize_tsq(db, &task.gold, TsqDetail::Full, 2, seed);
-    let model = NoisyOracleGuidance::new(gold, seed);
-    Duoquest::new(config.clone())
-        .session(Arc::clone(db), task.nlq.clone(), Arc::new(model))
-        .with_tsq(tsq)
-        .run()
-}
-
 /// Candidate list rendered as comparable `(structure, confidence)` pairs in
 /// final ranking order.
 fn ranking(result: &SynthesisResult) -> Vec<(String, f64)> {
     result.candidates.iter().map(|c| (format!("{:?}", c.spec), c.confidence)).collect()
 }
 
+/// A blocking run on a pool equals the inline (sequential Algorithm 1) run
+/// of the same task.
 #[test]
 fn parallel_session_equals_sequential_path_per_task() {
     let dataset = workload();
-    let sequential = base_config(); // workers = 1, beam = 1
-    let parallel = base_config().with_parallelism(4, 1);
+    let config = base_config();
+    let pool = SessionScheduler::new(4);
     for (i, task) in dataset.tasks.iter().enumerate() {
-        let seq = run_task(&dataset, task, 100 + i as u64, &sequential);
-        let par = run_task(&dataset, task, 100 + i as u64, &parallel);
+        let seq = run_task_on(&dataset, task, 100 + i as u64, &config, None);
+        let par = run_task_on(&dataset, task, 100 + i as u64, &config, Some(&pool));
+        assert!(seq.stats.scheduler.is_none() && par.stats.scheduler.is_some());
         assert_eq!(
             ranking(&seq),
             ranking(&par),
-            "task {} diverged between sequential and parallel sessions",
+            "task {} diverged between the inline and the pooled session",
             task.id
         );
         assert_eq!(seq.stats.emitted, par.stats.emitted, "task {}", task.id);
@@ -77,8 +66,7 @@ fn parallel_session_equals_sequential_path_per_task() {
     }
 }
 
-/// Run one task through a session attached to `pool`, or — `None` — on its
-/// own: inline, or on a private pool when `config.workers` asks for one.
+/// Run one task through a session attached to `pool`, or — `None` — inline.
 fn run_task_on(
     dataset: &spider::SpiderDataset,
     task: &spider::SpiderTask,
@@ -106,7 +94,7 @@ fn run_task_on(
 fn interleaved_sessions_on_shared_pool_match_single_session_runs() {
     let dataset = Arc::new(workload());
     let config = base_config();
-    // Ground truth: each task run alone on a private sequential session.
+    // Ground truth: each task run alone, inline.
     let solo: Vec<_> = dataset
         .tasks
         .iter()
@@ -196,15 +184,15 @@ fn run_observed(session: SynthesisSession, stream: bool) -> (Observed, Synthesis
     (observe(sequence, &result), result)
 }
 
-/// Every way of running a session that still differs, now that a blocking
-/// call on a pool is a driven session like any other: **inline** (the
-/// reference: no pool, the calling thread), a **private pool** (`workers =
-/// 2`), **shared pools** of {1, 2, 4} workers, and **eight sessions at once**
-/// on each shared pool — alternating `run_with` and `stream()` throughout, so
-/// both public wrappers stay covered. `session(case)` builds a case's session
-/// with no pool attached and one worker; every way must observe exactly what
-/// inline observes. Returns the inline observations and how many units the
-/// pooled runs parked in a fairness queue.
+/// Every way of running a session that still differs: **inline** (the
+/// reference: no pool, the calling thread), a **private stream** (the
+/// one-worker pool `stream()` owns when none is attached), **shared pools**
+/// of {1, 2, 4} workers, and **eight sessions at once** on each shared pool
+/// — alternating `run_with` and `stream()` on the shared pools, so both
+/// public wrappers stay covered. `session(case)` builds a case's session with
+/// no pool attached; every way must observe exactly what inline observes.
+/// Returns the inline observations and how many times a pooled run was
+/// requeued behind another session (its `Resume` units beyond the kick-off).
 fn every_way_agrees(
     cases: usize,
     session: impl Fn(usize) -> SynthesisSession + Sync,
@@ -216,24 +204,24 @@ fn every_way_agrees(
             observed
         })
         .collect();
-    let mut parked = 0;
-    let mut check = |case: usize, session: SynthesisSession, stream: bool, way: &str| {
-        let (observed, result) = run_observed(session, stream);
-        assert_eq!(reference[case], observed, "case {case}: {way}, stream: {stream}");
-        parked += result.stats.scheduler.expect("a pooled run reports its pool").units_submitted;
+    let mut requeued = 0;
+    let mut check = |case: usize, observed: Observed, result: SynthesisResult, way: &str| {
+        assert_eq!(reference[case], observed, "case {case}: {way}");
+        let pool = result.stats.scheduler.expect("a pooled run reports its pool");
+        requeued += pool.units_submitted - 1;
     };
 
     for case in 0..cases {
-        let session = session(case);
-        let config = DuoquestConfig { workers: 2, ..session.config().clone() };
-        check(case, session.with_config(config), case % 2 == 1, "private pool");
+        let (observed, result) = run_observed(session(case), true);
+        check(case, observed, result, "private stream");
     }
     for (turn, workers) in [1usize, 2, 4].into_iter().enumerate() {
         let pool = SessionScheduler::new(workers);
-        let way = format!("shared pool of {workers}");
         for case in 0..cases {
-            let session = session(case).with_scheduler(pool.handle());
-            check(case, session, (case + turn) % 2 == 0, &way);
+            let stream = (case + turn) % 2 == 0;
+            let (observed, result) =
+                run_observed(session(case).with_scheduler(pool.handle()), stream);
+            check(case, observed, result, &format!("shared pool of {workers}, stream: {stream}"));
         }
         // Eight sessions at once over the one pool (and, per workload, the
         // one database), neighbours in case order side by side.
@@ -250,29 +238,31 @@ fn every_way_agrees(
                 .map(|h| h.join().expect("session thread panicked"))
                 .collect::<Vec<_>>()
         });
-        for (case, stream, (observed, _)) in concurrent {
-            assert_eq!(
-                reference[case], observed,
-                "case {case} among 8 sessions on {workers} workers, stream: {stream}"
-            );
+        for (case, stream, (observed, result)) in concurrent {
+            let way = format!("among 8 sessions on {workers} workers, stream: {stream}");
+            check(case, observed, result, &way);
         }
         let stats = pool.stats();
-        assert_eq!((stats.live_sessions, stats.queue_depth), (0, 0), "{way} left work behind");
+        assert_eq!(
+            (stats.live_sessions, stats.queue_depth),
+            (0, 0),
+            "shared pool of {workers} left work behind"
+        );
     }
-    (reference, parked)
+    (reference, requeued)
 }
 
 /// The heuristic model scores through a plan its driver compiles on the first
 /// round and then carries: on a type-only TSQ (where guidance, not
 /// verification, decides the order) the emission sequence and every
 /// confidence must be the same `f64`s whether the driver stays on one stack
-/// (inline) or is parked in a scheduler between rounds and resumed by
-/// whichever worker is free, at any pool size ([`every_way_agrees`]).
+/// (inline) or is parked in a scheduler at a yield and resumed by whichever
+/// worker is free, at any pool size ([`every_way_agrees`]).
 #[test]
-fn heuristic_plan_survives_scheduler_parks() {
+fn heuristic_plan_survives_scheduler_yields() {
     let dataset = workload();
     let config = DuoquestConfig { max_candidates: 10, max_expansions: 100, ..base_config() };
-    let (reference, parked_rounds) = every_way_agrees(dataset.tasks.len(), |i| {
+    let (reference, requeued) = every_way_agrees(dataset.tasks.len(), |i| {
         let task = &dataset.tasks[i];
         let db = dataset.database(task);
         let (_, tsq) = synthesize_tsq(db, &task.gold, TsqDetail::Minimal, 2, 500 + i as u64);
@@ -281,14 +271,16 @@ fn heuristic_plan_survives_scheduler_parks() {
             .with_tsq(tsq)
     });
     let emissions: usize = reference.iter().map(|observed| observed.0.len()).sum();
-    assert!(parked_rounds > 0, "no driven round was large enough to park its driver");
+    // Eight sessions of up to 100 rounds on one worker: some yield finds
+    // another session waiting.
+    assert!(requeued > 0, "no driven run was ever parked at a yield and resumed");
     assert!(emissions >= 10, "only {emissions} candidates emitted over the whole workload");
 }
 
 /// The verify-side twin of the test above: under a full TSQ and the oracle
 /// (where verification decides what survives) a run answers column-wise
-/// checks from one verdict table that its chunk workers fill as they go and
-/// that parks and resumes with the session. Emission, confidence bits and
+/// checks from one verdict table that its rounds fill as they go and that
+/// parks and resumes with the session. Emission, confidence bits and
 /// the per-stage prune counts must not depend on who filled a verdict first —
 /// on any way of running a session ([`every_way_agrees`]), alone or among
 /// eight concurrent ones — and a session must never read verdicts another
@@ -327,8 +319,8 @@ fn verify_plan_is_per_session_on_every_way_to_run_one() {
 
 /// The serving layer inherits the engine's determinism: a request run
 /// through `SynthesisService` — at any priority class, even while other
-/// requests share the pool — emits candidates byte-identical to a
-/// private-pool `SynthesisSession` run of the same task.
+/// requests share the pool — emits candidates byte-identical to an inline
+/// `SynthesisSession` run of the same task.
 #[test]
 fn service_requests_match_private_sessions_at_every_priority() {
     let dataset = workload();
@@ -394,7 +386,7 @@ fn process_threads() -> Option<usize> {
 
 /// The tentpole guarantee of thread-free session driving: **256 concurrent
 /// live sessions** on one fixed pool — far beyond any sane thread count —
-/// each emit byte-identically to their solo private-pool runs, for pool
+/// each emit byte-identically to their solo inline runs, for pool
 /// worker counts {1, 2, 4}. The service reports zero per-request driver
 /// threads, and the process's real thread count stays flat while all 256
 /// are live.
@@ -483,7 +475,7 @@ fn service_drives_256_live_sessions_thread_free_and_deterministically() {
 /// The observability analogue of the worker-count guarantee: request
 /// tracing (span recording, flight-recorder retention) must never perturb
 /// emission. Runs through the service with tracing disabled emit
-/// byte-identically to traced runs and to solo private-pool runs, across
+/// byte-identically to traced runs and to solo inline runs, across
 /// pool sizes with every priority class in flight — and the flight
 /// recorder retains a trace per request exactly when tracing is on.
 #[test]
@@ -544,96 +536,6 @@ fn tracing_toggle_leaves_emission_byte_identical() {
     }
 }
 
-/// The tentpole guarantee of any-k frontier emission: releasing candidates
-/// the moment their confidence provably dominates every unexpanded state
-/// must not change *what* is emitted or *how it ranks* — only *when* each
-/// candidate is released. Any-k runs must be byte-identical to the
-/// round-barrier default across private sessions, shared pools {1, 2, 4}
-/// and the service at all three priority classes.
-#[test]
-fn any_k_emission_matches_round_barrier_everywhere() {
-    let dataset = Arc::new(workload());
-    let barrier = base_config();
-    let any_k = base_config().with_emission_policy(EmissionPolicy::AnyK);
-    // Ground truth: the round-barrier default on a private session.
-    let solo: Vec<_> = dataset
-        .tasks
-        .iter()
-        .enumerate()
-        .map(|(i, task)| ranking(&run_task(&dataset, task, 900 + i as u64, &barrier)))
-        .collect();
-
-    // Any-k on a private session: identical set, ranking, and stats.
-    for (i, task) in dataset.tasks.iter().enumerate() {
-        let bar = run_task(&dataset, task, 900 + i as u64, &barrier);
-        let any = run_task(&dataset, task, 900 + i as u64, &any_k);
-        assert_eq!(solo[i], ranking(&any), "task {} diverged under any-k emission", task.id);
-        assert_eq!(bar.stats.emitted, any.stats.emitted, "task {}", task.id);
-        assert_eq!(bar.stats.expanded, any.stats.expanded, "task {}", task.id);
-        assert_eq!(bar.stats.total_pruned(), any.stats.total_pruned(), "task {}", task.id);
-    }
-
-    // Any-k on shared pools of every size, with the beam widened so rounds
-    // actually stream multi-chunk fan-outs through the scheduler.
-    let beamed_any_k =
-        base_config().with_parallelism(4, 2).with_emission_policy(EmissionPolicy::AnyK);
-    let beamed_barrier = base_config().with_parallelism(4, 2);
-    for pool_workers in [1usize, 2, 4] {
-        let pool = SessionScheduler::new(pool_workers);
-        for (i, task) in dataset.tasks.iter().enumerate() {
-            let bar = run_task_on(&dataset, task, 900 + i as u64, &beamed_barrier, Some(&pool));
-            let any = run_task_on(&dataset, task, 900 + i as u64, &beamed_any_k, Some(&pool));
-            assert_eq!(
-                ranking(&bar),
-                ranking(&any),
-                "task {} diverged under any-k on a {pool_workers}-worker pool",
-                task.id
-            );
-        }
-    }
-
-    // Any-k through the service at every priority class, all tasks in
-    // flight together on a shared pool.
-    let service = SynthesisService::new(ServiceConfig {
-        workers: 2,
-        max_live_sessions: 4,
-        max_queued: 32,
-        ..ServiceConfig::default()
-    });
-    for class in PriorityClass::ALL {
-        let tickets: Vec<_> = dataset
-            .tasks
-            .iter()
-            .enumerate()
-            .map(|(i, task)| {
-                let db = dataset.database(task);
-                let (gold, tsq) =
-                    synthesize_tsq(db, &task.gold, TsqDetail::Full, 2, 900 + i as u64);
-                let model = NoisyOracleGuidance::new(gold, 900 + i as u64);
-                let request =
-                    SynthesisRequest::new(Arc::clone(db), task.nlq.clone(), Arc::new(model))
-                        .with_tsq(tsq)
-                        .with_config(base_config())
-                        .with_emission_policy(EmissionPolicy::AnyK)
-                        .with_priority(class);
-                service.submit(request).expect("admitted")
-            })
-            .collect();
-        for (i, ticket) in tickets.into_iter().enumerate() {
-            let outcome = ticket.wait();
-            assert_eq!(outcome.status, RequestStatus::Completed, "task {i} at {class:?}");
-            assert_eq!(
-                solo[i],
-                ranking(&outcome.result),
-                "task {i} diverged under any-k through the service at priority {class:?}"
-            );
-        }
-    }
-    let stats = service.stats();
-    assert_eq!(stats.live_sessions, 0, "requests must release their slots");
-    assert_eq!(stats.scheduler.queue_depth, 0, "no work may be left behind");
-}
-
 /// The executor-level analogue for cross-session probe sharing: whether
 /// concurrent identical probes collapse onto one leader execution
 /// (single-flight on, the default) or each runs independently must never change the
@@ -643,20 +545,20 @@ fn any_k_emission_matches_round_barrier_everywhere() {
 fn single_flight_toggle_leaves_emission_byte_identical() {
     let dataset = workload();
     let config = base_config();
-    // Ground truth: single-flight on (the default), private session.
+    // Ground truth: single-flight on (the default), inline.
     let solo: Vec<_> = dataset
         .tasks
         .iter()
         .enumerate()
-        .map(|(i, task)| ranking(&run_task(&dataset, task, 950 + i as u64, &config)))
+        .map(|(i, task)| ranking(&run_task_on(&dataset, task, 950 + i as u64, &config, None)))
         .collect();
 
-    // Single-flight off, private session.
+    // Single-flight off, inline.
     for (i, task) in dataset.tasks.iter().enumerate() {
         let db = dataset.database(task);
         db.set_single_flight(false);
         db.clear_probe_cache();
-        let result = run_task(&dataset, task, 950 + i as u64, &config);
+        let result = run_task_on(&dataset, task, 950 + i as u64, &config, None);
         assert_eq!(
             solo[i],
             ranking(&result),
@@ -665,8 +567,8 @@ fn single_flight_toggle_leaves_emission_byte_identical() {
         );
     }
 
-    // Both toggles through the service with all tasks contending on the
-    // shared database at once, under both emission policies.
+    // Both settings through the service with all tasks contending on the
+    // shared database at once.
     let service = SynthesisService::new(ServiceConfig {
         workers: 2,
         max_live_sessions: 8,
@@ -674,36 +576,33 @@ fn single_flight_toggle_leaves_emission_byte_identical() {
         ..ServiceConfig::default()
     });
     for single_flight in [true, false] {
-        for emission in [EmissionPolicy::RoundBarrier, EmissionPolicy::AnyK] {
-            let tickets: Vec<_> = dataset
-                .tasks
-                .iter()
-                .enumerate()
-                .map(|(i, task)| {
-                    let db = dataset.database(task);
-                    db.set_single_flight(single_flight);
-                    db.clear_probe_cache();
-                    let (gold, tsq) =
-                        synthesize_tsq(db, &task.gold, TsqDetail::Full, 2, 950 + i as u64);
-                    let model = NoisyOracleGuidance::new(gold, 950 + i as u64);
-                    let request =
-                        SynthesisRequest::new(Arc::clone(db), task.nlq.clone(), Arc::new(model))
-                            .with_tsq(tsq)
-                            .with_config(config.clone())
-                            .with_emission_policy(emission)
-                            .with_priority(PriorityClass::ALL[i % 3]);
-                    service.submit(request).expect("admitted")
-                })
-                .collect();
-            for (i, ticket) in tickets.into_iter().enumerate() {
-                let outcome = ticket.wait();
-                assert_eq!(outcome.status, RequestStatus::Completed, "task {i}");
-                assert_eq!(
-                    solo[i],
-                    ranking(&outcome.result),
-                    "task {i} diverged with single-flight {single_flight} and {emission:?}"
-                );
-            }
+        let tickets: Vec<_> = dataset
+            .tasks
+            .iter()
+            .enumerate()
+            .map(|(i, task)| {
+                let db = dataset.database(task);
+                db.set_single_flight(single_flight);
+                db.clear_probe_cache();
+                let (gold, tsq) =
+                    synthesize_tsq(db, &task.gold, TsqDetail::Full, 2, 950 + i as u64);
+                let model = NoisyOracleGuidance::new(gold, 950 + i as u64);
+                let request =
+                    SynthesisRequest::new(Arc::clone(db), task.nlq.clone(), Arc::new(model))
+                        .with_tsq(tsq)
+                        .with_config(config.clone())
+                        .with_priority(PriorityClass::ALL[i % 3]);
+                service.submit(request).expect("admitted")
+            })
+            .collect();
+        for (i, ticket) in tickets.into_iter().enumerate() {
+            let outcome = ticket.wait();
+            assert_eq!(outcome.status, RequestStatus::Completed, "task {i}");
+            assert_eq!(
+                solo[i],
+                ranking(&outcome.result),
+                "task {i} diverged with single-flight {single_flight}"
+            );
         }
     }
 }
@@ -711,13 +610,13 @@ fn single_flight_toggle_leaves_emission_byte_identical() {
 #[test]
 fn wide_beam_runs_are_self_deterministic() {
     // A beam wider than 1 explores in a different (but still fixed) order;
-    // two runs with the same beam and different worker counts must agree.
+    // an inline run and a pooled run with the same beam must agree.
     let dataset = workload();
-    let beamed_a = base_config().with_parallelism(2, 4);
-    let beamed_b = base_config().with_parallelism(4, 4);
+    let beamed = base_config().with_beam_width(4);
+    let pool = SessionScheduler::new(4);
     for (i, task) in dataset.tasks.iter().enumerate() {
-        let a = run_task(&dataset, task, 200 + i as u64, &beamed_a);
-        let b = run_task(&dataset, task, 200 + i as u64, &beamed_b);
+        let a = run_task_on(&dataset, task, 200 + i as u64, &beamed, None);
+        let b = run_task_on(&dataset, task, 200 + i as u64, &beamed, Some(&pool));
         assert_eq!(ranking(&a), ranking(&b), "task {} beam run diverged", task.id);
     }
 }
@@ -765,7 +664,7 @@ fn mas_session(db: &Arc<Database>, request: &MasRequest) -> SynthesisSession {
 
 /// MAS's join graph has cycles, so a set of tables can have two equally short
 /// Steiner trees; `JoinGraph::steiner_tree` picks by one fixed rule, and the
-/// 14 user-study tasks observe the same run inline, on a private pool, on
+/// 14 user-study tasks observe the same run inline, as a private stream, on
 /// shared pools of {1, 2, 4} and eight at a time ([`every_way_agrees`]).
 #[test]
 fn mas_tasks_agree_on_every_way_to_run_a_session() {

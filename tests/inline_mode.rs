@@ -18,9 +18,8 @@ fn process_threads() -> usize {
 
 /// The thread count read inside the candidate callback is the count before
 /// the run, and the result carries no pool observations — for a session
-/// without a pool, and for the borrowed entry points whatever
-/// `config.workers` says (they cannot hand `&Database` to a pool); both
-/// return the same candidates.
+/// without a pool, and for the borrowed entry points (they cannot hand
+/// `&Database` to a pool); both return the same candidates.
 #[test]
 fn inline_mode_spawns_no_thread() {
     let dataset = spider::generate("inline-mode", 1, 2, 2, 2, 33);
@@ -49,16 +48,10 @@ fn inline_mode_spawns_no_thread() {
     assert!(session.stats.scheduler.is_none());
 
     during.clear();
-    let borrowed = Duoquest::new(config.with_parallelism(4, 1)).synthesize_with(
-        db,
-        &task.nlq,
-        Some(&tsq),
-        &model,
-        |_| {
-            during.push(process_threads());
-            true
-        },
-    );
+    let borrowed = Duoquest::new(config).synthesize_with(db, &task.nlq, Some(&tsq), &model, |_| {
+        during.push(process_threads());
+        true
+    });
     assert!(during.iter().all(|&n| n == before), "{before} threads before, {during:?} during");
     assert!(borrowed.stats.scheduler.is_none());
     assert_eq!(ranking(&session), ranking(&borrowed));

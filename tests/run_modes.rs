@@ -7,8 +7,8 @@
 //! is held by `tests/inline_mode.rs`, a process of its own.
 
 use duoquest::core::{
-    panic_message, DuoquestConfig, EmissionPolicy, SessionControl, SessionScheduler,
-    SynthesisResult, SynthesisSession,
+    panic_message, DuoquestConfig, SessionControl, SessionScheduler, SynthesisResult,
+    SynthesisSession,
 };
 use duoquest::nlq::{Choice, GuidanceContext, GuidanceModel, NoisyOracleGuidance};
 use duoquest::workloads::{spider, synthesize_tsq, TsqDetail};
@@ -81,53 +81,41 @@ fn wait_until(what: &str, mut ready: impl FnMut() -> bool) {
 }
 
 /// A callback that stops after `k` candidates cuts the run at the same
-/// emission, with the same counters, wherever the run stands: inline, on a
-/// private pool, on shared pools of {1, 2, 4} workers, under both emission
-/// policies. The beam is widened so the cut falls in rounds a pool splits
-/// into several chunks: what the run counts is the whole round, however it
-/// was chunked.
+/// emission, with the same counters, wherever the run stands: inline or on
+/// shared pools of {1, 2, 4} workers. The beam is widened so the cut falls
+/// inside rounds that carry several states' children: what the run counts is
+/// the whole round.
 #[test]
 fn halt_cut_is_the_same_everywhere() {
     let dataset = workload();
     let pools: Vec<SessionScheduler> = [1, 2, 4].map(SessionScheduler::new).into();
-    let mut parked = 0;
-    for emission in [EmissionPolicy::RoundBarrier, EmissionPolicy::AnyK] {
-        let config = base_config().with_parallelism(1, 4).with_emission_policy(emission);
-        for task in 0..dataset.tasks.len() {
-            for k in [1usize, 3] {
-                let mut cut = |session: SynthesisSession| {
-                    let mut seen = 0;
-                    let result = session.run_with(|_| {
-                        seen += 1;
-                        seen < k
-                    });
-                    parked += result.stats.scheduler.map_or(0, |s| s.units_submitted);
-                    let s = &result.stats;
-                    (ranking(&result), s.emitted, s.expanded, s.generated, s.total_pruned())
-                };
-                let inline = cut(session(&dataset, task, &config));
-                if inline.0.len() < k {
-                    continue; // the task emits fewer than k candidates
-                }
-                assert_eq!(inline.0.len(), k, "task {task}: the callback stops the run");
-                let private = config.clone().with_parallelism(4, 4);
+    let config = base_config().with_beam_width(4);
+    for task in 0..dataset.tasks.len() {
+        for k in [1usize, 3] {
+            let cut = |session: SynthesisSession| {
+                let mut seen = 0;
+                let result = session.run_with(|_| {
+                    seen += 1;
+                    seen < k
+                });
+                let s = &result.stats;
+                (ranking(&result), s.emitted, s.expanded, s.generated, s.total_pruned())
+            };
+            let inline = cut(session(&dataset, task, &config));
+            if inline.0.len() < k {
+                continue; // the task emits fewer than k candidates
+            }
+            assert_eq!(inline.0.len(), k, "task {task}: the callback stops the run");
+            for pool in &pools {
                 assert_eq!(
                     inline,
-                    cut(session(&dataset, task, &private)),
-                    "task {task}, stop after {k}, {emission:?}: private pool"
+                    cut(session(&dataset, task, &config).with_scheduler(pool.handle())),
+                    "task {task}, stop after {k}: shared pool of {}",
+                    pool.workers()
                 );
-                for pool in &pools {
-                    assert_eq!(
-                        inline,
-                        cut(session(&dataset, task, &config).with_scheduler(pool.handle())),
-                        "task {task}, stop after {k}, {emission:?}: shared pool of {}",
-                        pool.workers()
-                    );
-                }
             }
         }
     }
-    assert!(parked > 0, "no pooled run parked a round");
 }
 
 /// One `SessionControl` reused across every way to run a session: a run that
@@ -147,7 +135,7 @@ fn one_control_serves_run_after_run() {
     assert!(inline.candidates.len() >= 3, "only {} candidates", inline.candidates.len());
     let runs = [
         ("run() inline", inline.clone()),
-        ("run() on a private pool", controlled(&config.clone().with_parallelism(2, 1)).run()),
+        ("stream().finish() on a private pool", controlled(&config).stream().finish()),
         (
             "run_with on a shared pool",
             controlled(&config).with_scheduler(pool.handle()).run_with(|_| true),
@@ -214,8 +202,9 @@ impl GuidanceModel for PanicAfter {
 }
 
 /// A model that panics in a later round makes `run` / `run_with` on a pool
-/// panic on the calling thread with the model's message; the pool survives,
-/// forgets the session and serves the next run.
+/// (and a private stream's `finish`) panic on the calling thread with the
+/// model's message; the pool survives, forgets the session and serves the
+/// next run.
 #[test]
 fn a_panicking_model_panics_the_blocked_caller_and_spares_the_pool() {
     let dataset = workload();
@@ -234,7 +223,7 @@ fn a_panicking_model_panics_the_blocked_caller_and_spares_the_pool() {
     for message in [
         message_of(&|| exploding(&config).with_scheduler(pool.handle()).run()),
         message_of(&|| exploding(&config).with_scheduler(pool.handle()).run_with(|_| true)),
-        message_of(&|| exploding(&config.clone().with_parallelism(2, 1)).run()),
+        message_of(&|| exploding(&config).stream().finish()),
         message_of(&|| exploding(&config).run()),
     ] {
         assert!(message.contains("guidance model exploded"), "payload: {message:?}");

@@ -1,13 +1,103 @@
 //! Fairness of the shared batch session scheduler: many sessions on one
 //! pool must share it in weighted round-robin order, so a cheap interactive
 //! session is served while an expensive one is still grinding — one session
-//! must never starve the rest.
+//! must never starve the rest — and a session nobody competes with never
+//! pays for that fairness.
 
 use duoquest::core::{DuoquestConfig, SessionScheduler, SynthesisSession};
 use duoquest::nlq::NoisyOracleGuidance;
 use duoquest::workloads::{spider, synthesize_tsq, TsqDetail};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// Task `index` of `dataset` under a full sketch and the oracle.
+fn session_for(
+    dataset: &spider::SpiderDataset,
+    index: usize,
+    config: DuoquestConfig,
+) -> SynthesisSession {
+    let task = &dataset.tasks[index];
+    let db = dataset.database(task);
+    let (gold, tsq) = synthesize_tsq(db, &task.gold, TsqDetail::Full, 2, 17);
+    SynthesisSession::new(
+        Arc::clone(db),
+        task.nlq.clone(),
+        Arc::new(NoisyOracleGuidance::new(gold, 17)),
+    )
+    .with_tsq(tsq)
+    .with_config(config)
+}
+
+/// A count gate, not a stopwatch: a driven session alone on a pool stays on
+/// the worker that took it. Whatever its length it queues one unit — its
+/// kick-off — and never sees a queue deeper than that: every yield finds
+/// nobody waiting and costs no requeue, no wake-up and no migration.
+#[test]
+fn a_session_alone_on_a_pool_never_leaves_its_worker() {
+    let dataset = spider::generate("alone", 1, 2, 2, 2, 7);
+    let mut longest = 0;
+    for index in 0..dataset.tasks.len() {
+        for max_expansions in [10, 100, 1_500] {
+            let config = DuoquestConfig {
+                max_expansions,
+                max_candidates: usize::MAX,
+                time_budget: None,
+                ..Default::default()
+            };
+            let pool = SessionScheduler::new(2);
+            let result = session_for(&dataset, index, config).with_scheduler(pool.handle()).run();
+            let run = result.stats.scheduler.expect("the run was on the pool");
+            assert_eq!(
+                run.units_submitted, 1,
+                "task {index}, {max_expansions} expansions: {run:?}"
+            );
+            assert!(run.queue_depth_peak <= 1, "task {index}, {max_expansions}: {run:?}");
+            let rounds = result.stats.rounds as u64;
+            assert!(0 < run.units_inline && run.units_inline <= rounds, "{run:?} in {rounds}");
+            longest = longest.max(result.stats.rounds);
+        }
+    }
+    assert!(longest > 100, "the longest run had {longest} rounds: no yield was ever reached");
+}
+
+/// The other side of the same gate: two endless sessions on a one-worker
+/// pool both advance, and both are requeued — a yield that finds the other
+/// session waiting hands the worker over.
+#[test]
+fn two_sessions_on_one_worker_take_turns() {
+    let dataset = spider::generate("turns", 1, 2, 2, 2, 7);
+    let endless = DuoquestConfig {
+        max_expansions: usize::MAX,
+        max_candidates: usize::MAX,
+        max_states: 2_000_000,
+        time_budget: Some(Duration::from_secs(60)),
+        ..Default::default()
+    };
+    let pool = SessionScheduler::new(1);
+    let hardest = dataset.tasks.len() - 1;
+    let mut streams: Vec<_> = (0..2)
+        .map(|_| {
+            session_for(&dataset, hardest, endless.clone()).with_scheduler(pool.handle()).stream()
+        })
+        .collect();
+    // The second session's first candidate can only follow a hand-over.
+    for stream in &mut streams {
+        assert!(stream.next_timeout(Duration::from_secs(30)).is_some(), "a session starved");
+    }
+    // Four occupancies over: each session has ended at least one of them at
+    // a yield the other was waiting behind (neither run can finish).
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while pool.stats().units_executed < 4 {
+        assert!(Instant::now() < deadline, "the sessions stopped taking turns");
+        std::thread::yield_now();
+    }
+    for stream in streams {
+        stream.stop();
+        let run = stream.finish().stats.scheduler.expect("the run was on the pool");
+        assert!(run.units_submitted > 1, "an endless session was never requeued: {run:?}");
+        assert!(run.live_sessions_peak >= 2, "{run:?}");
+    }
+}
 
 /// A slow session and a fast session sharing one single-worker pool: the
 /// fast session's first candidate must arrive before the slow session

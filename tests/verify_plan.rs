@@ -289,7 +289,6 @@ fn a_run_reaches_the_cache_a_fixed_number_of_times() {
     let db = Arc::new(Database::clone(dataset.database(task)));
     let (gold, tsq) = synthesize_tsq(&db, &task.gold, TsqDetail::Full, 2, 3);
     let config = DuoquestConfig {
-        workers: 1,
         max_candidates: 20,
         max_expansions: 1_500,
         time_budget: None,
