@@ -37,7 +37,7 @@ use duoquest_nlq::{
     Choice, GuidanceContext, GuidanceModel, GuidancePlan, HavingChoice, LiteralKind, Nlq,
     OrderChoice,
 };
-use duoquest_obs::{RawSpan, Trace};
+use duoquest_obs::Trace;
 use duoquest_sql::{
     ClauseSet, PartialHaving, PartialOrder, PartialPredicate, PartialQuery, PartialSelectItem,
     SelectColumn, Slot,
@@ -249,14 +249,14 @@ where
 
 /// The inline mode: the whole run on the calling thread — zero threads, zero
 /// queue, `stats.scheduler == None`. It stands where a pool worker stands
-/// ([`RoundDriver::advance`] is the one stepping loop), with nobody to yield
+/// ([`RoundDriver::advance`] is the one round loop), with nobody to yield
 /// to.
 pub(crate) fn run_inline(
     inputs: &RunInputs<'_>,
     sink: &mut dyn FnMut(SelectSpec, f64, Duration) -> bool,
 ) -> EnumerationStats {
     let plan = RunPlan::new(inputs);
-    let mut driver = RoundDriver::new(&plan);
+    let mut driver = RoundDriver::new();
     while let Advance::Yield = driver.advance(&plan, inputs, sink) {}
     driver.take_stats(&plan, inputs)
 }
@@ -273,17 +273,16 @@ pub(crate) struct RunInputs<'a> {
     pub(crate) model: &'a dyn GuidanceModel,
     pub(crate) config: &'a DuoquestConfig,
     /// The session's cancellation token — checked at every round boundary
-    /// (i.e. *between* `step()` calls) and between a round's jobs, so a
-    /// cancel takes effect mid-round — and its external deadline.
+    /// and between a round's children, so a cancel takes effect mid-round —
+    /// and its external deadline.
     pub(crate) control: &'a SessionControl,
     /// The session's time source: deadline checks, emission timestamps and
     /// stage timings read this instead of the real clock (virtual under the
     /// simulation harness).
     pub(crate) clock: &'a dyn Clock,
-    /// The session's request trace, when observability is on: the driver
-    /// records `round` spans into it and [`process_chunk`] records the
-    /// round's `chunk` span into [`ChunkResult::spans`] (merged by the
-    /// driver). `None` costs one branch per round and nothing else.
+    /// The session's request trace, when observability is on: a round
+    /// records its `round`, `chunk` and `verify:<stage>` spans into it.
+    /// `None` costs one branch per round and nothing else.
     pub(crate) trace: Option<&'a Arc<Trace>>,
 }
 
@@ -303,9 +302,10 @@ impl<'a> RunInputs<'a> {
 }
 
 /// What a run compiles from its inputs, once, and every round of the run
-/// reads by reference, on whichever worker holds the session. The run's
-/// third compiled input, the guidance plan, is prepared lazily by the
-/// [`RoundDriver`] and parks with it.
+/// reads by reference, on whichever worker holds the session — the immutable
+/// half of a run, which is what lets the verifier borrow it while the
+/// [`RoundDriver`] mutates. The run's third compiled input, the guidance
+/// plan, is prepared lazily by the driver and parks with it.
 pub(crate) struct RunPlan {
     /// The run's join path construction (every round opens a memo over it).
     joins: JoinPlanner,
@@ -339,54 +339,25 @@ impl RunPlan {
         }
     }
 
-    /// Run the jobs of one of the run's rounds, on the calling thread: build
-    /// a borrow-scoped verifier over the inputs (cheap — two `Arc` clones
-    /// and a few references) and hand off to [`process_chunk`].
-    pub(crate) fn process(&self, env: &RunInputs<'_>, jobs: Vec<ChildJob>) -> ChunkResult {
+    /// The run's verifier over `env`: it answers column-wise checks from the
+    /// run's verdicts and attributes its probes to the run's counters. Cheap
+    /// — two `Arc` clones and a few references — and assembled once per
+    /// [`RoundDriver::advance`].
+    pub(crate) fn verifier<'a>(&self, env: &RunInputs<'a>) -> Verifier<'a> {
         // Partial queries are only verified when partial pruning is enabled; complete
         // queries always get the full cascade (this is what makes NoPQ equivalent to
         // the naive chaining approach of paper §3.5).
-        let verifier = Verifier::new(env.db, env.tsq, &env.nlq.literals, env.config.semantic_rules)
+        Verifier::new(env.db, env.tsq, &env.nlq.literals, env.config.semantic_rules)
             .with_prune_partial(env.config.prune_partial)
             .with_counters(Arc::clone(&self.counters))
             .with_plan(Arc::clone(&self.verdicts))
-            .with_clock(env.clock);
-        process_chunk(jobs, &verifier, self, env)
+            .with_clock(env.clock)
     }
 }
 
-/// One job of a round: a freshly generated child with its confidence and
-/// the beam position of its parent.
-pub(crate) struct ChildJob {
-    pub(crate) beam_idx: usize,
-    pub(crate) confidence: f64,
-    pub(crate) pq: PartialQuery,
-}
-
-/// The product of one round's jobs, in original job order.
-#[derive(Default)]
-pub(crate) struct ChunkResult {
-    pub(crate) generated: usize,
-    pub(crate) prunes: [usize; VerifyStage::COUNT],
-    pub(crate) timings: StageTimings,
-    /// Complete queries that survived the full cascade, in child order.
-    pub(crate) emissions: Vec<(SelectSpec, f64)>,
-    /// Partial queries to push back onto the frontier, in child order.
-    pub(crate) survivors: Vec<(PartialQuery, f64, usize)>,
-    /// The wall-clock deadline passed and the remaining jobs were skipped.
-    pub(crate) timed_out: bool,
-    /// The session's cancellation token fired and the remaining jobs were
-    /// skipped.
-    pub(crate) cancelled: bool,
-    /// The round's `chunk` span (absolute instants), merged into the
-    /// session's [`Trace`] by the driver. Empty when tracing is off.
-    pub(crate) spans: Vec<RawSpan>,
-    /// Microseconds the round's probes spent parked on single-flight waits
-    /// (delta of the run counters across the round; observational only).
-    /// Recorded only when tracing is on; the driver synthesizes a
-    /// `probe_wait` span from it.
-    pub(crate) probe_wait_us: u64,
-}
+/// A freshly generated child: the partial query, its confidence and its
+/// decision depth (one more than its parent's).
+type Child = (PartialQuery, f64, usize);
 
 /// Consecutive rounds one [`RoundDriver::advance`] may run before it must
 /// yield. Without this bound a driven session would run to completion inside
@@ -407,27 +378,14 @@ pub(crate) enum Advance {
     Done,
 }
 
-/// Progress of the state machine between calls.
-enum DriverPhase {
-    /// Ready to start the next round (pop a beam).
-    Ready,
-    /// `step` returned a round's jobs and [`RoundDriver::merge`] has not
-    /// taken their result yet. Holds the decision depth of each beam slot.
-    InFlight(Vec<usize>),
-    /// The loop has exited; every further `step` returns `None`.
-    Finished,
-}
-
 /// The synthesis round loop as a **resumable state machine**: owns the
 /// frontier (priority queue), the per-run statistics and the guidance plan,
 /// but none of the session's inputs (those arrive by borrow in each
-/// [`RunInputs`]). The protocol:
+/// [`RunInputs`]). A round is one call:
 ///
 /// ```text
-///   while let Some(jobs) = driver.step(&inputs) {          // phase 1
-///       let result = plan.process(&inputs, jobs);          // phase 2: verify
-///       driver.merge(result, &inputs, sink);               // phase 3: emit, push
-///   }
+///   let verifier = plan.verifier(&inputs);
+///   while driver.round(&plan, &inputs, &verifier, sink) {}
 ///   let stats = driver.take_stats(&plan, &inputs);
 /// ```
 ///
@@ -436,17 +394,17 @@ enum DriverPhase {
 /// parked indefinitely — this is what lets a scheduler resume thousands of
 /// live sessions from a fixed worker pool instead of parking one OS thread
 /// per session. Cancellation and the deadline are honored at every round
-/// boundary (between `step` calls), in addition to the mid-round checks
-/// inside [`process_chunk`]. See `docs/DRIVER.md` for the full contract.
+/// boundary, in addition to the checks between a round's children. See
+/// `docs/DRIVER.md` for the full contract.
 pub(crate) struct RoundDriver {
     heap: BinaryHeap<EnumState>,
     sequence: u64,
     stats: EnumerationStats,
-    start: Instant,
-    deadline: Option<Instant>,
-    phase: DriverPhase,
-    /// Start instant of the in-flight round's span (tracing only).
-    round_started: Option<Instant>,
+    /// The run is over. Also set for the duration of a round, so a round
+    /// that panics (a guidance model, the verifier, a consumer sink) leaves
+    /// the driver refusing further rounds instead of resuming without the
+    /// beam that round had popped.
+    finished: bool,
     /// The guidance model compiled against this run's (NLQ, schema) pair:
     /// unset until the first guided round prepares it, then `Some(None)`
     /// for a model with nothing to precompute (phase 1 calls its `score`).
@@ -455,18 +413,15 @@ pub(crate) struct RoundDriver {
 }
 
 impl RoundDriver {
-    /// A driver at the root state of `plan`'s run.
-    pub(crate) fn new(plan: &RunPlan) -> Self {
+    /// A driver at the root state of a run.
+    pub(crate) fn new() -> Self {
         let mut heap = BinaryHeap::new();
         heap.push(EnumState::root());
         RoundDriver {
             heap,
             sequence: 0,
             stats: EnumerationStats::default(),
-            start: plan.start,
-            deadline: plan.deadline,
-            phase: DriverPhase::Ready,
-            round_started: None,
+            finished: false,
             guidance: None,
         }
     }
@@ -489,89 +444,66 @@ impl RoundDriver {
         self.stats.scheduler.as_mut().expect("a parked driver was built on_pool")
     }
 
-    /// Close the in-flight round's span, if one is open.
-    fn close_round(&mut self, env: &RunInputs<'_>) {
-        if let (Some(trace), Some(started)) = (env.trace, self.round_started.take()) {
-            trace.record_span("round", started, env.clock.now());
-        }
-    }
-
-    /// Run rounds on the spot (`step` → [`RunPlan::process`] → `merge`)
-    /// until the run is over or [`INLINE_ROUND_YIELD`] of them have run. The
-    /// one stepping loop: a pool worker holding a session and the inline
-    /// caller both stand here.
+    /// Run rounds on the spot until the run is over or
+    /// [`INLINE_ROUND_YIELD`] of them have run. The one round loop: a pool
+    /// worker holding a session and the inline caller both stand here.
     pub(crate) fn advance(
         &mut self,
         plan: &RunPlan,
         env: &RunInputs<'_>,
         sink: &mut dyn FnMut(SelectSpec, f64, Duration) -> bool,
     ) -> Advance {
+        let verifier = plan.verifier(env);
         for _ in 0..INLINE_ROUND_YIELD {
-            let Some(jobs) = self.step(env) else { return Advance::Done };
-            if let Some(pool) = &mut self.stats.scheduler {
-                pool.units_inline += 1;
+            if !self.round(plan, env, &verifier, sink) {
+                return Advance::Done;
             }
-            let result = plan.process(env, jobs);
-            self.merge(result, env, sink);
         }
         Advance::Yield
     }
 
-    /// The run's final counters, once `step` has returned `None`: the
-    /// end-of-run epilogue of every way to run a session. Leaves the
-    /// frontier where it is, so the caller can hand the result on before
-    /// paying for the drop of thousands of queued states.
+    /// The run's final counters, once [`RoundDriver::round`] has returned
+    /// `false`: the end-of-run epilogue of every way to run a session.
+    /// Leaves the frontier where it is, so the caller can hand the result on
+    /// before paying for the drop of thousands of queued states.
     pub(crate) fn take_stats(&mut self, plan: &RunPlan, env: &RunInputs<'_>) -> EnumerationStats {
         let mut stats = std::mem::take(&mut self.stats);
-        stats.elapsed = env.clock.now().saturating_duration_since(self.start);
+        stats.elapsed = env.clock.now().saturating_duration_since(plan.start);
         // Per-run counters: concurrent sessions on the same shared database
         // can't pollute each other's statistics.
         stats.record_probe_counters(&plan.counters, env.db);
         stats
     }
 
-    /// Start the next round and return its phase-2 jobs, or `None` when the
-    /// run is over.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the round `step` last returned has not been merged
-    /// (protocol violation).
-    pub(crate) fn step(&mut self, env: &RunInputs<'_>) -> Option<Vec<ChildJob>> {
-        loop {
-            match std::mem::replace(&mut self.phase, DriverPhase::Finished) {
-                DriverPhase::Finished => return None,
-                DriverPhase::InFlight(decisions) => {
-                    self.phase = DriverPhase::InFlight(decisions);
-                    panic!("RoundDriver::step called with a round outstanding");
-                }
-                DriverPhase::Ready => {
-                    if let Some(jobs) = self.begin_round(env) {
-                        return Some(jobs);
-                    }
-                }
-            }
+    /// One round of Algorithm 1 — the cooperative checks, the beam pop,
+    /// child expansion, verification, emission, survivors pushed — and
+    /// whether the run goes on. `false` means it is over (search exhausted,
+    /// a budget reached, stopped by `sink`, cancelled or past the deadline),
+    /// and so does every later call.
+    pub(crate) fn round(
+        &mut self,
+        plan: &RunPlan,
+        env: &RunInputs<'_>,
+        verifier: &Verifier<'_>,
+        sink: &mut dyn FnMut(SelectSpec, f64, Duration) -> bool,
+    ) -> bool {
+        // Cleared again only where this round ends with the run going on.
+        if std::mem::replace(&mut self.finished, true) {
+            return false;
         }
-    }
-
-    /// Start a round: the cooperative checks, the beam pop and phase 1
-    /// (serial child expansion + scoring). On entry the phase has been taken
-    /// (left `Finished`); returning `None` keeps whatever phase this method
-    /// set — `Finished` for every exit path, `Ready` for an empty round.
-    fn begin_round(&mut self, env: &RunInputs<'_>) -> Option<Vec<ChildJob>> {
         if self.heap.is_empty() {
             // Natural end of the search (never reached via an early exit:
             // those leave directly from their check below).
             self.stats.exhausted = self.stats.expanded < env.config.max_expansions;
-            return None;
+            return false;
         }
         if env.control.is_cancelled() {
             self.stats.cancelled = true;
-            return None;
+            return false;
         }
-        if self.deadline.map(|d| env.clock.now() > d).unwrap_or(false) {
+        if plan.deadline.map(|d| env.clock.now() > d).unwrap_or(false) {
             self.stats.deadline_exceeded = true;
-            return None;
+            return false;
         }
 
         // Pop the beam: the top-k states by confidence, within the expansion budget.
@@ -583,17 +515,30 @@ impl RoundDriver {
             beam.push(state);
         }
         if beam.is_empty() {
-            return None; // expansion budget reached with work left
+            return false; // expansion budget reached with work left
         }
         self.stats.rounds += 1;
-        if env.trace.is_some() {
-            self.round_started = Some(env.clock.now());
-        }
+        let traced = env.trace.map(|trace| (trace, env.clock.now()));
 
-        // Phase 1 (serial, cheap): produce and score every child of the beam.
+        let children = self.expand(&beam, env);
+        // With nothing to verify the round is only its bookkeeping below.
+        let goes_on =
+            children.is_empty() || self.verify_and_emit(children, plan, env, verifier, sink);
+        if let Some((trace, started)) = traced {
+            trace.record_span("round", started, env.clock.now());
+        }
+        if goes_on {
+            self.bound_frontier(env.config.max_states);
+            self.finished = false;
+        }
+        goes_on
+    }
+
+    /// Phase 1 (cheap): produce and score every child of the beam.
+    fn expand(&mut self, beam: &[EnumState], env: &RunInputs<'_>) -> Vec<Child> {
         let ctx = GuidanceContext { nlq: env.nlq, schema: env.db.schema() };
-        let mut jobs: Vec<ChildJob> = Vec::new();
-        for (beam_idx, state) in beam.iter().enumerate() {
+        let mut out: Vec<Child> = Vec::new();
+        for state in beam {
             // A state with no decision left is complete (it was verified and
             // emitted when generated); a state with an empty child set is a
             // dead end. Both just drop out of the frontier.
@@ -620,108 +565,153 @@ impl RoundDriver {
             };
             let scores = duoquest_nlq::guidance::normalize_scores(&raw);
             for (pq, score) in child_pqs.into_iter().zip(scores) {
-                jobs.push(ChildJob { beam_idx, confidence: state.confidence * score, pq });
+                out.push((pq, state.confidence * score, state.decisions + 1));
             }
         }
-        if jobs.is_empty() {
-            // Nothing to verify this round: end-of-round bookkeeping and
-            // straight on to the next beam.
-            self.close_round(env);
-            self.bound_frontier(env.config.max_states);
-            self.phase = DriverPhase::Ready;
-            return None;
-        }
-        self.phase = DriverPhase::InFlight(beam.iter().map(|s| s.decisions).collect());
-        Some(jobs)
+        out
     }
 
-    /// Phase 3 (serial): merge the in-flight round's result — the only way
-    /// results enter the driver and the only place candidates leave it.
-    /// Every emission is delivered to `sink` in child order, then the
-    /// survivors are pushed: the order of the serial Algorithm 1 loop. A
-    /// `sink` returning `false` stops the run at that emission, exactly like
-    /// the candidate budget: nothing more is emitted or pushed, and the
+    /// Phases 2 and 3, and whether the run goes on. Phase 2 verifies the
+    /// round's children: per child, the join-independent stages of the
+    /// cascade, join path attachment, then the stages over the join path
+    /// per join variant. Phase 3 is the only place candidates leave the
+    /// driver: every emission is delivered to `sink` in child order, then
+    /// the survivors are pushed — the order of the serial Algorithm 1 loop.
+    /// A `sink` returning `false` stops the run at that emission, exactly
+    /// like the candidate budget: nothing more is emitted or pushed, and the
     /// round's counters are those of the whole round.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no round is outstanding (protocol violation).
-    pub(crate) fn merge(
+    fn verify_and_emit(
         &mut self,
-        result: ChunkResult,
+        children: Vec<Child>,
+        plan: &RunPlan,
         env: &RunInputs<'_>,
+        verifier: &Verifier<'_>,
         sink: &mut dyn FnMut(SelectSpec, f64, Duration) -> bool,
-    ) {
-        // The phase stays `Finished` on every early return below.
-        let decisions = match std::mem::replace(&mut self.phase, DriverPhase::Finished) {
-            DriverPhase::InFlight(decisions) => decisions,
-            phase => {
-                self.phase = phase;
-                panic!("RoundDriver::merge called with no round outstanding");
-            }
-        };
-        self.stats.generated += result.generated;
-        for (idx, count) in result.prunes.iter().enumerate() {
-            self.stats.record(VerifyStage::ALL[idx], *count);
+    ) -> bool {
+        if let Some(pool) = &mut self.stats.scheduler {
+            pool.units_inline += 1;
         }
-        self.stats.stage_timings.merge(&result.timings);
-        if let Some(trace) = env.trace {
-            trace.merge_raw(&result.spans);
+        // The `chunk` span's start and, for the observational `probe_wait`
+        // span, the run's single-flight wait counter (the round's share is
+        // its delta across the round).
+        let traced = env
+            .trace
+            .map(|trace| (trace, env.clock.now(), plan.counters.single_flight_snapshot().2));
+        let cancel = env.control.flag_ref();
+        let mut joins = plan.joins.memo();
+        let mut timings = StageTimings::default();
+        // Complete queries that survived the full cascade, and partial ones
+        // to push back onto the frontier, both in child order.
+        let mut emissions: Vec<(SelectSpec, f64)> = Vec::new();
+        let mut survivors: Vec<Child> = Vec::new();
+        // The remaining children were skipped: the session's cancellation
+        // token fired, or the wall-clock deadline passed.
+        let (mut cancelled, mut timed_out) = (false, false);
+        for (done, (pq, confidence, decisions)) in children.into_iter().enumerate() {
+            // Honor cancellation between children (an atomic load — cheap
+            // enough per child) so cancel takes effect mid-round, not at the
+            // next one.
+            if cancel.load(Ordering::Relaxed) {
+                cancelled = true;
+                break;
+            }
+            // Honor the wall-clock budget inside large fan-outs as well.
+            if done % 32 == 31 && plan.deadline.map(|d| env.clock.now() > d).unwrap_or(false) {
+                timed_out = true;
+                break;
+            }
+            // The clause, semantic, type and column-wise stages never read the
+            // join path: they run once per child, before paying for join path
+            // construction, and eliminate the bulk of the fan-out. Under NoPQ a
+            // partial child is not examined at all, so a variant that its join
+            // path completes still owes the whole cascade.
+            let prefixed = verifier.examines(&pq);
+            if prefixed {
+                if let VerifyOutcome::Fail(stage) = verifier.verify_prefix(&pq, &mut timings) {
+                    self.stats.generated += 1;
+                    self.stats.record(stage, 1);
+                    continue;
+                }
+            }
+            // Attach candidate join paths (progressive join path construction):
+            // one variant per path the child still needs, the child itself when
+            // its join path already covers it. Each pays the stages that execute
+            // over its join path.
+            let mut settle = |pq: PartialQuery| {
+                self.stats.generated += 1;
+                let outcome = if prefixed {
+                    verifier.verify_joined(&pq, &mut timings)
+                } else {
+                    verifier.verify_timed(&pq, &mut timings)
+                };
+                match outcome {
+                    VerifyOutcome::Fail(stage) => self.stats.record(stage, 1),
+                    VerifyOutcome::Pass if pq.is_complete() => {
+                        let spec = pq.to_spec().expect("complete partial query lowers");
+                        emissions.push((spec, confidence));
+                    }
+                    VerifyOutcome::Pass => survivors.push((pq, confidence, decisions)),
+                }
+            };
+            match missing_join_paths(&pq, &mut joins) {
+                None => settle(pq),
+                Some(paths) => {
+                    // The child is moved into the last variant instead of cloned.
+                    if let Some((last_path, paths)) = paths.split_last() {
+                        for join in paths {
+                            settle(PartialQuery { join: Some(join.clone()), ..pq.clone() });
+                        }
+                        settle(PartialQuery { join: Some(last_path.clone()), ..pq });
+                    }
+                }
+            }
+        }
+        self.stats.stage_timings.merge(&timings);
+        if let Some((trace, started, wait_before)) = traced {
+            let ended = env.clock.now();
+            trace.record_span("chunk", started, ended);
             // Per-stage verify spans are synthesized from the round's stage
             // timings, laid out sequentially from the chunk span's start so
             // they nest inside it (individual verify calls interleave
-            // across jobs and have no single interval of their own).
-            if let Some(span) = result.spans.first() {
-                let mut cursor = trace.offset_us(span.start);
-                for stage in VerifyStage::ALL {
-                    if result.timings.calls_of(stage) == 0 {
-                        continue;
-                    }
-                    let width = result.timings.duration_of(stage).as_micros() as u64;
-                    trace.record_span_at(stage.span_name(), cursor, cursor + width);
-                    cursor += width;
+            // across children and have no single interval of their own).
+            let mut cursor = trace.offset_us(started);
+            for stage in VerifyStage::ALL {
+                if timings.calls_of(stage) == 0 {
+                    continue;
                 }
-                // Single-flight park time, synthesized after the verify
-                // stages. The wait is real wall-clock even under a
-                // simulated clock, so its width is capped to the chunk
-                // span's remaining interval — a span may never escape its
-                // chunk on the (possibly virtual) timeline.
-                if result.probe_wait_us > 0 {
-                    let chunk_end = trace.offset_us(span.end);
-                    let width = result.probe_wait_us.min(chunk_end.saturating_sub(cursor));
-                    trace.record_span_at("probe_wait", cursor, cursor + width);
-                }
+                let width = timings.duration_of(stage).as_micros() as u64;
+                trace.record_span_at(stage.span_name(), cursor, cursor + width);
+                cursor += width;
+            }
+            // Single-flight park time, synthesized after the verify
+            // stages. The wait is real wall-clock even under a
+            // simulated clock, so its width is capped to the chunk
+            // span's remaining interval — a span may never escape its
+            // chunk on the (possibly virtual) timeline.
+            let waited = plan.counters.single_flight_snapshot().2.saturating_sub(wait_before);
+            if waited > 0 {
+                let width = waited.min(trace.offset_us(ended).saturating_sub(cursor));
+                trace.record_span_at("probe_wait", cursor, cursor + width);
             }
         }
-        for (spec, confidence) in result.emissions {
+        for (spec, confidence) in emissions {
             self.stats.emitted += 1;
-            let emitted_at = env.clock.now().saturating_duration_since(self.start);
+            let emitted_at = env.clock.now().saturating_duration_since(plan.start);
             // A consumer stop or the candidate budget ends the run right
             // here, skipping the round's survivors.
             if !sink(spec, confidence, emitted_at)
                 || self.stats.emitted >= env.config.max_candidates
             {
-                return;
+                return false;
             }
         }
-        for (pq, confidence, beam_idx) in result.survivors {
+        for (pq, confidence, decisions) in survivors {
             self.sequence += 1;
-            self.heap.push(EnumState {
-                pq,
-                confidence,
-                decisions: decisions[beam_idx] + 1,
-                sequence: self.sequence,
-            });
+            self.heap.push(EnumState { pq, confidence, decisions, sequence: self.sequence });
         }
-        self.close_round(env);
-        if result.cancelled {
-            self.stats.cancelled = true;
-        } else if result.timed_out {
-            self.stats.deadline_exceeded = true;
-        } else {
-            self.bound_frontier(env.config.max_states);
-            self.phase = DriverPhase::Ready;
-        }
+        self.stats.cancelled |= cancelled;
+        self.stats.deadline_exceeded |= timed_out;
+        !(cancelled || timed_out)
     }
 
     /// Bound the frontier size: drop the lowest-confidence states.
@@ -733,89 +723,6 @@ impl RoundDriver {
             self.heap = BinaryHeap::from(states);
         }
     }
-}
-
-/// Run a round's jobs: per child, the join-independent stages of the cascade,
-/// join path attachment, then the stages over the join path per join variant.
-fn process_chunk(
-    jobs: Vec<ChildJob>,
-    verifier: &Verifier<'_>,
-    plan: &RunPlan,
-    env: &RunInputs<'_>,
-) -> ChunkResult {
-    let mut out = ChunkResult::default();
-    let chunk_started = env.trace.map(|_| env.clock.now());
-    // Single-flight wait attribution: delta of the run's wait counter
-    // across the round; the driver synthesizes an observational
-    // `probe_wait` span from it.
-    let wait_before = if env.trace.is_some() { verifier.single_flight_counters().2 } else { 0 };
-    let cancel = env.control.flag_ref();
-    let mut joins = plan.joins.memo();
-    for (done, job) in jobs.into_iter().enumerate() {
-        // Honor cancellation between jobs (an atomic load — cheap enough per
-        // job) so cancel takes effect mid-round, not at the next one.
-        if cancel.load(Ordering::Relaxed) {
-            out.cancelled = true;
-            break;
-        }
-        // Honor the wall-clock budget inside large fan-outs as well.
-        if done % 32 == 31 && plan.deadline.map(|d| env.clock.now() > d).unwrap_or(false) {
-            out.timed_out = true;
-            break;
-        }
-        let ChildJob { beam_idx, confidence, pq } = job;
-        // The clause, semantic, type and column-wise stages never read the
-        // join path: they run once per child, before paying for join path
-        // construction, and eliminate the bulk of the fan-out. Under NoPQ a
-        // partial child is not examined at all, so a variant that its join
-        // path completes still owes the whole cascade.
-        let prefixed = verifier.examines(&pq);
-        if prefixed {
-            if let VerifyOutcome::Fail(stage) = verifier.verify_prefix(&pq, &mut out.timings) {
-                out.generated += 1;
-                out.prunes[stage.index()] += 1;
-                continue;
-            }
-        }
-        // Attach candidate join paths (progressive join path construction):
-        // one variant per path the child still needs, the child itself when
-        // its join path already covers it. Each pays the stages that execute
-        // over its join path.
-        let settle = |pq: PartialQuery, out: &mut ChunkResult| {
-            out.generated += 1;
-            let outcome = if prefixed {
-                verifier.verify_joined(&pq, &mut out.timings)
-            } else {
-                verifier.verify_timed(&pq, &mut out.timings)
-            };
-            match outcome {
-                VerifyOutcome::Fail(stage) => out.prunes[stage.index()] += 1,
-                VerifyOutcome::Pass if pq.is_complete() => {
-                    let spec = pq.to_spec().expect("complete partial query lowers");
-                    out.emissions.push((spec, confidence));
-                }
-                VerifyOutcome::Pass => out.survivors.push((pq, confidence, beam_idx)),
-            }
-        };
-        match missing_join_paths(&pq, &mut joins) {
-            None => settle(pq, &mut out),
-            Some(paths) => {
-                // The child is moved into the last variant instead of cloned.
-                if let Some((last_path, paths)) = paths.split_last() {
-                    for join in paths {
-                        settle(PartialQuery { join: Some(join.clone()), ..pq.clone() }, &mut out);
-                    }
-                    settle(PartialQuery { join: Some(last_path.clone()), ..pq }, &mut out);
-                }
-            }
-        }
-    }
-    if let Some(started) = chunk_started {
-        let wait_after = verifier.single_flight_counters().2;
-        out.probe_wait_us = wait_after.saturating_sub(wait_before);
-        out.spans.push(RawSpan { name: "chunk", start: started, end: env.clock.now() });
-    }
-    out
 }
 
 /// The join paths a freshly generated child has to be split over: `None` when
@@ -1436,20 +1343,9 @@ mod tests {
         assert!(timings.total() > Duration::ZERO);
     }
 
-    /// The borrowed inputs of a driver test over the movie fixture.
-    fn inputs<'a>(
-        db: &'a Database,
-        nlq: &'a Nlq,
-        model: &'a NoisyOracleGuidance,
-        config: &'a DuoquestConfig,
-        control: &'a SessionControl,
-    ) -> RunInputs<'a> {
-        RunInputs { db, nlq, tsq: None, model, config, control, clock: &SYSTEM_CLOCK, trace: None }
-    }
-
-    /// Satellite contract: a cancellation fires **between `step()` calls**
-    /// (at the next round boundary), not only between a round's jobs — the
-    /// driver never needs a round in flight to notice it.
+    /// Satellite contract: a cancellation fires **between rounds** (at the
+    /// next round boundary), not only between a round's children — the
+    /// driver never needs a round under way to notice it.
     #[test]
     fn round_driver_honors_cancel_between_steps() {
         let db = movie_db();
@@ -1461,15 +1357,15 @@ mod tests {
         config.max_candidates = usize::MAX;
         config.max_expansions = usize::MAX;
         let control = SessionControl::new();
-        let env = inputs(&db, &nlq, &model, &config, &control);
+        let env = RunInputs::borrowed(&db, &nlq, None, &model, &config, &control);
         let plan = RunPlan::new(&env);
-        let mut driver = RoundDriver::new(&plan);
+        let verifier = plan.verifier(&env);
+        let mut driver = RoundDriver::new();
 
-        // Run exactly one full round (step + merge), then fire the token
-        // with the driver idle between steps.
+        // Run exactly one full round, then fire the token with the driver
+        // idle between rounds.
         let mut rounds_completed = 0;
-        while let Some(jobs) = driver.step(&env) {
-            driver.merge(plan.process(&env, jobs), &env, &mut |_, _, _| true);
+        while driver.round(&plan, &env, &verifier, &mut |_, _, _| true) {
             rounds_completed += 1;
             if rounds_completed == 1 {
                 control.cancel();
@@ -1482,7 +1378,7 @@ mod tests {
     }
 
     /// Satellite contract: an external deadline in the past stops the driver
-    /// at the next `step()`, before any further work is submitted.
+    /// at the next round boundary, before any further work is done.
     #[test]
     fn round_driver_honors_deadline_between_steps() {
         let db = movie_db();
@@ -1491,14 +1387,14 @@ mod tests {
         let model = NoisyOracleGuidance::new(gold, 2);
         let mut config = DuoquestConfig::fast();
         config.time_budget = None;
-        // A deadline that is already in the past when the first step runs.
+        // A deadline that is already in the past when the first round runs.
         let control =
             SessionControl::new().with_deadline(Instant::now() - Duration::from_millis(1));
-        let env = inputs(&db, &nlq, &model, &config, &control);
+        let env = RunInputs::borrowed(&db, &nlq, None, &model, &config, &control);
         let plan = RunPlan::new(&env);
-        let mut driver = RoundDriver::new(&plan);
+        let mut driver = RoundDriver::new();
         assert!(
-            driver.step(&env).is_none(),
+            !driver.round(&plan, &env, &plan.verifier(&env), &mut |_, _, _| true),
             "an expired deadline must stop the driver before any round"
         );
         let stats = driver.take_stats(&plan, &env);
@@ -1507,23 +1403,47 @@ mod tests {
         assert!(!stats.cancelled);
     }
 
-    /// Protocol guard: stepping before the outstanding round is merged is a
-    /// caller bug and must panic rather than corrupt the round state.
+    /// A guidance model whose `score` panics on its `fuse`-th call.
+    struct FusedGuidance {
+        calls: std::sync::atomic::AtomicUsize,
+        fuse: usize,
+    }
+
+    impl GuidanceModel for FusedGuidance {
+        fn score(&self, _ctx: &GuidanceContext<'_>, candidates: &[Choice]) -> Vec<f64> {
+            if self.calls.fetch_add(1, Ordering::Relaxed) + 1 == self.fuse {
+                panic!("guidance model blew its fuse");
+            }
+            vec![1.0; candidates.len()]
+        }
+    }
+
+    /// A round that panics leaves the driver finished: whoever caught the
+    /// panic cannot resume a run whose popped beam was never settled, and
+    /// the counters up to the panic are still there to collect.
     #[test]
-    fn round_driver_rejects_step_while_awaiting_results() {
+    fn round_driver_is_finished_after_a_panicking_round() {
         let db = movie_db();
-        let gold = QueryBuilder::new(db.schema()).select("movies.name").build().unwrap();
         let nlq = Nlq::new("all movie names");
-        let model = NoisyOracleGuidance::new(gold, 2);
+        let model = FusedGuidance { calls: Default::default(), fuse: 3 };
         let config = DuoquestConfig::fast();
         let control = SessionControl::new();
-        let env = inputs(&db, &nlq, &model, &config, &control);
+        let env = RunInputs::borrowed(&db, &nlq, None, &model, &config, &control);
         let plan = RunPlan::new(&env);
-        let mut driver = RoundDriver::new(&plan);
-        let jobs = driver.step(&env).expect("first step submits the root expansion");
-        let stepped = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| driver.step(&env)));
-        assert!(stepped.is_err(), "step with an outstanding round must panic");
-        driver.merge(plan.process(&env, jobs), &env, &mut |_, _, _| true);
-        assert!(driver.step(&env).is_some(), "the merged round unblocks the next step");
+        let verifier = plan.verifier(&env);
+        let mut driver = RoundDriver::new();
+        let mut sink = |_: SelectSpec, _: f64, _: Duration| true;
+
+        assert!(driver.round(&plan, &env, &verifier, &mut sink));
+        assert!(driver.round(&plan, &env, &verifier, &mut sink));
+        let third = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            driver.round(&plan, &env, &verifier, &mut sink)
+        }));
+        assert!(third.is_err(), "the third round scores through the blown fuse");
+        assert!(!driver.round(&plan, &env, &verifier, &mut sink), "a panicked run is over");
+        assert_eq!(model.calls.load(Ordering::Relaxed), 3, "the refused round did no work");
+        let stats = driver.take_stats(&plan, &env);
+        assert_eq!(stats.rounds, 3);
+        assert!(!stats.exhausted && !stats.cancelled && !stats.deadline_exceeded);
     }
 }

@@ -213,11 +213,11 @@ struct DrivenCore {
 impl DrivenCore {
     /// The state of `session`'s run at its root, to be driven by a pool of
     /// `workers` threads: its plan compiled, its driver ready for the first
-    /// step.
+    /// round.
     fn new(session: SynthesisSession, on_candidate: DrivenSink, workers: usize) -> Self {
         let plan = RunPlan::new(&session.inputs());
         DrivenCore {
-            driver: RoundDriver::new(&plan).on_pool(workers),
+            driver: RoundDriver::new().on_pool(workers),
             collector: CandidateCollector::new(),
             on_candidate,
             session,
@@ -276,7 +276,7 @@ struct SessionQueue {
     /// Whether the session's `Resume` is queued: its kick-off, or a yield
     /// that found somebody waiting. Never set while a worker holds the core.
     queued: bool,
-    /// The parked core; `None` while a worker holds it (actively stepping).
+    /// The parked core; `None` while a worker holds it (running its rounds).
     parked: Option<DrivenCore>,
     on_complete: Option<DrivenCompletion>,
 }

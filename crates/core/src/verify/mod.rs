@@ -31,9 +31,10 @@
 //! Database probes run through the streaming executor's memo cache
 //! (`Database::execute_cached_budgeted`): the `LIMIT 1` probes and the
 //! TSQ-limit checks of stage 7 stop scanning as soon as their limit is
-//! decided (see `docs/EXECUTOR.md`), and the per-run scan counters are
-//! exposed via [`Verifier::scan_counters`]. Stage 4 reaches the cache on the
-//! first touch of a (cell, column) pair only; stages 5 and 7 on every call.
+//! decided (see `docs/EXECUTOR.md`), and the per-run scan counters land in
+//! the counter set handed to [`Verifier::with_counters`]. Stage 4 reaches the
+//! cache on the first touch of a (cell, column) pair only; stages 5 and 7 on
+//! every call.
 
 pub mod by_column;
 pub mod by_order;
@@ -265,11 +266,10 @@ pub struct Verifier<'a> {
     /// NoPQ ablation, the naive chaining approach of paper §3.5 — every
     /// partial query passes unexamined and only complete ones pay the cascade.
     prune_partial: bool,
-    /// Per-run probe-cache hit/miss counters (atomic: one verifier is shared
-    /// by every worker of a synthesis run). Behind an `Arc` so short-lived
-    /// verifiers built per scheduler work unit can all feed one session's
-    /// counter set — per-session hit attribution on a database whose probe
-    /// cache is shared by many concurrent sessions.
+    /// Per-run probe-cache hit/miss counters. Behind an `Arc` so the
+    /// short-lived verifiers a run assembles (one per burst of rounds) all
+    /// feed that run's counter set — per-session hit attribution on a
+    /// database whose probe cache is shared by many concurrent sessions.
     counters: Arc<RunCacheCounters>,
     /// The column-wise verdicts of the run this verifier works for. A
     /// verifier nobody handed a plan builds a private one on first use, so
@@ -317,9 +317,9 @@ impl<'a> Verifier<'a> {
     }
 
     /// Answer column-wise checks from a shared plan — the run's, so every
-    /// verifier built for one of its work units reads and fills the same
-    /// verdicts. `plan` must have been built from this verifier's database
-    /// and TSQ ([`VerifyPlan::new`]).
+    /// verifier built for it reads and fills the same verdicts. `plan` must
+    /// have been built from this verifier's database and TSQ
+    /// ([`VerifyPlan::new`]).
     pub fn with_plan(mut self, plan: Arc<VerifyPlan>) -> Self {
         self.plan = OnceLock::from(plan);
         self
@@ -336,37 +336,6 @@ impl<'a> Verifier<'a> {
     /// pruning is off and `pq` is still partial.
     pub(crate) fn examines(&self, pq: &PartialQuery) -> bool {
         self.prune_partial || pq.is_complete()
-    }
-
-    /// Probe-cache `(hits, misses)` recorded through this verifier.
-    pub fn cache_counters(&self) -> (u64, u64) {
-        self.counters.snapshot()
-    }
-
-    /// Executor `(rows_scanned, rows_short_circuited)` recorded through this
-    /// verifier's cache misses — the per-run view of the streaming
-    /// executor's limit pushdown (see `duoquest_db::ExecMetrics`).
-    pub fn scan_counters(&self) -> (u64, u64) {
-        self.counters.scan_snapshot()
-    }
-
-    /// Executor `(index_lookups, rows_via_index, probes_bailed_empty)`
-    /// recorded through this verifier's cache misses — the per-run view of
-    /// the index-backed access paths (see `duoquest_db::ExecMetrics`).
-    pub fn index_counters(&self) -> (u64, u64, u64) {
-        self.counters.index_snapshot()
-    }
-
-    /// Single-flight `(hits, leaders, wait_us)` recorded through this
-    /// verifier's cache misses — the per-run view of cross-session in-flight
-    /// probe collapsing (see `duoquest_db::InflightTable`).
-    pub fn single_flight_counters(&self) -> (u64, u64, u64) {
-        self.counters.single_flight_snapshot()
-    }
-
-    /// The database the verifier probes.
-    pub fn database(&self) -> &Database {
-        self.db
     }
 
     /// Run the full ascending-cost cascade on a partial query.
@@ -635,7 +604,6 @@ mod tests {
         let literals = vec![duoquest_nlq::Literal::number(1995.0)];
         let verifier = Verifier::new(&db, None, &literals, true);
         assert!(verifier.verify(&pq).passed());
-        assert!(std::ptr::eq(verifier.database(), &db));
     }
 
     /// A clock that moves 1 µs per read, so a duration counts the reads

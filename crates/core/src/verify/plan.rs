@@ -73,8 +73,9 @@ impl VerifyPlan {
     }
 
     /// The verdict of `check` for the `cell`-th constrained cell against
-    /// `col`, running `probe` only if nobody has asked before. Two threads
-    /// racing on a first touch would both probe and store the same verdict.
+    /// `col`, running `probe` only if nobody has asked before. (The bytes
+    /// are atomic because the plan is filled through a shared reference,
+    /// not because anybody races: a run is on one thread at a time.)
     ///
     /// # Panics
     ///

@@ -10,9 +10,9 @@
 //! Design:
 //!
 //! * **Sharded.** Entries live in [`SHARD_COUNT`] independent `RwLock`ed hash
-//!   maps selected by key hash, so parallel synthesis workers rarely contend
-//!   on the same lock, and read-mostly traffic (cache hits) takes only shared
-//!   locks.
+//!   maps selected by key hash, so concurrent sessions on a shared database
+//!   rarely contend on the same lock, and read-mostly traffic (cache hits)
+//!   takes only shared locks.
 //! * **Collision-safe.** The full spec is the map key (the hash only picks
 //!   the shard); two distinct specs can never alias an entry.
 //! * **Shared results.** Values are `Arc<ResultSet>` so a hit is a pointer
@@ -62,10 +62,10 @@ pub const SHARD_COUNT: usize = 16;
 
 /// Per-run hit/miss counters a caller can pass to
 /// [`crate::database::Database::execute_cached_with`] to attribute cache
-/// traffic to one synthesis run. Atomic so one counter set can be shared by
-/// a run's worker threads; independent of the cache's own global counters,
-/// so concurrent runs on the same database don't pollute each other's
-/// statistics.
+/// traffic to one synthesis run. Atomic because a run bumps them through a
+/// shared reference, from whichever pool worker holds it; independent of the
+/// cache's own global counters, so concurrent runs on the same database
+/// don't pollute each other's statistics.
 #[derive(Debug, Default)]
 pub struct RunCacheCounters {
     /// Probes this run answered from the cache.

@@ -24,10 +24,9 @@
 //! rounds, verify stages, cache probes, service admission, net outbox — can
 //! record into the same trace without a dependency cycle.
 //!
-//! Tracing is zero-cost when off, twice over: the runtime gate is an
-//! `Option<Arc<Trace>>` (a `None` costs one branch), and the `trace` cargo
-//! feature (default on) compiles the recording bodies out entirely for
-//! builds that want the branch gone too (`benches/obs.rs` measures both).
+//! Tracing is off at run time, not at build time: the gate is an
+//! `Option<Arc<Trace>>`, and a `None` costs one branch per round
+//! (`benches/obs.rs` measures it).
 
 #![warn(missing_docs)]
 
@@ -37,7 +36,7 @@ pub mod span;
 
 pub use flight::FlightRecorder;
 pub use metrics::{validate_exposition, Exposition, Histogram};
-pub use span::{RawSpan, SpanRecord, Trace, TraceEvent, ROOT_SPAN, TERMINAL_EVENT};
+pub use span::{SpanRecord, Trace, TraceEvent, ROOT_SPAN, TERMINAL_EVENT};
 
 /// Escape a string for embedding in a JSON document (the same dialect the
 /// rest of the stack hand-rolls; duplicated here because this crate sits

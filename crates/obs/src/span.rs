@@ -3,29 +3,15 @@
 //!
 //! Determinism contract: a [`Trace`] never influences the work it observes —
 //! recording appends to a bounded buffer behind a mutex that no hot
-//! emission path contends on (chunk workers record into thread-local
-//! [`RawSpan`] buffers that the round driver merges **in child order**), so
-//! trace content under a simulated clock is fully reproducible and
-//! candidate emission is byte-identical with tracing on or off.
+//! emission path contends on (a run records a handful of spans per round,
+//! from the one thread it stands on), so trace content under a simulated
+//! clock is fully reproducible and candidate emission is byte-identical
+//! with tracing on or off.
 
 use crate::escape_json;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
-
-/// A span recorded with absolute instants, before conversion to trace
-/// offsets. Chunk workers fill plain `Vec<RawSpan>` buffers (no locking,
-/// no shared state) that travel back inside the chunk result and are merged
-/// into the session's [`Trace`] in deterministic child order.
-#[derive(Debug, Clone, Copy)]
-pub struct RawSpan {
-    /// Static span name (e.g. `"chunk"`).
-    pub name: &'static str,
-    /// When the span opened, on the caller's clock.
-    pub start: Instant,
-    /// When the span closed, on the caller's clock.
-    pub end: Instant,
-}
 
 /// One completed span on a request's timeline, offsets in microseconds from
 /// the trace anchor.
@@ -94,7 +80,6 @@ impl SpanLog {
         self.blocks.last().map_or(0, |last| (self.blocks.len() - 1) * BLOCK_SPANS + last.len())
     }
 
-    #[cfg_attr(not(feature = "trace"), allow(dead_code))]
     fn push(&mut self, span: SpanRecord) {
         let packed = PackedSpan::pack(&span, &mut self.names).unwrap_or_else(|| {
             self.wide.push((self.len(), span));
@@ -214,21 +199,12 @@ impl Trace {
     }
 
     /// Record a completed span from absolute instants.
-    #[cfg(feature = "trace")]
     pub fn record_span(&self, name: &'static str, start: Instant, end: Instant) {
         self.record_span_at(name, self.offset_us(start), self.offset_us(end));
     }
 
-    /// Record a completed span from absolute instants (no-op: the `trace`
-    /// feature is off).
-    #[cfg(not(feature = "trace"))]
-    #[inline(always)]
-    pub fn record_span(&self, _name: &'static str, _start: Instant, _end: Instant) {}
-
     /// Record a completed span from precomputed microsecond offsets (used
-    /// when the caller already merged raw buffers, or synthesizes aggregate
-    /// spans from stage timings).
-    #[cfg(feature = "trace")]
+    /// when the caller synthesizes aggregate spans from stage timings).
     pub fn record_span_at(&self, name: &'static str, start_us: u64, end_us: u64) {
         let mut inner = self.inner.lock().expect("trace buffer poisoned");
         if inner.spans.len() + inner.events.len() >= self.cap {
@@ -238,22 +214,7 @@ impl Trace {
         inner.spans.push(SpanRecord { name, start_us, end_us });
     }
 
-    /// Record a completed span from precomputed offsets (no-op: the `trace`
-    /// feature is off).
-    #[cfg(not(feature = "trace"))]
-    #[inline(always)]
-    pub fn record_span_at(&self, _name: &'static str, _start_us: u64, _end_us: u64) {}
-
-    /// Merge a chunk-local raw span buffer. Call in deterministic (child)
-    /// order so trace content is reproducible under a simulated clock.
-    pub fn merge_raw(&self, raw: &[RawSpan]) {
-        for span in raw {
-            self.record_span(span.name, span.start, span.end);
-        }
-    }
-
     /// Record a point event.
-    #[cfg(feature = "trace")]
     pub fn event(&self, name: &'static str, at: Instant, detail: Option<String>) {
         let at_us = self.offset_us(at);
         let mut inner = self.inner.lock().expect("trace buffer poisoned");
@@ -263,18 +224,6 @@ impl Trace {
             self.dropped.fetch_add(1, Ordering::Relaxed);
             return;
         }
-        inner.events.push(TraceEvent { name, at_us, detail });
-    }
-
-    /// Record a point event. Terminal events are retained even with the
-    /// `trace` feature off, so request conservation holds in every build.
-    #[cfg(not(feature = "trace"))]
-    pub fn event(&self, name: &'static str, at: Instant, detail: Option<String>) {
-        if name != TERMINAL_EVENT {
-            return;
-        }
-        let at_us = self.offset_us(at);
-        let mut inner = self.inner.lock().expect("trace buffer poisoned");
         inner.events.push(TraceEvent { name, at_us, detail });
     }
 
@@ -387,7 +336,6 @@ mod tests {
         assert_eq!(trace.offset_us(anchor - Duration::from_micros(5)), 0);
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn spans_and_events_round_trip_through_json() {
         let anchor = Instant::now();
@@ -404,7 +352,6 @@ mod tests {
         assert_eq!(trace.spans().len(), 2);
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn buffer_bound_drops_spans_but_never_the_terminal_event() {
         let anchor = Instant::now();
@@ -424,7 +371,6 @@ mod tests {
         assert_eq!(std::mem::size_of::<SpanRecord>(), 32);
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn spans_read_back_exactly_across_blocks_and_layout_limits() {
         let trace = Trace::with_capacity(5, Instant::now(), 1000);

@@ -17,7 +17,7 @@
 //! * service and front drain back to idle (no leaked slot, thread or fd).
 //!
 //! Printed: client-side TTFC percentiles, shed/disconnect tallies, and the
-//! live `/stats` JSON — the same numbers `benches/net.rs` tracks.
+//! live `/stats` JSON.
 //!
 //! Run with: `cargo run --release --example net_load`
 //! (CI runs it with `NET_LOAD_CONNECTIONS=128` as a smoke step.)

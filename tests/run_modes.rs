@@ -11,6 +11,7 @@ use duoquest::core::{
     SynthesisSession,
 };
 use duoquest::nlq::{Choice, GuidanceContext, GuidanceModel, NoisyOracleGuidance};
+use duoquest::obs::{SpanRecord, Trace};
 use duoquest::workloads::{spider, synthesize_tsq, TsqDetail};
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::{mpsc, Arc};
@@ -115,6 +116,53 @@ fn halt_cut_is_the_same_everywhere() {
                 );
             }
         }
+    }
+}
+
+/// The span tree of a traced run, wherever it stands: every round has its
+/// `round` span — the one the candidate budget cuts included — recorded after
+/// the round's other spans, its `chunk` lies inside it, and the synthesized
+/// `verify:<stage>` / `probe_wait` spans lie inside that `chunk`. A pool adds
+/// `resume` spans and nothing else.
+#[test]
+fn every_round_of_a_traced_run_has_its_span() {
+    let dataset = workload();
+    let config = DuoquestConfig { max_candidates: 3, ..base_config() };
+    let traced = |pool: Option<&SessionScheduler>| {
+        let trace = Arc::new(Trace::with_capacity(0, Instant::now(), 1 << 20));
+        let session = session(&dataset, 1, &config).with_trace(Arc::clone(&trace));
+        let result = match pool {
+            Some(pool) => session.with_scheduler(pool.handle()).run(),
+            None => session.run(),
+        };
+        assert_eq!(result.stats.emitted, 3, "the run ends on its candidate budget");
+        assert_eq!(trace.dropped(), 0);
+        let mut spans = trace.spans();
+        assert_eq!(spans.iter().any(|s| s.name == "resume"), pool.is_some());
+        spans.retain(|s| s.name != "resume");
+
+        let inside = |inner: &SpanRecord, outer: &SpanRecord| {
+            outer.start_us <= inner.start_us && inner.end_us <= outer.end_us
+        };
+        let mut seen = 0;
+        for group in spans.split_inclusive(|s| s.name == "round") {
+            let (round, rest) = group.split_last().expect("split_inclusive yields no empty slice");
+            assert_eq!(round.name, "round", "{} spans recorded after the last round", group.len());
+            seen += 1;
+            let Some((chunk, staged)) = rest.split_first() else { continue };
+            assert_eq!(chunk.name, "chunk");
+            assert!(inside(chunk, round), "{chunk:?} outside {round:?}");
+            for span in staged {
+                assert!(span.name.starts_with("verify:") || span.name == "probe_wait", "{span:?}");
+                assert!(inside(span, chunk), "{span:?} outside {chunk:?}");
+            }
+        }
+        assert_eq!(seen, result.stats.rounds, "one `round` span per round");
+        spans.into_iter().map(|s| s.name).collect::<Vec<_>>()
+    };
+    let inline = traced(None);
+    for workers in [1, 2] {
+        assert_eq!(inline, traced(Some(&SessionScheduler::new(workers))), "{workers} worker(s)");
     }
 }
 

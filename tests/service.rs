@@ -483,7 +483,7 @@ fn panic_payload_lands_in_the_flight_recorder() {
     assert!(json.contains("injected guidance failure"), "payload missing from trace JSON");
 }
 
-/// Satellite: a session panicking **mid-`step()`** — the panic fires inside
+/// Satellite: a session panicking **mid-round** — the panic fires inside
 /// the round-driver's phase 1, on a pool worker, not on any per-request
 /// thread — poisons only itself: concurrent live sessions complete with
 /// byte-identical output, the worker survives, and the admission slot frees.
