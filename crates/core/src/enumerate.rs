@@ -280,9 +280,10 @@ pub(crate) struct RunInputs<'a> {
     /// stage timings read this instead of the real clock (virtual under the
     /// simulation harness).
     pub(crate) clock: &'a dyn Clock,
-    /// The session's request trace, when observability is on: a round
-    /// records its `round`, `chunk` and `verify:<stage>` spans into it.
-    /// `None` costs one branch per round and nothing else.
+    /// The session's request trace, when observability is on: each
+    /// [`RoundDriver::advance`] records its burst's `rounds`,
+    /// `verify:<stage>` and `probe_wait` spans into it. `None` costs one
+    /// branch per burst and nothing else.
     pub(crate) trace: Option<&'a Arc<Trace>>,
 }
 
@@ -365,6 +366,10 @@ type Child = (PartialQuery, f64, usize);
 /// round-robin, delaying the tick hook, and (on a 1-worker pool) starving
 /// every other session for its whole runtime. Yielding is pure scheduling:
 /// it never changes what the session emits.
+///
+/// It is also the trace's granularity: a traced run records one `rounds`
+/// span (with its per-stage `verify:<stage>` shares) per burst of up to this
+/// many rounds, not per round.
 const INLINE_ROUND_YIELD: u32 = 32;
 
 /// Why a [`RoundDriver::advance`] returned.
@@ -376,6 +381,16 @@ pub(crate) enum Advance {
     /// cancelled or past the deadline). Collect the counters with
     /// [`RoundDriver::take_stats`].
     Done,
+}
+
+/// Where a traced [`RoundDriver::advance`] burst began: the clock, and the
+/// run's counters whose deltas across the burst become its spans.
+struct BurstStart {
+    at: Instant,
+    rounds: usize,
+    timings: StageTimings,
+    /// The run's single-flight wait so far, in µs.
+    waited_us: u64,
 }
 
 /// The synthesis round loop as a **resumable state machine**: owns the
@@ -446,7 +461,8 @@ impl RoundDriver {
 
     /// Run rounds on the spot until the run is over or
     /// [`INLINE_ROUND_YIELD`] of them have run. The one round loop: a pool
-    /// worker holding a session and the inline caller both stand here.
+    /// worker holding a session and the inline caller both stand here, and
+    /// the one place a run records its trace — one burst per call.
     pub(crate) fn advance(
         &mut self,
         plan: &RunPlan,
@@ -454,12 +470,59 @@ impl RoundDriver {
         sink: &mut dyn FnMut(SelectSpec, f64, Duration) -> bool,
     ) -> Advance {
         let verifier = plan.verifier(env);
+        let traced = env.trace.map(|trace| {
+            let start = BurstStart {
+                at: env.clock.now(),
+                rounds: self.stats.rounds,
+                timings: self.stats.stage_timings,
+                waited_us: plan.counters.single_flight_snapshot().2,
+            };
+            (trace, start)
+        });
+        let mut exit = Advance::Yield;
         for _ in 0..INLINE_ROUND_YIELD {
             if !self.round(plan, env, &verifier, sink) {
-                return Advance::Done;
+                exit = Advance::Done;
+                break;
             }
         }
-        Advance::Yield
+        if let Some((trace, start)) = traced {
+            self.record_burst(trace, start, plan, env);
+        }
+        exit
+    }
+
+    /// Record the burst that began at `start`, if it ran a round: one
+    /// `rounds` span over it, then its per-stage `verify:<stage>` shares and
+    /// its single-flight `probe_wait`, synthesized from the run's counters'
+    /// deltas and laid out one after another from the burst's start so they
+    /// nest inside it (verify calls interleave across children and rounds
+    /// and have no single interval of their own).
+    fn record_burst(&self, trace: &Trace, start: BurstStart, plan: &RunPlan, env: &RunInputs<'_>) {
+        if self.stats.rounds == start.rounds {
+            return;
+        }
+        let ended = env.clock.now();
+        trace.record_span("rounds", start.at, ended);
+        let timings = &self.stats.stage_timings;
+        let mut cursor = trace.offset_us(start.at);
+        for stage in VerifyStage::ALL {
+            if timings.calls_of(stage) == start.timings.calls_of(stage) {
+                continue;
+            }
+            let width =
+                (timings.duration_of(stage) - start.timings.duration_of(stage)).as_micros() as u64;
+            trace.record_span_at(stage.span_name(), cursor, cursor + width);
+            cursor += width;
+        }
+        // The wait is real wall-clock even under a simulated clock, so its
+        // width is capped to the burst's remaining interval: a span may
+        // never escape its burst on the (possibly virtual) timeline.
+        let waited = plan.counters.single_flight_snapshot().2.saturating_sub(start.waited_us);
+        if waited > 0 {
+            let width = waited.min(trace.offset_us(ended).saturating_sub(cursor));
+            trace.record_span_at("probe_wait", cursor, cursor + width);
+        }
     }
 
     /// The run's final counters, once [`RoundDriver::round`] has returned
@@ -518,15 +581,11 @@ impl RoundDriver {
             return false; // expansion budget reached with work left
         }
         self.stats.rounds += 1;
-        let traced = env.trace.map(|trace| (trace, env.clock.now()));
 
         let children = self.expand(&beam, env);
         // With nothing to verify the round is only its bookkeeping below.
         let goes_on =
             children.is_empty() || self.verify_and_emit(children, plan, env, verifier, sink);
-        if let Some((trace, started)) = traced {
-            trace.record_span("round", started, env.clock.now());
-        }
         if goes_on {
             self.bound_frontier(env.config.max_states);
             self.finished = false;
@@ -591,12 +650,6 @@ impl RoundDriver {
         if let Some(pool) = &mut self.stats.scheduler {
             pool.units_inline += 1;
         }
-        // The `chunk` span's start and, for the observational `probe_wait`
-        // span, the run's single-flight wait counter (the round's share is
-        // its delta across the round).
-        let traced = env
-            .trace
-            .map(|trace| (trace, env.clock.now(), plan.counters.single_flight_snapshot().2));
         let cancel = env.control.flag_ref();
         let mut joins = plan.joins.memo();
         let mut timings = StageTimings::default();
@@ -667,33 +720,6 @@ impl RoundDriver {
             }
         }
         self.stats.stage_timings.merge(&timings);
-        if let Some((trace, started, wait_before)) = traced {
-            let ended = env.clock.now();
-            trace.record_span("chunk", started, ended);
-            // Per-stage verify spans are synthesized from the round's stage
-            // timings, laid out sequentially from the chunk span's start so
-            // they nest inside it (individual verify calls interleave
-            // across children and have no single interval of their own).
-            let mut cursor = trace.offset_us(started);
-            for stage in VerifyStage::ALL {
-                if timings.calls_of(stage) == 0 {
-                    continue;
-                }
-                let width = timings.duration_of(stage).as_micros() as u64;
-                trace.record_span_at(stage.span_name(), cursor, cursor + width);
-                cursor += width;
-            }
-            // Single-flight park time, synthesized after the verify
-            // stages. The wait is real wall-clock even under a
-            // simulated clock, so its width is capped to the chunk
-            // span's remaining interval — a span may never escape its
-            // chunk on the (possibly virtual) timeline.
-            let waited = plan.counters.single_flight_snapshot().2.saturating_sub(wait_before);
-            if waited > 0 {
-                let width = waited.min(trace.offset_us(ended).saturating_sub(cursor));
-                trace.record_span_at("probe_wait", cursor, cursor + width);
-            }
-        }
         for (spec, confidence) in emissions {
             self.stats.emitted += 1;
             let emitted_at = env.clock.now().saturating_duration_since(plan.start);

@@ -236,12 +236,13 @@ impl SynthesisSession {
         self
     }
 
-    /// Attach a request [`Trace`]: the engine then records round, chunk and
-    /// per-stage verify spans into it as the run progresses. Tracing rides
-    /// entirely outside the emission path — the candidate sequence of a
-    /// traced run is byte-identical to an untraced one. Without this call the
-    /// engine's tracing branches are all `false` and cost one predictable
-    /// branch per round.
+    /// Attach a request [`Trace`]: the engine then records a `rounds` span
+    /// and its per-stage verify shares into it for every burst of up to 32
+    /// rounds as the run progresses. Tracing rides entirely outside the
+    /// emission path — the candidate sequence of a traced run is
+    /// byte-identical to an untraced one. Without this call the engine's
+    /// tracing branches are all `false` and cost one predictable branch per
+    /// burst.
     pub fn with_trace(mut self, trace: Arc<Trace>) -> Self {
         self.trace = Some(trace);
         self

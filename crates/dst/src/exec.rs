@@ -598,11 +598,13 @@ fn check_run(scenario: &Scenario, record: &RunRecord) -> Result<(), Violation> {
 
 /// The trace-conservation oracle: every submit attempt (admitted or shed)
 /// leaves exactly one retained trace, each trace carries exactly one
-/// terminal event, every span interval is well-formed and nested inside the
-/// root `request` span, and every recorded timestamp sits on the virtual
-/// timeline — traces anchor at service construction, which under the run's
-/// fresh [`SimClock`] is virtual zero, so a trace offset past the
-/// timeline's end means a real clock leaked into the span recorder.
+/// terminal event and drops nothing past its buffer bound, every trace but a
+/// shed request's has its root `request` span, every span interval is
+/// well-formed and nested inside that root, and every recorded timestamp
+/// sits on the virtual timeline — traces anchor at service construction,
+/// which under the run's fresh [`SimClock`] is virtual zero, so a trace
+/// offset past the timeline's end means a real clock leaked into the span
+/// recorder.
 fn check_traces(
     scenario: &Scenario,
     record: &RunRecord,
@@ -625,6 +627,12 @@ fn check_traces(
         if terminals != 1 {
             return Err(malformed(format!(
                 "expected exactly one terminal event, found {terminals}"
+            )));
+        }
+        if trace.dropped() > 0 {
+            return Err(malformed(format!(
+                "{} spans or events dropped past the buffer bound",
+                trace.dropped()
             )));
         }
         let spans = trace.spans();
@@ -666,12 +674,11 @@ fn check_traces(
             }
             None => {
                 // Only a shed request legitimately resolves without a root
-                // span (it never held a request interval); a saturated
-                // trace buffer may also have dropped spans.
+                // span (it never held a request interval).
                 let shed = events
                     .iter()
                     .any(|e| e.name == TERMINAL_EVENT && e.detail.as_deref() == Some("shed"));
-                if !shed && trace.dropped() == 0 {
+                if !shed {
                     return Err(malformed("no root request span recorded".to_string()));
                 }
             }

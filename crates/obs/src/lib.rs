@@ -25,8 +25,8 @@
 //! record into the same trace without a dependency cycle.
 //!
 //! Tracing is off at run time, not at build time: the gate is an
-//! `Option<Arc<Trace>>`, and a `None` costs one branch per round
-//! (`benches/obs.rs` measures it).
+//! `Option<Arc<Trace>>`, and a `None` costs the engine one branch per burst
+//! of rounds (`benches/obs.rs` measures it).
 
 #![warn(missing_docs)]
 

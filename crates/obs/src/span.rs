@@ -3,10 +3,10 @@
 //!
 //! Determinism contract: a [`Trace`] never influences the work it observes —
 //! recording appends to a bounded buffer behind a mutex that no hot
-//! emission path contends on (a run records a handful of spans per round,
-//! from the one thread it stands on), so trace content under a simulated
-//! clock is fully reproducible and candidate emission is byte-identical
-//! with tracing on or off.
+//! emission path contends on (a run records a handful of spans per burst of
+//! rounds, from the one thread it stands on), so trace content under a
+//! simulated clock is fully reproducible and candidate emission is
+//! byte-identical with tracing on or off.
 
 use crate::escape_json;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -341,7 +341,7 @@ mod tests {
         let anchor = Instant::now();
         let trace = Trace::new(3, anchor);
         trace.record_span(ROOT_SPAN, anchor, anchor + Duration::from_micros(100));
-        trace.record_span_at("chunk", 10, 40);
+        trace.record_span_at("rounds", 10, 40);
         trace.event(TERMINAL_EVENT, anchor + Duration::from_micros(100), Some("completed".into()));
         let json = trace.to_json();
         assert!(json.contains("\"id\":3"), "{json}");
@@ -357,7 +357,7 @@ mod tests {
         let anchor = Instant::now();
         let trace = Trace::with_capacity(1, anchor, 4);
         for i in 0..10 {
-            trace.record_span_at("chunk", i, i + 1);
+            trace.record_span_at("rounds", i, i + 1);
         }
         assert_eq!(trace.spans().len(), 4);
         assert_eq!(trace.dropped(), 6);
@@ -387,7 +387,7 @@ mod tests {
         record("inverted", 10, 5);
         record("too long", 0, 1 << 48);
         for i in 0..(3 * BLOCK_SPANS as u64) {
-            record(if i % 2 == 0 { "chunk" } else { "round" }, i, 3 * i);
+            record(if i % 2 == 0 { "rounds" } else { "resume" }, i, 3 * i);
         }
         record("inverted", 2, 1);
         assert_eq!(trace.spans(), recorded);

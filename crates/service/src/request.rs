@@ -152,9 +152,11 @@ pub struct ServiceConfig {
     /// Whether admitted requests carry a structured trace (per-request span
     /// timeline recorded through every layer; see `crates/obs`). Tracing
     /// rides entirely outside the candidate emission path — the emitted
-    /// sequence is byte-identical either way — so the cost of leaving it on
-    /// is a handful of clock reads per round. Set `false` to compile the
-    /// recording down to nothing on the hot path.
+    /// sequence is byte-identical either way — and the engine records once
+    /// per burst of up to 32 rounds, so the cost of leaving it on is two
+    /// clock reads and at most nine spans per burst, plus the flight
+    /// recorder's retained traces (a few KiB each). Set `false` and a
+    /// request carries no trace: the engine then pays one branch per burst.
     pub tracing: bool,
     /// Capacity of the flight recorder: how many recently finished request
     /// traces are retained for post-hoc inspection (`GET /trace/<id>` on the

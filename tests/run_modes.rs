@@ -8,7 +8,7 @@
 
 use duoquest::core::{
     panic_message, DuoquestConfig, SessionControl, SessionScheduler, SynthesisResult,
-    SynthesisSession,
+    SynthesisSession, VerifyStage,
 };
 use duoquest::nlq::{Choice, GuidanceContext, GuidanceModel, NoisyOracleGuidance};
 use duoquest::obs::{SpanRecord, Trace};
@@ -119,15 +119,17 @@ fn halt_cut_is_the_same_everywhere() {
     }
 }
 
-/// The span tree of a traced run, wherever it stands: every round has its
-/// `round` span — the one the candidate budget cuts included — recorded after
-/// the round's other spans, its `chunk` lies inside it, and the synthesized
-/// `verify:<stage>` / `probe_wait` spans lie inside that `chunk`. A pool adds
-/// `resume` spans and nothing else.
+/// The span tree of a traced run, wherever it stands: every burst of up to 32
+/// rounds (one `advance`) has its `rounds` span — the one the candidate
+/// budget cuts included — recorded first, and the synthesized
+/// `verify:<stage>` / `probe_wait` spans that follow lie inside it; summed
+/// over the run, each stage's spans are its `StageTimings` share, losing
+/// under 1 µs per burst to rounding. A pool adds `resume` spans and nothing
+/// else.
 #[test]
-fn every_round_of_a_traced_run_has_its_span() {
+fn every_burst_of_a_traced_run_has_its_span() {
     let dataset = workload();
-    let config = DuoquestConfig { max_candidates: 3, ..base_config() };
+    let config = DuoquestConfig { max_candidates: 8, ..base_config() };
     let traced = |pool: Option<&SessionScheduler>| {
         let trace = Arc::new(Trace::with_capacity(0, Instant::now(), 1 << 20));
         let session = session(&dataset, 1, &config).with_trace(Arc::clone(&trace));
@@ -135,7 +137,9 @@ fn every_round_of_a_traced_run_has_its_span() {
             Some(pool) => session.with_scheduler(pool.handle()).run(),
             None => session.run(),
         };
-        assert_eq!(result.stats.emitted, 3, "the run ends on its candidate budget");
+        let stats = &result.stats;
+        assert_eq!(stats.emitted, 8, "the run ends on its candidate budget");
+        assert!(stats.rounds > 32 && stats.rounds % 32 != 0, "{} rounds", stats.rounds);
         assert_eq!(trace.dropped(), 0);
         let mut spans = trace.spans();
         assert_eq!(spans.iter().any(|s| s.name == "resume"), pool.is_some());
@@ -144,20 +148,35 @@ fn every_round_of_a_traced_run_has_its_span() {
         let inside = |inner: &SpanRecord, outer: &SpanRecord| {
             outer.start_us <= inner.start_us && inner.end_us <= outer.end_us
         };
-        let mut seen = 0;
-        for group in spans.split_inclusive(|s| s.name == "round") {
-            let (round, rest) = group.split_last().expect("split_inclusive yields no empty slice");
-            assert_eq!(round.name, "round", "{} spans recorded after the last round", group.len());
-            seen += 1;
-            let Some((chunk, staged)) = rest.split_first() else { continue };
-            assert_eq!(chunk.name, "chunk");
-            assert!(inside(chunk, round), "{chunk:?} outside {round:?}");
-            for span in staged {
-                assert!(span.name.starts_with("verify:") || span.name == "probe_wait", "{span:?}");
-                assert!(inside(span, chunk), "{span:?} outside {chunk:?}");
+        let mut widths_us = [0u64; VerifyStage::COUNT];
+        let mut bursts = 0;
+        let mut rest = spans.as_slice();
+        while let Some((burst, tail)) = rest.split_first() {
+            assert_eq!(burst.name, "rounds", "a burst opens with its `rounds` span");
+            bursts += 1;
+            let shares = tail.iter().take_while(|s| s.name != "rounds").count();
+            for span in &tail[..shares] {
+                assert!(inside(span, burst), "{span:?} outside {burst:?}");
+                if span.name == "probe_wait" {
+                    continue;
+                }
+                let stage = VerifyStage::ALL
+                    .into_iter()
+                    .position(|stage| stage.span_name() == span.name)
+                    .unwrap_or_else(|| panic!("{span:?} is neither a stage nor `probe_wait`"));
+                widths_us[stage] += span.end_us - span.start_us;
             }
+            rest = &tail[shares..];
         }
-        assert_eq!(seen, result.stats.rounds, "one `round` span per round");
+        assert_eq!(bursts, stats.rounds.div_ceil(32), "one `rounds` span per burst");
+        for (stage, width_us) in VerifyStage::ALL.into_iter().zip(widths_us) {
+            let total_us = stats.stage_timings.duration_of(stage).as_micros() as u64;
+            assert!(
+                width_us <= total_us && total_us - width_us <= bursts as u64,
+                "{}: spans {width_us} µs, timings {total_us} µs over {bursts} bursts",
+                stage.label()
+            );
+        }
         spans.into_iter().map(|s| s.name).collect::<Vec<_>>()
     };
     let inline = traced(None);

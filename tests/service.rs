@@ -575,6 +575,38 @@ fn enumeration_stats_json_round_trips() {
     assert_eq!(sched.get("units_submitted").and_then(Json::as_u64), Some(run.units_submitted));
 }
 
+/// A paper-sized traced request (the Fig. 10 budgets: 25 candidates, 2 500
+/// expansions) keeps its whole trace under the default capacity: nothing
+/// dropped, its root `request` span and its one `resume` span retained, and
+/// no more than nine spans per burst of 32 rounds (`rounds`, seven stage
+/// shares, `probe_wait`), one `deliver` per candidate and the request's own
+/// (`request`, `queue_wait`, `resume`, one spare). A count, not a stopwatch.
+#[test]
+fn a_paper_sized_traced_request_keeps_its_whole_trace() {
+    let dataset = workload();
+    let service = SynthesisService::new(ServiceConfig { workers: 1, ..ServiceConfig::default() });
+    let config = DuoquestConfig {
+        max_candidates: 25,
+        max_expansions: 2_500,
+        time_budget: None,
+        ..Default::default()
+    };
+    let ticket =
+        service.submit(request_for(&dataset, hard_task(&dataset), 7, config)).expect("admitted");
+    let id = ticket.id();
+    let stats = ticket.wait().result.stats;
+    assert!(stats.rounds >= 1_024, "only {} rounds: not a paper-sized request", stats.rounds);
+
+    let trace = service.trace(id).expect("the resolved request's trace is retained");
+    assert_eq!(trace.dropped(), 0, "the trace overflowed");
+    let spans = trace.spans();
+    let named = |name: &str| spans.iter().filter(|s| s.name == name).count();
+    assert_eq!(named(duoquest::obs::ROOT_SPAN), 1);
+    assert_eq!(named("resume"), 1, "a request alone on its pool is resumed once");
+    let bound = 9 * stats.rounds.div_ceil(32) + stats.emitted + 4;
+    assert!(spans.len() <= bound, "{} spans, bound {bound}", spans.len());
+}
+
 /// Slot-leak edge the DST conservation oracle checks, pinned directly:
 /// dropping a `Ticket` whose request is still queued *and* already past its
 /// deadline frees the admission slot exactly once. Whichever path resolves
