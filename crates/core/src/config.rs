@@ -10,9 +10,17 @@ use std::time::Duration;
 #[derive(Debug, Clone, PartialEq)]
 pub struct DuoquestConfig {
     /// Maximum number of states popped from the priority queue before giving up.
+    ///
+    /// It also bounds the queue's memory without changing the search: a state
+    /// ranked below as many others as there are pops left can never be
+    /// popped, so the queue drops such states and never holds more than
+    /// about twice the remaining budget (`2·remaining + 64` states).
     pub max_expansions: usize,
-    /// Maximum number of states kept in the priority queue (lowest-confidence
-    /// states are evicted beyond this).
+    /// Maximum number of states kept in the priority queue: past it, only the
+    /// best `max_states / 2` are kept. The one bound on the queue that can
+    /// change what a run emits (the paper's); the drop of unpoppable states
+    /// under [`DuoquestConfig::max_expansions`] never does, and this rule
+    /// counts the states that drop removed as if they were still queued.
     pub max_states: usize,
     /// Stop after this many candidate queries have been emitted.
     pub max_candidates: usize,

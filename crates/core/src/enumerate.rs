@@ -73,6 +73,11 @@ pub struct EnumerationStats {
     pub emitted: usize,
     /// Synthesis rounds executed (beam pops).
     pub rounds: usize,
+    /// The most states the frontier held after any round — what a parked
+    /// session holds at worst. A function of the configuration, and never
+    /// above `2·max_expansions + 64`: the frontier drops every state it could
+    /// not pop within the remaining budget (`docs/DRIVER.md`, "Frontier").
+    pub frontier_peak: usize,
     /// Wall-clock time of the run.
     pub elapsed: Duration,
     /// Whether the search space was exhausted before hitting any budget.
@@ -161,8 +166,8 @@ impl EnumerationStats {
             "{{\"expanded\":{},\"generated\":{},\"pruned_clauses\":{},\"pruned_semantics\":{},\
              \"pruned_types\":{},\"pruned_by_column\":{},\"pruned_by_row\":{},\
              \"pruned_literals\":{},\"pruned_by_order\":{},\"emitted\":{},\"rounds\":{},\
-             \"elapsed_us\":{},\"exhausted\":{},\"cancelled\":{},\"deadline_exceeded\":{},\
-             \"cache_hits\":{},\"cache_misses\":{},\"cache_bytes\":{},\"rows_scanned\":{},\
+             \"frontier_peak\":{},\"elapsed_us\":{},\"exhausted\":{},\"cancelled\":{},\
+             \"deadline_exceeded\":{},\"cache_hits\":{},\"cache_misses\":{},\"cache_bytes\":{},\"rows_scanned\":{},\
              \"rows_short_circuited\":{},\"index_lookups\":{},\"rows_via_index\":{},\
              \"probes_bailed_empty\":{},\"single_flight_hits\":{},\
              \"single_flight_leaders\":{},\"single_flight_wait_us\":{},\
@@ -178,6 +183,7 @@ impl EnumerationStats {
             self.pruned_by_order,
             self.emitted,
             self.rounds,
+            self.frontier_peak,
             self.elapsed.as_micros(),
             self.exhausted,
             self.cancelled,
@@ -412,7 +418,14 @@ struct BurstStart {
 /// boundary, in addition to the checks between a round's children. See
 /// `docs/DRIVER.md` for the full contract.
 pub(crate) struct RoundDriver {
+    /// The frontier: every queued state the run can still pop, and no more
+    /// than about twice that many (see [`RoundDriver::bound_frontier`]).
     heap: BinaryHeap<EnumState>,
+    /// How many states the frontier would hold had it never dropped a state
+    /// it could not pop: one up per push, one down per pop, `max_states / 2`
+    /// when the lossy `max_states` rule fires. That rule reads this count, so
+    /// it fires at the same rounds whatever the lossless cut dropped.
+    queued: usize,
     sequence: u64,
     stats: EnumerationStats,
     /// The run is over. Also set for the duration of a round, so a round
@@ -434,6 +447,7 @@ impl RoundDriver {
         heap.push(EnumState::root());
         RoundDriver {
             heap,
+            queued: 1,
             sequence: 0,
             stats: EnumerationStats::default(),
             finished: false,
@@ -528,7 +542,7 @@ impl RoundDriver {
     /// The run's final counters, once [`RoundDriver::round`] has returned
     /// `false`: the end-of-run epilogue of every way to run a session.
     /// Leaves the frontier where it is, so the caller can hand the result on
-    /// before paying for the drop of thousands of queued states.
+    /// before paying for the drop of the queued states.
     pub(crate) fn take_stats(&mut self, plan: &RunPlan, env: &RunInputs<'_>) -> EnumerationStats {
         let mut stats = std::mem::take(&mut self.stats);
         stats.elapsed = env.clock.now().saturating_duration_since(plan.start);
@@ -554,7 +568,10 @@ impl RoundDriver {
         if std::mem::replace(&mut self.finished, true) {
             return false;
         }
-        if self.heap.is_empty() {
+        // `queued`, not the heap: once the budget is spent the cut may have
+        // emptied the heap, and the checks below must still run as they
+        // would over the states it dropped.
+        if self.queued == 0 {
             // Natural end of the search (never reached via an early exit:
             // those leave directly from their check below).
             self.stats.exhausted = self.stats.expanded < env.config.max_expansions;
@@ -575,6 +592,7 @@ impl RoundDriver {
         while beam.len() < beam_width && self.stats.expanded < env.config.max_expansions {
             let Some(state) = self.heap.pop() else { break };
             self.stats.expanded += 1;
+            self.queued -= 1;
             beam.push(state);
         }
         if beam.is_empty() {
@@ -587,7 +605,7 @@ impl RoundDriver {
         let goes_on =
             children.is_empty() || self.verify_and_emit(children, plan, env, verifier, sink);
         if goes_on {
-            self.bound_frontier(env.config.max_states);
+            self.bound_frontier(env.config);
             self.finished = false;
         }
         goes_on
@@ -731,23 +749,58 @@ impl RoundDriver {
                 return false;
             }
         }
+        // The lossless cut (see `bound_frontier`) runs as the survivors go
+        // in, so a large fan-out never grows the heap past its bound.
+        self.queued += survivors.len();
+        let remaining = env.config.max_expansions.saturating_sub(self.stats.expanded);
+        let bound = remaining.saturating_mul(2).saturating_add(64);
         for (pq, confidence, decisions) in survivors {
             self.sequence += 1;
             self.heap.push(EnumState { pq, confidence, decisions, sequence: self.sequence });
+            if self.heap.len() > bound {
+                self.keep_best(remaining);
+            }
         }
         self.stats.cancelled |= cancelled;
         self.stats.deadline_exceeded |= timed_out;
         !(cancelled || timed_out)
     }
 
-    /// Bound the frontier size: drop the lowest-confidence states.
-    fn bound_frontier(&mut self, max_states: usize) {
-        if self.heap.len() > max_states {
-            let mut states: Vec<EnumState> = std::mem::take(&mut self.heap).into_vec();
-            states.sort_by(|a, b| b.cmp(a));
-            states.truncate(max_states / 2);
-            self.heap = BinaryHeap::from(states);
+    /// Bound the frontier after a round, by two rules:
+    ///
+    /// * a lossless cut, applied as the survivors are pushed: past
+    ///   `2·remaining + 64` states, where `remaining` is the expansion budget
+    ///   left, keep the best `remaining`. Every pop takes the best state and a
+    ///   better state leaves only by being popped, so a state with
+    ///   `remaining` better ones is never popped: dropping it changes no
+    ///   emission and no counter (`docs/DRIVER.md`, "Frontier");
+    /// * the paper's lossy one, here: past `max_states` queued, keep the best
+    ///   `max_states / 2` — read through `queued`, so it fires at the rounds
+    ///   it would fire without the cut.
+    ///
+    /// The frontier therefore never holds more than `2·max_expansions + 64`
+    /// states, and `stats.frontier_peak` records the most it held after a
+    /// round.
+    fn bound_frontier(&mut self, config: &DuoquestConfig) {
+        if self.queued > config.max_states {
+            self.queued = config.max_states / 2;
+            self.keep_best(self.queued);
         }
+        self.stats.frontier_peak = self.stats.frontier_peak.max(self.heap.len());
+    }
+
+    /// Keep the `n` best states of the frontier, in O(frontier): the order is
+    /// total — ties break by `sequence` — so which `n` is never in doubt.
+    fn keep_best(&mut self, n: usize) {
+        if self.heap.len() <= n {
+            return;
+        }
+        let mut states = std::mem::take(&mut self.heap).into_vec();
+        if n > 0 {
+            states.select_nth_unstable_by(n - 1, |a, b| b.cmp(a));
+        }
+        states.truncate(n);
+        self.heap = BinaryHeap::from(states);
     }
 }
 

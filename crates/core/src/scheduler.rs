@@ -255,7 +255,7 @@ impl DrivenCore {
     /// The ranked result of a run that is over. `force_cancelled` marks runs
     /// wound down by a scheduler shutdown that never reached a cooperative
     /// check. Leaves the frontier in place: the caller hands the result on
-    /// first and drops the thousands of queued states afterwards.
+    /// first and drops the queued states afterwards.
     fn finish(&mut self, force_cancelled: bool) -> SynthesisResult {
         let mut stats = self.driver.take_stats(&self.plan, &self.session.inputs());
         stats.cancelled |= force_cancelled;

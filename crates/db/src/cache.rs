@@ -38,6 +38,14 @@
 //! rotate first, promotions that would overflow are skipped, and a result
 //! too large for half a slice on its own is returned uncached).
 //!
+//! **Estimated bytes** — what the budget and [`CacheStats::bytes`] count —
+//! are everything an entry keeps allocated: its map slot at the map's
+//! typical occupancy, the cloned spec key with its vectors, predicate text
+//! and join tree, and the result with its column names, row vector and
+//! cells. They are the sizes requested from the allocator, so they come to
+//! what [`ProbeCache::clear`] frees, give or take a third (the memory gate in
+//! `tests/frontier_memory.rs` holds that), not to a payload a fraction of it.
+//!
 //! # Truncated entries
 //!
 //! Since the executor became limit-aware, a probe may be executed under a
@@ -48,11 +56,15 @@
 //! ([`ProbeCache::get_budgeted`]). Re-executing with a larger budget
 //! replaces the weaker entry in place.
 
+use crate::database::Row;
 use crate::executor::{ExecMetrics, ResultSet};
-use crate::query::SelectSpec;
+use crate::query::{Predicate, SelectItem, SelectSpec};
+use crate::schema::ColumnId;
+use crate::types::{DataType, Value};
 use std::collections::hash_map::{DefaultHasher, Entry as MapEntry};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
+use std::mem::{size_of, size_of_val};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::Instant;
@@ -170,7 +182,8 @@ pub struct CacheStats {
     pub hits: u64,
     /// Probes that had to run the executor.
     pub misses: u64,
-    /// Estimated bytes of cached result payload currently retained.
+    /// Estimated bytes the cache's entries keep allocated, keys and map slots
+    /// included (see the module docs).
     pub bytes: u64,
     /// Number of cached entries.
     pub entries: u64,
@@ -218,11 +231,13 @@ impl CacheStats {
     }
 }
 
-/// One memoized probe result with its exactness bit.
+/// One memoized probe result with its exactness bit and what it costs the
+/// byte budget, key included ([`estimate_bytes`]).
 #[derive(Debug, Clone)]
 struct Entry {
     result: Arc<ResultSet>,
     exact: bool,
+    bytes: u64,
 }
 
 impl Entry {
@@ -542,8 +557,7 @@ impl ProbeCache {
                     // stale hit directly under the shared lock. A hot set too
                     // big to promote must not degrade every hit to the write
                     // lock.
-                    let cost = estimate_bytes(&found.result);
-                    if segments.fresh_bytes + cost > self.rotation_threshold() {
+                    if segments.fresh_bytes + found.bytes > self.rotation_threshold() {
                         self.hits.fetch_add(1, Ordering::Relaxed);
                         return Some(found.probe());
                     }
@@ -559,7 +573,7 @@ impl ProbeCache {
         // holding a copy keeps the stronger of the two.
         let mut segments = shard.write().expect("probe cache lock poisoned");
         if let Some(entry) = segments.stale.get(spec).filter(|e| e.serves(budget)) {
-            let cost = estimate_bytes(&entry.result);
+            let cost = entry.bytes;
             let probe = entry.probe();
             let fresh_has_stronger =
                 segments.fresh.get(spec).map(|f| f.at_least_as_strong_as(entry)).unwrap_or(false);
@@ -568,8 +582,7 @@ impl ProbeCache {
                     segments.stale.remove_entry(spec).expect("checked under the same lock");
                 segments.stale_bytes = segments.stale_bytes.saturating_sub(cost);
                 if let Some(old) = segments.fresh.insert(key, value) {
-                    segments.fresh_bytes =
-                        segments.fresh_bytes.saturating_sub(estimate_bytes(&old.result));
+                    segments.fresh_bytes = segments.fresh_bytes.saturating_sub(old.bytes);
                 }
                 segments.fresh_bytes += cost;
             }
@@ -611,8 +624,8 @@ impl ProbeCache {
         result: ResultSet,
         exact: bool,
     ) -> CachedProbe {
-        let entry = Entry { result: Arc::new(result), exact };
-        let cost = estimate_bytes(&entry.result);
+        let cost = estimate_bytes(spec, &result);
+        let entry = Entry { result: Arc::new(result), exact, bytes: cost };
         let threshold = self.rotation_threshold();
         if cost > threshold {
             return entry.probe(); // would blow the budget by itself: don't retain
@@ -626,7 +639,7 @@ impl ProbeCache {
                 return existing.probe();
             }
             let old = segments.fresh.remove(spec).expect("checked under the same lock");
-            segments.fresh_bytes = segments.fresh_bytes.saturating_sub(estimate_bytes(&old.result));
+            segments.fresh_bytes = segments.fresh_bytes.saturating_sub(old.bytes);
         }
         if let Some(old) = segments.stale.get(spec) {
             if old.at_least_as_strong_as(&entry) {
@@ -634,7 +647,7 @@ impl ProbeCache {
                 return probe;
             }
             let old = segments.stale.remove(spec).expect("checked under the same lock");
-            segments.stale_bytes = segments.stale_bytes.saturating_sub(estimate_bytes(&old.result));
+            segments.stale_bytes = segments.stale_bytes.saturating_sub(old.bytes);
         }
         if segments.fresh_bytes + cost > threshold {
             segments.rotate();
@@ -685,23 +698,49 @@ impl ProbeCache {
     }
 }
 
-/// Rough resident size of a cached result (headers + row payload).
-fn estimate_bytes(rs: &ResultSet) -> u64 {
-    let header: usize = rs.columns.iter().map(|c| c.len() + 24).sum::<usize>() + 8;
-    let rows: usize = rs
-        .rows
-        .iter()
-        .map(|r| {
-            r.0.iter()
-                .map(|v| match v {
-                    crate::types::Value::Text(s) => s.len() + 32,
-                    _ => 16,
-                })
-                .sum::<usize>()
-                + 24
-        })
-        .sum();
-    (header + rows) as u64
+/// The bytes one entry keeps allocated, as requested from the allocator (its
+/// per-allocation overhead is not counted):
+///
+/// * its map slot — the key and the [`Entry`] side by side, plus the control
+///   byte — at the map's typical occupancy: a table grows by doubling up to
+///   7/8 full, so it holds about 3/2 slots per entry;
+/// * the key, a clone of the probe's spec: its projection, predicate, GROUP BY
+///   and HAVING vectors, the text of its predicate values and its join tree's
+///   two shared slices (counted per entry, though entries over one tree may
+///   share them);
+/// * the result: its `Arc` allocation, column names and types, the row vector
+///   and every row's cells with their text.
+fn estimate_bytes(spec: &SelectSpec, rs: &ResultSet) -> u64 {
+    fn text(v: &Value) -> usize {
+        match v {
+            Value::Text(s) => s.capacity(),
+            _ => 0,
+        }
+    }
+    fn predicates(ps: &[Predicate]) -> usize {
+        let values = |p: &Predicate| text(&p.value) + p.value2.as_ref().map_or(0, text);
+        ps.iter().map(|p| size_of::<Predicate>() + values(p)).sum()
+    }
+    let slot = (size_of::<(SelectSpec, Entry)>() + 1) * 3 / 2;
+    let key = spec.select.len() * size_of::<SelectItem>()
+        + predicates(&spec.predicates)
+        + predicates(&spec.having)
+        + spec.group_by.len() * size_of::<ColumnId>()
+        + 2 * 2 * size_of::<usize>() // the two `Arc` slices' reference counts
+        + size_of_val(&*spec.join.tables)
+        + size_of_val(&*spec.join.edges);
+    let result = 2 * size_of::<usize>() // the `Arc`'s reference counts
+        + size_of::<ResultSet>()
+        + rs.columns.capacity() * size_of::<String>()
+        + rs.columns.iter().map(String::capacity).sum::<usize>()
+        + rs.types.capacity() * size_of::<DataType>()
+        + rs.rows.capacity() * size_of::<Row>()
+        + rs
+            .rows
+            .iter()
+            .map(|r| r.0.capacity() * size_of::<Value>() + r.0.iter().map(text).sum::<usize>())
+            .sum::<usize>();
+    (slot + key + result) as u64
 }
 
 #[cfg(test)]

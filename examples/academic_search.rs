@@ -53,8 +53,9 @@ fn main() {
         println!("    {:.4}  {}", cand.confidence, render_sql(&cand.spec, mas.db.schema()));
     }
     println!(
-        "  [{} rounds, probe cache: {} lookups, {} executed]",
+        "  [{} rounds, frontier peak {}, probe cache: {} lookups, {} executed]",
         dual.stats.rounds,
+        dual.stats.frontier_peak,
         dual.stats.cache_hits + dual.stats.cache_misses,
         dual.stats.cache_misses
     );

@@ -9,7 +9,7 @@ use duoquest::core::{
     TableSketchQuery,
 };
 use duoquest::db::{Database, SelectSpec};
-use duoquest::nlq::{HeuristicGuidance, Nlq, NoisyOracleGuidance};
+use duoquest::nlq::{GuidanceModel, HeuristicGuidance, Nlq, NoisyOracleGuidance};
 use duoquest::service::{
     PriorityClass, RequestStatus, ServiceConfig, SynthesisRequest, SynthesisService,
 };
@@ -145,12 +145,14 @@ fn interleaved_sessions_on_shared_pool_match_single_session_runs() {
 
 /// What a run shows its consumer: the emission sequence as the callback or
 /// the stream saw it (structure, confidence bits), the final ranking, and
-/// the generated count with the seven per-stage prune counts.
-type Observed = (Vec<(String, u64)>, Vec<(String, f64)>, [usize; 8]);
+/// the frontier peak and generated count with the seven per-stage prune
+/// counts.
+type Observed = (Vec<(String, u64)>, Vec<(String, f64)>, [usize; 9]);
 
 fn observe(sequence: Vec<(String, u64)>, result: &SynthesisResult) -> Observed {
     let s = &result.stats;
     let counts = [
+        s.frontier_peak,
         s.generated,
         s.pruned_clauses,
         s.pruned_semantics,
@@ -619,6 +621,82 @@ fn wide_beam_runs_are_self_deterministic() {
         let b = run_task_on(&dataset, task, 200 + i as u64, &beamed, Some(&pool));
         assert_eq!(ranking(&a), ranking(&b), "task {} beam run diverged", task.id);
     }
+}
+
+/// A smaller expansion budget emits a prefix: the first `E` pops of a run do
+/// not depend on how many pops follow, so the run with budget `E` emits the
+/// first candidates of the run with `2E` — the same specs, the same
+/// confidence bits, in order — and spends exactly `E` unless it ran out of
+/// states first. That holds only if the frontier never drops a state it
+/// could still pop (it drops every state ranked below the remaining budget,
+/// `docs/DRIVER.md`, "Frontier"). Checked at beam widths 1 and 3, with the
+/// default `max_states` and with 40, where the paper's lossy rule fires and
+/// changes what is emitted; both models, so verification and guidance each
+/// decide the order in some runs.
+#[test]
+fn a_smaller_expansion_budget_emits_a_prefix() {
+    let dataset = workload();
+    let (mut compared, mut spent, mut lossy_changed) = (0, 0, 0);
+    for (i, task) in dataset.tasks.iter().enumerate() {
+        let db = dataset.database(task);
+        for oracle in [true, false] {
+            let seed = 800 + i as u64;
+            let detail = if oracle { TsqDetail::Full } else { TsqDetail::Minimal };
+            let (gold, tsq) = synthesize_tsq(db, &task.gold, detail, 2, seed);
+            let model: Arc<dyn GuidanceModel> = if oracle {
+                Arc::new(NoisyOracleGuidance::new(gold, seed))
+            } else {
+                Arc::new(HeuristicGuidance::new())
+            };
+            for beam in [1, 3] {
+                // The 2E-run's emissions per `max_states`.
+                let mut larger = Vec::new();
+                for max_states in [None, Some(40)] {
+                    let run = |max_expansions: usize| {
+                        let mut config = DuoquestConfig {
+                            max_candidates: usize::MAX,
+                            max_expansions,
+                            ..base_config()
+                        }
+                        .with_beam_width(beam);
+                        config.max_states = max_states.unwrap_or(config.max_states);
+                        let session = Duoquest::new(config)
+                            .session(Arc::clone(db), task.nlq.clone(), Arc::clone(&model))
+                            .with_tsq(tsq.clone());
+                        let (observed, result) = run_observed(session, false);
+                        let stats = result.stats;
+                        assert!(stats.frontier_peak <= 2 * max_expansions + 64, "{stats:?}");
+                        (observed.0, stats.expanded, stats.exhausted)
+                    };
+                    for e in [40, 120] {
+                        let way = format!(
+                            "task {}, oracle {oracle}, beam {beam}, max_states {max_states:?}, \
+                             budget {e} vs {}",
+                            task.id,
+                            2 * e
+                        );
+                        let (small, expanded, exhausted) = run(e);
+                        let (large, ..) = run(2 * e);
+                        assert!(small.len() <= large.len(), "{way}: emitted more");
+                        assert_eq!(small, large[..small.len()], "{way}: not a prefix");
+                        if exhausted {
+                            assert_eq!(small, large, "{way}: an exhausted run is the whole run");
+                        } else {
+                            assert_eq!(expanded, e, "{way}: the budget was not spent");
+                            spent += 1;
+                        }
+                        compared += 1;
+                        larger.push(large);
+                    }
+                }
+                lossy_changed += usize::from(larger[..2] != larger[2..]);
+            }
+        }
+    }
+    // Both checks bite: most runs end on their budget, and the lossy rule
+    // changed the emissions of some setting.
+    assert!(spent > compared / 2, "{spent} of {compared} runs spent their budget");
+    assert!(lossy_changed > 0, "max_states = 40 never changed what a run emits");
 }
 
 /// One request of the benchmark's `mas_cold` workload.

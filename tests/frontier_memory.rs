@@ -1,0 +1,147 @@
+//! What a run and the probe cache keep allocated, gated on live bytes instead
+//! of a stopwatch or an RSS reading.
+//!
+//! * **The frontier holds what it can still pop.** A run's frontier drops
+//!   every state ranked below the remaining expansion budget
+//!   (`docs/DRIVER.md`, "Frontier"), so on the benchmark's `nlq_heuristic`
+//!   settings — type-only TSQs, the heuristic model, 10 candidates, 100
+//!   expansions, over its 37 tasks — a run's live heap grows by well under
+//!   1.5 MiB (about 3 MiB while the frontier kept every state it generated),
+//!   and `frontier_peak` stays within `2·100 + 64`.
+//! * **The probe cache counts what it keeps.** After a pass of Spider runs,
+//!   the cache's estimated bytes come within a third of what clearing it
+//!   frees (they were a fifth of it while only result cells were counted).
+//!
+//! This file is its own test binary because it installs a counting global
+//! allocator, and holds a single `#[test]` so no other thread allocates while
+//! it counts.
+
+use duoquest::core::{Duoquest, DuoquestConfig};
+use duoquest::nlq::{HeuristicGuidance, NoisyOracleGuidance};
+use duoquest::workloads::{spider, synthesize_tsq, TsqDetail};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+
+/// Bytes handed out and not yet returned.
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+/// The most `LIVE` has reached since it was last reset.
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+struct Counting;
+
+fn grew(by: usize) {
+    let now = LIVE.fetch_add(by, Ordering::Relaxed) + by;
+    PEAK.fetch_max(now, Ordering::Relaxed);
+}
+
+// SAFETY: every method forwards to `System` unchanged; the counters are side
+// effects on static atomics and touch no allocator state.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        grew(layout.size());
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        if new_size >= layout.size() {
+            grew(new_size - layout.size());
+        } else {
+            LIVE.fetch_sub(layout.size() - new_size, Ordering::Relaxed);
+        }
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// The most the live heap grew by while `work` ran.
+fn live_growth_of<T>(work: impl FnOnce() -> T) -> (T, usize) {
+    let base = LIVE.load(Ordering::Relaxed);
+    PEAK.store(base, Ordering::Relaxed);
+    let out = work();
+    (out, PEAK.load(Ordering::Relaxed) - base)
+}
+
+#[test]
+fn runs_and_the_probe_cache_keep_what_they_count() {
+    // The benchmark's corpus (`bench_report`'s workloads draw from it).
+    let dataset = spider::generate("dev", 6, 60, 63, 25, 42);
+
+    // `nlq_heuristic`: every fourth task.
+    let config = DuoquestConfig {
+        max_candidates: 10,
+        max_expansions: 100,
+        time_budget: None,
+        ..Default::default()
+    };
+    let bound = 2 * config.max_expansions + 64;
+    let engine = Duoquest::new(config);
+    let (mut runs, mut largest, mut peak) = (0, 0, 0);
+    for (i, task) in dataset.tasks.iter().enumerate().step_by(4) {
+        let db = dataset.database(task);
+        let (_, tsq) = synthesize_tsq(db, &task.gold, TsqDetail::Minimal, 2, i as u64);
+        let session = engine
+            .session(Arc::clone(db), task.nlq.clone(), Arc::new(HeuristicGuidance::new()))
+            .with_tsq(tsq);
+        let (result, growth) = live_growth_of(|| session.run());
+        let stats = &result.stats;
+        assert!(
+            growth <= 3 << 19,
+            "task {}: the run's live heap grew by {growth} B (> 1.5 MiB); frontier peak {}",
+            task.id,
+            stats.frontier_peak
+        );
+        assert!(
+            stats.frontier_peak <= bound,
+            "task {}: the frontier held {} states (> {bound})",
+            task.id,
+            stats.frontier_peak
+        );
+        runs += 1;
+        largest = largest.max(growth);
+        peak = peak.max(stats.frontier_peak);
+    }
+    assert_eq!(runs, 37, "the workload's task count");
+    println!("nlq_heuristic: largest live-heap growth {largest} B, frontier peak {peak}");
+
+    // A Spider pass with full TSQs and the oracle, which probes: every
+    // eighth task at a reduced budget fills the caches with a few thousand
+    // entries.
+    let config = DuoquestConfig {
+        max_candidates: 25,
+        max_expansions: 500,
+        time_budget: None,
+        ..Default::default()
+    };
+    let engine = Duoquest::new(config);
+    for (i, task) in dataset.tasks.iter().enumerate().step_by(8) {
+        let db = dataset.database(task);
+        let (gold, tsq) = synthesize_tsq(db, &task.gold, TsqDetail::Full, 2, i as u64);
+        let model = NoisyOracleGuidance::new(gold, i as u64);
+        engine.session(Arc::clone(db), task.nlq.clone(), Arc::new(model)).with_tsq(tsq).run();
+    }
+    let (mut counted, mut entries, mut freed) = (0u64, 0u64, 0usize);
+    for db in &dataset.databases {
+        let stats = db.cache_stats();
+        counted += stats.bytes;
+        entries += stats.entries;
+        let before = LIVE.load(Ordering::Relaxed);
+        db.clear_probe_cache();
+        freed += before - LIVE.load(Ordering::Relaxed);
+    }
+    assert!(entries > 1_000, "the pass cached too little to judge ({entries} entries)");
+    let ratio = counted as f64 / freed as f64;
+    println!("probe cache: {entries} entries, {counted} B counted, {freed} B freed");
+    assert!(
+        (0.66..=1.5).contains(&ratio),
+        "the probe cache counted {counted} B over {entries} entries, clearing it freed {freed} B \
+         (ratio {ratio:.2})"
+    );
+}

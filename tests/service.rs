@@ -548,6 +548,11 @@ fn enumeration_stats_json_round_trips() {
     let parsed = Json::parse(&stats.to_json()).expect("stats JSON parses");
     assert_eq!(parsed.get("expanded").and_then(Json::as_u64), Some(stats.expanded as u64));
     assert_eq!(parsed.get("emitted").and_then(Json::as_u64), Some(stats.emitted as u64));
+    assert_eq!(
+        parsed.get("frontier_peak").and_then(Json::as_u64),
+        Some(stats.frontier_peak as u64)
+    );
+    assert!(stats.frontier_peak > 0, "a run that goes past its first round queues states");
     assert_eq!(parsed.get("cache_hits").and_then(Json::as_u64), Some(stats.cache_hits));
     assert_eq!(parsed.get("rows_scanned").and_then(Json::as_u64), Some(stats.rows_scanned));
     assert_eq!(parsed.get("index_lookups").and_then(Json::as_u64), Some(stats.index_lookups));
