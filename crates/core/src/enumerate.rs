@@ -16,7 +16,8 @@
 //! where the deadline cuts the search depends on machine speed.
 //!
 //! Verification probes run through the database's probe/result memo cache
-//! (`Database::execute_cached`), column-wise ones once per distinct question
+//! (`Database::exists_cached_with`, `Database::execute_cached_budgeted`),
+//! column-wise ones once per distinct question
 //! (the run's [`VerifyPlan`] answers the repeats); the per-run hit/miss
 //! counters and the per-stage cascade timings are surfaced in
 //! [`EnumerationStats`].

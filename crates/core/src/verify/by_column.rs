@@ -83,9 +83,10 @@ fn column_probe(db: &Database, col: ColumnId, cell: &TsqCell, counters: &RunCach
         limit: Some(1),
         ..Default::default()
     };
-    // Through the probe cache, so sessions over one database share the
-    // execution; within the run the plan never asks this question again.
-    db.execute_cached_with(&spec, counters).map(|rs| !rs.is_empty()).unwrap_or(false)
+    // Through the probe cache, which keeps the answer as one bit, so
+    // sessions over one database share the execution; within the run the
+    // plan never asks this question again.
+    db.exists_cached_with(&spec, counters).unwrap_or(false)
 }
 
 /// AVG check: the observed `[min, max]` range of the column must intersect the cell.

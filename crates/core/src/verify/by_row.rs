@@ -138,25 +138,30 @@ pub fn verify_by_row(
         let probe_col = pq.referenced_columns().first().copied().unwrap_or_else(|| {
             db.schema().table_columns(join.tables[0]).next().expect("table has columns")
         });
-        spec.select = vec![if spec.group_by.is_empty() && !spec.having.is_empty() {
-            SelectItem::count_star()
-        } else {
-            SelectItem::column(probe_col)
-        }];
+        let global = spec.group_by.is_empty() && !spec.having.is_empty();
+        spec.select =
+            vec![if global { SelectItem::count_star() } else { SelectItem::column(probe_col) }];
         // An added WHERE constraint on an aggregated query must not conflict
         // with grouping semantics; the executor tolerates it because grouping
         // keeps a representative row per group.
+        if !global {
+            // Only whether a row came back is read: the cache keeps one bit.
+            if !db.exists_cached_with(&spec, counters).unwrap_or(false) {
+                return false;
+            }
+            continue;
+        }
+        // A global-aggregate probe returns its single COUNT(*) row even for
+        // an empty group, so it reads the count off the rows.
         match db.execute_cached_with(&spec, counters) {
             Ok(rs) => {
                 if rs.is_empty() {
                     return false;
                 }
                 // Guard against the COUNT(*) probe returning a single row of 0.
-                if spec.group_by.is_empty() && !spec.having.is_empty() {
-                    if let Some(Value::Number(n)) = rs.rows.first().and_then(|r| r.0.first()) {
-                        if *n == 0.0 && spec.having.iter().any(|h| !having_matches_zero(h)) {
-                            return false;
-                        }
+                if let Some(Value::Number(n)) = rs.rows.first().and_then(|r| r.0.first()) {
+                    if *n == 0.0 && spec.having.iter().any(|h| !having_matches_zero(h)) {
+                        return false;
                     }
                 }
             }

@@ -28,8 +28,11 @@
 //! back to back. Stage 4 answers from the run's [`VerifyPlan`]: one verdict
 //! per (example cell, column), probed on first touch.
 //!
-//! Database probes run through the streaming executor's memo cache
-//! (`Database::execute_cached_budgeted`): the `LIMIT 1` probes and the
+//! Database probes run through the streaming executor's memo cache: the
+//! `LIMIT 1` probes of stages 4 and 5 ask whether a row exists
+//! (`Database::exists_cached_with`, cached as one bit), stage 5's
+//! global-aggregate probe and stage 7 ask for rows
+//! (`Database::execute_cached_budgeted`). The `LIMIT 1` probes and the
 //! TSQ-limit checks of stage 7 stop scanning as soon as their limit is
 //! decided (see `docs/EXECUTOR.md`), and the per-run scan counters land in
 //! the counter set handed to [`Verifier::with_counters`]. Stage 4 reaches the

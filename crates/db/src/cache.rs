@@ -3,20 +3,34 @@
 //! The Duoquest verifier issues enormous numbers of nearly identical
 //! `SELECT … LIMIT 1` probes: sibling states in the GPQE search tree share
 //! projections, predicates and join paths, so the same probe spec is executed
-//! over and over. This cache memoizes executor results keyed on a canonical
-//! hash of the [`SelectSpec`], so repeated probes are answered without
-//! touching the join pipeline.
+//! over and over. This cache memoizes each probe's answer under the question
+//! it asked, so repeated probes are answered without touching the join
+//! pipeline.
+//!
+//! A cached probe is one of two [`Question`]s about a spec: its **rows**
+//! ([`ProbeCache::get_budgeted`], [`ProbeCache::insert_budgeted`]), or
+//! whether it returns any row at all — the **existence** question the
+//! verifier's column-wise and row-wise `LIMIT 1` probes ask, and the bulk of
+//! what a run caches ([`ProbeCache::get_exists`],
+//! [`ProbeCache::insert_exists`]).
 //!
 //! Design:
 //!
 //! * **Sharded.** Entries live in [`SHARD_COUNT`] independent `RwLock`ed hash
-//!   maps selected by key hash, so concurrent sessions on a shared database
-//!   rarely contend on the same lock, and read-mostly traffic (cache hits)
-//!   takes only shared locks.
-//! * **Collision-safe.** The full spec is the map key (the hash only picks
-//!   the shard); two distinct specs can never alias an entry.
-//! * **Shared results.** Values are `Arc<ResultSet>` so a hit is a pointer
-//!   clone, not a row copy.
+//!   maps selected by the spec's [`ProbeCache::fingerprint`], so concurrent
+//!   sessions on a shared database rarely contend on the same lock, and
+//!   read-mostly traffic (cache hits) takes only shared locks.
+//! * **Collision-safe.** The map key is a canonical byte encoding of the
+//!   question and every field of the spec: lengths prefixed, numbers by
+//!   their bits folded as `Hash for Value` folds them (every NaN is one NaN,
+//!   `-0.0` is `0.0`), text by its bytes. Equal specs encode equally and
+//!   distinct specs distinctly (the hash only picks the shard), so two
+//!   distinct specs — or the two questions about one spec — can never alias
+//!   an entry. A lookup encodes into a reused per-thread buffer, so a hit
+//!   allocates nothing.
+//! * **Shared results.** A rows answer is an `Arc<ResultSet>` so a hit is a
+//!   pointer clone, not a row copy; an existence answer is one bit and keeps
+//!   no rows.
 //! * **Observable.** Atomic hit/miss/byte counters feed the engine's
 //!   `EnumerationStats`, making cache effectiveness visible per synthesis run.
 //! * **Segment-rotation eviction.** Each shard keeps two generations of
@@ -40,16 +54,17 @@
 //!
 //! **Estimated bytes** — what the budget and [`CacheStats::bytes`] count —
 //! are everything an entry keeps allocated: its map slot at the map's
-//! typical occupancy, the cloned spec key with its vectors, predicate text
-//! and join tree, and the result with its column names, row vector and
-//! cells. They are the sizes requested from the allocator, so they come to
+//! typical occupancy, its encoded key's length, and — for a rows answer —
+//! the result with its column names, row vector and cells (an existence
+//! answer keeps nothing beyond its slot and key). They are the sizes
+//! requested from the allocator, so they come to
 //! what [`ProbeCache::clear`] frees, give or take a third (the memory gate in
 //! `tests/frontier_memory.rs` holds that), not to a payload a fraction of it.
 //!
 //! # Truncated entries
 //!
 //! Since the executor became limit-aware, a probe may be executed under a
-//! **row budget** and return only a prefix of the spec's result. Entries
+//! **row budget** and return only a prefix of the spec's result. Rows entries
 //! therefore carry an **exactness bit**: an exact entry answers any request;
 //! a truncated entry (its rows were cut at some budget) answers only
 //! requests whose budget its row count still covers
@@ -58,13 +73,14 @@
 
 use crate::database::Row;
 use crate::executor::{ExecMetrics, ResultSet};
-use crate::query::{Predicate, SelectItem, SelectSpec};
+use crate::query::{AggFunc, OrderKey, OrderSpec, Predicate, SelectSpec};
 use crate::schema::ColumnId;
-use crate::types::{DataType, Value};
+use crate::types::{canonical_bits, DataType, Value};
+use std::cell::RefCell;
 use std::collections::hash_map::{DefaultHasher, Entry as MapEntry};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::mem::{size_of, size_of_val};
+use std::mem::size_of;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::Instant;
@@ -231,39 +247,60 @@ impl CacheStats {
     }
 }
 
-/// One memoized probe result with its exactness bit and what it costs the
-/// byte budget, key included ([`estimate_bytes`]).
+impl CachedProbe {
+    /// Whether these rows can answer a request with the given row budget
+    /// (`None` means the full result is required).
+    fn serves(&self, budget: Option<usize>) -> bool {
+        self.exact || budget.is_some_and(|b| self.rows.rows.len() >= b)
+    }
+}
+
+/// The question a cached probe answers about its spec. It leads the entry's
+/// key, so the two answers for one spec never serve each other.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Question {
+    /// The spec's rows, possibly a prefix cut at a row budget.
+    Rows,
+    /// Whether the spec returns any row.
+    Exists,
+}
+
+/// What one entry keeps: the spec's rows, or only whether there are any.
 #[derive(Debug, Clone)]
+enum Answer {
+    Rows(CachedProbe),
+    Exists(bool),
+}
+
+/// One memoized answer and what it costs the byte budget, key included
+/// ([`estimate_bytes`]).
+#[derive(Debug)]
 struct Entry {
-    result: Arc<ResultSet>,
-    exact: bool,
+    answer: Answer,
     bytes: u64,
 }
 
 impl Entry {
-    /// Whether this entry can answer a request with the given row budget
-    /// (`None` means the full result is required).
-    fn serves(&self, budget: Option<usize>) -> bool {
-        self.exact || budget.is_some_and(|b| self.result.rows.len() >= b)
-    }
-
     /// Whether this entry carries at least as much information as `other`
-    /// (used to decide replacement when the same spec is re-inserted).
+    /// under the same key (used to decide replacement when a probe is
+    /// re-inserted). An existence answer is always complete.
     fn at_least_as_strong_as(&self, other: &Entry) -> bool {
-        self.exact || (!other.exact && self.result.rows.len() >= other.result.rows.len())
-    }
-
-    fn probe(&self) -> CachedProbe {
-        CachedProbe { rows: Arc::clone(&self.result), exact: self.exact }
+        match (&self.answer, &other.answer) {
+            (Answer::Rows(this), Answer::Rows(that)) => {
+                this.exact || (!that.exact && this.rows.rows.len() >= that.rows.rows.len())
+            }
+            _ => true,
+        }
     }
 }
 
-/// Key of one in-flight probe: the spec's canonical fingerprint plus the
-/// request's budget class. The budget is part of the key so a waiter is only
-/// ever served a result executed under *its own* budget — the exactness bit
-/// of a truncated leader result therefore always describes what the waiter
-/// would have computed itself.
-pub type InflightKey = (u64, Option<usize>);
+/// Key of one in-flight probe: the question, the spec's canonical fingerprint
+/// and the request's budget class. The budget is part of the key so a waiter
+/// is only ever served a result executed under *its own* budget — the
+/// exactness bit of a truncated leader result therefore always describes
+/// what the waiter would have computed itself — and the question is, so a
+/// leader memoizes the answer its waiters would have memoized.
+pub type InflightKey = (Question, u64, Option<usize>);
 
 /// State of one in-flight probe execution, guarded by its slot's mutex.
 #[derive(Debug)]
@@ -440,8 +477,8 @@ impl InflightTable {
 /// shard, guarded by the shard's lock.
 #[derive(Debug, Default)]
 struct Segments {
-    fresh: HashMap<SelectSpec, Entry>,
-    stale: HashMap<SelectSpec, Entry>,
+    fresh: HashMap<Box<[u8]>, Entry>,
+    stale: HashMap<Box<[u8]>, Entry>,
     fresh_bytes: u64,
     stale_bytes: u64,
 }
@@ -540,65 +577,95 @@ impl ProbeCache {
     /// stale-generation hit promotes the entry back into the fresh
     /// generation so entries the workload keeps re-probing survive rotation.
     pub fn get_budgeted(&self, spec: &SelectSpec, budget: Option<usize>) -> Option<CachedProbe> {
+        self.lookup(Question::Rows, spec, |entry| match &entry.answer {
+            Answer::Rows(probe) if probe.serves(budget) => Some(probe.clone()),
+            _ => None,
+        })
+    }
+
+    /// Look up a memoized answer to "does `spec` return any row?", counted
+    /// and promoted like [`ProbeCache::get_budgeted`]. A rows entry for the
+    /// same spec does not answer it.
+    pub fn get_exists(&self, spec: &SelectSpec) -> Option<bool> {
+        self.lookup(Question::Exists, spec, |entry| match entry.answer {
+            Answer::Exists(exists) => Some(exists),
+            Answer::Rows(_) => None,
+        })
+    }
+
+    /// The lookup behind both questions: `serve` reads an entry's answer, or
+    /// `None` when the entry cannot answer this request.
+    fn lookup<T>(
+        &self,
+        question: Question,
+        spec: &SelectSpec,
+        serve: impl Fn(&Entry) -> Option<T>,
+    ) -> Option<T> {
         let shard = self.shard(Self::fingerprint(spec));
-        {
-            let segments = shard.read().expect("probe cache lock poisoned");
-            if let Some(found) = segments.fresh.get(spec).filter(|e| e.serves(budget)) {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Some(found.probe());
-            }
-            match segments.stale.get(spec).filter(|e| e.serves(budget)) {
-                None => {
-                    self.misses.fetch_add(1, Ordering::Relaxed);
-                    return None;
+        with_key(question, spec, |key| {
+            {
+                let segments = shard.read().expect("probe cache lock poisoned");
+                if let Some(found) = segments.fresh.get(key).and_then(&serve) {
+                    self.hits.fetch_add(1, Ordering::Relaxed);
+                    return Some(found);
                 }
-                Some(found) => {
-                    // Promotion would overflow the fresh generation: serve the
-                    // stale hit directly under the shared lock. A hot set too
-                    // big to promote must not degrade every hit to the write
-                    // lock.
-                    if segments.fresh_bytes + found.bytes > self.rotation_threshold() {
-                        self.hits.fetch_add(1, Ordering::Relaxed);
-                        return Some(found.probe());
+                let stale = segments.stale.get(key).and_then(|e| Some((e.bytes, serve(e)?)));
+                match stale {
+                    None => {
+                        self.misses.fetch_add(1, Ordering::Relaxed);
+                        return None;
+                    }
+                    Some((cost, found)) => {
+                        // Promotion would overflow the fresh generation: serve
+                        // the stale hit directly under the shared lock. A hot
+                        // set too big to promote must not degrade every hit to
+                        // the write lock.
+                        if segments.fresh_bytes + cost > self.rotation_threshold() {
+                            self.hits.fetch_add(1, Ordering::Relaxed);
+                            return Some(found);
+                        }
                     }
                 }
             }
-        }
-        // Stale hit: promote under the write lock (re-checking, since the
-        // entry may have moved or vanished between the locks). Promotion is
-        // skipped when it would push the fresh generation past its half of
-        // the budget slice — the entry is still served, it just stays stale —
-        // so fresh and stale each stay within half a slice and retention
-        // never exceeds the configured budget. A fresh generation already
-        // holding a copy keeps the stronger of the two.
-        let mut segments = shard.write().expect("probe cache lock poisoned");
-        if let Some(entry) = segments.stale.get(spec).filter(|e| e.serves(budget)) {
-            let cost = entry.bytes;
-            let probe = entry.probe();
-            let fresh_has_stronger =
-                segments.fresh.get(spec).map(|f| f.at_least_as_strong_as(entry)).unwrap_or(false);
-            if !fresh_has_stronger && segments.fresh_bytes + cost <= self.rotation_threshold() {
-                let (key, value) =
-                    segments.stale.remove_entry(spec).expect("checked under the same lock");
-                segments.stale_bytes = segments.stale_bytes.saturating_sub(cost);
-                if let Some(old) = segments.fresh.insert(key, value) {
-                    segments.fresh_bytes = segments.fresh_bytes.saturating_sub(old.bytes);
+            // Stale hit: promote under the write lock (re-checking, since the
+            // entry may have moved or vanished between the locks). Promotion
+            // is skipped when it would push the fresh generation past its half
+            // of the budget slice — the entry is still served, it just stays
+            // stale — so fresh and stale each stay within half a slice and
+            // retention never exceeds the configured budget. A fresh
+            // generation already holding a copy keeps the stronger of the two.
+            let mut segments = shard.write().expect("probe cache lock poisoned");
+            if let Some(entry) = segments.stale.get(key) {
+                if let Some(found) = serve(entry) {
+                    let cost = entry.bytes;
+                    let fresh_has_stronger =
+                        segments.fresh.get(key).is_some_and(|f| f.at_least_as_strong_as(entry));
+                    if !fresh_has_stronger
+                        && segments.fresh_bytes + cost <= self.rotation_threshold()
+                    {
+                        let (key, value) =
+                            segments.stale.remove_entry(key).expect("checked under the same lock");
+                        segments.stale_bytes = segments.stale_bytes.saturating_sub(cost);
+                        if let Some(old) = segments.fresh.insert(key, value) {
+                            segments.fresh_bytes = segments.fresh_bytes.saturating_sub(old.bytes);
+                        }
+                        segments.fresh_bytes += cost;
+                    }
+                    self.hits.fetch_add(1, Ordering::Relaxed);
+                    return Some(found);
                 }
-                segments.fresh_bytes += cost;
             }
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Some(probe);
-        }
-        match segments.fresh.get(spec).filter(|e| e.serves(budget)) {
-            Some(found) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(found.probe())
+            match segments.fresh.get(key).and_then(&serve) {
+                Some(found) => {
+                    self.hits.fetch_add(1, Ordering::Relaxed);
+                    Some(found)
+                }
+                None => {
+                    self.misses.fetch_add(1, Ordering::Relaxed);
+                    None
+                }
             }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        })
     }
 
     /// Memoize an **exact** result (compatibility wrapper over
@@ -624,39 +691,59 @@ impl ProbeCache {
         result: ResultSet,
         exact: bool,
     ) -> CachedProbe {
-        let cost = estimate_bytes(spec, &result);
-        let entry = Entry { result: Arc::new(result), exact, bytes: cost };
-        let threshold = self.rotation_threshold();
-        if cost > threshold {
-            return entry.probe(); // would blow the budget by itself: don't retain
+        match self.store(spec, Answer::Rows(CachedProbe { rows: Arc::new(result), exact })) {
+            Answer::Rows(probe) => probe,
+            Answer::Exists(_) => unreachable!("a rows key only ever holds rows"),
         }
+    }
+
+    /// Memoize whether `spec` returns any row, under the same generations
+    /// and budget as [`ProbeCache::insert_budgeted`]. The entry keeps the
+    /// bit and its key, no rows.
+    pub fn insert_exists(&self, spec: &SelectSpec, exists: bool) {
+        self.store(spec, Answer::Exists(exists));
+    }
+
+    /// The insert behind both questions; returns the answer that ends up
+    /// serving the key.
+    fn store(&self, spec: &SelectSpec, answer: Answer) -> Answer {
+        let question = match answer {
+            Answer::Rows(_) => Question::Rows,
+            Answer::Exists(_) => Question::Exists,
+        };
         let shard = self.shard(Self::fingerprint(spec));
-        let mut segments = shard.write().expect("probe cache lock poisoned");
-        // A racing worker may have inserted the same probe; keep the
-        // stronger of the two copies.
-        if let Some(existing) = segments.fresh.get(spec) {
-            if existing.at_least_as_strong_as(&entry) {
-                return existing.probe();
+        with_key(question, spec, |key| {
+            let entry = Entry { bytes: estimate_bytes(key, &answer), answer };
+            let threshold = self.rotation_threshold();
+            if entry.bytes > threshold {
+                return entry.answer; // would blow the budget by itself: don't retain
             }
-            let old = segments.fresh.remove(spec).expect("checked under the same lock");
-            segments.fresh_bytes = segments.fresh_bytes.saturating_sub(old.bytes);
-        }
-        if let Some(old) = segments.stale.get(spec) {
-            if old.at_least_as_strong_as(&entry) {
-                let probe = old.probe();
-                return probe;
+            let mut segments = shard.write().expect("probe cache lock poisoned");
+            // A racing worker may have inserted the same probe; keep the
+            // stronger of the two copies.
+            if let Some(existing) = segments.fresh.get(key) {
+                if existing.at_least_as_strong_as(&entry) {
+                    return existing.answer.clone();
+                }
+                let old = segments.fresh.remove(key).expect("checked under the same lock");
+                segments.fresh_bytes = segments.fresh_bytes.saturating_sub(old.bytes);
             }
-            let old = segments.stale.remove(spec).expect("checked under the same lock");
-            segments.stale_bytes = segments.stale_bytes.saturating_sub(old.bytes);
-        }
-        if segments.fresh_bytes + cost > threshold {
-            segments.rotate();
-            self.rotations.fetch_add(1, Ordering::Relaxed);
-        }
-        segments.fresh_bytes += cost;
-        let probe = entry.probe();
-        segments.fresh.insert(spec.clone(), entry);
-        probe
+            if let Some(old) = segments.stale.get(key) {
+                if old.at_least_as_strong_as(&entry) {
+                    return old.answer.clone();
+                }
+                let old = segments.stale.remove(key).expect("checked under the same lock");
+                segments.stale_bytes = segments.stale_bytes.saturating_sub(old.bytes);
+            }
+            if segments.fresh_bytes + entry.bytes > threshold {
+                segments.rotate();
+                self.rotations.fetch_add(1, Ordering::Relaxed);
+            }
+            segments.fresh_bytes += entry.bytes;
+            let answer = entry.answer.clone();
+            segments.fresh.insert(Box::from(key), entry);
+            answer
+        })
     }
 
     /// The single-flight in-flight probe table sharing this cache's keyspace.
@@ -701,46 +788,167 @@ impl ProbeCache {
 /// The bytes one entry keeps allocated, as requested from the allocator (its
 /// per-allocation overhead is not counted):
 ///
-/// * its map slot — the key and the [`Entry`] side by side, plus the control
-///   byte — at the map's typical occupancy: a table grows by doubling up to
-///   7/8 full, so it holds about 3/2 slots per entry;
-/// * the key, a clone of the probe's spec: its projection, predicate, GROUP BY
-///   and HAVING vectors, the text of its predicate values and its join tree's
-///   two shared slices (counted per entry, though entries over one tree may
-///   share them);
-/// * the result: its `Arc` allocation, column names and types, the row vector
-///   and every row's cells with their text.
-fn estimate_bytes(spec: &SelectSpec, rs: &ResultSet) -> u64 {
+/// * its map slot — the boxed key and the [`Entry`] side by side, plus the
+///   control byte — at the map's typical occupancy: a table grows by doubling
+///   up to 7/8 full, so it holds about 3/2 slots per entry;
+/// * the encoded key ([`encode_key`]);
+/// * a rows answer's result: its `Arc` allocation, column names and types,
+///   the row vector and every row's cells with their text. An existence
+///   answer keeps no result.
+fn estimate_bytes(key: &[u8], answer: &Answer) -> u64 {
     fn text(v: &Value) -> usize {
         match v {
             Value::Text(s) => s.capacity(),
             _ => 0,
         }
     }
-    fn predicates(ps: &[Predicate]) -> usize {
-        let values = |p: &Predicate| text(&p.value) + p.value2.as_ref().map_or(0, text);
-        ps.iter().map(|p| size_of::<Predicate>() + values(p)).sum()
+    let slot = (size_of::<(Box<[u8]>, Entry)>() + 1) * 3 / 2;
+    let result = match answer {
+        Answer::Exists(_) => 0,
+        Answer::Rows(probe) => {
+            let rs = &*probe.rows;
+            2 * size_of::<usize>() // the `Arc`'s reference counts
+                + size_of::<ResultSet>()
+                + rs.columns.capacity() * size_of::<String>()
+                + rs.columns.iter().map(String::capacity).sum::<usize>()
+                + rs.types.capacity() * size_of::<DataType>()
+                + rs.rows.capacity() * size_of::<Row>()
+                + rs.rows
+                    .iter()
+                    .map(|r| {
+                        r.0.capacity() * size_of::<Value>() + r.0.iter().map(text).sum::<usize>()
+                    })
+                    .sum::<usize>()
+        }
+    };
+    (slot + key.len() + result) as u64
+}
+
+thread_local! {
+    /// The buffer a thread encodes its cache keys into, reused across probes.
+    static KEY: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Run `f` on the encoded key of `question` about `spec`.
+fn with_key<T>(question: Question, spec: &SelectSpec, f: impl FnOnce(&[u8]) -> T) -> T {
+    KEY.with(|buf| {
+        let mut buf = buf.borrow_mut();
+        encode_key(question, spec, &mut buf);
+        f(&buf)
+    })
+}
+
+/// The canonical byte encoding of `question` about `spec`, written over
+/// `out`: the question's tag, then every field of the spec in declaration
+/// order. Each field's encoding is self-delimiting — sequences and text carry
+/// their length, options and enums a leading tag byte, integers are LEB128
+/// and numbers their 8 canonical bytes ([`canonical_bits`]) — so the whole is
+/// a prefix code: equal specs encode equally (`SelectSpec`'s `Eq` treats
+/// every NaN as one and `-0.0` as `0.0`, as the bits do) and distinct specs
+/// distinctly.
+fn encode_key(question: Question, spec: &SelectSpec, out: &mut Vec<u8>) {
+    fn uint(out: &mut Vec<u8>, mut n: usize) {
+        while n >= 0x80 {
+            out.push(n as u8 | 0x80);
+            n >>= 7;
+        }
+        out.push(n as u8);
     }
-    let slot = (size_of::<(SelectSpec, Entry)>() + 1) * 3 / 2;
-    let key = spec.select.len() * size_of::<SelectItem>()
-        + predicates(&spec.predicates)
-        + predicates(&spec.having)
-        + spec.group_by.len() * size_of::<ColumnId>()
-        + 2 * 2 * size_of::<usize>() // the two `Arc` slices' reference counts
-        + size_of_val(&*spec.join.tables)
-        + size_of_val(&*spec.join.edges);
-    let result = 2 * size_of::<usize>() // the `Arc`'s reference counts
-        + size_of::<ResultSet>()
-        + rs.columns.capacity() * size_of::<String>()
-        + rs.columns.iter().map(String::capacity).sum::<usize>()
-        + rs.types.capacity() * size_of::<DataType>()
-        + rs.rows.capacity() * size_of::<Row>()
-        + rs
-            .rows
-            .iter()
-            .map(|r| r.0.capacity() * size_of::<Value>() + r.0.iter().map(text).sum::<usize>())
-            .sum::<usize>();
-    (slot + key + result) as u64
+    fn column(out: &mut Vec<u8>, col: ColumnId) {
+        uint(out, col.table.0);
+        uint(out, col.column);
+    }
+    fn opt_column(out: &mut Vec<u8>, col: Option<ColumnId>) {
+        match col {
+            None => out.push(0),
+            Some(col) => {
+                out.push(1);
+                column(out, col);
+            }
+        }
+    }
+    fn agg(out: &mut Vec<u8>, agg: Option<AggFunc>) {
+        out.push(agg.map_or(0, |a| a as u8 + 1));
+    }
+    fn value(out: &mut Vec<u8>, v: &Value) {
+        match v {
+            Value::Null => out.push(0),
+            Value::Text(s) => {
+                out.push(1);
+                uint(out, s.len());
+                out.extend_from_slice(s.as_bytes());
+            }
+            Value::Number(n) => {
+                out.push(2);
+                out.extend_from_slice(&canonical_bits(*n).to_le_bytes());
+            }
+        }
+    }
+    fn predicates(out: &mut Vec<u8>, ps: &[Predicate]) {
+        uint(out, ps.len());
+        for p in ps {
+            agg(out, p.agg);
+            opt_column(out, p.col);
+            out.push(p.op as u8);
+            value(out, &p.value);
+            match &p.value2 {
+                None => out.push(0),
+                Some(v) => {
+                    out.push(1);
+                    value(out, v);
+                }
+            }
+        }
+    }
+
+    out.clear();
+    out.push(question as u8);
+    uint(out, spec.select.len());
+    for item in &spec.select {
+        agg(out, item.agg);
+        opt_column(out, item.col);
+    }
+    out.push(spec.distinct as u8);
+    uint(out, spec.join.tables.len());
+    for table in spec.join.tables.iter() {
+        uint(out, table.0);
+    }
+    uint(out, spec.join.edges.len());
+    for edge in spec.join.edges.iter() {
+        column(out, edge.fk.from);
+        column(out, edge.fk.to);
+    }
+    predicates(out, &spec.predicates);
+    out.push(spec.predicate_op as u8);
+    uint(out, spec.group_by.len());
+    for &col in &spec.group_by {
+        column(out, col);
+    }
+    predicates(out, &spec.having);
+    match spec.order_by {
+        None => out.push(0),
+        Some(OrderSpec { key, desc }) => {
+            out.push(1 + desc as u8);
+            match key {
+                OrderKey::Column(col) => {
+                    out.push(0);
+                    column(out, col);
+                }
+                OrderKey::Aggregate(func, col) => {
+                    out.push(1);
+                    agg(out, Some(func));
+                    opt_column(out, col);
+                }
+            }
+        }
+    }
+    match spec.limit {
+        None => out.push(0),
+        Some(n) => {
+            out.push(1);
+            uint(out, n);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -902,8 +1110,9 @@ mod tests {
         // The entry is now stale; a hit must return it and promote it back.
         assert!(cache.get(&hot).is_some(), "stale generation still serves hits");
         let segments = shard.read().unwrap();
-        assert!(segments.fresh.contains_key(&hot), "hit must promote to fresh");
-        assert!(!segments.stale.contains_key(&hot));
+        let key = key(Question::Rows, &hot);
+        assert!(segments.fresh.contains_key(&key[..]), "hit must promote to fresh");
+        assert!(!segments.stale.contains_key(&key[..]));
         drop(segments);
         // A second hand rotation + hit keeps it alive indefinitely.
         shard.write().unwrap().rotate();
@@ -966,7 +1175,7 @@ mod tests {
     #[test]
     fn single_flight_leader_fans_out_to_waiters() {
         let table = Arc::new(InflightTable::default());
-        let key: InflightKey = (42, Some(1));
+        let key: InflightKey = (Question::Rows, 42, Some(1));
         let leader = match table.join(key) {
             InflightJoin::Leader(g) => g,
             InflightJoin::Served { .. } => panic!("first join must lead"),
@@ -995,7 +1204,7 @@ mod tests {
     #[test]
     fn abandoned_leader_elects_a_successor() {
         let table = Arc::new(InflightTable::default());
-        let key: InflightKey = (7, None);
+        let key: InflightKey = (Question::Rows, 7, None);
         let leader = match table.join(key) {
             InflightJoin::Leader(g) => g,
             InflightJoin::Served { .. } => panic!("first join must lead"),
@@ -1022,7 +1231,7 @@ mod tests {
     #[test]
     fn fresh_arrival_takes_over_an_abandoned_slot() {
         let table = InflightTable::default();
-        let key: InflightKey = (9, Some(3));
+        let key: InflightKey = (Question::Exists, 9, Some(3));
         match table.join(key) {
             InflightJoin::Leader(g) => drop(g), // abandon immediately, nobody waiting
             InflightJoin::Served { .. } => panic!("first join must lead"),
@@ -1034,5 +1243,205 @@ mod tests {
         }
         let (lookups, hits, leaders) = table.counters();
         assert_eq!((lookups, hits, leaders), (2, 0, 2));
+    }
+
+    fn key(question: Question, spec: &SelectSpec) -> Vec<u8> {
+        with_key(question, spec, <[u8]>::to_vec)
+    }
+
+    /// A deterministic stream of specs drawn from a few values per field, so
+    /// equal specs recur and distinct ones differ in every field somewhere:
+    /// numbers include both zeros and two NaN payloads, text includes the
+    /// encoder's own tag and length bytes, and column ids cross the one-byte
+    /// LEB128 boundary.
+    fn generated_specs(n: usize) -> Vec<SelectSpec> {
+        use crate::join_graph::JoinEdge;
+        use crate::query::{CmpOp, LogicalOp};
+        use crate::schema::{ForeignKey, TableId};
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut pick = move |k: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % k as u64) as usize
+        };
+        let values = [
+            Value::Null,
+            Value::Number(0.0),
+            Value::Number(-0.0),
+            Value::Number(f64::NAN),
+            Value::Number(f64::from_bits(f64::NAN.to_bits() | 1)),
+            Value::Number(1.0),
+            Value::text(""),
+            Value::text("a"),
+            Value::text("\u{1}\u{1}a"),
+            Value::text("\0\u{2}"),
+        ];
+        let col = |i: usize| ColumnId::new([0, 1, 127, 128, 300][i % 5], i / 5);
+        let aggs = [None, Some(AggFunc::Count), Some(AggFunc::Max)];
+        let ops = [CmpOp::Eq, CmpOp::Like, CmpOp::Between];
+        (0..n)
+            .map(|_| {
+                let predicates = |pick: &mut dyn FnMut(usize) -> usize| -> Vec<Predicate> {
+                    (0..pick(3))
+                        .map(|_| Predicate {
+                            agg: aggs[pick(3)],
+                            col: [None, Some(col(pick(10)))][pick(2)],
+                            op: ops[pick(3)],
+                            value: values[pick(values.len())].clone(),
+                            value2: (pick(2) == 1).then(|| values[pick(values.len())].clone()),
+                        })
+                        .collect()
+                };
+                let select = (0..pick(3))
+                    .map(|_| SelectItem {
+                        agg: aggs[pick(3)],
+                        col: [None, Some(col(pick(10)))][pick(2)],
+                    })
+                    .collect();
+                let tables: Vec<TableId> = (0..1 + pick(2)).map(|_| TableId(pick(3))).collect();
+                let edges: Vec<JoinEdge> = (0..pick(2))
+                    .map(|_| JoinEdge { fk: ForeignKey { from: col(pick(10)), to: col(pick(10)) } })
+                    .collect();
+                let where_ = predicates(&mut pick);
+                let having = predicates(&mut pick);
+                SelectSpec {
+                    select,
+                    distinct: pick(2) == 1,
+                    join: JoinTree { tables: tables.into(), edges: edges.into() },
+                    predicates: where_,
+                    predicate_op: [LogicalOp::And, LogicalOp::Or][pick(2)],
+                    group_by: (0..pick(2)).map(|_| col(pick(10))).collect(),
+                    having,
+                    order_by: [
+                        None,
+                        Some(OrderSpec {
+                            key: OrderKey::Column(col(pick(10))),
+                            desc: pick(2) == 1,
+                        }),
+                        Some(OrderSpec {
+                            key: OrderKey::Aggregate(AggFunc::Count, [None, Some(col(0))][pick(2)]),
+                            desc: pick(2) == 1,
+                        }),
+                    ][pick(3)],
+                    limit: [None, Some(0), Some(1), Some(200)][pick(4)],
+                }
+            })
+            .collect()
+    }
+
+    /// An equal spec built from other bits: every zero's sign flipped, every
+    /// NaN's payload changed, the join tree's slices freshly allocated.
+    fn twin(spec: &SelectSpec) -> SelectSpec {
+        let flip = |v: &mut Value| {
+            if let Value::Number(n) = v {
+                if *n == 0.0 {
+                    *n = -*n;
+                } else if n.is_nan() {
+                    *n = f64::from_bits(n.to_bits() ^ 2);
+                }
+            }
+        };
+        let mut twin = spec.clone();
+        for p in twin.predicates.iter_mut().chain(&mut twin.having) {
+            flip(&mut p.value);
+            p.value2.iter_mut().for_each(flip);
+        }
+        twin.join = JoinTree {
+            tables: spec.join.tables.to_vec().into(),
+            edges: spec.join.edges.to_vec().into(),
+        };
+        twin
+    }
+
+    #[test]
+    fn keys_are_equal_exactly_when_specs_are() {
+        let mut specs = generated_specs(1_000);
+        specs.extend(specs.iter().step_by(2).map(twin).collect::<Vec<_>>());
+        let keys: Vec<_> = specs.iter().map(|s| key(Question::Rows, s)).collect();
+        let mut equal_pairs = 0;
+        for i in 0..specs.len() {
+            assert_eq!(keys[i], key(Question::Rows, &specs[i].clone()), "deterministic");
+            assert_ne!(keys[i], key(Question::Exists, &specs[i]), "the question leads the key");
+            for j in i + 1..specs.len() {
+                let same = specs[i] == specs[j];
+                equal_pairs += same as usize;
+                assert_eq!(keys[i] == keys[j], same, "{:?}\n{:?}", specs[i], specs[j]);
+            }
+        }
+        assert!(equal_pairs > 0, "the generator must also produce equal specs");
+    }
+
+    #[test]
+    fn keys_fold_numbers_and_delimit_every_field() {
+        use crate::query::CmpOp;
+        let c = ColumnId::new(0, 0);
+        let with = |predicates: Vec<Predicate>, having: Vec<Predicate>, limit| SelectSpec {
+            select: vec![SelectItem::column(c)],
+            join: JoinTree::single(c.table),
+            predicates,
+            having,
+            limit,
+            ..Default::default()
+        };
+        let eq = |v: Value| Predicate::new(c, CmpOp::Eq, v);
+        let same =
+            |a: &SelectSpec, b: &SelectSpec| key(Question::Rows, a) == key(Question::Rows, b);
+        // -0.0 is 0.0, and every NaN is one NaN.
+        assert!(same(
+            &with(vec![eq(Value::Number(-0.0))], vec![], None),
+            &with(vec![eq(Value::Number(0.0))], vec![], None)
+        ));
+        let other_nan = f64::from_bits(f64::NAN.to_bits() | 0xdead);
+        assert!(other_nan.is_nan());
+        assert!(same(
+            &with(vec![eq(Value::Number(f64::NAN))], vec![], None),
+            &with(vec![eq(Value::Number(other_nan))], vec![], None)
+        ));
+        // Text holding the encoder's tag bytes cannot shift the boundary
+        // between two values: without the length prefixes these two encode
+        // to the same bytes.
+        let between = |lo: &str, hi: &str| Predicate::between(c, Value::text(lo), Value::text(hi));
+        assert!(!same(
+            &with(vec![between("a", "\u{1}\u{1}b")], vec![], None),
+            &with(vec![between("a\u{1}\u{1}", "b")], vec![], None)
+        ));
+        // An element moved between adjacent vectors, one of them left empty.
+        assert!(!same(
+            &with(vec![eq(Value::int(1))], vec![], None),
+            &with(vec![], vec![eq(Value::int(1))], None)
+        ));
+        // LIMIT absent is not LIMIT 0.
+        assert!(!same(&with(vec![], vec![], None), &with(vec![], vec![], Some(0))));
+        // BETWEEN with and without its second bound.
+        let one = Value::int(1);
+        let mut open = Predicate::between(c, one.clone(), one.clone());
+        assert!(!same(&with(vec![open.clone()], vec![], None), &{
+            open.value2 = None;
+            with(vec![open], vec![], None)
+        }));
+    }
+
+    #[test]
+    fn rows_and_existence_answers_never_serve_each_other() {
+        let db = db();
+        let cache = ProbeCache::default();
+        let s = spec(&db);
+        cache.insert_exists(&s, true);
+        assert!(cache.get(&s).is_none(), "an existence answer does not serve rows");
+        assert!(cache.get_budgeted(&s, Some(1)).is_none());
+        assert_eq!(cache.get_exists(&s), Some(true));
+
+        let t = spec_with_limit(&db, 2);
+        cache.insert(&t, crate::executor::execute(&db, &t).unwrap());
+        assert_eq!(cache.get_exists(&t), None, "a rows answer does not serve existence");
+        assert_eq!(cache.get(&t).unwrap().len(), 2);
+
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (2, 3, 2));
+        // An existence entry keeps its slot and key, no rows.
+        let exists_bytes = estimate_bytes(&key(Question::Exists, &s), &Answer::Exists(true));
+        assert!(stats.bytes > 2 * exists_bytes);
+        assert!(exists_bytes < 128, "{exists_bytes} B for one bit");
     }
 }

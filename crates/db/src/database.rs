@@ -6,9 +6,9 @@
 //! interior mutability (sharded locks + atomic counters) so concurrent
 //! readers never need an exclusive borrow.
 
-use crate::cache::{CacheStats, CachedProbe, InflightJoin, ProbeCache, RunCacheCounters};
+use crate::cache::{CacheStats, CachedProbe, InflightJoin, ProbeCache, Question, RunCacheCounters};
 use crate::error::{DbError, DbResult};
-use crate::executor::{ExecOptions, ResultSet};
+use crate::executor::{ExecOptions, ExecOutcome, ResultSet};
 use crate::index::InvertedIndex;
 use crate::query::SelectSpec;
 use crate::schema::{ColumnId, Schema, TableId};
@@ -404,21 +404,65 @@ impl Database {
             counters.record(true);
             return Ok(hit);
         }
-        counters.record(false);
-        if !self.single_flight() {
-            return self.execute_probe(spec, budget, counters);
+        self.execute_miss(Question::Rows, spec, budget, counters, |out| {
+            self.probe_cache.insert_budgeted(spec, out.result, out.metrics.exact)
+        })
+    }
+
+    /// Whether `spec` returns any row, through the memo cache — the
+    /// existence question the verifier's `LIMIT 1` probes ask. The cache
+    /// keeps the answer as one bit, not the rows, so a rows entry for the
+    /// same spec does not answer it (nor it a rows request). A miss executes
+    /// what [`Database::execute_cached_with`] executes and is counted and
+    /// collapsed across sessions the same way.
+    pub fn exists_cached_with(
+        &self,
+        spec: &SelectSpec,
+        counters: &RunCacheCounters,
+    ) -> DbResult<bool> {
+        if let Some(hit) = self.probe_cache.get_exists(spec) {
+            counters.record(true);
+            return Ok(hit);
         }
-        // Single-flight: collapse concurrent identical misses into one
-        // execution. The in-flight key carries the budget class, so a waiter
-        // is served a result executed under its own budget (the exactness
-        // bit therefore always means what the waiter would have computed).
-        let key = (ProbeCache::fingerprint(spec), budget);
+        let probe = self.execute_miss(Question::Exists, spec, None, counters, |out| {
+            self.probe_cache.insert_exists(spec, !out.result.is_empty());
+            CachedProbe { rows: Arc::new(out.result), exact: out.metrics.exact }
+        })?;
+        Ok(!probe.rows.is_empty())
+    }
+
+    /// The miss path of both cached questions: count the miss, run the probe
+    /// under the row budget and hand the outcome to `memoize`, which caches
+    /// the answer and returns the probe to serve. Single-flight collapses
+    /// concurrent identical misses into one execution; the in-flight key
+    /// carries the question and the budget class, so a waiter is served a
+    /// result executed under its own budget (the exactness bit therefore
+    /// always means what the waiter would have computed).
+    fn execute_miss(
+        &self,
+        question: Question,
+        spec: &SelectSpec,
+        budget: Option<usize>,
+        counters: &RunCacheCounters,
+        memoize: impl FnOnce(ExecOutcome) -> CachedProbe,
+    ) -> DbResult<CachedProbe> {
+        counters.record(false);
+        let execute = || {
+            let opts = ExecOptions { row_budget: budget };
+            let out = crate::executor::execute_with(self, spec, &opts)?;
+            counters.record_scan(&out.metrics);
+            Ok(memoize(out))
+        };
+        if !self.single_flight() {
+            return execute();
+        }
+        let key = (question, ProbeCache::fingerprint(spec), budget);
         match self.probe_cache.inflight().join(key) {
             InflightJoin::Leader(guard) => {
                 counters.single_flight_leaders.fetch_add(1, Ordering::Relaxed);
                 // On error the guard drops unpublished, abandoning the slot:
                 // a waiter (or the next arrival) re-elects and re-executes.
-                let probe = self.execute_probe(spec, budget, counters)?;
+                let probe = execute()?;
                 guard.publish(probe.clone());
                 Ok(probe)
             }
@@ -428,20 +472,6 @@ impl Database {
                 Ok(probe)
             }
         }
-    }
-
-    /// Run one probe through the executor under a row budget and memoize the
-    /// result — the miss path of [`Database::execute_cached_budgeted`].
-    fn execute_probe(
-        &self,
-        spec: &SelectSpec,
-        budget: Option<usize>,
-        counters: &RunCacheCounters,
-    ) -> DbResult<CachedProbe> {
-        let opts = ExecOptions { row_budget: budget };
-        let out = crate::executor::execute_with(self, spec, &opts)?;
-        counters.record_scan(&out.metrics);
-        Ok(self.probe_cache.insert_budgeted(spec, out.result, out.metrics.exact))
     }
 
     /// Cumulative probe-cache counters for this database instance.

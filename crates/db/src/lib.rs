@@ -35,7 +35,7 @@ pub mod types;
 
 pub use cache::{
     CacheStats, CachedProbe, InflightJoin, InflightKey, InflightTable, LeaderGuard, ProbeCache,
-    RunCacheCounters,
+    Question, RunCacheCounters,
 };
 pub use database::{Database, Row, TableData};
 pub use error::DbError;

@@ -139,11 +139,20 @@ impl Value {
     pub fn key(&self) -> Option<Key> {
         match self {
             Value::Null => None,
-            Value::Number(n) if n.is_nan() => Some(Key::Num(f64::NAN.to_bits())),
-            // Adding 0.0 folds -0.0 onto +0.0, as the `Hash` impl below does.
-            Value::Number(n) => Some(Key::Num((n + 0.0).to_bits())),
+            Value::Number(n) => Some(Key::Num(canonical_bits(*n))),
             Value::Text(s) => Some(Key::Text(s.to_ascii_lowercase())),
         }
+    }
+}
+
+/// The bits a number is keyed, hashed and cache-encoded by, consistent with
+/// `PartialEq for Value`: every NaN is one NaN, and `-0.0` is `0.0` (adding
+/// 0.0 folds it onto `+0.0`).
+pub(crate) fn canonical_bits(n: f64) -> u64 {
+    if n.is_nan() {
+        f64::NAN.to_bits()
+    } else {
+        (n + 0.0).to_bits()
     }
 }
 
@@ -230,13 +239,7 @@ impl std::hash::Hash for Value {
             }
             Value::Number(n) => {
                 2u8.hash(state);
-                // Consistent with `PartialEq`: all NaNs are equal, and
-                // -0.0 == 0.0 (adding 0.0 folds -0.0 onto +0.0).
-                if n.is_nan() {
-                    f64::NAN.to_bits().hash(state);
-                } else {
-                    (n + 0.0).to_bits().hash(state);
-                }
+                canonical_bits(*n).hash(state);
             }
         }
     }

@@ -8,9 +8,11 @@
 //!   expansions, over its 37 tasks — a run's live heap grows by well under
 //!   1.5 MiB (about 3 MiB while the frontier kept every state it generated),
 //!   and `frontier_peak` stays within `2·100 + 64`.
-//! * **The probe cache counts what it keeps.** After a pass of Spider runs,
-//!   the cache's estimated bytes come within a third of what clearing it
-//!   frees (they were a fifth of it while only result cells were counted).
+//! * **The probe cache counts what it keeps, and keeps little.** After a
+//!   pass of Spider runs, the cache's estimated bytes come within a third of
+//!   what clearing it frees (they were a fifth of it while only result cells
+//!   were counted), and clearing it frees at most 512 B per entry: most
+//!   entries are existence probes, a byte-encoded key and one bit.
 //!
 //! This file is its own test binary because it installs a counting global
 //! allocator, and holds a single `#[test]` so no other thread allocates while
@@ -138,10 +140,21 @@ fn runs_and_the_probe_cache_keep_what_they_count() {
     }
     assert!(entries > 1_000, "the pass cached too little to judge ({entries} entries)");
     let ratio = counted as f64 / freed as f64;
-    println!("probe cache: {entries} entries, {counted} B counted, {freed} B freed");
+    println!(
+        "probe cache: {entries} entries, {counted} B counted, {freed} B freed ({} B per entry)",
+        freed as u64 / entries
+    );
     assert!(
         (0.66..=1.5).contains(&ratio),
         "the probe cache counted {counted} B over {entries} entries, clearing it freed {freed} B \
          (ratio {ratio:.2})"
+    );
+    // An entry is its encoded question and its answer: most are existence
+    // probes, one bit under a key of a few dozen bytes (902 B per entry
+    // while every entry kept a cloned spec and a full result).
+    let per_entry = freed as u64 / entries;
+    assert!(
+        per_entry <= 512,
+        "clearing the probe cache freed {per_entry} B per entry ({freed} B over {entries})"
     );
 }
