@@ -17,6 +17,9 @@
 //! the join tree) on the indexed database — reduced — and on its twin — the
 //! scan path.
 //!
+//! A second group times `Database::rebuild_index` on the MAS database and
+//! the fan-out fixture.
+//!
 //! Before timing, the bench prints the rows-scanned and wall-clock ratios
 //! between the strategies so the limit-pushdown, index-access and reduction
 //! wins are visible without a stopwatch.
@@ -26,7 +29,7 @@ use duoquest_db::{
     execute_with, CmpOp, ColumnDef, DataType, Database, ExecOptions, JoinGraph, JoinTree,
     Predicate, Schema, SelectItem, SelectSpec, TableDef, TableId, Value,
 };
-use duoquest_workloads::{mas_pbe_tasks, spider, MasDataset};
+use duoquest_workloads::{mas, mas_pbe_tasks, spider, MasDataset};
 
 /// Verifier-shaped probe mix over every column of `db`: one probe for a value
 /// that exists (the first row's) and one for a value that cannot.
@@ -234,5 +237,17 @@ fn bench_executor(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_executor);
+/// `Database::rebuild_index` — every column index and the text index — on
+/// the benchmark's MAS database (12 253 rows, 15 tables, mostly text) and
+/// on the all-number fan-out fixture: the cold start of a loaded database.
+fn bench_rebuild_index(c: &mut Criterion) {
+    let mut mas_db = Database::clone(&mas::generate(42, 8.0).db);
+    let mut fanout = fanout_db();
+    let mut group = c.benchmark_group("rebuild_index");
+    group.bench_function("mas", |b| b.iter(|| mas_db.rebuild_index()));
+    group.bench_function("fanout", |b| b.iter(|| fanout.rebuild_index()));
+    group.finish();
+}
+
+criterion_group!(benches, bench_executor, bench_rebuild_index);
 criterion_main!(benches);

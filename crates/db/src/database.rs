@@ -272,7 +272,6 @@ impl Database {
     /// joins, range scans and ordered index scans. The executor uses the
     /// secondary indexes from then on; before the first call it scans.
     pub fn rebuild_index(&mut self) {
-        self.index = InvertedIndex::build(&self.schema, &self.data);
         self.table_indexes = self
             .data
             .iter()
@@ -281,6 +280,7 @@ impl Database {
                 TableIndex::build(&table.rows, self.schema.table(TableId(ti)).columns.len())
             })
             .collect();
+        self.index = InvertedIndex::build(&self.schema, &self.table_indexes);
         self.index_dirty = false;
     }
 

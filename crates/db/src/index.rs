@@ -4,10 +4,17 @@
 //! index containing all text columns in the database" (paper §4). The same
 //! structure is used by the PBE baseline to locate candidate projection columns
 //! from example cell values, and by literal tagging in the NLQ crate.
+//!
+//! `Database::rebuild_index` builds it after the column indexes
+//! ([`crate::table_index`]) and reads it off them without touching a row: a
+//! text column's [`Key::Text`] keys are its distinct lowercased values, and a
+//! key's match-list length is its count in that column. The write path does
+//! not maintain it; `insert` and `update_cell` mark it stale
+//! (`Database::index_is_dirty`) until the next rebuild.
 
-use crate::database::TableData;
-use crate::schema::{ColumnId, Schema, TableId};
-use crate::types::{DataType, Value};
+use crate::schema::{ColumnId, Schema};
+use crate::table_index::TableIndex;
+use crate::types::{DataType, Key};
 use std::collections::HashMap;
 
 /// A single index hit: a column containing the searched value and how often.
@@ -29,39 +36,30 @@ pub struct InvertedIndex {
 }
 
 impl InvertedIndex {
-    /// Build the index from a schema and its table data.
-    pub fn build(schema: &Schema, data: &[TableData]) -> Self {
-        let mut exact: HashMap<String, HashMap<ColumnId, usize>> = HashMap::new();
-        let mut values: HashMap<ColumnId, Vec<String>> = HashMap::new();
-        for (ti, table) in schema.tables.iter().enumerate() {
-            for (ci, col) in table.columns.iter().enumerate() {
-                if col.dtype != DataType::Text {
-                    continue;
-                }
-                let cid = ColumnId { table: TableId(ti), column: ci };
-                let mut seen: Vec<String> = Vec::new();
-                for row in &data[ti].rows {
-                    if let Value::Text(s) = &row.0[ci] {
-                        let key = s.to_ascii_lowercase();
-                        *exact.entry(key.clone()).or_default().entry(cid).or_insert(0) += 1;
-                        if !seen.contains(&key) {
-                            seen.push(key);
-                        }
-                    }
-                }
-                seen.sort();
-                values.insert(cid, seen);
+    /// Read the index off the column indexes of `schema`'s tables: a text
+    /// column's [`Key::Text`] keys are its distinct lowercased values, and
+    /// each key's match-list length is how many rows hold it.
+    pub(crate) fn build(schema: &Schema, tables: &[TableIndex]) -> Self {
+        let text_columns: Vec<ColumnId> =
+            schema.all_columns().filter(|&c| schema.column(c).dtype == DataType::Text).collect();
+        let lists = |c: ColumnId| tables[c.table.0].column(c.column).match_lists();
+        let mut exact: HashMap<String, Vec<IndexHit>> =
+            HashMap::with_capacity(text_columns.iter().map(|&c| lists(c).len()).sum());
+        let mut values = HashMap::with_capacity(text_columns.len());
+        // Columns in `(table, column)` order, so every hit list comes out
+        // sorted by column.
+        for column in text_columns {
+            let mut keys = Vec::with_capacity(lists(column).len());
+            for (key, rows) in lists(column) {
+                let Key::Text(key) = key else { continue };
+                // Most values live in one column: a list of one, not of four.
+                let hits = exact.entry(key.clone()).or_insert_with(|| Vec::with_capacity(1));
+                hits.push(IndexHit { column, count: rows.len() });
+                keys.push(key.clone());
             }
+            keys.sort_unstable();
+            values.insert(column, keys);
         }
-        let exact = exact
-            .into_iter()
-            .map(|(k, per_col)| {
-                let mut hits: Vec<IndexHit> =
-                    per_col.into_iter().map(|(column, count)| IndexHit { column, count }).collect();
-                hits.sort_by_key(|h| (h.column.table, h.column.column));
-                (k, hits)
-            })
-            .collect();
         InvertedIndex { exact, values }
     }
 
@@ -79,15 +77,10 @@ impl InvertedIndex {
     /// text columns, lexicographically sorted and capped at `limit` entries.
     pub fn autocomplete(&self, prefix: &str, limit: usize) -> Vec<String> {
         let prefix = prefix.to_ascii_lowercase();
-        let mut out: Vec<String> = Vec::new();
-        for vals in self.values.values() {
-            for v in vals {
-                if v.starts_with(&prefix) && !out.contains(v) {
-                    out.push(v.clone());
-                }
-            }
-        }
-        out.sort();
+        let mut out: Vec<String> =
+            self.values.values().flatten().filter(|v| v.starts_with(&prefix)).cloned().collect();
+        out.sort_unstable();
+        out.dedup();
         out.truncate(limit);
         out
     }
@@ -114,6 +107,7 @@ mod tests {
     use super::*;
     use crate::database::Database;
     use crate::schema::{ColumnDef, TableDef};
+    use crate::types::Value;
 
     fn db() -> Database {
         let mut s = Schema::new("test");

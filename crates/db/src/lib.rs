@@ -27,6 +27,8 @@ pub mod database;
 pub mod error;
 pub mod executor;
 pub mod index;
+#[cfg(test)]
+mod index_build_tests;
 pub mod join_graph;
 pub mod query;
 pub mod schema;

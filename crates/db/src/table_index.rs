@@ -24,6 +24,20 @@
 //! consulted while absent, so a database that skips `rebuild_index` simply
 //! runs every query as a scan.
 //!
+//! # Build
+//!
+//! [`ColumnIndex::build`] sorts a column once and reads both structures off
+//! that one order. An all-number/NULL column sorts flat `(bits, row id)`
+//! pairs, where the bits order numbers as `ord_cmp` does (`-0.0` folded
+//! onto `0.0`, NaN last) and NULL below every number; any other column
+//! sorts `(cell, row id)` pairs stably under `ord_cmp`. Identical cells are
+//! then adjacent runs with ascending row ids, so each run derives its key
+//! once — one lowercasing per distinct text, not per cell — and becomes its
+//! match list whole. Runs that share a key without being adjacent are case
+//! variants (`"ABC"`, `"Abc"`, `"abc"`), whose list is re-sorted as it
+//! merges. The §4 text index (`crate::index`) is then read off the text
+//! columns' match lists.
+//!
 //! # NaN caveat
 //!
 //! `Value::total_cmp` treats NaN as equal to every number, which is not a
@@ -35,8 +49,9 @@
 //! orders agree with or without it.
 
 use crate::database::Row;
-use crate::types::{Key, Value};
+use crate::types::{canonical_bits, Key, Value};
 use std::cmp::Ordering;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// The total order of the sorted run, of `ORDER BY` and of `MIN`/`MAX`:
@@ -48,6 +63,34 @@ pub(crate) fn ord_cmp(a: &Value, b: &Value) -> Ordering {
         return x.partial_cmp(y).unwrap_or_else(|| x.is_nan().cmp(&y.is_nan()));
     }
     a.total_cmp(b)
+}
+
+/// A NULL cell's [`sort_bits`]: below every number's.
+const NULL_BITS: u64 = 0;
+
+/// A number or NULL cell's position in the [`ord_cmp`] order as an unsigned
+/// integer: two cells compare under `ord_cmp` as their bits do. The
+/// canonical bits fold `-0.0` onto `0.0` and every NaN onto one positive
+/// NaN, which then sorts after `+∞`; flipping negatives puts them below
+/// positives in reverse magnitude. No number maps to [`NULL_BITS`] (only a
+/// negative NaN could, and none is canonical).
+fn sort_bits(v: &Value) -> u64 {
+    let Some(n) = v.as_number() else { return NULL_BITS };
+    let bits = canonical_bits(n);
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
+}
+
+/// Split sorted `(cell, row id)` pairs, NULLs first, into the row ids and
+/// the positions where each run of identical non-NULL cells starts.
+fn sorted_runs<T: PartialEq>(cells: Vec<(T, usize)>, null: &T) -> (Vec<usize>, Vec<usize>) {
+    let first = cells.partition_point(|(cell, _)| cell == null);
+    let starts =
+        (first..cells.len()).filter(|&p| p == first || cells[p - 1].0 != cells[p].0).collect();
+    (cells.into_iter().map(|(_, row)| row).collect(), starts)
 }
 
 /// The ordered secondary index of one column. See the module docs for the
@@ -69,34 +112,47 @@ pub struct ColumnIndex {
 }
 
 impl ColumnIndex {
-    /// Build the index over one column of `rows`.
+    /// Build the index over one column of `rows`: one sort, then one key
+    /// and one match list per run of identical cells (see the module docs).
     pub fn build(rows: &[Row], col: usize) -> ColumnIndex {
-        let mut idx = ColumnIndex {
-            by_key: HashMap::new(),
-            sorted: (0..rows.len()).collect(),
-            non_null: 0,
-            max_matches: 0,
-            has_nan: false,
+        let (sorted, starts) = if rows.iter().any(|r| matches!(r.0[col], Value::Text(_))) {
+            // Stable, so ties keep ascending row ids.
+            let mut cells: Vec<(&Value, usize)> = rows.iter().map(|r| &r.0[col]).zip(0..).collect();
+            cells.sort_by(|a, b| ord_cmp(a.0, b.0));
+            sorted_runs(cells, &&Value::Null)
+        } else {
+            // The pairs are distinct, so an unstable sort leaves the order a
+            // stable one would.
+            let mut cells: Vec<(u64, usize)> =
+                rows.iter().map(|r| sort_bits(&r.0[col])).zip(0..).collect();
+            cells.sort_unstable();
+            sorted_runs(cells, &NULL_BITS)
         };
-        idx.sorted
-            .sort_by(|&a, &b| ord_cmp(&rows[a].0[col], &rows[b].0[col]).then_with(|| a.cmp(&b)));
-        for (ri, row) in rows.iter().enumerate() {
-            idx.note_value(&row.0[col]);
-            if let Some(key) = row.0[col].key() {
-                idx.non_null += 1;
-                let list = idx.by_key.entry(key).or_default();
-                list.push(ri);
-                idx.max_matches = idx.max_matches.max(list.len());
+        let mut by_key: HashMap<Key, Vec<usize>> = HashMap::with_capacity(starts.len());
+        let ends = starts.iter().skip(1).copied().chain([sorted.len()]);
+        for (start, end) in starts.iter().copied().zip(ends) {
+            let run = &sorted[start..end];
+            let key = rows[run[0]].0[col].key().expect("a run holds non-NULL cells");
+            match by_key.entry(key) {
+                Entry::Vacant(slot) => {
+                    slot.insert(run.to_vec());
+                }
+                // A case variant of an earlier run (`"Abc"` after `"ABC"`):
+                // one key, but not adjacent in the case-sensitive order. The
+                // list is two ascending runs, which the stable sort merges.
+                Entry::Occupied(mut slot) => {
+                    let list = slot.get_mut();
+                    list.extend_from_slice(run);
+                    list.sort();
+                }
             }
         }
-        idx
-    }
-
-    fn note_value(&mut self, v: &Value) {
-        if let Value::Number(n) = v {
-            if n.is_nan() {
-                self.has_nan = true;
-            }
+        ColumnIndex {
+            non_null: starts.first().map_or(0, |&first| sorted.len() - first),
+            max_matches: by_key.values().map(Vec::len).max().unwrap_or(0),
+            has_nan: by_key.contains_key(&Key::Num(canonical_bits(f64::NAN))),
+            by_key,
+            sorted,
         }
     }
 
@@ -104,7 +160,7 @@ impl ColumnIndex {
     /// appends and to re-insert an updated row.
     pub(crate) fn insert_row(&mut self, rows: &[Row], col: usize, row_idx: usize) {
         let v = &rows[row_idx].0[col];
-        self.note_value(v);
+        self.has_nan |= v.as_number().is_some_and(f64::is_nan);
         let pos = self.sorted.partition_point(|&i| match ord_cmp(&rows[i].0[col], v) {
             Ordering::Less => true,
             Ordering::Equal => i < row_idx,
