@@ -208,10 +208,7 @@ impl CandidateCollector {
     /// is deterministic.
     pub(crate) fn finish(mut self, stats: EnumerationStats) -> SynthesisResult {
         self.candidates.sort_by(|a, b| {
-            b.confidence
-                .partial_cmp(&a.confidence)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.emit_index.cmp(&b.emit_index))
+            b.confidence.total_cmp(&a.confidence).then_with(|| a.emit_index.cmp(&b.emit_index))
         });
         SynthesisResult { candidates: self.candidates, stats }
     }
@@ -293,7 +290,7 @@ mod tests {
     use crate::tsq::TsqCell;
     use crate::verify::test_fixtures::movie_db;
     use duoquest_db::{CmpOp, DataType};
-    use duoquest_nlq::{Literal, NoisyOracleGuidance, OracleConfig};
+    use duoquest_nlq::{Choice, GuidanceContext, Literal, NoisyOracleGuidance, OracleConfig};
     use duoquest_sql::QueryBuilder;
 
     fn gold(db: &Database) -> SelectSpec {
@@ -380,5 +377,38 @@ mod tests {
             r.candidates.iter().map(|c| format!("{:?}", c.spec)).collect::<Vec<_>>()
         };
         assert_eq!(keys(&a), keys(&b));
+    }
+
+    /// Scores every third choice `+∞` and the rest 1.
+    struct InfiniteGuidance;
+
+    impl GuidanceModel for InfiniteGuidance {
+        fn score(&self, _ctx: &GuidanceContext<'_>, choices: &[Choice]) -> Vec<f64> {
+            (0..choices.len()).map(|i| if i % 3 == 0 { f64::INFINITY } else { 1.0 }).collect()
+        }
+    }
+
+    /// A model scoring `+∞` never puts a NaN into the frontier's or the
+    /// ranking's order: every confidence is finite and the run repeats.
+    #[test]
+    fn an_infinite_score_ranks_like_any_other() {
+        let db = movie_db();
+        let mut config = DuoquestConfig::fast();
+        config.time_budget = None;
+        let engine = Duoquest::new(config);
+        let run = || {
+            let result = engine.synthesize(&db, &nlq(), None, &InfiniteGuidance);
+            assert!(!result.candidates.is_empty());
+            for c in &result.candidates {
+                assert!((0.0..=1.0).contains(&c.confidence), "confidence {}", c.confidence);
+            }
+            let candidates: Vec<_> = result
+                .candidates
+                .iter()
+                .map(|c| (format!("{:?}", c.spec), c.confidence.to_bits(), c.emit_index))
+                .collect();
+            (candidates, result.stats.expanded, result.stats.generated, result.stats.rounds)
+        };
+        assert_eq!(run(), run());
     }
 }

@@ -364,8 +364,10 @@ impl RunPlan {
 }
 
 /// A freshly generated child: the partial query, its confidence and its
-/// decision depth (one more than its parent's).
-type Child = (PartialQuery, f64, usize);
+/// decision depth (one more than its parent's). The query is boxed once, where
+/// phase 1 splits it from its `Choice`, and the same box goes through
+/// verification into the frontier.
+type Child = (Box<PartialQuery>, f64, u32);
 
 /// Consecutive rounds one [`RoundDriver::advance`] may run before it must
 /// yield. Without this bound a driven session would run to completion inside
@@ -620,7 +622,7 @@ impl RoundDriver {
             // A state with no decision left is complete (it was verified and
             // emitted when generated); a state with an empty child set is a
             // dead end. Both just drop out of the frontier.
-            let Some(children) = enum_next_step(&state.pq, env.db, env.nlq, env.config) else {
+            let Some(children) = enum_next_step(state.pq(), env.db, env.nlq, env.config) else {
                 continue;
             };
             if children.is_empty() {
@@ -628,8 +630,8 @@ impl RoundDriver {
             }
             // Split choices from children instead of cloning every `Choice`
             // for the scoring call.
-            let (choices, child_pqs): (Vec<Choice>, Vec<PartialQuery>) =
-                children.into_iter().unzip();
+            let (choices, child_pqs): (Vec<Choice>, Vec<Box<PartialQuery>>) =
+                children.into_iter().map(|(choice, pq)| (choice, Box::new(pq))).unzip();
             let raw = if env.config.guided {
                 // Prepared on the first round rather than at construction:
                 // here a panicking model poisons only this session, and the
@@ -643,7 +645,7 @@ impl RoundDriver {
             };
             let scores = duoquest_nlq::guidance::normalize_scores(&raw);
             for (pq, score) in child_pqs.into_iter().zip(scores) {
-                out.push((pq, state.confidence * score, state.decisions + 1));
+                out.push((pq, state.confidence() * score, state.decisions() + 1));
             }
         }
         out
@@ -679,7 +681,7 @@ impl RoundDriver {
         // The remaining children were skipped: the session's cancellation
         // token fired, or the wall-clock deadline passed.
         let (mut cancelled, mut timed_out) = (false, false);
-        for (done, (pq, confidence, decisions)) in children.into_iter().enumerate() {
+        for (done, (mut pq, confidence, decisions)) in children.into_iter().enumerate() {
             // Honor cancellation between children (an atomic load — cheap
             // enough per child) so cancel takes effect mid-round, not at the
             // next one.
@@ -709,7 +711,7 @@ impl RoundDriver {
             // one variant per path the child still needs, the child itself when
             // its join path already covers it. Each pays the stages that execute
             // over its join path.
-            let mut settle = |pq: PartialQuery| {
+            let mut settle = |pq: Box<PartialQuery>| {
                 self.stats.generated += 1;
                 let outcome = if prefixed {
                     verifier.verify_joined(&pq, &mut timings)
@@ -728,12 +730,15 @@ impl RoundDriver {
             match missing_join_paths(&pq, &mut joins) {
                 None => settle(pq),
                 Some(paths) => {
-                    // The child is moved into the last variant instead of cloned.
+                    // The last variant reuses the child's box instead of a clone.
                     if let Some((last_path, paths)) = paths.split_last() {
                         for join in paths {
-                            settle(PartialQuery { join: Some(join.clone()), ..pq.clone() });
+                            let variant =
+                                PartialQuery { join: Some(join.clone()), ..(*pq).clone() };
+                            settle(Box::new(variant));
                         }
-                        settle(PartialQuery { join: Some(last_path.clone()), ..pq });
+                        pq.join = Some(last_path.clone());
+                        settle(pq);
                     }
                 }
             }
@@ -757,7 +762,7 @@ impl RoundDriver {
         let bound = remaining.saturating_mul(2).saturating_add(64);
         for (pq, confidence, decisions) in survivors {
             self.sequence += 1;
-            self.heap.push(EnumState { pq, confidence, decisions, sequence: self.sequence });
+            self.heap.push(EnumState::new(pq, confidence, decisions, self.sequence));
             if self.heap.len() > bound {
                 self.keep_best(remaining);
             }

@@ -1,4 +1,18 @@
-//! Enumeration states: a partial query plus its confidence score.
+//! Enumeration states: a frontier entry is its rank and a pointer.
+//!
+//! An [`EnumState`] is what the GPQE frontier (a `BinaryHeap`) stores, so its
+//! size is what every heap sift, every buffer doubling and every lossless cut
+//! (`select_nth_unstable_by`) moves. It is 32 bytes: the three ranking keys —
+//! confidence, the attached join path's length, the creation sequence — are
+//! held inline, and the partial query sits behind a `Box`, boxed once when
+//! the child is generated and never moved again. Ranking never follows the
+//! pointer: the join length is computed by the one constructor and the
+//! fields are private, so it cannot go stale.
+//!
+//! With the query inline (248 bytes), the frontier's buffer at the Fig. 10
+//! budget was the largest block a run allocated, up to 1.94 MiB, and it cost
+//! RSS through glibc's mmap threshold; at 32 bytes it stays ≤ 256 KiB
+//! (`docs/DRIVER.md`, "Frontier").
 
 use duoquest_sql::PartialQuery;
 use std::cmp::Ordering;
@@ -8,27 +22,57 @@ use std::cmp::Ordering;
 /// of decisions taken so far.
 #[derive(Debug, Clone)]
 pub struct EnumState {
-    /// The partial query.
-    pub pq: PartialQuery,
-    /// Cumulative confidence in `(0, 1]`.
-    pub confidence: f64,
-    /// Number of inference decisions made so far.
-    pub decisions: usize,
-    /// Monotone sequence number used as the final tie-breaker so the heap order
-    /// is fully deterministic.
-    pub sequence: u64,
+    confidence: f64,
+    sequence: u64,
+    decisions: u32,
+    /// `pq`'s join length, cached so ranking reads no pointer.
+    join_len: u32,
+    pq: Box<PartialQuery>,
 }
 
 impl EnumState {
+    /// A state of `pq`, ranked by `confidence`, then by `pq`'s join length,
+    /// then by `sequence` (its creation order).
+    pub(crate) fn new(
+        pq: Box<PartialQuery>,
+        confidence: f64,
+        decisions: u32,
+        sequence: u64,
+    ) -> Self {
+        let join_len = pq.join.as_ref().map_or(0, |j| j.join_length());
+        let join_len = u32::try_from(join_len).unwrap_or(u32::MAX);
+        EnumState { confidence, sequence, decisions, join_len, pq }
+    }
+
     /// The root state: the empty partial query with confidence 1.
     pub fn root() -> Self {
-        EnumState { pq: PartialQuery::empty(), confidence: 1.0, decisions: 0, sequence: 0 }
+        EnumState::new(Box::new(PartialQuery::empty()), 1.0, 0, 0)
+    }
+
+    /// The partial query.
+    pub fn pq(&self) -> &PartialQuery {
+        &self.pq
+    }
+
+    /// Cumulative confidence in `[0, 1]`.
+    pub fn confidence(&self) -> f64 {
+        self.confidence
+    }
+
+    /// Number of inference decisions made so far.
+    pub fn decisions(&self) -> u32 {
+        self.decisions
+    }
+
+    /// Monotone sequence number, the final tie-breaker of the order.
+    pub fn sequence(&self) -> u64 {
+        self.sequence
     }
 
     /// Join length of the attached join path (0 when no join path yet); used as
     /// the secondary ordering criterion (shorter join paths first, §3.3.4).
-    pub fn join_length(&self) -> usize {
-        self.pq.join.as_ref().map(|j| j.join_length()).unwrap_or(0)
+    pub fn join_length(&self) -> u32 {
+        self.join_len
     }
 }
 
@@ -48,12 +92,12 @@ impl PartialOrd for EnumState {
 
 impl Ord for EnumState {
     /// Max-heap ordering: higher confidence first, then shorter join paths,
-    /// then earlier creation (lower sequence number).
+    /// then earlier creation (lower sequence number). Total: confidences
+    /// compare by `f64::total_cmp`.
     fn cmp(&self, other: &Self) -> Ordering {
         self.confidence
-            .partial_cmp(&other.confidence)
-            .unwrap_or(Ordering::Equal)
-            .then_with(|| other.join_length().cmp(&self.join_length()))
+            .total_cmp(&other.confidence)
+            .then_with(|| other.join_len.cmp(&self.join_len))
             .then_with(|| other.sequence.cmp(&self.sequence))
     }
 }
@@ -61,10 +105,11 @@ impl Ord for EnumState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use duoquest_db::{ColumnId, ForeignKey, JoinEdge, JoinTree, TableId};
     use std::collections::BinaryHeap;
 
     fn state(confidence: f64, sequence: u64) -> EnumState {
-        EnumState { pq: PartialQuery::empty(), confidence, decisions: 0, sequence }
+        EnumState::new(Box::new(PartialQuery::empty()), confidence, 0, sequence)
     }
 
     #[test]
@@ -73,8 +118,8 @@ mod tests {
         heap.push(state(0.2, 1));
         heap.push(state(0.7, 2));
         heap.push(state(0.35, 3));
-        assert!((heap.pop().unwrap().confidence - 0.7).abs() < 1e-12);
-        assert!((heap.pop().unwrap().confidence - 0.35).abs() < 1e-12);
+        assert!((heap.pop().unwrap().confidence() - 0.7).abs() < 1e-12);
+        assert!((heap.pop().unwrap().confidence() - 0.35).abs() < 1e-12);
     }
 
     #[test]
@@ -82,15 +127,42 @@ mod tests {
         let mut heap = BinaryHeap::new();
         heap.push(state(0.5, 10));
         heap.push(state(0.5, 2));
-        assert_eq!(heap.pop().unwrap().sequence, 2);
+        assert_eq!(heap.pop().unwrap().sequence(), 2);
+    }
+
+    #[test]
+    fn shorter_join_paths_break_confidence_ties() {
+        let joined = |edges: usize, sequence: u64| {
+            let fk = |i: usize| JoinEdge {
+                fk: ForeignKey { from: ColumnId::new(i, 1), to: ColumnId::new(i + 1, 0) },
+            };
+            let tables = (0..=edges).map(TableId).collect();
+            let mut pq = PartialQuery::empty();
+            pq.join = Some(JoinTree::new(tables, (0..edges).map(fk).collect()));
+            EnumState::new(Box::new(pq), 0.5, 0, sequence)
+        };
+        let mut heap = BinaryHeap::new();
+        heap.push(joined(2, 1));
+        heap.push(joined(1, 2));
+        heap.push(state(0.5, 3));
+        let order: Vec<_> = std::iter::from_fn(|| heap.pop())
+            .map(|s| {
+                assert_eq!(
+                    s.join_length() as usize,
+                    s.pq().join.as_ref().map_or(0, |j| j.join_length())
+                );
+                s.sequence()
+            })
+            .collect();
+        assert_eq!(order, [3, 2, 1]);
     }
 
     #[test]
     fn root_state() {
         let r = EnumState::root();
-        assert_eq!(r.confidence, 1.0);
-        assert_eq!(r.decisions, 0);
+        assert_eq!(r.confidence(), 1.0);
+        assert_eq!(r.decisions(), 0);
         assert_eq!(r.join_length(), 0);
-        assert!(!r.pq.is_complete());
+        assert!(!r.pq().is_complete());
     }
 }

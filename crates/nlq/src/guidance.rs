@@ -149,13 +149,30 @@ pub trait GuidancePlan: Send {
 }
 
 /// Normalize raw scores into a probability distribution (Property 1).
+///
+/// Negative, NaN and `-0.0` scores count as `0.0`. Every result is finite:
+/// when the clamped scores do not sum to a finite number (a `+∞` score, or
+/// finite scores whose sum overflows), they are first divided by the
+/// largest, so the largest scores become 1 and every finite score beside a
+/// `+∞` becomes 0.
 pub fn normalize_scores(raw: &[f64]) -> Vec<f64> {
-    let sum: f64 = raw.iter().map(|s| s.max(0.0)).sum();
+    let mut scores: Vec<f64> = raw.iter().map(|&s| if s > 0.0 { s } else { 0.0 }).collect();
+    let mut sum: f64 = scores.iter().sum();
+    if !sum.is_finite() {
+        let max = scores.iter().copied().fold(0.0, f64::max);
+        for s in &mut scores {
+            *s = if *s == max { 1.0 } else { *s / max };
+        }
+        sum = scores.iter().sum();
+    }
     if sum <= f64::EPSILON {
         let uniform = 1.0 / raw.len().max(1) as f64;
         return vec![uniform; raw.len()];
     }
-    raw.iter().map(|s| s.max(0.0) / sum).collect()
+    for s in &mut scores {
+        *s /= sum;
+    }
+    scores
 }
 
 #[cfg(test)]
@@ -179,5 +196,22 @@ mod tests {
     fn normalize_clamps_negatives() {
         let scores = normalize_scores(&[-1.0, 1.0]);
         assert_eq!(scores, vec![0.0, 1.0]);
+    }
+
+    /// Every result is a finite, non-negative number with the bits of `+0.0`
+    /// where it is zero, whatever the model returned.
+    #[test]
+    fn normalize_never_yields_nan_or_negative_zero() {
+        let bits = |scores: Vec<f64>| scores.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+        let cases: [(&[f64], &[f64]); 5] = [
+            (&[f64::INFINITY, 1.0], &[1.0, 0.0]),
+            (&[f64::INFINITY, f64::INFINITY, 1.0], &[0.5, 0.5, 0.0]),
+            (&[f64::NAN, 1.0], &[0.0, 1.0]),
+            (&[-0.0, 1.0], &[0.0, 1.0]),
+            (&[f64::MAX, f64::MAX], &[0.5, 0.5]),
+        ];
+        for (raw, expected) in cases {
+            assert_eq!(bits(normalize_scores(raw)), bits(expected.to_vec()), "raw {raw:?}");
+        }
     }
 }
