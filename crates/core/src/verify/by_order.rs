@@ -2,60 +2,51 @@
 //!
 //! When the TSQ is sorted and contains at least two example tuples, the
 //! complete candidate query is executed and the example tuples must be
-//! satisfied by result rows appearing in the same order as they were given.
+//! satisfied by result rows appearing in the same order as they were given;
+//! otherwise each tuple needs a result row of its own
+//! ([`verify_complete`]). Either way the result must respect the limit `k`.
 //!
-//! # Incremental execution
+//! # Deciding while the rows stream
 //!
-//! When the TSQ carries a limit `k`, the candidate is executed through
-//! [`Database::execute_cached_budgeted`] with a **row budget of `k + 1`**:
-//! the streaming executor stops pulling as soon as `k + 1` rows exist, which
-//! already decides the `|result| > k` check, and a result that fits within
-//! the budget is necessarily complete, so the in-order tuple scan still sees
-//! every row. For sorted TSQs whose candidate `ORDER BY` the pipeline order
-//! already satisfies (a presorted probe-side column), this turns the former
-//! full-result execution into an early-terminating scan.
+//! Both checks are yes/no questions about the candidate's rows, and both are
+//! decided the way a Boolean query is: without materialising the result. A
+//! check is a [`Verdict`] — `InOrder` or `Matching` — that
+//! [`Database::decide_cached_with`] feeds the projected rows one at a time;
+//! the executor stops pulling the moment the verdict is known, and the probe
+//! cache keeps the answer as one bit under the sketch's tag
+//! ([`VerifyPlan::tag`]), never the rows.
+//!
+//! * Without a limit, the check passes on the row that completes it: the
+//!   last tuple found in order, or the first perfect matching.
+//! * With a limit `k`, row `k + 1` fails it, and the execution runs under a
+//!   **row budget of `k + 1`**, so the streaming executor never pulls
+//!   further. For sorted TSQs whose candidate `ORDER BY` the pipeline order
+//!   already satisfies (a presorted probe-side column), this is an
+//!   early-terminating scan.
 
 use crate::tsq::TableSketchQuery;
-use duoquest_db::{Database, RunCacheCounters};
+use crate::verify::plan::{Decision, VerifyPlan};
+use duoquest_db::{Database, RunCacheCounters, SelectSpec, Value, Verdict};
 use duoquest_sql::PartialQuery;
 
 /// The row budget for a TSQ-limit check: `k + 1` rows decide `|result| > k`.
+/// (`k = usize::MAX` cannot be exceeded: the budget saturates, as if there
+/// were none.)
 fn limit_budget(tsq: &TableSketchQuery) -> Option<usize> {
-    (tsq.limit > 0).then(|| tsq.limit + 1)
+    (tsq.limit > 0).then(|| tsq.limit.saturating_add(1))
 }
 
 /// Whether the complete query produces rows satisfying the example tuples in
-/// the order they were specified.
+/// the order they were specified. `plan` must have been built from `tsq`.
 pub fn verify_by_order(
     db: &Database,
     tsq: &TableSketchQuery,
     pq: &PartialQuery,
+    plan: &VerifyPlan,
     counters: &RunCacheCounters,
 ) -> bool {
     let Ok(spec) = pq.to_spec() else { return false };
-    let Ok(probe) = db.execute_cached_budgeted(&spec, limit_budget(tsq), counters) else {
-        return false;
-    };
-    let result = probe.rows;
-    if tsq.limit > 0 && result.len() > tsq.limit {
-        return false;
-    }
-    let mut cursor = 0usize;
-    for (ti, _tuple) in tsq.tuples.iter().enumerate() {
-        let mut found = false;
-        while cursor < result.len() {
-            let row = &result.rows[cursor].0;
-            cursor += 1;
-            if tsq.row_satisfies_tuple(ti, row) {
-                found = true;
-                break;
-            }
-        }
-        if !found {
-            return false;
-        }
-    }
-    true
+    decide(db, tsq, &spec, plan, Decision::InOrder, counters)
 }
 
 /// Final soundness check for complete candidate queries (Definition 2.4): every
@@ -63,59 +54,195 @@ pub fn verify_by_order(
 /// respect the limit `k`, and — when the TSQ is sorted — the tuples must appear
 /// in order. This subsumes [`verify_by_order`] for unsorted TSQs and closes the
 /// gap left by the (intentionally superset-based) partial row-wise probes.
+/// `plan` must have been built from `tsq`.
 pub fn verify_complete(
     db: &Database,
     tsq: &TableSketchQuery,
     pq: &PartialQuery,
+    plan: &VerifyPlan,
     counters: &RunCacheCounters,
 ) -> bool {
-    if tsq.sorted && tsq.tuples.len() >= 2 {
-        return verify_by_order(db, tsq, pq, counters);
-    }
     let Ok(spec) = pq.to_spec() else { return false };
-    let Ok(probe) = db.execute_cached_budgeted(&spec, limit_budget(tsq), counters) else {
-        return false;
-    };
-    let result = probe.rows;
-    if tsq.limit > 0 && result.len() > tsq.limit {
-        return false;
-    }
-    // Distinct-row satisfaction is a bipartite matching problem: a greedy
-    // first-fit wrongly rejects candidates when an early tuple takes the only
-    // row a later tuple could use (e.g. tuple 1 matches rows A and B, tuple 2
-    // only A). Kuhn's augmenting paths find a perfect matching whenever one
-    // exists; example tuples are few, so this stays cheap.
-    let mut row_owner: Vec<Option<usize>> = vec![None; result.len()];
-    (0..tsq.tuples.len()).all(|ti| {
-        let mut visited = vec![false; result.len()];
-        assign_tuple(ti, tsq, &result.rows, &mut row_owner, &mut visited)
-    })
+    spec_satisfies_sketch(db, tsq, &spec, plan, counters)
 }
 
-/// Try to give tuple `ti` a result row, recursively re-seating previous
-/// owners along an augmenting path.
-fn assign_tuple(
-    ti: usize,
+/// [`verify_complete`] on a query already compiled to its spec.
+pub fn spec_satisfies_sketch(
+    db: &Database,
     tsq: &TableSketchQuery,
-    rows: &[duoquest_db::Row],
-    row_owner: &mut [Option<usize>],
-    visited: &mut [bool],
+    spec: &SelectSpec,
+    plan: &VerifyPlan,
+    counters: &RunCacheCounters,
 ) -> bool {
-    for (ri, row) in rows.iter().enumerate() {
-        if visited[ri] || !tsq.row_satisfies_tuple(ti, &row.0) {
-            continue;
+    let decision =
+        if tsq.sorted && tsq.tuples.len() >= 2 { Decision::InOrder } else { Decision::Matching };
+    decide(db, tsq, spec, plan, decision, counters)
+}
+
+/// Ask the probe cache for `decision` on `spec`'s rows, deciding it while
+/// they stream on a miss.
+fn decide(
+    db: &Database,
+    tsq: &TableSketchQuery,
+    spec: &SelectSpec,
+    plan: &VerifyPlan,
+    decision: Decision,
+    counters: &RunCacheCounters,
+) -> bool {
+    let (budget, tag) = (limit_budget(tsq), plan.tag(decision));
+    let answer = match decision {
+        Decision::InOrder => {
+            db.decide_cached_with(spec, budget, tag, counters, &mut InOrder::new(tsq))
         }
-        visited[ri] = true;
-        let reseated = match row_owner[ri] {
-            None => true,
-            Some(owner) => assign_tuple(owner, tsq, rows, row_owner, visited),
-        };
-        if reseated {
-            row_owner[ri] = Some(ti);
-            return true;
+        _ => db.decide_cached_with(spec, budget, tag, counters, &mut Matching::new(tsq)),
+    };
+    answer.unwrap_or(false)
+}
+
+/// [`Decision::InOrder`] as a row-by-row [`Verdict`]: a greedy cursor over
+/// the example tuples, which each row moves past the next tuple if it
+/// satisfies it. Taking the first satisfying row for each tuple leaves the
+/// most rows for the tuples after it, so the cursor reaches the end exactly
+/// when an in-order assignment exists.
+#[derive(Debug)]
+struct InOrder<'t> {
+    tsq: &'t TableSketchQuery,
+    /// Tuples found so far, in order.
+    found: usize,
+    rows: usize,
+}
+
+impl<'t> InOrder<'t> {
+    /// The check of `tsq`'s tuples and limit, before any row.
+    fn new(tsq: &'t TableSketchQuery) -> Self {
+        InOrder { tsq, found: 0, rows: 0 }
+    }
+}
+
+impl Verdict for InOrder<'_> {
+    fn row(&mut self, row: &[Value]) -> Option<bool> {
+        let tsq = self.tsq;
+        self.rows += 1;
+        if tsq.limit > 0 && self.rows > tsq.limit {
+            return Some(false);
+        }
+        if self.found < tsq.tuples.len() && tsq.row_satisfies_tuple(self.found, row) {
+            self.found += 1;
+        }
+        (tsq.limit == 0 && self.found == tsq.tuples.len()).then_some(true)
+    }
+
+    fn end(&mut self) -> bool {
+        self.found == self.tsq.tuples.len()
+    }
+}
+
+/// [`Decision::Matching`] as a row-by-row [`Verdict`]: every example tuple
+/// needs a row of its own. That is a bipartite matching problem — a greedy
+/// first-fit wrongly rejects a result where an early tuple takes the only row
+/// a later tuple could use — solved with Kuhn's augmenting paths as the rows
+/// arrive.
+///
+/// Only rows that satisfy some tuple are kept, and at most `T` per tuple,
+/// where `T` is the tuple count: a row is kept while some tuple it satisfies
+/// has fewer than `T` kept rows. By Hall's condition this loses no matching:
+/// a set `S` of tuples that includes a tuple with `T ≥ |S|` kept rows has
+/// enough rows, and one that does not kept every row its tuples are
+/// satisfied by. So at most `T²` rows are kept, as the tuples each row
+/// satisfies, and no cell.
+#[derive(Debug)]
+struct Matching<'t> {
+    tsq: &'t TableSketchQuery,
+    rows: usize,
+    /// Per tuple, the kept rows (numbered in arrival order) satisfying it.
+    /// Empty until the first row, so a check answered from the cache
+    /// allocates nothing.
+    rows_of: Vec<Vec<usize>>,
+    /// Per kept row, the tuple it is matched to.
+    owner: Vec<Option<usize>>,
+    /// Per tuple, whether it is matched; and how many are.
+    is_matched: Vec<bool>,
+    matched: usize,
+}
+
+impl<'t> Matching<'t> {
+    /// The check of `tsq`'s tuples and limit, before any row.
+    fn new(tsq: &'t TableSketchQuery) -> Self {
+        Matching {
+            tsq,
+            rows: 0,
+            rows_of: Vec::new(),
+            owner: Vec::new(),
+            is_matched: Vec::new(),
+            matched: 0,
         }
     }
-    false
+
+    /// Keep `row` if a tuple it satisfies still has room, then grow the
+    /// matching by the augmenting path it may open.
+    fn keep(&mut self, row: &[Value]) {
+        let (tsq, tuples) = (self.tsq, self.tsq.tuples.len());
+        if self.rows_of.is_empty() {
+            self.rows_of = vec![Vec::new(); tuples];
+            self.is_matched = vec![false; tuples];
+        }
+        let room = |t: usize| self.rows_of[t].len() < tuples;
+        if !(0..tuples).any(|t| room(t) && tsq.row_satisfies_tuple(t, row)) {
+            return;
+        }
+        let kept = self.owner.len();
+        self.owner.push(None);
+        for t in (0..tuples).filter(|&t| tsq.row_satisfies_tuple(t, row)) {
+            self.rows_of[t].push(kept);
+        }
+        // Any augmenting path now ends at the new row, and one is the most a
+        // new row can add.
+        for t in 0..tuples {
+            if !self.is_matched[t] && self.assign(t, &mut vec![false; kept + 1]) {
+                self.is_matched[t] = true;
+                self.matched += 1;
+                break;
+            }
+        }
+    }
+
+    /// Try to give tuple `t` a kept row, re-seating earlier owners along an
+    /// augmenting path.
+    fn assign(&mut self, t: usize, visited: &mut [bool]) -> bool {
+        for i in 0..self.rows_of[t].len() {
+            let r = self.rows_of[t][i];
+            if std::mem::replace(&mut visited[r], true) {
+                continue;
+            }
+            let reseated = match self.owner[r] {
+                None => true,
+                Some(owner) => self.assign(owner, visited),
+            };
+            if reseated {
+                self.owner[r] = Some(t);
+                return true;
+            }
+        }
+        false
+    }
+}
+
+impl Verdict for Matching<'_> {
+    fn row(&mut self, row: &[Value]) -> Option<bool> {
+        let (tsq, tuples) = (self.tsq, self.tsq.tuples.len());
+        self.rows += 1;
+        if tsq.limit > 0 && self.rows > tsq.limit {
+            return Some(false);
+        }
+        if self.matched < tuples {
+            self.keep(row);
+        }
+        (tsq.limit == 0 && self.matched == tuples).then_some(true)
+    }
+
+    fn end(&mut self) -> bool {
+        self.matched == self.tsq.tuples.len()
+    }
 }
 
 #[cfg(test)]
@@ -164,22 +291,24 @@ mod tests {
         }
     }
 
+    /// [`verify_by_order`] with `tsq`'s own plan and fresh counters.
+    fn in_order(db: &Database, tsq: &TableSketchQuery, pq: &PartialQuery) -> bool {
+        let plan = VerifyPlan::new(db, Some(tsq));
+        verify_by_order(db, tsq, pq, &plan, &RunCacheCounters::default())
+    }
+
+    /// [`verify_complete`] with `tsq`'s own plan and fresh counters.
+    fn complete(db: &Database, tsq: &TableSketchQuery, pq: &PartialQuery) -> bool {
+        let plan = VerifyPlan::new(db, Some(tsq));
+        verify_complete(db, tsq, pq, &plan, &RunCacheCounters::default())
+    }
+
     #[test]
     fn ascending_order_matches_ascending_examples() {
         let db = movie_db();
-        assert!(verify_by_order(
-            &db,
-            &two_tuples_ascending(),
-            &ordered_pq(&db, false),
-            &RunCacheCounters::default()
-        ));
+        assert!(in_order(&db, &two_tuples_ascending(), &ordered_pq(&db, false)));
         // Descending order puts Gravity before Forrest Gump, violating the TSQ.
-        assert!(!verify_by_order(
-            &db,
-            &two_tuples_ascending(),
-            &ordered_pq(&db, true),
-            &RunCacheCounters::default()
-        ));
+        assert!(!in_order(&db, &two_tuples_ascending(), &ordered_pq(&db, true)));
     }
 
     #[test]
@@ -193,7 +322,7 @@ mod tests {
             sorted: true,
             ..Default::default()
         };
-        assert!(!verify_by_order(&db, &tsq, &ordered_pq(&db, false), &RunCacheCounters::default()));
+        assert!(!in_order(&db, &tsq, &ordered_pq(&db, false)));
     }
 
     #[test]
@@ -207,8 +336,8 @@ mod tests {
             sorted: true,
             ..Default::default()
         };
-        assert!(verify_by_order(&db, &tsq, &ordered_pq(&db, false), &RunCacheCounters::default()));
-        assert!(!verify_by_order(&db, &tsq, &ordered_pq(&db, true), &RunCacheCounters::default()));
+        assert!(in_order(&db, &tsq, &ordered_pq(&db, false)));
+        assert!(!in_order(&db, &tsq, &ordered_pq(&db, true)));
     }
 
     #[test]
@@ -221,7 +350,40 @@ mod tests {
             ..Default::default()
         };
         // Query returns 3 rows > limit 1.
-        assert!(!verify_by_order(&db, &tsq, &ordered_pq(&db, false), &RunCacheCounters::default()));
+        assert!(!in_order(&db, &tsq, &ordered_pq(&db, false)));
+        assert!(in_order(&db, &tsq.clone().with_limit(3), &ordered_pq(&db, false)));
+    }
+
+    /// `limit + 1` must not overflow: the largest limit is "no limit" in
+    /// effect, and in release builds a wrapped budget of 0 rejected every
+    /// complete candidate.
+    #[test]
+    fn a_limit_of_usize_max_verifies_like_no_limit() {
+        let db = movie_db();
+        let mut pq = ordered_pq(&db, false);
+        for sorted in [true, false] {
+            if !sorted {
+                pq.clauses = Slot::Filled(ClauseSet::default());
+                pq.order_by = Slot::Hole;
+            }
+            for tsq in [
+                two_tuples_ascending(),
+                TableSketchQuery::empty()
+                    .with_tuple(vec![TsqCell::text("Titanic"), TsqCell::Empty]),
+            ] {
+                let tsq = TableSketchQuery { sorted, ..tsq };
+                let unlimited = TableSketchQuery { limit: usize::MAX, ..tsq.clone() };
+                assert_eq!(limit_budget(&unlimited), Some(usize::MAX));
+                assert_eq!(in_order(&db, &unlimited, &pq), in_order(&db, &tsq, &pq), "{tsq:?}");
+                assert_eq!(complete(&db, &unlimited, &pq), complete(&db, &tsq, &pq), "{tsq:?}");
+            }
+            assert!(complete(&db, &TableSketchQuery::empty().with_limit(usize::MAX), &pq));
+        }
+        assert!(in_order(
+            &db,
+            &TableSketchQuery { limit: usize::MAX, ..two_tuples_ascending() },
+            &ordered_pq(&db, false)
+        ));
     }
 
     #[test]
@@ -243,7 +405,7 @@ mod tests {
             sorted: false,
             ..Default::default()
         };
-        assert!(verify_complete(&db, &tsq, &pq, &RunCacheCounters::default()));
+        assert!(complete(&db, &tsq, &pq));
         // An unsatisfiable pair (two tuples, only one possible row) still fails.
         let tsq = TableSketchQuery {
             tuples: vec![
@@ -253,7 +415,7 @@ mod tests {
             sorted: false,
             ..Default::default()
         };
-        assert!(!verify_complete(&db, &tsq, &pq, &RunCacheCounters::default()));
+        assert!(!complete(&db, &tsq, &pq));
     }
 
     #[test]
@@ -312,8 +474,9 @@ mod tests {
             ..Default::default()
         };
         let counters = RunCacheCounters::default();
+        let plan = VerifyPlan::new(&db, Some(&tsq));
         assert!(
-            !verify_by_order(&db, &tsq, &pq, &counters),
+            !verify_by_order(&db, &tsq, &pq, &plan, &counters),
             "a 1000-row result must violate the TSQ limit of 1"
         );
         let (scanned, short_circuited) = counters.scan_snapshot();
@@ -338,7 +501,145 @@ mod tests {
             desc: Slot::Hole,
             limit: Slot::Hole,
         }));
-        assert!(!verify_by_order(&db, &tsq, &pq, &RunCacheCounters::default()));
-        let _ = Value::int(0);
+        assert!(!in_order(&db, &tsq, &pq));
+    }
+
+    /// An `n`-row table: row `i` is named `event i`, in group `i % 10`.
+    fn events(n: usize) -> Database {
+        let mut s = duoquest_db::Schema::new("events");
+        s.add_table(duoquest_db::TableDef::new(
+            "event",
+            vec![
+                duoquest_db::ColumnDef::number("id"),
+                duoquest_db::ColumnDef::text("name"),
+                duoquest_db::ColumnDef::number("grp"),
+            ],
+            Some(0),
+        ));
+        let mut db = Database::new(s).unwrap();
+        let rows = (0..n).map(|i| {
+            vec![Value::int(i as i64), Value::text(format!("event {i}")), Value::int(i as i64 % 10)]
+        });
+        db.insert_all("event", rows).unwrap();
+        db.rebuild_index();
+        db
+    }
+
+    /// SELECT event.name, event.grp FROM event — no limit, no order.
+    fn names_and_groups(db: &Database) -> PartialQuery {
+        let s = db.schema();
+        let item = |c| PartialSelectItem {
+            col: Slot::Filled(SelectColumn::Column(s.column_id("event", c).unwrap())),
+            agg: Slot::Filled(None),
+        };
+        PartialQuery {
+            clauses: Slot::Filled(ClauseSet::default()),
+            select: Slot::Filled(vec![item("name"), item("grp")]),
+            join: Some(JoinGraph::new(s).steiner_tree(&[s.table_id("event").unwrap()]).unwrap()),
+            ..PartialQuery::empty()
+        }
+    }
+
+    /// An unlimited, unsorted candidate is not materialised for its check:
+    /// the rows stream into the verdict, which stops the scan at the row that
+    /// completes the matching, and the cache keeps one bit.
+    #[test]
+    fn a_complete_check_stops_at_the_row_that_decides_it() {
+        let n = 1_000;
+        let db = events(n);
+        let pq = names_and_groups(&db);
+        let tsq = TableSketchQuery::empty()
+            .with_tuple(vec![TsqCell::Empty, TsqCell::number(3)])
+            .with_tuple(vec![TsqCell::text("event 12"), TsqCell::Empty])
+            .with_tuple(vec![TsqCell::Empty, TsqCell::range(2, 3)]);
+        let (plan, counters) = (VerifyPlan::new(&db, Some(&tsq)), RunCacheCounters::default());
+        assert!(verify_complete(&db, &tsq, &pq, &plan, &counters));
+        // Row 2 holds tuple 2, row 3 tuple 0 and row 12 tuple 1: the scan
+        // stops at row 12.
+        assert_eq!(counters.scan_snapshot(), (13, n as u64 - 13));
+        let stats = db.cache_stats();
+        assert_eq!(stats.entries, 1);
+        assert!(stats.bytes < 256, "{} B for one verdict", stats.bytes);
+        assert!(verify_complete(&db, &tsq, &pq, &plan, &counters));
+        assert_eq!(counters.snapshot(), (1, 1), "(hits, misses)");
+
+        // A failing check reads the whole result, and still keeps one bit.
+        let missing = tsq.clone().with_tuple(vec![TsqCell::text("event 1000"), TsqCell::Empty]);
+        let plan = VerifyPlan::new(&db, Some(&missing));
+        assert!(!verify_complete(&db, &missing, &pq, &plan, &RunCacheCounters::default()));
+        assert_eq!(db.cache_stats().entries, 2);
+    }
+
+    /// Kuhn's matching over the kept rows re-seats earlier tuples, and keeps
+    /// a row only while a tuple it satisfies has fewer than `T` kept rows.
+    #[test]
+    fn matching_reseats_tuples_and_keeps_few_rows() {
+        // Any row; a 0; another 0 (duplicate tuples need distinct rows).
+        let tsq = TableSketchQuery::empty()
+            .with_tuple(vec![TsqCell::Empty])
+            .with_tuple(vec![TsqCell::number(0)])
+            .with_tuple(vec![TsqCell::number(0)]);
+        let rows = [0, 5, 5, 5, 5, 0];
+        let mut matching = Matching::new(&tsq);
+        for (i, n) in rows.iter().enumerate() {
+            let decided = (i == rows.len() - 1).then_some(true);
+            assert_eq!(matching.row(&[Value::int(*n)]), decided, "row {i}");
+        }
+        // Row 0 went to tuple 0, then to tuple 1 when row 1 took tuple 0 over.
+        // Row 5 completed the matching by taking tuple 1 and handing row 0
+        // to tuple 2. Rows 3 and 4 satisfied only tuple 0, which had its
+        // three rows.
+        assert_eq!(matching.owner, [Some(2), Some(0), None, Some(1)]);
+
+        let limited = tsq.clone().with_limit(100);
+        let mut matching = Matching::new(&limited);
+        for n in rows.into_iter().chain([5; 94]) {
+            assert_eq!(matching.row(&[Value::int(n)]), None);
+        }
+        assert_eq!(matching.owner.len(), 4, "a complete matching keeps nothing more");
+        assert!(matching.end());
+        assert_eq!(matching.row(&[Value::int(5)]), Some(false), "row 101 exceeds the limit");
+        let mut none = Matching::new(&limited);
+        assert!(!none.end() && none.rows_of.capacity() == 0, "no row, no allocation");
+    }
+
+    /// Two runs whose sketches disagree on one complete candidate, through
+    /// one database with single-flight on: each gets its own verdict,
+    /// whether the two ask at the same time or one after the other, and the
+    /// cache keeps one entry per sketch.
+    #[test]
+    fn two_sketches_get_their_own_verdicts_under_single_flight() {
+        let db = events(20_000);
+        assert!(db.single_flight());
+        let pq = names_and_groups(&db);
+        let present = TableSketchQuery::empty()
+            .with_tuple(vec![TsqCell::text("event 19998"), TsqCell::number(8)]);
+        let absent = TableSketchQuery::empty()
+            .with_tuple(vec![TsqCell::text("event 19998"), TsqCell::number(9)]);
+        let runs = [(&present, true), (&absent, false)]
+            .map(|(tsq, expected)| (tsq, VerifyPlan::new(&db, Some(tsq)), expected));
+        for _ in 0..20 {
+            db.clear_probe_cache();
+            let barrier = std::sync::Barrier::new(2);
+            std::thread::scope(|scope| {
+                for (tsq, plan, expected) in &runs {
+                    let (db, pq, barrier) = (&db, &pq, &barrier);
+                    scope.spawn(move || {
+                        let counters = RunCacheCounters::default();
+                        barrier.wait();
+                        for _ in 0..3 {
+                            assert_eq!(verify_complete(db, tsq, pq, plan, &counters), *expected);
+                        }
+                        assert_eq!(counters.single_flight_snapshot().0, 0, "nobody waits");
+                    });
+                }
+            });
+            assert_eq!(db.cache_stats().entries, 2, "one verdict per sketch");
+        }
+        for (tsq, plan, expected) in runs.iter().cycle().take(6) {
+            let counters = RunCacheCounters::default();
+            assert_eq!(verify_complete(&db, tsq, &pq, plan, &counters), *expected);
+            assert_eq!(counters.snapshot(), (1, 0), "answered from the sketch's own entry");
+        }
     }
 }

@@ -6,7 +6,10 @@
 //! clauses, with the example cells appended to WHERE (unaggregated projections)
 //! or HAVING (aggregated projections).
 //!
-//! A probe is an existence check: only "did a row come back" is read. Without
+//! A probe is an existence check: only "did a row come back" is read (the
+//! global-aggregate probe reads its one row as a count, a verdict the row
+//! decides: [`Decision::NonZeroCount`](crate::verify::plan::Decision)), and
+//! the cache keeps the answer as one bit. Without
 //! a HAVING constraint that answer does not depend on the GROUP BY — a group
 //! exists exactly when a joined row passes WHERE — so such a probe is issued
 //! without one. The executor can then stream it and stop at the first row,
@@ -15,8 +18,9 @@
 
 use crate::tsq::TableSketchQuery;
 use crate::verify::by_column::cell_to_predicate;
+use crate::verify::plan::COUNT_TAG;
 use duoquest_db::{
-    AggFunc, CmpOp, Database, Predicate, RunCacheCounters, SelectItem, SelectSpec, Value,
+    AggFunc, CmpOp, Database, Predicate, RunCacheCounters, SelectItem, SelectSpec, Value, Verdict,
 };
 use duoquest_sql::{PartialQuery, SelectColumn};
 
@@ -152,23 +156,33 @@ pub fn verify_by_row(
             continue;
         }
         // A global-aggregate probe returns its single COUNT(*) row even for
-        // an empty group, so it reads the count off the rows.
-        match db.execute_cached_with(&spec, counters) {
-            Ok(rs) => {
-                if rs.is_empty() {
-                    return false;
-                }
-                // Guard against the COUNT(*) probe returning a single row of 0.
-                if let Some(Value::Number(n)) = rs.rows.first().and_then(|r| r.0.first()) {
-                    if *n == 0.0 && spec.having.iter().any(|h| !having_matches_zero(h)) {
-                        return false;
-                    }
-                }
-            }
-            Err(_) => return false,
+        // an empty group, so it reads the count off that row: a verdict the
+        // first row decides, cached as one bit.
+        let mut verdict = NonZeroCount { having: &spec.having };
+        if !db.decide_cached_with(&spec, None, COUNT_TAG, counters, &mut verdict).unwrap_or(false) {
+            return false;
         }
     }
     true
+}
+
+/// [`Decision::NonZeroCount`](crate::verify::plan::Decision): the global
+/// `COUNT(*)` probe passes on its row unless that row is the
+/// count of an empty group and some HAVING constraint rejects zero; no row
+/// fails it.
+struct NonZeroCount<'s> {
+    having: &'s [Predicate],
+}
+
+impl Verdict for NonZeroCount<'_> {
+    fn row(&mut self, row: &[Value]) -> Option<bool> {
+        let zero = matches!(row.first(), Some(Value::Number(n)) if *n == 0.0);
+        Some(!zero || self.having.iter().all(having_matches_zero))
+    }
+
+    fn end(&mut self) -> bool {
+        false
+    }
 }
 
 /// Whether a HAVING constraint would accept an aggregate value of zero — used

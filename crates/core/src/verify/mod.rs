@@ -28,16 +28,17 @@
 //! back to back. Stage 4 answers from the run's [`VerifyPlan`]: one verdict
 //! per (example cell, column), probed on first touch.
 //!
-//! Database probes run through the streaming executor's memo cache: the
-//! `LIMIT 1` probes of stages 4 and 5 ask whether a row exists
-//! (`Database::exists_cached_with`, cached as one bit), stage 5's
-//! global-aggregate probe and stage 7 ask for rows
-//! (`Database::execute_cached_budgeted`). The `LIMIT 1` probes and the
-//! TSQ-limit checks of stage 7 stop scanning as soon as their limit is
-//! decided (see `docs/EXECUTOR.md`), and the per-run scan counters land in
-//! the counter set handed to [`Verifier::with_counters`]. Stage 4 reaches the
-//! cache on the first touch of a (cell, column) pair only; stages 5 and 7 on
-//! every call.
+//! Database probes run through the streaming executor's memo cache, and
+//! none of them keeps rows there: the `LIMIT 1` probes of stages 4 and 5 ask
+//! whether a row exists (`Database::exists_cached_with`), while stage 5's
+//! global-aggregate probe and stage 7 ask for a verdict on the rows
+//! (`Database::decide_cached_with`, tagged by the run's [`VerifyPlan`]) —
+//! each cached as one bit. The `LIMIT 1` probes stop scanning at their first
+//! row, and a verdict at the row that decides it (at the latest row `k + 1`
+//! of a TSQ with limit `k`; see `docs/EXECUTOR.md`). The per-run scan
+//! counters land in the counter set handed to [`Verifier::with_counters`].
+//! Stage 4 reaches the cache on the first touch of a (cell, column) pair
+//! only; stages 5 and 7 on every call.
 
 pub mod by_column;
 pub mod by_order;
@@ -274,9 +275,10 @@ pub struct Verifier<'a> {
     /// feed that run's counter set — per-session hit attribution on a
     /// database whose probe cache is shared by many concurrent sessions.
     counters: Arc<RunCacheCounters>,
-    /// The column-wise verdicts of the run this verifier works for. A
-    /// verifier nobody handed a plan builds a private one on first use, so
-    /// there is one by-column path whoever constructed the verifier.
+    /// The column-wise verdicts and the sketch's verdict tags of the run
+    /// this verifier works for. A verifier nobody handed a plan builds a
+    /// private one on first use, so there is one by-column and one by-order
+    /// path whoever constructed the verifier.
     plan: OnceLock<Arc<VerifyPlan>>,
     /// The time source of [`StageTimings`] stamps (virtualized so simulated
     /// runs record simulated durations instead of real ones).
@@ -319,10 +321,10 @@ impl<'a> Verifier<'a> {
         self
     }
 
-    /// Answer column-wise checks from a shared plan — the run's, so every
-    /// verifier built for it reads and fills the same verdicts. `plan` must
-    /// have been built from this verifier's database and TSQ
-    /// ([`VerifyPlan::new`]).
+    /// Answer column-wise checks, and tag complete checks, from a shared
+    /// plan — the run's, so every verifier built for it reads and fills the
+    /// same verdicts. `plan` must have been built from this verifier's
+    /// database and TSQ ([`VerifyPlan::new`]).
     pub fn with_plan(mut self, plan: Arc<VerifyPlan>) -> Self {
         self.plan = OnceLock::from(plan);
         self
@@ -395,6 +397,7 @@ impl<'a> Verifier<'a> {
             }};
         }
 
+        let plan = || self.plan.get_or_init(|| Arc::new(VerifyPlan::new(self.db, self.tsq)));
         if part != Part::Joined {
             if let Some(tsq) = self.tsq {
                 stage!(VerifyStage::Clauses, clauses::verify_clauses(tsq, pq));
@@ -407,10 +410,9 @@ impl<'a> Verifier<'a> {
                     VerifyStage::ColumnTypes,
                     types::verify_column_types(self.db.schema(), tsq, pq)
                 );
-                let plan = self.plan.get_or_init(|| Arc::new(VerifyPlan::new(self.db, self.tsq)));
                 stage!(
                     VerifyStage::ByColumn,
-                    by_column::verify_by_column(self.db, tsq, pq, plan, &self.counters)
+                    by_column::verify_by_column(self.db, tsq, pq, plan(), &self.counters)
                 );
             }
         }
@@ -428,7 +430,7 @@ impl<'a> Verifier<'a> {
                 if !tsq.tuples.is_empty() || tsq.limit > 0 {
                     stage!(
                         VerifyStage::ByOrder,
-                        by_order::verify_complete(self.db, tsq, pq, &self.counters)
+                        by_order::verify_complete(self.db, tsq, pq, plan(), &self.counters)
                     );
                 }
             }

@@ -10,15 +10,42 @@
 //! sharing, single-flight and per-run attribution apply to it unchanged);
 //! every later touch is one relaxed atomic load.
 //!
+//! The plan also holds the sketch's **verdict tags**, encoded once per run:
+//! the cache tag under which a complete candidate's sketch check
+//! (`by_order`) stores its one-bit answer ([`VerifyPlan::tag`]). A tag is the
+//! [`Decision`]'s byte, then the sketch's tuples, sorted flag and limit —
+//! everything the decision reads besides the rows — so two sketches never
+//! share an answer, and two runs of one sketch do.
+//!
 //! A plan belongs to one synthesis run: it is built once from the run's TSQ
 //! next to the run's `JoinPlanner`, read and filled by the run's rounds on
 //! whichever worker holds the session, and dropped with the run. The
 //! database cannot change underneath it — writes need `&mut Database`, which
 //! nobody can take while the run borrows (or holds an `Arc` of) the database.
 
-use crate::tsq::TableSketchQuery;
+use crate::tsq::{TableSketchQuery, TsqCell};
+use duoquest_db::cache::{encode_uint, encode_value};
 use duoquest_db::{ColumnId, Database};
 use std::sync::atomic::{AtomicU8, Ordering};
+
+/// What a verdict probe decides about a complete query's rows; its byte
+/// leads the probe's cache tag.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Decision {
+    /// The example tuples are satisfied by rows in the order given, within
+    /// the limit (`by_order::verify_by_order`).
+    InOrder = 0,
+    /// Every example tuple is satisfied by a row of its own, within the
+    /// limit (`by_order::verify_complete` for unsorted sketches).
+    Matching = 1,
+    /// The row-wise stage's global `COUNT(*)` probe returns a row that is
+    /// not an empty group HAVING rejects (`by_row`). It reads nothing but the
+    /// rows and the spec, so its tag is its byte alone.
+    NonZeroCount = 2,
+}
+
+/// The tag of [`Decision::NonZeroCount`].
+pub(crate) const COUNT_TAG: &[u8] = &[Decision::NonZeroCount as u8];
 
 /// Which of a pair's two verdicts is asked for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,31 +72,59 @@ pub struct VerifyPlan {
     /// Two bits per [`Check`], cells in the order `verify_by_column` walks
     /// them (tuple by tuple, constrained cells only), columns in schema order.
     verdicts: Vec<AtomicU8>,
+    /// The tags of [`Decision::InOrder`] and [`Decision::Matching`]; empty
+    /// for a sketch no complete check reads (no tuple, no limit).
+    in_order: Box<[u8]>,
+    matching: Box<[u8]>,
 }
 
 impl VerifyPlan {
     /// A plan with every verdict unknown: one byte per (constrained cell of
-    /// `tsq`, column of `db`), and no allocation at all for a TSQ without a
-    /// constrained cell (type-only sketches, `None`).
+    /// `tsq`, column of `db`), and the sketch's verdict tags when it has
+    /// tuples or a limit. A type-only sketch, or `None`, allocates nothing.
     pub fn new(db: &Database, tsq: Option<&TableSketchQuery>) -> Self {
-        let cells = tsq.map_or(0, constrained_cells);
+        let mut plan = VerifyPlan::default();
+        let Some(tsq) = tsq else { return plan };
+        if !tsq.tuples.is_empty() || tsq.limit > 0 {
+            plan.in_order = encode_tag(Decision::InOrder, tsq);
+            plan.matching = encode_tag(Decision::Matching, tsq);
+        }
+        let cells = constrained_cells(tsq);
         if cells == 0 {
-            return VerifyPlan::default();
+            return plan;
         }
         let mut columns = 0;
-        let table_offsets = (db.schema().tables.iter())
+        plan.table_offsets = (db.schema().tables.iter())
             .map(|table| {
                 columns += table.columns.len();
                 columns - table.columns.len()
             })
             .collect();
-        let verdicts = std::iter::repeat_with(AtomicU8::default).take(cells * columns).collect();
-        VerifyPlan { table_offsets, columns, verdicts }
+        plan.columns = columns;
+        plan.verdicts = std::iter::repeat_with(AtomicU8::default).take(cells * columns).collect();
+        plan
     }
 
     /// Bytes of verdict storage the plan holds for its whole run.
     pub fn bytes(&self) -> usize {
         self.verdicts.len()
+    }
+
+    /// The cache tag of `decision` about the plan's sketch (see the module
+    /// docs).
+    ///
+    /// # Panics
+    ///
+    /// Panics in debug builds if the sketch the plan was built from has
+    /// neither tuples nor a limit, so no complete check reads it.
+    pub fn tag(&self, decision: Decision) -> &[u8] {
+        let tag = match decision {
+            Decision::InOrder => &self.in_order,
+            Decision::Matching => &self.matching,
+            Decision::NonZeroCount => return COUNT_TAG,
+        };
+        debug_assert!(!tag.is_empty(), "the plan was built for a sketch without tuples or limit");
+        tag
     }
 
     /// The verdict of `check` for the `cell`-th constrained cell against
@@ -110,6 +165,35 @@ impl VerifyPlan {
 /// Cells of `tsq` that constrain their column.
 fn constrained_cells(tsq: &TableSketchQuery) -> usize {
     tsq.tuples.iter().flatten().filter(|cell| cell.is_constrained()).count()
+}
+
+/// `decision`'s byte, then `tsq`'s tuples (each length-prefixed, each cell
+/// a kind byte and its values), sorted flag and limit, in the probe cache's
+/// key encoding — self-delimiting throughout, so two sketches share a tag
+/// only if they are equal cell for cell.
+fn encode_tag(decision: Decision, tsq: &TableSketchQuery) -> Box<[u8]> {
+    let mut out = vec![decision as u8];
+    encode_uint(&mut out, tsq.tuples.len());
+    for tuple in &tsq.tuples {
+        encode_uint(&mut out, tuple.len());
+        for cell in tuple {
+            match cell {
+                TsqCell::Empty => out.push(0),
+                TsqCell::Exact(v) => {
+                    out.push(1);
+                    encode_value(&mut out, v);
+                }
+                TsqCell::Range(lo, hi) => {
+                    out.push(2);
+                    encode_value(&mut out, lo);
+                    encode_value(&mut out, hi);
+                }
+            }
+        }
+    }
+    out.push(u8::from(tsq.sorted));
+    encode_uint(&mut out, tsq.limit);
+    out.into_boxed_slice()
 }
 
 #[cfg(test)]
@@ -161,6 +245,49 @@ mod tests {
             let plan = VerifyPlan::new(&db, tsq.as_ref());
             assert_eq!(plan.bytes(), 0);
             assert_eq!(plan.verdicts.capacity() + plan.table_offsets.capacity(), 0);
+            // Only a sketch a complete check reads has tags to keep.
+            let checked = tsq.as_ref().is_some_and(|t| !t.tuples.is_empty());
+            assert_eq!(plan.in_order.is_empty() && plan.matching.is_empty(), !checked);
+        }
+    }
+
+    #[test]
+    fn tags_name_the_decision_and_every_part_of_the_sketch() {
+        let db = movie_db();
+        let base = TableSketchQuery::empty()
+            .with_tuple(vec![TsqCell::text("Gravity"), TsqCell::Empty])
+            .with_tuple(vec![TsqCell::Empty, TsqCell::range(2010, 2017)]);
+        let tags = |tsq: &TableSketchQuery| {
+            let plan = VerifyPlan::new(&db, Some(tsq));
+            [Decision::InOrder, Decision::Matching].map(|d| plan.tag(d).to_vec())
+        };
+        let [in_order, matching] = tags(&base);
+        assert_ne!(in_order, matching);
+        assert_eq!((in_order[0], matching[0]), (0, 1), "the decision's byte leads");
+        assert_eq!(tags(&base.clone()), [in_order.clone(), matching]);
+        assert_eq!(VerifyPlan::default().tag(Decision::NonZeroCount), [2]);
+
+        let mut variants = vec![
+            base.clone().sorted(),
+            base.clone().with_limit(2),
+            base.clone().with_tuple(vec![TsqCell::Empty, TsqCell::Empty]),
+        ];
+        for (t, c, cell) in [
+            (0, 0, TsqCell::text("gravity")),
+            (0, 0, TsqCell::Empty),
+            (0, 1, TsqCell::text("")),
+            (1, 1, TsqCell::range(2010, 2018)),
+            (1, 1, TsqCell::number(2010)),
+        ] {
+            let mut tsq = base.clone();
+            tsq.tuples[t][c] = cell;
+            variants.push(tsq);
+        }
+        let mut seen = vec![in_order];
+        for tsq in &variants {
+            let [tag, _] = tags(tsq);
+            assert!(!seen.contains(&tag), "{tsq:?} shares a tag");
+            seen.push(tag);
         }
     }
 }

@@ -7,12 +7,15 @@
 //! it asked, so repeated probes are answered without touching the join
 //! pipeline.
 //!
-//! A cached probe is one of two [`Question`]s about a spec: its **rows**
-//! ([`ProbeCache::get_budgeted`], [`ProbeCache::insert_budgeted`]), or
-//! whether it returns any row at all — the **existence** question the
-//! verifier's column-wise and row-wise `LIMIT 1` probes ask, and the bulk of
-//! what a run caches ([`ProbeCache::get_exists`],
-//! [`ProbeCache::insert_exists`]).
+//! A cached probe is one of three [`Question`]s about a spec: its **rows**
+//! ([`ProbeCache::get_budgeted`], [`ProbeCache::insert_budgeted`]); whether
+//! it returns any row at all — the **existence** question the verifier's
+//! column-wise and row-wise `LIMIT 1` probes ask, and the bulk of what a run
+//! caches ([`ProbeCache::get_exists`], [`ProbeCache::insert_exists`]); or a
+//! caller's **verdict** on its rows — the sketch checks a complete candidate
+//! ends its branch with, named by a caller tag
+//! ([`ProbeCache::get_verdict`], [`ProbeCache::insert_verdict`]). Only the
+//! rows question keeps rows; the other two keep one bit.
 //!
 //! Design:
 //!
@@ -23,14 +26,15 @@
 //! * **Collision-safe.** The map key is a canonical byte encoding of the
 //!   question and every field of the spec: lengths prefixed, numbers by
 //!   their bits folded as `Hash for Value` folds them (every NaN is one NaN,
-//!   `-0.0` is `0.0`), text by its bytes. Equal specs encode equally and
-//!   distinct specs distinctly (the hash only picks the shard), so two
-//!   distinct specs — or the two questions about one spec — can never alias
-//!   an entry. A lookup encodes into a reused per-thread buffer, so a hit
-//!   allocates nothing.
+//!   `-0.0` is `0.0`), text by its bytes — and, for a verdict, the caller's
+//!   tag after them. Equal specs encode equally and distinct specs
+//!   distinctly (the hash only picks the shard), so two distinct specs, the
+//!   three questions about one spec, or two tags can never alias an entry. A
+//!   lookup encodes into a reused per-thread buffer, so a hit allocates
+//!   nothing.
 //! * **Shared results.** A rows answer is an `Arc<ResultSet>` so a hit is a
-//!   pointer clone, not a row copy; an existence answer is one bit and keeps
-//!   no rows.
+//!   pointer clone, not a row copy; an existence or verdict answer is one bit
+//!   and keeps no rows.
 //! * **Observable.** Atomic hit/miss/byte counters feed the engine's
 //!   `EnumerationStats`, making cache effectiveness visible per synthesis run.
 //! * **Segment-rotation eviction.** Each shard keeps two generations of
@@ -55,7 +59,7 @@
 //! **Estimated bytes** — what the budget and [`CacheStats::bytes`] count —
 //! are everything an entry keeps allocated: its map slot at the map's
 //! typical occupancy, its encoded key's length, and — for a rows answer —
-//! the result with its column names, row vector and cells (an existence
+//! the result with its column names, row vector and cells (a one-bit
 //! answer keeps nothing beyond its slot and key). They are the sizes
 //! requested from the allocator, so they come to
 //! what [`ProbeCache::clear`] frees, give or take a third (the memory gate in
@@ -256,20 +260,24 @@ impl CachedProbe {
 }
 
 /// The question a cached probe answers about its spec. It leads the entry's
-/// key, so the two answers for one spec never serve each other.
+/// key, so the three answers for one spec never serve each other.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Question {
     /// The spec's rows, possibly a prefix cut at a row budget.
     Rows,
     /// Whether the spec returns any row.
     Exists,
+    /// A caller's yes/no verdict on the spec's rows, named by a tag that
+    /// follows the spec in the key (`Database::decide_cached_with`).
+    Verdict,
 }
 
-/// What one entry keeps: the spec's rows, or only whether there are any.
+/// What one entry keeps: the spec's rows, or one bit — whether there are
+/// any rows, or the verdict on them.
 #[derive(Debug, Clone)]
 enum Answer {
     Rows(CachedProbe),
-    Exists(bool),
+    Bit(bool),
 }
 
 /// One memoized answer and what it costs the byte budget, key included
@@ -283,13 +291,21 @@ struct Entry {
 impl Entry {
     /// Whether this entry carries at least as much information as `other`
     /// under the same key (used to decide replacement when a probe is
-    /// re-inserted). An existence answer is always complete.
+    /// re-inserted). A one-bit answer is always complete.
     fn at_least_as_strong_as(&self, other: &Entry) -> bool {
         match (&self.answer, &other.answer) {
             (Answer::Rows(this), Answer::Rows(that)) => {
                 this.exact || (!that.exact && this.rows.rows.len() >= that.rows.rows.len())
             }
             _ => true,
+        }
+    }
+
+    /// The bit of an existence or verdict entry.
+    fn bit(&self) -> Option<bool> {
+        match self.answer {
+            Answer::Bit(bit) => Some(bit),
+            Answer::Rows(_) => None,
         }
     }
 }
@@ -577,7 +593,7 @@ impl ProbeCache {
     /// stale-generation hit promotes the entry back into the fresh
     /// generation so entries the workload keeps re-probing survive rotation.
     pub fn get_budgeted(&self, spec: &SelectSpec, budget: Option<usize>) -> Option<CachedProbe> {
-        self.lookup(Question::Rows, spec, |entry| match &entry.answer {
+        self.lookup(Question::Rows, spec, &[], |entry| match &entry.answer {
             Answer::Rows(probe) if probe.serves(budget) => Some(probe.clone()),
             _ => None,
         })
@@ -587,22 +603,27 @@ impl ProbeCache {
     /// and promoted like [`ProbeCache::get_budgeted`]. A rows entry for the
     /// same spec does not answer it.
     pub fn get_exists(&self, spec: &SelectSpec) -> Option<bool> {
-        self.lookup(Question::Exists, spec, |entry| match entry.answer {
-            Answer::Exists(exists) => Some(exists),
-            Answer::Rows(_) => None,
-        })
+        self.lookup(Question::Exists, spec, &[], Entry::bit)
     }
 
-    /// The lookup behind both questions: `serve` reads an entry's answer, or
-    /// `None` when the entry cannot answer this request.
+    /// Look up the memoized verdict `tag` names on `spec`'s rows, counted
+    /// and promoted like [`ProbeCache::get_budgeted`]. Only an entry stored
+    /// under the same tag answers it.
+    pub fn get_verdict(&self, spec: &SelectSpec, tag: &[u8]) -> Option<bool> {
+        self.lookup(Question::Verdict, spec, tag, Entry::bit)
+    }
+
+    /// The lookup behind every question: `serve` reads an entry's answer,
+    /// or `None` when the entry cannot answer this request.
     fn lookup<T>(
         &self,
         question: Question,
         spec: &SelectSpec,
+        tag: &[u8],
         serve: impl Fn(&Entry) -> Option<T>,
     ) -> Option<T> {
         let shard = self.shard(Self::fingerprint(spec));
-        with_key(question, spec, |key| {
+        with_key(question, spec, tag, |key| {
             {
                 let segments = shard.read().expect("probe cache lock poisoned");
                 if let Some(found) = segments.fresh.get(key).and_then(&serve) {
@@ -691,9 +712,10 @@ impl ProbeCache {
         result: ResultSet,
         exact: bool,
     ) -> CachedProbe {
-        match self.store(spec, Answer::Rows(CachedProbe { rows: Arc::new(result), exact })) {
+        let rows = Answer::Rows(CachedProbe { rows: Arc::new(result), exact });
+        match self.store(Question::Rows, spec, &[], rows) {
             Answer::Rows(probe) => probe,
-            Answer::Exists(_) => unreachable!("a rows key only ever holds rows"),
+            Answer::Bit(_) => unreachable!("a rows key only ever holds rows"),
         }
     }
 
@@ -701,18 +723,21 @@ impl ProbeCache {
     /// and budget as [`ProbeCache::insert_budgeted`]. The entry keeps the
     /// bit and its key, no rows.
     pub fn insert_exists(&self, spec: &SelectSpec, exists: bool) {
-        self.store(spec, Answer::Exists(exists));
+        self.store(Question::Exists, spec, &[], Answer::Bit(exists));
     }
 
-    /// The insert behind both questions; returns the answer that ends up
+    /// Memoize the verdict `tag` names on `spec`'s rows, like
+    /// [`ProbeCache::insert_exists`]: the entry keeps the bit and its key
+    /// (the tag included), no rows.
+    pub fn insert_verdict(&self, spec: &SelectSpec, tag: &[u8], verdict: bool) {
+        self.store(Question::Verdict, spec, tag, Answer::Bit(verdict));
+    }
+
+    /// The insert behind every question; returns the answer that ends up
     /// serving the key.
-    fn store(&self, spec: &SelectSpec, answer: Answer) -> Answer {
-        let question = match answer {
-            Answer::Rows(_) => Question::Rows,
-            Answer::Exists(_) => Question::Exists,
-        };
+    fn store(&self, question: Question, spec: &SelectSpec, tag: &[u8], answer: Answer) -> Answer {
         let shard = self.shard(Self::fingerprint(spec));
-        with_key(question, spec, |key| {
+        with_key(question, spec, tag, |key| {
             let entry = Entry { bytes: estimate_bytes(key, &answer), answer };
             let threshold = self.rotation_threshold();
             if entry.bytes > threshold {
@@ -747,9 +772,13 @@ impl ProbeCache {
     }
 
     /// The single-flight in-flight probe table sharing this cache's keyspace.
-    /// Misses of [`crate::database::Database::execute_cached_budgeted`] are
-    /// routed through it (unless single-flight is disabled on the database)
-    /// so concurrent identical probes execute once.
+    /// Rows and existence misses
+    /// ([`crate::database::Database::execute_cached_budgeted`],
+    /// [`crate::database::Database::exists_cached_with`]) are routed through
+    /// it (unless single-flight is disabled on the database) so concurrent
+    /// identical probes execute once. Verdict misses are not: an
+    /// [`InflightKey`] carries no tag, so two sketches would share one
+    /// answer.
     pub fn inflight(&self) -> &InflightTable {
         &self.inflight
     }
@@ -793,8 +822,8 @@ impl ProbeCache {
 ///   up to 7/8 full, so it holds about 3/2 slots per entry;
 /// * the encoded key ([`encode_key`]);
 /// * a rows answer's result: its `Arc` allocation, column names and types,
-///   the row vector and every row's cells with their text. An existence
-///   answer keeps no result.
+///   the row vector and every row's cells with their text. A one-bit answer
+///   keeps no result.
 fn estimate_bytes(key: &[u8], answer: &Answer) -> u64 {
     fn text(v: &Value) -> usize {
         match v {
@@ -804,7 +833,7 @@ fn estimate_bytes(key: &[u8], answer: &Answer) -> u64 {
     }
     let slot = (size_of::<(Box<[u8]>, Entry)>() + 1) * 3 / 2;
     let result = match answer {
-        Answer::Exists(_) => 0,
+        Answer::Bit(_) => 0,
         Answer::Rows(probe) => {
             let rs = &*probe.rows;
             2 * size_of::<usize>() // the `Arc`'s reference counts
@@ -829,13 +858,45 @@ thread_local! {
     static KEY: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Run `f` on the encoded key of `question` about `spec`.
-fn with_key<T>(question: Question, spec: &SelectSpec, f: impl FnOnce(&[u8]) -> T) -> T {
+/// Run `f` on the encoded key of `question` about `spec`, with `tag` (empty
+/// but for a verdict) after the spec.
+fn with_key<T>(question: Question, spec: &SelectSpec, tag: &[u8], f: impl FnOnce(&[u8]) -> T) -> T {
     KEY.with(|buf| {
         let mut buf = buf.borrow_mut();
         encode_key(question, spec, &mut buf);
+        buf.extend_from_slice(tag);
         f(&buf)
     })
+}
+
+/// Append `n` as LEB128: seven bits a byte, low bits first, the high bit
+/// set on every byte but the last. One of the key encoder's primitives,
+/// public for callers that build a verdict tag.
+pub fn encode_uint(out: &mut Vec<u8>, mut n: usize) {
+    while n >= 0x80 {
+        out.push(n as u8 | 0x80);
+        n >>= 7;
+    }
+    out.push(n as u8);
+}
+
+/// Append a self-delimiting encoding of `v`: a type byte, then a text's
+/// length and bytes or a number's 8 canonical bytes (`canonical_bits`:
+/// every NaN one NaN, `-0.0` as `0.0`). One of the key encoder's
+/// primitives, public for callers that build a verdict tag.
+pub fn encode_value(out: &mut Vec<u8>, v: &Value) {
+    match v {
+        Value::Null => out.push(0),
+        Value::Text(s) => {
+            out.push(1);
+            encode_uint(out, s.len());
+            out.extend_from_slice(s.as_bytes());
+        }
+        Value::Number(n) => {
+            out.push(2);
+            out.extend_from_slice(&canonical_bits(*n).to_le_bytes());
+        }
+    }
 }
 
 /// The canonical byte encoding of `question` about `spec`, written over
@@ -845,15 +906,10 @@ fn with_key<T>(question: Question, spec: &SelectSpec, f: impl FnOnce(&[u8]) -> T
 /// and numbers their 8 canonical bytes ([`canonical_bits`]) — so the whole is
 /// a prefix code: equal specs encode equally (`SelectSpec`'s `Eq` treats
 /// every NaN as one and `-0.0` as `0.0`, as the bits do) and distinct specs
-/// distinctly.
+/// distinctly, and a verdict's tag can follow without a length.
 fn encode_key(question: Question, spec: &SelectSpec, out: &mut Vec<u8>) {
-    fn uint(out: &mut Vec<u8>, mut n: usize) {
-        while n >= 0x80 {
-            out.push(n as u8 | 0x80);
-            n >>= 7;
-        }
-        out.push(n as u8);
-    }
+    use encode_uint as uint;
+    use encode_value as value;
     fn column(out: &mut Vec<u8>, col: ColumnId) {
         uint(out, col.table.0);
         uint(out, col.column);
@@ -869,20 +925,6 @@ fn encode_key(question: Question, spec: &SelectSpec, out: &mut Vec<u8>) {
     }
     fn agg(out: &mut Vec<u8>, agg: Option<AggFunc>) {
         out.push(agg.map_or(0, |a| a as u8 + 1));
-    }
-    fn value(out: &mut Vec<u8>, v: &Value) {
-        match v {
-            Value::Null => out.push(0),
-            Value::Text(s) => {
-                out.push(1);
-                uint(out, s.len());
-                out.extend_from_slice(s.as_bytes());
-            }
-            Value::Number(n) => {
-                out.push(2);
-                out.extend_from_slice(&canonical_bits(*n).to_le_bytes());
-            }
-        }
     }
     fn predicates(out: &mut Vec<u8>, ps: &[Predicate]) {
         uint(out, ps.len());
@@ -1246,7 +1288,11 @@ mod tests {
     }
 
     fn key(question: Question, spec: &SelectSpec) -> Vec<u8> {
-        with_key(question, spec, <[u8]>::to_vec)
+        with_key(question, spec, &[], <[u8]>::to_vec)
+    }
+
+    fn verdict_key(spec: &SelectSpec, tag: &[u8]) -> Vec<u8> {
+        with_key(Question::Verdict, spec, tag, <[u8]>::to_vec)
     }
 
     /// A deterministic stream of specs drawn from a few values per field, so
@@ -1359,17 +1405,65 @@ mod tests {
         let mut specs = generated_specs(1_000);
         specs.extend(specs.iter().step_by(2).map(twin).collect::<Vec<_>>());
         let keys: Vec<_> = specs.iter().map(|s| key(Question::Rows, s)).collect();
+        // Verdict keys under two tags one byte apart, the second also a
+        // prefix of the first: the tag follows the spec without a length.
+        let tags: [&[u8]; 2] = [&[7, 0, 1], &[7, 0]];
+        let verdicts: Vec<_> =
+            (specs.iter().enumerate()).map(|(i, s)| verdict_key(s, tags[i % 2])).collect();
         let mut equal_pairs = 0;
         for i in 0..specs.len() {
             assert_eq!(keys[i], key(Question::Rows, &specs[i].clone()), "deterministic");
             assert_ne!(keys[i], key(Question::Exists, &specs[i]), "the question leads the key");
+            assert_ne!(keys[i], verdicts[i]);
+            assert_ne!(key(Question::Exists, &specs[i]), verdicts[i]);
+            assert_ne!(verdicts[i], verdict_key(&specs[i], tags[(i + 1) % 2]), "the tag is keyed");
             for j in i + 1..specs.len() {
                 let same = specs[i] == specs[j];
                 equal_pairs += same as usize;
                 assert_eq!(keys[i] == keys[j], same, "{:?}\n{:?}", specs[i], specs[j]);
+                let same_verdict = same && i % 2 == j % 2;
+                assert_eq!(
+                    verdicts[i] == verdicts[j],
+                    same_verdict,
+                    "{:?}\n{:?}",
+                    specs[i],
+                    specs[j]
+                );
             }
         }
         assert!(equal_pairs > 0, "the generator must also produce equal specs");
+    }
+
+    #[test]
+    fn keys_keep_the_three_questions_and_every_tag_apart() {
+        let db = db();
+        let cache = ProbeCache::default();
+        let s = spec(&db);
+        let (tag, next) = ([1u8, 0x40, 3], [1u8, 0x40, 4]);
+        cache.insert_verdict(&s, &tag, true);
+        assert_eq!(cache.get_verdict(&s, &tag), Some(true));
+        assert_eq!(cache.get_verdict(&s, &next), None, "a tag one byte apart is another entry");
+        assert_eq!(cache.get_verdict(&s, &tag[..2]), None, "so is a prefix of the tag");
+        cache.insert_verdict(&s, &next, false);
+        let both = (cache.get_verdict(&s, &tag), cache.get_verdict(&s, &next));
+        assert_eq!(both, (Some(true), Some(false)), "two tags, two verdicts");
+        assert_eq!(cache.stats().entries, 2);
+
+        // Neither verdict answers the rows or existence question, nor they it.
+        assert!(cache.get(&s).is_none());
+        assert_eq!(cache.get_exists(&s), None);
+        cache.insert_exists(&s, false);
+        cache.insert(&s, crate::executor::execute(&db, &s).unwrap());
+        assert_eq!(cache.get_exists(&s), Some(false));
+        assert_eq!(cache.get(&s).unwrap().len(), 1);
+        assert_eq!(cache.get_verdict(&s, &[]), None, "the empty tag is a tag too");
+        assert_eq!(cache.get_verdict(&s, &tag), Some(true));
+        assert_eq!(cache.stats().entries, 4);
+
+        // A verdict entry keeps its slot and its key, the tag included.
+        let bytes = estimate_bytes(&verdict_key(&s, &tag), &Answer::Bit(true));
+        let exists = estimate_bytes(&key(Question::Exists, &s), &Answer::Bit(true));
+        assert_eq!(bytes, exists + tag.len() as u64);
     }
 
     #[test]
@@ -1440,7 +1534,7 @@ mod tests {
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (2, 3, 2));
         // An existence entry keeps its slot and key, no rows.
-        let exists_bytes = estimate_bytes(&key(Question::Exists, &s), &Answer::Exists(true));
+        let exists_bytes = estimate_bytes(&key(Question::Exists, &s), &Answer::Bit(true));
         assert!(stats.bytes > 2 * exists_bytes);
         assert!(exists_bytes < 128, "{exists_bytes} B for one bit");
     }

@@ -8,7 +8,7 @@
 
 use crate::cache::{CacheStats, CachedProbe, InflightJoin, ProbeCache, Question, RunCacheCounters};
 use crate::error::{DbError, DbResult};
-use crate::executor::{ExecOptions, ExecOutcome, ResultSet};
+use crate::executor::{ExecOptions, ExecOutcome, ResultSet, Verdict};
 use crate::index::InvertedIndex;
 use crate::query::SelectSpec;
 use crate::schema::{ColumnId, Schema, TableId};
@@ -431,13 +431,45 @@ impl Database {
         Ok(!probe.rows.is_empty())
     }
 
-    /// The miss path of both cached questions: count the miss, run the probe
-    /// under the row budget and hand the outcome to `memoize`, which caches
-    /// the answer and returns the probe to serve. Single-flight collapses
-    /// concurrent identical misses into one execution; the in-flight key
-    /// carries the question and the budget class, so a waiter is served a
-    /// result executed under its own budget (the exactness bit therefore
-    /// always means what the waiter would have computed).
+    /// Decide `verdict` over `spec`'s rows under a row budget, through the
+    /// memo cache — the yes/no question a complete candidate's sketch check
+    /// asks. The cache keeps the answer as one bit under `tag`, which must
+    /// name everything the verdict reads besides the rows (the decision and
+    /// its parameters), and which budget it is asked under: entries of two
+    /// tags never serve each other, nor a rows or existence entry for the
+    /// same spec. A miss feeds the projected rows to the verdict one at a
+    /// time as they stream ([`crate::executor::decide_with`]) and stops as
+    /// soon as it answers, so no row is kept.
+    ///
+    /// A miss is counted like the other questions' but does not join the
+    /// single-flight table, whose key carries no tag.
+    pub fn decide_cached_with(
+        &self,
+        spec: &SelectSpec,
+        budget: Option<usize>,
+        tag: &[u8],
+        counters: &RunCacheCounters,
+        verdict: &mut dyn Verdict,
+    ) -> DbResult<bool> {
+        if let Some(hit) = self.probe_cache.get_verdict(spec, tag) {
+            counters.record(true);
+            return Ok(hit);
+        }
+        counters.record(false);
+        let opts = ExecOptions { row_budget: budget };
+        let (answer, metrics) = crate::executor::decide_with(self, spec, &opts, verdict)?;
+        counters.record_scan(&metrics);
+        self.probe_cache.insert_verdict(spec, tag, answer);
+        Ok(answer)
+    }
+
+    /// The miss path of the rows and existence questions: count the miss,
+    /// run the probe under the row budget and hand the outcome to `memoize`,
+    /// which caches the answer and returns the probe to serve. Single-flight
+    /// collapses concurrent identical misses into one execution; the
+    /// in-flight key carries the question and the budget class, so a waiter
+    /// is served a result executed under its own budget (the exactness bit
+    /// therefore always means what the waiter would have computed).
     fn execute_miss(
         &self,
         question: Question,

@@ -33,16 +33,23 @@
 //!   buffer per depth) and offered to WHERE, projection and DISTINCT, so a
 //!   `LIMIT k` query (most prominently the verifier's `SELECT … LIMIT 1`
 //!   probes) stops scanning as soon as `k` output rows exist. A query
-//!   streams when it has a `LIMIT` or a row budget, no aggregation, and
-//!   either no `ORDER BY` or one on a column of the probe-side table whose
-//!   index can walk it in order.
-//! * **Materializing** — grouped, otherwise-sorted, or unlimited queries
+//!   streams when something can stop it — a `LIMIT`, a row budget, or a
+//!   [`Verdict`] that decides early ([`decide_with`]) — it has no
+//!   aggregation, and either no `ORDER BY` or one on a column of the
+//!   probe-side table whose index can walk it in order.
+//! * **Materializing** — grouped, otherwise-sorted, or unstoppable queries
 //!   drain the same join chain into one flat vector of ids, then filter,
 //!   group, sort and limit it as one batch.
 //!
+//! Both strategies hand their output rows, in result order, to one consumer:
+//! [`execute_with`] collects them into a [`ResultSet`]; [`decide_with`] shows
+//! each to a verdict and drops it, stopping the pipeline once the verdict is
+//! known.
+//!
 //! Which of the two runs, and through which access paths, is decided from
-//! the spec's shape, the budget and the indexes the database has — one plan
-//! per (spec, budget, database). No caller can ask for another.
+//! the spec's shape, the budget, the consumer and the indexes the database
+//! has — one plan per (spec, budget, consumer, database). No caller can ask
+//! for another.
 //!
 //! # Index access
 //!
@@ -80,18 +87,20 @@
 //! For a fixed database and spec, [`execute`] and [`execute_with`] produce
 //! the same [`ResultSet`] — bit for bit — whichever strategy ran and
 //! whether or not the database has built its indexes, and the rows under a
-//! budget `b` are the first `min(b, n)` of the `n` rows without one. Higher
-//! layers (candidate emission, the probe memo cache) rely on this.
+//! budget `b` are the first `min(b, n)` of the `n` rows without one;
+//! [`decide_with`] shows its verdict a prefix of those same rows, in the
+//! same order. Higher layers (candidate emission, the probe memo cache)
+//! rely on this.
 //!
 //! # Observability
 //!
 //! [`execute_with`] reports [`ExecMetrics`]: `rows_scanned` counts base-table
 //! rows pulled plus join rows produced, `rows_short_circuited` counts
 //! probe-side rows the pipeline never had to pull because the limit was
-//! already satisfied, and `exact` says whether the produced rows are the
-//! spec's complete result (only a caller-supplied [`ExecOptions::row_budget`]
-//! can truncate it). Index paths report `index_lookups`, `rows_via_index`
-//! and `probes_bailed_empty`. The verifier aggregates these per synthesis
+//! already satisfied (or a verdict decided), and `exact` says whether the
+//! produced rows are the spec's complete result (only a caller-supplied
+//! [`ExecOptions::row_budget`] can truncate it). Index paths report
+//! `index_lookups`, `rows_via_index` and `probes_bailed_empty`. The verifier aggregates these per synthesis
 //! run into `EnumerationStats`.
 
 use crate::database::{Database, Row};
@@ -174,7 +183,8 @@ pub struct ExecOptions {
 pub struct ExecMetrics {
     /// Base-table rows pulled into the pipeline plus join rows produced.
     pub rows_scanned: u64,
-    /// Probe-side rows left unscanned because the limit was already satisfied.
+    /// Probe-side rows left unscanned because the limit was already satisfied
+    /// (or a verdict already decided).
     pub rows_short_circuited: u64,
     /// Whether the produced rows are known to be the spec's complete result.
     /// Only an [`ExecOptions::row_budget`] can make this `false`, and then
@@ -206,6 +216,19 @@ pub struct ExecOutcome {
     pub result: ResultSet,
     /// How they were produced.
     pub metrics: ExecMetrics,
+}
+
+/// A yes/no question about a query's result, decided from its rows in result
+/// order without keeping them ([`decide_with`],
+/// [`Database::decide_cached_with`]). The execution stops pulling rows the
+/// moment [`Verdict::row`] returns an answer.
+pub trait Verdict {
+    /// Look at the next output row; `Some(answer)` once the rows seen so far
+    /// decide the question.
+    fn row(&mut self, row: &[Value]) -> Option<bool>;
+
+    /// The answer when the result has no more rows and no row decided it.
+    fn end(&mut self) -> bool;
 }
 
 /// Execute a query against a database with the database's default options.
@@ -244,13 +267,141 @@ pub fn execute(db: &Database, spec: &SelectSpec) -> DbResult<ResultSet> {
 /// assert_eq!(out.metrics.rows_short_circuited, 99);
 /// ```
 pub fn execute_with(db: &Database, spec: &SelectSpec, opts: &ExecOptions) -> DbResult<ExecOutcome> {
+    let mut rows = Vec::new();
+    let metrics = run(db, spec, opts, &mut rows)?;
+    let (columns, types) = headers(db, spec)?;
+    Ok(ExecOutcome { result: ResultSet { columns, types, rows }, metrics })
+}
+
+/// Decide `verdict` over the rows [`execute_with`] would return under
+/// `opts`, fed to it one at a time while they stream: the execution stops
+/// as soon as a row decides the answer, and keeps no row. Returns the
+/// answer and the [`ExecMetrics`] of getting it.
+///
+/// ```
+/// use duoquest_db::{
+///     decide_with, ColumnDef, Database, ExecOptions, JoinTree, Schema, SelectItem, SelectSpec,
+///     TableDef, Value, Verdict,
+/// };
+///
+/// /// "Does the result hold a row above 4?"
+/// struct AboveFour;
+/// impl Verdict for AboveFour {
+///     fn row(&mut self, row: &[Value]) -> Option<bool> {
+///         (row[0].as_number() > Some(4.0)).then_some(true)
+///     }
+///     fn end(&mut self) -> bool {
+///         false
+///     }
+/// }
+///
+/// let mut schema = Schema::new("demo");
+/// schema.add_table(TableDef::new("t", vec![ColumnDef::number("id")], Some(0)));
+/// let mut db = Database::new(schema).unwrap();
+/// db.insert_all("t", (0..100).map(|i| vec![Value::int(i)])).unwrap();
+///
+/// let spec = SelectSpec {
+///     select: vec![SelectItem::column(db.schema().column_id("t", "id").unwrap())],
+///     join: JoinTree::single(db.schema().table_id("t").unwrap()),
+///     ..Default::default()
+/// };
+/// let (answer, metrics) = decide_with(&db, &spec, &ExecOptions::default(), &mut AboveFour).unwrap();
+/// assert!(answer);
+/// assert!(metrics.streamed, "a verdict can stop an unlimited query");
+/// assert_eq!(metrics.rows_scanned, 6, "row 5 decided it");
+/// ```
+pub fn decide_with(
+    db: &Database,
+    spec: &SelectSpec,
+    opts: &ExecOptions,
+    verdict: &mut dyn Verdict,
+) -> DbResult<(bool, ExecMetrics)> {
+    let mut sink = Decide { verdict, answer: None, row: Vec::new() };
+    let metrics = run(db, spec, opts, &mut sink)?;
+    Ok((sink.answer.unwrap_or_else(|| sink.verdict.end()), metrics))
+}
+
+/// The one pipeline behind [`execute_with`] and [`decide_with`]: plan the
+/// spec, pick the strategy, and hand the output rows to `sink`.
+fn run(
+    db: &Database,
+    spec: &SelectSpec,
+    opts: &ExecOptions,
+    sink: &mut impl Sink,
+) -> DbResult<ExecMetrics> {
     validate(db, spec)?;
     let access = IndexAccess::plan(db, spec);
     let plan = plan_joins(db, spec, &access)?;
     let proven_empty = access.provably_empty(db, spec);
-    match streaming_cap(db, spec, opts, &plan).filter(|_| !proven_empty) {
-        Some((cap, order)) => run_streaming(db, spec, &plan, cap, order, &access),
-        None => run_materialized(db, spec, &plan, opts, &access, proven_empty),
+    match streaming_cap(db, spec, opts, &plan, sink.decides()).filter(|_| !proven_empty) {
+        Some((cap, order)) => Ok(run_streaming(db, spec, &plan, cap, order, &access, sink)),
+        None => Ok(run_materialized(db, spec, &plan, opts, &access, proven_empty, sink)),
+    }
+}
+
+/// Where an execution's output rows go, one at a time in result order.
+trait Sink {
+    /// Whether the sink can stop the execution before its input ends — so a
+    /// query with neither a limit nor a budget may still stream into it.
+    fn decides(&self) -> bool;
+
+    /// Take the next output row, given by its projected cells; `false` once
+    /// the sink wants no more rows.
+    fn take<'c>(&mut self, cells: impl Iterator<Item = &'c Value>) -> bool;
+
+    /// [`Sink::take`] for a row whose cells the caller owns already.
+    fn take_owned(&mut self, cells: Vec<Value>) -> bool {
+        self.take(cells.iter())
+    }
+
+    /// Make room for `rows` more rows, when the caller knows how many come.
+    fn reserve(&mut self, _rows: usize) {}
+}
+
+/// [`execute_with`]'s sink: every row, collected.
+impl Sink for Vec<Row> {
+    fn decides(&self) -> bool {
+        false
+    }
+
+    fn reserve(&mut self, rows: usize) {
+        Vec::reserve_exact(self, rows);
+    }
+
+    fn take<'c>(&mut self, cells: impl Iterator<Item = &'c Value>) -> bool {
+        self.push(Row(cells.cloned().collect()));
+        true
+    }
+
+    fn take_owned(&mut self, cells: Vec<Value>) -> bool {
+        self.push(Row(cells));
+        true
+    }
+}
+
+/// [`decide_with`]'s sink: each row is shown to the verdict in a reused
+/// buffer and dropped.
+struct Decide<'v> {
+    verdict: &'v mut dyn Verdict,
+    answer: Option<bool>,
+    row: Vec<Value>,
+}
+
+impl Sink for Decide<'_> {
+    fn decides(&self) -> bool {
+        true
+    }
+
+    fn take<'c>(&mut self, cells: impl Iterator<Item = &'c Value>) -> bool {
+        self.row.clear();
+        self.row.extend(cells.cloned());
+        self.answer = self.verdict.row(&self.row);
+        self.answer.is_none()
+    }
+
+    fn take_owned(&mut self, cells: Vec<Value>) -> bool {
+        self.answer = self.verdict.row(&cells);
+        self.answer.is_none()
     }
 }
 
@@ -656,12 +807,14 @@ enum FirstOrder {
 /// Number of output rows after which the streaming pipeline may stop pulling
 /// (plus how to iterate the probe side), or `None` when the query must be
 /// fully materialized (aggregation, an `ORDER BY` no ordered index of the
-/// first table satisfies, or neither a limit nor a budget).
+/// first table satisfies, or nothing that can stop it: no limit, no budget
+/// and a sink that never `decides`).
 fn streaming_cap(
     db: &Database,
     spec: &SelectSpec,
     opts: &ExecOptions,
     plan: &JoinPlan,
+    decides: bool,
 ) -> Option<(usize, FirstOrder)> {
     if spec.has_aggregates() || !spec.group_by.is_empty() {
         return None;
@@ -670,6 +823,7 @@ fn streaming_cap(
         (Some(l), Some(b)) => l.min(b),
         (Some(l), None) => l,
         (None, Some(b)) => b,
+        (None, None) if decides => usize::MAX,
         (None, None) => return None,
     };
     let mut order = FirstOrder::Storage;
@@ -929,11 +1083,14 @@ impl<'h> StepHash<'h> {
 }
 
 /// The streaming pipeline past the first-table scan: the join steps walked
-/// depth first, then WHERE, projection, DISTINCT and the output cap.
-struct Stream<'a> {
+/// depth first, then WHERE, projection, DISTINCT, the output cap and the
+/// sink.
+struct Stream<'a, S> {
     query: &'a Resolved<'a>,
     seen: KeyIndex,
-    rows_out: Vec<Row>,
+    sink: &'a mut S,
+    /// Rows handed to the sink.
+    emitted: usize,
     cap: usize,
     /// Join rows produced.
     produced: u64,
@@ -942,12 +1099,13 @@ struct Stream<'a> {
     via_index: u64,
 }
 
-impl Stream<'_> {
+impl<S: Sink> Stream<'_, S> {
     /// Carry one joined row through the remaining join `steps`: expand it by
     /// the next step into that depth's reused buffer, then descend into each
     /// expansion before the next — so a row is expanded only when the rows
     /// before it are consumed, as a lazy iterator chain would. Returns
-    /// `false` once the cap is reached and the pipeline must stop pulling.
+    /// `false` once the cap is reached or the sink wants no more rows, and
+    /// the pipeline must stop pulling.
     fn pull(&mut self, ids: &[usize], steps: &[StepHash<'_>], bufs: &mut [Vec<usize>]) -> bool {
         let (Some((step, steps)), Some((buf, bufs))) =
             (steps.split_first(), bufs.split_first_mut())
@@ -964,7 +1122,8 @@ impl Stream<'_> {
         buf.chunks_exact(ids.len() + 1).all(|row| self.pull(row, steps, bufs))
     }
 
-    /// Offer one fully joined row to WHERE, projection and DISTINCT.
+    /// Offer one fully joined row to WHERE, projection, DISTINCT and the
+    /// sink.
     fn offer(&mut self, ids: &[usize]) -> bool {
         let query = self.query;
         if !query.passes(ids) {
@@ -976,13 +1135,14 @@ impl Stream<'_> {
         if query.spec.distinct && !self.seen.slot(cells.clone()).1 {
             return true;
         }
-        self.rows_out.push(Row(cells.cloned().collect()));
-        self.rows_out.len() < self.cap
+        self.emitted += 1;
+        self.sink.take(cells) && self.emitted < self.cap
     }
 }
 
 /// Streaming strategy: pull probe rows one at a time through the join chain,
-/// WHERE filter, projection and DISTINCT, stopping at `cap` survivors.
+/// WHERE filter, projection and DISTINCT into `sink`, stopping at `cap`
+/// survivors or when the sink has seen enough.
 fn run_streaming(
     db: &Database,
     spec: &SelectSpec,
@@ -990,8 +1150,8 @@ fn run_streaming(
     cap: usize,
     order: FirstOrder,
     access: &IndexAccess,
-) -> DbResult<ExecOutcome> {
-    let (columns, types) = headers(db, spec)?;
+    sink: &mut impl Sink,
+) -> ExecMetrics {
     let query = Resolved::new(db, spec, plan);
     let first_rows = query.tables[0];
 
@@ -1031,7 +1191,8 @@ fn run_streaming(
     let mut stream = Stream {
         query: &query,
         seen: KeyIndex::default(),
-        rows_out: Vec::new(),
+        sink,
+        emitted: 0,
         cap,
         produced: 0,
         lookups: 0,
@@ -1067,10 +1228,11 @@ fn run_streaming(
     }
 
     // Stopping at the spec's own LIMIT is the spec's semantics; only a
-    // tighter caller budget makes the result a (possibly) truncated prefix.
-    // An empty-build bail is the complete (empty) result, hence exact.
+    // tighter caller budget (or a sink that stopped the pipeline) makes the
+    // result a (possibly) truncated prefix. An empty-build bail is the
+    // complete (empty) result, hence exact.
     let exact = bailed || !stopped_early || spec.limit == Some(cap);
-    let metrics = ExecMetrics {
+    ExecMetrics {
         rows_scanned: build_scanned + first_scanned + stream.produced,
         rows_short_circuited: if bailed {
             first_len
@@ -1084,13 +1246,13 @@ fn run_streaming(
         index_lookups: access.lookups + setup_lookups + stream.lookups,
         rows_via_index: stream.via_index + if via_first { first_scanned } else { 0 },
         probes_bailed_empty: u64::from(bailed),
-    };
-    Ok(ExecOutcome { result: ResultSet { columns, types, rows: stream.rows_out }, metrics })
+    }
 }
 
 /// Materializing strategy: evaluate the join chain into an intermediate
 /// relation of row ids (index-backed build sides where available), then
-/// filter, group/aggregate, project, sort and limit as one batch.
+/// filter, group/aggregate, project, sort and limit as one batch, and hand
+/// the rows within the budget to `sink` until it wants no more.
 ///
 /// With `proven_empty` ([`IndexAccess::provably_empty`]) the join is skipped
 /// and the same group/finalize tail runs over the empty relation, so
@@ -1103,7 +1265,8 @@ fn run_materialized(
     opts: &ExecOptions,
     access: &IndexAccess,
     proven_empty: bool,
-) -> DbResult<ExecOutcome> {
+    sink: &mut impl Sink,
+) -> ExecMetrics {
     let query = Resolved::new(db, spec, plan);
     let mut lookups: u64 = 0;
     let mut via_index: u64 = 0;
@@ -1157,10 +1320,16 @@ fn run_materialized(
         query.records(&joined, groups.iter().map(Vec::as_slice))
     };
 
-    let mut result = finalize(db, spec, records)?;
-    let exact = opts.row_budget.is_none_or(|budget| result.rows.len() <= budget);
-    result.rows.truncate(opts.row_budget.unwrap_or(usize::MAX));
-    let metrics = ExecMetrics {
+    let mut records = finalize(spec, records);
+    let exact = opts.row_budget.is_none_or(|budget| records.len() <= budget);
+    records.truncate(opts.row_budget.unwrap_or(usize::MAX));
+    sink.reserve(records.len());
+    for record in records {
+        if !sink.take_owned(record.projected) {
+            break;
+        }
+    }
+    ExecMetrics {
         rows_scanned: scanned,
         rows_short_circuited: 0,
         exact,
@@ -1168,8 +1337,7 @@ fn run_materialized(
         index_lookups: access.lookups + lookups,
         rows_via_index: via_index,
         probes_bailed_empty: u64::from(bailed),
-    };
-    Ok(ExecOutcome { result, metrics })
+    }
 }
 
 /// Apply a comparison operator.
@@ -1223,8 +1391,8 @@ fn headers(db: &Database, spec: &SelectSpec) -> DbResult<(Vec<String>, Vec<DataT
     Ok((columns, types))
 }
 
-/// Apply DISTINCT, ORDER BY and LIMIT and attach headers.
-fn finalize(db: &Database, spec: &SelectSpec, mut records: Vec<Record>) -> DbResult<ResultSet> {
+/// Apply DISTINCT, ORDER BY and LIMIT.
+fn finalize(spec: &SelectSpec, mut records: Vec<Record>) -> Vec<Record> {
     if spec.distinct {
         let mut seen = KeyIndex::default();
         records.retain(|r| seen.slot(r.projected.iter()).1);
@@ -1246,9 +1414,7 @@ fn finalize(db: &Database, spec: &SelectSpec, mut records: Vec<Record>) -> DbRes
     if let Some(limit) = spec.limit {
         records.truncate(limit);
     }
-
-    let (columns, types) = headers(db, spec)?;
-    Ok(ResultSet { columns, types, rows: records.into_iter().map(|r| Row(r.projected)).collect() })
+    records
 }
 
 #[cfg(test)]

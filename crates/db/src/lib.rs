@@ -41,7 +41,9 @@ pub use cache::{
 };
 pub use database::{Database, Row, TableData};
 pub use error::DbError;
-pub use executor::{execute, execute_with, ExecMetrics, ExecOptions, ExecOutcome, ResultSet};
+pub use executor::{
+    decide_with, execute, execute_with, ExecMetrics, ExecOptions, ExecOutcome, ResultSet, Verdict,
+};
 pub use index::{IndexHit, InvertedIndex};
 pub use join_graph::{JoinEdge, JoinGraph, JoinTree};
 pub use query::{

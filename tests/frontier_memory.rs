@@ -18,8 +18,9 @@
 //! * **The probe cache counts what it keeps, and keeps little.** After a
 //!   pass of Spider runs, the cache's estimated bytes come within a third of
 //!   what clearing it frees (they were a fifth of it while only result cells
-//!   were counted), and clearing it frees at most 512 B per entry: most
-//!   entries are existence probes, a byte-encoded key and one bit.
+//!   were counted), and clearing it frees at most 192 B per entry: every
+//!   entry a run leaves is an existence probe or a verdict, a byte-encoded
+//!   key and one bit.
 //!
 //! This file is its own test binary because it installs a counting global
 //! allocator, and holds a single `#[test]` so no other thread allocates while
@@ -171,12 +172,13 @@ fn runs_and_the_probe_cache_keep_what_they_count() {
         "the probe cache counted {counted} B over {entries} entries, clearing it freed {freed} B \
          (ratio {ratio:.2})"
     );
-    // An entry is its encoded question and its answer: most are existence
-    // probes, one bit under a key of a few dozen bytes (902 B per entry
-    // while every entry kept a cloned spec and a full result).
+    // An entry is its encoded question and its answer, one bit under a key
+    // of a few dozen bytes: no probe a run sends keeps rows (902 B per entry
+    // while every entry kept a cloned spec and a full result, about 380 B
+    // while the complete checks cached theirs).
     let per_entry = freed as u64 / entries;
     assert!(
-        per_entry <= 512,
+        per_entry <= 192,
         "clearing the probe cache freed {per_entry} B per entry ({freed} B over {entries})"
     );
 

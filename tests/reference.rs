@@ -19,14 +19,22 @@
 //! the contract the probe cache serves truncated entries by: the rows under
 //! a budget `b` are the first `min(b, n)` of the `n` rows without one, byte
 //! for byte.
+//!
+//! The same generated specs, with table sketches drawn from their reference
+//! rows, hold the verifier's complete check — decided while the rows stream,
+//! stopping at the row that decides it — to a brute-force search over the
+//! naive evaluator's rows ([`brute`]): every injective assignment of tuples
+//! to rows, in key order for a sorted sketch, and the limit.
 
+use duoquest::core::verify::{by_order, VerifyPlan};
+use duoquest::core::{TableSketchQuery, TsqCell};
 use duoquest::db::{
     execute_with, AggFunc, CmpOp, ColumnId, Database, ExecOptions, LogicalOp, OrderKey, Predicate,
-    Row, SelectItem, SelectSpec, TableId, Value,
+    Row, RunCacheCounters, SelectItem, SelectSpec, TableId, Value,
 };
 use duoquest::workloads::{mas, spider};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::cmp::Ordering;
 
 mod common;
@@ -400,5 +408,268 @@ fn generated_spider_specs_equal_the_naive_reference() {
     for (i, db) in dataset.databases.iter().enumerate() {
         let tally = generated_specs_equal_the_reference(db, 0x4EF0_0100 + i as u64, 200);
         assert_checks_bit(&tally, 200);
+    }
+}
+
+// ------------------------------------------------------------ the verdicts --
+
+mod brute {
+    use super::*;
+
+    /// Definition 2.3: every cell of the tuple matches the cell of the row at
+    /// its position.
+    pub fn holds(tuple: &[TsqCell], row: &[Value]) -> bool {
+        tuple.iter().zip(row).all(|(cell, value)| cell.matches(value))
+    }
+
+    /// Whether the tuples from `next` on can each take a row of their own,
+    /// no row in `used` and each one `follows` allows after the row the
+    /// tuple before it took: every injective assignment, tried in turn.
+    pub fn place(
+        tsq: &TableSketchQuery,
+        rows: &[(Vec<Value>, Value)],
+        used: &mut Vec<usize>,
+        follows: &dyn Fn(&Value, &Value) -> bool,
+    ) -> bool {
+        let Some(tuple) = tsq.tuples.get(used.len()) else { return true };
+        for (r, (row, key)) in rows.iter().enumerate() {
+            let after = used.last().is_none_or(|&p| follows(&rows[p].1, key));
+            if used.contains(&r) || !after || !holds(tuple, row) {
+                continue;
+            }
+            used.push(r);
+            if place(tsq, rows, used, follows) {
+                return true;
+            }
+            used.pop();
+        }
+        false
+    }
+}
+
+/// What the verdict checks could and could not pin down.
+#[derive(Default, Debug)]
+struct Verdicts {
+    /// Verdicts held to the brute force, by its answer.
+    passed: usize,
+    failed: usize,
+    /// Sorted sketches whose answer depends on how equal sort keys are
+    /// ordered, which is the executor's join order and not the reference's.
+    unpinned: usize,
+    /// Sorted sketches of two or more tuples held to a passing answer: the
+    /// in-order check's own cases.
+    passed_in_order: usize,
+    /// Results too large to search by brute force.
+    skipped: usize,
+    sorted: usize,
+    limited: usize,
+    empty_tuples: usize,
+    duplicate_tuples: usize,
+    more_tuples_than_rows: usize,
+    range_cells: usize,
+    /// Probe-side rows the verdicts left unscanned.
+    short_circuited: u64,
+}
+
+/// A cell drawn from `value` (a reference cell): empty, exact (re-cased for
+/// text), a range around a number, or one nothing matches.
+fn random_cell(rng: &mut StdRng, value: Option<&Value>, seen: &mut Verdicts) -> TsqCell {
+    let miss = |v: Option<&Value>| match v {
+        Some(Value::Number(_)) => TsqCell::range(-9e9, -8e9),
+        _ => TsqCell::text("no such value"),
+    };
+    let Some(v) = value else {
+        return if rng.gen_bool(0.5) { TsqCell::Empty } else { miss(None) };
+    };
+    match (rng.gen_range(0..10), v) {
+        (0..=2, _) | (_, Value::Null) => TsqCell::Empty,
+        (3 | 4, Value::Number(x)) => {
+            seen.range_cells += 1;
+            TsqCell::range(x - 2.0, x + 0.5)
+        }
+        (5, Value::Text(s)) => TsqCell::text(s.to_uppercase()),
+        (6, _) if rng.gen_bool(0.4) => miss(Some(v)),
+        _ => TsqCell::Exact(v.clone()),
+    }
+}
+
+/// A sketch over a select list of `width` items drawn from its reference
+/// rows: one to three tuples (two or more when sorted; one more than there
+/// are rows, for some results of fewer than three), some all-empty, some
+/// duplicates, and half of them limited.
+fn random_sketch(
+    rng: &mut StdRng,
+    width: usize,
+    rows: &[(Vec<Value>, Value)],
+    sorted: bool,
+    seen: &mut Verdicts,
+) -> TableSketchQuery {
+    let count = if rows.len() < 3 && rng.gen_bool(0.3) {
+        seen.more_tuples_than_rows += 1;
+        rows.len() + 1
+    } else {
+        // A sorted sketch of one tuple is checked as an unsorted one.
+        rng.gen_range(if sorted { 2 } else { 1 }..=3)
+    };
+    // Distinct source rows for the tuples while there are enough; in key
+    // order (the rows are sorted) for most sorted sketches, so that in-order
+    // checks pass as well as fail.
+    let mut sources: Vec<usize> = Vec::new();
+    while sources.len() < count && !rows.is_empty() {
+        let r = rng.gen_range(0..rows.len());
+        if !sources.contains(&r) || sources.len() >= rows.len() {
+            sources.push(r);
+        }
+    }
+    if sorted && rng.gen_bool(0.75) {
+        sources.sort_unstable();
+    }
+    let mut tuples: Vec<Vec<TsqCell>> = Vec::new();
+    for t in 0..count {
+        let tuple = match rng.gen_range(0..10) {
+            0 => {
+                seen.empty_tuples += 1;
+                vec![TsqCell::Empty; width]
+            }
+            1 if t > 0 => {
+                seen.duplicate_tuples += 1;
+                tuples[rng.gen_range(0..t)].clone()
+            }
+            _ => {
+                let source = sources.get(t).map(|&r| &rows[r].0);
+                (0..width).map(|i| random_cell(rng, source.map(|row| &row[i]), seen)).collect()
+            }
+        };
+        tuples.push(tuple);
+    }
+    let limit = match rng.gen_range(0..4) {
+        0 | 1 => 0,
+        2 => rows.len().max(1) + rng.gen_range(0..2),
+        _ => rng.gen_range(1..=rows.len() + 1),
+    };
+    seen.limited += usize::from(limit > 0);
+    seen.sorted += usize::from(sorted);
+    TableSketchQuery { types: None, tuples, sorted, limit }
+}
+
+fn generated_verdicts_equal_brute_force(db: &Database, seed: u64, cases: usize) -> Verdicts {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let db = salted(db, &mut rng);
+    let sides = [("indexed", &db), ("un-indexed", &unindexed(&db))];
+    let mut seen = Verdicts::default();
+    for case in 0..cases {
+        // Mostly specs with a result: an empty one fails every sketch alike.
+        let (mut spec, mut rows) = loop {
+            let spec = random_spec(&db, &mut rng, &mut Shapes::default());
+            let rows = naive::evaluate(&db, &spec);
+            if !rows.is_empty() || rng.gen_bool(0.15) {
+                break (spec, rows);
+            }
+        };
+        let desc = spec.order_by.is_some_and(|o| o.desc);
+        let by = |a: &Value, b: &Value| {
+            let ord = naive::order(a, b);
+            if desc {
+                ord.reverse()
+            } else {
+                ord
+            }
+        };
+        // A row's sort key is its own unless DISTINCT merged rows that
+        // differ in an unprojected key.
+        let keyed = spec.order_by.is_some_and(|o| {
+            let item = match o.key {
+                OrderKey::Column(col) => SelectItem::column(col),
+                OrderKey::Aggregate(agg, col) => SelectItem { agg: Some(agg), col },
+            };
+            !spec.distinct || spec.select.contains(&item)
+        });
+        rows.sort_by(|a, b| by(&a.1, &b.1));
+        // The rows a LIMIT keeps are pinned only where it cuts between two
+        // keys; elsewhere which rows survive is join order, so the limit is
+        // lifted.
+        if let Some(limit) = spec.limit.filter(|&l| l < rows.len()) {
+            if keyed && (limit == 0 || by(&rows[limit - 1].1, &rows[limit].1) == Ordering::Less) {
+                rows.truncate(limit);
+            } else {
+                spec.limit = None;
+            }
+        }
+        if rows.len() > 300 {
+            seen.skipped += 1;
+            continue;
+        }
+        for sorted in [false, true].into_iter().filter(|&s| !s || keyed) {
+            let tsq = random_sketch(&mut rng, spec.select.len(), &rows, sorted, &mut seen);
+            let fits = tsq.limit == 0 || rows.len() <= tsq.limit;
+            let any_order = |a: &Value, b: &Value| !sorted || by(a, b) != Ordering::Greater;
+            let every_order = |a: &Value, b: &Value| !sorted || by(a, b) == Ordering::Less;
+            let (some, all) = (
+                fits && brute::place(&tsq, &rows, &mut Vec::new(), &any_order),
+                fits && brute::place(&tsq, &rows, &mut Vec::new(), &every_order),
+            );
+            for (which, on) in sides {
+                let plan = VerifyPlan::new(on, Some(&tsq));
+                let counters = RunCacheCounters::default();
+                let got = by_order::spec_satisfies_sketch(on, &tsq, &spec, &plan, &counters);
+                let again = by_order::spec_satisfies_sketch(on, &tsq, &spec, &plan, &counters);
+                assert_eq!(counters.snapshot(), (1, 1), "the second check is the cached bit");
+                seen.short_circuited += counters.scan_snapshot().1;
+                let context = || {
+                    format!(
+                        "seed {seed} case {case}, {which} database\n  {spec:?}\n  {tsq:?}\n  \
+                         reference {rows:?}"
+                    )
+                };
+                assert_eq!(got, again, "{}", context());
+                if some == all {
+                    assert_eq!(got, some, "{}", context());
+                } else if which == "indexed" {
+                    seen.unpinned += 1;
+                }
+            }
+            if some == all {
+                *(if some { &mut seen.passed } else { &mut seen.failed }) += 1;
+                seen.passed_in_order += usize::from(some && sorted && tsq.tuples.len() >= 2);
+            }
+        }
+    }
+    seen
+}
+
+/// The verdict checks must have had something to bite on.
+fn assert_verdicts_bit(seen: &Verdicts, cases: usize) {
+    println!("{seen:?}");
+    let checked = seen.passed + seen.failed;
+    assert!(seen.passed >= cases / 5 && seen.failed >= cases / 5, "{seen:?}");
+    assert!(seen.unpinned * 10 <= checked && seen.skipped * 10 <= cases, "{seen:?}");
+    // Equal sort keys leave many in-order answers unpinned: a lower bar.
+    let in_order = seen.passed_in_order;
+    assert!(in_order >= cases / 30, "only {in_order} passing in-order checks: {seen:?}");
+    for (what, n) in [
+        ("sorted", seen.sorted),
+        ("limited", seen.limited),
+        ("all-empty tuples", seen.empty_tuples),
+        ("duplicate tuples", seen.duplicate_tuples),
+        ("more tuples than rows", seen.more_tuples_than_rows),
+        ("range cells", seen.range_cells),
+    ] {
+        assert!(n >= cases / 20, "only {n} sketches with {what}: {seen:?}");
+    }
+    assert!(seen.short_circuited > 0, "no verdict stopped a scan early");
+}
+
+#[test]
+fn generated_mas_verdicts_equal_brute_force() {
+    let seen = generated_verdicts_equal_brute_force(&mas::generate(42, 0.5).db, 0x4EF0_0201, 300);
+    assert_verdicts_bit(&seen, 300);
+}
+
+#[test]
+fn generated_spider_verdicts_equal_brute_force() {
+    let dataset = spider::generate("reference-gen", 3, 1, 1, 1, 42);
+    for (i, db) in dataset.databases.iter().enumerate() {
+        let seen = generated_verdicts_equal_brute_force(db, 0x4EF0_0300 + i as u64, 200);
+        assert_verdicts_bit(&seen, 200);
     }
 }
