@@ -91,9 +91,11 @@
 use crate::config::DuoquestConfig;
 use crate::enumerate::{run_inline, EnumerationStats, RunInputs};
 use crate::tsq::TableSketchQuery;
-use duoquest_db::{Database, SelectSpec};
+use duoquest_db::{canonical_key, Database, SelectSpec};
 use duoquest_nlq::{GuidanceModel, Nlq};
-use duoquest_sql::{queries_equivalent, render_sql};
+use duoquest_sql::render_sql;
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 use std::time::Duration;
 
 /// One candidate query returned to the user.
@@ -121,7 +123,8 @@ pub struct SynthesisResult {
 impl SynthesisResult {
     /// 1-based rank of the gold query among the ranked candidates, if present.
     pub fn rank_of(&self, gold: &SelectSpec) -> Option<usize> {
-        self.candidates.iter().position(|c| queries_equivalent(&c.spec, gold)).map(|i| i + 1)
+        let gold = canonical_key(gold);
+        self.candidates.iter().position(|c| canonical_key(&c.spec) == gold).map(|i| i + 1)
     }
 
     /// Whether the gold query appears within the top `k` ranked candidates.
@@ -129,13 +132,11 @@ impl SynthesisResult {
         self.rank_of(gold).map(|r| r <= k).unwrap_or(false)
     }
 
-    /// The time at which the gold query was first emitted, if it was found.
+    /// The time at which the gold query was first emitted, if it was found
+    /// (candidates are deduplicated, so at most one is equivalent to it).
     pub fn time_to_find(&self, gold: &SelectSpec) -> Option<Duration> {
-        self.candidates
-            .iter()
-            .filter(|c| queries_equivalent(&c.spec, gold))
-            .map(|c| c.emitted_at)
-            .min()
+        let gold = canonical_key(gold);
+        self.candidates.iter().find(|c| canonical_key(&c.spec) == gold).map(|c| c.emitted_at)
     }
 
     /// Render the ranked candidates as SQL strings.
@@ -164,10 +165,12 @@ pub(crate) fn synthesize_inline(
 /// calling thread ([`synthesize_inline`]) or on the pool worker that resumes
 /// a parked session (`crate::scheduler`): deduplicate canonically equivalent
 /// candidates in emission order, then rank by confidence with a deterministic
-/// tie-break.
+/// tie-break. `index` maps each candidate's [`canonical_key`] to its
+/// position; it is never iterated, so emission order and ranking ignore it.
 #[derive(Default)]
 pub(crate) struct CandidateCollector {
     candidates: Vec<Candidate>,
+    index: HashMap<Box<[u8]>, usize>,
 }
 
 impl CandidateCollector {
@@ -187,16 +190,18 @@ impl CandidateCollector {
     ) -> bool {
         // De-duplicate canonically equivalent candidates, keeping the
         // higher-confidence copy.
-        if let Some(existing) =
-            self.candidates.iter_mut().find(|c| queries_equivalent(&c.spec, &spec))
-        {
-            if confidence > existing.confidence {
-                existing.confidence = confidence;
+        let emit_index = self.candidates.len();
+        match self.index.entry(canonical_key(&spec)) {
+            Entry::Occupied(found) => {
+                let existing = &mut self.candidates[*found.get()];
+                if confidence > existing.confidence {
+                    existing.confidence = confidence;
+                }
+                return true;
             }
-            return true;
-        }
-        let candidate =
-            Candidate { spec, confidence, emit_index: self.candidates.len(), emitted_at };
+            Entry::Vacant(slot) => slot.insert(emit_index),
+        };
+        let candidate = Candidate { spec, confidence, emit_index, emitted_at };
         let keep_going = on_candidate(&candidate);
         self.candidates.push(candidate);
         keep_going
@@ -291,7 +296,7 @@ mod tests {
     use crate::verify::test_fixtures::movie_db;
     use duoquest_db::{CmpOp, DataType};
     use duoquest_nlq::{Choice, GuidanceContext, Literal, NoisyOracleGuidance, OracleConfig};
-    use duoquest_sql::QueryBuilder;
+    use duoquest_sql::{queries_equivalent, QueryBuilder};
 
     fn gold(db: &Database) -> SelectSpec {
         QueryBuilder::new(db.schema())

@@ -24,7 +24,7 @@
 //! nobody can take while the run borrows (or holds an `Arc` of) the database.
 
 use crate::tsq::{TableSketchQuery, TsqCell};
-use duoquest_db::cache::{encode_uint, encode_value};
+use duoquest_db::encode::{encode_uint, encode_value};
 use duoquest_db::{ColumnId, Database};
 use std::sync::atomic::{AtomicU8, Ordering};
 

@@ -20,18 +20,17 @@
 //! Design:
 //!
 //! * **Sharded.** Entries live in [`SHARD_COUNT`] independent `RwLock`ed hash
-//!   maps selected by the spec's [`ProbeCache::fingerprint`], so concurrent
-//!   sessions on a shared database rarely contend on the same lock, and
-//!   read-mostly traffic (cache hits) takes only shared locks.
-//! * **Collision-safe.** The map key is a canonical byte encoding of the
-//!   question and every field of the spec: lengths prefixed, numbers by
-//!   their bits folded as `Hash for Value` folds them (every NaN is one NaN,
-//!   `-0.0` is `0.0`), text by its bytes — and, for a verdict, the caller's
-//!   tag after them. Equal specs encode equally and distinct specs
-//!   distinctly (the hash only picks the shard), so two distinct specs, the
-//!   three questions about one spec, or two tags can never alias an entry. A
-//!   lookup encodes into a reused per-thread buffer, so a hit allocates
-//!   nothing.
+//!   maps, the shard picked by a hash of the entry's encoded key, so
+//!   concurrent sessions on a shared database rarely contend on the same
+//!   lock, and read-mostly traffic (cache hits) takes only shared locks.
+//! * **Collision-safe.** The map key is the question's tag, the spec's exact
+//!   byte encoding (`encode::encode_spec`: lengths prefixed, numbers
+//!   by their folded bits — every NaN is one NaN, `-0.0` is `0.0` — text by
+//!   its bytes) and, for a verdict, the caller's tag after them. Equal specs
+//!   encode equally and distinct specs distinctly (the hash only picks the
+//!   shard), so two distinct specs, the three questions about one spec, or
+//!   two tags can never alias an entry. A lookup encodes into a reused
+//!   per-thread buffer, so a hit allocates nothing.
 //! * **Shared results.** A rows answer is an `Arc<ResultSet>` so a hit is a
 //!   pointer clone, not a row copy; an existence or verdict answer is one bit
 //!   and keeps no rows.
@@ -76,20 +75,19 @@
 //! replaces the weaker entry in place.
 
 use crate::database::Row;
+use crate::encode::encode_spec;
 use crate::executor::{ExecMetrics, ResultSet};
-use crate::query::{AggFunc, OrderKey, OrderSpec, Predicate, SelectSpec};
-use crate::schema::ColumnId;
-use crate::types::{canonical_bits, DataType, Value};
+use crate::query::SelectSpec;
+use crate::types::{DataType, Value};
 use std::cell::RefCell;
-use std::collections::hash_map::{DefaultHasher, Entry as MapEntry};
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::mem::size_of;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::Instant;
 
-/// Number of independent shards; a power of two so shard selection is a mask.
+/// Number of independent shards; a power of two, so a shard is the top bits
+/// of a key's hash.
 pub const SHARD_COUNT: usize = 16;
 
 /// Per-run hit/miss counters a caller can pass to
@@ -261,7 +259,7 @@ impl CachedProbe {
 
 /// The question a cached probe answers about its spec. It leads the entry's
 /// key, so the three answers for one spec never serve each other.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Question {
     /// The spec's rows, possibly a prefix cut at a row budget.
     Rows,
@@ -310,13 +308,15 @@ impl Entry {
     }
 }
 
-/// Key of one in-flight probe: the question, the spec's canonical fingerprint
-/// and the request's budget class. The budget is part of the key so a waiter
-/// is only ever served a result executed under *its own* budget — the
-/// exactness bit of a truncated leader result therefore always describes
-/// what the waiter would have computed itself — and the question is, so a
-/// leader memoizes the answer its waiters would have memoized.
-pub type InflightKey = (Question, u64, Option<usize>);
+/// Key of one in-flight probe: the question and the spec, encoded as the
+/// memo cache encodes them, and the request's budget class. The key is exact,
+/// so a waiter is only ever served the rows of its own spec. The budget is
+/// part of the key so a waiter is only ever served a result executed under
+/// *its own* budget — the exactness bit of a truncated leader result
+/// therefore always describes what the waiter would have computed itself —
+/// and the question is, so a leader memoizes the answer its waiters would
+/// have memoized.
+pub type InflightKey = (Box<[u8]>, Option<usize>);
 
 /// State of one in-flight probe execution, guarded by its slot's mutex.
 #[derive(Debug)]
@@ -400,10 +400,8 @@ impl LeaderGuard<'_> {
         let mut slots = self.table.slots.lock().expect("inflight table lock poisoned");
         // Only retire the entry if it is still ours: a successor elected
         // after an abandon owns the slot now.
-        if let MapEntry::Occupied(entry) = slots.entry(self.key) {
-            if Arc::ptr_eq(entry.get(), &self.slot) {
-                entry.remove();
-            }
+        if slots.get(&self.key).is_some_and(|slot| Arc::ptr_eq(slot, &self.slot)) {
+            slots.remove(&self.key);
         }
     }
 }
@@ -430,13 +428,14 @@ impl InflightTable {
         self.lookups.fetch_add(1, Ordering::Relaxed);
         let slot = {
             let mut slots = self.slots.lock().expect("inflight table lock poisoned");
-            match slots.entry(key) {
-                MapEntry::Vacant(vacant) => {
+            match slots.get(&key) {
+                Some(slot) => Arc::clone(slot),
+                None => {
                     let slot = Arc::new(InflightSlot {
                         state: Mutex::new(SlotState::Running),
                         ready: Condvar::new(),
                     });
-                    vacant.insert(Arc::clone(&slot));
+                    slots.insert(key.clone(), Arc::clone(&slot));
                     self.leaders.fetch_add(1, Ordering::Relaxed);
                     return InflightJoin::Leader(LeaderGuard {
                         table: self,
@@ -445,7 +444,6 @@ impl InflightTable {
                         published: false,
                     });
                 }
-                MapEntry::Occupied(occupied) => Arc::clone(occupied.get()),
             }
         };
         let parked_at = Instant::now();
@@ -562,17 +560,11 @@ impl ProbeCache {
         self.max_bytes.load(Ordering::Relaxed)
     }
 
-    /// Canonical hash of a spec. Deterministic within a process; used for
-    /// shard selection (the map key is the full spec, so hash collisions are
-    /// harmless).
-    pub fn fingerprint(spec: &SelectSpec) -> u64 {
-        let mut hasher = DefaultHasher::new();
-        spec.hash(&mut hasher);
-        hasher.finish()
-    }
-
-    fn shard(&self, fingerprint: u64) -> &RwLock<Segments> {
-        &self.shards[(fingerprint as usize) & (SHARD_COUNT - 1)]
+    /// The shard an encoded key lives in: the top bits of its
+    /// [`key_hash`] (the map key is the whole encoding, so hash collisions
+    /// are harmless).
+    fn shard(&self, key: &[u8]) -> &RwLock<Segments> {
+        &self.shards[(key_hash(key) >> (64 - SHARD_COUNT.trailing_zeros())) as usize]
     }
 
     /// A shard rotates when its fresh generation outgrows half the shard's
@@ -622,8 +614,8 @@ impl ProbeCache {
         tag: &[u8],
         serve: impl Fn(&Entry) -> Option<T>,
     ) -> Option<T> {
-        let shard = self.shard(Self::fingerprint(spec));
         with_key(question, spec, tag, |key| {
+            let shard = self.shard(key);
             {
                 let segments = shard.read().expect("probe cache lock poisoned");
                 if let Some(found) = segments.fresh.get(key).and_then(&serve) {
@@ -736,8 +728,8 @@ impl ProbeCache {
     /// The insert behind every question; returns the answer that ends up
     /// serving the key.
     fn store(&self, question: Question, spec: &SelectSpec, tag: &[u8], answer: Answer) -> Answer {
-        let shard = self.shard(Self::fingerprint(spec));
         with_key(question, spec, tag, |key| {
+            let shard = self.shard(key);
             let entry = Entry { bytes: estimate_bytes(key, &answer), answer };
             let threshold = self.rotation_threshold();
             if entry.bytes > threshold {
@@ -820,7 +812,7 @@ impl ProbeCache {
 /// * its map slot — the boxed key and the [`Entry`] side by side, plus the
 ///   control byte — at the map's typical occupancy: a table grows by doubling
 ///   up to 7/8 full, so it holds about 3/2 slots per entry;
-/// * the encoded key ([`encode_key`]);
+/// * the encoded key ([`with_key`]);
 /// * a rows answer's result: its `Arc` allocation, column names and types,
 ///   the row vector and every row's cells with their text. A one-bit answer
 ///   keeps no result.
@@ -858,148 +850,40 @@ thread_local! {
     static KEY: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Run `f` on the encoded key of `question` about `spec`, with `tag` (empty
-/// but for a verdict) after the spec.
-fn with_key<T>(question: Question, spec: &SelectSpec, tag: &[u8], f: impl FnOnce(&[u8]) -> T) -> T {
+/// Run `f` on the encoded key of `question` about `spec`: the question's
+/// tag, the spec's exact encoding ([`encode_spec`]) and `tag` (empty but for
+/// a verdict) after it. The encoding is a prefix code, so the tag needs no
+/// length.
+pub(crate) fn with_key<T>(
+    question: Question,
+    spec: &SelectSpec,
+    tag: &[u8],
+    f: impl FnOnce(&[u8]) -> T,
+) -> T {
     KEY.with(|buf| {
         let mut buf = buf.borrow_mut();
-        encode_key(question, spec, &mut buf);
+        buf.clear();
+        buf.push(question as u8);
+        encode_spec(&mut buf, spec);
         buf.extend_from_slice(tag);
         f(&buf)
     })
 }
 
-/// Append `n` as LEB128: seven bits a byte, low bits first, the high bit
-/// set on every byte but the last. One of the key encoder's primitives,
-/// public for callers that build a verdict tag.
-pub fn encode_uint(out: &mut Vec<u8>, mut n: usize) {
-    while n >= 0x80 {
-        out.push(n as u8 | 0x80);
-        n >>= 7;
-    }
-    out.push(n as u8);
-}
-
-/// Append a self-delimiting encoding of `v`: a type byte, then a text's
-/// length and bytes or a number's 8 canonical bytes (`canonical_bits`:
-/// every NaN one NaN, `-0.0` as `0.0`). One of the key encoder's
-/// primitives, public for callers that build a verdict tag.
-pub fn encode_value(out: &mut Vec<u8>, v: &Value) {
-    match v {
-        Value::Null => out.push(0),
-        Value::Text(s) => {
-            out.push(1);
-            encode_uint(out, s.len());
-            out.extend_from_slice(s.as_bytes());
-        }
-        Value::Number(n) => {
-            out.push(2);
-            out.extend_from_slice(&canonical_bits(*n).to_le_bytes());
-        }
-    }
-}
-
-/// The canonical byte encoding of `question` about `spec`, written over
-/// `out`: the question's tag, then every field of the spec in declaration
-/// order. Each field's encoding is self-delimiting — sequences and text carry
-/// their length, options and enums a leading tag byte, integers are LEB128
-/// and numbers their 8 canonical bytes ([`canonical_bits`]) — so the whole is
-/// a prefix code: equal specs encode equally (`SelectSpec`'s `Eq` treats
-/// every NaN as one and `-0.0` as `0.0`, as the bits do) and distinct specs
-/// distinctly, and a verdict's tag can follow without a length.
-fn encode_key(question: Question, spec: &SelectSpec, out: &mut Vec<u8>) {
-    use encode_uint as uint;
-    use encode_value as value;
-    fn column(out: &mut Vec<u8>, col: ColumnId) {
-        uint(out, col.table.0);
-        uint(out, col.column);
-    }
-    fn opt_column(out: &mut Vec<u8>, col: Option<ColumnId>) {
-        match col {
-            None => out.push(0),
-            Some(col) => {
-                out.push(1);
-                column(out, col);
-            }
-        }
-    }
-    fn agg(out: &mut Vec<u8>, agg: Option<AggFunc>) {
-        out.push(agg.map_or(0, |a| a as u8 + 1));
-    }
-    fn predicates(out: &mut Vec<u8>, ps: &[Predicate]) {
-        uint(out, ps.len());
-        for p in ps {
-            agg(out, p.agg);
-            opt_column(out, p.col);
-            out.push(p.op as u8);
-            value(out, &p.value);
-            match &p.value2 {
-                None => out.push(0),
-                Some(v) => {
-                    out.push(1);
-                    value(out, v);
-                }
-            }
-        }
-    }
-
-    out.clear();
-    out.push(question as u8);
-    uint(out, spec.select.len());
-    for item in &spec.select {
-        agg(out, item.agg);
-        opt_column(out, item.col);
-    }
-    out.push(spec.distinct as u8);
-    uint(out, spec.join.tables.len());
-    for table in spec.join.tables.iter() {
-        uint(out, table.0);
-    }
-    uint(out, spec.join.edges.len());
-    for edge in spec.join.edges.iter() {
-        column(out, edge.fk.from);
-        column(out, edge.fk.to);
-    }
-    predicates(out, &spec.predicates);
-    out.push(spec.predicate_op as u8);
-    uint(out, spec.group_by.len());
-    for &col in &spec.group_by {
-        column(out, col);
-    }
-    predicates(out, &spec.having);
-    match spec.order_by {
-        None => out.push(0),
-        Some(OrderSpec { key, desc }) => {
-            out.push(1 + desc as u8);
-            match key {
-                OrderKey::Column(col) => {
-                    out.push(0);
-                    column(out, col);
-                }
-                OrderKey::Aggregate(func, col) => {
-                    out.push(1);
-                    agg(out, Some(func));
-                    opt_column(out, col);
-                }
-            }
-        }
-    }
-    match spec.limit {
-        None => out.push(0),
-        Some(n) => {
-            out.push(1);
-            uint(out, n);
-        }
-    }
+/// 64-bit FNV-1a over an encoded key: what picks its shard. A function of
+/// the bytes alone, so an entry lands in the same shard in every process.
+fn key_hash(key: &[u8]) -> u64 {
+    key.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::database::Database;
+    use crate::encode::tests::{generated_specs, twin};
     use crate::join_graph::JoinTree;
-    use crate::query::SelectItem;
-    use crate::schema::{ColumnDef, Schema, TableDef};
+    use crate::query::{Predicate, SelectItem};
+    use crate::schema::{ColumnDef, ColumnId, Schema, TableDef};
     use crate::types::Value;
 
     fn db() -> Database {
@@ -1071,13 +955,23 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_is_stable_and_spec_sensitive() {
+    fn key_hash_is_stable_and_key_sensitive() {
         let db = db();
-        let a = spec(&db);
+        let a = key(Question::Rows, &spec(&db));
         let mut b = spec(&db);
         b.distinct = true;
-        assert_eq!(ProbeCache::fingerprint(&a), ProbeCache::fingerprint(&a));
-        assert_ne!(ProbeCache::fingerprint(&a), ProbeCache::fingerprint(&b));
+        assert_eq!(key_hash(&a), key_hash(&a.clone()));
+        assert_ne!(key_hash(&a), key_hash(&key(Question::Rows, &b)));
+        // FNV-1a's published vector: the hash is a function of the bytes
+        // alone, the same in every process.
+        assert_eq!(key_hash(b"a"), 0xaf63_dc4c_8601_ec8c);
+        // Generated specs spread over every shard.
+        let cache = ProbeCache::default();
+        let shards: std::collections::BTreeSet<_> = generated_specs(256)
+            .iter()
+            .map(|s| cache.shard(&key(Question::Rows, s)) as *const _ as usize)
+            .collect();
+        assert_eq!(shards.len(), SHARD_COUNT);
     }
 
     #[test]
@@ -1147,12 +1041,12 @@ mod tests {
         let hot = spec_with_limit(&db, 1);
         cache.insert(&hot, crate::executor::execute(&db, &hot).unwrap());
         // Force a rotation of the hot entry's shard by hand.
-        let shard = cache.shard(ProbeCache::fingerprint(&hot));
+        let key = key(Question::Rows, &hot);
+        let shard = cache.shard(&key);
         shard.write().unwrap().rotate();
         // The entry is now stale; a hit must return it and promote it back.
         assert!(cache.get(&hot).is_some(), "stale generation still serves hits");
         let segments = shard.read().unwrap();
-        let key = key(Question::Rows, &hot);
         assert!(segments.fresh.contains_key(&key[..]), "hit must promote to fresh");
         assert!(!segments.stale.contains_key(&key[..]));
         drop(segments);
@@ -1217,20 +1111,25 @@ mod tests {
     #[test]
     fn single_flight_leader_fans_out_to_waiters() {
         let table = Arc::new(InflightTable::default());
-        let key: InflightKey = (Question::Rows, 42, Some(1));
-        let leader = match table.join(key) {
+        let key: InflightKey = (Box::new([Question::Rows as u8, 42]), Some(1));
+        let leader = match table.join(key.clone()) {
             InflightJoin::Leader(g) => g,
             InflightJoin::Served { .. } => panic!("first join must lead"),
         };
         let waiters: Vec<_> = (0..4)
             .map(|_| {
-                let table = Arc::clone(&table);
+                let (table, key) = (Arc::clone(&table), key.clone());
                 std::thread::spawn(move || match table.join(key) {
                     InflightJoin::Served { probe, .. } => probe.exact,
                     InflightJoin::Leader(_) => panic!("slot already led"),
                 })
             })
             .collect();
+        // A key one byte apart is another probe: it leads its own slot.
+        match table.join((Box::new([Question::Rows as u8, 43]), Some(1))) {
+            InflightJoin::Leader(g) => g.publish(empty_probe()),
+            InflightJoin::Served { .. } => panic!("a distinct key must not share the slot"),
+        }
         // Give the waiters a moment to park (correct either way).
         std::thread::sleep(std::time::Duration::from_millis(10));
         leader.publish(empty_probe());
@@ -1238,7 +1137,7 @@ mod tests {
             assert!(w.join().unwrap());
         }
         let (lookups, hits, leaders) = table.counters();
-        assert_eq!((lookups, hits, leaders), (5, 4, 1));
+        assert_eq!((lookups, hits, leaders), (6, 4, 2));
         assert_eq!(lookups, hits + leaders, "conservation invariant");
         assert!(table.slots.lock().unwrap().is_empty(), "published slot must retire");
     }
@@ -1246,8 +1145,8 @@ mod tests {
     #[test]
     fn abandoned_leader_elects_a_successor() {
         let table = Arc::new(InflightTable::default());
-        let key: InflightKey = (Question::Rows, 7, None);
-        let leader = match table.join(key) {
+        let key: InflightKey = (Box::new([Question::Rows as u8, 7]), None);
+        let leader = match table.join(key.clone()) {
             InflightJoin::Leader(g) => g,
             InflightJoin::Served { .. } => panic!("first join must lead"),
         };
@@ -1273,8 +1172,8 @@ mod tests {
     #[test]
     fn fresh_arrival_takes_over_an_abandoned_slot() {
         let table = InflightTable::default();
-        let key: InflightKey = (Question::Exists, 9, Some(3));
-        match table.join(key) {
+        let key: InflightKey = (Box::new([Question::Exists as u8, 9]), Some(3));
+        match table.join(key.clone()) {
             InflightJoin::Leader(g) => drop(g), // abandon immediately, nobody waiting
             InflightJoin::Served { .. } => panic!("first join must lead"),
         }
@@ -1293,111 +1192,6 @@ mod tests {
 
     fn verdict_key(spec: &SelectSpec, tag: &[u8]) -> Vec<u8> {
         with_key(Question::Verdict, spec, tag, <[u8]>::to_vec)
-    }
-
-    /// A deterministic stream of specs drawn from a few values per field, so
-    /// equal specs recur and distinct ones differ in every field somewhere:
-    /// numbers include both zeros and two NaN payloads, text includes the
-    /// encoder's own tag and length bytes, and column ids cross the one-byte
-    /// LEB128 boundary.
-    fn generated_specs(n: usize) -> Vec<SelectSpec> {
-        use crate::join_graph::JoinEdge;
-        use crate::query::{CmpOp, LogicalOp};
-        use crate::schema::{ForeignKey, TableId};
-        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
-        let mut pick = move |k: usize| {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state % k as u64) as usize
-        };
-        let values = [
-            Value::Null,
-            Value::Number(0.0),
-            Value::Number(-0.0),
-            Value::Number(f64::NAN),
-            Value::Number(f64::from_bits(f64::NAN.to_bits() | 1)),
-            Value::Number(1.0),
-            Value::text(""),
-            Value::text("a"),
-            Value::text("\u{1}\u{1}a"),
-            Value::text("\0\u{2}"),
-        ];
-        let col = |i: usize| ColumnId::new([0, 1, 127, 128, 300][i % 5], i / 5);
-        let aggs = [None, Some(AggFunc::Count), Some(AggFunc::Max)];
-        let ops = [CmpOp::Eq, CmpOp::Like, CmpOp::Between];
-        (0..n)
-            .map(|_| {
-                let predicates = |pick: &mut dyn FnMut(usize) -> usize| -> Vec<Predicate> {
-                    (0..pick(3))
-                        .map(|_| Predicate {
-                            agg: aggs[pick(3)],
-                            col: [None, Some(col(pick(10)))][pick(2)],
-                            op: ops[pick(3)],
-                            value: values[pick(values.len())].clone(),
-                            value2: (pick(2) == 1).then(|| values[pick(values.len())].clone()),
-                        })
-                        .collect()
-                };
-                let select = (0..pick(3))
-                    .map(|_| SelectItem {
-                        agg: aggs[pick(3)],
-                        col: [None, Some(col(pick(10)))][pick(2)],
-                    })
-                    .collect();
-                let tables: Vec<TableId> = (0..1 + pick(2)).map(|_| TableId(pick(3))).collect();
-                let edges: Vec<JoinEdge> = (0..pick(2))
-                    .map(|_| JoinEdge { fk: ForeignKey { from: col(pick(10)), to: col(pick(10)) } })
-                    .collect();
-                let where_ = predicates(&mut pick);
-                let having = predicates(&mut pick);
-                SelectSpec {
-                    select,
-                    distinct: pick(2) == 1,
-                    join: JoinTree { tables: tables.into(), edges: edges.into() },
-                    predicates: where_,
-                    predicate_op: [LogicalOp::And, LogicalOp::Or][pick(2)],
-                    group_by: (0..pick(2)).map(|_| col(pick(10))).collect(),
-                    having,
-                    order_by: [
-                        None,
-                        Some(OrderSpec {
-                            key: OrderKey::Column(col(pick(10))),
-                            desc: pick(2) == 1,
-                        }),
-                        Some(OrderSpec {
-                            key: OrderKey::Aggregate(AggFunc::Count, [None, Some(col(0))][pick(2)]),
-                            desc: pick(2) == 1,
-                        }),
-                    ][pick(3)],
-                    limit: [None, Some(0), Some(1), Some(200)][pick(4)],
-                }
-            })
-            .collect()
-    }
-
-    /// An equal spec built from other bits: every zero's sign flipped, every
-    /// NaN's payload changed, the join tree's slices freshly allocated.
-    fn twin(spec: &SelectSpec) -> SelectSpec {
-        let flip = |v: &mut Value| {
-            if let Value::Number(n) = v {
-                if *n == 0.0 {
-                    *n = -*n;
-                } else if n.is_nan() {
-                    *n = f64::from_bits(n.to_bits() ^ 2);
-                }
-            }
-        };
-        let mut twin = spec.clone();
-        for p in twin.predicates.iter_mut().chain(&mut twin.having) {
-            flip(&mut p.value);
-            p.value2.iter_mut().for_each(flip);
-        }
-        twin.join = JoinTree {
-            tables: spec.join.tables.to_vec().into(),
-            edges: spec.join.edges.to_vec().into(),
-        };
-        twin
     }
 
     #[test]

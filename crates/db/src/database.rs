@@ -6,7 +6,9 @@
 //! interior mutability (sharded locks + atomic counters) so concurrent
 //! readers never need an exclusive borrow.
 
-use crate::cache::{CacheStats, CachedProbe, InflightJoin, ProbeCache, Question, RunCacheCounters};
+use crate::cache::{
+    with_key, CacheStats, CachedProbe, InflightJoin, ProbeCache, Question, RunCacheCounters,
+};
 use crate::error::{DbError, DbResult};
 use crate::executor::{ExecOptions, ExecOutcome, ResultSet, Verdict};
 use crate::index::InvertedIndex;
@@ -488,7 +490,7 @@ impl Database {
         if !self.single_flight() {
             return execute();
         }
-        let key = (question, ProbeCache::fingerprint(spec), budget);
+        let key = (with_key(question, spec, &[], |key| Box::from(key)), budget);
         match self.probe_cache.inflight().join(key) {
             InflightJoin::Leader(guard) => {
                 counters.single_flight_leaders.fetch_add(1, Ordering::Relaxed);

@@ -14,7 +14,7 @@ use crate::schema::{ForeignKey, Schema, TableId};
 use std::sync::Arc;
 
 /// An undirected join edge between two tables, realised by a foreign key.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JoinEdge {
     /// The foreign key realising the edge (`from` is the FK side, `to` the PK side).
     pub fk: ForeignKey,
@@ -45,7 +45,7 @@ impl JoinEdge {
 /// Both lists are shared slices: a tree is built once and then copied into
 /// every partial query, probe and candidate that joins along it, so a clone
 /// is two reference counts, not two allocations.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct JoinTree {
     /// Tables in the FROM clause, sorted for canonical comparison.
     pub tables: Arc<[TableId]>,

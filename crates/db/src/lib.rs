@@ -24,6 +24,7 @@
 
 pub mod cache;
 pub mod database;
+pub mod encode;
 pub mod error;
 pub mod executor;
 pub mod index;
@@ -40,6 +41,7 @@ pub use cache::{
     Question, RunCacheCounters,
 };
 pub use database::{Database, Row, TableData};
+pub use encode::canonical_key;
 pub use error::DbError;
 pub use executor::{
     decide_with, execute, execute_with, ExecMetrics, ExecOptions, ExecOutcome, ResultSet, Verdict,

@@ -59,7 +59,7 @@ impl fmt::Display for AggFunc {
 }
 
 /// Comparison operators for selection predicates (paper Table 3, OP module).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CmpOp {
     /// `=`
     Eq,
@@ -117,7 +117,7 @@ impl fmt::Display for CmpOp {
 
 /// Logical connective between the predicates of a WHERE clause. Nested mixed
 /// expressions are out of scope (paper §2.5).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LogicalOp {
     /// All predicates must hold.
     #[default]
@@ -136,7 +136,7 @@ impl fmt::Display for LogicalOp {
 }
 
 /// One projected item of the SELECT clause.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SelectItem {
     /// Optional aggregate applied to the column.
     pub agg: Option<AggFunc>,
@@ -167,7 +167,7 @@ impl SelectItem {
 }
 
 /// A selection predicate over a column (WHERE) or an aggregate (HAVING).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Predicate {
     /// Aggregate applied to the column — only valid in HAVING position.
     pub agg: Option<AggFunc>,
@@ -230,7 +230,7 @@ impl Predicate {
 }
 
 /// The sort key of an ORDER BY clause.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OrderKey {
     /// Order by a plain column.
     Column(ColumnId),
@@ -239,7 +239,7 @@ pub enum OrderKey {
 }
 
 /// An ORDER BY clause.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OrderSpec {
     /// Sort key.
     pub key: OrderKey,
@@ -249,11 +249,12 @@ pub struct OrderSpec {
 
 /// A fully resolved, executable SPJA query.
 ///
-/// `Eq` and `Hash` are structural (field-by-field; `Value` hashes are
-/// NaN/negative-zero safe), so specs can key the db layer's probe/result
-/// memo cache. Note this is *structural* identity, not the canonical
-/// set-semantics equivalence of `duoquest-sql`'s `queries_equivalent`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
+/// `Eq` is structural (field-by-field; every NaN is one NaN and `-0.0` is
+/// `0.0`), and so is the exact byte encoding that keys the probe cache
+/// (`encode::encode_spec`); nothing hashes a spec. The canonical
+/// set-semantics equivalence of `duoquest-sql`'s `queries_equivalent` is
+/// [`crate::encode::canonical_key`].
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SelectSpec {
     /// Projected items; must be non-empty to execute.
     pub select: Vec<SelectItem>,

@@ -145,7 +145,7 @@ impl Value {
     }
 }
 
-/// The bits a number is keyed, hashed and cache-encoded by, consistent with
+/// The bits a number is keyed and encoded by, consistent with
 /// `PartialEq for Value`: every NaN is one NaN, and `-0.0` is `0.0` (adding
 /// 0.0 folds it onto `+0.0`).
 pub(crate) fn canonical_bits(n: f64) -> u64 {
@@ -228,22 +228,6 @@ impl PartialEq for Value {
 // `PartialEq` above is a total equivalence: NaN equals NaN, so reflexivity
 // holds and `Eq` is sound.
 impl Eq for Value {}
-
-impl std::hash::Hash for Value {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        match self {
-            Value::Null => 0u8.hash(state),
-            Value::Text(s) => {
-                1u8.hash(state);
-                s.hash(state);
-            }
-            Value::Number(n) => {
-                2u8.hash(state);
-                canonical_bits(*n).hash(state);
-            }
-        }
-    }
-}
 
 impl From<&str> for Value {
     fn from(s: &str) -> Self {

@@ -2,115 +2,33 @@
 //!
 //! The simulation study scores a candidate as correct when it matches the gold
 //! SQL. Like the Spider benchmark's "exact set matching", the comparison is
-//! insensitive to the order of projections, predicates and grouping columns,
-//! and to the textual case of literal values. The FROM clause is compared by
-//! the *set of tables* joined (join conditions are implied by the FK-PK-only
-//! join scope of the paper).
+//! insensitive to the order of projections, tables, predicates, grouping
+//! columns and HAVING predicates, and to the ASCII case of text literals. The
+//! FROM clause is compared by the *set of tables* joined (join conditions are
+//! implied by the FK-PK-only join scope of the paper), so the join edges are
+//! ignored, and so is `DISTINCT`. The WHERE connective matters only between
+//! two or more predicates; ORDER BY and LIMIT must be equal.
+//!
+//! Numbers compare by their folded bits, as everywhere in the workspace:
+//! every NaN is one NaN, and a `-0.0` literal is the same as `0.0`.
+//!
+//! Two queries are equivalent exactly when their canonical keys
+//! ([`duoquest_db::canonical_key`]) are equal; a caller comparing many
+//! queries against one can encode it once and compare keys.
 
-use duoquest_db::{LogicalOp, Predicate, SelectSpec, Value};
+use duoquest_db::{canonical_key, SelectSpec};
 
 /// Whether two queries are equivalent under canonical (set-semantics) comparison.
 pub fn queries_equivalent(a: &SelectSpec, b: &SelectSpec) -> bool {
-    select_equiv(a, b)
-        && tables_equiv(a, b)
-        && predicates_equiv(a, b)
-        && group_equiv(a, b)
-        && having_equiv(a, b)
-        && order_equiv(a, b)
-        && a.limit == b.limit
-}
-
-fn select_equiv(a: &SelectSpec, b: &SelectSpec) -> bool {
-    if a.select.len() != b.select.len() {
-        return false;
-    }
-    let mut a_items: Vec<String> =
-        a.select.iter().map(|i| format!("{:?}|{:?}", i.agg, i.col)).collect();
-    let mut b_items: Vec<String> =
-        b.select.iter().map(|i| format!("{:?}|{:?}", i.agg, i.col)).collect();
-    a_items.sort();
-    b_items.sort();
-    a_items == b_items
-}
-
-fn tables_equiv(a: &SelectSpec, b: &SelectSpec) -> bool {
-    let mut ta = a.join.tables.to_vec();
-    let mut tb = b.join.tables.to_vec();
-    ta.sort();
-    tb.sort();
-    ta == tb
-}
-
-fn value_key(v: &Value) -> String {
-    match v {
-        Value::Text(s) => format!("t:{}", s.to_ascii_lowercase()),
-        Value::Number(n) => format!("n:{n}"),
-        Value::Null => "null".into(),
-    }
-}
-
-fn predicate_key(p: &Predicate) -> String {
-    format!(
-        "{:?}|{:?}|{:?}|{}|{}",
-        p.agg,
-        p.col,
-        p.op,
-        value_key(&p.value),
-        p.value2.as_ref().map(value_key).unwrap_or_default()
-    )
-}
-
-fn predicates_equiv(a: &SelectSpec, b: &SelectSpec) -> bool {
-    if a.predicates.len() != b.predicates.len() {
-        return false;
-    }
-    // The connective only matters when there is more than one predicate.
-    if a.predicates.len() > 1 {
-        let op_a = a.predicate_op;
-        let op_b = b.predicate_op;
-        if !matches!(
-            (op_a, op_b),
-            (LogicalOp::And, LogicalOp::And) | (LogicalOp::Or, LogicalOp::Or)
-        ) {
-            return false;
-        }
-    }
-    let mut ka: Vec<String> = a.predicates.iter().map(predicate_key).collect();
-    let mut kb: Vec<String> = b.predicates.iter().map(predicate_key).collect();
-    ka.sort();
-    kb.sort();
-    ka == kb
-}
-
-fn group_equiv(a: &SelectSpec, b: &SelectSpec) -> bool {
-    let mut ga = a.group_by.clone();
-    let mut gb = b.group_by.clone();
-    ga.sort();
-    gb.sort();
-    ga == gb
-}
-
-fn having_equiv(a: &SelectSpec, b: &SelectSpec) -> bool {
-    let mut ha: Vec<String> = a.having.iter().map(predicate_key).collect();
-    let mut hb: Vec<String> = b.having.iter().map(predicate_key).collect();
-    ha.sort();
-    hb.sort();
-    ha == hb
-}
-
-fn order_equiv(a: &SelectSpec, b: &SelectSpec) -> bool {
-    match (&a.order_by, &b.order_by) {
-        (None, None) => true,
-        (Some(x), Some(y)) => x.key == y.key && x.desc == y.desc,
-        _ => false,
-    }
+    canonical_key(a) == canonical_key(b)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use duoquest_db::{
-        AggFunc, CmpOp, ColumnDef, JoinTree, OrderKey, OrderSpec, Schema, SelectItem, TableDef,
+        AggFunc, CmpOp, ColumnDef, JoinTree, LogicalOp, OrderKey, OrderSpec, Predicate, Schema,
+        SelectItem, TableDef, Value,
     };
 
     fn schema() -> Schema {

@@ -24,9 +24,11 @@ use std::sync::Arc;
 /// (`tests/frontier_memory.rs` holds the estimate to what the cache frees).
 /// It was 288 KiB while every entry kept a cloned spec and a full result;
 /// existence probes now keep a byte-encoded key and one bit, about 0.42× the
-/// bytes per entry, so the same squeeze takes 128 KiB. At 128 KiB: 112
-/// rotations; cold pass 829 executions, replay 3 496 hits / 64 misses
-/// (98.2 %); warm pass 827 executions, 98.3 %.
+/// bytes per entry, so the same squeeze takes 128 KiB. At 128 KiB, with
+/// shards picked by the FNV-1a hash of the encoded key: 15 rotations; cold
+/// pass 828 executions, replay 3 512 hits / 48 misses (98.7 %); warm pass 0
+/// executions, 100 % (19 rotations and a 64-execution warm pass when a
+/// `DefaultHasher` walk over the spec picked the shard).
 const BUDGET: u64 = 128 * 1024;
 
 /// The column-wise probes a run over `tsq` can send to `db`: every

@@ -9,8 +9,8 @@
 
 use duoquest::core::TsqCell;
 use duoquest::db::{
-    execute, CmpOp, ColumnDef, Database, JoinTree, Predicate, Schema, SelectItem, SelectSpec,
-    TableDef, Value,
+    execute, AggFunc, CmpOp, ColumnDef, Database, JoinTree, Predicate, Schema, SelectItem,
+    SelectSpec, TableDef, Value,
 };
 use duoquest::nlq::guidance::normalize_scores;
 use duoquest::sql::queries_equivalent;
@@ -206,6 +206,16 @@ fn canonical_equivalence_is_reflexive_and_order_insensitive() {
         assert!(queries_equivalent(&spec, &shuffled));
         let canon = canonicalize_select(&spec);
         assert!(queries_equivalent(&spec, &canon));
+        // A literal compares by its folded bits: `-0.0` is `0.0`, and a NaN
+        // is a NaN whatever its payload — but not a zero.
+        let with = |n: f64| SelectSpec {
+            having: vec![Predicate::having(AggFunc::Max, Some(score), CmpOp::Ge, Value::Number(n))],
+            ..spec.clone()
+        };
+        let nan = f64::from_bits(f64::NAN.to_bits() | rng.gen_range(1..1u64 << 20));
+        assert!(queries_equivalent(&with(-0.0), &with(0.0)));
+        assert!(queries_equivalent(&with(f64::NAN), &with(nan)));
+        assert!(!queries_equivalent(&with(0.0), &with(nan)));
     });
 }
 
