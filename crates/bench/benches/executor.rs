@@ -237,7 +237,8 @@ fn bench_executor(c: &mut Criterion) {
     group.finish();
 }
 
-/// `Database::rebuild_index` — every column index and the text index — on
+/// `Database::rebuild_index` — every column index, which the text index is
+/// a view of — on
 /// the benchmark's MAS database (12 253 rows, 15 tables, mostly text) and
 /// on the all-number fan-out fixture: the cold start of a loaded database.
 fn bench_rebuild_index(c: &mut Criterion) {

@@ -71,14 +71,13 @@ impl TableData {
     }
 }
 
-/// A schema together with its data, the autocomplete inverted index and the
-/// verification-probe memo cache.
+/// A schema together with its data, its column indexes (which the
+/// autocomplete inverted index is a view of) and the verification-probe
+/// memo cache.
 #[derive(Debug)]
 pub struct Database {
     schema: Schema,
     data: Vec<TableData>,
-    index: InvertedIndex,
-    index_dirty: bool,
     probe_cache: ProbeCache,
     /// Per-table ordered secondary indexes (`crate::table_index`), built by
     /// [`Database::rebuild_index`] and maintained incrementally by the write
@@ -98,8 +97,6 @@ impl Clone for Database {
         Database {
             schema: self.schema.clone(),
             data: self.data.clone(),
-            index: self.index.clone(),
-            index_dirty: self.index_dirty,
             probe_cache: ProbeCache::default(),
             table_indexes: self.table_indexes.clone(),
             single_flight: AtomicBool::new(self.single_flight.load(Ordering::Relaxed)),
@@ -115,8 +112,6 @@ impl Database {
         Ok(Database {
             schema,
             data,
-            index: InvertedIndex::default(),
-            index_dirty: false,
             probe_cache: ProbeCache::default(),
             table_indexes: Vec::new(),
             single_flight: AtomicBool::new(true),
@@ -179,7 +174,6 @@ impl Database {
         if let Some(tidx) = self.table_indexes.get_mut(table.0) {
             tidx.insert_appended(rows, row_idx);
         }
-        self.index_dirty = true; // the autocomplete inverted index is now stale
         self.probe_cache.clear(); // memoized probe results are now stale
         Ok(())
     }
@@ -220,7 +214,6 @@ impl Database {
         if let Some(tidx) = self.table_indexes.get_mut(col.table.0) {
             tidx.update_cell(rows, col.column, row, &old);
         }
-        self.index_dirty = true; // the autocomplete inverted index is now stale
         self.probe_cache.clear(); // memoized probe results are now stale
         Ok(())
     }
@@ -269,10 +262,10 @@ impl Database {
         seen.then_some((min, max))
     }
 
-    /// Rebuild the inverted column index over all text columns and the
-    /// ordered secondary indexes ([`TableIndex`]) behind index-nested-loop
-    /// joins, range scans and ordered index scans. The executor uses the
-    /// secondary indexes from then on; before the first call it scans.
+    /// Rebuild the ordered secondary indexes ([`TableIndex`]) behind
+    /// index-nested-loop joins, range scans, ordered index scans and the
+    /// autocomplete inverted index ([`Database::index`]). The executor uses
+    /// them from then on; before the first call it scans.
     pub fn rebuild_index(&mut self) {
         self.table_indexes = self
             .data
@@ -282,20 +275,13 @@ impl Database {
                 TableIndex::build(&table.rows, self.schema.table(TableId(ti)).columns.len())
             })
             .collect();
-        self.index = InvertedIndex::build(&self.schema, &self.table_indexes);
-        self.index_dirty = false;
     }
 
-    /// The autocomplete inverted index. Panics in debug builds if the index is
-    /// stale; call [`Database::rebuild_index`] after loading data.
-    pub fn index(&self) -> &InvertedIndex {
-        debug_assert!(!self.index_dirty, "inverted index is stale; call rebuild_index()");
-        &self.index
-    }
-
-    /// Whether the index needs rebuilding.
-    pub fn index_is_dirty(&self) -> bool {
-        self.index_dirty
+    /// The autocomplete inverted index: a view of the text columns' indexes,
+    /// current after every write. It finds nothing until the first
+    /// [`Database::rebuild_index`].
+    pub fn index(&self) -> InvertedIndex<'_> {
+        InvertedIndex::new(&self.schema, &self.table_indexes)
     }
 
     /// The ordered secondary index of one column, or `None` until the first
@@ -632,16 +618,6 @@ mod tests {
             agree(&scanned, &indexed, &format!("after update of row {row}"));
         }
         assert_eq!(indexed.numeric_range(birth_yr), Some((-7.0, 2050.0)));
-    }
-
-    #[test]
-    fn index_dirty_tracking() {
-        let mut d = db();
-        assert!(!d.index_is_dirty());
-        d.insert("actor", vec![Value::int(1), Value::text("Tom"), Value::int(1956)]).unwrap();
-        assert!(d.index_is_dirty());
-        d.rebuild_index();
-        assert!(!d.index_is_dirty());
     }
 
     /// Writes after the index build must keep the secondary indexes current

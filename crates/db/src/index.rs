@@ -5,17 +5,16 @@
 //! structure is used by the PBE baseline to locate candidate projection columns
 //! from example cell values, and by literal tagging in the NLQ crate.
 //!
-//! `Database::rebuild_index` builds it after the column indexes
-//! ([`crate::table_index`]) and reads it off them without touching a row: a
-//! text column's [`Key::Text`] keys are its distinct lowercased values, and a
-//! key's match-list length is its count in that column. The write path does
-//! not maintain it; `insert` and `update_cell` mark it stale
-//! (`Database::index_is_dirty`) until the next rebuild.
+//! It is not stored: [`InvertedIndex`] is a borrowed view of the column
+//! indexes ([`crate::table_index`]). A text column's [`Key::Text`] keys are
+//! its distinct lowercased values, and a key's match-list length is its count
+//! in that column. The write path maintains the column indexes, so the view
+//! is current after `insert` and `update_cell`; before the first
+//! `Database::rebuild_index` there are no column indexes and it finds nothing.
 
 use crate::schema::{ColumnId, Schema};
-use crate::table_index::TableIndex;
+use crate::table_index::{ColumnIndex, TableIndex};
 use crate::types::{DataType, Key};
-use std::collections::HashMap;
 
 /// A single index hit: a column containing the searched value and how often.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -26,80 +25,81 @@ pub struct IndexHit {
     pub count: usize,
 }
 
-/// Inverted index mapping lowercase text values to the columns containing them.
-#[derive(Debug, Clone, Default)]
-pub struct InvertedIndex {
-    /// value (lowercased) -> hits
-    exact: HashMap<String, Vec<IndexHit>>,
-    /// all distinct values per column, used for prefix autocomplete
-    values: HashMap<ColumnId, Vec<String>>,
+/// The inverted index from lowercase text values to the columns containing
+/// them, read off the text columns' indexes ([`crate::Database::index`]).
+#[derive(Debug, Clone, Copy)]
+pub struct InvertedIndex<'a> {
+    schema: &'a Schema,
+    tables: &'a [TableIndex],
 }
 
-impl InvertedIndex {
-    /// Read the index off the column indexes of `schema`'s tables: a text
-    /// column's [`Key::Text`] keys are its distinct lowercased values, and
-    /// each key's match-list length is how many rows hold it.
-    pub(crate) fn build(schema: &Schema, tables: &[TableIndex]) -> Self {
-        let text_columns: Vec<ColumnId> =
-            schema.all_columns().filter(|&c| schema.column(c).dtype == DataType::Text).collect();
-        let lists = |c: ColumnId| tables[c.table.0].column(c.column).match_lists();
-        let mut exact: HashMap<String, Vec<IndexHit>> =
-            HashMap::with_capacity(text_columns.iter().map(|&c| lists(c).len()).sum());
-        let mut values = HashMap::with_capacity(text_columns.len());
-        // Columns in `(table, column)` order, so every hit list comes out
-        // sorted by column.
-        for column in text_columns {
-            let mut keys = Vec::with_capacity(lists(column).len());
-            for (key, rows) in lists(column) {
-                let Key::Text(key) = key else { continue };
-                // Most values live in one column: a list of one, not of four.
-                let hits = exact.entry(key.clone()).or_insert_with(|| Vec::with_capacity(1));
-                hits.push(IndexHit { column, count: rows.len() });
-                keys.push(key.clone());
-            }
-            keys.sort_unstable();
-            values.insert(column, keys);
-        }
-        InvertedIndex { exact, values }
+impl<'a> InvertedIndex<'a> {
+    /// The view over `schema`'s text columns in `tables`, which is empty
+    /// until the indexes are built.
+    pub(crate) fn new(schema: &'a Schema, tables: &'a [TableIndex]) -> Self {
+        InvertedIndex { schema, tables }
     }
 
-    /// Columns containing the exact (case-insensitive) text value.
-    pub fn lookup(&self, value: &str) -> &[IndexHit] {
-        self.exact.get(&value.to_ascii_lowercase()).map(Vec::as_slice).unwrap_or(&[])
+    /// The indexed text columns in `(table, column)` order.
+    fn text_columns(self) -> impl Iterator<Item = (ColumnId, &'a ColumnIndex)> {
+        self.schema
+            .all_columns()
+            .filter(move |&c| self.schema.column(c).dtype == DataType::Text)
+            .filter_map(move |c| Some((c, self.tables.get(c.table.0)?.column(c.column))))
+    }
+
+    /// Columns containing the exact (case-insensitive) text value, in
+    /// `(table, column)` order.
+    pub fn lookup(&self, value: &str) -> Vec<IndexHit> {
+        let key = Key::Text(value.to_ascii_lowercase());
+        self.text_columns()
+            .filter_map(|(column, index)| {
+                let rows = index.match_lists().get(&key)?;
+                Some(IndexHit { column, count: rows.len() })
+            })
+            .collect()
     }
 
     /// Whether any text column in the database contains the value.
     pub fn contains(&self, value: &str) -> bool {
-        !self.lookup(value).is_empty()
+        let key = Key::Text(value.to_ascii_lowercase());
+        self.text_columns().any(|(_, index)| index.match_lists().contains_key(&key))
     }
 
     /// Autocomplete: distinct values starting with the given prefix, across all
     /// text columns, lexicographically sorted and capped at `limit` entries.
     pub fn autocomplete(&self, prefix: &str, limit: usize) -> Vec<String> {
-        let prefix = prefix.to_ascii_lowercase();
-        let mut out: Vec<String> =
-            self.values.values().flatten().filter(|v| v.starts_with(&prefix)).cloned().collect();
-        out.sort_unstable();
-        out.dedup();
-        out.truncate(limit);
-        out
+        complete(self.text_columns().map(|(_, index)| index), prefix, limit)
     }
 
-    /// Autocomplete restricted to a single column.
+    /// Autocomplete restricted to a single column; empty unless it is an
+    /// indexed text column.
     pub fn autocomplete_column(&self, column: ColumnId, prefix: &str, limit: usize) -> Vec<String> {
-        let prefix = prefix.to_ascii_lowercase();
-        self.values
-            .get(&column)
-            .map(|vals| {
-                vals.iter().filter(|v| v.starts_with(&prefix)).take(limit).cloned().collect()
-            })
-            .unwrap_or_default()
+        let index = self.text_columns().find(|&(c, _)| c == column);
+        complete(index.map(|(_, index)| index), prefix, limit)
     }
+}
 
-    /// Number of distinct indexed values.
-    pub fn distinct_value_count(&self) -> usize {
-        self.exact.len()
-    }
+/// The distinct text keys of `columns` starting with `prefix` (lowercased),
+/// sorted and capped at `limit`.
+fn complete<'a>(
+    columns: impl IntoIterator<Item = &'a ColumnIndex>,
+    prefix: &str,
+    limit: usize,
+) -> Vec<String> {
+    let prefix = prefix.to_ascii_lowercase();
+    let mut out: Vec<&str> = columns
+        .into_iter()
+        .flat_map(|index| index.match_lists().keys())
+        .filter_map(|key| match key {
+            Key::Text(text) if text.starts_with(&prefix) => Some(text.as_str()),
+            _ => None,
+        })
+        .collect();
+    out.sort_unstable();
+    out.dedup();
+    out.truncate(limit);
+    out.into_iter().map(str::to_owned).collect()
 }
 
 #[cfg(test)]
@@ -165,6 +165,5 @@ mod tests {
     fn numeric_columns_not_indexed() {
         let d = db();
         assert!(!d.index().contains("1"));
-        assert!(d.index().distinct_value_count() >= 4);
     }
 }

@@ -1,5 +1,6 @@
-//! The indexes `Database::rebuild_index` builds, against a naive scan of the
-//! cells they index.
+//! The indexes `Database::rebuild_index` builds and the write path
+//! maintains, and the §4 text index read through them, against a naive scan
+//! of the cells they index.
 //!
 //! The specification is written out from the contracts in `table_index.rs`
 //! and `index.rs`, not from their code: two cells match when they are the
@@ -178,7 +179,6 @@ fn check_text_index(db: &Database, what: &str) {
         assert_eq!(index.contains(probe), !hits.is_empty(), "{what}: contains {probe:?}");
     }
     let everything: BTreeSet<String> = text_columns.iter().flat_map(|&c| lowered(c)).collect();
-    assert_eq!(index.distinct_value_count(), everything.len(), "{what}");
 
     let complete = |values: &BTreeSet<String>, prefix: &str, limit: usize| -> Vec<String> {
         let prefix = prefix.to_ascii_lowercase();
@@ -239,7 +239,6 @@ fn rebuilt_indexes_equal_a_scan_of_generated_tables() {
         let mut g = Gen::new(seed);
         let mut db = generated(&mut g);
         db.rebuild_index();
-        assert!(!db.index_is_dirty());
         check_columns(&db, true, &format!("seed {seed}"));
         check_text_index(&db, &format!("seed {seed}"));
     }
@@ -289,8 +288,8 @@ fn maintained_indexes_equal_a_fresh_rebuild() {
             }
         }
         let what = format!("seed {seed}");
-        assert!(db.index_is_dirty(), "{what}: writes leave the text index stale");
         check_columns(&db, false, &format!("{what}, maintained"));
+        check_text_index(&db, &format!("{what}, maintained"));
 
         let mut fresh = db.clone();
         fresh.rebuild_index();

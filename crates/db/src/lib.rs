@@ -8,7 +8,9 @@
 //! * typed values and columns ([`Value`], [`DataType`]),
 //! * schemas with explicit foreign-key → primary-key relationships ([`Schema`]),
 //! * row storage and a loaded [`Database`],
-//! * an inverted column index used by the autocomplete interface ([`InvertedIndex`]),
+//! * an inverted column index used by the autocomplete interface
+//!   ([`InvertedIndex`]), a borrowed view of the text columns' secondary
+//!   indexes,
 //! * ordered secondary indexes backing index-nested-loop joins, range scans
 //!   and ordered index scans ([`TableIndex`]),
 //! * a schema join graph with Steiner-tree computation ([`JoinGraph`], [`JoinTree`]),

@@ -35,7 +35,7 @@
 //! once — one lowercasing per distinct text, not per cell — and becomes its
 //! match list whole. Runs that share a key without being adjacent are case
 //! variants (`"ABC"`, `"Abc"`, `"abc"`), whose list is re-sorted as it
-//! merges. The §4 text index (`crate::index`) is then read off the text
+//! merges. The §4 text index (`crate::index`) is a view of the text
 //! columns' match lists.
 //!
 //! # NaN caveat

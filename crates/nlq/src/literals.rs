@@ -55,10 +55,12 @@ impl Literal {
 ///
 /// * substrings enclosed in double quotes are treated as tagged text values
 ///   (the front end's `"`-activated autocomplete);
-/// * bare numeric tokens become numeric literals;
-/// * when a database is provided, un-quoted token n-grams that exactly match an
-///   indexed text value are tagged as well — this emulates the autocomplete
-///   suggestions a user would accept.
+/// * bare numeric tokens become numeric literals: a token is numeric when it
+///   parses as a **finite** `f64` (`2010`, `-3.5`, `1e3`), so words such as
+///   `nan`, `inf` or `Infinity` stay words;
+/// * when a database is provided, un-quoted non-numeric token n-grams that
+///   exactly match an indexed text value are tagged as well — this emulates
+///   the autocomplete suggestions a user would accept.
 pub fn extract_literals(text: &str, db: Option<&Database>) -> Vec<Literal> {
     let mut out: Vec<Literal> = Vec::new();
 
@@ -83,7 +85,7 @@ pub fn extract_literals(text: &str, db: Option<&Database>) -> Vec<Literal> {
         if token.is_empty() {
             continue;
         }
-        if let Ok(n) = token.parse::<f64>() {
+        if let Some(n) = finite_number(token) {
             if !out.iter().any(|l| l.kind == LiteralKind::Number && l.value == Value::Number(n)) {
                 out.push(Literal::number(n));
             }
@@ -99,14 +101,12 @@ pub fn extract_literals(text: &str, db: Option<&Database>) -> Vec<Literal> {
         for n in (1..=4usize).rev() {
             for window in words.windows(n) {
                 let candidate = window.join(" ");
-                if candidate.parse::<f64>().is_ok() {
+                if finite_number(&candidate).is_some() {
                     continue;
                 }
-                if db.index().contains(&candidate)
-                    && !out.iter().any(|l| l.surface.eq_ignore_ascii_case(&candidate))
-                    && !out.iter().any(|l| {
-                        l.surface.to_ascii_lowercase().contains(&candidate.to_ascii_lowercase())
-                    })
+                let lowered = candidate.to_ascii_lowercase();
+                if db.index().contains(&lowered)
+                    && !out.iter().any(|l| l.surface.to_ascii_lowercase().contains(&lowered))
                 {
                     out.push(Literal::text(candidate.clone(), Value::text(candidate)));
                 }
@@ -117,14 +117,19 @@ pub fn extract_literals(text: &str, db: Option<&Database>) -> Vec<Literal> {
     out
 }
 
+/// The token's value if it is a numeric token: one that parses as a finite
+/// number.
+fn finite_number(token: &str) -> Option<f64> {
+    token.parse::<f64>().ok().filter(|n| n.is_finite())
+}
+
 /// Candidate columns for a text literal: every text column whose indexed values
 /// contain it, most frequent first.
 pub fn candidate_columns(db: &Database, literal: &Literal) -> Vec<ColumnId> {
     match literal.kind {
         LiteralKind::Number => Vec::new(),
         LiteralKind::Text => {
-            let mut hits: Vec<_> =
-                db.index().lookup(literal.value.as_text().unwrap_or(&literal.surface)).to_vec();
+            let mut hits = db.index().lookup(literal.value.as_text().unwrap_or(&literal.surface));
             hits.sort_by_key(|h| std::cmp::Reverse(h.count));
             hits.into_iter().map(|h| h.column).collect()
         }
@@ -153,9 +158,15 @@ mod tests {
             vec![ColumnDef::number("cid"), ColumnDef::text("name")],
             Some(0),
         ));
+        s.add_table(TableDef::new(
+            "author",
+            vec![ColumnDef::number("aid"), ColumnDef::text("name")],
+            Some(0),
+        ));
         let mut d = Database::new(s).unwrap();
         d.insert("conference", vec![Value::int(1), Value::text("SIGMOD")]).unwrap();
         d.insert("conference", vec![Value::int(2), Value::text("Very Large Data Bases")]).unwrap();
+        d.insert("author", vec![Value::int(1), Value::text("Nan")]).unwrap();
         d.rebuild_index();
         d
     }
@@ -168,16 +179,28 @@ mod tests {
         assert_eq!(lits[0].value, Value::text("SIGMOD"));
         assert_eq!(lits[1].kind, LiteralKind::Number);
         assert_eq!(lits[1].value, Value::Number(2010.0));
+        // Words that parse as non-finite floats are not numbers; "Nan" is
+        // an author.
+        let lits =
+            extract_literals("papers by Nan cited inf or INFINITY times, -3.5e1", Some(&db()));
+        assert_eq!(lits, vec![Literal::number(-35.0), Literal::text("Nan", Value::text("Nan"))]);
     }
 
     #[test]
     fn autocomplete_backed_ngram_matching() {
-        let d = db();
+        let mut d = db();
         let lits = extract_literals("publications in Very Large Data Bases this year", Some(&d));
         assert!(lits.iter().any(|l| l.surface.eq_ignore_ascii_case("very large data bases")));
         // Single word "SIGMOD" also matches.
         let lits = extract_literals("count papers in sigmod", Some(&d));
         assert!(lits.iter().any(|l| l.surface.eq_ignore_ascii_case("sigmod")));
+        // A word that parses as NaN is matched like any other.
+        let lits = extract_literals("papers by nan", Some(&d));
+        assert_eq!(lits, vec![Literal::text("nan", Value::text("nan"))]);
+        // A value inserted after the index build is tagged without a rebuild.
+        d.insert("author", vec![Value::int(2), Value::text("Infinity Ward")]).unwrap();
+        let lits = extract_literals("papers by infinity ward", Some(&d));
+        assert_eq!(lits, vec![Literal::text("infinity ward", Value::text("infinity ward"))]);
     }
 
     #[test]
