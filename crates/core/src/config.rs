@@ -13,8 +13,9 @@ pub struct DuoquestConfig {
     ///
     /// It also bounds the queue's memory without changing the search: a state
     /// ranked below as many others as there are pops left can never be
-    /// popped, so the queue drops such states and never holds more than
-    /// about twice the remaining budget (`2·remaining + 64` states).
+    /// popped, so the queue drops such states and never holds more than a
+    /// quarter above the remaining budget (`remaining + remaining/4 + 64`
+    /// states).
     pub max_expansions: usize,
     /// Maximum number of states kept in the priority queue: past it, only the
     /// best `max_states / 2` are kept. The one bound on the queue that can

@@ -4,8 +4,9 @@
 //! The enumerator maintains a priority queue of [`EnumState`]s ordered by
 //! confidence (the product of per-decision scores, paper §3.3.3). Each
 //! **round** pops a beam of the `config.beam_width` highest-confidence states,
-//! produces their candidate children (`enum_next_step`, following the module
-//! order of Table 3), runs progressive join path construction plus the
+//! scores their next decisions ([`next_decisions`], following the module
+//! order of Table 3), builds each child as its parent plus one decision
+//! ([`apply`]), runs progressive join path construction plus the
 //! ascending-cost verification cascade over them, pushes the survivors back
 //! into the queue and emits the complete queries **in child order**. A round
 //! runs where its driver stands — the calling thread (the inline mode,
@@ -76,8 +77,9 @@ pub struct EnumerationStats {
     pub rounds: usize,
     /// The most states the frontier held after any round — what a parked
     /// session holds at worst. A function of the configuration, and never
-    /// above `2·max_expansions + 64`: the frontier drops every state it could
-    /// not pop within the remaining budget (`docs/DRIVER.md`, "Frontier").
+    /// above `max_expansions + max_expansions/4 + 64`: the frontier drops
+    /// every state it could not pop within the remaining budget
+    /// (`docs/DRIVER.md`, "Frontier").
     pub frontier_peak: usize,
     /// Wall-clock time of the run.
     pub elapsed: Duration,
@@ -363,11 +365,14 @@ impl RunPlan {
     }
 }
 
-/// A freshly generated child: the partial query, its confidence and its
-/// decision depth (one more than its parent's). The query is boxed once, where
-/// phase 1 splits it from its `Choice`, and the same box goes through
-/// verification into the frontier.
-type Child = (Box<PartialQuery>, f64, u32);
+/// A scored decision of phase 1, before any child exists: the index of the
+/// beam state it extends, the decision, and the child's confidence and
+/// decision depth (one more than its parent's).
+type Decision = (usize, Choice, f64, u32);
+
+/// A child that passed verification and goes into the frontier: its query,
+/// boxed once it survived, its confidence and its decision depth.
+type Survivor = (Box<PartialQuery>, f64, u32);
 
 /// Consecutive rounds one [`RoundDriver::advance`] may run before it must
 /// yield. Without this bound a driven session would run to completion inside
@@ -421,8 +426,8 @@ struct BurstStart {
 /// boundary, in addition to the checks between a round's children. See
 /// `docs/DRIVER.md` for the full contract.
 pub(crate) struct RoundDriver {
-    /// The frontier: every queued state the run can still pop, and no more
-    /// than about twice that many (see [`RoundDriver::bound_frontier`]).
+    /// The frontier: every queued state the run can still pop, and at most a
+    /// quarter more (see [`RoundDriver::bound_frontier`]).
     heap: BinaryHeap<EnumState>,
     /// How many states the frontier would hold had it never dropped a state
     /// it could not pop: one up per push, one down per pop, `max_states / 2`
@@ -603,10 +608,10 @@ impl RoundDriver {
         }
         self.stats.rounds += 1;
 
-        let children = self.expand(&beam, env);
+        let decisions = self.expand(&beam, env);
         // With nothing to verify the round is only its bookkeeping below.
-        let goes_on =
-            children.is_empty() || self.verify_and_emit(children, plan, env, verifier, sink);
+        let goes_on = decisions.is_empty()
+            || self.verify_and_emit(&beam, decisions, plan, env, verifier, sink);
         if goes_on {
             self.bound_frontier(env.config);
             self.finished = false;
@@ -614,24 +619,21 @@ impl RoundDriver {
         goes_on
     }
 
-    /// Phase 1 (cheap): produce and score every child of the beam.
-    fn expand(&mut self, beam: &[EnumState], env: &RunInputs<'_>) -> Vec<Child> {
+    /// Phase 1 (cheap): produce and score every decision of the beam. Scoring
+    /// reads only the decisions, so no child is built here.
+    fn expand(&mut self, beam: &[EnumState], env: &RunInputs<'_>) -> Vec<Decision> {
         let ctx = GuidanceContext { nlq: env.nlq, schema: env.db.schema() };
-        let mut out: Vec<Child> = Vec::new();
-        for state in beam {
+        let mut out: Vec<Decision> = Vec::new();
+        for (parent, state) in beam.iter().enumerate() {
             // A state with no decision left is complete (it was verified and
-            // emitted when generated); a state with an empty child set is a
-            // dead end. Both just drop out of the frontier.
-            let Some(children) = enum_next_step(state.pq(), env.db, env.nlq, env.config) else {
+            // emitted when generated); a state with an empty decision set is
+            // a dead end. Both just drop out of the frontier.
+            let Some(choices) = next_decisions(state.pq(), env.db, env.nlq, env.config) else {
                 continue;
             };
-            if children.is_empty() {
+            if choices.is_empty() {
                 continue;
             }
-            // Split choices from children instead of cloning every `Choice`
-            // for the scoring call.
-            let (choices, child_pqs): (Vec<Choice>, Vec<Box<PartialQuery>>) =
-                children.into_iter().map(|(choice, pq)| (choice, Box::new(pq))).unzip();
             let raw = if env.config.guided {
                 // Prepared on the first round rather than at construction:
                 // here a panicking model poisons only this session, and the
@@ -644,25 +646,28 @@ impl RoundDriver {
                 vec![1.0; choices.len()]
             };
             let scores = duoquest_nlq::guidance::normalize_scores(&raw);
-            for (pq, score) in child_pqs.into_iter().zip(scores) {
-                out.push((pq, state.confidence() * score, state.decisions() + 1));
+            for (choice, score) in choices.into_iter().zip(scores) {
+                out.push((parent, choice, state.confidence() * score, state.decisions() + 1));
             }
         }
         out
     }
 
     /// Phases 2 and 3, and whether the run goes on. Phase 2 verifies the
-    /// round's children: per child, the join-independent stages of the
-    /// cascade, join path attachment, then the stages over the join path
-    /// per join variant. Phase 3 is the only place candidates leave the
-    /// driver: every emission is delivered to `sink` in child order, then
+    /// round's children: per decision, the child is written into one scratch
+    /// query (its parent's slots, shared, plus the decision), then come the
+    /// join-independent stages of the cascade, join path attachment, and the
+    /// stages over the join path per join variant. Only a survivor is boxed,
+    /// by moving the scratch out. Phase 3 is the only place candidates leave
+    /// the driver: every emission is delivered to `sink` in child order, then
     /// the survivors are pushed — the order of the serial Algorithm 1 loop.
     /// A `sink` returning `false` stops the run at that emission, exactly
     /// like the candidate budget: nothing more is emitted or pushed, and the
     /// round's counters are those of the whole round.
     fn verify_and_emit(
         &mut self,
-        children: Vec<Child>,
+        beam: &[EnumState],
+        decisions: Vec<Decision>,
         plan: &RunPlan,
         env: &RunInputs<'_>,
         verifier: &Verifier<'_>,
@@ -677,11 +682,12 @@ impl RoundDriver {
         // Complete queries that survived the full cascade, and partial ones
         // to push back onto the frontier, both in child order.
         let mut emissions: Vec<(SelectSpec, f64)> = Vec::new();
-        let mut survivors: Vec<Child> = Vec::new();
+        let mut survivors: Vec<Survivor> = Vec::new();
+        let mut scratch = PartialQuery::empty();
         // The remaining children were skipped: the session's cancellation
         // token fired, or the wall-clock deadline passed.
         let (mut cancelled, mut timed_out) = (false, false);
-        for (done, (mut pq, confidence, decisions)) in children.into_iter().enumerate() {
+        for (done, (parent, choice, confidence, depth)) in decisions.into_iter().enumerate() {
             // Honor cancellation between children (an atomic load — cheap
             // enough per child) so cancel takes effect mid-round, not at the
             // next one.
@@ -699,9 +705,11 @@ impl RoundDriver {
             // construction, and eliminate the bulk of the fan-out. Under NoPQ a
             // partial child is not examined at all, so a variant that its join
             // path completes still owes the whole cascade.
-            let prefixed = verifier.examines(&pq);
+            scratch.clone_from(beam[parent].pq());
+            apply(&mut scratch, &choice);
+            let prefixed = verifier.examines(&scratch);
             if prefixed {
-                if let VerifyOutcome::Fail(stage) = verifier.verify_prefix(&pq, &mut timings) {
+                if let VerifyOutcome::Fail(stage) = verifier.verify_prefix(&scratch, &mut timings) {
                     self.stats.generated += 1;
                     self.stats.record(stage, 1);
                     continue;
@@ -711,7 +719,7 @@ impl RoundDriver {
             // one variant per path the child still needs, the child itself when
             // its join path already covers it. Each pays the stages that execute
             // over its join path.
-            let mut settle = |pq: Box<PartialQuery>| {
+            let mut settle = |pq: PartialQuery| {
                 self.stats.generated += 1;
                 let outcome = if prefixed {
                     verifier.verify_joined(&pq, &mut timings)
@@ -724,21 +732,19 @@ impl RoundDriver {
                         let spec = pq.to_spec().expect("complete partial query lowers");
                         emissions.push((spec, confidence));
                     }
-                    VerifyOutcome::Pass => survivors.push((pq, confidence, decisions)),
+                    VerifyOutcome::Pass => survivors.push((Box::new(pq), confidence, depth)),
                 }
             };
-            match missing_join_paths(&pq, &mut joins) {
-                None => settle(pq),
+            match missing_join_paths(&scratch, &mut joins) {
+                None => settle(std::mem::take(&mut scratch)),
                 Some(paths) => {
-                    // The last variant reuses the child's box instead of a clone.
+                    // The last variant takes the scratch instead of a clone.
                     if let Some((last_path, paths)) = paths.split_last() {
                         for join in paths {
-                            let variant =
-                                PartialQuery { join: Some(join.clone()), ..(*pq).clone() };
-                            settle(Box::new(variant));
+                            settle(PartialQuery { join: Some(join.clone()), ..scratch.clone() });
                         }
-                        pq.join = Some(last_path.clone());
-                        settle(pq);
+                        scratch.join = Some(last_path.clone());
+                        settle(std::mem::take(&mut scratch));
                     }
                 }
             }
@@ -759,7 +765,7 @@ impl RoundDriver {
         // in, so a large fan-out never grows the heap past its bound.
         self.queued += survivors.len();
         let remaining = env.config.max_expansions.saturating_sub(self.stats.expanded);
-        let bound = remaining.saturating_mul(2).saturating_add(64);
+        let bound = remaining.saturating_add(remaining / 4).saturating_add(64);
         for (pq, confidence, decisions) in survivors {
             self.sequence += 1;
             self.heap.push(EnumState::new(pq, confidence, decisions, self.sequence));
@@ -775,18 +781,20 @@ impl RoundDriver {
     /// Bound the frontier after a round, by two rules:
     ///
     /// * a lossless cut, applied as the survivors are pushed: past
-    ///   `2·remaining + 64` states, where `remaining` is the expansion budget
-    ///   left, keep the best `remaining`. Every pop takes the best state and a
-    ///   better state leaves only by being popped, so a state with
-    ///   `remaining` better ones is never popped: dropping it changes no
-    ///   emission and no counter (`docs/DRIVER.md`, "Frontier");
+    ///   `remaining + remaining/4 + 64` states, where `remaining` is the
+    ///   expansion budget left, keep the best `remaining`. Every pop takes the
+    ///   best state and a better state leaves only by being popped, so a
+    ///   state with `remaining` better ones is never popped: dropping it
+    ///   changes no emission and no counter (`docs/DRIVER.md`, "Frontier").
+    ///   At least `remaining/4 + 64` pushes separate two cuts, each
+    ///   O(1.25·remaining), so a push costs amortised O(1);
     /// * the paper's lossy one, here: past `max_states` queued, keep the best
     ///   `max_states / 2` — read through `queued`, so it fires at the rounds
     ///   it would fire without the cut.
     ///
-    /// The frontier therefore never holds more than `2·max_expansions + 64`
-    /// states, and `stats.frontier_peak` records the most it held after a
-    /// round.
+    /// The frontier therefore never holds more than
+    /// `max_expansions + max_expansions/4 + 64` states, and
+    /// `stats.frontier_peak` records the most it held after a round.
     fn bound_frontier(&mut self, config: &DuoquestConfig) {
         if self.queued > config.max_states {
             self.queued = config.max_states / 2;
@@ -829,8 +837,9 @@ fn missing_join_paths(pq: &PartialQuery, joins: &mut JoinPathMemo<'_>) -> Option
 }
 
 /// `EnumNextStep`: produce the candidate children of the next inference
-/// decision, following the module order of paper Table 3. Returns `None` when
-/// the partial query has no remaining decision.
+/// decision, following the module order of paper Table 3 — each of
+/// [`next_decisions`] applied to a clone of `pq`. Returns `None` when the
+/// partial query has no remaining decision.
 #[allow(clippy::type_complexity)]
 pub fn enum_next_step(
     pq: &PartialQuery,
@@ -838,20 +847,29 @@ pub fn enum_next_step(
     nlq: &Nlq,
     config: &DuoquestConfig,
 ) -> Option<Vec<(Choice, PartialQuery)>> {
+    let decisions = next_decisions(pq, db, nlq, config)?;
+    let children = decisions.into_iter().map(|choice| {
+        let mut child = pq.clone();
+        apply(&mut child, &choice);
+        (choice, child)
+    });
+    Some(children.collect())
+}
+
+/// The candidates of `pq`'s next inference decision, in the module order of
+/// paper Table 3, without building a child: [`apply`] turns one into a child.
+/// Returns `None` when the partial query has no remaining decision.
+pub fn next_decisions(
+    pq: &PartialQuery,
+    db: &Database,
+    nlq: &Nlq,
+    config: &DuoquestConfig,
+) -> Option<Vec<Choice>> {
     let schema = db.schema();
 
     // 1. KW module: which clauses exist.
     if pq.clauses.is_hole() {
-        return Some(
-            ClauseSet::all()
-                .into_iter()
-                .map(|cs| {
-                    let mut child = pq.clone();
-                    child.clauses = Slot::Filled(cs);
-                    (Choice::Clauses(cs), child)
-                })
-                .collect(),
-        );
+        return Some(ClauseSet::all().into_iter().map(Choice::Clauses).collect());
     }
     let clauses = *pq.clauses.as_ref().expect("clauses decided above");
 
@@ -868,24 +886,13 @@ pub fn enum_next_step(
             .collect();
         options.push(SelectColumn::Star);
         let subsets = column_subsets(&options, config.max_select_columns);
-        return Some(
-            subsets
-                .into_iter()
-                .map(|cols| {
-                    let mut child = pq.clone();
-                    child.select = Slot::Filled(
-                        cols.iter().map(|c| PartialSelectItem::with_column(*c)).collect(),
-                    );
-                    (Choice::SelectColumns(cols), child)
-                })
-                .collect(),
-        );
+        return Some(subsets.into_iter().map(Choice::SelectColumns).collect());
     }
     let select = pq.select.as_ref().expect("select decided above");
 
     // 3. AGG module: one aggregate decision per projected item.
-    if let Some(idx) = select.iter().position(|i| i.agg.is_hole()) {
-        let column = *select[idx].col.as_ref().expect("column decided before aggregate");
+    if let Some(item) = select.iter().find(|i| i.agg.is_hole()) {
+        let column = *item.col.as_ref().expect("column decided before aggregate");
         let candidates: Vec<Option<AggFunc>> = match column {
             SelectColumn::Star => vec![Some(AggFunc::Count)],
             SelectColumn::Column(c) => {
@@ -901,18 +908,7 @@ pub fn enum_next_step(
                 v
             }
         };
-        return Some(
-            candidates
-                .into_iter()
-                .map(|agg| {
-                    let mut child = pq.clone();
-                    if let Slot::Filled(items) = &mut child.select {
-                        items[idx].agg = Slot::Filled(agg);
-                    }
-                    (Choice::Aggregate { column, agg }, child)
-                })
-                .collect(),
-        );
+        return Some(candidates.into_iter().map(|agg| Choice::Aggregate { column, agg }).collect());
     }
 
     // 4. COL module (WHERE): predicate columns (key columns excluded, as above).
@@ -922,15 +918,7 @@ pub fn enum_next_step(
         let options: Vec<_> = schema.all_columns().filter(|c| !schema.is_key_column(*c)).collect();
         let mut out = Vec::new();
         for size in 1..=config.max_where_predicates.min(options.len()) {
-            for combo in multiset_combinations(&options, size) {
-                let mut child = pq.clone();
-                child.where_predicates =
-                    Slot::Filled(combo.iter().map(|c| PartialPredicate::with_column(*c)).collect());
-                if combo.len() <= 1 {
-                    child.where_op = Slot::Filled(LogicalOp::And);
-                }
-                out.push((Choice::WhereColumns(combo), child));
-            }
+            out.extend(multiset_combinations(&options, size).into_iter().map(Choice::WhereColumns));
         }
         return Some(out);
     }
@@ -938,31 +926,21 @@ pub fn enum_next_step(
     // 5. OP module: one operator decision per predicate.
     if clauses.where_clause {
         if let Some(preds) = pq.where_predicates.as_ref() {
-            if let Some(idx) = preds.iter().position(|p| p.op.is_hole()) {
-                let col = *preds[idx].col.as_ref().expect("predicate column decided first");
-                let ops: Vec<CmpOp> = match schema.column(col).dtype {
+            if let Some(pred) = preds.iter().find(|p| p.op.is_hole()) {
+                let column = *pred.col.as_ref().expect("predicate column decided first");
+                let ops: &[CmpOp] = match schema.column(column).dtype {
                     DataType::Number => {
-                        vec![CmpOp::Eq, CmpOp::Gt, CmpOp::Lt, CmpOp::Ge, CmpOp::Le, CmpOp::Between]
+                        &[CmpOp::Eq, CmpOp::Gt, CmpOp::Lt, CmpOp::Ge, CmpOp::Le, CmpOp::Between]
                     }
-                    DataType::Text => vec![CmpOp::Eq, CmpOp::Like],
+                    DataType::Text => &[CmpOp::Eq, CmpOp::Like],
                 };
-                return Some(
-                    ops.into_iter()
-                        .map(|op| {
-                            let mut child = pq.clone();
-                            if let Slot::Filled(preds) = &mut child.where_predicates {
-                                preds[idx].op = Slot::Filled(op);
-                            }
-                            (Choice::Operator { column: col, op }, child)
-                        })
-                        .collect(),
-                );
+                return Some(ops.iter().map(|&op| Choice::Operator { column, op }).collect());
             }
             // 6. Constant binding per predicate, from the tagged literals.
-            if let Some(idx) = preds.iter().position(|p| p.value.is_hole()) {
-                let col = *preds[idx].col.as_ref().expect("column decided");
-                let op = *preds[idx].op.as_ref().expect("operator decided");
-                let dtype = schema.column(col).dtype;
+            if let Some(pred) = preds.iter().find(|p| p.value.is_hole()) {
+                let column = *pred.col.as_ref().expect("column decided");
+                let op = *pred.op.as_ref().expect("operator decided");
+                let dtype = schema.column(column).dtype;
                 let mut out = Vec::new();
                 if op == CmpOp::Between {
                     let numbers: Vec<f64> = nlq
@@ -974,20 +952,12 @@ pub fn enum_next_step(
                     for (i, lo) in numbers.iter().enumerate() {
                         for hi in numbers.iter().skip(i + 1) {
                             let (lo, hi) = if lo <= hi { (*lo, *hi) } else { (*hi, *lo) };
-                            let mut child = pq.clone();
-                            if let Slot::Filled(preds) = &mut child.where_predicates {
-                                preds[idx].value = Slot::Filled(Value::Number(lo));
-                                preds[idx].value2 = Some(Value::Number(hi));
-                            }
-                            out.push((
-                                Choice::PredicateValue {
-                                    column: col,
-                                    op,
-                                    value: Value::Number(lo),
-                                    value2: Some(Value::Number(hi)),
-                                },
-                                child,
-                            ));
+                            out.push(Choice::PredicateValue {
+                                column,
+                                op,
+                                value: Value::Number(lo),
+                                value2: Some(Value::Number(hi)),
+                            });
                         }
                     }
                 } else {
@@ -1004,30 +974,17 @@ pub fn enum_next_step(
                         } else {
                             lit.value.clone()
                         };
-                        let mut child = pq.clone();
-                        if let Slot::Filled(preds) = &mut child.where_predicates {
-                            preds[idx].value = Slot::Filled(value.clone());
-                        }
-                        out.push((
-                            Choice::PredicateValue { column: col, op, value, value2: None },
-                            child,
-                        ));
+                        out.push(Choice::PredicateValue { column, op, value, value2: None });
                     }
                 }
                 return Some(out);
             }
             // 7. AND/OR module.
             if preds.len() > 1 && pq.where_op.is_hole() {
-                return Some(
-                    [LogicalOp::And, LogicalOp::Or]
-                        .into_iter()
-                        .map(|op| {
-                            let mut child = pq.clone();
-                            child.where_op = Slot::Filled(op);
-                            (Choice::Connective(op), child)
-                        })
-                        .collect(),
-                );
+                return Some(vec![
+                    Choice::Connective(LogicalOp::And),
+                    Choice::Connective(LogicalOp::Or),
+                ]);
             }
         }
     }
@@ -1060,22 +1017,15 @@ pub fn enum_next_step(
         };
         let mut out = Vec::new();
         for size in 1..=config.max_group_columns.min(options.len()) {
-            for combo in combinations(&options, size) {
-                let mut child = pq.clone();
-                child.group_by = Slot::Filled(combo.clone());
-                out.push((Choice::GroupBy(combo), child));
-            }
+            out.extend(combinations(&options, size).into_iter().map(Choice::GroupBy));
         }
         return Some(out);
     }
 
     // 9. HAVING module.
     if clauses.group_by && pq.having.is_hole() {
-        let mut out = Vec::new();
         // "No HAVING" candidate.
-        let mut child = pq.clone();
-        child.having = Slot::Filled(None);
-        out.push((Choice::Having(None), child));
+        let mut out = vec![Choice::Having(None)];
         let numbers: Vec<Value> = nlq
             .literals
             .iter()
@@ -1086,7 +1036,7 @@ pub fn enum_next_step(
             // COUNT(*) plus aggregates over numeric projected columns.
             let mut agg_targets: Vec<(AggFunc, Option<duoquest_db::ColumnId>)> =
                 vec![(AggFunc::Count, None)];
-            for item in select {
+            for item in select.iter() {
                 if let (Some(SelectColumn::Column(c)), Some(Some(agg))) =
                     (item.col.as_ref(), item.agg.as_ref())
                 {
@@ -1098,22 +1048,8 @@ pub fn enum_next_step(
             for (agg, col) in agg_targets {
                 for op in [CmpOp::Gt, CmpOp::Ge, CmpOp::Lt, CmpOp::Le, CmpOp::Eq] {
                     for value in &numbers {
-                        let mut child = pq.clone();
-                        child.having = Slot::Filled(Some(PartialHaving {
-                            agg: Slot::Filled(agg),
-                            col: Slot::Filled(col),
-                            op: Slot::Filled(op),
-                            value: Slot::Filled(value.clone()),
-                        }));
-                        out.push((
-                            Choice::Having(Some(HavingChoice {
-                                agg,
-                                col,
-                                op,
-                                value: value.clone(),
-                            })),
-                            child,
-                        ));
+                        let value = value.clone();
+                        out.push(Choice::Having(Some(HavingChoice { agg, col, op, value })));
                     }
                 }
             }
@@ -1124,7 +1060,7 @@ pub fn enum_next_step(
     // 10. DESC/ASC + LIMIT module.
     if clauses.order_by && pq.order_by.is_hole() {
         let mut keys: Vec<OrderKey> = Vec::new();
-        for item in select {
+        for item in select.iter() {
             match (item.col.as_ref(), item.agg.as_ref()) {
                 (Some(SelectColumn::Column(c)), Some(None)) => keys.push(OrderKey::Column(*c)),
                 (Some(SelectColumn::Column(c)), Some(Some(agg))) => {
@@ -1150,17 +1086,8 @@ pub fn enum_next_step(
         let mut out = Vec::new();
         for key in keys {
             for desc in [false, true] {
-                for limit in &limits {
-                    let mut child = pq.clone();
-                    child.order_by = Slot::Filled(Some(PartialOrder {
-                        key: Slot::Filled(key),
-                        desc: Slot::Filled(desc),
-                        limit: Slot::Filled(*limit),
-                    }));
-                    out.push((
-                        Choice::OrderBy(Some(OrderChoice { key, desc, limit: *limit })),
-                        child,
-                    ));
+                for &limit in &limits {
+                    out.push(Choice::OrderBy(Some(OrderChoice { key, desc, limit })));
                 }
             }
         }
@@ -1168,6 +1095,73 @@ pub fn enum_next_step(
     }
 
     None
+}
+
+/// Write one decision of [`next_decisions`] into `pq`: the one place a slot
+/// is filled. A per-item decision (aggregate, operator, constant) fills the
+/// first hole of its list, which is the one it was generated for. Only the
+/// written slot is copied out of an `Arc` it shares with siblings.
+///
+/// # Panics
+///
+/// Panics if a per-item decision finds no hole to fill: `choice` must be one
+/// of `next_decisions(pq, ..)`.
+pub fn apply(pq: &mut PartialQuery, choice: &Choice) {
+    match choice {
+        Choice::Clauses(clauses) => pq.clauses = Slot::Filled(*clauses),
+        Choice::SelectColumns(cols) => {
+            pq.select =
+                Slot::Filled(cols.iter().map(|&c| PartialSelectItem::with_column(c)).collect())
+        }
+        Choice::Aggregate { agg, .. } => {
+            first_hole(&mut pq.select, |i| i.agg.is_hole()).agg = Slot::Filled(*agg)
+        }
+        Choice::WhereColumns(cols) => {
+            pq.where_predicates =
+                Slot::Filled(cols.iter().map(|&c| PartialPredicate::with_column(c)).collect());
+            if cols.len() <= 1 {
+                pq.where_op = Slot::Filled(LogicalOp::And);
+            }
+        }
+        Choice::Operator { op, .. } => {
+            first_hole(&mut pq.where_predicates, |p| p.op.is_hole()).op = Slot::Filled(*op)
+        }
+        Choice::PredicateValue { value, value2, .. } => {
+            let pred = first_hole(&mut pq.where_predicates, |p| p.value.is_hole());
+            pred.value = Slot::Filled(value.clone());
+            pred.value2 = value2.clone();
+        }
+        Choice::Connective(op) => pq.where_op = Slot::Filled(*op),
+        Choice::GroupBy(cols) => pq.group_by = Slot::Filled(cols.as_slice().into()),
+        Choice::Having(having) => {
+            pq.having = Slot::Filled(having.as_ref().map(|h| {
+                Arc::new(PartialHaving {
+                    agg: Slot::Filled(h.agg),
+                    col: Slot::Filled(h.col),
+                    op: Slot::Filled(h.op),
+                    value: Slot::Filled(h.value.clone()),
+                })
+            }))
+        }
+        Choice::OrderBy(order) => {
+            pq.order_by = Slot::Filled(order.as_ref().map(|o| {
+                Arc::new(PartialOrder {
+                    key: Slot::Filled(o.key),
+                    desc: Slot::Filled(o.desc),
+                    limit: Slot::Filled(o.limit),
+                })
+            }))
+        }
+    }
+}
+
+/// The first item of a filled list slot that `is_hole` picks, copied out of
+/// the `Arc` the slot shares with siblings first.
+fn first_hole<T: Clone>(slot: &mut Slot<Arc<[T]>>, is_hole: impl Fn(&T) -> bool) -> &mut T {
+    let Slot::Filled(items) = slot else { panic!("a per-item decision follows its list's") };
+    let items = Arc::make_mut(items);
+    let idx = items.iter().position(is_hole).expect("a per-item decision has a hole to fill");
+    &mut items[idx]
 }
 
 /// All subsets of `options` of size 1..=`max_size`, each subset in canonical

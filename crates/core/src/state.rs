@@ -5,13 +5,19 @@
 //! (`select_nth_unstable_by`) moves. It is 32 bytes: the three ranking keys —
 //! confidence, the attached join path's length, the creation sequence — are
 //! held inline, and the partial query sits behind a `Box`, boxed once when
-//! the child is generated and never moved again. Ranking never follows the
-//! pointer: the join length is computed by the one constructor and the
-//! fields are private, so it cannot go stale.
+//! the child survives verification and never moved again. Ranking never
+//! follows the pointer: the join length is computed by the one constructor
+//! and the fields are private, so it cannot go stale.
+//!
+//! The boxed `PartialQuery` is 120 bytes, and its list, HAVING and ORDER BY
+//! slots are `Arc`s it shares with its parent and siblings: a child owns only
+//! the slot its decision wrote. At the Fig. 10 settings a queued state costs
+//! about 250 bytes of live heap in all.
 //!
 //! With the query inline (248 bytes), the frontier's buffer at the Fig. 10
 //! budget was the largest block a run allocated, up to 1.94 MiB, and it cost
-//! RSS through glibc's mmap threshold; at 32 bytes it stays ≤ 256 KiB
+//! RSS through glibc's mmap threshold; at 32 bytes, and with the frontier
+//! cut to a quarter above the remaining budget, it stays ≤ 128 KiB
 //! (`docs/DRIVER.md`, "Frontier").
 
 use duoquest_sql::PartialQuery;

@@ -205,7 +205,8 @@ mod tests {
         // Second projection still undecided: nothing to check for it.
         let mut pq = select_pq(&db, vec![("actor", "name", None)]);
         if let Slot::Filled(items) = &mut pq.select {
-            items.push(PartialSelectItem { col: Slot::Hole, agg: Slot::Hole });
+            let undecided = PartialSelectItem { col: Slot::Hole, agg: Slot::Hole };
+            *items = items.iter().copied().chain([undecided]).collect();
         }
         assert!(check(&db, &tsq, &pq));
     }

@@ -260,22 +260,32 @@ mod tests {
         let join = graph.steiner_tree(&[s.table_id("movies").unwrap()]).unwrap();
         PartialQuery {
             clauses: Slot::Filled(ClauseSet { order_by: true, ..Default::default() }),
-            select: Slot::Filled(vec![
-                PartialSelectItem {
-                    col: Slot::Filled(SelectColumn::Column(s.column_id("movies", "name").unwrap())),
-                    agg: Slot::Filled(None),
-                },
-                PartialSelectItem {
-                    col: Slot::Filled(SelectColumn::Column(s.column_id("movies", "year").unwrap())),
-                    agg: Slot::Filled(None),
-                },
-            ]),
+            select: Slot::Filled(
+                vec![
+                    PartialSelectItem {
+                        col: Slot::Filled(SelectColumn::Column(
+                            s.column_id("movies", "name").unwrap(),
+                        )),
+                        agg: Slot::Filled(None),
+                    },
+                    PartialSelectItem {
+                        col: Slot::Filled(SelectColumn::Column(
+                            s.column_id("movies", "year").unwrap(),
+                        )),
+                        agg: Slot::Filled(None),
+                    },
+                ]
+                .into(),
+            ),
             join: Some(join),
-            order_by: Slot::Filled(Some(PartialOrder {
-                key: Slot::Filled(OrderKey::Column(s.column_id("movies", "year").unwrap())),
-                desc: Slot::Filled(desc),
-                limit: Slot::Filled(None),
-            })),
+            order_by: Slot::Filled(Some(
+                PartialOrder {
+                    key: Slot::Filled(OrderKey::Column(s.column_id("movies", "year").unwrap())),
+                    desc: Slot::Filled(desc),
+                    limit: Slot::Filled(None),
+                }
+                .into(),
+            )),
             ..PartialQuery::empty()
         }
     }
@@ -447,24 +457,30 @@ mod tests {
         // 1000 rows, violating the TSQ limit of 1.
         let pq = PartialQuery {
             clauses: Slot::Filled(ClauseSet { order_by: true, ..Default::default() }),
-            select: Slot::Filled(vec![
-                PartialSelectItem {
-                    col: Slot::Filled(SelectColumn::Column(
-                        schema.column_id("event", "name").unwrap(),
-                    )),
-                    agg: Slot::Filled(None),
-                },
-                PartialSelectItem {
-                    col: Slot::Filled(SelectColumn::Column(id)),
-                    agg: Slot::Filled(None),
-                },
-            ]),
+            select: Slot::Filled(
+                vec![
+                    PartialSelectItem {
+                        col: Slot::Filled(SelectColumn::Column(
+                            schema.column_id("event", "name").unwrap(),
+                        )),
+                        agg: Slot::Filled(None),
+                    },
+                    PartialSelectItem {
+                        col: Slot::Filled(SelectColumn::Column(id)),
+                        agg: Slot::Filled(None),
+                    },
+                ]
+                .into(),
+            ),
             join: Some(JoinGraph::new(schema).steiner_tree(&[id.table]).unwrap()),
-            order_by: Slot::Filled(Some(PartialOrder {
-                key: Slot::Filled(OrderKey::Column(id)),
-                desc: Slot::Filled(false),
-                limit: Slot::Filled(None),
-            })),
+            order_by: Slot::Filled(Some(
+                PartialOrder {
+                    key: Slot::Filled(OrderKey::Column(id)),
+                    desc: Slot::Filled(false),
+                    limit: Slot::Filled(None),
+                }
+                .into(),
+            )),
             ..PartialQuery::empty()
         };
         let tsq = TableSketchQuery {
@@ -496,11 +512,9 @@ mod tests {
         let db = movie_db();
         let tsq = two_tuples_ascending();
         let mut pq = ordered_pq(&db, false);
-        pq.order_by = Slot::Filled(Some(PartialOrder {
-            key: Slot::Hole,
-            desc: Slot::Hole,
-            limit: Slot::Hole,
-        }));
+        pq.order_by = Slot::Filled(Some(
+            PartialOrder { key: Slot::Hole, desc: Slot::Hole, limit: Slot::Hole }.into(),
+        ));
         assert!(!in_order(&db, &tsq, &pq));
     }
 
@@ -534,7 +548,7 @@ mod tests {
         };
         PartialQuery {
             clauses: Slot::Filled(ClauseSet::default()),
-            select: Slot::Filled(vec![item("name"), item("grp")]),
+            select: Slot::Filled(vec![item("name"), item("grp")].into()),
             join: Some(JoinGraph::new(s).steiner_tree(&[s.table_id("event").unwrap()]).unwrap()),
             ..PartialQuery::empty()
         }

@@ -67,7 +67,7 @@ pub fn verify_by_row(
         .unwrap_or(false);
     if where_complete {
         if let Some(preds) = pq.where_predicates.as_ref() {
-            for p in preds {
+            for p in preds.iter() {
                 if let Ok(pred) = p.to_predicate() {
                     base.predicates.push(pred);
                 }
@@ -82,7 +82,7 @@ pub fn verify_by_row(
         }
     }
     if let Some(group) = pq.group_by.as_ref() {
-        base.group_by = group.clone();
+        base.group_by = group.to_vec();
     }
 
     for tuple in &tsq.tuples {
@@ -226,27 +226,37 @@ mod tests {
                 where_clause: with_where.is_some(),
                 ..Default::default()
             }),
-            select: Slot::Filled(vec![
-                PartialSelectItem {
-                    col: Slot::Filled(SelectColumn::Column(s.column_id("movies", "name").unwrap())),
-                    agg: Slot::Filled(None),
-                },
-                PartialSelectItem {
-                    col: Slot::Filled(SelectColumn::Column(s.column_id("actor", "name").unwrap())),
-                    agg: Slot::Filled(None),
-                },
-            ]),
+            select: Slot::Filled(
+                vec![
+                    PartialSelectItem {
+                        col: Slot::Filled(SelectColumn::Column(
+                            s.column_id("movies", "name").unwrap(),
+                        )),
+                        agg: Slot::Filled(None),
+                    },
+                    PartialSelectItem {
+                        col: Slot::Filled(SelectColumn::Column(
+                            s.column_id("actor", "name").unwrap(),
+                        )),
+                        agg: Slot::Filled(None),
+                    },
+                ]
+                .into(),
+            ),
             join: Some(join),
             where_op: Slot::Filled(LogicalOp::And),
             ..PartialQuery::empty()
         };
         if let Some((t, c, op, v)) = with_where {
-            pq.where_predicates = Slot::Filled(vec![PartialPredicate {
-                col: Slot::Filled(s.column_id(t, c).unwrap()),
-                op: Slot::Filled(op),
-                value: Slot::Filled(v),
-                value2: None,
-            }]);
+            pq.where_predicates = Slot::Filled(
+                vec![PartialPredicate {
+                    col: Slot::Filled(s.column_id(t, c).unwrap()),
+                    op: Slot::Filled(op),
+                    value: Slot::Filled(v),
+                    value2: None,
+                }]
+                .into(),
+            );
         }
         pq
     }
@@ -288,18 +298,23 @@ mod tests {
         // SELECT actor.name, COUNT(*) ... GROUP BY actor.name
         let pq = PartialQuery {
             clauses: Slot::Filled(ClauseSet { group_by: true, ..Default::default() }),
-            select: Slot::Filled(vec![
-                PartialSelectItem {
-                    col: Slot::Filled(SelectColumn::Column(s.column_id("actor", "name").unwrap())),
-                    agg: Slot::Filled(None),
-                },
-                PartialSelectItem {
-                    col: Slot::Filled(SelectColumn::Star),
-                    agg: Slot::Filled(Some(AggFunc::Count)),
-                },
-            ]),
+            select: Slot::Filled(
+                vec![
+                    PartialSelectItem {
+                        col: Slot::Filled(SelectColumn::Column(
+                            s.column_id("actor", "name").unwrap(),
+                        )),
+                        agg: Slot::Filled(None),
+                    },
+                    PartialSelectItem {
+                        col: Slot::Filled(SelectColumn::Star),
+                        agg: Slot::Filled(Some(AggFunc::Count)),
+                    },
+                ]
+                .into(),
+            ),
             join: Some(join),
-            group_by: Slot::Filled(vec![s.column_id("actor", "name").unwrap()]),
+            group_by: Slot::Filled(vec![s.column_id("actor", "name").unwrap()].into()),
             having: Slot::Filled(None),
             ..PartialQuery::empty()
         };
@@ -325,7 +340,7 @@ mod tests {
         let mut pq = join_pq(&db, None);
         pq.clauses = Slot::Filled(ClauseSet { where_clause: true, ..Default::default() });
         if let Slot::Filled(items) = &mut pq.select {
-            items[1] = PartialSelectItem {
+            std::sync::Arc::make_mut(items)[1] = PartialSelectItem {
                 col: Slot::Filled(SelectColumn::Column(s.column_id("movies", "year").unwrap())),
                 agg: Slot::Filled(Some(AggFunc::Max)),
             };

@@ -70,23 +70,32 @@ mod tests {
 
         // LIMIT larger than k fails; LIMIT within k passes; missing LIMIT fails.
         let key = OrderKey::Column(ColumnId::new(0, 0));
-        pq.order_by = Slot::Filled(Some(PartialOrder {
-            key: Slot::Filled(key),
-            desc: Slot::Filled(true),
-            limit: Slot::Filled(Some(20)),
-        }));
+        pq.order_by = Slot::Filled(Some(
+            PartialOrder {
+                key: Slot::Filled(key),
+                desc: Slot::Filled(true),
+                limit: Slot::Filled(Some(20)),
+            }
+            .into(),
+        ));
         assert!(!verify_clauses(&tsq, &pq));
-        pq.order_by = Slot::Filled(Some(PartialOrder {
-            key: Slot::Filled(key),
-            desc: Slot::Filled(true),
-            limit: Slot::Filled(Some(10)),
-        }));
+        pq.order_by = Slot::Filled(Some(
+            PartialOrder {
+                key: Slot::Filled(key),
+                desc: Slot::Filled(true),
+                limit: Slot::Filled(Some(10)),
+            }
+            .into(),
+        ));
         assert!(verify_clauses(&tsq, &pq));
-        pq.order_by = Slot::Filled(Some(PartialOrder {
-            key: Slot::Filled(key),
-            desc: Slot::Filled(true),
-            limit: Slot::Filled(None),
-        }));
+        pq.order_by = Slot::Filled(Some(
+            PartialOrder {
+                key: Slot::Filled(key),
+                desc: Slot::Filled(true),
+                limit: Slot::Filled(None),
+            }
+            .into(),
+        ));
         assert!(!verify_clauses(&tsq, &pq));
     }
 
@@ -95,11 +104,14 @@ mod tests {
         let tsq = TableSketchQuery::empty().sorted();
         let key = OrderKey::Column(ColumnId::new(0, 0));
         let mut pq = pq_with_clauses(true);
-        pq.order_by = Slot::Filled(Some(PartialOrder {
-            key: Slot::Filled(key),
-            desc: Slot::Filled(false),
-            limit: Slot::Filled(Some(5)),
-        }));
+        pq.order_by = Slot::Filled(Some(
+            PartialOrder {
+                key: Slot::Filled(key),
+                desc: Slot::Filled(false),
+                limit: Slot::Filled(Some(5)),
+            }
+            .into(),
+        ));
         assert!(!verify_clauses(&tsq, &pq));
     }
 

@@ -14,7 +14,7 @@ pub fn verify_literals(pq: &PartialQuery, literals: &[Literal]) -> bool {
 
 fn literal_used(pq: &PartialQuery, lit: &Literal) -> bool {
     if let Some(preds) = pq.where_predicates.as_ref() {
-        for p in preds {
+        for p in preds.iter() {
             if p.value.as_ref().map(|v| v.sql_eq(&lit.value)).unwrap_or(false) {
                 return true;
             }
@@ -50,12 +50,15 @@ mod tests {
 
     fn pq_with_predicate(value: Value) -> PartialQuery {
         let mut pq = PartialQuery::empty();
-        pq.where_predicates = Slot::Filled(vec![PartialPredicate {
-            col: Slot::Filled(ColumnId::new(0, 0)),
-            op: Slot::Filled(CmpOp::Eq),
-            value: Slot::Filled(value),
-            value2: None,
-        }]);
+        pq.where_predicates = Slot::Filled(
+            vec![PartialPredicate {
+                col: Slot::Filled(ColumnId::new(0, 0)),
+                op: Slot::Filled(CmpOp::Eq),
+                value: Slot::Filled(value),
+                value2: None,
+            }]
+            .into(),
+        );
         pq
     }
 
@@ -73,6 +76,7 @@ mod tests {
     fn between_second_bound_counts_as_used() {
         let mut pq = pq_with_predicate(Value::int(2010));
         if let Slot::Filled(preds) = &mut pq.where_predicates {
+            let preds = std::sync::Arc::make_mut(preds);
             preds[0].op = Slot::Filled(CmpOp::Between);
             preds[0].value2 = Some(Value::int(2017));
         }
@@ -83,12 +87,15 @@ mod tests {
     #[test]
     fn having_value_counts_as_used() {
         let mut pq = PartialQuery::empty();
-        pq.having = Slot::Filled(Some(PartialHaving {
-            agg: Slot::Filled(duoquest_db::AggFunc::Count),
-            col: Slot::Filled(None),
-            op: Slot::Filled(CmpOp::Gt),
-            value: Slot::Filled(Value::int(500)),
-        }));
+        pq.having = Slot::Filled(Some(
+            PartialHaving {
+                agg: Slot::Filled(duoquest_db::AggFunc::Count),
+                col: Slot::Filled(None),
+                op: Slot::Filled(CmpOp::Gt),
+                value: Slot::Filled(Value::int(500)),
+            }
+            .into(),
+        ));
         assert!(verify_literals(&pq, &[Literal::number(500.0)]));
         assert!(!verify_literals(&pq, &[Literal::number(100.0)]));
     }
@@ -96,11 +103,14 @@ mod tests {
     #[test]
     fn numeric_literal_as_limit_counts_as_used() {
         let mut pq = PartialQuery::empty();
-        pq.order_by = Slot::Filled(Some(PartialOrder {
-            key: Slot::Filled(OrderKey::Column(ColumnId::new(0, 0))),
-            desc: Slot::Filled(true),
-            limit: Slot::Filled(Some(10)),
-        }));
+        pq.order_by = Slot::Filled(Some(
+            PartialOrder {
+                key: Slot::Filled(OrderKey::Column(ColumnId::new(0, 0))),
+                desc: Slot::Filled(true),
+                limit: Slot::Filled(Some(10)),
+            }
+            .into(),
+        ));
         assert!(verify_literals(&pq, &[Literal::number(10.0)]));
         assert!(!verify_literals(&pq, &[Literal::number(5.0)]));
     }

@@ -534,18 +534,24 @@ mod tests {
         let s = db.schema();
         PartialQuery {
             clauses: Slot::Filled(ClauseSet { where_clause: true, ..Default::default() }),
-            select: Slot::Filled(vec![PartialSelectItem {
-                col: Slot::Filled(SelectColumn::Column(s.column_id("movies", "name").unwrap())),
-                agg: Slot::Filled(None),
-            }]),
+            select: Slot::Filled(
+                vec![PartialSelectItem {
+                    col: Slot::Filled(SelectColumn::Column(s.column_id("movies", "name").unwrap())),
+                    agg: Slot::Filled(None),
+                }]
+                .into(),
+            ),
             distinct: false,
             join: Some(JoinTree::single(s.table_id("movies").unwrap())),
-            where_predicates: Slot::Filled(vec![PartialPredicate {
-                col: Slot::Filled(s.column_id("movies", "year").unwrap()),
-                op: Slot::Filled(CmpOp::Lt),
-                value: Slot::Filled(Value::int(1995)),
-                value2: None,
-            }]),
+            where_predicates: Slot::Filled(
+                vec![PartialPredicate {
+                    col: Slot::Filled(s.column_id("movies", "year").unwrap()),
+                    op: Slot::Filled(CmpOp::Lt),
+                    value: Slot::Filled(Value::int(1995)),
+                    value2: None,
+                }]
+                .into(),
+            ),
             where_op: Slot::Filled(LogicalOp::And),
             group_by: Slot::Hole,
             having: Slot::Hole,

@@ -21,11 +21,11 @@ pub fn verify_semantics(schema: &Schema, pq: &PartialQuery) -> bool {
 }
 
 fn filled_predicates(pq: &PartialQuery) -> &[PartialPredicate] {
-    pq.where_predicates.as_ref().map(Vec::as_slice).unwrap_or(&[])
+    pq.where_predicates.as_ref().map_or(&[], |preds| preds)
 }
 
 fn filled_select(pq: &PartialQuery) -> &[PartialSelectItem] {
-    pq.select.as_ref().map(Vec::as_slice).unwrap_or(&[])
+    pq.select.as_ref().map_or(&[], |items| items)
 }
 
 /// Rule "Inconsistent predicates": two equality predicates on the same column
@@ -259,10 +259,13 @@ mod tests {
         let s = schema();
         let mut pq = PartialQuery::empty();
         pq.where_op = Slot::Filled(LogicalOp::And);
-        pq.where_predicates = Slot::Filled(vec![
-            predicate(name_col(&s), CmpOp::Eq, Value::text("Tom Hanks")),
-            predicate(name_col(&s), CmpOp::Eq, Value::text("Brad Pitt")),
-        ]);
+        pq.where_predicates = Slot::Filled(
+            vec![
+                predicate(name_col(&s), CmpOp::Eq, Value::text("Tom Hanks")),
+                predicate(name_col(&s), CmpOp::Eq, Value::text("Brad Pitt")),
+            ]
+            .into(),
+        );
         assert!(!verify_semantics(&s, &pq));
         // The same pair under OR is fine.
         pq.where_op = Slot::Filled(LogicalOp::Or);
@@ -273,13 +276,14 @@ mod tests {
     fn constant_output_column_rejected() {
         let s = schema();
         let mut pq = PartialQuery::empty();
-        pq.select = Slot::Filled(select_items(&[(name_col(&s), None), (year_col(&s), None)]));
+        pq.select =
+            Slot::Filled(select_items(&[(name_col(&s), None), (year_col(&s), None)]).into());
         pq.where_predicates =
-            Slot::Filled(vec![predicate(year_col(&s), CmpOp::Eq, Value::int(1950))]);
+            Slot::Filled(vec![predicate(year_col(&s), CmpOp::Eq, Value::int(1950))].into());
         pq.where_op = Slot::Filled(LogicalOp::And);
         assert!(!verify_semantics(&s, &pq));
         // Projecting only the other column is fine.
-        pq.select = Slot::Filled(select_items(&[(name_col(&s), None)]));
+        pq.select = Slot::Filled(select_items(&[(name_col(&s), None)]).into());
         assert!(verify_semantics(&s, &pq));
     }
 
@@ -288,10 +292,9 @@ mod tests {
         let s = schema();
         let mut pq = PartialQuery::empty();
         pq.clauses = Slot::Filled(ClauseSet::default());
-        pq.select = Slot::Filled(select_items(&[
-            (year_col(&s), None),
-            (year_col(&s), Some(AggFunc::Count)),
-        ]));
+        pq.select = Slot::Filled(
+            select_items(&[(year_col(&s), None), (year_col(&s), Some(AggFunc::Count))]).into(),
+        );
         assert!(!verify_semantics(&s, &pq));
         // With GROUP BY present in the clause set it is allowed.
         pq.clauses = Slot::Filled(ClauseSet { group_by: true, ..Default::default() });
@@ -303,9 +306,9 @@ mod tests {
         let s = schema();
         let mut pq = PartialQuery::empty();
         pq.clauses = Slot::Filled(ClauseSet { group_by: true, ..Default::default() });
-        pq.group_by = Slot::Filled(vec![s.column_id("actor", "aid").unwrap()]);
+        pq.group_by = Slot::Filled(vec![s.column_id("actor", "aid").unwrap()].into());
         assert!(!verify_semantics(&s, &pq));
-        pq.group_by = Slot::Filled(vec![name_col(&s)]);
+        pq.group_by = Slot::Filled(vec![name_col(&s)].into());
         assert!(verify_semantics(&s, &pq));
     }
 
@@ -314,20 +317,23 @@ mod tests {
         let s = schema();
         let mut pq = PartialQuery::empty();
         pq.clauses = Slot::Filled(ClauseSet { group_by: true, ..Default::default() });
-        pq.select = Slot::Filled(select_items(&[(name_col(&s), None)]));
-        pq.group_by = Slot::Filled(vec![name_col(&s)]);
+        pq.select = Slot::Filled(select_items(&[(name_col(&s), None)]).into());
+        pq.group_by = Slot::Filled(vec![name_col(&s)].into());
         // HAVING not yet decided: not pruned.
         assert!(verify_semantics(&s, &pq));
         // HAVING decided to be absent and no aggregate anywhere: pruned.
         pq.having = Slot::Filled(None);
         assert!(!verify_semantics(&s, &pq));
         // A HAVING aggregate legitimizes the grouping.
-        pq.having = Slot::Filled(Some(PartialHaving {
-            agg: Slot::Filled(AggFunc::Count),
-            col: Slot::Filled(None),
-            op: Slot::Filled(CmpOp::Gt),
-            value: Slot::Filled(Value::int(5)),
-        }));
+        pq.having = Slot::Filled(Some(
+            PartialHaving {
+                agg: Slot::Filled(AggFunc::Count),
+                col: Slot::Filled(None),
+                op: Slot::Filled(CmpOp::Gt),
+                value: Slot::Filled(Value::int(5)),
+            }
+            .into(),
+        ));
         assert!(verify_semantics(&s, &pq));
     }
 
@@ -335,11 +341,11 @@ mod tests {
     fn aggregate_type_usage_rejected() {
         let s = schema();
         let mut pq = PartialQuery::empty();
-        pq.select = Slot::Filled(select_items(&[(name_col(&s), Some(AggFunc::Avg))]));
+        pq.select = Slot::Filled(select_items(&[(name_col(&s), Some(AggFunc::Avg))]).into());
         assert!(!verify_semantics(&s, &pq));
-        pq.select = Slot::Filled(select_items(&[(name_col(&s), Some(AggFunc::Count))]));
+        pq.select = Slot::Filled(select_items(&[(name_col(&s), Some(AggFunc::Count))]).into());
         assert!(verify_semantics(&s, &pq));
-        pq.select = Slot::Filled(select_items(&[(year_col(&s), Some(AggFunc::Avg))]));
+        pq.select = Slot::Filled(select_items(&[(year_col(&s), Some(AggFunc::Avg))]).into());
         assert!(verify_semantics(&s, &pq));
     }
 
@@ -348,17 +354,17 @@ mod tests {
         let s = schema();
         let mut pq = PartialQuery::empty();
         pq.where_predicates =
-            Slot::Filled(vec![predicate(name_col(&s), CmpOp::Ge, Value::text("Tom"))]);
+            Slot::Filled(vec![predicate(name_col(&s), CmpOp::Ge, Value::text("Tom"))].into());
         assert!(!verify_semantics(&s, &pq));
         pq.where_predicates =
-            Slot::Filled(vec![predicate(year_col(&s), CmpOp::Like, Value::text("%1956%"))]);
+            Slot::Filled(vec![predicate(year_col(&s), CmpOp::Like, Value::text("%1956%"))].into());
         assert!(!verify_semantics(&s, &pq));
         // Value type must match column type.
         pq.where_predicates =
-            Slot::Filled(vec![predicate(year_col(&s), CmpOp::Eq, Value::text("x"))]);
+            Slot::Filled(vec![predicate(year_col(&s), CmpOp::Eq, Value::text("x"))].into());
         assert!(!verify_semantics(&s, &pq));
         pq.where_predicates =
-            Slot::Filled(vec![predicate(year_col(&s), CmpOp::Ge, Value::int(1950))]);
+            Slot::Filled(vec![predicate(year_col(&s), CmpOp::Ge, Value::int(1950))].into());
         assert!(verify_semantics(&s, &pq));
     }
 
@@ -366,13 +372,17 @@ mod tests {
     fn duplicates_rejected() {
         let s = schema();
         let mut pq = PartialQuery::empty();
-        pq.select = Slot::Filled(select_items(&[(name_col(&s), None), (name_col(&s), None)]));
+        pq.select =
+            Slot::Filled(select_items(&[(name_col(&s), None), (name_col(&s), None)]).into());
         assert!(!verify_semantics(&s, &pq));
         let mut pq = PartialQuery::empty();
-        pq.where_predicates = Slot::Filled(vec![
-            predicate(year_col(&s), CmpOp::Gt, Value::int(1950)),
-            predicate(year_col(&s), CmpOp::Gt, Value::int(1950)),
-        ]);
+        pq.where_predicates = Slot::Filled(
+            vec![
+                predicate(year_col(&s), CmpOp::Gt, Value::int(1950)),
+                predicate(year_col(&s), CmpOp::Gt, Value::int(1950)),
+            ]
+            .into(),
+        );
         assert!(!verify_semantics(&s, &pq));
     }
 
@@ -382,11 +392,14 @@ mod tests {
         let mut pq = PartialQuery::empty();
         pq.clauses =
             Slot::Filled(ClauseSet { group_by: true, order_by: true, ..Default::default() });
-        pq.order_by = Slot::Filled(Some(PartialOrder {
-            key: Slot::Filled(OrderKey::Aggregate(AggFunc::Max, Some(name_col(&s)))),
-            desc: Slot::Filled(true),
-            limit: Slot::Filled(None),
-        }));
+        pq.order_by = Slot::Filled(Some(
+            PartialOrder {
+                key: Slot::Filled(OrderKey::Aggregate(AggFunc::Max, Some(name_col(&s)))),
+                desc: Slot::Filled(true),
+                limit: Slot::Filled(None),
+            }
+            .into(),
+        ));
         assert!(!verify_semantics(&s, &pq));
     }
 

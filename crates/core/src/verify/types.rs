@@ -55,9 +55,9 @@ mod tests {
         let s = schema();
         let tsq = TableSketchQuery::with_types(vec![DataType::Text, DataType::Number]);
         let mut pq = PartialQuery::empty();
-        pq.select = Slot::Filled(vec![item(&s, "name", None)]);
+        pq.select = Slot::Filled(vec![item(&s, "name", None)].into());
         assert!(!verify_column_types(&s, &tsq, &pq));
-        pq.select = Slot::Filled(vec![item(&s, "name", None), item(&s, "birth_yr", None)]);
+        pq.select = Slot::Filled(vec![item(&s, "name", None), item(&s, "birth_yr", None)].into());
         assert!(verify_column_types(&s, &tsq, &pq));
     }
 
@@ -67,7 +67,7 @@ mod tests {
         // α = [text, number]; CQ2-like projection of two text columns fails.
         let tsq = TableSketchQuery::with_types(vec![DataType::Text, DataType::Number]);
         let mut pq = PartialQuery::empty();
-        pq.select = Slot::Filled(vec![item(&s, "name", None), item(&s, "name", None)]);
+        pq.select = Slot::Filled(vec![item(&s, "name", None), item(&s, "name", None)].into());
         assert!(!verify_column_types(&s, &tsq, &pq));
     }
 
@@ -76,8 +76,9 @@ mod tests {
         let s = schema();
         let tsq = TableSketchQuery::with_types(vec![DataType::Text, DataType::Number]);
         let mut pq = PartialQuery::empty();
-        pq.select =
-            Slot::Filled(vec![item(&s, "name", None), item(&s, "name", Some(AggFunc::Count))]);
+        pq.select = Slot::Filled(
+            vec![item(&s, "name", None), item(&s, "name", Some(AggFunc::Count))].into(),
+        );
         assert!(verify_column_types(&s, &tsq, &pq));
     }
 
@@ -89,9 +90,12 @@ mod tests {
         // Undecided aggregate over a text column could still be COUNT (number)
         // or bare (text), so a text annotation does not prune it.
         let mut pq = PartialQuery::empty();
-        pq.select = Slot::Filled(vec![PartialSelectItem::with_column(SelectColumn::Column(
-            s.column_id("actor", "name").unwrap(),
-        ))]);
+        pq.select = Slot::Filled(
+            vec![PartialSelectItem::with_column(SelectColumn::Column(
+                s.column_id("actor", "name").unwrap(),
+            ))]
+            .into(),
+        );
         assert!(verify_column_types(&s, &tsq, &pq));
     }
 
@@ -101,9 +105,9 @@ mod tests {
         let tsq = TableSketchQuery::empty()
             .with_tuple(vec![crate::tsq::TsqCell::number(1956), crate::tsq::TsqCell::Empty]);
         let mut pq = PartialQuery::empty();
-        pq.select = Slot::Filled(vec![item(&s, "name", None), item(&s, "birth_yr", None)]);
+        pq.select = Slot::Filled(vec![item(&s, "name", None), item(&s, "birth_yr", None)].into());
         assert!(!verify_column_types(&s, &tsq, &pq));
-        pq.select = Slot::Filled(vec![item(&s, "birth_yr", None), item(&s, "name", None)]);
+        pq.select = Slot::Filled(vec![item(&s, "birth_yr", None), item(&s, "name", None)].into());
         assert!(verify_column_types(&s, &tsq, &pq));
     }
 }

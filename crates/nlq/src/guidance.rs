@@ -150,11 +150,12 @@ pub trait GuidancePlan: Send {
 
 /// Normalize raw scores into a probability distribution (Property 1).
 ///
-/// Negative, NaN and `-0.0` scores count as `0.0`. Every result is finite:
-/// when the clamped scores do not sum to a finite number (a `+∞` score, or
-/// finite scores whose sum overflows), they are first divided by the
-/// largest, so the largest scores become 1 and every finite score beside a
-/// `+∞` becomes 0.
+/// Negative, NaN and `-0.0` scores count as `0.0`. When no score is
+/// positive the result is uniform; otherwise it keeps the ranking, however
+/// small the scores. Every result is finite: when the clamped scores do not
+/// sum to a finite number (a `+∞` score, or finite scores whose sum
+/// overflows), they are first divided by the largest, so the largest scores
+/// become 1 and every finite score beside a `+∞` becomes 0.
 pub fn normalize_scores(raw: &[f64]) -> Vec<f64> {
     let mut scores: Vec<f64> = raw.iter().map(|&s| if s > 0.0 { s } else { 0.0 }).collect();
     let mut sum: f64 = scores.iter().sum();
@@ -165,7 +166,7 @@ pub fn normalize_scores(raw: &[f64]) -> Vec<f64> {
         }
         sum = scores.iter().sum();
     }
-    if sum <= f64::EPSILON {
+    if sum == 0.0 {
         let uniform = 1.0 / raw.len().max(1) as f64;
         return vec![uniform; raw.len()];
     }
@@ -190,6 +191,13 @@ mod tests {
     fn normalize_all_zero_is_uniform() {
         let scores = normalize_scores(&[0.0, 0.0, 0.0, 0.0]);
         assert_eq!(scores, vec![0.25; 4]);
+    }
+
+    #[test]
+    fn normalize_keeps_the_ranking_of_tiny_scores() {
+        let scores = normalize_scores(&[1e-18, 3e-18]);
+        assert!((scores[0] - 0.25).abs() < 1e-12 && (scores[1] - 0.75).abs() < 1e-12);
+        assert_eq!(normalize_scores(&[f64::MIN_POSITIVE / 4.0, 0.0]), vec![1.0, 0.0]);
     }
 
     #[test]

@@ -299,13 +299,16 @@ mod tests {
         assert!(rendered.contains("FROM ?"));
 
         pq.clauses = Slot::Filled(ClauseSet { where_clause: true, ..Default::default() });
-        pq.select = Slot::Filled(vec![PartialSelectItem::with_column(SelectColumn::Column(
-            s.column_id("movies", "name").unwrap(),
-        ))]);
+        pq.select = Slot::Filled(
+            vec![PartialSelectItem::with_column(SelectColumn::Column(
+                s.column_id("movies", "name").unwrap(),
+            ))]
+            .into(),
+        );
         pq.join = Some(JoinTree::single(s.table_id("movies").unwrap()));
-        pq.where_predicates = Slot::Filled(vec![PartialPredicate::with_column(
-            s.column_id("movies", "year").unwrap(),
-        )]);
+        pq.where_predicates = Slot::Filled(
+            vec![PartialPredicate::with_column(s.column_id("movies", "year").unwrap())].into(),
+        );
         let rendered = render_partial(&pq, &s);
         assert!(rendered.contains("?(movies.name)"));
         assert!(rendered.contains("WHERE movies.year ? ?"));

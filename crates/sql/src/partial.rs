@@ -10,6 +10,12 @@
 //! constants), the predicate connective (AND/OR), grouping, HAVING, and the
 //! ORDER BY direction plus LIMIT (DESC/ASC). The join path is attached
 //! separately by progressive join path construction.
+//!
+//! A child differs from its parent in one decision, so the SELECT, WHERE and
+//! GROUP BY lists and the HAVING and ORDER BY slots are reference-counted:
+//! cloning a partial query bumps their counts, and a decision copies on write
+//! (`Arc::make_mut`) only the slot it fills. Siblings share every other slot
+//! with their parent.
 
 use crate::error::{SqlError, SqlResult};
 use crate::slot::Slot;
@@ -17,6 +23,7 @@ use duoquest_db::{
     AggFunc, CmpOp, ColumnId, DataType, JoinTree, LogicalOp, OrderKey, OrderSpec, Predicate,
     Schema, SelectItem, SelectSpec, Value,
 };
+use std::sync::Arc;
 
 /// Which optional clauses are present in the query (the KW module's output).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -197,27 +204,30 @@ impl PartialOrder {
 }
 
 /// A partial SPJA query: every clause may still contain placeholders.
+///
+/// The list slots and the HAVING / ORDER BY slots hold `Arc`s, so a clone
+/// shares them (see the module docs); write through `Arc::make_mut`.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct PartialQuery {
     /// Which optional clauses are present (KW module decision).
     pub clauses: Slot<ClauseSet>,
     /// Projected items; the outer slot is a hole until the COL module decides
     /// the projection list.
-    pub select: Slot<Vec<PartialSelectItem>>,
+    pub select: Slot<Arc<[PartialSelectItem]>>,
     /// Whether duplicates are removed.
     pub distinct: bool,
     /// The join path, attached by progressive join path construction.
     pub join: Option<JoinTree>,
     /// WHERE predicates; hole until the predicate column list is decided.
-    pub where_predicates: Slot<Vec<PartialPredicate>>,
+    pub where_predicates: Slot<Arc<[PartialPredicate]>>,
     /// Connective between WHERE predicates (AND/OR module decision).
     pub where_op: Slot<LogicalOp>,
     /// GROUP BY columns.
-    pub group_by: Slot<Vec<ColumnId>>,
+    pub group_by: Slot<Arc<[ColumnId]>>,
     /// Optional HAVING predicate (HAVING module decision).
-    pub having: Slot<Option<PartialHaving>>,
+    pub having: Slot<Option<Arc<PartialHaving>>>,
     /// Optional ORDER BY specification.
-    pub order_by: Slot<Option<PartialOrder>>,
+    pub order_by: Slot<Option<Arc<PartialOrder>>>,
 }
 
 impl PartialQuery {
@@ -281,14 +291,14 @@ impl PartialQuery {
     /// without allocating.
     pub fn for_each_referenced_column(&self, mut visit: impl FnMut(ColumnId)) {
         if let Some(items) = self.select.as_ref() {
-            for it in items {
+            for it in items.iter() {
                 if let Some(SelectColumn::Column(c)) = it.col.as_ref() {
                     visit(*c);
                 }
             }
         }
         if let Some(preds) = self.where_predicates.as_ref() {
-            for p in preds {
+            for p in preds.iter() {
                 if let Some(c) = p.col.as_ref() {
                     visit(*c);
                 }
@@ -347,7 +357,7 @@ impl PartialQuery {
         let clauses = *self.clauses.as_ref().expect("checked by is_complete");
         let select_items = self.select.as_ref().expect("checked");
         let mut select = Vec::with_capacity(select_items.len());
-        for it in select_items {
+        for it in select_items.iter() {
             let agg = *it.agg.as_ref().expect("checked");
             match it.col.as_ref().expect("checked") {
                 SelectColumn::Star => {
@@ -361,14 +371,14 @@ impl PartialQuery {
         }
         let mut predicates = Vec::new();
         if clauses.where_clause {
-            for p in self.where_predicates.as_ref().expect("checked") {
+            for p in self.where_predicates.as_ref().expect("checked").iter() {
                 predicates.push(p.to_predicate()?);
             }
         }
         let mut having = Vec::new();
         let mut group_by = Vec::new();
         if clauses.group_by {
-            group_by = self.group_by.as_ref().expect("checked").clone();
+            group_by = self.group_by.as_ref().expect("checked").to_vec();
             if let Some(h) = self.having.as_ref().expect("checked") {
                 having.push(h.to_predicate()?);
             }
@@ -466,18 +476,24 @@ mod tests {
     fn complete_query(s: &Schema) -> PartialQuery {
         PartialQuery {
             clauses: Slot::Filled(ClauseSet { where_clause: true, ..Default::default() }),
-            select: Slot::Filled(vec![PartialSelectItem {
-                col: Slot::Filled(SelectColumn::Column(name_col(s))),
-                agg: Slot::Filled(None),
-            }]),
+            select: Slot::Filled(
+                vec![PartialSelectItem {
+                    col: Slot::Filled(SelectColumn::Column(name_col(s))),
+                    agg: Slot::Filled(None),
+                }]
+                .into(),
+            ),
             distinct: false,
             join: Some(JoinTree::single(s.table_id("movies").unwrap())),
-            where_predicates: Slot::Filled(vec![PartialPredicate {
-                col: Slot::Filled(year_col(s)),
-                op: Slot::Filled(CmpOp::Lt),
-                value: Slot::Filled(Value::int(1995)),
-                value2: None,
-            }]),
+            where_predicates: Slot::Filled(
+                vec![PartialPredicate {
+                    col: Slot::Filled(year_col(s)),
+                    op: Slot::Filled(CmpOp::Lt),
+                    value: Slot::Filled(Value::int(1995)),
+                    value2: None,
+                }]
+                .into(),
+            ),
             where_op: Slot::Filled(LogicalOp::And),
             group_by: Slot::Hole,
             having: Slot::Hole,
@@ -501,7 +517,7 @@ mod tests {
         let s = schema();
         let mut q = complete_query(&s);
         if let Slot::Filled(preds) = &mut q.where_predicates {
-            preds[0].value = Slot::Hole;
+            Arc::make_mut(preds)[0].value = Slot::Hole;
         }
         assert!(!q.is_complete());
         assert!(!q.where_and_group_complete());
@@ -512,7 +528,7 @@ mod tests {
         let s = schema();
         let mut q = complete_query(&s);
         q.clauses = Slot::Filled(ClauseSet { where_clause: true, group_by: true, order_by: false });
-        q.group_by = Slot::Filled(vec![name_col(&s)]);
+        q.group_by = Slot::Filled(vec![name_col(&s)].into());
         // HAVING decision not yet made.
         assert!(!q.is_complete());
         q.having = Slot::Filled(None);
@@ -525,17 +541,23 @@ mod tests {
         let mut q = complete_query(&s);
         q.clauses = Slot::Filled(ClauseSet { where_clause: true, group_by: false, order_by: true });
         assert!(!q.is_complete());
-        q.order_by = Slot::Filled(Some(PartialOrder {
-            key: Slot::Filled(OrderKey::Column(year_col(&s))),
-            desc: Slot::Filled(false),
-            limit: Slot::Hole,
-        }));
+        q.order_by = Slot::Filled(Some(
+            PartialOrder {
+                key: Slot::Filled(OrderKey::Column(year_col(&s))),
+                desc: Slot::Filled(false),
+                limit: Slot::Hole,
+            }
+            .into(),
+        ));
         assert!(!q.is_complete());
-        q.order_by = Slot::Filled(Some(PartialOrder {
-            key: Slot::Filled(OrderKey::Column(year_col(&s))),
-            desc: Slot::Filled(false),
-            limit: Slot::Filled(None),
-        }));
+        q.order_by = Slot::Filled(Some(
+            PartialOrder {
+                key: Slot::Filled(OrderKey::Column(year_col(&s))),
+                desc: Slot::Filled(false),
+                limit: Slot::Filled(None),
+            }
+            .into(),
+        ));
         assert!(q.is_complete());
         let spec = q.to_spec().unwrap();
         assert!(spec.order_by.is_some());
@@ -546,7 +568,7 @@ mod tests {
     fn referenced_columns_collects_all_clauses() {
         let s = schema();
         let mut q = complete_query(&s);
-        q.group_by = Slot::Filled(vec![name_col(&s)]);
+        q.group_by = Slot::Filled(vec![name_col(&s)].into());
         let cols = q.referenced_columns();
         assert!(cols.contains(&name_col(&s)));
         assert!(cols.contains(&year_col(&s)));
@@ -568,10 +590,11 @@ mod tests {
         let mut q = complete_query(&s);
         assert!(!q.has_aggregate_projection());
         if let Slot::Filled(items) = &mut q.select {
-            items.push(PartialSelectItem {
+            let counted = PartialSelectItem {
                 col: Slot::Filled(SelectColumn::Star),
                 agg: Slot::Filled(Some(AggFunc::Count)),
-            });
+            };
+            *items = items.iter().copied().chain([counted]).collect();
         }
         assert!(q.has_aggregate_projection());
     }
@@ -581,7 +604,7 @@ mod tests {
         let s = schema();
         let mut q = complete_query(&s);
         if let Slot::Filled(items) = &mut q.select {
-            items[0] = PartialSelectItem {
+            Arc::make_mut(items)[0] = PartialSelectItem {
                 col: Slot::Filled(SelectColumn::Star),
                 agg: Slot::Filled(Some(AggFunc::Max)),
             };

@@ -398,7 +398,7 @@ mod reference {
             }
         }
         if let Some(group) = pq.group_by.as_ref() {
-            base.group_by = group.clone();
+            base.group_by = group.to_vec();
         }
         for tuple in &tsq.tuples {
             let mut spec = base.clone();

@@ -144,7 +144,7 @@ struct Seen {
 fn single_item(i: usize, col: ColumnId, agg: Slot<Option<AggFunc>>) -> PartialQuery {
     let mut items = vec![PartialSelectItem { col: Slot::Hole, agg: Slot::Hole }; i];
     items.push(PartialSelectItem { col: Slot::Filled(SelectColumn::Column(col)), agg });
-    PartialQuery { select: Slot::Filled(items), ..PartialQuery::empty() }
+    PartialQuery { select: Slot::Filled(items.into()), ..PartialQuery::empty() }
 }
 
 /// Hold the plan-backed stage to the reference on every (position, column,
