@@ -92,7 +92,7 @@ fn bench_obs(c: &mut Criterion) {
     group.bench_function("trace_record_span", |b| {
         b.iter(|| trace.record_span("bench", anchor, anchor + Duration::from_micros(10)))
     });
-    let histogram = Histogram::new();
+    let histogram = Histogram::default();
     let mut v = 1u64;
     group.bench_function("histogram_record_us", |b| {
         b.iter(|| {

@@ -146,67 +146,6 @@ impl EnumerationStats {
             + self.pruned_by_order
     }
 
-    /// Share of this run's probe-cache lookups answered without executing,
-    /// in `[0, 1]` — of the lookups that reached the cache, which repeats of
-    /// a column-wise question never do.
-    pub fn cache_hit_rate(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / total as f64
-        }
-    }
-
-    /// Render the stats as a JSON object for scraping, hand-rolled because
-    /// the vendored `serde` derives are no-ops. Durations are integer
-    /// microseconds (`*_us`); the `scheduler` member is `null` for runs that
-    /// did not go through a shared pool.
-    pub fn to_json(&self) -> String {
-        let scheduler =
-            self.scheduler.as_ref().map(|s| s.to_json()).unwrap_or_else(|| "null".into());
-        format!(
-            "{{\"expanded\":{},\"generated\":{},\"pruned_clauses\":{},\"pruned_semantics\":{},\
-             \"pruned_types\":{},\"pruned_by_column\":{},\"pruned_by_row\":{},\
-             \"pruned_literals\":{},\"pruned_by_order\":{},\"emitted\":{},\"rounds\":{},\
-             \"frontier_peak\":{},\"elapsed_us\":{},\"exhausted\":{},\"cancelled\":{},\
-             \"deadline_exceeded\":{},\"cache_hits\":{},\"cache_misses\":{},\"cache_bytes\":{},\"rows_scanned\":{},\
-             \"rows_short_circuited\":{},\"index_lookups\":{},\"rows_via_index\":{},\
-             \"probes_bailed_empty\":{},\"single_flight_hits\":{},\
-             \"single_flight_leaders\":{},\"single_flight_wait_us\":{},\
-             \"stage_timings\":{},\"scheduler\":{}}}",
-            self.expanded,
-            self.generated,
-            self.pruned_clauses,
-            self.pruned_semantics,
-            self.pruned_types,
-            self.pruned_by_column,
-            self.pruned_by_row,
-            self.pruned_literals,
-            self.pruned_by_order,
-            self.emitted,
-            self.rounds,
-            self.frontier_peak,
-            self.elapsed.as_micros(),
-            self.exhausted,
-            self.cancelled,
-            self.deadline_exceeded,
-            self.cache_hits,
-            self.cache_misses,
-            self.cache_bytes,
-            self.rows_scanned,
-            self.rows_short_circuited,
-            self.index_lookups,
-            self.rows_via_index,
-            self.probes_bailed_empty,
-            self.single_flight_hits,
-            self.single_flight_leaders,
-            self.single_flight_wait_us,
-            self.stage_timings.to_json(),
-            scheduler,
-        )
-    }
-
     /// Fold a run's probe counters (and the database's retained cache bytes)
     /// into the stats.
     fn record_probe_counters(&mut self, counters: &RunCacheCounters, db: &Database) {
@@ -1409,15 +1348,13 @@ mod tests {
         // absorbing the repeats (column-wise ones never reach it twice).
         assert!(stats.cache_misses > 0, "stats: {stats:?}");
         assert!(stats.cache_hits > 0, "stats: {stats:?}");
-        assert!(stats.cache_hit_rate() > 0.0);
         // The cheap stages run at least as often as the expensive probes.
         let timings = &stats.stage_timings;
         assert!(timings.calls_of(VerifyStage::Clauses) > 0);
         assert!(timings.calls_of(VerifyStage::ByColumn) > 0);
         assert!(
             timings.calls_of(VerifyStage::Clauses) >= timings.calls_of(VerifyStage::ByRow),
-            "cascade should invoke cheap stages at least as often as expensive ones: {}",
-            timings.summary()
+            "cascade should invoke cheap stages at least as often as expensive ones: {timings:?}"
         );
         assert!(timings.total() > Duration::ZERO);
     }

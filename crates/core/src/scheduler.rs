@@ -90,6 +90,8 @@ use crate::engine::{Candidate, CandidateCollector, SynthesisResult};
 use crate::enumerate::{Advance, RoundDriver, RunPlan};
 use crate::session::SynthesisSession;
 use duoquest_db::SelectSpec;
+use duoquest_obs::Reading::{Counter, Gauge};
+use duoquest_obs::Series;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -112,18 +114,41 @@ pub struct SchedulerStats {
 }
 
 impl SchedulerStats {
-    /// Render as a JSON object for scraping (hand-rolled; the vendored
-    /// `serde` derives are no-ops).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"workers\":{},\"busy_workers\":{},\"queue_depth\":{},\"live_sessions\":{},\
-             \"units_executed\":{}}}",
-            self.workers,
-            self.busy_workers,
-            self.queue_depth,
-            self.live_sessions,
-            self.units_executed,
-        )
+    /// The pool's load as series, declared once for both scraping surfaces
+    /// (the service serves them under its `"scheduler"` object).
+    pub fn series(&self) -> [Series<'static>; 5] {
+        [
+            Series::new(
+                "workers",
+                "duoquest_scheduler_workers",
+                "Worker threads owned by the shared pool.",
+                Gauge(self.workers as u64),
+            ),
+            Series::new(
+                "busy_workers",
+                "duoquest_scheduler_busy_workers",
+                "Pool workers currently executing a unit.",
+                Gauge(self.busy_workers as u64),
+            ),
+            Series::new(
+                "queue_depth",
+                "duoquest_scheduler_queue_depth",
+                "Work units queued in the pool and not yet picked up.",
+                Gauge(self.queue_depth as u64),
+            ),
+            Series::new(
+                "live_sessions",
+                "duoquest_scheduler_live_sessions",
+                "Sessions currently registered with the pool.",
+                Gauge(self.live_sessions as u64),
+            ),
+            Series::new(
+                "units_executed",
+                "duoquest_scheduler_units_executed_total",
+                "Work units executed since the pool started.",
+                Counter(self.units_executed),
+            ),
+        ]
     }
 }
 
@@ -146,23 +171,6 @@ pub struct SchedulerRunStats {
     pub busy_workers_peak: usize,
     /// Most live sessions observed at this run's registration and yields.
     pub live_sessions_peak: usize,
-}
-
-impl SchedulerRunStats {
-    /// Render as a JSON object for scraping (hand-rolled; the vendored
-    /// `serde` derives are no-ops).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"pool_workers\":{},\"units_submitted\":{},\"units_inline\":{},\
-             \"queue_depth_peak\":{},\"busy_workers_peak\":{},\"live_sessions_peak\":{}}}",
-            self.pool_workers,
-            self.units_submitted,
-            self.units_inline,
-            self.queue_depth_peak,
-            self.busy_workers_peak,
-            self.live_sessions_peak,
-        )
-    }
 }
 
 /// How a scheduler-driven session ended: the terminal value handed to its

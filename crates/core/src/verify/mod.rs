@@ -172,41 +172,6 @@ impl StageTimings {
     pub fn total(&self) -> Duration {
         Duration::from_nanos(self.nanos.iter().sum())
     }
-
-    /// Render as a JSON object keyed by stage label, each value carrying the
-    /// stage's call count and accumulated microseconds (hand-rolled; the
-    /// vendored `serde` derives are no-ops).
-    pub fn to_json(&self) -> String {
-        let fields = VerifyStage::ALL
-            .iter()
-            .map(|s| {
-                format!(
-                    "\"{}\":{{\"calls\":{},\"us\":{}}}",
-                    s.label(),
-                    self.calls_of(*s),
-                    self.duration_of(*s).as_micros()
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",");
-        format!("{{{fields}}}")
-    }
-
-    /// One-line human-readable rendering, cascade order.
-    pub fn summary(&self) -> String {
-        VerifyStage::ALL
-            .iter()
-            .map(|s| {
-                format!(
-                    "{}: {:.2}ms/{}",
-                    s.label(),
-                    self.duration_of(*s).as_secs_f64() * 1e3,
-                    self.calls_of(*s)
-                )
-            })
-            .collect::<Vec<_>>()
-            .join("  ")
-    }
 }
 
 /// The outcome of verifying one partial query.

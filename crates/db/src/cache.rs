@@ -219,33 +219,20 @@ pub struct CacheStats {
     pub single_flight_leaders: u64,
 }
 
-impl CacheStats {
-    /// Hit rate in `[0, 1]`; 0 when the cache saw no traffic.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-
-    /// Counter difference vs an earlier snapshot (for per-run statistics).
-    pub fn since(&self, earlier: &CacheStats) -> CacheStats {
-        CacheStats {
-            hits: self.hits.saturating_sub(earlier.hits),
-            misses: self.misses.saturating_sub(earlier.misses),
-            bytes: self.bytes,
-            entries: self.entries,
-            rotations: self.rotations.saturating_sub(earlier.rotations),
-            single_flight_lookups: self
-                .single_flight_lookups
-                .saturating_sub(earlier.single_flight_lookups),
-            single_flight_hits: self.single_flight_hits.saturating_sub(earlier.single_flight_hits),
-            single_flight_leaders: self
-                .single_flight_leaders
-                .saturating_sub(earlier.single_flight_leaders),
-        }
+/// The field-wise total of several caches' stats (the network front sums
+/// its distinct databases' caches into one scrape).
+impl std::iter::Sum for CacheStats {
+    fn sum<I: Iterator<Item = CacheStats>>(iter: I) -> CacheStats {
+        iter.fold(CacheStats::default(), |a, b| CacheStats {
+            hits: a.hits + b.hits,
+            misses: a.misses + b.misses,
+            bytes: a.bytes + b.bytes,
+            entries: a.entries + b.entries,
+            rotations: a.rotations + b.rotations,
+            single_flight_lookups: a.single_flight_lookups + b.single_flight_lookups,
+            single_flight_hits: a.single_flight_hits + b.single_flight_hits,
+            single_flight_leaders: a.single_flight_leaders + b.single_flight_leaders,
+        })
     }
 }
 
@@ -924,7 +911,6 @@ mod tests {
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.entries, 1);
         assert!(stats.bytes > 0);
-        assert!((stats.hit_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -975,8 +961,8 @@ mod tests {
     }
 
     #[test]
-    fn stats_since_subtracts_counters() {
-        let earlier = CacheStats {
+    fn stats_sum_adds_counters() {
+        let one = CacheStats {
             hits: 2,
             misses: 3,
             bytes: 10,
@@ -986,7 +972,7 @@ mod tests {
             single_flight_hits: 1,
             single_flight_leaders: 3,
         };
-        let later = CacheStats {
+        let other = CacheStats {
             hits: 7,
             misses: 4,
             bytes: 20,
@@ -996,14 +982,21 @@ mod tests {
             single_flight_hits: 2,
             single_flight_leaders: 7,
         };
-        let delta = later.since(&earlier);
-        assert_eq!(delta.hits, 5);
-        assert_eq!(delta.misses, 1);
-        assert_eq!(delta.entries, 2);
-        assert_eq!(delta.rotations, 2);
-        assert_eq!(delta.single_flight_lookups, 5);
-        assert_eq!(delta.single_flight_hits, 1);
-        assert_eq!(delta.single_flight_leaders, 4);
+        let total: CacheStats = [one, other].into_iter().sum();
+        assert_eq!(
+            total,
+            CacheStats {
+                hits: 9,
+                misses: 7,
+                bytes: 30,
+                entries: 3,
+                rotations: 4,
+                single_flight_lookups: 13,
+                single_flight_hits: 3,
+                single_flight_leaders: 10,
+            }
+        );
+        assert_eq!(std::iter::empty::<CacheStats>().sum::<CacheStats>(), CacheStats::default());
     }
 
     /// Distinct specs (different limits) that all land in one small cache.

@@ -64,14 +64,16 @@ pub use duoquest_service::json;
 
 use duoquest_core::SharedClock;
 use duoquest_db::{CacheStats, Database};
-use duoquest_obs::Exposition;
+use duoquest_obs::{Exposition, JsonObject, Reading, Series, Surface};
 use duoquest_service::SynthesisService;
+use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
+use Reading::{Counter, Gauge};
 
 /// Tuning knobs of the TCP front.
 #[derive(Debug, Clone)]
@@ -122,29 +124,27 @@ pub struct RouteCounters {
 }
 
 impl RouteCounters {
-    /// Label → current value, in a fixed order (used by both the `/stats`
-    /// JSON and the `/metrics` exposition, which keeps the two surfaces'
-    /// names aligned by construction).
-    pub fn entries(&self) -> [(&'static str, u64); 6] {
+    /// One series per route, in a fixed order: a key of the `"routes"`
+    /// object in `/stats`, and a `route` label on `duoquest_net_requests_total`
+    /// in `/metrics`.
+    pub fn series(&self) -> [Series<'static>; 6] {
         [
-            ("stats", self.stats.load(Ordering::Relaxed)),
-            ("submit", self.submit.load(Ordering::Relaxed)),
-            ("cancel", self.cancel.load(Ordering::Relaxed)),
-            ("metrics", self.metrics.load(Ordering::Relaxed)),
-            ("trace", self.trace.load(Ordering::Relaxed)),
-            ("other", self.other.load(Ordering::Relaxed)),
+            ("stats", &self.stats),
+            ("submit", &self.submit),
+            ("cancel", &self.cancel),
+            ("metrics", &self.metrics),
+            ("trace", &self.trace),
+            ("other", &self.other),
         ]
-    }
-
-    /// Render as a JSON object (the `"routes"` section of `GET /stats`).
-    pub fn to_json(&self) -> String {
-        let fields = self
-            .entries()
-            .iter()
-            .map(|(name, value)| format!("\"{name}\":{value}"))
-            .collect::<Vec<_>>()
-            .join(",");
-        format!("{{{fields}}}")
+        .map(|(route, count)| {
+            Series::new(
+                route,
+                "duoquest_net_requests_total",
+                "HTTP requests by route.",
+                Counter(count.load(Ordering::Relaxed)),
+            )
+            .labelled("route", route)
+        })
     }
 }
 
@@ -174,23 +174,125 @@ pub struct NetMetrics {
 }
 
 impl NetMetrics {
-    /// Render as a JSON object (the `"net"` section of `GET /stats`).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"accepted\":{},\"open\":{},\"submits\":{},\"completed\":{},\
-             \"admission_shed\":{},\"overflow_shed\":{},\"disconnects\":{},\
-             \"remote_cancels\":{},\"bad_requests\":{}}}",
-            self.accepted.load(Ordering::Relaxed),
-            self.open.load(Ordering::Relaxed),
-            self.submits.load(Ordering::Relaxed),
-            self.completed.load(Ordering::Relaxed),
-            self.admission_shed.load(Ordering::Relaxed),
-            self.overflow_shed.load(Ordering::Relaxed),
-            self.disconnects.load(Ordering::Relaxed),
-            self.remote_cancels.load(Ordering::Relaxed),
-            self.bad_requests.load(Ordering::Relaxed),
-        )
+    /// The front's own counters as series, declared once: the `"net"`
+    /// object of `/stats` and the `duoquest_net_*` families of `/metrics`.
+    pub fn series(&self) -> [Series<'static>; 9] {
+        let load = |count: &AtomicU64| count.load(Ordering::Relaxed);
+        [
+            Series::new(
+                "accepted",
+                "duoquest_net_connections_accepted_total",
+                "Connections accepted since bind.",
+                Counter(load(&self.accepted)),
+            ),
+            Series::new(
+                "open",
+                "duoquest_net_connections_open",
+                "Currently open connections.",
+                Gauge(self.open.load(Ordering::Relaxed) as u64),
+            ),
+            Series::new(
+                "submits",
+                "duoquest_net_submits_total",
+                "Requests admitted through POST /submit.",
+                Counter(load(&self.submits)),
+            ),
+            Series::new(
+                "completed",
+                "duoquest_net_streams_completed_total",
+                "Submit streams that reached their terminal done event.",
+                Counter(load(&self.completed)),
+            ),
+            Series::new(
+                "admission_shed",
+                "duoquest_net_admission_shed_total",
+                "Requests refused at admission (HTTP 503).",
+                Counter(load(&self.admission_shed)),
+            ),
+            Series::new(
+                "overflow_shed",
+                "duoquest_net_overflow_shed_total",
+                "Runs cut because a connection outbox overflowed (slow reader).",
+                Counter(load(&self.overflow_shed)),
+            ),
+            Series::new(
+                "disconnects",
+                "duoquest_net_disconnects_total",
+                "Runs cut because the client disconnected or wedged mid-stream.",
+                Counter(load(&self.disconnects)),
+            ),
+            Series::new(
+                "remote_cancels",
+                "duoquest_net_remote_cancels_total",
+                "Successful POST /cancel hits.",
+                Counter(load(&self.remote_cancels)),
+            ),
+            Series::new(
+                "bad_requests",
+                "duoquest_net_bad_requests_total",
+                "Requests rejected before admission (bad frame, unknown task).",
+                Counter(load(&self.bad_requests)),
+            ),
+        ]
     }
+}
+
+/// The probe-cache counters as series, declared once: the `"cache"` object
+/// of `/stats` and the `duoquest_db_*` families of `/metrics`.
+fn cache_series(cache: &CacheStats) -> [Series<'static>; 8] {
+    [
+        Series::new(
+            "hits",
+            "duoquest_db_probe_cache_hits_total",
+            "Probes answered from the probe cache, over distinct databases.",
+            Counter(cache.hits),
+        ),
+        Series::new(
+            "misses",
+            "duoquest_db_probe_cache_misses_total",
+            "Probes that had to run the executor, over distinct databases.",
+            Counter(cache.misses),
+        ),
+        Series::new(
+            "bytes",
+            "duoquest_db_probe_cache_bytes",
+            "Estimated bytes of cached probe results currently retained.",
+            Gauge(cache.bytes),
+        ),
+        Series::new(
+            "entries",
+            "duoquest_db_probe_cache_entries",
+            "Cached probe entries currently retained.",
+            Gauge(cache.entries),
+        ),
+        Series::new(
+            "rotations",
+            "duoquest_db_probe_cache_rotations_total",
+            "Probe-cache segment rotations (generations aged out).",
+            Counter(cache.rotations),
+        ),
+        Series::new(
+            "single_flight_lookups",
+            "duoquest_db_single_flight_lookups_total",
+            "In-flight probe table lookups (cache misses that consulted the \
+             single-flight table), over distinct databases.",
+            Counter(cache.single_flight_lookups),
+        ),
+        Series::new(
+            "single_flight_hits",
+            "duoquest_db_single_flight_hits_total",
+            "Probes served by waiting on another session's identical in-flight \
+             execution, over distinct databases.",
+            Counter(cache.single_flight_hits),
+        ),
+        Series::new(
+            "single_flight_leaders",
+            "duoquest_db_single_flight_leaders_total",
+            "Probes elected leader of their single-flight slot (ran the \
+             executor for every waiter), over distinct databases.",
+            Counter(cache.single_flight_leaders),
+        ),
+    ]
 }
 
 /// Everything a connection thread needs, shared behind one `Arc`.
@@ -208,171 +310,43 @@ pub(crate) struct ServerCtx {
 }
 
 impl ServerCtx {
-    /// Server uptime on the service clock (virtual under a `SimClock`).
-    pub(crate) fn uptime(&self) -> Duration {
-        self.clock.now().saturating_duration_since(self.started)
-    }
-
-    /// The `GET /stats` body: live service stats, net counters, per-route
-    /// request counts, and the server's uptime in microseconds.
-    pub(crate) fn stats_json(&self) -> String {
-        format!(
-            "{{\"service\":{},\"net\":{},\"routes\":{},\"uptime_us\":{}}}\n",
-            self.service.stats().to_json(),
-            self.metrics.to_json(),
-            self.metrics.routes.to_json(),
-            self.uptime().as_micros(),
-        )
-    }
-
-    /// The `GET /metrics` body: the whole stack's metric families in the
-    /// Prometheus text format — service counters/histograms (via
-    /// [`SynthesisService::render_metrics`]), the net front's counters and
-    /// per-route counts, uptime, and probe-cache counters aggregated over
-    /// the registry's **distinct** databases (tasks sharing one
-    /// `Arc<Database>` are deduplicated by pointer, so shared caches are
-    /// not double-counted).
-    pub(crate) fn metrics_text(&self) -> String {
-        let mut expo = Exposition::new();
-        self.service.render_metrics(&mut expo);
-        let m = &self.metrics;
-        expo.counter(
-            "duoquest_net_connections_accepted_total",
-            "Connections accepted since bind.",
-            &[],
-            m.accepted.load(Ordering::Relaxed),
-        );
-        expo.gauge(
-            "duoquest_net_connections_open",
-            "Currently open connections.",
-            &[],
-            m.open.load(Ordering::Relaxed) as u64,
-        );
-        expo.counter(
-            "duoquest_net_submits_total",
-            "Requests admitted through POST /submit.",
-            &[],
-            m.submits.load(Ordering::Relaxed),
-        );
-        expo.counter(
-            "duoquest_net_streams_completed_total",
-            "Submit streams that reached their terminal done event.",
-            &[],
-            m.completed.load(Ordering::Relaxed),
-        );
-        expo.counter(
-            "duoquest_net_admission_shed_total",
-            "Requests refused at admission (HTTP 503).",
-            &[],
-            m.admission_shed.load(Ordering::Relaxed),
-        );
-        expo.counter(
-            "duoquest_net_overflow_shed_total",
-            "Runs cut because a connection outbox overflowed (slow reader).",
-            &[],
-            m.overflow_shed.load(Ordering::Relaxed),
-        );
-        expo.counter(
-            "duoquest_net_disconnects_total",
-            "Runs cut because the client disconnected or wedged mid-stream.",
-            &[],
-            m.disconnects.load(Ordering::Relaxed),
-        );
-        expo.counter(
-            "duoquest_net_remote_cancels_total",
-            "Successful POST /cancel hits.",
-            &[],
-            m.remote_cancels.load(Ordering::Relaxed),
-        );
-        expo.counter(
-            "duoquest_net_bad_requests_total",
-            "Requests rejected before admission (bad frame, unknown task).",
-            &[],
-            m.bad_requests.load(Ordering::Relaxed),
-        );
-        for (route, value) in m.routes.entries() {
-            expo.counter(
-                "duoquest_net_requests_total",
-                "HTTP requests by route.",
-                &[("route", route)],
-                value,
-            );
-        }
-        expo.gauge(
+    /// Walk every series the front serves into `surface` — `GET /stats` and
+    /// `GET /metrics` both render this walk. The probe cache is summed over
+    /// the registry's **distinct** databases (deduplicated by `Arc` pointer).
+    pub(crate) fn render(&self, surface: &mut dyn Surface) {
+        surface.open("service");
+        self.service.stats().render(surface);
+        surface.close();
+        surface.section("net", &self.metrics.series());
+        surface.section("routes", &self.metrics.routes.series());
+        surface.series(&Series::new(
+            "uptime_us",
             "duoquest_net_uptime_us",
             "Server uptime in microseconds, on the service clock.",
-            &[],
-            self.uptime().as_micros() as u64,
-        );
-        let mut seen: Vec<*const Database> = Vec::new();
-        let mut cache = CacheStats::default();
+            Gauge(self.clock.now().saturating_duration_since(self.started).as_micros() as u64),
+        ));
+        let mut dbs: Vec<&Arc<Database>> = Vec::new();
         for spec in self.registry.specs() {
-            let ptr = Arc::as_ptr(&spec.db);
-            if seen.contains(&ptr) {
-                continue;
+            if !dbs.iter().any(|db| Arc::ptr_eq(db, &spec.db)) {
+                dbs.push(&spec.db);
             }
-            seen.push(ptr);
-            let stats = spec.db.cache_stats();
-            cache.hits += stats.hits;
-            cache.misses += stats.misses;
-            cache.bytes += stats.bytes;
-            cache.entries += stats.entries;
-            cache.rotations += stats.rotations;
-            cache.single_flight_lookups += stats.single_flight_lookups;
-            cache.single_flight_hits += stats.single_flight_hits;
-            cache.single_flight_leaders += stats.single_flight_leaders;
         }
-        expo.counter(
-            "duoquest_db_probe_cache_hits_total",
-            "Probes answered from the probe cache, over distinct databases.",
-            &[],
-            cache.hits,
-        );
-        expo.counter(
-            "duoquest_db_probe_cache_misses_total",
-            "Probes that had to run the executor, over distinct databases.",
-            &[],
-            cache.misses,
-        );
-        expo.gauge(
-            "duoquest_db_probe_cache_bytes",
-            "Estimated bytes of cached probe results currently retained.",
-            &[],
-            cache.bytes,
-        );
-        expo.gauge(
-            "duoquest_db_probe_cache_entries",
-            "Cached probe entries currently retained.",
-            &[],
-            cache.entries,
-        );
-        expo.counter(
-            "duoquest_db_probe_cache_rotations_total",
-            "Probe-cache segment rotations (generations aged out).",
-            &[],
-            cache.rotations,
-        );
-        expo.counter(
-            "duoquest_db_single_flight_lookups_total",
-            "In-flight probe table lookups (cache misses that consulted the \
-             single-flight table), over distinct databases.",
-            &[],
-            cache.single_flight_lookups,
-        );
-        expo.counter(
-            "duoquest_db_single_flight_hits_total",
-            "Probes served by waiting on another session's identical in-flight \
-             execution, over distinct databases.",
-            &[],
-            cache.single_flight_hits,
-        );
-        expo.counter(
-            "duoquest_db_single_flight_leaders_total",
-            "Probes elected leader of their single-flight slot (ran the \
-             executor for every waiter), over distinct databases.",
-            &[],
-            cache.single_flight_leaders,
-        );
+        let cache: CacheStats = dbs.iter().map(|db| db.cache_stats()).sum();
+        surface.section("cache", &cache_series(&cache));
+    }
+
+    /// The `GET /stats` body: [`ServerCtx::render`] as one JSON object.
+    pub(crate) fn stats_json(&self) -> String {
+        let mut json = JsonObject::default();
+        self.render(&mut json);
+        json.finish() + "\n"
+    }
+
+    /// The `GET /metrics` body: [`ServerCtx::render`] in the Prometheus
+    /// text format.
+    pub(crate) fn metrics_text(&self) -> String {
+        let mut expo = Exposition::default();
+        self.render(&mut expo);
         expo.finish()
     }
 }
@@ -443,6 +417,17 @@ impl NetServer {
         self.ctx.metrics_text()
     }
 
+    /// Check that `GET /stats` and `GET /metrics` serve the same series with
+    /// the same values, and nothing else, and that the exposition is valid;
+    /// returns the number of series. Call it at a quiescent point: only the
+    /// uptime may move, between the two `/stats` reads around the scrape.
+    pub fn audit_surfaces(&self) -> Result<usize, String> {
+        let before = self.ctx.stats_json();
+        let metrics = self.ctx.metrics_text();
+        let after = self.ctx.stats_json();
+        audit([&before, &after], &metrics, |surface| self.ctx.render(surface))
+    }
+
     /// Stop accepting, cancel in-flight streams, and wait up to `grace`
     /// for connection threads to drain. Idempotent.
     pub fn shutdown(&mut self, grace: Duration) {
@@ -473,6 +458,99 @@ impl std::fmt::Debug for NetServer {
             .field("addr", &self.local_addr)
             .field("open_connections", &self.open_connections())
             .finish()
+    }
+}
+
+/// [`NetServer::audit_surfaces`] over two `/stats` bodies and the
+/// `/metrics` body scraped between them; `walk` declares the series.
+fn audit(
+    stats: [&str; 2],
+    metrics: &str,
+    walk: impl FnOnce(&mut dyn Surface),
+) -> Result<usize, String> {
+    let parse = |body: &str| json::Json::parse(body.trim()).map_err(|e| format!("/stats: {e}"));
+    let stats = [parse(stats[0])?, parse(stats[1])?];
+    duoquest_obs::validate_exposition(metrics)?;
+    let samples: Vec<_> = metrics.lines().filter_map(|line| line.rsplit_once(' ')).collect();
+    let samples = samples.into_iter().filter(|(name, _)| !name.starts_with('#'));
+    let samples: Vec<_> = samples.map(|(name, value)| (name, value.parse().ok())).collect();
+    let mut audit = Audit {
+        stats: [&stats[0], &stats[1]],
+        samples: samples.iter().copied().collect(),
+        path: Vec::new(),
+        series: 0,
+        values: [0, 0],
+        errors: Vec::new(),
+    };
+    walk(&mut audit);
+    fn leaves(doc: &json::Json) -> usize {
+        match doc {
+            json::Json::Object(members) => members.iter().map(|(_, v)| leaves(v)).sum(),
+            _ => 1,
+        }
+    }
+    let served = [leaves(&stats[0]), samples.len()];
+    if served != audit.values {
+        audit.errors.push(format!(
+            "/stats holds {} values and /metrics {} samples; the declared series make {:?}",
+            served[0], served[1], audit.values
+        ));
+    }
+    match audit.errors.is_empty() {
+        true => Ok(audit.series),
+        false => Err(audit.errors.join("\n")),
+    }
+}
+
+/// The walk [`audit`] makes: each declared series looked up in the bodies.
+struct Audit<'a> {
+    stats: [&'a json::Json; 2],
+    samples: HashMap<&'a str, Option<u64>>,
+    path: Vec<String>,
+    series: usize,
+    /// Values the declared series put in `/stats` and samples in `/metrics`.
+    values: [usize; 2],
+    errors: Vec<String>,
+}
+
+impl Surface for Audit<'_> {
+    fn series(&mut self, series: &Series<'_>) {
+        self.series += 1;
+        let label = series.label.map(|(name, value)| format!("{{{name}=\"{value}\"}}"));
+        let label = label.unwrap_or_default();
+        let at = format!("{}.{} vs {}{label}", self.path.join("."), series.key, series.family);
+        let stats = |doc: &json::Json, key: &str| {
+            self.path.iter().try_fold(doc, |at, k| at.get(k))?.get(key).cloned()
+        };
+        if let Reading::Histogram(_) = series.reading {
+            self.values[0] += 2;
+            self.values[1] += duoquest_obs::metrics::BUCKETS + 2;
+            let count = self.samples.get(format!("{}_count{label}", series.family).as_str());
+            for suffix in ["_p50_us", "_p95_us"] {
+                let quantile = stats(self.stats[0], &format!("{}{suffix}", series.key));
+                if count.is_none() || quantile.map(|q| q.is_null()) != count.map(|c| c == &Some(0))
+                {
+                    self.errors.push(format!("{at}: {suffix} vs _count {count:?}"));
+                }
+            }
+            return;
+        }
+        self.values[0] += 1;
+        self.values[1] += 1;
+        let [lo, hi] = self.stats.map(|doc| stats(doc, series.key).and_then(|v| v.as_u64()));
+        let sample = self.samples.get(format!("{}{label}", series.family).as_str());
+        match (lo, sample.copied().flatten(), hi) {
+            (Some(lo), Some(value), Some(hi)) if lo <= value && value <= hi => {}
+            (lo, value, hi) => self.errors.push(format!("{at}: {lo:?}..{hi:?} vs {value:?}")),
+        }
+    }
+
+    fn open(&mut self, key: &str) {
+        self.path.push(key.to_string());
+    }
+
+    fn close(&mut self) {
+        self.path.pop();
     }
 }
 
@@ -509,5 +587,40 @@ fn accept_loop(listener: TcpListener, ctx: Arc<ServerCtx>) {
             // Thread exhaustion: shed the connection instead of dying.
             ctx.metrics.open.fetch_sub(1, Ordering::Relaxed);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use duoquest_obs::{Histogram, JsonObject};
+
+    /// The audit's own oracle: bodies rendered from the declarations pass,
+    /// and a value that differs, or that one surface lacks, fails.
+    #[test]
+    fn the_audit_rejects_a_series_served_on_one_surface_only() {
+        let ttfc = Histogram::default().snapshot();
+        let declared = [
+            Series::new("shed", "m_shed_total", "Shed.", Counter(3)).labelled("class", "batch"),
+            Series::new("ttfc", "m_ttfc_us", "TTFC.", Reading::Histogram(&ttfc)),
+        ];
+        let walk = |surface: &mut dyn Surface| surface.section("x", &declared);
+        let mut json = JsonObject::default();
+        walk(&mut json);
+        let stats = json.finish();
+        let mut expo = Exposition::default();
+        walk(&mut expo);
+        let metrics = expo.finish();
+        assert_eq!(audit([&stats, &stats], &metrics, walk), Ok(2));
+
+        let other =
+            metrics.replace("m_shed_total{class=\"batch\"} 3", "m_shed_total{class=\"batch\"} 4");
+        assert!(audit([&stats, &stats], &other, walk).is_err(), "a value differs");
+        let extra = stats.replace("}}", "},\"y\":1}");
+        assert!(audit([&extra, &extra], &metrics, walk).is_err(), "a /stats-only value");
+        let extra = format!("{metrics}# HELP y Y.\n# TYPE y gauge\ny 1\n");
+        assert!(audit([&stats, &stats], &extra, walk).is_err(), "a /metrics-only sample");
+        let only = |surface: &mut dyn Surface| surface.section("x", &declared[1..]);
+        assert!(audit([&stats, &stats], &metrics, only).is_err(), "an undeclared pair");
     }
 }

@@ -370,11 +370,11 @@ fn stats_endpoint_serves_live_service_json() {
 /// `GET /metrics` serves a valid Prometheus exposition reflecting live
 /// counters and `GET /trace/<id>` serves a completed request's timeline;
 /// both reject what they should (malformed id → 400, unknown id → 404,
-/// wrong method → 405), and the `/stats` routes object and the
-/// exposition's per-route counter agree name for name.
+/// wrong method → 405), and `/stats` and `/metrics` serve the same series
+/// with the same values.
 #[test]
 fn metrics_and_trace_routes_serve_the_observability_surface() {
-    let (server, _service) = serve(ServiceConfig::default(), NetConfig::default());
+    let (server, service) = serve(ServiceConfig::default(), NetConfig::default());
     let addr = server.addr();
 
     // One completed request gives both surfaces something to show.
@@ -416,22 +416,19 @@ fn metrics_and_trace_routes_serve_the_observability_surface() {
     let method = client::request(addr, "POST", &format!("/trace/{id}"), None, TIMEOUT).unwrap();
     assert_eq!(method.status, 405);
 
-    // Counter-name audit: every route named by the `/stats` JSON appears as
-    // a `route` label on the exposition's request counter, and vice versa —
-    // both render from the same `RouteCounters::entries()` table.
-    let stats = client::request(addr, "GET", "/stats", None, TIMEOUT).unwrap();
-    let json = Json::parse(stats.body.trim()).unwrap();
-    let scrape = client::request(addr, "GET", "/metrics", None, TIMEOUT).unwrap();
-    for route in ["stats", "submit", "cancel", "metrics", "trace", "other"] {
-        assert!(
-            json.get("routes").and_then(|r| r.get(route)).is_some(),
-            "route {route} missing from /stats"
-        );
-        assert!(
-            scrape.body.contains(&format!("duoquest_net_requests_total{{route=\"{route}\"}}")),
-            "route {route} missing from /metrics"
-        );
+    // Both-surfaces audit, at a quiescent point: every declared series is
+    // in `/stats` and `/metrics` with the same value, and neither body holds
+    // a value the other lacks. 60 series: the service's 4 gauges, 9 per
+    // class (7 scalars and 2 histograms), the pool's 5, the front's 9, 6
+    // routes, the uptime and the probe cache's 8.
+    wait_for_idle(&service, TIMEOUT);
+    let deadline = Instant::now() + TIMEOUT;
+    while server.open_connections() > 0 {
+        assert!(Instant::now() < deadline, "a scrape connection leaked");
+        std::thread::sleep(Duration::from_millis(5));
     }
+    let audited = server.audit_surfaces().unwrap_or_else(|e| panic!("surfaces disagree:\n{e}"));
+    assert_eq!(audited, 60);
 }
 
 #[test]

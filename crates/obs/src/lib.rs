@@ -10,9 +10,10 @@
 //!   real or simulated), so traces recorded under a simulated clock live
 //!   entirely on the virtual timeline.
 //! * [`metrics`] — a metrics registry built for scrape-time assembly:
-//!   log-bucketed mergeable [`Histogram`]s (lock-free atomics, power-of-two
-//!   microsecond buckets) plus an [`Exposition`] builder that renders
-//!   counters, gauges and histograms in the Prometheus text format, and a
+//!   log-bucketed [`Histogram`]s (lock-free atomics, power-of-two
+//!   microsecond buckets), the [`Series`] record each source declares once,
+//!   its two renderings — a [`JsonObject`] (`/stats`) and an [`Exposition`]
+//!   in the Prometheus text format (`/metrics`) — and a
 //!   [`validate_exposition`] checker used by tests and the CI smoke scrape.
 //! * [`flight`] — the [`FlightRecorder`]: a bounded ring of
 //!   recently-completed request [`Trace`]s, queryable by request id and
@@ -35,12 +36,17 @@ pub mod metrics;
 pub mod span;
 
 pub use flight::FlightRecorder;
-pub use metrics::{validate_exposition, Exposition, Histogram};
+pub use metrics::{
+    validate_exposition, Exposition, Histogram, HistogramSnapshot, JsonObject, Reading, Series,
+    Surface,
+};
 pub use span::{SpanRecord, Trace, TraceEvent, ROOT_SPAN, TERMINAL_EVENT};
 
-/// Escape a string for embedding in a JSON document (the same dialect the
-/// rest of the stack hand-rolls; duplicated here because this crate sits
-/// below `duoquest-service`).
+/// Render `s` as a JSON string literal, double quotes included: `"` and `\`
+/// escaped, control characters as `\n` `\r` `\t` `\b` `\f` or `\u00XX`,
+/// everything else raw UTF-8. The stack's one JSON string escaper
+/// (`duoquest_service::json::escape_string` re-exports it): task names and
+/// SQL text are user-reachable and can contain anything.
 pub fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
@@ -51,6 +57,8 @@ pub fn escape_json(s: &str) -> String {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
+            '\u{8}' => out.push_str("\\b"),
+            '\u{c}' => out.push_str("\\f"),
             c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
             c => out.push(c),
         }
@@ -68,5 +76,7 @@ mod tests {
         assert_eq!(escape_json("plain"), "\"plain\"");
         assert_eq!(escape_json("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
         assert_eq!(escape_json("\u{1}"), "\"\\u0001\"");
+        assert_eq!(escape_json("\u{8}"), "\"\\b\"");
+        assert_eq!(escape_json("\u{c}"), "\"\\f\"");
     }
 }

@@ -1,13 +1,14 @@
-//! The metrics registry: log-bucketed mergeable histograms and a
-//! Prometheus-text-format exposition builder.
+//! The metrics registry: log-bucketed histograms, the [`Series`] record and
+//! its two renderings.
 //!
-//! There is no global registry object: the stack's counters already live
-//! where the work happens (service class counters, net front atomics, db
-//! cache stats). The [`Exposition`] builder assembles a scrape **at scrape
-//! time** from those sources; only [`Histogram`]s are live obs-owned state,
-//! because percentile structure cannot be reconstructed from plain
-//! counters after the fact.
+//! There is no global registry object: counters live where the work happens,
+//! and each source declares every series it serves **once** and walks those
+//! declarations into a [`Surface`] at scrape time — a [`JsonObject`] for
+//! `GET /stats`, an [`Exposition`] for `GET /metrics` — so both serve the
+//! same series. Only [`Histogram`]s are obs-owned state: percentile
+//! structure cannot be rebuilt from plain counters after the fact.
 
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -16,18 +17,14 @@ use std::time::Duration;
 pub const BUCKETS: usize = 32;
 
 /// A log-bucketed latency histogram over microseconds: lock-free atomic
-/// buckets at powers of two, mergeable, with nearest-rank quantiles read
-/// from the bucket upper bounds.
+/// buckets at powers of two, read through a [`HistogramSnapshot`].
 ///
 /// This replaces sampling reservoirs: every sample lands (no loss under
-/// load), recording is one atomic add, and two histograms merge by adding
-/// buckets — which is what lets per-class service histograms roll up into
-/// one scrape without retaining samples.
+/// load) and recording is two atomic adds.
 #[derive(Debug, Default)]
 pub struct Histogram {
     buckets: [AtomicU64; BUCKETS],
     sum_us: AtomicU64,
-    count: AtomicU64,
 }
 
 /// Bucket index of a microsecond value: smallest `i` with `v ≤ 2^i`
@@ -46,16 +43,10 @@ pub fn bucket_bound_us(i: usize) -> Option<u64> {
 }
 
 impl Histogram {
-    /// An empty histogram.
-    pub fn new() -> Self {
-        Histogram::default()
-    }
-
     /// Record one sample, in microseconds.
     pub fn record_us(&self, v: u64) {
         self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
         self.sum_us.fetch_add(v, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Record one duration sample.
@@ -63,28 +54,30 @@ impl Histogram {
         self.record_us(d.as_micros() as u64);
     }
 
+    /// The bucket counts and sum as of now.
+    pub fn snapshot(&self) -> HistogramSnapshot {
+        HistogramSnapshot {
+            buckets: std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed)),
+            sum_us: self.sum_us.load(Ordering::Relaxed),
+        }
+    }
+}
+
+/// A [`Histogram`] read at one instant: what a stats snapshot carries and
+/// both surfaces render. Its count is the sum of its buckets, so the `+Inf`
+/// bucket equals `_count` even when samples land during the read.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HistogramSnapshot {
+    /// Per-bucket sample counts.
+    pub buckets: [u64; BUCKETS],
+    /// Sum of all samples, in microseconds.
+    pub sum_us: u64,
+}
+
+impl HistogramSnapshot {
     /// Total samples recorded.
     pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    /// Sum of all samples, in microseconds.
-    pub fn sum_us(&self) -> u64 {
-        self.sum_us.load(Ordering::Relaxed)
-    }
-
-    /// Snapshot of the per-bucket counts.
-    pub fn bucket_counts(&self) -> [u64; BUCKETS] {
-        std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed))
-    }
-
-    /// Merge another histogram into this one (bucket-wise addition).
-    pub fn merge(&self, other: &Histogram) {
-        for i in 0..BUCKETS {
-            self.buckets[i].fetch_add(other.buckets[i].load(Ordering::Relaxed), Ordering::Relaxed);
-        }
-        self.sum_us.fetch_add(other.sum_us.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.count.fetch_add(other.count.load(Ordering::Relaxed), Ordering::Relaxed);
+        self.buckets.iter().sum()
     }
 
     /// Nearest-rank quantile (`q` in `[0, 1]`), reported as the upper bound
@@ -92,14 +85,13 @@ impl Histogram {
     /// power of two. `None` when the histogram is empty. The overflow
     /// bucket reports its lower bound (the largest finite bound).
     pub fn quantile_us(&self, q: f64) -> Option<u64> {
-        let counts = self.bucket_counts();
-        let total: u64 = counts.iter().sum();
+        let total = self.count();
         if total == 0 {
             return None;
         }
         let rank = ((q * total as f64).ceil() as u64).clamp(1, total);
         let mut seen = 0u64;
-        for (i, c) in counts.iter().enumerate() {
+        for (i, c) in self.buckets.iter().enumerate() {
             seen += c;
             if seen >= rank {
                 return Some(bucket_bound_us(i).unwrap_or(1u64 << (BUCKETS - 2)));
@@ -107,94 +99,201 @@ impl Histogram {
         }
         None
     }
+}
 
-    /// [`Histogram::quantile_us`] as a `Duration`.
-    pub fn quantile(&self, q: f64) -> Option<Duration> {
-        self.quantile_us(q).map(Duration::from_micros)
+/// What a series reads: its Prometheus type and its value.
+#[derive(Debug, Clone, Copy)]
+pub enum Reading<'a> {
+    /// A monotone count.
+    Counter(u64),
+    /// A level that can go down.
+    Gauge(u64),
+    /// A latency distribution: its ladder in `/metrics`, its p50 and p95 in
+    /// `/stats`.
+    Histogram(&'a HistogramSnapshot),
+}
+
+/// One series, declared once by the source that counts it and rendered
+/// into both scraping surfaces: under `key` in the `/stats` JSON object,
+/// and as a sample of `family` (carrying `label`) in `/metrics`.
+#[derive(Debug, Clone, Copy)]
+pub struct Series<'a> {
+    /// Key in the `/stats` JSON object; a histogram writes `<key>_p50_us`
+    /// and `<key>_p95_us` (`null` while empty).
+    pub key: &'a str,
+    /// Prometheus family name.
+    pub family: &'static str,
+    /// Prometheus HELP text of the family.
+    pub help: &'static str,
+    /// The label that tells this series from the family's others
+    /// (`class`, `route`), if the family has more than one.
+    pub label: Option<(&'static str, &'a str)>,
+    /// Type and value.
+    pub reading: Reading<'a>,
+}
+
+impl<'a> Series<'a> {
+    /// An unlabelled series.
+    pub fn new(
+        key: &'a str,
+        family: &'static str,
+        help: &'static str,
+        reading: Reading<'a>,
+    ) -> Self {
+        Series { key, family, help, label: None, reading }
+    }
+
+    /// The same series, labelled `name="value"` in `/metrics`.
+    pub fn labelled(self, name: &'static str, value: &'a str) -> Self {
+        Series { label: Some((name, value)), ..self }
     }
 }
 
-/// A Prometheus-text-format scrape under assembly: callers declare each
-/// metric once (`# HELP` / `# TYPE` headers) and append samples; histograms
-/// render their full cumulative `_bucket` / `_sum` / `_count` series.
+/// Where a walk over declared series goes. A source walks its declarations
+/// once per scrape; [`JsonObject`] (`/stats`) and [`Exposition`]
+/// (`/metrics`) are the two surfaces, so neither can serve a series the
+/// other lacks.
+pub trait Surface {
+    /// Render one series.
+    fn series(&mut self, series: &Series<'_>);
+
+    /// Start a nested `/stats` object under `key`; the exposition is flat
+    /// and ignores it.
+    fn open(&mut self, _key: &str) {}
+
+    /// End the innermost nested object.
+    fn close(&mut self) {}
+
+    /// Render `series` inside a nested object under `key`.
+    fn section(&mut self, key: &str, series: &[Series<'_>]) {
+        self.open(key);
+        for s in series {
+            self.series(s);
+        }
+        self.close();
+    }
+}
+
+/// The `/stats` surface: one JSON object, nested by [`Surface::open`].
+#[derive(Debug, Default)]
+pub struct JsonObject(String);
+
+impl JsonObject {
+    fn member(&mut self, key: &str, value: impl std::fmt::Display) {
+        let _ = write!(self.0, "{}:{value},", crate::escape_json(key));
+    }
+
+    /// The finished document.
+    pub fn finish(self) -> String {
+        format!("{{{}}}", self.0.strip_suffix(',').unwrap_or(&self.0))
+    }
+}
+
+impl Surface for JsonObject {
+    fn series(&mut self, series: &Series<'_>) {
+        match series.reading {
+            Reading::Counter(value) | Reading::Gauge(value) => self.member(series.key, value),
+            Reading::Histogram(snapshot) => {
+                for (suffix, q) in [("_p50_us", 0.50), ("_p95_us", 0.95)] {
+                    let us = snapshot.quantile_us(q).map_or("null".into(), |us| us.to_string());
+                    self.member(&format!("{}{suffix}", series.key), us);
+                }
+            }
+        }
+    }
+
+    fn open(&mut self, key: &str) {
+        let _ = write!(self.0, "{}:{{", crate::escape_json(key));
+    }
+
+    fn close(&mut self) {
+        if self.0.ends_with(',') {
+            self.0.pop();
+        }
+        self.0.push_str("},");
+    }
+}
+
+/// The `/metrics` surface: a Prometheus-text-format scrape under assembly.
+/// Each family's `# HELP` / `# TYPE` header and samples are kept together
+/// and written as one contiguous group, in the order families are first
+/// met, whatever order the series arrive in; histograms render their full
+/// cumulative `_bucket` / `_sum` / `_count` series.
 #[derive(Debug, Default)]
 pub struct Exposition {
-    out: String,
-    declared: Vec<String>,
+    families: Vec<(&'static str, String)>,
 }
 
 impl Exposition {
-    /// An empty scrape.
-    pub fn new() -> Self {
-        Exposition::default()
-    }
-
-    fn declare(&mut self, name: &str, kind: &str, help: &str) {
-        if self.declared.iter().any(|n| n == name) {
-            return;
-        }
-        self.declared.push(name.to_string());
-        self.out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
-    }
-
-    fn sample(&mut self, name: &str, labels: &[(&str, &str)], value: u64) {
-        if labels.is_empty() {
-            self.out.push_str(&format!("{name} {value}\n"));
-        } else {
-            let labels = labels
-                .iter()
-                .map(|(k, v)| format!("{k}=\"{}\"", v.replace('\\', "\\\\").replace('"', "\\\"")))
-                .collect::<Vec<_>>()
-                .join(",");
-            self.out.push_str(&format!("{name}{{{labels}}} {value}\n"));
-        }
-    }
-
-    /// Declare (first use) and append a counter sample.
-    pub fn counter(&mut self, name: &str, help: &str, labels: &[(&str, &str)], value: u64) {
-        self.declare(name, "counter", help);
-        self.sample(name, labels, value);
-    }
-
-    /// Declare (first use) and append a gauge sample.
-    pub fn gauge(&mut self, name: &str, help: &str, labels: &[(&str, &str)], value: u64) {
-        self.declare(name, "gauge", help);
-        self.sample(name, labels, value);
-    }
-
-    /// Declare (first use) and append one histogram series: cumulative
-    /// `_bucket{le=…}` lines ending in `le="+Inf"`, plus `_sum` and
-    /// `_count`.
-    pub fn histogram(&mut self, name: &str, help: &str, labels: &[(&str, &str)], h: &Histogram) {
-        self.declare(name, "histogram", help);
-        let counts = h.bucket_counts();
-        let mut cumulative = 0u64;
-        let bucket_name = format!("{name}_bucket");
-        for (i, c) in counts.iter().enumerate() {
-            cumulative += c;
-            let le = match bucket_bound_us(i) {
-                Some(bound) => bound.to_string(),
-                None => "+Inf".to_string(),
-            };
-            let mut with_le: Vec<(&str, &str)> = labels.to_vec();
-            with_le.push(("le", &le));
-            self.sample(&bucket_name, &with_le, cumulative);
-        }
-        self.sample(&format!("{name}_sum"), labels, h.sum_us());
-        self.sample(&format!("{name}_count"), labels, h.count());
+    /// The text of `family`, headed on first use.
+    fn family(&mut self, family: &'static str, kind: &str, help: &str) -> &mut String {
+        let at = match self.families.iter().position(|(name, _)| *name == family) {
+            Some(at) => at,
+            None => {
+                let header = format!("# HELP {family} {help}\n# TYPE {family} {kind}\n");
+                self.families.push((family, header));
+                self.families.len() - 1
+            }
+        };
+        &mut self.families[at].1
     }
 
     /// The assembled scrape body.
     pub fn finish(self) -> String {
-        self.out
+        self.families.into_iter().map(|(_, text)| text).collect()
+    }
+}
+
+/// Append one sample line.
+fn sample(out: &mut String, name: &str, labels: &[(&str, &str)], value: u64) {
+    out.push_str(name);
+    if !labels.is_empty() {
+        let labels = labels
+            .iter()
+            .map(|(k, v)| format!("{k}=\"{}\"", v.replace('\\', "\\\\").replace('"', "\\\"")))
+            .collect::<Vec<_>>()
+            .join(",");
+        let _ = write!(out, "{{{labels}}}");
+    }
+    let _ = writeln!(out, " {value}");
+}
+
+impl Surface for Exposition {
+    fn series(&mut self, series: &Series<'_>) {
+        let name = series.family;
+        let labels = series.label.as_slice();
+        match series.reading {
+            Reading::Counter(value) => {
+                sample(self.family(name, "counter", series.help), name, labels, value)
+            }
+            Reading::Gauge(value) => {
+                sample(self.family(name, "gauge", series.help), name, labels, value)
+            }
+            Reading::Histogram(snapshot) => {
+                let out = self.family(name, "histogram", series.help);
+                let bucket_name = format!("{name}_bucket");
+                let mut cumulative = 0u64;
+                for (i, c) in snapshot.buckets.iter().enumerate() {
+                    cumulative += c;
+                    let le = bucket_bound_us(i).map_or("+Inf".into(), |b| b.to_string());
+                    let mut with_le = labels.to_vec();
+                    with_le.push(("le", &le));
+                    sample(out, &bucket_name, &with_le, cumulative);
+                }
+                sample(out, &format!("{name}_sum"), labels, snapshot.sum_us);
+                sample(out, &format!("{name}_count"), labels, cumulative);
+            }
+        }
     }
 }
 
 /// Validate Prometheus text-format well-formedness: header syntax, sample
-/// syntax, metric-name lexicon, every sample preceded by a `# TYPE` for its
-/// base name, and histogram invariants (every `_bucket` has `le`, buckets
-/// are cumulative, the `+Inf` bucket equals `_count`). Used by unit tests
-/// and by the CI smoke step that scrapes `GET /metrics` under load.
+/// syntax, metric-name lexicon, at most one `# HELP` and one `# TYPE` per
+/// name, every sample preceded by a `# TYPE` for its base name, each
+/// family's samples one contiguous group, and histogram invariants (every
+/// `_bucket` has `le`, buckets are cumulative, the `+Inf` bucket equals
+/// `_count`). Used by unit tests and by the CI smoke step that scrapes
+/// `GET /metrics` under load.
 pub fn validate_exposition(text: &str) -> Result<(), String> {
     fn valid_name(name: &str) -> bool {
         !name.is_empty()
@@ -202,10 +301,16 @@ pub fn validate_exposition(text: &str) -> Result<(), String> {
             && name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
     }
 
-    let mut typed: Vec<(String, String)> = Vec::new(); // (name, kind)
-                                                       // Per histogram **series** (base name + non-`le` labels — each label set
-                                                       // is its own cumulative ladder): (last cumulative bucket value, saw
-                                                       // +Inf, +Inf value, count value).
+    // Every (name, kind) with a `# TYPE`, and every (keyword, name) header.
+    let mut typed: Vec<(String, String)> = Vec::new();
+    let mut headers: Vec<(&str, &str)> = Vec::new();
+    // The family whose samples came last, and every family whose group of
+    // samples has ended.
+    let mut current: Option<String> = None;
+    let mut ended: Vec<String> = Vec::new();
+    // Per histogram **series** (base name + non-`le` labels — each label set
+    // is its own cumulative ladder): (last cumulative bucket value, saw
+    // +Inf, +Inf value, count value).
     let mut hist: std::collections::HashMap<String, (u64, bool, u64, Option<u64>)> =
         std::collections::HashMap::new();
 
@@ -218,6 +323,10 @@ pub fn validate_exposition(text: &str) -> Result<(), String> {
             let mut parts = rest.splitn(3, ' ');
             let keyword = parts.next().unwrap_or_default();
             let name = parts.next().unwrap_or_default();
+            if headers.contains(&(keyword, name)) {
+                return Err(format!("line {human}: second {keyword} for {name:?}"));
+            }
+            headers.push((keyword, name));
             match keyword {
                 "HELP" => {
                     if !valid_name(name) {
@@ -275,6 +384,12 @@ pub fn validate_exposition(text: &str) -> Result<(), String> {
         if !typed.iter().any(|(n, _)| *n == base) {
             return Err(format!("line {human}: sample {name:?} has no preceding # TYPE"));
         }
+        if current.as_deref() != Some(base.as_str()) {
+            if ended.contains(&base) {
+                return Err(format!("line {human}: samples of {base:?} are not one group"));
+            }
+            ended.extend(current.replace(base.clone()));
+        }
         if name.ends_with("_bucket") && typed.iter().any(|(n, k)| *n == base && k == "histogram") {
             let labels = labels.unwrap_or_default();
             let mut series: Vec<&str> = Vec::new();
@@ -329,6 +444,7 @@ pub fn validate_exposition(text: &str) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use Reading::{Counter, Gauge};
 
     #[test]
     fn bucket_index_is_smallest_covering_power_of_two() {
@@ -344,45 +460,50 @@ mod tests {
 
     #[test]
     fn histogram_quantiles_are_bucket_upper_bounds() {
-        let h = Histogram::new();
-        assert_eq!(h.quantile_us(0.5), None);
+        let h = Histogram::default();
+        assert_eq!(h.snapshot().quantile_us(0.5), None);
         for v in [1u64, 2, 3, 100, 100, 100, 5000, 100_000] {
             h.record_us(v);
         }
-        assert_eq!(h.count(), 8);
-        assert_eq!(h.sum_us(), 105_306);
+        let snapshot = h.snapshot();
+        assert_eq!(snapshot.count(), 8);
+        assert_eq!(snapshot.sum_us, 105_306);
         // p50 lands in the bucket covering 100 (le=128).
-        assert_eq!(h.quantile_us(0.5), Some(128));
+        assert_eq!(snapshot.quantile_us(0.5), Some(128));
         // p100 lands in the bucket covering 100_000 (le=131072).
-        assert_eq!(h.quantile_us(1.0), Some(131_072));
-    }
-
-    #[test]
-    fn histograms_merge_bucketwise() {
-        let a = Histogram::new();
-        let b = Histogram::new();
-        a.record_us(10);
-        b.record_us(10);
-        b.record_us(1_000_000);
-        a.merge(&b);
-        assert_eq!(a.count(), 3);
-        assert_eq!(a.sum_us(), 1_000_020);
-        assert_eq!(a.quantile_us(0.5), Some(16));
+        assert_eq!(snapshot.quantile_us(1.0), Some(131_072));
     }
 
     #[test]
     fn exposition_renders_and_validates() {
-        let h = Histogram::new();
+        let h = Histogram::default();
         h.record_us(50);
         h.record_us(700);
-        let mut expo = Exposition::new();
-        expo.counter("duoquest_requests_total", "Requests.", &[("class", "interactive")], 3);
-        expo.counter("duoquest_requests_total", "Requests.", &[("class", "batch")], 1);
-        expo.gauge("duoquest_live_sessions", "Live sessions.", &[], 2);
-        expo.histogram("duoquest_ttfc_us", "TTFC in microseconds.", &[], &h);
+        let ttfc = h.snapshot();
+        let requests = |class, value| {
+            Series::new("requests", "duoquest_requests_total", "Requests.", Counter(value))
+                .labelled("class", class)
+        };
+        let mut expo = Exposition::default();
+        expo.series(&requests("interactive", 3));
+        expo.series(&Series::new("live", "duoquest_live_sessions", "Live sessions.", Gauge(2)));
+        expo.series(&Series::new(
+            "ttfc",
+            "duoquest_ttfc_us",
+            "TTFC in microseconds.",
+            Reading::Histogram(&ttfc),
+        ));
+        // A family met again later still renders as one group.
+        expo.series(&requests("batch", 1));
         let text = expo.finish();
         assert!(text.contains("# TYPE duoquest_requests_total counter"), "{text}");
-        assert!(text.contains("duoquest_requests_total{class=\"interactive\"} 3"), "{text}");
+        assert!(
+            text.contains(
+                "duoquest_requests_total{class=\"interactive\"} 3\n\
+             duoquest_requests_total{class=\"batch\"} 1\n"
+            ),
+            "{text}"
+        );
         assert!(text.contains("le=\"+Inf\"} 2"), "{text}");
         assert!(text.contains("duoquest_ttfc_us_sum 750"), "{text}");
         validate_exposition(&text).expect("well-formed exposition");
@@ -391,17 +512,53 @@ mod tests {
     }
 
     #[test]
+    fn json_object_nests_sections_and_renders_histograms_as_quantiles() {
+        let h = Histogram::default();
+        let empty = h.snapshot();
+        h.record_us(50);
+        let one = h.snapshot();
+        let mut json = JsonObject::default();
+        json.series(&Series::new("live", "duoquest_live_sessions", "Live.", Gauge(2)));
+        json.open("classes");
+        json.section(
+            "batch",
+            &[
+                Series::new("shed", "duoquest_shed_total", "Shed.", Counter(1))
+                    .labelled("class", "batch"),
+                Series::new("ttfc", "duoquest_ttfc_us", "TTFC.", Reading::Histogram(&one)),
+            ],
+        );
+        json.section(
+            "background",
+            &[Series::new("ttfc", "duoquest_ttfc_us", "TTFC.", Reading::Histogram(&empty))],
+        );
+        json.close();
+        json.section("empty", &[]);
+        assert_eq!(
+            json.finish(),
+            "{\"live\":2,\"classes\":{\"batch\":{\"shed\":1,\"ttfc_p50_us\":64,\"ttfc_p95_us\":64},\
+             \"background\":{\"ttfc_p50_us\":null,\"ttfc_p95_us\":null}},\"empty\":{}}"
+        );
+    }
+
+    #[test]
     fn validator_treats_each_label_set_as_its_own_cumulative_series() {
         // Two class series of one histogram family: the second restarts at
         // zero, which is fine — cumulativeness is per series, not per
         // family. (Regression: the net_load scrape tripped on this.)
-        let busy = Histogram::new();
+        let busy = Histogram::default();
         busy.record_us(50);
         busy.record_us(700);
-        let idle = Histogram::new();
-        let mut expo = Exposition::new();
-        expo.histogram("duoquest_ttfc_us", "TTFC.", &[("class", "interactive")], &busy);
-        expo.histogram("duoquest_ttfc_us", "TTFC.", &[("class", "batch")], &idle);
+        let (busy, idle) = (busy.snapshot(), Histogram::default().snapshot());
+        let mut expo = Exposition::default();
+        expo.series(
+            &Series::new("ttfc", "duoquest_ttfc_us", "TTFC.", Reading::Histogram(&busy))
+                .labelled("class", "interactive"),
+        );
+        expo.series(
+            &Series::new("ttfc", "duoquest_ttfc_us", "TTFC.", Reading::Histogram(&idle))
+                .labelled("class", "batch"),
+        );
         validate_exposition(&expo.finish()).expect("per-series cumulative ladders");
     }
 
@@ -418,5 +575,18 @@ mod tests {
         assert!(validate_exposition(not_cumulative).is_err());
         let inf_mismatch = "# TYPE m histogram\nm_bucket{le=\"+Inf\"} 3\nm_sum 1\nm_count 4\n";
         assert!(validate_exposition(inf_mismatch).is_err());
+        // Prometheus text format 0.0.4: a family's samples are one group,
+        // and a name has at most one TYPE and one HELP line.
+        let split_family = "# TYPE m counter\n# TYPE n counter\nm{a=\"1\"} 1\nn 1\nm{a=\"2\"} 1\n";
+        assert!(validate_exposition(split_family).is_err());
+        assert!(validate_exposition("# TYPE m counter\n# TYPE m counter\nm 1\n").is_err());
+        assert!(validate_exposition("# TYPE m counter\n# TYPE m gauge\nm 1\n").is_err());
+        assert!(
+            validate_exposition("# HELP m One.\n# HELP m Two.\n# TYPE m counter\nm 1\n").is_err()
+        );
+        // The same shapes, well-formed, pass.
+        let grouped = "# HELP m One.\n# TYPE m counter\n# TYPE n counter\nm{a=\"1\"} 1\n\
+             m{a=\"2\"} 1\nn 1\n";
+        assert_eq!(validate_exposition(grouped), Ok(()));
     }
 }

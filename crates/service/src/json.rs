@@ -1,10 +1,10 @@
-//! A minimal JSON reader for the hand-rolled `to_json` outputs of the stats
-//! types ([`ServiceStats`](crate::ServiceStats),
-//! `duoquest_core::EnumerationStats`, …).
+//! A minimal JSON reader for the documents the stack writes: the `/stats`
+//! object (`duoquest_obs::JsonObject`), traces, and the wire protocol's
+//! frames and events.
 //!
 //! The vendored `serde` stand-ins have no-op derives and there is no
-//! `serde_json` offline, so metric emission is hand-rolled string building —
-//! this module is the matching reader, used by the round-trip tests and
+//! `serde_json` offline, so emission is hand-rolled string building — this
+//! module is the matching reader, used by the round-trip tests and
 //! available to scrapers that want typed access without a JSON dependency.
 //! It supports the full JSON value grammar (objects, arrays, strings with
 //! escapes, numbers, booleans, null) and reads a document in time linear in
@@ -24,35 +24,9 @@
 /// the whole process — unacceptable for a parser fed from a socket).
 pub const MAX_DEPTH: usize = 64;
 
-/// Render `text` as a JSON string literal, double quotes included.
-///
-/// Control characters (U+0000..U+001F) are escaped (`\n`, `\r`, `\t`,
-/// `\u00XX`), as are `"` and `\`; everything else — non-ASCII included —
-/// passes through as raw UTF-8, which the JSON grammar permits and
-/// [`Json::parse`] round-trips exactly. Every string the stats emitters and
-/// the wire protocol embed in JSON must go through here: task names and SQL
-/// candidate text are user-reachable and can contain anything.
-pub fn escape_string(text: &str) -> String {
-    let mut out = String::with_capacity(text.len() + 2);
-    out.push('"');
-    for ch in text.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{8}' => out.push_str("\\b"),
-            '\u{c}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
+/// The stack's one JSON string escaper, from the obs crate below this one;
+/// [`Json::parse`] round-trips its output exactly.
+pub use duoquest_obs::escape_json as escape_string;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]

@@ -34,9 +34,10 @@
 //! A live request is a **scheduler-driven session** (see `docs/DRIVER.md`):
 //! its serial round loop is a state machine parked inside the pool, resumed
 //! by whichever worker pops it next — `workers` sessions advance at once. The
-//! service therefore spawns **zero** per-request OS threads —
-//! [`ServiceStats::driver_threads`] reports 0 — and `max_live_sessions` can
-//! sit in the thousands, bounded by memory rather than thread count.
+//! service therefore spawns **zero** per-request OS threads (the
+//! process-thread-count check in `tests/determinism.rs` holds the count flat
+//! under 256 live sessions) and `max_live_sessions` can sit in the
+//! thousands, bounded by memory rather than thread count.
 //!
 //! * **Priorities** ([`PriorityClass`]) weight the shared pool's round-robin
 //!   on top of beam width: an interactive session gets 16× the per-rotation
@@ -55,10 +56,11 @@
 //! * **Admission control** bounds live sessions and the waiting queue;
 //!   overflow is shed at submit time with [`AdmissionError::Overloaded`].
 //! * **Observability**: [`SynthesisService::stats`] snapshots per-class queue
-//!   depth, p50/p95 time-to-first-candidate, the cancelled/shed/expired
-//!   counters, the live-session high-water mark and the (always-zero)
-//!   per-request driver-thread count, JSON-renderable via
-//!   [`ServiceStats::to_json`].
+//!   depth, the time-to-first-candidate and queue-wait histograms, the
+//!   cancelled/shed/expired counters, the live-session high-water mark and
+//!   the flight recorder's depth. Each series is declared once
+//!   ([`ServiceStats::render`]), and the network front's `GET /stats` (JSON)
+//!   and `GET /metrics` (Prometheus) both render that one walk.
 //!
 //! Completed requests keep the engine's determinism contract: for a fixed
 //! configuration the emitted candidate sequence is byte-identical to a
@@ -123,7 +125,7 @@ use duoquest_core::{
     system_clock, Candidate, DrivenOutcome, SchedulerHandle, SessionControl, SessionScheduler,
     SharedClock, SynthesisResult, SynthesisSession,
 };
-use duoquest_obs::{Exposition, FlightRecorder, Histogram, Trace, ROOT_SPAN, TERMINAL_EVENT};
+use duoquest_obs::{FlightRecorder, Histogram, Trace, ROOT_SPAN, TERMINAL_EVENT};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Sender};
@@ -134,6 +136,7 @@ use std::time::{Duration, Instant};
 /// histograms are `duoquest_obs` log-bucketed atomics — unlike the sampling
 /// reservoir they replaced, every request lands (no loss under load) and
 /// recording is lock-free.
+#[derive(Default)]
 struct ClassCounters {
     submitted: AtomicU64,
     completed: AtomicU64,
@@ -144,24 +147,6 @@ struct ClassCounters {
     ttfc: Histogram,
     /// Time from submission to run start (admission queue wait).
     queue_wait: Histogram,
-}
-
-impl ClassCounters {
-    fn new() -> Self {
-        ClassCounters {
-            submitted: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            cancelled: AtomicU64::new(0),
-            expired: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
-            ttfc: Histogram::new(),
-            queue_wait: Histogram::new(),
-        }
-    }
-
-    fn record_ttfc(&self, sample: Duration) {
-        self.ttfc.record(sample);
-    }
 }
 
 /// A streaming candidate sink attached at submit time (see
@@ -365,7 +350,7 @@ impl Shared {
                 if slot.is_none() {
                     let sample = shared.clock.now().saturating_duration_since(submitted);
                     *slot = Some(sample);
-                    shared.counters[class.index()].record_ttfc(sample);
+                    shared.counters[class.index()].ttfc.record(sample);
                 }
             }
             // Each delivery is a traced span: with the net front attached the
@@ -555,7 +540,7 @@ impl SynthesisService {
             clock,
             started,
             state: Mutex::new(Admission::default()),
-            counters: std::array::from_fn(|_| ClassCounters::new()),
+            counters: Default::default(),
             shutdown: AtomicBool::new(false),
             live_peak: AtomicUsize::new(0),
             flight,
@@ -748,147 +733,15 @@ impl SynthesisService {
         self.shared.flight.ids()
     }
 
-    /// Append the service's metric families to a Prometheus exposition
-    /// (the `GET /metrics` body on the network front): per-class request
-    /// counters, admission gauges, the TTFC and queue-wait histograms, the
-    /// flight-recorder depth and the scheduler pool's load. Metric names
-    /// carry the `duoquest_` prefix; per-class series are labelled
-    /// `class="interactive" | "batch" | "background"`.
-    pub fn render_metrics(&self, expo: &mut Exposition) {
-        let per_class_counter =
-            |expo: &mut Exposition,
-             name: &str,
-             help: &str,
-             pick: &dyn Fn(&ClassCounters) -> &AtomicU64| {
-                for (i, class) in PriorityClass::ALL.iter().enumerate() {
-                    let value = pick(&self.shared.counters[i]).load(Ordering::Relaxed);
-                    expo.counter(name, help, &[("class", class.label())], value);
-                }
-            };
-        per_class_counter(
-            expo,
-            "duoquest_requests_submitted_total",
-            "Requests admitted (started or queued) since the service started.",
-            &|c| &c.submitted,
-        );
-        per_class_counter(
-            expo,
-            "duoquest_requests_completed_total",
-            "Requests that ran to completion.",
-            &|c| &c.completed,
-        );
-        per_class_counter(
-            expo,
-            "duoquest_requests_cancelled_total",
-            "Requests cancelled (explicitly, by a dropped ticket, or at shutdown).",
-            &|c| &c.cancelled,
-        );
-        per_class_counter(
-            expo,
-            "duoquest_requests_expired_total",
-            "Requests that hit their deadline, running or queued.",
-            &|c| &c.expired,
-        );
-        per_class_counter(
-            expo,
-            "duoquest_requests_shed_total",
-            "Requests refused at admission (live and queue bounds exhausted).",
-            &|c| &c.shed,
-        );
-        let (live_per_class, queued_per_class, live, queued) = {
-            let state = self.shared.state.lock().expect("service state poisoned");
-            let live_per: [u64; 3] = std::array::from_fn(|i| {
-                state.live.iter().filter(|l| l.class == PriorityClass::ALL[i]).count() as u64
-            });
-            let queued_per: [u64; 3] = std::array::from_fn(|i| state.queued[i].len() as u64);
-            (live_per, queued_per, state.live.len() as u64, state.queued_total() as u64)
-        };
-        for (i, class) in PriorityClass::ALL.iter().enumerate() {
-            expo.gauge(
-                "duoquest_requests_live",
-                "Requests currently running.",
-                &[("class", class.label())],
-                live_per_class[i],
-            );
-        }
-        for (i, class) in PriorityClass::ALL.iter().enumerate() {
-            expo.gauge(
-                "duoquest_requests_queued",
-                "Requests currently waiting in the admission queue.",
-                &[("class", class.label())],
-                queued_per_class[i],
-            );
-        }
-        for (i, class) in PriorityClass::ALL.iter().enumerate() {
-            expo.histogram(
-                "duoquest_ttfc_us",
-                "Time from submission to first candidate, microseconds.",
-                &[("class", class.label())],
-                &self.shared.counters[i].ttfc,
-            );
-        }
-        for (i, class) in PriorityClass::ALL.iter().enumerate() {
-            expo.histogram(
-                "duoquest_queue_wait_us",
-                "Time from submission to run start, microseconds.",
-                &[("class", class.label())],
-                &self.shared.counters[i].queue_wait,
-            );
-        }
-        expo.gauge("duoquest_live_sessions", "Requests currently running, all classes.", &[], live);
-        expo.gauge(
-            "duoquest_queued_requests",
-            "Requests currently queued, all classes.",
-            &[],
-            queued,
-        );
-        expo.gauge(
-            "duoquest_live_sessions_peak",
-            "High-water mark of concurrently live requests.",
-            &[],
-            self.shared.live_peak.load(Ordering::Relaxed) as u64,
-        );
-        expo.gauge(
-            "duoquest_flight_traces",
-            "Completed request traces retained by the flight recorder.",
-            &[],
-            self.shared.flight.len() as u64,
-        );
-        let sched = self.shared.handle.stats();
-        expo.gauge(
-            "duoquest_scheduler_workers",
-            "Worker threads owned by the shared pool.",
-            &[],
-            sched.workers as u64,
-        );
-        expo.gauge(
-            "duoquest_scheduler_busy_workers",
-            "Pool workers currently executing a unit.",
-            &[],
-            sched.busy_workers as u64,
-        );
-        expo.gauge(
-            "duoquest_scheduler_queue_depth",
-            "Work units queued in the pool and not yet picked up.",
-            &[],
-            sched.queue_depth as u64,
-        );
-        expo.counter(
-            "duoquest_scheduler_units_executed_total",
-            "Work units executed since the pool started.",
-            &[],
-            sched.units_executed,
-        );
-    }
-
-    /// Snapshot the service: per-class admission state, counters and TTFC
-    /// percentiles, plus the scheduler pool's load.
+    /// Snapshot the service: per-class admission state, counters and
+    /// latency histograms, the flight recorder's depth and the scheduler
+    /// pool's load — everything `GET /stats` and `GET /metrics` serve
+    /// ([`ServiceStats::render`]).
     pub fn stats(&self) -> ServiceStats {
         let state = self.shared.state.lock().expect("service state poisoned");
         let classes = std::array::from_fn(|i| {
             let class = PriorityClass::ALL[i];
             let counters = &self.shared.counters[i];
-            let (p50, p95) = (counters.ttfc.quantile(0.50), counters.ttfc.quantile(0.95));
             ClassStats {
                 class,
                 queued: state.queued[i].len(),
@@ -898,15 +751,15 @@ impl SynthesisService {
                 cancelled: counters.cancelled.load(Ordering::Relaxed),
                 expired: counters.expired.load(Ordering::Relaxed),
                 shed: counters.shed.load(Ordering::Relaxed),
-                ttfc_p50: p50,
-                ttfc_p95: p95,
+                ttfc: counters.ttfc.snapshot(),
+                queue_wait: counters.queue_wait.snapshot(),
             }
         });
         ServiceStats {
             live_sessions: state.live.len(),
-            queued_requests: state.queued.iter().map(|q| q.len()).sum(),
+            queued_requests: state.queued_total(),
             live_sessions_peak: self.shared.live_peak.load(Ordering::Relaxed),
-            driver_threads: 0,
+            flight_traces: self.shared.flight.len(),
             classes,
             scheduler: self.shared.handle.stats(),
         }
@@ -1031,7 +884,7 @@ mod tests {
         assert!(matches!(shed, Err(AdmissionError::Overloaded { .. })), "{shed:?}");
         let stats = service.stats();
         assert_eq!(stats.class(PriorityClass::Batch).shed, 1);
-        assert_eq!(stats.total_shed(), 1);
+        assert_eq!(stats.classes.iter().map(|c| c.shed).sum::<u64>(), 1);
 
         // The interactive request (submitted after the background one) is
         // promoted first once the live slot frees.
@@ -1213,22 +1066,27 @@ mod tests {
             service.submit(request(&db, 10).with_priority(PriorityClass::Batch)).unwrap().wait();
         assert_eq!(outcome.status, RequestStatus::Completed);
         let stats = service.stats();
-        let parsed = json::Json::parse(&stats.to_json()).expect("stats JSON parses");
+        let mut body = duoquest_obs::JsonObject::default();
+        stats.render(&mut body);
+        let parsed = json::Json::parse(&body.finish()).expect("stats JSON parses");
         let batch = parsed.get("classes").and_then(|c| c.get("batch")).expect("batch section");
         assert_eq!(batch.get("completed").and_then(json::Json::as_u64), Some(1));
         assert_eq!(batch.get("submitted").and_then(json::Json::as_u64), Some(1));
         assert_eq!(
             batch.get("ttfc_p50_us").and_then(json::Json::as_u64),
-            stats.class(PriorityClass::Batch).ttfc_p50.map(|d| d.as_micros() as u64)
+            stats.class(PriorityClass::Batch).ttfc.quantile_us(0.50)
+        );
+        assert_eq!(
+            batch.get("queue_wait_p95_us").and_then(json::Json::as_u64),
+            stats.class(PriorityClass::Batch).queue_wait.quantile_us(0.95)
         );
         assert_eq!(
             parsed.get("live_sessions").and_then(json::Json::as_u64),
             Some(stats.live_sessions as u64)
         );
         assert_eq!(
-            parsed.get("driver_threads").and_then(json::Json::as_u64),
-            Some(0),
-            "the thread-free serving contract is part of the scraping surface"
+            parsed.get("flight_traces").and_then(json::Json::as_u64),
+            Some(stats.flight_traces as u64)
         );
         assert_eq!(
             parsed.get("live_sessions_peak").and_then(json::Json::as_u64),

@@ -2,8 +2,8 @@
 //! mixed-priority requests** admitted live onto a **2-worker** pool — a
 //! 256:1 live-session-to-thread ratio that would have required 512 driver
 //! threads before the scheduler-resumable state machine. Asserts every
-//! request completes, the service reports zero per-request driver threads,
-//! and nothing is left behind in the pool.
+//! request completes, live sessions stack beyond the worker count, and
+//! nothing is left behind in the pool.
 //!
 //! Run with: `cargo run --release --example many_sessions` (a CI smoke step).
 
@@ -52,11 +52,10 @@ fn main() {
     let submitted_in = started.elapsed();
 
     let mid = service.stats();
-    assert_eq!(mid.driver_threads, 0, "no per-request driver threads may exist");
     println!(
         "{REQUESTS} mixed-priority requests live on {WORKERS} pool workers \
-         (submitted in {submitted_in:.1?}; live now: {}, driver threads: {})",
-        mid.live_sessions, mid.driver_threads,
+         (submitted in {submitted_in:.1?}; live now: {})",
+        mid.live_sessions,
     );
 
     let mut completed = 0usize;
@@ -73,7 +72,6 @@ fn main() {
     assert_eq!(completed, REQUESTS);
     assert_eq!(stats.live_sessions, 0, "every slot must be released");
     assert_eq!(stats.scheduler.queue_depth, 0, "no units left behind");
-    assert_eq!(stats.driver_threads, 0);
     assert!(
         stats.live_sessions_peak > WORKERS,
         "live sessions must stack beyond the worker count (peak {})",
@@ -92,8 +90,8 @@ fn main() {
             "  {:<12} completed={:<4} ttfc p50={} p95={}",
             class.label(),
             cl.completed,
-            cl.ttfc_p50.map(|d| format!("{d:.1?}")).unwrap_or_else(|| "-".into()),
-            cl.ttfc_p95.map(|d| format!("{d:.1?}")).unwrap_or_else(|| "-".into()),
+            cl.ttfc.quantile_us(0.50).map(|us| format!("{us}µs")).unwrap_or_else(|| "-".into()),
+            cl.ttfc.quantile_us(0.95).map(|us| format!("{us}µs")).unwrap_or_else(|| "-".into()),
         );
     }
 

@@ -14,7 +14,9 @@
 //! * every request completes, and its candidate lines are byte-identical
 //!   to an in-process submission of the same task;
 //! * nothing is shed and no connection drops under full load;
-//! * service and front drain back to idle (no leaked slot, thread or fd).
+//! * service and front drain back to idle (no leaked slot, thread or fd);
+//! * after the drain, `/metrics` is well-formed and serves every series of
+//!   `/stats` with the same value (`NetServer::audit_surfaces`).
 //!
 //! Printed: client-side TTFC percentiles, shed/disconnect tallies, and the
 //! live `/stats` JSON.
@@ -267,32 +269,19 @@ fn main() {
         .body;
     println!("live /stats after drain: {}", stats_body.trim());
 
-    // ── scrape /metrics: well-formed Prometheus text with the full set ────
+    // ── scrape /metrics: well-formed, and the same series as /stats ───────
     let scrape = client::request(addr, "GET", "/metrics", None, Duration::from_secs(10))
         .expect("metrics scrape after load");
     assert_eq!(scrape.status, 200, "metrics scrape got a non-200");
     duoquest::obs::validate_exposition(&scrape.body)
         .unwrap_or_else(|e| panic!("malformed /metrics exposition: {e}"));
-    for needed in [
-        "duoquest_requests_submitted_total",
-        "duoquest_requests_completed_total",
-        "duoquest_ttfc_us_bucket",
-        "duoquest_queue_wait_us_count",
-        "duoquest_live_sessions",
-        "duoquest_flight_traces",
-        "duoquest_scheduler_units_executed_total",
-        "duoquest_net_requests_total{route=\"submit\"}",
-        "duoquest_net_connections_accepted_total",
-        "duoquest_net_uptime_us",
-        "duoquest_db_probe_cache_hits_total",
-        "duoquest_db_single_flight_lookups_total",
-        "duoquest_db_single_flight_hits_total",
-        "duoquest_db_single_flight_leaders_total",
-    ] {
-        assert!(scrape.body.contains(needed), "metric missing from /metrics scrape: {needed}");
+    while server.open_connections() > 0 {
+        assert!(Instant::now() < idle_deadline, "the scrape connections did not close");
+        std::thread::sleep(Duration::from_millis(10));
     }
+    let series = server.audit_surfaces().unwrap_or_else(|e| panic!("surfaces disagree:\n{e}"));
     let lines = scrape.body.lines().count();
-    println!("/metrics scrape valid: {lines} exposition lines, full metric set present");
+    println!("/metrics scrape valid: {lines} exposition lines; {series} series on both surfaces");
 
     server.shutdown(Duration::from_secs(10));
     println!(

@@ -125,17 +125,19 @@ fn main() {
     for class in PriorityClass::ALL {
         let c = stats.class(class);
         println!(
-            "  {:<12} submitted={} completed={} cancelled={} expired={} shed={} p50_ttfc={:?}",
+            "  {:<12} submitted={} completed={} cancelled={} expired={} shed={} p50_ttfc_us={:?}",
             class.label(),
             c.submitted,
             c.completed,
             c.cancelled,
             c.expired,
             c.shed,
-            c.ttfc_p50,
+            c.ttfc.quantile_us(0.50),
         );
     }
-    println!("\nstats JSON:\n{}", stats.to_json());
+    let mut json = duoquest::obs::JsonObject::default();
+    stats.render(&mut json);
+    println!("\nstats JSON:\n{}", json.finish());
 
     // Smoke assertions so CI fails loudly if the lifecycle regresses.
     assert_eq!(stats.class(PriorityClass::Interactive).completed, 1);

@@ -437,8 +437,6 @@ fn service_drives_256_live_sessions_thread_free_and_deterministically() {
 
         // Every request is admitted live (none queued): the whole set is in
         // flight together on the fixed pool.
-        let mid_stats = service.stats();
-        assert_eq!(mid_stats.driver_threads, 0, "no per-request driver threads may exist");
         if let (Some(before), Some(during)) = (threads_before, process_threads()) {
             // 256 live sessions in the old one-thread-per-request design
             // would add ~256 OS threads; allow generous slack for unrelated
@@ -464,7 +462,6 @@ fn service_drives_256_live_sessions_thread_free_and_deterministically() {
             );
         }
         let stats = service.stats();
-        assert_eq!(stats.driver_threads, 0);
         assert!(
             stats.live_sessions_peak >= 64,
             "live sessions should have stacked far beyond the worker count: {stats:?}"
