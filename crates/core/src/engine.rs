@@ -6,10 +6,10 @@
 //! Synthesis runs as a sequence of **rounds** over a confidence-ordered
 //! frontier (see `crate::enumerate`). One state machine (`RoundDriver`) runs
 //! them, from one of two places: **inline** on the calling thread
-//! ([`Duoquest::synthesize`], a session without a pool) or **parked in a
-//! pool** whose workers resume it for a burst of rounds at a time (every
-//! session on a [`crate::scheduler::SessionScheduler`]; blocking callers
-//! wait for it). A round never leaves the thread that started it:
+//! ([`Duoquest::synthesize`], a session's `run`, `run_with` and `stream`) or
+//! **parked in a pool** whose workers resume it for a burst of rounds at a
+//! time (a session handed to a [`crate::scheduler::SessionScheduler`] with
+//! `spawn_driven`). A round never leaves the thread that started it:
 //!
 //! ```text
 //!                    ┌────────────────────────────────────────────┐
@@ -78,8 +78,8 @@
 //!   (`crate::verify`).
 //! * **consumers** — [`Duoquest::synthesize`] collects a ranked
 //!   [`SynthesisResult`] from borrowed inputs, always inline;
-//!   [`crate::session::SynthesisSession`] owns its inputs, so it can also run
-//!   on a pool, and additionally offers a streaming channel
+//!   [`crate::session::SynthesisSession`] owns its inputs, so it can also be
+//!   handed to a pool, and additionally offers a pulled stream
 //!   ([`crate::session::CandidateStream`]) whose first candidate arrives
 //!   while enumeration is still in flight.
 //!
@@ -162,8 +162,8 @@ pub(crate) fn synthesize_inline(
 }
 
 /// The dedup-and-rank state of one run, fed by the run's sink — on the
-/// calling thread ([`synthesize_inline`]) or on the pool worker that resumes
-/// a parked session (`crate::scheduler`): deduplicate canonically equivalent
+/// calling thread ([`synthesize_inline`], a pulled stream) or on the pool
+/// worker that resumes a parked session (`crate::scheduler`): deduplicate canonically equivalent
 /// candidates in emission order, then rank by confidence with a deterministic
 /// tie-break. `index` maps each candidate's [`canonical_key`] to its
 /// position; it is never iterated, so emission order and ranking ignore it.

@@ -19,8 +19,8 @@
 //!   pieces together and returns a ranked candidate list (see its module docs
 //!   for the cache-aware core architecture);
 //! * [`session`] — owned [`SynthesisSession`]s
-//!   over an `Arc`-shared database, with channel-backed candidate streaming
-//!   (thread-free: streams are scheduler-driven sessions);
+//!   over an `Arc`-shared database, with pulled candidate streaming (a
+//!   stream's `next()` runs rounds on the calling thread until one emits);
 //! * [`scheduler`] — the shared
 //!   [`SessionScheduler`]: one long-lived worker
 //!   pool multiplexing any number of concurrent sessions with weighted

@@ -12,10 +12,12 @@
 //!
 //! * Each session's round loop is the `RoundDriver` **state machine** of
 //!   `crate::enumerate` (beam pop, child expansion and scoring, verification,
-//!   ordered merge). Every session on the pool is **driven**: it parks that
-//!   driver inside the scheduler, no OS thread exists per session, and a pool
-//!   worker resumes it. A blocking caller ([`SynthesisSession::run`])
-//!   registers a driven session like any other and waits for its outcome.
+//!   ordered merge). A session reaches the pool through
+//!   [`SynthesisSession::spawn_driven`] — the one way onto it — and is then
+//!   **driven**: it parks that driver inside the scheduler, no OS thread
+//!   exists per session, and a pool worker resumes it. The session's own
+//!   `run` / `run_with` / `stream` never come here: they run on the calling
+//!   thread.
 //! * **Sessions are the pool's only unit of parallelism.** The one kind of
 //!   queued unit is a session's `Resume`; the worker that pops it runs the
 //!   session's rounds on the spot, one after another — a child costs well
@@ -45,13 +47,13 @@
 //!
 //! # Example
 //!
-//! Two sessions sharing one pool:
+//! Two sessions sharing one pool, each waited for through a channel:
 //!
 //! ```
-//! use duoquest_core::{DuoquestConfig, SessionScheduler, SynthesisSession};
+//! use duoquest_core::{DrivenOutcome, DuoquestConfig, SessionScheduler, SynthesisSession};
 //! use duoquest_db::{ColumnDef, Database, Schema, TableDef, Value};
 //! use duoquest_nlq::{HeuristicGuidance, Literal, Nlq};
-//! use std::sync::Arc;
+//! use std::sync::{mpsc, Arc};
 //!
 //! // A tiny in-memory database: one table of movies.
 //! let mut schema = Schema::new("demo");
@@ -69,27 +71,31 @@
 //! // One pool, two concurrent sessions multiplexed over it.
 //! let pool = SessionScheduler::new(2);
 //! let model = Arc::new(HeuristicGuidance::new());
-//! let sessions: Vec<_> = ["movie names before 2000", "movie names after 2000"]
-//!     .into_iter()
-//!     .map(|q| {
-//!         let nlq = Nlq::with_literals(q, vec![Literal::number(2000.0)]);
-//!         SynthesisSession::new(Arc::clone(&db), nlq, model.clone())
-//!             .with_config(DuoquestConfig::fast())
-//!             .with_scheduler(pool.handle())
-//!     })
-//!     .collect();
-//! for session in sessions {
-//!     let result = session.run();
-//!     assert!(!result.candidates.is_empty());
+//! let (done_tx, done_rx) = mpsc::channel();
+//! for q in ["movie names before 2000", "movie names after 2000"] {
+//!     let nlq = Nlq::with_literals(q, vec![Literal::number(2000.0)]);
+//!     let done_tx = done_tx.clone();
+//!     SynthesisSession::new(Arc::clone(&db), nlq, model.clone())
+//!         .with_config(DuoquestConfig::fast())
+//!         .spawn_driven(
+//!             &pool.handle(),
+//!             Box::new(|_candidate| true), // keep going
+//!             Box::new(move |outcome| done_tx.send(outcome).unwrap()),
+//!         );
+//! }
+//! for _ in 0..2 {
+//!     match done_rx.recv().unwrap() {
+//!         DrivenOutcome::Finished(result) => assert!(!result.candidates.is_empty()),
+//!         DrivenOutcome::Poisoned(message) => panic!("session panicked: {message:?}"),
+//!     }
 //! }
 //! assert_eq!(pool.stats().live_sessions, 0);
 //! ```
 
 use crate::clock::{system_clock, SharedClock};
-use crate::engine::{Candidate, CandidateCollector, SynthesisResult};
-use crate::enumerate::{Advance, RoundDriver, RunPlan};
-use crate::session::SynthesisSession;
-use duoquest_db::SelectSpec;
+use crate::engine::{Candidate, SynthesisResult};
+use crate::enumerate::{Advance, RoundDriver};
+use crate::session::{SessionRun, SynthesisSession};
 use duoquest_obs::Reading::{Counter, Gauge};
 use duoquest_obs::Series;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -206,71 +212,6 @@ type DrivenSink = Box<dyn FnMut(&Candidate) -> bool + Send>;
 /// The completion callback of a driven session, receiving how it ended.
 type DrivenCompletion = Box<dyn FnOnce(DrivenOutcome) + Send>;
 
-/// Everything a worker takes out of the slot to resume a session: the state
-/// machine, the dedup/rank collector, the consumer's sink, and the session
-/// itself (owned, so the long-lived pool can outlive any borrow; its inputs
-/// are lent to the engine call by call) beside the plan compiled from it.
-struct DrivenCore {
-    driver: RoundDriver,
-    collector: CandidateCollector,
-    on_candidate: DrivenSink,
-    session: SynthesisSession,
-    plan: RunPlan,
-}
-
-impl DrivenCore {
-    /// The state of `session`'s run at its root, to be driven by a pool of
-    /// `workers` threads: its plan compiled, its driver ready for the first
-    /// round.
-    fn new(session: SynthesisSession, on_candidate: DrivenSink, workers: usize) -> Self {
-        let plan = RunPlan::new(&session.inputs());
-        DrivenCore {
-            driver: RoundDriver::new().on_pool(workers),
-            collector: CandidateCollector::new(),
-            on_candidate,
-            session,
-            plan,
-        }
-    }
-
-    /// One occupancy of a pool worker: run the session's rounds on the spot
-    /// (see [`RoundDriver::advance`]) until the run is over or, at a yield,
-    /// `someone_waits` — shown the run's pool observations to sample into —
-    /// says the worker is wanted elsewhere. Candidates are delivered from
-    /// here, i.e. on the calling pool worker, through the session's
-    /// collector and sink.
-    fn resume(&mut self, someone_waits: &dyn Fn(&mut SchedulerRunStats) -> bool) -> Advance {
-        let DrivenCore { driver, collector, on_candidate, session, plan } = self;
-        let env = session.inputs();
-        let mut sink = |spec: SelectSpec, confidence: f64, emitted_at: Duration| {
-            collector.offer(spec, confidence, emitted_at, on_candidate.as_mut())
-        };
-        // One `resume` span per occupancy: how long this worker held the
-        // driver before requeueing or finishing it.
-        let started = env.trace.map(|_| env.clock.now());
-        let exit = loop {
-            match driver.advance(plan, &env, &mut sink) {
-                Advance::Yield if !someone_waits(driver.pool_stats()) => {}
-                exit => break exit,
-            }
-        };
-        if let (Some(trace), Some(started)) = (env.trace, started) {
-            trace.record_span("resume", started, env.clock.now());
-        }
-        exit
-    }
-
-    /// The ranked result of a run that is over. `force_cancelled` marks runs
-    /// wound down by a scheduler shutdown that never reached a cooperative
-    /// check. Leaves the frontier in place: the caller hands the result on
-    /// first and drops the queued states afterwards.
-    fn finish(&mut self, force_cancelled: bool) -> SynthesisResult {
-        let mut stats = self.driver.take_stats(&self.plan, &self.session.inputs());
-        stats.cancelled |= force_cancelled;
-        std::mem::take(&mut self.collector).finish(stats)
-    }
-}
-
 /// One live session's slot in the fairness queue.
 struct SessionQueue {
     id: u64,
@@ -282,10 +223,11 @@ struct SessionQueue {
     /// Resumes remaining in the current rotation.
     quantum: usize,
     /// Whether the session's `Resume` is queued: its kick-off, or a yield
-    /// that found somebody waiting. Never set while a worker holds the core.
+    /// that found somebody waiting. Never set while a worker holds the run.
     queued: bool,
-    /// The parked core; `None` while a worker holds it (running its rounds).
-    parked: Option<DrivenCore>,
+    /// The parked run and its consumer's sink; `None` while a worker holds
+    /// them (running its rounds).
+    parked: Option<(SessionRun, DrivenSink)>,
     on_complete: Option<DrivenCompletion>,
 }
 
@@ -302,13 +244,13 @@ struct QueueState {
 
 impl QueueState {
     /// The one registration path: allocate the next monotone id and append
-    /// the slot, its driver parked and its `Resume` queued to kick it off —
+    /// the slot, its run parked and its `Resume` queued to kick it off —
     /// appending is what keeps `sessions` sorted by id, the invariant
     /// [`QueueState::session_mut`]'s binary search depends on.
     fn insert_slot(
         &mut self,
         weight: usize,
-        core_state: DrivenCore,
+        parked: (SessionRun, DrivenSink),
         on_complete: DrivenCompletion,
     ) -> u64 {
         let id = self.next_id;
@@ -319,7 +261,7 @@ impl QueueState {
             weight,
             quantum: weight,
             queued: true,
-            parked: Some(core_state),
+            parked: Some(parked),
             on_complete: Some(on_complete),
         });
         self.depth += 1;
@@ -537,26 +479,26 @@ fn worker_loop(core: Arc<PoolCore>) {
     }
 }
 
-/// Run one popped `Resume` on this worker: take the session's parked core
-/// and give it the worker (see [`DrivenCore::resume`]), then requeue it after
-/// a yield somebody was waiting for, or complete it.
+/// Run one popped `Resume` on this worker: take the session's parked run
+/// and give it the worker (see [`occupy`]), then requeue it after a yield
+/// somebody was waiting for, or complete it.
 fn resume_session(core: &Arc<PoolCore>, session: u64) {
     let parked = {
         let mut queue = core.queue.lock().expect("scheduler queue poisoned");
         queue.session_mut(session).and_then(|slot| slot.parked.take())
     };
     // The slot is gone only on teardown races.
-    let Some(mut s) = parked else { return };
+    let Some((mut run, mut on_candidate)) = parked else { return };
     let exit = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-        let exit = s.resume(&|run_stats| core.someone_waits(run_stats));
-        (s, exit)
+        let exit = occupy(core, &mut run, &mut on_candidate);
+        (run, on_candidate, exit)
     }));
     match exit {
-        Ok((s, Advance::Yield)) => yield_resume(core, session, s),
-        Ok((mut s, Advance::Done)) => {
-            // Complete first, free afterwards: the frontier drops with `s`,
+        Ok((run, on_candidate, Advance::Yield)) => yield_resume(core, session, run, on_candidate),
+        Ok((mut run, _, Advance::Done)) => {
+            // Complete first, free afterwards: the frontier drops with `run`,
             // once the outcome has been delivered.
-            complete_driven(core, session, DrivenOutcome::Finished(s.finish(false)));
+            complete_driven(core, session, DrivenOutcome::Finished(run.finish(false)));
         }
         // A panic in there (a guidance model, verifier or consumer-sink bug)
         // poisons only this session; the worker survives. The payload's
@@ -568,18 +510,39 @@ fn resume_session(core: &Arc<PoolCore>, session: u64) {
     }
 }
 
+/// One occupancy of a pool worker: run the session's bursts of rounds on
+/// the spot until the run is over or, at a yield, somebody else wants the
+/// worker ([`PoolCore::someone_waits`], which samples the pool into the
+/// run's observations). Candidates are delivered from here, i.e. on this
+/// pool worker, through the run's collector and the consumer's sink.
+fn occupy(core: &PoolCore, run: &mut SessionRun, on_candidate: &mut DrivenSink) -> Advance {
+    // One `resume` span per occupancy: how long this worker held the run
+    // before requeueing or finishing it.
+    let started = run.trace().map(|_| core.clock.now());
+    let exit = loop {
+        match run.advance(on_candidate.as_mut()) {
+            Advance::Yield if !core.someone_waits(run.pool_stats()) => {}
+            exit => break exit,
+        }
+    };
+    if let (Some(trace), Some(started)) = (run.trace(), started) {
+        trace.record_span("resume", started, core.clock.now());
+    }
+    exit
+}
+
 /// Re-park a session at a yield somebody else was waiting for and requeue
 /// its `Resume`, so the fairness queue decides — in weighted round-robin
 /// order, alongside every other session — when its next burst of rounds
 /// runs.
-fn yield_resume(core: &Arc<PoolCore>, session: u64, mut s: DrivenCore) {
-    s.driver.pool_stats().units_submitted += 1;
+fn yield_resume(core: &Arc<PoolCore>, session: u64, mut run: SessionRun, on_candidate: DrivenSink) {
+    run.pool_stats().units_submitted += 1;
     let mut queue = core.queue.lock().expect("scheduler queue poisoned");
     let Some(slot) = queue.session_mut(session) else {
         // The slot is gone only on teardown races; drop the session.
         return;
     };
-    slot.parked = Some(s);
+    slot.parked = Some((run, on_candidate));
     slot.queued = true;
     queue.depth += 1;
     drop(queue);
@@ -619,21 +582,21 @@ pub(crate) fn spawn_driven_session(
     // of each round-robin rotation scales with both how much work a round
     // exposes and how urgent its requester is.
     let weight = session.config().beam_width.max(1).saturating_mul(session.priority_weight());
-    let mut core_state = DrivenCore::new(session, on_candidate, core.workers);
+    let mut run = SessionRun::new(session, RoundDriver::new().on_pool(core.workers));
     let mut queue = core.queue.lock().expect("scheduler queue poisoned");
     if core.shutdown.load(Ordering::Acquire) {
         drop(queue);
         // The pool will never run this session: resolve it as cancelled
         // instead of stranding the completion callback.
-        on_complete(DrivenOutcome::Finished(core_state.finish(true)));
+        on_complete(DrivenOutcome::Finished(run.finish(true)));
         return;
     }
     // The kick-off resume, and the run's first look at the pool (itself
     // included).
-    let run_stats = core_state.driver.pool_stats();
+    let run_stats = run.pool_stats();
     run_stats.units_submitted = 1;
     core.observe_into(run_stats, queue.depth + 1, queue.sessions.len() + 1);
-    queue.insert_slot(weight, core_state, on_complete);
+    queue.insert_slot(weight, (run, on_candidate), on_complete);
     drop(queue);
     core.work_available.notify_one();
 }
@@ -643,8 +606,7 @@ pub(crate) fn spawn_driven_session(
 ///
 /// Dropping the scheduler shuts the pool down and joins its workers. Sessions
 /// still parked at that point are wound down as cancelled: their completion
-/// callbacks fire with the candidates found so far, so a caller blocked in
-/// [`SynthesisSession::run`] on this pool returns that result with
+/// callbacks fire with the candidates found so far in a result with
 /// `stats.cancelled` set, and a session spawned on a pool that is already
 /// gone resolves the same way at once.
 pub struct SessionScheduler {
@@ -703,12 +665,6 @@ impl SessionScheduler {
         SessionScheduler { core, workers: handles }
     }
 
-    /// Size the pool to the machine (one worker per available CPU).
-    pub fn for_machine() -> Self {
-        let n = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        SessionScheduler::new(n)
-    }
-
     /// A cloneable handle sessions use to submit work to this pool.
     pub fn handle(&self) -> SchedulerHandle {
         SchedulerHandle { core: Arc::clone(&self.core) }
@@ -746,8 +702,8 @@ impl Drop for SessionScheduler {
         for mut slot in sessions {
             let Some(cb) = slot.on_complete.take() else { continue };
             let outcome = match slot.parked.as_mut() {
-                Some(core_state) => DrivenOutcome::Finished(core_state.finish(true)),
-                // A session mid-resume during the sweep (its core is out on
+                Some((run, _)) => DrivenOutcome::Finished(run.finish(true)),
+                // A session mid-resume during the sweep (its run is out on
                 // a worker) has no result to deliver: resolve it as poisoned
                 // without a message.
                 None => DrivenOutcome::Poisoned(None),
@@ -774,9 +730,8 @@ impl std::fmt::Debug for SessionScheduler {
     }
 }
 
-/// A cloneable handle to a [`SessionScheduler`]'s pool. Attach one to a
-/// session with
-/// [`SynthesisSession::with_scheduler`].
+/// A cloneable handle to a [`SessionScheduler`]'s pool. Hand one to
+/// [`SynthesisSession::spawn_driven`] to run a session there.
 #[derive(Clone)]
 pub struct SchedulerHandle {
     core: Arc<PoolCore>,
@@ -862,8 +817,8 @@ mod tests {
         let mut queue = QueueState::default();
         for weight in [1usize, 2] {
             let session = SynthesisSession::new(Arc::clone(&db), nlq.clone(), Arc::clone(&model));
-            let core_state = DrivenCore::new(session, Box::new(|_| true), 1);
-            queue.insert_slot(weight, core_state, Box::new(|_| {}));
+            let run = SessionRun::new(session, RoundDriver::new().on_pool(1));
+            queue.insert_slot(weight, (run, Box::new(|_| true)), Box::new(|_| {}));
         }
         let mut order = Vec::new();
         for _ in 0..9 {
@@ -891,7 +846,7 @@ mod tests {
     }
 
     #[test]
-    fn scheduled_session_matches_private_pool_session() {
+    fn shared_pool_session_matches_inline_run() {
         let (db, nlq, model, _gold) = fixture();
         let tsq = TableSketchQuery::with_types(vec![DataType::Text])
             .with_tuple(vec![TsqCell::text("Forrest Gump")]);
@@ -899,37 +854,42 @@ mod tests {
         config.time_budget = None;
         config.max_candidates = 30;
 
-        let private = SynthesisSession::new(Arc::clone(&db), nlq.clone(), Arc::clone(&model))
+        let inline = SynthesisSession::new(Arc::clone(&db), nlq.clone(), Arc::clone(&model))
             .with_tsq(tsq.clone())
             .with_config(config.clone())
             .run();
 
         let pool = SessionScheduler::new(3);
-        let shared = SynthesisSession::new(db, nlq, model)
-            .with_tsq(tsq)
-            .with_config(config)
-            .with_scheduler(pool.handle())
-            .run();
+        let (tx, rx) = mpsc::channel();
+        SynthesisSession::new(db, nlq, model).with_tsq(tsq).with_config(config).spawn_driven(
+            &pool.handle(),
+            Box::new(|_c: &Candidate| true),
+            Box::new(move |outcome| {
+                let _ = tx.send(outcome);
+            }),
+        );
+        let shared = expect_finished(
+            rx.recv_timeout(Duration::from_secs(30)).expect("driven session completed"),
+        );
 
         let render = |r: &crate::engine::SynthesisResult| {
             r.candidates.iter().map(|c| (format!("{:?}", c.spec), c.confidence)).collect::<Vec<_>>()
         };
-        assert_eq!(render(&private), render(&shared));
-        assert_eq!(private.stats.emitted, shared.stats.emitted);
-        assert_eq!(private.stats.expanded, shared.stats.expanded);
-        assert_eq!(private.stats.total_pruned(), shared.stats.total_pruned());
-        // The shared run reports pool observations; the run without a pool
-        // was inline and does not.
-        assert!(private.stats.scheduler.is_none());
+        assert_eq!(render(&inline), render(&shared));
+        assert_eq!(inline.stats.emitted, shared.stats.emitted);
+        assert_eq!(inline.stats.expanded, shared.stats.expanded);
+        assert_eq!(inline.stats.total_pruned(), shared.stats.total_pruned());
+        // The driven run reports pool observations; the inline run does not.
+        assert!(inline.stats.scheduler.is_none());
         let run = shared.stats.scheduler.expect("shared run records scheduler stats");
         assert_eq!(run.pool_workers, 3);
         assert!(run.units_submitted + run.units_inline > 0);
     }
 
-    /// The tentpole path: a session driven entirely by the pool (no session
-    /// thread) emits byte-identically to an inline run.
+    /// A session driven entirely by the pool (no session thread) emits
+    /// byte-identically to an inline run.
     #[test]
-    fn driven_session_matches_private_pool_session() {
+    fn driven_session_matches_inline_run() {
         let (db, nlq, model, _gold) = fixture();
         let tsq = TableSketchQuery::with_types(vec![DataType::Text])
             .with_tuple(vec![TsqCell::text("Forrest Gump")]);
@@ -937,7 +897,7 @@ mod tests {
         config.time_budget = None;
         config.max_candidates = 30;
 
-        let private = SynthesisSession::new(Arc::clone(&db), nlq.clone(), Arc::clone(&model))
+        let inline = SynthesisSession::new(Arc::clone(&db), nlq.clone(), Arc::clone(&model))
             .with_tsq(tsq.clone())
             .with_config(config.clone())
             .run();
@@ -965,10 +925,10 @@ mod tests {
                     .map(|c| (format!("{:?}", c.spec), c.confidence))
                     .collect::<Vec<_>>()
             };
-            assert_eq!(render(&private), render(&result), "{pool_workers}-worker pool diverged");
-            assert_eq!(private.stats.emitted, result.stats.emitted);
-            assert_eq!(private.stats.expanded, result.stats.expanded);
-            assert_eq!(private.stats.total_pruned(), result.stats.total_pruned());
+            assert_eq!(render(&inline), render(&result), "{pool_workers}-worker pool diverged");
+            assert_eq!(inline.stats.emitted, result.stats.emitted);
+            assert_eq!(inline.stats.expanded, result.stats.expanded);
+            assert_eq!(inline.stats.total_pruned(), result.stats.total_pruned());
             // Candidates streamed through the sink in emission order, and the
             // candidate channel closed before the completion fired.
             let streamed: Vec<Candidate> = seen_rx.try_iter().collect();
@@ -1071,16 +1031,23 @@ mod tests {
         let pool = SessionScheduler::new(2);
         let mut config = DuoquestConfig::fast();
         config.time_budget = None;
-        let handles: Vec<_> = (0..4)
-            .map(|_| {
-                let session = SynthesisSession::new(Arc::clone(&db), nlq.clone(), model.clone())
-                    .with_config(config.clone())
-                    .with_scheduler(pool.handle());
-                std::thread::spawn(move || session.run())
-            })
-            .collect();
-        for handle in handles {
-            let result = handle.join().expect("session thread panicked");
+        let (tx, rx) = mpsc::channel();
+        for _ in 0..4 {
+            let tx = tx.clone();
+            SynthesisSession::new(Arc::clone(&db), nlq.clone(), model.clone())
+                .with_config(config.clone())
+                .spawn_driven(
+                    &pool.handle(),
+                    Box::new(|_c: &Candidate| true),
+                    Box::new(move |outcome| {
+                        let _ = tx.send(outcome);
+                    }),
+                );
+        }
+        for _ in 0..4 {
+            let result = expect_finished(
+                rx.recv_timeout(Duration::from_secs(30)).expect("driven session completed"),
+            );
             assert_eq!(result.rank_of(&gold), Some(1));
         }
         let stats = pool.stats();

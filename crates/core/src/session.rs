@@ -10,28 +10,33 @@
 //!   [`SynthesisResult`];
 //! * [`SynthesisSession::run_with`] — block, but observe each candidate as it
 //!   is emitted (and optionally stop early);
-//! * [`SynthesisSession::stream`] — hand the session to a scheduler pool to
-//!   be **driven without any per-session thread** and consume candidates
-//!   through a channel-backed iterator while enumeration is still in flight.
-//!   The first candidate is available as soon as it survives verification,
-//!   long before the run completes — this is what the paper's interactive
-//!   front end needs for its "results appear as they are found" interface.
-//! * [`SynthesisSession::spawn_driven`] — the primitive under all of the
-//!   above whenever a pool is involved, and under the service layer:
-//!   register the session with a [`SessionScheduler`] whose workers resume
-//!   its round-loop state machine a burst of rounds at a time, delivering
+//! * [`SynthesisSession::stream`] — a [`CandidateStream`] the consumer
+//!   **pulls**: each `next()` runs rounds until a candidate survives
+//!   verification, so the first candidate is in hand long before the run
+//!   completes — what the paper's interactive front end needs for its
+//!   "results appear as they are found" interface;
+//! * [`SynthesisSession::spawn_driven`] — register the session with a
+//!   [`SessionScheduler`](crate::SessionScheduler) whose workers resume its
+//!   round-loop state machine a burst of rounds at a time, delivering
 //!   candidates and the final result through callbacks. No OS thread exists
-//!   per session.
+//!   per session; the service layer serves every request this way.
 //!
-//! There are two places a run can stand. **Inline**: a blocking call
-//! (`run` / `run_with`) on a session with no scheduler attached runs the
-//! whole search on the calling thread — no pool, no queue, the paper's
-//! Algorithm 1 as written. **On a pool**: everything else is a driven
-//! session; the blocking calls register one on the attached pool and wait
-//! for its outcome, and a stream without an attached pool owns a one-worker
-//! pool of its own. A pool's worker count is how many *sessions* advance at
-//! once; a session's rounds run one after another on whichever worker holds
-//! it.
+//! There are two places a run can stand. **Inline**: `run`, `run_with` and
+//! `stream` run the search on the calling thread — no pool, no queue, no
+//! other thread, the paper's Algorithm 1 as written. **On a pool**:
+//! `spawn_driven` parks the session in a pool. A pool's worker count is how
+//! many *sessions* advance at once; a session's rounds run one after another
+//! on whichever worker holds it.
+//!
+//! A pulled stream differs from a run on a pool in three ways, all of them
+//! because it runs where its consumer stands:
+//!
+//! * a panic in the run (a guidance-model or verifier bug) unwinds out of
+//!   [`CandidateStream::next`] or [`CandidateStream::finish`] on the
+//!   caller's thread, as it does out of `run`;
+//! * a `time_budget` is wall-clock from [`SynthesisSession::stream`], so it
+//!   counts the time the consumer spends between pulls;
+//! * its result's `stats.scheduler` is `None`.
 //!
 //! Absent a wall-clock `time_budget`, the emitted candidate set and order
 //! depend only on the configuration (beam width, budgets), never on where
@@ -40,18 +45,17 @@
 
 use crate::clock::{system_clock, SharedClock};
 use crate::config::DuoquestConfig;
-use crate::engine::{synthesize_inline, Candidate, SynthesisResult};
-use crate::enumerate::RunInputs;
-use crate::scheduler::{spawn_driven_session, DrivenOutcome, SchedulerHandle, SessionScheduler};
+use crate::engine::{synthesize_inline, Candidate, CandidateCollector, SynthesisResult};
+use crate::enumerate::{Advance, RoundDriver, RunInputs, RunPlan};
+use crate::scheduler::{spawn_driven_session, DrivenOutcome, SchedulerHandle, SchedulerRunStats};
 use crate::tsq::TableSketchQuery;
 use duoquest_db::Database;
 use duoquest_nlq::{GuidanceModel, Nlq};
 use duoquest_obs::Trace;
-use std::cell::{Cell, RefCell};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, Receiver, TryRecvError};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Cooperative controls for one synthesis run: a shared **cancellation
 /// token** plus an optional absolute **deadline**.
@@ -59,8 +63,8 @@ use std::time::{Duration, Instant};
 /// The engine checks both at every round boundary and between a round's
 /// verification jobs, so a cancellation or a deadline takes effect mid-round
 /// without waiting for the round to drain. A cancelled session parked on a
-/// [`SessionScheduler`] pool winds down when a worker next resumes it: its
-/// first check sees the token.
+/// pool winds down when a worker next resumes it: its first check sees the
+/// token.
 ///
 /// Cloning shares the token: hand one clone to the consumer (to cancel) and
 /// attach another to the session with
@@ -155,7 +159,6 @@ pub struct SynthesisSession {
     tsq: Option<TableSketchQuery>,
     model: Arc<dyn GuidanceModel>,
     config: DuoquestConfig,
-    scheduler: Option<SchedulerHandle>,
     control: SessionControl,
     priority_weight: usize,
     clock: SharedClock,
@@ -163,11 +166,9 @@ pub struct SynthesisSession {
 }
 
 impl SynthesisSession {
-    /// Create a session with the default configuration and no TSQ.
-    ///
-    /// Without an attached [`SessionScheduler`] handle a blocking call runs
-    /// inline on the calling thread. To serve many sessions from one pool,
-    /// attach a shared handle with [`SynthesisSession::with_scheduler`].
+    /// Create a session with the default configuration and no TSQ. Its runs
+    /// stand on the calling thread; [`SynthesisSession::spawn_driven`] hands
+    /// it to a pool instead.
     pub fn new(db: Arc<Database>, nlq: Nlq, model: Arc<dyn GuidanceModel>) -> Self {
         SynthesisSession {
             db,
@@ -175,7 +176,6 @@ impl SynthesisSession {
             tsq: None,
             model,
             config: DuoquestConfig::default(),
-            scheduler: None,
             control: SessionControl::new(),
             priority_weight: 1,
             clock: system_clock(),
@@ -195,15 +195,6 @@ impl SynthesisSession {
         self
     }
 
-    /// Run this session on a shared [`SessionScheduler`] pool: every run of
-    /// it — blocking, streamed or spawned — is then a driven session there,
-    /// instead of inline or on a private pool. The emitted candidate
-    /// sequence is identical either way.
-    pub fn with_scheduler(mut self, handle: SchedulerHandle) -> Self {
-        self.scheduler = Some(handle);
-        self
-    }
-
     /// Attach an externally owned [`SessionControl`] so a consumer can cancel
     /// the run (or impose an absolute deadline) while it is in flight. By
     /// default every session carries a private control nobody else holds.
@@ -212,24 +203,24 @@ impl SynthesisSession {
         self
     }
 
-    /// Scheduling priority on a shared pool: the session's share of the
-    /// fairness queue's weighted round-robin is `beam_width × weight`
-    /// (minimum 1), so an interactive session with weight 16 is granted 16×
-    /// the units per rotation of a background session with weight 1. Has no
-    /// effect on a private pool (nothing to compete with) and never changes
-    /// which candidates are emitted — only when.
+    /// Scheduling priority on a pool: the session's share of the fairness
+    /// queue's weighted round-robin is `beam_width × weight` (minimum 1), so
+    /// an interactive session with weight 16 is granted 16× the units per
+    /// rotation of a background session with weight 1. Read only by
+    /// [`SynthesisSession::spawn_driven`] (a run on the calling thread has
+    /// nothing to compete with) and never changes which candidates are
+    /// emitted — only when.
     pub fn with_priority_weight(mut self, weight: usize) -> Self {
         self.priority_weight = weight.max(1);
         self
     }
 
     /// Replace the session's time source. Deadline checks, emission
-    /// timestamps and stage timings of runs driven by this session (inline,
-    /// or on a private pool the session spins up itself) read this clock —
-    /// the deterministic simulation harness passes a
-    /// [`SimClock`](crate::SimClock). Runs submitted to a shared scheduler
-    /// via [`SynthesisSession::with_scheduler`] or
-    /// [`SynthesisSession::spawn_driven`] use the **pool's** clock instead,
+    /// timestamps and stage timings of the runs this session makes on the
+    /// calling thread (`run`, `run_with`, `stream`) read this clock — the
+    /// deterministic simulation harness passes a
+    /// [`SimClock`](crate::SimClock). A run handed to a pool with
+    /// [`SynthesisSession::spawn_driven`] uses the **pool's** clock instead,
     /// so every session multiplexed on one pool observes one time source.
     pub fn with_clock(mut self, clock: SharedClock) -> Self {
         self.clock = clock;
@@ -253,25 +244,10 @@ impl SynthesisSession {
         &self.config
     }
 
-    /// The session's cooperative run control.
-    pub fn control(&self) -> &SessionControl {
-        &self.control
-    }
-
     /// The session's scheduling priority multiplier (see
     /// [`SynthesisSession::with_priority_weight`]).
     pub fn priority_weight(&self) -> usize {
         self.priority_weight
-    }
-
-    /// The shared database the session probes.
-    pub fn database(&self) -> &Arc<Database> {
-        &self.db
-    }
-
-    /// The shared-pool handle this session submits to, if one is attached.
-    pub fn scheduler(&self) -> Option<&SchedulerHandle> {
-        self.scheduler.as_ref()
     }
 
     /// The session's inputs, lent to one engine call.
@@ -288,72 +264,30 @@ impl SynthesisSession {
         }
     }
 
-    /// Run to completion and return the ranked candidates. Inline on the
-    /// calling thread, or — with a scheduler attached — as a driven session
-    /// this call waits for (see the [module docs](self)).
+    /// Run to completion on the calling thread and return the ranked
+    /// candidates.
     ///
     /// # Panics
     ///
     /// Panics if the session itself panicked (a guidance-model or verifier
-    /// bug), with the session's panic message — inline by unwinding through
-    /// this call, on a pool by rethrowing here what poisoned the session
-    /// (the pool survives).
+    /// bug): the panic unwinds through this call.
     pub fn run(&self) -> SynthesisResult {
-        if self.scheduler.is_none() {
-            return synthesize_inline(&self.inputs(), |_| true);
-        }
-        // No callback to bring candidates to, so no rendezvous: a stream
-        // nobody reads, finished.
-        self.clone().stream().finish()
+        synthesize_inline(&self.inputs(), |_| true)
     }
 
-    /// Run to completion, observing candidates in emission order. Returning
-    /// `false` from the callback stops the enumeration early (the paper's
-    /// front end does exactly this when the user clicks "Stop Task").
-    ///
-    /// The callback always runs on the calling thread. When the run is on a
-    /// pool (see [`SynthesisSession::run`]) each candidate crosses to it by
-    /// rendezvous — the pool worker that emitted it waits for the verdict —
-    /// so `false` cuts the run at the same emission it does inline; in
-    /// return the callback must not block on work that needs the same pool.
+    /// Run to completion on the calling thread, observing candidates in
+    /// emission order. Returning `false` from the callback stops the
+    /// enumeration early (the paper's front end does exactly this when the
+    /// user clicks "Stop Task").
     ///
     /// # Panics
     ///
     /// Like [`SynthesisSession::run`].
-    pub fn run_with<F>(&self, mut on_candidate: F) -> SynthesisResult
+    pub fn run_with<F>(&self, on_candidate: F) -> SynthesisResult
     where
         F: FnMut(&Candidate) -> bool,
     {
-        let Some(handle) = &self.scheduler else {
-            return synthesize_inline(&self.inputs(), on_candidate);
-        };
-        enum Progress {
-            Candidate(Candidate),
-            Done(DrivenOutcome),
-        }
-        let (progress_tx, progress_rx) = mpsc::channel();
-        let (verdict_tx, verdict_rx) = mpsc::channel();
-        let done_tx = progress_tx.clone();
-        self.clone().spawn_driven(
-            handle,
-            // A caller that is gone (its callback panicked) reads as "stop".
-            Box::new(move |candidate: &Candidate| {
-                progress_tx.send(Progress::Candidate(candidate.clone())).is_ok()
-                    && verdict_rx.recv().unwrap_or(false)
-            }),
-            Box::new(move |outcome| {
-                let _ = done_tx.send(Progress::Done(outcome));
-            }),
-        );
-        loop {
-            match progress_rx.recv() {
-                Ok(Progress::Candidate(candidate)) => {
-                    let _ = verdict_tx.send(on_candidate(&candidate));
-                }
-                Ok(Progress::Done(outcome)) => return expect_finished(Some(outcome)),
-                Err(_) => return expect_finished(None),
-            }
-        }
+        synthesize_inline(&self.inputs(), on_candidate)
     }
 
     /// Hand the session to a scheduler pool to be **driven entirely by pool
@@ -373,185 +307,143 @@ impl SynthesisSession {
     /// session is resolved immediately as cancelled and `on_complete` runs
     /// synchronously on the **calling** thread — don't hold a lock (or block
     /// on a response the calling thread must produce) across this call from
-    /// inside `on_complete`. This is the primitive under
-    /// [`SynthesisSession::stream`], the blocking calls on a pool and the
-    /// serving layer's request lifecycle; capacity for driven sessions is
-    /// bounded by memory, not thread count. Any scheduler handle attached via
-    /// [`SynthesisSession::with_scheduler`] is ignored in favour of `handle`,
-    /// and the run reads the pool's clock.
+    /// inside `on_complete`. This is the one way onto a pool, and what the
+    /// serving layer's request lifecycle is built on; capacity for driven
+    /// sessions is bounded by memory, not thread count. The run reads the
+    /// pool's clock.
     pub fn spawn_driven(
         mut self,
         handle: &SchedulerHandle,
         on_candidate: Box<dyn FnMut(&Candidate) -> bool + Send>,
         on_complete: Box<dyn FnOnce(DrivenOutcome) + Send>,
     ) {
-        self.scheduler = None;
         self.clock = handle.clock();
         spawn_driven_session(handle, self, on_candidate, on_complete);
     }
 
-    /// Stream candidates as they survive verification, **without spawning a
-    /// per-session thread**: the session is handed to its attached
-    /// [`SessionScheduler`] (or, absent one, to a one-worker pool owned by
-    /// the stream, on the session's clock) and driven by pool workers.
-    /// Dropping the stream before the run has resolved (or calling
-    /// [`CandidateStream::stop`]) **cancels** the session — the engine stops
-    /// at its next cooperative check — so an abandoned consumer never leaks
-    /// enumeration work. Call [`CandidateStream::finish`] for the final
-    /// ranked result.
+    /// Stream candidates as they survive verification, on the calling
+    /// thread: the returned [`CandidateStream`] runs no round until it is
+    /// pulled, and each pull runs rounds until a candidate is in hand (see
+    /// the [module docs](self) for what this means for panics, time budgets
+    /// and `stats.scheduler`). Call [`CandidateStream::finish`] for the
+    /// final ranked result.
     pub fn stream(self) -> CandidateStream {
-        let control = self.control.clone();
-        let (handle, pool) = match &self.scheduler {
-            Some(handle) => (handle.clone(), None),
-            None => {
-                let pool = SessionScheduler::new_with_clock(1, Arc::clone(&self.clock));
-                (pool.handle(), Some(pool))
-            }
-        };
-        let stop_control = self.control.clone();
-        let (cand_tx, cand_rx) = mpsc::channel();
-        let (result_tx, result_rx) = mpsc::channel();
-        self.spawn_driven(
-            &handle,
-            Box::new(move |candidate: &Candidate| {
-                if stop_control.is_cancelled() {
-                    return false;
-                }
-                // A dropped receiver reads as "stop": the send fails and
-                // the engine winds down.
-                cand_tx.send(candidate.clone()).is_ok()
-            }),
-            Box::new(move |outcome| {
-                let _ = result_tx.send(outcome);
-            }),
-        );
-        CandidateStream {
-            rx: cand_rx,
-            result: result_rx,
-            outcome: RefCell::new(None),
-            resolved: Cell::new(false),
-            control,
-            _pool: pool,
-        }
+        CandidateStream { run: SessionRun::new(self, RoundDriver::new()), pending: VecDeque::new() }
     }
 }
 
-/// The result of a driven session that has resolved; a poisoned one (or one
-/// whose pool dropped it unresolved, `None`) panics on the calling thread —
-/// the driven-session analogue of joining a panicked thread.
-fn expect_finished(outcome: Option<DrivenOutcome>) -> SynthesisResult {
-    match outcome {
-        Some(DrivenOutcome::Finished(result)) => result,
-        Some(DrivenOutcome::Poisoned(Some(message))) => {
-            panic!("synthesis session panicked: {message}")
-        }
-        _ => panic!("synthesis session panicked"),
+/// One run of an owned session: the session (its inputs are lent to the
+/// engine call by call), the plan compiled from it, its round driver and its
+/// dedup/rank collector. It borrows nothing, so it waits wherever it is held
+/// — in a [`CandidateStream`] between two pulls, in a scheduler slot between
+/// two resumes — and is advanced by whoever holds it.
+pub(crate) struct SessionRun {
+    session: SynthesisSession,
+    plan: RunPlan,
+    driver: RoundDriver,
+    collector: CandidateCollector,
+}
+
+impl SessionRun {
+    /// `session`'s run at its root, its plan compiled now. `driver` is
+    /// [`RoundDriver::new`], built [`RoundDriver::on_pool`] for a run a pool
+    /// serves.
+    pub(crate) fn new(session: SynthesisSession, driver: RoundDriver) -> Self {
+        let plan = RunPlan::new(&session.inputs());
+        SessionRun { session, plan, driver, collector: CandidateCollector::new() }
+    }
+
+    /// One burst of rounds ([`RoundDriver::advance`]): every fresh candidate
+    /// is offered to `on_candidate`, whose `false` stops the run.
+    pub(crate) fn advance(&mut self, on_candidate: &mut dyn FnMut(&Candidate) -> bool) -> Advance {
+        let SessionRun { session, plan, driver, collector } = self;
+        driver.advance(plan, &session.inputs(), &mut |spec, confidence, emitted_at| {
+            collector.offer(spec, confidence, emitted_at, on_candidate)
+        })
+    }
+
+    /// The ranked result of a run that is over. `force_cancelled` marks runs
+    /// wound down by a scheduler shutdown that never reached a cooperative
+    /// check. Leaves the frontier in place: a pool worker hands the result
+    /// on first and drops the queued states afterwards.
+    pub(crate) fn finish(&mut self, force_cancelled: bool) -> SynthesisResult {
+        let mut stats = self.driver.take_stats(&self.plan, &self.session.inputs());
+        stats.cancelled |= force_cancelled;
+        std::mem::take(&mut self.collector).finish(stats)
+    }
+
+    /// The pool observations of a run a pool serves (see
+    /// [`RoundDriver::pool_stats`]).
+    pub(crate) fn pool_stats(&mut self) -> &mut SchedulerRunStats {
+        self.driver.pool_stats()
+    }
+
+    /// The session's request trace, if it is traced.
+    pub(crate) fn trace(&self) -> Option<&Arc<Trace>> {
+        self.session.trace.as_ref()
     }
 }
 
-/// A live candidate stream backed by a **scheduler-driven session** — pool
-/// workers resume the session's round loop; no OS thread exists for the
-/// session itself.
+/// A live candidate stream: a session's run that the consumer **pulls** on
+/// its own thread, like any other iterator.
 ///
 /// Iterate to receive candidates in emission order while the enumeration is
-/// still running; call [`CandidateStream::finish`] for the final,
-/// confidence-ranked [`SynthesisResult`] (which includes the run's
+/// still going on — each `next()` runs bursts of up to 32 rounds until one
+/// emits, and returns `None` once the run is over; call
+/// [`CandidateStream::finish`] for the final, confidence-ranked
+/// [`SynthesisResult`] (which includes the run's
 /// [`crate::EnumerationStats`]).
 ///
-/// **Dropping an unfinished stream cancels the work**: the session's
-/// [`SessionControl`] token fires and the run winds down at its next
-/// cooperative check, so the pool goes idle instead of grinding through
-/// enumeration nobody is consuming. A stream whose run has resolved — [`CandidateStream::finish`]
-/// returned, or the completion was seen by [`CandidateStream::is_finished`]
-/// — leaves the token alone, so a [`SessionControl`] attached with
+/// Nothing runs between pulls, so dropping a stream leaves no work behind
+/// and fires no token: a [`SessionControl`] attached with
 /// [`SynthesisSession::with_control`] can be reused for the next run.
 pub struct CandidateStream {
-    rx: Receiver<Candidate>,
-    result: Receiver<DrivenOutcome>,
-    /// The completion, once it has arrived and until `finish` takes it.
-    outcome: RefCell<Option<DrivenOutcome>>,
-    /// Whether the run has resolved (completed, or poisoned, or was dropped
-    /// by its pool): nothing is left to cancel.
-    resolved: Cell<bool>,
-    control: SessionControl,
-    /// The private pool driving a session that had no shared scheduler
-    /// attached, kept alive for the stream's lifetime (`None` when the
-    /// session rides a shared pool).
-    _pool: Option<SessionScheduler>,
+    run: SessionRun,
+    /// Candidates the last burst emitted after the one `next` returned.
+    pending: VecDeque<Candidate>,
 }
 
 impl CandidateStream {
-    /// Ask the session to stop: fires its cancellation token. Idempotent.
+    /// Ask the session to stop: fires its cancellation token, so the next
+    /// pull ends the run. Idempotent.
     pub fn stop(&self) {
-        self.control.cancel();
+        self.run.session.control.cancel();
     }
 
-    /// Non-blockingly pull the completion, if it has arrived.
-    fn poll_result(&self) {
-        if self.resolved.get() {
-            return;
-        }
-        match self.result.try_recv() {
-            Ok(outcome) => *self.outcome.borrow_mut() = Some(outcome),
-            // A disconnect without a value can only follow a teardown race;
-            // it resolves the stream as poisoned.
-            Err(TryRecvError::Disconnected) => {}
-            Err(TryRecvError::Empty) => return,
-        }
-        self.resolved.set(true);
-    }
-
-    /// Whether the enumeration has finished.
-    pub fn is_finished(&self) -> bool {
-        self.poll_result();
-        self.resolved.get()
-    }
-
-    /// Receive the next candidate, waiting up to `timeout`. `None` on timeout
-    /// or when the stream has ended.
-    pub fn next_timeout(&mut self, timeout: Duration) -> Option<Candidate> {
-        self.rx.recv_timeout(timeout).ok()
-    }
-
-    /// Wait for the session to complete and return the final ranked result.
-    /// Any undrained candidates are still reflected in the result's list.
+    /// Run what is left of the enumeration and return the final ranked
+    /// result. Candidates never pulled are still in the result's list.
     ///
     /// # Panics
     ///
     /// Panics if the session itself panicked (a guidance-model or verifier
-    /// bug) — the driven-session analogue of joining a panicked thread.
-    pub fn finish(self) -> SynthesisResult {
-        self.poll_result();
-        if !self.resolved.get() {
-            *self.outcome.borrow_mut() = self.result.recv().ok();
-            self.resolved.set(true);
-        }
-        let outcome = self.outcome.borrow_mut().take();
-        expect_finished(outcome)
-    }
-}
-
-impl Drop for CandidateStream {
-    /// Dropping the stream cancels a session that has not resolved (see the
-    /// struct docs). A session on a shared pool winds down on its own at its
-    /// next cooperative check, so dropping does not wait for it; a stream
-    /// that owns a private pool joins that pool's worker (quick, as the
-    /// cancellation cuts the round in flight short).
-    fn drop(&mut self) {
-        self.poll_result();
-        if !self.resolved.get() {
-            self.stop();
-        }
+    /// bug): the panic unwinds through this call.
+    pub fn finish(mut self) -> SynthesisResult {
+        while let Advance::Yield = self.run.advance(&mut |_| true) {}
+        self.run.finish(false)
     }
 }
 
 impl Iterator for CandidateStream {
     type Item = Candidate;
 
-    /// Blocks until the next candidate is emitted; `None` once the
+    /// Runs rounds until the next candidate is emitted; `None` once the
     /// enumeration has completed (or was stopped).
+    ///
+    /// # Panics
+    ///
+    /// Like [`CandidateStream::finish`].
     fn next(&mut self) -> Option<Candidate> {
-        self.rx.recv().ok()
+        let CandidateStream { run, pending } = self;
+        while pending.is_empty() {
+            let exit = run.advance(&mut |candidate| {
+                pending.push_back(candidate.clone());
+                true
+            });
+            if let Advance::Done = exit {
+                break;
+            }
+        }
+        pending.pop_front()
     }
 }
 
@@ -563,6 +455,7 @@ mod tests {
     use duoquest_db::{CmpOp, DataType};
     use duoquest_nlq::{Literal, NoisyOracleGuidance, OracleConfig};
     use duoquest_sql::QueryBuilder;
+    use std::time::Duration;
 
     fn fixture() -> (Arc<Database>, Nlq, Arc<dyn GuidanceModel>, duoquest_db::SelectSpec) {
         let db = movie_db().into_shared();
@@ -600,7 +493,7 @@ mod tests {
         config.max_expansions = 100_000;
         let session = SynthesisSession::new(db, nlq, model).with_config(config);
         let mut stream = session.stream();
-        let first = stream.next_timeout(Duration::from_secs(30));
+        let first = stream.next();
         assert!(first.is_some(), "no candidate streamed");
         // The candidate arrived while the enumeration was still running (or
         // at worst just wound down); the final result must contain strictly

@@ -118,9 +118,9 @@ fn main() {
     let model = Arc::new(HeuristicGuidance::new());
 
     println!("--- Dual specification (NLQ + TSQ), streamed ---");
-    let stream = engine.session(Arc::clone(&db), nlq.clone(), model.clone()).with_tsq(tsq).stream();
+    let mut stream =
+        engine.session(Arc::clone(&db), nlq.clone(), model.clone()).with_tsq(tsq).stream();
     let mut streamed = 0usize;
-    let mut stream = stream;
     for cand in stream.by_ref() {
         streamed += 1;
         if streamed <= 5 {

@@ -1,20 +1,44 @@
-//! What `tests/semijoin.rs` (index paths against the scan path) and
-//! `tests/reference.rs` (both against the naive evaluator) share: the
-//! un-indexed twin of a database ([`unindexed`]), which the executor can only
-//! scan, and the seeded `SelectSpec` generator — databases salted with NULL,
-//! NaN and re-cased text, join trees rooted anywhere, literals that hit and
-//! miss, AND and OR, LIKE, grouping on one and two columns, HAVING, global
-//! aggregates, ordering — over NaN-holding columns too — DISTINCT and limits.
+//! What the workspace tests share. `tests/semijoin.rs` (index paths against
+//! the scan path) and `tests/reference.rs` (both against the naive
+//! evaluator) share the un-indexed twin of a database ([`unindexed`]), which
+//! the executor can only scan, and the seeded `SelectSpec` generator —
+//! databases salted with NULL, NaN and re-cased text, join trees rooted
+//! anywhere, literals that hit and miss, AND and OR, LIKE, grouping on one
+//! and two columns, HAVING, global aggregates, ordering — over NaN-holding
+//! columns too — DISTINCT and limits. The tests of runs on a pool share
+//! [`drive`], the one way they wait for a driven session.
 
 // Each test binary uses its own part of this module.
 #![allow(dead_code)]
 
+use duoquest::core::{Candidate, DrivenOutcome, SchedulerHandle, SynthesisSession};
 use duoquest::db::{
     AggFunc, CmpOp, ColumnId, DataType, Database, ExecMetrics, JoinEdge, JoinTree, LogicalOp,
     OrderKey, OrderSpec, Predicate, SelectItem, SelectSpec, TableId, Value,
 };
 use rand::rngs::StdRng;
 use rand::Rng;
+use std::sync::mpsc;
+
+/// Run `session` on `handle`'s pool and wait for how it ended:
+/// [`SynthesisSession::spawn_driven`] with `sink` as its candidate callback
+/// (on a pool worker; `false` stops the run) and one channel carrying the
+/// outcome back to the calling thread.
+pub fn drive(
+    session: SynthesisSession,
+    handle: &SchedulerHandle,
+    sink: impl FnMut(&Candidate) -> bool + Send + 'static,
+) -> DrivenOutcome {
+    let (done_tx, done_rx) = mpsc::channel();
+    session.spawn_driven(
+        handle,
+        Box::new(sink),
+        Box::new(move |outcome| {
+            let _ = done_tx.send(outcome);
+        }),
+    );
+    done_rx.recv().expect("a driven session always resolves")
+}
 
 /// A copy of `db` with a NULL, a NaN and an upper-cased text planted in
 /// every table that has the column for it (keys included: a NULL or NaN join

@@ -4,9 +4,12 @@
 //! hasher or process — on a fixed synthetic Spider workload and on the MAS
 //! user-study requests.
 
+mod common;
+
+use common::drive;
 use duoquest::core::{
-    Candidate, Duoquest, DuoquestConfig, SessionScheduler, SynthesisResult, SynthesisSession,
-    TableSketchQuery,
+    Candidate, DrivenOutcome, Duoquest, DuoquestConfig, SchedulerHandle, SessionScheduler,
+    SynthesisResult, SynthesisSession, TableSketchQuery,
 };
 use duoquest::db::{Database, SelectSpec};
 use duoquest::nlq::{GuidanceModel, HeuristicGuidance, Nlq, NoisyOracleGuidance};
@@ -19,7 +22,7 @@ use duoquest::workloads::{
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::process::{Command, Stdio};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 
 /// A reduced, fixed workload: 1 database, 6 tasks across difficulties.
 fn workload() -> spider::SpiderDataset {
@@ -43,7 +46,7 @@ fn ranking(result: &SynthesisResult) -> Vec<(String, f64)> {
     result.candidates.iter().map(|c| (format!("{:?}", c.spec), c.confidence)).collect()
 }
 
-/// A blocking run on a pool equals the inline (sequential Algorithm 1) run
+/// A driven run on a pool equals the inline (sequential Algorithm 1) run
 /// of the same task.
 #[test]
 fn parallel_session_equals_sequential_path_per_task() {
@@ -66,7 +69,7 @@ fn parallel_session_equals_sequential_path_per_task() {
     }
 }
 
-/// Run one task through a session attached to `pool`, or — `None` — inline.
+/// Run one task through a session driven on `pool`, or — `None` — inline.
 fn run_task_on(
     dataset: &spider::SpiderDataset,
     task: &spider::SpiderTask,
@@ -77,13 +80,21 @@ fn run_task_on(
     let db = dataset.database(task);
     let (gold, tsq) = synthesize_tsq(db, &task.gold, TsqDetail::Full, 2, seed);
     let model = NoisyOracleGuidance::new(gold, seed);
-    let mut session = Duoquest::new(config.clone())
+    let session = Duoquest::new(config.clone())
         .session(Arc::clone(db), task.nlq.clone(), Arc::new(model))
         .with_tsq(tsq);
-    if let Some(pool) = pool {
-        session = session.with_scheduler(pool.handle());
+    match pool {
+        Some(pool) => finished(drive(session, &pool.handle(), |_| true)),
+        None => session.run(),
     }
-    session.run()
+}
+
+/// The result of a driven run that finished.
+fn finished(outcome: DrivenOutcome) -> SynthesisResult {
+    match outcome {
+        DrivenOutcome::Finished(result) => result,
+        DrivenOutcome::Poisoned(message) => panic!("the driven run was poisoned: {message:?}"),
+    }
 }
 
 /// The tentpole guarantee of the shared batch scheduler: any number of
@@ -169,31 +180,44 @@ fn emitted(c: &Candidate) -> (String, u64) {
     (format!("{:?}", c.spec), c.confidence.to_bits())
 }
 
-/// Run a session through one of its two public wrappers — `run_with` on the
-/// calling thread, or `stream()` drained and finished — and observe it.
-fn run_observed(session: SynthesisSession, stream: bool) -> (Observed, SynthesisResult) {
+/// The ways a test runs a session: `run_with` on the calling thread, a
+/// pulled `stream()` drained and finished, or `drive` on a pool.
+#[derive(Clone, Copy)]
+enum Way<'a> {
+    RunWith,
+    Stream,
+    Drive(&'a SchedulerHandle),
+}
+
+/// Run a session one [`Way`] and observe it.
+fn run_observed(session: SynthesisSession, way: Way<'_>) -> (Observed, SynthesisResult) {
     let mut sequence = Vec::new();
-    let result = if stream {
-        let mut stream = session.stream();
-        sequence.extend(stream.by_ref().map(|c| emitted(&c)));
-        stream.finish()
-    } else {
-        session.run_with(|c| {
+    let result = match way {
+        Way::RunWith => session.run_with(|c| {
             sequence.push(emitted(c));
             true
-        })
+        }),
+        Way::Stream => {
+            let mut stream = session.stream();
+            sequence.extend(stream.by_ref().map(|c| emitted(&c)));
+            stream.finish()
+        }
+        Way::Drive(handle) => {
+            let (seen_tx, seen_rx) = mpsc::channel();
+            let outcome = drive(session, handle, move |c| seen_tx.send(emitted(c)).is_ok());
+            sequence.extend(seen_rx.try_iter());
+            finished(outcome)
+        }
     };
     (observe(sequence, &result), result)
 }
 
-/// Every way of running a session that still differs: **inline** (the
-/// reference: no pool, the calling thread), a **private stream** (the
-/// one-worker pool `stream()` owns when none is attached), **shared pools**
-/// of {1, 2, 4} workers, and **eight sessions at once** on each shared pool
-/// — alternating `run_with` and `stream()` on the shared pools, so both
-/// public wrappers stay covered. `session(case)` builds a case's session with
-/// no pool attached; every way must observe exactly what inline observes.
-/// Returns the inline observations and how many times a pooled run was
+/// Every way of running a session: **inline** `run_with` (the reference: no
+/// pool, the calling thread), a **pulled stream** (inline too, so its
+/// `stats.scheduler` is `None`), `drive` on **pools** of {1, 2, 4} workers,
+/// and **eight sessions at once** on each pool. `session(case)` builds a
+/// case's session; every way must observe exactly what inline observes.
+/// Returns the inline observations and how many times a driven run was
 /// requeued behind another session (its `Resume` units beyond the kick-off).
 fn every_way_agrees(
     cases: usize,
@@ -201,38 +225,38 @@ fn every_way_agrees(
 ) -> (Vec<Observed>, u64) {
     let reference: Vec<Observed> = (0..cases)
         .map(|case| {
-            let (observed, result) = run_observed(session(case), false);
+            let (observed, result) = run_observed(session(case), Way::RunWith);
             assert!(result.stats.scheduler.is_none(), "case {case}: inline means no pool");
             observed
         })
         .collect();
+    for (case, inline) in reference.iter().enumerate() {
+        let (observed, result) = run_observed(session(case), Way::Stream);
+        assert_eq!(*inline, observed, "case {case}: pulled stream");
+        assert!(result.stats.scheduler.is_none(), "case {case}: a pulled stream has no pool");
+    }
+
     let mut requeued = 0;
     let mut check = |case: usize, observed: Observed, result: SynthesisResult, way: &str| {
         assert_eq!(reference[case], observed, "case {case}: {way}");
-        let pool = result.stats.scheduler.expect("a pooled run reports its pool");
+        let pool = result.stats.scheduler.expect("a driven run reports its pool");
         requeued += pool.units_submitted - 1;
     };
-
-    for case in 0..cases {
-        let (observed, result) = run_observed(session(case), true);
-        check(case, observed, result, "private stream");
-    }
-    for (turn, workers) in [1usize, 2, 4].into_iter().enumerate() {
+    for workers in [1usize, 2, 4] {
         let pool = SessionScheduler::new(workers);
+        let handle = pool.handle();
         for case in 0..cases {
-            let stream = (case + turn) % 2 == 0;
-            let (observed, result) =
-                run_observed(session(case).with_scheduler(pool.handle()), stream);
-            check(case, observed, result, &format!("shared pool of {workers}, stream: {stream}"));
+            let (observed, result) = run_observed(session(case), Way::Drive(&handle));
+            check(case, observed, result, &format!("pool of {workers}"));
         }
         // Eight sessions at once over the one pool (and, per workload, the
         // one database), neighbours in case order side by side.
         let concurrent = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..8)
                 .map(|s| {
-                    let (case, session) = (s % cases, &session);
-                    let session = session(case).with_scheduler(pool.handle());
-                    scope.spawn(move || (case, s % 4 >= 2, run_observed(session, s % 4 >= 2)))
+                    let (case, session, handle) = (s % cases, &session, &handle);
+                    let session = session(case);
+                    scope.spawn(move || (case, run_observed(session, Way::Drive(handle))))
                 })
                 .collect();
             handles
@@ -240,15 +264,14 @@ fn every_way_agrees(
                 .map(|h| h.join().expect("session thread panicked"))
                 .collect::<Vec<_>>()
         });
-        for (case, stream, (observed, result)) in concurrent {
-            let way = format!("among 8 sessions on {workers} workers, stream: {stream}");
-            check(case, observed, result, &way);
+        for (case, (observed, result)) in concurrent {
+            check(case, observed, result, &format!("among 8 sessions on {workers} workers"));
         }
         let stats = pool.stats();
         assert_eq!(
             (stats.live_sessions, stats.queue_depth),
             (0, 0),
-            "shared pool of {workers} left work behind"
+            "pool of {workers} left work behind"
         );
     }
     (reference, requeued)
@@ -660,7 +683,7 @@ fn a_smaller_expansion_budget_emits_a_prefix() {
                         let session = Duoquest::new(config)
                             .session(Arc::clone(db), task.nlq.clone(), Arc::clone(&model))
                             .with_tsq(tsq.clone());
-                        let (observed, result) = run_observed(session, false);
+                        let (observed, result) = run_observed(session, Way::RunWith);
                         let stats = result.stats;
                         assert!(
                             stats.frontier_peak <= max_expansions + max_expansions / 4 + 64,
@@ -742,8 +765,8 @@ fn mas_session(db: &Arc<Database>, request: &MasRequest) -> SynthesisSession {
 
 /// MAS's join graph has cycles, so a set of tables can have two equally short
 /// Steiner trees; `JoinGraph::steiner_tree` picks by one fixed rule, and the
-/// 14 user-study tasks observe the same run inline, as a private stream, on
-/// shared pools of {1, 2, 4} and eight at a time ([`every_way_agrees`]).
+/// 14 user-study tasks observe the same run inline, as a pulled stream, on
+/// pools of {1, 2, 4} and eight at a time ([`every_way_agrees`]).
 #[test]
 fn mas_tasks_agree_on_every_way_to_run_a_session() {
     let (dataset, requests) = mas_cold(1);
@@ -760,7 +783,7 @@ fn mas_tasks_agree_on_every_way_to_run_a_session() {
 fn observe_cold(db: &Arc<Database>, requests: &[MasRequest]) -> Vec<String> {
     let observe = |request| {
         db.clear_probe_cache();
-        let (observed, result) = run_observed(mas_session(db, request), false);
+        let (observed, result) = run_observed(mas_session(db, request), Way::RunWith);
         let probes = (result.stats.rows_scanned, result.stats.cache_misses);
         format!("{observed:?} {probes:?}")
     };

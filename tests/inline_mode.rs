@@ -16,10 +16,11 @@ fn process_threads() -> usize {
     std::fs::read_dir("/proc/self/task").map(|tasks| tasks.count()).unwrap_or(0)
 }
 
-/// The thread count read inside the candidate callback is the count before
-/// the run, and the result carries no pool observations — for a session
-/// without a pool, and for the borrowed entry points (they cannot hand
-/// `&Database` to a pool); both return the same candidates.
+/// The thread count read inside the candidate callback — or inside the loop
+/// draining a pulled stream — is the count before the run, and the result
+/// carries no pool observations: for a session's `run_with` and `stream()`,
+/// and for the borrowed entry points (they cannot hand `&Database` to a
+/// pool); all three return the same candidates.
 #[test]
 fn inline_mode_spawns_no_thread() {
     let dataset = spider::generate("inline-mode", 1, 2, 2, 2, 33);
@@ -48,11 +49,26 @@ fn inline_mode_spawns_no_thread() {
     assert!(session.stats.scheduler.is_none());
 
     during.clear();
-    let borrowed = Duoquest::new(config).synthesize_with(db, &task.nlq, Some(&tsq), &model, |_| {
-        during.push(process_threads());
-        true
-    });
+    let borrowed =
+        Duoquest::new(config.clone()).synthesize_with(db, &task.nlq, Some(&tsq), &model, |_| {
+            during.push(process_threads());
+            true
+        });
     assert!(during.iter().all(|&n| n == before), "{before} threads before, {during:?} during");
     assert!(borrowed.stats.scheduler.is_none());
     assert_eq!(ranking(&session), ranking(&borrowed));
+
+    during.clear();
+    let mut stream = SynthesisSession::new(Arc::clone(db), task.nlq.clone(), Arc::new(model))
+        .with_tsq(tsq)
+        .with_config(config)
+        .stream();
+    for _candidate in stream.by_ref() {
+        during.push(process_threads());
+    }
+    let streamed = stream.finish();
+    assert!(!during.is_empty(), "the stream yields candidates");
+    assert!(during.iter().all(|&n| n == before), "{before} threads before, {during:?} during");
+    assert!(streamed.stats.scheduler.is_none());
+    assert_eq!(ranking(&session), ranking(&streamed));
 }

@@ -1,14 +1,18 @@
-//! The two places a run can stand — **inline** on the calling thread, or as a
-//! **driven session** on a pool that a blocking caller waits for — seen from
-//! the public API: an early stop cuts every run at the same point, one
+//! The two places a run can stand — **inline** on the calling thread (`run`,
+//! `run_with`, a pulled `stream()`), or as a **driven session** on a pool
+//! (`spawn_driven`, waited for through `common::drive`) — seen from the
+//! public API: an early stop cuts every run at the same point, one
 //! `SessionControl` serves run after run, and the edges of the pooled path (a
-//! pool dropped under a blocked caller, a panicking model, a panicking
-//! callback) resolve instead of hanging. That the inline mode spawns nothing
-//! is held by `tests/inline_mode.rs`, a process of its own.
+//! pool dropped under a parked run, a panicking model, a panicking sink)
+//! resolve instead of hanging. That the inline mode spawns nothing is held by
+//! `tests/inline_mode.rs`, a process of its own.
 
+mod common;
+
+use common::drive;
 use duoquest::core::{
-    panic_message, DuoquestConfig, SessionControl, SessionScheduler, SynthesisResult,
-    SynthesisSession, VerifyStage,
+    panic_message, Candidate, DrivenOutcome, DuoquestConfig, SessionControl, SessionScheduler,
+    SynthesisResult, SynthesisSession, VerifyStage,
 };
 use duoquest::nlq::{Choice, GuidanceContext, GuidanceModel, NoisyOracleGuidance};
 use duoquest::obs::{SpanRecord, Trace};
@@ -71,13 +75,20 @@ fn ranking(result: &SynthesisResult) -> Vec<(String, u64)> {
     result.candidates.iter().map(|c| (format!("{:?}", c.spec), c.confidence.to_bits())).collect()
 }
 
-/// Poll `ready` until it holds (a pool winds a stopped session down on its
-/// own workers, after the blocked caller has already returned).
-fn wait_until(what: &str, mut ready: impl FnMut() -> bool) {
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while !ready() {
-        assert!(Instant::now() < deadline, "timed out waiting until {what}");
-        std::thread::yield_now();
+/// The result of a driven run that finished.
+fn finished(outcome: DrivenOutcome) -> SynthesisResult {
+    match outcome {
+        DrivenOutcome::Finished(result) => result,
+        DrivenOutcome::Poisoned(message) => panic!("the driven run was poisoned: {message:?}"),
+    }
+}
+
+/// A candidate callback that stops the run at its `k`-th candidate.
+fn stop_after(k: usize) -> impl FnMut(&Candidate) -> bool + Send + 'static {
+    let mut seen = 0;
+    move |_| {
+        seen += 1;
+        seen < k
     }
 }
 
@@ -91,26 +102,22 @@ fn halt_cut_is_the_same_everywhere() {
     let dataset = workload();
     let pools: Vec<SessionScheduler> = [1, 2, 4].map(SessionScheduler::new).into();
     let config = base_config().with_beam_width(4);
+    let cut = |result: SynthesisResult| {
+        let s = &result.stats;
+        (ranking(&result), s.emitted, s.expanded, s.generated, s.total_pruned())
+    };
     for task in 0..dataset.tasks.len() {
         for k in [1usize, 3] {
-            let cut = |session: SynthesisSession| {
-                let mut seen = 0;
-                let result = session.run_with(|_| {
-                    seen += 1;
-                    seen < k
-                });
-                let s = &result.stats;
-                (ranking(&result), s.emitted, s.expanded, s.generated, s.total_pruned())
-            };
-            let inline = cut(session(&dataset, task, &config));
+            let inline = cut(session(&dataset, task, &config).run_with(stop_after(k)));
             if inline.0.len() < k {
                 continue; // the task emits fewer than k candidates
             }
             assert_eq!(inline.0.len(), k, "task {task}: the callback stops the run");
             for pool in &pools {
+                let driven = drive(session(&dataset, task, &config), &pool.handle(), stop_after(k));
                 assert_eq!(
                     inline,
-                    cut(session(&dataset, task, &config).with_scheduler(pool.handle())),
+                    cut(finished(driven)),
                     "task {task}, stop after {k}: shared pool of {}",
                     pool.workers()
                 );
@@ -134,7 +141,7 @@ fn every_burst_of_a_traced_run_has_its_span() {
         let trace = Arc::new(Trace::with_capacity(0, Instant::now(), 1 << 20));
         let session = session(&dataset, 1, &config).with_trace(Arc::clone(&trace));
         let result = match pool {
-            Some(pool) => session.with_scheduler(pool.handle()).run(),
+            Some(pool) => finished(drive(session, &pool.handle(), |_| true)),
             None => session.run(),
         };
         let stats = &result.stats;
@@ -185,10 +192,13 @@ fn every_burst_of_a_traced_run_has_its_span() {
     }
 }
 
-/// One `SessionControl` reused across every way to run a session: a run that
-/// completes never fires the caller's token, so the next run under the same
-/// control is as complete as the first. Dropping a stream whose run has
-/// *not* resolved still cancels.
+/// One `SessionControl` reused across every way to run a session — inline
+/// `run` and `run_with`, a pulled stream drained or only finished, `drive`
+/// on pools of {1, 2, 4} workers and eight sessions at once on each: a run
+/// that completes never fires the caller's token, so the next run under the
+/// same control is as complete as the first. Nor does dropping a stream
+/// that was pulled once: nothing runs between pulls, so there is nothing to
+/// cancel. `stop()` is what fires it.
 #[test]
 fn one_control_serves_run_after_run() {
     let dataset = workload();
@@ -196,51 +206,74 @@ fn one_control_serves_run_after_run() {
     let control = SessionControl::new();
     let controlled =
         |config: &DuoquestConfig| session(&dataset, 1, config).with_control(control.clone());
-    let pool = SessionScheduler::new(2);
 
     let inline = controlled(&config).run();
     assert!(inline.candidates.len() >= 3, "only {} candidates", inline.candidates.len());
-    let runs = [
-        ("run() inline", inline.clone()),
-        ("stream().finish() on a private pool", controlled(&config).stream().finish()),
-        (
-            "run_with on a shared pool",
-            controlled(&config).with_scheduler(pool.handle()).run_with(|_| true),
-        ),
-        ("stream().finish()", controlled(&config).with_scheduler(pool.handle()).stream().finish()),
+    let mut runs = vec![
+        ("run() inline".to_string(), inline.clone()),
+        ("run_with inline".to_string(), controlled(&config).run_with(|_| true)),
+        ("stream().finish()".to_string(), controlled(&config).stream().finish()),
+        ("stream() drained".to_string(), {
+            let mut stream = controlled(&config).stream();
+            assert_eq!(stream.by_ref().count(), inline.candidates.len());
+            stream.finish()
+        }),
     ];
+    for workers in [1, 2, 4] {
+        let pool = SessionScheduler::new(workers);
+        let handle = pool.handle();
+        let alone = finished(drive(controlled(&config), &handle, |_| true));
+        runs.push((format!("drive on {workers} workers"), alone));
+        std::thread::scope(|scope| {
+            let sessions: Vec<_> = (0..8)
+                .map(|_| {
+                    let (session, handle) = (controlled(&config), &handle);
+                    scope.spawn(move || finished(drive(session, handle, |_| true)))
+                })
+                .collect();
+            for (s, session) in sessions.into_iter().enumerate() {
+                let result = session.join().expect("a driving thread panicked");
+                runs.push((format!("session {s} of 8 on {workers} workers"), result));
+            }
+        });
+    }
     for (way, result) in &runs {
         assert!(!control.is_cancelled(), "{way} fired the caller's token");
         assert!(!result.stats.cancelled, "{way} came back cancelled");
         assert_eq!(ranking(&inline), ranking(result), "{way}");
     }
 
-    let mut stream = controlled(&endless_config()).with_scheduler(pool.handle()).stream();
+    let mut stream = controlled(&endless_config()).stream();
     assert!(stream.next().is_some(), "the endless run emits");
-    assert!(!control.is_cancelled());
     drop(stream);
-    assert!(control.is_cancelled(), "dropping an unfinished stream cancels its session");
-    wait_until("the cancelled session has left the pool", || pool.stats().live_sessions == 0);
+    assert!(!control.is_cancelled(), "dropping a pulled stream leaves the token alone");
+    let stream = controlled(&endless_config()).stream();
+    stream.stop();
+    assert!(control.is_cancelled(), "stop() fires the session's token");
+    assert!(stream.finish().stats.cancelled, "and the run it would have made stops at once");
 }
 
-/// Dropping the `SessionScheduler` under a caller blocked in `run_with`
-/// resolves the call — cancelled, with the candidates found so far — instead
-/// of panicking or hanging.
+/// Dropping the `SessionScheduler` under a `drive` parked on it resolves the
+/// run — `Finished`, cancelled, with the candidates found so far — instead of
+/// stranding or poisoning it; on a pool that is already gone, at once.
 #[test]
 fn dropping_the_pool_under_a_blocked_run_resolves_it_as_cancelled() {
     let dataset = workload();
     let pool = SessionScheduler::new(2);
-    let session = session(&dataset, 1, &endless_config()).with_scheduler(pool.handle());
+    let (handle, session) = (pool.handle(), session(&dataset, 1, &endless_config()));
     let (first_tx, first_rx) = mpsc::channel();
     let caller = std::thread::spawn(move || {
-        session.run_with(|_| {
+        drive(session, &handle, move |_| {
             let _ = first_tx.send(());
             true
         })
     });
     first_rx.recv_timeout(Duration::from_secs(30)).expect("the run is in flight and emitting");
     drop(pool);
-    let result = caller.join().expect("a blocked run must resolve, not panic");
+    let outcome = caller.join().expect("a parked run must resolve, not panic");
+    let DrivenOutcome::Finished(result) = outcome else {
+        panic!("shutdown resolves the run as finished, not poisoned")
+    };
     assert!(result.stats.cancelled, "shutdown winds the run down as cancelled");
     assert!(!result.candidates.is_empty(), "with the candidates found so far");
 
@@ -248,7 +281,7 @@ fn dropping_the_pool_under_a_blocked_run_resolves_it_as_cancelled() {
     let gone = SessionScheduler::new(1);
     let handle = gone.handle();
     drop(gone);
-    let result = self::session(&dataset, 1, &base_config()).with_scheduler(handle).run();
+    let result = finished(drive(self::session(&dataset, 1, &base_config()), &handle, |_| true));
     assert!(result.stats.cancelled);
     assert!(result.candidates.is_empty());
 }
@@ -268,10 +301,11 @@ impl GuidanceModel for PanicAfter {
     }
 }
 
-/// A model that panics in a later round makes `run` / `run_with` on a pool
-/// (and a private stream's `finish`) panic on the calling thread with the
-/// model's message; the pool survives, forgets the session and serves the
-/// next run.
+/// A model that panics in a later round carries its message to whoever
+/// drives the run: an inline `run` and a pulled stream's `next()` or
+/// `finish()` unwind with it on the calling thread, and `drive` resolves
+/// `Poisoned` with it; the pool survives, forgets the session and serves the
+/// next `drive`.
 #[test]
 fn a_panicking_model_panics_the_blocked_caller_and_spares_the_pool() {
     let dataset = workload();
@@ -281,17 +315,29 @@ fn a_panicking_model_panics_the_blocked_caller_and_spares_the_pool() {
             Arc::new(PanicAfter { inner, remaining: AtomicI64::new(3) })
         })
     };
-    let message_of = |run: &dyn Fn() -> SynthesisResult| {
+    let message_of = |run: &dyn Fn()| {
         let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run))
             .expect_err("the model's panic must reach the caller");
         panic_message(payload.as_ref()).expect("a message travels with the panic")
     };
     let pool = SessionScheduler::new(2);
+    let poisoned = match drive(exploding(&config), &pool.handle(), |_| true) {
+        DrivenOutcome::Poisoned(Some(message)) => message,
+        DrivenOutcome::Poisoned(None) => panic!("the poisoned outcome lost the model's message"),
+        DrivenOutcome::Finished(_) => panic!("the model's panic must poison the driven run"),
+    };
     for message in [
-        message_of(&|| exploding(&config).with_scheduler(pool.handle()).run()),
-        message_of(&|| exploding(&config).with_scheduler(pool.handle()).run_with(|_| true)),
-        message_of(&|| exploding(&config).stream().finish()),
-        message_of(&|| exploding(&config).run()),
+        message_of(&|| {
+            exploding(&config).run();
+        }),
+        message_of(&|| {
+            let mut stream = exploding(&config).stream();
+            while stream.next().is_some() {}
+        }),
+        message_of(&|| {
+            exploding(&config).stream().finish();
+        }),
+        poisoned,
     ] {
         assert!(message.contains("guidance model exploded"), "payload: {message:?}");
     }
@@ -299,26 +345,23 @@ fn a_panicking_model_panics_the_blocked_caller_and_spares_the_pool() {
     let healthy = session(&dataset, 1, &config);
     assert_eq!(
         ranking(&healthy.run()),
-        ranking(&healthy.clone().with_scheduler(pool.handle()).run()),
+        ranking(&finished(drive(healthy.clone(), &pool.handle(), |_| true))),
         "the pool serves the next run"
     );
 }
 
-/// A `run_with` callback that panics unwinds through the caller as any panic
-/// does, and the session it left behind on the pool stops by itself: no live
-/// session, no queued unit.
+/// A `drive` sink that panics poisons its session with the sink's message,
+/// and the pool is left idle: no live session, no queued unit.
 #[test]
 fn a_panicking_callback_leaves_the_pool_idle() {
     let dataset = workload();
     let pool = SessionScheduler::new(2);
-    let session = session(&dataset, 1, &endless_config()).with_scheduler(pool.handle());
-    let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        session.run_with(|_| panic!("callback exploded"))
-    }))
-    .expect_err("the callback's panic unwinds through run_with");
-    assert_eq!(panic_message(payload.as_ref()).as_deref(), Some("callback exploded"));
-    wait_until("the abandoned session has left the pool", || {
-        let stats = pool.stats();
-        stats.live_sessions == 0 && stats.queue_depth == 0
-    });
+    let session = session(&dataset, 1, &endless_config());
+    let outcome = drive(session, &pool.handle(), |_| -> bool { panic!("callback exploded") });
+    let DrivenOutcome::Poisoned(message) = outcome else {
+        panic!("a panicking sink must poison the session")
+    };
+    assert_eq!(message.as_deref(), Some("callback exploded"));
+    let stats = pool.stats();
+    assert_eq!((stats.live_sessions, stats.queue_depth), (0, 0), "{stats:?}");
 }

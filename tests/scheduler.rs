@@ -4,10 +4,17 @@
 //! must never starve the rest — and a session nobody competes with never
 //! pays for that fairness.
 
-use duoquest::core::{DuoquestConfig, SessionScheduler, SynthesisSession};
+mod common;
+
+use common::drive;
+use duoquest::core::{
+    Candidate, DrivenOutcome, DuoquestConfig, SessionControl, SessionScheduler, SynthesisResult,
+    SynthesisSession,
+};
 use duoquest::nlq::NoisyOracleGuidance;
 use duoquest::workloads::{spider, synthesize_tsq, TsqDetail};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Task `index` of `dataset` under a full sketch and the oracle.
@@ -28,6 +35,20 @@ fn session_for(
     .with_config(config)
 }
 
+/// Drive `session` on `pool` from a thread of its own, which returns the
+/// finished run; `sink` sees each candidate on the pool worker.
+fn drive_in_background(
+    session: SynthesisSession,
+    pool: &SessionScheduler,
+    sink: impl FnMut(&Candidate) -> bool + Send + 'static,
+) -> JoinHandle<SynthesisResult> {
+    let handle = pool.handle();
+    std::thread::spawn(move || match drive(session, &handle, sink) {
+        DrivenOutcome::Finished(result) => result,
+        DrivenOutcome::Poisoned(message) => panic!("a session was poisoned: {message:?}"),
+    })
+}
+
 /// A count gate, not a stopwatch: a driven session alone on a pool stays on
 /// the worker that took it. Whatever its length it queues one unit — its
 /// kick-off — and never sees a queue deeper than that: every yield finds
@@ -45,7 +66,8 @@ fn a_session_alone_on_a_pool_never_leaves_its_worker() {
                 ..Default::default()
             };
             let pool = SessionScheduler::new(2);
-            let result = session_for(&dataset, index, config).with_scheduler(pool.handle()).run();
+            let outcome = drive(session_for(&dataset, index, config), &pool.handle(), |_| true);
+            let DrivenOutcome::Finished(result) = outcome else { panic!("task {index} poisoned") };
             let run = result.stats.scheduler.expect("the run was on the pool");
             assert_eq!(
                 run.units_submitted, 1,
@@ -75,14 +97,23 @@ fn two_sessions_on_one_worker_take_turns() {
     };
     let pool = SessionScheduler::new(1);
     let hardest = dataset.tasks.len() - 1;
-    let mut streams: Vec<_> = (0..2)
-        .map(|_| {
-            session_for(&dataset, hardest, endless.clone()).with_scheduler(pool.handle()).stream()
+    let control = SessionControl::new();
+    let (seen_tx, seen_rx) = mpsc::channel();
+    let drivers: Vec<_> = (0..2)
+        .map(|id| {
+            let session =
+                session_for(&dataset, hardest, endless.clone()).with_control(control.clone());
+            let seen_tx = seen_tx.clone();
+            drive_in_background(session, &pool, move |_| {
+                let _ = seen_tx.send(id);
+                true
+            })
         })
         .collect();
     // The second session's first candidate can only follow a hand-over.
-    for stream in &mut streams {
-        assert!(stream.next_timeout(Duration::from_secs(30)).is_some(), "a session starved");
+    let mut seen = [false; 2];
+    while seen != [true; 2] {
+        seen[seen_rx.recv_timeout(Duration::from_secs(30)).expect("a session starved")] = true;
     }
     // Four occupancies over: each session has ended at least one of them at
     // a yield the other was waiting behind (neither run can finish).
@@ -91,9 +122,10 @@ fn two_sessions_on_one_worker_take_turns() {
         assert!(Instant::now() < deadline, "the sessions stopped taking turns");
         std::thread::yield_now();
     }
-    for stream in streams {
-        stream.stop();
-        let run = stream.finish().stats.scheduler.expect("the run was on the pool");
+    control.cancel();
+    for driver in drivers {
+        let result = driver.join().expect("a driving thread panicked");
+        let run = result.stats.scheduler.expect("the run was on the pool");
         assert!(run.units_submitted > 1, "an endless session was never requeued: {run:?}");
         assert!(run.live_sessions_peak >= 2, "{run:?}");
     }
@@ -117,6 +149,7 @@ fn fast_session_is_served_while_slow_session_runs() {
     let fast_task = dataset.tasks.first().expect("workload has tasks");
 
     let pool = SessionScheduler::new(1);
+    let slow_control = SessionControl::new();
 
     let db = dataset.database(slow_task);
     let (slow_gold, slow_tsq) = synthesize_tsq(db, &slow_task.gold, TsqDetail::Full, 2, 11);
@@ -137,7 +170,7 @@ fn fast_session_is_served_while_slow_session_runs() {
     )
     .with_tsq(slow_tsq)
     .with_config(slow_config)
-    .with_scheduler(pool.handle());
+    .with_control(slow_control.clone());
 
     let fast_db = dataset.database(fast_task);
     let (fast_gold, fast_tsq) = synthesize_tsq(fast_db, &fast_task.gold, TsqDetail::Full, 2, 13);
@@ -149,19 +182,18 @@ fn fast_session_is_served_while_slow_session_runs() {
         Arc::new(NoisyOracleGuidance::new(fast_gold, 13)),
     )
     .with_tsq(fast_tsq)
-    .with_config(fast_config)
-    .with_scheduler(pool.handle());
+    .with_config(fast_config);
 
     // Start the slow session and let it saturate the single worker. If the
     // machine is so fast that the slow session exhausts its search space
     // before contention can even be established, there is nothing to measure
     // — skip rather than report a spurious failure (on the 1-CPU reference
     // box the slow session runs for well over a second).
-    let slow_stream = slow_session.stream();
+    let slow = drive_in_background(slow_session, &pool, |_| true);
     std::thread::sleep(Duration::from_millis(50));
-    if slow_stream.is_finished() {
+    if slow.is_finished() {
         eprintln!("SKIP: slow session finished in <50ms on this machine; no contention window");
-        let _ = slow_stream.finish();
+        let _ = slow.join();
         return;
     }
 
@@ -170,22 +202,26 @@ fn fast_session_is_served_while_slow_session_runs() {
     // scheduling the fast session would sit behind the slow session's entire
     // multi-second queue instead of being interleaved.
     let started = Instant::now();
-    let mut fast_stream = fast_session.stream();
-    let first = fast_stream.next_timeout(Duration::from_secs(20));
+    let (first_tx, first_rx) = mpsc::channel();
+    let fast = drive_in_background(fast_session, &pool, move |candidate| {
+        let _ = first_tx.send(candidate.clone());
+        true
+    });
+    let first = first_rx.recv_timeout(Duration::from_secs(20)).ok();
     let time_to_first = started.elapsed();
     assert!(first.is_some(), "fast session starved: no candidate within 20s");
 
     // The headline fairness assertion: the fast session produced output
     // while the slow session was still running.
     assert!(
-        !slow_stream.is_finished(),
+        !slow.is_finished(),
         "slow session finished (in under {time_to_first:?}) before the fast session's first \
          candidate — the workload no longer exercises contention"
     );
 
-    let fast_result = fast_stream.finish();
+    let fast_result = fast.join().expect("the fast session's thread panicked");
     assert!(!fast_result.candidates.is_empty());
-    // Both sessions ran on the shared pool (not private fallbacks).
+    // Both sessions ran on the shared pool.
     let run = fast_result.stats.scheduler.expect("fast session ran on the shared pool");
     assert_eq!(run.pool_workers, 1);
     assert!(
@@ -193,7 +229,7 @@ fn fast_session_is_served_while_slow_session_runs() {
         "fast session should have observed the slow session sharing the pool: {run:?}"
     );
 
-    slow_stream.stop();
-    let slow_result = slow_stream.finish();
+    slow_control.cancel();
+    let slow_result = slow.join().expect("the slow session's thread panicked");
     assert!(slow_result.stats.scheduler.is_some());
 }

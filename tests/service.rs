@@ -6,12 +6,13 @@
 //! * **cancellation**: cancelling one request reaps its queued scheduler
 //!   units without perturbing (or dropping candidates of) uncancelled
 //!   requests;
-//! * **drop-cancels-work**: dropping a `Ticket` or a `CandidateStream`
-//!   cancels the underlying session and lets the shared pool go idle;
+//! * **drop-cancels-work**: dropping a `Ticket` cancels the underlying
+//!   session and lets the shared pool go idle; a dropped `CandidateStream`
+//!   leaves no work at all, as nothing runs between its pulls;
 //! * **deadlines**: a request past its deadline resolves with the best
 //!   candidates found so far, flagged `deadline_exceeded`.
 
-use duoquest::core::{DuoquestConfig, SessionScheduler, SynthesisResult, SynthesisSession};
+use duoquest::core::{DuoquestConfig, SynthesisResult, SynthesisSession};
 use duoquest::nlq::NoisyOracleGuidance;
 use duoquest::service::{
     AdmissionError, PriorityClass, RequestStatus, ServiceConfig, SynthesisRequest, SynthesisService,
@@ -50,7 +51,7 @@ fn request_for(
         .with_config(config)
 }
 
-/// The same task as [`request_for`], but as a private-pool session — the
+/// The same task as [`request_for`], but as a session run inline — the
 /// determinism ground truth.
 fn session_for(
     dataset: &spider::SpiderDataset,
@@ -149,7 +150,7 @@ fn interactive_first_candidate_beats_every_live_batch_completion() {
 
 /// Cancelling one request must not re-order or drop candidates of a
 /// concurrent uncancelled request — its emission stays byte-identical to a
-/// solo private-pool run.
+/// solo inline run.
 #[test]
 fn cancellation_leaves_other_requests_byte_identical() {
     let dataset = workload();
@@ -159,7 +160,7 @@ fn cancellation_leaves_other_requests_byte_identical() {
     config.time_budget = None;
     config.max_candidates = 20;
 
-    // Ground truth: the observed task alone on a private sequential session.
+    // Ground truth: the observed task alone, run inline.
     let solo = session_for(&dataset, observed_task, 77, config.clone()).run();
 
     let service = SynthesisService::new(ServiceConfig {
@@ -233,13 +234,13 @@ fn dropping_a_ticket_reaps_work_and_pool_goes_idle() {
     assert_eq!(service.stats().class(PriorityClass::Batch).cancelled, 1);
 }
 
-/// Satellite regression at the session level: dropping a `CandidateStream`
-/// attached to a shared pool cancels the session and the pool goes idle.
+/// A dropped `CandidateStream` leaves no work behind: nothing runs between
+/// pulls, so once a stream has been pulled once and dropped, its database's
+/// probe cache sees no lookup over the next 50 ms.
 #[test]
 fn dropping_a_candidate_stream_lets_the_pool_go_idle() {
     let dataset = workload();
     let hard = hard_task(&dataset);
-    let pool = SessionScheduler::new(1);
     let db = dataset.database(hard);
     let (gold, tsq) = synthesize_tsq(db, &hard.gold, TsqDetail::Full, 2, 47);
     let mut stream = SynthesisSession::new(
@@ -249,20 +250,18 @@ fn dropping_a_candidate_stream_lets_the_pool_go_idle() {
     )
     .with_tsq(tsq)
     .with_config(heavy_config())
-    .with_scheduler(pool.handle())
     .stream();
-    let _ = stream.next_timeout(Duration::from_secs(10));
+    assert!(stream.next().is_some(), "the heavy run emits");
     drop(stream);
 
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        let stats = pool.stats();
-        if stats.live_sessions == 0 && stats.queue_depth == 0 {
-            break;
-        }
-        assert!(Instant::now() < deadline, "dropped stream leaked enumeration work: {stats:?}");
-        std::thread::sleep(Duration::from_millis(10));
-    }
+    let lookups = || {
+        let cache = db.cache_stats();
+        cache.hits + cache.misses
+    };
+    let after_drop = lookups();
+    assert!(after_drop > 0, "the pulled rounds probed the database");
+    std::thread::sleep(Duration::from_millis(50));
+    assert_eq!(lookups(), after_drop, "a dropped stream kept probing its database");
 }
 
 /// A mid-run deadline resolves with the best candidates found so far,
