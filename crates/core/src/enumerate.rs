@@ -16,9 +16,10 @@
 //! Algorithm 1 exploration. The one exception is a wall-clock `time_budget`:
 //! where the deadline cuts the search depends on machine speed.
 //!
-//! Verification probes run through the database's probe/result memo cache
-//! (`Database::exists_cached_with`, `Database::execute_cached_budgeted`),
-//! column-wise ones once per distinct question
+//! Verification probes are yes/no questions answered through the database's
+//! probe memo cache (`Database::exists_cached_with`,
+//! `Database::decide_cached_with`), column-wise ones once per distinct
+//! question
 //! (the run's [`VerifyPlan`] answers the repeats); the per-run hit/miss
 //! counters and the per-stage cascade timings are surfaced in
 //! [`EnumerationStats`].
@@ -118,16 +119,6 @@ pub struct EnumerationStats {
     /// Probe executions cut short because the planner or a join step proved
     /// the remaining work empty.
     pub probes_bailed_empty: u64,
-    /// Probe-cache misses this run resolved by waiting on another session's
-    /// identical in-flight probe instead of executing it again (single-flight
-    /// collapsing on a shared database).
-    pub single_flight_hits: u64,
-    /// Probe-cache misses for which this run was elected the single-flight
-    /// leader (it executed the probe and fanned the result out).
-    pub single_flight_leaders: u64,
-    /// Microseconds this run's probes spent parked waiting on another
-    /// session's single-flight leader (wall-clock, observational).
-    pub single_flight_wait_us: u64,
     /// Shared-pool observations, when the run was served by a
     /// [`crate::scheduler::SessionScheduler`] — a shared one or a session's
     /// private one (`None` for inline runs).
@@ -154,8 +145,6 @@ impl EnumerationStats {
         (self.rows_scanned, self.rows_short_circuited) = counters.scan_snapshot();
         (self.index_lookups, self.rows_via_index, self.probes_bailed_empty) =
             counters.index_snapshot();
-        (self.single_flight_hits, self.single_flight_leaders, self.single_flight_wait_us) =
-            counters.single_flight_snapshot();
     }
 
     fn record(&mut self, stage: VerifyStage, count: usize) {
@@ -229,8 +218,8 @@ pub(crate) struct RunInputs<'a> {
     /// simulation harness).
     pub(crate) clock: &'a dyn Clock,
     /// The session's request trace, when observability is on: each
-    /// [`RoundDriver::advance`] records its burst's `rounds`,
-    /// `verify:<stage>` and `probe_wait` spans into it. `None` costs one
+    /// [`RoundDriver::advance`] records its burst's `rounds` and
+    /// `verify:<stage>` spans into it. `None` costs one
     /// branch per burst and nothing else.
     pub(crate) trace: Option<&'a Arc<Trace>>,
 }
@@ -342,8 +331,6 @@ struct BurstStart {
     at: Instant,
     rounds: usize,
     timings: StageTimings,
-    /// The run's single-flight wait so far, in µs.
-    waited_us: u64,
 }
 
 /// The synthesis round loop as a **resumable state machine**: owns the
@@ -436,7 +423,6 @@ impl RoundDriver {
                 at: env.clock.now(),
                 rounds: self.stats.rounds,
                 timings: self.stats.stage_timings,
-                waited_us: plan.counters.single_flight_snapshot().2,
             };
             (trace, start)
         });
@@ -448,23 +434,22 @@ impl RoundDriver {
             }
         }
         if let Some((trace, start)) = traced {
-            self.record_burst(trace, start, plan, env);
+            self.record_burst(trace, start, env);
         }
         exit
     }
 
     /// Record the burst that began at `start`, if it ran a round: one
-    /// `rounds` span over it, then its per-stage `verify:<stage>` shares and
-    /// its single-flight `probe_wait`, synthesized from the run's counters'
-    /// deltas and laid out one after another from the burst's start so they
-    /// nest inside it (verify calls interleave across children and rounds
-    /// and have no single interval of their own).
-    fn record_burst(&self, trace: &Trace, start: BurstStart, plan: &RunPlan, env: &RunInputs<'_>) {
+    /// `rounds` span over it, then its per-stage `verify:<stage>` shares,
+    /// synthesized from the run's counters' deltas and laid out one after
+    /// another from the burst's start so they nest inside it (verify calls
+    /// interleave across children and rounds and have no single interval of
+    /// their own).
+    fn record_burst(&self, trace: &Trace, start: BurstStart, env: &RunInputs<'_>) {
         if self.stats.rounds == start.rounds {
             return;
         }
-        let ended = env.clock.now();
-        trace.record_span("rounds", start.at, ended);
+        trace.record_span("rounds", start.at, env.clock.now());
         let timings = &self.stats.stage_timings;
         let mut cursor = trace.offset_us(start.at);
         for stage in VerifyStage::ALL {
@@ -475,14 +460,6 @@ impl RoundDriver {
                 (timings.duration_of(stage) - start.timings.duration_of(stage)).as_micros() as u64;
             trace.record_span_at(stage.span_name(), cursor, cursor + width);
             cursor += width;
-        }
-        // The wait is real wall-clock even under a simulated clock, so its
-        // width is capped to the burst's remaining interval: a span may
-        // never escape its burst on the (possibly virtual) timeline.
-        let waited = plan.counters.single_flight_snapshot().2.saturating_sub(start.waited_us);
-        if waited > 0 {
-            let width = waited.min(trace.offset_us(ended).saturating_sub(cursor));
-            trace.record_span_at("probe_wait", cursor, cursor + width);
         }
     }
 

@@ -618,13 +618,12 @@ mod tests {
     }
 
     /// Two runs whose sketches disagree on one complete candidate, through
-    /// one database with single-flight on: each gets its own verdict,
-    /// whether the two ask at the same time or one after the other, and the
-    /// cache keeps one entry per sketch.
+    /// one database: each gets its own verdict, whether the two ask at the
+    /// same time or one after the other, and the cache keeps one entry per
+    /// sketch.
     #[test]
-    fn two_sketches_get_their_own_verdicts_under_single_flight() {
+    fn two_sketches_get_their_own_verdicts_on_one_database() {
         let db = events(20_000);
-        assert!(db.single_flight());
         let pq = names_and_groups(&db);
         let present = TableSketchQuery::empty()
             .with_tuple(vec![TsqCell::text("event 19998"), TsqCell::number(8)]);
@@ -644,7 +643,6 @@ mod tests {
                         for _ in 0..3 {
                             assert_eq!(verify_complete(db, tsq, pq, plan, &counters), *expected);
                         }
-                        assert_eq!(counters.single_flight_snapshot().0, 0, "nobody waits");
                     });
                 }
             });

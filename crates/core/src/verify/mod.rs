@@ -28,12 +28,13 @@
 //! back to back. Stage 4 answers from the run's [`VerifyPlan`]: one verdict
 //! per (example cell, column), probed on first touch.
 //!
-//! Database probes run through the streaming executor's memo cache, and
-//! none of them keeps rows there: the `LIMIT 1` probes of stages 4 and 5 ask
-//! whether a row exists (`Database::exists_cached_with`), while stage 5's
-//! global-aggregate probe and stage 7 ask for a verdict on the rows
-//! (`Database::decide_cached_with`, tagged by the run's [`VerifyPlan`]) —
-//! each cached as one bit. The `LIMIT 1` probes stop scanning at their first
+//! Database probes are yes/no questions, answered through the streaming
+//! executor's memo cache, and none of them keeps rows there: the `LIMIT 1`
+//! probes of stages 4 and 5 ask whether a row exists
+//! (`Database::exists_cached_with`, itself a verdict that answers at the
+//! first row), while stage 5's global-aggregate probe and stage 7 ask for a
+//! verdict on the rows (`Database::decide_cached_with`, tagged by the run's
+//! [`VerifyPlan`]) — each cached as one bit. The `LIMIT 1` probes stop scanning at their first
 //! row, and a verdict at the row that decides it (at the latest row `k + 1`
 //! of a TSQ with limit `k`; see `docs/EXECUTOR.md`). The per-run scan
 //! counters land in the counter set handed to [`Verifier::with_counters`].

@@ -7,8 +7,8 @@
 //! schema column) — the verdict of the existence probe and of the `AVG`
 //! range check, each unknown until first asked. The first touch of a pair
 //! runs the probe (through the database's probe cache, so cross-session
-//! sharing, single-flight and per-run attribution apply to it unchanged);
-//! every later touch is one relaxed atomic load.
+//! sharing and per-run attribution apply to it unchanged); every later
+//! touch is one relaxed atomic load.
 //!
 //! The plan also holds the sketch's **verdict tags**, encoded once per run:
 //! the cache tag under which a complete candidate's sketch check

@@ -7,15 +7,19 @@
 //! it asked, so repeated probes are answered without touching the join
 //! pipeline.
 //!
-//! A cached probe is one of three [`Question`]s about a spec: its **rows**
-//! ([`ProbeCache::get_budgeted`], [`ProbeCache::insert_budgeted`]); whether
-//! it returns any row at all — the **existence** question the verifier's
-//! column-wise and row-wise `LIMIT 1` probes ask, and the bulk of what a run
-//! caches ([`ProbeCache::get_exists`], [`ProbeCache::insert_exists`]); or a
+//! A cached probe answers one of three [`Question`]s about a spec. A
+//! synthesis run asks two, both yes/no: whether the spec returns any row at
+//! all — the **existence** question the verifier's column-wise and row-wise
+//! `LIMIT 1` probes ask, and the bulk of what a run caches
+//! ([`ProbeCache::get_exists`], [`ProbeCache::insert_exists`]) — and a
 //! caller's **verdict** on its rows — the sketch checks a complete candidate
 //! ends its branch with, named by a caller tag
-//! ([`ProbeCache::get_verdict`], [`ProbeCache::insert_verdict`]). Only the
-//! rows question keeps rows; the other two keep one bit.
+//! ([`ProbeCache::get_verdict`], [`ProbeCache::insert_verdict`]). Both keep
+//! one bit. The third, the spec's complete **rows** ([`ProbeCache::get`],
+//! [`ProbeCache::insert`]), backs `Database::execute_cached` and is the only
+//! answer that keeps rows. No answer is cut at a row budget, so every answer
+//! stored under one key is the same answer, and an insert keeps whichever
+//! entry is already there.
 //!
 //! Design:
 //!
@@ -63,16 +67,6 @@
 //! requested from the allocator, so they come to
 //! what [`ProbeCache::clear`] frees, give or take a third (the memory gate in
 //! `tests/frontier_memory.rs` holds that), not to a payload a fraction of it.
-//!
-//! # Truncated entries
-//!
-//! Since the executor became limit-aware, a probe may be executed under a
-//! **row budget** and return only a prefix of the spec's result. Rows entries
-//! therefore carry an **exactness bit**: an exact entry answers any request;
-//! a truncated entry (its rows were cut at some budget) answers only
-//! requests whose budget its row count still covers
-//! ([`ProbeCache::get_budgeted`]). Re-executing with a larger budget
-//! replaces the weaker entry in place.
 
 use crate::database::Row;
 use crate::encode::encode_spec;
@@ -83,15 +77,15 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::mem::size_of;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
-use std::time::Instant;
+use std::sync::{Arc, RwLock};
 
 /// Number of independent shards; a power of two, so a shard is the top bits
 /// of a key's hash.
 pub const SHARD_COUNT: usize = 16;
 
 /// Per-run hit/miss counters a caller can pass to
-/// [`crate::database::Database::execute_cached_with`] to attribute cache
+/// [`crate::database::Database::exists_cached_with`] and
+/// [`crate::database::Database::decide_cached_with`] to attribute cache
 /// traffic to one synthesis run. Atomic because a run bumps them through a
 /// shared reference, from whichever pool worker holds it; independent of the
 /// cache's own global counters, so concurrent runs on the same database
@@ -117,15 +111,6 @@ pub struct RunCacheCounters {
     /// Executions cut short because the planner or a join step proved the
     /// remaining work empty (see [`ExecMetrics::probes_bailed_empty`]).
     pub probes_bailed_empty: AtomicU64,
-    /// Misses this run resolved by waiting on another session's identical
-    /// in-flight probe instead of executing (see [`InflightTable`]).
-    pub single_flight_hits: AtomicU64,
-    /// Misses for which this run was elected the single-flight leader (it
-    /// executed the probe and fanned the result out to any waiters).
-    pub single_flight_leaders: AtomicU64,
-    /// Microseconds this run's probes spent parked waiting for another
-    /// session's leader to finish (wall-clock, observational only).
-    pub single_flight_wait_us: AtomicU64,
 }
 
 impl RunCacheCounters {
@@ -160,16 +145,6 @@ impl RunCacheCounters {
         )
     }
 
-    /// Current `(single_flight_hits, single_flight_leaders,
-    /// single_flight_wait_us)` totals.
-    pub fn single_flight_snapshot(&self) -> (u64, u64, u64) {
-        (
-            self.single_flight_hits.load(Ordering::Relaxed),
-            self.single_flight_leaders.load(Ordering::Relaxed),
-            self.single_flight_wait_us.load(Ordering::Relaxed),
-        )
-    }
-
     /// Fold one execution's scan metrics into the run totals.
     pub fn record_scan(&self, metrics: &ExecMetrics) {
         self.rows_scanned.fetch_add(metrics.rows_scanned, Ordering::Relaxed);
@@ -178,19 +153,6 @@ impl RunCacheCounters {
         self.rows_via_index.fetch_add(metrics.rows_via_index, Ordering::Relaxed);
         self.probes_bailed_empty.fetch_add(metrics.probes_bailed_empty, Ordering::Relaxed);
     }
-}
-
-/// A probe answer handed out by the cache layer: the (possibly truncated)
-/// rows plus whether they are the spec's complete result.
-#[derive(Debug, Clone)]
-pub struct CachedProbe {
-    /// The result rows. When `exact` is `false` they are a prefix of the
-    /// spec's full result, cut at some row budget — possibly a *larger*
-    /// budget than the request's, since entries are served as stored, never
-    /// re-truncated per request.
-    pub rows: Arc<ResultSet>,
-    /// Whether `rows` is the complete result of the spec.
-    pub exact: bool,
 }
 
 /// A point-in-time snapshot of the cache counters.
@@ -207,16 +169,10 @@ pub struct CacheStats {
     pub entries: u64,
     /// Segment rotations performed (generations of entries aged out).
     pub rotations: u64,
-    /// Cache misses routed through the single-flight in-flight probe table
-    /// (see [`InflightTable`]).
-    pub single_flight_lookups: u64,
-    /// Routed misses resolved by waiting on another session's identical
-    /// in-flight probe instead of executing it again.
+    /// Always 0: nothing collapses concurrent misses any more. Kept only
+    /// because the benchmark harness reads it as
+    /// `db.cache.single_flight_hits`, until ROADMAP 1(a)(viii) drops both.
     pub single_flight_hits: u64,
-    /// Routed misses that were elected leader and executed the probe.
-    /// Conservation invariant: `single_flight_lookups ==
-    /// single_flight_hits + single_flight_leaders` at quiescence.
-    pub single_flight_leaders: u64,
 }
 
 /// The field-wise total of several caches' stats (the network front sums
@@ -229,18 +185,8 @@ impl std::iter::Sum for CacheStats {
             bytes: a.bytes + b.bytes,
             entries: a.entries + b.entries,
             rotations: a.rotations + b.rotations,
-            single_flight_lookups: a.single_flight_lookups + b.single_flight_lookups,
-            single_flight_hits: a.single_flight_hits + b.single_flight_hits,
-            single_flight_leaders: a.single_flight_leaders + b.single_flight_leaders,
+            single_flight_hits: 0,
         })
-    }
-}
-
-impl CachedProbe {
-    /// Whether these rows can answer a request with the given row budget
-    /// (`None` means the full result is required).
-    fn serves(&self, budget: Option<usize>) -> bool {
-        self.exact || budget.is_some_and(|b| self.rows.rows.len() >= b)
     }
 }
 
@@ -248,7 +194,7 @@ impl CachedProbe {
 /// key, so the three answers for one spec never serve each other.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Question {
-    /// The spec's rows, possibly a prefix cut at a row budget.
+    /// The spec's complete rows.
     Rows,
     /// Whether the spec returns any row.
     Exists,
@@ -261,7 +207,7 @@ pub enum Question {
 /// any rows, or the verdict on them.
 #[derive(Debug, Clone)]
 enum Answer {
-    Rows(CachedProbe),
+    Rows(Arc<ResultSet>),
     Bit(bool),
 }
 
@@ -274,15 +220,11 @@ struct Entry {
 }
 
 impl Entry {
-    /// Whether this entry carries at least as much information as `other`
-    /// under the same key (used to decide replacement when a probe is
-    /// re-inserted). A one-bit answer is always complete.
-    fn at_least_as_strong_as(&self, other: &Entry) -> bool {
-        match (&self.answer, &other.answer) {
-            (Answer::Rows(this), Answer::Rows(that)) => {
-                this.exact || (!that.exact && this.rows.rows.len() >= that.rows.rows.len())
-            }
-            _ => true,
+    /// The rows of a rows entry.
+    fn rows(&self) -> Option<Arc<ResultSet>> {
+        match &self.answer {
+            Answer::Rows(rows) => Some(Arc::clone(rows)),
+            Answer::Bit(_) => None,
         }
     }
 
@@ -292,185 +234,6 @@ impl Entry {
             Answer::Bit(bit) => Some(bit),
             Answer::Rows(_) => None,
         }
-    }
-}
-
-/// Key of one in-flight probe: the question and the spec, encoded as the
-/// memo cache encodes them, and the request's budget class. The key is exact,
-/// so a waiter is only ever served the rows of its own spec. The budget is
-/// part of the key so a waiter is only ever served a result executed under
-/// *its own* budget — the exactness bit of a truncated leader result
-/// therefore always describes what the waiter would have computed itself —
-/// and the question is, so a leader memoizes the answer its waiters would
-/// have memoized.
-pub type InflightKey = (Box<[u8]>, Option<usize>);
-
-/// State of one in-flight probe execution, guarded by its slot's mutex.
-#[derive(Debug)]
-enum SlotState {
-    /// A leader is executing the probe; waiters park on the condvar.
-    Running,
-    /// The leader finished and published its result; waiters clone it.
-    Done(CachedProbe),
-    /// The leader gave up without publishing (panic, cancel, or executor
-    /// error). The next thread to observe this state — a parked waiter or a
-    /// fresh arrival — flips it back to `Running` and becomes the successor
-    /// leader, so an abandoned probe never strands its waiters.
-    Abandoned,
-}
-
-/// One in-flight probe: the execution state plus the condvar waiters park on.
-#[derive(Debug)]
-struct InflightSlot {
-    state: Mutex<SlotState>,
-    ready: Condvar,
-}
-
-/// The single-flight in-flight probe table (`docs/EXECUTOR.md`).
-///
-/// When several live sessions miss the memo cache on the *same* probe at the
-/// same time, only one of them — the **leader** — runs the executor; the rest
-/// park on the slot's condvar and are handed the leader's published result.
-/// The leader also inserts into the memo cache, so later arrivals hit the
-/// memo path and never reach this table.
-///
-/// Accounting: every [`InflightTable::join`] counts exactly one lookup and
-/// resolves as exactly one of leader or hit, so at quiescence
-/// `lookups == leaders + hits` — the conservation invariant the DST oracle
-/// checks.
-#[derive(Debug, Default)]
-pub struct InflightTable {
-    slots: Mutex<HashMap<InflightKey, Arc<InflightSlot>>>,
-    lookups: AtomicU64,
-    hits: AtomicU64,
-    leaders: AtomicU64,
-}
-
-/// Outcome of [`InflightTable::join`].
-pub enum InflightJoin<'a> {
-    /// The caller was elected leader: it must execute the probe and either
-    /// [`LeaderGuard::publish`] the result or drop the guard (abandoning the
-    /// slot to a successor).
-    Leader(LeaderGuard<'a>),
-    /// Another session's leader executed the probe; `probe` is its published
-    /// result and `wait_us` how long this caller was parked.
-    Served {
-        /// The leader's published result.
-        probe: CachedProbe,
-        /// Microseconds spent parked on the slot's condvar.
-        wait_us: u64,
-    },
-}
-
-/// Leadership of one in-flight probe. Publish the executed result via
-/// [`LeaderGuard::publish`]; dropping the guard without publishing marks the
-/// slot abandoned so a waiter (or the next arrival) takes over — leader
-/// panics and cancellations therefore never deadlock waiters.
-pub struct LeaderGuard<'a> {
-    table: &'a InflightTable,
-    key: InflightKey,
-    slot: Arc<InflightSlot>,
-    published: bool,
-}
-
-impl LeaderGuard<'_> {
-    /// Publish the executed result to every parked waiter and retire the
-    /// slot. Late arrivals after this point miss the table and fall through
-    /// to the memo cache, which the leader has already populated.
-    pub fn publish(mut self, probe: CachedProbe) {
-        {
-            let mut state = self.slot.state.lock().expect("inflight slot lock poisoned");
-            *state = SlotState::Done(probe);
-        }
-        self.slot.ready.notify_all();
-        self.published = true;
-        let mut slots = self.table.slots.lock().expect("inflight table lock poisoned");
-        // Only retire the entry if it is still ours: a successor elected
-        // after an abandon owns the slot now.
-        if slots.get(&self.key).is_some_and(|slot| Arc::ptr_eq(slot, &self.slot)) {
-            slots.remove(&self.key);
-        }
-    }
-}
-
-impl Drop for LeaderGuard<'_> {
-    fn drop(&mut self) {
-        if self.published {
-            return;
-        }
-        // Abandon: wake everyone so a waiter can elect itself successor. The
-        // map entry is kept so fresh arrivals can also take over; the
-        // eventual successful leader retires it in `publish`.
-        let mut state = self.slot.state.lock().expect("inflight slot lock poisoned");
-        *state = SlotState::Abandoned;
-        drop(state);
-        self.slot.ready.notify_all();
-    }
-}
-
-impl InflightTable {
-    /// Join the in-flight execution of the probe identified by `key`:
-    /// either become its leader or park until the leader publishes.
-    pub fn join(&self, key: InflightKey) -> InflightJoin<'_> {
-        self.lookups.fetch_add(1, Ordering::Relaxed);
-        let slot = {
-            let mut slots = self.slots.lock().expect("inflight table lock poisoned");
-            match slots.get(&key) {
-                Some(slot) => Arc::clone(slot),
-                None => {
-                    let slot = Arc::new(InflightSlot {
-                        state: Mutex::new(SlotState::Running),
-                        ready: Condvar::new(),
-                    });
-                    slots.insert(key.clone(), Arc::clone(&slot));
-                    self.leaders.fetch_add(1, Ordering::Relaxed);
-                    return InflightJoin::Leader(LeaderGuard {
-                        table: self,
-                        key,
-                        slot,
-                        published: false,
-                    });
-                }
-            }
-        };
-        let parked_at = Instant::now();
-        let mut state = slot.state.lock().expect("inflight slot lock poisoned");
-        loop {
-            match &*state {
-                SlotState::Running => {
-                    state = slot.ready.wait(state).expect("inflight slot lock poisoned");
-                }
-                SlotState::Done(probe) => {
-                    let probe = probe.clone();
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    return InflightJoin::Served {
-                        probe,
-                        wait_us: parked_at.elapsed().as_micros() as u64,
-                    };
-                }
-                SlotState::Abandoned => {
-                    // Successor election: flip back to Running and lead.
-                    *state = SlotState::Running;
-                    self.leaders.fetch_add(1, Ordering::Relaxed);
-                    drop(state);
-                    return InflightJoin::Leader(LeaderGuard {
-                        table: self,
-                        key,
-                        slot,
-                        published: false,
-                    });
-                }
-            }
-        }
-    }
-
-    /// Current `(lookups, hits, leaders)` totals.
-    pub fn counters(&self) -> (u64, u64, u64) {
-        (
-            self.lookups.load(Ordering::Relaxed),
-            self.hits.load(Ordering::Relaxed),
-            self.leaders.load(Ordering::Relaxed),
-        )
     }
 }
 
@@ -505,7 +268,6 @@ impl Segments {
 #[derive(Debug)]
 pub struct ProbeCache {
     shards: [RwLock<Segments>; SHARD_COUNT],
-    inflight: InflightTable,
     hits: AtomicU64,
     misses: AtomicU64,
     rotations: AtomicU64,
@@ -528,7 +290,6 @@ impl ProbeCache {
     pub fn with_max_bytes(max_bytes: u64) -> Self {
         ProbeCache {
             shards: Default::default(),
-            inflight: InflightTable::default(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             rotations: AtomicU64::new(0),
@@ -560,40 +321,29 @@ impl ProbeCache {
         (self.max_bytes.load(Ordering::Relaxed) / SHARD_COUNT as u64 / 2).max(1)
     }
 
-    /// Look up a memoized **exact** result (compatibility wrapper over
-    /// [`ProbeCache::get_budgeted`] with no budget).
-    pub fn get(&self, spec: &SelectSpec) -> Option<Arc<ResultSet>> {
-        self.get_budgeted(spec, None).map(|p| p.rows)
-    }
-
-    /// Look up a memoized result that can answer a request with the given
-    /// row budget: an exact entry answers anything; a truncated entry
-    /// answers only budgets its row count covers. Counts a hit or miss; a
+    /// Look up `spec`'s memoized rows. Counts a hit or miss; a
     /// stale-generation hit promotes the entry back into the fresh
     /// generation so entries the workload keeps re-probing survive rotation.
-    pub fn get_budgeted(&self, spec: &SelectSpec, budget: Option<usize>) -> Option<CachedProbe> {
-        self.lookup(Question::Rows, spec, &[], |entry| match &entry.answer {
-            Answer::Rows(probe) if probe.serves(budget) => Some(probe.clone()),
-            _ => None,
-        })
+    pub fn get(&self, spec: &SelectSpec) -> Option<Arc<ResultSet>> {
+        self.lookup(Question::Rows, spec, &[], Entry::rows)
     }
 
     /// Look up a memoized answer to "does `spec` return any row?", counted
-    /// and promoted like [`ProbeCache::get_budgeted`]. A rows entry for the
-    /// same spec does not answer it.
+    /// and promoted like [`ProbeCache::get`]. A rows entry for the same spec
+    /// does not answer it.
     pub fn get_exists(&self, spec: &SelectSpec) -> Option<bool> {
         self.lookup(Question::Exists, spec, &[], Entry::bit)
     }
 
     /// Look up the memoized verdict `tag` names on `spec`'s rows, counted
-    /// and promoted like [`ProbeCache::get_budgeted`]. Only an entry stored
+    /// and promoted like [`ProbeCache::get`]. Only an entry stored
     /// under the same tag answers it.
     pub fn get_verdict(&self, spec: &SelectSpec, tag: &[u8]) -> Option<bool> {
         self.lookup(Question::Verdict, spec, tag, Entry::bit)
     }
 
-    /// The lookup behind every question: `serve` reads an entry's answer,
-    /// or `None` when the entry cannot answer this request.
+    /// The lookup behind every question: `serve` reads an entry's answer
+    /// (`None` for an entry of another question, which its key rules out).
     fn lookup<T>(
         &self,
         question: Question,
@@ -633,22 +383,18 @@ impl ProbeCache {
             // of the budget slice — the entry is still served, it just stays
             // stale — so fresh and stale each stay within half a slice and
             // retention never exceeds the configured budget. A fresh
-            // generation already holding a copy keeps the stronger of the two.
+            // generation already holding the key keeps its copy.
             let mut segments = shard.write().expect("probe cache lock poisoned");
             if let Some(entry) = segments.stale.get(key) {
                 if let Some(found) = serve(entry) {
                     let cost = entry.bytes;
-                    let fresh_has_stronger =
-                        segments.fresh.get(key).is_some_and(|f| f.at_least_as_strong_as(entry));
-                    if !fresh_has_stronger
+                    if !segments.fresh.contains_key(key)
                         && segments.fresh_bytes + cost <= self.rotation_threshold()
                     {
                         let (key, value) =
                             segments.stale.remove_entry(key).expect("checked under the same lock");
                         segments.stale_bytes = segments.stale_bytes.saturating_sub(cost);
-                        if let Some(old) = segments.fresh.insert(key, value) {
-                            segments.fresh_bytes = segments.fresh_bytes.saturating_sub(old.bytes);
-                        }
+                        segments.fresh.insert(key, value);
                         segments.fresh_bytes += cost;
                     }
                     self.hits.fetch_add(1, Ordering::Relaxed);
@@ -668,39 +414,23 @@ impl ProbeCache {
         })
     }
 
-    /// Memoize an **exact** result (compatibility wrapper over
-    /// [`ProbeCache::insert_budgeted`]).
+    /// Memoize `spec`'s complete result in the fresh generation, rotating
+    /// the shard's generations first if the insert would overflow the fresh
+    /// half of the shard's budget slice — so fresh + stale never exceed the
+    /// slice and total retention never exceeds the configured budget. A
+    /// result larger than the fresh half on its own is handed back uncached.
+    /// Returns the rows that end up serving the spec: an entry already
+    /// there (a racing worker's) is kept, and it holds the same rows.
     pub fn insert(&self, spec: &SelectSpec, result: ResultSet) -> Arc<ResultSet> {
-        self.insert_budgeted(spec, result, true).rows
-    }
-
-    /// Memoize a result in the fresh generation, rotating the shard's
-    /// generations first if the insert would overflow the fresh half of the
-    /// shard's budget slice — so fresh + stale never exceed the slice and
-    /// total retention never exceeds the configured budget. A result larger
-    /// than the fresh half on its own is handed back uncached.
-    ///
-    /// `exact` marks whether `result` is the spec's complete result (as
-    /// opposed to a prefix truncated at a row budget). An existing entry is
-    /// only replaced by an at-least-as-strong one (exact beats truncated,
-    /// longer truncations beat shorter), so a racing shorter probe can never
-    /// downgrade the cache. Returns the entry that ends up serving the spec.
-    pub fn insert_budgeted(
-        &self,
-        spec: &SelectSpec,
-        result: ResultSet,
-        exact: bool,
-    ) -> CachedProbe {
-        let rows = Answer::Rows(CachedProbe { rows: Arc::new(result), exact });
-        match self.store(Question::Rows, spec, &[], rows) {
-            Answer::Rows(probe) => probe,
+        match self.store(Question::Rows, spec, &[], Answer::Rows(Arc::new(result))) {
+            Answer::Rows(rows) => rows,
             Answer::Bit(_) => unreachable!("a rows key only ever holds rows"),
         }
     }
 
     /// Memoize whether `spec` returns any row, under the same generations
-    /// and budget as [`ProbeCache::insert_budgeted`]. The entry keeps the
-    /// bit and its key, no rows.
+    /// and budget as [`ProbeCache::insert`]. The entry keeps the bit and its
+    /// key, no rows.
     pub fn insert_exists(&self, spec: &SelectSpec, exists: bool) {
         self.store(Question::Exists, spec, &[], Answer::Bit(exists));
     }
@@ -713,7 +443,8 @@ impl ProbeCache {
     }
 
     /// The insert behind every question; returns the answer that ends up
-    /// serving the key.
+    /// serving the key. Every answer stored under one key is the same
+    /// answer, so an entry already there is kept.
     fn store(&self, question: Question, spec: &SelectSpec, tag: &[u8], answer: Answer) -> Answer {
         with_key(question, spec, tag, |key| {
             let shard = self.shard(key);
@@ -723,21 +454,9 @@ impl ProbeCache {
                 return entry.answer; // would blow the budget by itself: don't retain
             }
             let mut segments = shard.write().expect("probe cache lock poisoned");
-            // A racing worker may have inserted the same probe; keep the
-            // stronger of the two copies.
-            if let Some(existing) = segments.fresh.get(key) {
-                if existing.at_least_as_strong_as(&entry) {
-                    return existing.answer.clone();
-                }
-                let old = segments.fresh.remove(key).expect("checked under the same lock");
-                segments.fresh_bytes = segments.fresh_bytes.saturating_sub(old.bytes);
-            }
-            if let Some(old) = segments.stale.get(key) {
-                if old.at_least_as_strong_as(&entry) {
-                    return old.answer.clone();
-                }
-                let old = segments.stale.remove(key).expect("checked under the same lock");
-                segments.stale_bytes = segments.stale_bytes.saturating_sub(old.bytes);
+            // A racing worker may have inserted the same probe.
+            if let Some(existing) = segments.fresh.get(key).or_else(|| segments.stale.get(key)) {
+                return existing.answer.clone();
             }
             if segments.fresh_bytes + entry.bytes > threshold {
                 segments.rotate();
@@ -748,18 +467,6 @@ impl ProbeCache {
             segments.fresh.insert(Box::from(key), entry);
             answer
         })
-    }
-
-    /// The single-flight in-flight probe table sharing this cache's keyspace.
-    /// Rows and existence misses
-    /// ([`crate::database::Database::execute_cached_budgeted`],
-    /// [`crate::database::Database::exists_cached_with`]) are routed through
-    /// it (unless single-flight is disabled on the database) so concurrent
-    /// identical probes execute once. Verdict misses are not: an
-    /// [`InflightKey`] carries no tag, so two sketches would share one
-    /// answer.
-    pub fn inflight(&self) -> &InflightTable {
-        &self.inflight
     }
 
     /// Drop every entry (called when the underlying data changes).
@@ -778,17 +485,13 @@ impl ProbeCache {
             bytes += segments.bytes();
             entries += segments.entries();
         }
-        let (single_flight_lookups, single_flight_hits, single_flight_leaders) =
-            self.inflight.counters();
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             bytes,
             entries,
             rotations: self.rotations.load(Ordering::Relaxed),
-            single_flight_lookups,
-            single_flight_hits,
-            single_flight_leaders,
+            single_flight_hits: 0,
         }
     }
 }
@@ -813,8 +516,7 @@ fn estimate_bytes(key: &[u8], answer: &Answer) -> u64 {
     let slot = (size_of::<(Box<[u8]>, Entry)>() + 1) * 3 / 2;
     let result = match answer {
         Answer::Bit(_) => 0,
-        Answer::Rows(probe) => {
-            let rs = &*probe.rows;
+        Answer::Rows(rs) => {
             2 * size_of::<usize>() // the `Arc`'s reference counts
                 + size_of::<ResultSet>()
                 + rs.columns.capacity() * size_of::<String>()
@@ -841,12 +543,7 @@ thread_local! {
 /// tag, the spec's exact encoding ([`encode_spec`]) and `tag` (empty but for
 /// a verdict) after it. The encoding is a prefix code, so the tag needs no
 /// length.
-pub(crate) fn with_key<T>(
-    question: Question,
-    spec: &SelectSpec,
-    tag: &[u8],
-    f: impl FnOnce(&[u8]) -> T,
-) -> T {
+fn with_key<T>(question: Question, spec: &SelectSpec, tag: &[u8], f: impl FnOnce(&[u8]) -> T) -> T {
     KEY.with(|buf| {
         let mut buf = buf.borrow_mut();
         buf.clear();
@@ -968,9 +665,7 @@ mod tests {
             bytes: 10,
             entries: 1,
             rotations: 1,
-            single_flight_lookups: 4,
-            single_flight_hits: 1,
-            single_flight_leaders: 3,
+            single_flight_hits: 0,
         };
         let other = CacheStats {
             hits: 7,
@@ -978,9 +673,7 @@ mod tests {
             bytes: 20,
             entries: 2,
             rotations: 3,
-            single_flight_lookups: 9,
-            single_flight_hits: 2,
-            single_flight_leaders: 7,
+            single_flight_hits: 0,
         };
         let total: CacheStats = [one, other].into_iter().sum();
         assert_eq!(
@@ -991,9 +684,7 @@ mod tests {
                 bytes: 30,
                 entries: 3,
                 rotations: 4,
-                single_flight_lookups: 13,
-                single_flight_hits: 3,
-                single_flight_leaders: 10,
+                single_flight_hits: 0,
             }
         );
         assert_eq!(std::iter::empty::<CacheStats>().sum::<CacheStats>(), CacheStats::default());
@@ -1095,88 +786,6 @@ mod tests {
         cache.set_max_bytes(0);
         assert_eq!(cache.max_bytes(), 1);
         assert_eq!(cache.rotation_threshold(), 1);
-    }
-
-    fn empty_probe() -> CachedProbe {
-        CachedProbe { rows: Arc::new(ResultSet::default()), exact: true }
-    }
-
-    #[test]
-    fn single_flight_leader_fans_out_to_waiters() {
-        let table = Arc::new(InflightTable::default());
-        let key: InflightKey = (Box::new([Question::Rows as u8, 42]), Some(1));
-        let leader = match table.join(key.clone()) {
-            InflightJoin::Leader(g) => g,
-            InflightJoin::Served { .. } => panic!("first join must lead"),
-        };
-        let waiters: Vec<_> = (0..4)
-            .map(|_| {
-                let (table, key) = (Arc::clone(&table), key.clone());
-                std::thread::spawn(move || match table.join(key) {
-                    InflightJoin::Served { probe, .. } => probe.exact,
-                    InflightJoin::Leader(_) => panic!("slot already led"),
-                })
-            })
-            .collect();
-        // A key one byte apart is another probe: it leads its own slot.
-        match table.join((Box::new([Question::Rows as u8, 43]), Some(1))) {
-            InflightJoin::Leader(g) => g.publish(empty_probe()),
-            InflightJoin::Served { .. } => panic!("a distinct key must not share the slot"),
-        }
-        // Give the waiters a moment to park (correct either way).
-        std::thread::sleep(std::time::Duration::from_millis(10));
-        leader.publish(empty_probe());
-        for w in waiters {
-            assert!(w.join().unwrap());
-        }
-        let (lookups, hits, leaders) = table.counters();
-        assert_eq!((lookups, hits, leaders), (6, 4, 2));
-        assert_eq!(lookups, hits + leaders, "conservation invariant");
-        assert!(table.slots.lock().unwrap().is_empty(), "published slot must retire");
-    }
-
-    #[test]
-    fn abandoned_leader_elects_a_successor() {
-        let table = Arc::new(InflightTable::default());
-        let key: InflightKey = (Box::new([Question::Rows as u8, 7]), None);
-        let leader = match table.join(key.clone()) {
-            InflightJoin::Leader(g) => g,
-            InflightJoin::Served { .. } => panic!("first join must lead"),
-        };
-        let waiter = {
-            let table = Arc::clone(&table);
-            std::thread::spawn(move || match table.join(key) {
-                InflightJoin::Leader(g) => {
-                    g.publish(empty_probe());
-                    true
-                }
-                InflightJoin::Served { .. } => false,
-            })
-        };
-        std::thread::sleep(std::time::Duration::from_millis(10));
-        drop(leader); // abandon without publishing
-        assert!(waiter.join().unwrap(), "waiter must take over an abandoned slot");
-        let (lookups, hits, leaders) = table.counters();
-        assert_eq!((lookups, hits, leaders), (2, 0, 2));
-        assert_eq!(lookups, hits + leaders, "conservation invariant");
-        assert!(table.slots.lock().unwrap().is_empty(), "successor publish must retire");
-    }
-
-    #[test]
-    fn fresh_arrival_takes_over_an_abandoned_slot() {
-        let table = InflightTable::default();
-        let key: InflightKey = (Box::new([Question::Exists as u8, 9]), Some(3));
-        match table.join(key.clone()) {
-            InflightJoin::Leader(g) => drop(g), // abandon immediately, nobody waiting
-            InflightJoin::Served { .. } => panic!("first join must lead"),
-        }
-        // The next arrival must become the successor, not hang.
-        match table.join(key) {
-            InflightJoin::Leader(g) => g.publish(empty_probe()),
-            InflightJoin::Served { .. } => panic!("abandoned slot must re-elect"),
-        }
-        let (lookups, hits, leaders) = table.counters();
-        assert_eq!((lookups, hits, leaders), (2, 0, 2));
     }
 
     fn key(question: Question, spec: &SelectSpec) -> Vec<u8> {
@@ -1310,7 +919,6 @@ mod tests {
         let s = spec(&db);
         cache.insert_exists(&s, true);
         assert!(cache.get(&s).is_none(), "an existence answer does not serve rows");
-        assert!(cache.get_budgeted(&s, Some(1)).is_none());
         assert_eq!(cache.get_exists(&s), Some(true));
 
         let t = spec_with_limit(&db, 2);
@@ -1319,7 +927,7 @@ mod tests {
         assert_eq!(cache.get(&t).unwrap().len(), 2);
 
         let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses, stats.entries), (2, 3, 2));
+        assert_eq!((stats.hits, stats.misses, stats.entries), (2, 2, 2));
         // An existence entry keeps its slot and key, no rows.
         let exists_bytes = estimate_bytes(&key(Question::Exists, &s), &Answer::Bit(true));
         assert!(stats.bytes > 2 * exists_bytes);

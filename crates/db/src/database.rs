@@ -6,18 +6,15 @@
 //! interior mutability (sharded locks + atomic counters) so concurrent
 //! readers never need an exclusive borrow.
 
-use crate::cache::{
-    with_key, CacheStats, CachedProbe, InflightJoin, ProbeCache, Question, RunCacheCounters,
-};
+use crate::cache::{CacheStats, ProbeCache, RunCacheCounters};
 use crate::error::{DbError, DbResult};
-use crate::executor::{ExecOptions, ExecOutcome, ResultSet, Verdict};
+use crate::executor::{ExecOptions, ResultSet, Verdict};
 use crate::index::InvertedIndex;
 use crate::query::SelectSpec;
 use crate::schema::{ColumnId, Schema, TableId};
 use crate::table_index::{ColumnIndex, TableIndex};
 use crate::types::{DataType, Value};
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// A single row of values.
@@ -83,23 +80,18 @@ pub struct Database {
     /// [`Database::rebuild_index`] and maintained incrementally by the write
     /// path. Empty until the first rebuild — queries then run as scans.
     table_indexes: Vec<TableIndex>,
-    /// Whether concurrent identical probe misses are collapsed through the
-    /// single-flight in-flight table (one execution fans out to all waiters).
-    /// On by default; disabled for A/B comparisons.
-    single_flight: AtomicBool,
 }
 
 impl Clone for Database {
-    /// Clones carry the schema, data, indexes and the single-flight
-    /// setting; the probe cache starts empty (memoized results stay valid
-    /// only for the instance that produced them).
+    /// Clones carry the schema, data and indexes; the probe cache starts
+    /// empty (memoized results stay valid only for the instance that
+    /// produced them).
     fn clone(&self) -> Self {
         Database {
             schema: self.schema.clone(),
             data: self.data.clone(),
             probe_cache: ProbeCache::default(),
             table_indexes: self.table_indexes.clone(),
-            single_flight: AtomicBool::new(self.single_flight.load(Ordering::Relaxed)),
         }
     }
 }
@@ -109,13 +101,7 @@ impl Database {
     pub fn new(schema: Schema) -> DbResult<Self> {
         schema.validate()?;
         let data = vec![TableData::default(); schema.table_count()];
-        Ok(Database {
-            schema,
-            data,
-            probe_cache: ProbeCache::default(),
-            table_indexes: Vec::new(),
-            single_flight: AtomicBool::new(true),
-        })
+        Ok(Database { schema, data, probe_cache: ProbeCache::default(), table_indexes: Vec::new() })
     }
 
     /// Wrap a loaded database for cheap sharing across synthesis workers.
@@ -291,22 +277,6 @@ impl Database {
         self.table_indexes.get(col.table.0).map(|t| t.column(col.column))
     }
 
-    /// Whether concurrent identical probe misses are collapsed into one
-    /// execution through the single-flight table (the default).
-    pub fn single_flight(&self) -> bool {
-        self.single_flight.load(Ordering::Relaxed)
-    }
-
-    /// Enable or disable single-flight probe collapsing (see
-    /// [`crate::cache::InflightTable`]). Results are byte-identical either
-    /// way — a waiter is served exactly what it would have executed itself
-    /// (the in-flight key includes the budget class) — so this switch exists
-    /// for A/B comparisons and benchmarks. Shared-reference friendly, so it
-    /// can be toggled on an `Arc`-shared database.
-    pub fn set_single_flight(&self, enabled: bool) {
-        self.single_flight.store(enabled, Ordering::Relaxed);
-    }
-
     /// Data type of a column.
     pub fn column_type(&self, col: ColumnId) -> DataType {
         self.schema.column(col).dtype
@@ -318,10 +288,12 @@ impl Database {
         ExecOptions::default()
     }
 
-    /// Execute a query through the probe/result memo cache: repeated
-    /// executions of a structurally identical spec (the verifier's
-    /// `SELECT … LIMIT 1` probes, most prominently) are answered from the
-    /// cache. The result is shared, not copied.
+    /// Execute a query through the probe/result memo cache: a repeated
+    /// execution of a structurally identical spec is answered from the
+    /// cache, and the result is shared, not copied. No synthesis run asks
+    /// for rows (its probes ask [`Database::exists_cached_with`] and
+    /// [`Database::decide_cached_with`]); this serves callers that time the
+    /// cache's rows path.
     pub fn execute_cached(&self, spec: &SelectSpec) -> DbResult<Arc<ResultSet>> {
         if let Some(hit) = self.probe_cache.get(spec) {
             return Ok(hit);
@@ -330,79 +302,14 @@ impl Database {
         Ok(self.probe_cache.insert(spec, out.result))
     }
 
-    /// Like [`Database::execute_cached`], additionally attributing the
-    /// hit/miss (and the executor's scan counters) to a caller-owned per-run
-    /// counter set (the database's global counters are shared by every run
-    /// touching this instance).
-    pub fn execute_cached_with(
-        &self,
-        spec: &SelectSpec,
-        counters: &RunCacheCounters,
-    ) -> DbResult<Arc<ResultSet>> {
-        self.execute_cached_budgeted(spec, None, counters).map(|probe| probe.rows)
-    }
-
-    /// Execute a query under a **row budget**, through the memo cache: the
-    /// returned rows cover at least `min(budget, |result|)` rows of the
-    /// spec's result — a fresh execution returns exactly that prefix, while
-    /// a cache hit may carry more (an exact entry, or one truncated at a
-    /// larger budget, is served as stored) — and [`CachedProbe::exact`]
-    /// reports whether the rows are the complete result. With a budget the
-    /// streaming executor stops scanning as soon as the budget is filled,
-    /// which is what makes the verifier's sorted-TSQ limit checks cheap:
-    /// probing with `budget = k + 1` decides "does the result exceed `k`
-    /// rows?" without ever materializing the full result.
-    ///
-    /// Truncated results are memoized with their exactness bit; a truncated
-    /// entry answers later probes with the same or smaller budget, and is
-    /// upgraded in place when a larger budget forces a re-execution.
-    ///
-    /// ```
-    /// use duoquest_db::{ColumnDef, Database, JoinTree, RunCacheCounters, Schema, SelectItem,
-    ///     SelectSpec, TableDef, Value};
-    ///
-    /// let mut schema = Schema::new("demo");
-    /// schema.add_table(TableDef::new("t", vec![ColumnDef::number("id")], Some(0)));
-    /// let mut db = Database::new(schema).unwrap();
-    /// db.insert_all("t", (0..10).map(|i| vec![Value::int(i)])).unwrap();
-    /// db.rebuild_index();
-    ///
-    /// let spec = SelectSpec {
-    ///     select: vec![SelectItem::column(db.schema().column_id("t", "id").unwrap())],
-    ///     join: JoinTree::single(db.schema().table_id("t").unwrap()),
-    ///     ..Default::default()
-    /// };
-    /// let counters = RunCacheCounters::default();
-    /// // "Does the result exceed 2 rows?" — 3 rows suffice to answer.
-    /// let probe = db.execute_cached_budgeted(&spec, Some(3), &counters).unwrap();
-    /// assert_eq!(probe.rows.len(), 3);
-    /// assert!(!probe.exact, "the 10-row result was truncated at the budget");
-    /// // The truncated entry answers smaller budgets from the cache.
-    /// let again = db.execute_cached_budgeted(&spec, Some(2), &counters).unwrap();
-    /// assert!(!again.exact);
-    /// assert_eq!(counters.snapshot(), (1, 1), "(hits, misses)");
-    /// ```
-    pub fn execute_cached_budgeted(
-        &self,
-        spec: &SelectSpec,
-        budget: Option<usize>,
-        counters: &RunCacheCounters,
-    ) -> DbResult<CachedProbe> {
-        if let Some(hit) = self.probe_cache.get_budgeted(spec, budget) {
-            counters.record(true);
-            return Ok(hit);
-        }
-        self.execute_miss(Question::Rows, spec, budget, counters, |out| {
-            self.probe_cache.insert_budgeted(spec, out.result, out.metrics.exact)
-        })
-    }
-
     /// Whether `spec` returns any row, through the memo cache — the
-    /// existence question the verifier's `LIMIT 1` probes ask. The cache
-    /// keeps the answer as one bit, not the rows, so a rows entry for the
-    /// same spec does not answer it (nor it a rows request). A miss executes
-    /// what [`Database::execute_cached_with`] executes and is counted and
-    /// collapsed across sessions the same way.
+    /// existence question the verifier's `LIMIT 1` probes ask, attributed
+    /// to a caller-owned per-run counter set (the database's global
+    /// counters are shared by every run touching this instance). A miss
+    /// decides it as a verdict that answers at the first row
+    /// ([`crate::executor::decide_with`]), so no row is kept, and the cache
+    /// keeps the answer as one bit: a rows entry for the same spec does not
+    /// answer it, nor it a rows request.
     pub fn exists_cached_with(
         &self,
         spec: &SelectSpec,
@@ -412,11 +319,9 @@ impl Database {
             counters.record(true);
             return Ok(hit);
         }
-        let probe = self.execute_miss(Question::Exists, spec, None, counters, |out| {
-            self.probe_cache.insert_exists(spec, !out.result.is_empty());
-            CachedProbe { rows: Arc::new(out.result), exact: out.metrics.exact }
-        })?;
-        Ok(!probe.rows.is_empty())
+        let exists = self.decide_miss(spec, None, counters, &mut AnyRow)?;
+        self.probe_cache.insert_exists(spec, exists);
+        Ok(exists)
     }
 
     /// Decide `verdict` over `spec`'s rows under a row budget, through the
@@ -428,9 +333,6 @@ impl Database {
     /// same spec. A miss feeds the projected rows to the verdict one at a
     /// time as they stream ([`crate::executor::decide_with`]) and stops as
     /// soon as it answers, so no row is kept.
-    ///
-    /// A miss is counted like the other questions' but does not join the
-    /// single-flight table, whose key carries no tag.
     pub fn decide_cached_with(
         &self,
         spec: &SelectSpec,
@@ -443,55 +345,26 @@ impl Database {
             counters.record(true);
             return Ok(hit);
         }
-        counters.record(false);
-        let opts = ExecOptions { row_budget: budget };
-        let (answer, metrics) = crate::executor::decide_with(self, spec, &opts, verdict)?;
-        counters.record_scan(&metrics);
+        let answer = self.decide_miss(spec, budget, counters, verdict)?;
         self.probe_cache.insert_verdict(spec, tag, answer);
         Ok(answer)
     }
 
-    /// The miss path of the rows and existence questions: count the miss,
-    /// run the probe under the row budget and hand the outcome to `memoize`,
-    /// which caches the answer and returns the probe to serve. Single-flight
-    /// collapses concurrent identical misses into one execution; the
-    /// in-flight key carries the question and the budget class, so a waiter
-    /// is served a result executed under its own budget (the exactness bit
-    /// therefore always means what the waiter would have computed).
-    fn execute_miss(
+    /// The miss path of both yes/no questions: count the miss, decide
+    /// `verdict` under the row budget and fold the execution's scan
+    /// counters into the run's.
+    fn decide_miss(
         &self,
-        question: Question,
         spec: &SelectSpec,
         budget: Option<usize>,
         counters: &RunCacheCounters,
-        memoize: impl FnOnce(ExecOutcome) -> CachedProbe,
-    ) -> DbResult<CachedProbe> {
+        verdict: &mut dyn Verdict,
+    ) -> DbResult<bool> {
         counters.record(false);
-        let execute = || {
-            let opts = ExecOptions { row_budget: budget };
-            let out = crate::executor::execute_with(self, spec, &opts)?;
-            counters.record_scan(&out.metrics);
-            Ok(memoize(out))
-        };
-        if !self.single_flight() {
-            return execute();
-        }
-        let key = (with_key(question, spec, &[], |key| Box::from(key)), budget);
-        match self.probe_cache.inflight().join(key) {
-            InflightJoin::Leader(guard) => {
-                counters.single_flight_leaders.fetch_add(1, Ordering::Relaxed);
-                // On error the guard drops unpublished, abandoning the slot:
-                // a waiter (or the next arrival) re-elects and re-executes.
-                let probe = execute()?;
-                guard.publish(probe.clone());
-                Ok(probe)
-            }
-            InflightJoin::Served { probe, wait_us } => {
-                counters.single_flight_hits.fetch_add(1, Ordering::Relaxed);
-                counters.single_flight_wait_us.fetch_add(wait_us, Ordering::Relaxed);
-                Ok(probe)
-            }
-        }
+        let opts = ExecOptions { row_budget: budget };
+        let (answer, metrics) = crate::executor::decide_with(self, spec, &opts, verdict)?;
+        counters.record_scan(&metrics);
+        Ok(answer)
     }
 
     /// Cumulative probe-cache counters for this database instance.
@@ -509,6 +382,19 @@ impl Database {
     /// friendly, so a capacity can be tuned on an `Arc`-shared database.
     pub fn set_probe_cache_capacity(&self, max_bytes: u64) {
         self.probe_cache.set_max_bytes(max_bytes);
+    }
+}
+
+/// "Does the spec return any row?" as a verdict: answered at the first row.
+struct AnyRow;
+
+impl Verdict for AnyRow {
+    fn row(&mut self, _row: &[Value]) -> Option<bool> {
+        Some(true)
+    }
+
+    fn end(&mut self) -> bool {
+        false
     }
 }
 

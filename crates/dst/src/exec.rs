@@ -330,13 +330,6 @@ fn run_service(
         Arc::clone(&clock) as duoquest_core::SharedClock,
     );
     let db = fixture_db();
-    // The single-flight toggle rides on the alternate run only: the
-    // reference stays at the default, so the cross-run oracle tests
-    // single-flight off against on directly whenever a request completes in
-    // both runs.
-    if label == RunLabel::Alternate {
-        db.set_single_flight(scenario.single_flight);
-    }
 
     let mut events: Vec<(u64, Event)> = Vec::new();
     for (index, request) in scenario.requests.iter().enumerate() {
@@ -473,22 +466,6 @@ fn run_service(
         }
         std::thread::sleep(Duration::from_micros(500));
     };
-
-    // Single-flight conservation: every in-flight-table lookup resolves as
-    // exactly one of a hit (served by another probe's leader) or a leader
-    // election — on every path, including abandoned-leader succession. Read
-    // from the run's own database, so the two runs are judged separately.
-    let cache_stats = db.cache_stats();
-    if cache_stats.single_flight_lookups
-        != cache_stats.single_flight_hits + cache_stats.single_flight_leaders
-    {
-        return Err(Violation::SingleFlightImbalance {
-            run: label,
-            lookups: cache_stats.single_flight_lookups,
-            hits: cache_stats.single_flight_hits,
-            leaders: cache_stats.single_flight_leaders,
-        });
-    }
 
     Ok(RunRecord { label, observed, live_peak: stats.live_sessions_peak, counters, traces })
 }

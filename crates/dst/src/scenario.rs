@@ -41,11 +41,6 @@ pub struct Scenario {
     /// Connection-lifecycle walk over the TCP front (connect, submit,
     /// stall, close, remote-cancel) checked alongside the service runs.
     pub net: NetPlan,
-    /// Whether the **alternate** run's database keeps single-flight probe
-    /// sharing enabled (the reference always does). The toggle must never
-    /// change results, only how many probe executions happen; the
-    /// conservation oracle checks `hits + leaders == lookups` either way.
-    pub single_flight: bool,
 }
 
 impl Scenario {
@@ -104,25 +99,22 @@ pub struct CachePlan {
     pub ops: Vec<CacheOp>,
 }
 
-/// One probe-cache operation. Spec indexes address a fixed pool of distinct
-/// probe specs; row counts are clamped to the fixture's result sizes.
+/// One probe-cache operation, asking what synthesis runs ask: whether a
+/// spec returns any row. Spec indexes address a fixed pool of distinct
+/// probe specs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheOp {
-    /// Memoize a (possibly truncated) result for a spec.
+    /// Memoize an existence answer for a spec.
     Insert {
         /// Index into the fixed spec pool.
         spec: u8,
-        /// Number of result rows to retain (clamped to the full result).
-        rows: u8,
-        /// Whether the retained rows are claimed complete.
-        exact: bool,
+        /// The answer stored.
+        exists: bool,
     },
-    /// Look a spec up under a row budget (`None` = need the full result).
+    /// Look a spec's existence answer up.
     Get {
         /// Index into the fixed spec pool.
         spec: u8,
-        /// Row budget of the lookup.
-        budget: Option<u8>,
     },
     /// Re-budget the cache mid-run (byte-budget churn).
     SetMaxBytes {
@@ -223,15 +215,7 @@ pub fn generate(seed: u64) -> Scenario {
     // Drawn after the cache plan so pre-net seeds map to the same service
     // and cache choices they always did.
     let net = generate_net_plan(&mut rng);
-    // This draw chose the alternate run's emission policy until a round
-    // stopped being released in parts. It is still consumed so that the next
-    // draw — and with it every pinned and swept seed — lands on the scenario
-    // it always did.
-    let _ = rng.gen_bool(0.5);
-    // Drawn after the net plan for the same reason: pre-existing seeds keep
-    // their exact request, cache and net choices and only gain the toggle.
-    let single_flight = rng.gen_bool(0.5);
-    Scenario { seed, reference, alternate, final_advance_us, requests, cache, net, single_flight }
+    Scenario { seed, reference, alternate, final_advance_us, requests, cache, net }
 }
 
 fn generate_cache_plan(rng: &mut StdRng) -> CachePlan {
@@ -239,15 +223,18 @@ fn generate_cache_plan(rng: &mut StdRng) -> CachePlan {
     let mut ops = Vec::with_capacity(op_count);
     for _ in 0..op_count {
         let roll = rng.gen_range(0..100u32);
+        // The draws between a spec and its answer chose a row count and a row
+        // budget while the plan cached rows. They are still consumed, so the
+        // net plan drawn after this one stays what it was for every seed.
         ops.push(if roll < 45 {
-            CacheOp::Insert {
-                spec: rng.gen_range(0..6u8),
-                rows: rng.gen_range(0..=3u8),
-                exact: rng.gen_bool(0.5),
-            }
+            let spec = rng.gen_range(0..6u8);
+            let _ = rng.gen_range(0..=3u8);
+            CacheOp::Insert { spec, exists: rng.gen_bool(0.5) }
         } else if roll < 85 {
-            let budget = if rng.gen_bool(0.5) { Some(rng.gen_range(0..=3u8)) } else { None };
-            CacheOp::Get { spec: rng.gen_range(0..6u8), budget }
+            if rng.gen_bool(0.5) {
+                let _ = rng.gen_range(0..=3u8);
+            }
+            CacheOp::Get { spec: rng.gen_range(0..6u8) }
         } else if roll < 96 {
             CacheOp::SetMaxBytes { bytes: rng.gen_range(64..=4_096u32) }
         } else {

@@ -118,7 +118,6 @@ where
                 }
             },
             |s| s.alternate.workers = 1,
-            |s| s.single_flight = true,
         ];
         for edit in EDITS {
             let mut candidate = best.clone();

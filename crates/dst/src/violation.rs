@@ -173,18 +173,15 @@ pub enum Violation {
         /// Second run's log line at that step.
         second: String,
     },
-    /// A probe was served that cannot answer its row budget.
-    CacheServesContract {
+    /// A lookup hit with an answer never inserted for its spec since the
+    /// last clear.
+    CacheServedUnstored {
         /// Index of the offending cache op.
         step: usize,
-        /// Human-readable evidence.
-        detail: String,
-    },
-    /// A spec observed exact was later served truncated with no intervening
-    /// rotation or clear that could have evicted the entry.
-    CacheExactnessDowngrade {
-        /// Index of the offending cache op.
-        step: usize,
+        /// The spec looked up.
+        spec: u8,
+        /// The answer served.
+        exists: bool,
     },
     /// hits + misses drifted from the number of lookups issued.
     CacheCounterDrift {
@@ -204,19 +201,6 @@ pub enum Violation {
         bytes: u64,
         /// Largest budget in force.
         budget: u64,
-    },
-    /// The single-flight probe table's counters do not conserve: every
-    /// lookup must resolve as exactly one of a hit (served by another
-    /// probe's leader) or a leader election.
-    SingleFlightImbalance {
-        /// Which run drifted.
-        run: RunLabel,
-        /// In-flight-table lookups counted.
-        lookups: u64,
-        /// Lookups served by waiting on a leader.
-        hits: u64,
-        /// Lookups elected leader.
-        leaders: u64,
     },
     /// A net-walk connection's stream broke the content contract: a
     /// completed stream was not byte-identical to the solo reference, an
@@ -322,13 +306,10 @@ impl fmt::Display for Violation {
                 f,
                 "cache nondeterminism at op {step}: `{first}` vs `{second}` on identical replays"
             ),
-            Violation::CacheServesContract { step, detail } => {
-                write!(f, "cache serves-contract broken at op {step}: {detail}")
-            }
-            Violation::CacheExactnessDowngrade { step } => write!(
+            Violation::CacheServedUnstored { step, spec, exists } => write!(
                 f,
-                "cache exactness downgrade at op {step}: an exact entry was served truncated \
-                 with no eviction in between"
+                "cache served an unstored answer at op {step}: spec {spec} hit with \
+                 exists={exists}, which no insert since the last clear stored"
             ),
             Violation::CacheCounterDrift { hits, misses, lookups } => {
                 write!(f, "cache counter drift: {hits} hits + {misses} misses != {lookups} lookups")
@@ -337,11 +318,6 @@ impl fmt::Display for Violation {
                 f,
                 "cache retention overrun at op {step}: {bytes} resident bytes over the {budget} \
                  byte high-water budget"
-            ),
-            Violation::SingleFlightImbalance { run, lookups, hits, leaders } => write!(
-                f,
-                "single-flight imbalance: {run} run counted {lookups} lookups != {hits} hits + \
-                 {leaders} leaders"
             ),
             Violation::NetStreamDiverged { connection, detail } => {
                 write!(f, "net stream diverged: connection {connection}: {detail}")

@@ -1,8 +1,8 @@
 //! Probe-cache churn under simulated byte-budget pressure, driven from DST
-//! scenarios: the exactness bit of what the cache serves never downgrades
-//! (outside eviction windows), hit/miss counters are conserved across
-//! however many segment rotations the churn forces, and the whole
-//! observation log is bit-for-bit reproducible.
+//! scenarios: every hit answers with a bit stored for its spec since the
+//! last clear, hit/miss counters are conserved across however many segment
+//! rotations the churn forces, and the whole observation log is bit-for-bit
+//! reproducible.
 //!
 //! The contracts themselves live in the harness (`check_cache_plan`); these
 //! tests pin the pressure patterns that most plausibly break them.
@@ -28,37 +28,38 @@ fn generated_cache_plans_hold_every_contract() {
 }
 
 /// Targeted rotation storm: a budget small enough that every insert forces
-/// segment pressure, with get-hits interleaved so the exactness oracle has
-/// observations on both sides of each rotation. Counters must balance at
-/// the end no matter how many generations aged out.
+/// segment pressure, with get-hits interleaved so the served-answer oracle
+/// has observations on both sides of each rotation, and each spec's answer
+/// flipping from round to round. Counters must balance at the end no matter
+/// how many generations aged out.
 #[test]
-fn exactness_and_counters_survive_a_rotation_storm() {
+fn answers_and_counters_survive_a_rotation_storm() {
     let mut ops = Vec::new();
     for round in 0..8u8 {
         ops.push(CacheOp::SetMaxBytes { bytes: 256 + 128 * u32::from(round % 3) });
         for spec in 0..6u8 {
-            ops.push(CacheOp::Insert { spec, rows: 3, exact: true });
-            ops.push(CacheOp::Get { spec, budget: None });
-            ops.push(CacheOp::Insert { spec, rows: 1, exact: false });
-            ops.push(CacheOp::Get { spec, budget: Some(1) });
+            ops.push(CacheOp::Insert { spec, exists: (spec + round) % 2 == 0 });
+            ops.push(CacheOp::Get { spec });
+            ops.push(CacheOp::Insert { spec, exists: (spec + round) % 2 == 1 });
+            ops.push(CacheOp::Get { spec });
         }
     }
     check_cache_plan(&CachePlan { ops }).unwrap();
 }
 
-/// Clears reset the exactness oracle but never the counters: lookups across
-/// clears still reconcile with hits + misses.
+/// Clears reset what the served-answer oracle allows but never the
+/// counters: lookups across clears still reconcile with hits + misses.
 #[test]
 fn counters_are_conserved_across_clears() {
     let mut ops = Vec::new();
-    for _ in 0..4 {
+    for round in 0..4u8 {
         for spec in 0..6u8 {
-            ops.push(CacheOp::Insert { spec, rows: 3, exact: true });
-            ops.push(CacheOp::Get { spec, budget: Some(2) });
+            ops.push(CacheOp::Insert { spec, exists: (spec + round) % 2 == 0 });
+            ops.push(CacheOp::Get { spec });
         }
         ops.push(CacheOp::Clear);
         for spec in 0..6u8 {
-            ops.push(CacheOp::Get { spec, budget: None });
+            ops.push(CacheOp::Get { spec });
         }
     }
     check_cache_plan(&CachePlan { ops }).unwrap();

@@ -38,7 +38,6 @@ fn busy_scenario() -> Scenario {
         requests,
         cache: CachePlan::default(),
         net: NetPlan::default(),
-        single_flight: true,
     }
 }
 

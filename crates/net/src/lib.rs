@@ -239,7 +239,7 @@ impl NetMetrics {
 
 /// The probe-cache counters as series, declared once: the `"cache"` object
 /// of `/stats` and the `duoquest_db_*` families of `/metrics`.
-fn cache_series(cache: &CacheStats) -> [Series<'static>; 8] {
+fn cache_series(cache: &CacheStats) -> [Series<'static>; 5] {
     [
         Series::new(
             "hits",
@@ -270,27 +270,6 @@ fn cache_series(cache: &CacheStats) -> [Series<'static>; 8] {
             "duoquest_db_probe_cache_rotations_total",
             "Probe-cache segment rotations (generations aged out).",
             Counter(cache.rotations),
-        ),
-        Series::new(
-            "single_flight_lookups",
-            "duoquest_db_single_flight_lookups_total",
-            "In-flight probe table lookups (cache misses that consulted the \
-             single-flight table), over distinct databases.",
-            Counter(cache.single_flight_lookups),
-        ),
-        Series::new(
-            "single_flight_hits",
-            "duoquest_db_single_flight_hits_total",
-            "Probes served by waiting on another session's identical in-flight \
-             execution, over distinct databases.",
-            Counter(cache.single_flight_hits),
-        ),
-        Series::new(
-            "single_flight_leaders",
-            "duoquest_db_single_flight_leaders_total",
-            "Probes elected leader of their single-flight slot (ran the \
-             executor for every waiter), over distinct databases.",
-            Counter(cache.single_flight_leaders),
         ),
     ]
 }

@@ -826,15 +826,26 @@ mod tests {
         db
     }
 
-    fn request(db: &Arc<Database>, max_candidates: usize) -> SynthesisRequest {
+    /// A perfect oracle for "names of movies before 1995".
+    fn oracle(db: &Database) -> NoisyOracleGuidance {
         let gold = QueryBuilder::new(db.schema())
             .select("movies.name")
             .filter("movies.year", CmpOp::Lt, 1995)
             .build()
             .unwrap();
+        NoisyOracleGuidance::with_config(gold, 3, OracleConfig::perfect())
+    }
+
+    fn request(db: &Arc<Database>, max_candidates: usize) -> SynthesisRequest {
+        request_with(db, max_candidates, Arc::new(oracle(db)))
+    }
+
+    fn request_with(
+        db: &Arc<Database>,
+        max_candidates: usize,
+        model: Arc<dyn GuidanceModel>,
+    ) -> SynthesisRequest {
         let nlq = Nlq::with_literals("names of movies before 1995", vec![Literal::number(1995.0)]);
-        let model: Arc<dyn GuidanceModel> =
-            Arc::new(NoisyOracleGuidance::with_config(gold, 3, OracleConfig::perfect()));
         let mut config = DuoquestConfig::fast();
         config.max_candidates = max_candidates;
         config.time_budget = None;
@@ -1031,6 +1042,25 @@ mod tests {
         assert_eq!(service.stats().live_sessions, 0);
     }
 
+    /// A guidance model whose `score` blocks until its gate opens — the
+    /// test drops the gate's sender — and then scores as `inner` does.
+    struct Gated {
+        inner: NoisyOracleGuidance,
+        gate: Mutex<mpsc::Receiver<()>>,
+    }
+
+    impl GuidanceModel for Gated {
+        fn score(
+            &self,
+            ctx: &duoquest_nlq::GuidanceContext<'_>,
+            candidates: &[duoquest_nlq::Choice],
+        ) -> Vec<f64> {
+            // Nothing is ever sent: `recv` returns once the sender is gone.
+            let _ = self.gate.lock().expect("gate lock poisoned").recv();
+            self.inner.score(ctx, candidates)
+        }
+    }
+
     #[test]
     fn cancel_by_id_reaps_live_and_queued_requests() {
         let db = movie_db().into_shared();
@@ -1040,11 +1070,18 @@ mod tests {
             max_queued: 4,
             ..ServiceConfig::default()
         });
-        let running = service.submit(request(&db, 200)).unwrap();
+        // The running request cannot finish before both cancels are sent:
+        // its model blocks until the gate opens.
+        let (open_gate, gate) = mpsc::channel();
+        let gated = Gated { inner: oracle(&db), gate: Mutex::new(gate) };
+        let running = service.submit(request_with(&db, 200, Arc::new(gated))).unwrap();
         let queued = service.submit(request(&db, 200)).unwrap();
         assert!(service.cancel(queued.id()), "queued request found by id");
-        assert_eq!(queued.wait().status, RequestStatus::Cancelled);
         assert!(service.cancel(running.id()), "live request found by id");
+        // The one worker is held by the gated run, so the queued request
+        // resolves only once the gate opens.
+        drop::<mpsc::Sender<()>>(open_gate);
+        assert_eq!(queued.wait().status, RequestStatus::Cancelled);
         assert_eq!(running.wait().status, RequestStatus::Cancelled);
         assert!(!service.cancel(9999), "unknown id reports false");
         let stats = service.stats();

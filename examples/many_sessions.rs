@@ -94,19 +94,4 @@ fn main() {
             cl.ttfc.quantile_us(0.95).map(|us| format!("{us}µs")).unwrap_or_else(|| "-".into()),
         );
     }
-
-    // All 512 requests share the workload's single database, so concurrent
-    // sessions that reach the same uncached probe collapse onto one leader
-    // execution via the single-flight in-flight table.
-    let db_stats = dataset.databases[0].cache_stats();
-    let dup_rate = if db_stats.single_flight_lookups == 0 {
-        0.0
-    } else {
-        db_stats.single_flight_hits as f64 / db_stats.single_flight_lookups as f64 * 100.0
-    };
-    println!(
-        "  cross-session duplicate probes: {}/{} in-flight-routed misses collapsed onto \
-         another session's leader ({dup_rate:.1}%; {} leader executions)",
-        db_stats.single_flight_hits, db_stats.single_flight_lookups, db_stats.single_flight_leaders,
-    );
 }

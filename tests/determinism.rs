@@ -558,77 +558,6 @@ fn tracing_toggle_leaves_emission_byte_identical() {
     }
 }
 
-/// The executor-level analogue for cross-session probe sharing: whether
-/// concurrent identical probes collapse onto one leader execution
-/// (single-flight on, the default) or each runs independently must never change the
-/// emitted candidates — solo and through the service with every task in
-/// flight at once on one shared database.
-#[test]
-fn single_flight_toggle_leaves_emission_byte_identical() {
-    let dataset = workload();
-    let config = base_config();
-    // Ground truth: single-flight on (the default), inline.
-    let solo: Vec<_> = dataset
-        .tasks
-        .iter()
-        .enumerate()
-        .map(|(i, task)| ranking(&run_task_on(&dataset, task, 950 + i as u64, &config, None)))
-        .collect();
-
-    // Single-flight off, inline.
-    for (i, task) in dataset.tasks.iter().enumerate() {
-        let db = dataset.database(task);
-        db.set_single_flight(false);
-        db.clear_probe_cache();
-        let result = run_task_on(&dataset, task, 950 + i as u64, &config, None);
-        assert_eq!(
-            solo[i],
-            ranking(&result),
-            "task {} diverged with single-flight disabled",
-            task.id
-        );
-    }
-
-    // Both settings through the service with all tasks contending on the
-    // shared database at once.
-    let service = SynthesisService::new(ServiceConfig {
-        workers: 2,
-        max_live_sessions: 8,
-        max_queued: 32,
-        ..ServiceConfig::default()
-    });
-    for single_flight in [true, false] {
-        let tickets: Vec<_> = dataset
-            .tasks
-            .iter()
-            .enumerate()
-            .map(|(i, task)| {
-                let db = dataset.database(task);
-                db.set_single_flight(single_flight);
-                db.clear_probe_cache();
-                let (gold, tsq) =
-                    synthesize_tsq(db, &task.gold, TsqDetail::Full, 2, 950 + i as u64);
-                let model = NoisyOracleGuidance::new(gold, 950 + i as u64);
-                let request =
-                    SynthesisRequest::new(Arc::clone(db), task.nlq.clone(), Arc::new(model))
-                        .with_tsq(tsq)
-                        .with_config(config.clone())
-                        .with_priority(PriorityClass::ALL[i % 3]);
-                service.submit(request).expect("admitted")
-            })
-            .collect();
-        for (i, ticket) in tickets.into_iter().enumerate() {
-            let outcome = ticket.wait();
-            assert_eq!(outcome.status, RequestStatus::Completed, "task {i}");
-            assert_eq!(
-                solo[i],
-                ranking(&outcome.result),
-                "task {i} diverged with single-flight {single_flight}"
-            );
-        }
-    }
-}
-
 #[test]
 fn wide_beam_runs_are_self_deterministic() {
     // A beam wider than 1 explores in a different (but still fixed) order;

@@ -16,9 +16,12 @@
 //! without a `LIMIT`; sort keys non-decreasing under `ORDER BY` and no
 //! smaller key left out; under `LIMIT k` (or a row budget) exactly
 //! `min(k, |reference|)` rows, each drawn from the unlimited reference. And
-//! the contract the probe cache serves truncated entries by: the rows under
-//! a budget `b` are the first `min(b, n)` of the `n` rows without one, byte
-//! for byte.
+//! the prefix contract: the rows under a budget `b` are the first
+//! `min(b, n)` of the `n` rows without one, byte for byte. Every `LIMIT 1`
+//! spec is also asked the verifier's existence question through the probe
+//! cache (`Database::exists_cached_with`, decided as a verdict that answers
+//! at the first row), cold and then warm, on both databases: the answer must
+//! be whether the reference has a row.
 //!
 //! The same generated specs, with table sketches drawn from their reference
 //! rows, hold the verifier's complete check — decided while the rows stream,
@@ -250,6 +253,8 @@ struct Checked {
     order_unpinned: usize,
     /// Results cut by a `LIMIT` or a row budget.
     cut: usize,
+    /// Existence questions asked, by the answer (`[no, yes]`).
+    existence: [usize; 2],
 }
 
 /// Hold one execution's rows to the reference (the spec's complete result
@@ -377,6 +382,24 @@ fn generated_specs_equal_the_reference(db: &Database, seed: u64, cases: usize) -
                 }
             }
         }
+        if spec.limit == Some(1) {
+            let want = !reference.is_empty();
+            for (which, on) in sides {
+                on.clear_probe_cache();
+                let counters = RunCacheCounters::default();
+                for (temperature, lookups) in [("cold", (0, 1)), ("warm", (1, 1))] {
+                    let got = on.exists_cached_with(&spec, &counters);
+                    assert!(
+                        matches!(got, Ok(exists) if exists == want),
+                        "seed {seed} case {case}: {which} database, {temperature} existence \
+                         {got:?}, the reference has {} rows\n  {spec:?}",
+                        reference.len()
+                    );
+                    assert_eq!(counters.snapshot(), lookups, "{temperature} (hits, misses)");
+                    tally.existence[usize::from(want)] += 1;
+                }
+            }
+        }
     }
     seen.assert_every_class_occurred(seed);
     tally
@@ -388,6 +411,11 @@ fn assert_checks_bit(tally: &Checked, cases: usize) {
     assert!(tally.exact_multisets >= cases / 4, "only {} exact multisets", tally.exact_multisets);
     assert!(tally.order_checked >= cases / 4, "only {} orders checked", tally.order_checked);
     assert!(tally.cut >= cases, "only {} cut results", tally.cut);
+    let [absent, present] = tally.existence;
+    assert!(
+        absent >= cases / 4 && present >= cases / 4,
+        "existence asked {absent} times of empty results, {present} of non-empty ones"
+    );
     assert!(
         tally.order_unpinned * 5 <= tally.order_checked,
         "{} orders unpinned against {} checked",

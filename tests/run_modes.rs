@@ -129,7 +129,7 @@ fn halt_cut_is_the_same_everywhere() {
 /// The span tree of a traced run, wherever it stands: every burst of up to 32
 /// rounds (one `advance`) has its `rounds` span — the one the candidate
 /// budget cuts included — recorded first, and the synthesized
-/// `verify:<stage>` / `probe_wait` spans that follow lie inside it; summed
+/// `verify:<stage>` spans that follow lie inside it; summed
 /// over the run, each stage's spans are its `StageTimings` share, losing
 /// under 1 µs per burst to rounding. A pool adds `resume` spans and nothing
 /// else.
@@ -164,13 +164,10 @@ fn every_burst_of_a_traced_run_has_its_span() {
             let shares = tail.iter().take_while(|s| s.name != "rounds").count();
             for span in &tail[..shares] {
                 assert!(inside(span, burst), "{span:?} outside {burst:?}");
-                if span.name == "probe_wait" {
-                    continue;
-                }
                 let stage = VerifyStage::ALL
                     .into_iter()
                     .position(|stage| stage.span_name() == span.name)
-                    .unwrap_or_else(|| panic!("{span:?} is neither a stage nor `probe_wait`"));
+                    .unwrap_or_else(|| panic!("{span:?} is not a stage"));
                 widths_us[stage] += span.end_us - span.start_us;
             }
             rest = &tail[shares..];

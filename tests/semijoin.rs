@@ -363,22 +363,17 @@ fn ordered_index_scan_honours_the_first_table_restriction() {
 // ---------------------------------------------------------------- by_row --
 
 /// `verify_by_row` as it built its probes before: the partial query's GROUP
-/// BY rides along on every probe. Kept only here.
+/// BY rides along on every probe. Kept only here, and run on the uncached
+/// executor, so it shares no cache with the stage it checks.
 mod reference {
     use super::cell_predicate;
     use duoquest::core::TableSketchQuery;
     use duoquest::db::{
-        AggFunc, CmpOp, ColumnId, Database, Predicate, RunCacheCounters, SelectItem, SelectSpec,
-        Value,
+        execute, AggFunc, CmpOp, ColumnId, Database, Predicate, SelectItem, SelectSpec, Value,
     };
     use duoquest::sql::{PartialQuery, SelectColumn};
 
-    pub fn verify_by_row(
-        db: &Database,
-        tsq: &TableSketchQuery,
-        pq: &PartialQuery,
-        counters: &RunCacheCounters,
-    ) -> bool {
+    pub fn verify_by_row(db: &Database, tsq: &TableSketchQuery, pq: &PartialQuery) -> bool {
         let Some(items) = pq.select.as_ref() else { return true };
         let Some(join) = pq.join.as_ref() else { return true };
         let mut base = SelectSpec { join: join.clone(), limit: Some(1), ..Default::default() };
@@ -435,7 +430,7 @@ mod reference {
             let global = spec.group_by.is_empty() && !spec.having.is_empty();
             spec.select =
                 vec![if global { SelectItem::count_star() } else { SelectItem::column(probe_col) }];
-            let Ok(rs) = db.execute_cached_with(&spec, counters) else { return false };
+            let Ok(rs) = execute(db, &spec) else { return false };
             if rs.is_empty() {
                 return false;
             }
@@ -508,7 +503,7 @@ fn by_row_verdicts_along_the_gold_path(mas: &MasDataset, task_id: &str) -> (usiz
                     let counters = RunCacheCounters::default();
                     assert_eq!(
                         verify_by_row(db, &tsq, variant, &counters),
-                        reference::verify_by_row(db, &tsq, variant, &counters),
+                        reference::verify_by_row(db, &tsq, variant),
                         "task {task_id}: {variant:?}"
                     );
                     compared += 1;

@@ -533,7 +533,7 @@ fn panic_mid_step_poisons_only_its_own_session() {
 /// expansions) keeps its whole trace under the default capacity: nothing
 /// dropped, its root `request` span and its one `resume` span retained, and
 /// no more than nine spans per burst of 32 rounds (`rounds`, seven stage
-/// shares, `probe_wait`), one `deliver` per candidate and the request's own
+/// shares, one spare), one `deliver` per candidate and the request's own
 /// (`request`, `queue_wait`, `resume`, one spare). A count, not a stopwatch.
 #[test]
 fn a_paper_sized_traced_request_keeps_its_whole_trace() {

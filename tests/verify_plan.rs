@@ -16,11 +16,12 @@ use duoquest::workloads::{mas, mas_tasks, spider, synthesize_tsq, TsqDetail};
 use std::sync::Arc;
 
 /// The column-wise stage as it was before the plan: one `SelectSpec` built
-/// and sent through the probe cache per (call, cell). Kept only here.
+/// per (call, cell). Kept only here, and run on the uncached executor, so it
+/// shares no cache with the stage it checks.
 mod reference {
     use duoquest::core::{TableSketchQuery, TsqCell};
     use duoquest::db::{
-        AggFunc, CmpOp, ColumnId, Database, JoinTree, Predicate, SelectItem, SelectSpec,
+        execute, AggFunc, CmpOp, ColumnId, Database, JoinTree, Predicate, SelectItem, SelectSpec,
     };
     use duoquest::sql::{PartialQuery, SelectColumn};
 
@@ -71,7 +72,7 @@ mod reference {
             limit: Some(1),
             ..Default::default()
         };
-        db.execute_cached(&spec).map(|rs| !rs.is_empty()).unwrap_or(false)
+        execute(db, &spec).map(|rs| !rs.is_empty()).unwrap_or(false)
     }
 
     /// The range read by a scan of the column, whatever the index says.
