@@ -60,13 +60,13 @@
 //! canonical join order (the full selection rules live in
 //! `docs/EXECUTOR.md`):
 //!
-//! * **Index-nested-loop joins** borrow a build column's prebuilt match
-//!   lists instead of hashing the build table per execution.
+//! * **Index-nested-loop joins** look each probe cell up in the build
+//!   column's index instead of hashing the build table per execution.
 //! * **Range/point restrictions** turn indexed literal predicates into
 //!   candidate row lists (always supersets; the WHERE filter re-checks),
 //!   intersected when several predicates restrict one table. The first
-//!   table iterates its candidates; a build side keeps its borrowed match
-//!   lists and drops non-candidates from each list as it is probed.
+//!   table iterates its candidates; a build side keeps its index lookups
+//!   and drops non-candidates from each match list as it is probed.
 //! * **Semi-join reduction** carries those restrictions up the join tree,
 //!   leaves first: a table whose child is restricted keeps only the rows
 //!   whose join key occurs among the child's candidates, so a literal at a
@@ -109,7 +109,6 @@ use crate::query::{AggFunc, CmpOp, LogicalOp, OrderKey, OrderSpec, Predicate, Se
 use crate::schema::{ColumnId, TableId};
 use crate::table_index::{ord_cmp, ColumnIndex};
 use crate::types::{DataType, Key, Value};
-use std::borrow::Cow;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -881,7 +880,8 @@ impl KeyIndex {
 }
 
 /// Build the hash table over one join step's build column: key → ascending
-/// row ids, NULLs excluded — what a [`ColumnIndex`] holds prebuilt.
+/// row ids, NULLs excluded — what [`ColumnIndex::lookup`] answers from its
+/// runs.
 fn build_hash(rows: &[Row], build_col: usize) -> HashMap<Key, Vec<usize>> {
     let mut map: HashMap<Key, Vec<usize>> = HashMap::new();
     for (ri, row) in rows.iter().enumerate() {
@@ -1025,10 +1025,10 @@ impl<'a> Resolved<'a> {
     }
 }
 
-/// One join step's build side: the match lists — borrowed straight from a
-/// column index (index-nested-loop join, no build pass at all) or hashed for
-/// this execution, both key → ascending row ids with NULLs excluded — plus
-/// the build table's restriction, if it has one.
+/// One join step's build side: the match lists — looked up in a column
+/// index (index-nested-loop join, no build pass at all) or hashed for this
+/// execution, both key → ascending row ids with NULLs excluded — plus the
+/// build table's restriction, if it has one.
 ///
 /// A restriction never replaces the match lists: it is applied as a
 /// membership filter while a list is expanded, so a restricted build side
@@ -1037,9 +1037,17 @@ impl<'a> Resolved<'a> {
 /// planner proved unable to appear in a surviving joined row.
 struct StepHash<'h> {
     probe: Pos,
-    lists: Cow<'h, HashMap<Key, Vec<usize>>>,
+    lists: BuildSide<'h>,
     /// Ascending candidate row ids of the build table.
     keep: Option<&'h [usize]>,
+}
+
+/// Where a join step finds the build rows matching a probe cell.
+enum BuildSide<'h> {
+    /// The build column's index: one [`ColumnIndex::lookup`] per probe.
+    Index(&'h ColumnIndex),
+    /// The build column hashed for this execution ([`build_hash`]).
+    Hashed(HashMap<Key, Vec<usize>>),
 }
 
 impl<'h> StepHash<'h> {
@@ -1048,17 +1056,26 @@ impl<'h> StepHash<'h> {
     fn of(db: &'h Database, step: &JoinStep, access: &'h IndexAccess) -> (StepHash<'h>, u64) {
         let build_rows = &db.table_data(step.build.table).rows;
         let (lists, hashed) = match db.column_index(step.build) {
-            Some(idx) => (Cow::Borrowed(idx.match_lists()), 0),
-            None => {
-                (Cow::Owned(build_hash(build_rows, step.build.column)), build_rows.len() as u64)
-            }
+            Some(idx) => (BuildSide::Index(idx), 0),
+            None => (
+                BuildSide::Hashed(build_hash(build_rows, step.build.column)),
+                build_rows.len() as u64,
+            ),
         };
         let keep = access.restrictions.get(&step.build.table).map(Vec::as_slice);
         (StepHash { probe: step.probe, lists, keep }, hashed)
     }
 
     fn is_inlj(&self) -> bool {
-        matches!(self.lists, Cow::Borrowed(_))
+        matches!(self.lists, BuildSide::Index(_))
+    }
+
+    /// Whether no probe can match: the build column holds no non-NULL key.
+    fn is_empty(&self) -> bool {
+        match &self.lists {
+            BuildSide::Index(idx) => idx.distinct_keys() == 0,
+            BuildSide::Hashed(map) => map.is_empty(),
+        }
     }
 
     /// Append to `out` the joined row `probe` extended by each build row its
@@ -1066,9 +1083,12 @@ impl<'h> StepHash<'h> {
     /// order; returns how many. Both strategies join through here, so they
     /// order joined rows alike.
     fn expand(&self, query: &Resolved<'_>, probe: &[usize], out: &mut Vec<usize>) -> u64 {
-        let Some(matches) = query.cell(probe, self.probe).key().and_then(|k| self.lists.get(&k))
-        else {
-            return 0;
+        let cell = query.cell(probe, self.probe);
+        let matches: &[usize] = match &self.lists {
+            BuildSide::Index(idx) => idx.lookup(cell),
+            BuildSide::Hashed(map) => {
+                cell.key().and_then(|k| map.get(&k)).map_or(&[], Vec::as_slice)
+            }
         };
         let mut kept = 0;
         for ri in matches {
@@ -1200,15 +1220,14 @@ fn run_streaming(
     };
 
     if cap > 0 {
-        // Build sides: borrow the column index's prebuilt match lists when
-        // the build key is indexed, hash the table otherwise. An empty
-        // build side proves the join output empty before any probe row is
-        // pulled.
+        // Build sides: look probes up in the column index when the build
+        // key is indexed, hash the table otherwise. An empty build side
+        // proves the join output empty before any probe row is pulled.
         let mut hashes: Vec<StepHash<'_>> = Vec::with_capacity(plan.steps.len());
         for step in &plan.steps {
             let (hash, hashed) = StepHash::of(db, step, access);
             build_scanned += hashed;
-            if hash.lists.is_empty() {
+            if hash.is_empty() {
                 bailed = true;
                 break;
             }
@@ -1287,7 +1306,7 @@ fn run_materialized(
     // `width`: ids per joined row going into the step, one more coming out.
     for (width, step) in (1..).zip(steps) {
         // Index-nested-loop join when the build key is indexed: the column
-        // index's match lists *are* the build side and no build pass runs.
+        // index *is* the build side and no build pass runs.
         let (hash, hashed) = StepHash::of(db, step, access);
         scanned += hashed;
         let mut out = Vec::with_capacity(ids.len() / width * (width + 1));
@@ -1938,8 +1957,8 @@ mod tests {
         let indexed = run(&db, &probe);
         let scan = run(&unindexed_fanout_db(500, 10, 20), &probe);
         assert_eq!(indexed.result, scan.result);
-        // The scan path hashes all 500 build rows up front; the INLJ borrows
-        // the index's match lists and never touches them.
+        // The scan path hashes all 500 build rows up front; the INLJ looks
+        // probes up in the index and never touches them.
         assert!(
             indexed.metrics.rows_scanned + 500 <= scan.metrics.rows_scanned,
             "INLJ must skip the 500-row build pass: {} vs {}",

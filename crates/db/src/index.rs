@@ -6,15 +6,19 @@
 //! from example cell values, and by literal tagging in the NLQ crate.
 //!
 //! It is not stored: [`InvertedIndex`] is a borrowed view of the column
-//! indexes ([`crate::table_index`]). A text column's [`Key::Text`] keys are
-//! its distinct lowercased values, and a key's match-list length is its count
-//! in that column. The write path maintains the column indexes, so the view
-//! is current after `insert` and `update_cell`; before the first
-//! `Database::rebuild_index` there are no column indexes and it finds nothing.
+//! indexes ([`crate::table_index`]). A text column's keys are its distinct
+//! lowercased values, held sorted in its index's arena, and a key's
+//! match-list length is its count in that column. A lookup binary-searches
+//! each text column, folding the probe's case as it compares, so it
+//! allocates nothing; autocomplete walks each column's keys from the prefix
+//! on. The write path maintains the column indexes, so the view is current
+//! after `insert` and `update_cell`; before the first
+//! `Database::rebuild_index` there are no column indexes and it finds
+//! nothing.
 
 use crate::schema::{ColumnId, Schema};
 use crate::table_index::{ColumnIndex, TableIndex};
-use crate::types::{DataType, Key};
+use crate::types::DataType;
 
 /// A single index hit: a column containing the searched value and how often.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,19 +55,17 @@ impl<'a> InvertedIndex<'a> {
     /// Columns containing the exact (case-insensitive) text value, in
     /// `(table, column)` order.
     pub fn lookup(&self, value: &str) -> Vec<IndexHit> {
-        let key = Key::Text(value.to_ascii_lowercase());
         self.text_columns()
             .filter_map(|(column, index)| {
-                let rows = index.match_lists().get(&key)?;
-                Some(IndexHit { column, count: rows.len() })
+                let count = index.lookup_text(value).len();
+                (count > 0).then_some(IndexHit { column, count })
             })
             .collect()
     }
 
     /// Whether any text column in the database contains the value.
     pub fn contains(&self, value: &str) -> bool {
-        let key = Key::Text(value.to_ascii_lowercase());
-        self.text_columns().any(|(_, index)| index.match_lists().contains_key(&key))
+        self.text_columns().any(|(_, index)| !index.lookup_text(value).is_empty())
     }
 
     /// Autocomplete: distinct values starting with the given prefix, across all
@@ -81,21 +83,15 @@ impl<'a> InvertedIndex<'a> {
 }
 
 /// The distinct text keys of `columns` starting with `prefix` (lowercased),
-/// sorted and capped at `limit`.
+/// sorted and capped at `limit`: each column's keys are already sorted, so
+/// each contributes its first `limit` from the prefix on.
 fn complete<'a>(
     columns: impl IntoIterator<Item = &'a ColumnIndex>,
     prefix: &str,
     limit: usize,
 ) -> Vec<String> {
-    let prefix = prefix.to_ascii_lowercase();
-    let mut out: Vec<&str> = columns
-        .into_iter()
-        .flat_map(|index| index.match_lists().keys())
-        .filter_map(|key| match key {
-            Key::Text(text) if text.starts_with(&prefix) => Some(text.as_str()),
-            _ => None,
-        })
-        .collect();
+    let mut out: Vec<&str> =
+        columns.into_iter().flat_map(|index| index.keys_from(prefix).take(limit)).collect();
     out.sort_unstable();
     out.dedup();
     out.truncate(limit);

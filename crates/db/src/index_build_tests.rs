@@ -11,8 +11,9 @@
 //!
 //! Tables are generated from seeds and salted with what the build treats
 //! specially: NULLs, NaN, `-0.0` next to `0.0`, case variants of one word
-//! (one key, not adjacent in the case-sensitive order), duplicates, number
-//! and text cells in one column, an empty table and a one-row table.
+//! (one key, not adjacent in the case-sensitive order), texts that differ
+//! only after a long shared prefix, duplicates, number and text cells in
+//! one column, an empty table and a one-row table.
 
 use crate::database::{Database, Row};
 use crate::index::IndexHit;
@@ -34,10 +35,12 @@ fn numbers() -> Vec<Value> {
 }
 
 /// Texts the generator draws from: case variants of two words, the empty
-/// string, and prefixes of one another.
+/// string, prefixes of one another, and case variants of texts that differ
+/// only after a shared eight-byte prefix.
 fn texts() -> Vec<Value> {
     ["abc", "Abc", "ABC", "abd", "Abd", "", "a", "ab", "X y", "x Y", "zeta"]
         .into_iter()
+        .chain(["abcdefgh", "abcdefgh-1", "ABCDEFGH-1", "abcdefgh-2", "abcdefgh-10"])
         .map(Value::text)
         .chain([Value::Null])
         .collect()
@@ -45,7 +48,8 @@ fn texts() -> Vec<Value> {
 
 /// Values looked up but never generated.
 fn absent() -> Vec<Value> {
-    vec![Value::Number(7.0), Value::Number(-2.5), Value::text("abcd"), Value::text("q")]
+    let texts = ["abcd", "q", "abcdefgh-0", "Abcdefgh-11", "abcdefg"].map(Value::text);
+    [Value::Number(7.0), Value::Number(-2.5)].into_iter().chain(texts).collect()
 }
 
 /// A xorshift stream: `pick(k)` is uniform enough in `0..k`.
@@ -124,7 +128,7 @@ fn check_column(cells: &[&Value], idx: &ColumnIndex, exact: bool, what: &str) {
         assert_eq!(idx.lookup(v), matches(v), "{what}: lookup {v:?}");
     }
     let distinct = (0..n).filter(|&i| !cells[i].is_null() && matches(cells[i])[0] == i).count();
-    assert_eq!(idx.match_lists().len(), distinct, "{what}: one list per distinct value");
+    assert_eq!(idx.distinct_keys(), distinct, "{what}: one list per distinct value");
     let non_null = cells.iter().filter(|v| !v.is_null()).count();
     assert_eq!(idx.mean_matches(), non_null as f64 / distinct.max(1) as f64, "{what}");
 
@@ -184,7 +188,7 @@ fn check_text_index(db: &Database, what: &str) {
         let prefix = prefix.to_ascii_lowercase();
         values.iter().filter(|v| v.starts_with(&prefix)).take(limit).cloned().collect()
     };
-    for prefix in ["", "a", "AB", "abc", "x", "X Y", "q"] {
+    for prefix in ["", "a", "AB", "abc", "x", "X Y", "q", "ABCDEFGH", "abcdefgh-1"] {
         for limit in [0, 1, 2, 100] {
             assert_eq!(
                 index.autocomplete(prefix, limit),
@@ -296,7 +300,10 @@ fn maintained_indexes_equal_a_fresh_rebuild() {
         for col in db.schema().all_columns() {
             let (kept, rebuilt) = (db.column_index(col).unwrap(), fresh.column_index(col).unwrap());
             assert_eq!(kept.ordered(), rebuilt.ordered(), "{what}, {col:?}");
-            assert_eq!(kept.match_lists(), rebuilt.match_lists(), "{what}, {col:?}");
+            for v in db.column_values(col).chain(&numbers).chain(&texts).chain(&absent()) {
+                assert_eq!(kept.lookup(v), rebuilt.lookup(v), "{what}, {col:?}: lookup {v:?}");
+            }
+            assert_eq!(kept.distinct_keys(), rebuilt.distinct_keys(), "{what}, {col:?}");
         }
         check_columns(&fresh, true, &format!("{what}, rebuilt"));
         check_text_index(&fresh, &format!("{what}, rebuilt"));

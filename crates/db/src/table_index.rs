@@ -1,42 +1,52 @@
 //! Ordered secondary indexes over table columns.
 //!
-//! [`TableIndex`] gives every column of a table two physical access paths the
-//! executor can substitute for a scan:
+//! [`TableIndex`] gives every column of a table the physical access paths the
+//! executor can substitute for a scan, all of them slices of sorted runs of
+//! row ids:
 //!
-//! * **Equality match lists** (`by_key`): a hash map from the column's typed
-//!   [`Key`]s ([`Value::key`]) to the row ids holding that key, in ascending
-//!   row order — exactly the structure the hash join builds on the fly, so an
-//!   indexed join column turns a hash join into an **index-nested-loop join**
-//!   with zero build cost, and an equality predicate into a point lookup. A
-//!   number's key is its canonical bits, so a numeric lookup — every FK join
-//!   probe and every semi-join walk step — allocates nothing. NULLs are
-//!   excluded, mirroring the join build side.
-//! * **A sorted run** (`sorted`): all row ids (NULLs included) ordered by
+//! * **The sorted run** (`sorted`): all row ids (NULLs included) ordered by
 //!   `(value, row id)` under `ord_cmp`, the one total order the executor also
 //!   sorts result sets with. Range predicates become binary-searched slices, and
 //!   `ORDER BY c LIMIT k` can stream rows in index order instead of sorting —
 //!   ties break by row id, which is exactly the order a stable sort of the
 //!   storage leaves them in, so index-ordered emission is byte-identical to
 //!   materialize-and-sort.
+//! * **Equality match lists** ([`ColumnIndex::lookup`]): the row ids whose
+//!   value shares a [`Key`](crate::types::Key) ([`Value::key`]) with the
+//!   probe, ascending — what the hash join builds on the fly, so an indexed
+//!   join column turns a hash join into an **index-nested-loop join** with
+//!   zero build cost, and an equality predicate into a point lookup. NULLs
+//!   match nothing, mirroring the join build side. A list is a run found by
+//!   binary search, and no list is stored on its own:
+//!   - A number's list is its equal-value run of `sorted`. The run's NULLs
+//!     and numbers come first, and `bits` holds their `sort_bits`
+//!     contiguously, so a numeric lookup — every FK join probe and every
+//!     semi-join walk step — is two binary searches over `u64`s, for the
+//!     run's start and its end, and allocates nothing.
+//!   - A text's list is a run of `folded`: the column's text cells ordered by
+//!     ASCII-lowercased bytes, then row id. The distinct folded texts live in
+//!     ascending order in one arena (`keys`; `groups` marks where each key
+//!     and its run end). A lookup binary-searches the keys, folding the
+//!     probe's bytes as it compares, so it allocates nothing either.
 //!
 //! Indexes are built by `Database::rebuild_index` and maintained
-//! incrementally by the write path (`insert`, `update_cell`); they are never
-//! consulted while absent, so a database that skips `rebuild_index` simply
-//! runs every query as a scan.
+//! incrementally by the write path (`insert`, `update_cell`), which keeps the
+//! run, the bits, the folded order, the arena and the exact distinct-key
+//! count in place; they are never consulted while absent, so a database that
+//! skips `rebuild_index` simply runs every query as a scan.
 //!
 //! # Build
 //!
-//! [`ColumnIndex::build`] sorts a column once and reads both structures off
-//! that one order. An all-number/NULL column sorts flat `(bits, row id)`
-//! pairs, where the bits order numbers as `ord_cmp` does (`-0.0` folded
-//! onto `0.0`, NaN last) and NULL below every number; any other column
-//! sorts `(cell, row id)` pairs stably under `ord_cmp`. Identical cells are
-//! then adjacent runs with ascending row ids, so each run derives its key
-//! once — one lowercasing per distinct text, not per cell — and becomes its
-//! match list whole. Runs that share a key without being adjacent are case
-//! variants (`"ABC"`, `"Abc"`, `"abc"`), whose list is re-sorted as it
-//! merges. The §4 text index (`crate::index`) is a view of the text
-//! columns' match lists.
+//! [`ColumnIndex::build`] sorts a column once, and its text cells once more
+//! by folded bytes. An all-number/NULL column sorts flat `(bits, row id)`
+//! pairs, where the bits order numbers as `ord_cmp` does (`-0.0` folded onto
+//! `0.0`, NaN last) and NULL below every number, and keeps both halves; any
+//! other column sorts `(cell, row id)` pairs under `ord_cmp`. Equal keys are
+//! then adjacent with ascending row ids: a number's run is its match list as
+//! it stands, and each run of `folded` stores its key once — one lowercasing
+//! per distinct text, not per cell. Every vector is allocated at its exact
+//! length. The §4 text index (`crate::index`) is a view of the text columns'
+//! folded keys and runs.
 //!
 //! # NaN caveat
 //!
@@ -49,10 +59,9 @@
 //! orders agree with or without it.
 
 use crate::database::Row;
-use crate::types::{canonical_bits, Key, Value};
+use crate::types::{canonical_bits, Value};
 use std::cmp::Ordering;
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+use std::ops::Range;
 
 /// The total order of the sorted run, of `ORDER BY` and of `MIN`/`MAX`:
 /// [`Value::total_cmp`], except that NaN compares after every other number
@@ -84,25 +93,53 @@ fn sort_bits(v: &Value) -> u64 {
     }
 }
 
-/// Split sorted `(cell, row id)` pairs, NULLs first, into the row ids and
-/// the positions where each run of identical non-NULL cells starts.
-fn sorted_runs<T: PartialEq>(cells: Vec<(T, usize)>, null: &T) -> (Vec<usize>, Vec<usize>) {
-    let first = cells.partition_point(|(cell, _)| cell == null);
-    let starts =
-        (first..cells.len()).filter(|&p| p == first || cells[p - 1].0 != cells[p].0).collect();
-    (cells.into_iter().map(|(_, row)| row).collect(), starts)
+/// `text` ASCII-lowercased byte by byte, without allocating.
+fn fold(text: &str) -> impl Iterator<Item = u8> + Clone + '_ {
+    text.bytes().map(|b| b.to_ascii_lowercase())
+}
+
+/// The first `i` in `0..len` for which `below(i)` is false, where `below`
+/// holds on a prefix of `0..len`: `partition_point` over positions.
+fn partition_index(len: usize, below: impl Fn(usize) -> bool) -> usize {
+    let (mut lo, mut hi) = (0, len);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if below(mid) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
+}
+
+/// One distinct folded text of a column: where its bytes end in
+/// `ColumnIndex::keys` and its run in `ColumnIndex::folded`. Each starts
+/// where the previous group's ends.
+#[derive(Debug, Clone, Copy)]
+struct Group {
+    key_end: usize,
+    run_end: usize,
 }
 
 /// The ordered secondary index of one column. See the module docs for the
-/// two structures and their invariants.
+/// runs and their invariants.
 #[derive(Debug, Clone, Default)]
 pub struct ColumnIndex {
-    /// Key → row ids in ascending order; NULL rows excluded.
-    by_key: HashMap<Key, Vec<usize>>,
-    /// All row ids ordered by `(ord_cmp value, row id)`.
+    /// All row ids ordered by `(ord_cmp value, row id)`: NULLs, numbers,
+    /// NaN, then texts.
     sorted: Vec<usize>,
-    /// Rows with a non-NULL value.
-    non_null: usize,
+    /// The [`sort_bits`] of `sorted`'s leading NULL and number cells,
+    /// position for position.
+    bits: Vec<u64>,
+    /// The text cells' row ids ordered by (ASCII-lowercased bytes, row id).
+    folded: Vec<usize>,
+    /// The distinct folded texts, ascending, back to back.
+    keys: String,
+    /// One per distinct folded text, in `keys` order.
+    groups: Vec<Group>,
+    /// Distinct non-NULL keys: number runs plus groups.
+    distinct: usize,
     /// Longest match list ever observed — a monotone upper bound, so a
     /// `true` [`ColumnIndex::is_unique`] can be trusted after updates
     /// (rebuilding refreshes it exactly).
@@ -112,47 +149,60 @@ pub struct ColumnIndex {
 }
 
 impl ColumnIndex {
-    /// Build the index over one column of `rows`: one sort, then one key
-    /// and one match list per run of identical cells (see the module docs).
+    /// Build the index over one column of `rows`: one sort, one more over
+    /// the text cells, then one arena key per run of equal folded texts (see
+    /// the module docs).
     pub fn build(rows: &[Row], col: usize) -> ColumnIndex {
-        let (sorted, starts) = if rows.iter().any(|r| matches!(r.0[col], Value::Text(_))) {
-            // Stable, so ties keep ascending row ids.
+        let text = |i: usize| rows[i].0[col].as_text().expect("a text cell");
+        let texts = rows.iter().filter(|r| matches!(r.0[col], Value::Text(_))).count();
+        let (sorted, bits): (Vec<usize>, Vec<u64>) = if texts > 0 {
             let mut cells: Vec<(&Value, usize)> = rows.iter().map(|r| &r.0[col]).zip(0..).collect();
-            cells.sort_by(|a, b| ord_cmp(a.0, b.0));
-            sorted_runs(cells, &&Value::Null)
+            cells.sort_unstable_by(|a, b| ord_cmp(a.0, b.0).then(a.1.cmp(&b.1)));
+            let bits = cells[..rows.len() - texts].iter().map(|&(v, _)| sort_bits(v)).collect();
+            (cells.iter().map(|&(_, row)| row).collect(), bits)
         } else {
             // The pairs are distinct, so an unstable sort leaves the order a
             // stable one would.
             let mut cells: Vec<(u64, usize)> =
                 rows.iter().map(|r| sort_bits(&r.0[col])).zip(0..).collect();
             cells.sort_unstable();
-            sorted_runs(cells, &NULL_BITS)
+            (cells.iter().map(|&(_, row)| row).collect(), cells.iter().map(|&(b, _)| b).collect())
         };
-        let mut by_key: HashMap<Key, Vec<usize>> = HashMap::with_capacity(starts.len());
-        let ends = starts.iter().skip(1).copied().chain([sorted.len()]);
-        for (start, end) in starts.iter().copied().zip(ends) {
-            let run = &sorted[start..end];
-            let key = rows[run[0]].0[col].key().expect("a run holds non-NULL cells");
-            match by_key.entry(key) {
-                Entry::Vacant(slot) => {
-                    slot.insert(run.to_vec());
-                }
-                // A case variant of an earlier run (`"Abc"` after `"ABC"`):
-                // one key, but not adjacent in the case-sensitive order. The
-                // list is two ascending runs, which the stable sort merges.
-                Entry::Occupied(mut slot) => {
-                    let list = slot.get_mut();
-                    list.extend_from_slice(run);
-                    list.sort();
-                }
-            }
+
+        let mut folded: Vec<usize> = sorted[bits.len()..].to_vec();
+        folded.sort_unstable_by(|&a, &b| fold(text(a)).cmp(fold(text(b))).then(a.cmp(&b)));
+        let same = |&a: &usize, &b: &usize| text(a).eq_ignore_ascii_case(text(b));
+        let (mut key_bytes, mut group_count) = (0, 0);
+        for run in folded.chunk_by(same) {
+            key_bytes += text(run[0]).len();
+            group_count += 1;
+        }
+        let mut keys = String::with_capacity(key_bytes);
+        let mut groups = Vec::with_capacity(group_count);
+        let mut max_matches = 0;
+        for run in folded.chunk_by(same) {
+            keys.push_str(text(run[0]));
+            let run_end = groups.last().map_or(0, |g: &Group| g.run_end) + run.len();
+            groups.push(Group { key_end: keys.len(), run_end });
+            max_matches = max_matches.max(run.len());
+        }
+        keys.make_ascii_lowercase();
+
+        let nulls = bits.partition_point(|&b| b == NULL_BITS);
+        let mut distinct = groups.len();
+        for run in bits[nulls..].chunk_by(|a, b| a == b) {
+            distinct += 1;
+            max_matches = max_matches.max(run.len());
         }
         ColumnIndex {
-            non_null: starts.first().map_or(0, |&first| sorted.len() - first),
-            max_matches: by_key.values().map(Vec::len).max().unwrap_or(0),
-            has_nan: by_key.contains_key(&Key::Num(canonical_bits(f64::NAN))),
-            by_key,
+            has_nan: bits.last() == Some(&sort_bits(&Value::Number(f64::NAN))),
             sorted,
+            bits,
+            folded,
+            keys,
+            groups,
+            distinct,
+            max_matches,
         }
     }
 
@@ -167,13 +217,45 @@ impl ColumnIndex {
             Ordering::Greater => false,
         });
         self.sorted.insert(pos, row_idx);
-        if let Some(key) = v.key() {
-            self.non_null += 1;
-            let list = self.by_key.entry(key).or_default();
-            let at = list.partition_point(|&i| i < row_idx);
-            list.insert(at, row_idx);
-            self.max_matches = self.max_matches.max(list.len());
+        let matches = match v {
+            Value::Text(text) => self.insert_text(text, row_idx),
+            Value::Null => {
+                self.bits.insert(pos, NULL_BITS);
+                0
+            }
+            Value::Number(_) => {
+                let bits = sort_bits(v);
+                self.bits.insert(pos, bits);
+                let matches = self.number_run(bits).len();
+                self.distinct += usize::from(matches == 1);
+                matches
+            }
+        };
+        self.max_matches = self.max_matches.max(matches);
+    }
+
+    /// File `row_idx` under its folded text, adding the text to the arena
+    /// if it is new; returns the text's match-list length.
+    fn insert_text(&mut self, text: &str, row_idx: usize) -> usize {
+        let g = self.group_of(fold(text));
+        if g == self.groups.len() || !self.key(g).eq_ignore_ascii_case(text) {
+            let at = self.key_span(g).start;
+            self.keys.insert_str(at, text);
+            self.keys[at..at + text.len()].make_ascii_lowercase();
+            let run_end = self.run_span(g).start;
+            self.groups.insert(g, Group { key_end: at, run_end });
+            for later in &mut self.groups[g..] {
+                later.key_end += text.len();
+            }
+            self.distinct += 1;
         }
+        let run = self.run_span(g);
+        let at = run.start + self.folded[run.clone()].partition_point(|&i| i < row_idx);
+        self.folded.insert(at, row_idx);
+        for later in &mut self.groups[g..] {
+            later.run_end += 1;
+        }
+        run.len() + 1
     }
 
     /// Re-index the row at `row_idx` after its cell changed from `old` to
@@ -192,27 +274,97 @@ impl ColumnIndex {
         });
         debug_assert_eq!(self.sorted.get(pos), Some(&row_idx), "stale index on update");
         self.sorted.remove(pos);
-        if let Some(key) = old.key() {
-            self.non_null -= 1;
-            if let Some(list) = self.by_key.get_mut(&key) {
-                list.retain(|&i| i != row_idx);
-                if list.is_empty() {
-                    self.by_key.remove(&key);
-                }
+        match old {
+            Value::Text(text) => self.remove_text(text, row_idx),
+            Value::Null => {
+                self.bits.remove(pos);
+            }
+            Value::Number(_) => {
+                let bits = self.bits.remove(pos);
+                self.distinct -= usize::from(self.number_run(bits).is_empty());
             }
         }
         self.insert_row(rows, col, row_idx);
     }
 
-    /// Row ids whose value shares `value`'s [`Key`], ascending. Empty for NULL
-    /// or unseen keys.
-    pub fn lookup(&self, value: &Value) -> &[usize] {
-        value.key().and_then(|key| self.by_key.get(&key)).map_or(&[], Vec::as_slice)
+    /// Take `row_idx` out of its folded text's run, and the text out of the
+    /// arena if that run empties.
+    fn remove_text(&mut self, text: &str, row_idx: usize) {
+        let g = self.group_of(fold(text));
+        let run = self.run_span(g);
+        let at = self.folded[run.clone()].binary_search(&row_idx).expect("stale index on update");
+        self.folded.remove(run.start + at);
+        for later in &mut self.groups[g..] {
+            later.run_end -= 1;
+        }
+        if run.len() == 1 {
+            let key = self.key_span(g);
+            self.keys.replace_range(key.clone(), "");
+            self.groups.remove(g);
+            for later in &mut self.groups[g..] {
+                later.key_end -= key.len();
+            }
+            self.distinct -= 1;
+        }
     }
 
-    /// The full equality match-list map — the prebuilt hash-join build side.
-    pub fn match_lists(&self) -> &HashMap<Key, Vec<usize>> {
-        &self.by_key
+    /// Row ids whose value shares `value`'s key, ascending. Empty for NULL
+    /// or unseen keys.
+    pub fn lookup(&self, value: &Value) -> &[usize] {
+        match value {
+            Value::Null => &[],
+            Value::Number(_) => self.number_run(sort_bits(value)),
+            Value::Text(text) => self.lookup_text(text),
+        }
+    }
+
+    /// Row ids of the text cells equal to `text` up to ASCII case: the
+    /// text arm of [`ColumnIndex::lookup`], for a caller holding a `&str`.
+    pub(crate) fn lookup_text(&self, text: &str) -> &[usize] {
+        let g = self.group_of(fold(text));
+        match self.groups.get(g) {
+            Some(_) if self.key(g).eq_ignore_ascii_case(text) => &self.folded[self.run_span(g)],
+            _ => &[],
+        }
+    }
+
+    /// The column's distinct folded texts that start with `prefix` up to
+    /// ASCII case, ascending.
+    pub(crate) fn keys_from<'a>(&'a self, prefix: &'a str) -> impl Iterator<Item = &'a str> + 'a {
+        let starts =
+            |key: &str| key.get(..prefix.len()).is_some_and(|k| k.eq_ignore_ascii_case(prefix));
+        (self.group_of(fold(prefix))..self.groups.len())
+            .map(|g| self.key(g))
+            .take_while(move |&key| starts(key))
+    }
+
+    /// The equal-value run of `sorted` whose cells have `bits`.
+    fn number_run(&self, bits: u64) -> &[usize] {
+        let start = self.bits.partition_point(|&b| b < bits);
+        &self.sorted[start..self.bits.partition_point(|&b| b <= bits)]
+    }
+
+    /// The first group whose key is not below the folded `probe`.
+    fn group_of(&self, probe: impl Iterator<Item = u8> + Clone) -> usize {
+        partition_index(self.groups.len(), |g| self.key(g).bytes().lt(probe.clone()))
+    }
+
+    /// Where group `g` starts and ends in `keys` (an empty span at the end
+    /// for `g == groups.len()`).
+    fn key_span(&self, g: usize) -> Range<usize> {
+        let start = if g == 0 { 0 } else { self.groups[g - 1].key_end };
+        start..self.groups.get(g).map_or(start, |group| group.key_end)
+    }
+
+    /// Where group `g` starts and ends in `folded`, like `key_span`.
+    fn run_span(&self, g: usize) -> Range<usize> {
+        let start = if g == 0 { 0 } else { self.groups[g - 1].run_end };
+        start..self.groups.get(g).map_or(start, |group| group.run_end)
+    }
+
+    /// The folded text of group `g`.
+    fn key(&self, g: usize) -> &str {
+        &self.keys[self.key_span(g)]
     }
 
     /// Row ids with `lo <= value <= hi` (bounds optionally exclusive), in
@@ -263,11 +415,22 @@ impl ColumnIndex {
         self.max_matches <= 1
     }
 
+    /// The number of distinct non-NULL keys in the column: how many
+    /// different match lists [`ColumnIndex::lookup`] can return.
+    pub(crate) fn distinct_keys(&self) -> usize {
+        self.distinct
+    }
+
+    /// Rows with a non-NULL value.
+    fn non_null(&self) -> usize {
+        self.sorted.len() - self.bits.partition_point(|&b| b == NULL_BITS)
+    }
+
     /// Mean match-list length over the column's distinct non-NULL keys (0
     /// for a column without one): what one [`ColumnIndex::lookup`] is
     /// expected to return.
     pub(crate) fn mean_matches(&self) -> f64 {
-        self.non_null as f64 / self.by_key.len().max(1) as f64
+        self.non_null() as f64 / self.distinct.max(1) as f64
     }
 
     /// Smallest and largest number stored in the column, read off the two
@@ -278,7 +441,7 @@ impl ColumnIndex {
     /// number is NaN.
     pub fn numeric_range(&self, rows: &[Row], col: usize) -> Option<(f64, f64)> {
         let number = |i: usize| rows[i].0[col].as_number();
-        let run = &self.sorted[self.sorted.len() - self.non_null..];
+        let run = &self.sorted[self.sorted.len() - self.non_null()..];
         let numbers = &run[..run.partition_point(|&i| number(i).is_some())];
         let ordered =
             &numbers[..numbers.partition_point(|&i| number(i).is_some_and(|n| !n.is_nan()))];

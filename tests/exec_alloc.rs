@@ -78,4 +78,24 @@ fn executions_allocate_for_what_they_return_not_for_what_they_join() {
     let (matched, n) = allocations_of(|| keys.iter().map(|k| index.lookup(k).len()).sum::<usize>());
     assert!(matched > 200, "the lookups found their rows ({matched})");
     assert_eq!(n, 0, "numeric index lookups allocated");
+
+    // A text key is matched up to ASCII case: the lookup folds the probe's
+    // bytes as it compares them with the column's sorted keys, so re-cased
+    // names find their rows without a lowercased copy.
+    let name = db.schema().column_id("author", "name").unwrap();
+    let index = db.column_index(name).expect("rebuild_index ran");
+    let names: Vec<&str> = db.column_values(name).filter_map(Value::as_text).collect();
+    let keys: Vec<Value> = (0..200)
+        .map(|k| {
+            let name = names[k * 7 % names.len()].chars().enumerate();
+            let recased = name.map(|(i, c)| match (i + k) % 2 {
+                0 => c.to_ascii_uppercase(),
+                _ => c.to_ascii_lowercase(),
+            });
+            Value::text(recased.collect::<String>())
+        })
+        .collect();
+    let (matched, n) = allocations_of(|| keys.iter().map(|k| index.lookup(k).len()).sum::<usize>());
+    assert!(matched >= 200, "the lookups found their rows ({matched})");
+    assert_eq!(n, 0, "text index lookups allocated");
 }
