@@ -32,9 +32,10 @@
 //!                          │ the join-independent stages of the
 //!                          │ ascending-cost cascade (column-wise checks read
 //!                          │ off the run's VerifyPlan), then join paths (one
-//!                          │ list per set of tables and round), then the
-//!                          │ stages over the join path per variant; probes
-//!                          │ answered by Database's memo cache
+//!                          │ list per carried join path and tables it lacks,
+//!                          │ per round), then the stages over the join path
+//!                          │ per variant; probes answered by Database's memo
+//!                          │ cache
 //!                          ▼
 //!                          phase 3: merge, in child order
 //!                          │ emit complete queries → stream/callback
@@ -65,10 +66,10 @@
 //!   function of the configuration (never of thread scheduling). With
 //!   `beam_width = 1` the exploration order is exactly paper Algorithm 1.
 //!   Like the guidance plan, the join paths of phase 2 are a function of
-//!   fixed inputs (the schema and a child's set of tables), so a round
-//!   builds each list once (`crate::joinpath`) and its children copy
-//!   reference-counted trees out of it — on any schema: where the join
-//!   graph has a cycle, one fixed tie rule keeps that function
+//!   fixed inputs (the schema, a child's join path and the tables it
+//!   lacks), so a round builds each list once (`crate::joinpath`) and its
+//!   children copy reference-counted trees out of it — on any schema: where
+//!   the join graph has a cycle, one fixed tie rule keeps that function
 //!   single-valued. So is "can this column produce that example cell":
 //!   the run owns a [`crate::verify::VerifyPlan`] next to its `JoinPlanner`
 //!   and its guidance plan, one lazily filled verdict per (cell, column),

@@ -26,15 +26,14 @@
 
 use crate::clock::{Clock, SYSTEM_CLOCK};
 use crate::config::DuoquestConfig;
-use crate::joinpath::{JoinPathMemo, JoinPlanner};
+use crate::joinpath::JoinPlanner;
 use crate::scheduler::SchedulerRunStats;
 use crate::session::SessionControl;
 use crate::state::EnumState;
 use crate::tsq::TableSketchQuery;
 use crate::verify::{StageTimings, Verifier, VerifyOutcome, VerifyPlan, VerifyStage};
 use duoquest_db::{
-    AggFunc, CmpOp, DataType, Database, JoinTree, LogicalOp, OrderKey, RunCacheCounters,
-    SelectSpec, Value,
+    AggFunc, CmpOp, DataType, Database, LogicalOp, OrderKey, RunCacheCounters, SelectSpec, Value,
 };
 use duoquest_nlq::{
     Choice, GuidanceContext, GuidanceModel, GuidancePlan, HavingChoice, LiteralKind, Nlq,
@@ -46,7 +45,6 @@ use duoquest_sql::{
     SelectColumn, Slot,
 };
 use std::collections::BinaryHeap;
-use std::rc::Rc;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -651,19 +649,16 @@ impl RoundDriver {
                     VerifyOutcome::Pass => survivors.push((Box::new(pq), confidence, depth)),
                 }
             };
-            match missing_join_paths(&scratch, &mut joins) {
-                None => settle(std::mem::take(&mut scratch)),
-                Some(paths) => {
-                    // The last variant takes the scratch instead of a clone.
-                    if let Some((last_path, paths)) = paths.split_last() {
-                        for join in paths {
-                            settle(PartialQuery { join: Some(join.clone()), ..scratch.clone() });
-                        }
-                        scratch.join = Some(last_path.clone());
-                        settle(std::mem::take(&mut scratch));
-                    }
+            if let Some(paths) = joins.paths(&scratch) {
+                // No path drops the child; the last variant takes the scratch
+                // instead of a clone.
+                let Some((last_path, paths)) = paths.split_last() else { continue };
+                for join in paths {
+                    settle(PartialQuery { join: Some(join.clone()), ..scratch.clone() });
                 }
+                scratch.join = Some(last_path.clone());
             }
+            settle(std::mem::take(&mut scratch));
         }
         self.stats.stage_timings.merge(&timings);
         for (spec, confidence) in emissions {
@@ -732,24 +727,6 @@ impl RoundDriver {
         states.truncate(n);
         self.heap = BinaryHeap::from(states);
     }
-}
-
-/// The join paths a freshly generated child has to be split over: `None` when
-/// it needs none (its projection is still open, or the join path it carries
-/// covers every table it references), otherwise the candidate paths over its
-/// tables — empty when they cannot be joined, which drops the child.
-fn missing_join_paths(pq: &PartialQuery, joins: &mut JoinPathMemo<'_>) -> Option<Rc<[JoinTree]>> {
-    if pq.select.is_hole() {
-        return None;
-    }
-    if let Some(join) = &pq.join {
-        let mut covered = true;
-        pq.for_each_referenced_column(|c| covered &= join.contains(c.table));
-        if covered {
-            return None;
-        }
-    }
-    Some(joins.paths(pq))
 }
 
 /// `EnumNextStep`: produce the candidate children of the next inference

@@ -2,24 +2,28 @@
 //!
 //! Every partial query needs an executable join path so the verifier can run
 //! probes against the database. Given the tables referenced by the partial
-//! query, we (1) compute a Steiner tree over the FK→PK schema graph (unit edge
-//! weights), and (2) extend it with additional FK hops up to a configurable
-//! depth to cover queries whose `FROM` clause mentions tables beyond the
-//! referenced columns (Example 3.2 of the paper).
+//! query, we (1) grow a Steiner tree over the FK→PK schema graph (unit edge
+//! weights) — from the join path the query already carries, keeping every
+//! table and edge of it, or from nothing — and (2) extend it with additional
+//! FK hops up to a configurable depth to cover queries whose `FROM` clause
+//! mentions tables beyond the referenced columns (Example 3.2 of the paper).
 //!
-//! The candidate list is a pure function of `(schema, terminal set, extension
-//! depth)`. Where the join graph has a cycle (MAS) two equally short Steiner
-//! trees can connect the same tables, and [`JoinGraph::steiner_tree`] then
-//! takes the first minimum of one fixed scan — remaining terminals by
-//! ascending id, tree tables in the order they joined the tree. The paper has
-//! no criterion left to choose by: Algorithm 2 asks for the minimum tree and
-//! §3.3.4 for the shorter path, and two trees the greedy construction ties on
-//! have the same number of edges, hence of bridge tables (a tree has one
-//! table more than it has edges). A rule read off table statistics would make
-//! emission depend on row counts and buys nothing now that probes are
-//! semi-join reduced: attach order, ascending and descending table id ran
-//! `mas_cold` within 0.3 % of each other with equal gold shares (PR 18 in
-//! CHANGES.md). So the rule is the scan order that needs no sort.
+//! The candidate list is a pure function of `(schema, current join path,
+//! tables it lacks, extension depth)`. Where the join graph has a cycle (MAS)
+//! two equally short trees can connect the same tables, and
+//! [`JoinGraph::grow`] then takes the first minimum of one fixed scan —
+//! missing terminals by ascending id, tree tables in the order they joined
+//! the tree. The paper has no criterion left to choose by: Algorithm 2 asks
+//! for the minimum tree and §3.3.4 for the shorter path, and two trees the
+//! greedy construction ties on have the same number of edges, hence of bridge
+//! tables (a tree has one table more than it has edges). A rule read off
+//! table statistics would make emission depend on row counts and buys
+//! nothing now that probes are semi-join reduced: attach order, ascending and
+//! descending table id ran `mas_cold` within 0.3 % of each other with equal
+//! gold shares (PR 18 in CHANGES.md). So the rule is the scan order that
+//! needs no sort. Because a carried path is grown, never rebuilt from its
+//! tables, an edge the tie rule would not pick (MAS's `cite.cited` beside the
+//! first-declared `cite.citing`) survives every later decision.
 
 use duoquest_db::{Database, JoinGraph, JoinTree, TableId};
 use duoquest_sql::PartialQuery;
@@ -28,14 +32,17 @@ use std::rc::Rc;
 
 /// Produce the candidate join paths for a partial query.
 ///
-/// * If the partial query references no table yet, every single table of the
-///   database is a candidate (paper Algorithm 2, line 6), plus extensions.
-/// * Otherwise the Steiner tree over the referenced tables is the base
-///   candidate, plus FK extensions up to `extension_depth` hops.
+/// * If neither the partial query nor `current` has a table yet, every
+///   single table of the database is a candidate (paper Algorithm 2, line
+///   6), plus extensions.
+/// * Otherwise the base candidate is `current` grown by the referenced
+///   tables it lacks ([`JoinGraph::grow`]) — the Steiner tree over the
+///   referenced tables when there is no `current` — plus FK extensions up to
+///   `extension_depth` hops.
 ///
-/// When `current` is provided (the state already carries a join path), its
-/// tables are kept as additional terminals so a previously chosen extension is
-/// not silently dropped when later decisions reference new tables.
+/// Every candidate keeps every table and edge of `current`, so a previously
+/// chosen extension is never dropped when later decisions reference new
+/// tables.
 pub fn construct_join_paths(
     db: &Database,
     graph: &JoinGraph,
@@ -44,56 +51,53 @@ pub fn construct_join_paths(
     extension_depth: usize,
 ) -> Vec<JoinTree> {
     debug_assert_eq!(graph.table_count(), db.schema().table_count(), "`graph` is `db`'s");
-    let mut terminals = Vec::new();
-    collect_terminals(pq, current, &mut terminals);
-    paths_over(graph, &terminals, extension_depth)
+    let mut key = (current.cloned(), Vec::new());
+    collect_terminals(pq, current, &mut key.1);
+    paths_over(graph, &key, extension_depth)
 }
 
-/// Fill `terminals` with the tables a join path for `pq` must cover, sorted
-/// and distinct: those of its referenced columns plus those of the join path
-/// it already carries.
-fn collect_terminals(pq: &PartialQuery, current: Option<&JoinTree>, terminals: &mut Vec<TableId>) {
-    terminals.clear();
-    pq.for_each_referenced_column(|c| terminals.push(c.table));
-    if let Some(cur) = current {
-        terminals.extend(cur.tables.iter().copied());
-    }
-    terminals.sort();
-    terminals.dedup();
-}
-
-/// The candidate join paths over a terminal set: all of
-/// [`construct_join_paths`] past reading the partial query.
-fn paths_over(graph: &JoinGraph, terminals: &[TableId], extension_depth: usize) -> Vec<JoinTree> {
-    let mut bases: Vec<JoinTree> = Vec::new();
-    if terminals.is_empty() {
-        for t in 0..graph.table_count() {
-            bases.push(JoinTree::single(TableId(t)));
+/// Fill `missing` with the tables of `pq`'s referenced columns that
+/// `current` lacks, sorted and distinct.
+fn collect_terminals(pq: &PartialQuery, current: Option<&JoinTree>, missing: &mut Vec<TableId>) {
+    missing.clear();
+    pq.for_each_referenced_column(|c| {
+        if !current.is_some_and(|cur| cur.contains(c.table)) {
+            missing.push(c.table);
         }
-    } else if let Ok(tree) = graph.steiner_tree(terminals) {
-        bases.push(tree);
-    } else {
-        // Disconnected terminals: no valid join path exists for this partial query.
-        return Vec::new();
-    }
+    });
+    missing.sort();
+    missing.dedup();
+}
 
-    // Breadth-first FK extensions up to the requested depth.
-    let mut all: Vec<JoinTree> = bases.clone();
-    let mut frontier = bases;
-    for _ in 0..extension_depth {
-        let mut next = Vec::new();
-        for tree in &frontier {
-            for ext in graph.extensions(tree) {
+/// The candidate join paths for a current join path and the tables it lacks:
+/// all of [`construct_join_paths`] past reading the partial query.
+fn paths_over(graph: &JoinGraph, (current, missing): &MemoKey, depth: usize) -> Vec<JoinTree> {
+    // No base when the terminals are disconnected: no valid join path exists
+    // for this partial query.
+    let mut all: Vec<JoinTree> = match current {
+        None if missing.is_empty() => {
+            (0..graph.table_count()).map(|t| JoinTree::single(TableId(t))).collect()
+        }
+        None => graph.steiner_tree(missing).into_iter().collect(),
+        Some(cur) => graph.grow(cur, missing).into_iter().collect(),
+    };
+
+    // Breadth-first FK extensions up to the requested depth; `all[level..]`
+    // holds the trees the last hop added.
+    let mut level = 0;
+    for _ in 0..depth {
+        let end = all.len();
+        for i in level..end {
+            for ext in graph.extensions(&all[i]) {
                 if !all.contains(&ext) {
-                    all.push(ext.clone());
-                    next.push(ext);
+                    all.push(ext);
                 }
             }
         }
-        if next.is_empty() {
+        if all.len() == end {
             break;
         }
-        frontier = next;
+        level = end;
     }
 
     // Prefer shorter join paths first (secondary tie-breaker of §3.3.4) and cap
@@ -119,38 +123,52 @@ impl JoinPlanner {
 
     /// An empty memo over this planner, for one round's children.
     pub(crate) fn memo(&self) -> JoinPathMemo<'_> {
-        JoinPathMemo { planner: self, built: HashMap::new(), terminals: Vec::new() }
+        JoinPathMemo { planner: self, built: HashMap::new(), key: (None, Vec::new()) }
     }
 }
 
-/// The path lists one round's children have asked for, keyed by terminal set.
+/// A request's join path and the referenced tables it lacks.
+type MemoKey = (Option<JoinTree>, Vec<TableId>);
+
+/// The path lists one round's children have asked for, keyed by the join
+/// path a child carries and the tables it lacks.
 ///
-/// A candidate list is a pure function of `(schema, terminal set, extension
-/// depth)` — see the tie rule in the module docs — and the children of a
-/// round come from one or a few parents and mostly share their terminal
-/// sets; so a round builds each list once and its children copy
-/// reference-counted trees out of it. The memo is as short-lived as the
-/// round: nothing is kept between rounds, so no lock is taken, and a hit
-/// allocates nothing.
+/// A candidate list is a pure function of that key, the schema and the
+/// extension depth — see the tie rule in the module docs — and the children
+/// of a round come from one or a few parents and mostly share it; so a round
+/// builds each list once and its children copy reference-counted trees out
+/// of it. The memo is as short-lived as the round: nothing is kept between
+/// rounds, so no lock is taken, and a hit allocates nothing.
 pub(crate) struct JoinPathMemo<'a> {
     planner: &'a JoinPlanner,
-    built: HashMap<Vec<TableId>, Rc<[JoinTree]>>,
-    /// The terminal set of the request at hand, cloned into a key only when
-    /// its list has to be built.
-    terminals: Vec<TableId>,
+    built: HashMap<MemoKey, Rc<[JoinTree]>>,
+    /// The key of the request at hand, refilled in place and cloned only
+    /// when its list has to be built.
+    key: MemoKey,
 }
 
 impl JoinPathMemo<'_> {
-    /// [`construct_join_paths`] for `pq` with its own join path as `current`.
-    pub(crate) fn paths(&mut self, pq: &PartialQuery) -> Rc<[JoinTree]> {
-        collect_terminals(pq, pq.join.as_ref(), &mut self.terminals);
-        if let Some(paths) = self.built.get(self.terminals.as_slice()) {
-            return Rc::clone(paths);
+    /// The join paths a freshly generated child has to be split over: `None`
+    /// when it needs none (its projection is still open, or the join path it
+    /// carries covers every table it references), otherwise
+    /// [`construct_join_paths`] for `pq` with its own join path as `current`
+    /// — empty when they cannot be joined, which drops the child.
+    pub(crate) fn paths(&mut self, pq: &PartialQuery) -> Option<Rc<[JoinTree]>> {
+        if pq.select.is_hole() {
+            return None;
+        }
+        collect_terminals(pq, pq.join.as_ref(), &mut self.key.1);
+        if pq.join.is_some() && self.key.1.is_empty() {
+            return None;
+        }
+        self.key.0.clone_from(&pq.join);
+        if let Some(paths) = self.built.get(&self.key) {
+            return Some(Rc::clone(paths));
         }
         let JoinPlanner { graph, extension_depth } = self.planner;
-        let paths: Rc<[JoinTree]> = paths_over(graph, &self.terminals, *extension_depth).into();
-        self.built.insert(self.terminals.clone(), Rc::clone(&paths));
-        paths
+        let paths: Rc<[JoinTree]> = paths_over(graph, &self.key, *extension_depth).into();
+        self.built.insert(self.key.clone(), Rc::clone(&paths));
+        Some(paths)
     }
 }
 
@@ -224,7 +242,7 @@ mod tests {
     }
 
     #[test]
-    fn current_join_tables_are_preserved_as_terminals() {
+    fn current_join_is_kept_and_grown_by_the_tables_it_lacks() {
         let db = movie_db();
         let graph = JoinGraph::new(db.schema());
         let starring = db.schema().table_id("starring").unwrap();
@@ -234,6 +252,9 @@ mod tests {
         assert_eq!(paths.len(), 1);
         assert!(paths[0].contains(starring));
         assert!(paths[0].contains(db.schema().table_id("actor").unwrap()));
+        // A current join that already covers the query is the base itself.
+        let covered = construct_join_paths(&db, &graph, &pq, Some(&paths[0]), 0);
+        assert_eq!(covered, paths);
     }
 
     #[test]
@@ -248,14 +269,17 @@ mod tests {
     }
 
     #[test]
-    fn memo_answers_as_construct_join_paths_and_builds_each_set_once() {
+    fn memo_answers_as_construct_join_paths_and_builds_each_key_once() {
         let db = movie_db();
         let graph = JoinGraph::new(db.schema());
         let starring = db.schema().table_id("starring").unwrap();
         let mut carrying = pq_with_select(&db, &[("actor", "name")]);
         carrying.join = Some(JoinTree::single(starring));
+        let mut count_star = PartialQuery::empty();
+        count_star.select =
+            Slot::Filled(vec![PartialSelectItem::with_column(SelectColumn::Star)].into());
         let queries = [
-            PartialQuery::empty(),
+            count_star,
             pq_with_select(&db, &[("actor", "name")]),
             pq_with_select(&db, &[("actor", "name"), ("movies", "name")]),
             carrying,
@@ -263,18 +287,30 @@ mod tests {
         for depth in 0..3 {
             let planner = JoinPlanner::new(&db, depth);
             let mut memo = planner.memo();
+            // An open projection needs no join path yet: the memo has no
+            // list for it, and `construct_join_paths` gives every table, as
+            // for a projection that references none.
+            let empty = PartialQuery::empty();
+            assert_eq!(memo.paths(&empty), None);
+            let direct = construct_join_paths(&db, &graph, &empty, None, depth);
+            assert_eq!(direct, construct_join_paths(&db, &graph, &queries[0], None, depth));
             for pq in &queries {
                 let direct = construct_join_paths(&db, &graph, pq, pq.join.as_ref(), depth);
-                let first = memo.paths(pq);
+                let first = memo.paths(pq).expect("the query needs a join path");
                 assert_eq!(&*first, direct.as_slice(), "depth {depth}: {pq:?}");
                 // The second request is the memo's own list, not a rebuild.
-                assert!(Rc::ptr_eq(&first, &memo.paths(pq)));
+                assert!(Rc::ptr_eq(&first, &memo.paths(pq).unwrap()));
             }
-            // Same terminals by another route: `actor` and `starring`, once
-            // as the carried join path and once as referenced columns.
+            // Same tables by another route: `actor` and `starring`, once as
+            // `starring`'s join path grown by `actor` and once as referenced
+            // columns. Two keys, equal lists.
             let by_columns = pq_with_select(&db, &[("actor", "name"), ("starring", "aid")]);
-            assert!(Rc::ptr_eq(&memo.paths(&queries[3]), &memo.paths(&by_columns)));
-            assert_eq!(memo.built.len(), 4);
+            assert_eq!(memo.paths(&queries[3]), memo.paths(&by_columns));
+            assert_eq!(memo.built.len(), 5);
+            // A carried join path that covers every referenced table needs
+            // nothing more.
+            let joined = memo.paths(&by_columns).unwrap()[0].clone();
+            assert_eq!(memo.paths(&PartialQuery { join: Some(joined), ..by_columns }), None);
         }
     }
 
@@ -305,13 +341,13 @@ mod tests {
                 // A graph of its own per call: the list is a function of the schema.
                 let graph = JoinGraph::new(db.schema());
                 let direct = construct_join_paths(&db, &graph, pq, None, depth);
-                let first = memo.paths(pq);
+                let first = memo.paths(pq).expect("the query needs a join path");
                 assert_eq!(&*first, direct.as_slice(), "depth {depth}: {pq:?}");
-                assert!(Rc::ptr_eq(&first, &memo.paths(pq)));
+                assert!(Rc::ptr_eq(&first, &memo.paths(pq).unwrap()));
                 assert!(first[0].is_connected());
                 assert_eq!(first[0].join_length(), first[0].tables.len() - 1);
             }
-            assert!(Rc::ptr_eq(&memo.paths(&all), &memo.paths(&reordered)));
+            assert!(Rc::ptr_eq(&memo.paths(&all).unwrap(), &memo.paths(&reordered).unwrap()));
             assert_eq!(memo.built.len(), 2);
         }
     }

@@ -10,7 +10,8 @@
 //!   queries driven by a pluggable guidance model, with Property-1 confidence
 //!   scores (product of per-decision softmax values);
 //! * [`joinpath`] — progressive join path construction (Algorithm 2): Steiner
-//!   trees over the FK→PK schema graph plus one-hop extensions;
+//!   trees over the FK→PK schema graph, grown from the join path a partial
+//!   query carries, plus one-hop extensions;
 //! * [`verify`] — ascending-cost cascading verification (Algorithm 3): clause
 //!   checks, the semantic pruning rules of Table 4, projected-type checks,
 //!   column-wise and row-wise database probes, literal-usage checks and order

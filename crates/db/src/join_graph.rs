@@ -1,20 +1,23 @@
 //! Schema join graph and Steiner-tree join path construction.
 //!
-//! Duoquest's progressive join path construction (paper Algorithm 2) computes a
+//! Duoquest's progressive join path construction (paper Algorithm 2) grows a
 //! Steiner tree over the graph whose nodes are tables and whose edges are
-//! foreign-key → primary-key relationships, with unit edge weights, and then
-//! extends it with additional single-hop joins to cover queries that mention
-//! extra tables only in the `FROM` clause. What is a function of the schema
-//! alone — a shortest path between every two tables — is computed once, when
-//! the graph is built; paths and trees are read off that closure in one fixed
-//! order, so they depend on the schema and the tables asked for, nothing else.
+//! foreign-key → primary-key relationships, with unit edge weights — from a
+//! single table, or from the join path a partial query already carries, whose
+//! edges it keeps ([`JoinGraph::grow`]) — and then extends it with additional
+//! single-hop joins to cover queries that mention extra tables only in the
+//! `FROM` clause. What is a function of the schema alone — a shortest path
+//! between every two tables — is computed once, when the graph is built;
+//! paths and trees are read off that closure in one fixed order, so they
+//! depend on the schema, the tree grown and the tables asked for, nothing
+//! else.
 
 use crate::error::{DbError, DbResult};
 use crate::schema::{ForeignKey, Schema, TableId};
 use std::sync::Arc;
 
 /// An undirected join edge between two tables, realised by a foreign key.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct JoinEdge {
     /// The foreign key realising the edge (`from` is the FK side, `to` the PK side).
     pub fk: ForeignKey,
@@ -45,7 +48,7 @@ impl JoinEdge {
 /// Both lists are shared slices: a tree is built once and then copied into
 /// every partial query, probe and candidate that joins along it, so a clone
 /// is two reference counts, not two allocations.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct JoinTree {
     /// Tables in the FROM clause, sorted for canonical comparison.
     pub tables: Arc<[TableId]>,
@@ -197,24 +200,45 @@ impl JoinGraph {
     /// With unit edge weights and the small schemas of the workloads this gives
     /// the same trees as the paper's formulation (which follows \[2\]).
     ///
-    /// The tree starts as the terminal with the lowest id and repeatedly takes
-    /// in the remaining terminal closest to it, along [`JoinGraph::shortest_path`]
-    /// from the tree table it is closest to. Among equally close pairs the
-    /// terminal with the lower id wins, then the table that joined the tree
-    /// earlier. The result is therefore a function of the schema and the *set*
-    /// of terminals — not of their order or multiplicity in `terminals`, nor of
-    /// the process or the call.
+    /// It is a grow from the lowest terminal ([`JoinGraph::grow`]): the tree
+    /// starts as the terminal with the lowest id and takes in the others
+    /// under `grow`'s tie rule. The result is therefore a function of the
+    /// schema and the *set* of terminals — not of their order or
+    /// multiplicity in `terminals`, nor of the process or the call.
     pub fn steiner_tree(&self, terminals: &[TableId]) -> DbResult<JoinTree> {
-        let mut remaining: Vec<TableId> = terminals.to_vec();
-        remaining.sort();
-        remaining.dedup();
-        if remaining.is_empty() {
+        let Some(&lowest) = terminals.iter().min() else {
             return Err(DbError::InvalidQuery(
                 "steiner tree requires at least one terminal".into(),
             ));
+        };
+        self.grow(&JoinTree::single(lowest), terminals)
+    }
+
+    /// `base` with every table of `new` it lacks attached: every table and
+    /// edge of `base` is kept, so a join path never changes meaning as it
+    /// gains tables (paper Algorithm 2).
+    ///
+    /// The tree repeatedly takes in the missing terminal closest to it, along
+    /// [`JoinGraph::shortest_path`] from the tree table it is closest to.
+    /// Among equally close pairs the terminal with the lower id wins, then
+    /// the table that joined the tree earlier — `base`'s tables joining in id
+    /// order; an empty `base` grows as [`JoinGraph::steiner_tree`] over `new`.
+    /// `new`'s order and multiplicity do not matter; a table of `new` that
+    /// cannot be reached from `base` is a
+    /// [`DisconnectedJoin`](DbError::DisconnectedJoin).
+    pub fn grow(&self, base: &JoinTree, new: &[TableId]) -> DbResult<JoinTree> {
+        let mut remaining: Vec<TableId> =
+            new.iter().filter(|t| !base.contains(**t)).copied().collect();
+        if remaining.is_empty() {
+            return Ok(base.clone());
         }
-        let mut tables = vec![remaining.remove(0)];
-        let mut edges = Vec::new();
+        if base.tables.is_empty() {
+            return self.steiner_tree(&remaining);
+        }
+        remaining.sort();
+        remaining.dedup();
+        let mut tables = base.tables.to_vec();
+        let mut edges = base.edges.to_vec();
         while !remaining.is_empty() {
             // The tie rule: least (distance, terminal id, seniority in the tree).
             let pairs = remaining
@@ -223,7 +247,7 @@ impl JoinGraph {
                 .flat_map(|(ri, r)| tables.iter().enumerate().map(move |(ti, t)| (ri, *r, ti, *t)));
             let best =
                 pairs.filter_map(|(ri, r, ti, t)| Some((self.hop(t, r)?.hops, ri, ti))).min();
-            // Nothing left is reachable from the tree, the first terminal included.
+            // Nothing left is reachable from the tree.
             let Some((_, ri, ti)) = best else {
                 return Err(DbError::DisconnectedJoin(format!(
                     "table {:?} is not reachable from table {:?}",
@@ -415,6 +439,39 @@ mod tests {
         let tree = JoinGraph::new(&s).steiner_tree(&[TableId(1), TableId(0)]).unwrap();
         assert_eq!(tree.edges.len(), 1);
         assert_eq!(s.column(tree.edges[0].fk.from).name, "cited");
+    }
+
+    #[test]
+    fn grow_keeps_the_edges_of_its_base() {
+        // paper -- cite over two keys, and venue <- paper: a tree joined
+        // through the key declared second keeps it as it gains `venue`.
+        let mut s = Schema::new("cite");
+        s.add_table(TableDef::new(
+            "paper",
+            vec![ColumnDef::number("id"), ColumnDef::number("venue")],
+            Some(0),
+        ));
+        s.add_table(TableDef::new(
+            "cite",
+            vec![ColumnDef::number("citing"), ColumnDef::number("cited")],
+            None,
+        ));
+        s.add_table(TableDef::new("venue", vec![ColumnDef::number("id")], Some(0)));
+        s.add_foreign_key("cite", "citing", "paper", "id").unwrap();
+        s.add_foreign_key("cite", "cited", "paper", "id").unwrap();
+        s.add_foreign_key("paper", "venue", "venue", "id").unwrap();
+        let [paper, cite, venue] = [TableId(0), TableId(1), TableId(2)];
+        let g = JoinGraph::new(&s);
+        let cited = g.edges_of(cite)[1];
+        let base = JoinTree::new(vec![paper, cite], vec![cited]);
+        let grown = g.grow(&base, &[venue, paper]).unwrap();
+        assert_eq!(*grown.tables, [paper, cite, venue]);
+        assert!(grown.edges.contains(&cited) && grown.is_connected());
+        // The set alone builds the tree through the key declared first.
+        let rebuilt = g.steiner_tree(&grown.tables).unwrap();
+        assert!(!rebuilt.edges.contains(&cited));
+        assert_eq!(g.grow(&base, &[cite]).unwrap(), base);
+        assert_eq!(g.grow(&JoinTree::default(), &[venue, cite]).unwrap(), rebuilt);
     }
 
     #[test]

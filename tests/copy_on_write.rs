@@ -8,15 +8,20 @@
 //! * the parent still equals a deep snapshot taken before, so no write went
 //!   through an `Arc` the parent shares with its children;
 //! * every child keeps each filled slot of its parent and fills one more;
-//! * no two children of one state are equal.
+//! * no two children of one state are equal;
+//! * split into join variants as a round splits it, every variant keeps
+//!   every table and edge of the join path its parent carries — a decision
+//!   grows a join path, it never rebuilds it.
 
 use duoquest::core::enumerate::{apply, next_decisions};
+use duoquest::core::joinpath::construct_join_paths;
 use duoquest::core::DuoquestConfig;
-use duoquest::db::Database;
+use duoquest::db::{Database, JoinGraph, JoinTree, TableId};
 use duoquest::nlq::{Choice, Nlq};
 use duoquest::sql::{PartialQuery, Slot};
 use duoquest::workloads::{mas, mas_tasks, spider};
-use std::collections::{BTreeSet, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
+use std::rc::Rc;
 use std::sync::Arc;
 
 fn variant(choice: &Choice) -> &'static str {
@@ -100,15 +105,70 @@ fn keeps_parent(parent: &PartialQuery, child: &PartialQuery) -> bool {
         && kept(&parent.order_by, &child.order_by)
 }
 
+/// The join path lists of one walk, by the path a child carries and the
+/// tables it references: a list is a function of the two.
+type Built = HashMap<(Option<JoinTree>, Vec<TableId>), Rc<[JoinTree]>>;
+
+/// The join paths a round splits `child` into: `None` while its projection
+/// is open or the path it carries covers every table it references (the
+/// child is verified as it is), otherwise one variant per candidate join
+/// path. Every one of them must keep every table and edge of the path
+/// `child` carries, which is its parent's.
+fn join_paths(
+    db: &Database,
+    graph: &JoinGraph,
+    depth: usize,
+    child: &PartialQuery,
+    built: &mut Built,
+) -> Option<Rc<[JoinTree]>> {
+    let mut tables = Vec::new();
+    child.for_each_referenced_column(|c| tables.push(c.table));
+    tables.sort();
+    tables.dedup();
+    let covered = child.join.as_ref().is_some_and(|j| tables.iter().all(|t| j.contains(*t)));
+    if child.select.is_hole() || covered {
+        return None;
+    }
+    let key = (child.join.clone(), tables);
+    let paths = built.entry(key).or_insert_with(|| {
+        let paths = construct_join_paths(db, graph, child, child.join.as_ref(), depth);
+        if let Some(parent) = &child.join {
+            for path in &paths {
+                let kept = parent.tables.iter().all(|t| path.contains(*t))
+                    && parent.edges.iter().all(|e| path.edges.contains(e));
+                assert!(
+                    kept,
+                    "a decision dropped a join edge of {parent:?}: {path:?} for {child:?}"
+                );
+            }
+        }
+        paths.into()
+    });
+    Some(Rc::clone(paths))
+}
+
+/// What the walks checked: children, those split into join variants, the
+/// join path lists built for them, and those of the lists grown from a join
+/// path a child carried.
+#[derive(Default)]
+struct Checked {
+    children: usize,
+    split: usize,
+    built: usize,
+    grown: usize,
+}
+
 /// Walk the decision tree of one (database, NLQ) pair level by level, a
 /// stride-sampled `WIDTH` states per level, checking every child of every
-/// state walked. Records the `Choice` variants applied and returns how many
-/// children were checked.
-fn walk(db: &Database, nlq: &Nlq, seen: &mut BTreeSet<&'static str>) -> usize {
+/// state walked and every join variant a round would split it into. Records
+/// the `Choice` variants applied.
+fn walk(db: &Database, nlq: &Nlq, seen: &mut BTreeSet<&'static str>, checked: &mut Checked) {
     const WIDTH: usize = 48;
     let config = DuoquestConfig::default();
+    let graph = JoinGraph::new(db.schema());
+    let depth = config.join_extension_depth;
+    let mut built = Built::new();
     let mut level = vec![PartialQuery::empty()];
-    let mut checked = 0;
     while !level.is_empty() {
         let mut next = Vec::new();
         for parent in &level {
@@ -132,16 +192,35 @@ fn walk(db: &Database, nlq: &Nlq, seen: &mut BTreeSet<&'static str>) -> usize {
             // Checked while the children, and every `Arc` they share with
             // the parent, are alive.
             assert_eq!(*parent, snapshot, "a decision wrote through a slot its parent shares");
-            checked += children.len();
-            next.extend(children);
+            checked.children += children.len();
+            for child in children {
+                let paths = join_paths(db, &graph, depth, &child, &mut built);
+                checked.split += usize::from(paths.is_some());
+                next.push((child, paths));
+            }
         }
-        let stride = next.len().div_ceil(WIDTH).max(1);
+        // The states a round would push: each child as it is, or one variant
+        // per join path — sampled before any variant is built.
+        let states = next.iter().flat_map(|(child, paths)| {
+            let own = paths.is_none().then_some((child, None));
+            own.into_iter()
+                .chain(paths.iter().flat_map(|p| p.iter()).map(move |join| (child, Some(join))))
+        });
+        let stride = states.clone().count().div_ceil(WIDTH).max(1);
         // An odd offset, so that a stride does not always land on the first
         // of a run of siblings.
         let offset = (stride / 2) | 1;
-        level = next.into_iter().skip(offset.min(stride - 1)).step_by(stride).collect();
+        level = states
+            .skip(offset.min(stride - 1))
+            .step_by(stride)
+            .map(|(child, join)| PartialQuery {
+                join: join.or(child.join.as_ref()).cloned(),
+                ..child.clone()
+            })
+            .collect();
     }
-    checked
+    checked.built += built.len();
+    checked.grown += built.keys().filter(|(carried, _)| carried.is_some()).count();
 }
 
 const ALL_VARIANTS: [&str; 10] = [
@@ -160,18 +239,23 @@ const ALL_VARIANTS: [&str; 10] = [
 #[test]
 fn a_child_shares_its_parents_slots_and_writes_only_its_own() {
     let mut seen = BTreeSet::new();
-    let mut checked = 0;
+    let mut checked = Checked::default();
     let dataset = spider::generate("dev", 6, 60, 63, 25, 42);
     for task in dataset.tasks.iter().step_by(8) {
-        checked += walk(dataset.database(task), &task.nlq, &mut seen);
+        walk(dataset.database(task), &task.nlq, &mut seen, &mut checked);
     }
     let dataset = mas::generate(7, 0.05);
     let mut tasks = mas_tasks::mas_nli_tasks(&dataset);
     tasks.extend(mas_tasks::mas_pbe_tasks(&dataset));
     for task in &tasks {
-        checked += walk(&dataset.db, &task.nlq, &mut seen);
+        walk(&dataset.db, &task.nlq, &mut seen, &mut checked);
     }
-    println!("{checked} children checked, variants {seen:?}");
+    let Checked { children, split, built, grown } = checked;
+    println!(
+        "{children} children checked, {split} split over {built} join path lists \
+         ({grown} grown from a carried join path), variants {seen:?}"
+    );
+    assert!(grown >= 100, "only {grown} join path lists grown from a carried one");
     assert_eq!(
         seen.into_iter().collect::<Vec<_>>(),
         ALL_VARIANTS,

@@ -692,10 +692,11 @@ fn mas_session(db: &Arc<Database>, request: &MasRequest) -> SynthesisSession {
         .with_tsq(request.tsq.clone())
 }
 
-/// MAS's join graph has cycles, so a set of tables can have two equally short
-/// Steiner trees; `JoinGraph::steiner_tree` picks by one fixed rule, and the
-/// 14 user-study tasks observe the same run inline, as a pulled stream, on
-/// pools of {1, 2, 4} and eight at a time ([`every_way_agrees`]).
+/// MAS's join graph has cycles, so a join path can grow by a table along two
+/// equally short paths; `JoinGraph::grow` picks by one fixed rule and keeps
+/// every edge the path already has, and the 14 user-study tasks observe the
+/// same run inline, as a pulled stream, on pools of {1, 2, 4} and eight at a
+/// time ([`every_way_agrees`]).
 #[test]
 fn mas_tasks_agree_on_every_way_to_run_a_session() {
     let (dataset, requests) = mas_cold(1);

@@ -1,17 +1,21 @@
 //! `JoinGraph` answers shortest paths from a closure it computes once per
-//! schema and grows Steiner trees under one fixed tie rule. This suite holds
+//! schema and grows join trees under one fixed tie rule (`grow`, of which
+//! `steiner_tree` is the case of a single starting table). This suite holds
 //! the closure against the per-call search it replaced and the trees against
 //! their contract — over MAS, the benchmark's Spider schemas and seeded
 //! random graphs with cycles, two foreign keys between one pair of tables
-//! (MAS's `cite`), self-references, isolated tables and no tables at all.
+//! (MAS's `cite`), self-references, isolated tables and no tables at all —
+//! and holds a grown MAS join path to the edge it was built on.
 //!
 //! It lives here, not in `join_graph.rs`: `duoquest-db` cannot see the
 //! workload schemas.
 
+use duoquest::core::joinpath::construct_join_paths;
 use duoquest::db::{
-    ColumnDef, ColumnId, DbError, ForeignKey, JoinEdge, JoinGraph, JoinTree, Schema, TableDef,
-    TableId,
+    ColumnDef, ColumnId, Database, DbError, ForeignKey, JoinEdge, JoinGraph, JoinTree, Schema,
+    TableDef, TableId,
 };
+use duoquest::sql::{PartialQuery, PartialSelectItem, SelectColumn, Slot};
 use duoquest::workloads::{mas::mas_schema, spider};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -62,6 +66,10 @@ struct Seen {
     trees: usize,
     trees_on_forests: usize,
     disconnected_sets: usize,
+    grown: usize,
+    grown_past_a_rebuild: usize,
+    grown_within_base: usize,
+    disconnected_growths: usize,
 }
 
 /// A schema of `n` tables (a key and four number columns each). `keys: None`
@@ -155,6 +163,9 @@ fn check_schema(schema: &Schema, rng: &mut StdRng, sets: usize, seen: &mut Seen)
         again.shuffle(rng);
         let other = JoinGraph::new(schema).steiner_tree(&again);
         assert_eq!(format!("{result:?}"), format!("{other:?}"), "{terminals:?} vs {again:?}");
+        // A Steiner tree is the lowest terminal grown by the rest.
+        let grown = g.grow(&JoinTree::single(lowest), &terminals);
+        assert_eq!(format!("{result:?}"), format!("{grown:?}"), "{terminals:?}");
 
         let joinable = terminals.iter().all(|&t| reachable(lowest, t));
         match result {
@@ -198,6 +209,65 @@ fn check_schema(schema: &Schema, rng: &mut StdRng, sets: usize, seen: &mut Seen)
             Err(other) => panic!("{terminals:?}: {other}"),
         }
     }
+
+    // Grown trees: a base that is a Steiner tree taken a hop or two further
+    // along random foreign keys — so it can hold an edge the tie rule would
+    // not pick — and random tables to add, now and then one past the schema.
+    for _ in 0..if n > 0 { sets } else { 0 } {
+        let mut base = g.steiner_tree(&[TableId(rng.gen_range(0..n))]).expect("one table");
+        for _ in 0..rng.gen_range(0..=3) {
+            let Some(wider) = g.extensions(&base).choose(rng).cloned() else { break };
+            base = wider;
+        }
+        let mut new = ids.clone();
+        new.shuffle(rng);
+        new.truncate(rng.gen_range(1..=4.min(ids.len())));
+        if rng.gen_bool(0.9) {
+            new.retain(|t| t.0 < n);
+        }
+        let result = g.grow(&base, &new);
+
+        // New tables in another order and multiplicity, another graph: same answer.
+        let mut again = new.clone();
+        again.extend(new.iter().filter(|_| rng.gen_bool(0.5)).copied().collect::<Vec<_>>());
+        again.shuffle(rng);
+        let other = JoinGraph::new(schema).grow(&base, &again);
+        assert_eq!(format!("{result:?}"), format!("{other:?}"), "{new:?} vs {again:?}");
+
+        // Tables the base already has change nothing.
+        let within: Vec<TableId> =
+            base.tables.iter().copied().filter(|_| rng.gen_bool(0.5)).collect();
+        assert_eq!(g.grow(&base, &within).as_ref(), Ok(&base), "{within:?}");
+        seen.grown_within_base += 1;
+
+        let joinable = new.iter().all(|&t| reachable(base.tables[0], t));
+        match result {
+            Ok(tree) => {
+                assert!(joinable, "{new:?} cannot be joined to {base:?}, got {tree:?}");
+                assert!(base.tables.iter().chain(&new).all(|&t| tree.contains(t)));
+                assert!(base.edges.iter().all(|e| tree.edges.contains(e)), "{base:?}: {tree:?}");
+                assert!(tree.is_connected());
+                assert_eq!(tree.join_length(), tree.tables.len() - 1);
+                seen.grown += 1;
+                let rebuilt = g.steiner_tree(&tree.tables).expect("a connected set");
+                seen.grown_past_a_rebuild +=
+                    usize::from(base.edges.iter().any(|e| !rebuilt.edges.contains(e)));
+            }
+            Err(DbError::DisconnectedJoin(message)) => {
+                assert!(!joinable, "{new:?} can be joined to {base:?}: {message}");
+                // A new table, then a table of the base it cannot reach.
+                let named: Vec<TableId> = message
+                    .split(|c: char| !c.is_ascii_digit())
+                    .filter_map(|digits| digits.parse().ok().map(TableId))
+                    .collect();
+                assert_eq!(named.len(), 2, "{message}");
+                assert!(new.contains(&named[0]) && base.contains(named[1]), "{message}");
+                assert!(!reachable(named[1], named[0]), "{message}");
+                seen.disconnected_growths += 1;
+            }
+            Err(other) => panic!("{base:?} + {new:?}: {other}"),
+        }
+    }
 }
 
 #[test]
@@ -212,6 +282,9 @@ fn closure_and_trees_hold_on_mas_and_the_spider_schemas() {
     }
     assert_eq!(seen.cyclic_graphs, 1, "every Spider schema is a forest");
     assert!(seen.trees >= 600 && seen.trees_on_forests >= 50, "{seen:?}");
+    println!("{seen:?}");
+    assert!(seen.grown >= 600 && seen.grown_within_base >= 600, "{seen:?}");
+    assert!(seen.grown_past_a_rebuild >= 1, "MAS's `cite.cited` outlives a rebuild: {seen:?}");
 }
 
 #[test]
@@ -225,6 +298,7 @@ fn closure_and_trees_hold_on_random_graphs() {
         let schema = random_schema(&mut rng, n, keys, &mut seen);
         check_schema(&schema, &mut rng, 25, &mut seen);
     }
+    println!("{seen:?}");
     assert!(seen.cyclic_graphs >= 200, "{seen:?}");
     for (what, count) in [
         ("double keys", seen.double_keys),
@@ -233,7 +307,50 @@ fn closure_and_trees_hold_on_random_graphs() {
         ("trees", seen.trees),
         ("trees over three or more tables of a forest", seen.trees_on_forests),
         ("disconnected sets", seen.disconnected_sets),
+        ("grown trees", seen.grown),
+        ("grown trees holding an edge a rebuild drops", seen.grown_past_a_rebuild),
+        ("growths by tables the base has", seen.grown_within_base),
+        ("disconnected growths", seen.disconnected_growths),
     ] {
         assert!(count >= 50, "only {count} {what}: {seen:?}");
     }
+}
+
+/// A MAS join path through `cite.cited` — the second of `cite`'s two keys to
+/// `publication`, one of the depth-1 paths over `publication.title` — keeps
+/// that edge when a decision references `author.name`: the path is grown,
+/// not rebuilt from its tables (which would go through `cite.citing`).
+#[test]
+fn a_mas_join_path_through_cite_cited_keeps_it_as_it_gains_author() {
+    let db = Database::new(mas_schema()).expect("MAS is valid");
+    let schema = db.schema();
+    let graph = JoinGraph::new(schema);
+    let column = |t: &str, c: &str| schema.column_id(t, c).expect("a MAS column");
+    let selecting = |columns: &[ColumnId]| {
+        let mut pq = PartialQuery::empty();
+        let items =
+            columns.iter().map(|&c| PartialSelectItem::with_column(SelectColumn::Column(c)));
+        pq.select = Slot::Filled(items.collect::<Vec<_>>().into());
+        pq
+    };
+    let cited = JoinEdge {
+        fk: ForeignKey { from: column("cite", "cited"), to: column("publication", "pid") },
+    };
+    let title = selecting(&[column("publication", "title")]);
+    let through_cited = construct_join_paths(&db, &graph, &title, None, 1)
+        .into_iter()
+        .find(|path| *path.edges == [cited])
+        .expect("a depth-1 path over publication.title runs through cite.cited");
+
+    let mut pq = selecting(&[column("publication", "title"), column("author", "name")]);
+    pq.join = Some(through_cited.clone());
+    let paths = construct_join_paths(&db, &graph, &pq, pq.join.as_ref(), 0);
+    assert!(!paths.is_empty());
+    for path in &paths {
+        assert!(path.edges.contains(&cited), "{path:?} dropped cite.cited");
+        assert!(path.contains(schema.table_id("author").unwrap()) && path.is_connected());
+    }
+    // The tables alone build the tree through `cite.citing`.
+    let rebuilt = graph.steiner_tree(&paths[0].tables).expect("connected");
+    assert!(!rebuilt.edges.contains(&cited), "{rebuilt:?}");
 }
