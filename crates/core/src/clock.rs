@@ -1,54 +1,32 @@
 //! Virtual time for deterministic simulation.
 //!
-//! Every wall-clock read in the synthesis stack — scheduler tick timing,
-//! session deadlines, per-stage verification timings, the service layer's
-//! submit-anchored deadlines and time-to-first-candidate metric — goes
-//! through the [`Clock`] trait instead of calling [`Instant::now`] directly.
+//! Every wall-clock read in the synthesis stack — session deadlines,
+//! per-stage verification timings, the service layer's submit-anchored
+//! deadlines, queue waits and time-to-first-candidate metric — goes through
+//! the [`Clock`] trait instead of calling [`Instant::now`] directly.
 //! Production code uses [`SystemClock`] (a zero-cost wrapper over the real
 //! monotonic clock); the deterministic simulation harness (`crates/dst`)
 //! substitutes a [`SimClock`] whose time only moves when the test driver
-//! calls [`SimClock::advance`] — so deadline cliffs, queued-request expiry
-//! and tick housekeeping can be driven reproducibly, with no real sleeps.
+//! calls [`SimClock::advance`] — so deadline cliffs and queued-request
+//! expiry can be driven reproducibly.
 //!
 //! The design deliberately keeps [`Instant`] as the time *type*: a simulated
 //! "now" is the clock's base instant plus an advanced offset, so deadlines
 //! stored as `Option<Instant>` (e.g. in
 //! [`SessionControl`](crate::SessionControl)) work unchanged under either
-//! clock. The one behavioural difference is in the scheduler's idle wait:
-//! under a simulated clock, workers never perform *timed* waits (real time
-//! passing must not fire a simulated tick) — instead [`SimClock::advance`]
-//! wakes them through registered wakers so due ticks run immediately in
-//! simulated time.
+//! clock. A clock is only read, never waited on: a timed wait elsewhere
+//! only wakes its waiter, and whoever decides that a deadline has passed
+//! reads the clock to decide it.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// A waker callback fired when a simulated clock advances (see
-/// [`Clock::register_waker`]).
-pub type ClockWaker = Arc<dyn Fn() + Send + Sync>;
 
 /// A source of monotonic time. Implemented by [`SystemClock`] (real time)
 /// and [`SimClock`] (virtual time under manual control).
 pub trait Clock: Send + Sync {
     /// The current instant according to this clock.
     fn now(&self) -> Instant;
-
-    /// Whether this clock is simulated. Timed waits must not be used against
-    /// a simulated clock (real time passing means nothing to it); waiters
-    /// block untimed and rely on [`Clock::register_waker`] notifications.
-    fn is_simulated(&self) -> bool {
-        false
-    }
-
-    /// Register a callback to be fired whenever the clock's time jumps
-    /// forward. A no-op for real clocks (time advances on its own; sleepers
-    /// use timed waits). [`SimClock`] stores the waker and fires it from
-    /// [`SimClock::advance`], which is how an idle scheduler pool learns
-    /// that its next tick may have become due.
-    fn register_waker(&self, waker: ClockWaker) {
-        let _ = waker;
-    }
 }
 
 /// The real monotonic clock: [`Clock::now`] is [`Instant::now`].
@@ -94,33 +72,18 @@ pub fn system_clock() -> SharedClock {
 pub struct SimClock {
     base: Instant,
     offset_us: AtomicU64,
-    wakers: Mutex<Vec<ClockWaker>>,
 }
 
 impl SimClock {
     /// A simulated clock at offset zero (its base is the real instant of
     /// construction, but real time never moves it afterwards).
     pub fn new() -> Self {
-        SimClock {
-            base: Instant::now(),
-            offset_us: AtomicU64::new(0),
-            wakers: Mutex::new(Vec::new()),
-        }
+        SimClock { base: Instant::now(), offset_us: AtomicU64::new(0) }
     }
 
-    /// Jump simulated time forward by `by` (truncated to microseconds — the
-    /// granularity of the scheduler's tick clock) and fire every registered
-    /// waker so idle waiters re-examine their due times.
+    /// Jump simulated time forward by `by` (truncated to microseconds).
     pub fn advance(&self, by: Duration) {
         self.offset_us.fetch_add(by.as_micros() as u64, Ordering::AcqRel);
-        // Snapshot outside the lock: a waker may re-enter the clock (e.g. to
-        // read `now`), and new registrations during the sweep are fine — they
-        // observe the already-advanced time.
-        let wakers: Vec<ClockWaker> =
-            self.wakers.lock().expect("sim clock wakers poisoned").clone();
-        for waker in wakers {
-            waker();
-        }
     }
 
     /// Total simulated time elapsed since construction.
@@ -147,14 +110,6 @@ impl Clock for SimClock {
     fn now(&self) -> Instant {
         self.base + Duration::from_micros(self.offset_us.load(Ordering::Acquire))
     }
-
-    fn is_simulated(&self) -> bool {
-        true
-    }
-
-    fn register_waker(&self, waker: ClockWaker) {
-        self.wakers.lock().expect("sim clock wakers poisoned").push(waker);
-    }
 }
 
 #[cfg(test)]
@@ -174,22 +129,8 @@ mod tests {
     }
 
     #[test]
-    fn advance_fires_registered_wakers() {
-        let clock = SimClock::new();
-        let fired = Arc::new(AtomicU64::new(0));
-        let sink = Arc::clone(&fired);
-        clock.register_waker(Arc::new(move || {
-            sink.fetch_add(1, Ordering::SeqCst);
-        }));
-        clock.advance(Duration::from_secs(1));
-        clock.advance(Duration::from_secs(1));
-        assert_eq!(fired.load(Ordering::SeqCst), 2);
-    }
-
-    #[test]
     fn system_clock_tracks_real_time() {
         let clock = SystemClock;
-        assert!(!clock.is_simulated());
         let a = clock.now();
         let b = clock.now();
         assert!(b >= a);

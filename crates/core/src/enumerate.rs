@@ -303,8 +303,8 @@ type Survivor = (Box<PartialQuery>, f64, u32);
 /// Consecutive rounds one [`RoundDriver::advance`] may run before it must
 /// yield. Without this bound a driven session would run to completion inside
 /// one `Resume` unit — monopolizing a pool worker past the weighted
-/// round-robin, delaying the tick hook, and (on a 1-worker pool) starving
-/// every other session for its whole runtime. Yielding is pure scheduling:
+/// round-robin and (on a 1-worker pool) starving every other session for
+/// its whole runtime. Yielding is pure scheduling:
 /// it never changes what the session emits.
 ///
 /// It is also the trace's granularity: a traced run records one `rounds`

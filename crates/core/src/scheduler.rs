@@ -26,20 +26,19 @@
 //! * Workers pull resumes in **weighted round-robin order across live
 //!   sessions** (weight = the session's beam width times its priority
 //!   multiplier). After a bounded burst of rounds the worker looks at the
-//!   queue once: if another session's resume, a due tick or a shutdown is
-//!   waiting, it requeues its session behind the others, so one long session
-//!   cannot starve the rest; if nobody waits it simply keeps going — a yield
-//!   costs one uncontended lock, no requeue and no wake-up.
+//!   queue once: if another session's resume or a shutdown is waiting, it
+//!   requeues its session behind the others, so one long session cannot
+//!   starve the rest; if nobody waits it simply keeps going — a yield costs
+//!   one uncontended lock, no requeue and no wake-up.
 //! * A session's rounds run strictly in order, each merged in child order,
 //!   so its candidate emission sequence is byte-identical to an inline
 //!   single-session run, for any pool size (`tests/determinism.rs` asserts
 //!   this under interleaved sessions).
 //!
-//! The pool also carries a **tick hook** ([`SchedulerHandle::set_tick`]): a
-//! housekeeping callback the workers invoke at its requested time (between
-//! resumes, or from a timed wait when the pool is idle). The service layer
-//! uses it for deadline expiry of queued requests — folding what used to be
-//! a dedicated housekeeper thread into the scheduler's own event loop.
+//! The pool only multiplexes sessions: it keeps no timers and runs no
+//! callbacks but the sessions' own. A request that waits for a live slot is
+//! the serving layer's business, and expires there when someone looks at it
+//! (`docs/SERVICE.md`, "Deadlines").
 //!
 //! Pool-wide behaviour is observable through [`SessionScheduler::stats`]
 //! (queue depth, busy workers, live sessions) and per-run through the
@@ -101,7 +100,6 @@ use duoquest_obs::Series;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
 
 /// A point-in-time snapshot of the pool, from [`SessionScheduler::stats`] or
 /// [`SchedulerHandle::stats`].
@@ -321,12 +319,6 @@ impl QueueState {
     }
 }
 
-/// "No tick scheduled" sentinel for [`PoolCore::next_tick_us`].
-const TICK_NONE: u64 = u64::MAX;
-
-/// The housekeeping hook run by pool workers at its requested times.
-type TickHook = Arc<dyn Fn() -> Option<Instant> + Send + Sync>;
-
 /// Pool state shared between the scheduler owner, session handles and workers.
 struct PoolCore {
     queue: Mutex<QueueState>,
@@ -339,11 +331,6 @@ struct PoolCore {
     /// deterministic simulation harness substitutes a
     /// [`crate::SimClock`]).
     clock: SharedClock,
-    /// Anchor for the tick clock (ticks are stored as µs offsets from here).
-    epoch: Instant,
-    /// Next tick time in µs since `epoch`; [`TICK_NONE`] when unscheduled.
-    next_tick_us: AtomicU64,
-    tick_hook: Mutex<Option<TickHook>>,
 }
 
 impl PoolCore {
@@ -358,62 +345,14 @@ impl PoolCore {
         }
     }
 
-    /// Microseconds since the pool's epoch, per the pool's clock.
-    fn now_us(&self) -> u64 {
-        self.clock.now().saturating_duration_since(self.epoch).as_micros() as u64
-    }
-
-    /// The scheduled tick time (µs since the epoch), if it has come.
-    fn due_tick(&self) -> Option<u64> {
-        let next = self.next_tick_us.load(Ordering::Acquire);
-        (next != TICK_NONE && next <= self.now_us()).then_some(next)
-    }
-
-    /// Claim the tick if it is due: returns the hook to run (outside the
-    /// queue lock) after atomically unscheduling it, so exactly one worker
-    /// runs each due tick.
-    fn claim_due_tick(&self) -> Option<TickHook> {
-        let next = self.due_tick()?;
-        if self
-            .next_tick_us
-            .compare_exchange(next, TICK_NONE, Ordering::AcqRel, Ordering::Acquire)
-            .is_err()
-        {
-            return None;
-        }
-        self.tick_hook.lock().expect("tick hook poisoned").clone()
-    }
-
-    /// Pull the next tick earlier (or schedule one): the hook will run at
-    /// `at` or before. Wakes a sleeping worker so its timed wait re-anchors.
-    fn request_tick(&self, at: Instant) {
-        let at_us = at.saturating_duration_since(self.epoch).as_micros() as u64;
-        let _ = self.next_tick_us.fetch_update(Ordering::AcqRel, Ordering::Acquire, |cur| {
-            (at_us < cur).then_some(at_us)
-        });
-        // Take the lock so no worker can compute its wait timeout between
-        // our store and the notify.
-        let _guard = self.queue.lock().expect("scheduler queue poisoned");
-        self.work_available.notify_all();
-    }
-
-    /// How long a sleeping worker may wait before the next tick is due.
-    fn tick_timeout(&self) -> Option<Duration> {
-        let next = self.next_tick_us.load(Ordering::Acquire);
-        if next == TICK_NONE {
-            return None;
-        }
-        Some(Duration::from_micros(next.saturating_sub(self.now_us())))
-    }
-
     /// Worker side, at a yield: whether anything else wants this worker —
-    /// another session's resume, a due tick, or a shutdown. One look at the
-    /// queue under its lock, which also samples the pool's contention into
-    /// the yielding run's stats.
+    /// another session's resume or a shutdown. One look at the queue under
+    /// its lock, which also samples the pool's contention into the yielding
+    /// run's stats.
     fn someone_waits(&self, run_stats: &mut SchedulerRunStats) -> bool {
         let queue = self.queue.lock().expect("scheduler queue poisoned");
         self.observe_into(run_stats, queue.depth, queue.sessions.len());
-        queue.depth > 0 || self.shutdown.load(Ordering::Acquire) || self.due_tick().is_some()
+        queue.depth > 0 || self.shutdown.load(Ordering::Acquire)
     }
 
     /// Record the pool's current contention into a run's stats. Caller holds
@@ -425,47 +364,17 @@ impl PoolCore {
         run_stats.live_sessions_peak = run_stats.live_sessions_peak.max(live);
     }
 
-    /// Worker side: block until a session is queued or the pool shuts down,
-    /// running the housekeeping tick at its due times along the way.
+    /// Worker side: block until a session is queued or the pool shuts down.
     fn next_unit(&self) -> Option<u64> {
         let mut queue = self.queue.lock().expect("scheduler queue poisoned");
         loop {
             if self.shutdown.load(Ordering::Acquire) {
                 return None;
             }
-            // The tick runs between resumes even on a saturated pool — and
-            // from a timed wait on an idle one — always outside the lock.
-            if let Some(hook) = self.claim_due_tick() {
-                drop(queue);
-                // A panicking hook must not kill a fixed-pool worker: swallow
-                // the unwind (the tick just stays unscheduled until the next
-                // `request_tick`).
-                let next = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| hook()))
-                    .unwrap_or(None);
-                if let Some(next) = next {
-                    self.request_tick(next);
-                }
-                queue = self.queue.lock().expect("scheduler queue poisoned");
-                continue;
-            }
             if let Some(unit) = queue.pop() {
                 return Some(unit);
             }
-            queue = match self.tick_timeout() {
-                // Under a simulated clock a *timed* wait would fire ticks on
-                // real time passing — meaningless in simulation, and a real
-                // sleep besides. Idle workers block untimed instead; the
-                // clock's `advance` fires the waker registered at pool
-                // construction, which notifies `work_available` so the loop
-                // re-examines `claim_due_tick` against the advanced time.
-                Some(timeout) if !self.clock.is_simulated() => {
-                    self.work_available
-                        .wait_timeout(queue, timeout)
-                        .expect("scheduler queue poisoned")
-                        .0
-                }
-                _ => self.work_available.wait(queue).expect("scheduler queue poisoned"),
-            };
+            queue = self.work_available.wait(queue).expect("scheduler queue poisoned");
         }
     }
 }
@@ -622,13 +531,10 @@ impl SessionScheduler {
         SessionScheduler::new_with_clock(workers, system_clock())
     }
 
-    /// Spawn a pool whose time source is `clock` instead of the real clock.
-    /// Under a simulated clock ([`crate::SimClock`]) idle workers never
-    /// perform timed waits — the clock's `advance` wakes them (via a waker
-    /// registered here) so due ticks run immediately in simulated time.
+    /// Spawn a pool whose time source is `clock` instead of the real clock:
+    /// the sessions it drives and the spans it records read time from it.
     pub fn new_with_clock(workers: usize, clock: SharedClock) -> Self {
         let workers = workers.max(1);
-        let epoch = clock.now();
         let core = Arc::new(PoolCore {
             queue: Mutex::new(QueueState::default()),
             work_available: Condvar::new(),
@@ -637,22 +543,7 @@ impl SessionScheduler {
             units_executed: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
             clock,
-            epoch,
-            next_tick_us: AtomicU64::new(TICK_NONE),
-            tick_hook: Mutex::new(None),
         });
-        // A simulated clock advancing may make the scheduled tick due: wake
-        // the idle workers so one claims it. Weak, so the waker (owned by the
-        // clock, which the pool owns) cannot keep the pool core alive.
-        let waker_core = Arc::downgrade(&core);
-        core.clock.register_waker(Arc::new(move || {
-            if let Some(core) = waker_core.upgrade() {
-                // Take the lock so no worker can compute its wait decision
-                // between the clock's advance and this notify.
-                let _guard = core.queue.lock().expect("scheduler queue poisoned");
-                core.work_available.notify_all();
-            }
-        }));
         let handles = (0..workers)
             .map(|i| {
                 let core = Arc::clone(&core);
@@ -748,26 +639,6 @@ impl SchedulerHandle {
         self.core.workers
     }
 
-    /// Install the pool's housekeeping **tick hook**: pool workers call it
-    /// at (or after) each requested time — between resumes on a busy pool,
-    /// from a timed wait on an idle one — with no scheduler lock held.
-    /// The hook returns the next time it wants to run, or `None` to sleep
-    /// until the next [`SchedulerHandle::request_tick`].
-    ///
-    /// One hook per pool: installing a new one replaces the previous. The
-    /// serving layer uses this for deadline expiry of queued requests,
-    /// folding its former housekeeper thread into the pool's event loop.
-    pub fn set_tick(&self, hook: impl Fn() -> Option<Instant> + Send + Sync + 'static) {
-        *self.core.tick_hook.lock().expect("tick hook poisoned") = Some(Arc::new(hook));
-    }
-
-    /// Ask the tick hook to run at `at` or earlier (monotone: an earlier
-    /// pending request wins). Safe to call from any thread, including hook
-    /// and sink callbacks.
-    pub fn request_tick(&self, at: Instant) {
-        self.core.request_tick(at);
-    }
-
     /// The clock this pool schedules against — [`SystemClock`](crate::SystemClock)
     /// unless the pool was built with [`SessionScheduler::new_with_clock`].
     /// Layers above the pool (e.g. the serving layer) should read time from
@@ -787,13 +658,13 @@ impl std::fmt::Debug for SchedulerHandle {
 mod tests {
     use super::*;
     use crate::config::DuoquestConfig;
-    use crate::session::SessionControl;
     use crate::tsq::{TableSketchQuery, TsqCell};
     use crate::verify::test_fixtures::movie_db;
     use duoquest_db::{CmpOp, DataType, Database};
     use duoquest_nlq::{GuidanceModel, Literal, Nlq, NoisyOracleGuidance, OracleConfig};
     use duoquest_sql::QueryBuilder;
     use std::sync::mpsc;
+    use std::time::Duration;
 
     fn fixture() -> (Arc<Database>, Nlq, Arc<dyn GuidanceModel>, duoquest_db::SelectSpec) {
         let db = movie_db().into_shared();
@@ -1053,70 +924,5 @@ mod tests {
         let stats = pool.stats();
         assert_eq!(stats.live_sessions, 0, "all sessions deregistered");
         assert_eq!(stats.queue_depth, 0, "no orphaned units");
-    }
-
-    /// The fairness half of the yield bound: a single long-running driven
-    /// session on a 1-worker pool must not pin the worker — the tick hook
-    /// still fires at (about) its requested time while the session grinds,
-    /// because a resume yields after a burst of rounds and a due tick counts
-    /// as somebody waiting.
-    #[test]
-    fn grinding_driven_session_does_not_starve_the_tick() {
-        let (db, nlq, model, _gold) = fixture();
-        let mut config = DuoquestConfig::fast();
-        config.time_budget = Some(Duration::from_secs(30));
-        config.max_candidates = usize::MAX;
-        config.max_expansions = usize::MAX;
-        let pool = SessionScheduler::new(1);
-        let fired = Arc::new(AtomicBool::new(false));
-        let fired_hook = Arc::clone(&fired);
-        pool.handle().set_tick(move || {
-            fired_hook.store(true, Ordering::SeqCst);
-            None
-        });
-        let control = SessionControl::new();
-        let (tx, rx) = mpsc::channel();
-        SynthesisSession::new(db, nlq, model)
-            .with_config(config)
-            .with_control(control.clone())
-            .spawn_driven(
-                &pool.handle(),
-                Box::new(|_c: &Candidate| true),
-                Box::new(move |result| {
-                    let _ = tx.send(result);
-                }),
-            );
-        pool.handle().request_tick(Instant::now() + Duration::from_millis(30));
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while !fired.load(Ordering::SeqCst) {
-            assert!(Instant::now() < deadline, "tick starved by the driven session");
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        control.cancel();
-        let result = expect_finished(
-            rx.recv_timeout(Duration::from_secs(10)).expect("cancelled session resolves"),
-        );
-        assert!(result.stats.cancelled);
-        assert_eq!(pool.stats().live_sessions, 0);
-    }
-
-    /// The scheduler tick: the hook runs at its requested time on an idle
-    /// pool (from a worker's timed wait) and can reschedule itself.
-    #[test]
-    fn tick_hook_fires_on_an_idle_pool() {
-        let pool = SessionScheduler::new(1);
-        let fired = Arc::new(AtomicUsize::new(0));
-        let fired_hook = Arc::clone(&fired);
-        pool.handle().set_tick(move || {
-            fired_hook.fetch_add(1, Ordering::SeqCst);
-            None
-        });
-        pool.handle().request_tick(Instant::now() + Duration::from_millis(20));
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while fired.load(Ordering::SeqCst) == 0 {
-            assert!(Instant::now() < deadline, "tick never fired on the idle pool");
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert_eq!(fired.load(Ordering::SeqCst), 1, "one request fires one tick");
     }
 }

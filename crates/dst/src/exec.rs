@@ -79,6 +79,9 @@ pub enum Observed {
         queue_wait_us: u128,
         /// Reported time to first candidate, in microseconds.
         ttfc_us: Option<u128>,
+        /// Whether the request's run started: only a run carries pool
+        /// observations (`stats.scheduler`), an unrun outcome has none.
+        started: bool,
     },
 }
 
@@ -388,6 +391,7 @@ fn run_service(
                     emission: render(&outcome.result.candidates),
                     queue_wait_us: outcome.queue_wait.as_micros(),
                     ttfc_us: outcome.time_to_first_candidate.map(|d| d.as_micros()),
+                    started: outcome.result.stats.scheduler.is_some(),
                 },
                 Err(_) => Observed::Vanished,
             });
@@ -508,7 +512,7 @@ fn check_run(scenario: &Scenario, record: &RunRecord) -> Result<(), Violation> {
     check_traces(scenario, record, virtual_end_us)?;
 
     for (index, (request, obs)) in scenario.requests.iter().zip(&record.observed).enumerate() {
-        let Observed::Resolved { status, emission, queue_wait_us, ttfc_us } = obs else {
+        let Observed::Resolved { status, emission, queue_wait_us, ttfc_us, started } = obs else {
             continue;
         };
         if *status == RequestStatus::DeadlineExceeded {
@@ -525,6 +529,17 @@ fn check_run(scenario: &Scenario, record: &RunRecord) -> Result<(), Violation> {
                         .map(|d| request.submit_at_us + d)
                         .unwrap_or(u64::MAX),
                     virtual_end_us,
+                });
+            }
+            // A request that expired in the queue did so as of its deadline,
+            // whoever noticed it and however far the clock had moved on.
+            let budget = request.deadline_us.map_or(0, u128::from);
+            if !started && *queue_wait_us != budget {
+                return Err(Violation::ExpiryOffDeadline {
+                    run: record.label,
+                    request: index,
+                    deadline_us: budget,
+                    queue_wait_us: *queue_wait_us,
                 });
             }
         }

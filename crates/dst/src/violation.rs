@@ -117,6 +117,19 @@ pub enum Violation {
         /// Where the virtual timeline ended.
         virtual_end_us: u64,
     },
+    /// A request that expired without running reported a queue wait other
+    /// than its deadline budget — its expiry was stamped when someone
+    /// noticed it, not at the deadline.
+    ExpiryOffDeadline {
+        /// Which run reported it.
+        run: RunLabel,
+        /// Index of the request.
+        request: usize,
+        /// The request's deadline budget in microseconds.
+        deadline_us: u128,
+        /// The reported queue wait in microseconds.
+        queue_wait_us: u128,
+    },
     /// A reported latency exceeds the virtual timeline — the sample was
     /// taken from a real clock, not the simulated one.
     LatencyOffTimeline {
@@ -281,6 +294,11 @@ impl fmt::Display for Violation {
                 f,
                 "deadline ghost: {run} run, request {request} expired at virtual {deadline_us}us \
                  but the timeline only reached {virtual_end_us}us — a real clock leaked in"
+            ),
+            Violation::ExpiryOffDeadline { run, request, deadline_us, queue_wait_us } => write!(
+                f,
+                "expiry off its deadline: {run} run, request {request} expired unrun after a \
+                 {queue_wait_us}us queue wait, but its deadline budget is {deadline_us}us"
             ),
             Violation::LatencyOffTimeline { run, request, which, observed_us, virtual_end_us } => {
                 write!(

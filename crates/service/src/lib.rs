@@ -45,14 +45,18 @@
 //!   served each rotation.
 //! * **Cancellation**: dropping (or explicitly cancelling) a [`Ticket`] fires
 //!   the session's token and the run stops at its next cooperative check
-//!   (a round boundary, or between a round's jobs). Other requests' emission
-//!   order is untouched.
+//!   (a round boundary, or between a round's jobs); a request still queued
+//!   resolves at once, without running. Other requests' emission order is
+//!   untouched.
 //! * **Deadlines** are measured from submission (queue wait counts). A
 //!   request past its deadline stops enumerating and resolves with the best
 //!   candidates found so far, flagged
-//!   [`RequestStatus::DeadlineExceeded`]. Requests whose deadline passes
-//!   while still **queued** are expired by the scheduler's tick (the pool's
-//!   own event loop — there is no housekeeper thread either).
+//!   [`RequestStatus::DeadlineExceeded`]. A request whose deadline passes
+//!   while still **queued** expires when someone looks — the next submit,
+//!   stats snapshot, cancel or completion, or its own ticket's wait, which
+//!   lasts at most until the deadline before it looks — and always **as of
+//!   its deadline**: its queue wait is exactly the deadline budget, whoever
+//!   noticed first. There is no timer and no housekeeper thread.
 //! * **Admission control** bounds live sessions and the waiting queue;
 //!   overflow is shed at submit time with [`AdmissionError::Overloaded`].
 //! * **Observability**: [`SynthesisService::stats`] snapshots per-class queue
@@ -129,7 +133,7 @@ use duoquest_obs::{FlightRecorder, Histogram, Trace, ROOT_SPAN, TERMINAL_EVENT};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Per-class monotone counters plus lossless latency histograms. The
@@ -174,43 +178,43 @@ struct Pending {
 }
 
 impl Pending {
-    /// Build the outcome of a request that never ran (cancelled or expired
-    /// while queued), returning the sender to deliver it through. `now` is
-    /// the service clock's current time (so simulated runs report simulated
-    /// queue waits).
-    fn into_unrun(
-        self,
-        status: RequestStatus,
-        now: Instant,
-    ) -> (Sender<ServiceOutcome>, ServiceOutcome) {
+    /// Whether the request's deadline has passed at `now`.
+    fn is_due(&self, now: Instant) -> bool {
+        self.control.deadline().is_some_and(|deadline| now >= deadline)
+    }
+
+    /// Resolve the ticket of a request that never ran, as of `at`: count it,
+    /// close out its trace (root span, terminal event, flight-recorder
+    /// retention) and send its outcome, whose queue wait ends at `at`.
+    fn resolve_unrun(self, status: RequestStatus, at: Instant, shared: &Shared) {
+        shared.bump(self.req.priority, status);
+        if let Some(trace) = &self.trace {
+            if status == RequestStatus::DeadlineExceeded {
+                trace.mark_anomalous();
+            }
+            trace.record_span(ROOT_SPAN, self.submitted, at);
+            trace.event(TERMINAL_EVENT, at, Some(status.label().to_string()));
+            shared.flight.push(Arc::clone(trace));
+        }
         let mut result = SynthesisResult::default();
         match status {
             RequestStatus::Cancelled => result.stats.cancelled = true,
             RequestStatus::DeadlineExceeded => result.stats.deadline_exceeded = true,
             RequestStatus::Completed => {}
         }
-        let outcome = ServiceOutcome {
+        let _ = self.outcome.send(ServiceOutcome {
             result,
             status,
-            queue_wait: now.saturating_duration_since(self.submitted),
+            queue_wait: at.saturating_duration_since(self.submitted),
             time_to_first_candidate: None,
-        };
-        (self.outcome, outcome)
+        });
     }
 
-    /// Resolve the ticket of a request that never ran, closing out its trace
-    /// (root span, terminal event, flight-recorder retention) on the way.
-    fn resolve_unrun(self, status: RequestStatus, now: Instant, shared: &Shared) {
-        if let Some(trace) = &self.trace {
-            if status == RequestStatus::DeadlineExceeded {
-                trace.mark_anomalous();
-            }
-            trace.record_span(ROOT_SPAN, self.submitted, now);
-            trace.event(TERMINAL_EVENT, now, Some(status.label().to_string()));
-            shared.flight.push(Arc::clone(trace));
-        }
-        let (sender, outcome) = self.into_unrun(status, now);
-        let _ = sender.send(outcome);
+    /// Resolve a request whose deadline passed before it ran, as of that
+    /// deadline — so its outcome and trace do not depend on who noticed.
+    fn expire(self, shared: &Shared) {
+        let deadline = self.control.deadline().expect("only a request with a deadline expires");
+        self.resolve_unrun(RequestStatus::DeadlineExceeded, deadline, shared);
     }
 }
 
@@ -243,13 +247,13 @@ impl Admission {
     }
 }
 
-/// State shared between the service handle, the scheduler's tick hook, and
-/// the driven sessions' completion callbacks (which run on pool workers).
+/// State shared between the service handle, its tickets, and the driven
+/// sessions' completion callbacks (which run on pool workers).
 pub(crate) struct Shared {
     cfg: ServiceConfig,
     handle: SchedulerHandle,
     /// The pool's clock: every timestamp the service takes (submit anchors,
-    /// deadline checks, queue sweeps, TTFC samples) reads from here, so a
+    /// deadline checks, queue expiry, TTFC samples) reads from here, so a
     /// simulated pool keeps the whole service on the simulated timeline.
     clock: SharedClock,
     /// The clock's reading at service construction: the anchor every request
@@ -268,10 +272,36 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
-    /// Ask the scheduler's tick to re-examine the queued set now (a ticket
-    /// cancellation, a shutdown): the next free pool worker runs the sweep.
-    pub(crate) fn notify_queue_changed(&self) {
-        self.handle.request_tick(self.clock.now());
+    /// Take the admission lock — the one way to it. On the way in, every
+    /// queued request whose deadline has passed expires, as of its deadline:
+    /// whoever looks at the queue is its timer.
+    fn lock_state(&self) -> MutexGuard<'_, Admission> {
+        let mut state = self.state.lock().expect("service state poisoned");
+        let now = self.clock.now();
+        for class_queue in &mut state.queued {
+            while let Some(at) = class_queue.iter().position(|p| p.is_due(now)) {
+                class_queue.remove(at).expect("position is in range").expire(self);
+            }
+        }
+        state
+    }
+
+    /// Cancel a request by id: a queued one resolves in place, unrun; a live
+    /// one has its token fired and stops at its next cooperative check.
+    /// `false` when no queued or live request has this id.
+    fn cancel(&self, id: u64) -> bool {
+        let mut state = self.lock_state();
+        for class_queue in &mut state.queued {
+            if let Some(at) = class_queue.iter().position(|p| p.id == id) {
+                let pending = class_queue.remove(at).expect("position is in range");
+                pending.control.cancel();
+                pending.resolve_unrun(RequestStatus::Cancelled, self.clock.now(), self);
+                return true;
+            }
+        }
+        let Some(live) = state.live.iter().find(|l| l.id == id) else { return false };
+        live.control.cancel();
+        true
     }
 
     fn bump(&self, class: PriorityClass, status: RequestStatus) {
@@ -288,24 +318,15 @@ impl Shared {
     /// request to be started (via [`Shared::start_unlocked`], **after** the
     /// admission lock is released — session setup and scheduler registration
     /// are not cheap enough to serialize every submit behind), or `None` when
-    /// the request was already cancelled or past its deadline, in which case
-    /// it resolves unrun here without consuming the slot. Caller holds the
-    /// admission lock.
+    /// the request is already past its deadline, in which case it expires
+    /// here without consuming the slot. Caller holds the admission lock.
     fn claim_slot_locked(&self, state: &mut Admission, pending: Pending) -> Option<Pending> {
+        if pending.is_due(self.clock.now()) {
+            // Never start a run the deadline already ate.
+            pending.expire(self);
+            return None;
+        }
         let class = pending.req.priority;
-        let now = self.clock.now();
-        if pending.control.is_cancelled() {
-            // Cancelled while queued (or between admission and start).
-            self.bump(class, RequestStatus::Cancelled);
-            pending.resolve_unrun(RequestStatus::Cancelled, now, self);
-            return None;
-        }
-        if pending.control.deadline().is_some_and(|d| now >= d) {
-            // Expired while queued: never start a run the deadline already ate.
-            self.bump(class, RequestStatus::DeadlineExceeded);
-            pending.resolve_unrun(RequestStatus::DeadlineExceeded, now, self);
-            return None;
-        }
         state.live.push(LiveEntry { id: pending.id, class, control: pending.control.clone() });
         self.live_peak.fetch_max(state.live.len(), Ordering::Relaxed);
         Some(pending)
@@ -441,37 +462,6 @@ impl Shared {
         });
         session.spawn_driven(&self.handle, on_candidate, on_complete);
     }
-
-    /// One housekeeping pass over the admission queue (the scheduler's tick
-    /// hook): resolve queued requests whose ticket was cancelled or whose
-    /// deadline passed while every live slot stayed busy, and return the
-    /// earliest remaining queued deadline as the next tick time. Without
-    /// this, queued requests would only be examined when a slot frees, so a
-    /// deadline could be overshot by the full runtime of the requests ahead
-    /// of it.
-    fn sweep_queue(self: &Arc<Self>) -> Option<Instant> {
-        let mut state = self.state.lock().expect("service state poisoned");
-        if self.shutdown.load(Ordering::SeqCst) {
-            return None;
-        }
-        let now = self.clock.now();
-        for class_queue in &mut state.queued {
-            let mut kept = VecDeque::new();
-            while let Some(pending) = class_queue.pop_front() {
-                if pending.control.is_cancelled() {
-                    self.bump(pending.req.priority, RequestStatus::Cancelled);
-                    pending.resolve_unrun(RequestStatus::Cancelled, now, self);
-                } else if pending.control.deadline().is_some_and(|d| now >= d) {
-                    self.bump(pending.req.priority, RequestStatus::DeadlineExceeded);
-                    pending.resolve_unrun(RequestStatus::DeadlineExceeded, now, self);
-                } else {
-                    kept.push_back(pending);
-                }
-            }
-            *class_queue = kept;
-        }
-        state.queued.iter().flatten().filter_map(|p| p.control.deadline()).min()
-    }
 }
 
 /// Free the request's live slot and promote queued work into it. Runs on
@@ -479,7 +469,7 @@ impl Shared {
 /// admission lock; the promoted sessions are constructed and registered
 /// after it drops.
 fn finish(shared: &Arc<Shared>, id: u64) {
-    let mut state = shared.state.lock().expect("service state poisoned");
+    let mut state = shared.lock_state();
     state.live.retain(|l| l.id != id);
     if shared.shutdown.load(Ordering::SeqCst) {
         return;
@@ -487,9 +477,9 @@ fn finish(shared: &Arc<Shared>, id: u64) {
     let mut promoted = Vec::new();
     while state.live.len() < shared.cfg.max_live_sessions.max(1) {
         let Some(next) = state.pop_queued() else { break };
-        // A cancelled or expired candidate resolves unrun without consuming
-        // the slot; the loop keeps promoting until the free slots fill or
-        // the queue drains.
+        // An expired candidate resolves unrun without consuming the slot;
+        // the loop keeps promoting until the free slots fill or the queue
+        // drains.
         promoted.extend(shared.claim_slot_locked(&mut state, next));
     }
     drop(state);
@@ -501,8 +491,8 @@ fn finish(shared: &Arc<Shared>, id: u64) {
 /// The serving endpoint: one shared scheduler pool, an admission-controlled
 /// request queue, and per-request tickets (see the [module docs](self) for
 /// the lifecycle). The pool's fixed workers are the **only** threads the
-/// service owns — requests are scheduler-driven sessions, and queued-request
-/// housekeeping rides the scheduler's tick.
+/// service owns — requests are scheduler-driven sessions, and a queued
+/// request expires when someone looks at the queue.
 ///
 /// Dropping the service cancels everything still live or queued and shuts
 /// the scheduler pool down (which resolves any still-parked request as
@@ -521,7 +511,7 @@ impl SynthesisService {
     }
 
     /// Spawn a service whose pool — and every service timestamp (submit
-    /// anchors, deadlines, queue sweeps, TTFC) — reads time from `clock`.
+    /// anchors, deadlines, queue expiry, TTFC) — reads time from `clock`.
     /// With a [`SimClock`](duoquest_core::SimClock) the service runs on a
     /// fully virtual timeline: deadlines only expire when the test advances
     /// the clock. This is the entry point deterministic simulation tests use.
@@ -545,11 +535,6 @@ impl SynthesisService {
             live_peak: AtomicUsize::new(0),
             flight,
         });
-        // Queued-deadline housekeeping is the scheduler's tick: pool workers
-        // sweep the admission queue at the earliest queued deadline (or when
-        // a cancellation requests an immediate pass).
-        let weak = Arc::downgrade(&shared);
-        shared.handle.set_tick(move || weak.upgrade().and_then(|shared| shared.sweep_queue()));
         SynthesisService { shared, _scheduler: scheduler }
     }
 
@@ -594,23 +579,14 @@ impl SynthesisService {
     }
 
     /// Cancel a request by its service-assigned id ([`Ticket::id`]), whether
-    /// live or still queued: fires its cancellation token and pulls the
-    /// housekeeping tick forward so a queued request resolves now. Returns `false` if no live or queued request has this id
-    /// (already finished, or never existed). This is the hookup for remote
-    /// cancellation, where the party cancelling (a `POST /cancel` on one
-    /// connection) does not hold the ticket (owned by another connection's
-    /// thread).
+    /// live or still queued: a queued request resolves as cancelled at once,
+    /// a live one stops at its next cooperative check. Returns `false` if no
+    /// live or queued request has this id (already finished, or never
+    /// existed). This is the hookup for remote cancellation, where the party
+    /// cancelling (a `POST /cancel` on one connection) does not hold the
+    /// ticket (owned by another connection's thread).
     pub fn cancel(&self, id: u64) -> bool {
-        let state = self.shared.state.lock().expect("service state poisoned");
-        let control =
-            state.live.iter().find(|l| l.id == id).map(|l| l.control.clone()).or_else(|| {
-                state.queued.iter().flatten().find(|p| p.id == id).map(|p| p.control.clone())
-            });
-        drop(state);
-        let Some(control) = control else { return false };
-        control.cancel();
-        self.shared.notify_queue_changed();
-        true
+        self.shared.cancel(id)
     }
 
     fn submit_inner(
@@ -626,7 +602,7 @@ impl SynthesisService {
         }
         let (cand_tx, cand_rx) = mpsc::channel();
         let (out_tx, out_rx) = mpsc::channel();
-        let mut state = self.shared.state.lock().expect("service state poisoned");
+        let mut state = self.shared.lock_state();
         if self.shared.shutdown.load(Ordering::SeqCst) {
             return Err(AdmissionError::ShuttingDown);
         }
@@ -659,12 +635,6 @@ impl SynthesisService {
                 trace.event("queued", now, None);
             }
             state.queued[class.index()].push_back(pending);
-            // Re-anchor the scheduler's housekeeping tick on the new entry's
-            // deadline so a queued request expires on time even while every
-            // live slot stays busy.
-            if let Some(deadline) = control.deadline() {
-                self.shared.handle.request_tick(deadline);
-            }
         } else {
             self.shared.counters[class.index()].shed.fetch_add(1, Ordering::Relaxed);
             // A shed request still leaves a (terminal-only, anomalous) trace
@@ -738,7 +708,7 @@ impl SynthesisService {
     /// pool's load — everything `GET /stats` and `GET /metrics` serve
     /// ([`ServiceStats::render`]).
     pub fn stats(&self) -> ServiceStats {
-        let state = self.shared.state.lock().expect("service state poisoned");
+        let state = self.shared.lock_state();
         let classes = std::array::from_fn(|i| {
             let class = PriorityClass::ALL[i];
             let counters = &self.shared.counters[i];
@@ -768,24 +738,21 @@ impl SynthesisService {
 
 impl Drop for SynthesisService {
     /// Shut down: refuse new work, cancel everything live, resolve everything
-    /// queued as cancelled — then the owned scheduler field drops, joining
-    /// the pool's fixed workers and resolving any still-parked driven
-    /// session as cancelled (its completion callback delivers the cancelled
-    /// outcome through the normal path). There are no request threads or
-    /// housekeeper threads to join.
+    /// queued as cancelled (or expired, if its deadline has passed) — then
+    /// the owned scheduler field drops, joining the pool's fixed workers and
+    /// resolving any still-parked driven session as cancelled (its
+    /// completion callback delivers the cancelled outcome through the normal
+    /// path). There are no request threads or housekeeper threads to join.
     fn drop(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        let mut state = self.shared.state.lock().expect("service state poisoned");
+        let mut state = self.shared.lock_state();
         for live in &state.live {
             live.control.cancel();
         }
         let now = self.shared.clock.now();
-        for class_queue in &mut state.queued {
-            for pending in class_queue.drain(..) {
-                pending.control.cancel();
-                self.shared.bump(pending.req.priority, RequestStatus::Cancelled);
-                pending.resolve_unrun(RequestStatus::Cancelled, now, &self.shared);
-            }
+        for pending in state.queued.iter_mut().flat_map(|q| q.drain(..)) {
+            pending.control.cancel();
+            pending.resolve_unrun(RequestStatus::Cancelled, now, &self.shared);
         }
     }
 }
@@ -1075,11 +1042,13 @@ mod tests {
         let (open_gate, gate) = mpsc::channel();
         let gated = Gated { inner: oracle(&db), gate: Mutex::new(gate) };
         let running = service.submit(request_with(&db, 200, Arc::new(gated))).unwrap();
-        let queued = service.submit(request(&db, 200)).unwrap();
+        let mut queued = service.submit(request(&db, 200)).unwrap();
         assert!(service.cancel(queued.id()), "queued request found by id");
         assert!(service.cancel(running.id()), "live request found by id");
-        // The one worker is held by the gated run, so the queued request
-        // resolves only once the gate opens.
+        // The one worker is held by the gated run, and the queued request
+        // has resolved all the same: its cancel resolved it in place.
+        let status = queued.try_wait().map(|outcome| outcome.status);
+        assert_eq!(status, Some(RequestStatus::Cancelled), "resolved before the gate opens");
         drop::<mpsc::Sender<()>>(open_gate);
         assert_eq!(queued.wait().status, RequestStatus::Cancelled);
         assert_eq!(running.wait().status, RequestStatus::Cancelled);
@@ -1088,6 +1057,39 @@ mod tests {
         assert_eq!(stats.live_sessions, 0);
         assert_eq!(stats.queued_requests, 0);
         assert_eq!(stats.class(PriorityClass::Interactive).cancelled, 2);
+    }
+
+    #[test]
+    fn a_queued_deadline_expires_on_the_next_look_as_of_its_deadline() {
+        let db = movie_db().into_shared();
+        let clock = Arc::new(duoquest_core::SimClock::new());
+        let service = SynthesisService::with_clock(
+            ServiceConfig {
+                workers: 1,
+                max_live_sessions: 1,
+                max_queued: 4,
+                ..ServiceConfig::default()
+            },
+            Arc::clone(&clock) as SharedClock,
+        );
+        // The gated run holds the only live slot and the only worker.
+        let (open_gate, gate) = mpsc::channel();
+        let gated = Gated { inner: oracle(&db), gate: Mutex::new(gate) };
+        let running = service.submit(request_with(&db, 200, Arc::new(gated))).unwrap();
+        let queued =
+            service.submit(request(&db, 200).with_deadline(Duration::from_millis(1))).unwrap();
+        clock.advance(Duration::from_millis(5));
+        // Nobody has waited on the ticket: the stats snapshot's look at the
+        // queue is what expires it.
+        let stats = service.stats();
+        assert_eq!(stats.class(PriorityClass::Interactive).expired, 1);
+        assert_eq!(stats.queued_requests, 0);
+        let outcome = queued.wait();
+        assert_eq!(outcome.status, RequestStatus::DeadlineExceeded);
+        assert_eq!(outcome.queue_wait, Duration::from_millis(1), "expired as of its deadline");
+        assert!(outcome.time_to_first_candidate.is_none());
+        drop::<mpsc::Sender<()>>(open_gate);
+        assert_eq!(running.wait().status, RequestStatus::Completed);
     }
 
     #[test]

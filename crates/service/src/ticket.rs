@@ -1,11 +1,17 @@
 //! The consumer half of a submitted request: a [`Ticket`] streams candidates
 //! while the request runs and resolves to a [`ServiceOutcome`].
+//!
+//! A ticket is also its queued request's timer. Every blocking receive
+//! waits at most until the request's deadline, then looks at the service —
+//! which expires the request, as of its deadline, if it still waits in the
+//! queue — and goes on waiting. The look reads the service's clock, so under
+//! a simulated clock a wake before the virtual deadline expires nothing.
 
 use crate::request::PriorityClass;
 use duoquest_core::{Candidate, SessionControl, SynthesisResult};
-use std::sync::mpsc::Receiver;
+use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::sync::Weak;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// How a request left the service.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,9 +72,9 @@ pub struct Ticket {
     pub(crate) control: SessionControl,
     pub(crate) candidates: Receiver<Candidate>,
     pub(crate) outcome: Receiver<ServiceOutcome>,
-    /// Back-reference to the service so a cancellation can pull the
-    /// scheduler's housekeeping tick forward (weak: tickets may outlive the
-    /// service).
+    /// Back-reference to the service, to cancel the request there and to
+    /// look at its queue once the deadline passes (weak: tickets may outlive
+    /// the service).
     pub(crate) shared: Weak<crate::Shared>,
     pub(crate) received: Option<ServiceOutcome>,
 }
@@ -89,12 +95,10 @@ impl Ticket {
     /// waiting in the admission queue is discarded without ever starting.
     /// Idempotent.
     pub fn cancel(&self) {
-        self.control.cancel();
-        // Pull the scheduler's housekeeping tick forward so a still-queued
-        // request resolves now, not when a live slot happens to free.
         if let Some(shared) = self.shared.upgrade() {
-            shared.notify_queue_changed();
+            shared.cancel(self.id);
         }
+        self.control.cancel();
     }
 
     /// Whether the request's cancellation token has fired.
@@ -105,7 +109,7 @@ impl Ticket {
     /// Receive the next candidate, waiting up to `timeout`. `None` on timeout
     /// or once the candidate stream has ended.
     pub fn next_timeout(&mut self, timeout: Duration) -> Option<Candidate> {
-        self.candidates.recv_timeout(timeout).ok()
+        self.recv(&self.candidates, Some(timeout))
     }
 
     /// Non-blocking poll for the outcome: `Some` once the request has
@@ -113,6 +117,9 @@ impl Ticket {
     /// returns it.
     pub fn try_wait(&mut self) -> Option<&ServiceOutcome> {
         if self.received.is_none() {
+            if self.until_deadline() == Some(Duration::ZERO) {
+                self.look();
+            }
             self.received = self.outcome.try_recv().ok();
         }
         self.received.as_ref()
@@ -136,9 +143,41 @@ impl Ticket {
     /// it.
     pub fn wait(mut self) -> ServiceOutcome {
         if self.received.is_none() {
-            self.received = self.outcome.recv().ok();
+            self.received = self.recv(&self.outcome, None);
         }
         self.received.take().expect("service driver vanished without delivering an outcome")
+    }
+
+    /// Time left until the request's deadline on the service's clock; `None`
+    /// without a deadline or once the service is gone.
+    fn until_deadline(&self) -> Option<Duration> {
+        let deadline = self.control.deadline()?;
+        Some(deadline.saturating_duration_since(self.shared.upgrade()?.clock.now()))
+    }
+
+    /// Look at the service's queue: taking its lock expires every queued
+    /// request whose deadline has passed, this one included.
+    fn look(&self) {
+        if let Some(shared) = self.shared.upgrade() {
+            drop(shared.lock_state());
+        }
+    }
+
+    /// Receive from one of the ticket's channels within `limit` (`None`: no
+    /// limit), acting as the request's timer: the wait is cut at the
+    /// deadline for one [`Ticket::look`], then goes on.
+    fn recv<T>(&self, rx: &Receiver<T>, limit: Option<Duration>) -> Option<T> {
+        let started = Instant::now();
+        if let Some(due) = self.until_deadline().filter(|&due| limit.is_none_or(|l| due < l)) {
+            match rx.recv_timeout(due) {
+                Err(RecvTimeoutError::Timeout) => self.look(),
+                received => return received.ok(),
+            }
+        }
+        match limit {
+            None => rx.recv().ok(),
+            Some(limit) => rx.recv_timeout(limit.saturating_sub(started.elapsed())).ok(),
+        }
     }
 }
 
@@ -148,13 +187,14 @@ impl Iterator for Ticket {
     /// Blocks until the next candidate is emitted; `None` once the request
     /// has resolved (or was cancelled).
     fn next(&mut self) -> Option<Candidate> {
-        self.candidates.recv().ok()
+        self.recv(&self.candidates, None)
     }
 }
 
 impl Drop for Ticket {
     /// Dropping the ticket cancels the request (see the struct docs). For a
-    /// request that already resolved this is a no-op beyond a queue sweep.
+    /// request that already resolved this is a no-op beyond one look at the
+    /// queue.
     fn drop(&mut self) {
         self.cancel();
     }

@@ -8,7 +8,8 @@
 use duoquest::core::DuoquestConfig;
 use duoquest::nlq::NoisyOracleGuidance;
 use duoquest::service::{
-    AdmissionError, PriorityClass, ServiceConfig, SynthesisRequest, SynthesisService, Ticket,
+    AdmissionError, PriorityClass, ServiceConfig, ServiceOutcome, SynthesisRequest,
+    SynthesisService, Ticket,
 };
 use duoquest::workloads::{spider, synthesize_tsq, Difficulty, TsqDetail};
 use std::sync::Arc;
@@ -28,7 +29,7 @@ fn request_for(
         .with_config(config)
 }
 
-fn report(name: &str, started: Instant, ticket: Ticket) {
+fn report(name: &str, started: Instant, ticket: Ticket) -> ServiceOutcome {
     let outcome = ticket.wait();
     println!(
         "  {name:<24} {:<18} candidates={:<3} ttfc={} queue_wait={:.1?} (+{:.1?} total)",
@@ -38,6 +39,7 @@ fn report(name: &str, started: Instant, ticket: Ticket) {
         outcome.queue_wait,
         started.elapsed(),
     );
+    outcome
 }
 
 fn main() {
@@ -115,7 +117,7 @@ fn main() {
     println!("outcomes:");
     report("interactive", started, interactive);
     report("background", started, background);
-    report("deadline-25ms", started, doomed);
+    let doomed = report("deadline-25ms", started, doomed);
     report("batch (cancelled)", started, to_cancel);
     batch_a.cancel(); // wind the remaining cruncher down before the snapshot
     report("batch (wound down)", started, batch_a);
@@ -145,6 +147,10 @@ fn main() {
         stats.class(PriorityClass::Interactive).expired >= 1,
         "the 25ms-deadline request must expire"
     );
+    if doomed.result.stats.scheduler.is_none() {
+        // It expired in the queue, and did so as of its deadline.
+        assert_eq!(doomed.queue_wait, Duration::from_millis(25), "queued expiry off its deadline");
+    }
     assert!(stats.class(PriorityClass::Batch).cancelled >= 1, "the cancelled batch must count");
     assert_eq!(stats.class(PriorityClass::Interactive).shed, 1, "the overflow must be shed");
     assert_eq!(stats.live_sessions, 0, "all requests resolved");

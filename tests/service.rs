@@ -321,8 +321,9 @@ fn engine_time_budget_completes_rather_than_expires() {
 }
 
 /// A queued request's deadline is enforced while every live slot stays busy:
-/// the scheduler's tick resolves it at the deadline (even with the pool
-/// saturated) instead of whenever a slot happens to free.
+/// its own ticket's wait looks at the queue at the deadline and expires it
+/// there (even with the pool saturated) instead of whenever a slot happens
+/// to free.
 #[test]
 fn queued_deadline_is_enforced_while_slots_stay_busy() {
     let dataset = workload();
@@ -356,8 +357,8 @@ fn queued_deadline_is_enforced_while_slots_stay_busy() {
     let _ = hog.wait();
 }
 
-/// Cancelling a queued ticket resolves it promptly (via the scheduler's
-/// tick), not when a live slot happens to free.
+/// Cancelling a queued ticket resolves it promptly (the cancel resolves it
+/// in place), not when a live slot happens to free.
 #[test]
 fn cancelled_queued_ticket_resolves_promptly() {
     let dataset = workload();
@@ -568,7 +569,7 @@ fn a_paper_sized_traced_request_keeps_its_whole_trace() {
 /// Slot-leak edge the DST conservation oracle checks, pinned directly:
 /// dropping a `Ticket` whose request is still queued *and* already past its
 /// deadline frees the admission slot exactly once. Whichever path resolves
-/// it first — the deadline sweep or the drop — the other must be a no-op:
+/// it first — a look at the queue or the drop — the other must be a no-op:
 /// the queue gains exactly one opening, and the class records exactly one
 /// resolution (expired or cancelled, never both).
 #[test]
@@ -598,9 +599,9 @@ fn dropping_a_queued_past_deadline_ticket_frees_the_slot_once() {
     assert!(matches!(full, Err(AdmissionError::Overloaded { .. })), "{full:?}");
 
     // Let the deadline lapse, then drop the ticket without ever waiting on
-    // it. Depending on tick timing the sweep may already have expired the
-    // request or the drop may cancel it — both orders must free the slot
-    // exactly once.
+    // it. The drop looks at the queue before it cancels, so the request
+    // expires as of its deadline and the cancel finds nothing — either
+    // resolution must free the slot exactly once.
     std::thread::sleep(Duration::from_millis(400));
     drop(doomed);
 
