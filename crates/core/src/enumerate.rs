@@ -44,6 +44,7 @@ use duoquest_sql::{
     ClauseSet, PartialHaving, PartialOrder, PartialPredicate, PartialQuery, PartialSelectItem,
     SelectColumn, Slot,
 };
+use std::borrow::Cow;
 use std::collections::BinaryHeap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -238,19 +239,20 @@ impl<'a> RunInputs<'a> {
 }
 
 /// What a run compiles from its inputs, once, and every round of the run
-/// reads by reference, on whichever worker holds the session — the immutable
-/// half of a run, which is what lets the verifier borrow it while the
-/// [`RoundDriver`] mutates. The run's third compiled input, the guidance
-/// plan, is prepared lazily by the driver and parks with it.
+/// reads by reference, on whichever worker holds the session — the half of a
+/// run the verifier borrows while the [`RoundDriver`] mutates (only its
+/// verdicts and counters change, through cells). The run's third compiled
+/// input, the guidance plan, is prepared lazily by the driver and parks with
+/// it.
 pub(crate) struct RunPlan {
     /// The run's join path construction (every round opens a memo over it).
     joins: JoinPlanner,
     /// The run's column-wise verdicts, read and filled by every round of the
     /// run and by no other run (see [`VerifyPlan`]).
-    verdicts: Arc<VerifyPlan>,
+    verdicts: VerifyPlan,
     /// Per-run probe-cache attribution: the shared database's cache is hit
     /// by every live session, these counters record only this run's traffic.
-    counters: Arc<RunCacheCounters>,
+    counters: RunCacheCounters,
     /// Anchor of emission timestamps and `stats.elapsed`.
     start: Instant,
     /// The merged wall-clock cut-off: the earlier of the configuration's
@@ -265,8 +267,8 @@ impl RunPlan {
         let start = env.clock.now();
         RunPlan {
             joins: JoinPlanner::new(env.db, env.config.join_extension_depth),
-            verdicts: Arc::new(VerifyPlan::new(env.db, env.tsq)),
-            counters: Arc::new(RunCacheCounters::default()),
+            verdicts: VerifyPlan::new(env.db, env.tsq),
+            counters: RunCacheCounters::default(),
             start,
             deadline: [env.config.time_budget.map(|budget| start + budget), env.control.deadline()]
                 .into_iter()
@@ -275,18 +277,16 @@ impl RunPlan {
         }
     }
 
-    /// The run's verifier over `env`: it answers column-wise checks from the
-    /// run's verdicts and attributes its probes to the run's counters. Cheap
-    /// — two `Arc` clones and a few references — and assembled once per
-    /// [`RoundDriver::advance`].
-    pub(crate) fn verifier<'a>(&self, env: &RunInputs<'a>) -> Verifier<'a> {
+    /// The run's verifier over `env`: it borrows the run's verdicts, which
+    /// it answers column-wise checks from, and the run's counters, which it
+    /// attributes its probes to. Assembled once per [`RoundDriver::advance`].
+    pub(crate) fn verifier<'a>(&'a self, env: &RunInputs<'a>) -> Verifier<'a> {
+        let run = (Cow::Borrowed(&self.verdicts), Cow::Borrowed(&self.counters));
         // Partial queries are only verified when partial pruning is enabled; complete
         // queries always get the full cascade (this is what makes NoPQ equivalent to
         // the naive chaining approach of paper §3.5).
-        Verifier::new(env.db, env.tsq, &env.nlq.literals, env.config.semantic_rules)
+        Verifier::for_run(env.db, env.tsq, &env.nlq.literals, env.config.semantic_rules, run)
             .with_prune_partial(env.config.prune_partial)
-            .with_counters(Arc::clone(&self.counters))
-            .with_plan(Arc::clone(&self.verdicts))
             .with_clock(env.clock)
     }
 }

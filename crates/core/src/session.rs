@@ -405,7 +405,10 @@ pub struct CandidateStream {
 
 impl CandidateStream {
     /// Ask the session to stop: fires its cancellation token, so the next
-    /// pull ends the run. Idempotent.
+    /// pull ends the run. Idempotent. The stream is `Send` but not `Sync`,
+    /// so this is a call from the thread that holds it; another thread stops
+    /// the run through a clone of the session's control
+    /// ([`SessionControl::cancel`]).
     pub fn stop(&self) {
         self.run.session.control.cancel();
     }

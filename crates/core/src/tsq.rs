@@ -7,10 +7,9 @@
 //! cells (Definition 2.3 / Table 2).
 
 use duoquest_db::{DataType, Value};
-use serde::{Deserialize, Serialize};
 
 /// One cell of an example tuple.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum TsqCell {
     /// The user does not constrain this cell.
     Empty,
@@ -65,7 +64,7 @@ impl TsqCell {
 }
 
 /// A table sketch query.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TableSketchQuery {
     /// Optional type annotations `α` for the projected columns.
     pub types: Option<Vec<DataType>>,

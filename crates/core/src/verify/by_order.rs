@@ -636,12 +636,12 @@ mod tests {
             let barrier = std::sync::Barrier::new(2);
             std::thread::scope(|scope| {
                 for (tsq, plan, expected) in &runs {
-                    let (db, pq, barrier) = (&db, &pq, &barrier);
+                    let (db, pq, barrier, plan) = (&db, &pq, &barrier, plan.clone());
                     scope.spawn(move || {
                         let counters = RunCacheCounters::default();
                         barrier.wait();
                         for _ in 0..3 {
-                            assert_eq!(verify_complete(db, tsq, pq, plan, &counters), *expected);
+                            assert_eq!(verify_complete(db, tsq, pq, &plan, &counters), *expected);
                         }
                     });
                 }

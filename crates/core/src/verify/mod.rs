@@ -36,8 +36,8 @@
 //! verdict on the rows (`Database::decide_cached_with`, tagged by the run's
 //! [`VerifyPlan`]) — each cached as one bit. The `LIMIT 1` probes stop scanning at their first
 //! row, and a verdict at the row that decides it (at the latest row `k + 1`
-//! of a TSQ with limit `k`; see `docs/EXECUTOR.md`). The per-run scan
-//! counters land in the counter set handed to [`Verifier::with_counters`].
+//! of a TSQ with limit `k`; see `docs/EXECUTOR.md`). The probes' hits,
+//! misses and scan counters land in the run's [`RunCacheCounters`].
 //! Stage 4 reaches the cache on the first touch of a (cell, column) pair
 //! only; stages 5 and 7 on every call.
 
@@ -56,7 +56,7 @@ use duoquest_db::{Database, RunCacheCounters};
 use duoquest_nlq::Literal;
 use duoquest_sql::PartialQuery;
 pub use plan::VerifyPlan;
-use std::sync::{Arc, OnceLock};
+use std::borrow::Cow;
 use std::time::{Duration, Instant};
 
 /// The stage at which verification failed (used for pruning statistics).
@@ -236,28 +236,40 @@ pub struct Verifier<'a> {
     /// NoPQ ablation, the naive chaining approach of paper §3.5 — every
     /// partial query passes unexamined and only complete ones pay the cascade.
     prune_partial: bool,
-    /// Per-run probe-cache hit/miss counters. Behind an `Arc` so the
-    /// short-lived verifiers a run assembles (one per burst of rounds) all
-    /// feed that run's counter set — per-session hit attribution on a
-    /// database whose probe cache is shared by many concurrent sessions.
-    counters: Arc<RunCacheCounters>,
     /// The column-wise verdicts and the sketch's verdict tags of the run
-    /// this verifier works for. A verifier nobody handed a plan builds a
-    /// private one on first use, so there is one by-column and one by-order
-    /// path whoever constructed the verifier.
-    plan: OnceLock<Arc<VerifyPlan>>,
+    /// this verifier works for, and the run's probe-cache counters —
+    /// per-session attribution on a database whose probe cache every live
+    /// session shares. Borrowed from the run, so the short-lived verifiers it
+    /// assembles (one per burst of rounds) all read and fill the same pair;
+    /// a verifier built by [`Verifier::new`] owns a fresh one.
+    plan: Cow<'a, VerifyPlan>,
+    counters: Cow<'a, RunCacheCounters>,
     /// The time source of [`StageTimings`] stamps (virtualized so simulated
     /// runs record simulated durations instead of real ones).
     clock: &'a dyn Clock,
 }
 
 impl<'a> Verifier<'a> {
-    /// Create a verifier with its own fresh counter set.
+    /// Create a verifier with its own fresh verdicts and counter set.
     pub fn new(
         db: &'a Database,
         tsq: Option<&'a TableSketchQuery>,
         literals: &'a [Literal],
         semantic_rules: bool,
+    ) -> Self {
+        let run = (Cow::Owned(VerifyPlan::new(db, tsq)), Cow::Owned(RunCacheCounters::default()));
+        Verifier::for_run(db, tsq, literals, semantic_rules, run)
+    }
+
+    /// A verifier that reads and fills `plan` — built from `db` and `tsq`
+    /// ([`VerifyPlan::new`]) — and attributes its probes to `counters`:
+    /// borrowed, they are the run's own.
+    pub(crate) fn for_run(
+        db: &'a Database,
+        tsq: Option<&'a TableSketchQuery>,
+        literals: &'a [Literal],
+        semantic_rules: bool,
+        (plan, counters): (Cow<'a, VerifyPlan>, Cow<'a, RunCacheCounters>),
     ) -> Self {
         Verifier {
             db,
@@ -265,8 +277,8 @@ impl<'a> Verifier<'a> {
             literals,
             semantic_rules,
             prune_partial: true,
-            counters: Arc::new(RunCacheCounters::default()),
-            plan: OnceLock::new(),
+            plan,
+            counters,
             clock: &SYSTEM_CLOCK,
         }
     }
@@ -276,23 +288,6 @@ impl<'a> Verifier<'a> {
     /// reads the real clock).
     pub fn with_clock(mut self, clock: &'a dyn Clock) -> Self {
         self.clock = clock;
-        self
-    }
-
-    /// Replace the verifier's counter set with a shared one, so cache traffic
-    /// is attributed to the session that owns `counters` rather than to this
-    /// verifier instance.
-    pub fn with_counters(mut self, counters: Arc<RunCacheCounters>) -> Self {
-        self.counters = counters;
-        self
-    }
-
-    /// Answer column-wise checks, and tag complete checks, from a shared
-    /// plan — the run's, so every verifier built for it reads and fills the
-    /// same verdicts. `plan` must have been built from this verifier's
-    /// database and TSQ ([`VerifyPlan::new`]).
-    pub fn with_plan(mut self, plan: Arc<VerifyPlan>) -> Self {
-        self.plan = OnceLock::from(plan);
         self
     }
 
@@ -363,7 +358,6 @@ impl<'a> Verifier<'a> {
             }};
         }
 
-        let plan = || self.plan.get_or_init(|| Arc::new(VerifyPlan::new(self.db, self.tsq)));
         if part != Part::Joined {
             if let Some(tsq) = self.tsq {
                 stage!(VerifyStage::Clauses, clauses::verify_clauses(tsq, pq));
@@ -378,7 +372,7 @@ impl<'a> Verifier<'a> {
                 );
                 stage!(
                     VerifyStage::ByColumn,
-                    by_column::verify_by_column(self.db, tsq, pq, plan(), &self.counters)
+                    by_column::verify_by_column(self.db, tsq, pq, &self.plan, &self.counters)
                 );
             }
         }
@@ -396,7 +390,7 @@ impl<'a> Verifier<'a> {
                 if !tsq.tuples.is_empty() || tsq.limit > 0 {
                     stage!(
                         VerifyStage::ByOrder,
-                        by_order::verify_complete(self.db, tsq, pq, plan(), &self.counters)
+                        by_order::verify_complete(self.db, tsq, pq, &self.plan, &self.counters)
                     );
                 }
             }

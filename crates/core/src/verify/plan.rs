@@ -8,7 +8,7 @@
 //! range check, each unknown until first asked. The first touch of a pair
 //! runs the probe (through the database's probe cache, so cross-session
 //! sharing and per-run attribution apply to it unchanged); every later
-//! touch is one relaxed atomic load.
+//! touch is one byte read.
 //!
 //! The plan also holds the sketch's **verdict tags**, encoded once per run:
 //! the cache tag under which a complete candidate's sketch check
@@ -19,14 +19,15 @@
 //!
 //! A plan belongs to one synthesis run: it is built once from the run's TSQ
 //! next to the run's `JoinPlanner`, read and filled by the run's rounds on
-//! whichever worker holds the session, and dropped with the run. The
-//! database cannot change underneath it — writes need `&mut Database`, which
-//! nobody can take while the run borrows (or holds an `Arc` of) the database.
+//! whichever one worker holds the session (`Send`, not `Sync`), and dropped
+//! with the run. The database cannot change underneath it — writes need
+//! `&mut Database`, which nobody can take while the run borrows (or holds an
+//! `Arc` of) the database.
 
 use crate::tsq::{TableSketchQuery, TsqCell};
 use duoquest_db::encode::{encode_uint, encode_value};
 use duoquest_db::{ColumnId, Database};
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::cell::Cell;
 
 /// What a verdict probe decides about a complete query's rows; its byte
 /// leads the probe's cache tag.
@@ -62,7 +63,7 @@ const ABSENT: u8 = 0b01;
 const PRESENT: u8 = 0b10;
 
 /// One run's lazily filled column-wise verdicts. See the module docs.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct VerifyPlan {
     /// Position of each table's first column within a cell's row of
     /// `verdicts`.
@@ -71,7 +72,7 @@ pub struct VerifyPlan {
     columns: usize,
     /// Two bits per [`Check`], cells in the order `verify_by_column` walks
     /// them (tuple by tuple, constrained cells only), columns in schema order.
-    verdicts: Vec<AtomicU8>,
+    verdicts: Vec<Cell<u8>>,
     /// The tags of [`Decision::InOrder`] and [`Decision::Matching`]; empty
     /// for a sketch no complete check reads (no tuple, no limit).
     in_order: Box<[u8]>,
@@ -101,7 +102,7 @@ impl VerifyPlan {
             })
             .collect();
         plan.columns = columns;
-        plan.verdicts = std::iter::repeat_with(AtomicU8::default).take(cells * columns).collect();
+        plan.verdicts = vec![Cell::new(UNKNOWN); cells * columns];
         plan
     }
 
@@ -129,8 +130,8 @@ impl VerifyPlan {
 
     /// The verdict of `check` for the `cell`-th constrained cell against
     /// `col`, running `probe` only if nobody has asked before. (The bytes
-    /// are atomic because the plan is filled through a shared reference,
-    /// not because anybody races: a run is on one thread at a time.)
+    /// are cells because the plan is filled through the shared reference
+    /// the run's verifier holds.)
     ///
     /// # Panics
     ///
@@ -149,12 +150,11 @@ impl VerifyPlan {
         };
         let column = self.table_offsets[col.table.0] + col.column;
         let slot = &self.verdicts[cell * self.columns + column];
-        // Relaxed: the byte is the whole message, it publishes no other data.
-        match (slot.load(Ordering::Relaxed) >> shift) & 0b11 {
+        match (slot.get() >> shift) & 0b11 {
             UNKNOWN => {
                 let present = probe();
                 let verdict = if present { PRESENT } else { ABSENT };
-                slot.fetch_or(verdict << shift, Ordering::Relaxed);
+                slot.update(|byte| byte | verdict << shift);
                 present
             }
             known => known == PRESENT,

@@ -38,7 +38,7 @@
 //! * **Shared results.** A rows answer is an `Arc<ResultSet>` so a hit is a
 //!   pointer clone, not a row copy; an existence or verdict answer is one bit
 //!   and keeps no rows.
-//! * **Observable.** Atomic hit/miss/byte counters feed the engine's
+//! * **Observable.** A run's [`RunCacheCounters`] feed the engine's
 //!   `EnumerationStats`, making cache effectiveness visible per synthesis run.
 //! * **Segment-rotation eviction.** Each shard keeps two generations of
 //!   entries, a *fresh* and a *stale* map. Inserts land in the fresh map; a
@@ -73,7 +73,7 @@ use crate::encode::encode_spec;
 use crate::executor::{ExecMetrics, ResultSet};
 use crate::query::SelectSpec;
 use crate::types::{DataType, Value};
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::mem::size_of;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -86,72 +86,62 @@ pub const SHARD_COUNT: usize = 16;
 /// Per-run hit/miss counters a caller can pass to
 /// [`crate::database::Database::exists_cached_with`] and
 /// [`crate::database::Database::decide_cached_with`] to attribute cache
-/// traffic to one synthesis run. Atomic because a run bumps them through a
-/// shared reference, from whichever pool worker holds it; independent of the
-/// cache's own global counters, so concurrent runs on the same database
-/// don't pollute each other's statistics.
-#[derive(Debug, Default)]
+/// traffic to one synthesis run. Cells, because a run bumps them through a
+/// shared reference and only the thread holding the run touches them;
+/// independent of the cache's own global counters, so concurrent runs on the
+/// same database don't pollute each other's statistics.
+#[derive(Debug, Default, Clone)]
 pub struct RunCacheCounters {
     /// Probes this run answered from the cache.
-    pub hits: AtomicU64,
+    hits: Cell<u64>,
     /// Probes this run executed.
-    pub misses: AtomicU64,
+    misses: Cell<u64>,
     /// Executor rows scanned by this run's cache misses
     /// (see [`ExecMetrics::rows_scanned`]).
-    pub rows_scanned: AtomicU64,
+    rows_scanned: Cell<u64>,
     /// Probe-side rows the executor never pulled because a limit was already
     /// satisfied (see [`ExecMetrics::rows_short_circuited`]).
-    pub rows_short_circuited: AtomicU64,
+    rows_short_circuited: Cell<u64>,
     /// Secondary-index lookups this run's cache misses performed
     /// (see [`ExecMetrics::index_lookups`]).
-    pub index_lookups: AtomicU64,
+    index_lookups: Cell<u64>,
     /// Rows served through index access paths
     /// (see [`ExecMetrics::rows_via_index`]).
-    pub rows_via_index: AtomicU64,
+    rows_via_index: Cell<u64>,
     /// Executions cut short because the planner or a join step proved the
     /// remaining work empty (see [`ExecMetrics::probes_bailed_empty`]).
-    pub probes_bailed_empty: AtomicU64,
+    probes_bailed_empty: Cell<u64>,
 }
 
 impl RunCacheCounters {
     /// Current `(hits, misses)` totals.
     pub fn snapshot(&self) -> (u64, u64) {
-        (self.hits.load(Ordering::Relaxed), self.misses.load(Ordering::Relaxed))
+        (self.hits.get(), self.misses.get())
     }
 
     /// Current `(rows_scanned, rows_short_circuited)` totals.
     pub fn scan_snapshot(&self) -> (u64, u64) {
-        (
-            self.rows_scanned.load(Ordering::Relaxed),
-            self.rows_short_circuited.load(Ordering::Relaxed),
-        )
+        (self.rows_scanned.get(), self.rows_short_circuited.get())
     }
 
     /// Record one lookup outcome.
     pub fn record(&self, hit: bool) {
-        if hit {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-        }
+        let counter = if hit { &self.hits } else { &self.misses };
+        counter.update(|n| n + 1);
     }
 
     /// Current `(index_lookups, rows_via_index, probes_bailed_empty)` totals.
     pub fn index_snapshot(&self) -> (u64, u64, u64) {
-        (
-            self.index_lookups.load(Ordering::Relaxed),
-            self.rows_via_index.load(Ordering::Relaxed),
-            self.probes_bailed_empty.load(Ordering::Relaxed),
-        )
+        (self.index_lookups.get(), self.rows_via_index.get(), self.probes_bailed_empty.get())
     }
 
     /// Fold one execution's scan metrics into the run totals.
     pub fn record_scan(&self, metrics: &ExecMetrics) {
-        self.rows_scanned.fetch_add(metrics.rows_scanned, Ordering::Relaxed);
-        self.rows_short_circuited.fetch_add(metrics.rows_short_circuited, Ordering::Relaxed);
-        self.index_lookups.fetch_add(metrics.index_lookups, Ordering::Relaxed);
-        self.rows_via_index.fetch_add(metrics.rows_via_index, Ordering::Relaxed);
-        self.probes_bailed_empty.fetch_add(metrics.probes_bailed_empty, Ordering::Relaxed);
+        self.rows_scanned.update(|n| n + metrics.rows_scanned);
+        self.rows_short_circuited.update(|n| n + metrics.rows_short_circuited);
+        self.index_lookups.update(|n| n + metrics.index_lookups);
+        self.rows_via_index.update(|n| n + metrics.rows_via_index);
+        self.probes_bailed_empty.update(|n| n + metrics.probes_bailed_empty);
     }
 }
 

@@ -1,7 +1,7 @@
 //! Row storage and the loaded [`Database`].
 //!
 //! A `Database` is `Send + Sync` and designed to be shared cheaply behind an
-//! `Arc` by the parallel synthesis session: all query entry points take
+//! `Arc` by the sessions on a pool's workers: all query entry points take
 //! `&self`, and the embedded probe/result memo cache ([`ProbeCache`]) uses
 //! interior mutability (sharded locks + atomic counters) so concurrent
 //! readers never need an exclusive borrow.
@@ -14,11 +14,10 @@ use crate::query::SelectSpec;
 use crate::schema::{ColumnId, Schema, TableId};
 use crate::table_index::{ColumnIndex, TableIndex};
 use crate::types::{DataType, Value};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// A single row of values.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Row(pub Vec<Value>);
 
 impl Row {
@@ -50,7 +49,7 @@ impl From<Vec<Value>> for Row {
 }
 
 /// The stored rows of one table.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TableData {
     /// Rows in insertion order.
     pub rows: Vec<Row>,
@@ -398,8 +397,8 @@ impl Verdict for AnyRow {
     }
 }
 
-// The parallel synthesis session shares one `Database` across its worker
-// pool; keep the compiler holding us to that contract.
+// Sessions on a pool's workers share one `Database`; keep the compiler
+// holding us to that contract.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<Database>()

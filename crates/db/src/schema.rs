@@ -6,15 +6,14 @@
 
 use crate::error::{DbError, DbResult};
 use crate::types::DataType;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a table within a [`Schema`] (index into `Schema::tables`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TableId(pub usize);
 
 /// Identifier of a column: table index plus column index within that table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ColumnId {
     /// Owning table.
     pub table: TableId,
@@ -36,7 +35,7 @@ impl fmt::Display for ColumnId {
 }
 
 /// Definition of a single column.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ColumnDef {
     /// Column name (the paper recommends complete words, e.g. `author_id`).
     pub name: String,
@@ -62,7 +61,7 @@ impl ColumnDef {
 }
 
 /// Definition of a table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TableDef {
     /// Table name.
     pub name: String,
@@ -89,7 +88,7 @@ impl TableDef {
 }
 
 /// An explicit foreign-key → primary-key relationship between two columns.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ForeignKey {
     /// The referencing (foreign key) column.
     pub from: ColumnId,
@@ -98,7 +97,7 @@ pub struct ForeignKey {
 }
 
 /// A database schema: tables plus foreign-key relationships.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Schema {
     /// Human-readable schema/database name.
     pub name: String,

@@ -6,12 +6,11 @@
 //! from a value ([`Value::key`]): the one notion of "same value" that the
 //! column index, the joins, GROUP BY and DISTINCT share.
 
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 
 /// Declared type of a column.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DataType {
     /// Free-form text (SQL `TEXT` / `VARCHAR`).
     Text,
@@ -29,7 +28,7 @@ impl fmt::Display for DataType {
 }
 
 /// A scalar cell value.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum Value {
     /// SQL NULL.
     Null,

@@ -9,10 +9,9 @@
 
 use crate::tokenize::tokenize;
 use duoquest_db::{ColumnId, DataType, Database, Value};
-use serde::{Deserialize, Serialize};
 
 /// Whether a literal is a text value or a number.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LiteralKind {
     /// A quoted / autocompleted text value.
     Text,
@@ -21,7 +20,7 @@ pub enum LiteralKind {
 }
 
 /// One literal value tagged in the NLQ.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Literal {
     /// The surface form as it appears in the NLQ.
     pub surface: String,

@@ -1,7 +1,6 @@
 //! NLQ tokenization and normalization.
 
 use crate::literals::Literal;
-use serde::{Deserialize, Serialize};
 
 /// Common English stop words removed before matching tokens against schema names.
 const STOP_WORDS: [&str; 32] = [
@@ -15,7 +14,7 @@ const STOP_WORDS: [&str; 32] = [
 /// In the paper the literal values `L` are a subset of the NLQ tokens obtained
 /// through the autocomplete-based tagging interface (§2.3); here they are
 /// carried explicitly on the [`Nlq`].
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Nlq {
     /// The raw query text.
     pub text: String,

@@ -2,10 +2,10 @@
 //! object (`duoquest_obs::JsonObject`), traces, and the wire protocol's
 //! frames and events.
 //!
-//! The vendored `serde` stand-ins have no-op derives and there is no
-//! `serde_json` offline, so emission is hand-rolled string building — this
-//! module is the matching reader, used by the round-trip tests and
-//! available to scrapers that want typed access without a JSON dependency.
+//! The workspace has no serialization dependency (it builds offline), so
+//! emission is hand-rolled string building — this module is the matching
+//! reader, used by the round-trip tests and available to scrapers that want
+//! typed access without a JSON dependency.
 //! It supports the full JSON value grammar (objects, arrays, strings with
 //! escapes, numbers, booleans, null) and reads a document in time linear in
 //! its length.

@@ -4,10 +4,8 @@
 //! expressions, column references, aggregate functions, constants — with
 //! placeholders. `Slot<T>` is the generic building block for that.
 
-use serde::{Deserialize, Serialize};
-
 /// A query element that may still be a placeholder (`Hole`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Slot<T> {
     /// The element has not been decided yet (rendered as `?`).
     #[default]

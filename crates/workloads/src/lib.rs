@@ -28,12 +28,11 @@ pub use tsq_synth::{canonicalize_select, synthesize_tsq, TsqDetail};
 pub use user_sim::{TrialOutcome, UserModel};
 
 use duoquest_db::SelectSpec;
-use serde::{Deserialize, Serialize};
 
 /// Task difficulty, following the definitions of paper Table 5: *Easy* tasks
 /// are project-join queries (possibly with aggregates, sorting and limits),
 /// *Medium* tasks add selection predicates, and *Hard* tasks add grouping.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Difficulty {
     /// Project-join queries including aggregates, sorting and limit operators.
     Easy,

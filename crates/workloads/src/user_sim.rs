@@ -8,10 +8,8 @@
 //! models exactly those mechanisms; its parameters are documented here rather
 //! than hidden in human variability (DESIGN.md §3).
 
-use serde::{Deserialize, Serialize};
-
 /// Timing and patience parameters of the simulated participant.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UserModel {
     /// Seconds to articulate and type the NLQ.
     pub nlq_typing_secs: f64,
@@ -42,7 +40,7 @@ impl Default for UserModel {
 }
 
 /// The outcome of one simulated trial.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrialOutcome {
     /// Whether the participant selected the desired query within the budget.
     pub success: bool,

@@ -157,8 +157,10 @@ fn interleaved_sessions_on_shared_pool_match_single_session_runs() {
 /// What a run shows its consumer: the emission sequence as the callback or
 /// the stream saw it (structure, confidence bits), the final ranking, and
 /// the frontier peak and generated count with the seven per-stage prune
-/// counts.
-type Observed = (Vec<(String, u64)>, Vec<(String, f64)>, [usize; 9]);
+/// counts and the run's probe-cache lookups. Lookups (hits plus misses) are
+/// the run's own questions, whatever other sessions have cached, so they
+/// hold the run's attribution to its own counters on every way to run it.
+type Observed = (Vec<(String, u64)>, Vec<(String, f64)>, [usize; 10]);
 
 fn observe(sequence: Vec<(String, u64)>, result: &SynthesisResult) -> Observed {
     let s = &result.stats;
@@ -172,6 +174,7 @@ fn observe(sequence: Vec<(String, u64)>, result: &SynthesisResult) -> Observed {
         s.pruned_by_row,
         s.pruned_literals,
         s.pruned_by_order,
+        (s.cache_hits + s.cache_misses) as usize,
     ];
     (sequence, ranking(result), counts)
 }
