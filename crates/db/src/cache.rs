@@ -52,6 +52,17 @@
 //!   collapsing the way the previous design (stop admitting beyond the cap)
 //!   did.
 //!
+//! **Invalidation.** A write to the database (`insert`, `insert_all`,
+//! `update_cell`) drops every entry, of every question. The writer holds the
+//! database exclusively, so no probe is in flight: the write's clear
+//! (`clear_mut`) takes no lock but reaches each shard through
+//! `RwLock::get_mut`, and leaves a shard that holds nothing untouched, so a
+//! row loaded into an empty cache costs a look at each shard and no lock.
+//! The shared [`ProbeCache::clear`] is the same per-shard reset under each
+//! shard's write lock. Either clear discards a poisoned shard's contents and
+//! heals its lock: a memo is disposable, and a panic under one shard's lock
+//! must not fail every later probe of that shard.
+//!
 //! The byte budget defaults to [`ProbeCache::DEFAULT_MAX_BYTES`] and can be
 //! tuned per cache ([`ProbeCache::set_max_bytes`], or
 //! `Database::set_probe_cache_capacity`). Retention is strictly bounded by
@@ -76,8 +87,9 @@ use crate::types::{DataType, Value};
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::mem::size_of;
+use std::ops::DerefMut;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, LockResult, RwLock};
 
 /// Number of independent shards; a power of two, so a shard is the top bits
 /// of a key's hash.
@@ -459,12 +471,31 @@ impl ProbeCache {
         })
     }
 
-    /// Drop every entry (called when the underlying data changes).
+    /// Drop every entry, through each shard's write lock: the clear a
+    /// holder of a shared reference can make (a cold-cache measurement on an
+    /// `Arc`-shared database). A poisoned shard is healed.
     pub fn clear(&self) {
         for shard in &self.shards {
-            let mut segments = shard.write().expect("probe cache lock poisoned");
-            *segments = Segments::default();
+            reset(shard.write());
+            shard.clear_poison();
         }
+    }
+
+    /// Drop every entry without a lock: the invalidation of a write, which
+    /// holds the database exclusively, so no probe can be in flight. A
+    /// shard that holds nothing is left untouched, so a write to an empty
+    /// cache (every row of a load) costs a look at each shard.
+    pub(crate) fn clear_mut(&mut self) {
+        for shard in &mut self.shards {
+            reset(shard.get_mut());
+            shard.clear_poison();
+        }
+    }
+
+    /// How many shards hold at least one entry.
+    #[cfg(test)]
+    pub(crate) fn shards_holding_entries(&self) -> usize {
+        self.shards.iter().filter(|s| s.read().unwrap().entries() > 0).count()
     }
 
     /// Snapshot the counters.
@@ -483,6 +514,20 @@ impl ProbeCache {
             rotations: self.rotations.load(Ordering::Relaxed),
             single_flight_hits: 0,
         }
+    }
+}
+
+/// The one reset behind both clears: a shard that holds entries starts
+/// over empty, and so does a poisoned one — a panic under its lock may have
+/// left it half written, and a memo is disposable. An empty, healthy shard
+/// is left as it is.
+fn reset(segments: LockResult<impl DerefMut<Target = Segments>>) {
+    let (poisoned, mut segments) = match segments {
+        Ok(segments) => (false, segments),
+        Err(poison) => (true, poison.into_inner()),
+    };
+    if poisoned || segments.entries() > 0 {
+        *segments = Segments::default();
     }
 }
 
@@ -625,6 +670,38 @@ mod tests {
         assert_eq!(stats.entries, 0);
         assert_eq!(stats.bytes, 0);
         assert!(cache.get(&s).is_none());
+    }
+
+    /// One panic under a shard's lock must not make every later probe of
+    /// that shard panic: either clear discards the shard's (possibly half
+    /// written) contents and heals it.
+    #[test]
+    fn a_clear_heals_a_poisoned_shard() {
+        let db = db();
+        let s = spec(&db);
+        let mut cache = ProbeCache::default();
+        for exclusive in [false, true] {
+            cache.insert_exists(&s, true);
+            let shard = cache.shard(&key(Question::Exists, &s));
+            let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let mut segments = shard.write().unwrap();
+                segments.fresh_bytes += 1_000; // a write the panic leaves half done
+                panic!("a panic under a probe cache shard's write lock");
+            }));
+            assert!(panicked.is_err() && shard.is_poisoned());
+            if exclusive {
+                cache.clear_mut();
+            } else {
+                cache.clear();
+            }
+            let shard = cache.shard(&key(Question::Exists, &s));
+            assert!(!shard.is_poisoned(), "exclusive: {exclusive}");
+            let stats = cache.stats();
+            assert_eq!((stats.entries, stats.bytes), (0, 0), "exclusive: {exclusive}");
+            assert_eq!(cache.get_exists(&s), None);
+            cache.insert_exists(&s, false);
+            assert_eq!(cache.get_exists(&s), Some(false));
+        }
     }
 
     #[test]

@@ -159,7 +159,7 @@ impl Database {
         if let Some(tidx) = self.table_indexes.get_mut(table.0) {
             tidx.insert_appended(rows, row_idx);
         }
-        self.probe_cache.clear(); // memoized probe results are now stale
+        self.probe_cache.clear_mut(); // memoized probe results are now stale
         Ok(())
     }
 
@@ -199,7 +199,7 @@ impl Database {
         if let Some(tidx) = self.table_indexes.get_mut(col.table.0) {
             tidx.update_cell(rows, col.column, row, &old);
         }
-        self.probe_cache.clear(); // memoized probe results are now stale
+        self.probe_cache.clear_mut(); // memoized probe results are now stale
         Ok(())
     }
 
@@ -562,5 +562,94 @@ mod tests {
         let incremental = read(&d);
         d.rebuild_index();
         assert_eq!(incremental, read(&d));
+    }
+
+    /// The entries a synthesis run keeps — existence bits and verdicts — in
+    /// every shard: each write path drops them all and the next probe is a
+    /// miss that sees the written row; a write to an empty cache moves none
+    /// of its counters; a clone's write leaves the original's entries alone.
+    #[test]
+    fn writes_drop_the_probes_a_run_keeps_and_nothing_else() {
+        use crate::cache::SHARD_COUNT;
+        use crate::join_graph::JoinTree;
+        use crate::query::{CmpOp, Predicate, SelectItem};
+
+        let mut d = db();
+        fn row(aid: i64) -> Vec<Value> {
+            vec![Value::int(aid), Value::text(format!("a{aid}")), Value::int(1960)]
+        }
+        d.insert_all("actor", (0..8).map(row)).unwrap();
+        d.rebuild_index();
+        let aid = d.schema().column_id("actor", "aid").unwrap();
+        let actor = d.schema().table_id("actor").unwrap();
+        let probe = move |value: i64| SelectSpec {
+            select: vec![SelectItem::column(aid)],
+            join: JoinTree::single(actor),
+            predicates: vec![Predicate::new(aid, CmpOp::Eq, Value::int(value))],
+            limit: Some(1),
+            ..Default::default()
+        };
+        let counters = RunCacheCounters::default();
+        // Both questions about `aid = value`, and whether the probe missed.
+        let ask = |d: &Database, value: i64| {
+            let misses = counters.snapshot().1;
+            let exists = d.exists_cached_with(&probe(value), &counters).unwrap();
+            let verdict =
+                d.decide_cached_with(&probe(value), None, b"any", &counters, &mut AnyRow).unwrap();
+            assert_eq!(exists, verdict);
+            (exists, counters.snapshot().1 - misses)
+        };
+        let fill = |d: &Database, asked: &[i64]| {
+            for &value in asked {
+                ask(d, value);
+            }
+            let mut value = 1_000;
+            while d.probe_cache.shards_holding_entries() < SHARD_COUNT {
+                ask(d, value);
+                value += 1;
+            }
+            d.cache_stats().entries
+        };
+
+        // (what the write is, the probe it answers, its answer before and after)
+        type Write = (&'static str, fn(&mut Database), i64, bool);
+        let writes: [Write; 4] = [
+            ("insert", |d| d.insert("actor", row(100)).unwrap(), 100, false),
+            ("insert_all", |d| d.insert_all("actor", [row(101), row(102)]).unwrap(), 102, false),
+            (
+                "update_cell",
+                |d| d.update_cell("actor", 0, "aid", Value::int(200)).unwrap(),
+                200,
+                false,
+            ),
+            (
+                "update_cell, the old value",
+                |d| d.update_cell("actor", 1, "aid", Value::int(201)).unwrap(),
+                1,
+                true,
+            ),
+        ];
+        for (name, write, value, before) in writes {
+            fill(&d, &[value]);
+            assert_eq!(ask(&d, value), (before, 0), "{name}: answered from the cache");
+            write(&mut d);
+            assert_eq!(d.cache_stats().entries, 0, "{name}");
+            assert_eq!(ask(&d, value), (!before, 2), "{name}: a miss that sees the write");
+        }
+
+        d.clear_probe_cache();
+        let empty = d.cache_stats();
+        assert!(empty.hits > 0 && empty.misses > 0 && empty.entries == 0, "{empty:?}");
+        for (name, write, ..) in writes {
+            write(&mut d);
+            assert_eq!(d.cache_stats(), empty, "{name} to an empty cache");
+        }
+
+        let entries = fill(&d, &[300]);
+        let mut copy = d.clone();
+        assert_eq!(copy.cache_stats().entries, 0, "a clone's cache starts empty");
+        copy.insert("actor", row(300)).unwrap();
+        assert_eq!(d.cache_stats().entries, entries, "the original keeps its entries");
+        assert_eq!(ask(&d, 300), (false, 0), "and answers from them");
     }
 }
