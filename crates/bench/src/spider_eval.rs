@@ -26,9 +26,9 @@ pub struct EvalSettings {
 
 impl Default for EvalSettings {
     fn default() -> Self {
-        // The default beam of 1 keeps the exploration order identical to
-        // the sequential paper algorithm (modulo the wall-clock budget
-        // cutting the search at a machine-speed-dependent point).
+        // The exploration order is the sequential paper algorithm's (modulo
+        // the wall-clock budget cutting the search at a
+        // machine-speed-dependent point).
         let engine = DuoquestConfig {
             max_candidates: 25,
             max_expansions: 2_500,

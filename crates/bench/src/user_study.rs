@@ -32,7 +32,6 @@ pub struct StudyRow {
 }
 
 fn study_engine() -> DuoquestConfig {
-    // Paper-order exploration (the default beam of 1).
     DuoquestConfig {
         max_candidates: 30,
         max_expansions: 3_000,

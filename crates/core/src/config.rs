@@ -44,11 +44,6 @@ pub struct DuoquestConfig {
     pub prune_partial: bool,
     /// Whether the semantic pruning rules of Table 4 are applied.
     pub semantic_rules: bool,
-    /// Number of top-confidence states popped per synthesis round. `1`
-    /// reproduces the strictly best-first exploration order of paper
-    /// Algorithm 1; a larger beam verifies the children of several states
-    /// per round (still deterministic for a fixed value).
-    pub beam_width: usize,
 }
 
 impl Default for DuoquestConfig {
@@ -65,7 +60,6 @@ impl Default for DuoquestConfig {
             guided: true,
             prune_partial: true,
             semantic_rules: true,
-            beam_width: 1,
         }
     }
 }
@@ -102,12 +96,6 @@ impl DuoquestConfig {
         self.semantic_rules = false;
         self
     }
-
-    /// Pop a beam of `beam_width` states per round (minimum 1).
-    pub fn with_beam_width(mut self, beam_width: usize) -> Self {
-        self.beam_width = beam_width.max(1);
-        self
-    }
 }
 
 #[cfg(test)]
@@ -129,12 +117,5 @@ mod tests {
         assert!(!DuoquestConfig::default().no_partial_pruning().prune_partial);
         assert!(!DuoquestConfig::default().without_semantic_rules().semantic_rules);
         assert!(DuoquestConfig::fast().max_expansions < DuoquestConfig::default().max_expansions);
-    }
-
-    #[test]
-    fn beam_width_configuration() {
-        assert_eq!(DuoquestConfig::default().beam_width, 1);
-        assert_eq!(DuoquestConfig::default().with_beam_width(8).beam_width, 8);
-        assert_eq!(DuoquestConfig::default().with_beam_width(0).beam_width, 1);
     }
 }

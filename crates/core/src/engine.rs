@@ -23,8 +23,8 @@
 //!                         first round: model.prepare(nlq, schema) ──► plan
 //!                                       │  (owned by the round driver; `None`
 //!                                       ▼   = the model has nothing to compile)
-//!   frontier (BinaryHeap) ──pop beam──► phase 1: expand + score
-//!                                       │  EnumNextStep per beam state, its
+//!   frontier (BinaryHeap) ──pop best──► phase 1: expand + score
+//!                                       │  EnumNextStep of the popped state,
 //!                                       │  children scored through the plan
 //!                                       │  (or `model.score` without one)
 //!                                       ▼
@@ -60,11 +60,11 @@
 //!   through the returned plan from then on (bit-identical to
 //!   [`GuidanceModel::score`]; the plan is owned by the driver, so it parks
 //!   in the scheduler and resumes on any worker with it).
-//! * **core** — the round engine pops the top-`beam_width` states, verifies
-//!   their children and merges the results **in child order**, so — absent
-//!   a wall-clock `time_budget` — the emitted candidate sequence is a pure
-//!   function of the configuration (never of thread scheduling). With
-//!   `beam_width = 1` the exploration order is exactly paper Algorithm 1.
+//! * **core** — the round engine pops the highest-confidence state,
+//!   verifies its children and merges the results **in child order**, so —
+//!   absent a wall-clock `time_budget` — the emitted candidate sequence is a
+//!   pure function of the configuration (never of thread scheduling): the
+//!   exploration order of paper Algorithm 1.
 //!   Like the guidance plan, the join paths of phase 2 are a function of
 //!   fixed inputs (the schema, a child's join path and the tables it
 //!   lacks), so a round builds each list once (`crate::joinpath`) and its

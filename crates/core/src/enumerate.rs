@@ -3,18 +3,18 @@
 //!
 //! The enumerator maintains a priority queue of [`EnumState`]s ordered by
 //! confidence (the product of per-decision scores, paper §3.3.3). Each
-//! **round** pops a beam of the `config.beam_width` highest-confidence states,
-//! scores their next decisions ([`next_decisions`], following the module
-//! order of Table 3), builds each child as its parent plus one decision
-//! ([`apply`]), runs progressive join path construction plus the
-//! ascending-cost verification cascade over them, pushes the survivors back
-//! into the queue and emits the complete queries **in child order**. A round
+//! **round** pops the highest-confidence state, scores its next decisions
+//! ([`next_decisions`], following the module order of Table 3), builds each
+//! child as the popped state plus one decision ([`apply`]), runs progressive
+//! join path construction plus the ascending-cost verification cascade over
+//! them, pushes the survivors back into the queue and emits the complete
+//! queries **in child order**. A round
 //! runs where its driver stands — the calling thread (the inline mode,
 //! [`enumerate`]) or the [`crate::scheduler::SessionScheduler`] worker that
 //! holds the session — so for a fixed configuration the emitted candidate
-//! sequence is deterministic and, with `beam_width = 1`, is the sequential
-//! Algorithm 1 exploration. The one exception is a wall-clock `time_budget`:
-//! where the deadline cuts the search depends on machine speed.
+//! sequence is deterministic: the sequential Algorithm 1 exploration. The
+//! one exception is a wall-clock `time_budget`: where the deadline cuts the
+//! search depends on machine speed.
 //!
 //! Verification probes are yes/no questions answered through the database's
 //! probe memo cache (`Database::exists_cached_with`,
@@ -73,7 +73,8 @@ pub struct EnumerationStats {
     pub pruned_by_order: usize,
     /// Candidate queries emitted.
     pub emitted: usize,
-    /// Synthesis rounds executed (beam pops).
+    /// Synthesis rounds executed. A round is one pop, so this equals
+    /// `expanded`.
     pub rounds: usize,
     /// The most states the frontier held after any round — what a parked
     /// session holds at worst. A function of the configuration, and never
@@ -164,9 +165,8 @@ impl EnumerationStats {
 /// returns `false` to stop the enumeration early.
 ///
 /// The inputs are borrowed, so the run cannot be handed to a pool: it runs
-/// inline on the calling thread. The beam width comes from the
-/// configuration; the default (`beam_width = 1`) reproduces the sequential
-/// Algorithm 1 exploration exactly.
+/// inline on the calling thread, in the sequential Algorithm 1 exploration
+/// order.
 pub fn enumerate<F>(
     db: &Database,
     nlq: &Nlq,
@@ -291,14 +291,13 @@ impl RunPlan {
     }
 }
 
-/// A scored decision of phase 1, before any child exists: the index of the
-/// beam state it extends, the decision, and the child's confidence and
-/// decision depth (one more than its parent's).
-type Decision = (usize, Choice, f64, u32);
+/// A scored decision of phase 1, before any child exists: the decision and
+/// the child's confidence.
+type Decision = (Choice, f64);
 
 /// A child that passed verification and goes into the frontier: its query,
-/// boxed once it survived, its confidence and its decision depth.
-type Survivor = (Box<PartialQuery>, f64, u32);
+/// boxed once it survived, and its confidence.
+type Survivor = (Box<PartialQuery>, f64);
 
 /// Consecutive rounds one [`RoundDriver::advance`] may run before it must
 /// yield. Without this bound a driven session would run to completion inside
@@ -363,7 +362,7 @@ pub(crate) struct RoundDriver {
     /// The run is over. Also set for the duration of a round, so a round
     /// that panics (a guidance model, the verifier, a consumer sink) leaves
     /// the driver refusing further rounds instead of resuming without the
-    /// beam that round had popped.
+    /// state that round had popped.
     finished: bool,
     /// The guidance model compiled against this run's (NLQ, schema) pair:
     /// unset until the first guided round prepares it, then `Some(None)`
@@ -474,7 +473,7 @@ impl RoundDriver {
         stats
     }
 
-    /// One round of Algorithm 1 — the cooperative checks, the beam pop,
+    /// One round of Algorithm 1 — the cooperative checks, the pop,
     /// child expansion, verification, emission, survivors pushed — and
     /// whether the run goes on. `false` means it is over (search exhausted,
     /// a budget reached, stopped by `sink`, cancelled or past the deadline),
@@ -508,24 +507,19 @@ impl RoundDriver {
             return false;
         }
 
-        // Pop the beam: the top-k states by confidence, within the expansion budget.
-        let beam_width = env.config.beam_width.max(1);
-        let mut beam: Vec<EnumState> = Vec::with_capacity(beam_width);
-        while beam.len() < beam_width && self.stats.expanded < env.config.max_expansions {
-            let Some(state) = self.heap.pop() else { break };
-            self.stats.expanded += 1;
-            self.queued -= 1;
-            beam.push(state);
-        }
-        if beam.is_empty() {
+        // Pop the best state, within the expansion budget.
+        if self.stats.expanded >= env.config.max_expansions {
             return false; // expansion budget reached with work left
         }
+        let Some(state) = self.heap.pop() else { return false };
+        self.stats.expanded += 1;
         self.stats.rounds += 1;
+        self.queued -= 1;
 
-        let decisions = self.expand(&beam, env);
+        let decisions = self.expand(&state, env);
         // With nothing to verify the round is only its bookkeeping below.
         let goes_on = decisions.is_empty()
-            || self.verify_and_emit(&beam, decisions, plan, env, verifier, sink);
+            || self.verify_and_emit(&state, decisions, plan, env, verifier, sink);
         if goes_on {
             self.bound_frontier(env.config);
             self.finished = false;
@@ -533,38 +527,36 @@ impl RoundDriver {
         goes_on
     }
 
-    /// Phase 1 (cheap): produce and score every decision of the beam. Scoring
-    /// reads only the decisions, so no child is built here.
-    fn expand(&mut self, beam: &[EnumState], env: &RunInputs<'_>) -> Vec<Decision> {
-        let ctx = GuidanceContext { nlq: env.nlq, schema: env.db.schema() };
-        let mut out: Vec<Decision> = Vec::new();
-        for (parent, state) in beam.iter().enumerate() {
-            // A state with no decision left is complete (it was verified and
-            // emitted when generated); a state with an empty decision set is
-            // a dead end. Both just drop out of the frontier.
-            let Some(choices) = next_decisions(state.pq(), env.db, env.nlq, env.config) else {
-                continue;
-            };
-            if choices.is_empty() {
-                continue;
-            }
-            let raw = if env.config.guided {
-                // Prepared on the first round rather than at construction:
-                // here a panicking model poisons only this session, and the
-                // work lands on the thread that runs the round.
-                match self.guidance.get_or_insert_with(|| env.model.prepare(&ctx)) {
-                    Some(plan) => plan.score(&choices),
-                    None => env.model.score(&ctx, &choices),
-                }
-            } else {
-                vec![1.0; choices.len()]
-            };
-            let scores = duoquest_nlq::guidance::normalize_scores(&raw);
-            for (choice, score) in choices.into_iter().zip(scores) {
-                out.push((parent, choice, state.confidence() * score, state.decisions() + 1));
-            }
+    /// Phase 1 (cheap): produce and score every decision of the popped
+    /// state. Scoring reads only the decisions, so no child is built here.
+    fn expand(&mut self, state: &EnumState, env: &RunInputs<'_>) -> Vec<Decision> {
+        // A state with no decision left is complete (it was verified and
+        // emitted when generated); a state with an empty decision set is a
+        // dead end. Both just drop out of the frontier.
+        let Some(choices) = next_decisions(state.pq(), env.db, env.nlq, env.config) else {
+            return Vec::new();
+        };
+        if choices.is_empty() {
+            return Vec::new();
         }
-        out
+        let raw = if env.config.guided {
+            // Prepared on the first round rather than at construction: here a
+            // panicking model poisons only this session, and the work lands
+            // on the thread that runs the round.
+            let ctx = GuidanceContext { nlq: env.nlq, schema: env.db.schema() };
+            match self.guidance.get_or_insert_with(|| env.model.prepare(&ctx)) {
+                Some(plan) => plan.score(&choices),
+                None => env.model.score(&ctx, &choices),
+            }
+        } else {
+            vec![1.0; choices.len()]
+        };
+        let scores = duoquest_nlq::guidance::normalize_scores(&raw);
+        choices
+            .into_iter()
+            .zip(scores)
+            .map(|(choice, score)| (choice, state.confidence() * score))
+            .collect()
     }
 
     /// Phases 2 and 3, and whether the run goes on. Phase 2 verifies the
@@ -580,7 +572,7 @@ impl RoundDriver {
     /// round's counters are those of the whole round.
     fn verify_and_emit(
         &mut self,
-        beam: &[EnumState],
+        state: &EnumState,
         decisions: Vec<Decision>,
         plan: &RunPlan,
         env: &RunInputs<'_>,
@@ -601,7 +593,7 @@ impl RoundDriver {
         // The remaining children were skipped: the session's cancellation
         // token fired, or the wall-clock deadline passed.
         let (mut cancelled, mut timed_out) = (false, false);
-        for (done, (parent, choice, confidence, depth)) in decisions.into_iter().enumerate() {
+        for (done, (choice, confidence)) in decisions.into_iter().enumerate() {
             // Honor cancellation between children (an atomic load — cheap
             // enough per child) so cancel takes effect mid-round, not at the
             // next one.
@@ -619,7 +611,7 @@ impl RoundDriver {
             // construction, and eliminate the bulk of the fan-out. Under NoPQ a
             // partial child is not examined at all, so a variant that its join
             // path completes still owes the whole cascade.
-            scratch.clone_from(beam[parent].pq());
+            scratch.clone_from(state.pq());
             apply(&mut scratch, &choice);
             let prefixed = verifier.examines(&scratch);
             if prefixed {
@@ -646,7 +638,7 @@ impl RoundDriver {
                         let spec = pq.to_spec().expect("complete partial query lowers");
                         emissions.push((spec, confidence));
                     }
-                    VerifyOutcome::Pass => survivors.push((Box::new(pq), confidence, depth)),
+                    VerifyOutcome::Pass => survivors.push((Box::new(pq), confidence)),
                 }
             };
             if let Some(paths) = joins.paths(&scratch) {
@@ -677,9 +669,9 @@ impl RoundDriver {
         self.queued += survivors.len();
         let remaining = env.config.max_expansions.saturating_sub(self.stats.expanded);
         let bound = remaining.saturating_add(remaining / 4).saturating_add(64);
-        for (pq, confidence, decisions) in survivors {
+        for (pq, confidence) in survivors {
             self.sequence += 1;
-            self.heap.push(EnumState::new(pq, confidence, decisions, self.sequence));
+            self.heap.push(EnumState::new(pq, confidence, self.sequence));
             if self.heap.len() > bound {
                 self.keep_best(remaining);
             }
@@ -1389,7 +1381,7 @@ mod tests {
     }
 
     /// A round that panics leaves the driver finished: whoever caught the
-    /// panic cannot resume a run whose popped beam was never settled, and
+    /// panic cannot resume a run whose popped state was never settled, and
     /// the counters up to the panic are still there to collect.
     #[test]
     fn round_driver_is_finished_after_a_panicking_round() {

@@ -11,7 +11,7 @@
 //! it:
 //!
 //! * Each session's round loop is the `RoundDriver` **state machine** of
-//!   `crate::enumerate` (beam pop, child expansion and scoring, verification,
+//!   `crate::enumerate` (pop, child expansion and scoring, verification,
 //!   ordered merge). A session reaches the pool through
 //!   [`SynthesisSession::spawn_driven`] — the one way onto it — and is then
 //!   **driven**: it parks that driver inside the scheduler, no OS thread
@@ -24,12 +24,12 @@
 //!   under a microsecond to verify, less than handing it to another core
 //!   would — so a pool of *n* workers advances *n* sessions at once.
 //! * Workers pull resumes in **weighted round-robin order across live
-//!   sessions** (weight = the session's beam width times its priority
-//!   multiplier). After a bounded burst of rounds the worker looks at the
-//!   queue once: if another session's resume or a shutdown is waiting, it
-//!   requeues its session behind the others, so one long session cannot
-//!   starve the rest; if nobody waits it simply keeps going — a yield costs
-//!   one uncontended lock, no requeue and no wake-up.
+//!   sessions** (weight = the session's priority multiplier). After a
+//!   bounded burst of rounds the worker looks at the queue once: if another
+//!   session's resume or a shutdown is waiting, it requeues its session
+//!   behind the others, so one long session cannot starve the rest; if
+//!   nobody waits it simply keeps going — a yield costs one uncontended
+//!   lock, no requeue and no wake-up.
 //! * A session's rounds run strictly in order, each merged in child order,
 //!   so its candidate emission sequence is byte-identical to an inline
 //!   single-session run, for any pool size (`tests/determinism.rs` asserts
@@ -213,10 +213,9 @@ type DrivenCompletion = Box<dyn FnOnce(DrivenOutcome) + Send>;
 /// One live session's slot in the fairness queue.
 struct SessionQueue {
     id: u64,
-    /// Scheduling weight — the session's beam width times its priority
-    /// multiplier (interactive sessions register a larger multiplier than
-    /// batch ones): resumes granted per round-robin rotation before the
-    /// cursor moves on.
+    /// Scheduling weight — the session's priority multiplier (interactive
+    /// sessions register a larger multiplier than batch ones): resumes
+    /// granted per round-robin rotation before the cursor moves on.
     weight: usize,
     /// Resumes remaining in the current rotation.
     quantum: usize,
@@ -487,10 +486,9 @@ pub(crate) fn spawn_driven_session(
     on_complete: DrivenCompletion,
 ) {
     let core = &handle.core;
-    // Fairness weight = beam width × priority multiplier: a session's share
-    // of each round-robin rotation scales with both how much work a round
-    // exposes and how urgent its requester is.
-    let weight = session.config().beam_width.max(1).saturating_mul(session.priority_weight());
+    // Fairness weight = priority multiplier: a session's share of each
+    // round-robin rotation scales with how urgent its requester is.
+    let weight = session.priority_weight();
     let mut run = SessionRun::new(session, RoundDriver::new().on_pool(core.workers));
     let mut queue = core.queue.lock().expect("scheduler queue poisoned");
     if core.shutdown.load(Ordering::Acquire) {

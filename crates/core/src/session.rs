@@ -39,7 +39,7 @@
 //! * its result's `stats.scheduler` is `None`.
 //!
 //! Absent a wall-clock `time_budget`, the emitted candidate set and order
-//! depend only on the configuration (beam width, budgets), never on where
+//! depend only on the configuration (budgets, pruning flags), never on where
 //! the run stands; a time budget is the one intentionally non-deterministic
 //! cut-off. See the determinism notes in `crate::enumerate`.
 
@@ -204,8 +204,8 @@ impl SynthesisSession {
     }
 
     /// Scheduling priority on a pool: the session's share of the fairness
-    /// queue's weighted round-robin is `beam_width × weight` (minimum 1), so
-    /// an interactive session with weight 16 is granted 16× the units per
+    /// queue's weighted round-robin is `weight` (minimum 1), so an
+    /// interactive session with weight 16 is granted 16× the units per
     /// rotation of a background session with weight 1. Read only by
     /// [`SynthesisSession::spawn_driven`] (a run on the calling thread has
     /// nothing to compete with) and never changes which candidates are

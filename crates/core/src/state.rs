@@ -23,14 +23,12 @@
 use duoquest_sql::PartialQuery;
 use std::cmp::Ordering;
 
-/// One state of the GPQE search: a partial query, its confidence score (the
-/// cumulative product of the per-decision scores, paper §3.3.3) and the number
-/// of decisions taken so far.
+/// One state of the GPQE search: a partial query and its confidence score (the
+/// cumulative product of the per-decision scores, paper §3.3.3).
 #[derive(Debug, Clone)]
 pub struct EnumState {
     confidence: f64,
     sequence: u64,
-    decisions: u32,
     /// `pq`'s join length, cached so ranking reads no pointer.
     join_len: u32,
     pq: Box<PartialQuery>,
@@ -39,20 +37,15 @@ pub struct EnumState {
 impl EnumState {
     /// A state of `pq`, ranked by `confidence`, then by `pq`'s join length,
     /// then by `sequence` (its creation order).
-    pub(crate) fn new(
-        pq: Box<PartialQuery>,
-        confidence: f64,
-        decisions: u32,
-        sequence: u64,
-    ) -> Self {
+    pub(crate) fn new(pq: Box<PartialQuery>, confidence: f64, sequence: u64) -> Self {
         let join_len = pq.join.as_ref().map_or(0, |j| j.join_length());
         let join_len = u32::try_from(join_len).unwrap_or(u32::MAX);
-        EnumState { confidence, sequence, decisions, join_len, pq }
+        EnumState { confidence, sequence, join_len, pq }
     }
 
     /// The root state: the empty partial query with confidence 1.
     pub fn root() -> Self {
-        EnumState::new(Box::new(PartialQuery::empty()), 1.0, 0, 0)
+        EnumState::new(Box::new(PartialQuery::empty()), 1.0, 0)
     }
 
     /// The partial query.
@@ -63,11 +56,6 @@ impl EnumState {
     /// Cumulative confidence in `[0, 1]`.
     pub fn confidence(&self) -> f64 {
         self.confidence
-    }
-
-    /// Number of inference decisions made so far.
-    pub fn decisions(&self) -> u32 {
-        self.decisions
     }
 
     /// Monotone sequence number, the final tie-breaker of the order.
@@ -115,7 +103,7 @@ mod tests {
     use std::collections::BinaryHeap;
 
     fn state(confidence: f64, sequence: u64) -> EnumState {
-        EnumState::new(Box::new(PartialQuery::empty()), confidence, 0, sequence)
+        EnumState::new(Box::new(PartialQuery::empty()), confidence, sequence)
     }
 
     #[test]
@@ -145,7 +133,7 @@ mod tests {
             let tables = (0..=edges).map(TableId).collect();
             let mut pq = PartialQuery::empty();
             pq.join = Some(JoinTree::new(tables, (0..edges).map(fk).collect()));
-            EnumState::new(Box::new(pq), 0.5, 0, sequence)
+            EnumState::new(Box::new(pq), 0.5, sequence)
         };
         let mut heap = BinaryHeap::new();
         heap.push(joined(2, 1));
@@ -167,7 +155,6 @@ mod tests {
     fn root_state() {
         let r = EnumState::root();
         assert_eq!(r.confidence(), 1.0);
-        assert_eq!(r.decisions(), 0);
         assert_eq!(r.join_length(), 0);
         assert!(!r.pq().is_complete());
     }

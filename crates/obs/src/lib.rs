@@ -27,7 +27,8 @@
 //!
 //! Tracing is off at run time, not at build time: the gate is an
 //! `Option<Arc<Trace>>`, and a `None` costs the engine one branch per burst
-//! of rounds (`benches/obs.rs` measures it).
+//! of rounds. What a traced run costs is the benchmark's
+//! `obs.traced_run_overhead_share`.
 
 #![warn(missing_docs)]
 

@@ -25,7 +25,7 @@
 //!  in the SessionScheduler; a pool    │ queue (from the worker
 //!  worker resumes it for a burst of   │ that completed it)
 //!  rounds at a time                   │
-//!  (fairness weight = beam × class)   │
+//!  (fairness weight = class weight)   │
 //!        │ candidates stream to the Ticket as they survive
 //!        ▼
 //!  ServiceOutcome { result, status: Completed | Cancelled | DeadlineExceeded }
@@ -39,10 +39,10 @@
 //! under 256 live sessions) and `max_live_sessions` can sit in the
 //! thousands, bounded by memory rather than thread count.
 //!
-//! * **Priorities** ([`PriorityClass`]) weight the shared pool's round-robin
-//!   on top of beam width: an interactive session gets 16× the per-rotation
-//!   share of a background one, but nobody is starved — every live session is
-//!   served each rotation.
+//! * **Priorities** ([`PriorityClass`]) weight the shared pool's round-robin:
+//!   an interactive session gets 16× the per-rotation share of a background
+//!   one, but nobody is starved — every live session is served each
+//!   rotation.
 //! * **Cancellation**: dropping (or explicitly cancelling) a [`Ticket`] fires
 //!   the session's token and the run stops at its next cooperative check
 //!   (a round boundary, or between a round's jobs); a request still queued

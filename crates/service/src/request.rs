@@ -8,7 +8,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// The scheduling class of a request, weighted into the shared scheduler's
-/// round-robin on top of the session's beam width.
+/// round-robin.
 ///
 /// Classes are *weights, not tiers*: a higher class is granted a larger share
 /// of every queue rotation ([`PriorityClass::weight`]), but lower classes are
@@ -41,8 +41,8 @@ impl PriorityClass {
         }
     }
 
-    /// The class's multiplier on the shared scheduler's round-robin weight
-    /// (the session's fairness share is `beam_width × weight`).
+    /// The session's weight in the shared scheduler's round-robin: its
+    /// fairness share per rotation.
     pub fn weight(self) -> usize {
         match self {
             PriorityClass::Interactive => 16,

@@ -219,7 +219,8 @@ fn run_observed(session: SynthesisSession, way: Way<'_>) -> (Observed, Synthesis
 /// pool, the calling thread), a **pulled stream** (inline too, so its
 /// `stats.scheduler` is `None`), `drive` on **pools** of {1, 2, 4} workers,
 /// and **eight sessions at once** on each pool. `session(case)` builds a
-/// case's session; every way must observe exactly what inline observes.
+/// case's session; every way must observe exactly what inline observes, and
+/// run one round per popped state.
 /// Returns the inline observations and how many times a driven run was
 /// requeued behind another session (its `Resume` units beyond the kick-off).
 fn every_way_agrees(
@@ -230,6 +231,7 @@ fn every_way_agrees(
         .map(|case| {
             let (observed, result) = run_observed(session(case), Way::RunWith);
             assert!(result.stats.scheduler.is_none(), "case {case}: inline means no pool");
+            assert_eq!(result.stats.rounds, result.stats.expanded, "case {case}: inline");
             observed
         })
         .collect();
@@ -237,11 +239,13 @@ fn every_way_agrees(
         let (observed, result) = run_observed(session(case), Way::Stream);
         assert_eq!(*inline, observed, "case {case}: pulled stream");
         assert!(result.stats.scheduler.is_none(), "case {case}: a pulled stream has no pool");
+        assert_eq!(result.stats.rounds, result.stats.expanded, "case {case}: pulled stream");
     }
 
     let mut requeued = 0;
     let mut check = |case: usize, observed: Observed, result: SynthesisResult, way: &str| {
         assert_eq!(reference[case], observed, "case {case}: {way}");
+        assert_eq!(result.stats.rounds, result.stats.expanded, "case {case}: {way}");
         let pool = result.stats.scheduler.expect("a driven run reports its pool");
         requeued += pool.units_submitted - 1;
     };
@@ -561,28 +565,14 @@ fn tracing_toggle_leaves_emission_byte_identical() {
     }
 }
 
-#[test]
-fn wide_beam_runs_are_self_deterministic() {
-    // A beam wider than 1 explores in a different (but still fixed) order;
-    // an inline run and a pooled run with the same beam must agree.
-    let dataset = workload();
-    let beamed = base_config().with_beam_width(4);
-    let pool = SessionScheduler::new(4);
-    for (i, task) in dataset.tasks.iter().enumerate() {
-        let a = run_task_on(&dataset, task, 200 + i as u64, &beamed, None);
-        let b = run_task_on(&dataset, task, 200 + i as u64, &beamed, Some(&pool));
-        assert_eq!(ranking(&a), ranking(&b), "task {} beam run diverged", task.id);
-    }
-}
-
 /// A smaller expansion budget emits a prefix: the first `E` pops of a run do
 /// not depend on how many pops follow, so the run with budget `E` emits the
 /// first candidates of the run with `2E` — the same specs, the same
 /// confidence bits, in order — and spends exactly `E` unless it ran out of
 /// states first. That holds only if the frontier never drops a state it
 /// could still pop (it drops every state ranked below the remaining budget,
-/// `docs/DRIVER.md`, "Frontier"). Checked at beam widths 1 and 3, with the
-/// default `max_states` and with 40, where the paper's lossy rule fires and
+/// `docs/DRIVER.md`, "Frontier"). Checked with the default `max_states` and
+/// with 40, where the paper's lossy rule fires and
 /// changes what is emitted; both models, so verification and guidance each
 /// decide the order in some runs.
 #[test]
@@ -600,52 +590,48 @@ fn a_smaller_expansion_budget_emits_a_prefix() {
             } else {
                 Arc::new(HeuristicGuidance::new())
             };
-            for beam in [1, 3] {
-                // The 2E-run's emissions per `max_states`.
-                let mut larger = Vec::new();
-                for max_states in [None, Some(40)] {
-                    let run = |max_expansions: usize| {
-                        let mut config = DuoquestConfig {
-                            max_candidates: usize::MAX,
-                            max_expansions,
-                            ..base_config()
-                        }
-                        .with_beam_width(beam);
-                        config.max_states = max_states.unwrap_or(config.max_states);
-                        let session = Duoquest::new(config)
-                            .session(Arc::clone(db), task.nlq.clone(), Arc::clone(&model))
-                            .with_tsq(tsq.clone());
-                        let (observed, result) = run_observed(session, Way::RunWith);
-                        let stats = result.stats;
-                        assert!(
-                            stats.frontier_peak <= max_expansions + max_expansions / 4 + 64,
-                            "{stats:?}"
-                        );
-                        (observed.0, stats.expanded, stats.exhausted)
+            // The 2E-run's emissions per `max_states`.
+            let mut larger = Vec::new();
+            for max_states in [None, Some(40)] {
+                let run = |max_expansions: usize| {
+                    let mut config = DuoquestConfig {
+                        max_candidates: usize::MAX,
+                        max_expansions,
+                        ..base_config()
                     };
-                    for e in [40, 120] {
-                        let way = format!(
-                            "task {}, oracle {oracle}, beam {beam}, max_states {max_states:?}, \
-                             budget {e} vs {}",
-                            task.id,
-                            2 * e
-                        );
-                        let (small, expanded, exhausted) = run(e);
-                        let (large, ..) = run(2 * e);
-                        assert!(small.len() <= large.len(), "{way}: emitted more");
-                        assert_eq!(small, large[..small.len()], "{way}: not a prefix");
-                        if exhausted {
-                            assert_eq!(small, large, "{way}: an exhausted run is the whole run");
-                        } else {
-                            assert_eq!(expanded, e, "{way}: the budget was not spent");
-                            spent += 1;
-                        }
-                        compared += 1;
-                        larger.push(large);
+                    config.max_states = max_states.unwrap_or(config.max_states);
+                    let session = Duoquest::new(config)
+                        .session(Arc::clone(db), task.nlq.clone(), Arc::clone(&model))
+                        .with_tsq(tsq.clone());
+                    let (observed, result) = run_observed(session, Way::RunWith);
+                    let stats = result.stats;
+                    assert!(
+                        stats.frontier_peak <= max_expansions + max_expansions / 4 + 64,
+                        "{stats:?}"
+                    );
+                    (observed.0, stats.expanded, stats.exhausted)
+                };
+                for e in [40, 120] {
+                    let way = format!(
+                        "task {}, oracle {oracle}, max_states {max_states:?}, budget {e} vs {}",
+                        task.id,
+                        2 * e
+                    );
+                    let (small, expanded, exhausted) = run(e);
+                    let (large, ..) = run(2 * e);
+                    assert!(small.len() <= large.len(), "{way}: emitted more");
+                    assert_eq!(small, large[..small.len()], "{way}: not a prefix");
+                    if exhausted {
+                        assert_eq!(small, large, "{way}: an exhausted run is the whole run");
+                    } else {
+                        assert_eq!(expanded, e, "{way}: the budget was not spent");
+                        spent += 1;
                     }
+                    compared += 1;
+                    larger.push(large);
                 }
-                lossy_changed += usize::from(larger[..2] != larger[2..]);
             }
+            lossy_changed += usize::from(larger[..2] != larger[2..]);
         }
     }
     // Both checks bite: most runs end on their budget, and the lossy rule

@@ -94,29 +94,36 @@ fn stop_after(k: usize) -> impl FnMut(&Candidate) -> bool + Send + 'static {
 
 /// A callback that stops after `k` candidates cuts the run at the same
 /// emission, with the same counters, wherever the run stands: inline or on
-/// shared pools of {1, 2, 4} workers. The beam is widened so the cut falls
-/// inside rounds that carry several states' children: what the run counts is
-/// the whole round.
+/// shared pools of {1, 2, 4} workers. Some cuts fall inside a round — the
+/// runs stopped after `k` and after `k + 1` candidates expand as many
+/// states, so both candidates came out of one pop — and there what the run
+/// counts is the whole round. The test counts those cuts and needs one.
 #[test]
 fn halt_cut_is_the_same_everywhere() {
     let dataset = workload();
     let pools: Vec<SessionScheduler> = [1, 2, 4].map(SessionScheduler::new).into();
-    let config = base_config().with_beam_width(4);
+    let config = base_config();
     let cut = |result: SynthesisResult| {
         let s = &result.stats;
         (ranking(&result), s.emitted, s.expanded, s.generated, s.total_pruned())
     };
+    let (mut cases, mut inside_a_round) = (0, 0);
     for task in 0..dataset.tasks.len() {
-        for k in [1usize, 3] {
-            let inline = cut(session(&dataset, task, &config).run_with(stop_after(k)));
-            if inline.0.len() < k {
+        let inline: Vec<_> = (1..=5)
+            .map(|k| cut(session(&dataset, task, &config).run_with(stop_after(k))))
+            .collect();
+        for k in 1..=4usize {
+            let (this, next) = (&inline[k - 1], &inline[k]);
+            if this.0.len() < k {
                 continue; // the task emits fewer than k candidates
             }
-            assert_eq!(inline.0.len(), k, "task {task}: the callback stops the run");
+            assert_eq!(this.0.len(), k, "task {task}: the callback stops the run");
+            cases += 1;
+            inside_a_round += usize::from(next.0.len() == k + 1 && next.2 == this.2);
             for pool in &pools {
                 let driven = drive(session(&dataset, task, &config), &pool.handle(), stop_after(k));
                 assert_eq!(
-                    inline,
+                    *this,
                     cut(finished(driven)),
                     "task {task}, stop after {k}: shared pool of {}",
                     pool.workers()
@@ -124,6 +131,8 @@ fn halt_cut_is_the_same_everywhere() {
             }
         }
     }
+    println!("{inside_a_round} of {cases} cuts fall inside a round");
+    assert!(inside_a_round >= 1, "no cut fell inside a round ({cases} cuts)");
 }
 
 /// The span tree of a traced run, wherever it stands: every burst of up to 32
