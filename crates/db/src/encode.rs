@@ -34,8 +34,9 @@ pub fn encode_value(out: &mut Vec<u8>, v: &Value) {
 
 /// Append the exact encoding of `spec`. Two specs encode equally exactly
 /// when they are equal under `SelectSpec: Eq`, which treats every NaN as one
-/// and `-0.0` as `0.0`, as the canonical bits do.
-pub(crate) fn encode_spec(out: &mut Vec<u8>, spec: &SelectSpec) {
+/// and `-0.0` as `0.0`, as the canonical bits do. The probe cache keys its
+/// entries on these bytes.
+pub fn encode_spec(out: &mut Vec<u8>, spec: &SelectSpec) {
     list(out, &spec.select, select_item);
     out.push(spec.distinct as u8);
     list(out, &spec.join.tables, |out, table| encode_uint(out, table.0));
