@@ -269,6 +269,12 @@ impl Database {
         InvertedIndex::new(&self.schema, &self.table_indexes)
     }
 
+    /// Whether [`Database::rebuild_index`] has run: every column then has
+    /// its index ([`Database::column_index`]).
+    pub(crate) fn is_indexed(&self) -> bool {
+        !self.table_indexes.is_empty()
+    }
+
     /// The ordered secondary index of one column, or `None` until the first
     /// [`Database::rebuild_index`]. The write path maintains built indexes
     /// incrementally, so they never serve stale rows.

@@ -8,6 +8,10 @@
 //! determinism contract, lives in `docs/EXECUTOR.md`):
 //!
 //! ```text
+//!   COUNT(*) over an FK tree, grouped on T₀ ─► count pass ─► HAVING → π → sort
+//!        (no joined row: per-row counts carried leaves first)
+//!
+//!   everything else:
 //!   scan(T₀) ──► ⋈ hash(T₁) ──► … ──► ⋈ hash(Tₙ) ──► σ WHERE
 //!        │ (probe side streamed;  build sides hashed up front)
 //!        ▼
@@ -26,7 +30,19 @@
 //! nothing. What a join costs follows the answer it projects, not the width
 //! of the tables it crosses.
 //!
-//! Two physical strategies run on that one relation:
+//! A query whose only aggregate is `COUNT(*)`, grouped (if at all) on
+//! columns of the first table, over an inner FK tree with a per-table WHERE
+//! clause never builds that relation: the **counting pass** carries, for
+//! every row of every joined table, how many joined rows of its subtree hold
+//! it, leaves first through the column indexes' match lists, and reads each
+//! group's count and cells off the first table's rows. It hands the
+//! materializing strategy's records, in its order, to the same tail
+//! (`docs/EXECUTOR.md`, "Counting over the join tree"); outside that
+//! fragment, on a database without indexes, on a join that is not a tree
+//! rooted at the first table, or when a count overflows, the materializing
+//! strategy runs.
+//!
+//! Two physical strategies run on the joined relation:
 //!
 //! * **Streaming** — the probe side of the join chain is pulled row by row,
 //!   each row carried depth-first through the join steps (one reused id
@@ -71,7 +87,9 @@
 //!   leaves first: a table whose child is restricted keeps only the rows
 //!   whose join key occurs among the child's candidates, so a literal at a
 //!   leaf shrinks the probe side before a joined row exists (and an emptied
-//!   table proves the probe empty); `docs/EXECUTOR.md` has the argument.
+//!   table proves the probe empty). It is the Boolean instance of the walk
+//!   whose counting instance is the counting pass; `docs/EXECUTOR.md` has
+//!   the argument.
 //! * **Ordered index scans** stream `ORDER BY c LIMIT k` from the column's
 //!   sorted run for any indexed first-table column; a first-table
 //!   restriction filters the run in place.
@@ -99,9 +117,11 @@
 //! probe-side rows the pipeline never had to pull because the limit was
 //! already satisfied (or a verdict decided), and `exact` says whether the
 //! produced rows are the spec's complete result (only a caller-supplied
-//! [`ExecOptions::row_budget`] can truncate it). Index paths report
-//! `index_lookups`, `rows_via_index` and `probes_bailed_empty`. The verifier aggregates these per synthesis
-//! run into `EnumerationStats`.
+//! [`ExecOptions::row_budget`] can truncate it); `counted` says the counting
+//! pass answered, and its `rows_scanned` are the table rows it counted.
+//! Index paths report `index_lookups`, `rows_via_index` and
+//! `probes_bailed_empty`. The verifier aggregates these per synthesis run
+//! into `EnumerationStats`.
 
 use crate::database::{Database, Row};
 use crate::error::{DbError, DbResult};
@@ -112,6 +132,7 @@ use crate::types::{DataType, Key, Value};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt::Write as _;
+use std::ops::ControlFlow;
 
 /// The result of executing a query: column headers plus rows.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -180,7 +201,9 @@ pub struct ExecOptions {
 /// Observability counters for one execution (see the module docs).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecMetrics {
-    /// Base-table rows pulled into the pipeline plus join rows produced.
+    /// Base-table rows pulled into the pipeline plus join rows produced
+    /// (for the counting pass, which produces none: the table rows it
+    /// counted).
     pub rows_scanned: u64,
     /// Probe-side rows left unscanned because the limit was already satisfied
     /// (or a verdict already decided).
@@ -193,13 +216,19 @@ pub struct ExecMetrics {
     pub exact: bool,
     /// Whether the streaming (early-terminating) strategy ran.
     pub streamed: bool,
+    /// Whether the counting pass answered: the spec is in the counting
+    /// fragment and no joined row was built (module docs).
+    pub counted: bool,
     /// Secondary-index lookups performed: candidate computations for indexed
-    /// literal predicates during planning, one per probe row of an
-    /// index-nested-loop join step, and one per ordered-index-scan setup.
+    /// literal predicates during planning, one per candidate a semi-join
+    /// step reads, one per probe row of an index-nested-loop join step, one
+    /// per ordered-index-scan setup, and one per row the counting pass
+    /// pulls or pushes a count through (a merged edge looks nothing up).
     pub index_lookups: u64,
     /// Rows that entered the pipeline through an index access path: ordered
-    /// index scans, candidate-restricted scans and builds, and
-    /// index-nested-loop match expansions.
+    /// index scans, candidate-restricted scans and builds,
+    /// index-nested-loop match expansions, and the match-list rows the
+    /// counting pass read.
     pub rows_via_index: u64,
     /// 1 when this execution was cut short because the planner (or a join
     /// step) proved the remaining work empty: an empty joined table, an
@@ -329,6 +358,10 @@ fn run(
     sink: &mut impl Sink,
 ) -> DbResult<ExecMetrics> {
     validate(db, spec)?;
+    if let Some((records, metrics)) = count_over_tree(db, spec) {
+        let exact = deliver(spec, records, opts, sink);
+        return Ok(ExecMetrics { exact, ..metrics });
+    }
     let access = IndexAccess::plan(db, spec);
     let plan = plan_joins(db, spec, &access)?;
     let proven_empty = access.provably_empty(db, spec);
@@ -427,6 +460,14 @@ impl IndexAccess {
     /// predicates, then carry them up the join tree ([`Self::reduce`]).
     /// Must run after [`validate`] (predicates have columns).
     fn plan(db: &Database, spec: &SelectSpec) -> IndexAccess {
+        let mut access = IndexAccess::literals(db, spec);
+        access.reduce(db, spec);
+        access
+    }
+
+    /// The candidate restrictions the spec's indexed literal predicates
+    /// imply, table by table.
+    fn literals(db: &Database, spec: &SelectSpec) -> IndexAccess {
         let mut access = IndexAccess::default();
         // Under OR, a row failing one predicate may still pass another, so a
         // per-predicate candidate list restricts nothing.
@@ -441,7 +482,6 @@ impl IndexAccess {
             // intersection of the per-predicate supersets is still one.
             access.restrict(col.table, cands);
         }
-        access.reduce(db, spec);
         access
     }
 
@@ -459,59 +499,78 @@ impl IndexAccess {
         }
     }
 
-    /// Semi-join reduction: walk the join tree leaves-first toward the first
-    /// FROM table and, wherever a child table is restricted, restrict its
-    /// parent to the rows whose join key occurs among the child's
-    /// candidates — one [`ColumnIndex::lookup`] per child candidate.
+    /// Semi-join reduction, the Boolean instance of the leaves-first walk
+    /// ([`leaves_first`]; [`Counts`] is the counting one): walk the join
+    /// tree toward the first FROM table and, wherever a child table is
+    /// restricted, restrict its parent to the rows whose join key occurs
+    /// among the child's candidates ([`Self::semi_join`]).
     ///
     /// Every joined row holds exactly one row of each table (inner
     /// equi-joins along a tree), so a parent row can only appear next to a
     /// child row that is itself a candidate: the reduced list is again an
     /// ascending superset of the survivors, and the argument the
     /// [`restrictions`](Self::restrictions) rest on carries over unchanged.
-    /// Keys compare as in the join itself — [`Value::key`], NULLs match
-    /// nothing.
     ///
-    /// Only the direction toward the probe side is walked. Restricting
-    /// build sides from above as well reaches the same row counts but
-    /// attaches a membership filter to index-nested-loop steps that were
-    /// free, and measured slower on plans that were already selective
-    /// (`docs/EXECUTOR.md`). An edge is skipped when the walk is not
-    /// expected to shrink its target: |child candidates| × the parent
-    /// column's mean match-list length ≥ |parent candidates|.
+    /// For the materializing strategy only the direction toward the probe
+    /// side is walked. Restricting build sides from above as well reaches
+    /// the same row counts but attaches a membership filter to
+    /// index-nested-loop steps that were free, and measured slower on plans
+    /// that were already selective (`docs/EXECUTOR.md`); the counting pass,
+    /// which has no such steps, narrows from above too ([`Self::narrow`]).
     fn reduce(&mut self, db: &Database, spec: &SelectSpec) {
-        if self.restrictions.is_empty() || spec.join.edges.is_empty() {
-            return;
+        // A join that is not a tree rooted at the first table is left
+        // alone: which edges the plan joins on is then decided by
+        // `plan_joins`, not by shape.
+        if !self.restrictions.is_empty() {
+            leaves_first(db, spec, self);
         }
-        let oriented = orient_edges(spec);
-        if oriented.len() != spec.join.edges.len() {
-            // Not a tree rooted at the first table: which edges the plan
-            // joins on is then decided by `plan_joins`, not by shape.
-            return;
+    }
+
+    /// The root-first pass the counting pass runs after [`Self::reduce`]:
+    /// parents before children, wherever a parent table is restricted,
+    /// restrict the child to the rows its candidates' join keys reach. The
+    /// reduction's argument holds in this direction too — a child row can
+    /// only appear next to a parent row that is a candidate — as does its
+    /// skip rule.
+    fn narrow(&mut self, db: &Database, spec: &SelectSpec) {
+        for edge in orient_edges(spec) {
+            if self.semi_join(db, edge.parent, edge.child).is_break() {
+                return;
+            }
         }
-        for edge in oriented.iter().rev() {
-            let Some(source) = self.restrictions.get(&edge.child.table) else { continue };
-            if source.is_empty() {
-                return; // `provably_empty` takes it from here
-            }
-            let Some(idx) = db.column_index(edge.parent) else { continue };
-            let target_len = self
-                .restrictions
-                .get(&edge.parent.table)
-                .map_or(db.table_data(edge.parent.table).rows.len(), Vec::len);
-            if source.len() as f64 * idx.mean_matches() >= target_len as f64 {
-                continue;
-            }
-            let child_rows = &db.table_data(edge.child.table).rows;
-            let mut reached: Vec<usize> = Vec::new();
-            for &ri in source {
-                reached.extend_from_slice(idx.lookup(&child_rows[ri].0[edge.child.column]));
-            }
-            self.lookups += source.len() as u64;
-            reached.sort_unstable();
-            reached.dedup();
-            self.restrict(edge.parent.table, reached);
+    }
+
+    /// One semi-join step of [`Self::reduce`] or [`Self::narrow`]: if
+    /// `from`'s table is restricted, restrict `to`'s table to the rows whose
+    /// `to` key occurs among the candidates' `from` cells — one
+    /// [`ColumnIndex::lookup`] per candidate. Keys compare as in the join
+    /// itself — [`Value::key`], NULLs match nothing. Skipped when it is not
+    /// expected to shrink its target: |candidates| × the `to` column's mean
+    /// match-list length ≥ |`to` candidates|. `Break` when `from`'s table
+    /// has no candidate left ([`Self::provably_empty`] takes it from there).
+    fn semi_join(&mut self, db: &Database, from: ColumnId, to: ColumnId) -> ControlFlow<()> {
+        let Some(source) = self.restrictions.get(&from.table) else {
+            return ControlFlow::Continue(());
+        };
+        if source.is_empty() {
+            return ControlFlow::Break(());
         }
+        let Some(idx) = db.column_index(to) else { return ControlFlow::Continue(()) };
+        let target_len =
+            (self.restrictions.get(&to.table)).map_or(db.table_data(to.table).rows.len(), Vec::len);
+        if source.len() as f64 * idx.mean_matches() >= target_len as f64 {
+            return ControlFlow::Continue(());
+        }
+        let from_rows = &db.table_data(from.table).rows;
+        let mut reached: Vec<usize> = Vec::new();
+        for &ri in source {
+            reached.extend_from_slice(idx.lookup(&from_rows[ri].0[from.column]));
+        }
+        self.lookups += source.len() as u64;
+        reached.sort_unstable();
+        reached.dedup();
+        self.restrict(to.table, reached);
+        ControlFlow::Continue(())
     }
 
     /// Whether the planner can prove the joined relation empty before
@@ -520,6 +579,12 @@ impl IndexAccess {
     fn provably_empty(&self, db: &Database, spec: &SelectSpec) -> bool {
         spec.join.tables.iter().any(|&t| db.table_data(t).rows.is_empty())
             || self.restrictions.values().any(|c| c.is_empty())
+    }
+}
+
+impl Carry for IndexAccess {
+    fn carry(&mut self, db: &Database, edge: &OrientedEdge) -> ControlFlow<()> {
+        self.semi_join(db, edge.child, edge.parent)
     }
 }
 
@@ -716,6 +781,34 @@ fn orient_edges(spec: &SelectSpec) -> Vec<OrientedEdge> {
     oriented
 }
 
+/// What one leaves-first walk carries up the join tree, table by table: a
+/// semiring instance of the walk. [`IndexAccess`] is the Boolean one (can a
+/// row appear in a joined row at all?), [`Counts`] the counting one (in how
+/// many?).
+trait Carry {
+    /// Fold what the walk knows of `edge.child`'s table — its subtree is
+    /// complete — into `edge.parent`'s. `Break` once the walk has proven the
+    /// join empty.
+    fn carry(&mut self, db: &Database, edge: &OrientedEdge) -> ControlFlow<()>;
+}
+
+/// The one leaves-first walk over the join tree rooted at
+/// `spec.join.tables[0]`: every edge is carried after every edge below its
+/// child, so a table is folded into its parent only once its own subtree is.
+/// Carries nothing when the edges are not a tree rooted there.
+fn leaves_first(db: &Database, spec: &SelectSpec, walk: &mut impl Carry) {
+    let oriented = orient_edges(spec);
+    if oriented.len() != spec.join.edges.len() {
+        return;
+    }
+    // `orient_edges` lists a parent's edge before its children's.
+    for edge in oriented.iter().rev() {
+        if walk.carry(db, edge).is_break() {
+            return;
+        }
+    }
+}
+
 /// Whether greedy most-selective-first step ordering preserves the emitted
 /// row order. Each join step expands every probe row in place, so a step
 /// whose build key is unique contributes 0 or 1 match and the output order
@@ -879,6 +972,49 @@ impl KeyIndex {
     }
 }
 
+/// GROUP BY on one indexed column, numbered by first appearance like
+/// [`KeyIndex`] and grouping exactly as it does: a row's key is the position
+/// of its match list among the column index's lists
+/// ([`ColumnIndex::keyed_lists`]; keys compare as [`Value::key`]), NULL
+/// past the last, read off one walk over the lists — so grouping a row
+/// hashes and allocates nothing.
+struct ListGroups {
+    /// Per row of the column's table: its key's position.
+    key_of: Vec<usize>,
+    /// Per key: its group's slot, `usize::MAX` before it appears.
+    slot_of: Vec<usize>,
+    slots: usize,
+}
+
+impl ListGroups {
+    fn new(idx: &ColumnIndex, rows: usize) -> ListGroups {
+        let mut key_of = vec![usize::MAX; rows];
+        let mut keys = 0;
+        for (_, list) in idx.keyed_lists() {
+            for &ri in list {
+                key_of[ri] = keys;
+            }
+            keys += 1;
+        }
+        for key in &mut key_of {
+            *key = (*key).min(keys); // NULL
+        }
+        ListGroups { key_of, slot_of: vec![usize::MAX; keys + 1], slots: 0 }
+    }
+
+    /// The first-appearance number of row `ri`'s group, and whether this
+    /// call introduced it.
+    fn slot(&mut self, ri: usize) -> (usize, bool) {
+        let slot = &mut self.slot_of[self.key_of[ri]];
+        let new = *slot == usize::MAX;
+        if new {
+            *slot = self.slots;
+            self.slots += 1;
+        }
+        (*slot, new)
+    }
+}
+
 /// Build the hash table over one join step's build column: key → ascending
 /// row ids, NULLs excluded — what [`ColumnIndex::lookup`] answers from its
 /// runs.
@@ -973,17 +1109,31 @@ impl<'a> Resolved<'a> {
     }
 
     /// Partition the joined rows `filtered` by the GROUP BY columns, groups
-    /// in first-appearance order.
-    fn partition(&self, joined: &Joined, filtered: Vec<usize>) -> Vec<Vec<usize>> {
+    /// in first-appearance order: by the column's index lists for one
+    /// indexed column ([`ListGroups`]), by typed keys otherwise.
+    fn partition(&self, db: &Database, joined: &Joined, filtered: Vec<usize>) -> Vec<Vec<usize>> {
         let mut groups: Vec<Vec<usize>> = Vec::new();
-        let mut index = KeyIndex::default();
-        for r in filtered {
-            let ids = joined.row(r);
-            let (slot, new) = index.slot(self.group_pos.iter().map(|&pos| self.cell(ids, pos)));
+        let mut push = |(slot, new): (usize, bool), r: usize| {
             if new {
                 groups.push(Vec::new());
             }
             groups[slot].push(r);
+        };
+        match (&self.spec.group_by[..], &self.group_pos[..]) {
+            (&[col], &[(table, _)]) if db.is_indexed() => {
+                let idx = db.column_index(col).expect("an indexed database indexes every column");
+                let mut index = ListGroups::new(idx, self.tables[table].len());
+                for r in filtered {
+                    push(index.slot(joined.row(r)[table]), r);
+                }
+            }
+            _ => {
+                let mut index = KeyIndex::default();
+                for r in filtered {
+                    let ids = joined.row(r);
+                    push(index.slot(self.group_pos.iter().map(|&pos| self.cell(ids, pos))), r);
+                }
+            }
         }
         groups
     }
@@ -1262,6 +1412,7 @@ fn run_streaming(
         },
         exact,
         streamed: true,
+        counted: false,
         index_lookups: access.lookups + setup_lookups + stream.lookups,
         rows_via_index: stream.via_index + if via_first { first_scanned } else { 0 },
         probes_bailed_empty: u64::from(bailed),
@@ -1335,10 +1486,32 @@ fn run_materialized(
     } else if spec.group_by.is_empty() {
         query.records(&joined, std::iter::once(filtered.as_slice()))
     } else {
-        let groups = query.partition(&joined, filtered);
+        let groups = query.partition(db, &joined, filtered);
         query.records(&joined, groups.iter().map(Vec::as_slice))
     };
 
+    ExecMetrics {
+        rows_scanned: scanned,
+        rows_short_circuited: 0,
+        exact: deliver(spec, records, opts, sink),
+        streamed: false,
+        counted: false,
+        index_lookups: access.lookups + lookups,
+        rows_via_index: via_index,
+        probes_bailed_empty: u64::from(bailed),
+    }
+}
+
+/// The batch tail of the materializing strategy and the counting pass:
+/// DISTINCT, ORDER BY and LIMIT ([`finalize`]), then the budget, then the
+/// rows to `sink` until it wants no more. Returns whether the budget cut
+/// nothing ([`ExecMetrics::exact`]).
+fn deliver(
+    spec: &SelectSpec,
+    records: Vec<Record>,
+    opts: &ExecOptions,
+    sink: &mut impl Sink,
+) -> bool {
     let mut records = finalize(spec, records);
     let exact = opts.row_budget.is_none_or(|budget| records.len() <= budget);
     records.truncate(opts.row_budget.unwrap_or(usize::MAX));
@@ -1348,14 +1521,299 @@ fn run_materialized(
             break;
         }
     }
-    ExecMetrics {
-        rows_scanned: scanned,
+    exact
+}
+
+/// Whether `spec` lies in the counting fragment: a grouped or aggregate
+/// query whose one aggregate is `COUNT(*)` — in SELECT, HAVING and ORDER BY
+/// — whose GROUP BY, plain projected and ORDER BY columns are all on the
+/// first FROM table, and whose WHERE clause is an AND of single-column
+/// predicates (or one predicate), so that a joined row passes it exactly
+/// when each of its table rows passes its own.
+fn in_counting_fragment(spec: &SelectSpec) -> bool {
+    let root = spec.join.tables[0];
+    let on_root = |col: ColumnId| col.table == root;
+    let count_star = |agg, col: Option<ColumnId>| agg == Some(AggFunc::Count) && col.is_none();
+    (spec.has_aggregates() || !spec.group_by.is_empty())
+        && (spec.predicate_op == LogicalOp::And || spec.predicates.len() <= 1)
+        && spec.group_by.iter().all(|&col| on_root(col))
+        && spec.select.iter().all(|item| match item.agg {
+            None => item.col.is_some_and(on_root),
+            agg => count_star(agg, item.col),
+        })
+        && spec.having.iter().all(|h| count_star(h.agg, h.col))
+        && spec.order_by.is_none_or(|o| match o.key {
+            OrderKey::Column(col) => on_root(col),
+            OrderKey::Aggregate(agg, col) => count_star(Some(agg), col),
+        })
+}
+
+/// Answer a spec of the counting fragment ([`in_counting_fragment`]) with
+/// one counting pass over its join tree, building no joined row, or `None`
+/// when the materializing strategy must run instead: the spec is outside
+/// the fragment, the database has no indexes, the join is not a tree rooted
+/// at the first table, a literal restriction is already provably empty (the
+/// strategy's bail answers that without a row), or a count overflows.
+///
+/// The pass reduces the literal restrictions up the tree
+/// ([`IndexAccess::reduce`]) and narrows them down from the root
+/// ([`IndexAccess::narrow`]), then counts leaves first ([`Counts`]). A
+/// group's record is the materializing strategy's, in its order: joined
+/// rows come root row by root row, so the group of the first root row with
+/// a non-zero count appears first, its first joined row holds that root
+/// row, and a first-table cell of it is that row's cell; `COUNT(*)` is the
+/// sum of its root rows' counts. `docs/EXECUTOR.md` ("Counting over the join
+/// tree") has the argument in full.
+fn count_over_tree(db: &Database, spec: &SelectSpec) -> Option<(Vec<Record>, ExecMetrics)> {
+    if !in_counting_fragment(spec)
+        || !db.is_indexed()
+        || orient_edges(spec).len() != spec.join.edges.len()
+    {
+        return None;
+    }
+    let mut access = IndexAccess::literals(db, spec);
+    if access.provably_empty(db, spec) {
+        return None;
+    }
+    access.reduce(db, spec);
+    access.narrow(db, spec);
+    let mut counts = Counts::new(db, spec, &access);
+    leaves_first(db, spec, &mut counts);
+    let records = counts.records(db, spec)?;
+    let metrics = ExecMetrics {
+        rows_scanned: counts.scanned,
         rows_short_circuited: 0,
-        exact,
+        exact: true,
         streamed: false,
-        index_lookups: access.lookups + lookups,
-        rows_via_index: via_index,
-        probes_bailed_empty: u64::from(bailed),
+        counted: true,
+        index_lookups: access.lookups + counts.lookups,
+        rows_via_index: counts.via_index,
+        probes_bailed_empty: u64::from(counts.emptied),
+    };
+    Some((records, metrics))
+}
+
+/// How many row-to-row steps of a merge one binary-search lookup is taken
+/// to cost, in [`Counts::sums`]' choice between them: about its depth on
+/// the column sizes this executor serves.
+const MERGE_PER_LOOKUP: usize = 8;
+
+/// The counting instance of [`leaves_first`]: for each row of each joined
+/// table, how many joined rows of the table's subtree hold it and pass the
+/// WHERE clause. A row starts at 1 if it is a candidate that passes its own
+/// table's predicates, 0 otherwise; each child edge then multiplies it by
+/// the sum of the counts of the child rows its join key matches, read off
+/// the join columns' indexes ([`Counts::sums`]). Once every edge is carried,
+/// a root row's count is the number of joined rows that begin with it.
+struct Counts<'a> {
+    tables: &'a [TableId],
+    /// Per FROM table, by row id: the row's count so far.
+    counts: Vec<Vec<u64>>,
+    /// Per FROM table: the rows whose count is not 0, ascending.
+    live: Vec<Vec<usize>>,
+    /// A table lost its last live row, so every count above it is 0.
+    emptied: bool,
+    /// A product or sum left `u64`.
+    overflowed: bool,
+    /// Rows counted, lookups made and rows their match lists held
+    /// ([`ExecMetrics`]).
+    scanned: u64,
+    lookups: u64,
+    via_index: u64,
+}
+
+impl<'a> Counts<'a> {
+    /// Every FROM table's candidates (its restriction, or all its rows),
+    /// kept at 1 where they pass their table's predicates.
+    fn new(db: &Database, spec: &'a SelectSpec, access: &IndexAccess) -> Counts<'a> {
+        let tables: &'a [TableId] = &spec.join.tables;
+        let mut counts = Counts {
+            tables,
+            counts: Vec::with_capacity(tables.len()),
+            live: Vec::with_capacity(tables.len()),
+            emptied: false,
+            overflowed: false,
+            scanned: 0,
+            lookups: 0,
+            via_index: 0,
+        };
+        for &table in tables {
+            let rows = &db.table_data(table).rows;
+            let own: Vec<(usize, &Predicate)> = (spec.predicates.iter())
+                .filter_map(|p| p.col.filter(|c| c.table == table).map(|c| (c.column, p)))
+                .collect();
+            let passes = |&ri: &usize| {
+                let row = &rows[ri].0;
+                own.iter().all(|&(c, p)| compare(&row[c], p.op, &p.value, p.value2.as_ref()))
+            };
+            let live: Vec<usize> = match access.restrictions.get(&table) {
+                Some(cands) => {
+                    counts.via_index += cands.len() as u64;
+                    counts.scanned += cands.len() as u64;
+                    cands.iter().copied().filter(passes).collect()
+                }
+                None => {
+                    counts.scanned += rows.len() as u64;
+                    (0..rows.len()).filter(passes).collect()
+                }
+            };
+            let mut by_row = vec![0; rows.len()];
+            for &ri in &live {
+                by_row[ri] = 1;
+            }
+            counts.emptied |= live.is_empty();
+            counts.counts.push(by_row);
+            counts.live.push(live);
+        }
+        counts
+    }
+
+    /// Position of `table` among the FROM tables.
+    fn slot(&self, table: TableId) -> usize {
+        self.tables.iter().position(|&t| t == table).expect("validated: the FROM clause")
+    }
+
+    /// The spec's records before DISTINCT, ORDER BY and LIMIT, from the
+    /// root's counts: one per group of live root rows, groups in the order
+    /// of their first row, or the one global group. `None` on overflow.
+    fn records(&self, db: &Database, spec: &SelectSpec) -> Option<Vec<Record>> {
+        if self.overflowed {
+            return None;
+        }
+        let root: &[usize] = if self.emptied { &[] } else { &self.live[0] };
+        let (root_rows, counts) = (&db.table_data(self.tables[0]).rows, &self.counts[0]);
+        // (first root row, COUNT(*)) of each group.
+        let mut groups: Vec<(Option<usize>, u64)> = Vec::new();
+        if spec.group_by.is_empty() {
+            let total = root.iter().try_fold(0u64, |sum, &ri| sum.checked_add(counts[ri]))?;
+            groups.push((root.first().copied(), total));
+        } else if let [col] = spec.group_by[..] {
+            let idx = db.column_index(col).expect("an indexed database indexes every column");
+            let mut index = ListGroups::new(idx, root_rows.len());
+            for &ri in root {
+                let (slot, new) = index.slot(ri);
+                if new {
+                    groups.push((Some(ri), 0));
+                }
+                groups[slot].1 = groups[slot].1.checked_add(counts[ri])?;
+            }
+        } else {
+            let mut index = KeyIndex::default();
+            for &ri in root {
+                let key = spec.group_by.iter().map(|col| &root_rows[ri].0[col.column]);
+                let (slot, new) = index.slot(key);
+                if new {
+                    groups.push((Some(ri), 0));
+                }
+                groups[slot].1 = groups[slot].1.checked_add(counts[ri])?;
+            }
+        }
+        let cell = |first: Option<usize>, col: ColumnId| {
+            first.map_or(Value::Null, |ri| root_rows[ri].0[col.column].clone())
+        };
+        let mut records = Vec::with_capacity(groups.len());
+        for (first, n) in groups {
+            let count = Value::int(i64::try_from(n).ok()?);
+            if !spec.having.iter().all(|h| compare(&count, h.op, &h.value, h.value2.as_ref())) {
+                continue;
+            }
+            let projected = (spec.select.iter())
+                .map(|item| match item.agg {
+                    None => cell(first, item.col.expect("validated: a plain item has a column")),
+                    Some(_) => count.clone(),
+                })
+                .collect();
+            let order_key = spec.order_by.map(|o| match o.key {
+                OrderKey::Column(col) => cell(first, col),
+                OrderKey::Aggregate(..) => count.clone(),
+            });
+            records.push(Record { projected, order_key });
+        }
+        Some(records)
+    }
+
+    /// Each live parent row's sum of the counts of the child rows its join
+    /// key matches, by parent row id (0 for a row the walk need not ask
+    /// about), read off the two join columns' match lists: merged side by
+    /// side in key order when nearly every row on both sides is live, else
+    /// from whichever side has fewer live rows — pulled, one lookup in the
+    /// child column's index per live parent row, or pushed, one lookup in
+    /// the parent column's index per live child row. `None` on overflow.
+    fn sums(&mut self, db: &Database, edge: &OrientedEdge) -> Option<Vec<u64>> {
+        let (parent, child) = (self.slot(edge.parent.table), self.slot(edge.child.table));
+        let (parent_idx, child_idx) = (db.column_index(edge.parent), db.column_index(edge.child));
+        let (parent_idx, child_idx) =
+            (parent_idx.zip(child_idx)).expect("an indexed database indexes every column");
+        let parent_rows = db.table_data(edge.parent.table).rows.len();
+        let probes = self.live[parent].len().min(self.live[child].len());
+        let both = parent_rows + db.table_data(edge.child.table).rows.len();
+        if probes.saturating_mul(MERGE_PER_LOOKUP) >= both {
+            // Nearly every row on both sides is asked about: walking the
+            // two columns' match lists side by side in key order costs less
+            // than a binary search per row.
+            let below = &self.counts[child];
+            let mut sums = vec![0u64; parent_rows];
+            let mut lists = child_idx.keyed_lists().peekable();
+            for (key, parents) in parent_idx.keyed_lists() {
+                while lists.next_if(|&(k, _)| k < key).is_some() {}
+                let Some((_, children)) = lists.next_if(|&(k, _)| k == key) else { continue };
+                let sum = children.iter().try_fold(0u64, |sum, &c| sum.checked_add(below[c]))?;
+                self.via_index += children.len() as u64;
+                for &p in parents {
+                    sums[p] = sum;
+                }
+            }
+            return Some(sums);
+        }
+        let pull = self.live[parent].len() <= self.live[child].len();
+        let (from, idx) = if pull { (edge.parent, child_idx) } else { (edge.child, parent_idx) };
+        let probes = &self.live[self.slot(from.table)];
+        let rows = &db.table_data(from.table).rows;
+        let below = &self.counts[child];
+        let mut sums = vec![0u64; parent_rows];
+        for &ri in probes {
+            let matches = idx.lookup(&rows[ri].0[from.column]);
+            self.via_index += matches.len() as u64;
+            if pull {
+                sums[ri] = matches.iter().try_fold(0u64, |sum, &c| sum.checked_add(below[c]))?;
+            } else {
+                for &p in matches {
+                    sums[p] = sums[p].checked_add(below[ri])?;
+                }
+            }
+        }
+        self.lookups += probes.len() as u64;
+        Some(sums)
+    }
+}
+
+impl Carry for Counts<'_> {
+    /// Multiply each live parent row's count by the sum of the counts of
+    /// the child rows its join key matches ([`Counts::sums`]); a row whose
+    /// product is 0 leaves the live list.
+    fn carry(&mut self, db: &Database, edge: &OrientedEdge) -> ControlFlow<()> {
+        let Some(sums) = self.sums(db, edge) else {
+            self.overflowed = true;
+            return ControlFlow::Break(());
+        };
+        let parent = self.slot(edge.parent.table);
+        let mut live = std::mem::take(&mut self.live[parent]);
+        let counts = &mut self.counts[parent];
+        let mut overflowed = false;
+        live.retain(|&ri| {
+            let product = counts[ri].checked_mul(sums[ri]);
+            overflowed |= product.is_none();
+            counts[ri] = product.unwrap_or(0);
+            counts[ri] != 0
+        });
+        self.overflowed |= overflowed;
+        self.emptied |= live.is_empty();
+        self.live[parent] = live;
+        if self.overflowed || self.emptied {
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(())
+        }
     }
 }
 

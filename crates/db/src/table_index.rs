@@ -94,7 +94,7 @@ fn sort_bits(v: &Value) -> u64 {
 }
 
 /// `text` ASCII-lowercased byte by byte, without allocating.
-fn fold(text: &str) -> impl Iterator<Item = u8> + Clone + '_ {
+pub(crate) fn fold(text: &str) -> impl Iterator<Item = u8> + Clone + '_ {
     text.bytes().map(|b| b.to_ascii_lowercase())
 }
 
@@ -111,6 +111,16 @@ fn partition_index(len: usize, below: impl Fn(usize) -> bool) -> usize {
         }
     }
     lo
+}
+
+/// The key a match list of [`ColumnIndex::keyed_lists`] is filed under: a
+/// number by its sort bits, a text by its lowercased bytes. Lists of two
+/// columns share a key exactly when their cells share a [`Value::key`], and
+/// every column lists its keys in this order, so two columns' lists merge.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum ListKey<'a> {
+    Num(u64),
+    Text(&'a str),
 }
 
 /// One distinct folded text of a column: where its bytes end in
@@ -328,6 +338,21 @@ impl ColumnIndex {
         }
     }
 
+    /// Every match list [`ColumnIndex::lookup`] can return, each once and
+    /// under its key: the numbers' equal-value runs in value order, then the
+    /// texts' folded runs in key order — ascending [`ListKey`]s. No NULL cell
+    /// is in any.
+    pub(crate) fn keyed_lists(&self) -> impl Iterator<Item = (ListKey<'_>, &[usize])> + '_ {
+        let mut at = self.bits.partition_point(|&b| b == NULL_BITS);
+        let numbers = self.bits[at..].chunk_by(|a, b| a == b).map(move |run| {
+            at += run.len();
+            (ListKey::Num(run[0]), &self.sorted[at - run.len()..at])
+        });
+        let texts = (0..self.groups.len())
+            .map(|g| (ListKey::Text(self.key(g)), &self.folded[self.run_span(g)]));
+        numbers.chain(texts)
+    }
+
     /// The column's distinct folded texts that start with `prefix` up to
     /// ASCII case, ascending.
     pub(crate) fn keys_from<'a>(&'a self, prefix: &'a str) -> impl Iterator<Item = &'a str> + 'a {
@@ -338,10 +363,19 @@ impl ColumnIndex {
             .take_while(move |&key| starts(key))
     }
 
-    /// The equal-value run of `sorted` whose cells have `bits`.
+    /// The equal-value run of `sorted` whose cells have `bits`. A run is
+    /// short next to its column, so its end is found by galloping from its
+    /// start: a key column's run is settled in one comparison.
     fn number_run(&self, bits: u64) -> &[usize] {
         let start = self.bits.partition_point(|&b| b < bits);
-        &self.sorted[start..self.bits.partition_point(|&b| b <= bits)]
+        let rest = &self.bits[start..];
+        // `rest[..step / 2]` is inside the run; the run ends before `step`.
+        let mut step = 1;
+        while step < rest.len() && rest[step] <= bits {
+            step *= 2;
+        }
+        let end = step / 2 + rest[step / 2..step.min(rest.len())].partition_point(|&b| b <= bits);
+        &self.sorted[start..start + end]
     }
 
     /// The first group whose key is not below the folded `probe`.

@@ -6,6 +6,7 @@
 //! from a value ([`Value::key`]): the one notion of "same value" that the
 //! column index, the joins, GROUP BY and DISTINCT share.
 
+use crate::table_index::fold;
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -99,13 +100,13 @@ impl Value {
 
     /// SQL-style ordering comparison. Returns `None` if the values are not
     /// comparable (NULLs or mixed types), mirroring three-valued logic where
-    /// such comparisons evaluate to UNKNOWN.
+    /// such comparisons evaluate to UNKNOWN. Text compares by its
+    /// ASCII-lowercased bytes, folded in place: a comparison allocates
+    /// nothing.
     pub fn sql_cmp(&self, other: &Value) -> Option<Ordering> {
         match (self, other) {
             (Value::Number(a), Value::Number(b)) => a.partial_cmp(b),
-            (Value::Text(a), Value::Text(b)) => {
-                Some(a.to_ascii_lowercase().cmp(&b.to_ascii_lowercase()))
-            }
+            (Value::Text(a), Value::Text(b)) => Some(fold(a).cmp(fold(b))),
             _ => None,
         }
     }
@@ -292,6 +293,9 @@ mod tests {
     fn sql_cmp_numbers_and_text() {
         assert_eq!(Value::int(1994).sql_cmp(&Value::int(1995)), Some(Ordering::Less));
         assert_eq!(Value::text("b").sql_cmp(&Value::text("A")), Some(Ordering::Greater));
+        assert_eq!(Value::text("AbC").sql_cmp(&Value::text("aBc")), Some(Ordering::Equal));
+        assert_eq!(Value::text("ab").sql_cmp(&Value::text("AB_")), Some(Ordering::Less));
+        assert_eq!(Value::text("Z").sql_cmp(&Value::text("_")), Some(Ordering::Greater));
         assert_eq!(Value::int(1).sql_cmp(&Value::text("a")), None);
         assert_eq!(Value::Null.sql_cmp(&Value::int(1)), None);
     }

@@ -27,7 +27,7 @@
 use duoquest::core::verify::VerifyStage;
 use duoquest::core::{Duoquest, DuoquestConfig, TableSketchQuery};
 use duoquest::db::encode::encode_spec;
-use duoquest::db::{Database, SelectSpec};
+use duoquest::db::Database;
 use duoquest::nlq::{GuidanceModel, HeuristicGuidance, Nlq, NoisyOracleGuidance};
 use duoquest::obs::escape_json;
 use duoquest::workloads::{mas, mas_nli_tasks, mas_pbe_tasks, spider, synthesize_tsq, TsqDetail};

@@ -86,6 +86,130 @@ pub fn unindexed(db: &Database) -> Database {
     twin
 }
 
+/// A copy of `db`, indexed, with the gaps a counting pass must survive: in
+/// every table a few rows stored twice, so join keys — primary keys
+/// included — repeat and a row can match two rows of a neighbour; and, with
+/// `empty_one`, one table emptied.
+pub fn gapped(db: &Database, rng: &mut StdRng, empty_one: bool) -> Database {
+    let schema = db.schema().clone();
+    let emptied = empty_one.then(|| TableId(rng.gen_range(0..schema.table_count())));
+    let mut out = Database::new(schema.clone()).unwrap();
+    for t in (0..schema.table_count()).map(TableId).filter(|&t| Some(t) != emptied) {
+        let rows = &db.table_data(t).rows;
+        for row in rows {
+            out.insert_by_id(t, row.0.clone()).unwrap();
+        }
+        for _ in 0..rows.len().min(4) {
+            let again = rows[rng.gen_range(0..rows.len())].0.clone();
+            out.insert_by_id(t, again).unwrap();
+        }
+    }
+    out.rebuild_index();
+    out
+}
+
+/// What shapes the generated counting specs had.
+#[derive(Default)]
+pub struct CountShapes {
+    literals: Literals,
+    pub global: usize,
+    pub grouped: usize,
+    pub grouped_by_two: usize,
+    pub having: usize,
+    pub ordered_by_count: usize,
+    pub distinct: usize,
+    pub outside: usize,
+}
+
+impl CountShapes {
+    /// The run must have met the cases it is there for.
+    pub fn assert_every_class_occurred(&self, seed: u64) {
+        for (what, n) in [
+            ("NULL literal", self.literals.null),
+            ("missing literal", self.literals.miss),
+            ("global COUNT(*)", self.global),
+            ("GROUP BY first-table columns", self.grouped),
+            ("GROUP BY two first-table columns", self.grouped_by_two),
+            ("HAVING COUNT(*)", self.having),
+            ("ORDER BY COUNT(*)", self.ordered_by_count),
+            ("DISTINCT", self.distinct),
+            ("outside the counting fragment", self.outside),
+        ] {
+            assert!(n >= 5, "seed {seed}: only {n} generated counting cases of {what}");
+        }
+    }
+}
+
+/// A counting query over an FK tree of 2–4 tables: a global `COUNT(*)`, or
+/// `COUNT(*)` grouped by one or two first-table columns, with `HAVING
+/// COUNT(*)`, `ORDER BY COUNT(*)` (whose small counts tie often), `DISTINCT`
+/// and a `LIMIT` drawn at random over AND-combined literals, NULL ones
+/// included. One case in eight leaves the counting fragment — a grouping
+/// column on another table, or two predicates under OR — so the fallback
+/// meets the same oracle.
+pub fn random_count_spec(db: &Database, rng: &mut StdRng, seen: &mut CountShapes) -> SelectSpec {
+    let join = loop {
+        let size = rng.gen_range(2..=4);
+        let join = random_tree(db, rng, size);
+        if join.tables.len() > 1 {
+            break join;
+        }
+    };
+    let root = JoinTree::single(join.tables[0]);
+    let mut spec = SelectSpec { join: join.clone(), ..Default::default() };
+    for _ in 0..rng.gen_range(0..=2) {
+        spec.predicates.push(random_predicate(db, &join, rng, &mut seen.literals));
+    }
+    let outside = rng.gen_range(0..8) == 0;
+    seen.outside += usize::from(outside);
+    if outside && spec.predicates.len() == 2 {
+        spec.predicate_op = LogicalOp::Or;
+    }
+    let count = SelectItem::count_star();
+    let count_having = |rng: &mut StdRng| {
+        let (op, n) = match rng.gen_range(0..3) {
+            0 => (CmpOp::Ge, 2),
+            1 => (CmpOp::Lt, 3),
+            _ => (CmpOp::Gt, 0),
+        };
+        Predicate::having(AggFunc::Count, None, op, Value::int(n))
+    };
+    if rng.gen_range(0..4) == 0 {
+        seen.global += 1;
+        spec.select = vec![count];
+        if rng.gen_bool(0.3) {
+            spec.select.push(SelectItem::column(random_column(db, &root, rng)));
+        }
+    } else {
+        seen.grouped += 1;
+        let of = if outside && spec.predicate_op == LogicalOp::And { &join } else { &root };
+        spec.group_by = vec![random_column(db, of, rng)];
+        if rng.gen_bool(0.3) {
+            spec.group_by.push(random_column(db, &root, rng));
+            seen.grouped_by_two += 1;
+        }
+        spec.select = spec.group_by.iter().map(|&key| SelectItem::column(key)).collect();
+        spec.select.push(count);
+        if rng.gen_bool(0.5) {
+            let key = OrderKey::Aggregate(AggFunc::Count, None);
+            spec.order_by = Some(OrderSpec { key, desc: rng.gen_bool(0.5) });
+            seen.ordered_by_count += 1;
+        }
+        if rng.gen_bool(0.2) {
+            spec.distinct = true;
+            seen.distinct += 1;
+        }
+        if rng.gen_bool(0.3) {
+            spec.limit = Some(rng.gen_range(1..4));
+        }
+    }
+    if rng.gen_bool(0.4) {
+        spec.having = vec![count_having(rng)];
+        seen.having += 1;
+    }
+    spec
+}
+
 /// A join tree of up to `size` tables grown from a random root along random
 /// foreign keys in either direction; the root is the executor's first table.
 fn random_tree(db: &Database, rng: &mut StdRng, size: usize) -> JoinTree {

@@ -11,9 +11,10 @@
 //! allocator, and holds a single `#[test]` so no other thread allocates while
 //! it counts.
 
-use duoquest::db::{execute_with, ExecOptions, Value};
+use duoquest::db::{execute_with, ExecOptions, JoinTree, Predicate, SelectItem, SelectSpec, Value};
 use duoquest::workloads::{mas, mas_nli_tasks, mas_pbe_tasks};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cmp::Ordering::{Equal, Greater, Less};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Calls into the allocator that hand out memory (`alloc`, `realloc`).
@@ -98,4 +99,41 @@ fn executions_allocate_for_what_they_return_not_for_what_they_join() {
     let (matched, n) = allocations_of(|| keys.iter().map(|k| index.lookup(k).len()).sum::<usize>());
     assert!(matched >= 200, "the lookups found their rows ({matched})");
     assert_eq!(n, 0, "text index lookups allocated");
+
+    // A text range compares ASCII-folded bytes in place: no comparison
+    // allocates, so a range predicate over every author allocates nothing
+    // per row (two lowercased copies per row while `sql_cmp` built them).
+    let cells: Vec<&Value> = db.column_values(name).collect();
+    let mut folded: Vec<String> = names.iter().map(|n| n.to_ascii_lowercase()).collect();
+    folded.sort_unstable();
+    let quartile = |q: usize| Value::text(folded[folded.len() * q / 4].to_ascii_uppercase());
+    let (low, high) = (quartile(1), quartile(3));
+    let (inside, n) = allocations_of(|| {
+        let between = |v: &Value| {
+            matches!(v.sql_cmp(&low), Some(Greater | Equal))
+                && matches!(v.sql_cmp(&high), Some(Less | Equal))
+        };
+        cells.iter().filter(|v| between(v)).count()
+    });
+    assert!(inside > 0 && inside < cells.len(), "the range splits the names ({inside})");
+    assert_eq!(n, 0, "text comparisons allocated");
+    let spec = SelectSpec {
+        select: vec![SelectItem::count_star()],
+        join: JoinTree::single(name.table),
+        predicates: vec![Predicate::between(name, low, high)],
+        ..Default::default()
+    };
+    let (out, n) = allocations_of(|| execute_with(db, &spec, &ExecOptions::default()).unwrap());
+    assert_eq!(out.result.rows[0].0[0], Value::int(inside as i64));
+    assert!(
+        n <= TEXT_RANGE_CEILING,
+        "a text BETWEEN over {} rows made {n} allocations (ceiling {TEXT_RANGE_CEILING})",
+        cells.len()
+    );
 }
+
+/// Allocations of a global `COUNT(*)` under a text `BETWEEN` over MAS's 320
+/// authors: the execution's own vectors and its one result row (22 today),
+/// none per row — a comparison that lowercased both sides added four per
+/// row, two per bound.
+const TEXT_RANGE_CEILING: u64 = 40;

@@ -41,7 +41,7 @@ use rand::{Rng, SeedableRng};
 use std::cmp::Ordering;
 
 mod common;
-use common::{random_spec, salted, unindexed, Shapes};
+use common::{gapped, random_count_spec, random_spec, salted, unindexed, CountShapes, Shapes};
 
 // ------------------------------------------------------ the naive evaluator --
 
@@ -436,6 +436,98 @@ fn generated_spider_specs_equal_the_naive_reference() {
     for (i, db) in dataset.databases.iter().enumerate() {
         let tally = generated_specs_equal_the_reference(db, 0x4EF0_0100 + i as u64, 200);
         assert_checks_bit(&tally, 200);
+    }
+}
+
+// ------------------------------------------------------- the counting arm --
+
+/// What the counting arm ran.
+#[derive(Default)]
+struct Counted {
+    cases: usize,
+    /// Cases the counting pass answered (`ExecMetrics::counted`).
+    counted: usize,
+    /// Executions that proved the join empty: an emptied table or a
+    /// contradiction, before the pass or within it.
+    proven_empty: usize,
+    /// Non-empty results.
+    non_empty: usize,
+}
+
+/// Generated counting specs (`common::random_count_spec`) over gapped copies
+/// of `db` (join keys duplicated, and in one of them a table emptied): every
+/// execution must
+/// return the naive evaluator's rows in the naive evaluator's order —
+/// groups in the order their first joined row appears, then the stable
+/// `ORDER BY`, then the `LIMIT`.
+fn generated_counts_equal_the_reference(db: &Database, seed: u64, cases: usize) -> Counted {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let salted = salted(db, &mut rng);
+    let dbs = [gapped(&salted, &mut rng, false), gapped(&salted, &mut rng, true)];
+    let mut seen = CountShapes::default();
+    let mut tally = Counted::default();
+    for case in 0..cases {
+        // One case in four meets the emptied table, if its tree holds it.
+        let db = &dbs[usize::from(case % 4 == 0)];
+        let spec = random_count_spec(db, &mut rng, &mut seen);
+        let mut reference = naive::evaluate(db, &spec);
+        if let Some(order) = spec.order_by {
+            reference.sort_by(|a, b| {
+                let ord = naive::order(&a.1, &b.1);
+                if order.desc {
+                    ord.reverse()
+                } else {
+                    ord
+                }
+            });
+        }
+        reference.truncate(spec.limit.unwrap_or(usize::MAX));
+        let want: Vec<Row> = reference.into_iter().map(|(row, _)| Row(row)).collect();
+        let out = execute_with(db, &spec, &ExecOptions::default())
+            .unwrap_or_else(|e| panic!("seed {seed} case {case}: {e}\n  {spec:?}"));
+        assert_eq!(
+            out.result.rows, want,
+            "seed {seed} case {case}: counted {}\n  {spec:?}",
+            out.metrics.counted
+        );
+        tally.cases += 1;
+        tally.counted += usize::from(out.metrics.counted);
+        tally.proven_empty += out.metrics.probes_bailed_empty as usize;
+        tally.non_empty += usize::from(!want.is_empty());
+    }
+    seen.assert_every_class_occurred(seed);
+    tally
+}
+
+/// The arm must have run inside the fragment, not only through the
+/// materializing fallback, and on results with rows.
+fn assert_counts_bit(tally: &Counted, what: &str) {
+    println!(
+        "{what}: {} counting cases, {} answered by the counting pass, {} proven empty, {} \
+         non-empty",
+        tally.cases, tally.counted, tally.proven_empty, tally.non_empty
+    );
+    assert!(
+        tally.counted * 4 >= tally.cases,
+        "only {} of {} cases counted",
+        tally.counted,
+        tally.cases
+    );
+    assert!(tally.non_empty * 4 >= tally.cases, "only {} non-empty results", tally.non_empty);
+}
+
+#[test]
+fn generated_mas_counts_equal_the_naive_reference() {
+    let tally = generated_counts_equal_the_reference(&mas::generate(42, 0.5).db, 0x4EF0_1001, 300);
+    assert_counts_bit(&tally, "MAS");
+}
+
+#[test]
+fn generated_spider_counts_equal_the_naive_reference() {
+    let dataset = spider::generate("reference-gen", 3, 1, 1, 1, 42);
+    for (i, db) in dataset.databases.iter().enumerate() {
+        let tally = generated_counts_equal_the_reference(db, 0x4EF0_1100 + i as u64, 150);
+        assert_counts_bit(&tally, &format!("Spider database {i}"));
     }
 }
 

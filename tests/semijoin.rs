@@ -611,8 +611,8 @@ fn reduced_plans_hold_their_exact_counts() {
 
 /// `(rows_scanned, index_lookups, rows_via_index, probes_bailed_empty,
 /// streamed)` of the three gated executions on `MasDataset::standard()`.
-const C3_COUNTS: (u64, u64, u64, u64, bool) = (385, 344, 345, 0, false);
+const C3_COUNTS: (u64, u64, u64, u64, bool) = (228, 187, 817, 0, false);
 const B2_PROBE_COUNTS: (u64, u64, u64, u64, bool) = (42, 8, 42, 0, true);
-const B4_COUNTS: (u64, u64, u64, u64, bool) = (388, 211, 388, 0, false);
+const B4_COUNTS: (u64, u64, u64, u64, bool) = (346, 212, 780, 0, false);
 /// `rows_scanned` of B4's gold query before the semi-join reduction.
 const B4_ROWS_SCANNED_BEFORE: u64 = 414;
