@@ -23,26 +23,40 @@
 //!
 //! Design:
 //!
-//! * **Sharded.** Entries live in [`SHARD_COUNT`] independent `RwLock`ed hash
-//!   maps, the shard picked by a hash of the entry's encoded key, so
-//!   concurrent sessions on a shared database rarely contend on the same
+//! * **Sharded.** Entries live in [`SHARD_COUNT`] independent `RwLock`ed
+//!   shards, the shard picked by an FNV-1a hash of the entry's encoded key,
+//!   so concurrent sessions on a shared database rarely contend on the same
 //!   lock, and read-mostly traffic (cache hits) takes only shared locks.
-//! * **Collision-safe.** The map key is the question's tag, the spec's exact
-//!   byte encoding (`encode::encode_spec`: lengths prefixed, numbers
+//! * **Collision-safe.** An entry's key is the question's tag, the spec's
+//!   exact byte encoding (`encode::encode_spec`: lengths prefixed, numbers
 //!   by their folded bits — every NaN is one NaN, `-0.0` is `0.0` — text by
 //!   its bytes) and, for a verdict, the caller's tag after them. Equal specs
-//!   encode equally and distinct specs distinctly (the hash only picks the
-//!   shard), so two distinct specs, the three questions about one spec, or
-//!   two tags can never alias an entry. A lookup encodes into a reused
-//!   per-thread buffer, so a hit allocates nothing.
+//!   encode equally and distinct specs distinctly, and a lookup compares the
+//!   whole key (hashes only pick the shard and the table slot), so two
+//!   distinct specs, the three questions about one spec, or two tags can
+//!   never alias an entry. A lookup encodes into a reused per-thread buffer,
+//!   so a hit allocates nothing.
+//! * **Packed.** A generation keeps its keys' bytes back to back in one
+//!   arena of fixed 256-byte chunks, each key after its varint length, and
+//!   indexes them with a power-of-two table of 12-byte records — the key's
+//!   arena offset, 32 bits of its hash and the answer: a bit, a moved mark,
+//!   or an index into a side table of the harness-only rows answers. So an
+//!   existence or verdict entry costs its key and about one and a half
+//!   records (≈ 77 B on the benchmark's Spider probes), in a handful of
+//!   allocations per generation instead of two per entry. The table's hash
+//!   is keyed per cache (std `RandomState`): verdict tags and literals carry
+//!   values a user typed, and a keyed hash keeps crafted ones from piling
+//!   into one probe sequence. An entry's estimated bytes are derived from
+//!   its key's length and its answer, not stored.
 //! * **Shared results.** A rows answer is an `Arc<ResultSet>` so a hit is a
 //!   pointer clone, not a row copy; an existence or verdict answer is one bit
 //!   and keeps no rows.
 //! * **Observable.** A run's [`RunCacheCounters`] feed the engine's
 //!   `EnumerationStats`, making cache effectiveness visible per synthesis run.
 //! * **Segment-rotation eviction.** Each shard keeps two generations of
-//!   entries, a *fresh* and a *stale* map. Inserts land in the fresh map; a
-//!   stale hit promotes the entry back to fresh. When an insert would push a
+//!   entries, a *fresh* and a *stale* one. Inserts land in the fresh
+//!   generation; a stale hit promotes the entry back to fresh (its key is
+//!   copied into the fresh arena and the stale record marked moved). When an insert would push a
 //!   shard's fresh payload past half its byte budget (the cache cap split
 //!   evenly across shards), the shard **rotates** first: the stale
 //!   generation is dropped, fresh becomes stale, and a new fresh generation
@@ -68,16 +82,20 @@
 //! `Database::set_probe_cache_capacity`). Retention is strictly bounded by
 //! the budget: each generation stays within half a shard's slice (inserts
 //! rotate first, promotions that would overflow are skipped, and a result
-//! too large for half a slice on its own is returned uncached).
+//! too large for half a slice on its own is returned uncached). A generation
+//! also stays within 4 GiB, so a budget above 128 GiB retains 128 GiB at
+//! most: a record addresses its key with 32 bits.
 //!
 //! **Estimated bytes** — what the budget and [`CacheStats::bytes`] count —
-//! are everything an entry keeps allocated: its map slot at the map's
-//! typical occupancy, its encoded key's length, and — for a rows answer —
-//! the result with its column names, row vector and cells (a one-bit
-//! answer keeps nothing beyond its slot and key). They are the sizes
-//! requested from the allocator, so they come to
-//! what [`ProbeCache::clear`] frees, give or take a third (the memory gate in
-//! `tests/frontier_memory.rs` holds that), not to a payload a fraction of it.
+//! are everything an entry keeps allocated: its record at the table's
+//! typical occupancy, its key and length prefix in the arena, and — for a
+//! rows answer — its side-table slot and the result with its column names,
+//! row vector and cells (a one-bit answer keeps nothing beyond its record
+//! and key). They are the sizes requested from the allocator, so they come
+//! to what [`ProbeCache::clear`] frees, give or take a third (the memory gate
+//! in `tests/frontier_memory.rs` holds that), not to a payload a fraction of
+//! it. The key bytes of a promoted entry stay in the stale arena, uncounted,
+//! until the next rotation drops it.
 
 use crate::database::Row;
 use crate::encode::encode_spec;
@@ -85,7 +103,8 @@ use crate::executor::{ExecMetrics, ResultSet};
 use crate::query::SelectSpec;
 use crate::types::{DataType, Value};
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
+use std::collections::hash_map::RandomState;
+use std::hash::BuildHasher;
 use std::mem::size_of;
 use std::ops::DerefMut;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -164,7 +183,7 @@ pub struct CacheStats {
     pub hits: u64,
     /// Probes that had to run the executor.
     pub misses: u64,
-    /// Estimated bytes the cache's entries keep allocated, keys and map slots
+    /// Estimated bytes the cache's entries keep allocated, keys and records
     /// included (see the module docs).
     pub bytes: u64,
     /// Number of cached entries.
@@ -205,7 +224,7 @@ pub enum Question {
     Verdict,
 }
 
-/// What one entry keeps: the spec's rows, or one bit — whether there are
+/// What one entry answers: the spec's rows, or one bit — whether there are
 /// any rows, or the verdict on them.
 #[derive(Debug, Clone)]
 enum Answer {
@@ -213,56 +232,239 @@ enum Answer {
     Bit(bool),
 }
 
-/// One memoized answer and what it costs the byte budget, key included
-/// ([`estimate_bytes`]).
-#[derive(Debug)]
-struct Entry {
-    answer: Answer,
-    bytes: u64,
-}
-
-impl Entry {
-    /// The rows of a rows entry.
-    fn rows(&self) -> Option<Arc<ResultSet>> {
-        match &self.answer {
-            Answer::Rows(rows) => Some(Arc::clone(rows)),
+impl Answer {
+    /// The rows of a rows answer.
+    fn rows(self) -> Option<Arc<ResultSet>> {
+        match self {
+            Answer::Rows(rows) => Some(rows),
             Answer::Bit(_) => None,
         }
     }
 
-    /// The bit of an existence or verdict entry.
-    fn bit(&self) -> Option<bool> {
-        match self.answer {
+    /// The bit of an existence or verdict answer.
+    fn bit(self) -> Option<bool> {
+        match self {
             Answer::Bit(bit) => Some(bit),
             Answer::Rows(_) => None,
         }
     }
 }
 
-/// Two generations of memoized entries plus their byte accounting; one per
-/// shard, guarded by the shard's lock.
+/// Bytes per chunk of a generation's key arena.
+const KEY_CHUNK: usize = 256;
+
+/// [`Record::answer`] values below `ROWS`: the two bits, and a stale record
+/// whose entry was promoted into the fresh generation. `ROWS + i` is
+/// [`Generation::rows`]`[i]`, and `EMPTY` marks a free slot.
+const FALSE: u32 = 0;
+const TRUE: u32 = 1;
+const MOVED: u32 = 2;
+const ROWS: u32 = 3;
+const EMPTY: u32 = u32::MAX;
+
+/// One slot of a [`Generation`]'s table: where its entry's key sits in the
+/// arena, 32 bits of the key's keyed hash (what places it in the table and
+/// rejects most unequal keys without a byte compare) and its answer.
+#[derive(Debug, Clone, Copy)]
+struct Record {
+    at: u32,
+    hash: u32,
+    answer: u32,
+}
+
+impl Record {
+    const FREE: Record = Record { at: 0, hash: 0, answer: EMPTY };
+}
+
+/// One generation of a shard's entries. Every key's exact bytes sit back to
+/// back in fixed-size chunks, each after its length as a varint (a key may
+/// run across a chunk boundary), and an open-addressing table of 12-byte
+/// [`Record`]s, probed linearly from the keyed hash's low bits, points at
+/// them. Nothing is removed from a generation: promotion marks a stale
+/// record moved, and rotation drops the generation whole.
+#[derive(Default)]
+struct Generation {
+    /// Each `KEY_CHUNK` long, allocated once.
+    chunks: Vec<Box<[u8]>>,
+    /// Arena bytes written to `chunks`.
+    len: usize,
+    /// A power-of-two table, at most 7/8 full.
+    table: Vec<Record>,
+    /// Records in `table`, moved ones included.
+    records: usize,
+    /// Records marked [`MOVED`].
+    moved: usize,
+    /// The harness-only rows answers.
+    rows: Vec<Arc<ResultSet>>,
+    /// The estimated bytes of the live entries ([`entry_bytes`]).
+    bytes: u64,
+}
+
+impl std::fmt::Debug for Generation {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Generation")
+            .field("entries", &self.entries())
+            .field("arena_bytes", &self.len)
+            .field("bytes", &self.bytes)
+            .finish()
+    }
+}
+
+impl Generation {
+    fn entries(&self) -> u64 {
+        (self.records - self.moved) as u64
+    }
+
+    /// The slot of the record holding `key` (moved or not).
+    fn find(&self, hash: u32, key: &[u8]) -> Option<usize> {
+        let mask = self.table.len().checked_sub(1)?;
+        let mut slot = hash as usize & mask;
+        loop {
+            let record = &self.table[slot];
+            if record.answer == EMPTY {
+                return None;
+            }
+            if record.hash == hash && self.key_is(record.at as usize, key) {
+                return Some(slot);
+            }
+            slot = (slot + 1) & mask;
+        }
+    }
+
+    /// Whether the key stored at arena offset `at` is `key`: its length
+    /// prefix, then its bytes chunk piece by chunk piece.
+    fn key_is(&self, mut at: usize, mut key: &[u8]) -> bool {
+        let (mut len, mut shift) = (0, 0);
+        loop {
+            let byte = self.chunks[at / KEY_CHUNK][at % KEY_CHUNK];
+            at += 1;
+            len |= usize::from(byte & 0x7f) << shift;
+            if byte < 0x80 {
+                break;
+            }
+            shift += 7;
+        }
+        if len != key.len() {
+            return false;
+        }
+        while !key.is_empty() {
+            let offset = at % KEY_CHUNK;
+            let take = key.len().min(KEY_CHUNK - offset);
+            if self.chunks[at / KEY_CHUNK][offset..offset + take] != key[..take] {
+                return false;
+            }
+            (at, key) = (at + take, &key[take..]);
+        }
+        true
+    }
+
+    /// The answer of the live entry under `key`, and its slot.
+    fn get(&self, hash: u32, key: &[u8]) -> Option<(usize, Answer)> {
+        let slot = self.find(hash, key)?;
+        let answer = match self.table[slot].answer {
+            MOVED => return None,
+            FALSE => Answer::Bit(false),
+            TRUE => Answer::Bit(true),
+            rows => Answer::Rows(Arc::clone(&self.rows[(rows - ROWS) as usize])),
+        };
+        Some((slot, answer))
+    }
+
+    /// Add an entry for a key the generation does not hold.
+    fn insert(&mut self, hash: u32, key: &[u8], answer: Answer, bytes: u64) {
+        let answer = match answer {
+            Answer::Bit(bit) => u32::from(bit),
+            Answer::Rows(rows) => {
+                self.rows.push(rows);
+                ROWS + (self.rows.len() - 1) as u32
+            }
+        };
+        let at = self.len as u32;
+        let mut prefix = [0u8; 10];
+        let prefix = varint(key.len(), &mut prefix);
+        self.append(prefix);
+        self.append(key);
+        if (self.records + 1) * 8 > self.table.len() * 7 {
+            self.grow();
+        }
+        self.place(Record { at, hash, answer });
+        self.records += 1;
+        self.bytes += bytes;
+    }
+
+    fn append(&mut self, mut bytes: &[u8]) {
+        while !bytes.is_empty() {
+            let offset = self.len % KEY_CHUNK;
+            if offset == 0 && self.len / KEY_CHUNK == self.chunks.len() {
+                self.chunks.push(vec![0; KEY_CHUNK].into_boxed_slice());
+            }
+            let take = bytes.len().min(KEY_CHUNK - offset);
+            let chunk = self.chunks.last_mut().expect("a chunk with room");
+            chunk[offset..offset + take].copy_from_slice(&bytes[..take]);
+            (self.len, bytes) = (self.len + take, &bytes[take..]);
+        }
+    }
+
+    /// Double the table (16 slots at first) and re-place its records.
+    fn grow(&mut self) {
+        let size = (self.table.len() * 2).max(16);
+        let old = std::mem::replace(&mut self.table, vec![Record::FREE; size]);
+        for record in old.into_iter().filter(|r| r.answer != EMPTY) {
+            self.place(record);
+        }
+    }
+
+    fn place(&mut self, record: Record) {
+        let mask = self.table.len() - 1;
+        let mut slot = record.hash as usize & mask;
+        while self.table[slot].answer != EMPTY {
+            slot = (slot + 1) & mask;
+        }
+        self.table[slot] = record;
+    }
+
+    /// Mark the record in `slot` moved: its entry now lives in the fresh
+    /// generation, and its key bytes stay here until the generation drops.
+    fn mark_moved(&mut self, slot: usize, bytes: u64) {
+        self.table[slot].answer = MOVED;
+        self.moved += 1;
+        self.bytes = self.bytes.saturating_sub(bytes);
+    }
+}
+
+/// Write `value` as a little-endian base-128 varint into `buf`; the bytes
+/// written.
+fn varint(mut value: usize, buf: &mut [u8; 10]) -> &[u8] {
+    let mut n = 0;
+    while value >= 0x80 {
+        buf[n] = value as u8 | 0x80;
+        value >>= 7;
+        n += 1;
+    }
+    buf[n] = value as u8;
+    &buf[..=n]
+}
+
+/// Two generations of memoized entries; one per shard, guarded by the
+/// shard's lock.
 #[derive(Debug, Default)]
 struct Segments {
-    fresh: HashMap<Box<[u8]>, Entry>,
-    stale: HashMap<Box<[u8]>, Entry>,
-    fresh_bytes: u64,
-    stale_bytes: u64,
+    fresh: Generation,
+    stale: Generation,
 }
 
 impl Segments {
     fn entries(&self) -> u64 {
-        (self.fresh.len() + self.stale.len()) as u64
+        self.fresh.entries() + self.stale.entries()
     }
 
     fn bytes(&self) -> u64 {
-        self.fresh_bytes + self.stale_bytes
+        self.fresh.bytes + self.stale.bytes
     }
 
     /// Age out the stale generation and start a new fresh one.
     fn rotate(&mut self) {
         self.stale = std::mem::take(&mut self.fresh);
-        self.stale_bytes = self.fresh_bytes;
-        self.fresh_bytes = 0;
     }
 }
 
@@ -270,6 +472,9 @@ impl Segments {
 #[derive(Debug)]
 pub struct ProbeCache {
     shards: [RwLock<Segments>; SHARD_COUNT],
+    /// Keys the index hash: a value a prober cannot predict, so crafted
+    /// specs cannot pile their entries into one probe sequence.
+    hasher: RandomState,
     hits: AtomicU64,
     misses: AtomicU64,
     rotations: AtomicU64,
@@ -292,6 +497,7 @@ impl ProbeCache {
     pub fn with_max_bytes(max_bytes: u64) -> Self {
         ProbeCache {
             shards: Default::default(),
+            hasher: RandomState::new(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             rotations: AtomicU64::new(0),
@@ -317,103 +523,102 @@ impl ProbeCache {
         &self.shards[(key_hash(key) >> (64 - SHARD_COUNT.trailing_zeros())) as usize]
     }
 
+    /// The keyed hash that places `key` in a generation's index.
+    fn index_hash(&self, key: &[u8]) -> u32 {
+        self.hasher.hash_one(key) as u32
+    }
+
     /// A shard rotates when its fresh generation outgrows half the shard's
-    /// slice of the byte budget, so fresh + stale stay within the slice.
+    /// slice of the byte budget, so fresh + stale stay within the slice. At
+    /// most 4 GiB, so a generation's arena offsets fit a record's 32 bits.
     fn rotation_threshold(&self) -> u64 {
-        (self.max_bytes.load(Ordering::Relaxed) / SHARD_COUNT as u64 / 2).max(1)
+        (self.max_bytes.load(Ordering::Relaxed) / SHARD_COUNT as u64 / 2).clamp(1, u32::MAX.into())
     }
 
     /// Look up `spec`'s memoized rows. Counts a hit or miss; a
     /// stale-generation hit promotes the entry back into the fresh
     /// generation so entries the workload keeps re-probing survive rotation.
     pub fn get(&self, spec: &SelectSpec) -> Option<Arc<ResultSet>> {
-        self.lookup(Question::Rows, spec, &[], Entry::rows)
+        with_key(Question::Rows, spec, &[], |key| self.lookup(key, Answer::rows))
     }
 
     /// Look up a memoized answer to "does `spec` return any row?", counted
     /// and promoted like [`ProbeCache::get`]. A rows entry for the same spec
     /// does not answer it.
     pub fn get_exists(&self, spec: &SelectSpec) -> Option<bool> {
-        self.lookup(Question::Exists, spec, &[], Entry::bit)
+        with_key(Question::Exists, spec, &[], |key| self.lookup(key, Answer::bit))
     }
 
     /// Look up the memoized verdict `tag` names on `spec`'s rows, counted
     /// and promoted like [`ProbeCache::get`]. Only an entry stored
     /// under the same tag answers it.
     pub fn get_verdict(&self, spec: &SelectSpec, tag: &[u8]) -> Option<bool> {
-        self.lookup(Question::Verdict, spec, tag, Entry::bit)
+        with_key(Question::Verdict, spec, tag, |key| self.lookup(key, Answer::bit))
     }
 
     /// The lookup behind every question: `serve` reads an entry's answer
     /// (`None` for an entry of another question, which its key rules out).
-    fn lookup<T>(
-        &self,
-        question: Question,
-        spec: &SelectSpec,
-        tag: &[u8],
-        serve: impl Fn(&Entry) -> Option<T>,
-    ) -> Option<T> {
-        with_key(question, spec, tag, |key| {
-            let shard = self.shard(key);
-            {
-                let segments = shard.read().expect("probe cache lock poisoned");
-                if let Some(found) = segments.fresh.get(key).and_then(&serve) {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    return Some(found);
-                }
-                let stale = segments.stale.get(key).and_then(|e| Some((e.bytes, serve(e)?)));
-                match stale {
-                    None => {
-                        self.misses.fetch_add(1, Ordering::Relaxed);
-                        return None;
-                    }
-                    Some((cost, found)) => {
-                        // Promotion would overflow the fresh generation: serve
-                        // the stale hit directly under the shared lock. A hot
-                        // set too big to promote must not degrade every hit to
-                        // the write lock.
-                        if segments.fresh_bytes + cost > self.rotation_threshold() {
-                            self.hits.fetch_add(1, Ordering::Relaxed);
-                            return Some(found);
-                        }
-                    }
-                }
+    fn lookup<T>(&self, key: &[u8], serve: impl Fn(Answer) -> Option<T>) -> Option<T> {
+        let shard = self.shard(key);
+        let hash = self.index_hash(key);
+        let cost = |answer: &Answer| entry_bytes(key.len(), answer);
+        {
+            let segments = shard.read().expect("probe cache lock poisoned");
+            if let Some(found) = segments.fresh.get(hash, key).and_then(|(_, a)| serve(a)) {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                return Some(found);
             }
-            // Stale hit: promote under the write lock (re-checking, since the
-            // entry may have moved or vanished between the locks). Promotion
-            // is skipped when it would push the fresh generation past its half
-            // of the budget slice — the entry is still served, it just stays
-            // stale — so fresh and stale each stay within half a slice and
-            // retention never exceeds the configured budget. A fresh
-            // generation already holding the key keeps its copy.
-            let mut segments = shard.write().expect("probe cache lock poisoned");
-            if let Some(entry) = segments.stale.get(key) {
-                if let Some(found) = serve(entry) {
-                    let cost = entry.bytes;
-                    if !segments.fresh.contains_key(key)
-                        && segments.fresh_bytes + cost <= self.rotation_threshold()
-                    {
-                        let (key, value) =
-                            segments.stale.remove_entry(key).expect("checked under the same lock");
-                        segments.stale_bytes = segments.stale_bytes.saturating_sub(cost);
-                        segments.fresh.insert(key, value);
-                        segments.fresh_bytes += cost;
-                    }
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    return Some(found);
-                }
-            }
-            match segments.fresh.get(key).and_then(&serve) {
-                Some(found) => {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    Some(found)
-                }
+            let stale =
+                segments.stale.get(hash, key).and_then(|(_, a)| Some((cost(&a), serve(a)?)));
+            match stale {
                 None => {
                     self.misses.fetch_add(1, Ordering::Relaxed);
-                    None
+                    return None;
+                }
+                Some((cost, found)) => {
+                    // Promotion would overflow the fresh generation: serve
+                    // the stale hit directly under the shared lock. A hot
+                    // set too big to promote must not degrade every hit to
+                    // the write lock.
+                    if segments.fresh.bytes + cost > self.rotation_threshold() {
+                        self.hits.fetch_add(1, Ordering::Relaxed);
+                        return Some(found);
+                    }
                 }
             }
-        })
+        }
+        // Stale hit: promote under the write lock (re-checking, since the
+        // entry may have moved or vanished between the locks). Promotion
+        // copies the key into the fresh arena and marks the stale record
+        // moved; it is skipped when it would push the fresh generation past
+        // its half of the budget slice — the entry is still served, it just
+        // stays stale — so fresh and stale each stay within half a slice and
+        // retention never exceeds the configured budget. A fresh generation
+        // already holding the key keeps its copy.
+        let mut segments = shard.write().expect("probe cache lock poisoned");
+        if let Some((at, answer)) = segments.stale.get(hash, key) {
+            if let Some(found) = serve(answer.clone()) {
+                let cost = cost(&answer);
+                if segments.fresh.find(hash, key).is_none()
+                    && segments.fresh.bytes + cost <= self.rotation_threshold()
+                {
+                    segments.stale.mark_moved(at, cost);
+                    segments.fresh.insert(hash, key, answer, cost);
+                }
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                return Some(found);
+            }
+        }
+        match segments.fresh.get(hash, key).and_then(|(_, a)| serve(a)) {
+            Some(found) => {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                Some(found)
+            }
+            None => {
+                self.misses.fetch_add(1, Ordering::Relaxed);
+                None
+            }
+        }
     }
 
     /// Memoize `spec`'s complete result in the fresh generation, rotating
@@ -424,51 +629,48 @@ impl ProbeCache {
     /// Returns the rows that end up serving the spec: an entry already
     /// there (a racing worker's) is kept, and it holds the same rows.
     pub fn insert(&self, spec: &SelectSpec, result: ResultSet) -> Arc<ResultSet> {
-        match self.store(Question::Rows, spec, &[], Answer::Rows(Arc::new(result))) {
-            Answer::Rows(rows) => rows,
-            Answer::Bit(_) => unreachable!("a rows key only ever holds rows"),
-        }
+        let answer = Answer::Rows(Arc::new(result));
+        let stored = with_key(Question::Rows, spec, &[], |key| self.store(key, answer));
+        stored.rows().expect("a rows key only ever holds rows")
     }
 
     /// Memoize whether `spec` returns any row, under the same generations
     /// and budget as [`ProbeCache::insert`]. The entry keeps the bit and its
     /// key, no rows.
     pub fn insert_exists(&self, spec: &SelectSpec, exists: bool) {
-        self.store(Question::Exists, spec, &[], Answer::Bit(exists));
+        with_key(Question::Exists, spec, &[], |key| self.store(key, Answer::Bit(exists)));
     }
 
     /// Memoize the verdict `tag` names on `spec`'s rows, like
     /// [`ProbeCache::insert_exists`]: the entry keeps the bit and its key
     /// (the tag included), no rows.
     pub fn insert_verdict(&self, spec: &SelectSpec, tag: &[u8], verdict: bool) {
-        self.store(Question::Verdict, spec, tag, Answer::Bit(verdict));
+        with_key(Question::Verdict, spec, tag, |key| self.store(key, Answer::Bit(verdict)));
     }
 
     /// The insert behind every question; returns the answer that ends up
     /// serving the key. Every answer stored under one key is the same
     /// answer, so an entry already there is kept.
-    fn store(&self, question: Question, spec: &SelectSpec, tag: &[u8], answer: Answer) -> Answer {
-        with_key(question, spec, tag, |key| {
-            let shard = self.shard(key);
-            let entry = Entry { bytes: estimate_bytes(key, &answer), answer };
-            let threshold = self.rotation_threshold();
-            if entry.bytes > threshold {
-                return entry.answer; // would blow the budget by itself: don't retain
-            }
-            let mut segments = shard.write().expect("probe cache lock poisoned");
-            // A racing worker may have inserted the same probe.
-            if let Some(existing) = segments.fresh.get(key).or_else(|| segments.stale.get(key)) {
-                return existing.answer.clone();
-            }
-            if segments.fresh_bytes + entry.bytes > threshold {
-                segments.rotate();
-                self.rotations.fetch_add(1, Ordering::Relaxed);
-            }
-            segments.fresh_bytes += entry.bytes;
-            let answer = entry.answer.clone();
-            segments.fresh.insert(Box::from(key), entry);
-            answer
-        })
+    fn store(&self, key: &[u8], answer: Answer) -> Answer {
+        let shard = self.shard(key);
+        let hash = self.index_hash(key);
+        let bytes = entry_bytes(key.len(), &answer);
+        let threshold = self.rotation_threshold();
+        if bytes > threshold {
+            return answer; // would blow the budget by itself: don't retain
+        }
+        let mut segments = shard.write().expect("probe cache lock poisoned");
+        // A racing worker may have inserted the same probe.
+        let existing = segments.fresh.get(hash, key).or_else(|| segments.stale.get(hash, key));
+        if let Some((_, existing)) = existing {
+            return existing;
+        }
+        if segments.fresh.bytes + bytes > threshold {
+            segments.rotate();
+            self.rotations.fetch_add(1, Ordering::Relaxed);
+        }
+        segments.fresh.insert(hash, key, answer.clone(), bytes);
+        answer
     }
 
     /// Drop every entry, through each shard's write lock: the clear a
@@ -531,28 +733,33 @@ fn reset(segments: LockResult<impl DerefMut<Target = Segments>>) {
     }
 }
 
+/// What an entry costs besides its key: its [`Record`] at the table's
+/// typical occupancy (it doubles at 7/8 full, so it holds about 3/2 slots
+/// per entry).
+const ENTRY_OVERHEAD: usize = size_of::<Record>() * 3 / 2;
+
 /// The bytes one entry keeps allocated, as requested from the allocator (its
-/// per-allocation overhead is not counted):
+/// per-allocation overhead is not counted), derived from its key's length and
+/// its answer:
 ///
-/// * its map slot — the boxed key and the [`Entry`] side by side, plus the
-///   control byte — at the map's typical occupancy: a table grows by doubling
-///   up to 7/8 full, so it holds about 3/2 slots per entry;
-/// * the encoded key ([`with_key`]);
-/// * a rows answer's result: its `Arc` allocation, column names and types,
-///   the row vector and every row's cells with their text. A one-bit answer
-///   keeps no result.
-fn estimate_bytes(key: &[u8], answer: &Answer) -> u64 {
+/// * [`ENTRY_OVERHEAD`], its record;
+/// * the key's bytes and length prefix in the generation's arena
+///   ([`with_key`]);
+/// * a rows answer's side-table slot and result: its `Arc` allocation,
+///   column names and types, the row vector and every row's cells with their
+///   text. A one-bit answer lives in the record.
+fn entry_bytes(key_len: usize, answer: &Answer) -> u64 {
     fn text(v: &Value) -> usize {
         match v {
             Value::Text(s) => s.capacity(),
             _ => 0,
         }
     }
-    let slot = (size_of::<(Box<[u8]>, Entry)>() + 1) * 3 / 2;
     let result = match answer {
         Answer::Bit(_) => 0,
         Answer::Rows(rs) => {
-            2 * size_of::<usize>() // the `Arc`'s reference counts
+            size_of::<Arc<ResultSet>>() // the side-table slot
+                + 2 * size_of::<usize>() // the `Arc`'s reference counts
                 + size_of::<ResultSet>()
                 + rs.columns.capacity() * size_of::<String>()
                 + rs.columns.iter().map(String::capacity).sum::<usize>()
@@ -566,7 +773,8 @@ fn estimate_bytes(key: &[u8], answer: &Answer) -> u64 {
                     .sum::<usize>()
         }
     };
-    (slot + key.len() + result) as u64
+    let prefix = varint(key_len, &mut [0; 10]).len();
+    (ENTRY_OVERHEAD + prefix + key_len + result) as u64
 }
 
 thread_local! {
@@ -604,6 +812,7 @@ mod tests {
     use crate::query::{Predicate, SelectItem};
     use crate::schema::{ColumnDef, ColumnId, Schema, TableDef};
     use crate::types::Value;
+    use std::collections::HashMap;
 
     fn db() -> Database {
         let mut s = Schema::new("t");
@@ -685,7 +894,7 @@ mod tests {
             let shard = cache.shard(&key(Question::Exists, &s));
             let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 let mut segments = shard.write().unwrap();
-                segments.fresh_bytes += 1_000; // a write the panic leaves half done
+                segments.fresh.bytes += 1_000; // a write the panic leaves half done
                 panic!("a panic under a probe cache shard's write lock");
             }));
             assert!(panicked.is_err() && shard.is_poisoned());
@@ -797,9 +1006,11 @@ mod tests {
         shard.write().unwrap().rotate();
         // The entry is now stale; a hit must return it and promote it back.
         assert!(cache.get(&hot).is_some(), "stale generation still serves hits");
+        let hash = cache.index_hash(&key);
         let segments = shard.read().unwrap();
-        assert!(segments.fresh.contains_key(&key[..]), "hit must promote to fresh");
-        assert!(!segments.stale.contains_key(&key[..]));
+        assert!(segments.fresh.get(hash, &key).is_some(), "hit must promote to fresh");
+        assert!(segments.stale.get(hash, &key).is_none(), "the stale record is marked moved");
+        assert_eq!((segments.fresh.entries(), segments.stale.entries()), (1, 0));
         drop(segments);
         // A second hand rotation + hit keeps it alive indefinitely.
         shard.write().unwrap().rotate();
@@ -853,6 +1064,165 @@ mod tests {
         cache.set_max_bytes(0);
         assert_eq!(cache.max_bytes(), 1);
         assert_eq!(cache.rotation_threshold(), 1);
+    }
+
+    /// Keys are compared whole: under one shared hash, so every lookup
+    /// walks the same probe sequence and the hash rejects nothing, keys of
+    /// one length that differ only in their last byte, or only at a chunk
+    /// boundary, and keys that are prefixes of one another each find their
+    /// own answer, and a key never stored finds none.
+    #[test]
+    fn a_generation_tells_apart_keys_under_one_hash() {
+        let mut keys: Vec<Vec<u8>> = Vec::new();
+        for len in [0, 1, 2, 63, KEY_CHUNK - 1, KEY_CHUNK, KEY_CHUNK + 1, 3 * KEY_CHUNK] {
+            let base: Vec<u8> = (0..len).map(|i| (i * 7 % 251) as u8).collect();
+            keys.push(base.clone());
+            for at in [len.saturating_sub(1), len / 2, KEY_CHUNK.min(len.saturating_sub(1))] {
+                if at < len {
+                    let mut other = base.clone();
+                    other[at] ^= 0x80;
+                    keys.push(other);
+                }
+            }
+        }
+        keys.sort();
+        keys.dedup();
+        let (stored, absent): (Vec<_>, Vec<_>) =
+            keys.iter().enumerate().partition(|(i, _)| i % 3 != 2);
+        let mut generation = Generation::default();
+        for &(i, key) in &stored {
+            generation.insert(7, key, Answer::Bit(i % 2 == 0), 1);
+        }
+        assert_eq!(generation.entries(), stored.len() as u64);
+        for &(i, key) in &stored {
+            let found = generation.get(7, key).and_then(|(_, answer)| answer.bit());
+            assert_eq!(found, Some(i % 2 == 0), "key {i} ({} B)", key.len());
+        }
+        for &(i, key) in &absent {
+            assert!(
+                generation.find(7, key).is_none(),
+                "key {i} ({} B) was never stored",
+                key.len()
+            );
+        }
+    }
+
+    /// The two-map cache the arena generations replaced, for bit answers:
+    /// what every lookup, insert, rotation and clear must still do.
+    #[derive(Default)]
+    struct TwoMaps {
+        fresh: HashMap<Vec<u8>, bool>,
+        stale: HashMap<Vec<u8>, bool>,
+        fresh_bytes: u64,
+        stale_bytes: u64,
+        stats: CacheStats,
+    }
+
+    impl TwoMaps {
+        fn cost(key: &[u8]) -> u64 {
+            entry_bytes(key.len(), &Answer::Bit(false))
+        }
+
+        fn lookup(&mut self, key: &[u8], threshold: u64) -> Option<bool> {
+            let found = self.fresh.get(key).copied().or_else(|| {
+                let bit = self.stale.get(key).copied()?;
+                let cost = Self::cost(key);
+                if self.fresh_bytes + cost <= threshold {
+                    self.stale.remove(key);
+                    self.stale_bytes -= cost;
+                    self.fresh.insert(key.to_vec(), bit);
+                    self.fresh_bytes += cost;
+                }
+                Some(bit)
+            });
+            *(if found.is_some() { &mut self.stats.hits } else { &mut self.stats.misses }) += 1;
+            found
+        }
+
+        fn store(&mut self, key: &[u8], bit: bool, threshold: u64) {
+            let cost = Self::cost(key);
+            if cost > threshold || self.fresh.contains_key(key) || self.stale.contains_key(key) {
+                return;
+            }
+            if self.fresh_bytes + cost > threshold {
+                self.stale = std::mem::take(&mut self.fresh);
+                self.stale_bytes = std::mem::replace(&mut self.fresh_bytes, 0);
+                self.stats.rotations += 1;
+            }
+            self.fresh.insert(key.to_vec(), bit);
+            self.fresh_bytes += cost;
+        }
+
+        fn clear(&mut self) {
+            (self.fresh, self.stale) = Default::default();
+            (self.fresh_bytes, self.stale_bytes) = (0, 0);
+        }
+
+        fn stats(&self) -> CacheStats {
+            CacheStats {
+                bytes: self.fresh_bytes + self.stale_bytes,
+                entries: (self.fresh.len() + self.stale.len()) as u64,
+                ..self.stats
+            }
+        }
+    }
+
+    /// Raw keys that are all prefixes of one another, all in one shard, up
+    /// to a dozen chunks long (so most run across a chunk boundary), inserted
+    /// and looked up in a random order under a budget that rotates the shard
+    /// every few dozen inserts: every answer, hit, miss, rotation, entry
+    /// count and byte count equals the two-map model's, through stale →
+    /// fresh promotions and through both clears.
+    #[test]
+    fn arena_generations_behave_like_two_maps() {
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let base: Vec<u8> = (0..3_000).map(|_| next() as u8).collect();
+        let mut cache = ProbeCache::with_max_bytes(SHARD_COUNT as u64 * 2 * 40_000);
+        let threshold = cache.rotation_threshold();
+        let target = cache.shard(&[]) as *const _;
+        let keys: Vec<&[u8]> = (0..=base.len())
+            .map(|len| &base[..len])
+            .filter(|key| std::ptr::eq(cache.shard(key), target))
+            .collect();
+        assert!(keys.len() > 100 && keys.iter().any(|k| k.len() > 2 * KEY_CHUNK), "{}", keys.len());
+        let bit = |key: &[u8]| key.len().is_multiple_of(3);
+
+        let mut model = TwoMaps::default();
+        let mut promoted = 0;
+        for step in 0..20_000 {
+            let key = keys[next() as usize % keys.len()];
+            if next() % 2 == 0 {
+                let stale = model.stale.contains_key(key) && !model.fresh.contains_key(key);
+                let found = cache.lookup(key, Answer::bit);
+                assert_eq!(found, model.lookup(key, threshold), "step {step}");
+                promoted += usize::from(stale && model.fresh.contains_key(key));
+            } else {
+                let stored = cache.store(key, Answer::Bit(bit(key))).bit();
+                assert_eq!(stored, Some(bit(key)), "step {step}");
+                model.store(key, bit(key), threshold);
+            }
+            if step % 5_000 == 2_499 {
+                // Both clears, alternately: the shared one under the lock and
+                // a write's exclusive one.
+                if step % 10_000 == 2_499 {
+                    cache.clear();
+                } else {
+                    cache.clear_mut();
+                }
+                model.clear();
+            }
+            assert_eq!(cache.stats(), model.stats(), "step {step}");
+            assert!(cache.shards_holding_entries() <= 1);
+        }
+        let stats = cache.stats();
+        assert!(stats.rotations > 50 && promoted > 50, "{stats:?}, {promoted} promotions");
+        assert!(stats.entries > 0 && stats.bytes <= cache.max_bytes(), "{stats:?}");
     }
 
     fn key(question: Question, spec: &SelectSpec) -> Vec<u8> {
@@ -924,8 +1294,8 @@ mod tests {
         assert_eq!(cache.stats().entries, 4);
 
         // A verdict entry keeps its slot and its key, the tag included.
-        let bytes = estimate_bytes(&verdict_key(&s, &tag), &Answer::Bit(true));
-        let exists = estimate_bytes(&key(Question::Exists, &s), &Answer::Bit(true));
+        let bytes = entry_bytes(verdict_key(&s, &tag).len(), &Answer::Bit(true));
+        let exists = entry_bytes(key(Question::Exists, &s).len(), &Answer::Bit(true));
         assert_eq!(bytes, exists + tag.len() as u64);
     }
 
@@ -996,7 +1366,7 @@ mod tests {
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (2, 2, 2));
         // An existence entry keeps its slot and key, no rows.
-        let exists_bytes = estimate_bytes(&key(Question::Exists, &s), &Answer::Bit(true));
+        let exists_bytes = entry_bytes(key(Question::Exists, &s).len(), &Answer::Bit(true));
         assert!(stats.bytes > 2 * exists_bytes);
         assert!(exists_bytes < 128, "{exists_bytes} B for one bit");
     }

@@ -128,10 +128,11 @@ use crate::error::{DbError, DbResult};
 use crate::query::{AggFunc, CmpOp, LogicalOp, OrderKey, OrderSpec, Predicate, SelectSpec};
 use crate::schema::{ColumnId, TableId};
 use crate::table_index::{ord_cmp, ColumnIndex};
-use crate::types::{DataType, Key, Value};
-use std::collections::hash_map::Entry;
+use crate::types::{canonical_bits, DataType, Key, Value};
+use std::collections::hash_map::{Entry, RandomState};
 use std::collections::HashMap;
 use std::fmt::Write as _;
+use std::hash::{BuildHasher, Hasher};
 use std::ops::ControlFlow;
 
 /// The result of executing a query: column headers plus rows.
@@ -359,7 +360,7 @@ fn run(
 ) -> DbResult<ExecMetrics> {
     validate(db, spec)?;
     if let Some((records, metrics)) = count_over_tree(db, spec) {
-        let exact = deliver(spec, records, opts, sink);
+        let exact = deliver(spec, distinct(spec, records), opts, sink);
         return Ok(ExecMetrics { exact, ..metrics });
     }
     let access = IndexAccess::plan(db, spec);
@@ -947,29 +948,78 @@ fn streaming_cap(
 /// Composite typed keys numbered by first appearance: the one derivation
 /// behind GROUP BY partitioning and DISTINCT in both strategies, so they
 /// cannot drift. A key holds one [`Value::key`] per value — `None` for NULL,
-/// which groups with NULL.
+/// which groups with NULL. A row is matched against the keys already numbered
+/// by hashing and comparing its cells' folded bytes in place, so only a new
+/// key is built and stored: grouping allocates per group, not per row.
 #[derive(Default)]
 struct KeyIndex {
-    slots: HashMap<Vec<Option<Key>>, usize>,
-    /// Reused lookup buffer: a key is cloned only when it is new.
-    buf: Vec<Option<Key>>,
+    /// A key's hash → the first slot with that hash; `next` chains the rest.
+    first: HashMap<u64, usize>,
+    next: Vec<usize>,
+    /// Every slot's key parts, back to back; slot `s` ends at `ends[s]`.
+    keys: Vec<Option<Key>>,
+    ends: Vec<usize>,
+    hasher: RandomState,
 }
 
 impl KeyIndex {
     /// The first-appearance number of the key of `values`, and whether this
     /// call introduced it.
-    fn slot<'v>(&mut self, values: impl Iterator<Item = &'v Value>) -> (usize, bool) {
-        self.buf.clear();
-        self.buf.extend(values.map(Value::key));
-        let next = self.slots.len();
-        match self.slots.get(self.buf.as_slice()) {
-            Some(&slot) => (slot, false),
-            None => {
-                self.slots.insert(self.buf.clone(), next);
-                (next, true)
+    fn slot<'v>(&mut self, values: impl Iterator<Item = &'v Value> + Clone) -> (usize, bool) {
+        let mut hasher = self.hasher.build_hasher();
+        for value in values.clone() {
+            hash_folded(value, &mut hasher);
+        }
+        let hash = hasher.finish();
+        let mut at = self.first.get(&hash).copied();
+        while let Some(slot) = at {
+            let start = slot.checked_sub(1).map_or(0, |s| self.ends[s]);
+            if key_is(&self.keys[start..self.ends[slot]], values.clone()) {
+                return (slot, false);
+            }
+            at = Some(self.next[slot]).filter(|&n| n != usize::MAX);
+        }
+        let slot = self.ends.len();
+        self.keys.extend(values.map(Value::key));
+        self.ends.push(self.keys.len());
+        self.next.push(self.first.insert(hash, slot).unwrap_or(usize::MAX));
+        (slot, true)
+    }
+}
+
+/// Feed `value`'s [`Value::key`] to `hasher` without building it: a tag, and
+/// a number's canonical bits or a text's length and ASCII-folded bytes.
+fn hash_folded(value: &Value, hasher: &mut impl Hasher) {
+    match value {
+        Value::Null => hasher.write_u8(0),
+        Value::Number(n) => {
+            hasher.write_u8(1);
+            hasher.write_u64(canonical_bits(*n));
+        }
+        Value::Text(text) => {
+            hasher.write_u8(2);
+            hasher.write_usize(text.len());
+            let mut buf = [0u8; 64];
+            for piece in text.as_bytes().chunks(buf.len()) {
+                let folded = &mut buf[..piece.len()];
+                folded.copy_from_slice(piece);
+                folded.make_ascii_lowercase();
+                hasher.write(folded);
             }
         }
     }
+}
+
+/// Whether `key` is the [`Value::key`] of each of `values`, compared in place.
+fn key_is<'v>(key: &[Option<Key>], mut values: impl Iterator<Item = &'v Value>) -> bool {
+    let part_is = |part: &Option<Key>, value: &Value| match (part, value) {
+        (None, Value::Null) => true,
+        (Some(Key::Num(bits)), Value::Number(n)) => *bits == canonical_bits(*n),
+        (Some(Key::Text(folded)), Value::Text(text)) => folded.eq_ignore_ascii_case(text),
+        _ => false,
+    };
+    key.iter().all(|part| values.next().is_some_and(|value| part_is(part, value)))
+        && values.next().is_none()
 }
 
 /// GROUP BY on one indexed column, numbered by first appearance like
@@ -1480,14 +1530,26 @@ fn run_materialized(
     }
     let joined = Joined { ids, width: plan.tables.len() };
 
-    let filtered: Vec<usize> = (0..joined.len()).filter(|&r| query.passes(joined.row(r))).collect();
+    let mut filtered: Vec<usize> =
+        (0..joined.len()).filter(|&r| query.passes(joined.row(r))).collect();
     let records = if !spec.has_aggregates() && spec.group_by.is_empty() {
+        // DISTINCT keeps the first of equal projections in join order:
+        // dropping the repeats before their cells are copied builds a record
+        // per distinct row, not per joined row.
+        if spec.distinct {
+            let mut seen = KeyIndex::default();
+            filtered.retain(|&r| {
+                let ids = joined.row(r);
+                let cells = query.select_pos.iter();
+                seen.slot(cells.map(|pos| pos.map_or(&Value::Null, |pos| query.cell(ids, pos)))).1
+            });
+        }
         query.records(&joined, filtered.chunks(1))
     } else if spec.group_by.is_empty() {
         query.records(&joined, std::iter::once(filtered.as_slice()))
     } else {
         let groups = query.partition(db, &joined, filtered);
-        query.records(&joined, groups.iter().map(Vec::as_slice))
+        distinct(spec, query.records(&joined, groups.iter().map(Vec::as_slice)))
     };
 
     ExecMetrics {
@@ -1502,9 +1564,10 @@ fn run_materialized(
     }
 }
 
-/// The batch tail of the materializing strategy and the counting pass:
-/// DISTINCT, ORDER BY and LIMIT ([`finalize`]), then the budget, then the
-/// rows to `sink` until it wants no more. Returns whether the budget cut
+/// The batch tail of the materializing strategy and the counting pass, on
+/// records DISTINCT has already deduplicated: ORDER BY and LIMIT
+/// ([`finalize`]), then the budget, then the rows to `sink` until it wants
+/// no more. Returns whether the budget cut
 /// nothing ([`ExecMetrics::exact`]).
 fn deliver(
     spec: &SelectSpec,
@@ -1868,12 +1931,19 @@ fn headers(db: &Database, spec: &SelectSpec) -> DbResult<(Vec<String>, Vec<DataT
     Ok((columns, types))
 }
 
-/// Apply DISTINCT, ORDER BY and LIMIT.
-fn finalize(spec: &SelectSpec, mut records: Vec<Record>) -> Vec<Record> {
+/// DISTINCT over grouped records: the first of equal projections stays.
+/// (Ungrouped rows are deduplicated before their records are built, and a
+/// global aggregate has one record.)
+fn distinct(spec: &SelectSpec, mut records: Vec<Record>) -> Vec<Record> {
     if spec.distinct {
         let mut seen = KeyIndex::default();
         records.retain(|r| seen.slot(r.projected.iter()).1);
     }
+    records
+}
+
+/// Apply ORDER BY and LIMIT.
+fn finalize(spec: &SelectSpec, mut records: Vec<Record>) -> Vec<Record> {
     if let Some(order) = spec.order_by {
         // `ord_cmp`, not `Value::total_cmp`: a total order even over a NaN
         // (after every number), which the standard sort insists on.

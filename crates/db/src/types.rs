@@ -129,9 +129,10 @@ impl Value {
     }
 
     /// SQL `LIKE` with `%` wildcards (case-insensitive). Only meaningful on text.
+    /// Compares ASCII-folded bytes in place, so a match allocates nothing.
     pub fn sql_like(&self, pattern: &str) -> bool {
         let Value::Text(s) = self else { return false };
-        like_match(&s.to_ascii_lowercase(), &pattern.to_ascii_lowercase())
+        like_match(s.as_bytes(), pattern.as_bytes())
     }
 
     /// The typed key this value joins, groups and deduplicates under, or
@@ -169,30 +170,32 @@ pub enum Key {
     Text(String),
 }
 
-/// `%`-wildcard pattern matching used for SQL `LIKE`.
-fn like_match(s: &str, pattern: &str) -> bool {
-    // Split on '%' and greedily match the fragments in order.
-    let parts: Vec<&str> = pattern.split('%').collect();
-    if parts.len() == 1 {
-        return s == pattern;
+/// `%`-wildcard pattern matching used for SQL `LIKE`, up to ASCII case: the
+/// pattern's fragments between `%`s are matched greedily in order, the first
+/// as a prefix, the last as a suffix of what the others left, and each
+/// middle one at its leftmost place.
+fn like_match(s: &[u8], pattern: &[u8]) -> bool {
+    let mut parts = pattern.split(|&b| b == b'%');
+    let first = parts.next().unwrap_or_default();
+    let mut parts = parts.peekable();
+    if parts.peek().is_none() {
+        return s.eq_ignore_ascii_case(pattern);
     }
-    let mut pos = 0usize;
-    for (i, part) in parts.iter().enumerate() {
+    if s.len() < first.len() || !s[..first.len()].eq_ignore_ascii_case(first) {
+        return false;
+    }
+    let mut rest = &s[first.len()..];
+    while let Some(part) = parts.next() {
         if part.is_empty() {
             continue;
         }
-        if i == 0 {
-            if !s.starts_with(part) {
-                return false;
-            }
-            pos = part.len();
-        } else if i == parts.len() - 1 {
-            return s[pos..].ends_with(part);
-        } else {
-            match s[pos..].find(part) {
-                Some(idx) => pos += idx + part.len(),
-                None => return false,
-            }
+        if parts.peek().is_none() {
+            return rest.len() >= part.len()
+                && rest[rest.len() - part.len()..].eq_ignore_ascii_case(part);
+        }
+        match rest.windows(part.len()).position(|w| w.eq_ignore_ascii_case(part)) {
+            Some(at) => rest = &rest[at + part.len()..],
+            None => return false,
         }
     }
     true
@@ -308,6 +311,69 @@ mod tests {
         assert!(!Value::text("VLDB 2020").sql_like("%sigmod%"));
         assert!(Value::text("abc").sql_like("abc"));
         assert!(!Value::int(1956).sql_like("%1956%"));
+        // Case folds on both sides; a suffix may not reuse what a middle
+        // fragment matched; `%` alone, `%%` and the empty pattern.
+        assert!(Value::text("Data Mining").sql_like("%MINING"));
+        assert!(Value::text("ab").sql_like("%A%b"));
+        assert!(!Value::text("ab").sql_like("%ab%b"));
+        assert!(!Value::text("aba").sql_like("%ab%ba"));
+        assert!(Value::text("x").sql_like("%") && Value::text("").sql_like("%%"));
+        assert!(Value::text("").sql_like("") && !Value::text("a").sql_like(""));
+        // Only ASCII folds, as in `to_ascii_lowercase`.
+        assert!(Value::text("Émile Zola").sql_like("%ÉMILE%"));
+        assert!(!Value::text("émile zola").sql_like("%ÉMILE%"));
+        assert!(!Value::text("a").sql_like("ab%") && !Value::text("a").sql_like("%ba"));
+    }
+
+    /// `LIKE` as it was written before it folded in place: both sides
+    /// lowercased into new strings and the pattern split into a vector.
+    fn lowercasing_like(s: &str, pattern: &str) -> bool {
+        let (s, pattern) = (s.to_ascii_lowercase(), pattern.to_ascii_lowercase());
+        let parts: Vec<&str> = pattern.split('%').collect();
+        if parts.len() == 1 {
+            return s == pattern;
+        }
+        let mut pos = 0usize;
+        for (i, part) in parts.iter().enumerate() {
+            if part.is_empty() {
+                continue;
+            }
+            if i == 0 {
+                if !s.starts_with(part) {
+                    return false;
+                }
+                pos = part.len();
+            } else if i == parts.len() - 1 {
+                return s[pos..].ends_with(part);
+            } else {
+                match s[pos..].find(part) {
+                    Some(idx) => pos += idx + part.len(),
+                    None => return false,
+                }
+            }
+        }
+        true
+    }
+
+    #[test]
+    fn like_matches_the_lowercasing_match_on_generated_text() {
+        let alphabet = ['a', 'A', 'b', 'B', '%', 'é', 'É', ' '];
+        let mut state = 0x853c_49e6_748f_ea9b_u64;
+        let mut word = |max: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let len = (state % (max + 1)) as usize;
+            (0..len).map(|i| alphabet[((state >> (3 * i + 8)) % 8) as usize]).collect::<String>()
+        };
+        let (mut matched, mut cases) = (0, 0);
+        for _ in 0..20_000 {
+            let (text, pattern) = (word(7).replace('%', "a"), word(6));
+            let like = Value::text(text.clone()).sql_like(&pattern);
+            assert_eq!(like, lowercasing_like(&text, &pattern), "{text:?} LIKE {pattern:?}");
+            (matched, cases) = (matched + usize::from(like), cases + 1);
+        }
+        assert!(matched > cases / 20 && matched < cases / 2, "{matched} of {cases} matched");
     }
 
     /// `Value::group_key` as it was until [`Key`] replaced it (with its

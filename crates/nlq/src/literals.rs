@@ -9,6 +9,7 @@
 
 use crate::tokenize::tokenize;
 use duoquest_db::{ColumnId, DataType, Database, Value};
+use std::ops::Range;
 
 /// Whether a literal is a text value or a number.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -91,23 +92,48 @@ pub fn extract_literals(text: &str, db: Option<&Database>) -> Vec<Literal> {
         }
     }
 
-    // Database-backed n-gram matching (autocomplete emulation).
+    // Database-backed n-gram matching (autocomplete emulation): each window
+    // of one to four words, joined by single spaces, is looked up in the text
+    // index (which folds case) unless a tagged literal's lowercased surface
+    // already contains it — checked first, since it needs no lookup. The NLQ
+    // is lowercased once (ASCII folding keeps every byte in place, so one set
+    // of word ranges serves both copies), and a window is assembled in two
+    // reused buffers, so only a tagged window allocates.
     if let Some(db) = db {
-        let words: Vec<&str> = text
+        let index = db.index();
+        let lowercase = text.to_ascii_lowercase();
+        let words: Vec<Range<usize>> = text
             .split(|c: char| !c.is_alphanumeric() && c != '\'')
             .filter(|s| !s.is_empty())
+            .map(|word| {
+                let start = word.as_ptr() as usize - text.as_ptr() as usize;
+                start..start + word.len()
+            })
             .collect();
+        let mut surfaces: Vec<String> =
+            out.iter().map(|l| l.surface.to_ascii_lowercase()).collect();
+        let (mut candidate, mut lowered) = (String::new(), String::new());
         for n in (1..=4usize).rev() {
             for window in words.windows(n) {
-                let candidate = window.join(" ");
-                if finite_number(&candidate).is_some() {
+                candidate.clear();
+                lowered.clear();
+                for (i, word) in window.iter().enumerate() {
+                    if i > 0 {
+                        candidate.push(' ');
+                        lowered.push(' ');
+                    }
+                    candidate.push_str(&text[word.clone()]);
+                    lowered.push_str(&lowercase[word.clone()]);
+                }
+                // Words hold no space, so only a single word can be a number.
+                if n == 1 && finite_number(&candidate).is_some() {
                     continue;
                 }
-                let lowered = candidate.to_ascii_lowercase();
-                if db.index().contains(&lowered)
-                    && !out.iter().any(|l| l.surface.to_ascii_lowercase().contains(&lowered))
+                if !surfaces.iter().any(|surface| surface.contains(lowered.as_str()))
+                    && index.contains(&candidate)
                 {
-                    out.push(Literal::text(candidate.clone(), Value::text(candidate)));
+                    out.push(Literal::text(candidate.clone(), Value::text(candidate.as_str())));
+                    surfaces.push(lowered.clone());
                 }
             }
         }

@@ -1,6 +1,17 @@
 //! Structured per-request tracing: bounded span/event buffers anchored to
 //! one instant, all offsets in microseconds.
 //!
+//! A trace keeps what it records as packed bytes (`TraceLog`): a span is
+//! three varints — its name's index, the zigzag delta of its start from the
+//! previous span's and its duration — about 3.3 bytes on the benchmark's
+//! traces, and an event is its name's index, its zigzag offset delta and its
+//! detail's bytes. The bytes go into fixed 256-byte blocks that never grow,
+//! so a trace costs the same while its request runs and after the flight
+//! recorder takes it, and what an evicted trace frees is what the next one
+//! allocates. Decoding is exact: [`Trace::spans`], [`Trace::events`] and
+//! [`Trace::to_json`] return what was recorded, in recording order, for any
+//! offsets (a span may end before it starts or last 2^64 − 1 µs).
+//!
 //! Determinism contract: a [`Trace`] never influences the work it observes —
 //! recording appends to a bounded buffer behind a mutex that no hot
 //! emission path contends on (a run records a handful of spans per burst of
@@ -9,6 +20,8 @@
 //! byte-identical with tracing on or off.
 
 use crate::escape_json;
+use std::fmt::Write as _;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -46,100 +59,202 @@ pub const ROOT_SPAN: &str = "request";
 /// once (the DST trace-conservation oracle holds this).
 pub const TERMINAL_EVENT: &str = "terminal";
 
-#[derive(Default)]
-struct TraceInner {
-    spans: SpanLog,
-    events: Vec<TraceEvent>,
-}
+/// Bytes per [`TraceLog`] block. A request with a few dozen spans holds one
+/// block, a Fig. 10-sized one (≈ 300 spans) five.
+const BLOCK_BYTES: usize = 256;
 
-/// Spans per [`SpanLog`] block: 1 KiB of 16-byte records, so a request with
-/// a handful of spans holds one small block and a block's own overhead (its
-/// `Vec` header and the allocator's) stays under 5 %.
-const BLOCK_SPANS: usize = 64;
+/// How many of a trace's most recently added names a new record's name is
+/// looked up among. Real traces use a dozen distinct names, so each gets one
+/// entry; a trace cycling through more may store a name twice, which costs
+/// an entry and never changes what reads back.
+const NAME_WINDOW: usize = 64;
 
-/// The spans of one trace in recording order, stored the way they are
-/// retained: 16 bytes each (a [`SpanRecord`] is 32) in fixed-size blocks that
-/// never reallocate. A trace therefore costs `16 B × spans`, rounded up to a
-/// block, both while its request runs and in the flight recorder's ring —
-/// there is no growth buffer to copy out of — and because every block of
-/// every trace is the same size, the blocks an evicted trace frees are
-/// exactly what the next one allocates.
+/// The spans and events of one trace in recording order, as one stream of
+/// bytes in fixed-size blocks that never reallocate. Each record leads with
+/// a varint holding its name's index in `names` and whether it is an event
+/// (the low bit); then
+///
+/// * a span: the zigzag varint of its start minus the previous span's
+///   start, and the varint of its end minus its start (both wrapping, so a
+///   span that ends before it starts, or one whose offsets are far apart,
+///   reads back exactly);
+/// * an event: the zigzag varint of its offset minus the previous event's,
+///   the varint of its detail's length plus one (0 for none), and the
+///   detail's bytes.
+///
+/// A record may run across a block boundary, so no block has a gap.
 #[derive(Default)]
-struct SpanLog {
-    /// The distinct span names, in first-use order; a handful per trace.
+struct TraceLog {
+    /// The distinct names, in first-use order; a handful per trace.
     names: Vec<&'static str>,
-    /// All full (`BLOCK_SPANS` long) except the last.
-    blocks: Vec<Vec<PackedSpan>>,
-    /// The spans [`PackedSpan`] cannot hold exactly, with their positions
-    /// (ascending); their slots in `blocks` are placeholders.
-    wide: Vec<(usize, SpanRecord)>,
+    /// Each `BLOCK_BYTES` long, allocated once; all full but the last.
+    blocks: Vec<Box<[u8]>>,
+    /// Bytes written.
+    len: usize,
+    spans: usize,
+    events: usize,
+    /// The start of the last span and the offset of the last event: what
+    /// the next record's delta is taken from.
+    last_start_us: u64,
+    last_at_us: u64,
 }
 
-impl SpanLog {
-    fn len(&self) -> usize {
-        self.blocks.last().map_or(0, |last| (self.blocks.len() - 1) * BLOCK_SPANS + last.len())
+impl TraceLog {
+    fn records(&self) -> usize {
+        self.spans + self.events
     }
 
-    fn push(&mut self, span: SpanRecord) {
-        let packed = PackedSpan::pack(&span, &mut self.names).unwrap_or_else(|| {
-            self.wide.push((self.len(), span));
-            PackedSpan::default()
-        });
-        if self.blocks.last().is_none_or(|block| block.len() == BLOCK_SPANS) {
-            self.blocks.push(Vec::with_capacity(BLOCK_SPANS));
-        }
-        self.blocks.last_mut().expect("a block with room").push(packed);
+    fn push_span(&mut self, span: &SpanRecord) {
+        self.header(span.name, false);
+        self.varint(zigzag(span.start_us.wrapping_sub(self.last_start_us)));
+        self.varint(span.end_us.wrapping_sub(span.start_us));
+        self.last_start_us = span.start_us;
+        self.spans += 1;
     }
 
-    fn iter(&self) -> impl Iterator<Item = SpanRecord> + '_ {
-        let mut wide = self.wide.iter().peekable();
-        self.blocks.iter().flatten().enumerate().map(move |(at, packed)| {
-            match wide.next_if(|(position, _)| *position == at) {
-                Some((_, span)) => span.clone(),
-                None => packed.unpack(&self.names),
+    fn push_event(&mut self, name: &'static str, at_us: u64, detail: Option<&str>) {
+        self.header(name, true);
+        self.varint(zigzag(at_us.wrapping_sub(self.last_at_us)));
+        self.varint(detail.map_or(0, |d| d.len() as u64 + 1));
+        self.put(detail.unwrap_or_default().as_bytes());
+        self.last_at_us = at_us;
+        self.events += 1;
+    }
+
+    fn header(&mut self, name: &'static str, event: bool) {
+        let recent = self.names.iter().rev().take(NAME_WINDOW).position(|n| *n == name);
+        let index = match recent {
+            Some(back) => self.names.len() - 1 - back,
+            None => {
+                self.names.push(name);
+                self.names.len() - 1
             }
+        };
+        self.varint((index as u64) << 1 | u64::from(event));
+    }
+
+    fn varint(&mut self, mut value: u64) {
+        let mut buf = [0u8; 10];
+        let mut n = 0;
+        while value >= 0x80 {
+            buf[n] = value as u8 | 0x80;
+            value >>= 7;
+            n += 1;
+        }
+        buf[n] = value as u8;
+        self.put(&buf[..=n]);
+    }
+
+    fn put(&mut self, mut bytes: &[u8]) {
+        while !bytes.is_empty() {
+            let at = self.len % BLOCK_BYTES;
+            if at == 0 && self.len / BLOCK_BYTES == self.blocks.len() {
+                self.blocks.push(vec![0; BLOCK_BYTES].into_boxed_slice());
+            }
+            let take = bytes.len().min(BLOCK_BYTES - at);
+            let block = self.blocks.last_mut().expect("a block with room");
+            block[at..at + take].copy_from_slice(&bytes[..take]);
+            self.len += take;
+            bytes = &bytes[take..];
+        }
+    }
+
+    /// Every record, in recording order.
+    fn iter(&self) -> Records<'_> {
+        Records { log: self, at: 0, last_start_us: 0, last_at_us: 0 }
+    }
+
+    fn spans(&self) -> impl Iterator<Item = SpanRecord> + '_ {
+        self.iter().filter_map(|record| match record {
+            Record::Span(span) => Some(span),
+            Record::Event { .. } => None,
         })
     }
+
+    /// The events as `(name, at_us, the detail's byte range)`.
+    fn events(&self) -> impl Iterator<Item = (&'static str, u64, Option<Range<usize>>)> + '_ {
+        self.iter().filter_map(|record| match record {
+            Record::Event { name, at_us, detail } => Some((name, at_us, detail)),
+            Record::Span(_) => None,
+        })
+    }
+
+    /// The detail an event's range covers.
+    fn detail(&self, range: Range<usize>) -> String {
+        let bytes = range.map(|at| self.byte(at)).collect();
+        String::from_utf8(bytes).expect("a detail is written from a `str`")
+    }
+
+    fn byte(&self, at: usize) -> u8 {
+        self.blocks[at / BLOCK_BYTES][at % BLOCK_BYTES]
+    }
 }
 
-/// A [`SpanRecord`] in 16 bytes: the start offset, and the duration (low 48
-/// bits — 8.9 years of microseconds) sharing a word with the index of the
-/// name in [`SpanLog::names`] (high 16 bits).
-#[derive(Clone, Copy, Default)]
-struct PackedSpan {
-    start_us: u64,
-    duration_and_name: u64,
+/// The zigzag map of a wrapping difference: small moves either way become
+/// small unsigned numbers (0, −1, 1, −2… → 0, 1, 2, 3…).
+fn zigzag(delta: u64) -> u64 {
+    (delta << 1) ^ ((delta as i64 >> 63) as u64)
 }
 
-impl PackedSpan {
-    const DURATION_BITS: u32 = 48;
+fn unzigzag(value: u64) -> u64 {
+    (value >> 1) ^ (value & 1).wrapping_neg()
+}
 
-    /// `None` for a span this layout cannot hold exactly: one that ends
-    /// before it starts, lasts 2^48 µs or more, or carries the 65 537th
-    /// distinct name of its trace.
-    fn pack(span: &SpanRecord, names: &mut Vec<&'static str>) -> Option<PackedSpan> {
-        let duration = span.end_us.checked_sub(span.start_us)?;
-        if duration >> Self::DURATION_BITS != 0 {
+/// One decoded record; an event's detail stays in the log until asked for.
+enum Record {
+    Span(SpanRecord),
+    Event { name: &'static str, at_us: u64, detail: Option<Range<usize>> },
+}
+
+/// A decoding pass over a [`TraceLog`].
+struct Records<'a> {
+    log: &'a TraceLog,
+    at: usize,
+    last_start_us: u64,
+    last_at_us: u64,
+}
+
+impl Records<'_> {
+    fn varint(&mut self) -> u64 {
+        let mut value = 0;
+        for shift in (0..64).step_by(7) {
+            let byte = self.log.byte(self.at);
+            self.at += 1;
+            value |= u64::from(byte & 0x7f) << shift;
+            if byte < 0x80 {
+                break;
+            }
+        }
+        value
+    }
+}
+
+impl Iterator for Records<'_> {
+    type Item = Record;
+
+    fn next(&mut self) -> Option<Record> {
+        if self.at == self.log.len {
             return None;
         }
-        let name = names.iter().position(|n| *n == span.name).unwrap_or_else(|| {
-            names.push(span.name);
-            names.len() - 1
-        });
-        let name = u64::from(u16::try_from(name).ok()?);
-        Some(PackedSpan {
-            start_us: span.start_us,
-            duration_and_name: name << Self::DURATION_BITS | duration,
-        })
-    }
-
-    fn unpack(self, names: &[&'static str]) -> SpanRecord {
-        let duration = self.duration_and_name & ((1 << Self::DURATION_BITS) - 1);
-        SpanRecord {
-            name: names[(self.duration_and_name >> Self::DURATION_BITS) as usize],
-            start_us: self.start_us,
-            end_us: self.start_us + duration,
+        let header = self.varint();
+        let name = self.log.names[(header >> 1) as usize];
+        if header & 1 == 0 {
+            let start_us = self.last_start_us.wrapping_add(unzigzag(self.varint()));
+            let end_us = start_us.wrapping_add(self.varint());
+            self.last_start_us = start_us;
+            return Some(Record::Span(SpanRecord { name, start_us, end_us }));
         }
+        let at_us = self.last_at_us.wrapping_add(unzigzag(self.varint()));
+        self.last_at_us = at_us;
+        let detail = match self.varint() {
+            0 => None,
+            len => {
+                let start = self.at;
+                self.at += len as usize - 1;
+                Some(start..self.at)
+            }
+        };
+        Some(Record::Event { name, at_us, detail })
     }
 }
 
@@ -155,7 +270,7 @@ pub struct Trace {
     id: u64,
     anchor: Instant,
     cap: usize,
-    inner: Mutex<TraceInner>,
+    log: Mutex<TraceLog>,
     dropped: AtomicU64,
     anomalous: AtomicBool,
 }
@@ -177,7 +292,7 @@ impl Trace {
             id,
             anchor,
             cap: cap.max(2),
-            inner: Mutex::new(TraceInner::default()),
+            log: Mutex::new(TraceLog::default()),
             dropped: AtomicU64::new(0),
             anomalous: AtomicBool::new(false),
         }
@@ -206,25 +321,33 @@ impl Trace {
     /// Record a completed span from precomputed microsecond offsets (used
     /// when the caller synthesizes aggregate spans from stage timings).
     pub fn record_span_at(&self, name: &'static str, start_us: u64, end_us: u64) {
-        let mut inner = self.inner.lock().expect("trace buffer poisoned");
-        if inner.spans.len() + inner.events.len() >= self.cap {
+        let mut log = self.log();
+        if log.records() >= self.cap {
             self.dropped.fetch_add(1, Ordering::Relaxed);
             return;
         }
-        inner.spans.push(SpanRecord { name, start_us, end_us });
+        log.push_span(&SpanRecord { name, start_us, end_us });
     }
 
     /// Record a point event.
     pub fn event(&self, name: &'static str, at: Instant, detail: Option<String>) {
-        let at_us = self.offset_us(at);
-        let mut inner = self.inner.lock().expect("trace buffer poisoned");
+        self.event_at(name, self.offset_us(at), detail.as_deref());
+    }
+
+    /// Record a point event at a microsecond offset.
+    fn event_at(&self, name: &'static str, at_us: u64, detail: Option<&str>) {
+        let mut log = self.log();
         // The terminal event is never dropped: conservation (exactly one
         // terminal per admitted request) must survive a full buffer.
-        if name != TERMINAL_EVENT && inner.spans.len() + inner.events.len() >= self.cap {
+        if name != TERMINAL_EVENT && log.records() >= self.cap {
             self.dropped.fetch_add(1, Ordering::Relaxed);
             return;
         }
-        inner.events.push(TraceEvent { name, at_us, detail });
+        log.push_event(name, at_us, detail);
+    }
+
+    fn log(&self) -> std::sync::MutexGuard<'_, TraceLog> {
+        self.log.lock().expect("trace buffer poisoned")
     }
 
     /// Mark the request anomalous (panicked, shed, deadline exceeded): the
@@ -246,76 +369,72 @@ impl Trace {
 
     /// Snapshot of the recorded spans.
     pub fn spans(&self) -> Vec<SpanRecord> {
-        self.inner.lock().expect("trace buffer poisoned").spans.iter().collect()
+        self.log().spans().collect()
     }
 
     /// Snapshot of the recorded events.
     pub fn events(&self) -> Vec<TraceEvent> {
-        self.inner.lock().expect("trace buffer poisoned").events.clone()
+        let log = self.log();
+        log.events()
+            .map(|(name, at_us, detail)| TraceEvent {
+                name,
+                at_us,
+                detail: detail.map(|range| log.detail(range)),
+            })
+            .collect()
     }
 
     /// Number of terminal events recorded (exactly 1 on a well-formed
     /// resolved request — the DST conservation oracle).
     pub fn terminal_count(&self) -> usize {
-        self.inner
-            .lock()
-            .expect("trace buffer poisoned")
-            .events
-            .iter()
-            .filter(|e| e.name == TERMINAL_EVENT)
-            .count()
+        self.log().events().filter(|(name, ..)| *name == TERMINAL_EVENT).count()
     }
 
     /// Render the whole timeline as one JSON object (the `GET /trace/<id>`
     /// body and the flight-dump format).
     pub fn to_json(&self) -> String {
-        let inner = self.inner.lock().expect("trace buffer poisoned");
-        let spans = inner
-            .spans
-            .iter()
-            .map(|s| {
-                format!(
-                    "{{\"name\":{},\"start_us\":{},\"end_us\":{}}}",
-                    escape_json(s.name),
-                    s.start_us,
-                    s.end_us
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",");
-        let events = inner
-            .events
-            .iter()
-            .map(|e| {
-                let detail = match &e.detail {
-                    Some(d) => escape_json(d),
-                    None => "null".into(),
-                };
-                format!(
-                    "{{\"name\":{},\"at_us\":{},\"detail\":{}}}",
-                    escape_json(e.name),
-                    e.at_us,
-                    detail
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",");
-        format!(
-            "{{\"id\":{},\"anomalous\":{},\"dropped\":{},\"spans\":[{spans}],\"events\":[{events}]}}",
+        let log = self.log();
+        let mut out = format!(
+            "{{\"id\":{},\"anomalous\":{},\"dropped\":{},\"spans\":[",
             self.id,
             self.is_anomalous(),
             self.dropped.load(Ordering::Relaxed),
-        )
+        );
+        for (i, s) in log.spans().enumerate() {
+            let comma = if i == 0 { "" } else { "," };
+            let _ = write!(
+                out,
+                "{comma}{{\"name\":{},\"start_us\":{},\"end_us\":{}}}",
+                escape_json(s.name),
+                s.start_us,
+                s.end_us
+            );
+        }
+        out.push_str("],\"events\":[");
+        for (i, (name, at_us, detail)) in log.events().enumerate() {
+            let comma = if i == 0 { "" } else { "," };
+            let detail = match detail {
+                Some(range) => escape_json(&log.detail(range)),
+                None => "null".into(),
+            };
+            let _ = write!(
+                out,
+                "{comma}{{\"name\":{},\"at_us\":{at_us},\"detail\":{detail}}}",
+                escape_json(name)
+            );
+        }
+        out.push_str("]}");
+        out
     }
 }
 
 impl std::fmt::Debug for Trace {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inner = self.inner.lock().expect("trace buffer poisoned");
+        let log = self.log();
         f.debug_struct("Trace")
             .field("id", &self.id)
-            .field("spans", &inner.spans.len())
-            .field("events", &inner.events.len())
+            .field("spans", &log.spans)
+            .field("events", &log.events)
             .field("anomalous", &self.is_anomalous())
             .finish()
     }
@@ -366,13 +485,19 @@ mod tests {
     }
 
     #[test]
-    fn packed_spans_are_half_a_record() {
-        assert_eq!(std::mem::size_of::<PackedSpan>(), 16);
-        assert_eq!(std::mem::size_of::<SpanRecord>(), 32);
+    fn zigzag_round_trips_every_wrapping_difference() {
+        for delta in [0, 1, 2, 63, 64, u64::MAX, u64::MAX - 1, 1 << 63, (1 << 63) - 1] {
+            assert_eq!(unzigzag(zigzag(delta)), delta, "{delta}");
+        }
+        assert_eq!([0, u64::MAX, 1, u64::MAX - 1].map(zigzag), [0, 1, 2, 3]);
     }
 
+    /// The old layout's limits (an inverted span, a duration of 2^48 µs, the
+    /// 65 537th name) are ordinary records now, and a trace holds exactly
+    /// the blocks its bytes fill: each is `BLOCK_BYTES` long and never grows,
+    /// so what an evicted trace frees is what the next one allocates.
     #[test]
-    fn spans_read_back_exactly_across_blocks_and_layout_limits() {
+    fn spans_read_back_exactly_across_blocks_and_old_layout_limits() {
         let trace = Trace::with_capacity(5, Instant::now(), 1000);
         let mut recorded = Vec::new();
         let mut record = |name: &'static str, start_us: u64, end_us: u64| {
@@ -383,23 +508,150 @@ mod tests {
         record("empty", 40, 40);
         record("late", u64::MAX - 5, u64::MAX);
         record("longest packed", 7, 7 + (1 << 48) - 1);
-        // Neither fits the packed layout; both must still read back exactly.
         record("inverted", 10, 5);
         record("too long", 0, 1 << 48);
-        for i in 0..(3 * BLOCK_SPANS as u64) {
+        for i in 0..200 {
             record(if i % 2 == 0 { "rounds" } else { "resume" }, i, 3 * i);
         }
         record("inverted", 2, 1);
         assert_eq!(trace.spans(), recorded);
 
-        let inner = trace.inner.lock().unwrap();
-        assert_eq!(inner.spans.len(), recorded.len());
-        assert_eq!(inner.spans.wide.len(), 3);
-        assert_eq!(inner.spans.names.len(), 6, "one entry per distinct packed name");
-        assert_eq!(inner.spans.blocks.len(), 4);
-        for block in &inner.spans.blocks {
-            assert_eq!(block.capacity(), BLOCK_SPANS, "blocks never grow");
+        let log = trace.log();
+        assert_eq!(log.spans, recorded.len());
+        assert_eq!(log.names.len(), 8, "one entry per distinct name");
+        assert_eq!(log.blocks.len(), log.len.div_ceil(BLOCK_BYTES), "no block beyond the bytes");
+        assert!(log.len < 4 * recorded.len(), "{} B for {} spans", log.len, recorded.len());
+    }
+
+    /// A tiny deterministic generator (the crate depends on nothing).
+    struct XorShift(u64);
+
+    impl XorShift {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0
         }
+
+        /// Mostly small offsets near `base`, sometimes anywhere in `u64`.
+        fn offset(&mut self, base: u64) -> u64 {
+            match self.next() % 8 {
+                0 => self.next(),
+                1 => base.wrapping_sub(self.next() % 1_000),
+                2 => u64::MAX - self.next() % 3,
+                _ => base.wrapping_add(self.next() % 5_000),
+            }
+        }
+    }
+
+    /// What `to_json` rendered when spans and events were kept as records.
+    fn reference_json(trace: &Trace, spans: &[SpanRecord], events: &[TraceEvent]) -> String {
+        let spans: Vec<_> = spans
+            .iter()
+            .map(|s| {
+                format!(
+                    "{{\"name\":{},\"start_us\":{},\"end_us\":{}}}",
+                    escape_json(s.name),
+                    s.start_us,
+                    s.end_us
+                )
+            })
+            .collect();
+        let events: Vec<_> = events
+            .iter()
+            .map(|e| {
+                let detail = e.detail.as_deref().map_or("null".into(), escape_json);
+                format!(
+                    "{{\"name\":{},\"at_us\":{},\"detail\":{detail}}}",
+                    escape_json(e.name),
+                    e.at_us
+                )
+            })
+            .collect();
+        format!(
+            "{{\"id\":{},\"anomalous\":{},\"dropped\":{},\"spans\":[{}],\"events\":[{}]}}",
+            trace.id,
+            trace.is_anomalous(),
+            trace.dropped(),
+            spans.join(","),
+            events.join(",")
+        )
+    }
+
+    /// Random spans and events — out-of-order starts, spans that end before
+    /// they start, durations up to 2^64 − 1 µs, details of every length
+    /// (long ones span several blocks) — read back exactly, through
+    /// `spans()`, `events()` and `to_json()`, including past the cap.
+    #[test]
+    fn random_spans_and_events_read_back_exactly() {
+        let names: [&'static str; 6] = [ROOT_SPAN, "rounds", "verify:tsq", "deliver", "q\"x", ""];
+        let mut rng = XorShift(0x9e37_79b9_7f4a_7c15);
+        for case in 0..64u64 {
+            let cap = 2 + (rng.next() % 300) as usize;
+            let trace = Trace::with_capacity(case, Instant::now(), cap);
+            let (mut spans, mut events, mut dropped) = (Vec::new(), Vec::new(), 0);
+            let (mut start, mut at) = (0, 0);
+            for _ in 0..rng.next() % 400 {
+                let name = names[(rng.next() % names.len() as u64) as usize];
+                if rng.next().is_multiple_of(4) {
+                    at = rng.offset(at);
+                    let detail = match rng.next() % 4 {
+                        0 => None,
+                        1 => Some(String::new()),
+                        2 => Some(format!(
+                            "panicked: é\n{}",
+                            "x".repeat((rng.next() % 700) as usize)
+                        )),
+                        _ => Some(format!("{}", rng.next())),
+                    };
+                    let terminal = rng.next().is_multiple_of(16);
+                    let name = if terminal { TERMINAL_EVENT } else { name };
+                    trace.event_at(name, at, detail.as_deref());
+                    if !terminal && spans.len() + events.len() >= cap {
+                        dropped += 1;
+                    } else {
+                        events.push(TraceEvent { name, at_us: at, detail });
+                    }
+                } else {
+                    start = rng.offset(start);
+                    let end = rng.offset(start);
+                    trace.record_span_at(name, start, end);
+                    if spans.len() + events.len() >= cap {
+                        dropped += 1;
+                    } else {
+                        spans.push(SpanRecord { name, start_us: start, end_us: end });
+                    }
+                }
+            }
+            if case.is_multiple_of(3) {
+                trace.mark_anomalous();
+            }
+            assert_eq!(trace.spans(), spans, "case {case}");
+            assert_eq!(trace.events(), events, "case {case}");
+            assert_eq!(trace.dropped(), dropped, "case {case}");
+            let terminals = events.iter().filter(|e| e.name == TERMINAL_EVENT).count();
+            assert_eq!(trace.terminal_count(), terminals, "case {case}");
+            assert_eq!(trace.to_json(), reference_json(&trace, &spans, &events), "case {case}");
+        }
+    }
+
+    /// More distinct names than a `u16` indexes: the name index is a varint.
+    #[test]
+    fn more_than_65_536_names_read_back_exactly() {
+        let count = (1 << 16) + 100;
+        let trace = Trace::with_capacity(1, Instant::now(), count + 1);
+        let mut recorded = Vec::with_capacity(count);
+        for i in 0..count as u64 {
+            let name: &'static str = Box::leak(format!("span {i}").into_boxed_str());
+            trace.record_span_at(name, i, i + 1);
+            recorded.push(SpanRecord { name, start_us: i, end_us: i + 1 });
+        }
+        trace.event("after the names", Instant::now(), Some("detail".into()));
+        assert_eq!(trace.dropped(), 0);
+        assert_eq!(trace.spans(), recorded);
+        assert_eq!(trace.events().len(), 1);
+        assert_eq!(trace.log().names.len(), count + 1);
     }
 
     #[test]

@@ -11,7 +11,9 @@
 //! allocator, and holds a single `#[test]` so no other thread allocates while
 //! it counts.
 
-use duoquest::db::{execute_with, ExecOptions, JoinTree, Predicate, SelectItem, SelectSpec, Value};
+use duoquest::db::{
+    execute_with, CmpOp, ExecOptions, JoinGraph, JoinTree, Predicate, SelectItem, SelectSpec, Value,
+};
 use duoquest::workloads::{mas, mas_nli_tasks, mas_pbe_tasks};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cmp::Ordering::{Equal, Greater, Less};
@@ -130,10 +132,67 @@ fn executions_allocate_for_what_they_return_not_for_what_they_join() {
         "a text BETWEEN over {} rows made {n} allocations (ceiling {TEXT_RANGE_CEILING})",
         cells.len()
     );
+
+    // `LIKE` folds the title and the pattern byte by byte as it matches: a
+    // scan over every publication title allocates nothing per row it reads
+    // (three allocations per row while it lowercased both sides and split
+    // the pattern into a vector).
+    let title = db.schema().column_id("publication", "title").unwrap();
+    let titles: Vec<&Value> = db.column_values(title).collect();
+    let pattern = "pA%Er 01%"; // "Paper 0100" to "Paper 0199"
+    let (liked, n) = allocations_of(|| titles.iter().filter(|v| v.sql_like(pattern)).count());
+    assert!(liked > 0 && liked < titles.len(), "the pattern splits the titles ({liked})");
+    assert_eq!(n, 0, "LIKE comparisons allocated");
+    let spec = SelectSpec {
+        select: vec![SelectItem::count_star()],
+        join: JoinTree::single(title.table),
+        predicates: vec![Predicate::new(title, CmpOp::Like, Value::text(pattern))],
+        ..Default::default()
+    };
+    let (out, n) = allocations_of(|| execute_with(db, &spec, &ExecOptions::default()).unwrap());
+    assert_eq!(out.result.rows[0].0[0], Value::int(liked as i64));
+    println!("LIKE over {} titles: {n} allocations", titles.len());
+    assert!(
+        n <= TEXT_RANGE_CEILING,
+        "a LIKE over {} titles made {n} allocations (ceiling {TEXT_RANGE_CEILING})",
+        titles.len()
+    );
+
+    // GROUP BY on two columns and DISTINCT over a join: a row whose key is
+    // already numbered is matched on its cells' folded bytes, so only a new
+    // group builds a key — allocations follow the groups, not the rows.
+    // Every authorship, keyed by its author's organization and continent.
+    let org = db.schema().column_id("organization", "name").unwrap();
+    let continent = db.schema().column_id("organization", "continent").unwrap();
+    let writes = db.schema().table_id("writes").unwrap();
+    let join = JoinGraph::new(db.schema()).steiner_tree(&[writes, org.table]).unwrap();
+    let grouped = SelectSpec {
+        select: vec![SelectItem::column(org), SelectItem::column(continent)],
+        join,
+        group_by: vec![org, continent],
+        ..Default::default()
+    };
+    let distinct = SelectSpec { group_by: vec![], distinct: true, ..grouped.clone() };
+    for (what, spec) in [("GROUP BY", grouped), ("DISTINCT", distinct)] {
+        let (out, n) = allocations_of(|| execute_with(db, &spec, &ExecOptions::default()).unwrap());
+        let (groups, rows) = (out.result.len() as u64, out.metrics.rows_scanned);
+        println!("{what}: {n} allocations for {groups} groups over {rows} rows");
+        assert!(rows > 8 * groups, "{what}: too few rows per group to judge ({rows}, {groups})");
+        let ceiling = PER_GROUP * groups + GROUPING_BASE;
+        assert!(n <= ceiling, "{what}: {n} allocations for {groups} groups (ceiling {ceiling})");
+    }
 }
 
 /// Allocations of a global `COUNT(*)` under a text `BETWEEN` over MAS's 320
 /// authors: the execution's own vectors and its one result row (22 today),
 /// none per row — a comparison that lowercased both sides added four per
-/// row, two per bound.
+/// row, two per bound. A `LIKE` count over its 1 920 titles is held to the
+/// same ceiling (21 today, 5 781 while `LIKE` allocated three times a row).
 const TEXT_RANGE_CEILING: u64 = 40;
+
+/// Allocations per group of a two-column GROUP BY or DISTINCT over MAS's
+/// 4 458 authorships, and what any such execution makes besides: 719 and 385
+/// for 64 groups today, 8 404 and 19 338 while every row's key lowercased its
+/// text cells into new strings and DISTINCT copied every joined row's cells.
+const PER_GROUP: u64 = 8;
+const GROUPING_BASE: u64 = 400;

@@ -23,9 +23,15 @@
 //! * **The probe cache counts what it keeps, and keeps little.** After a
 //!   pass of Spider runs, the cache's estimated bytes come within a third of
 //!   what clearing it frees (they were a fifth of it while only result cells
-//!   were counted), and clearing it frees at most 192 B per entry: every
-//!   entry a run leaves is an existence probe or a verdict, a byte-encoded
-//!   key and one bit.
+//!   were counted), and clearing it frees at most 96 B per entry (77 today,
+//!   104 while every key was boxed under a map slot of its own): every entry
+//!   a run leaves is an existence probe or a verdict, a byte-encoded key in
+//!   its generation's arena and one bit in a 12-byte record.
+//! * **A retained trace is packed.** A Fig. 10-sized request traced as the
+//!   service traces it — the engine's spans, the root span, the admission
+//!   and terminal events — frees at most 8 B per span when its trace is
+//!   dropped (about 5; 19.6 while a span was a 16-byte record in 1 KiB
+//!   blocks and each event a record with its own detail string).
 //! * **A column index is its sorted runs.** Built over the benchmark's MAS
 //!   database, the column indexes keep at most 24 B per indexed cell (69 B
 //!   while every distinct key owned a match list of its own in a hash map)
@@ -40,11 +46,13 @@
 use duoquest::core::{Duoquest, DuoquestConfig, EnumState};
 use duoquest::db::{Database, TableId};
 use duoquest::nlq::{HeuristicGuidance, NoisyOracleGuidance};
+use duoquest::obs::{Trace, ROOT_SPAN, TERMINAL_EVENT};
 use duoquest::sql::PartialQuery;
 use duoquest::workloads::{mas, spider, synthesize_tsq, TsqDetail};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Bytes handed out and not yet returned.
 static LIVE: AtomicUsize = AtomicUsize::new(0);
@@ -219,10 +227,13 @@ fn runs_and_the_probe_cache_keep_what_they_count() {
     // An entry is its encoded question and its answer, one bit under a key
     // of a few dozen bytes: no probe a run sends keeps rows (902 B per entry
     // while every entry kept a cloned spec and a full result, about 380 B
-    // while the complete checks cached theirs).
+    // while the complete checks cached theirs). Its key sits in its
+    // generation's arena and its 12-byte record in the generation's table
+    // (77 B per entry, arena chunk tails included; 104 B while each entry
+    // was a boxed key and a map slot of its own).
     let per_entry = freed as u64 / entries;
     assert!(
-        per_entry <= 192,
+        per_entry <= 96,
         "clearing the probe cache freed {per_entry} B per entry ({freed} B over {entries})"
     );
 
@@ -242,16 +253,13 @@ fn runs_and_the_probe_cache_keep_what_they_count() {
     let engine = Duoquest::new(config);
     let (mut generated, mut allocations, mut largest) = (0, 0, 0);
     let (mut growths, mut peak) = (Vec::new(), 0);
+    let (mut spans, mut trace_bytes) = (0, 0);
     for (i, task) in dataset.tasks.iter().enumerate().step_by(12) {
         let db = dataset.database(task);
         let (gold, tsq) = synthesize_tsq(db, &task.gold, TsqDetail::Full, 2, i as u64);
-        let session = engine
-            .session(
-                Arc::clone(db),
-                task.nlq.clone(),
-                Arc::new(NoisyOracleGuidance::new(gold, i as u64)),
-            )
-            .with_tsq(tsq);
+        let oracle = || Arc::new(NoisyOracleGuidance::new(gold.clone(), i as u64));
+        let session =
+            engine.session(Arc::clone(db), task.nlq.clone(), oracle()).with_tsq(tsq.clone());
         session.run();
         LARGEST.store(0, Ordering::Relaxed);
         let before = ALLOCATIONS.load(Ordering::Relaxed);
@@ -274,6 +282,26 @@ fn runs_and_the_probe_cache_keep_what_they_count() {
         );
         growths.push(growth);
         peak = peak.max(stats.frontier_peak);
+
+        // The same request once more, traced as the service traces it: the
+        // engine's spans, the admission and terminal events and the root
+        // span. What dropping the trace frees is what the flight recorder
+        // keeps for it.
+        let anchor = Instant::now();
+        let trace = Arc::new(Trace::new(i as u64, anchor));
+        trace.event("submitted", anchor, Some("interactive".into()));
+        (engine.session(Arc::clone(db), task.nlq.clone(), oracle()))
+            .with_tsq(tsq)
+            .with_trace(Arc::clone(&trace))
+            .run();
+        let end = Instant::now();
+        trace.record_span(ROOT_SPAN, anchor, end);
+        trace.event(TERMINAL_EVENT, end, Some("completed".into()));
+        spans += trace.spans().len();
+        let trace = Arc::into_inner(trace).expect("the run let go of its trace");
+        let before = LIVE.load(Ordering::Relaxed);
+        drop(trace);
+        trace_bytes += before - LIVE.load(Ordering::Relaxed);
     }
     growths.sort_unstable();
     let per_child = allocations as f64 / generated as f64;
@@ -284,7 +312,10 @@ fn runs_and_the_probe_cache_keep_what_they_count() {
         growths[growths.len() / 2],
         growths[growths.len() - 1],
     );
+    let per_span = trace_bytes as f64 / spans as f64;
+    println!("fig10 traces: {trace_bytes} B freed for {spans} spans ({per_span:.1} B per span)");
     assert!(generated > 10_000, "the pass generated too little to judge ({generated} children)");
+    assert!(per_span <= 8.0, "a retained trace costs {per_span:.1} B per span (> 8)");
     assert!(largest <= 192 << 10, "a run allocated a {largest} B block (> 192 KiB)");
     assert!(per_child <= 5.5, "{per_child:.2} allocations per generated child (> 5.5)");
 }
