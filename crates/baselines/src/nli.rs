@@ -63,7 +63,6 @@ mod tests {
         d.insert("movies", vec![Value::int(1), Value::text("Forrest Gump"), Value::int(1994)])
             .unwrap();
         d.insert("movies", vec![Value::int(2), Value::text("Gravity"), Value::int(2013)]).unwrap();
-        d.rebuild_index();
         d
     }
 

@@ -193,7 +193,6 @@ mod tests {
             ],
         )
         .unwrap();
-        d.rebuild_index();
         d
     }
 

@@ -1,7 +1,7 @@
 //! # duoquest-bench
 //!
 //! The experiment harness reproducing every table and figure of the Duoquest
-//! evaluation (paper §5), plus Criterion micro-benchmarks.
+//! evaluation (paper §5), and the committed benchmark (`bench_report`).
 //!
 //! Each `src/bin/*` binary regenerates one artifact:
 //!

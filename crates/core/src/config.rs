@@ -27,12 +27,6 @@ pub struct DuoquestConfig {
     pub max_candidates: usize,
     /// Wall-clock budget for one synthesis call (the paper uses 60 s per task).
     pub time_budget: Option<Duration>,
-    /// Maximum number of projected columns considered by the COL module.
-    pub max_select_columns: usize,
-    /// Maximum number of WHERE predicates.
-    pub max_where_predicates: usize,
-    /// Maximum number of GROUP BY columns.
-    pub max_group_columns: usize,
     /// Maximum recursion depth of the FK-extension step of progressive join
     /// path construction (Algorithm 2 lines 10–12).
     pub join_extension_depth: usize,
@@ -53,9 +47,6 @@ impl Default for DuoquestConfig {
             max_states: 100_000,
             max_candidates: 100,
             time_budget: Some(Duration::from_secs(60)),
-            max_select_columns: 3,
-            max_where_predicates: 2,
-            max_group_columns: 2,
             join_extension_depth: 1,
             guided: true,
             prune_partial: true,
@@ -108,7 +99,7 @@ mod tests {
         assert!(c.guided);
         assert!(c.prune_partial);
         assert!(c.semantic_rules);
-        assert_eq!(c.max_select_columns, 3);
+        assert_eq!(c.join_extension_depth, 1);
     }
 
     #[test]

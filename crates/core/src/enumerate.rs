@@ -533,7 +533,7 @@ impl RoundDriver {
         // A state with no decision left is complete (it was verified and
         // emitted when generated); a state with an empty decision set is a
         // dead end. Both just drop out of the frontier.
-        let Some(choices) = next_decisions(state.pq(), env.db, env.nlq, env.config) else {
+        let Some(choices) = next_decisions(state.pq(), env.db, env.nlq) else {
             return Vec::new();
         };
         if choices.is_empty() {
@@ -724,15 +724,16 @@ impl RoundDriver {
 /// `EnumNextStep`: produce the candidate children of the next inference
 /// decision, following the module order of paper Table 3 — each of
 /// [`next_decisions`] applied to a clone of `pq`. Returns `None` when the
-/// partial query has no remaining decision.
+/// partial query has no remaining decision. No setting of `_config` bounds
+/// a step: the bounds are this module's constants.
 #[allow(clippy::type_complexity)]
 pub fn enum_next_step(
     pq: &PartialQuery,
     db: &Database,
     nlq: &Nlq,
-    config: &DuoquestConfig,
+    _config: &DuoquestConfig,
 ) -> Option<Vec<(Choice, PartialQuery)>> {
-    let decisions = next_decisions(pq, db, nlq, config)?;
+    let decisions = next_decisions(pq, db, nlq)?;
     let children = decisions.into_iter().map(|choice| {
         let mut child = pq.clone();
         apply(&mut child, &choice);
@@ -741,15 +742,20 @@ pub fn enum_next_step(
     Some(children.collect())
 }
 
+/// Most columns the COL module (SELECT) projects: its candidates are the
+/// subsets of the non-key columns up to this size.
+const MAX_SELECT_COLUMNS: usize = 3;
+
+/// Most predicates the COL module (WHERE) puts in a WHERE clause.
+const MAX_WHERE_PREDICATES: usize = 2;
+
+/// Most columns a GROUP BY decision groups on.
+const MAX_GROUP_COLUMNS: usize = 2;
+
 /// The candidates of `pq`'s next inference decision, in the module order of
 /// paper Table 3, without building a child: [`apply`] turns one into a child.
 /// Returns `None` when the partial query has no remaining decision.
-pub fn next_decisions(
-    pq: &PartialQuery,
-    db: &Database,
-    nlq: &Nlq,
-    config: &DuoquestConfig,
-) -> Option<Vec<Choice>> {
+pub fn next_decisions(pq: &PartialQuery, db: &Database, nlq: &Nlq) -> Option<Vec<Choice>> {
     let schema = db.schema();
 
     // 1. KW module: which clauses exist.
@@ -770,7 +776,7 @@ pub fn next_decisions(
             .map(SelectColumn::Column)
             .collect();
         options.push(SelectColumn::Star);
-        let subsets = column_subsets(&options, config.max_select_columns);
+        let subsets = column_subsets(&options, MAX_SELECT_COLUMNS);
         return Some(subsets.into_iter().map(Choice::SelectColumns).collect());
     }
     let select = pq.select.as_ref().expect("select decided above");
@@ -802,7 +808,7 @@ pub fn next_decisions(
     if clauses.where_clause && pq.where_predicates.is_hole() {
         let options: Vec<_> = schema.all_columns().filter(|c| !schema.is_key_column(*c)).collect();
         let mut out = Vec::new();
-        for size in 1..=config.max_where_predicates.min(options.len()) {
+        for size in 1..=MAX_WHERE_PREDICATES.min(options.len()) {
             out.extend(multiset_combinations(&options, size).into_iter().map(Choice::WhereColumns));
         }
         return Some(out);
@@ -901,7 +907,7 @@ pub fn next_decisions(
             plain_select_cols
         };
         let mut out = Vec::new();
-        for size in 1..=config.max_group_columns.min(options.len()) {
+        for size in 1..=MAX_GROUP_COLUMNS.min(options.len()) {
             out.extend(combinations(&options, size).into_iter().map(Choice::GroupBy));
         }
         return Some(out);

@@ -199,7 +199,6 @@ mod tests {
         s.add_foreign_key("starring", "mid", "movies", "mid").unwrap();
         let mut db = Database::new(s).unwrap();
         db.insert("actor", vec![Value::int(1), Value::text("Tom Hanks")]).unwrap();
-        db.rebuild_index();
         db
     }
 

@@ -64,7 +64,6 @@
 //! let mut db = Database::new(schema).unwrap();
 //! db.insert("movies", vec![Value::int(1), Value::text("Heat"), Value::int(1995)]).unwrap();
 //! db.insert("movies", vec![Value::int(2), Value::text("Up"), Value::int(2009)]).unwrap();
-//! db.rebuild_index();
 //! let db = db.into_shared();
 //!
 //! // One pool, two concurrent sessions multiplexed over it.

@@ -140,7 +140,6 @@ impl SessionControl {
 /// let mut db = Database::new(schema).unwrap();
 /// db.insert("movies", vec![Value::int(1), Value::text("Heat"), Value::int(1995)]).unwrap();
 /// db.insert("movies", vec![Value::int(2), Value::text("Up"), Value::int(2009)]).unwrap();
-/// db.rebuild_index();
 ///
 /// let nlq = Nlq::with_literals("movie names before 2000", vec![Literal::number(2000.0)]);
 /// let session = SynthesisSession::new(

@@ -449,7 +449,6 @@ mod tests {
             (0..n).map(|i| vec![Value::int(i as i64), Value::text(format!("event {i}"))]),
         )
         .unwrap();
-        db.rebuild_index();
         let schema = db.schema();
         let id = schema.column_id("event", "id").unwrap();
 
@@ -535,7 +534,6 @@ mod tests {
             vec![Value::int(i as i64), Value::text(format!("event {i}")), Value::int(i as i64 % 10)]
         });
         db.insert_all("event", rows).unwrap();
-        db.rebuild_index();
         db
     }
 

@@ -474,7 +474,6 @@ pub(crate) mod test_fixtures {
             ],
         )
         .unwrap();
-        db.rebuild_index();
         db
     }
 }

@@ -824,7 +824,6 @@ mod tests {
         let mut db = Database::new(s).unwrap();
         db.insert("items", vec![Value::int(1), Value::text("alpha")]).unwrap();
         db.insert("items", vec![Value::int(2), Value::text("beta")]).unwrap();
-        db.rebuild_index();
         db
     }
 

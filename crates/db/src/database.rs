@@ -75,9 +75,10 @@ pub struct Database {
     schema: Schema,
     data: Vec<TableData>,
     probe_cache: ProbeCache,
-    /// Per-table ordered secondary indexes (`crate::table_index`), built by
-    /// [`Database::rebuild_index`] and maintained incrementally by the write
-    /// path. Empty until the first rebuild — queries then run as scans.
+    /// Per-table ordered secondary indexes (`crate::table_index`), one per
+    /// table from [`Database::new`] on: [`Database::insert_all`] sorts a
+    /// table's once per bulk load, and `insert` / `update_cell` maintain
+    /// them in place.
     table_indexes: Vec<TableIndex>,
 }
 
@@ -96,11 +97,15 @@ impl Clone for Database {
 }
 
 impl Database {
-    /// Create an empty database over a schema.
+    /// Create an empty database over a schema, every table with its (empty)
+    /// indexes.
     pub fn new(schema: Schema) -> DbResult<Self> {
         schema.validate()?;
         let data = vec![TableData::default(); schema.table_count()];
-        Ok(Database { schema, data, probe_cache: ProbeCache::default(), table_indexes: Vec::new() })
+        let table_indexes = (schema.tables.iter())
+            .map(|table| TableIndex::build(&[], table.columns.len()))
+            .collect();
+        Ok(Database { schema, data, probe_cache: ProbeCache::default(), table_indexes })
     }
 
     /// Wrap a loaded database for cheap sharing across synthesis workers.
@@ -130,7 +135,18 @@ impl Database {
     }
 
     /// Insert a row into a table identified by id, with arity and type checks.
+    /// The table's indexes take the row in place.
     pub fn insert_by_id(&mut self, table: TableId, values: Vec<Value>) -> DbResult<()> {
+        self.check_row(table, &values)?;
+        let rows = &mut self.data[table.0].rows;
+        rows.push(Row(values));
+        self.table_indexes[table.0].insert_appended(rows, rows.len() - 1);
+        self.probe_cache.clear_mut(); // memoized probe results are now stale
+        Ok(())
+    }
+
+    /// The arity and type checks of every write of a row into `table`.
+    fn check_row(&self, table: TableId, values: &[Value]) -> DbResult<()> {
         let def = self.schema.table(table);
         if values.len() != def.columns.len() {
             return Err(DbError::ArityMismatch {
@@ -139,7 +155,7 @@ impl Database {
                 got: values.len(),
             });
         }
-        for (col, v) in def.columns.iter().zip(&values) {
+        for (col, v) in def.columns.iter().zip(values) {
             if let Some(dt) = v.data_type() {
                 if dt != col.dtype {
                     return Err(DbError::TypeMismatch {
@@ -151,15 +167,6 @@ impl Database {
                 }
             }
         }
-        self.data[table.0].rows.push(Row(values));
-        let rows = &self.data[table.0].rows;
-        let row_idx = rows.len() - 1;
-        // Secondary indexes are maintained in place, so index-backed access
-        // stays valid across appends without a rebuild.
-        if let Some(tidx) = self.table_indexes.get_mut(table.0) {
-            tidx.insert_appended(rows, row_idx);
-        }
-        self.probe_cache.clear_mut(); // memoized probe results are now stale
         Ok(())
     }
 
@@ -196,23 +203,29 @@ impl Database {
         }
         let old = std::mem::replace(&mut self.data[col.table.0].rows[row].0[col.column], value);
         let rows = &self.data[col.table.0].rows;
-        if let Some(tidx) = self.table_indexes.get_mut(col.table.0) {
-            tidx.update_cell(rows, col.column, row, &old);
-        }
+        self.table_indexes[col.table.0].update_cell(rows, col.column, row, &old);
         self.probe_cache.clear_mut(); // memoized probe results are now stale
         Ok(())
     }
 
-    /// Bulk-insert rows into a table.
+    /// Bulk-insert rows into a table: the load path. Every row is checked
+    /// before any is appended, so a failed call leaves the rows, the indexes
+    /// and the probe cache as they were; then the table's indexes are sorted
+    /// once over all its rows ([`TableIndex::build`]).
     pub fn insert_all(
         &mut self,
         table: &str,
         rows: impl IntoIterator<Item = Vec<Value>>,
     ) -> DbResult<()> {
         let tid = self.schema.table_id(table)?;
-        for r in rows {
-            self.insert_by_id(tid, r)?;
+        let rows: Vec<Vec<Value>> = rows.into_iter().collect();
+        for values in &rows {
+            self.check_row(tid, values)?;
         }
+        let stored = &mut self.data[tid.0].rows;
+        stored.extend(rows.into_iter().map(Row));
+        self.table_indexes[tid.0] = TableIndex::build(stored, self.schema.table(tid).columns.len());
+        self.probe_cache.clear_mut(); // memoized probe results are now stale
         Ok(())
     }
 
@@ -228,29 +241,15 @@ impl Database {
 
     /// Observed minimum and maximum of a numeric column, ignoring NULLs.
     /// Used by the verifier's `AVG` range check (paper §3.4). Read off the
-    /// ordered index once [`Database::rebuild_index`] has built it; a column
-    /// scan only on an unindexed database.
+    /// two ends of the column index's number run.
     pub fn numeric_range(&self, col: ColumnId) -> Option<(f64, f64)> {
-        if let Some(index) = self.column_index(col) {
-            return index.numeric_range(&self.data[col.table.0].rows, col.column);
-        }
-        let mut min = f64::INFINITY;
-        let mut max = f64::NEG_INFINITY;
-        let mut seen = false;
-        for v in self.column_values(col) {
-            if let Value::Number(n) = v {
-                min = min.min(*n);
-                max = max.max(*n);
-                seen = true;
-            }
-        }
-        seen.then_some((min, max))
+        self.column_index(col).numeric_range(&self.data[col.table.0].rows, col.column)
     }
 
-    /// Rebuild the ordered secondary indexes ([`TableIndex`]) behind
-    /// index-nested-loop joins, range scans, ordered index scans and the
-    /// autocomplete inverted index ([`Database::index`]). The executor uses
-    /// them from then on; before the first call it scans.
+    /// Re-sort every table's indexes from its rows, as [`Database::insert_all`]
+    /// sorts one table's. The write path keeps them current, so nothing
+    /// needs this to read the indexes; it is the full build a maintained
+    /// index is compared against, and what a timing of the build runs.
     pub fn rebuild_index(&mut self) {
         self.table_indexes = self
             .data
@@ -263,23 +262,15 @@ impl Database {
     }
 
     /// The autocomplete inverted index: a view of the text columns' indexes,
-    /// current after every write. It finds nothing until the first
-    /// [`Database::rebuild_index`].
+    /// current after every write.
     pub fn index(&self) -> InvertedIndex<'_> {
         InvertedIndex::new(&self.schema, &self.table_indexes)
     }
 
-    /// Whether [`Database::rebuild_index`] has run: every column then has
-    /// its index ([`Database::column_index`]).
-    pub(crate) fn is_indexed(&self) -> bool {
-        !self.table_indexes.is_empty()
-    }
-
-    /// The ordered secondary index of one column, or `None` until the first
-    /// [`Database::rebuild_index`]. The write path maintains built indexes
-    /// incrementally, so they never serve stale rows.
-    pub fn column_index(&self, col: ColumnId) -> Option<&ColumnIndex> {
-        self.table_indexes.get(col.table.0).map(|t| t.column(col.column))
+    /// The ordered secondary index of one column. The write path maintains
+    /// it, so it never serves stale rows.
+    pub fn column_index(&self, col: ColumnId) -> &ColumnIndex {
+        self.table_indexes[col.table.0].column(col.column)
     }
 
     /// Data type of a column.
@@ -470,24 +461,30 @@ mod tests {
         assert_eq!(d.numeric_range(name), None);
     }
 
-    /// The indexed range must equal the scan of an unindexed twin, on every
-    /// column, through the write path.
+    /// The range read off the index must equal a scan of the column, on
+    /// every column, through the write path.
     #[test]
     fn numeric_range_off_the_index_equals_the_scan() {
-        let mut scanned = db();
-        let mut indexed = db();
-        indexed.rebuild_index();
-        let agree = |scanned: &Database, indexed: &Database, when: &str| {
-            for col in scanned.schema().all_columns() {
-                assert!(scanned.column_index(col).is_none() && indexed.column_index(col).is_some());
-                assert_eq!(
-                    indexed.numeric_range(col),
-                    scanned.numeric_range(col),
-                    "{when}, {col:?}"
-                );
+        fn scanned(d: &Database, col: ColumnId) -> Option<(f64, f64)> {
+            let mut min = f64::INFINITY;
+            let mut max = f64::NEG_INFINITY;
+            let mut seen = false;
+            for v in d.column_values(col) {
+                if let Value::Number(n) = v {
+                    min = min.min(*n);
+                    max = max.max(*n);
+                    seen = true;
+                }
+            }
+            seen.then_some((min, max))
+        }
+        let mut d = db();
+        let agree = |d: &Database, when: &str| {
+            for col in d.schema().all_columns() {
+                assert_eq!(d.numeric_range(col), scanned(d, col), "{when}, {col:?}");
             }
         };
-        agree(&scanned, &indexed, "empty table");
+        agree(&d, "empty table");
         let rows = [
             vec![Value::int(1), Value::text("a"), Value::Null],
             vec![Value::int(2), Value::Null, Value::Number(f64::NAN)],
@@ -495,24 +492,59 @@ mod tests {
             vec![Value::int(4), Value::text("d"), Value::Number(-0.5)],
         ];
         for (i, row) in rows.into_iter().enumerate() {
-            scanned.insert("actor", row.clone()).unwrap();
-            indexed.insert("actor", row).unwrap();
+            d.insert("actor", row).unwrap();
             // Row 1: a single row, `birth_yr` without a number. Row 2: its
             // only number is NaN. Rows 3-4: NULL, NaN and numbers mixed.
-            agree(&scanned, &indexed, &format!("after insert {i}"));
+            agree(&d, &format!("after insert {i}"));
         }
-        let birth_yr = scanned.schema().column_id("actor", "birth_yr").unwrap();
-        assert_eq!(indexed.numeric_range(birth_yr), Some((-0.5, 1990.0)));
+        let birth_yr = d.schema().column_id("actor", "birth_yr").unwrap();
+        assert_eq!(d.numeric_range(birth_yr), Some((-0.5, 1990.0)));
         for (row, value) in [(3, Value::int(2050)), (2, Value::Null), (0, Value::int(-7))] {
-            scanned.update_cell("actor", row, "birth_yr", value.clone()).unwrap();
-            indexed.update_cell("actor", row, "birth_yr", value).unwrap();
-            agree(&scanned, &indexed, &format!("after update of row {row}"));
+            d.update_cell("actor", row, "birth_yr", value).unwrap();
+            agree(&d, &format!("after update of row {row}"));
         }
-        assert_eq!(indexed.numeric_range(birth_yr), Some((-7.0, 2050.0)));
+        assert_eq!(d.numeric_range(birth_yr), Some((-7.0, 2050.0)));
     }
 
-    /// Writes after the index build must keep the secondary indexes current
-    /// AND invalidate the probe cache — a stale row served through either
+    /// A bulk load with one bad row writes nothing: not the rows before it,
+    /// not the indexes, and the probe cache keeps its entries.
+    #[test]
+    fn insert_all_is_all_or_nothing() {
+        use crate::join_graph::JoinTree;
+        use crate::query::{CmpOp, Predicate, SelectItem};
+
+        let mut d = db();
+        let row =
+            |aid: i64| vec![Value::int(aid), Value::text(format!("a{aid}")), Value::int(1960)];
+        d.insert_all("actor", (0..3).map(row)).unwrap();
+        let aid = d.schema().column_id("actor", "aid").unwrap();
+        let probe = SelectSpec {
+            select: vec![SelectItem::column(aid)],
+            join: JoinTree::single(aid.table),
+            predicates: vec![Predicate::new(aid, CmpOp::Eq, Value::int(3))],
+            limit: Some(1),
+            ..Default::default()
+        };
+        let counters = RunCacheCounters::default();
+        assert!(!d.exists_cached_with(&probe, &counters).unwrap());
+        let before = (d.table_data(aid.table).clone(), d.column_index(aid).ordered().to_vec());
+        let entries = d.cache_stats().entries;
+
+        let bad = [row(3), row(4), vec![Value::text("x"), Value::Null, Value::Null], row(5)];
+        let err = d.insert_all("actor", bad);
+        assert!(matches!(err, Err(DbError::TypeMismatch { .. })), "{err:?}");
+        let short = [row(3), vec![Value::int(4)]];
+        assert!(matches!(d.insert_all("actor", short), Err(DbError::ArityMismatch { .. })));
+
+        let after = (d.table_data(aid.table).clone(), d.column_index(aid).ordered().to_vec());
+        assert_eq!(after, before, "no row and no index entry of a failed load stays");
+        assert!(d.column_index(aid).lookup(&Value::int(3)).is_empty());
+        assert_eq!(d.cache_stats().entries, entries, "a failed load drops no probe");
+        assert!(!d.exists_cached_with(&probe, &counters).unwrap());
+        assert_eq!(counters.snapshot(), (1, 1), "and the probe is answered from the cache");
+    }
+
+    /// Writes must keep the secondary indexes current AND invalidate the probe cache — a stale row served through either
     /// path would silently corrupt verification.
     #[test]
     fn writes_update_indexes_and_invalidate_probe_cache() {
@@ -524,7 +556,6 @@ mod tests {
         d.insert("actor", vec![Value::int(1), Value::text("Tom Hanks"), Value::int(1956)]).unwrap();
         d.insert("actor", vec![Value::int(2), Value::text("Sandra Bullock"), Value::int(1964)])
             .unwrap();
-        d.rebuild_index();
 
         let name = d.schema().column_id("actor", "name").unwrap();
         let actor = d.schema().table_id("actor").unwrap();
@@ -538,8 +569,8 @@ mod tests {
         // Seed the probe cache with a miss.
         assert_eq!(d.execute_cached(&probe("Brad Pitt")).unwrap().len(), 0);
 
-        // An insert after the index build must be visible through both the
-        // cache layer (invalidation) and the index path itself.
+        // An insert must be visible through both the cache layer
+        // (invalidation) and the index path itself.
         d.insert("actor", vec![Value::int(3), Value::text("Brad Pitt"), Value::int(1963)]).unwrap();
         assert_eq!(d.execute_cached(&probe("Brad Pitt")).unwrap().len(), 1, "stale cache entry");
         let indexed = execute_with(&d, &probe("Brad Pitt"), &ExecOptions::default()).unwrap();
@@ -560,7 +591,7 @@ mod tests {
         // executor reads off the index: the match list of every stored key,
         // the sorted run, uniqueness and the mean match-list length.
         let read = |d: &Database| {
-            let idx = d.column_index(name).unwrap();
+            let idx = d.column_index(name);
             let lists: Vec<Vec<usize>> =
                 d.column_values(name).map(|v| idx.lookup(v).to_vec()).collect();
             (lists, idx.ordered().to_vec(), idx.is_unique(), idx.mean_matches())
@@ -585,7 +616,6 @@ mod tests {
             vec![Value::int(aid), Value::text(format!("a{aid}")), Value::int(1960)]
         }
         d.insert_all("actor", (0..8).map(row)).unwrap();
-        d.rebuild_index();
         let aid = d.schema().column_id("actor", "aid").unwrap();
         let actor = d.schema().table_id("actor").unwrap();
         let probe = move |value: i64| SelectSpec {

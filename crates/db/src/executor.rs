@@ -12,8 +12,8 @@
 //!        (no joined row: per-row counts carried leaves first)
 //!
 //!   everything else:
-//!   scan(T₀) ──► ⋈ hash(T₁) ──► … ──► ⋈ hash(Tₙ) ──► σ WHERE
-//!        │ (probe side streamed;  build sides hashed up front)
+//!   scan(T₀) ──► ⋈ index(T₁) ──► … ──► ⋈ index(Tₙ) ──► σ WHERE
+//!        │ (probe side streamed;  build sides looked up in their indexes)
 //!        ▼
 //!   ┌─ ungrouped ─────────────────────┐  ┌─ grouped ──────────────────────┐
 //!   │ π project → DISTINCT → LIMIT k  │  │ γ group/agg → HAVING → π → sort│
@@ -38,9 +38,8 @@
 //! group's count and cells off the first table's rows. It hands the
 //! materializing strategy's records, in its order, to the same tail
 //! (`docs/EXECUTOR.md`, "Counting over the join tree"); outside that
-//! fragment, on a database without indexes, on a join that is not a tree
-//! rooted at the first table, or when a count overflows, the materializing
-//! strategy runs.
+//! fragment, on a join that is not a tree rooted at the first table, or when
+//! a count overflows, the materializing strategy runs.
 //!
 //! Two physical strategies run on the joined relation:
 //!
@@ -63,21 +62,19 @@
 //! known.
 //!
 //! Which of the two runs, and through which access paths, is decided from
-//! the spec's shape, the budget, the consumer and the indexes the database
-//! has — one plan per (spec, budget, consumer, database). No caller can ask
-//! for another.
+//! the spec's shape, the budget, the consumer and the database's indexes —
+//! one plan per (spec, budget, consumer, database). No caller can ask for
+//! another.
 //!
 //! # Index access
 //!
-//! Where the database has built its ordered secondary indexes
-//! ([`crate::table_index::TableIndex`], [`Database::rebuild_index`]), both
-//! strategies substitute index structures for scans; a database that never
-//! built them runs the same pipeline as hash joins over full scans in the
-//! canonical join order (the full selection rules live in
-//! `docs/EXECUTOR.md`):
+//! Every column of a database has its ordered secondary index
+//! ([`crate::table_index::TableIndex`]) from the moment the database
+//! exists, and both strategies substitute index structures for scans (the
+//! full selection rules live in `docs/EXECUTOR.md`):
 //!
 //! * **Index-nested-loop joins** look each probe cell up in the build
-//!   column's index instead of hashing the build table per execution.
+//!   column's index; no join builds anything per execution.
 //! * **Range/point restrictions** turn indexed literal predicates into
 //!   candidate row lists (always supersets; the WHERE filter re-checks),
 //!   intersected when several predicates restrict one table. The first
@@ -96,16 +93,15 @@
 //! * **Selectivity-driven planning** orders join steps most-selective-first
 //!   when provably order-safe.
 //!
-//! With or without indexes, an execution bails the moment a joined table, a
-//! build side, an intermediate or the planned probe itself is provably
-//! empty.
+//! An execution bails the moment a joined table, a build side, an
+//! intermediate or the planned probe itself is provably empty.
 //!
 //! # Determinism contract
 //!
 //! For a fixed database and spec, [`execute`] and [`execute_with`] produce
-//! the same [`ResultSet`] — bit for bit — whichever strategy ran and
-//! whether or not the database has built its indexes, and the rows under a
-//! budget `b` are the first `min(b, n)` of the `n` rows without one;
+//! the same [`ResultSet`] — bit for bit — whichever strategy and access
+//! paths ran, and the rows under a budget `b` are the first `min(b, n)` of
+//! the `n` rows without one;
 //! [`decide_with`] shows its verdict a prefix of those same rows, in the
 //! same order. Higher layers (candidate emission, the probe memo cache)
 //! rely on this.
@@ -281,7 +277,6 @@ pub fn execute(db: &Database, spec: &SelectSpec) -> DbResult<ResultSet> {
 /// schema.add_table(TableDef::new("t", vec![ColumnDef::number("id")], Some(0)));
 /// let mut db = Database::new(schema).unwrap();
 /// db.insert_all("t", (0..100).map(|i| vec![Value::int(i)])).unwrap();
-/// db.rebuild_index();
 ///
 /// let spec = SelectSpec {
 ///     select: vec![SelectItem::column(db.schema().column_id("t", "id").unwrap())],
@@ -440,8 +435,7 @@ impl Sink for Decide<'_> {
 
 /// Index-derived planning facts for one execution: per-table candidate row
 /// lists implied by indexed literal predicates (directly, or through the
-/// join tree), and the lookups spent computing them. Empty on a database
-/// without indexes.
+/// join tree), and the lookups spent computing them.
 #[derive(Default)]
 struct IndexAccess {
     /// Table → ascending candidate row ids: a **superset** of the table's
@@ -556,7 +550,7 @@ impl IndexAccess {
         if source.is_empty() {
             return ControlFlow::Break(());
         }
-        let Some(idx) = db.column_index(to) else { return ControlFlow::Continue(()) };
+        let idx = db.column_index(to);
         let target_len =
             (self.restrictions.get(&to.table)).map_or(db.table_data(to.table).rows.len(), Vec::len);
         if source.len() as f64 * idx.mean_matches() >= target_len as f64 {
@@ -605,7 +599,7 @@ impl Carry for IndexAccess {
 /// * NULL and non-finite equality constants match nothing under
 ///   [`Value::sql_eq`], giving an empty (still exact) candidate set.
 fn predicate_candidates(db: &Database, col: ColumnId, pred: &Predicate) -> Option<Vec<usize>> {
-    let idx = db.column_index(col)?;
+    let idx = db.column_index(col);
     let rows = &db.table_data(col.table).rows;
     match pred.op {
         CmpOp::Eq => match &pred.value {
@@ -822,10 +816,7 @@ fn leaves_first(db: &Database, spec: &SelectSpec, walk: &mut impl Carry) {
 fn greedy_reorder_is_order_safe(db: &Database, spec: &SelectSpec) -> bool {
     let oriented = orient_edges(spec);
     let unoriented = spec.join.edges.len() - oriented.len();
-    let fanning = oriented
-        .iter()
-        .filter(|e| !db.column_index(e.child).map(ColumnIndex::is_unique).unwrap_or(false))
-        .count();
+    let fanning = oriented.iter().filter(|e| !db.column_index(e.child).is_unique()).count();
     unoriented + fanning <= 1
 }
 
@@ -937,7 +928,7 @@ fn streaming_cap(
         if spec.distinct && !spec.select.iter().any(|item| item.col == Some(col)) {
             return None;
         }
-        if !db.column_index(col).is_some_and(ColumnIndex::can_order) {
+        if !db.column_index(col).can_order() {
             return None;
         }
         order = FirstOrder::Index { col, desc };
@@ -1065,19 +1056,6 @@ impl ListGroups {
     }
 }
 
-/// Build the hash table over one join step's build column: key → ascending
-/// row ids, NULLs excluded — what [`ColumnIndex::lookup`] answers from its
-/// runs.
-fn build_hash(rows: &[Row], build_col: usize) -> HashMap<Key, Vec<usize>> {
-    let mut map: HashMap<Key, Vec<usize>> = HashMap::new();
-    for (ri, row) in rows.iter().enumerate() {
-        if let Some(key) = row.0[build_col].key() {
-            map.entry(key).or_default().push(ri);
-        }
-    }
-    map
-}
-
 /// The spec resolved against its join plan, once per execution: the stored
 /// rows of every joined table by slot, and the [`Pos`] of every column the
 /// per-row path reads, so that path hashes no `ColumnId`.
@@ -1160,7 +1138,7 @@ impl<'a> Resolved<'a> {
 
     /// Partition the joined rows `filtered` by the GROUP BY columns, groups
     /// in first-appearance order: by the column's index lists for one
-    /// indexed column ([`ListGroups`]), by typed keys otherwise.
+    /// column ([`ListGroups`]), by typed keys for several.
     fn partition(&self, db: &Database, joined: &Joined, filtered: Vec<usize>) -> Vec<Vec<usize>> {
         let mut groups: Vec<Vec<usize>> = Vec::new();
         let mut push = |(slot, new): (usize, bool), r: usize| {
@@ -1170,9 +1148,8 @@ impl<'a> Resolved<'a> {
             groups[slot].push(r);
         };
         match (&self.spec.group_by[..], &self.group_pos[..]) {
-            (&[col], &[(table, _)]) if db.is_indexed() => {
-                let idx = db.column_index(col).expect("an indexed database indexes every column");
-                let mut index = ListGroups::new(idx, self.tables[table].len());
+            (&[col], &[(table, _)]) => {
+                let mut index = ListGroups::new(db.column_index(col), self.tables[table].len());
                 for r in filtered {
                     push(index.slot(joined.row(r)[table]), r);
                 }
@@ -1225,9 +1202,9 @@ impl<'a> Resolved<'a> {
     }
 }
 
-/// One join step's build side: the match lists — looked up in a column
-/// index (index-nested-loop join, no build pass at all) or hashed for this
-/// execution, both key → ascending row ids with NULLs excluded — plus the
+/// One join step's build side: the build column's index — one
+/// [`ColumnIndex::lookup`] per probe cell (index-nested-loop join, no build
+/// pass at all), key → ascending row ids with NULLs excluded — plus the
 /// build table's restriction, if it has one.
 ///
 /// A restriction never replaces the match lists: it is applied as a
@@ -1237,45 +1214,21 @@ impl<'a> Resolved<'a> {
 /// planner proved unable to appear in a surviving joined row.
 struct StepHash<'h> {
     probe: Pos,
-    lists: BuildSide<'h>,
+    lists: &'h ColumnIndex,
     /// Ascending candidate row ids of the build table.
     keep: Option<&'h [usize]>,
 }
 
-/// Where a join step finds the build rows matching a probe cell.
-enum BuildSide<'h> {
-    /// The build column's index: one [`ColumnIndex::lookup`] per probe.
-    Index(&'h ColumnIndex),
-    /// The build column hashed for this execution ([`build_hash`]).
-    Hashed(HashMap<Key, Vec<usize>>),
-}
-
 impl<'h> StepHash<'h> {
-    /// The build side of `step`. The second value is the number of build
-    /// rows hashed for it: 0 for an index-nested-loop join.
-    fn of(db: &'h Database, step: &JoinStep, access: &'h IndexAccess) -> (StepHash<'h>, u64) {
-        let build_rows = &db.table_data(step.build.table).rows;
-        let (lists, hashed) = match db.column_index(step.build) {
-            Some(idx) => (BuildSide::Index(idx), 0),
-            None => (
-                BuildSide::Hashed(build_hash(build_rows, step.build.column)),
-                build_rows.len() as u64,
-            ),
-        };
+    /// The build side of `step`.
+    fn of(db: &'h Database, step: &JoinStep, access: &'h IndexAccess) -> StepHash<'h> {
         let keep = access.restrictions.get(&step.build.table).map(Vec::as_slice);
-        (StepHash { probe: step.probe, lists, keep }, hashed)
-    }
-
-    fn is_inlj(&self) -> bool {
-        matches!(self.lists, BuildSide::Index(_))
+        StepHash { probe: step.probe, lists: db.column_index(step.build), keep }
     }
 
     /// Whether no probe can match: the build column holds no non-NULL key.
     fn is_empty(&self) -> bool {
-        match &self.lists {
-            BuildSide::Index(idx) => idx.distinct_keys() == 0,
-            BuildSide::Hashed(map) => map.is_empty(),
-        }
+        self.lists.distinct_keys() == 0
     }
 
     /// Append to `out` the joined row `probe` extended by each build row its
@@ -1283,15 +1236,8 @@ impl<'h> StepHash<'h> {
     /// order; returns how many. Both strategies join through here, so they
     /// order joined rows alike.
     fn expand(&self, query: &Resolved<'_>, probe: &[usize], out: &mut Vec<usize>) -> u64 {
-        let cell = query.cell(probe, self.probe);
-        let matches: &[usize] = match &self.lists {
-            BuildSide::Index(idx) => idx.lookup(cell),
-            BuildSide::Hashed(map) => {
-                cell.key().and_then(|k| map.get(&k)).map_or(&[], Vec::as_slice)
-            }
-        };
         let mut kept = 0;
-        for ri in matches {
+        for ri in self.lists.lookup(query.cell(probe, self.probe)) {
             if self.keep.is_none_or(|keep| keep.binary_search(ri).is_ok()) {
                 out.extend_from_slice(probe);
                 out.push(*ri);
@@ -1335,10 +1281,8 @@ impl<S: Sink> Stream<'_, S> {
         buf.clear();
         let produced = step.expand(self.query, ids, buf);
         self.produced += produced;
-        if step.is_inlj() {
-            self.lookups += 1;
-            self.via_index += produced;
-        }
+        self.lookups += 1;
+        self.via_index += produced;
         buf.chunks_exact(ids.len() + 1).all(|row| self.pull(row, steps, bufs))
     }
 
@@ -1386,7 +1330,7 @@ fn run_streaming(
     let first_iter: Box<dyn Iterator<Item = usize> + '_> = match order {
         FirstOrder::Index { col, desc } => {
             setup_lookups += 1;
-            let idx = db.column_index(col).expect("streaming_cap checked the index");
+            let idx = db.column_index(col);
             let run: Box<dyn Iterator<Item = usize> + '_> = if desc {
                 Box::new(idx.ordered_desc(first_rows, col.column))
             } else {
@@ -1404,7 +1348,6 @@ fn run_streaming(
     };
     let first_len = restriction.map(Vec::len).unwrap_or(first_rows.len()) as u64;
 
-    let mut build_scanned: u64 = 0;
     let mut first_scanned: u64 = 0;
     let mut bailed = false;
     let mut stopped_early = cap == 0 && first_len > 0;
@@ -1420,25 +1363,24 @@ fn run_streaming(
     };
 
     if cap > 0 {
-        // Build sides: look probes up in the column index when the build
-        // key is indexed, hash the table otherwise. An empty build side
-        // proves the join output empty before any probe row is pulled.
-        let mut hashes: Vec<StepHash<'_>> = Vec::with_capacity(plan.steps.len());
+        // Build sides: each probe is looked up in the build column's index.
+        // An empty build side proves the join output empty before any probe
+        // row is pulled.
+        let mut builds: Vec<StepHash<'_>> = Vec::with_capacity(plan.steps.len());
         for step in &plan.steps {
-            let (hash, hashed) = StepHash::of(db, step, access);
-            build_scanned += hashed;
-            if hash.is_empty() {
+            let build = StepHash::of(db, step, access);
+            if build.is_empty() {
                 bailed = true;
                 break;
             }
-            hashes.push(hash);
+            builds.push(build);
         }
         // One id buffer per join depth, reused for every probe row.
-        let mut bufs: Vec<Vec<usize>> = vec![Vec::new(); hashes.len()];
+        let mut bufs: Vec<Vec<usize>> = vec![Vec::new(); builds.len()];
         if !bailed {
             for ri in first_iter {
                 first_scanned += 1;
-                if !stream.pull(&[ri], &hashes, &mut bufs) {
+                if !stream.pull(&[ri], &builds, &mut bufs) {
                     stopped_early = true;
                     break;
                 }
@@ -1452,7 +1394,7 @@ fn run_streaming(
     // complete (empty) result, hence exact.
     let exact = bailed || !stopped_early || spec.limit == Some(cap);
     ExecMetrics {
-        rows_scanned: build_scanned + first_scanned + stream.produced,
+        rows_scanned: first_scanned + stream.produced,
         rows_short_circuited: if bailed {
             first_len
         } else if stopped_early {
@@ -1470,7 +1412,7 @@ fn run_streaming(
 }
 
 /// Materializing strategy: evaluate the join chain into an intermediate
-/// relation of row ids (index-backed build sides where available), then
+/// relation of row ids (index-nested-loop steps), then
 /// filter, group/aggregate, project, sort and limit as one batch, and hand
 /// the rows within the budget to `sink` until it wants no more.
 ///
@@ -1506,24 +1448,21 @@ fn run_materialized(
     let steps = if proven_empty { &[] } else { plan.steps.as_slice() };
     // `width`: ids per joined row going into the step, one more coming out.
     for (width, step) in (1..).zip(steps) {
-        // Index-nested-loop join when the build key is indexed: the column
-        // index *is* the build side and no build pass runs.
-        let (hash, hashed) = StepHash::of(db, step, access);
-        scanned += hashed;
+        // Index-nested-loop join: the column index *is* the build side and
+        // no build pass runs.
+        let build = StepHash::of(db, step, access);
         let mut out = Vec::with_capacity(ids.len() / width * (width + 1));
         let mut produced: u64 = 0;
         for probe in ids.chunks_exact(width) {
-            produced += hash.expand(&query, probe, &mut out);
+            produced += build.expand(&query, probe, &mut out);
         }
-        if hash.is_inlj() {
-            lookups += (ids.len() / width) as u64;
-            via_index += produced;
-        }
+        lookups += (ids.len() / width) as u64;
+        via_index += produced;
         scanned += produced;
         ids = out;
         if ids.is_empty() && width < steps.len() {
             // Empty intermediate: the remaining steps preserve emptiness, so
-            // skip their build passes outright.
+            // skip them outright.
             bailed = true;
             break;
         }
@@ -1614,9 +1553,9 @@ fn in_counting_fragment(spec: &SelectSpec) -> bool {
 /// Answer a spec of the counting fragment ([`in_counting_fragment`]) with
 /// one counting pass over its join tree, building no joined row, or `None`
 /// when the materializing strategy must run instead: the spec is outside
-/// the fragment, the database has no indexes, the join is not a tree rooted
-/// at the first table, a literal restriction is already provably empty (the
-/// strategy's bail answers that without a row), or a count overflows.
+/// the fragment, the join is not a tree rooted at the first table, a literal
+/// restriction is already provably empty (the strategy's bail answers that
+/// without a row), or a count overflows.
 ///
 /// The pass reduces the literal restrictions up the tree
 /// ([`IndexAccess::reduce`]) and narrows them down from the root
@@ -1628,10 +1567,7 @@ fn in_counting_fragment(spec: &SelectSpec) -> bool {
 /// sum of its root rows' counts. `docs/EXECUTOR.md` ("Counting over the join
 /// tree") has the argument in full.
 fn count_over_tree(db: &Database, spec: &SelectSpec) -> Option<(Vec<Record>, ExecMetrics)> {
-    if !in_counting_fragment(spec)
-        || !db.is_indexed()
-        || orient_edges(spec).len() != spec.join.edges.len()
-    {
+    if !in_counting_fragment(spec) || orient_edges(spec).len() != spec.join.edges.len() {
         return None;
     }
     let mut access = IndexAccess::literals(db, spec);
@@ -1751,8 +1687,7 @@ impl<'a> Counts<'a> {
             let total = root.iter().try_fold(0u64, |sum, &ri| sum.checked_add(counts[ri]))?;
             groups.push((root.first().copied(), total));
         } else if let [col] = spec.group_by[..] {
-            let idx = db.column_index(col).expect("an indexed database indexes every column");
-            let mut index = ListGroups::new(idx, root_rows.len());
+            let mut index = ListGroups::new(db.column_index(col), root_rows.len());
             for &ri in root {
                 let (slot, new) = index.slot(ri);
                 if new {
@@ -1805,8 +1740,6 @@ impl<'a> Counts<'a> {
     fn sums(&mut self, db: &Database, edge: &OrientedEdge) -> Option<Vec<u64>> {
         let (parent, child) = (self.slot(edge.parent.table), self.slot(edge.child.table));
         let (parent_idx, child_idx) = (db.column_index(edge.parent), db.column_index(edge.child));
-        let (parent_idx, child_idx) =
-            (parent_idx.zip(child_idx)).expect("an indexed database indexes every column");
         let parent_rows = db.table_data(edge.parent.table).rows.len();
         let probes = self.live[parent].len().min(self.live[child].len());
         let both = parent_rows + db.table_data(edge.child.table).rows.len();
@@ -1973,13 +1906,6 @@ mod tests {
 
     /// The movie database from the paper's motivating example.
     fn movie_db() -> Database {
-        let mut db = unindexed_movie_db();
-        db.rebuild_index();
-        db
-    }
-
-    /// [`movie_db`] before `rebuild_index`: what the executor runs as scans.
-    fn unindexed_movie_db() -> Database {
         let mut s = Schema::new("movies");
         s.add_table(TableDef::new(
             "actor",
@@ -2295,15 +2221,9 @@ mod tests {
 
     /// A larger fixture for streaming tests: `left` (many rows) joins
     /// `right` with a fan-out per key, so the joined relation is much larger
-    /// than either base table.
+    /// than either base table. `right` row `i` holds `(k, v) = (i % keys, i)`,
+    /// `left` row `i` holds `(id, k) = (i, i % keys)`.
     fn fanout_db(left_rows: usize, keys: usize, fanout: usize) -> Database {
-        let mut db = unindexed_fanout_db(left_rows, keys, fanout);
-        db.rebuild_index();
-        db
-    }
-
-    /// [`fanout_db`] before `rebuild_index`.
-    fn unindexed_fanout_db(left_rows: usize, keys: usize, fanout: usize) -> Database {
         let mut s = Schema::new("fanout");
         s.add_table(TableDef::new(
             "right",
@@ -2410,11 +2330,9 @@ mod tests {
         let mut s = Schema::new("runs");
         let columns = ["id", "up", "down", "mixed"].map(ColumnDef::number).to_vec();
         s.add_table(TableDef::new("t", columns, Some(0)));
-        let mut scan_db = Database::new(s).unwrap();
+        let mut db = Database::new(s).unwrap();
         let cells = |i: i64| [i, i / 3, (11 - i) / 3, (i * 5 % 12) / 3];
-        scan_db.insert_all("t", (0..12).map(|i| cells(i).map(Value::int).to_vec())).unwrap();
-        let mut db = scan_db.clone();
-        db.rebuild_index();
+        db.insert_all("t", (0..12).map(|i| cells(i).map(Value::int).to_vec())).unwrap();
 
         for (key, desc) in ["up", "down", "mixed"].into_iter().flat_map(|k| [(k, false), (k, true)])
         {
@@ -2438,43 +2356,42 @@ mod tests {
             });
             let expected: Vec<Row> = expected.iter().map(|&i| Row(vec![Value::int(i)])).collect();
 
+            // One lookup sets the ordered scan up; it walks the run until
+            // the fifth row and leaves the other seven unpulled.
             let indexed = run(&db, &spec);
             assert!(indexed.metrics.streamed, "{key} desc={desc}: an indexed column streams");
-            assert!(indexed.metrics.rows_via_index > 0);
-            assert!(indexed.metrics.index_lookups > 0);
-            assert!(indexed.metrics.rows_short_circuited > 0);
+            let m = &indexed.metrics;
+            let pinned =
+                (m.rows_scanned, m.index_lookups, m.rows_via_index, m.rows_short_circuited);
+            assert_eq!(pinned, (5, 1, 5, 7), "{key} desc={desc}");
             assert_eq!(indexed.result.rows, expected[..5], "{key} desc={desc}");
 
             let sorted = run(&db, &unlimited);
             assert!(!sorted.metrics.streamed, "without a LIMIT the sort materializes");
             assert_eq!(sorted.result.rows, expected, "{key} desc={desc}");
-            let scan = run(&scan_db, &spec);
-            assert!(!scan.metrics.streamed, "without the index the sort materializes");
-            assert_eq!(indexed.result, scan.result, "{key} desc={desc}");
         }
+    }
+
+    /// `(rows_scanned, index_lookups, rows_via_index, probes_bailed_empty)`
+    /// of one execution: what an access-path change moves.
+    fn counts(out: &ExecOutcome) -> (u64, u64, u64, u64) {
+        let m = &out.metrics;
+        (m.rows_scanned, m.index_lookups, m.rows_via_index, m.probes_bailed_empty)
     }
 
     #[test]
     fn eq_predicate_restriction_scans_less() {
         let db = fanout_db(500, 10, 20);
-        let scan_db = unindexed_fanout_db(500, 10, 20);
         let spec = SelectSpec {
             select: vec![SelectItem::column(col(&db, "right", "v"))],
             join: JoinTree::single(db.schema().table_id("right").unwrap()),
             predicates: vec![Predicate::new(col(&db, "right", "v"), CmpOp::Eq, Value::int(137))],
             ..Default::default()
         };
-        let (indexed, scan) = (run(&db, &spec), run(&scan_db, &spec));
-        assert_eq!(indexed.result, scan.result);
-        assert_eq!(indexed.result.len(), 1);
-        assert!(
-            indexed.metrics.rows_scanned < scan.metrics.rows_scanned,
-            "point lookup must scan fewer rows: {} vs {}",
-            indexed.metrics.rows_scanned,
-            scan.metrics.rows_scanned
-        );
-        assert!(indexed.metrics.index_lookups > 0);
-        assert!(indexed.metrics.rows_via_index > 0);
+        let out = run(&db, &spec);
+        assert_eq!(out.result.rows, vec![Row(vec![Value::int(137)])]);
+        // One lookup yields the one candidate row; a scan reads all 200.
+        assert_eq!(counts(&out), (1, 1, 1, 0));
     }
 
     #[test]
@@ -2482,18 +2399,13 @@ mod tests {
         let db = fanout_db(500, 10, 20);
         let mut probe = fanout_join_spec(&db);
         probe.limit = Some(1);
-        let indexed = run(&db, &probe);
-        let scan = run(&unindexed_fanout_db(500, 10, 20), &probe);
-        assert_eq!(indexed.result, scan.result);
-        // The scan path hashes all 500 build rows up front; the INLJ looks
-        // probes up in the index and never touches them.
-        assert!(
-            indexed.metrics.rows_scanned + 500 <= scan.metrics.rows_scanned,
-            "INLJ must skip the 500-row build pass: {} vs {}",
-            indexed.metrics.rows_scanned,
-            scan.metrics.rows_scanned
-        );
-        assert!(indexed.metrics.index_lookups > 0);
+        let out = run(&db, &probe);
+        assert_eq!(out.result.rows, vec![Row(vec![Value::int(0), Value::int(0)])]);
+        // The first `right` row, one lookup in `left.k`'s index and the 50
+        // rows it matches: none of the 500 build rows is read up front, and
+        // the other 199 probe rows are never pulled.
+        assert_eq!(counts(&out), (51, 1, 50, 0));
+        assert_eq!(out.metrics.rows_short_circuited, 199);
     }
 
     #[test]
@@ -2509,16 +2421,14 @@ mod tests {
         let out = run(&db, &spec);
         assert!(out.result.is_empty());
         assert!(out.metrics.exact);
-        assert_eq!(out.metrics.probes_bailed_empty, 1);
-        assert_eq!(out.metrics.rows_scanned, 0, "bail before touching any row");
+        assert_eq!(counts(&out), (0, 1, 0, 1), "bail before touching any row");
 
         // Aggregate shape is preserved: COUNT(*) over the bailed probe is 0,
-        // exactly as the scan path computes it.
+        // as SQL has it.
         spec.select = vec![SelectItem::count_star()];
         let counted = run(&db, &spec);
-        let scan = run(&unindexed_movie_db(), &spec);
-        assert_eq!(counted.result, scan.result);
-        assert_eq!(counted.result.rows[0].0[0], Value::int(0));
+        assert_eq!(counted.result.rows, vec![Row(vec![Value::int(0)])]);
+        assert_eq!(counts(&counted), (0, 1, 0, 1));
     }
 
     #[test]
@@ -2542,23 +2452,24 @@ mod tests {
             )],
             ..Default::default()
         };
-        let indexed = run(&db, &spec);
-        let scan = run(&unindexed_movie_db(), &spec);
-        assert_eq!(indexed.result, scan.result, "reordered plan must emit identically");
-        assert_eq!(indexed.result.len(), 1);
-        assert_eq!(indexed.result.rows[0].0[0], Value::text("Fight Club"));
-        assert!(indexed.metrics.rows_scanned <= scan.metrics.rows_scanned);
+        let out = run(&db, &spec);
+        let row = Row(vec![Value::text("Fight Club"), Value::text("Brad Pitt")]);
+        assert_eq!(out.result.rows, vec![row]);
+        // One lookup restricts `actor` to Brad Pitt's row; each join step
+        // is one lookup that yields one row.
+        assert_eq!(counts(&out), (3, 3, 3, 0));
     }
 
     #[test]
     fn range_predicate_uses_index_and_matches_scan() {
         let db = fanout_db(500, 10, 20);
-        let scan_db = unindexed_fanout_db(500, 10, 20);
         let v = col(&db, "right", "v");
-        for pred in [
-            Predicate::new(v, CmpOp::Lt, Value::int(20)),
-            Predicate::new(v, CmpOp::Ge, Value::int(180)),
-            Predicate::between(v, Value::int(50), Value::int(60)),
+        // `right.v` is the row id: each range's rows, ascending, and nothing
+        // else is read.
+        for (pred, values) in [
+            (Predicate::new(v, CmpOp::Lt, Value::int(20)), 0..20),
+            (Predicate::new(v, CmpOp::Ge, Value::int(180)), 180..200),
+            (Predicate::between(v, Value::int(50), Value::int(60)), 50..61),
         ] {
             let spec = SelectSpec {
                 select: vec![SelectItem::column(v)],
@@ -2566,9 +2477,11 @@ mod tests {
                 predicates: vec![pred],
                 ..Default::default()
             };
-            let (indexed, scan) = (run(&db, &spec), run(&scan_db, &spec));
-            assert_eq!(indexed.result, scan.result);
-            assert!(indexed.metrics.rows_scanned < scan.metrics.rows_scanned);
+            let out = run(&db, &spec);
+            let want: Vec<Row> = values.clone().map(|i| Row(vec![Value::int(i)])).collect();
+            assert_eq!(out.result.rows, want);
+            let n = (values.end - values.start) as u64;
+            assert_eq!(counts(&out), (n, 1, n, 0), "{values:?}");
         }
     }
 
@@ -2608,8 +2521,6 @@ mod tests {
                 .collect();
             let rows = xs.iter().enumerate().map(|(i, &x)| vec![Value::int(i as i64), x.into()]);
             db.insert_all("t", rows).unwrap();
-            let scan_db = db.clone();
-            db.rebuild_index();
             for desc in [false, true] {
                 // Numbers ascend (or descend), NaN after (before) them, ties
                 // in row order: a stable sort under "NaN is the largest".
@@ -2625,9 +2536,7 @@ mod tests {
                 });
                 let expected: Vec<Row> =
                     expected.iter().map(|&i| Row(vec![Value::int(i as i64)])).collect();
-                for (limit, indexed) in
-                    [(None, true), (None, false), (Some(5), true), (Some(5), false)]
-                {
+                for limit in [None, Some(5)] {
                     let spec = SelectSpec {
                         select: vec![SelectItem::column(col(&db, "t", "id"))],
                         join: JoinTree::single(db.schema().table_id("t").unwrap()),
@@ -2638,12 +2547,9 @@ mod tests {
                         limit,
                         ..Default::default()
                     };
-                    let rows = run(if indexed { &db } else { &scan_db }, &spec).result.rows;
+                    let rows = run(&db, &spec).result.rows;
                     let want = &expected[..limit.unwrap_or(expected.len())];
-                    assert_eq!(
-                        rows, want,
-                        "table {table}, desc={desc}, indexed={indexed}, LIMIT {limit:?}"
-                    );
+                    assert_eq!(rows, want, "table {table}, desc={desc}, LIMIT {limit:?}");
                 }
             }
         }

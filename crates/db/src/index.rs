@@ -12,9 +12,7 @@
 //! each text column, folding the probe's case as it compares, so it
 //! allocates nothing; autocomplete walks each column's keys from the prefix
 //! on. The write path maintains the column indexes, so the view is current
-//! after `insert` and `update_cell`; before the first
-//! `Database::rebuild_index` there are no column indexes and it finds
-//! nothing.
+//! after every `insert_all`, `insert` and `update_cell`.
 
 use crate::schema::{ColumnId, Schema};
 use crate::table_index::{ColumnIndex, TableIndex};
@@ -38,8 +36,7 @@ pub struct InvertedIndex<'a> {
 }
 
 impl<'a> InvertedIndex<'a> {
-    /// The view over `schema`'s text columns in `tables`, which is empty
-    /// until the indexes are built.
+    /// The view over `schema`'s text columns in `tables`, one per table.
     pub(crate) fn new(schema: &'a Schema, tables: &'a [TableIndex]) -> Self {
         InvertedIndex { schema, tables }
     }
@@ -49,7 +46,7 @@ impl<'a> InvertedIndex<'a> {
         self.schema
             .all_columns()
             .filter(move |&c| self.schema.column(c).dtype == DataType::Text)
-            .filter_map(move |c| Some((c, self.tables.get(c.table.0)?.column(c.column))))
+            .map(move |c| (c, self.tables[c.table.0].column(c.column)))
     }
 
     /// Columns containing the exact (case-insensitive) text value, in
@@ -123,7 +120,6 @@ mod tests {
         d.insert("conference", vec![Value::int(3), Value::text("VLDB")]).unwrap();
         d.insert("author", vec![Value::int(1), Value::text("Sigmund Freud")]).unwrap();
         d.insert("author", vec![Value::int(2), Value::text("sigmod")]).unwrap();
-        d.rebuild_index();
         d
     }
 

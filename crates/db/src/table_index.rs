@@ -29,11 +29,11 @@
 //!     and its run end). A lookup binary-searches the keys, folding the
 //!     probe's bytes as it compares, so it allocates nothing either.
 //!
-//! Indexes are built by `Database::rebuild_index` and maintained
-//! incrementally by the write path (`insert`, `update_cell`), which keeps the
-//! run, the bits, the folded order, the arena and the exact distinct-key
-//! count in place; they are never consulted while absent, so a database that
-//! skips `rebuild_index` simply runs every query as a scan.
+//! Every table has its indexes from `Database::new` on. A bulk load
+//! (`Database::insert_all`) builds a table's with one sort per column; the
+//! row-at-a-time write path (`insert`, `update_cell`) maintains them
+//! incrementally, keeping the run, the bits, the folded order, the arena and
+//! the exact distinct-key count in place.
 //!
 //! # Build
 //!
@@ -470,7 +470,7 @@ impl ColumnIndex {
     /// Smallest and largest number stored in the column, read off the two
     /// ends of the sorted run's number segment (NULLs sort before it, NaN
     /// and text after it): two binary searches instead of a column scan.
-    /// Equal to the scan in `Database::numeric_range` on every column — `None`
+    /// Equal to a min/max scan of the column on every column — `None`
     /// without a number, and the scan's empty `(∞, −∞)` interval when every
     /// number is NaN.
     pub fn numeric_range(&self, rows: &[Row], col: usize) -> Option<(f64, f64)> {

@@ -149,7 +149,6 @@ pub(crate) fn fixture_db() -> Arc<Database> {
         ],
     )
     .expect("fixture rows must insert");
-    db.rebuild_index();
     db.into_shared()
 }
 

@@ -40,7 +40,6 @@ fn movie_db() -> Arc<Database> {
         ],
     )
     .unwrap();
-    db.rebuild_index();
     db.into_shared()
 }
 

@@ -192,7 +192,6 @@ mod tests {
         d.insert("conference", vec![Value::int(1), Value::text("SIGMOD")]).unwrap();
         d.insert("conference", vec![Value::int(2), Value::text("Very Large Data Bases")]).unwrap();
         d.insert("author", vec![Value::int(1), Value::text("Nan")]).unwrap();
-        d.rebuild_index();
         d
     }
 
@@ -222,10 +221,52 @@ mod tests {
         // A word that parses as NaN is matched like any other.
         let lits = extract_literals("papers by nan", Some(&d));
         assert_eq!(lits, vec![Literal::text("nan", Value::text("nan"))]);
-        // A value inserted after the index build is tagged without a rebuild.
+        // A value inserted into a loaded database is tagged at once.
         d.insert("author", vec![Value::int(2), Value::text("Infinity Ward")]).unwrap();
         let lits = extract_literals("papers by infinity ward", Some(&d));
         assert_eq!(lits, vec![Literal::text("infinity ward", Value::text("infinity ward"))]);
+    }
+
+    /// A database as it is loaded — one bulk insert per table, no rebuild —
+    /// answers literal lookups at once: NLQ tagging, and the index lookup
+    /// the PBE baseline locates example cells with.
+    #[test]
+    fn a_freshly_loaded_database_answers_literal_lookups() {
+        let mut s = Schema::new("mas");
+        s.add_table(TableDef::new(
+            "author",
+            vec![ColumnDef::number("aid"), ColumnDef::text("name")],
+            Some(0),
+        ));
+        s.add_table(TableDef::new(
+            "conference",
+            vec![ColumnDef::number("cid"), ColumnDef::text("name")],
+            Some(0),
+        ));
+        let mut d = Database::new(s).unwrap();
+        let authors = ["Grace Hopper", "Edgar Codd", "Grace Hopper"];
+        let rows =
+            authors.iter().zip(1..).map(|(name, aid)| vec![Value::int(aid), Value::text(*name)]);
+        d.insert_all("author", rows).unwrap();
+        d.insert_all("conference", [vec![Value::int(1), Value::text("SIGMOD")]]).unwrap();
+
+        let lits = extract_literals("papers by grace hopper in SIGMOD", Some(&d));
+        assert_eq!(
+            lits,
+            vec![
+                Literal::text("grace hopper", Value::text("grace hopper")),
+                Literal::text("SIGMOD", Value::text("SIGMOD")),
+            ]
+        );
+        let (author, conference) = (
+            d.schema().column_id("author", "name").unwrap(),
+            d.schema().column_id("conference", "name").unwrap(),
+        );
+        let hit = |column, count| duoquest_db::IndexHit { column, count };
+        assert_eq!(d.index().lookup("GRACE HOPPER"), vec![hit(author, 2)]);
+        assert_eq!(d.index().lookup("edgar codd"), vec![hit(author, 1)]);
+        assert_eq!(d.index().lookup("sigmod"), vec![hit(conference, 1)]);
+        assert_eq!(candidate_columns(&d, &lits[1]), vec![conference]);
     }
 
     #[test]

@@ -90,7 +90,6 @@
 //! let mut db = Database::new(schema).unwrap();
 //! db.insert("movies", vec![Value::int(1), Value::text("Heat"), Value::int(1995)]).unwrap();
 //! db.insert("movies", vec![Value::int(2), Value::text("Up"), Value::int(2009)]).unwrap();
-//! db.rebuild_index();
 //!
 //! let service = SynthesisService::new(ServiceConfig {
 //!     workers: 2,
@@ -789,7 +788,6 @@ mod tests {
             ],
         )
         .unwrap();
-        db.rebuild_index();
         db
     }
 

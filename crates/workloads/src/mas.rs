@@ -170,7 +170,12 @@ pub fn mas_schema() -> Schema {
 pub fn generate(seed: u64, scale: f64) -> MasDataset {
     let mut rng = StdRng::seed_from_u64(seed);
     let schema = mas_schema();
-    let mut db = Database::new(schema).expect("MAS schema is valid");
+    // Rows are kept per table in the order they are drawn and loaded with
+    // one `insert_all` per table, which sorts each column's index once.
+    let mut rows: Vec<Vec<Vec<Value>>> = vec![Vec::new(); schema.table_count()];
+    let mut insert = |table: &str, row: Vec<Value>| {
+        rows[schema.table_id(table).expect("a MAS table").0].push(row);
+    };
 
     let n = |base: usize| ((base as f64 * scale).round() as usize).max(4);
 
@@ -185,7 +190,7 @@ pub fn generate(seed: u64, scale: f64) -> MasDataset {
         "Human Computer Interaction",
     ];
     for (i, d) in domains.iter().enumerate() {
-        db.insert("domain", vec![Value::int(i as i64 + 1), Value::text(*d)]).unwrap();
+        insert("domain", vec![Value::int(i as i64 + 1), Value::text(*d)]);
     }
 
     let continents = ["North America", "Europe", "Asia"];
@@ -197,7 +202,7 @@ pub fn generate(seed: u64, scale: f64) -> MasDataset {
             format!("Research Institute {i:02}")
         };
         let continent = continents[i % continents.len()];
-        db.insert(
+        insert(
             "organization",
             vec![
                 Value::int(i as i64 + 1),
@@ -205,8 +210,7 @@ pub fn generate(seed: u64, scale: f64) -> MasDataset {
                 Value::text(continent),
                 Value::text(format!("http://org{i}.example.edu")),
             ],
-        )
-        .unwrap();
+        );
     }
 
     let n_authors = n(40);
@@ -214,7 +218,7 @@ pub fn generate(seed: u64, scale: f64) -> MasDataset {
         let name = if i == 0 { "Alice Smith".to_string() } else { format!("Author {i:03}") };
         // The first 12 authors belong to organization R (University of Michigan).
         let oid = if i < 12 { 1 } else { (rng.gen_range(0..n_orgs) + 1) as i64 };
-        db.insert(
+        insert(
             "author",
             vec![
                 Value::int(i as i64 + 1),
@@ -222,42 +226,39 @@ pub fn generate(seed: u64, scale: f64) -> MasDataset {
                 Value::text(format!("http://people.example.edu/a{i}")),
                 Value::int(oid),
             ],
-        )
-        .unwrap();
+        );
         // Domain membership: authors 0..20 are in "Databases".
         let did = if i < 20 { 1 } else { (rng.gen_range(0..domains.len()) + 1) as i64 };
-        db.insert("domain_author", vec![Value::int(i as i64 + 1), Value::int(did)]).unwrap();
+        insert("domain_author", vec![Value::int(i as i64 + 1), Value::int(did)]);
     }
 
     let conferences = ["SIGMOD", "VLDB", "ICDE", "KDD", "SOSP", "NSDI", "CHI", "S&P"];
     let n_confs = conferences.len();
     for (i, c) in conferences.iter().enumerate() {
-        db.insert(
+        insert(
             "conference",
             vec![
                 Value::int(i as i64 + 1),
                 Value::text(*c),
                 Value::text(format!("http://{}.example.org", c.to_ascii_lowercase())),
             ],
-        )
-        .unwrap();
+        );
         let did = if i < 3 { 1 } else { (i % domains.len()) as i64 + 1 };
-        db.insert("domain_conference", vec![Value::int(i as i64 + 1), Value::int(did)]).unwrap();
+        insert("domain_conference", vec![Value::int(i as i64 + 1), Value::int(did)]);
     }
 
     let journals = ["TODS", "TKDE", "VLDB Journal", "JMLR"];
     for (i, j) in journals.iter().enumerate() {
-        db.insert(
+        insert(
             "journal",
             vec![
                 Value::int(i as i64 + 1),
                 Value::text(*j),
                 Value::text(format!("http://journal{i}.example.org")),
             ],
-        )
-        .unwrap();
+        );
         let did = if i < 3 { 1 } else { 2 };
-        db.insert("domain_journal", vec![Value::int(i as i64 + 1), Value::int(did)]).unwrap();
+        insert("domain_journal", vec![Value::int(i as i64 + 1), Value::int(did)]);
     }
 
     let keywords = [
@@ -273,9 +274,9 @@ pub fn generate(seed: u64, scale: f64) -> MasDataset {
         "crowdsourcing",
     ];
     for (i, k) in keywords.iter().enumerate() {
-        db.insert("keyword", vec![Value::int(i as i64 + 1), Value::text(*k)]).unwrap();
+        insert("keyword", vec![Value::int(i as i64 + 1), Value::text(*k)]);
         let did = if i < 5 { 1 } else { (i % domains.len()) as i64 + 1 };
-        db.insert("domain_keyword", vec![Value::int(i as i64 + 1), Value::int(did)]).unwrap();
+        insert("domain_keyword", vec![Value::int(i as i64 + 1), Value::int(did)]);
     }
 
     // Publications: the first journal (TODS) receives a guaranteed block so the
@@ -295,7 +296,7 @@ pub fn generate(seed: u64, scale: f64) -> MasDataset {
         } else {
             (Value::Null, Value::int(rng.gen_range(1..=journals.len() as i64)))
         };
-        db.insert(
+        insert(
             "publication",
             vec![
                 Value::int(pid),
@@ -307,16 +308,14 @@ pub fn generate(seed: u64, scale: f64) -> MasDataset {
                 cid,
                 jid,
             ],
-        )
-        .unwrap();
+        );
         // Keywords and domain membership.
         let kid = rng.gen_range(1..=keywords.len() as i64);
-        db.insert("publication_keyword", vec![Value::int(pid), Value::int(kid)]).unwrap();
-        db.insert(
+        insert("publication_keyword", vec![Value::int(pid), Value::int(kid)]);
+        insert(
             "domain_publication",
             vec![Value::int(rng.gen_range(1..=domains.len() as i64)), Value::int(pid)],
-        )
-        .unwrap();
+        );
     }
 
     // Authorship: the first 6 authors (all from organization R, all in the
@@ -326,7 +325,7 @@ pub fn generate(seed: u64, scale: f64) -> MasDataset {
     for a in 0..6i64 {
         for k in 0..6i64 {
             let pid = sigmod_start + a * 6 + k;
-            db.insert("writes", vec![Value::int(a + 1), Value::int(pid)]).unwrap();
+            insert("writes", vec![Value::int(a + 1), Value::int(pid)]);
         }
     }
     // Remaining publications get 1–3 random authors.
@@ -337,7 +336,7 @@ pub fn generate(seed: u64, scale: f64) -> MasDataset {
         let n_auth = rng.gen_range(1..=3);
         for _ in 0..n_auth {
             let aid = rng.gen_range(1..=n_authors as i64);
-            db.insert("writes", vec![Value::int(aid), Value::int(pid)]).unwrap();
+            insert("writes", vec![Value::int(aid), Value::int(pid)]);
         }
     }
 
@@ -346,11 +345,15 @@ pub fn generate(seed: u64, scale: f64) -> MasDataset {
         let citing = rng.gen_range(1..=n_pubs as i64);
         let cited = rng.gen_range(1..=n_pubs as i64);
         if citing != cited {
-            db.insert("cite", vec![Value::int(citing), Value::int(cited)]).unwrap();
+            insert("cite", vec![Value::int(citing), Value::int(cited)]);
         }
     }
 
-    db.rebuild_index();
+    let names: Vec<String> = schema.tables.iter().map(|t| t.name.clone()).collect();
+    let mut db = Database::new(schema).expect("MAS schema is valid");
+    for (name, rows) in names.iter().zip(rows) {
+        db.insert_all(name, rows).expect("MAS rows fit their tables");
+    }
     MasDataset {
         db: db.into_shared(),
         conference_c: "SIGMOD".to_string(),

@@ -220,6 +220,7 @@ fn generate_database(rng: &mut StdRng, index: usize) -> Database {
         let columns = db.schema().table(tid).columns.clone();
         let n_rows = rng.gen_range(30..=70);
         row_counts.push((table_name.clone(), n_rows));
+        let mut rows = Vec::with_capacity(n_rows);
         for r in 0..n_rows {
             let mut row = Vec::with_capacity(columns.len());
             for (ci, col) in columns.iter().enumerate() {
@@ -240,21 +241,17 @@ fn generate_database(rng: &mut StdRng, index: usize) -> Database {
                     }
                 }
             }
-            db.insert_by_id(tid, row).unwrap();
+            rows.push(row);
         }
+        db.insert_all(table_name, rows).unwrap();
     }
     // Populate the bridge table.
     if last != parent {
-        let tid = db.schema().table_id(&bridge_name).unwrap();
-        for _ in 0..rng.gen_range(60..=120) {
-            db.insert_by_id(
-                tid,
-                vec![Value::int(rng.gen_range(1..=30)), Value::int(rng.gen_range(1..=30))],
-            )
-            .unwrap();
-        }
+        let n_rows = rng.gen_range(60..=120);
+        let link = |_| vec![Value::int(rng.gen_range(1..=30)), Value::int(rng.gen_range(1..=30))];
+        let rows: Vec<Vec<Value>> = (0..n_rows).map(link).collect();
+        db.insert_all(&bridge_name, rows).unwrap();
     }
-    db.rebuild_index();
     db
 }
 

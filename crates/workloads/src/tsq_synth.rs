@@ -126,14 +126,9 @@ mod tests {
             Some(0),
         ));
         let mut d = Database::new(s).unwrap();
-        for i in 0..10 {
-            d.insert(
-                "movies",
-                vec![Value::int(i), Value::text(format!("Movie {i}")), Value::int(1990 + i)],
-            )
-            .unwrap();
-        }
-        d.rebuild_index();
+        let movie =
+            |i| vec![Value::int(i), Value::text(format!("Movie {i}")), Value::int(1990 + i)];
+        d.insert_all("movies", (0..10).map(movie)).unwrap();
         d
     }
 

@@ -1,28 +1,29 @@
 //! Index smoke test: ordered secondary indexes end to end.
 //!
-//! Builds a high-fanout two-table database twice — once with its secondary
-//! indexes, once without (the executor can only scan that twin) — then runs
-//! each index-backed access path against the twin and asserts both that the
-//! emitted rows are identical and that the index path scans measurably fewer
-//! rows:
+//! Loads a high-fanout two-table database — its indexes are built as it
+//! loads — then runs each index-backed access path and asserts both the
+//! rows it emits (written out from how the rows were generated) and its
+//! exact counters, so an access path that starts reading rows it could skip
+//! fails on a number:
 //!
 //! * an equality probe served by an index point restriction;
-//! * a join probed as an index-nested-loop join (no build-side hash);
+//! * a join probed as an index-nested-loop join (no build side);
 //! * `ORDER BY … LIMIT k` on an indexed-but-unsorted column streaming
 //!   straight off the ordered index;
 //! * an impossible predicate bailing before scanning anything;
 //! * a literal at a leaf of the join tree reaching the first table through
-//!   the semi-join reduction, at a third of the scan path's rows or less.
+//!   the semi-join reduction.
 //!
 //! Run with: `cargo run --example index_smoke`
 
 use duoquest::db::{
-    execute_with, CmpOp, ColumnDef, Database, ExecOptions, JoinGraph, JoinTree, OrderKey,
-    OrderSpec, Predicate, Schema, SelectItem, SelectSpec, TableDef, Value,
+    execute_with, CmpOp, ColumnDef, Database, ExecMetrics, ExecOptions, JoinGraph, JoinTree,
+    OrderKey, OrderSpec, Predicate, Row, Schema, SelectItem, SelectSpec, TableDef, Value,
 };
 
-/// The database, with its secondary indexes built or left as loaded.
-fn build_database(indexed: bool) -> Database {
+/// Fifty categories; 4 000 items, item `i` in category `i % 50` and named
+/// `item-{3999 - i}`.
+fn build_database() -> Database {
     let mut schema = Schema::new("fanout");
     schema.add_table(TableDef::new(
         "category",
@@ -43,63 +44,67 @@ fn build_database(indexed: bool) -> Database {
     .unwrap();
     // Item names are deliberately inserted out of order so no column is
     // stored sorted and ORDER BY must come from the index.
-    db.insert_all(
-        "item",
-        (0..4000).map(|i| {
-            vec![Value::int(i), Value::int(i % 50), Value::text(format!("item-{:04}", 3999 - i))]
-        }),
-    )
-    .unwrap();
-    if indexed {
-        db.rebuild_index();
-    }
+    db.insert_all("item", (0..4000).map(|i| vec![Value::int(i), Value::int(i % 50), name(i)]))
+        .unwrap();
     db
 }
 
-/// Run `spec` on the indexed database and on its un-indexed twin, assert the
-/// emitted rows are byte-identical, and return the `(indexed, scan)` metrics
-/// pair.
-fn both_ways(
-    (db, twin): (&Database, &Database),
+/// The name of item `i`.
+fn name(i: i64) -> Value {
+    Value::text(format!("item-{:04}", 3999 - i))
+}
+
+/// `(rows_scanned, index_lookups, rows_via_index, probes_bailed_empty)`.
+type Counts = (u64, u64, u64, u64);
+
+/// Run `spec`, assert it emits `want` and reads exactly `counts`, and return
+/// its metrics.
+fn check(
+    db: &Database,
     spec: &SelectSpec,
+    want: Vec<Vec<Value>>,
+    counts: Counts,
     what: &str,
-) -> (duoquest::db::ExecMetrics, duoquest::db::ExecMetrics) {
-    let indexed = execute_with(db, spec, &ExecOptions::default()).unwrap();
-    let scan = execute_with(twin, spec, &ExecOptions::default()).unwrap();
-    assert_eq!(indexed.result, scan.result, "{what}: index path diverged from the scan path");
+) -> ExecMetrics {
+    let out = execute_with(db, spec, &ExecOptions::default()).unwrap();
+    let m = out.metrics;
     println!(
-        "{what}: {} rows, scanned {} via index vs {} via scan ({} index lookups, {} rows \
-         via index)",
-        indexed.result.len(),
-        indexed.metrics.rows_scanned,
-        scan.metrics.rows_scanned,
-        indexed.metrics.index_lookups,
-        indexed.metrics.rows_via_index,
+        "{what}: {} rows, scanned {} ({} index lookups, {} rows via index)",
+        out.result.len(),
+        m.rows_scanned,
+        m.index_lookups,
+        m.rows_via_index,
     );
-    (indexed.metrics, scan.metrics)
+    let want: Vec<Row> = want.into_iter().map(Row).collect();
+    assert_eq!(out.result.rows, want, "{what}: wrong rows");
+    let got = (m.rows_scanned, m.index_lookups, m.rows_via_index, m.probes_bailed_empty);
+    assert_eq!(got, counts, "{what}: (rows scanned, lookups, rows via index, bailed)");
+    m
 }
 
 fn main() {
-    let (db, twin) = (build_database(true), build_database(false));
-    let dbs = (&db, &twin);
+    let db = build_database();
     let schema = db.schema();
     let item = schema.table_id("item").unwrap();
     let item_name = schema.column_id("item", "name").unwrap();
     let item_cid = schema.column_id("item", "cid").unwrap();
     let label = schema.column_id("category", "label").unwrap();
+    let category_07 = Value::text("category-07");
+    // Category 7's items, ascending: the row order of every join below.
+    let in_07: Vec<i64> = (0..4000).filter(|i| i % 50 == 7).collect();
 
-    // 1. Equality probe: the point restriction reads only matching rows.
+    // 1. Equality probe: one lookup yields the one matching row of 4 000.
     let eq_probe = SelectSpec {
         select: vec![SelectItem::column(item_name)],
         join: JoinTree::single(item),
         predicates: vec![Predicate::new(item_name, CmpOp::Eq, Value::text("item-1234"))],
         ..Default::default()
     };
-    let (indexed, scan) = both_ways(dbs, &eq_probe, "equality probe");
-    assert!(indexed.rows_scanned < scan.rows_scanned, "point restriction must scan fewer rows");
+    check(&db, &eq_probe, vec![vec![name(2765)]], (1, 1, 1, 0), "equality probe");
 
-    // 2. Join probe: the category side is joined index-nested-loop, so the
-    //    build-side hash is never constructed.
+    // 2. Join probe: `category` comes first, and each of its 50 rows is
+    //    joined by one lookup in `item.cid`'s index, kept to category 7's 80
+    //    items by the literal's restriction; no build side is read.
     let join =
         JoinGraph::new(schema).steiner_tree(&[item, schema.table_id("category").unwrap()]).unwrap();
     let join_probe = SelectSpec {
@@ -108,10 +113,11 @@ fn main() {
         predicates: vec![Predicate::new(item_cid, CmpOp::Eq, Value::int(7))],
         ..Default::default()
     };
-    let (indexed, scan) = both_ways(dbs, &join_probe, "index-nested-loop join");
-    assert!(indexed.rows_scanned < scan.rows_scanned, "INLJ must skip the build side");
+    let want = in_07.iter().map(|&i| vec![name(i), category_07.clone()]).collect();
+    check(&db, &join_probe, want, (130, 51, 80, 0), "index-nested-loop join");
 
-    // 3. ORDER BY an indexed-but-unsorted column: streams off the index.
+    // 3. ORDER BY an indexed-but-unsorted column: one lookup sets up the
+    //    ordered scan, which stops after the fifth of 4 000 rows.
     let ordered = SelectSpec {
         select: vec![SelectItem::column(item_name)],
         join: JoinTree::single(item),
@@ -119,9 +125,10 @@ fn main() {
         limit: Some(5),
         ..Default::default()
     };
-    let (indexed, _) = both_ways(dbs, &ordered, "ORDER BY … LIMIT 5");
-    assert!(indexed.streamed, "ordered probe must stream from the index");
-    assert!(indexed.rows_via_index > 0, "ordered probe must be served via the index");
+    let want = (0..5).map(|k| vec![name(3999 - k)]).collect();
+    let m = check(&db, &ordered, want, (5, 1, 5, 0), "ORDER BY … LIMIT 5");
+    assert!(m.streamed, "ordered probe must stream from the index");
+    assert_eq!(m.rows_short_circuited, 3995);
 
     // 4. Impossible predicate: the planner proves emptiness and bails.
     let impossible = SelectSpec {
@@ -130,25 +137,20 @@ fn main() {
         predicates: vec![Predicate::new(item_name, CmpOp::Eq, Value::text("no such item"))],
         ..Default::default()
     };
-    let (indexed, _) = both_ways(dbs, &impossible, "impossible predicate");
-    assert_eq!(indexed.rows_scanned, 0, "a provably empty probe must not scan");
-    assert_eq!(indexed.probes_bailed_empty, 1);
+    check(&db, &impossible, Vec::new(), (0, 1, 0, 1), "impossible predicate");
 
     // 5. Semi-join reduction: `item` is the first (probe-side) table and the
     //    literal sits on `category`, one join away. The planner carries it up
-    //    the tree — 1 category → its 80 items — before a joined row exists.
+    //    the tree — 1 category → its 80 items, one lookup — before a joined
+    //    row exists.
     let reduced = SelectSpec {
         select: vec![SelectItem::column(item_name), SelectItem::column(label)],
         join: JoinTree { tables: [item, label.table].into(), edges: join.edges.clone() },
-        predicates: vec![Predicate::new(label, CmpOp::Eq, Value::text("category-07"))],
+        predicates: vec![Predicate::new(label, CmpOp::Eq, category_07.clone())],
         ..Default::default()
     };
-    let (indexed, scan) = both_ways(dbs, &reduced, "semi-join reduction");
-    println!(
-        "semi-join reduction: {:.1}% of the scan path's rows",
-        100.0 * indexed.rows_scanned as f64 / scan.rows_scanned as f64
-    );
-    assert!(3 * indexed.rows_scanned <= scan.rows_scanned, "the literal must reach the probe side");
+    let want = in_07.iter().map(|&i| vec![name(i), category_07.clone()]).collect();
+    check(&db, &reduced, want, (160, 82, 160, 0), "semi-join reduction");
 
     println!("index smoke test passed");
 }

@@ -81,7 +81,6 @@ fn build_movie_database() -> Database {
         ],
     )
     .unwrap();
-    db.rebuild_index();
     db
 }
 

@@ -1,7 +1,7 @@
-//! What the workspace tests share. `tests/semijoin.rs` (index paths against
-//! the scan path) and `tests/reference.rs` (both against the naive
-//! evaluator) share the un-indexed twin of a database ([`unindexed`]), which
-//! the executor can only scan, and the seeded `SelectSpec` generator —
+//! What the workspace tests share. `tests/semijoin.rs` (the reduced plans)
+//! and `tests/reference.rs` (every executor path) hold the executor to the
+//! naive evaluator ([`naive`]) in its canonical row order, over the seeded
+//! `SelectSpec` generator —
 //! databases salted with NULL, NaN and re-cased text, join trees rooted
 //! anywhere, literals that hit and miss, AND and OR, LIKE, grouping on one
 //! and two columns, HAVING, global aggregates, ordering — over NaN-holding
@@ -10,6 +10,8 @@
 
 // Each test binary uses its own part of this module.
 #![allow(dead_code)]
+
+pub mod naive;
 
 use duoquest::core::{Candidate, DrivenOutcome, SchedulerHandle, SynthesisSession};
 use duoquest::db::{
@@ -41,8 +43,8 @@ pub fn drive(
 }
 
 /// A copy of `db` with a NULL, a NaN and an upper-cased text planted in
-/// every table that has the column for it (keys included: a NULL or NaN join
-/// key must match on both paths alike).
+/// every table that has the column for it (keys included: a NULL join key
+/// matches nothing, a NaN one matches NaN, on every path).
 pub fn salted(db: &Database, rng: &mut StdRng) -> Database {
     let mut out = db.clone();
     let schema = db.schema().clone();
@@ -72,39 +74,22 @@ pub fn salted(db: &Database, rng: &mut StdRng) -> Database {
     out
 }
 
-/// The same schema and rows as `db` with no secondary index built
-/// (`rebuild_index` never runs): the executor has only its scan path there —
-/// hash joins over full scans in the canonical join order, every sort
-/// materialised.
-pub fn unindexed(db: &Database) -> Database {
-    let mut twin = Database::new(db.schema().clone()).unwrap();
-    for t in (0..db.schema().table_count()).map(TableId) {
-        for row in &db.table_data(t).rows {
-            twin.insert_by_id(t, row.0.clone()).unwrap();
-        }
-    }
-    twin
-}
-
-/// A copy of `db`, indexed, with the gaps a counting pass must survive: in
-/// every table a few rows stored twice, so join keys — primary keys
-/// included — repeat and a row can match two rows of a neighbour; and, with
-/// `empty_one`, one table emptied.
+/// A copy of `db` with the gaps a counting pass must survive: in every table
+/// a few rows stored twice, so join keys — primary keys included — repeat
+/// and a row can match two rows of a neighbour; and, with `empty_one`, one
+/// table emptied.
 pub fn gapped(db: &Database, rng: &mut StdRng, empty_one: bool) -> Database {
     let schema = db.schema().clone();
     let emptied = empty_one.then(|| TableId(rng.gen_range(0..schema.table_count())));
     let mut out = Database::new(schema.clone()).unwrap();
     for t in (0..schema.table_count()).map(TableId).filter(|&t| Some(t) != emptied) {
         let rows = &db.table_data(t).rows;
-        for row in rows {
-            out.insert_by_id(t, row.0.clone()).unwrap();
-        }
+        let mut copy: Vec<Vec<Value>> = rows.iter().map(|row| row.0.clone()).collect();
         for _ in 0..rows.len().min(4) {
-            let again = rows[rng.gen_range(0..rows.len())].0.clone();
-            out.insert_by_id(t, again).unwrap();
+            copy.push(rows[rng.gen_range(0..rows.len())].0.clone());
         }
+        out.insert_all(&schema.table(t).name, copy).unwrap();
     }
-    out.rebuild_index();
     out
 }
 
@@ -407,8 +392,7 @@ pub fn random_spec(db: &Database, rng: &mut StdRng, seen: &mut Shapes) -> Select
             let key = random_column(db, &of, rng);
             if rng.gen_bool(0.5) {
                 *(if on_first { &mut seen.ordered_first } else { &mut seen.ordered_other }) += 1;
-                seen.ordered_over_nan +=
-                    usize::from(db.column_index(key).is_some_and(|idx| !idx.can_order()));
+                seen.ordered_over_nan += usize::from(!db.column_index(key).can_order());
                 spec.order_by =
                     Some(OrderSpec { key: OrderKey::Column(key), desc: rng.gen_bool(0.5) });
             }

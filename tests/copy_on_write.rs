@@ -172,7 +172,7 @@ fn walk(db: &Database, nlq: &Nlq, seen: &mut BTreeSet<&'static str>, checked: &m
     while !level.is_empty() {
         let mut next = Vec::new();
         for parent in &level {
-            let Some(decisions) = next_decisions(parent, db, nlq, &config) else { continue };
+            let Some(decisions) = next_decisions(parent, db, nlq) else { continue };
             let snapshot = deep_snapshot(parent);
             let mut distinct = HashSet::new();
             let children: Vec<PartialQuery> = decisions

@@ -67,7 +67,6 @@ fn movie_db() -> Database {
         ],
     )
     .unwrap();
-    db.rebuild_index();
     db
 }
 

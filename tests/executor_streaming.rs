@@ -20,7 +20,6 @@ fn fanout_db() -> Database {
     let mut db = Database::new(s).unwrap();
     db.insert_all("right", (0..1000).map(|i| vec![Value::int(i % 40), Value::int(i)])).unwrap();
     db.insert_all("left", (0..2000).map(|i| vec![Value::int(i), Value::int(i % 40)])).unwrap();
-    db.rebuild_index();
     db
 }
 

@@ -40,14 +40,10 @@ fn small_db(rows: &[(String, f64)]) -> Database {
         Some(0),
     ));
     let mut db = Database::new(schema).unwrap();
-    for (i, (name, score)) in rows.iter().enumerate() {
-        db.insert(
-            "items",
-            vec![Value::int(i as i64), Value::text(name.clone()), Value::Number(*score)],
-        )
-        .unwrap();
-    }
-    db.rebuild_index();
+    let cells = |(i, (name, score)): (usize, &(String, f64))| {
+        vec![Value::int(i as i64), Value::text(name.clone()), Value::Number(*score)]
+    };
+    db.insert_all("items", rows.iter().enumerate().map(cells)).unwrap();
     db
 }
 
