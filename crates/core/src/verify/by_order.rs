@@ -36,24 +36,11 @@ fn limit_budget(tsq: &TableSketchQuery) -> Option<usize> {
     (tsq.limit > 0).then(|| tsq.limit.saturating_add(1))
 }
 
-/// Whether the complete query produces rows satisfying the example tuples in
-/// the order they were specified. `plan` must have been built from `tsq`.
-pub fn verify_by_order(
-    db: &Database,
-    tsq: &TableSketchQuery,
-    pq: &PartialQuery,
-    plan: &VerifyPlan,
-    counters: &RunCacheCounters,
-) -> bool {
-    let Ok(spec) = pq.to_spec() else { return false };
-    decide(db, tsq, &spec, plan, Decision::InOrder, counters)
-}
-
 /// Final soundness check for complete candidate queries (Definition 2.4): every
 /// example tuple must be satisfied by a *distinct* output row, the result must
-/// respect the limit `k`, and — when the TSQ is sorted — the tuples must appear
-/// in order. This subsumes [`verify_by_order`] for unsorted TSQs and closes the
-/// gap left by the (intentionally superset-based) partial row-wise probes.
+/// respect the limit `k`, and — when the TSQ is sorted and has two tuples or
+/// more — the tuples must appear in order ([`Decision::InOrder`]). It closes
+/// the gap left by the (intentionally superset-based) partial row-wise probes.
 /// `plan` must have been built from `tsq`.
 pub fn verify_complete(
     db: &Database,
@@ -301,10 +288,12 @@ mod tests {
         }
     }
 
-    /// [`verify_by_order`] with `tsq`'s own plan and fresh counters.
-    fn in_order(db: &Database, tsq: &TableSketchQuery, pq: &PartialQuery) -> bool {
+    /// [`spec_satisfies_sketch`] on the complete `pq`'s spec, with `tsq`'s
+    /// own plan and fresh counters.
+    fn satisfies(db: &Database, tsq: &TableSketchQuery, pq: &PartialQuery) -> bool {
         let plan = VerifyPlan::new(db, Some(tsq));
-        verify_by_order(db, tsq, pq, &plan, &RunCacheCounters::default())
+        let spec = pq.to_spec().expect("a complete query");
+        spec_satisfies_sketch(db, tsq, &spec, &plan, &RunCacheCounters::default())
     }
 
     /// [`verify_complete`] with `tsq`'s own plan and fresh counters.
@@ -316,9 +305,9 @@ mod tests {
     #[test]
     fn ascending_order_matches_ascending_examples() {
         let db = movie_db();
-        assert!(in_order(&db, &two_tuples_ascending(), &ordered_pq(&db, false)));
+        assert!(satisfies(&db, &two_tuples_ascending(), &ordered_pq(&db, false)));
         // Descending order puts Gravity before Forrest Gump, violating the TSQ.
-        assert!(!in_order(&db, &two_tuples_ascending(), &ordered_pq(&db, true)));
+        assert!(!satisfies(&db, &two_tuples_ascending(), &ordered_pq(&db, true)));
     }
 
     #[test]
@@ -332,7 +321,7 @@ mod tests {
             sorted: true,
             ..Default::default()
         };
-        assert!(!in_order(&db, &tsq, &ordered_pq(&db, false)));
+        assert!(!satisfies(&db, &tsq, &ordered_pq(&db, false)));
     }
 
     #[test]
@@ -346,8 +335,8 @@ mod tests {
             sorted: true,
             ..Default::default()
         };
-        assert!(in_order(&db, &tsq, &ordered_pq(&db, false)));
-        assert!(!in_order(&db, &tsq, &ordered_pq(&db, true)));
+        assert!(satisfies(&db, &tsq, &ordered_pq(&db, false)));
+        assert!(!satisfies(&db, &tsq, &ordered_pq(&db, true)));
     }
 
     #[test]
@@ -360,8 +349,8 @@ mod tests {
             ..Default::default()
         };
         // Query returns 3 rows > limit 1.
-        assert!(!in_order(&db, &tsq, &ordered_pq(&db, false)));
-        assert!(in_order(&db, &tsq.clone().with_limit(3), &ordered_pq(&db, false)));
+        assert!(!satisfies(&db, &tsq, &ordered_pq(&db, false)));
+        assert!(satisfies(&db, &tsq.clone().with_limit(3), &ordered_pq(&db, false)));
     }
 
     /// `limit + 1` must not overflow: the largest limit is "no limit" in
@@ -384,12 +373,11 @@ mod tests {
                 let tsq = TableSketchQuery { sorted, ..tsq };
                 let unlimited = TableSketchQuery { limit: usize::MAX, ..tsq.clone() };
                 assert_eq!(limit_budget(&unlimited), Some(usize::MAX));
-                assert_eq!(in_order(&db, &unlimited, &pq), in_order(&db, &tsq, &pq), "{tsq:?}");
                 assert_eq!(complete(&db, &unlimited, &pq), complete(&db, &tsq, &pq), "{tsq:?}");
             }
             assert!(complete(&db, &TableSketchQuery::empty().with_limit(usize::MAX), &pq));
         }
-        assert!(in_order(
+        assert!(satisfies(
             &db,
             &TableSketchQuery { limit: usize::MAX, ..two_tuples_ascending() },
             &ordered_pq(&db, false)
@@ -483,15 +471,19 @@ mod tests {
             ..PartialQuery::empty()
         };
         let tsq = TableSketchQuery {
-            tuples: vec![vec![TsqCell::text("event 0"), TsqCell::Empty]],
+            tuples: vec![
+                vec![TsqCell::text("event 0"), TsqCell::Empty],
+                vec![TsqCell::text("event 1"), TsqCell::Empty],
+            ],
             sorted: true,
             limit: 1,
             ..Default::default()
         };
         let counters = RunCacheCounters::default();
         let plan = VerifyPlan::new(&db, Some(&tsq));
+        let spec = pq.to_spec().unwrap();
         assert!(
-            !verify_by_order(&db, &tsq, &pq, &plan, &counters),
+            !spec_satisfies_sketch(&db, &tsq, &spec, &plan, &counters),
             "a 1000-row result must violate the TSQ limit of 1"
         );
         let (scanned, short_circuited) = counters.scan_snapshot();
@@ -514,7 +506,7 @@ mod tests {
         pq.order_by = Slot::Filled(Some(
             PartialOrder { key: Slot::Hole, desc: Slot::Hole, limit: Slot::Hole }.into(),
         ));
-        assert!(!in_order(&db, &tsq, &pq));
+        assert!(!complete(&db, &tsq, &pq));
     }
 
     /// An `n`-row table: row `i` is named `event i`, in group `i % 10`.

@@ -34,10 +34,11 @@ use std::cell::Cell;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Decision {
     /// The example tuples are satisfied by rows in the order given, within
-    /// the limit (`by_order::verify_by_order`).
+    /// the limit (`by_order::verify_complete` for sorted sketches of two
+    /// tuples or more).
     InOrder = 0,
     /// Every example tuple is satisfied by a row of its own, within the
-    /// limit (`by_order::verify_complete` for unsorted sketches).
+    /// limit (`by_order::verify_complete` for the other sketches).
     Matching = 1,
     /// The row-wise stage's global `COUNT(*)` probe returns a row that is
     /// not an empty group HAVING rejects (`by_row`). It reads nothing but the

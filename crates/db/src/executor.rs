@@ -11,13 +11,13 @@
 //!   COUNT(*) over an FK tree, grouped on T₀ ─► count pass ─► HAVING → π → sort
 //!        (no joined row: per-row counts carried leaves first)
 //!
-//!   everything else:
+//!   everything else, one walk:
 //!   scan(T₀) ──► ⋈ index(T₁) ──► … ──► ⋈ index(Tₙ) ──► σ WHERE
-//!        │ (probe side streamed;  build sides looked up in their indexes)
+//!        │ (depth first, one probe row at a time; build sides are indexes)
 //!        ▼
-//!   ┌─ ungrouped ─────────────────────┐  ┌─ grouped ──────────────────────┐
-//!   │ π project → DISTINCT → LIMIT k  │  │ γ group/agg → HAVING → π → sort│
-//!   │ (stops pulling at k survivors)  │  │ (drains the full input)        │
+//!   ┌─ stream tail ───────────────────┐  ┌─ collect tail ─────────────────┐
+//!   │ π project → DISTINCT → LIMIT k  │  │ keep ids → γ group/agg → HAVING│
+//!   │ → sink (stops the walk at k)    │  │ → π → sort → LIMIT → sink      │
 //!   └─────────────────────────────────┘  └────────────────────────────────┘
 //! ```
 //!
@@ -35,43 +35,41 @@
 //! clause never builds that relation: the **counting pass** carries, for
 //! every row of every joined table, how many joined rows of its subtree hold
 //! it, leaves first through the column indexes' match lists, and reads each
-//! group's count and cells off the first table's rows. It hands the
-//! materializing strategy's records, in its order, to the same tail
-//! (`docs/EXECUTOR.md`, "Counting over the join tree"); outside that
-//! fragment, on a join that is not a tree rooted at the first table, or when
-//! a count overflows, the materializing strategy runs.
+//! group's count and cells off the first table's rows. It hands the collect
+//! tail's records, in its order, to the same delivery (`docs/EXECUTOR.md`,
+//! "Counting over the join tree"); outside that fragment, on a join that is
+//! not a tree rooted at the first table, or when a count overflows, the walk
+//! runs.
 //!
-//! Two physical strategies run on the joined relation:
+//! Everything else runs **one join walk**: the first table's rows are pulled
+//! one at a time, each carried depth first through the join steps (one
+//! reused id buffer per depth), and every joined row that passes WHERE (and,
+//! for an ungrouped spec, DISTINCT) goes to one of two tails:
 //!
-//! * **Streaming** — the probe side of the join chain is pulled row by row,
-//!   each row carried depth-first through the join steps (one reused id
-//!   buffer per depth) and offered to WHERE, projection and DISTINCT, so a
+//! * the **stream tail** projects it and hands it to the consumer, so a
 //!   `LIMIT k` query (most prominently the verifier's `SELECT … LIMIT 1`
-//!   probes) stops scanning as soon as `k` output rows exist. A query
-//!   streams when something can stop it — a `LIMIT`, a row budget, or a
-//!   [`Verdict`] that decides early ([`decide_with`]) — it has no
-//!   aggregation, and either no `ORDER BY` or one on a column of the
-//!   probe-side table whose index can walk it in order.
-//! * **Materializing** — grouped, otherwise-sorted, or unstoppable queries
-//!   drain the same join chain into one flat vector of ids, then filter,
-//!   group, sort and limit it as one batch.
+//!   probes) stops the walk as soon as `k` output rows exist, and a
+//!   [`Verdict`] stops it at the row that decides it ([`decide_with`]);
+//! * the **collect tail** keeps its ids, then groups and aggregates them or
+//!   sorts their records, and hands the rows in result order to the
+//!   consumer.
 //!
-//! Both strategies hand their output rows, in result order, to one consumer:
-//! [`execute_with`] collects them into a [`ResultSet`]; [`decide_with`] shows
-//! each to a verdict and drops it, stopping the pipeline once the verdict is
-//! known.
+//! A spec streams if and only if it is ungrouped, has no aggregate, and has
+//! either no `ORDER BY` or one the walk already yields: a column of the
+//! first table whose index can walk it in order (under DISTINCT, a projected
+//! one holding no text). [`execute_with`] collects the output rows into a
+//! [`ResultSet`]; [`decide_with`] shows each to a verdict and drops it.
 //!
-//! Which of the two runs, and through which access paths, is decided from
-//! the spec's shape, the budget, the consumer and the database's indexes —
-//! one plan per (spec, budget, consumer, database). No caller can ask for
-//! another.
+//! Which tail runs, and through which access paths, is decided from the
+//! spec's shape and the database's indexes — one plan per (spec, database).
+//! No caller can ask for another.
 //!
 //! # Index access
 //!
 //! Every column of a database has its ordered secondary index
 //! ([`crate::table_index::TableIndex`]) from the moment the database
-//! exists, and both strategies substitute index structures for scans (the
-//! full selection rules live in `docs/EXECUTOR.md`):
+//! exists, and the walk substitutes index structures for scans (the full
+//! selection rules live in `docs/EXECUTOR.md`):
 //!
 //! * **Index-nested-loop joins** look each probe cell up in the build
 //!   column's index; no join builds anything per execution.
@@ -87,20 +85,20 @@
 //!   table proves the probe empty). It is the Boolean instance of the walk
 //!   whose counting instance is the counting pass; `docs/EXECUTOR.md` has
 //!   the argument.
-//! * **Ordered index scans** stream `ORDER BY c LIMIT k` from the column's
-//!   sorted run for any indexed first-table column; a first-table
-//!   restriction filters the run in place.
+//! * **Ordered index scans** stream `ORDER BY c` from the column's sorted
+//!   run for any indexed first-table column; a first-table restriction
+//!   filters the run in place.
 //! * **Selectivity-driven planning** orders join steps most-selective-first
 //!   when provably order-safe.
 //!
-//! An execution bails the moment a joined table, a build side, an
-//! intermediate or the planned probe itself is provably empty.
+//! An execution bails before it pulls a row when a joined table, a build
+//! side or the planned probe itself is provably empty.
 //!
 //! # Determinism contract
 //!
 //! For a fixed database and spec, [`execute`] and [`execute_with`] produce
-//! the same [`ResultSet`] — bit for bit — whichever strategy and access
-//! paths ran, and the rows under a budget `b` are the first `min(b, n)` of
+//! the same [`ResultSet`] — bit for bit — whichever tail and access paths
+//! ran, and the rows under a budget `b` are the first `min(b, n)` of
 //! the `n` rows without one;
 //! [`decide_with`] shows its verdict a prefix of those same rows, in the
 //! same order. Higher layers (candidate emission, the probe memo cache)
@@ -110,7 +108,7 @@
 //!
 //! [`execute_with`] reports [`ExecMetrics`]: `rows_scanned` counts base-table
 //! rows pulled plus join rows produced, `rows_short_circuited` counts
-//! probe-side rows the pipeline never had to pull because the limit was
+//! probe-side rows the walk never had to pull because the limit was
 //! already satisfied (or a verdict decided), and `exact` says whether the
 //! produced rows are the spec's complete result (only a caller-supplied
 //! [`ExecOptions::row_budget`] can truncate it); `counted` says the counting
@@ -211,7 +209,8 @@ pub struct ExecMetrics {
     /// `false` without checking whether the input happened to be exhausted
     /// exactly there (probing on would forfeit the early termination).
     pub exact: bool,
-    /// Whether the streaming (early-terminating) strategy ran.
+    /// Whether the walk ran into the stream tail (early-terminating) rather
+    /// than the collect tail.
     pub streamed: bool,
     /// Whether the counting pass answered: the spec is in the counting
     /// fragment and no joined row was built (module docs).
@@ -227,10 +226,9 @@ pub struct ExecMetrics {
     /// index-nested-loop match expansions, and the match-list rows the
     /// counting pass read.
     pub rows_via_index: u64,
-    /// 1 when this execution was cut short because the planner (or a join
-    /// step) proved the remaining work empty: an empty joined table, an
-    /// indexed predicate with no candidates, an empty build side, or an
-    /// empty join intermediate.
+    /// 1 when this execution bailed before pulling a row because the planner
+    /// proved the join empty: an empty joined table, an indexed predicate
+    /// with no candidates, or a build side without a key.
     pub probes_bailed_empty: u64,
 }
 
@@ -346,7 +344,8 @@ pub fn decide_with(
 }
 
 /// The one pipeline behind [`execute_with`] and [`decide_with`]: plan the
-/// spec, pick the strategy, and hand the output rows to `sink`.
+/// spec, walk its join into the tail its shape picks ([`stream_order`]),
+/// and hand the output rows to `sink`.
 fn run(
     db: &Database,
     spec: &SelectSpec,
@@ -360,19 +359,24 @@ fn run(
     }
     let access = IndexAccess::plan(db, spec);
     let plan = plan_joins(db, spec, &access)?;
-    let proven_empty = access.provably_empty(db, spec);
-    match streaming_cap(db, spec, opts, &plan, sink.decides()).filter(|_| !proven_empty) {
-        Some((cap, order)) => Ok(run_streaming(db, spec, &plan, cap, order, &access, sink)),
-        None => Ok(run_materialized(db, spec, &plan, opts, &access, proven_empty, sink)),
+    let query = Resolved::new(db, spec, &plan);
+    if let Some(order) = stream_order(db, spec) {
+        let cap = spec.limit.unwrap_or(usize::MAX).min(opts.row_budget.unwrap_or(usize::MAX));
+        let metrics = walk(db, &query, &plan, &access, order, &mut Emit { sink, left: cap });
+        // Stopping at the spec's own LIMIT is the spec's semantics; only a
+        // tighter caller budget (or a sink that stopped the walk) makes the
+        // result a (possibly) truncated prefix.
+        let exact = metrics.exact || spec.limit == Some(cap);
+        return Ok(ExecMetrics { exact, streamed: true, ..metrics });
     }
+    let mut joined = Joined { ids: Vec::new(), width: plan.tables.len() };
+    let metrics = walk(db, &query, &plan, &access, FirstOrder::Storage, &mut joined);
+    let exact = deliver(spec, query.records_of(db, &joined), opts, sink);
+    Ok(ExecMetrics { exact, ..metrics })
 }
 
 /// Where an execution's output rows go, one at a time in result order.
 trait Sink {
-    /// Whether the sink can stop the execution before its input ends — so a
-    /// query with neither a limit nor a budget may still stream into it.
-    fn decides(&self) -> bool;
-
     /// Take the next output row, given by its projected cells; `false` once
     /// the sink wants no more rows.
     fn take<'c>(&mut self, cells: impl Iterator<Item = &'c Value>) -> bool;
@@ -388,10 +392,6 @@ trait Sink {
 
 /// [`execute_with`]'s sink: every row, collected.
 impl Sink for Vec<Row> {
-    fn decides(&self) -> bool {
-        false
-    }
-
     fn reserve(&mut self, rows: usize) {
         Vec::reserve_exact(self, rows);
     }
@@ -416,10 +416,6 @@ struct Decide<'v> {
 }
 
 impl Sink for Decide<'_> {
-    fn decides(&self) -> bool {
-        true
-    }
-
     fn take<'c>(&mut self, cells: impl Iterator<Item = &'c Value>) -> bool {
         self.row.clear();
         self.row.extend(cells.cloned());
@@ -506,8 +502,8 @@ impl IndexAccess {
     /// ascending superset of the survivors, and the argument the
     /// [`restrictions`](Self::restrictions) rest on carries over unchanged.
     ///
-    /// For the materializing strategy only the direction toward the probe
-    /// side is walked. Restricting build sides from above as well reaches
+    /// For the join walk only the direction toward the probe side is
+    /// walked. Restricting build sides from above as well reaches
     /// the same row counts but attaches a membership filter to
     /// index-nested-loop steps that were free, and measured slower on plans
     /// that were already selective (`docs/EXECUTOR.md`); the counting pass,
@@ -642,11 +638,11 @@ fn predicate_candidates(db: &Database, col: ColumnId, pred: &Predicate) -> Optio
 /// Where a column lives in a joined row: `(table slot, column)`.
 type Pos = (usize, usize);
 
-/// The joined intermediate relation, late-materialised: a joined row is one
-/// row id per joined table (`width` of them, in [`JoinPlan::tables`] order),
-/// rows laid end to end in join order. Cells are read through the ids
-/// ([`Resolved::cell`]); nothing is copied until a row has passed WHERE and a
-/// cell of it is projected.
+/// The joined rows the collect tail keeps, late-materialised: a joined row is
+/// one row id per joined table (`width` of them, in [`JoinPlan::tables`]
+/// order), rows laid end to end in join order, only those that passed WHERE.
+/// Cells are read through the ids ([`Resolved::cell`]); nothing is copied
+/// until a cell of a row is projected or aggregated.
 struct Joined {
     ids: Vec<usize>,
     width: usize,
@@ -718,11 +714,11 @@ struct JoinStep {
     build: ColumnId,
 }
 
-/// The logical join plan shared by both physical strategies, so their row
-/// order is identical by construction: seed with the first FROM table, then
-/// repeatedly take a remaining edge connecting a joined table to an unjoined
-/// one — the first such edge canonically, or the most selective one when the
-/// greedy reorder is provably order-safe (see [`plan_joins`]).
+/// The logical join plan the walk follows, whichever tail it feeds: seed
+/// with the first FROM table, then repeatedly take a remaining edge
+/// connecting a joined table to an unjoined one — the first such edge
+/// canonically, or the most selective one when the greedy reorder is
+/// provably order-safe (see [`plan_joins`]).
 struct JoinPlan {
     /// Joined tables in slot order: the first FROM table, then the build
     /// table of each step.
@@ -872,14 +868,14 @@ fn plan_joins(db: &Database, spec: &SelectSpec, access: &IndexAccess) -> DbResul
     Ok(plan)
 }
 
-/// How the streaming strategy iterates the first (probe-side) table.
+/// How the walk iterates the first (probe-side) table.
 enum FirstOrder {
-    /// Plain storage order: no ORDER BY.
+    /// Plain storage order: no ORDER BY, or one the collect tail sorts by.
     Storage,
-    /// Ordered index scan: walk the column's sorted run so an
-    /// `ORDER BY col LIMIT k` streams. The run is ordered by
-    /// `(value, row id)` — exactly what the materializing strategy's stable
-    /// sort produces — so emission is byte-identical to materialize-and-sort.
+    /// Ordered index scan: walk the column's sorted run so an `ORDER BY
+    /// col` streams. The run is ordered by `(value, row id)` — exactly what
+    /// the collect tail's stable sort produces — so emission is
+    /// byte-identical to collect-and-sort.
     Index {
         /// The ORDER BY column (a column of the first table).
         col: ColumnId,
@@ -888,57 +884,40 @@ enum FirstOrder {
     },
 }
 
-/// Number of output rows after which the streaming pipeline may stop pulling
-/// (plus how to iterate the probe side), or `None` when the query must be
-/// fully materialized (aggregation, an `ORDER BY` no ordered index of the
-/// first table satisfies, or nothing that can stop it: no limit, no budget
-/// and a sink that never `decides`).
-fn streaming_cap(
-    db: &Database,
-    spec: &SelectSpec,
-    opts: &ExecOptions,
-    plan: &JoinPlan,
-    decides: bool,
-) -> Option<(usize, FirstOrder)> {
+/// How the first table is iterated when `spec` streams, or `None` when it
+/// takes the collect tail: it is grouped or aggregated, or its `ORDER BY`
+/// is one no walk of the first table yields.
+fn stream_order(db: &Database, spec: &SelectSpec) -> Option<FirstOrder> {
     if spec.has_aggregates() || !spec.group_by.is_empty() {
         return None;
     }
-    let cap = match (spec.limit, opts.row_budget) {
-        (Some(l), Some(b)) => l.min(b),
-        (Some(l), None) => l,
-        (None, Some(b)) => b,
-        (None, None) if decides => usize::MAX,
-        (None, None) => return None,
-    };
-    let mut order = FirstOrder::Storage;
-    if let Some(OrderSpec { key, desc }) = spec.order_by {
-        // The sort is a no-op exactly when the probe side is iterated in
-        // the order of the sort key: join steps expand each probe row in
-        // place and the final sort is stable, so the pipeline order equals
-        // the sorted order byte for byte. Walking the sorted run of a
-        // first-table column's index is such an iteration.
-        let OrderKey::Column(col) = key else { return None };
-        if col.table != plan.tables[0] {
-            return None;
-        }
-        // DISTINCT keeps the first of equal projections: in pipeline order
-        // when streaming, in join order when the batch dedups before it
-        // sorts. The two agree only if equal projections share their sort
-        // key, i.e. the key is itself projected.
-        if spec.distinct && !spec.select.iter().any(|item| item.col == Some(col)) {
-            return None;
-        }
-        if !db.column_index(col).can_order() {
-            return None;
-        }
-        order = FirstOrder::Index { col, desc };
+    let Some(OrderSpec { key, desc }) = spec.order_by else { return Some(FirstOrder::Storage) };
+    // The sort is a no-op exactly when the probe side is iterated in the
+    // order of the sort key: join steps expand each probe row in place and
+    // the final sort is stable, so the walk's order equals the sorted order
+    // byte for byte. Walking the sorted run of a first-table column's index
+    // is such an iteration.
+    let OrderKey::Column(col) = key else { return None };
+    let index = db.column_index(col);
+    if col.table != spec.join.tables[0] || !index.can_order() {
+        return None;
     }
-    Some((cap, order))
+    // DISTINCT keeps the first of equal projections: in walk order when
+    // streaming, in join order when the collect tail dedups before it
+    // sorts. The two agree only if equal projections tie on the sort key:
+    // the key is itself projected, and holds no text — `abc` and `ABC` are
+    // one projection but sort apart.
+    if spec.distinct
+        && (index.holds_text() || !spec.select.iter().any(|item| item.col == Some(col)))
+    {
+        return None;
+    }
+    Some(FirstOrder::Index { col, desc })
 }
 
 /// Composite typed keys numbered by first appearance: the one derivation
-/// behind GROUP BY partitioning and DISTINCT in both strategies, so they
-/// cannot drift. A key holds one [`Value::key`] per value — `None` for NULL,
+/// behind GROUP BY partitioning and DISTINCT in both tails, so they cannot
+/// drift. A key holds one [`Value::key`] per value — `None` for NULL,
 /// which groups with NULL. A row is matched against the keys already numbered
 /// by hashing and comparing its cells' folded bytes in place, so only a new
 /// key is built and stored: grouping allocates per group, not per row.
@@ -1136,10 +1115,16 @@ impl<'a> Resolved<'a> {
         }
     }
 
-    /// Partition the joined rows `filtered` by the GROUP BY columns, groups
-    /// in first-appearance order: by the column's index lists for one
-    /// column ([`ListGroups`]), by typed keys for several.
-    fn partition(&self, db: &Database, joined: &Joined, filtered: Vec<usize>) -> Vec<Vec<usize>> {
+    /// The projected cells of the joined row `ids`, when no item aggregates.
+    fn projected<'s>(&'s self, ids: &'s [usize]) -> impl Iterator<Item = &'a Value> + Clone + 's {
+        let pos = |pos: &Option<Pos>| pos.expect("an ungrouped spec: every item has a column");
+        self.select_pos.iter().map(move |p| self.cell(ids, pos(p)))
+    }
+
+    /// Partition the rows of `joined` by the GROUP BY columns, groups in
+    /// first-appearance order: by the column's index lists for one column
+    /// ([`ListGroups`]), by typed keys for several.
+    fn partition(&self, db: &Database, joined: &Joined) -> Vec<Vec<usize>> {
         let mut groups: Vec<Vec<usize>> = Vec::new();
         let mut push = |(slot, new): (usize, bool), r: usize| {
             if new {
@@ -1150,19 +1135,36 @@ impl<'a> Resolved<'a> {
         match (&self.spec.group_by[..], &self.group_pos[..]) {
             (&[col], &[(table, _)]) => {
                 let mut index = ListGroups::new(db.column_index(col), self.tables[table].len());
-                for r in filtered {
+                for r in 0..joined.len() {
                     push(index.slot(joined.row(r)[table]), r);
                 }
             }
             _ => {
                 let mut index = KeyIndex::default();
-                for r in filtered {
+                for r in 0..joined.len() {
                     let ids = joined.row(r);
                     push(index.slot(self.group_pos.iter().map(|&pos| self.cell(ids, pos))), r);
                 }
             }
         }
         groups
+    }
+
+    /// The records of the rows the collect tail kept: a record per row of
+    /// an ungrouped spec (DISTINCT already applied by the walk), one for a
+    /// global aggregate, one per group that passes HAVING otherwise, then
+    /// DISTINCT over those.
+    fn records_of(&self, db: &Database, joined: &Joined) -> Vec<Record> {
+        let spec = self.spec;
+        let rows = || (0..joined.len()).collect::<Vec<usize>>();
+        if !spec.has_aggregates() && spec.group_by.is_empty() {
+            self.records(joined, rows().chunks(1))
+        } else if spec.group_by.is_empty() {
+            self.records(joined, std::iter::once(rows().as_slice()))
+        } else {
+            let groups = self.partition(db, joined);
+            distinct(spec, self.records(joined, groups.iter().map(Vec::as_slice)))
+        }
     }
 
     /// One output record per group that passes HAVING. An ungrouped query's
@@ -1233,8 +1235,7 @@ impl<'h> StepHash<'h> {
 
     /// Append to `out` the joined row `probe` extended by each build row its
     /// join key matches (and the restriction keeps), in ascending build-row
-    /// order; returns how many. Both strategies join through here, so they
-    /// order joined rows alike.
+    /// order; returns how many. The walk's one join step.
     fn expand(&self, query: &Resolved<'_>, probe: &[usize], out: &mut Vec<usize>) -> u64 {
         let mut kept = 0;
         for ri in self.lists.lookup(query.cell(probe, self.probe)) {
@@ -1248,16 +1249,15 @@ impl<'h> StepHash<'h> {
     }
 }
 
-/// The streaming pipeline past the first-table scan: the join steps walked
-/// depth first, then WHERE, projection, DISTINCT, the output cap and the
-/// sink.
-struct Stream<'a, S> {
+/// The executor's one join loop, past the first-table iteration: the join
+/// steps walked depth first, then WHERE and an ungrouped DISTINCT, then the
+/// tail.
+struct Walk<'a, T> {
     query: &'a Resolved<'a>,
-    seen: KeyIndex,
-    sink: &'a mut S,
-    /// Rows handed to the sink.
-    emitted: usize,
-    cap: usize,
+    /// The projections seen so far, when DISTINCT applies to joined rows
+    /// (the spec is ungrouped).
+    seen: Option<KeyIndex>,
+    tail: &'a mut T,
     /// Join rows produced.
     produced: u64,
     /// Index-nested-loop probes, and the join rows they produced.
@@ -1265,13 +1265,13 @@ struct Stream<'a, S> {
     via_index: u64,
 }
 
-impl<S: Sink> Stream<'_, S> {
+impl<T: Tail> Walk<'_, T> {
     /// Carry one joined row through the remaining join `steps`: expand it by
     /// the next step into that depth's reused buffer, then descend into each
     /// expansion before the next — so a row is expanded only when the rows
     /// before it are consumed, as a lazy iterator chain would. Returns
-    /// `false` once the cap is reached or the sink wants no more rows, and
-    /// the pipeline must stop pulling.
+    /// `false` once the tail wants no more rows, and the walk must stop
+    /// pulling.
     fn pull(&mut self, ids: &[usize], steps: &[StepHash<'_>], bufs: &mut [Vec<usize>]) -> bool {
         let (Some((step, steps)), Some((buf, bufs))) =
             (steps.split_first(), bufs.split_first_mut())
@@ -1286,50 +1286,101 @@ impl<S: Sink> Stream<'_, S> {
         buf.chunks_exact(ids.len() + 1).all(|row| self.pull(row, steps, bufs))
     }
 
-    /// Offer one fully joined row to WHERE, projection, DISTINCT and the
-    /// sink.
+    /// Offer one fully joined row to WHERE, DISTINCT and the tail.
     fn offer(&mut self, ids: &[usize]) -> bool {
         let query = self.query;
         if !query.passes(ids) {
             return true;
         }
-        let cells = query.select_pos.iter().map(|pos| {
-            query.cell(ids, pos.expect("streaming runs no aggregate: every item has a column"))
-        });
-        if query.spec.distinct && !self.seen.slot(cells.clone()).1 {
-            return true;
+        if let Some(seen) = &mut self.seen {
+            if !seen.slot(query.projected(ids)).1 {
+                return true;
+            }
         }
-        self.emitted += 1;
-        self.sink.take(cells) && self.emitted < self.cap
+        self.tail.take(query, ids)
     }
 }
 
-/// Streaming strategy: pull probe rows one at a time through the join chain,
-/// WHERE filter, projection and DISTINCT into `sink`, stopping at `cap`
-/// survivors or when the sink has seen enough.
-fn run_streaming(
+/// Where the walk's joined rows go once they pass WHERE (and DISTINCT, for
+/// an ungrouped spec).
+trait Tail {
+    /// Whether the tail takes a row at all (a stream capped at 0 takes none).
+    fn open(&self) -> bool {
+        true
+    }
+
+    /// Take the joined row `ids`; `false` once the tail wants no more rows.
+    fn take(&mut self, query: &Resolved<'_>, ids: &[usize]) -> bool;
+}
+
+/// The stream tail: projection, the output cap and the sink.
+struct Emit<'s, S> {
+    sink: &'s mut S,
+    /// Rows the cap still allows.
+    left: usize,
+}
+
+impl<S: Sink> Tail for Emit<'_, S> {
+    fn open(&self) -> bool {
+        self.left > 0
+    }
+
+    fn take(&mut self, query: &Resolved<'_>, ids: &[usize]) -> bool {
+        self.left -= 1;
+        self.sink.take(query.projected(ids)) && self.left > 0
+    }
+}
+
+/// The collect tail: the ids of every row, for grouping or a sort.
+impl Tail for Joined {
+    fn take(&mut self, _: &Resolved<'_>, ids: &[usize]) -> bool {
+        self.ids.extend_from_slice(ids);
+        true
+    }
+}
+
+/// Walk the join of `plan` into `tail`: the first table's rows in `order`,
+/// narrowed to its restriction candidates, each pulled depth first through
+/// the join steps ([`Walk::pull`]). Reports what it did; `exact` is whether
+/// the walk ran to the end of its input.
+///
+/// It bails before touching a row when the planner proves the join empty
+/// ([`IndexAccess::provably_empty`]) or a build side holds no key: the tail
+/// then takes nothing, so a collect tail's aggregates see the empty
+/// relation — a global `COUNT(*)` of 0, NULL `MIN`/`MAX` — as SQL has it.
+fn walk<T: Tail>(
     db: &Database,
-    spec: &SelectSpec,
+    query: &Resolved<'_>,
     plan: &JoinPlan,
-    cap: usize,
-    order: FirstOrder,
     access: &IndexAccess,
-    sink: &mut impl Sink,
+    order: FirstOrder,
+    tail: &mut T,
 ) -> ExecMetrics {
-    let query = Resolved::new(db, spec, plan);
-    let first_rows = query.tables[0];
+    let spec = query.spec;
+    let builds: Vec<StepHash<'_>> =
+        plan.steps.iter().map(|s| StepHash::of(db, s, access)).collect();
+    if access.provably_empty(db, spec) || builds.iter().any(StepHash::is_empty) {
+        return ExecMetrics {
+            exact: true,
+            index_lookups: access.lookups,
+            probes_bailed_empty: 1,
+            ..Default::default()
+        };
+    }
 
     // First-table iteration: the ordered index scan when the ORDER BY asks
     // for it, a plain scan otherwise — either one narrowed to the ascending
     // restriction candidates when the planner pre-selected rows. Candidate
     // order equals storage order and a filtered sorted run is a subsequence
     // of the run, so emission is unchanged.
+    let first_rows = query.tables[0];
     let restriction = access.restrictions.get(&plan.tables[0]);
-    let mut setup_lookups: u64 = 0;
-    let via_first = restriction.is_some() || matches!(order, FirstOrder::Index { .. });
-    let first_iter: Box<dyn Iterator<Item = usize> + '_> = match order {
+    let first_len = restriction.map_or(first_rows.len(), Vec::len) as u64;
+    // An ordered scan costs one lookup to set up.
+    let setup_lookups = u64::from(matches!(order, FirstOrder::Index { .. }));
+    let via_first = restriction.is_some() || setup_lookups > 0;
+    let first: Box<dyn Iterator<Item = usize> + '_> = match order {
         FirstOrder::Index { col, desc } => {
-            setup_lookups += 1;
             let idx = db.column_index(col);
             let run: Box<dyn Iterator<Item = usize> + '_> = if desc {
                 Box::new(idx.ordered_desc(first_rows, col.column))
@@ -1346,168 +1397,47 @@ fn run_streaming(
             None => Box::new(0..first_rows.len()),
         },
     };
-    let first_len = restriction.map(Vec::len).unwrap_or(first_rows.len()) as u64;
 
-    let mut first_scanned: u64 = 0;
-    let mut bailed = false;
-    let mut stopped_early = cap == 0 && first_len > 0;
-    let mut stream = Stream {
-        query: &query,
-        seen: KeyIndex::default(),
-        sink,
-        emitted: 0,
-        cap,
+    let ungrouped = !spec.has_aggregates() && spec.group_by.is_empty();
+    let mut walk = Walk {
+        query,
+        seen: (spec.distinct && ungrouped).then(KeyIndex::default),
+        tail,
         produced: 0,
         lookups: 0,
         via_index: 0,
     };
-
-    if cap > 0 {
-        // Build sides: each probe is looked up in the build column's index.
-        // An empty build side proves the join output empty before any probe
-        // row is pulled.
-        let mut builds: Vec<StepHash<'_>> = Vec::with_capacity(plan.steps.len());
-        for step in &plan.steps {
-            let build = StepHash::of(db, step, access);
-            if build.is_empty() {
-                bailed = true;
-                break;
-            }
-            builds.push(build);
+    // One id buffer per join depth, reused for every probe row.
+    let mut bufs: Vec<Vec<usize>> = vec![Vec::new(); builds.len()];
+    let mut scanned: u64 = 0;
+    let mut stopped = false;
+    for ri in first {
+        if !walk.tail.open() {
+            stopped = true;
+            break;
         }
-        // One id buffer per join depth, reused for every probe row.
-        let mut bufs: Vec<Vec<usize>> = vec![Vec::new(); builds.len()];
-        if !bailed {
-            for ri in first_iter {
-                first_scanned += 1;
-                if !stream.pull(&[ri], &builds, &mut bufs) {
-                    stopped_early = true;
-                    break;
-                }
-            }
-        }
-    }
-
-    // Stopping at the spec's own LIMIT is the spec's semantics; only a
-    // tighter caller budget (or a sink that stopped the pipeline) makes the
-    // result a (possibly) truncated prefix. An empty-build bail is the
-    // complete (empty) result, hence exact.
-    let exact = bailed || !stopped_early || spec.limit == Some(cap);
-    ExecMetrics {
-        rows_scanned: first_scanned + stream.produced,
-        rows_short_circuited: if bailed {
-            first_len
-        } else if stopped_early {
-            first_len.saturating_sub(first_scanned)
-        } else {
-            0
-        },
-        exact,
-        streamed: true,
-        counted: false,
-        index_lookups: access.lookups + setup_lookups + stream.lookups,
-        rows_via_index: stream.via_index + if via_first { first_scanned } else { 0 },
-        probes_bailed_empty: u64::from(bailed),
-    }
-}
-
-/// Materializing strategy: evaluate the join chain into an intermediate
-/// relation of row ids (index-nested-loop steps), then
-/// filter, group/aggregate, project, sort and limit as one batch, and hand
-/// the rows within the budget to `sink` until it wants no more.
-///
-/// With `proven_empty` ([`IndexAccess::provably_empty`]) the join is skipped
-/// and the same group/finalize tail runs over the empty relation, so
-/// aggregate shapes — a global `COUNT(*)` of 0, NULL `MIN`/`MAX` — are
-/// exactly what the full pipeline would produce, without touching a row.
-fn run_materialized(
-    db: &Database,
-    spec: &SelectSpec,
-    plan: &JoinPlan,
-    opts: &ExecOptions,
-    access: &IndexAccess,
-    proven_empty: bool,
-    sink: &mut impl Sink,
-) -> ExecMetrics {
-    let query = Resolved::new(db, spec, plan);
-    let mut lookups: u64 = 0;
-    let mut via_index: u64 = 0;
-    let mut bailed = proven_empty;
-
-    let mut ids: Vec<usize> = match access.restrictions.get(&plan.tables[0]) {
-        _ if proven_empty => Vec::new(),
-        // Candidate-restricted scan: cands ascend, so the intermediate
-        // keeps storage order minus rows that could never pass WHERE.
-        Some(cands) => {
-            via_index += cands.len() as u64;
-            cands.clone()
-        }
-        None => (0..query.tables[0].len()).collect(),
-    };
-    let mut scanned = ids.len() as u64;
-    let steps = if proven_empty { &[] } else { plan.steps.as_slice() };
-    // `width`: ids per joined row going into the step, one more coming out.
-    for (width, step) in (1..).zip(steps) {
-        // Index-nested-loop join: the column index *is* the build side and
-        // no build pass runs.
-        let build = StepHash::of(db, step, access);
-        let mut out = Vec::with_capacity(ids.len() / width * (width + 1));
-        let mut produced: u64 = 0;
-        for probe in ids.chunks_exact(width) {
-            produced += build.expand(&query, probe, &mut out);
-        }
-        lookups += (ids.len() / width) as u64;
-        via_index += produced;
-        scanned += produced;
-        ids = out;
-        if ids.is_empty() && width < steps.len() {
-            // Empty intermediate: the remaining steps preserve emptiness, so
-            // skip them outright.
-            bailed = true;
+        scanned += 1;
+        if !walk.pull(&[ri], &builds, &mut bufs) {
+            stopped = true;
             break;
         }
     }
-    let joined = Joined { ids, width: plan.tables.len() };
-
-    let mut filtered: Vec<usize> =
-        (0..joined.len()).filter(|&r| query.passes(joined.row(r))).collect();
-    let records = if !spec.has_aggregates() && spec.group_by.is_empty() {
-        // DISTINCT keeps the first of equal projections in join order:
-        // dropping the repeats before their cells are copied builds a record
-        // per distinct row, not per joined row.
-        if spec.distinct {
-            let mut seen = KeyIndex::default();
-            filtered.retain(|&r| {
-                let ids = joined.row(r);
-                let cells = query.select_pos.iter();
-                seen.slot(cells.map(|pos| pos.map_or(&Value::Null, |pos| query.cell(ids, pos)))).1
-            });
-        }
-        query.records(&joined, filtered.chunks(1))
-    } else if spec.group_by.is_empty() {
-        query.records(&joined, std::iter::once(filtered.as_slice()))
-    } else {
-        let groups = query.partition(db, &joined, filtered);
-        distinct(spec, query.records(&joined, groups.iter().map(Vec::as_slice)))
-    };
-
     ExecMetrics {
-        rows_scanned: scanned,
-        rows_short_circuited: 0,
-        exact: deliver(spec, records, opts, sink),
+        rows_scanned: scanned + walk.produced,
+        rows_short_circuited: if stopped { first_len.saturating_sub(scanned) } else { 0 },
+        exact: !stopped,
         streamed: false,
         counted: false,
-        index_lookups: access.lookups + lookups,
-        rows_via_index: via_index,
-        probes_bailed_empty: u64::from(bailed),
+        index_lookups: access.lookups + setup_lookups + walk.lookups,
+        rows_via_index: walk.via_index + if via_first { scanned } else { 0 },
+        probes_bailed_empty: 0,
     }
 }
 
-/// The batch tail of the materializing strategy and the counting pass, on
-/// records DISTINCT has already deduplicated: ORDER BY and LIMIT
-/// ([`finalize`]), then the budget, then the rows to `sink` until it wants
-/// no more. Returns whether the budget cut
-/// nothing ([`ExecMetrics::exact`]).
+/// The end of the collect tail and of the counting pass, on records DISTINCT
+/// has already deduplicated: ORDER BY and LIMIT ([`finalize`]), then the
+/// budget, then the rows to `sink` until it wants no more. Returns whether
+/// the budget cut nothing ([`ExecMetrics::exact`]).
 fn deliver(
     spec: &SelectSpec,
     records: Vec<Record>,
@@ -1552,15 +1482,15 @@ fn in_counting_fragment(spec: &SelectSpec) -> bool {
 
 /// Answer a spec of the counting fragment ([`in_counting_fragment`]) with
 /// one counting pass over its join tree, building no joined row, or `None`
-/// when the materializing strategy must run instead: the spec is outside
-/// the fragment, the join is not a tree rooted at the first table, a literal
-/// restriction is already provably empty (the strategy's bail answers that
-/// without a row), or a count overflows.
+/// when the join walk must run instead: the spec is outside the fragment,
+/// the join is not a tree rooted at the first table, a literal restriction
+/// is already provably empty (the walk's bail answers that without a row),
+/// or a count overflows.
 ///
 /// The pass reduces the literal restrictions up the tree
 /// ([`IndexAccess::reduce`]) and narrows them down from the root
 /// ([`IndexAccess::narrow`]), then counts leaves first ([`Counts`]). A
-/// group's record is the materializing strategy's, in its order: joined
+/// group's record is the collect tail's, in its order: joined
 /// rows come root row by root row, so the group of the first root row with
 /// a non-zero count appears first, its first joined row holds that root
 /// row, and a first-table cell of it is that row's cell; `COUNT(*)` is the
@@ -2273,17 +2203,17 @@ mod tests {
         let probe = SelectSpec { limit: Some(1), ..unlimited.clone() };
 
         let streaming = run(&db, &probe);
-        let materialized = run(&db, &unlimited);
+        // Nothing stops the unlimited spec: it streams too, and drains the join.
+        let drained = run(&db, &unlimited);
 
-        assert_eq!(streaming.result.rows, materialized.result.rows[..1], "strategies must agree");
-        assert!(streaming.metrics.streamed);
-        assert!(!materialized.metrics.streamed);
-        assert!(streaming.metrics.exact && materialized.metrics.exact);
+        assert_eq!(streaming.result.rows, drained.result.rows[..1], "the probe is a prefix");
+        assert!(streaming.metrics.streamed && drained.metrics.streamed);
+        assert!(streaming.metrics.exact && drained.metrics.exact);
         assert!(
-            streaming.metrics.rows_scanned * 10 < materialized.metrics.rows_scanned,
-            "LIMIT 1 must scan <10% of the materializing executor's rows: {} vs {}",
+            streaming.metrics.rows_scanned * 10 < drained.metrics.rows_scanned,
+            "LIMIT 1 must scan <10% of the drained join's rows: {} vs {}",
             streaming.metrics.rows_scanned,
-            materialized.metrics.rows_scanned
+            drained.metrics.rows_scanned
         );
         assert!(streaming.metrics.rows_short_circuited > 0);
     }
@@ -2367,7 +2297,7 @@ mod tests {
             assert_eq!(indexed.result.rows, expected[..5], "{key} desc={desc}");
 
             let sorted = run(&db, &unlimited);
-            assert!(!sorted.metrics.streamed, "without a LIMIT the sort materializes");
+            assert!(sorted.metrics.streamed, "without a LIMIT the ordered scan runs to the end");
             assert_eq!(sorted.result.rows, expected, "{key} desc={desc}");
         }
     }
@@ -2491,11 +2421,39 @@ mod tests {
         let mut spec = fanout_join_spec(&db);
         spec.select = vec![SelectItem::column(col(&db, "left", "k"))];
         spec.distinct = true;
-        let materialized = run(&db, &spec);
+        let drained = run(&db, &spec);
         spec.limit = Some(3);
         let streaming = run(&db, &spec);
-        assert!(streaming.metrics.streamed && !materialized.metrics.streamed);
-        assert_eq!(streaming.result.rows, materialized.result.rows[..3]);
+        assert!(streaming.metrics.streamed && drained.metrics.streamed);
+        assert_eq!(streaming.result.rows, drained.result.rows[..3]);
+    }
+
+    /// `abc` and `ABC` are one DISTINCT projection but sort apart, so a
+    /// DISTINCT ordered by a text column cannot stream off the sorted run
+    /// (which meets `ABC` first); with a limit, under a budget and without
+    /// either it keeps the first in join order, then sorts — and each cut is
+    /// a prefix of the whole.
+    #[test]
+    fn distinct_ordered_by_a_text_column_keeps_the_first_in_join_order() {
+        let mut s = Schema::new("cased");
+        s.add_table(TableDef::new("t", vec![ColumnDef::text("c")], None));
+        let mut db = Database::new(s).unwrap();
+        db.insert_all("t", ["abc", "ABC", "b"].map(|c| vec![Value::text(c)])).unwrap();
+        let c = col(&db, "t", "c");
+        let spec = SelectSpec {
+            select: vec![SelectItem::column(c)],
+            join: JoinTree::single(c.table),
+            distinct: true,
+            order_by: Some(OrderSpec { key: OrderKey::Column(c), desc: false }),
+            ..Default::default()
+        };
+        let rows = |spec: &SelectSpec, row_budget| {
+            execute_with(&db, spec, &ExecOptions { row_budget }).unwrap().result.rows
+        };
+        let whole = [Row(vec![Value::text("abc")]), Row(vec![Value::text("b")])];
+        assert_eq!(rows(&spec, None), whole);
+        assert_eq!(rows(&SelectSpec { limit: Some(1), ..spec.clone() }, None), whole[..1]);
+        assert_eq!(rows(&spec, Some(1)), whole[..1]);
     }
 
     /// `ORDER BY` used to sort with `Value::total_cmp`, under which a NaN

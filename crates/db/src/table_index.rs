@@ -10,7 +10,7 @@
 //!   `ORDER BY c LIMIT k` can stream rows in index order instead of sorting —
 //!   ties break by row id, which is exactly the order a stable sort of the
 //!   storage leaves them in, so index-ordered emission is byte-identical to
-//!   materialize-and-sort.
+//!   collect-and-sort.
 //! * **Equality match lists** ([`ColumnIndex::lookup`]): the row ids whose
 //!   value shares a [`Key`](crate::types::Key) ([`Value::key`]) with the
 //!   probe, ascending — what the hash join builds on the fly, so an indexed
@@ -447,6 +447,12 @@ impl ColumnIndex {
     /// after updates (an upper bound that never shrinks until rebuild).
     pub fn is_unique(&self) -> bool {
         self.max_matches <= 1
+    }
+
+    /// Whether the column holds a text cell: only texts can be one key
+    /// ([`Value::key`]) yet sort apart.
+    pub(crate) fn holds_text(&self) -> bool {
+        self.bits.len() < self.sorted.len()
     }
 
     /// The number of distinct non-NULL keys in the column: how many

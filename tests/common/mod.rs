@@ -5,7 +5,8 @@
 //! databases salted with NULL, NaN and re-cased text, join trees rooted
 //! anywhere, literals that hit and miss, AND and OR, LIKE, grouping on one
 //! and two columns, HAVING, global aggregates, ordering — over NaN-holding
-//! columns too — DISTINCT and limits. The tests of runs on a pool share
+//! columns too — DISTINCT (ordered by a projected text column too) and
+//! limits. The tests of runs on a pool share
 //! [`drive`], the one way they wait for a driven session.
 
 // Each test binary uses its own part of this module.
@@ -318,6 +319,7 @@ pub struct Shapes {
     ordered_other: usize,
     ordered_over_nan: usize,
     distinct: usize,
+    distinct_by_projected_text: usize,
     multi_table: usize,
     zero_limit: usize,
     bailed: usize,
@@ -331,10 +333,10 @@ impl Shapes {
         self.streamed += usize::from(metrics.streamed);
     }
 
-    /// The run must have met the cases it is there for.
+    /// The run must have met the cases it is there for; prints what it met.
     pub fn assert_every_class_occurred(&self, seed: u64) {
         let l = &self.literals;
-        for (what, n) in [
+        let classes = [
             ("hit", l.hit),
             ("miss", l.miss),
             ("NULL", l.null),
@@ -350,11 +352,15 @@ impl Shapes {
             ("ORDER BY another table's column", self.ordered_other),
             ("ORDER BY a column holding a NaN", self.ordered_over_nan),
             ("DISTINCT", self.distinct),
+            ("DISTINCT ordered by a projected text column", self.distinct_by_projected_text),
             ("joins", self.multi_table),
             ("LIMIT 0", self.zero_limit),
             ("proven-empty probes", self.bailed),
             ("streamed probes", self.streamed),
-        ] {
+        ];
+        let tally: Vec<String> = classes.iter().map(|(what, n)| format!("{what} {n}")).collect();
+        println!("seed {seed}: {}", tally.join(", "));
+        for (what, n) in classes {
             assert!(n >= 5, "seed {seed}: only {n} generated cases of {what}");
         }
     }
@@ -387,14 +393,44 @@ pub fn random_spec(db: &Database, rng: &mut StdRng, seen: &mut Shapes) -> Select
                 spec.distinct = true;
                 seen.distinct += 1;
             }
-            let on_first = rng.gen_bool(0.5);
-            let of = if on_first { JoinTree::single(join.tables[0]) } else { join.clone() };
-            let key = random_column(db, &of, rng);
-            if rng.gen_bool(0.5) {
-                *(if on_first { &mut seen.ordered_first } else { &mut seen.ordered_other }) += 1;
-                seen.ordered_over_nan += usize::from(!db.column_index(key).can_order());
+            // DISTINCT keeps the first of equal projections, so ordering by a
+            // projected column is where a streamed and a sorted DISTINCT can
+            // disagree (`ABC` and `abc` are one projection but sort apart).
+            // A text column is taken first: a projected one, else one of the
+            // joined tables' text columns, projected for the purpose.
+            if spec.distinct && rng.gen_bool(0.75) {
+                let text = |col: &ColumnId| db.schema().column(*col).dtype == DataType::Text;
+                let projected = spec.select.iter().filter_map(|item| item.col).find(text);
+                let texts: Vec<ColumnId> = (join.tables.iter())
+                    .flat_map(|&table| {
+                        let width = db.schema().table(table).columns.len();
+                        (0..width).map(move |column| ColumnId { table, column })
+                    })
+                    .filter(text)
+                    .collect();
+                let key = match projected {
+                    Some(key) => key,
+                    None if !texts.is_empty() => {
+                        let key = texts[rng.gen_range(0..texts.len())];
+                        spec.select.push(SelectItem::column(key));
+                        key
+                    }
+                    None => spec.select[rng.gen_range(0..spec.select.len())].col.unwrap(),
+                };
+                seen.distinct_by_projected_text += usize::from(text(&key));
                 spec.order_by =
                     Some(OrderSpec { key: OrderKey::Column(key), desc: rng.gen_bool(0.5) });
+            } else {
+                let on_first = rng.gen_bool(0.5);
+                let of = if on_first { JoinTree::single(join.tables[0]) } else { join.clone() };
+                let key = random_column(db, &of, rng);
+                if rng.gen_bool(0.5) {
+                    *(if on_first { &mut seen.ordered_first } else { &mut seen.ordered_other }) +=
+                        1;
+                    seen.ordered_over_nan += usize::from(!db.column_index(key).can_order());
+                    spec.order_by =
+                        Some(OrderSpec { key: OrderKey::Column(key), desc: rng.gen_bool(0.5) });
+                }
             }
         }
         5..=7 => {

@@ -12,7 +12,8 @@
 //! it counts.
 
 use duoquest::db::{
-    execute_with, CmpOp, ExecOptions, JoinGraph, JoinTree, Predicate, SelectItem, SelectSpec, Value,
+    execute_with, CmpOp, ExecOptions, JoinGraph, JoinTree, LogicalOp, Predicate, SelectItem,
+    SelectSpec, Value,
 };
 use duoquest::workloads::{mas, mas_nli_tasks, mas_pbe_tasks};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -21,6 +22,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Calls into the allocator that hand out memory (`alloc`, `realloc`).
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+/// Bytes those calls asked for: each `alloc`'s size, each `realloc`'s new
+/// size.
+static BYTES: AtomicU64 = AtomicU64::new(0);
 
 struct Counting;
 
@@ -29,6 +33,7 @@ struct Counting;
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         System.alloc(layout)
     }
 
@@ -38,6 +43,7 @@ unsafe impl GlobalAlloc for Counting {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -46,9 +52,15 @@ unsafe impl GlobalAlloc for Counting {
 static GLOBAL: Counting = Counting;
 
 fn allocations_of<T>(work: impl FnOnce() -> T) -> (T, u64) {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let (out, n, _) = allocated_by(work);
+    (out, n)
+}
+
+/// `work`'s result, allocations and bytes.
+fn allocated_by<T>(work: impl FnOnce() -> T) -> (T, u64, u64) {
+    let (calls, bytes) = (ALLOCATIONS.load(Ordering::Relaxed), BYTES.load(Ordering::Relaxed));
     let out = work();
-    (out, ALLOCATIONS.load(Ordering::Relaxed) - before)
+    (out, ALLOCATIONS.load(Ordering::Relaxed) - calls, BYTES.load(Ordering::Relaxed) - bytes)
 }
 
 #[test]
@@ -181,6 +193,37 @@ fn executions_allocate_for_what_they_return_not_for_what_they_join() {
         let ceiling = PER_GROUP * groups + GROUPING_BASE;
         assert!(n <= ceiling, "{what}: {n} allocations for {groups} groups (ceiling {ceiling})");
     }
+
+    // A grouped join whose WHERE the index cannot restrict (an OR, so no
+    // literal pre-selects rows): the walk keeps the ids of the joined rows
+    // that pass, not of every row the join produces.
+    let pid = db.schema().column_id("writes", "pid").unwrap();
+    let oid = db.schema().column_id("organization", "oid").unwrap();
+    let join = JoinGraph::new(db.schema()).steiner_tree(&[writes, org.table]).unwrap();
+    let spec = SelectSpec {
+        select: vec![SelectItem::column(org), SelectItem::count_star()],
+        join,
+        predicates: vec![
+            Predicate::new(pid, CmpOp::Lt, Value::int(60)),
+            Predicate::new(oid, CmpOp::Eq, Value::int(3)),
+        ],
+        predicate_op: LogicalOp::Or,
+        group_by: vec![org],
+        ..Default::default()
+    };
+    let (out, n, bytes) =
+        allocated_by(|| execute_with(db, &spec, &ExecOptions::default()).unwrap());
+    let counts = out.result.rows.iter().filter_map(|row| row.0[1].as_number());
+    let passing = counts.sum::<f64>() as u64;
+    let select = vec![SelectItem::count_star()];
+    let all = SelectSpec { select, predicates: vec![], group_by: vec![], ..spec.clone() };
+    let joined = execute_with(db, &all, &ExecOptions::default()).unwrap().result.rows[0].0[0]
+        .as_number()
+        .unwrap() as u64;
+    println!("OR-filtered GROUP BY: {bytes} B in {n} allocations for {passing} of {joined} rows");
+    assert!(passing * 10 < joined, "the OR must keep a small share ({passing} of {joined})");
+    let ceiling = BYTES_PER_PASSING_ROW * passing + BYTES_BASE;
+    assert!(bytes <= ceiling, "{bytes} B for {passing} passing rows (ceiling {ceiling})");
 }
 
 /// Allocations of a global `COUNT(*)` under a text `BETWEEN` over MAS's 320
@@ -196,3 +239,11 @@ const TEXT_RANGE_CEILING: u64 = 40;
 /// text cells into new strings and DISTINCT copied every joined row's cells.
 const PER_GROUP: u64 = 8;
 const GROUPING_BASE: u64 = 400;
+
+/// Bytes a grouped join over MAS's authorships may ask for per joined row
+/// that passes WHERE, and besides: 22 055 B for 146 of 3 818 rows today
+/// (≈ 80 B a passing row — three ids and a group slot, doubled by growth —
+/// over ≈ 9.6 KB), against a 30 976 B ceiling; 262 551 B while every join
+/// step drained into a vector of its own before WHERE ran.
+const BYTES_PER_PASSING_ROW: u64 = 128;
+const BYTES_BASE: u64 = 12_288;

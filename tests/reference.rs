@@ -1,7 +1,7 @@
 //! The executor against an evaluator that shares nothing with it.
 //!
-//! The executor's unit tests compare it with itself (streaming and
-//! materializing, the counting pass and the join), and both sides run on
+//! The executor's unit tests compare it with itself (the stream and
+//! collect tails, the counting pass and the join), and both sides run on
 //! the same joined relation of row ids, the same typed keys and the same
 //! planner — a bug in any of those is invisible to them. The naive
 //! evaluator (`common::naive`, shared with `tests/semijoin.rs`) is the
@@ -223,8 +223,8 @@ fn generated_counts_equal_the_reference(db: &Database, seed: u64, cases: usize) 
     tally
 }
 
-/// The arm must have run inside the fragment, not only through the
-/// materializing fallback, and on results with rows.
+/// The arm must have run inside the fragment, not only through the join
+/// walk's fallback, and on results with rows.
 fn assert_counts_bit(tally: &Counted, what: &str) {
     println!(
         "{what}: {} counting cases, {} answered by the counting pass, {} proven empty, {} \

@@ -542,9 +542,13 @@ fn gold(mas: &MasDataset, id: &str) -> SelectSpec {
     tasks.into_iter().find(|t| t.id == id).unwrap().gold
 }
 
-/// The counters of one execution that a plan change moves.
-fn counts(m: &ExecMetrics) -> (u64, u64, u64, u64, bool) {
-    (m.rows_scanned, m.index_lookups, m.rows_via_index, m.probes_bailed_empty, m.streamed)
+/// The counters of one execution that a plan change moves, printed under
+/// `what`.
+fn counts(m: &ExecMetrics, what: &str) -> (u64, u64, u64, u64, bool) {
+    let counts =
+        (m.rows_scanned, m.index_lookups, m.rows_via_index, m.probes_bailed_empty, m.streamed);
+    println!("{what}: (rows_scanned, index_lookups, rows_via_index, bailed, streamed) {counts:?}");
+    counts
 }
 
 #[test]
@@ -556,7 +560,7 @@ fn reduced_plans_hold_their_exact_counts() {
     // `conference.name`, GROUP BY / HAVING on top — drained, never streamed.
     let c3 = gold(&mas, "C3");
     let metrics = assert_matches_reference(db, &c3, None, "C3 gold");
-    assert_eq!(counts(&metrics), C3_COUNTS, "C3 gold");
+    assert_eq!(counts(&metrics, "C3 gold"), C3_COUNTS, "C3 gold");
 
     // The five-table existence probe task B2 sends for a candidate over
     // conference–domain_conference–domain–domain_publication–publication:
@@ -593,13 +597,13 @@ fn reduced_plans_hold_their_exact_counts() {
     };
     assert_eq!(probe.join.tables.len(), 5);
     let metrics = assert_matches_reference(db, &probe, None, "B2 existence probe");
-    assert_eq!(counts(&metrics), B2_PROBE_COUNTS, "B2 existence probe");
+    assert_eq!(counts(&metrics, "B2 existence probe"), B2_PROBE_COUNTS, "B2 existence probe");
 
     // B4's gold query was selective before (the literal's table joins the
     // first table directly): the reduction must not make it scan more.
     let b4 = gold(&mas, "B4");
     let metrics = assert_matches_reference(db, &b4, None, "B4 gold");
-    assert_eq!(counts(&metrics), B4_COUNTS, "B4 gold");
+    assert_eq!(counts(&metrics, "B4 gold"), B4_COUNTS, "B4 gold");
     assert!(metrics.rows_scanned <= B4_ROWS_SCANNED_BEFORE);
 }
 
