@@ -5,7 +5,6 @@
 use crate::report::{header, percent};
 use duoquest_baselines::{NliBaseline, NoGuide, NoPq, SquidPbe};
 use duoquest_core::{Duoquest, DuoquestConfig};
-use duoquest_db::SelectSpec;
 use duoquest_nlq::NoisyOracleGuidance;
 use duoquest_workloads::spider::{self, SpiderDataset};
 use duoquest_workloads::{synthesize_tsq, Difficulty, TsqDetail};
@@ -322,11 +321,6 @@ pub fn ablation_experiment(dataset: &SpiderDataset, settings: &EvalSettings) -> 
         out.push('\n');
     }
     out
-}
-
-/// Figure 5-style gold-rank helper reused by the user-study module.
-pub fn gold_spec_of(task_gold: &SelectSpec) -> SelectSpec {
-    duoquest_workloads::canonicalize_select(task_gold)
 }
 
 #[cfg(test)]

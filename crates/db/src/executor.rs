@@ -88,8 +88,10 @@
 //! * **Ordered index scans** stream `ORDER BY c` from the column's sorted
 //!   run for any indexed first-table column; a first-table restriction
 //!   filters the run in place.
-//! * **Selectivity-driven planning** orders join steps most-selective-first
-//!   when provably order-safe.
+//! * **Join steps** run in one order, the canonical one: each takes the
+//!   first edge that connects a joined table to an unjoined one
+//!   (`plan_joins`). The semi-join reduction has already shrunk the probe
+//!   side, so no step order is chosen per spec (`docs/EXECUTOR.md`).
 //!
 //! An execution bails before it pulls a row when a joined table, a build
 //! side or the planned probe itself is provably empty.
@@ -358,7 +360,7 @@ fn run(
         return Ok(ExecMetrics { exact, ..metrics });
     }
     let access = IndexAccess::plan(db, spec);
-    let plan = plan_joins(db, spec, &access)?;
+    let plan = plan_joins(spec)?;
     let query = Resolved::new(db, spec, &plan);
     if let Some(order) = stream_order(db, spec) {
         let cap = spec.limit.unwrap_or(usize::MAX).min(opts.row_budget.unwrap_or(usize::MAX));
@@ -707,18 +709,15 @@ fn validate(db: &Database, spec: &SelectSpec) -> DbResult<()> {
     Ok(())
 }
 
-/// One hash-join step of the plan: probe the joined row's cell at `probe`
-/// against a hash table over the column `build` of the table it adds.
+/// One index-nested-loop step of the plan: look the joined row's cell at
+/// `probe` up in the index of the column `build`, of the table it adds.
 struct JoinStep {
     probe: Pos,
     build: ColumnId,
 }
 
-/// The logical join plan the walk follows, whichever tail it feeds: seed
-/// with the first FROM table, then repeatedly take a remaining edge
-/// connecting a joined table to an unjoined one — the first such edge
-/// canonically, or the most selective one when the greedy reorder is
-/// provably order-safe (see [`plan_joins`]).
+/// The logical join plan the walk follows, whichever tail it feeds: the
+/// canonical join order of [`plan_joins`].
 struct JoinPlan {
     /// Joined tables in slot order: the first FROM table, then the build
     /// table of each step.
@@ -800,60 +799,25 @@ fn leaves_first(db: &Database, spec: &SelectSpec, walk: &mut impl Carry) {
     }
 }
 
-/// Whether greedy most-selective-first step ordering preserves the emitted
-/// row order. Each join step expands every probe row in place, so a step
-/// whose build key is unique contributes 0 or 1 match and the output order
-/// stays the probe order however the steps are arranged; with at most one
-/// fanning-out (non-unique) step, the order is the probe order refined by
-/// that single step's ascending match lists — again arrangement-invariant.
-/// Two or more fanning steps interleave differently per arrangement, so the
-/// canonical order must be kept. Edges [`orient_edges`] leaves out count as
-/// fanning, to be conservative.
-fn greedy_reorder_is_order_safe(db: &Database, spec: &SelectSpec) -> bool {
-    let oriented = orient_edges(spec);
-    let unoriented = spec.join.edges.len() - oriented.len();
-    let fanning = oriented.iter().filter(|e| !db.column_index(e.child).is_unique()).count();
-    unoriented + fanning <= 1
-}
-
 /// Row ids present in both ascending lists, ascending.
 fn intersect_ascending(a: &[usize], b: &[usize]) -> Vec<usize> {
     let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
     short.iter().copied().filter(|ri| long.binary_search(ri).is_ok()).collect()
 }
 
-fn plan_joins(db: &Database, spec: &SelectSpec, access: &IndexAccess) -> DbResult<JoinPlan> {
-    let greedy = spec.join.edges.len() > 1 && greedy_reorder_is_order_safe(db, spec);
-
+/// The canonical join order: seed with the first FROM table, then
+/// repeatedly take the first remaining edge that connects a joined table to
+/// an unjoined one (the order `tests/common/naive.rs` defines).
+fn plan_joins(spec: &SelectSpec) -> DbResult<JoinPlan> {
     let mut plan = JoinPlan { tables: vec![spec.join.tables[0]], steps: Vec::new() };
     let mut remaining_edges = spec.join.edges.to_vec();
 
     while plan.tables.len() < spec.join.tables.len() {
         let joined = &plan.tables;
-        let mut connecting = remaining_edges.iter().enumerate().filter(|(_, e)| {
+        let Some(pos) = remaining_edges.iter().position(|e| {
             let (a, b) = e.tables();
             joined.contains(&a) != joined.contains(&b)
-        });
-        let pos = if greedy {
-            // Most selective (smallest estimated build side) first; the
-            // estimate is the restriction candidate count when an indexed
-            // predicate pre-selects the table, its row count otherwise.
-            // `min_by_key` keeps the first of equals, so ties fall back to
-            // the canonical edge order.
-            connecting.min_by_key(|(_, e)| {
-                let (a, b) = e.tables();
-                let build = if joined.contains(&a) { b } else { a };
-                access
-                    .restrictions
-                    .get(&build)
-                    .map(Vec::len)
-                    .unwrap_or_else(|| db.table_data(build).rows.len())
-            })
-        } else {
-            connecting.next()
-        }
-        .map(|(pos, _)| pos);
-        let Some(pos) = pos else {
+        }) else {
             return Err(DbError::DisconnectedJoin(
                 "no join edge connects the remaining tables".into(),
             ));
@@ -2362,7 +2326,7 @@ mod tests {
     }
 
     #[test]
-    fn greedy_join_reorder_is_byte_identical() {
+    fn a_restricted_two_step_join_reads_one_row_per_step() {
         let db = movie_db();
         let schema = db.schema();
         let graph = JoinGraph::new(schema);

@@ -105,8 +105,8 @@ fn run_order(a: &Value, b: &Value) -> Ordering {
 }
 
 /// Every reader of a column index against a scan of `cells`. `exact` also
-/// holds the two conservative bounds (`is_unique`, `can_order`) to the
-/// scan; an incrementally maintained index only bounds them.
+/// holds the conservative bound `can_order` to the scan; an incrementally
+/// maintained index only bounds it.
 fn check_column(cells: &[&Value], idx: &ColumnIndex, exact: bool, what: &str) {
     let n = cells.len();
     let ordered = idx.ordered();
@@ -132,13 +132,10 @@ fn check_column(cells: &[&Value], idx: &ColumnIndex, exact: bool, what: &str) {
     let non_null = cells.iter().filter(|v| !v.is_null()).count();
     assert_eq!(idx.mean_matches(), non_null as f64 / distinct.max(1) as f64, "{what}");
 
-    let unique = (0..n).all(|i| cells[i].is_null() || matches(cells[i]).len() == 1);
     let nan = cells.iter().any(|v| v.as_number().is_some_and(f64::is_nan));
     if exact {
-        assert_eq!(idx.is_unique(), unique, "{what}: is_unique");
         assert_eq!(idx.can_order(), !nan, "{what}: can_order");
     } else {
-        assert!(unique || !idx.is_unique(), "{what}: is_unique is an upper bound");
         assert!(!nan || !idx.can_order(), "{what}: can_order is an upper bound");
     }
 

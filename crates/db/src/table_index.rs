@@ -150,10 +150,6 @@ pub struct ColumnIndex {
     groups: Vec<Group>,
     /// Distinct non-NULL keys: number runs plus groups.
     distinct: usize,
-    /// Longest match list ever observed — a monotone upper bound, so a
-    /// `true` [`ColumnIndex::is_unique`] can be trusted after updates
-    /// (rebuilding refreshes it exactly).
-    max_matches: usize,
     /// A NaN was seen in this column; order/range access is then disabled.
     has_nan: bool,
 }
@@ -189,21 +185,15 @@ impl ColumnIndex {
         }
         let mut keys = String::with_capacity(key_bytes);
         let mut groups = Vec::with_capacity(group_count);
-        let mut max_matches = 0;
         for run in folded.chunk_by(same) {
             keys.push_str(text(run[0]));
             let run_end = groups.last().map_or(0, |g: &Group| g.run_end) + run.len();
             groups.push(Group { key_end: keys.len(), run_end });
-            max_matches = max_matches.max(run.len());
         }
         keys.make_ascii_lowercase();
 
         let nulls = bits.partition_point(|&b| b == NULL_BITS);
-        let mut distinct = groups.len();
-        for run in bits[nulls..].chunk_by(|a, b| a == b) {
-            distinct += 1;
-            max_matches = max_matches.max(run.len());
-        }
+        let distinct = groups.len() + bits[nulls..].chunk_by(|a, b| a == b).count();
         ColumnIndex {
             has_nan: bits.last() == Some(&sort_bits(&Value::Number(f64::NAN))),
             sorted,
@@ -212,7 +202,6 @@ impl ColumnIndex {
             keys,
             groups,
             distinct,
-            max_matches,
         }
     }
 
@@ -227,26 +216,20 @@ impl ColumnIndex {
             Ordering::Greater => false,
         });
         self.sorted.insert(pos, row_idx);
-        let matches = match v {
+        match v {
             Value::Text(text) => self.insert_text(text, row_idx),
-            Value::Null => {
-                self.bits.insert(pos, NULL_BITS);
-                0
-            }
+            Value::Null => self.bits.insert(pos, NULL_BITS),
             Value::Number(_) => {
                 let bits = sort_bits(v);
                 self.bits.insert(pos, bits);
-                let matches = self.number_run(bits).len();
-                self.distinct += usize::from(matches == 1);
-                matches
+                self.distinct += usize::from(self.number_run(bits).len() == 1);
             }
-        };
-        self.max_matches = self.max_matches.max(matches);
+        }
     }
 
     /// File `row_idx` under its folded text, adding the text to the arena
-    /// if it is new; returns the text's match-list length.
-    fn insert_text(&mut self, text: &str, row_idx: usize) -> usize {
+    /// if it is new.
+    fn insert_text(&mut self, text: &str, row_idx: usize) {
         let g = self.group_of(fold(text));
         if g == self.groups.len() || !self.key(g).eq_ignore_ascii_case(text) {
             let at = self.key_span(g).start;
@@ -265,7 +248,6 @@ impl ColumnIndex {
         for later in &mut self.groups[g..] {
             later.run_end += 1;
         }
-        run.len() + 1
     }
 
     /// Re-index the row at `row_idx` after its cell changed from `old` to
@@ -443,12 +425,6 @@ impl ColumnIndex {
         !self.has_nan
     }
 
-    /// Whether every non-NULL key matches at most one row. Conservative
-    /// after updates (an upper bound that never shrinks until rebuild).
-    pub fn is_unique(&self) -> bool {
-        self.max_matches <= 1
-    }
-
     /// Whether the column holds a text cell: only texts can be one key
     /// ([`Value::key`]) yet sort apart.
     pub(crate) fn holds_text(&self) -> bool {
@@ -615,23 +591,6 @@ mod tests {
         assert_eq!(idx.ordered(), rebuilt.ordered());
         assert!(idx.lookup(&Value::int(4)).is_empty(), "old key vacated");
         assert_eq!(idx.lookup(&Value::int(1)), &[0]);
-    }
-
-    #[test]
-    fn uniqueness_is_a_monotone_upper_bound() {
-        let data = rows(&[Value::int(1), Value::int(2)]);
-        let mut idx = ColumnIndex::build(&data, 0);
-        assert!(idx.is_unique());
-        let mut data = data;
-        data.push(Row(vec![Value::int(1)]));
-        idx.insert_row(&data, 0, 2);
-        assert!(!idx.is_unique());
-        // Updating the duplicate away keeps the conservative bound...
-        let old = std::mem::replace(&mut data[2].0[0], Value::int(3));
-        idx.update_row(&data, 0, 2, &old);
-        assert!(!idx.is_unique());
-        // ...and a rebuild refreshes it exactly.
-        assert!(ColumnIndex::build(&data, 0).is_unique());
     }
 
     #[test]

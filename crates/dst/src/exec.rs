@@ -327,7 +327,6 @@ fn run_service(
             // Conservation needs every request's trace retained: size the
             // flight ring so nothing is evicted during the run.
             flight_capacity: scenario.requests.len().max(1),
-            ..ServiceConfig::default()
         },
         Arc::clone(&clock) as duoquest_core::SharedClock,
     );

@@ -29,6 +29,11 @@ use std::time::Duration;
 /// run's outcome, the shutdown flag and the peer's liveness.
 const POLL: Duration = Duration::from_millis(25);
 
+/// Bound on each connection's outbox, in event lines. When a slow client
+/// lets the queue hit this bound the run is shed (cancelled) rather than
+/// buffered without limit.
+const OUTBOX_CAPACITY: usize = 256;
+
 /// Handle one accepted connection to completion. Never panics outward; all
 /// errors resolve into an HTTP error response or a closed socket.
 pub(crate) fn handle(mut stream: TcpStream, ctx: Arc<ServerCtx>) {
@@ -187,7 +192,7 @@ fn handle_submit(stream: &mut TcpStream, ctx: &ServerCtx, body: &str) {
     // kernel socket buffer already full) fails the push; returning false
     // stops the run — the service resolves it as cancelled and this thread
     // reports `shed:true`.
-    let outbox = Arc::new(Outbox::new(ctx.cfg.outbox_capacity));
+    let outbox = Arc::new(Outbox::new(OUTBOX_CAPACITY));
     let sink = Arc::clone(&outbox);
     let mut emit_index = 0usize;
     let observer = Box::new(move |candidate: &Candidate| {

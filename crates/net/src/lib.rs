@@ -75,33 +75,24 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 use Reading::{Counter, Gauge};
 
-/// Tuning knobs of the TCP front.
+/// Stack size of per-connection threads. Connection threads only do I/O and
+/// string shuffling, so this stays far below the Rust default thread stack —
+/// what lets 1k+ concurrent connections fit comfortably.
+const CONN_STACK_BYTES: usize = 128 * 1024;
+
+/// Socket timeouts of the TCP front (deployment settings).
 #[derive(Debug, Clone)]
 pub struct NetConfig {
-    /// Bound on each connection's outbox, in event lines. When a slow
-    /// client lets the queue hit this bound the run is shed (cancelled)
-    /// rather than buffered without limit.
-    pub outbox_capacity: usize,
     /// Socket write timeout. A write stalled this long (client wedged with
     /// full kernel buffers) counts as a disconnect and cancels the run.
     pub write_timeout: Duration,
     /// Socket read timeout while parsing a request head/body.
     pub read_timeout: Duration,
-    /// Stack size of per-connection threads. Connection threads only do
-    /// I/O and string shuffling, so the default stays far below the Rust
-    /// default thread stack — what lets 1k+ concurrent connections fit
-    /// comfortably.
-    pub conn_stack_bytes: usize,
 }
 
 impl Default for NetConfig {
     fn default() -> Self {
-        NetConfig {
-            outbox_capacity: 256,
-            write_timeout: Duration::from_secs(2),
-            read_timeout: Duration::from_secs(5),
-            conn_stack_bytes: 128 * 1024,
-        }
+        NetConfig { write_timeout: Duration::from_secs(2), read_timeout: Duration::from_secs(5) }
     }
 }
 
@@ -548,7 +539,7 @@ fn accept_loop(listener: TcpListener, ctx: Arc<ServerCtx>) {
         let conn_ctx = Arc::clone(&ctx);
         let spawned = thread::Builder::new()
             .name("duoquest-net-conn".into())
-            .stack_size(ctx.cfg.conn_stack_bytes)
+            .stack_size(CONN_STACK_BYTES)
             .spawn(move || {
                 // The gauge decrements however the handler exits; handler
                 // errors resolve into closed sockets, not unwinding, but a

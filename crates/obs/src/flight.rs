@@ -2,42 +2,27 @@
 //! timelines.
 //!
 //! Every resolved request's [`Trace`] is pushed here by the service; the
-//! newest `capacity` traces win. `GET /trace/<id>` serves them as JSON.
-//! Anomalous traces (panic, shed, deadline exceeded) are additionally
-//! dumped to stderr when the `DUOQUEST_FLIGHT_DUMP` environment variable is
-//! set — opt-in, because the deterministic simulation harness injects
-//! thousands of failures by design and must stay quiet.
+//! newest `capacity` traces win. `GET /trace/<id>` serves them as JSON,
+//! anomalous ones (panic, shed, deadline exceeded) flagged as such.
 
 use crate::span::Trace;
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
-/// Environment variable gating automatic stderr dumps of anomalous traces.
-pub const FLIGHT_DUMP_ENV: &str = "DUOQUEST_FLIGHT_DUMP";
-
 /// A bounded ring of completed request traces, queryable by request id.
 pub struct FlightRecorder {
     cap: usize,
     ring: Mutex<VecDeque<Arc<Trace>>>,
-    dump: bool,
 }
 
 impl FlightRecorder {
     /// A recorder retaining the newest `capacity` completed traces.
     pub fn new(capacity: usize) -> Self {
-        FlightRecorder {
-            cap: capacity.max(1),
-            ring: Mutex::new(VecDeque::new()),
-            dump: std::env::var_os(FLIGHT_DUMP_ENV).is_some_and(|v| !v.is_empty()),
-        }
+        FlightRecorder { cap: capacity.max(1), ring: Mutex::new(VecDeque::new()) }
     }
 
-    /// Record a completed request's trace. Anomalous traces are dumped to
-    /// stderr when [`FLIGHT_DUMP_ENV`] is set.
+    /// Record a completed request's trace, evicting the oldest at capacity.
     pub fn push(&self, trace: Arc<Trace>) {
-        if self.dump && trace.is_anomalous() {
-            eprintln!("[flight] anomalous request {}: {}", trace.id(), trace.to_json());
-        }
         let mut ring = self.ring.lock().expect("flight ring poisoned");
         if ring.len() >= self.cap {
             ring.pop_front();

@@ -16,19 +16,19 @@
 //!   in the Prometheus text format (`/metrics`) — and a
 //!   [`validate_exposition`] checker used by tests and the CI smoke scrape.
 //! * [`flight`] — the [`FlightRecorder`]: a bounded ring of
-//!   recently-completed request [`Trace`]s, queryable by request id and
-//!   optionally dumped to stderr for anomalous requests (panic, shed,
-//!   deadline exceeded) when `DUOQUEST_FLIGHT_DUMP` is set.
+//!   recently-completed request [`Trace`]s, queryable by request id; a
+//!   trace's JSON flags an anomalous request (panic, shed, deadline
+//!   exceeded).
 //!
 //! Layering: this crate sits **below** `duoquest-core` and `duoquest-db`
 //! (it depends on nothing but `std`), so every layer of the stack — engine
 //! rounds, verify stages, cache probes, service admission, net outbox — can
 //! record into the same trace without a dependency cycle.
 //!
-//! Tracing is off at run time, not at build time: the gate is an
-//! `Option<Arc<Trace>>`, and a `None` costs the engine one branch per burst
-//! of rounds. What a traced run costs is the benchmark's
-//! `obs.traced_run_overhead_share`.
+//! Every service request is traced. A session run outside the service
+//! carries no trace: the engine's gate is an `Option<Arc<Trace>>`, and a
+//! `None` costs one branch per burst of rounds. What a traced run costs is
+//! the benchmark's `obs.traced_run_overhead_share`.
 
 #![warn(missing_docs)]
 

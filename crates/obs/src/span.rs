@@ -350,9 +350,8 @@ impl Trace {
         self.log.lock().expect("trace buffer poisoned")
     }
 
-    /// Mark the request anomalous (panicked, shed, deadline exceeded): the
-    /// flight recorder dumps anomalous traces to stderr when
-    /// `DUOQUEST_FLIGHT_DUMP` is set.
+    /// Mark the request anomalous (panicked, shed, deadline exceeded): its
+    /// JSON (`GET /trace/<id>`) carries `"anomalous":true`.
     pub fn mark_anomalous(&self) {
         self.anomalous.store(true, Ordering::Relaxed);
     }

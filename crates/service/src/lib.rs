@@ -131,7 +131,7 @@ use duoquest_core::{
 use duoquest_obs::{FlightRecorder, Histogram, Trace, ROOT_SPAN, TERMINAL_EVENT};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Sender};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -155,9 +155,10 @@ struct ClassCounters {
 /// A streaming candidate sink attached at submit time (see
 /// [`SynthesisService::submit_with_observer`]). Called on whichever pool
 /// worker emits the candidate, in emission order; returning `false` stops
-/// the run (it resolves as [`RequestStatus::Cancelled`]). When an observer
-/// is attached it **replaces** delivery through the ticket's candidate
-/// channel — the ticket still resolves to the full [`ServiceOutcome`].
+/// the run (it resolves as [`RequestStatus::Cancelled`]). Every request
+/// has one: [`SynthesisService::submit`]'s sends into the ticket's
+/// candidate channel, [`SynthesisService::submit_with_observer`] takes the
+/// caller's — the ticket resolves to the full [`ServiceOutcome`] either way.
 pub type CandidateObserver = Box<dyn FnMut(&Candidate) -> bool + Send>;
 
 /// A request admitted but not yet finished: everything needed to start it
@@ -167,13 +168,12 @@ struct Pending {
     req: SynthesisRequest,
     control: SessionControl,
     submitted: Instant,
-    candidates: Sender<Candidate>,
     outcome: Sender<ServiceOutcome>,
-    observer: Option<CandidateObserver>,
-    /// The request's span timeline (`None` when `ServiceConfig::tracing` is
-    /// off). Anchored at the service's start instant, so under a simulated
-    /// clock every offset lands directly on the virtual timeline.
-    trace: Option<Arc<Trace>>,
+    observer: CandidateObserver,
+    /// The request's span timeline, anchored at the service's start
+    /// instant, so under a simulated clock every offset lands directly on
+    /// the virtual timeline.
+    trace: Arc<Trace>,
 }
 
 impl Pending {
@@ -187,14 +187,7 @@ impl Pending {
     /// retention) and send its outcome, whose queue wait ends at `at`.
     fn resolve_unrun(self, status: RequestStatus, at: Instant, shared: &Shared) {
         shared.bump(self.req.priority, status);
-        if let Some(trace) = &self.trace {
-            if status == RequestStatus::DeadlineExceeded {
-                trace.mark_anomalous();
-            }
-            trace.record_span(ROOT_SPAN, self.submitted, at);
-            trace.event(TERMINAL_EVENT, at, Some(status.label().to_string()));
-            shared.flight.push(Arc::clone(trace));
-        }
+        close_trace(&self.trace, status, self.submitted, at, shared);
         let mut result = SynthesisResult::default();
         match status {
             RequestStatus::Cancelled => result.stats.cancelled = true,
@@ -337,24 +330,19 @@ impl Shared {
     /// racing in here simply stops the run at its first step).
     fn start_unlocked(self: &Arc<Self>, pending: Pending) {
         let class = pending.req.priority;
-        let Pending { id, req, control, submitted, candidates, outcome, mut observer, trace } =
-            pending;
+        let Pending { id, req, control, submitted, outcome, mut observer, trace } = pending;
         let started = self.clock.now();
         let queue_wait = started.saturating_duration_since(submitted);
         self.counters[class.index()].queue_wait.record(queue_wait);
-        if let Some(trace) = &trace {
-            trace.record_span("queue_wait", submitted, started);
-        }
+        trace.record_span("queue_wait", submitted, started);
         let SynthesisRequest { db, nlq, tsq, model, config, .. } = req;
         let mut session = SynthesisSession::new(db, nlq, model)
             .with_config(config)
             .with_control(control.clone())
-            .with_priority_weight(class.weight());
+            .with_priority_weight(class.weight())
+            .with_trace(Arc::clone(&trace));
         if let Some(tsq) = tsq {
             session = session.with_tsq(tsq);
-        }
-        if let Some(trace) = &trace {
-            session = session.with_trace(Arc::clone(trace));
         }
 
         // Time-to-first-candidate is observed by the candidate sink but
@@ -363,7 +351,7 @@ impl Shared {
         let shared = Arc::clone(self);
         let ttfc_sink = Arc::clone(&ttfc);
         let sink_control = control.clone();
-        let sink_trace = trace.clone();
+        let sink_trace = Arc::clone(&trace);
         let on_candidate = Box::new(move |candidate: &Candidate| {
             {
                 let mut slot = ttfc_sink.lock().expect("ttfc slot poisoned");
@@ -376,27 +364,15 @@ impl Shared {
             // Each delivery is a traced span: with the net front attached the
             // observer is its bounded outbox push, so this is the
             // outbox-write timing; otherwise it is the ticket-channel send.
-            let write_started = sink_trace.as_ref().map(|_| shared.clock.now());
-            // An attached observer replaces channel delivery (the net front
-            // writes straight to its connection outbox); otherwise a dropped
-            // ticket reads as "stop" (its Drop also fires the cancellation
-            // token).
-            let keep = match observer.as_mut() {
-                Some(sink) => {
-                    let keep = sink(candidate);
-                    if !keep {
-                        // Mirror a dropped ticket: the observer declining
-                        // delivery fires the token so the request resolves
-                        // as cancelled, not completed.
-                        sink_control.cancel();
-                    }
-                    keep
-                }
-                None => candidates.send(candidate.clone()).is_ok(),
-            };
-            if let (Some(trace), Some(started)) = (&sink_trace, write_started) {
-                trace.record_span("deliver", started, shared.clock.now());
+            let write_started = shared.clock.now();
+            let keep = observer(candidate);
+            if !keep {
+                // The observer declining delivery (a dropped ticket's
+                // channel, a full outbox) fires the token, as the ticket's
+                // Drop does, so the request resolves as cancelled.
+                sink_control.cancel();
             }
+            sink_trace.record_span("deliver", write_started, shared.clock.now());
             keep
         });
 
@@ -415,16 +391,14 @@ impl Shared {
                     // The panic payload lands on the trace's terminal event
                     // and in the flight recorder instead of disappearing
                     // with the pool worker that hit it.
-                    if let Some(trace) = &trace {
-                        trace.mark_anomalous();
-                        trace.record_span(ROOT_SPAN, submitted, now);
-                        let detail = match message {
-                            Some(msg) => format!("panicked: {msg}"),
-                            None => "panicked".to_string(),
-                        };
-                        trace.event(TERMINAL_EVENT, now, Some(detail));
-                        shared.flight.push(Arc::clone(trace));
-                    }
+                    trace.mark_anomalous();
+                    trace.record_span(ROOT_SPAN, submitted, now);
+                    let detail = match message {
+                        Some(msg) => format!("panicked: {msg}"),
+                        None => "panicked".to_string(),
+                    };
+                    trace.event(TERMINAL_EVENT, now, Some(detail));
+                    shared.flight.push(trace);
                     return;
                 }
             };
@@ -441,14 +415,7 @@ impl Shared {
                 RequestStatus::Completed
             };
             shared.bump(class, status);
-            if let Some(trace) = &trace {
-                if status == RequestStatus::DeadlineExceeded {
-                    trace.mark_anomalous();
-                }
-                trace.record_span(ROOT_SPAN, submitted, now);
-                trace.event(TERMINAL_EVENT, now, Some(status.label().to_string()));
-                shared.flight.push(Arc::clone(trace));
-            }
+            close_trace(&trace, status, submitted, now, &shared);
             // The candidate sink (and with it the candidate sender) was
             // dropped by the scheduler before this callback fired, so a
             // consumer draining the ticket sees the stream end first.
@@ -461,6 +428,24 @@ impl Shared {
         });
         session.spawn_driven(&self.handle, on_candidate, on_complete);
     }
+}
+
+/// Close out a resolved request's trace: the root span from `submitted` to
+/// `at`, the terminal event with the status, the anomalous flag for an
+/// expiry, and retention in the flight recorder.
+fn close_trace(
+    trace: &Arc<Trace>,
+    status: RequestStatus,
+    submitted: Instant,
+    at: Instant,
+    shared: &Shared,
+) {
+    if status == RequestStatus::DeadlineExceeded {
+        trace.mark_anomalous();
+    }
+    trace.record_span(ROOT_SPAN, submitted, at);
+    trace.event(TERMINAL_EVENT, at, Some(status.label().to_string()));
+    shared.flight.push(Arc::clone(trace));
 }
 
 /// Free the request's live slot and promote queued work into it. Runs on
@@ -537,11 +522,6 @@ impl SynthesisService {
         SynthesisService { shared, _scheduler: scheduler }
     }
 
-    /// A service with the default configuration (pool sized to the machine).
-    pub fn with_defaults() -> Self {
-        SynthesisService::new(ServiceConfig::default())
-    }
-
     /// Submit a request. Admission control applies immediately:
     ///
     /// * under `max_live_sessions` live requests, the run starts now;
@@ -554,13 +534,17 @@ impl SynthesisService {
     /// verification and resolves to a [`ServiceOutcome`]; dropping it cancels
     /// the request.
     pub fn submit(&self, req: SynthesisRequest) -> Result<Ticket, AdmissionError> {
-        self.submit_inner(req, None)
+        let (cand_tx, cand_rx) = mpsc::channel();
+        // A dropped ticket's receiver fails the send, which stops the run.
+        let observer = Box::new(move |c: &Candidate| cand_tx.send(c.clone()).is_ok());
+        self.submit_inner(req, observer, cand_rx)
     }
 
     /// [`SynthesisService::submit`] with a streaming [`CandidateObserver`]
     /// attached: the observer is called on the emitting pool worker for every
     /// candidate (in emission order) **instead of** the ticket's candidate
-    /// channel, and returning `false` from it stops the run — the request
+    /// channel, which yields nothing, and returning `false` from it stops the
+    /// run — the request
     /// resolves as [`RequestStatus::Cancelled`]. This is the hookup the
     /// network front uses: each connection's bounded outbox is the observer,
     /// so a slow or dead client's backpressure reaches the engine without
@@ -574,7 +558,7 @@ impl SynthesisService {
         req: SynthesisRequest,
         observer: CandidateObserver,
     ) -> Result<Ticket, AdmissionError> {
-        self.submit_inner(req, Some(observer))
+        self.submit_inner(req, observer, mpsc::channel().1)
     }
 
     /// Cancel a request by its service-assigned id ([`Ticket::id`]), whether
@@ -591,7 +575,8 @@ impl SynthesisService {
     fn submit_inner(
         &self,
         req: SynthesisRequest,
-        observer: Option<CandidateObserver>,
+        observer: CandidateObserver,
+        candidates: Receiver<Candidate>,
     ) -> Result<Ticket, AdmissionError> {
         let now = self.shared.clock.now();
         let class = req.priority;
@@ -599,7 +584,6 @@ impl SynthesisService {
         if let Some(budget) = req.deadline {
             control = control.with_deadline(now + budget);
         }
-        let (cand_tx, cand_rx) = mpsc::channel();
         let (out_tx, out_rx) = mpsc::channel();
         let mut state = self.shared.lock_state();
         if self.shared.shutdown.load(Ordering::SeqCst) {
@@ -611,17 +595,13 @@ impl SynthesisService {
         // under a simulated clock that puts every offset directly on the
         // virtual timeline, and across requests all traces share one time
         // base (ids disambiguate).
-        let trace = self.shared.cfg.tracing.then(|| {
-            let trace = Arc::new(Trace::new(id, self.shared.started));
-            trace.event("submitted", now, Some(class.label().to_string()));
-            trace
-        });
+        let trace = Arc::new(Trace::new(id, self.shared.started));
+        trace.event("submitted", now, Some(class.label().to_string()));
         let pending = Pending {
             id,
             req,
             control: control.clone(),
             submitted: now,
-            candidates: cand_tx,
             outcome: out_tx,
             observer,
             trace,
@@ -630,20 +610,16 @@ impl SynthesisService {
         if state.live.len() < self.shared.cfg.max_live_sessions.max(1) {
             to_start = self.shared.claim_slot_locked(&mut state, pending);
         } else if state.queued_total() < self.shared.cfg.max_queued {
-            if let Some(trace) = &pending.trace {
-                trace.event("queued", now, None);
-            }
+            pending.trace.event("queued", now, None);
             state.queued[class.index()].push_back(pending);
         } else {
             self.shared.counters[class.index()].shed.fetch_add(1, Ordering::Relaxed);
             // A shed request still leaves a (terminal-only, anomalous) trace
             // in the flight recorder: overload is exactly when post-hoc
             // visibility matters most.
-            if let Some(trace) = &pending.trace {
-                trace.mark_anomalous();
-                trace.event(TERMINAL_EVENT, now, Some("shed".to_string()));
-                self.shared.flight.push(Arc::clone(trace));
-            }
+            pending.trace.mark_anomalous();
+            pending.trace.event(TERMINAL_EVENT, now, Some("shed".to_string()));
+            self.shared.flight.push(pending.trace);
             return Err(AdmissionError::Overloaded {
                 live: state.live.len(),
                 queued: state.queued_total(),
@@ -660,17 +636,11 @@ impl SynthesisService {
             id,
             priority: class,
             control,
-            candidates: cand_rx,
+            candidates,
             outcome: out_rx,
             shared: Arc::downgrade(&self.shared),
             received: None,
         })
-    }
-
-    /// A handle on the service's shared scheduler pool (for pool-level
-    /// stats or advanced integrations).
-    pub fn scheduler_handle(&self) -> SchedulerHandle {
-        self.shared.handle.clone()
     }
 
     /// The service's clock — the same timeline the scheduler pool, every

@@ -149,15 +149,6 @@ pub struct ServiceConfig {
     /// [`SynthesisService::submit`](crate::SynthesisService::submit) returns
     /// [`AdmissionError::Overloaded`] instead of accepting unbounded backlog.
     pub max_queued: usize,
-    /// Whether admitted requests carry a structured trace (per-request span
-    /// timeline recorded through every layer; see `crates/obs`). Tracing
-    /// rides entirely outside the candidate emission path — the emitted
-    /// sequence is byte-identical either way — and the engine records once
-    /// per burst of up to 32 rounds, so the cost of leaving it on is two
-    /// clock reads and at most nine spans per burst, plus the flight
-    /// recorder's retained traces (a few KiB each). Set `false` and a
-    /// request carries no trace: the engine then pays one branch per burst.
-    pub tracing: bool,
     /// Capacity of the flight recorder: how many recently finished request
     /// traces are retained for post-hoc inspection (`GET /trace/<id>` on the
     /// network front). Oldest-evicted; clamped to at least 1.
@@ -166,13 +157,7 @@ pub struct ServiceConfig {
 
 impl Default for ServiceConfig {
     fn default() -> Self {
-        ServiceConfig {
-            workers: 0,
-            max_live_sessions: 1024,
-            max_queued: 256,
-            tracing: true,
-            flight_capacity: 256,
-        }
+        ServiceConfig { workers: 0, max_live_sessions: 1024, max_queued: 256, flight_capacity: 256 }
     }
 }
 

@@ -46,6 +46,14 @@ pub fn drive(
 /// A copy of `db` with a NULL, a NaN and an upper-cased text planted in
 /// every table that has the column for it (keys included: a NULL join key
 /// matches nothing, a NaN one matches NaN, on every path).
+///
+/// Every text column also gets **case-variant pairs**: the upper-cased
+/// text of the row holding its smallest folded key, and the lower-cased
+/// text of the row holding its largest, each copied into a later row. So
+/// `abc` / `ABC`, one key that sorts two ways, meets a `DISTINCT … ORDER
+/// BY` of the column in either direction with the variant the sorted run
+/// meets first coming second in storage order. The pairs are planted after
+/// the salt, with no draw from `rng`.
 pub fn salted(db: &Database, rng: &mut StdRng) -> Database {
     let mut out = db.clone();
     let schema = db.schema().clone();
@@ -72,7 +80,55 @@ pub fn salted(db: &Database, rng: &mut StdRng) -> Database {
             out.update_cell(&table.name, row, &def.name, new).unwrap();
         }
     }
+    let planted = plant_case_variants(&mut out);
+    assert!(planted >= CASE_VARIANT_FLOOR, "only {planted} case-variant pairs planted");
     out
+}
+
+/// The fewest case-variant pairs [`salted`] must plant in a MAS or Spider
+/// database (the reference and semi-join tests' databases get 10–18).
+const CASE_VARIANT_FLOOR: usize = 8;
+
+/// Plant [`salted`]'s case-variant pairs; returns how many it planted (a
+/// key with no letter to re-case gets none).
+fn plant_case_variants(db: &mut Database) -> usize {
+    let schema = db.schema().clone();
+    let mut planted = 0;
+    for t in (0..schema.table_count()).map(TableId) {
+        let table = schema.table(t);
+        let rows = db.table_data(t).rows.len();
+        if rows < 2 {
+            continue;
+        }
+        for (ci, def) in table.columns.iter().enumerate() {
+            if def.dtype != DataType::Text || table.primary_key == Some(ci) {
+                continue;
+            }
+            // Ascending, the sorted run meets the upper-cased variant of
+            // the smallest key first; descending, the lower-cased one of the
+            // largest. Each goes into a row after its source, so storage
+            // order meets it second.
+            let mut sources = Vec::new();
+            for (into, largest) in [(rows - 1, false), (rows - 2, true)] {
+                let folded = (0..rows).filter_map(|ri| match db.cell(t, ri, ci) {
+                    Value::Text(s) => Some((s.to_ascii_lowercase(), ri)),
+                    _ => None,
+                });
+                let extreme = if largest { folded.max() } else { folded.min() };
+                let Some((_, from)) = extreme else { continue };
+                let Value::Text(text) = db.cell(t, from, ci) else { unreachable!("a text cell") };
+                let variant =
+                    if largest { text.to_ascii_lowercase() } else { text.to_ascii_uppercase() };
+                sources.push(from);
+                if variant == *text || into <= from || sources.contains(&into) {
+                    continue;
+                }
+                db.update_cell(&table.name, into, &def.name, Value::text(variant)).unwrap();
+                planted += 1;
+            }
+        }
+    }
+    planted
 }
 
 /// A copy of `db` with the gaps a counting pass must survive: in every table

@@ -503,12 +503,12 @@ fn service_drives_256_live_sessions_thread_free_and_deterministically() {
 
 /// The observability analogue of the worker-count guarantee: request
 /// tracing (span recording, flight-recorder retention) must never perturb
-/// emission. Runs through the service with tracing disabled emit
-/// byte-identically to traced runs and to solo inline runs, across
-/// pool sizes with every priority class in flight — and the flight
-/// recorder retains a trace per request exactly when tracing is on.
+/// emission. Every service request is traced; across pool sizes, with every
+/// priority class in flight, each emits byte-identically to the untraced
+/// solo inline run, and the flight recorder retains every request's trace,
+/// closed by its `completed` terminal event.
 #[test]
-fn tracing_toggle_leaves_emission_byte_identical() {
+fn traced_service_runs_emit_what_untraced_inline_runs_emit() {
     let dataset = workload();
     let config = base_config();
     let solo: Vec<_> = dataset
@@ -518,49 +518,47 @@ fn tracing_toggle_leaves_emission_byte_identical() {
         .map(|(i, task)| ranking(&run_task_on(&dataset, task, 800 + i as u64, &config, None)))
         .collect();
 
-    for tracing in [true, false] {
-        for pool_workers in [1usize, 2] {
-            let service = SynthesisService::new(ServiceConfig {
-                workers: pool_workers,
-                max_live_sessions: 8,
-                max_queued: 32,
-                tracing,
-                ..ServiceConfig::default()
-            });
-            let tickets: Vec<_> = dataset
-                .tasks
-                .iter()
-                .enumerate()
-                .map(|(i, task)| {
-                    let db = dataset.database(task);
-                    let (gold, tsq) =
-                        synthesize_tsq(db, &task.gold, TsqDetail::Full, 2, 800 + i as u64);
-                    let model = NoisyOracleGuidance::new(gold, 800 + i as u64);
-                    let request =
-                        SynthesisRequest::new(Arc::clone(db), task.nlq.clone(), Arc::new(model))
-                            .with_tsq(tsq)
-                            .with_config(config.clone())
-                            .with_priority(PriorityClass::ALL[i % 3]);
-                    service.submit(request).expect("admitted")
-                })
-                .collect();
-            let ids: Vec<u64> = tickets.iter().map(|t| t.id()).collect();
-            for (i, ticket) in tickets.into_iter().enumerate() {
-                let outcome = ticket.wait();
-                assert_eq!(outcome.status, RequestStatus::Completed, "task {i}");
-                assert_eq!(
-                    solo[i],
-                    ranking(&outcome.result),
-                    "task {i} diverged with tracing {tracing} on {pool_workers} workers"
-                );
-            }
-            for id in ids {
-                assert_eq!(
-                    service.trace(id).is_some(),
-                    tracing,
-                    "flight recorder must retain request {id}'s trace iff tracing is on"
-                );
-            }
+    for pool_workers in [1usize, 2] {
+        let service = SynthesisService::new(ServiceConfig {
+            workers: pool_workers,
+            max_live_sessions: 8,
+            max_queued: 32,
+            ..ServiceConfig::default()
+        });
+        let tickets: Vec<_> = dataset
+            .tasks
+            .iter()
+            .enumerate()
+            .map(|(i, task)| {
+                let db = dataset.database(task);
+                let (gold, tsq) =
+                    synthesize_tsq(db, &task.gold, TsqDetail::Full, 2, 800 + i as u64);
+                let model = NoisyOracleGuidance::new(gold, 800 + i as u64);
+                let request =
+                    SynthesisRequest::new(Arc::clone(db), task.nlq.clone(), Arc::new(model))
+                        .with_tsq(tsq)
+                        .with_config(config.clone())
+                        .with_priority(PriorityClass::ALL[i % 3]);
+                service.submit(request).expect("admitted")
+            })
+            .collect();
+        assert!(tickets.len() >= PriorityClass::ALL.len(), "every class in flight");
+        let ids: Vec<u64> = tickets.iter().map(|t| t.id()).collect();
+        for (i, ticket) in tickets.into_iter().enumerate() {
+            let outcome = ticket.wait();
+            assert_eq!(outcome.status, RequestStatus::Completed, "task {i}");
+            assert_eq!(
+                solo[i],
+                ranking(&outcome.result),
+                "task {i} diverged from its inline run on {pool_workers} workers"
+            );
+        }
+        for id in ids {
+            let trace = service
+                .trace(id)
+                .unwrap_or_else(|| panic!("flight recorder must retain request {id}'s trace"));
+            let terminal = trace.events().pop().expect("a retained trace is closed");
+            assert_eq!(terminal.detail.as_deref(), Some("completed"), "request {id}");
         }
     }
 }
