@@ -45,14 +45,15 @@
 //! Three layers cooperate:
 //!
 //! * **db** — [`Database`] is `Send + Sync` and shared by reference (or
-//!   `Arc`) across every live session; its probe/result memo cache
-//!   (`duoquest_db::ProbeCache`) memoizes the verifier's repeated
-//!   `SELECT … LIMIT 1` probes behind sharded locks, with hit/miss/byte
-//!   counters surfaced per run in [`EnumerationStats`]. Cache misses run
-//!   the streaming operator executor (see `docs/EXECUTOR.md`), whose
-//!   limit pushdown stops scanning as soon as a probe's limit is
-//!   satisfied — the per-run `rows_scanned`/`rows_short_circuited`
-//!   counters in [`EnumerationStats`] make that win observable.
+//!   `Arc`) across every live session, and a probe writes nothing into it
+//!   but two relaxed totals. Each run memoizes its own probes' answers
+//!   (`duoquest_db::RunCacheCounters`, owned by the run and freed with it,
+//!   so it takes no lock), with hit/miss counters surfaced per run in
+//!   [`EnumerationStats`]. Memo misses run the streaming operator executor
+//!   (see `docs/EXECUTOR.md`), whose limit pushdown stops scanning as soon
+//!   as a probe's limit is satisfied — the per-run
+//!   `rows_scanned`/`rows_short_circuited` counters in [`EnumerationStats`]
+//!   make that win observable.
 //! * **nlq** — the guidance model is asked for a score for every child of
 //!   every popped state, so what it can compute from the run's fixed inputs
 //!   it computes once: the driver calls

@@ -16,13 +16,12 @@
 //! one exception is a wall-clock `time_budget`: where the deadline cuts the
 //! search depends on machine speed.
 //!
-//! Verification probes are yes/no questions answered through the database's
-//! probe memo cache (`Database::exists_cached_with`,
-//! `Database::decide_cached_with`), column-wise ones once per distinct
-//! question
-//! (the run's [`VerifyPlan`] answers the repeats); the per-run hit/miss
-//! counters and the per-stage cascade timings are surfaced in
-//! [`EnumerationStats`].
+//! Verification probes are yes/no questions the database answers
+//! (`Database::exists_cached_with`, `Database::decide_cached_with`) through
+//! the run's own probe memo, which its `RunPlan` owns; column-wise ones
+//! are asked once per distinct question (the run's [`VerifyPlan`] answers
+//! the repeats). The per-run hit/miss counters and the per-stage cascade
+//! timings are surfaced in [`EnumerationStats`].
 
 use crate::clock::{Clock, SYSTEM_CLOCK};
 use crate::config::DuoquestConfig;
@@ -95,15 +94,12 @@ pub struct EnumerationStats {
     pub deadline_exceeded: bool,
     /// Per-stage wall-clock time and call counts of the verification cascade.
     pub stage_timings: StageTimings,
-    /// Probe-cache hits during this run. A run looks a column-wise question
-    /// up once (its [`VerifyPlan`] holds the verdict afterwards), so hits are
-    /// row-wise and order probes that repeat, and first touches that another
-    /// run on the same database already executed.
+    /// Probes this run answered from its memo. A run looks a column-wise
+    /// question up once (its [`VerifyPlan`] holds the verdict afterwards),
+    /// so hits are row-wise and order probes that repeat.
     pub cache_hits: u64,
-    /// Probe-cache misses during this run: the probes it executed.
+    /// Probes this run executed: its memo's misses.
     pub cache_misses: u64,
-    /// Estimated bytes retained by the probe cache at the end of the run.
-    pub cache_bytes: u64,
     /// Executor rows scanned by this run's probe executions (base-table rows
     /// pulled plus join rows produced; cache hits scan nothing).
     pub rows_scanned: u64,
@@ -137,11 +133,9 @@ impl EnumerationStats {
             + self.pruned_by_order
     }
 
-    /// Fold a run's probe counters (and the database's retained cache bytes)
-    /// into the stats.
-    fn record_probe_counters(&mut self, counters: &RunCacheCounters, db: &Database) {
+    /// Fold a run's probe counters into the stats.
+    fn record_probe_counters(&mut self, counters: &RunCacheCounters) {
         (self.cache_hits, self.cache_misses) = counters.snapshot();
-        self.cache_bytes = db.cache_stats().bytes;
         (self.rows_scanned, self.rows_short_circuited) = counters.scan_snapshot();
         (self.index_lookups, self.rows_via_index, self.probes_bailed_empty) =
             counters.index_snapshot();
@@ -250,8 +244,8 @@ pub(crate) struct RunPlan {
     /// The run's column-wise verdicts, read and filled by every round of the
     /// run and by no other run (see [`VerifyPlan`]).
     verdicts: VerifyPlan,
-    /// Per-run probe-cache attribution: the shared database's cache is hit
-    /// by every live session, these counters record only this run's traffic.
+    /// The run's probe memo and its counters: every burst's verifier asks
+    /// through it, no other run reads it, and it is freed with the run.
     counters: RunCacheCounters,
     /// Anchor of emission timestamps and `stats.elapsed`.
     start: Instant,
@@ -469,7 +463,7 @@ impl RoundDriver {
         stats.elapsed = env.clock.now().saturating_duration_since(plan.start);
         // Per-run counters: concurrent sessions on the same shared database
         // can't pollute each other's statistics.
-        stats.record_probe_counters(&plan.counters, env.db);
+        stats.record_probe_counters(&plan.counters);
         stats
     }
 
@@ -1293,10 +1287,9 @@ mod tests {
         let model = NoisyOracleGuidance::with_config(gold, 1, OracleConfig::perfect());
         let tsq = TableSketchQuery::with_types(vec![DataType::Text])
             .with_tuple(vec![crate::tsq::TsqCell::text("Forrest Gump")]);
-        db.clear_probe_cache();
         let stats =
             enumerate(&db, &nlq, &model, Some(&tsq), &DuoquestConfig::fast(), |_s, _c, _t| true);
-        // Sibling states repeat row-wise probes; the memo cache must be
+        // Sibling states repeat row-wise probes; the run's memo must be
         // absorbing the repeats (column-wise ones never reach it twice).
         assert!(stats.cache_misses > 0, "stats: {stats:?}");
         assert!(stats.cache_hits > 0, "stats: {stats:?}");

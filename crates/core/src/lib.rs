@@ -18,7 +18,7 @@
 //!   checks;
 //! * [`engine`] — the [`Duoquest`] facade that ties the
 //!   pieces together and returns a ranked candidate list (see its module docs
-//!   for the cache-aware core architecture);
+//!   for the core architecture);
 //! * [`session`] — owned [`SynthesisSession`]s
 //!   over an `Arc`-shared database, with pulled candidate streaming (a
 //!   stream's `next()` runs rounds on the calling thread until one emits);

@@ -10,7 +10,7 @@
 //! (or, under `AVG`, by the column's observed range), and every later child
 //! that projects the column there reads the stored verdict. The `LIMIT 1`
 //! rides the streaming executor's limit pushdown (see `docs/EXECUTOR.md`):
-//! on a cache miss the scan stops at the first matching row instead of
+//! on a memo miss the scan stops at the first matching row instead of
 //! filtering the whole table.
 
 use crate::tsq::{TableSketchQuery, TsqCell};
@@ -83,9 +83,8 @@ fn column_probe(db: &Database, col: ColumnId, cell: &TsqCell, counters: &RunCach
         limit: Some(1),
         ..Default::default()
     };
-    // Through the probe cache, which keeps the answer as one bit, so
-    // sessions over one database share the execution; within the run the
-    // plan never asks this question again.
+    // Through the run's probe memo, which keeps the answer as one bit;
+    // within the run the plan never asks this question again.
     db.exists_cached_with(&spec, counters).unwrap_or(false)
 }
 

@@ -546,7 +546,7 @@ mod tests {
 
     /// An unlimited, unsorted candidate is not materialised for its check:
     /// the rows stream into the verdict, which stops the scan at the row that
-    /// completes the matching, and the cache keeps one bit.
+    /// completes the matching, and the run's memo keeps one bit.
     #[test]
     fn a_complete_check_stops_at_the_row_that_decides_it() {
         let n = 1_000;
@@ -561,17 +561,17 @@ mod tests {
         // Row 2 holds tuple 2, row 3 tuple 0 and row 12 tuple 1: the scan
         // stops at row 12.
         assert_eq!(counters.scan_snapshot(), (13, n as u64 - 13));
-        let stats = db.cache_stats();
-        assert_eq!(stats.entries, 1);
-        assert!(stats.bytes < 256, "{} B for one verdict", stats.bytes);
+        assert_eq!(counters.entries(), 1);
         assert!(verify_complete(&db, &tsq, &pq, &plan, &counters));
         assert_eq!(counters.snapshot(), (1, 1), "(hits, misses)");
+        assert_eq!(counters.scan_snapshot().0, 13, "the hit scanned nothing");
 
         // A failing check reads the whole result, and still keeps one bit.
         let missing = tsq.clone().with_tuple(vec![TsqCell::text("event 1000"), TsqCell::Empty]);
         let plan = VerifyPlan::new(&db, Some(&missing));
-        assert!(!verify_complete(&db, &missing, &pq, &plan, &RunCacheCounters::default()));
-        assert_eq!(db.cache_stats().entries, 2);
+        let failing = RunCacheCounters::default();
+        assert!(!verify_complete(&db, &missing, &pq, &plan, &failing));
+        assert_eq!((failing.entries(), failing.scan_snapshot().0), (1, n as u64));
     }
 
     /// Kuhn's matching over the kept rows re-seats earlier tuples, and keeps
@@ -609,8 +609,8 @@ mod tests {
 
     /// Two runs whose sketches disagree on one complete candidate, through
     /// one database: each gets its own verdict, whether the two ask at the
-    /// same time or one after the other, and the cache keeps one entry per
-    /// sketch.
+    /// same time or one after the other, and each run's memo keeps one entry
+    /// per sketch it asked about.
     #[test]
     fn two_sketches_get_their_own_verdicts_on_one_database() {
         let db = events(20_000);
@@ -622,7 +622,6 @@ mod tests {
         let runs = [(&present, true), (&absent, false)]
             .map(|(tsq, expected)| (tsq, VerifyPlan::new(&db, Some(tsq)), expected));
         for _ in 0..20 {
-            db.clear_probe_cache();
             let barrier = std::sync::Barrier::new(2);
             std::thread::scope(|scope| {
                 for (tsq, plan, expected) in &runs {
@@ -633,15 +632,17 @@ mod tests {
                         for _ in 0..3 {
                             assert_eq!(verify_complete(db, tsq, pq, &plan, &counters), *expected);
                         }
+                        assert_eq!(counters.snapshot(), (2, 1), "(hits, misses)");
+                        assert_eq!(counters.entries(), 1, "one verdict for its sketch");
                     });
                 }
             });
-            assert_eq!(db.cache_stats().entries, 2, "one verdict per sketch");
         }
+        // One memo asked about both sketches keeps both verdicts apart.
+        let counters = RunCacheCounters::default();
         for (tsq, plan, expected) in runs.iter().cycle().take(6) {
-            let counters = RunCacheCounters::default();
             assert_eq!(verify_complete(&db, tsq, &pq, plan, &counters), *expected);
-            assert_eq!(counters.snapshot(), (1, 0), "answered from the sketch's own entry");
         }
+        assert_eq!((counters.snapshot(), counters.entries()), ((4, 2), 2), "one per sketch");
     }
 }

@@ -9,12 +9,12 @@
 //! A probe is an existence check: only "did a row come back" is read (the
 //! global-aggregate probe reads its one row as a count, a verdict the row
 //! decides: [`Decision::NonZeroCount`](crate::verify::plan::Decision)), and
-//! the cache keeps the answer as one bit. Without
+//! the run's memo keeps the answer as one bit. Without
 //! a HAVING constraint that answer does not depend on the GROUP BY — a group
 //! exists exactly when a joined row passes WHERE — so such a probe is issued
 //! without one. The executor can then stream it and stop at the first row,
 //! where a grouped spec would have it materialize the whole join first; and
-//! candidates that differ only in their grouping share one cached probe.
+//! candidates that differ only in their grouping share one memoized probe.
 
 use crate::tsq::TableSketchQuery;
 use crate::verify::by_column::cell_to_predicate;
@@ -149,7 +149,7 @@ pub fn verify_by_row(
         // with grouping semantics; the executor tolerates it because grouping
         // keeps a representative row per group.
         if !global {
-            // Only whether a row came back is read: the cache keeps one bit.
+            // Only whether a row came back is read: the memo keeps one bit.
             if !db.exists_cached_with(&spec, counters).unwrap_or(false) {
                 return false;
             }
@@ -157,7 +157,7 @@ pub fn verify_by_row(
         }
         // A global-aggregate probe returns its single COUNT(*) row even for
         // an empty group, so it reads the count off that row: a verdict the
-        // first row decides, cached as one bit.
+        // first row decides, memoized as one bit.
         let mut verdict = NonZeroCount { having: &spec.having };
         if !db.decide_cached_with(&spec, None, COUNT_TAG, counters, &mut verdict).unwrap_or(false) {
             return false;

@@ -28,18 +28,18 @@
 //! back to back. Stage 4 answers from the run's [`VerifyPlan`]: one verdict
 //! per (example cell, column), probed on first touch.
 //!
-//! Database probes are yes/no questions, answered through the streaming
-//! executor's memo cache, and none of them keeps rows there: the `LIMIT 1`
-//! probes of stages 4 and 5 ask whether a row exists
+//! Database probes are yes/no questions, answered by the streaming executor
+//! and memoized in the run's own probe memo, and none of them keeps rows:
+//! the `LIMIT 1` probes of stages 4 and 5 ask whether a row exists
 //! (`Database::exists_cached_with`, itself a verdict that answers at the
 //! first row), while stage 5's global-aggregate probe and stage 7 ask for a
 //! verdict on the rows (`Database::decide_cached_with`, tagged by the run's
-//! [`VerifyPlan`]) — each cached as one bit. The `LIMIT 1` probes stop scanning at their first
-//! row, and a verdict at the row that decides it (at the latest row `k + 1`
-//! of a TSQ with limit `k`; see `docs/EXECUTOR.md`). The probes' hits,
-//! misses and scan counters land in the run's [`RunCacheCounters`].
-//! Stage 4 reaches the cache on the first touch of a (cell, column) pair
-//! only; stages 5 and 7 on every call.
+//! [`VerifyPlan`]) — each memoized as one bit. The `LIMIT 1` probes stop
+//! scanning at their first row, and a verdict at the row that decides it (at
+//! the latest row `k + 1` of a TSQ with limit `k`; see `docs/EXECUTOR.md`).
+//! The memo and the probes' hits, misses and scan counters are the run's
+//! [`RunCacheCounters`]. Stage 4 reaches the memo on the first touch of a
+//! (cell, column) pair only; stages 5 and 7 on every call.
 
 pub mod by_column;
 pub mod by_order;
@@ -237,11 +237,10 @@ pub struct Verifier<'a> {
     /// partial query passes unexamined and only complete ones pay the cascade.
     prune_partial: bool,
     /// The column-wise verdicts and the sketch's verdict tags of the run
-    /// this verifier works for, and the run's probe-cache counters —
-    /// per-session attribution on a database whose probe cache every live
-    /// session shares. Borrowed from the run, so the short-lived verifiers it
-    /// assembles (one per burst of rounds) all read and fill the same pair;
-    /// a verifier built by [`Verifier::new`] owns a fresh one.
+    /// this verifier works for, and the run's probe memo with its counters.
+    /// Borrowed from the run, so the short-lived verifiers it assembles (one
+    /// per burst of rounds) all read and fill the same pair; a verifier
+    /// built by [`Verifier::new`] owns a fresh one.
     plan: Cow<'a, VerifyPlan>,
     counters: Cow<'a, RunCacheCounters>,
     /// The time source of [`StageTimings`] stamps (virtualized so simulated
@@ -250,7 +249,7 @@ pub struct Verifier<'a> {
 }
 
 impl<'a> Verifier<'a> {
-    /// Create a verifier with its own fresh verdicts and counter set.
+    /// Create a verifier with its own fresh verdicts and probe memo.
     pub fn new(
         db: &'a Database,
         tsq: Option<&'a TableSketchQuery>,
@@ -262,8 +261,8 @@ impl<'a> Verifier<'a> {
     }
 
     /// A verifier that reads and fills `plan` — built from `db` and `tsq`
-    /// ([`VerifyPlan::new`]) — and attributes its probes to `counters`:
-    /// borrowed, they are the run's own.
+    /// ([`VerifyPlan::new`]) — and asks its probes through the memo in
+    /// `counters`: borrowed, they are the run's own.
     pub(crate) fn for_run(
         db: &'a Database,
         tsq: Option<&'a TableSketchQuery>,

@@ -6,16 +6,15 @@
 //! of times per run. A [`VerifyPlan`] holds one byte per (constrained cell,
 //! schema column) — the verdict of the existence probe and of the `AVG`
 //! range check, each unknown until first asked. The first touch of a pair
-//! runs the probe (through the database's probe cache, so cross-session
-//! sharing and per-run attribution apply to it unchanged); every later
-//! touch is one byte read.
+//! runs the probe (through the run's probe memo, so its per-run counters
+//! apply to it unchanged); every later touch is one byte read.
 //!
 //! The plan also holds the sketch's **verdict tags**, encoded once per run:
-//! the cache tag under which a complete candidate's sketch check
+//! the memo tag under which a complete candidate's sketch check
 //! (`by_order`) stores its one-bit answer ([`VerifyPlan::tag`]). A tag is the
 //! [`Decision`]'s byte, then the sketch's tuples, sorted flag and limit —
 //! everything the decision reads besides the rows — so two sketches never
-//! share an answer, and two runs of one sketch do.
+//! share an answer.
 //!
 //! A plan belongs to one synthesis run: it is built once from the run's TSQ
 //! next to the run's `JoinPlanner`, read and filled by the run's rounds on
@@ -30,7 +29,7 @@ use duoquest_db::{ColumnId, Database};
 use std::cell::Cell;
 
 /// What a verdict probe decides about a complete query's rows; its byte
-/// leads the probe's cache tag.
+/// leads the probe's memo tag.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Decision {
     /// The example tuples are satisfied by rows in the order given, within
@@ -112,7 +111,7 @@ impl VerifyPlan {
         self.verdicts.len()
     }
 
-    /// The cache tag of `decision` about the plan's sketch (see the module
+    /// The memo tag of `decision` about the plan's sketch (see the module
     /// docs).
     ///
     /// # Panics
@@ -169,7 +168,7 @@ fn constrained_cells(tsq: &TableSketchQuery) -> usize {
 }
 
 /// `decision`'s byte, then `tsq`'s tuples (each length-prefixed, each cell
-/// a kind byte and its values), sorted flag and limit, in the probe cache's
+/// a kind byte and its values), sorted flag and limit, in the probe memo's
 /// key encoding — self-delimiting throughout, so two sketches share a tag
 /// only if they are equal cell for cell.
 fn encode_tag(decision: Decision, tsq: &TableSketchQuery) -> Box<[u8]> {

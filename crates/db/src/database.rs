@@ -2,11 +2,12 @@
 //!
 //! A `Database` is `Send + Sync` and designed to be shared cheaply behind an
 //! `Arc` by the sessions on a pool's workers: all query entry points take
-//! `&self`, and the embedded probe/result memo cache ([`ProbeCache`]) uses
-//! interior mutability (sharded locks + atomic counters) so concurrent
-//! readers never need an exclusive borrow.
+//! `&self`, and the only state a probe writes is two relaxed atomic totals.
+//! Each synthesis run memoizes its own probes' answers in a
+//! [`RunCacheCounters`] it owns (`crate::cache`), so nothing a run learns
+//! outlives it and a write has nothing to invalidate.
 
-use crate::cache::{CacheStats, ProbeCache, RunCacheCounters};
+use crate::cache::{CacheStats, Question, RunCacheCounters};
 use crate::error::{DbError, DbResult};
 use crate::executor::{ExecOptions, ResultSet, Verdict};
 use crate::index::InvertedIndex;
@@ -14,6 +15,7 @@ use crate::query::SelectSpec;
 use crate::schema::{ColumnId, Schema, TableId};
 use crate::table_index::{ColumnIndex, TableIndex};
 use crate::types::{DataType, Value};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A single row of values.
@@ -68,13 +70,15 @@ impl TableData {
 }
 
 /// A schema together with its data, its column indexes (which the
-/// autocomplete inverted index is a view of) and the verification-probe
-/// memo cache.
+/// autocomplete inverted index is a view of) and its probe totals.
 #[derive(Debug)]
 pub struct Database {
     schema: Schema,
     data: Vec<TableData>,
-    probe_cache: ProbeCache,
+    /// Probes answered by a run's memo, over every run on this instance.
+    probe_hits: AtomicU64,
+    /// Probes executed, over every run on this instance.
+    probe_misses: AtomicU64,
     /// Per-table ordered secondary indexes (`crate::table_index`), one per
     /// table from [`Database::new`] on: [`Database::insert_all`] sorts a
     /// table's once per bulk load, and `insert` / `update_cell` maintain
@@ -83,14 +87,14 @@ pub struct Database {
 }
 
 impl Clone for Database {
-    /// Clones carry the schema, data and indexes; the probe cache starts
-    /// empty (memoized results stay valid only for the instance that
-    /// produced them).
+    /// Clones carry the schema, data and indexes; the probe totals start
+    /// at zero, so a clone's traffic is its own.
     fn clone(&self) -> Self {
         Database {
             schema: self.schema.clone(),
             data: self.data.clone(),
-            probe_cache: ProbeCache::default(),
+            probe_hits: AtomicU64::new(0),
+            probe_misses: AtomicU64::new(0),
             table_indexes: self.table_indexes.clone(),
         }
     }
@@ -105,7 +109,13 @@ impl Database {
         let table_indexes = (schema.tables.iter())
             .map(|table| TableIndex::build(&[], table.columns.len()))
             .collect();
-        Ok(Database { schema, data, probe_cache: ProbeCache::default(), table_indexes })
+        Ok(Database {
+            schema,
+            data,
+            probe_hits: AtomicU64::new(0),
+            probe_misses: AtomicU64::new(0),
+            table_indexes,
+        })
     }
 
     /// Wrap a loaded database for cheap sharing across synthesis workers.
@@ -141,7 +151,6 @@ impl Database {
         let rows = &mut self.data[table.0].rows;
         rows.push(Row(values));
         self.table_indexes[table.0].insert_appended(rows, rows.len() - 1);
-        self.probe_cache.clear_mut(); // memoized probe results are now stale
         Ok(())
     }
 
@@ -171,8 +180,7 @@ impl Database {
     }
 
     /// Update one cell in place, with type checks. The column's secondary
-    /// index is maintained incrementally and the probe cache is invalidated,
-    /// so neither the index nor the memo path can serve the overwritten
+    /// index is maintained incrementally, so it never serves the overwritten
     /// value afterwards.
     pub fn update_cell(
         &mut self,
@@ -204,13 +212,12 @@ impl Database {
         let old = std::mem::replace(&mut self.data[col.table.0].rows[row].0[col.column], value);
         let rows = &self.data[col.table.0].rows;
         self.table_indexes[col.table.0].update_cell(rows, col.column, row, &old);
-        self.probe_cache.clear_mut(); // memoized probe results are now stale
         Ok(())
     }
 
     /// Bulk-insert rows into a table: the load path. Every row is checked
-    /// before any is appended, so a failed call leaves the rows, the indexes
-    /// and the probe cache as they were; then the table's indexes are sorted
+    /// before any is appended, so a failed call leaves the rows and the
+    /// indexes as they were; then the table's indexes are sorted
     /// once over all its rows ([`TableIndex::build`]).
     pub fn insert_all(
         &mut self,
@@ -225,7 +232,6 @@ impl Database {
         let stored = &mut self.data[tid.0].rows;
         stored.extend(rows.into_iter().map(Row));
         self.table_indexes[tid.0] = TableIndex::build(stored, self.schema.table(tid).columns.len());
-        self.probe_cache.clear_mut(); // memoized probe results are now stale
         Ok(())
     }
 
@@ -284,51 +290,40 @@ impl Database {
         ExecOptions::default()
     }
 
-    /// Execute a query through the probe/result memo cache: a repeated
-    /// execution of a structurally identical spec is answered from the
-    /// cache, and the result is shared, not copied. No synthesis run asks
-    /// for rows (its probes ask [`Database::exists_cached_with`] and
-    /// [`Database::decide_cached_with`]); this serves callers that time the
-    /// cache's rows path.
+    /// Execute a query and share its rows. Its only caller is the benchmark
+    /// harness (`bench_report`), until ROADMAP 1(a)(viii) deletes it; no
+    /// synthesis run asks for rows.
     pub fn execute_cached(&self, spec: &SelectSpec) -> DbResult<Arc<ResultSet>> {
-        if let Some(hit) = self.probe_cache.get(spec) {
-            return Ok(hit);
-        }
         let out = crate::executor::execute_with(self, spec, &self.exec_options())?;
-        Ok(self.probe_cache.insert(spec, out.result))
+        Ok(Arc::new(out.result))
     }
 
-    /// Whether `spec` returns any row, through the memo cache — the
-    /// existence question the verifier's `LIMIT 1` probes ask, attributed
-    /// to a caller-owned per-run counter set (the database's global
-    /// counters are shared by every run touching this instance). A miss
-    /// decides it as a verdict that answers at the first row
-    /// ([`crate::executor::decide_with`]), so no row is kept, and the cache
-    /// keeps the answer as one bit: a rows entry for the same spec does not
-    /// answer it, nor it a rows request.
+    /// Whether `spec` returns any row — the existence question the
+    /// verifier's `LIMIT 1` probes ask — answered from the run's memo in
+    /// `counters` if the run asked it before. A miss decides it as a
+    /// verdict that answers at the first row
+    /// ([`crate::executor::decide_with`]), so no row is kept, and the memo
+    /// keeps the answer as one bit.
     pub fn exists_cached_with(
         &self,
         spec: &SelectSpec,
         counters: &RunCacheCounters,
     ) -> DbResult<bool> {
-        if let Some(hit) = self.probe_cache.get_exists(spec) {
-            counters.record(true);
-            return Ok(hit);
-        }
-        let exists = self.decide_miss(spec, None, counters, &mut AnyRow)?;
-        self.probe_cache.insert_exists(spec, exists);
-        Ok(exists)
+        self.memoized(Question::Exists, spec, &[], counters, || {
+            self.decide_miss(spec, None, counters, &mut AnyRow)
+        })
     }
 
-    /// Decide `verdict` over `spec`'s rows under a row budget, through the
-    /// memo cache — the yes/no question a complete candidate's sketch check
-    /// asks. The cache keeps the answer as one bit under `tag`, which must
-    /// name everything the verdict reads besides the rows (the decision and
-    /// its parameters), and which budget it is asked under: entries of two
-    /// tags never serve each other, nor a rows or existence entry for the
-    /// same spec. A miss feeds the projected rows to the verdict one at a
-    /// time as they stream ([`crate::executor::decide_with`]) and stops as
-    /// soon as it answers, so no row is kept.
+    /// Decide `verdict` over `spec`'s rows under a row budget — the yes/no
+    /// question a complete candidate's sketch check asks — answered from the
+    /// run's memo in `counters` if the run asked it before. The memo keeps
+    /// the answer as one bit under `tag`, which must name everything the
+    /// verdict reads besides the rows (the decision and its parameters),
+    /// and which budget it is asked under: answers under two tags never
+    /// serve each other, nor an existence answer for the same spec. A miss
+    /// feeds the projected rows to the verdict one at a time as they stream
+    /// ([`crate::executor::decide_with`]) and stops as soon as it answers,
+    /// so no row is kept.
     pub fn decide_cached_with(
         &self,
         spec: &SelectSpec,
@@ -337,13 +332,33 @@ impl Database {
         counters: &RunCacheCounters,
         verdict: &mut dyn Verdict,
     ) -> DbResult<bool> {
-        if let Some(hit) = self.probe_cache.get_verdict(spec, tag) {
-            counters.record(true);
-            return Ok(hit);
+        self.memoized(Question::Verdict, spec, tag, counters, || {
+            self.decide_miss(spec, budget, counters, verdict)
+        })
+    }
+
+    /// Both yes/no questions: the run's memoized answer, counted as a hit,
+    /// or `decide`'s, memoized.
+    fn memoized(
+        &self,
+        question: Question,
+        spec: &SelectSpec,
+        tag: &[u8],
+        counters: &RunCacheCounters,
+        decide: impl FnOnce() -> DbResult<bool>,
+    ) -> DbResult<bool> {
+        match counters.recall(question, spec, tag) {
+            Ok(hit) => {
+                counters.record(true);
+                self.probe_hits.fetch_add(1, Ordering::Relaxed);
+                Ok(hit)
+            }
+            Err(key) => {
+                let answer = decide()?;
+                counters.remember(key, answer);
+                Ok(answer)
+            }
         }
-        let answer = self.decide_miss(spec, budget, counters, verdict)?;
-        self.probe_cache.insert_verdict(spec, tag, answer);
-        Ok(answer)
     }
 
     /// The miss path of both yes/no questions: count the miss, decide
@@ -357,28 +372,28 @@ impl Database {
         verdict: &mut dyn Verdict,
     ) -> DbResult<bool> {
         counters.record(false);
+        self.probe_misses.fetch_add(1, Ordering::Relaxed);
         let opts = ExecOptions { row_budget: budget };
         let (answer, metrics) = crate::executor::decide_with(self, spec, &opts, verdict)?;
         counters.record_scan(&metrics);
         Ok(answer)
     }
 
-    /// Cumulative probe-cache counters for this database instance.
+    /// This instance's probe totals over every run. Read by `/stats`,
+    /// `/metrics` and the benchmark harness (`bench_report`).
     pub fn cache_stats(&self) -> CacheStats {
-        self.probe_cache.stats()
+        CacheStats {
+            hits: self.probe_hits.load(Ordering::Relaxed),
+            misses: self.probe_misses.load(Ordering::Relaxed),
+            bytes: 0,
+            single_flight_hits: 0,
+        }
     }
 
-    /// Drop all memoized probe results.
-    pub fn clear_probe_cache(&self) {
-        self.probe_cache.clear();
-    }
-
-    /// Replace the probe cache's byte budget (see
-    /// [`crate::cache::ProbeCache::set_max_bytes`]). Shared-reference
-    /// friendly, so a capacity can be tuned on an `Arc`-shared database.
-    pub fn set_probe_cache_capacity(&self, max_bytes: u64) {
-        self.probe_cache.set_max_bytes(max_bytes);
-    }
+    /// Does nothing: no probe answer outlives its run. Its only caller is
+    /// the benchmark harness (`bench_report`), until ROADMAP 1(a)(viii)
+    /// deletes it.
+    pub fn clear_probe_cache(&self) {}
 }
 
 /// "Does the spec return any row?" as a verdict: answered at the first row.
@@ -525,10 +540,7 @@ mod tests {
             limit: Some(1),
             ..Default::default()
         };
-        let counters = RunCacheCounters::default();
-        assert!(!d.exists_cached_with(&probe, &counters).unwrap());
         let before = (d.table_data(aid.table).clone(), d.column_index(aid).ordered().to_vec());
-        let entries = d.cache_stats().entries;
 
         let bad = [row(3), row(4), vec![Value::text("x"), Value::Null, Value::Null], row(5)];
         let err = d.insert_all("actor", bad);
@@ -539,15 +551,14 @@ mod tests {
         let after = (d.table_data(aid.table).clone(), d.column_index(aid).ordered().to_vec());
         assert_eq!(after, before, "no row and no index entry of a failed load stays");
         assert!(d.column_index(aid).lookup(&Value::int(3)).is_empty());
-        assert_eq!(d.cache_stats().entries, entries, "a failed load drops no probe");
-        assert!(!d.exists_cached_with(&probe, &counters).unwrap());
-        assert_eq!(counters.snapshot(), (1, 1), "and the probe is answered from the cache");
+        let run = RunCacheCounters::default();
+        assert!(!d.exists_cached_with(&probe, &run).unwrap(), "a probe sees no row of it");
     }
 
-    /// Writes must keep the secondary indexes current AND invalidate the probe cache — a stale row served through either
-    /// path would silently corrupt verification.
+    /// Writes must keep the secondary indexes current — a stale row served
+    /// through an index would silently corrupt verification.
     #[test]
-    fn writes_update_indexes_and_invalidate_probe_cache() {
+    fn writes_update_indexes() {
         use crate::executor::{execute_with, ExecOptions};
         use crate::join_graph::JoinTree;
         use crate::query::{CmpOp, Predicate, SelectItem, SelectSpec};
@@ -565,27 +576,24 @@ mod tests {
             predicates: vec![Predicate::new(name, CmpOp::Eq, Value::text(value))],
             ..Default::default()
         };
+        let rows = |d: &Database, value: &str| {
+            let out = execute_with(d, &probe(value), &ExecOptions::default()).unwrap();
+            let found = out.result.len();
+            assert!(found == 0 || out.metrics.rows_via_index > 0, "served via the index");
+            found
+        };
 
-        // Seed the probe cache with a miss.
-        assert_eq!(d.execute_cached(&probe("Brad Pitt")).unwrap().len(), 0);
-
-        // An insert must be visible through both the cache layer
-        // (invalidation) and the index path itself.
+        // An insert must be visible through the index path.
+        assert_eq!(rows(&d, "Brad Pitt"), 0);
         d.insert("actor", vec![Value::int(3), Value::text("Brad Pitt"), Value::int(1963)]).unwrap();
-        assert_eq!(d.execute_cached(&probe("Brad Pitt")).unwrap().len(), 1, "stale cache entry");
-        let indexed = execute_with(&d, &probe("Brad Pitt"), &ExecOptions::default()).unwrap();
-        assert_eq!(indexed.result.len(), 1);
-        assert!(indexed.metrics.rows_via_index > 0, "probe must be served via the index");
+        assert_eq!(rows(&d, "Brad Pitt"), 1);
 
         // Same for an in-place update: the old key must vacate the index,
-        // the new key must be found, and no cached probe may serve either
-        // value stale.
-        assert_eq!(d.execute_cached(&probe("Tom Hanks")).unwrap().len(), 1);
+        // the new key must be found.
+        assert_eq!(rows(&d, "Tom Hanks"), 1);
         d.update_cell("actor", 0, "name", Value::text("Thomas Hanks")).unwrap();
-        assert_eq!(d.execute_cached(&probe("Tom Hanks")).unwrap().len(), 0, "stale old key");
-        let moved = execute_with(&d, &probe("Thomas Hanks"), &ExecOptions::default()).unwrap();
-        assert_eq!(moved.result.len(), 1);
-        assert!(moved.metrics.rows_via_index > 0);
+        assert_eq!(d.column_index(name).lookup(&Value::text("Tom Hanks")).len(), 0);
+        assert_eq!(rows(&d, "Thomas Hanks"), 1);
 
         // The incremental maintenance must equal a rebuild in everything the
         // executor reads off the index: the match list of every stored key,
@@ -601,13 +609,13 @@ mod tests {
         assert_eq!(incremental, read(&d));
     }
 
-    /// The entries a synthesis run keeps — existence bits and verdicts — in
-    /// every shard: each write path drops them all and the next probe is a
-    /// miss that sees the written row; a write to an empty cache moves none
-    /// of its counters; a clone's write leaves the original's entries alone.
+    /// A run's memo holds what the database answered while the run lived,
+    /// and nothing else does: each write path between two runs is seen by
+    /// the second run, whose first probe is a miss, while the first run's
+    /// memo still answers as it did; and a clone shares no probe and no
+    /// total with its original.
     #[test]
-    fn writes_drop_the_probes_a_run_keeps_and_nothing_else() {
-        use crate::cache::SHARD_COUNT;
+    fn a_write_between_two_runs_is_seen_by_the_second() {
         use crate::join_graph::JoinTree;
         use crate::query::{CmpOp, Predicate, SelectItem};
 
@@ -625,26 +633,14 @@ mod tests {
             limit: Some(1),
             ..Default::default()
         };
-        let counters = RunCacheCounters::default();
-        // Both questions about `aid = value`, and whether the probe missed.
-        let ask = |d: &Database, value: i64| {
-            let misses = counters.snapshot().1;
-            let exists = d.exists_cached_with(&probe(value), &counters).unwrap();
+        // Both questions about `aid = value` in `run`, and how many missed.
+        let ask = |d: &Database, run: &RunCacheCounters, value: i64| {
+            let misses = run.snapshot().1;
+            let exists = d.exists_cached_with(&probe(value), run).unwrap();
             let verdict =
-                d.decide_cached_with(&probe(value), None, b"any", &counters, &mut AnyRow).unwrap();
+                d.decide_cached_with(&probe(value), None, b"any", run, &mut AnyRow).unwrap();
             assert_eq!(exists, verdict);
-            (exists, counters.snapshot().1 - misses)
-        };
-        let fill = |d: &Database, asked: &[i64]| {
-            for &value in asked {
-                ask(d, value);
-            }
-            let mut value = 1_000;
-            while d.probe_cache.shards_holding_entries() < SHARD_COUNT {
-                ask(d, value);
-                value += 1;
-            }
-            d.cache_stats().entries
+            (exists, run.snapshot().1 - misses)
         };
 
         // (what the write is, the probe it answers, its answer before and after)
@@ -666,26 +662,25 @@ mod tests {
             ),
         ];
         for (name, write, value, before) in writes {
-            fill(&d, &[value]);
-            assert_eq!(ask(&d, value), (before, 0), "{name}: answered from the cache");
+            let first = RunCacheCounters::default();
+            assert_eq!(ask(&d, &first, value), (before, 2), "{name}: the first run executes");
+            assert_eq!(ask(&d, &first, value), (before, 0), "{name}: and then remembers");
             write(&mut d);
-            assert_eq!(d.cache_stats().entries, 0, "{name}");
-            assert_eq!(ask(&d, value), (!before, 2), "{name}: a miss that sees the write");
+            let second = RunCacheCounters::default();
+            assert_eq!(ask(&d, &second, value), (!before, 2), "{name}: a miss that sees the write");
+            assert_eq!(ask(&d, &second, value), (!before, 0), "{name}");
+            assert_eq!((first.entries(), second.entries()), (2, 2), "{name}");
         }
+        let totals = d.cache_stats();
+        assert_eq!((totals.hits, totals.misses, totals.bytes), (16, 16, 0), "{totals:?}");
 
-        d.clear_probe_cache();
-        let empty = d.cache_stats();
-        assert!(empty.hits > 0 && empty.misses > 0 && empty.entries == 0, "{empty:?}");
-        for (name, write, ..) in writes {
-            write(&mut d);
-            assert_eq!(d.cache_stats(), empty, "{name} to an empty cache");
-        }
-
-        let entries = fill(&d, &[300]);
         let mut copy = d.clone();
-        assert_eq!(copy.cache_stats().entries, 0, "a clone's cache starts empty");
+        assert_eq!(copy.cache_stats(), CacheStats::default(), "a clone's totals start at zero");
         copy.insert("actor", row(300)).unwrap();
-        assert_eq!(d.cache_stats().entries, entries, "the original keeps its entries");
-        assert_eq!(ask(&d, 300), (false, 0), "and answers from them");
+        let (original, cloned) = (RunCacheCounters::default(), RunCacheCounters::default());
+        assert_eq!(ask(&copy, &cloned, 300), (true, 2), "the clone sees its own write");
+        assert_eq!(ask(&d, &original, 300), (false, 2), "and the original does not");
+        assert_eq!(d.cache_stats().misses, totals.misses + 2, "each counts its own probes");
+        assert_eq!(copy.cache_stats().misses, 2);
     }
 }

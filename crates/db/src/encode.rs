@@ -1,9 +1,9 @@
 //! Byte encodings of a [`SelectSpec`]: the one place a spec becomes bytes.
 //!
 //! The **exact** encoding (`encode_spec`, every field in declaration order)
-//! keys the probe cache and its single-flight table. The **canonical** key
-//! ([`canonical_key`]) is candidate equivalence: `duoquest-sql`'s
-//! `queries_equivalent` and the engine's dedup. Both are built from the same
+//! keys a run's probe memo. The **canonical** key ([`canonical_key`]) is
+//! candidate equivalence: `duoquest-sql`'s `queries_equivalent` and the
+//! engine's dedup. Both are built from the same
 //! self-delimiting primitives — sequences and text carry their length,
 //! options and enums a tag byte, integers are LEB128 and numbers their 8
 //! canonical bytes (`canonical_bits`: every NaN is one NaN, `-0.0` is `0.0`)
@@ -34,8 +34,8 @@ pub fn encode_value(out: &mut Vec<u8>, v: &Value) {
 
 /// Append the exact encoding of `spec`. Two specs encode equally exactly
 /// when they are equal under `SelectSpec: Eq`, which treats every NaN as one
-/// and `-0.0` as `0.0`, as the canonical bits do. The probe cache keys its
-/// entries on these bytes.
+/// and `-0.0` as `0.0`, as the canonical bits do. A run's probe memo keys
+/// its answers on these bytes.
 pub fn encode_spec(out: &mut Vec<u8>, spec: &SelectSpec) {
     list(out, &spec.select, select_item);
     out.push(spec.distinct as u8);

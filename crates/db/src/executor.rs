@@ -103,7 +103,7 @@
 //! ran, and the rows under a budget `b` are the first `min(b, n)` of
 //! the `n` rows without one;
 //! [`decide_with`] shows its verdict a prefix of those same rows, in the
-//! same order. Higher layers (candidate emission, the probe memo cache)
+//! same order. Higher layers (candidate emission, a run's probe memo)
 //! rely on this.
 //!
 //! # Observability

@@ -38,7 +38,7 @@ pub mod schema;
 pub mod table_index;
 pub mod types;
 
-pub use cache::{CacheStats, ProbeCache, Question, RunCacheCounters};
+pub use cache::{CacheStats, RunCacheCounters};
 pub use database::{Database, Row, TableData};
 pub use encode::canonical_key;
 pub use error::DbError;

@@ -250,7 +250,7 @@ pub struct OrderSpec {
 /// A fully resolved, executable SPJA query.
 ///
 /// `Eq` is structural (field-by-field; every NaN is one NaN and `-0.0` is
-/// `0.0`), and so is the exact byte encoding that keys the probe cache
+/// `0.0`), and so is the exact byte encoding that keys a run's probe memo
 /// (`encode::encode_spec`); nothing hashes a spec. The canonical
 /// set-semantics equivalence of `duoquest-sql`'s `queries_equivalent` is
 /// [`crate::encode::canonical_key`].

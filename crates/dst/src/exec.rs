@@ -102,10 +102,9 @@ pub struct RunRecord {
 }
 
 /// Run every oracle over a scenario. `Ok(())` means both service runs and
-/// the cache plan were clean; the first violation found is returned.
+/// the net walk were clean; the first violation found is returned.
 pub fn check_scenario(scenario: &Scenario, options: &CheckOptions) -> Result<(), Violation> {
     quiet_injected_panics();
-    crate::cache::check_cache_plan(&scenario.cache)?;
     crate::netwalk::check_net_plan(&scenario.net)?;
     let reference = run_service(scenario, &scenario.reference, RunLabel::Reference, false)?;
     let alternate =

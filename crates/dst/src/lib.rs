@@ -20,10 +20,10 @@
 //! * [`generate`] maps a `u64` seed to a [`Scenario`] — a pure function, so
 //!   a seed is a complete replay token;
 //! * [`check_scenario`] executes a scenario twice (reference vs alternate
-//!   service shape) plus a deterministic probe-cache churn plan and a
-//!   connection-lifecycle walk over the real TCP front (a [`NetPlan`]:
-//!   connect / submit / stall / close / remote-cancel, held to content
-//!   and conservation oracles), and returns the first [`Violation`];
+//!   service shape) plus a connection-lifecycle walk over the real TCP
+//!   front (a [`NetPlan`]: connect / submit / stall / close /
+//!   remote-cancel, held to content and conservation oracles), and returns
+//!   the first [`Violation`];
 //! * [`shrink`] delta-debugs a failing scenario down to a minimal one that
 //!   still fails;
 //! * [`check_seed`] / [`sweep`] wrap the above for the test suites: on
@@ -38,19 +38,17 @@
 
 #![warn(missing_docs)]
 
-mod cache;
 mod exec;
 mod netwalk;
 mod scenario;
 mod shrink;
 mod violation;
 
-pub use cache::check_cache_plan;
 pub use exec::{check_scenario, CheckOptions, Observed, RunRecord};
 pub use netwalk::check_net_plan;
 pub use scenario::{
-    generate, CacheOp, CachePlan, ConnAction, ConnectionPlan, NetPlan, RequestPlan, Scenario,
-    ServicePlan, MAX_REQUESTS, TASK_COUNT,
+    generate, ConnAction, ConnectionPlan, NetPlan, RequestPlan, Scenario, ServicePlan,
+    MAX_REQUESTS, TASK_COUNT,
 };
 pub use shrink::shrink;
 pub use violation::{RunLabel, Violation};

@@ -18,7 +18,7 @@ pub const TASK_COUNT: u8 = 3;
 
 /// One complete randomized run description: service shapes for the two
 /// runs, a submit/cancel schedule over the virtual timeline, and a
-/// probe-cache churn plan.
+/// connection-lifecycle walk.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Scenario {
     /// The seed this scenario was generated from (0 for hand-built ones).
@@ -35,9 +35,6 @@ pub struct Scenario {
     pub final_advance_us: u64,
     /// The request schedule, in submit order.
     pub requests: Vec<RequestPlan>,
-    /// Deterministic probe-cache churn (byte-budget pressure) checked
-    /// alongside the service runs.
-    pub cache: CachePlan,
     /// Connection-lifecycle walk over the TCP front (connect, submit,
     /// stall, close, remote-cancel) checked alongside the service runs.
     pub net: NetPlan,
@@ -90,39 +87,6 @@ pub struct RequestPlan {
     /// combined with `drop_ticket` so the executor can observe the poisoned
     /// session through `Ticket::wait` and keep the books balanced.
     pub panic_after: Option<u32>,
-}
-
-/// A deterministic probe-cache churn schedule.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct CachePlan {
-    /// Operations applied in order to one `ProbeCache`.
-    pub ops: Vec<CacheOp>,
-}
-
-/// One probe-cache operation, asking what synthesis runs ask: whether a
-/// spec returns any row. Spec indexes address a fixed pool of distinct
-/// probe specs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CacheOp {
-    /// Memoize an existence answer for a spec.
-    Insert {
-        /// Index into the fixed spec pool.
-        spec: u8,
-        /// The answer stored.
-        exists: bool,
-    },
-    /// Look a spec's existence answer up.
-    Get {
-        /// Index into the fixed spec pool.
-        spec: u8,
-    },
-    /// Re-budget the cache mid-run (byte-budget churn).
-    SetMaxBytes {
-        /// New byte budget.
-        bytes: u32,
-    },
-    /// Drop every entry.
-    Clear,
 }
 
 /// A connection-lifecycle schedule against a real TCP front.
@@ -211,37 +175,28 @@ pub fn generate(seed: u64) -> Scenario {
         });
     }
     let final_advance_us = rng.gen_range(0..=4_000u64);
-    let cache = generate_cache_plan(&mut rng);
-    // Drawn after the cache plan so pre-net seeds map to the same service
-    // and cache choices they always did.
+    skip_cache_plan(&mut rng);
     let net = generate_net_plan(&mut rng);
-    Scenario { seed, reference, alternate, final_advance_us, requests, cache, net }
+    Scenario { seed, reference, alternate, final_advance_us, requests, net }
 }
 
-fn generate_cache_plan(rng: &mut StdRng) -> CachePlan {
-    let op_count = rng.gen_range(0..=48usize);
-    let mut ops = Vec::with_capacity(op_count);
-    for _ in 0..op_count {
+/// Draw and discard what chose a probe-cache churn plan while the database
+/// kept a shared cache, so the net plan drawn after it — and with it every
+/// pinned and swept seed — lands on the scenario it always did.
+fn skip_cache_plan(rng: &mut StdRng) {
+    for _ in 0..rng.gen_range(0..=48usize) {
         let roll = rng.gen_range(0..100u32);
-        // The draws between a spec and its answer chose a row count and a row
-        // budget while the plan cached rows. They are still consumed, so the
-        // net plan drawn after this one stays what it was for every seed.
-        ops.push(if roll < 45 {
-            let spec = rng.gen_range(0..6u8);
-            let _ = rng.gen_range(0..=3u8);
-            CacheOp::Insert { spec, exists: rng.gen_bool(0.5) }
+        if roll < 45 {
+            let _ = (rng.gen_range(0..6u8), rng.gen_range(0..=3u8), rng.gen_bool(0.5));
         } else if roll < 85 {
             if rng.gen_bool(0.5) {
                 let _ = rng.gen_range(0..=3u8);
             }
-            CacheOp::Get { spec: rng.gen_range(0..6u8) }
+            let _ = rng.gen_range(0..6u8);
         } else if roll < 96 {
-            CacheOp::SetMaxBytes { bytes: rng.gen_range(64..=4_096u32) }
-        } else {
-            CacheOp::Clear
-        });
+            let _ = rng.gen_range(64..=4_096u32);
+        }
     }
-    CachePlan { ops }
 }
 
 fn generate_net_plan(rng: &mut StdRng) -> NetPlan {

@@ -7,12 +7,12 @@
 //! candidate budget), then simplifies the net walk (remove connections,
 //! tame each surviving connection's action to a plain read), then
 //! normalizes the scenario (collapse the alternate service shape onto the
-//! reference, shrink the pools, drop the cache and net plans). Every
-//! candidate mutation is kept only if the scenario *still fails*; the loop
-//! runs to a fixpoint, bounded by an evaluation budget so a flaky failure
-//! cannot spin forever.
+//! reference, shrink the pools, drop the net plan). Every candidate
+//! mutation is kept only if the scenario *still fails*; the loop runs to a
+//! fixpoint, bounded by an evaluation budget so a flaky failure cannot spin
+//! forever.
 
-use crate::scenario::{CachePlan, ConnAction, NetPlan, Scenario, ServicePlan};
+use crate::scenario::{ConnAction, NetPlan, Scenario, ServicePlan};
 
 /// Shrink `scenario` while `still_fails` holds, evaluating the predicate at
 /// most `max_evaluations` times. Returns the smallest failing scenario
@@ -106,7 +106,6 @@ where
         // Phase 3: scenario-level normalization.
         type ScenarioEdit = fn(&mut Scenario);
         const EDITS: &[ScenarioEdit] = &[
-            |s| s.cache = CachePlan::default(),
             |s| s.net = NetPlan::default(),
             |s| s.final_advance_us = 0,
             |s| s.alternate = s.reference,
@@ -157,7 +156,6 @@ mod tests {
         assert_eq!(survivor.deadline_us, None);
         assert!(!survivor.drop_ticket);
         assert_eq!(survivor.submit_at_us, 0);
-        assert!(shrunk.cache.ops.is_empty(), "the cache plan must shrink away");
         assert_eq!(shrunk.alternate, shrunk.reference, "the alternate shape must collapse");
     }
 

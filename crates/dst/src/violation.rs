@@ -177,44 +177,6 @@ pub enum Violation {
         /// Queued requests at timeout.
         queued: usize,
     },
-    /// The cache plan produced different observation logs on two replays.
-    CacheNondeterministic {
-        /// First step at which the logs diverge.
-        step: usize,
-        /// First run's log line at that step.
-        first: String,
-        /// Second run's log line at that step.
-        second: String,
-    },
-    /// A lookup hit with an answer never inserted for its spec since the
-    /// last clear.
-    CacheServedUnstored {
-        /// Index of the offending cache op.
-        step: usize,
-        /// The spec looked up.
-        spec: u8,
-        /// The answer served.
-        exists: bool,
-    },
-    /// hits + misses drifted from the number of lookups issued.
-    CacheCounterDrift {
-        /// Hits counted by the cache.
-        hits: u64,
-        /// Misses counted by the cache.
-        misses: u64,
-        /// Lookups the plan issued.
-        lookups: u64,
-    },
-    /// Resident bytes exceeded every byte budget in force since the last
-    /// clear.
-    CacheRetentionOverrun {
-        /// Index of the offending cache op.
-        step: usize,
-        /// Resident bytes observed.
-        bytes: u64,
-        /// Largest budget in force.
-        budget: u64,
-    },
     /// A net-walk connection's stream broke the content contract: a
     /// completed stream was not byte-identical to the solo reference, an
     /// interrupted stream was not a strict prefix of it, or the stream's
@@ -319,23 +281,6 @@ impl fmt::Display for Violation {
                 f,
                 "no quiescence: {run} run still at {live} live / {queued} queued when the \
                  physical grace period expired"
-            ),
-            Violation::CacheNondeterministic { step, first, second } => write!(
-                f,
-                "cache nondeterminism at op {step}: `{first}` vs `{second}` on identical replays"
-            ),
-            Violation::CacheServedUnstored { step, spec, exists } => write!(
-                f,
-                "cache served an unstored answer at op {step}: spec {spec} hit with \
-                 exists={exists}, which no insert since the last clear stored"
-            ),
-            Violation::CacheCounterDrift { hits, misses, lookups } => {
-                write!(f, "cache counter drift: {hits} hits + {misses} misses != {lookups} lookups")
-            }
-            Violation::CacheRetentionOverrun { step, bytes, budget } => write!(
-                f,
-                "cache retention overrun at op {step}: {bytes} resident bytes over the {budget} \
-                 byte high-water budget"
             ),
             Violation::NetStreamDiverged { connection, detail } => {
                 write!(f, "net stream diverged: connection {connection}: {detail}")

@@ -60,25 +60,25 @@ fn corpus_file_and_named_tests_agree() {
 }
 
 /// FNV-1a of the `Debug` text of each corpus seed's scenario, as `generate`
-/// produced it once the cache plan asked existence questions and the
-/// single-flight toggle was gone. The service shapes, final advance,
-/// requests and net walk of every seed are what they were before that
-/// change; only the cache ops' fields and the dropped toggle moved the
-/// text. A seed is a replay token only while seed → scenario holds still:
-/// a `generate` that consumes one draw more or fewer sends every pinned
-/// seed to a scenario it was not pinned for, and the corpus above goes on
-/// passing without testing what it names.
+/// produced it once the scenario lost its probe-cache plan. `generate`
+/// still draws and discards that plan's values, so the service shapes,
+/// final advance, requests and net walk of every seed are what they were
+/// before; only the dropped `cache` field moved the text. A seed is a
+/// replay token only while seed → scenario holds still: a `generate` that
+/// consumes one draw more or fewer sends every pinned seed to a scenario it
+/// was not pinned for, and the corpus above goes on passing without testing
+/// what it names.
 const SCENARIOS: &[(u64, u64)] = &[
-    (0, 0xbc92_b8d1_e7ba_1053),
-    (1, 0x0f83_614d_8575_e68c),
-    (7, 0x4530_ebac_5484_8149),
-    (13, 0xfb19_1dcf_1818_3344),
-    (42, 0xf7a4_91c6_0ee9_0911),
-    (99, 0x45d8_99dc_9dd0_541c),
-    (1337, 0x3314_6f89_8719_568d),
-    (65537, 0xf556_4db4_33e7_e27d),
-    (123456789, 0x29fb_d83b_2257_dce3),
-    (987654321, 0x5230_15e5_8385_f476),
+    (0, 0x15d6_2be7_09ca_7f9e),
+    (1, 0x7143_27b6_89fc_300d),
+    (7, 0xc703_d4cf_f38a_107b),
+    (13, 0xb046_9429_ecc9_8f53),
+    (42, 0x6df8_39f6_eb48_6ff3),
+    (99, 0xa055_a6ee_dcd1_3cd0),
+    (1337, 0x59ba_46d9_4664_4c8c),
+    (65537, 0xef4a_fd82_50e8_6655),
+    (123456789, 0xe815_725b_8bb0_3a61),
+    (987654321, 0x282c_bf30_871c_b792),
 ];
 
 #[test]

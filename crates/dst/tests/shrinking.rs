@@ -3,8 +3,7 @@
 //! reduce the evidence to a minimal scenario.
 
 use duoquest_dst::{
-    check_scenario, shrink, CachePlan, CheckOptions, NetPlan, RequestPlan, Scenario, ServicePlan,
-    Violation,
+    check_scenario, shrink, CheckOptions, NetPlan, RequestPlan, Scenario, ServicePlan, Violation,
 };
 
 fn plain_request(submit_at_us: u64) -> RequestPlan {
@@ -36,7 +35,6 @@ fn busy_scenario() -> Scenario {
         alternate: ServicePlan { workers: 3, max_live: 2, max_queued: 4 },
         final_advance_us: 2_000,
         requests,
-        cache: CachePlan::default(),
         net: NetPlan::default(),
     }
 }
@@ -69,7 +67,6 @@ fn injected_determinism_break_is_caught_and_shrunk_to_minimum() {
     assert_eq!(survivor.deadline_us, None, "deadline noise survived: {shrunk:#?}");
     assert!(!survivor.drop_ticket, "drop noise survived: {shrunk:#?}");
     assert_eq!(survivor.submit_at_us, 0, "submit offset survived: {shrunk:#?}");
-    assert!(shrunk.cache.ops.is_empty());
     // The minimal scenario must still fail, with an emission violation.
     let shrunk_violation =
         check_scenario(&shrunk, &broken).expect_err("the minimized scenario must still violate");

@@ -228,39 +228,21 @@ impl NetMetrics {
     }
 }
 
-/// The probe-cache counters as series, declared once: the `"cache"` object
-/// of `/stats` and the `duoquest_db_*` families of `/metrics`.
-fn cache_series(cache: &CacheStats) -> [Series<'static>; 5] {
+/// The probe totals as series, declared once: the `"cache"` object of
+/// `/stats` and the `duoquest_db_probe_cache_*` families of `/metrics`.
+fn cache_series(cache: &CacheStats) -> [Series<'static>; 2] {
     [
         Series::new(
             "hits",
             "duoquest_db_probe_cache_hits_total",
-            "Probes answered from the probe cache, over distinct databases.",
+            "Probes answered by a run's memo, over distinct databases.",
             Counter(cache.hits),
         ),
         Series::new(
             "misses",
             "duoquest_db_probe_cache_misses_total",
-            "Probes that had to run the executor, over distinct databases.",
+            "Probes executed, over distinct databases.",
             Counter(cache.misses),
-        ),
-        Series::new(
-            "bytes",
-            "duoquest_db_probe_cache_bytes",
-            "Estimated bytes of cached probe results currently retained.",
-            Gauge(cache.bytes),
-        ),
-        Series::new(
-            "entries",
-            "duoquest_db_probe_cache_entries",
-            "Cached probe entries currently retained.",
-            Gauge(cache.entries),
-        ),
-        Series::new(
-            "rotations",
-            "duoquest_db_probe_cache_rotations_total",
-            "Probe-cache segment rotations (generations aged out).",
-            Counter(cache.rotations),
         ),
     ]
 }
@@ -281,8 +263,9 @@ pub(crate) struct ServerCtx {
 
 impl ServerCtx {
     /// Walk every series the front serves into `surface` — `GET /stats` and
-    /// `GET /metrics` both render this walk. The probe cache is summed over
-    /// the registry's **distinct** databases (deduplicated by `Arc` pointer).
+    /// `GET /metrics` both render this walk. The probe totals are summed
+    /// over the registry's **distinct** databases (deduplicated by `Arc`
+    /// pointer).
     pub(crate) fn render(&self, surface: &mut dyn Surface) {
         surface.open("service");
         self.service.stats().render(surface);

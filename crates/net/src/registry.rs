@@ -61,7 +61,7 @@ impl TaskRegistry {
     }
 
     /// Registered task specs, unordered (the `/metrics` scrape walks these
-    /// to aggregate probe-cache counters over the **distinct** databases —
+    /// to aggregate probe totals over the **distinct** databases —
     /// tasks sharing one `Arc<Database>` are deduplicated by pointer).
     pub fn specs(&self) -> impl Iterator<Item = &TaskSpec> {
         self.tasks.values()

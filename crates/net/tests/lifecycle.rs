@@ -417,9 +417,9 @@ fn metrics_and_trace_routes_serve_the_observability_surface() {
 
     // Both-surfaces audit, at a quiescent point: every declared series is
     // in `/stats` and `/metrics` with the same value, and neither body holds
-    // a value the other lacks. 57 series: the service's 4 gauges, 9 per
+    // a value the other lacks. 54 series: the service's 4 gauges, 9 per
     // class (7 scalars and 2 histograms), the pool's 5, the front's 9, 6
-    // routes, the uptime and the probe cache's 5.
+    // routes, the uptime and the probe totals' 2 (hits and misses).
     wait_for_idle(&service, TIMEOUT);
     let deadline = Instant::now() + TIMEOUT;
     while server.open_connections() > 0 {
@@ -427,7 +427,7 @@ fn metrics_and_trace_routes_serve_the_observability_surface() {
         std::thread::sleep(Duration::from_millis(5));
     }
     let audited = server.audit_surfaces().unwrap_or_else(|e| panic!("surfaces disagree:\n{e}"));
-    assert_eq!(audited, 57);
+    assert_eq!(audited, 54);
 }
 
 #[test]

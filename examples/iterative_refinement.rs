@@ -51,7 +51,7 @@ fn main() {
     };
     let engine = Duoquest::new(config);
     // Each refinement round is one synthesis session over the same shared
-    // database; the probe cache warms up across rounds.
+    // database, probing it through a memo of its own that ends with it.
     let session = |tsq: Option<TableSketchQuery>| {
         let s = engine.session(Arc::clone(&mas.db), nlq.clone(), Arc::clone(&model));
         match tsq {

@@ -4,10 +4,9 @@
 //! request sets of the four `bench_report` workloads (`BENCHMARK.json`) in
 //! process and inline, built from the generators `crates/workloads` exports
 //! exactly as `crates/bench/src/bin/bench_report/workload.rs` builds them at
-//! seed 7, in the harness's submission order. `mas_cold` clears the probe
-//! cache before every request, as the harness does; the other three share
-//! one cache per database across their requests, cleared once before the
-//! workload starts.
+//! seed 7, in the harness's submission order. Every run starts from an
+//! empty probe memo of its own, so a request's counts do not depend on the
+//! requests before it.
 //!
 //! Per workload it records the requests; the sums of `generated`,
 //! `expanded`, each verify stage's calls and prunes, cache lookups and
@@ -162,17 +161,11 @@ fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
     hash
 }
 
-/// Run `requests` inline, one after the other, clearing the probe cache
-/// before each one when `cold`, and sum what they counted.
-fn count(requests: &[Request], cold: bool) -> Counts {
+/// Run `requests` inline, one after the other, and sum what they counted.
+fn count(requests: &[Request]) -> Counts {
     let mut counts = Counts { digest: FNV_OFFSET, ..Default::default() };
-    let mut cleared: Vec<&Arc<Database>> = Vec::new();
     let mut bytes = Vec::new();
     for request in requests {
-        if cold || !cleared.iter().any(|db| Arc::ptr_eq(db, &request.db)) {
-            request.db.clear_probe_cache();
-            cleared.push(&request.db);
-        }
         let session = Duoquest::new(request.config.clone())
             .session(Arc::clone(&request.db), request.nlq.clone(), Arc::clone(&request.model))
             .with_tsq(request.tsq.clone());
@@ -247,18 +240,18 @@ fn render(name: &str, c: &Counts, out: &mut String) {
 #[test]
 fn the_benchmark_counts_equal_the_committed_file() {
     let spider_full = spider_requests(2, TsqDetail::Full, true, 25, 2500);
-    let workloads: [(&str, Vec<Request>, bool); 4] = [
-        ("spider_full", spider_full.into_iter().step_by(SPIDER_FULL_STRIDE).collect(), false),
-        ("nlq_heuristic", spider_requests(4, TsqDetail::Minimal, false, 10, 100), false),
-        ("mas_cold", mas_requests(), true),
-        ("edge_tiny", spider_requests(1, TsqDetail::Full, true, 1, 40), false),
+    let workloads: [(&str, Vec<Request>); 4] = [
+        ("spider_full", spider_full.into_iter().step_by(SPIDER_FULL_STRIDE).collect()),
+        ("nlq_heuristic", spider_requests(4, TsqDetail::Minimal, false, 10, 100)),
+        ("mas_cold", mas_requests()),
+        ("edge_tiny", spider_requests(1, TsqDetail::Full, true, 1, 40)),
     ];
     let mut rendered = String::from("{\n");
-    for (i, (name, requests, cold)) in workloads.iter().enumerate() {
+    for (i, (name, requests)) in workloads.iter().enumerate() {
         if i > 0 {
             rendered.push_str(",\n");
         }
-        render(name, &count(requests, *cold), &mut rendered);
+        render(name, &count(requests), &mut rendered);
     }
     rendered.push_str("\n}\n");
     println!("{rendered}");

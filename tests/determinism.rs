@@ -157,9 +157,9 @@ fn interleaved_sessions_on_shared_pool_match_single_session_runs() {
 /// What a run shows its consumer: the emission sequence as the callback or
 /// the stream saw it (structure, confidence bits), the final ranking, and
 /// the frontier peak and generated count with the seven per-stage prune
-/// counts and the run's probe-cache lookups. Lookups (hits plus misses) are
-/// the run's own questions, whatever other sessions have cached, so they
-/// hold the run's attribution to its own counters on every way to run it.
+/// counts and the run's probe lookups. Lookups (hits plus misses) are the
+/// run's own questions, asked through its own memo, so they hold the run's
+/// attribution to its own counters on every way to run it.
 type Observed = (Vec<(String, u64)>, Vec<(String, f64)>, [usize; 10]);
 
 fn observe(sequence: Vec<(String, u64)>, result: &SynthesisResult) -> Observed {
@@ -693,13 +693,12 @@ fn mas_tasks_agree_on_every_way_to_run_a_session() {
     assert!(emissions >= 50, "only {emissions} candidates emitted over the 14 tasks");
 }
 
-/// Every request run inline from a cleared probe cache, as the benchmark
-/// submits it, and everything it showed, on one line each: emission sequence
-/// with confidence bits, ranking, `generated` and the seven prune counts,
-/// rows scanned and cache misses.
+/// Every request run inline, as the benchmark submits it, each from an
+/// empty probe memo of its own, and everything it showed, on one line each:
+/// emission sequence with confidence bits, ranking, `generated` and the
+/// seven prune counts, rows scanned and probe misses.
 fn observe_cold(db: &Arc<Database>, requests: &[MasRequest]) -> Vec<String> {
     let observe = |request| {
-        db.clear_probe_cache();
         let (observed, result) = run_observed(mas_session(db, request), Way::RunWith);
         let probes = (result.stats.rows_scanned, result.stats.cache_misses);
         format!("{observed:?} {probes:?}")

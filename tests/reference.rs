@@ -17,9 +17,10 @@
 //! is the same everywhere"), cut by the `LIMIT` and then by the budget —
 //! plain cells byte for byte, and say `exact` exactly when the budget cut
 //! nothing. Every `LIMIT 1` spec is also asked the verifier's existence
-//! question through the probe cache (`Database::exists_cached_with`,
-//! decided as a verdict that answers at the first row), cold and then warm:
-//! the answer must be whether the reference has a row.
+//! question twice through one run's probe memo
+//! (`Database::exists_cached_with`, decided as a verdict that answers at the
+//! first row): the answer must be whether the reference has a row, and the
+//! second ask a memo hit with the first ask's answer.
 //!
 //! The same generated specs, with table sketches drawn from their reference
 //! rows, hold the verifier's complete check — decided while the rows stream,
@@ -128,7 +129,6 @@ fn generated_specs_equal_the_reference(db: &Database, seed: u64, cases: usize) -
         }
         if spec.limit == Some(1) {
             let want = !reference.is_empty();
-            db.clear_probe_cache();
             let counters = RunCacheCounters::default();
             for (temperature, lookups) in [("cold", (0, 1)), ("warm", (1, 1))] {
                 let got = db.exists_cached_with(&spec, &counters);
@@ -138,6 +138,7 @@ fn generated_specs_equal_the_reference(db: &Database, seed: u64, cases: usize) -
                      has {whole} rows\n  {spec:?}"
                 );
                 assert_eq!(counters.snapshot(), lookups, "{temperature} (hits, misses)");
+                assert_eq!(counters.entries(), 1, "{temperature}: one bit in the memo");
                 tally.existence[usize::from(want)] += 1;
             }
         }
@@ -455,7 +456,7 @@ fn generated_verdicts_equal_brute_force(db: &Database, seed: u64, cases: usize) 
             let counters = RunCacheCounters::default();
             let got = by_order::spec_satisfies_sketch(&db, &tsq, &spec, &plan, &counters);
             let again = by_order::spec_satisfies_sketch(&db, &tsq, &spec, &plan, &counters);
-            assert_eq!(counters.snapshot(), (1, 1), "the second check is the cached bit");
+            assert_eq!(counters.snapshot(), (1, 1), "the second check is the memoized bit");
             seen.short_circuited += counters.scan_snapshot().1;
             let context =
                 || format!("seed {seed} case {case}\n  {spec:?}\n  {tsq:?}\n  reference {rows:?}");

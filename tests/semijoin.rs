@@ -137,7 +137,7 @@ fn row_probes(spec: &SelectSpec, tsq: &TableSketchQuery) -> Vec<SelectSpec> {
 
 /// Replay one request's probe set: the gold query and every candidate under
 /// the budgets `verify_complete` uses, and their row-wise probes under the
-/// budgets a cached existence probe can meet.
+/// budgets a memoized existence probe can meet.
 fn replay(db: &Database, specs: &[SelectSpec], tsq: &TableSketchQuery, task: &str) -> usize {
     let k = tsq.limit.max(specs.iter().filter_map(|s| s.limit).max().unwrap_or(1));
     let mut held = 0;
@@ -361,8 +361,8 @@ fn ordered_index_scan_honours_the_first_table_restriction() {
 // ---------------------------------------------------------------- by_row --
 
 /// `verify_by_row` as it built its probes before: the partial query's GROUP
-/// BY rides along on every probe. Kept only here, and run on the uncached
-/// executor, so it shares no cache with the stage it checks.
+/// BY rides along on every probe. Kept only here, and run on the executor
+/// directly, so it shares no memo with the stage it checks.
 mod reference {
     use super::cell_predicate;
     use duoquest::core::TableSketchQuery;

@@ -236,7 +236,7 @@ fn dropping_a_ticket_reaps_work_and_pool_goes_idle() {
 
 /// A dropped `CandidateStream` leaves no work behind: nothing runs between
 /// pulls, so once a stream has been pulled once and dropped, its database's
-/// probe cache sees no lookup over the next 50 ms.
+/// probe totals see no lookup over the next 50 ms.
 #[test]
 fn dropping_a_candidate_stream_lets_the_pool_go_idle() {
     let dataset = workload();

@@ -3,7 +3,7 @@
 //! example cell, every schema column and every aggregate choice, the
 //! column-wise stage must answer exactly what it answered when it built and
 //! executed a probe per call — first touch and read-back alike — and a run
-//! must reach the probe cache a fixed, small number of times.
+//! must reach its probe memo a fixed, small number of times.
 
 use duoquest::core::verify::by_column::verify_by_column;
 use duoquest::core::{
@@ -16,8 +16,8 @@ use duoquest::workloads::{mas, mas_tasks, spider, synthesize_tsq, TsqDetail};
 use std::sync::Arc;
 
 /// The column-wise stage as it was before the plan: one `SelectSpec` built
-/// per (call, cell). Kept only here, and run on the uncached executor, so it
-/// shares no cache with the stage it checks.
+/// per (call, cell). Kept only here, and run on the executor directly, so it
+/// shares no memo with the stage it checks.
 mod reference {
     use duoquest::core::{TableSketchQuery, TsqCell};
     use duoquest::db::{
@@ -207,7 +207,7 @@ fn check_tsq(db: &Database, tsq: &TableSketchQuery, gold: &SelectSpec, seen: &mu
     let (hits, misses) = counters.snapshot();
     assert!(
         hits + misses <= plan.bytes() as u64,
-        "{} cache lookups for {} (cell, column) pairs",
+        "{} probe lookups for {} (cell, column) pairs",
         hits + misses,
         plan.bytes()
     );
@@ -277,8 +277,8 @@ fn plan_size_is_cells_times_columns() {
     assert_eq!(VerifyPlan::new(db, None).bytes(), 0);
 }
 
-/// The count gate: one fixed task on a cold private copy of its database,
-/// one worker. A run reaches the probe cache once per distinct column-wise
+/// The count gate: one fixed task on a private copy of its database, one
+/// worker. A run reaches its probe memo once per distinct column-wise
 /// question (plus its row-wise and order probes) and runs the
 /// join-independent stages once per child — losing plan coverage or running
 /// the prefix per join variant again moves these counts, whatever the clock
@@ -296,7 +296,6 @@ fn a_run_reaches_the_cache_a_fixed_number_of_times() {
         ..Default::default()
     };
     let run = || {
-        db.clear_probe_cache();
         let model = NoisyOracleGuidance::new(gold.clone(), 3);
         let stats = Duoquest::new(config.clone())
             .session(Arc::clone(&db), task.nlq.clone(), Arc::new(model))
@@ -316,14 +315,14 @@ fn a_run_reaches_the_cache_a_fixed_number_of_times() {
     assert_eq!(counts, run(), "the counts of a cold run must repeat exactly");
     let (generated, lookups, executions, clauses, by_column, by_row) = counts;
     println!(
-        "generated {generated}; cache lookups {lookups}, executions {executions}; calls: clauses \
+        "generated {generated}; probe lookups {lookups}, executions {executions}; calls: clauses \
          {clauses}, by_column {by_column}, by_row {by_row}"
     );
     assert_eq!(counts, GATE, "(generated, lookups, executions, clauses, by_column, by_row)");
     assert!(clauses as usize <= generated, "the prefix runs at most once per child");
 }
 
-/// `(generated, cache lookups, probe executions, clauses calls, by_column
+/// `(generated, probe lookups, probe executions, clauses calls, by_column
 /// calls, by_row calls)` of the gate's run. With a probe per call and the
 /// whole cascade per join variant the same run made 2 810 lookups for the
 /// same 127 executions, 5 766 clauses calls, 4 254 by_column calls and 365
