@@ -1,19 +1,15 @@
 //! # duoquest-baselines
 //!
-//! The comparison systems used in the Duoquest evaluation (paper §5):
+//! The one comparison system of the Duoquest evaluation (paper §5) that is
+//! not the GPQE engine: [`pbe`], a SQuID-like programming-by-example baseline
+//! with the capability envelope from paper Table 1 (no projected aggregates
+//! or numeric columns, no negation/LIKE predicates).
 //!
-//! * [`nli`] — the NLI-only baseline (guided enumeration without a TSQ and
-//!   without the TSQ-independent semantic rules), standing in for
-//!   SyntaxSQLNet;
-//! * [`pbe`] — a SQuID-like programming-by-example baseline with the capability
-//!   envelope from paper Table 1 (no projected aggregates or numeric columns,
-//!   no negation/LIKE predicates);
-//! * [`ablations`] — the NoPQ and NoGuide ablations of §5.4.3.
+//! The NLI baseline and the NoPQ and NoGuide ablations of §5.4.3 are
+//! settings of the engine itself: a `duoquest_core::SynthesisSession` built
+//! with the `DuoquestConfig` presets `without_semantic_rules` (and no TSQ),
+//! `no_partial_pruning` and `no_guide`.
 
-pub mod ablations;
-pub mod nli;
 pub mod pbe;
 
-pub use ablations::{NoGuide, NoPq};
-pub use nli::NliBaseline;
 pub use pbe::{PbeOutcome, SquidPbe};

@@ -3,8 +3,8 @@
 //! Figure 12 (ablations) and Table 6 (TSQ detail sweep).
 
 use crate::report::{header, percent};
-use duoquest_baselines::{NliBaseline, NoGuide, NoPq, SquidPbe};
-use duoquest_core::{Duoquest, DuoquestConfig};
+use duoquest_baselines::SquidPbe;
+use duoquest_core::{DuoquestConfig, SynthesisSession};
 use duoquest_nlq::NoisyOracleGuidance;
 use duoquest_workloads::spider::{self, SpiderDataset};
 use duoquest_workloads::{synthesize_tsq, Difficulty, TsqDetail};
@@ -93,22 +93,17 @@ pub fn spider_accuracy_experiment(
     settings: &EvalSettings,
     detail: TsqDetail,
 ) -> Vec<SpiderRecord> {
-    let engine = Duoquest::new(settings.engine.clone());
-    let nli = NliBaseline::new(settings.engine.clone());
+    let nli_config = settings.engine.clone().without_semantic_rules();
     let pbe = SquidPbe::new();
     let mut records = Vec::with_capacity(dataset.tasks.len());
     for (i, task) in dataset.tasks.iter().enumerate() {
         let db = dataset.database(task);
         let (gold, tsq) = synthesize_tsq(db, &task.gold, detail, 2, settings.seed + i as u64);
         let model = NoisyOracleGuidance::new(gold.clone(), settings.seed + i as u64);
+        let session = SynthesisSession::new(Arc::clone(db), task.nlq.clone(), Arc::new(model));
 
-        // Duoquest runs as an owned session over the Arc-shared database —
-        // the parallel, cache-aware path the engine uses in production.
-        let dq = engine
-            .session(Arc::clone(db), task.nlq.clone(), Arc::new(model.clone()))
-            .with_tsq(tsq.clone())
-            .run();
-        let nli_result = nli.synthesize(db, &task.nlq, &model);
+        let dq = session.clone().with_config(settings.engine.clone()).with_tsq(tsq.clone()).run();
+        let nli_result = session.with_config(nli_config.clone()).run();
         let supported = pbe.supports(db, &gold);
         let pbe_correct = if supported {
             let outcome = pbe.run(db, &tsq);
@@ -208,8 +203,7 @@ pub fn tsq_detail_experiment(
 ) -> String {
     let mut engine_cfg = settings.engine.clone();
     engine_cfg.max_candidates = max_rank.max(engine_cfg.max_candidates);
-    let engine = Duoquest::new(engine_cfg.clone());
-    let nli = NliBaseline::new(engine_cfg.clone());
+    let nli_config = engine_cfg.clone().without_semantic_rules();
 
     let mut out = header(&format!(
         "Table 6 — TSQ detail sweep ({} tasks, top-k up to {max_rank})",
@@ -243,14 +237,12 @@ pub fn tsq_detail_experiment(
                 settings.seed + i as u64,
             );
             let model = NoisyOracleGuidance::new(gold.clone(), settings.seed + i as u64);
-            let rank = match detail {
-                Some(_) => engine
-                    .session(Arc::clone(db), task.nlq.clone(), Arc::new(model.clone()))
-                    .with_tsq(tsq.clone())
-                    .run()
-                    .rank_of(&gold),
-                None => nli.synthesize(db, &task.nlq, &model).rank_of(&gold),
+            let session = SynthesisSession::new(Arc::clone(db), task.nlq.clone(), Arc::new(model));
+            let session = match detail {
+                Some(_) => session.with_config(engine_cfg.clone()).with_tsq(tsq),
+                None => session.with_config(nli_config.clone()),
             };
+            let rank = session.run().rank_of(&gold);
             if let Some(r) = rank {
                 if r <= 1 {
                     t1 += 1;
@@ -278,9 +270,11 @@ pub fn tsq_detail_experiment(
 /// Figure 12: distribution of the time taken to synthesize the correct query
 /// for Duoquest, NoPQ and NoGuide.
 pub fn ablation_experiment(dataset: &SpiderDataset, settings: &EvalSettings) -> String {
-    let duoquest = Duoquest::new(settings.engine.clone());
-    let nopq = NoPq::new(settings.engine.clone());
-    let noguide = NoGuide::new(settings.engine.clone());
+    let arms = [
+        settings.engine.clone(),
+        settings.engine.clone().no_partial_pruning(),
+        settings.engine.clone().no_guide(),
+    ];
     let budget = settings.engine.time_budget.unwrap_or(Duration::from_secs(3)).as_secs_f64();
 
     let mut times: Vec<(&str, Vec<Option<f64>>)> =
@@ -290,15 +284,12 @@ pub fn ablation_experiment(dataset: &SpiderDataset, settings: &EvalSettings) -> 
         let (gold, tsq) =
             synthesize_tsq(db, &task.gold, TsqDetail::Full, 2, settings.seed + i as u64);
         let model = NoisyOracleGuidance::new(gold.clone(), settings.seed + i as u64);
-        let dq = duoquest
-            .session(Arc::clone(db), task.nlq.clone(), Arc::new(model.clone()))
-            .with_tsq(tsq.clone())
-            .run();
-        let np = nopq.synthesize(db, &task.nlq, Some(&tsq), &model);
-        let ng = noguide.synthesize(db, &task.nlq, Some(&tsq), &model);
-        times[0].1.push(dq.time_to_find(&gold).map(|d| d.as_secs_f64()));
-        times[1].1.push(np.time_to_find(&gold).map(|d| d.as_secs_f64()));
-        times[2].1.push(ng.time_to_find(&gold).map(|d| d.as_secs_f64()));
+        let session =
+            SynthesisSession::new(Arc::clone(db), task.nlq.clone(), Arc::new(model)).with_tsq(tsq);
+        for ((_, series), config) in times.iter_mut().zip(&arms) {
+            let result = session.clone().with_config(config.clone()).run();
+            series.push(result.time_to_find(&gold).map(|d| d.as_secs_f64()));
+        }
     }
 
     let total = dataset.tasks.len();

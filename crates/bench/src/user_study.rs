@@ -6,8 +6,8 @@
 //! that converts the candidate rank and example count into success and time.
 
 use crate::report::{header, percent};
-use duoquest_baselines::{NliBaseline, SquidPbe};
-use duoquest_core::{Duoquest, DuoquestConfig};
+use duoquest_baselines::SquidPbe;
+use duoquest_core::{DuoquestConfig, SynthesisSession};
 use duoquest_nlq::NoisyOracleGuidance;
 use duoquest_workloads::tsq_synth::typical_example_count;
 use duoquest_workloads::{
@@ -77,8 +77,7 @@ where
 pub fn nli_study(mas: &MasDataset, trials: usize) -> Vec<StudyRow> {
     let tasks = mas_nli_tasks(mas);
     let user = UserModel::default();
-    let engine = Duoquest::new(study_engine());
-    let nli = NliBaseline::new(study_engine());
+    let nli_config = study_engine().without_semantic_rules();
 
     let mut rows = run_trials(&tasks, "Duoquest", trials, |task, u| {
         let (gold, tsq) = synthesize_tsq(
@@ -89,8 +88,8 @@ pub fn nli_study(mas: &MasDataset, trials: usize) -> Vec<StudyRow> {
             1000 + u,
         );
         let model = NoisyOracleGuidance::new(gold.clone(), 77 * (u + 1) + task.id.len() as u64);
-        let result = engine
-            .session(Arc::clone(&mas.db), task.nlq.clone(), Arc::new(model))
+        let result = SynthesisSession::new(Arc::clone(&mas.db), task.nlq.clone(), Arc::new(model))
+            .with_config(study_engine())
             .with_tsq(tsq.clone())
             .run();
         user.duoquest_trial(
@@ -102,7 +101,9 @@ pub fn nli_study(mas: &MasDataset, trials: usize) -> Vec<StudyRow> {
     rows.extend(run_trials(&tasks, "NLI", trials, |task, u| {
         let gold = duoquest_workloads::canonicalize_select(&task.gold);
         let model = NoisyOracleGuidance::new(gold.clone(), 77 * (u + 1) + task.id.len() as u64);
-        let result = nli.synthesize(&mas.db, &task.nlq, &model);
+        let result = SynthesisSession::new(Arc::clone(&mas.db), task.nlq.clone(), Arc::new(model))
+            .with_config(nli_config.clone())
+            .run();
         user.nli_trial(result.rank_of(&gold), result.stats.elapsed.as_secs_f64())
     }));
     rows
@@ -113,7 +114,6 @@ pub fn nli_study(mas: &MasDataset, trials: usize) -> Vec<StudyRow> {
 pub fn pbe_study(mas: &MasDataset, trials: usize) -> Vec<StudyRow> {
     let tasks = mas_pbe_tasks(mas);
     let user = UserModel::default();
-    let engine = Duoquest::new(study_engine());
     let pbe = SquidPbe::new();
 
     let mut rows = run_trials(&tasks, "Duoquest", trials, |task, u| {
@@ -125,8 +125,8 @@ pub fn pbe_study(mas: &MasDataset, trials: usize) -> Vec<StudyRow> {
             2000 + u,
         );
         let model = NoisyOracleGuidance::new(gold.clone(), 131 * (u + 1) + task.id.len() as u64);
-        let result = engine
-            .session(Arc::clone(&mas.db), task.nlq.clone(), Arc::new(model))
+        let result = SynthesisSession::new(Arc::clone(&mas.db), task.nlq.clone(), Arc::new(model))
+            .with_config(study_engine())
             .with_tsq(tsq.clone())
             .run();
         user.duoquest_trial(

@@ -92,6 +92,11 @@ impl DuoquestConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{SynthesisResult, SynthesisSession, TableSketchQuery, TsqCell};
+    use duoquest_db::{CmpOp, ColumnDef, DataType, Database, Schema, SelectSpec, TableDef, Value};
+    use duoquest_nlq::{Literal, Nlq, NoisyOracleGuidance, OracleConfig};
+    use duoquest_sql::QueryBuilder;
+    use std::sync::Arc;
 
     #[test]
     fn default_is_guided_and_pruning() {
@@ -108,5 +113,74 @@ mod tests {
         assert!(!DuoquestConfig::default().no_partial_pruning().prune_partial);
         assert!(!DuoquestConfig::default().without_semantic_rules().semantic_rules);
         assert!(DuoquestConfig::fast().max_expansions < DuoquestConfig::default().max_expansions);
+    }
+
+    /// Two movies, one before 1995, and the gold query that selects it.
+    fn movies() -> (Arc<Database>, SelectSpec) {
+        let mut s = Schema::new("m");
+        s.add_table(TableDef::new(
+            "movies",
+            vec![ColumnDef::number("mid"), ColumnDef::text("name"), ColumnDef::number("year")],
+            Some(0),
+        ));
+        let mut db = Database::new(s).unwrap();
+        db.insert("movies", vec![Value::int(1), Value::text("Forrest Gump"), Value::int(1994)])
+            .unwrap();
+        db.insert("movies", vec![Value::int(2), Value::text("Gravity"), Value::int(2013)]).unwrap();
+        let gold = QueryBuilder::new(db.schema())
+            .select("movies.name")
+            .filter("movies.year", CmpOp::Lt, 1995)
+            .build()
+            .unwrap();
+        (db.into_shared(), gold)
+    }
+
+    /// A run of `config` over [`movies`] asking `question` under a perfect
+    /// oracle, with the one-tuple TSQ `Forrest Gump` or none.
+    fn run(
+        config: DuoquestConfig,
+        question: &str,
+        with_tsq: bool,
+    ) -> (SynthesisResult, SelectSpec) {
+        let (db, gold) = movies();
+        let model = NoisyOracleGuidance::with_config(gold.clone(), 1, OracleConfig::perfect());
+        let nlq = Nlq::with_literals(question, vec![Literal::number(1995.0)]);
+        let session = SynthesisSession::new(db, nlq, Arc::new(model)).with_config(config);
+        let session = if with_tsq {
+            session.with_tsq(
+                TableSketchQuery::with_types(vec![DataType::Text])
+                    .with_tuple(vec![TsqCell::text("Forrest Gump")]),
+            )
+        } else {
+            session
+        };
+        (session.run(), gold)
+    }
+
+    #[test]
+    fn no_partial_pruning_still_finds_gold_but_does_more_work() {
+        let (full, gold) = run(DuoquestConfig::fast(), "movies before 1995", true);
+        let (nopq, _) =
+            run(DuoquestConfig::fast().no_partial_pruning(), "movies before 1995", true);
+        assert!(full.rank_of(&gold).is_some());
+        assert!(nopq.rank_of(&gold).is_some());
+        // Without partial pruning, the search generates at least as many states.
+        assert!(nopq.stats.generated >= full.stats.generated);
+    }
+
+    #[test]
+    fn no_guide_finds_gold_with_pruning() {
+        let (result, gold) = run(DuoquestConfig::fast().no_guide(), "movies before 1995", true);
+        assert!(result.rank_of(&gold).is_some());
+    }
+
+    /// The NLI baseline: no TSQ and no semantic rules.
+    #[test]
+    fn nli_finds_gold_among_several_candidates() {
+        let config = DuoquestConfig::fast().without_semantic_rules();
+        assert!(!config.semantic_rules);
+        let (result, gold) = run(config, "names of movies before 1995", false);
+        assert!(result.rank_of(&gold).is_some());
+        assert!(result.candidates.len() > 1);
     }
 }

@@ -1,24 +1,27 @@
-//! The Duoquest engine: the public entry point tying together guidance,
-//! enumeration and verification.
+//! The results of a synthesis run: the [`Candidate`]s it emits and the
+//! ranked [`SynthesisResult`] it ends with, and the dedup-and-rank state that
+//! turns the one into the other.
 //!
 //! # Architecture: the cache-aware synthesis core
 //!
 //! Synthesis runs as a sequence of **rounds** over a confidence-ordered
-//! frontier (see `crate::enumerate`). One state machine (`RoundDriver`) runs
-//! them, from one of two places: **inline** on the calling thread
-//! ([`Duoquest::synthesize`], a session's `run`, `run_with` and `stream`) or
-//! **parked in a pool** whose workers resume it for a burst of rounds at a
-//! time (a session handed to a [`crate::scheduler::SessionScheduler`] with
-//! `spawn_driven`). A round never leaves the thread that started it:
+//! frontier (see `crate::enumerate`). Every run is one
+//! [`SynthesisSession`](crate::session::SynthesisSession)'s run
+//! (`crate::session::SessionRun`), and one state machine (`RoundDriver`)
+//! advances it a burst of rounds at a time, from one of two places:
+//! **inline** on the calling thread (a session's `run`, `run_with` and
+//! `stream`) or **parked in a pool** whose workers resume it (a session
+//! handed to a [`crate::scheduler::SessionScheduler`] with `spawn_driven`).
+//! A round never leaves the thread that started it:
 //!
 //! ```text
 //!                    ┌────────────────────────────────────────────┐
-//!                    │        SynthesisSession  /  Duoquest       │
+//!                    │              SynthesisSession              │
 //!                    │    Database · Nlq · TSQ · model · cfg      │
 //!                    └──────────────────┬─────────────────────────┘
 //!                                       ▼  lent call by call (RunInputs)
 //!                         run start: RunPlan (join planner, verify plan,
-//!                                       │  counters, deadline), read by
+//!                                       │  probe memo, deadline), read by
 //!                                       ▼  every round of the run
 //!                         first round: model.prepare(nlq, schema) ──► plan
 //!                                       │  (owned by the round driver; `None`
@@ -34,8 +37,8 @@
 //!                          │ off the run's VerifyPlan), then join paths (one
 //!                          │ list per carried join path and tables it lacks,
 //!                          │ per round), then the stages over the join path
-//!                          │ per variant; probes answered by Database's memo
-//!                          │ cache
+//!                          │ per variant; probes answered through the run's
+//!                          │ own memo
 //!                          ▼
 //!                          phase 3: merge, in child order
 //!                          │ emit complete queries → stream/callback
@@ -57,10 +60,11 @@
 //! * **nlq** — the guidance model is asked for a score for every child of
 //!   every popped state, so what it can compute from the run's fixed inputs
 //!   it computes once: the driver calls
-//!   [`GuidanceModel::prepare`] on its first guided round and phase 1 scores
-//!   through the returned plan from then on (bit-identical to
-//!   [`GuidanceModel::score`]; the plan is owned by the driver, so it parks
-//!   in the scheduler and resumes on any worker with it).
+//!   [`GuidanceModel::prepare`](duoquest_nlq::GuidanceModel::prepare) on its
+//!   first guided round and phase 1 scores through the returned plan from
+//!   then on (bit-identical to `GuidanceModel::score`; the plan is owned by
+//!   the driver, so it parks in the scheduler and resumes on any worker with
+//!   it).
 //! * **core** — the round engine pops the highest-confidence state,
 //!   verifies its children and merges the results **in child order**, so —
 //!   absent a wall-clock `time_budget` — the emitted candidate sequence is a
@@ -78,23 +82,18 @@
 //!   cascade's first four stages never read a child's join path, so they run
 //!   once per child and only the row-wise stages once per join variant
 //!   (`crate::verify`).
-//! * **consumers** — [`Duoquest::synthesize`] collects a ranked
-//!   [`SynthesisResult`] from borrowed inputs, always inline;
-//!   [`crate::session::SynthesisSession`] owns its inputs, so it can also be
-//!   handed to a pool, and additionally offers a pulled stream
-//!   ([`crate::session::CandidateStream`]) whose first candidate arrives
-//!   while enumeration is still in flight.
+//!
+//! The ablations of the paper's §5.4.3 and its NLI baseline are sessions
+//! too, built with the [`crate::DuoquestConfig`] presets (`no_guide`,
+//! `no_partial_pruning`, `without_semantic_rules` with no TSQ).
 //!
 //! Candidates are deduplicated under canonical equivalence (keeping the
 //! highest-confidence copy) and ranked by confidence with a deterministic
 //! structural tie-break, so equal-confidence candidates order identically
 //! wherever the run stands.
 
-use crate::config::DuoquestConfig;
-use crate::enumerate::{run_inline, EnumerationStats, RunInputs};
-use crate::tsq::TableSketchQuery;
+use crate::enumerate::EnumerationStats;
 use duoquest_db::{canonical_key, Database, SelectSpec};
-use duoquest_nlq::{GuidanceModel, Nlq};
 use duoquest_sql::render_sql;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -147,26 +146,10 @@ impl SynthesisResult {
     }
 }
 
-/// The inline entry behind [`Duoquest::synthesize_with`] and a
-/// [`crate::session::SynthesisSession`] without a pool: run the round engine
-/// on the calling thread ([`run_inline`]), deduplicate canonically equivalent
-/// candidates (keeping the higher-confidence copy), then rank
-/// deterministically.
-pub(crate) fn synthesize_inline(
-    inputs: &RunInputs<'_>,
-    mut on_candidate: impl FnMut(&Candidate) -> bool,
-) -> SynthesisResult {
-    let mut collector = CandidateCollector::new();
-    let stats = run_inline(inputs, &mut |spec, confidence, emitted_at| {
-        collector.offer(spec, confidence, emitted_at, &mut on_candidate)
-    });
-    collector.finish(stats)
-}
-
 /// The dedup-and-rank state of one run, fed by the run's sink — on the
-/// calling thread ([`synthesize_inline`], a pulled stream) or on the pool
-/// worker that resumes a parked session (`crate::scheduler`): deduplicate canonically equivalent
-/// candidates in emission order, then rank by confidence with a deterministic
+/// calling thread (a blocking run, a pulled stream) or on the pool worker
+/// that resumes a parked session (`crate::scheduler`): deduplicate
+/// canonically equivalent candidates in emission order, then rank by confidence with a deterministic
 /// tie-break. `index` maps each candidate's [`canonical_key`] to its
 /// position; it is never iterated, so emission order and ranking ignore it.
 #[derive(Default)]
@@ -221,79 +204,19 @@ impl CandidateCollector {
     }
 }
 
-/// The dual-specification synthesis engine.
-#[derive(Debug, Clone, Default)]
-pub struct Duoquest {
-    config: DuoquestConfig,
-}
-
-impl Duoquest {
-    /// Create an engine with an explicit configuration.
-    pub fn new(config: DuoquestConfig) -> Self {
-        Duoquest { config }
-    }
-
-    /// The engine's configuration.
-    pub fn config(&self) -> &DuoquestConfig {
-        &self.config
-    }
-
-    /// Synthesize candidate queries from the dual specification: an NLQ (with
-    /// tagged literals) plus an optional TSQ. Returns the ranked candidates.
-    ///
-    /// The inputs are borrowed, so the run cannot be handed to a worker pool:
-    /// it runs inline on the calling thread.
-    pub fn synthesize(
-        &self,
-        db: &Database,
-        nlq: &Nlq,
-        tsq: Option<&TableSketchQuery>,
-        model: &dyn GuidanceModel,
-    ) -> SynthesisResult {
-        self.synthesize_with(db, nlq, tsq, model, |_c| true)
-    }
-
-    /// Streaming variant: `on_candidate` observes candidates in emission order
-    /// (highest-confidence first under guided search) and may return `false` to
-    /// stop the enumeration early — the paper's front end does exactly this
-    /// when the user clicks "Stop Task". Inline, like [`Duoquest::synthesize`].
-    pub fn synthesize_with<F>(
-        &self,
-        db: &Database,
-        nlq: &Nlq,
-        tsq: Option<&TableSketchQuery>,
-        model: &dyn GuidanceModel,
-        on_candidate: F,
-    ) -> SynthesisResult
-    where
-        F: FnMut(&Candidate) -> bool,
-    {
-        let control = crate::session::SessionControl::new();
-        let inputs = RunInputs::borrowed(db, nlq, tsq, model, &self.config, &control);
-        synthesize_inline(&inputs, on_candidate)
-    }
-
-    /// Build an owned [`crate::session::SynthesisSession`] carrying this
-    /// engine's configuration — the entry point for streaming consumption and
-    /// cross-thread sharing.
-    pub fn session(
-        &self,
-        db: std::sync::Arc<Database>,
-        nlq: Nlq,
-        model: std::sync::Arc<dyn GuidanceModel>,
-    ) -> crate::session::SynthesisSession {
-        crate::session::SynthesisSession::new(db, nlq, model).with_config(self.config.clone())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tsq::TsqCell;
+    use crate::config::DuoquestConfig;
+    use crate::session::SynthesisSession;
+    use crate::tsq::{TableSketchQuery, TsqCell};
     use crate::verify::test_fixtures::movie_db;
     use duoquest_db::{CmpOp, DataType};
-    use duoquest_nlq::{Choice, GuidanceContext, Literal, NoisyOracleGuidance, OracleConfig};
+    use duoquest_nlq::{
+        Choice, GuidanceContext, GuidanceModel, Literal, Nlq, NoisyOracleGuidance, OracleConfig,
+    };
     use duoquest_sql::{queries_equivalent, QueryBuilder};
+    use std::sync::Arc;
 
     fn gold(db: &Database) -> SelectSpec {
         QueryBuilder::new(db.schema())
@@ -307,15 +230,22 @@ mod tests {
         Nlq::with_literals("names of movies before 1995", vec![Literal::number(1995.0)])
     }
 
+    fn session(db: &Arc<Database>, model: impl GuidanceModel + 'static) -> SynthesisSession {
+        SynthesisSession::new(Arc::clone(db), nlq(), Arc::new(model))
+            .with_config(DuoquestConfig::fast())
+    }
+
+    fn forrest_gump() -> TableSketchQuery {
+        TableSketchQuery::with_types(vec![DataType::Text])
+            .with_tuple(vec![TsqCell::text("Forrest Gump")])
+    }
+
     #[test]
     fn dual_specification_ranks_gold_first() {
-        let db = movie_db();
+        let db = movie_db().into_shared();
         let gold = gold(&db);
         let model = NoisyOracleGuidance::with_config(gold.clone(), 3, OracleConfig::perfect());
-        let tsq = TableSketchQuery::with_types(vec![DataType::Text])
-            .with_tuple(vec![TsqCell::text("Forrest Gump")]);
-        let engine = Duoquest::new(DuoquestConfig::fast());
-        let result = engine.synthesize(&db, &nlq(), Some(&tsq), &model);
+        let result = session(&db, model).with_tsq(forrest_gump()).run();
         assert_eq!(result.rank_of(&gold), Some(1));
         assert!(result.in_top_k(&gold, 1));
         assert!(result.time_to_find(&gold).is_some());
@@ -324,12 +254,11 @@ mod tests {
 
     #[test]
     fn streaming_early_stop() {
-        let db = movie_db();
+        let db = movie_db().into_shared();
         let gold = gold(&db);
         let model = NoisyOracleGuidance::with_config(gold.clone(), 3, OracleConfig::perfect());
-        let engine = Duoquest::new(DuoquestConfig::fast());
         let mut seen = 0;
-        let result = engine.synthesize_with(&db, &nlq(), None, &model, |_c| {
+        let result = session(&db, model).run_with(|_c| {
             seen += 1;
             seen < 2
         });
@@ -338,11 +267,9 @@ mod tests {
 
     #[test]
     fn candidates_are_deduplicated_and_sorted() {
-        let db = movie_db();
+        let db = movie_db().into_shared();
         let gold = gold(&db);
-        let model = NoisyOracleGuidance::new(gold.clone(), 5);
-        let engine = Duoquest::new(DuoquestConfig::fast());
-        let result = engine.synthesize(&db, &nlq(), None, &model);
+        let result = session(&db, NoisyOracleGuidance::new(gold.clone(), 5)).run();
         for pair in result.candidates.windows(2) {
             assert!(pair[0].confidence >= pair[1].confidence);
         }
@@ -355,26 +282,21 @@ mod tests {
 
     #[test]
     fn missing_gold_rank_is_none() {
-        let db = movie_db();
+        let db = movie_db().into_shared();
         let gold = gold(&db);
         let other = QueryBuilder::new(db.schema()).select("actor.gender").build().unwrap();
         let model = NoisyOracleGuidance::with_config(gold, 3, OracleConfig::perfect());
-        let engine = Duoquest::new(DuoquestConfig::fast());
-        let tsq = TableSketchQuery::with_types(vec![DataType::Text])
-            .with_tuple(vec![TsqCell::text("Forrest Gump")]);
-        let result = engine.synthesize(&db, &nlq(), Some(&tsq), &model);
+        let result = session(&db, model).with_tsq(forrest_gump()).run();
         assert_eq!(result.rank_of(&other), None);
         assert!(!result.in_top_k(&other, 100));
     }
 
     #[test]
     fn ranking_is_deterministic_across_runs() {
-        let db = movie_db();
+        let db = movie_db().into_shared();
         let gold = gold(&db);
-        let model = NoisyOracleGuidance::new(gold, 13);
-        let engine = Duoquest::new(DuoquestConfig::fast());
-        let a = engine.synthesize(&db, &nlq(), None, &model);
-        let b = engine.synthesize(&db, &nlq(), None, &model);
+        let session = session(&db, NoisyOracleGuidance::new(gold, 13));
+        let (a, b) = (session.run(), session.run());
         let keys = |r: &SynthesisResult| {
             r.candidates.iter().map(|c| format!("{:?}", c.spec)).collect::<Vec<_>>()
         };
@@ -394,12 +316,12 @@ mod tests {
     /// ranking's order: every confidence is finite and the run repeats.
     #[test]
     fn an_infinite_score_ranks_like_any_other() {
-        let db = movie_db();
+        let db = movie_db().into_shared();
         let mut config = DuoquestConfig::fast();
         config.time_budget = None;
-        let engine = Duoquest::new(config);
+        let session = session(&db, InfiniteGuidance).with_config(config);
         let run = || {
-            let result = engine.synthesize(&db, &nlq(), None, &InfiniteGuidance);
+            let result = session.run();
             assert!(!result.candidates.is_empty());
             for c in &result.candidates {
                 assert!((0.0..=1.0).contains(&c.confidence), "confidence {}", c.confidence);

@@ -8,10 +8,11 @@
 //! child as the popped state plus one decision ([`apply`]), runs progressive
 //! join path construction plus the ascending-cost verification cascade over
 //! them, pushes the survivors back into the queue and emits the complete
-//! queries **in child order**. A round
-//! runs where its driver stands — the calling thread (the inline mode,
-//! [`enumerate`]) or the [`crate::scheduler::SessionScheduler`] worker that
-//! holds the session — so for a fixed configuration the emitted candidate
+//! queries **in child order**. Every run is a session's run
+//! (`crate::session::SessionRun`), and its rounds run where it stands — the
+//! calling thread (a session's `run`, `run_with` or `stream`) or the
+//! [`crate::scheduler::SessionScheduler`] worker that holds the session — so
+//! for a fixed configuration the emitted candidate
 //! sequence is deterministic: the sequential Algorithm 1 exploration. The
 //! one exception is a wall-clock `time_budget`: where the deadline cuts the
 //! search depends on machine speed.
@@ -23,7 +24,7 @@
 //! the repeats). The per-run hit/miss counters and the per-stage cascade
 //! timings are surfaced in [`EnumerationStats`].
 
-use crate::clock::{Clock, SYSTEM_CLOCK};
+use crate::clock::Clock;
 use crate::config::DuoquestConfig;
 use crate::joinpath::JoinPlanner;
 use crate::scheduler::SchedulerRunStats;
@@ -154,48 +155,11 @@ impl EnumerationStats {
     }
 }
 
-/// Run GPQE. `on_candidate` receives every emitted candidate (its partial query
-/// lowered to an executable spec, its confidence and the time of emission) and
-/// returns `false` to stop the enumeration early.
-///
-/// The inputs are borrowed, so the run cannot be handed to a pool: it runs
-/// inline on the calling thread, in the sequential Algorithm 1 exploration
-/// order.
-pub fn enumerate<F>(
-    db: &Database,
-    nlq: &Nlq,
-    model: &dyn GuidanceModel,
-    tsq: Option<&TableSketchQuery>,
-    config: &DuoquestConfig,
-    mut on_candidate: F,
-) -> EnumerationStats
-where
-    F: FnMut(SelectSpec, f64, Duration) -> bool,
-{
-    let control = SessionControl::new();
-    let inputs = RunInputs::borrowed(db, nlq, tsq, model, config, &control);
-    run_inline(&inputs, &mut on_candidate)
-}
-
-/// The inline mode: the whole run on the calling thread — zero threads, zero
-/// queue, `stats.scheduler == None`. It stands where a pool worker stands
-/// ([`RoundDriver::advance`] is the one round loop), with nobody to yield
-/// to.
-pub(crate) fn run_inline(
-    inputs: &RunInputs<'_>,
-    sink: &mut dyn FnMut(SelectSpec, f64, Duration) -> bool,
-) -> EnumerationStats {
-    let plan = RunPlan::new(inputs);
-    let mut driver = RoundDriver::new();
-    while let Advance::Yield = driver.advance(&plan, inputs, sink) {}
-    driver.take_stats(&plan, inputs)
-}
-
-/// The inputs of one run, borrowed per call. Neither [`RunPlan`] nor
-/// [`RoundDriver`] owns any of them, so the same run state serves a caller
-/// holding `&Database` on its stack and a session holding `Arc<Database>` in
-/// a scheduler slot — parked anywhere, resumed by whichever worker takes the
-/// session next.
+/// The inputs of one run, lent by its session call by call
+/// (`SynthesisSession::inputs`). Neither [`RunPlan`] nor [`RoundDriver`] owns
+/// any of them, so a run holds no borrow between two calls: it parks anywhere
+/// — in a stream between two pulls, in a scheduler slot — and is resumed by
+/// whichever thread takes it next.
 pub(crate) struct RunInputs<'a> {
     pub(crate) db: &'a Database,
     pub(crate) nlq: &'a Nlq,
@@ -215,21 +179,6 @@ pub(crate) struct RunInputs<'a> {
     /// `verify:<stage>` spans into it. `None` costs one
     /// branch per burst and nothing else.
     pub(crate) trace: Option<&'a Arc<Trace>>,
-}
-
-impl<'a> RunInputs<'a> {
-    /// The inputs of a run over data the caller only borrows: on the real
-    /// clock, untraced.
-    pub(crate) fn borrowed(
-        db: &'a Database,
-        nlq: &'a Nlq,
-        tsq: Option<&'a TableSketchQuery>,
-        model: &'a dyn GuidanceModel,
-        config: &'a DuoquestConfig,
-        control: &'a SessionControl,
-    ) -> Self {
-        RunInputs { db, nlq, tsq, model, config, control, clock: &SYSTEM_CLOCK, trace: None }
-    }
 }
 
 /// What a run compiles from its inputs, once, and every round of the run
@@ -501,9 +450,12 @@ impl RoundDriver {
             return false;
         }
 
-        // Pop the best state, within the expansion budget.
-        if self.stats.expanded >= env.config.max_expansions {
-            return false; // expansion budget reached with work left
+        // Pop the best state, within both budgets: a candidate budget of 0
+        // is spent before the first pop.
+        if self.stats.expanded >= env.config.max_expansions
+            || self.stats.emitted >= env.config.max_candidates
+        {
+            return false; // a budget reached with work left
         }
         let Some(state) = self.heap.pop() else { return false };
         self.stats.expanded += 1;
@@ -1122,9 +1074,25 @@ fn combinations<T: Clone>(items: &[T], size: usize) -> Vec<Vec<T>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::SynthesisSession;
     use crate::verify::test_fixtures::movie_db;
     use duoquest_nlq::{HeuristicGuidance, Literal, NoisyOracleGuidance, OracleConfig};
     use duoquest_sql::QueryBuilder;
+
+    /// A session over the movie fixture.
+    fn session(
+        nlq: Nlq,
+        model: Arc<dyn GuidanceModel>,
+        tsq: Option<TableSketchQuery>,
+        config: DuoquestConfig,
+    ) -> SynthesisSession {
+        let session =
+            SynthesisSession::new(movie_db().into_shared(), nlq, model).with_config(config);
+        match tsq {
+            Some(tsq) => session.with_tsq(tsq),
+            None => session,
+        }
+    }
 
     #[test]
     fn combinations_enumerate_correctly() {
@@ -1162,11 +1130,12 @@ mod tests {
         let tsq = TableSketchQuery::with_types(vec![DataType::Text])
             .with_tuple(vec![crate::tsq::TsqCell::text("Forrest Gump")]);
         let mut found: Vec<SelectSpec> = Vec::new();
-        let stats =
-            enumerate(&db, &nlq, &model, Some(&tsq), &DuoquestConfig::fast(), |spec, _conf, _t| {
-                found.push(spec);
+        let stats = session(nlq, Arc::new(model), Some(tsq), DuoquestConfig::fast())
+            .run_with(|candidate| {
+                found.push(candidate.spec.clone());
                 found.len() < 5
-            });
+            })
+            .stats;
         assert!(!found.is_empty(), "stats: {stats:?}");
         assert!(duoquest_sql::queries_equivalent(&found[0], &gold));
         assert!(stats.emitted >= 1);
@@ -1190,15 +1159,11 @@ mod tests {
         );
         let tsq = TableSketchQuery::with_types(vec![DataType::Text])
             .with_tuple(vec![crate::tsq::TsqCell::text("Forrest Gump")]);
-        let model = HeuristicGuidance::new();
+        let model = Arc::new(HeuristicGuidance::new());
         let mut matched = false;
-        enumerate(&db, &nlq, &model, Some(&tsq), &DuoquestConfig::fast(), |spec, _c, _t| {
-            if duoquest_sql::queries_equivalent(&spec, &gold) {
-                matched = true;
-                false
-            } else {
-                true
-            }
+        session(nlq, model, Some(tsq), DuoquestConfig::fast()).run_with(|candidate| {
+            matched = duoquest_sql::queries_equivalent(&candidate.spec, &gold);
+            !matched
         });
         assert!(matched);
     }
@@ -1213,21 +1178,15 @@ mod tests {
             .build()
             .unwrap();
         let nlq = Nlq::with_literals("names of movies before 1995", vec![Literal::number(1995.0)]);
-        let model = NoisyOracleGuidance::with_config(gold, 1, OracleConfig::perfect());
+        let model: Arc<dyn GuidanceModel> =
+            Arc::new(NoisyOracleGuidance::with_config(gold, 1, OracleConfig::perfect()));
         let tsq = TableSketchQuery::with_types(vec![DataType::Text]);
         let mut config = DuoquestConfig::fast();
         config.max_candidates = 30;
-        let mut with_tsq = 0usize;
-        enumerate(&db, &nlq, &model, Some(&tsq), &config, |_s, _c, _t| {
-            with_tsq += 1;
-            true
-        });
-        let mut without_tsq = 0usize;
-        enumerate(&db, &nlq, &model, None, &config, |_s, _c, _t| {
-            without_tsq += 1;
-            true
-        });
-        assert!(without_tsq >= with_tsq);
+        let with_tsq =
+            session(nlq.clone(), Arc::clone(&model), Some(tsq), config.clone()).run().stats;
+        let without_tsq = session(nlq, model, None, config).run().stats;
+        assert!(without_tsq.emitted >= with_tsq.emitted);
     }
 
     #[test]
@@ -1240,10 +1199,10 @@ mod tests {
             .build()
             .unwrap();
         let nlq = Nlq::with_literals("actors born after 1960", vec![Literal::number(1960.0)]);
-        let model = NoisyOracleGuidance::new(gold, 11);
+        let model = Arc::new(NoisyOracleGuidance::new(gold, 11));
         let mut confidences: Vec<f64> = Vec::new();
-        enumerate(&db, &nlq, &model, None, &DuoquestConfig::fast(), |_s, c, _t| {
-            confidences.push(c);
+        session(nlq, model, None, DuoquestConfig::fast()).run_with(|candidate| {
+            confidences.push(candidate.confidence);
             confidences.len() < 10
         });
         assert!(!confidences.is_empty());
@@ -1262,14 +1221,16 @@ mod tests {
         let schema = db.schema();
         let gold = QueryBuilder::new(schema).select("movies.name").build().unwrap();
         let nlq = Nlq::new("all movie names");
-        let model = NoisyOracleGuidance::new(gold, 2);
+        let model = Arc::new(NoisyOracleGuidance::new(gold, 2));
         let mut config = DuoquestConfig::fast();
         config.max_candidates = 3;
         let mut seen = 0usize;
-        let stats = enumerate(&db, &nlq, &model, None, &config, |_s, _c, _t| {
-            seen += 1;
-            true
-        });
+        let stats = session(nlq, model, None, config)
+            .run_with(|_| {
+                seen += 1;
+                true
+            })
+            .stats;
         assert!(seen <= 3);
         assert!(stats.emitted <= 3);
     }
@@ -1284,11 +1245,10 @@ mod tests {
             .build()
             .unwrap();
         let nlq = Nlq::with_literals("names of movies before 1995", vec![Literal::number(1995.0)]);
-        let model = NoisyOracleGuidance::with_config(gold, 1, OracleConfig::perfect());
+        let model = Arc::new(NoisyOracleGuidance::with_config(gold, 1, OracleConfig::perfect()));
         let tsq = TableSketchQuery::with_types(vec![DataType::Text])
             .with_tuple(vec![crate::tsq::TsqCell::text("Forrest Gump")]);
-        let stats =
-            enumerate(&db, &nlq, &model, Some(&tsq), &DuoquestConfig::fast(), |_s, _c, _t| true);
+        let stats = session(nlq, model, Some(tsq), DuoquestConfig::fast()).run().stats;
         // Sibling states repeat row-wise probes; the run's memo must be
         // absorbing the repeats (column-wise ones never reach it twice).
         assert!(stats.cache_misses > 0, "stats: {stats:?}");
@@ -1312,13 +1272,14 @@ mod tests {
         let db = movie_db();
         let gold = QueryBuilder::new(db.schema()).select("movies.name").build().unwrap();
         let nlq = Nlq::new("all movie names");
-        let model = NoisyOracleGuidance::new(gold, 2);
+        let model = Arc::new(NoisyOracleGuidance::new(gold, 2));
         let mut config = DuoquestConfig::fast();
         config.time_budget = None;
         config.max_candidates = usize::MAX;
         config.max_expansions = usize::MAX;
         let control = SessionControl::new();
-        let env = RunInputs::borrowed(&db, &nlq, None, &model, &config, &control);
+        let session = session(nlq, model, None, config).with_control(control.clone());
+        let env = session.inputs();
         let plan = RunPlan::new(&env);
         let verifier = plan.verifier(&env);
         let mut driver = RoundDriver::new();
@@ -1345,13 +1306,14 @@ mod tests {
         let db = movie_db();
         let gold = QueryBuilder::new(db.schema()).select("movies.name").build().unwrap();
         let nlq = Nlq::new("all movie names");
-        let model = NoisyOracleGuidance::new(gold, 2);
+        let model = Arc::new(NoisyOracleGuidance::new(gold, 2));
         let mut config = DuoquestConfig::fast();
         config.time_budget = None;
         // A deadline that is already in the past when the first round runs.
         let control =
             SessionControl::new().with_deadline(Instant::now() - Duration::from_millis(1));
-        let env = RunInputs::borrowed(&db, &nlq, None, &model, &config, &control);
+        let session = session(nlq, model, None, config).with_control(control);
+        let env = session.inputs();
         let plan = RunPlan::new(&env);
         let mut driver = RoundDriver::new();
         assert!(
@@ -1384,12 +1346,10 @@ mod tests {
     /// the counters up to the panic are still there to collect.
     #[test]
     fn round_driver_is_finished_after_a_panicking_round() {
-        let db = movie_db();
         let nlq = Nlq::new("all movie names");
-        let model = FusedGuidance { calls: Default::default(), fuse: 3 };
-        let config = DuoquestConfig::fast();
-        let control = SessionControl::new();
-        let env = RunInputs::borrowed(&db, &nlq, None, &model, &config, &control);
+        let model = Arc::new(FusedGuidance { calls: Default::default(), fuse: 3 });
+        let session = session(nlq, model.clone(), None, DuoquestConfig::fast());
+        let env = session.inputs();
         let plan = RunPlan::new(&env);
         let verifier = plan.verifier(&env);
         let mut driver = RoundDriver::new();

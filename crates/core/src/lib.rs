@@ -16,12 +16,13 @@
 //!   checks, the semantic pruning rules of Table 4, projected-type checks,
 //!   column-wise and row-wise database probes, literal-usage checks and order
 //!   checks;
-//! * [`engine`] — the [`Duoquest`] facade that ties the
-//!   pieces together and returns a ranked candidate list (see its module docs
-//!   for the core architecture);
-//! * [`session`] — owned [`SynthesisSession`]s
-//!   over an `Arc`-shared database, with pulled candidate streaming (a
-//!   stream's `next()` runs rounds on the calling thread until one emits);
+//! * [`session`] — the [`SynthesisSession`], the one way to start a run:
+//!   owned inputs over an `Arc`-shared database, run to the end on the
+//!   calling thread, pulled as a candidate stream (a stream's `next()` runs
+//!   rounds on the calling thread until one emits) or handed to a pool;
+//! * [`engine`] — what a run returns: the emitted [`Candidate`]s and the
+//!   ranked [`SynthesisResult`] (see its module docs for the core
+//!   architecture);
 //! * [`scheduler`] — the shared
 //!   [`SessionScheduler`]: one long-lived worker
 //!   pool multiplexing any number of concurrent sessions with weighted
@@ -49,7 +50,7 @@ pub mod verify;
 
 pub use clock::{system_clock, Clock, SharedClock, SimClock, SystemClock};
 pub use config::DuoquestConfig;
-pub use engine::{Candidate, Duoquest, SynthesisResult};
+pub use engine::{Candidate, SynthesisResult};
 pub use enumerate::EnumerationStats;
 pub use scheduler::{
     panic_message, DrivenOutcome, SchedulerHandle, SchedulerRunStats, SchedulerStats,

@@ -45,7 +45,7 @@
 
 use crate::clock::{system_clock, SharedClock};
 use crate::config::DuoquestConfig;
-use crate::engine::{synthesize_inline, Candidate, CandidateCollector, SynthesisResult};
+use crate::engine::{Candidate, CandidateCollector, SynthesisResult};
 use crate::enumerate::{Advance, RoundDriver, RunInputs, RunPlan};
 use crate::scheduler::{spawn_driven_session, DrivenOutcome, SchedulerHandle, SchedulerRunStats};
 use crate::tsq::TableSketchQuery;
@@ -271,7 +271,7 @@ impl SynthesisSession {
     /// Panics if the session itself panicked (a guidance-model or verifier
     /// bug): the panic unwinds through this call.
     pub fn run(&self) -> SynthesisResult {
-        synthesize_inline(&self.inputs(), |_| true)
+        self.run_with(|_| true)
     }
 
     /// Run to completion on the calling thread, observing candidates in
@@ -282,11 +282,11 @@ impl SynthesisSession {
     /// # Panics
     ///
     /// Like [`SynthesisSession::run`].
-    pub fn run_with<F>(&self, on_candidate: F) -> SynthesisResult
+    pub fn run_with<F>(&self, mut on_candidate: F) -> SynthesisResult
     where
         F: FnMut(&Candidate) -> bool,
     {
-        synthesize_inline(&self.inputs(), on_candidate)
+        SessionRun::new(self.clone(), RoundDriver::new()).run_to_end(&mut on_candidate)
     }
 
     /// Hand the session to a scheduler pool to be **driven entirely by pool
@@ -361,6 +361,13 @@ impl SessionRun {
         })
     }
 
+    /// Advance the run until it is over and return its ranked result: a
+    /// blocking run's whole life, and what is left of a pulled stream's.
+    fn run_to_end(mut self, on_candidate: &mut dyn FnMut(&Candidate) -> bool) -> SynthesisResult {
+        while let Advance::Yield = self.advance(on_candidate) {}
+        self.finish(false)
+    }
+
     /// The ranked result of a run that is over. `force_cancelled` marks runs
     /// wound down by a scheduler shutdown that never reached a cooperative
     /// check. Leaves the frontier in place: a pool worker hands the result
@@ -419,9 +426,8 @@ impl CandidateStream {
     ///
     /// Panics if the session itself panicked (a guidance-model or verifier
     /// bug): the panic unwinds through this call.
-    pub fn finish(mut self) -> SynthesisResult {
-        while let Advance::Yield = self.run.advance(&mut |_| true) {}
-        self.run.finish(false)
+    pub fn finish(self) -> SynthesisResult {
+        self.run.run_to_end(&mut |_| true)
     }
 }
 
@@ -483,6 +489,27 @@ mod tests {
         let result = session.run();
         assert_eq!(result.rank_of(&gold), Some(1));
         assert!(result.stats.emitted > 0);
+    }
+
+    /// A candidate budget of 0 is spent before the first pop: nothing is
+    /// delivered, emitted or expanded, however the run is consumed.
+    #[test]
+    fn a_zero_candidate_budget_delivers_nothing() {
+        let (db, nlq, model, _gold) = fixture();
+        let mut config = DuoquestConfig::fast();
+        config.max_candidates = 0;
+        let session = SynthesisSession::new(db, nlq, model).with_config(config);
+        let mut delivered = 0;
+        let result = session.run_with(|_| {
+            delivered += 1;
+            true
+        });
+        assert_eq!(delivered, 0);
+        assert!(result.candidates.is_empty());
+        assert_eq!((result.stats.emitted, result.stats.expanded), (0, 0));
+        let mut stream = session.stream();
+        assert!(stream.next().is_none());
+        assert_eq!(stream.finish().stats.expanded, 0);
     }
 
     #[test]

@@ -127,7 +127,6 @@ use crate::table_index::{ord_cmp, ColumnIndex};
 use crate::types::{canonical_bits, DataType, Key, Value};
 use std::collections::hash_map::{Entry, RandomState};
 use std::collections::HashMap;
-use std::fmt::Write as _;
 use std::hash::{BuildHasher, Hasher};
 use std::ops::ControlFlow;
 
@@ -156,31 +155,6 @@ impl ResultSet {
     /// Values of one output column.
     pub fn column(&self, idx: usize) -> impl Iterator<Item = &Value> {
         self.rows.iter().map(move |r| &r.0[idx])
-    }
-
-    /// Render the result set as a compact ASCII table (used by the examples).
-    /// Cells are written straight into the output buffer; no intermediate
-    /// per-row string vectors are allocated.
-    pub fn to_table_string(&self, max_rows: usize) -> String {
-        let mut out = String::new();
-        out.push_str(&self.columns.join(" | "));
-        let header_len = out.len();
-        out.push('\n');
-        out.push_str(&"-".repeat(header_len.max(4)));
-        out.push('\n');
-        for row in self.rows.iter().take(max_rows) {
-            for (i, v) in row.0.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(" | ");
-                }
-                let _ = write!(out, "{v}");
-            }
-            out.push('\n');
-        }
-        if self.rows.len() > max_rows {
-            let _ = writeln!(out, "... ({} more rows)", self.rows.len() - max_rows);
-        }
-        out
     }
 }
 
@@ -2097,20 +2071,6 @@ mod tests {
             ..Default::default()
         };
         assert!(matches!(execute(&db, &spec), Err(DbError::InvalidQuery(_))));
-    }
-
-    #[test]
-    fn result_table_rendering() {
-        let db = movie_db();
-        let spec = SelectSpec {
-            select: vec![SelectItem::column(col(&db, "movies", "name"))],
-            join: JoinTree::single(db.schema().table_id("movies").unwrap()),
-            ..Default::default()
-        };
-        let rs = execute(&db, &spec).unwrap();
-        let table = rs.to_table_string(2);
-        assert!(table.contains("movies.name"));
-        assert!(table.contains("more rows"));
     }
 
     /// A larger fixture for streaming tests: `left` (many rows) joins

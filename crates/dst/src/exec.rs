@@ -1,15 +1,16 @@
 //! Scenario execution on a virtual clock, and the oracles that judge it.
 //!
 //! A scenario runs **twice**, against two differently shaped services
-//! (pool size, admission limits, index-access toggle), both on a
-//! [`SimClock`] that only moves when the executor advances it. Worker
+//! (`ServicePlan { workers, max_live, max_queued }`: pool size and admission
+//! limits), both on a [`SimClock`] that only moves when the executor
+//! advances it. Worker
 //! threads are real, so *which* requests complete versus get cancelled or
 //! expired can race — the oracles are therefore status-conditional:
 //!
 //! * a **completed** request must emit byte-for-byte what a solo
 //!   single-worker run of the same task emits (the determinism contract:
-//!   pool shape, priorities, concurrency and index access paths never
-//!   change results);
+//!   pool shape, admission limits, priorities and concurrency never change
+//!   results);
 //! * a cancelled/expired/poisoned request must only surface candidates the
 //!   reference run emits (no invented or corrupted candidates);
 //! * a request completed in **both** runs must emit identically in both;

@@ -451,11 +451,6 @@ fn score_choices(
         .collect()
 }
 
-/// Convenience: score a single literal value against a candidate constant.
-pub fn value_matches_literal(nlq: &Nlq, value: &Value) -> bool {
-    nlq.literals.iter().any(|l| l.value.sql_eq(value))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -558,7 +553,6 @@ mod tests {
             ],
         );
         assert!(scores[0] > scores[1]);
-        assert!(value_matches_literal(&nlq, &Value::int(1995)));
     }
 
     #[test]

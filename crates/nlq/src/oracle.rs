@@ -15,7 +15,7 @@
 //! task seed plus a hash of the candidate set, so repeated runs produce
 //! identical results.
 
-use crate::guidance::{Choice, GuidanceContext, GuidanceModel, HavingChoice, OrderChoice};
+use crate::guidance::{Choice, GuidanceContext, GuidanceModel, HavingChoice};
 use duoquest_db::{ColumnId, OrderKey, Predicate, SelectSpec};
 use duoquest_sql::{ClauseSet, SelectColumn};
 use rand::rngs::StdRng;
@@ -263,11 +263,6 @@ fn gold_clauses(gold: &SelectSpec) -> ClauseSet {
     }
 }
 
-/// The optional ORDER BY choice corresponding to a gold query, convenient for tests.
-pub fn gold_order_choice(gold: &SelectSpec) -> Option<OrderChoice> {
-    gold.order_by.as_ref().map(|o| OrderChoice { key: o.key, desc: o.desc, limit: gold.limit })
-}
-
 impl GuidanceModel for NoisyOracleGuidance {
     fn name(&self) -> &str {
         "noisy-oracle"
@@ -331,6 +326,7 @@ impl GuidanceModel for NoisyOracleGuidance {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::guidance::OrderChoice;
     use crate::tokenize::Nlq;
     use duoquest_db::{AggFunc, CmpOp, ColumnDef, JoinTree, Schema, SelectItem, TableDef, Value};
 
@@ -403,6 +399,15 @@ mod tests {
             desc: false,
             limit: None
         }))));
+        // A sorted, limited gold is consistent with exactly its own ORDER BY.
+        let mut sorted = g;
+        sorted.order_by = Some(duoquest_db::OrderSpec { key: OrderKey::Column(year), desc: true });
+        sorted.limit = Some(5);
+        let oracle = NoisyOracleGuidance::new(sorted, 3);
+        let order = OrderChoice { key: OrderKey::Column(year), desc: true, limit: Some(5) };
+        assert!(oracle.consistent(&Choice::OrderBy(Some(order.clone()))));
+        assert!(!oracle.consistent(&Choice::OrderBy(Some(OrderChoice { limit: None, ..order }))));
+        assert!(!oracle.consistent(&Choice::OrderBy(None)));
     }
 
     #[test]
@@ -532,25 +537,5 @@ mod tests {
             );
         }
         assert!(equal > 200 && unequal > 200, "{equal} equal, {unequal} unequal");
-    }
-
-    #[test]
-    fn gold_order_choice_mirrors_gold() {
-        let s = schema();
-        let mut g = gold(&s);
-        assert!(gold_order_choice(&g).is_none());
-        g.order_by = Some(duoquest_db::OrderSpec {
-            key: OrderKey::Column(s.column_id("movies", "year").unwrap()),
-            desc: true,
-        });
-        g.limit = Some(5);
-        let oc = gold_order_choice(&g).unwrap();
-        assert!(oc.desc);
-        assert_eq!(oc.limit, Some(5));
-        let oracle = NoisyOracleGuidance::new(g, 3);
-        assert!(oracle.consistent(&Choice::OrderBy(Some(oc))));
-        assert_eq!(oracle.name(), "noisy-oracle");
-        assert_eq!(oracle.gold().limit, Some(5));
-        let _ = AggFunc::Count; // silence unused import in some cfg combinations
     }
 }

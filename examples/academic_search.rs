@@ -4,8 +4,7 @@
 //!
 //! Run with: `cargo run --example academic_search`
 
-use duoquest::baselines::NliBaseline;
-use duoquest::core::{Duoquest, DuoquestConfig};
+use duoquest::core::{DuoquestConfig, SynthesisSession};
 use duoquest::nlq::NoisyOracleGuidance;
 use duoquest::sql::render_sql;
 use duoquest::workloads::{mas_nli_tasks, synthesize_tsq, MasDataset, TsqDetail};
@@ -24,9 +23,6 @@ fn main() {
         time_budget: None,
         ..Default::default()
     };
-    let engine = Duoquest::new(config.clone());
-    let nli = NliBaseline::new(config);
-
     // Task B4: "List authors from organization R with more than N publications
     // and the number of publications for each author."
     let task = tasks.iter().find(|t| t.id == "B4").expect("task B4 exists");
@@ -37,11 +33,9 @@ fn main() {
     // two example tuples drawn from the result, types, no sorting.
     let (gold, tsq) = synthesize_tsq(&mas.db, &task.gold, TsqDetail::Full, 2, 7);
     let model = NoisyOracleGuidance::new(gold.clone(), 7);
+    let session = SynthesisSession::new(Arc::clone(&mas.db), task.nlq.clone(), Arc::new(model));
 
-    let dual = engine
-        .session(Arc::clone(&mas.db), task.nlq.clone(), Arc::new(model.clone()))
-        .with_tsq(tsq)
-        .run();
+    let dual = session.clone().with_config(config.clone()).with_tsq(tsq).run();
     println!("Duoquest (NLQ + TSQ):");
     match dual.rank_of(&gold) {
         Some(rank) => {
@@ -60,7 +54,9 @@ fn main() {
         dual.stats.cache_misses
     );
 
-    let nli_result = nli.synthesize(&mas.db, &task.nlq, &model);
+    // The NLI baseline is the same engine without the TSQ and the
+    // TSQ-independent semantic rules.
+    let nli_result = session.with_config(config.without_semantic_rules()).run();
     println!("\nNLI baseline (NLQ only):");
     match nli_result.rank_of(&gold) {
         Some(rank) => {

@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --example iterative_refinement`
 
-use duoquest::core::{Duoquest, DuoquestConfig, TableSketchQuery, TsqCell};
+use duoquest::core::{DuoquestConfig, SynthesisSession, TableSketchQuery, TsqCell};
 use duoquest::db::CmpOp;
 use duoquest::db::DataType;
 use duoquest::nlq::NoisyOracleGuidance;
@@ -49,11 +49,11 @@ fn main() {
         time_budget: Some(std::time::Duration::from_secs(10)),
         ..Default::default()
     };
-    let engine = Duoquest::new(config);
     // Each refinement round is one synthesis session over the same shared
     // database, probing it through a memo of its own that ends with it.
     let session = |tsq: Option<TableSketchQuery>| {
-        let s = engine.session(Arc::clone(&mas.db), nlq.clone(), Arc::clone(&model));
+        let s = SynthesisSession::new(Arc::clone(&mas.db), nlq.clone(), Arc::clone(&model))
+            .with_config(config.clone());
         match tsq {
             Some(tsq) => s.with_tsq(tsq),
             None => s,

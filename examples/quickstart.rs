@@ -9,7 +9,7 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use duoquest::core::{Duoquest, DuoquestConfig, TableSketchQuery, TsqCell};
+use duoquest::core::{DuoquestConfig, SynthesisSession, TableSketchQuery, TsqCell};
 use duoquest::db::{ColumnDef, DataType, Database, Schema, TableDef, Value};
 use duoquest::nlq::{extract_literals, HeuristicGuidance, Nlq};
 use duoquest::sql::render_sql;
@@ -113,12 +113,11 @@ fn main() {
     // 3. Synthesize with the purely lexical guidance model (no training data),
     //    on a session streaming candidates as they survive verification —
     //    exactly what the paper's interactive front end shows.
-    let engine = Duoquest::new(DuoquestConfig::fast());
-    let model = Arc::new(HeuristicGuidance::new());
+    let session = SynthesisSession::new(Arc::clone(&db), nlq, Arc::new(HeuristicGuidance::new()))
+        .with_config(DuoquestConfig::fast());
 
     println!("--- Dual specification (NLQ + TSQ), streamed ---");
-    let mut stream =
-        engine.session(Arc::clone(&db), nlq.clone(), model.clone()).with_tsq(tsq).stream();
+    let mut stream = session.clone().with_tsq(tsq).stream();
     let mut streamed = 0usize;
     for cand in stream.by_ref() {
         streamed += 1;
@@ -144,7 +143,7 @@ fn main() {
     );
 
     println!("--- NLQ only (no TSQ) ---");
-    let nlq_only = engine.session(Arc::clone(&db), nlq, model).run();
+    let nlq_only = session.run();
     println!(
         "  {} candidates survive without the TSQ (vs {} with it) — the sketch prunes the ambiguity.",
         nlq_only.candidates.len(),

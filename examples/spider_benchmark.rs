@@ -4,8 +4,8 @@
 //!
 //! Run with: `cargo run --example spider_benchmark`
 
-use duoquest::baselines::{NliBaseline, SquidPbe};
-use duoquest::core::{Duoquest, DuoquestConfig};
+use duoquest::baselines::SquidPbe;
+use duoquest::core::{DuoquestConfig, SynthesisSession};
 use duoquest::nlq::NoisyOracleGuidance;
 use duoquest::workloads::{spider, synthesize_tsq, TsqDetail};
 use std::sync::Arc;
@@ -26,8 +26,9 @@ fn main() {
         time_budget: Some(Duration::from_secs(2)),
         ..Default::default()
     };
-    let engine = Duoquest::new(config.clone());
-    let nli = NliBaseline::new(config);
+    // The NLI baseline: the same engine without the TSQ and the
+    // TSQ-independent semantic rules.
+    let nli_config = config.clone().without_semantic_rules();
     let pbe = SquidPbe::new();
 
     let (mut dq_top1, mut dq_top10, mut nli_top1, mut nli_top10) = (0, 0, 0, 0);
@@ -36,18 +37,16 @@ fn main() {
         let db = dataset.database(task);
         let (gold, tsq) = synthesize_tsq(db, &task.gold, TsqDetail::Full, 2, i as u64);
         let model = NoisyOracleGuidance::new(gold.clone(), i as u64);
+        let session = SynthesisSession::new(Arc::clone(db), task.nlq.clone(), Arc::new(model));
 
-        let dq = engine
-            .session(Arc::clone(db), task.nlq.clone(), Arc::new(model.clone()))
-            .with_tsq(tsq.clone())
-            .run();
+        let dq = session.clone().with_config(config.clone()).with_tsq(tsq.clone()).run();
         if dq.in_top_k(&gold, 1) {
             dq_top1 += 1;
         }
         if dq.in_top_k(&gold, 10) {
             dq_top10 += 1;
         }
-        let nl = nli.synthesize(db, &task.nlq, &model);
+        let nl = session.with_config(nli_config.clone()).run();
         if nl.in_top_k(&gold, 1) {
             nli_top1 += 1;
         }

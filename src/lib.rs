@@ -16,7 +16,8 @@
 //!   deadlines and admission control over the shared session scheduler
 //! * [`net`] — dependency-free TCP front over the service: hand-rolled
 //!   HTTP/1.1 with chunked NDJSON candidate streaming (see `docs/NET.md`)
-//! * [`baselines`] — NLI, PBE and ablation baselines from the paper's evaluation
+//! * [`baselines`] — the PBE baseline from the paper's evaluation (its NLI
+//!   baseline and ablations are `core` sessions under `DuoquestConfig` presets)
 //! * [`workloads`] — synthetic MAS and Spider-like workloads and simulated users
 //!
 //! See `examples/quickstart.rs` for a complete end-to-end walk-through.

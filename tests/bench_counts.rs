@@ -24,7 +24,7 @@
 //! release build). The other three workloads run whole.
 
 use duoquest::core::verify::VerifyStage;
-use duoquest::core::{Duoquest, DuoquestConfig, TableSketchQuery};
+use duoquest::core::{DuoquestConfig, SynthesisSession, TableSketchQuery};
 use duoquest::db::encode::encode_spec;
 use duoquest::db::Database;
 use duoquest::nlq::{GuidanceModel, HeuristicGuidance, Nlq, NoisyOracleGuidance};
@@ -166,9 +166,13 @@ fn count(requests: &[Request]) -> Counts {
     let mut counts = Counts { digest: FNV_OFFSET, ..Default::default() };
     let mut bytes = Vec::new();
     for request in requests {
-        let session = Duoquest::new(request.config.clone())
-            .session(Arc::clone(&request.db), request.nlq.clone(), Arc::clone(&request.model))
-            .with_tsq(request.tsq.clone());
+        let session = SynthesisSession::new(
+            Arc::clone(&request.db),
+            request.nlq.clone(),
+            Arc::clone(&request.model),
+        )
+        .with_config(request.config.clone())
+        .with_tsq(request.tsq.clone());
         let mut digest = counts.digest;
         let result = session.run_with(|candidate| {
             bytes.clear();

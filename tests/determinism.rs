@@ -8,8 +8,8 @@ mod common;
 
 use common::drive;
 use duoquest::core::{
-    Candidate, DrivenOutcome, Duoquest, DuoquestConfig, SchedulerHandle, SessionScheduler,
-    SynthesisResult, SynthesisSession, TableSketchQuery,
+    Candidate, DrivenOutcome, DuoquestConfig, SchedulerHandle, SessionScheduler, SynthesisResult,
+    SynthesisSession, TableSketchQuery,
 };
 use duoquest::db::{Database, SelectSpec};
 use duoquest::nlq::{GuidanceModel, HeuristicGuidance, Nlq, NoisyOracleGuidance};
@@ -80,8 +80,8 @@ fn run_task_on(
     let db = dataset.database(task);
     let (gold, tsq) = synthesize_tsq(db, &task.gold, TsqDetail::Full, 2, seed);
     let model = NoisyOracleGuidance::new(gold, seed);
-    let session = Duoquest::new(config.clone())
-        .session(Arc::clone(db), task.nlq.clone(), Arc::new(model))
+    let session = SynthesisSession::new(Arc::clone(db), task.nlq.clone(), Arc::new(model))
+        .with_config(config.clone())
         .with_tsq(tsq);
     match pool {
         Some(pool) => finished(drive(session, &pool.handle(), |_| true)),
@@ -298,8 +298,8 @@ fn heuristic_plan_survives_scheduler_yields() {
         let task = &dataset.tasks[i];
         let db = dataset.database(task);
         let (_, tsq) = synthesize_tsq(db, &task.gold, TsqDetail::Minimal, 2, 500 + i as u64);
-        Duoquest::new(config.clone())
-            .session(Arc::clone(db), task.nlq.clone(), Arc::new(HeuristicGuidance::new()))
+        SynthesisSession::new(Arc::clone(db), task.nlq.clone(), Arc::new(HeuristicGuidance::new()))
+            .with_config(config.clone())
             .with_tsq(tsq)
     });
     let emissions: usize = reference.iter().map(|observed| observed.0.len()).sum();
@@ -337,9 +337,13 @@ fn verify_plan_is_per_session_on_every_way_to_run_one() {
         } else {
             own
         };
-        Duoquest::new(config.clone())
-            .session(Arc::clone(db), task.nlq.clone(), Arc::new(NoisyOracleGuidance::new(gold, 7)))
-            .with_tsq(tsq)
+        SynthesisSession::new(
+            Arc::clone(db),
+            task.nlq.clone(),
+            Arc::new(NoisyOracleGuidance::new(gold, 7)),
+        )
+        .with_config(config.clone())
+        .with_tsq(tsq)
     });
     let emissions: usize = reference.iter().step_by(2).map(|own| own.0.len()).sum();
     assert!(emissions >= 20, "only {emissions} candidates emitted over the whole workload");
@@ -598,9 +602,10 @@ fn a_smaller_expansion_budget_emits_a_prefix() {
                         ..base_config()
                     };
                     config.max_states = max_states.unwrap_or(config.max_states);
-                    let session = Duoquest::new(config)
-                        .session(Arc::clone(db), task.nlq.clone(), Arc::clone(&model))
-                        .with_tsq(tsq.clone());
+                    let session =
+                        SynthesisSession::new(Arc::clone(db), task.nlq.clone(), Arc::clone(&model))
+                            .with_config(config)
+                            .with_tsq(tsq.clone());
                     let (observed, result) = run_observed(session, Way::RunWith);
                     let stats = result.stats;
                     assert!(
@@ -674,8 +679,8 @@ fn mas_cold(draws: usize) -> (MasDataset, Vec<MasRequest>) {
 fn mas_session(db: &Arc<Database>, request: &MasRequest) -> SynthesisSession {
     let config = DuoquestConfig { max_candidates: 10, max_expansions: 200, ..base_config() };
     let model = NoisyOracleGuidance::new(request.gold.clone(), request.seed);
-    Duoquest::new(config)
-        .session(Arc::clone(db), request.nlq.clone(), Arc::new(model))
+    SynthesisSession::new(Arc::clone(db), request.nlq.clone(), Arc::new(model))
+        .with_config(config)
         .with_tsq(request.tsq.clone())
 }
 

@@ -2,12 +2,12 @@
 //! of the paper (Example 2.1/2.2) and dual-specification synthesis on the
 //! MAS user-study tasks.
 
-use duoquest::baselines::NliBaseline;
-use duoquest::core::{Duoquest, DuoquestConfig, TableSketchQuery, TsqCell};
+use duoquest::core::{DuoquestConfig, SynthesisSession, TableSketchQuery, TsqCell};
 use duoquest::db::{execute, ColumnDef, DataType, Database, Schema, TableDef, Value};
 use duoquest::nlq::{Literal, Nlq, NoisyOracleGuidance, OracleConfig};
 use duoquest::sql::{parse_query, queries_equivalent, render_sql};
 use duoquest::workloads::{mas_nli_tasks, synthesize_tsq, MasDataset, TsqDetail};
+use std::sync::Arc;
 use std::time::Duration;
 
 fn movie_db() -> Database {
@@ -82,7 +82,7 @@ fn motivating_gold(db: &Database) -> duoquest::db::SelectSpec {
 
 #[test]
 fn motivating_example_dual_specification() {
-    let db = movie_db();
+    let db = movie_db().into_shared();
     let gold = motivating_gold(&db);
 
     // The TSQ of Table 2 (canonical column order: actor.name, movies.name, movies.year).
@@ -106,10 +106,12 @@ fn motivating_example_dual_specification() {
         time_budget: Some(Duration::from_secs(20)),
         ..Default::default()
     };
-    let engine = Duoquest::new(config);
     let model = NoisyOracleGuidance::with_config(gold.clone(), 5, OracleConfig::perfect());
 
-    let result = engine.synthesize(&db, &nlq, Some(&tsq), &model);
+    let result = SynthesisSession::new(Arc::clone(&db), nlq, Arc::new(model))
+        .with_config(config)
+        .with_tsq(tsq.clone())
+        .run();
     let rank = result.rank_of(&gold);
     assert!(rank.is_some(), "gold query not found; stats: {:?}", result.stats);
     assert!(rank.unwrap() <= 10, "gold rank too deep: {rank:?}");
@@ -154,8 +156,9 @@ fn mas_task_a1_solved_with_dual_specification_but_harder_for_nli() {
     let (gold, tsq) = synthesize_tsq(&mas.db, &a1.gold, TsqDetail::Full, 2, 3);
     let model = NoisyOracleGuidance::new(gold.clone(), 3);
 
-    let duoquest = Duoquest::new(config.clone()).synthesize(&mas.db, &a1.nlq, Some(&tsq), &model);
-    let nli = NliBaseline::new(config).synthesize(&mas.db, &a1.nlq, &model);
+    let session = SynthesisSession::new(Arc::clone(&mas.db), a1.nlq.clone(), Arc::new(model));
+    let duoquest = session.clone().with_config(config.clone()).with_tsq(tsq).run();
+    let nli = session.with_config(config.without_semantic_rules()).run();
 
     let dq_rank = duoquest.rank_of(&gold);
     assert!(dq_rank.is_some(), "Duoquest failed A1: {:?}", duoquest.stats);
@@ -177,13 +180,15 @@ fn tsq_detail_monotonically_helps_on_a_simple_task() {
         time_budget: Some(Duration::from_secs(20)),
         ..Default::default()
     };
-    let engine = Duoquest::new(config);
 
     let mut ranks = Vec::new();
     for detail in [TsqDetail::Full, TsqDetail::Minimal] {
         let (gold, tsq) = synthesize_tsq(&mas.db, &b1.gold, detail, 2, 11);
         let model = NoisyOracleGuidance::new(gold.clone(), 11);
-        let result = engine.synthesize(&mas.db, &b1.nlq, Some(&tsq), &model);
+        let result = SynthesisSession::new(Arc::clone(&mas.db), b1.nlq.clone(), Arc::new(model))
+            .with_config(config.clone())
+            .with_tsq(tsq)
+            .run();
         ranks.push(result.rank_of(&gold));
     }
     // The Full TSQ must find the query; the Minimal TSQ may or may not, but if

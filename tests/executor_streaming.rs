@@ -66,7 +66,7 @@ fn limit_one_probe_scans_under_ten_percent_of_materializing_executor() {
 
 #[test]
 fn synthesis_run_surfaces_scan_counters() {
-    use duoquest::core::{Duoquest, DuoquestConfig};
+    use duoquest::core::{DuoquestConfig, SynthesisSession};
     use duoquest::nlq::NoisyOracleGuidance;
     use duoquest::workloads::{spider, synthesize_tsq, TsqDetail};
     use std::sync::Arc;
@@ -77,8 +77,8 @@ fn synthesis_run_surfaces_scan_counters() {
     let (gold, tsq) = synthesize_tsq(db, &task.gold, TsqDetail::Full, 2, 7);
     let model = NoisyOracleGuidance::new(gold, 7);
     let config = DuoquestConfig { max_candidates: 5, time_budget: None, ..Default::default() };
-    let result = Duoquest::new(config)
-        .session(Arc::clone(db), task.nlq.clone(), Arc::new(model))
+    let result = SynthesisSession::new(Arc::clone(db), task.nlq.clone(), Arc::new(model))
+        .with_config(config)
         .with_tsq(tsq)
         .run();
     assert!(

@@ -41,7 +41,7 @@
 //! allocator, and holds a single `#[test]` so no other thread allocates while
 //! it counts.
 
-use duoquest::core::{Duoquest, DuoquestConfig, EnumState};
+use duoquest::core::{DuoquestConfig, EnumState, SynthesisSession};
 use duoquest::db::{Database, TableId, Value};
 use duoquest::nlq::{HeuristicGuidance, NoisyOracleGuidance};
 use duoquest::obs::{Trace, ROOT_SPAN, TERMINAL_EVENT};
@@ -162,14 +162,17 @@ fn runs_and_their_probe_memos_keep_what_they_count() {
         ..Default::default()
     };
     let bound = config.max_expansions + config.max_expansions / 4 + 64;
-    let engine = Duoquest::new(config);
     let (mut runs, mut largest, mut peak) = (0, 0, 0);
     for (i, task) in dataset.tasks.iter().enumerate().step_by(4) {
         let db = dataset.database(task);
         let (_, tsq) = synthesize_tsq(db, &task.gold, TsqDetail::Minimal, 2, i as u64);
-        let session = engine
-            .session(Arc::clone(db), task.nlq.clone(), Arc::new(HeuristicGuidance::new()))
-            .with_tsq(tsq);
+        let session = SynthesisSession::new(
+            Arc::clone(db),
+            task.nlq.clone(),
+            Arc::new(HeuristicGuidance::new()),
+        )
+        .with_config(config.clone())
+        .with_tsq(tsq);
         let (result, growth) = live_growth_of(|| session.run());
         let stats = &result.stats;
         assert!(
@@ -200,13 +203,13 @@ fn runs_and_their_probe_memos_keep_what_they_count() {
         time_budget: None,
         ..Default::default()
     };
-    let engine = Duoquest::new(config);
     let (start, mut misses) = (LIVE.load(Ordering::Relaxed), 0);
     for (i, task) in dataset.tasks.iter().enumerate().step_by(8) {
         let db = dataset.database(task);
         let (gold, tsq) = synthesize_tsq(db, &task.gold, TsqDetail::Full, 2, i as u64);
         let model = NoisyOracleGuidance::new(gold, i as u64);
-        let session = engine.session(Arc::clone(db), task.nlq.clone(), Arc::new(model));
+        let session = SynthesisSession::new(Arc::clone(db), task.nlq.clone(), Arc::new(model))
+            .with_config(config.clone());
         misses += session.with_tsq(tsq).run().stats.cache_misses;
     }
     let kept = LIVE.load(Ordering::Relaxed) as i64 - start as i64;
@@ -225,16 +228,16 @@ fn runs_and_their_probe_memos_keep_what_they_count() {
         ..Default::default()
     };
     let bound = config.max_expansions + config.max_expansions / 4 + 64;
-    let engine = Duoquest::new(config);
     let (mut generated, mut allocations, mut largest) = (0, 0, 0);
     let (mut growths, mut peak) = (Vec::new(), 0);
     let (mut spans, mut trace_bytes) = (0, 0);
     for (i, task) in dataset.tasks.iter().enumerate().step_by(12) {
         let db = dataset.database(task);
         let (gold, tsq) = synthesize_tsq(db, &task.gold, TsqDetail::Full, 2, i as u64);
-        let oracle = || Arc::new(NoisyOracleGuidance::new(gold.clone(), i as u64));
-        let session =
-            engine.session(Arc::clone(db), task.nlq.clone(), oracle()).with_tsq(tsq.clone());
+        let oracle = Arc::new(NoisyOracleGuidance::new(gold, i as u64));
+        let session = SynthesisSession::new(Arc::clone(db), task.nlq.clone(), oracle)
+            .with_config(config.clone())
+            .with_tsq(tsq);
         session.run();
         LARGEST.store(0, Ordering::Relaxed);
         let before = ALLOCATIONS.load(Ordering::Relaxed);
@@ -265,10 +268,7 @@ fn runs_and_their_probe_memos_keep_what_they_count() {
         let anchor = Instant::now();
         let trace = Arc::new(Trace::new(i as u64, anchor));
         trace.event("submitted", anchor, Some("interactive".into()));
-        (engine.session(Arc::clone(db), task.nlq.clone(), oracle()))
-            .with_tsq(tsq)
-            .with_trace(Arc::clone(&trace))
-            .run();
+        session.with_trace(Arc::clone(&trace)).run();
         let end = Instant::now();
         trace.record_span(ROOT_SPAN, anchor, end);
         trace.event(TERMINAL_EVENT, end, Some("completed".into()));

@@ -2,7 +2,7 @@
 //! one test on purpose: it counts the threads of its process, and the test
 //! harness starts a thread per test.
 
-use duoquest::core::{Duoquest, DuoquestConfig, SynthesisResult, SynthesisSession};
+use duoquest::core::{DuoquestConfig, SynthesisResult, SynthesisSession};
 use duoquest::nlq::NoisyOracleGuidance;
 use duoquest::workloads::{spider, synthesize_tsq, TsqDetail};
 use std::sync::Arc;
@@ -19,8 +19,7 @@ fn process_threads() -> usize {
 /// The thread count read inside the candidate callback — or inside the loop
 /// draining a pulled stream — is the count before the run, and the result
 /// carries no pool observations: for a session's `run_with` and `stream()`,
-/// and for the borrowed entry points (they cannot hand `&Database` to a
-/// pool); all three return the same candidates.
+/// which return the same candidates.
 #[test]
 fn inline_mode_spawns_no_thread() {
     let dataset = spider::generate("inline-mode", 1, 2, 2, 2, 33);
@@ -47,16 +46,6 @@ fn inline_mode_spawns_no_thread() {
     assert!(!during.is_empty(), "the task emits candidates");
     assert!(during.iter().all(|&n| n == before), "{before} threads before, {during:?} during");
     assert!(session.stats.scheduler.is_none());
-
-    during.clear();
-    let borrowed =
-        Duoquest::new(config.clone()).synthesize_with(db, &task.nlq, Some(&tsq), &model, |_| {
-            during.push(process_threads());
-            true
-        });
-    assert!(during.iter().all(|&n| n == before), "{before} threads before, {during:?} during");
-    assert!(borrowed.stats.scheduler.is_none());
-    assert_eq!(ranking(&session), ranking(&borrowed));
 
     during.clear();
     let mut stream = SynthesisSession::new(Arc::clone(db), task.nlq.clone(), Arc::new(model))

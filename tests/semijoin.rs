@@ -23,7 +23,7 @@
 use duoquest::core::enumerate::enum_next_step;
 use duoquest::core::joinpath::construct_join_paths;
 use duoquest::core::verify::by_row::{can_check_rows, verify_by_row};
-use duoquest::core::{Duoquest, DuoquestConfig, TableSketchQuery, TsqCell};
+use duoquest::core::{DuoquestConfig, SynthesisSession, TableSketchQuery, TsqCell};
 use duoquest::db::{
     execute_with, CmpOp, ColumnId, Database, ExecMetrics, ExecOptions, ForeignKey, JoinEdge,
     JoinGraph, JoinTree, OrderKey, OrderSpec, Predicate, Row, RunCacheCounters, SelectItem,
@@ -174,14 +174,14 @@ fn run_and_replay(
         time_budget: None,
         ..Default::default()
     };
-    let result = Duoquest::new(config)
-        .session(
-            Arc::clone(db),
-            nlq.clone(),
-            Arc::new(NoisyOracleGuidance::new(gold.clone(), seed)),
-        )
-        .with_tsq(tsq.clone())
-        .run();
+    let result = SynthesisSession::new(
+        Arc::clone(db),
+        nlq.clone(),
+        Arc::new(NoisyOracleGuidance::new(gold.clone(), seed)),
+    )
+    .with_config(config)
+    .with_tsq(tsq.clone())
+    .run();
     let mut specs = vec![gold, task_gold.clone()];
     specs.extend(result.candidates.into_iter().map(|c| c.spec));
     replay(db, &specs, &tsq, id)

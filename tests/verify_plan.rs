@@ -7,7 +7,7 @@
 
 use duoquest::core::verify::by_column::verify_by_column;
 use duoquest::core::{
-    Duoquest, DuoquestConfig, TableSketchQuery, TsqCell, VerifyPlan, VerifyStage,
+    DuoquestConfig, SynthesisSession, TableSketchQuery, TsqCell, VerifyPlan, VerifyStage,
 };
 use duoquest::db::{AggFunc, ColumnId, DataType, Database, RunCacheCounters, SelectSpec, Value};
 use duoquest::nlq::NoisyOracleGuidance;
@@ -297,8 +297,8 @@ fn a_run_reaches_the_cache_a_fixed_number_of_times() {
     };
     let run = || {
         let model = NoisyOracleGuidance::new(gold.clone(), 3);
-        let stats = Duoquest::new(config.clone())
-            .session(Arc::clone(&db), task.nlq.clone(), Arc::new(model))
+        let stats = SynthesisSession::new(Arc::clone(&db), task.nlq.clone(), Arc::new(model))
+            .with_config(config.clone())
             .with_tsq(tsq.clone())
             .run()
             .stats;
